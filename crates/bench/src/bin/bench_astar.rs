@@ -2,8 +2,12 @@
 //! path, seed reference vs arena-optimized, on the `micro_astar`
 //! congested-grid case *and* on a huge-slack query whose dense table would
 //! exceed [`DENSE_TABLE_CAP`] — the sparse hash fallback, which previously
-//! had no perf floor. Emits `BENCH_astar.json` (path overridable via
-//! `BENCH_ASTAR_OUT`) so each PR can record where both paths stand.
+//! had no perf floor. A third case, `parked_goal_clearance`, is the
+//! paper-scale shape that used to burn the whole expansion budget: a parking
+//! goal five cells away that another robot crosses 100 ticks from now. Its
+//! gate is an absolute expansion count, not a ratio against the reference.
+//! Emits `BENCH_astar.json` (path overridable via `BENCH_ASTAR_OUT`) so
+//! each PR can record where every path stands.
 //!
 //! Run with: `cargo run --release -p eatp-bench --bin bench_astar`
 //! (`BENCH_ASTAR_ITERS` overrides the per-variant iteration count.)
@@ -28,13 +32,30 @@ struct CaseReport {
     arrival_tick_arena: u64,
 }
 
+/// The far-clearance parking query (arena search only: the reference needs
+/// ~130 000 expansions for it and is not what this case gates).
+#[derive(Debug, Serialize)]
+struct ClearanceReport {
+    case: String,
+    iterations: usize,
+    arena_median_ns: u64,
+    arena_expansions: usize,
+    /// CI fails when `arena_expansions` exceeds this: 4 × the ticks between
+    /// the query start and the parking clearance, the bound the unit test
+    /// `far_parking_clearance_costs_a_walk_not_a_cone` asserts.
+    expansion_budget: usize,
+    park_clearance: u64,
+    arrival_tick_arena: u64,
+}
+
 /// Top-level report. The congested-case fields stay flattened at the top so
 /// the long-standing CI gate (`speedup >= 1.5`) keeps reading the same
 /// schema; the sparse fallback rides along as a nested case.
 #[derive(Debug, Serialize)]
 struct BenchReport {
     /// Schema tag consumed by CI's drift check against
-    /// `crates/bench/README.md` (the shape itself is unchanged since PR 1).
+    /// `crates/bench/README.md` (v2 added `parked_goal_clearance`; the
+    /// top-level fields are unchanged since PR 1).
     schema: &'static str,
     case: String,
     iterations: usize,
@@ -46,6 +67,7 @@ struct BenchReport {
     arrival_tick_reference: u64,
     arrival_tick_arena: u64,
     sparse_fallback: CaseReport,
+    parked_goal_clearance: ClearanceReport,
 }
 
 /// The congested-grid case shared with `micro_astar` and the no-alloc test:
@@ -130,6 +152,71 @@ fn run_case(
     }
 }
 
+/// Open 40×40 floor, parking goal 5 cells from the start, crossed by
+/// another robot 100 ticks after the query starts.
+fn run_clearance_case(iters: usize) -> ClearanceReport {
+    let grid = GridMap::filled(40, 40, CellKind::Aisle);
+    let mut resv = ConflictDetectionTable::new(40, 40);
+    let (me, from, to, start_tick) = (
+        RobotId::new(0),
+        GridPos::new(15, 20),
+        GridPos::new(20, 20),
+        7,
+    );
+    let side = GridPos::new(21, 20);
+    resv.reserve_path(
+        RobotId::new(1),
+        &Path {
+            start: start_tick + 99,
+            cells: vec![side, to, side],
+        },
+        false,
+    );
+    let park_clearance = start_tick + 101;
+    let opts = PlanOptions::default();
+    let mut scratch = SearchScratch::new();
+    let first = plan_path_with(
+        &mut scratch,
+        &grid,
+        &resv,
+        me,
+        from,
+        start_tick,
+        to,
+        None,
+        &opts,
+    )
+    .expect("the goal clears inside the horizon");
+    let mut samples = Vec::with_capacity(iters);
+    for _ in 0..iters {
+        let t0 = Instant::now();
+        let out = plan_path_with(
+            &mut scratch,
+            &grid,
+            &resv,
+            me,
+            from,
+            start_tick,
+            to,
+            None,
+            &opts,
+        )
+        .expect("the goal clears inside the horizon");
+        samples.push(t0.elapsed().as_nanos() as u64);
+        assert_eq!(out.path.end(), first.path.end());
+    }
+    ClearanceReport {
+        case: "open 40x40, parking goal 5 cells away, crossed 100 ticks after the start"
+            .to_string(),
+        iterations: iters,
+        arena_median_ns: median_ns(&mut samples),
+        arena_expansions: first.expansions,
+        expansion_budget: 4 * (park_clearance - start_tick) as usize,
+        park_clearance,
+        arrival_tick_arena: first.path.end(),
+    }
+}
+
 fn main() {
     let iters: usize = std::env::var("BENCH_ASTAR_ITERS")
         .ok()
@@ -172,8 +259,14 @@ fn main() {
         },
     );
 
+    let clearance = run_clearance_case(iters);
+    assert_eq!(
+        clearance.arrival_tick_arena, clearance.park_clearance,
+        "the earliest admissible arrival is the clearance itself"
+    );
+
     let report = BenchReport {
-        schema: "bench_astar/v1",
+        schema: "bench_astar/v2",
         case: dense.case.clone(),
         iterations: dense.iterations,
         reference_median_ns: dense.reference_median_ns,
@@ -184,6 +277,7 @@ fn main() {
         arrival_tick_reference: dense.arrival_tick_reference,
         arrival_tick_arena: dense.arrival_tick_arena,
         sparse_fallback: sparse,
+        parked_goal_clearance: clearance,
     };
 
     let json = serde_json::to_string_pretty(&report).expect("report serializes");
@@ -192,12 +286,16 @@ fn main() {
     println!(
         "\ndense: reference {} ns/query -> arena {} ns/query ({:.2}x)\n\
          sparse fallback: reference {} ns/query -> arena {} ns/query ({:.2}x)\n\
+         parked-goal clearance: arena {} ns/query, {} expansions (budget {})\n\
          written to {out_path}",
         report.reference_median_ns,
         report.arena_median_ns,
         report.speedup,
         report.sparse_fallback.reference_median_ns,
         report.sparse_fallback.arena_median_ns,
-        report.sparse_fallback.speedup
+        report.sparse_fallback.speedup,
+        report.parked_goal_clearance.arena_median_ns,
+        report.parked_goal_clearance.arena_expansions,
+        report.parked_goal_clearance.expansion_budget
     );
 }

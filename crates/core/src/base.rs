@@ -334,6 +334,7 @@ fn speculate_leg<R: ReservationSystem>(
             touched,
         },
         None => TentativeLeg::Blocked {
+            expansions: slot.scratch.last_expansions(),
             cache_probes,
             touched,
         },
@@ -477,6 +478,7 @@ impl<R: ReservationBackend> PlannerBase<R> {
                 Some(out.path)
             }
             None => {
+                self.stats.failed_expansions += self.scratch.last_expansions() as u64;
                 self.stats.paths_failed += 1;
                 None
             }
@@ -575,9 +577,11 @@ impl<R: ReservationBackend> PlannerBase<R> {
                     Some(path)
                 }
                 TentativeLeg::Blocked {
+                    expansions,
                     cache_probes,
                     touched,
                 } if touched.iter().all(|&c| !self.dirty.contains(c)) => {
+                    self.stats.failed_expansions += expansions as u64;
                     self.stats.paths_failed += 1;
                     self.replay_cache_probes(&cache_probes);
                     None
@@ -1688,6 +1692,86 @@ mod tests {
             "the overlapping second leg must have been invalidated"
         );
         assert_eq!(serial.stats.expansions, par.stats.expansions);
+    }
+
+    /// Failed searches cost expansions too, and the count folds into
+    /// `failed_expansions` the same way on all three commit paths: planned
+    /// inline (the serial loop), adopted from a clean speculative `Blocked`,
+    /// and re-planned after a stale one. `expansions` keeps counting
+    /// successful searches only.
+    #[test]
+    fn failed_expansions_fold_the_same_on_every_commit_path() {
+        let inst = instance();
+        let config = EatpConfig {
+            horizon_slack: 6,
+            ..EatpConfig::default()
+        };
+        // Two parking goals, each three cells from a robot and crossed by
+        // a third party at tick 40 — past the 9-tick horizon, so both
+        // searches run dry. Robot 0's leg ends beside robot 1, inside the
+        // cells robot 1's search observed, and nowhere near robot 3's.
+        let (r0, r1, r3) = (&inst.robots[0], &inst.robots[1], &inst.robots[3]);
+        let goals = [
+            GridPos::new(r1.pos.x + 3, r1.pos.y),
+            GridPos::new(r3.pos.x + 3, r3.pos.y),
+        ];
+        let requests = vec![
+            LegRequest::new(r0.id, r0.pos, GridPos::new(r1.pos.x + 1, r1.pos.y), true),
+            LegRequest::new(r1.id, r1.pos, goals[0], true),
+            LegRequest::new(r3.id, r3.pos, goals[1], true),
+        ];
+        let build = || {
+            let mut base: PlannerBase<ConflictDetectionTable> =
+                PlannerBase::new(&inst, config.clone(), false, false);
+            for (i, &goal) in goals.iter().enumerate() {
+                let side = GridPos::new(goal.x + 1, goal.y);
+                let crossing = Path {
+                    start: 39,
+                    cells: vec![side, goal, side],
+                };
+                base.resv
+                    .reserve_path(RobotId::new(90 + i), &crossing, false);
+            }
+            base
+        };
+
+        let mut serial = build();
+        let mut serial_paths = Vec::new();
+        serial.plan_legs(&requests, 0, &mut serial_paths).unwrap();
+        assert_eq!(serial.stats.paths_planned, 1);
+        assert_eq!(serial.stats.paths_failed, 2);
+        assert!(
+            serial.stats.failed_expansions > 2 * 9,
+            "two searches ran dry"
+        );
+        let one_leg = {
+            let mut alone = build();
+            alone.plan_legs(&requests[..1], 0, &mut Vec::new()).unwrap();
+            alone.stats.expansions
+        };
+        assert_eq!(serial.stats.expansions, one_leg, "successful searches only");
+
+        let mut par = build();
+        par.set_parallel_workers(2);
+        let mut tentative = Vec::new();
+        par.query_legs(&requests, 0, &mut tentative);
+        for t in &tentative[1..] {
+            assert!(
+                matches!(t, TentativeLeg::Blocked { expansions, .. } if *expansions > 9),
+                "{t:?}"
+            );
+        }
+        let mut par_paths = Vec::new();
+        par.commit_legs(&requests, 0, &mut tentative, &mut par_paths)
+            .unwrap();
+        assert_eq!(serial_paths, par_paths);
+        assert_eq!(
+            par.parallel_retries, 1,
+            "robot 1 re-planned, robot 3 adopted"
+        );
+        assert_eq!(serial.stats.failed_expansions, par.stats.failed_expansions);
+        assert_eq!(serial.stats.expansions, par.stats.expansions);
+        assert_eq!(serial.stats.paths_failed, par.stats.paths_failed);
     }
 
     /// Disjoint speculative searches are adopted without a retry, and the

@@ -90,6 +90,9 @@ pub enum TentativeLeg {
     },
     /// The search concluded "blocked" against the pre-batch state.
     Blocked {
+        /// A* expansions the failed search spent (folded into
+        /// [`PlannerStats::failed_expansions`] on adoption).
+        expansions: usize,
         /// Path-cache call sequence (splice attempts run before failing).
         cache_probes: Vec<(GridPos, GridPos)>,
         /// Exact cells whose reservations the search observed.
@@ -112,8 +115,12 @@ pub struct PlannerStats {
     /// so folding them into `memory_bytes` would wash out the STG-vs-CDT
     /// comparison.
     pub scratch_bytes: usize,
-    /// Total A* state expansions.
+    /// A* state expansions of the *successful* path queries.
     pub expansions: u64,
+    /// A* state expansions of the failed path queries — work that produced
+    /// no path. Absent from payloads written before the counter existed.
+    #[serde(default)]
+    pub failed_expansions: u64,
     /// Successful path queries.
     pub paths_planned: u64,
     /// Failed path queries (retried by the engine on later ticks).
@@ -511,6 +518,23 @@ mod tests {
         assert_eq!(s.selection_ns, 0);
         assert_eq!(s.paths_planned, 0);
         assert_eq!(s.memory_bytes, 0);
+    }
+
+    #[test]
+    fn stats_written_before_failed_expansions_still_decode() {
+        let stats = PlannerStats {
+            expansions: 7,
+            failed_expansions: 9,
+            ..PlannerStats::default()
+        };
+        let serde::Value::Object(mut fields) = stats.serialize() else {
+            panic!("stats serialize as an object");
+        };
+        let full = serde::Value::Object(fields.clone());
+        assert_eq!(PlannerStats::deserialize(&full).unwrap(), stats);
+        fields.retain(|(k, _)| k != "failed_expansions");
+        let old = PlannerStats::deserialize(&serde::Value::Object(fields)).unwrap();
+        assert_eq!((old.expansions, old.failed_expansions), (7, 0));
     }
 
     /// Mock planner whose `plan_leg` succeeds except on a poisoned cell —

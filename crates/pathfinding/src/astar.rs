@@ -2,11 +2,28 @@
 //! (Sec. VI-B), flattened around a reusable arena.
 //!
 //! The search runs on the time-expanded graph: a state is a `(cell, tick)`
-//! pair, moves cost one tick, waiting in place costs one tick, and the
-//! heuristic is the Manhattan distance to the destination (admissible on
-//! grids). Conflict constraints come from a [`ReservationProbe`]: a move is
-//! expanded only if [`ReservationProbe::can_move`] allows it, which encodes
-//! both single-grid and inter-grid conflicts of Definition 5.
+//! pair, moves cost one tick and waiting in place costs one tick. Conflict
+//! constraints come from a [`ReservationProbe`]: a move is expanded only if
+//! [`ReservationProbe::can_move`] allows it, which encodes both single-grid
+//! and inter-grid conflicts of Definition 5.
+//!
+//! The heuristic is `max(manhattan(cell, goal), park_clearance - tick)`
+//! (`remaining_ticks`, shared by both search cores). A parking goal is
+//! accepted only once every reservation other robots hold on it has passed
+//! (`park_clearance`), so no plan ends earlier than that, however short the
+//! way; the second term says so. Each term drops by at most one per tick,
+//! which makes the bound admissible and consistent, and arrival ticks stay
+//! optimal. With the distance alone, a goal five cells away that clears
+//! 100 ticks from now has `f < 100` on every state of a 100-tick cone, all
+//! of which must be expanded before the goal test can fire — more states
+//! than the expansion budget at paper scale
+//! (docs/adr/ADR-003-clearance-aware-search.md). With the clearance term
+//! those states share one `f`, a wait on that plateau costs `+0`, and the
+//! LIFO dial below walks it depth-first, straight to a path that arrives
+//! on the clearance tick, in about `park_clearance - start_tick`
+//! expansions. The term is 0 for non-parking goals and never the larger
+//! one when the goal clears by the uncongested arrival, so those queries
+//! expand and return exactly what the distance alone would.
 //!
 //! # Hot-path design (see also [`crate::scratch`])
 //!
@@ -23,13 +40,18 @@
 //!   `d(start,c) + d(c,goal) ≤ d(start,goal) + slack`). A state keys the
 //!   flat tables of a [`SearchScratch`] as `region_cell * window + dt`,
 //!   stamped by query generation so buffers are reused without clearing.
-//! * **The open list is a dial.** Unit edge costs make f-values monotone
-//!   with increments in `{0, 1, 2}`, so a bucket array indexed by `f - h0`
-//!   with a monotone head pointer replaces the binary heap. Buckets pop
-//!   LIFO, preferring the most recently discovered state of equal `f` — a
-//!   depth-greedy tie-break similar in spirit to (not identical with) the
-//!   seed's `(f, h, …)` ordering; equal `f` means equal final cost, so
-//!   only expansion order differs.
+//! * **The open list is a dial.** Unit edge costs and a consistent
+//!   heuristic make f-values monotone with increments in `{0, 1, 2}`, so a
+//!   bucket array indexed by `f - h0` with a monotone head pointer replaces
+//!   the binary heap. Buckets pop LIFO, preferring the most recently
+//!   discovered state of equal `f` — a depth-greedy tie-break similar in
+//!   spirit to (not identical with) the seed's `(f, h, …)` ordering; equal
+//!   `f` means equal final cost, so only expansion order differs. The wait
+//!   is pushed before the moves, hence popped after them: off the clearance
+//!   plateau it is alone in its bucket and the order is moot; on it the
+//!   robot spends its slack moving and frees its cell at once (popping the
+//!   wait first, so it holds the cell until it must leave, was measured and
+//!   is no better: ADR-003).
 //! * **Parents are 3-bit actions**, not pointers: a state's predecessor is
 //!   recomputed from the stored reach-action during path reconstruction.
 //! * **No closed set.** Every path into `(cell, dt)` has cost exactly `dt`,
@@ -206,6 +228,7 @@ pub fn plan_path_into<R: ReservationProbe>(
     out: &mut Path,
 ) -> Option<PlanStats> {
     debug_assert!(grid.passable(start) && grid.passable(goal));
+    scratch.last_expansions = 0; // the refusals below expand nothing
 
     // The start vertex must be ours: a robot undocking from a station bay
     // cannot re-enter the grid while another robot occupies the cell.
@@ -359,6 +382,17 @@ pub fn plan_path<R: ReservationProbe>(
     })
 }
 
+/// The heuristic of both search cores: a lower bound on the ticks a robot
+/// at `pos`, `dt` ticks into the query, still needs. It must cover the
+/// Manhattan distance and cannot be accepted by the goal test before the
+/// parking clearance (`clearance_dt` ticks after the query start; 0 for
+/// non-parking goals). Both terms drop by at most one per tick, so the
+/// bound is admissible and consistent.
+#[inline]
+fn remaining_ticks(pos: GridPos, goal: GridPos, dt: u64, clearance_dt: u64) -> u64 {
+    pos.manhattan(goal).max(clearance_dt.saturating_sub(dt))
+}
+
 /// Dense-arena search core.
 #[allow(clippy::too_many_arguments)]
 fn plan_dense<R: ReservationProbe>(
@@ -376,7 +410,8 @@ fn plan_dense<R: ReservationProbe>(
     out: &mut Path,
 ) -> Option<PlanStats> {
     let horizon = start_tick + region.window - 1;
-    let h0 = start.manhattan(goal);
+    let clearance_dt = park_clearance.saturating_sub(start_tick);
+    let h0 = remaining_ticks(start, goal, 0, clearance_dt);
     let width = grid.width();
     let height = grid.height();
     let generation = scratch.begin_dense(region.slots().expect("checked by caller"));
@@ -457,6 +492,7 @@ fn plan_dense<R: ReservationProbe>(
                 &region,
                 goal,
                 h0,
+                clearance_dt,
                 pos,
                 ndt,
                 ACTION_WAIT,
@@ -475,6 +511,7 @@ fn plan_dense<R: ReservationProbe>(
                         &region,
                         goal,
                         h0,
+                        clearance_dt,
                         next,
                         ndt,
                         ACTION_MOVE_BASE + i as u8,
@@ -490,6 +527,7 @@ fn plan_dense<R: ReservationProbe>(
     for bucket in &mut scratch.buckets[..=dirty_hi] {
         bucket.clear();
     }
+    scratch.last_expansions = expansions;
     result
 }
 
@@ -501,6 +539,7 @@ fn push_dense(
     region: &Region,
     goal: GridPos,
     h0: u64,
+    clearance_dt: u64,
     to: GridPos,
     ndt: u64,
     action: u8,
@@ -513,8 +552,8 @@ fn push_dense(
     }
     scratch.stamp[slot] = scratch.generation;
     scratch.action[slot] = action;
-    let f = ndt + to.manhattan(goal);
-    debug_assert!(f >= h0, "Manhattan heuristic must be consistent");
+    let f = ndt + remaining_ticks(to, goal, ndt, clearance_dt);
+    debug_assert!(f >= h0, "the heuristic must be consistent");
     let bucket = (f - h0) as usize;
     scratch.ensure_bucket(bucket);
     scratch.buckets[bucket].push((to.to_index(width) as u32, ndt as u32));
@@ -581,12 +620,14 @@ fn plan_sparse<R: ReservationProbe>(
     parents.clear();
     open.clear();
 
-    let h0 = start.manhattan(goal);
+    let clearance_dt = park_clearance.saturating_sub(start_tick);
+    let h0 = remaining_ticks(start, goal, 0, clearance_dt);
     open.push(Reverse((h0, h0, start.to_index(width) as u32, 0)));
     parents.insert(key(start, 0), key(start, 0));
 
     let mut expansions = 0usize;
     let mut splice_attempts = 0u32;
+    let mut result: Option<PlanStats> = None;
 
     while let Some(Reverse((_f, _h, pos_idx, dt))) = open.pop() {
         let pos = GridPos::from_index(pos_idx as usize, width);
@@ -596,10 +637,11 @@ fn plan_sparse<R: ReservationProbe>(
         if pos == goal && t >= park_clearance {
             reconstruct_sparse(parents, key(pos, dt), n_cells, width, out);
             out.start = start_tick;
-            return Some(PlanStats {
+            result = Some(PlanStats {
                 expansions,
                 used_cache: false,
             });
+            break;
         }
 
         if splice_completes(
@@ -617,10 +659,11 @@ fn plan_sparse<R: ReservationProbe>(
             reconstruct_sparse(parents, key(pos, dt), n_cells, width, out);
             out.start = start_tick;
             out.cells.extend_from_slice(&scratch.splice_buf[1..]);
-            return Some(PlanStats {
+            result = Some(PlanStats {
                 expansions,
                 used_cache: true,
             });
+            break;
         }
 
         if expansions >= opts.max_expansions || t >= horizon {
@@ -632,7 +675,7 @@ fn plan_sparse<R: ReservationProbe>(
             let nkey = key(pos, ndt);
             if let std::collections::hash_map::Entry::Vacant(e) = parents.entry(nkey) {
                 e.insert(key(pos, dt));
-                let h = pos.manhattan(goal);
+                let h = remaining_ticks(pos, goal, ndt, clearance_dt);
                 open.push(Reverse((ndt + h, h, pos_idx, ndt)));
             }
         }
@@ -641,13 +684,14 @@ fn plan_sparse<R: ReservationProbe>(
                 let nkey = key(next, ndt);
                 if let std::collections::hash_map::Entry::Vacant(e) = parents.entry(nkey) {
                     e.insert(key(pos, dt));
-                    let h = next.manhattan(goal);
+                    let h = remaining_ticks(next, goal, ndt, clearance_dt);
                     open.push(Reverse((ndt + h, h, next.to_index(width) as u32, ndt)));
                 }
             }
         }
     }
-    None
+    scratch.last_expansions = expansions;
+    result
 }
 
 fn reconstruct_sparse(
@@ -747,17 +791,10 @@ fn try_splice_into<R: ReservationProbe>(
         t += 1;
         cur = next;
     }
-    // Parking clearance: keep waiting on the goal until permitted.
-    let mut waited = 0;
-    while t < park_clearance {
-        if waited >= opts.max_splice_wait || !resv.can_move(robot, cur, cur, t) {
-            return false;
-        }
-        buf.push(cur);
-        t += 1;
-        waited += 1;
-    }
-    true
+    // Parking clearance. An early arrival cannot wait it out on the goal:
+    // another robot holds the goal at `park_clearance - 1` by definition,
+    // so the last of those waits would always be refused.
+    t >= park_clearance
 }
 
 #[cfg(test)]
@@ -1307,6 +1344,239 @@ mod tests {
                 );
                 assert!(sparse_path.is_connected());
             }
+        }
+    }
+
+    /// A crossing of `cell` by `robot` at exactly tick `at` (in from a
+    /// neighbour, out to the same neighbour).
+    fn reserve_crossing(resv: &mut ConflictDetectionTable, robot: usize, cell: GridPos, at: Tick) {
+        let side = p(cell.x + 1, cell.y);
+        resv.reserve_path(
+            RobotId::new(robot),
+            &Path {
+                start: at - 1,
+                cells: vec![side, cell, side],
+            },
+            false,
+        );
+    }
+
+    #[test]
+    fn far_parking_clearance_costs_a_walk_not_a_cone() {
+        // The paper-scale failure: a parking goal five cells away that
+        // another robot crosses 100 ticks from now. The clearance term of
+        // the heuristic puts every state that can still arrive on time on
+        // one `f` plateau, which the LIFO dial walks depth-first; with the
+        // Manhattan distance alone the whole cone below `f = 101` (~130 000
+        // states here) had to be expanded before the goal test could fire.
+        let grid = open_grid(40, 40);
+        let mut resv = ConflictDetectionTable::new(40, 40);
+        let (start, goal, start_tick) = (p(15, 20), p(20, 20), 7);
+        reserve_crossing(&mut resv, 1, goal, start_tick + 100);
+        let park_clearance = start_tick + 101;
+        let mut scratch = SearchScratch::new();
+        for force_sparse in [false, true] {
+            let mut path = Path::stationary(start, 0);
+            let stats = plan_path_checked(
+                &mut scratch,
+                &grid,
+                &resv,
+                RobotId::new(0),
+                start,
+                start_tick,
+                goal,
+                None,
+                &opts(),
+                &mut path,
+                force_sparse,
+            )
+            .expect("the goal clears inside the horizon");
+            assert_eq!(path.end(), park_clearance, "earliest admissible arrival");
+            assert!(
+                stats.expansions as u64 <= 4 * (park_clearance - start_tick),
+                "{} expansions (sparse: {force_sparse})",
+                stats.expansions
+            );
+            assert_eq!(scratch.last_expansions(), stats.expansions);
+            assert!(path.is_connected());
+            let mut cur = start;
+            for (t, cell) in path.iter_timed().skip(1) {
+                assert!(resv.can_move(RobotId::new(0), cur, cell, t - 1));
+                cur = cell;
+            }
+        }
+        // The same query through the seed search: same arrival tick.
+        let reference = crate::reference::plan_path_reference(
+            &grid,
+            &resv,
+            RobotId::new(0),
+            start,
+            start_tick,
+            goal,
+            None,
+            &PlanOptions {
+                max_expansions: usize::MAX,
+                ..opts()
+            },
+        )
+        .expect("the seed search gets there with an unbounded budget");
+        assert_eq!(reference.path.end(), park_clearance);
+        assert!(reference.expansions > 100 * scratch.last_expansions());
+    }
+
+    #[test]
+    fn failed_queries_report_their_expansions() {
+        let grid = open_grid(12, 12);
+        let mut resv = ConflictDetectionTable::new(12, 12);
+        // The goal clears after the horizon: the search runs dry.
+        reserve_crossing(&mut resv, 1, p(6, 6), 60);
+        let tight = PlanOptions {
+            horizon_slack: 8,
+            ..opts()
+        };
+        let mut scratch = SearchScratch::new();
+        for force_sparse in [false, true] {
+            let mut path = Path::stationary(p(2, 6), 0);
+            let out = plan_path_checked(
+                &mut scratch,
+                &grid,
+                &resv,
+                RobotId::new(0),
+                p(2, 6),
+                0,
+                p(6, 6),
+                None,
+                &tight,
+                &mut path,
+                force_sparse,
+            );
+            assert!(out.is_none());
+            assert!(scratch.last_expansions() > 12, "sparse: {force_sparse}");
+        }
+        // A query refused before the search starts reports zero, not the
+        // previous query's count.
+        resv.park(RobotId::new(2), p(9, 9), 0);
+        let refused = plan_path_with(
+            &mut scratch,
+            &grid,
+            &resv,
+            RobotId::new(0),
+            p(2, 6),
+            0,
+            p(9, 9),
+            None,
+            &tight,
+        );
+        assert!(refused.is_none());
+        assert_eq!(scratch.last_expansions(), 0);
+    }
+
+    #[test]
+    fn splice_needs_to_arrive_at_or_after_the_parking_clearance() {
+        let grid = open_grid(12, 12);
+        let mut resv = ConflictDetectionTable::new(12, 12);
+        let (from, goal) = (p(2, 3), p(6, 3));
+        reserve_crossing(&mut resv, 1, goal, 9);
+        let park_clearance = 10;
+        let mut cache = PathCache::new(&grid, 50);
+        let mut buf = Vec::new();
+        let mut splice = |t0: Tick| {
+            try_splice_into(
+                &resv,
+                RobotId::new(0),
+                from,
+                t0,
+                goal,
+                &mut cache,
+                park_clearance,
+                &opts(),
+                &mut buf,
+            )
+        };
+        // Arriving at tick 4 or 8 would mean sitting on the goal through
+        // the other robot's tick-9 crossing.
+        assert!(!splice(0), "early arrival cannot wait the clearance out");
+        assert!(!splice(4), "one tick early is still early");
+        assert!(splice(5), "held off the goal for one tick by the crossing");
+        assert!(splice(6), "arrival exactly at the clearance");
+        assert!(splice(20), "arrival after the clearance");
+    }
+
+    /// FNV-1a over a path's cells: one word per recorded query below.
+    fn path_hash(path: &Path) -> u64 {
+        path.cells.iter().fold(0xcbf2_9ce4_8422_2325, |h, c| {
+            [c.x, c.y].iter().fold(h, |h, &v| {
+                (h ^ v as u64).wrapping_mul(0x0000_0100_0000_01b3)
+            })
+        })
+    }
+
+    #[test]
+    fn queries_the_clearance_does_not_bind_keep_their_recorded_paths() {
+        // Non-parking queries, and parking queries whose goal clears no
+        // later than the uncongested arrival, never see the clearance term
+        // (`max` returns the Manhattan distance at every state), so they
+        // must return the very cells they returned before it existed. The
+        // hashes were recorded by running this test at the parent commit.
+        const RECORDED: [u64; 6] = [
+            0xbe95_9cbb_4f7c_5858,
+            0x89eb_cd9d_01d5_33d5,
+            0x56ae_d968_6c2a_f8db,
+            0x496a_e4b9_2af2_7ae5,
+            0x00ea_9e70_2765_5d25,
+            0x97d8_b642_1e22_ec4a,
+        ];
+        let grid = open_grid(24, 16);
+        let mut resv = ConflictDetectionTable::new(24, 16);
+        for i in 0..7u16 {
+            let col = 3 * i + 2;
+            let cells: Vec<GridPos> = (0..16u16).map(|y| p(col, y)).collect();
+            resv.reserve_path(
+                RobotId::new(i as usize + 1),
+                &Path {
+                    start: (2 * i as u64) % 5,
+                    cells,
+                },
+                false,
+            );
+        }
+        resv.park(RobotId::new(20), p(12, 7), 0);
+        // Crossings of two of the goals (this one, and the column-20 sweep
+        // over (20, 4)) that clear before the parking queries can arrive.
+        reserve_crossing(&mut resv, 21, p(22, 12), 6);
+        let legs = [
+            (p(0, 0), p(23, 15)),
+            (p(0, 8), p(23, 8)),
+            (p(23, 1), p(0, 14)),
+            (p(4, 4), p(20, 4)),
+            (p(10, 15), p(10, 0)),
+            (p(1, 7), p(22, 12)),
+        ];
+        let mut scratch = SearchScratch::new();
+        for park_at_goal in [false, true] {
+            let mut got = Vec::new();
+            for &(s, g) in &legs {
+                let out = plan_path_with(
+                    &mut scratch,
+                    &grid,
+                    &resv,
+                    RobotId::new(0),
+                    s,
+                    3,
+                    g,
+                    None,
+                    &PlanOptions {
+                        park_at_goal,
+                        ..opts()
+                    },
+                )
+                .expect("every recorded query is feasible");
+                got.push(path_hash(&out.path));
+            }
+            assert_eq!(
+                got, RECORDED,
+                "a recorded path changed (park: {park_at_goal})"
+            );
         }
     }
 

@@ -17,9 +17,14 @@
 //! (direction-toward-goal per cell, 1 byte each, LRU-capped at
 //! [`FIELD_CAP`]) serves every `from` that subsequently misses on the same
 //! goal with an `O(path length)` pointer-free walk. Goals are rack homes
-//! and stations — a few dozen — so steady-state misses cost a trace, not a
-//! search. On obstacle-free grids the L-shaped Manhattan walk skips fields
-//! entirely.
+//! and stations — 2 000 of them at paper scale, far more than the cap
+//! keeps, so most misses start a new field. A field is therefore **lazy**:
+//! it keeps its BFS frontier and advances it only until the asking `from`
+//! is labelled (about `2d²` cells for a `from` at distance `d`, not the
+//! whole grid), resuming from there for a farther `from`. The FIFO order
+//! is that of a one-shot BFS, so the step codes — and every memoized path
+//! — are the same however far a field has been extended. On obstacle-free
+//! grids the L-shaped Manhattan walk skips fields entirely.
 //!
 //! # Invalidation
 //!
@@ -51,14 +56,17 @@ const UNREACHED: u8 = u8::MAX;
 /// Step-field sentinel: the goal cell itself.
 const AT_GOAL: u8 = u8::MAX - 1;
 
-/// One destination-rooted field: for every cell, the first move of a
-/// shortest path toward `goal` (an index into [`Direction::ALL`]).
+/// One destination-rooted field: for every cell labelled so far, the first
+/// move of a shortest path toward `goal` (an index into [`Direction::ALL`]).
 #[derive(Debug)]
 struct StepField {
     goal: GridPos,
     /// LRU stamp (higher = more recently used).
     stamp: u64,
     step: Vec<u8>,
+    /// BFS frontier: labelled cells whose neighbours are not yet scanned.
+    /// Empty once the goal's whole component is labelled.
+    frontier: VecDeque<GridPos>,
 }
 
 /// One memoized spatial path plus a 64-bit bloom over its cells (the
@@ -89,8 +97,6 @@ pub struct PathCache {
     map: HashMap<(GridPos, GridPos), CacheEntry>,
     fields: Vec<StepField>,
     field_clock: u64,
-    /// Reusable BFS frontier for field builds.
-    queue: VecDeque<GridPos>,
     hits: u64,
     misses: u64,
     invalidations: u64,
@@ -115,7 +121,6 @@ impl PathCache {
             map: HashMap::new(),
             fields: Vec::new(),
             field_clock: 0,
-            queue: VecDeque::new(),
             hits: 0,
             misses: 0,
             invalidations: 0,
@@ -238,16 +243,13 @@ impl PathCache {
         self.map.get(&(from, to)).map(|e| &e.path[..])
     }
 
-    /// Walk the `to`-rooted step field from `from` (building or refreshing
-    /// the field first). `None` when unreachable.
+    /// Walk the `to`-rooted step field from `from` (starting, resuming or
+    /// refreshing the field first). `None` when unreachable.
     fn trace(&mut self, from: GridPos, to: GridPos) -> Option<Vec<GridPos>> {
         self.field_clock += 1;
         let clock = self.field_clock;
         let fi = match self.fields.iter().position(|f| f.goal == to) {
-            Some(fi) => {
-                self.fields[fi].stamp = clock;
-                fi
-            }
+            Some(fi) => fi,
             None => {
                 // Reuse the LRU slot once the cap is reached.
                 let fi = if self.fields.len() < FIELD_CAP {
@@ -255,24 +257,23 @@ impl PathCache {
                         goal: to,
                         stamp: clock,
                         step: Vec::new(),
+                        frontier: VecDeque::new(),
                     });
                     self.fields.len() - 1
                 } else {
-                    let fi = self
-                        .fields
+                    self.fields
                         .iter()
                         .enumerate()
                         .min_by_key(|(_, f)| f.stamp)
                         .expect("cap >= 1")
-                        .0;
-                    self.fields[fi].goal = to;
-                    self.fields[fi].stamp = clock;
-                    fi
+                        .0
                 };
-                build_field(&self.grid, to, &mut self.fields[fi].step, &mut self.queue);
+                self.fields[fi].restart(&self.grid, to);
                 fi
             }
         };
+        self.fields[fi].stamp = clock;
+        self.fields[fi].extend_to(&self.grid, from);
         let field = &self.fields[fi];
         let width = self.grid.width();
         let height = self.grid.height();
@@ -404,28 +405,41 @@ impl PathCache {
     }
 }
 
-/// Destination-rooted BFS over passable cells: `step[cell]` becomes the
-/// direction of the first move of a shortest path toward `goal`
-/// (deterministic tie-breaking by [`Direction::ALL`] order and BFS level).
-fn build_field(grid: &GridMap, goal: GridPos, step: &mut Vec<u8>, queue: &mut VecDeque<GridPos>) {
-    let width = grid.width();
-    let height = grid.height();
-    step.clear();
-    step.resize(grid.cell_count(), UNREACHED);
-    queue.clear();
-    if !grid.passable(goal) {
-        return;
+impl StepField {
+    /// Re-root the field at `goal` with nothing but the goal labelled.
+    fn restart(&mut self, grid: &GridMap, goal: GridPos) {
+        self.goal = goal;
+        self.step.clear();
+        self.step.resize(grid.cell_count(), UNREACHED);
+        self.frontier.clear();
+        if grid.passable(goal) {
+            self.step[goal.to_index(grid.width())] = AT_GOAL;
+            self.frontier.push_back(goal);
+        }
     }
-    step[goal.to_index(width)] = AT_GOAL;
-    queue.push_back(goal);
-    while let Some(cur) = queue.pop_front() {
-        for (d, dir) in Direction::ALL.into_iter().enumerate() {
-            if let Some(next) = cur.step(dir, width, height) {
-                let i = next.to_index(width);
-                if step[i] == UNREACHED && grid.passable(next) {
-                    // First move from `next` toward the goal: back to `cur`.
-                    step[i] = Direction::ALL[d].opposite() as u8;
-                    queue.push_back(next);
+
+    /// Advance the destination-rooted BFS over passable cells until `from`
+    /// is labelled or the frontier runs dry: `step[cell]` becomes the
+    /// direction of the first move of a shortest path toward the goal
+    /// (deterministic tie-breaking by [`Direction::ALL`] order and BFS
+    /// level). Whole cells are scanned in FIFO order, so where the BFS
+    /// pauses never changes a label.
+    fn extend_to(&mut self, grid: &GridMap, from: GridPos) {
+        let width = grid.width();
+        let height = grid.height();
+        let from = from.to_index(width);
+        while self.step[from] == UNREACHED {
+            let Some(cur) = self.frontier.pop_front() else {
+                return;
+            };
+            for dir in Direction::ALL {
+                if let Some(next) = cur.step(dir, width, height) {
+                    let i = next.to_index(width);
+                    if self.step[i] == UNREACHED && grid.passable(next) {
+                        // First move from `next` toward the goal: back to `cur`.
+                        self.step[i] = dir.opposite() as u8;
+                        self.frontier.push_back(next);
+                    }
                 }
             }
         }
@@ -444,12 +458,13 @@ impl MemoryFootprint for PathCache {
         let fields: usize = self
             .fields
             .iter()
-            .map(|f| f.step.capacity() + std::mem::size_of::<StepField>())
+            .map(|f| {
+                f.step.capacity()
+                    + f.frontier.capacity() * std::mem::size_of::<GridPos>()
+                    + std::mem::size_of::<StepField>()
+            })
             .sum();
-        self.map.len() * (key + val + HASH_ENTRY_OVERHEAD)
-            + entries
-            + fields
-            + self.queue.capacity() * std::mem::size_of::<GridPos>()
+        self.map.len() * (key + val + HASH_ENTRY_OVERHEAD) + entries + fields
     }
 }
 
@@ -564,6 +579,46 @@ mod tests {
             .iter()
             .any(|f| f.goal == p(11, FIELD_CAP as u16 + 2)));
         assert!(!cache.fields.iter().any(|f| f.goal == p(11, 0)));
+    }
+
+    #[test]
+    fn fields_extend_lazily_and_resume() {
+        let mut grid = open_grid();
+        grid.set_kind(p(5, 5), CellKind::Blocked);
+        let mut cache = PathCache::new(&grid, 64);
+        let labelled = |c: &PathCache| c.fields[0].step.iter().filter(|&&s| s != UNREACHED).count();
+        // A neighbour of the goal: the BFS stops after scanning the goal.
+        cache.shortest(p(1, 0), p(0, 0)).unwrap();
+        assert_eq!(labelled(&cache), 3, "the goal and its two neighbours");
+        assert!(!cache.fields[0].frontier.is_empty(), "frontier kept");
+        // A farther `from` resumes the same field; a nearer one adds nothing.
+        assert_eq!(cache.shortest(p(3, 3), p(0, 0)).unwrap().len(), 7);
+        let after_far = labelled(&cache);
+        assert!(after_far > 3 && after_far < 143, "{after_far} of 143 cells");
+        cache.shortest(p(2, 1), p(0, 0)).unwrap();
+        assert_eq!(labelled(&cache), after_far);
+        assert_eq!(cache.fields.len(), 1);
+        // An unpassable `from` runs the frontier dry: the field is complete.
+        assert!(cache.shortest(p(5, 5), p(0, 0)).is_none());
+        assert_eq!(labelled(&cache), 143);
+        assert!(cache.fields[0].frontier.is_empty());
+    }
+
+    #[test]
+    fn set_passable_drops_fields_and_their_frontiers() {
+        let mut grid = open_grid();
+        grid.set_kind(p(5, 5), CellKind::Blocked);
+        let mut cache = PathCache::new(&grid, 64);
+        assert_eq!(cache.shortest(p(0, 2), p(4, 2)).unwrap().len(), 5);
+        assert!(!cache.fields[0].frontier.is_empty(), "a paused BFS");
+        // A blockade on the memoized route: the entry dies with the field,
+        // and the paused frontier — whose labels predate the blockade —
+        // must not be resumed.
+        cache.set_passable(p(2, 2), false);
+        assert!(cache.fields.is_empty());
+        let detour = cache.shortest(p(0, 2), p(4, 2)).unwrap();
+        assert_eq!(detour.len(), 7);
+        assert!(!detour.contains(&p(2, 2)));
     }
 
     #[test]
@@ -737,6 +792,48 @@ mod tests {
                 prop_assert_eq!(Some(path.len()), want, "non-shortest cached path");
             } else {
                 prop_assert_eq!(reference_bfs_len(&cache.grid, a, b), None);
+            }
+        }
+    }
+
+    proptest! {
+        /// A field extended on demand, in whatever order the `from`s come,
+        /// labels cells exactly as one run to completion up front does:
+        /// every memoized path has the same cells, on walled grids with a
+        /// blockade landing and lifting in between.
+        #[test]
+        fn lazy_fields_trace_the_same_cells_as_complete_ones(
+            walls in proptest::collection::hash_set((0u16..12, 0u16..12), 1..24),
+            blockade in (0u16..12, 0u16..12),
+            bx in 0u16..12, by in 0u16..12,
+            order in 0usize..144,
+        ) {
+            let mut grid = open_grid();
+            for &(x, y) in &walls {
+                grid.set_kind(p(x, y), CellKind::Blocked);
+            }
+            let goal = p(bx, by);
+            let blockade = p(blockade.0, blockade.1);
+            prop_assume!(grid.passable(goal) && grid.passable(blockade) && goal != blockade);
+            let wall = walls.iter().next().map(|&(x, y)| p(x, y)).expect("at least one wall");
+            let mut lazy = PathCache::new(&grid, 64);
+            let mut full = PathCache::new(&grid, 64);
+            for blocked in [true, false] {
+                lazy.set_passable(blockade, !blocked);
+                full.set_passable(blockade, !blocked);
+                // Asking from a wall cell can only end with the frontier dry.
+                prop_assert!(full.shortest(wall, goal).is_none());
+                prop_assert!(full.fields[0].frontier.is_empty());
+                // Every cell as `from`, starting anywhere and striding by a
+                // unit of Z/144 so near and far cells interleave.
+                for k in 0..144usize {
+                    let i = (order + k * 37) % 144;
+                    let from = p((i % 12) as u16, (i / 12) as u16);
+                    let a = lazy.shortest(from, goal).map(<[GridPos]>::to_vec);
+                    let b = full.shortest(from, goal).map(<[GridPos]>::to_vec);
+                    prop_assert_eq!(a, b, "from {}", from);
+                }
+                prop_assert_eq!(&lazy.fields[0].step, &full.fields[0].step);
             }
         }
     }

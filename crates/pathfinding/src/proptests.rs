@@ -235,6 +235,65 @@ proptest! {
         }
     }
 
+    /// The clearance-aware heuristic keeps arrival ticks optimal: on random
+    /// small walled floors with sweeping traffic and a crossing of the
+    /// parking goal well after the uncongested arrival, the arena search
+    /// (dense and forced-sparse) arrives exactly when the seed search —
+    /// Manhattan heuristic, whole cone expanded — does, on a path that
+    /// respects every reservation and parks only once the goal is clear.
+    #[test]
+    fn clearance_bound_plans_match_reference_arrival(
+        walls in proptest::collection::hash_set((0u16..10, 0u16..10), 0..10),
+        sweeps in proptest::collection::vec((0u16..10, 0u64..40), 0..4),
+        sx in 0u16..10, sy in 0u16..10,
+        gx in 0u16..9, gy in 0u16..10,
+        start_tick in 0u64..6,
+        crossing_in in 12u64..45,
+    ) {
+        let (w, h) = (10u16, 10u16);
+        let mut grid = open_grid(w, h);
+        for &(x, y) in &walls {
+            grid.set_kind(GridPos::new(x, y), CellKind::Blocked);
+        }
+        let start = GridPos::new(sx, sy);
+        let goal = GridPos::new(gx, gy);
+        let side = GridPos::new(gx + 1, gy);
+        prop_assume!(grid.passable(start) && grid.passable(goal) && grid.passable(side));
+        let mut resv = congested_table(w, h, &sweeps, &[]);
+        let crossing_at = start_tick + crossing_in;
+        prop_assume!([(side, crossing_at - 1), (goal, crossing_at), (side, crossing_at + 1)]
+            .iter()
+            .all(|&(cell, t)| resv.occupant(cell, t).is_none()));
+        resv.reserve_path(
+            RobotId::new(90),
+            &Path { start: crossing_at - 1, cells: vec![side, goal, side] },
+            false,
+        );
+        let me = RobotId::new(0);
+        let opts = PlanOptions { max_expansions: usize::MAX, ..PlanOptions::default() };
+
+        let old = plan_path_reference(&grid, &resv, me, start, start_tick, goal, None, &opts);
+        let mut scratch = SearchScratch::new();
+        for force_sparse in [false, true] {
+            let mut path = Path::stationary(start, 0);
+            let new = crate::astar::plan_path_checked(
+                &mut scratch, &grid, &resv, me, start, start_tick, goal, None, &opts,
+                &mut path, force_sparse,
+            );
+            prop_assert_eq!(new.is_some(), old.is_some(), "feasibility (sparse: {})", force_sparse);
+            let Some(old) = &old else { continue };
+            prop_assert_eq!(path.end(), old.path.end(), "arrival (sparse: {})", force_sparse);
+            prop_assert!(path.end() > crossing_at, "parks only after the crossing");
+            prop_assert_eq!((path.start, path.first(), path.last()), (start_tick, start, goal));
+            let mut cur = start;
+            for (t, cell) in path.iter_timed().skip(1) {
+                prop_assert!(grid.passable(cell));
+                prop_assert!(resv.can_move(me, cur, cell, t - 1), "step to {} at {}", cell, t);
+                cur = cell;
+            }
+        }
+    }
+
     /// STG and CDT still agree on `occupant` and `can_move` after the
     /// ring-buffer/sorted-window rewrite, under randomized reservations,
     /// parking and garbage collection.

@@ -14,9 +14,13 @@
 //!   (how the state was reached, 3 bits). Bumping `generation` invalidates
 //!   every slot at once — buffers are never cleared between queries; zeroed
 //!   growth happens only while the arena warms up to its high-water size.
-//! * **Bucketed open list.** Unit edge costs mean a popped state with
-//!   f-value `f` only ever generates successors with `f`, `f+1` or `f+2`
-//!   (toward-goal move, wait, away-from-goal move). The open list is
+//! * **Bucketed open list.** Unit edge costs and a consistent heuristic
+//!   mean a popped state with f-value `f` only ever generates successors
+//!   with `f`, `f+1` or `f+2`. Where the Manhattan distance is the
+//!   heuristic's larger term these are the toward-goal move, the wait and
+//!   the away-from-goal move; where a parking goal's far clearance is (the
+//!   plateau described in `astar.rs`) a wait is `+0`, and so is every move
+//!   that leaves enough ticks to reach the goal by then. The open list is
 //!   therefore a dial: `buckets[f - h0]` holds the open states of one
 //!   f-value and a monotone head pointer replaces the binary heap's
 //!   `O(log n)` sift with an `O(1)` push/pop. Within a bucket, states pop
@@ -68,12 +72,22 @@ pub struct SearchScratch {
     pub(crate) sparse_parent: HashMap<u64, u64>,
     /// Sparse fallback open list.
     pub(crate) sparse_open: std::collections::BinaryHeap<std::cmp::Reverse<(u64, u64, u32, u64)>>,
+    /// States the most recent query expanded (see [`Self::last_expansions`]).
+    pub(crate) last_expansions: usize,
 }
 
 impl SearchScratch {
     /// Fresh, empty scratch (no buffers allocated yet).
     pub fn new() -> Self {
         Self::default()
+    }
+
+    /// States expanded by the most recent query through this scratch,
+    /// whether it found a path or not (0 when it was refused before the
+    /// search started). A failed query returns `None`, so this is the only
+    /// place its cost can be read.
+    pub fn last_expansions(&self) -> usize {
+        self.last_expansions
     }
 
     /// Begin a query needing `slots` dense table entries: bumps the
