@@ -6,18 +6,24 @@
 //! paper-scale shape that used to burn the whole expansion budget: a parking
 //! goal five cells away that another robot crosses 100 ticks from now. Its
 //! gate is an absolute expansion count, not a ratio against the reference.
+//! A fourth, `paper_floor_rotation`, is the only one that does not repeat one
+//! query: 256 distinct legs across the walled 200×200 floor against 500
+//! reserved paths, so the arena's lines go cold between queries the way they
+//! do in a run. It records ns per expansion and arena re-allocations.
 //! Emits `BENCH_astar.json` (path overridable via `BENCH_ASTAR_OUT`) so
 //! each PR can record where every path stands.
 //!
 //! Run with: `cargo run --release -p eatp-bench --bin bench_astar`
 //! (`BENCH_ASTAR_ITERS` overrides the per-variant iteration count.)
 
+use rand::rngs::StdRng;
+use rand::{Rng, SeedableRng};
 use serde::Serialize;
 use std::time::Instant;
-use tprw_pathfinding::astar::{plan_path_with, PlanOptions, DENSE_TABLE_CAP};
+use tprw_pathfinding::astar::{plan_path_into, plan_path_with, PlanOptions, DENSE_TABLE_CAP};
 use tprw_pathfinding::reference::plan_path_reference;
-use tprw_pathfinding::{ConflictDetectionTable, Path, ReservationSystem, SearchScratch};
-use tprw_warehouse::{CellKind, GridMap, GridPos, RobotId};
+use tprw_pathfinding::{ConflictDetectionTable, Path, PathCache, ReservationSystem, SearchScratch};
+use tprw_warehouse::{CellKind, GridMap, GridPos, Layout, LayoutConfig, RobotId};
 
 #[derive(Debug, Serialize)]
 struct CaseReport {
@@ -48,14 +54,37 @@ struct ClearanceReport {
     arrival_tick_arena: u64,
 }
 
+/// A rotation of distinct legs over the paper-scale floor (arena search
+/// only). Every other case repeats one query, which keeps its few hundred
+/// table entries in L1 and says nothing about the arena's layout.
+#[derive(Debug, Serialize)]
+struct RotationReport {
+    case: String,
+    /// Distinct `(start, goal)` legs per pass, and timed passes (each on a
+    /// fresh arena, with the path cache warm).
+    queries: usize,
+    passes: usize,
+    reserved_paths: usize,
+    /// Median over the passes of pass time / states expanded in the pass.
+    /// CI fails above 2 × the committed value.
+    arena_ns_per_expansion: u64,
+    /// States expanded per pass, failed queries included (deterministic).
+    arena_expansions: usize,
+    /// Times a fresh arena's dense table is (re-)allocated over one pass.
+    /// CI fails above `reallocation_budget`.
+    arena_reallocations: usize,
+    reallocation_budget: usize,
+}
+
 /// Top-level report. The congested-case fields stay flattened at the top so
 /// the long-standing CI gate (`speedup >= 1.5`) keeps reading the same
 /// schema; the sparse fallback rides along as a nested case.
 #[derive(Debug, Serialize)]
 struct BenchReport {
     /// Schema tag consumed by CI's drift check against
-    /// `crates/bench/README.md` (v2 added `parked_goal_clearance`; the
-    /// top-level fields are unchanged since PR 1).
+    /// `crates/bench/README.md` (v2 added `parked_goal_clearance`, v3
+    /// `paper_floor_rotation`; the top-level fields are unchanged since
+    /// PR 1).
     schema: &'static str,
     case: String,
     iterations: usize,
@@ -68,6 +97,7 @@ struct BenchReport {
     arrival_tick_arena: u64,
     sparse_fallback: CaseReport,
     parked_goal_clearance: ClearanceReport,
+    paper_floor_rotation: RotationReport,
 }
 
 /// The congested-grid case shared with `micro_astar` and the no-alloc test:
@@ -217,6 +247,104 @@ fn run_clearance_case(iters: usize) -> ClearanceReport {
     }
 }
 
+/// Walled 200×200 floor, `horizon_slack` 256, cache threshold 50 (the
+/// planner defaults at paper scale): 500 seeded legs planned and reserved
+/// one after another, then a rotation of 256 more, never reserved.
+fn run_rotation_case(iters: usize) -> RotationReport {
+    const RESERVED: usize = 500;
+    const QUERIES: usize = 256;
+    let layout = Layout::generate(&LayoutConfig {
+        width: 200,
+        height: 200,
+        border_walls: true,
+        ..LayoutConfig::default()
+    })
+    .expect("the paper floor generates");
+    let grid = &layout.grid;
+    let mut resv = ConflictDetectionTable::new(200, 200);
+    let mut cache = PathCache::new(grid, 50);
+    let opts = PlanOptions {
+        horizon_slack: 256,
+        ..PlanOptions::default()
+    };
+    let mut rng = StdRng::seed_from_u64(15);
+    let mut cell = || GridPos::new(rng.gen_range(1..199u16), rng.gen_range(1..199u16));
+    let mut scratch = SearchScratch::new();
+    let mut path = Path::stationary(GridPos::new(1, 1), 0);
+    let mut reserved_paths = 0;
+    for robot in 1..=RESERVED {
+        let (from, to, at) = (cell(), cell(), robot as u64 % 50);
+        let found = plan_path_into(
+            &mut scratch,
+            grid,
+            &resv,
+            RobotId::new(robot),
+            from,
+            at,
+            to,
+            Some(&mut cache),
+            &opts,
+            &mut path,
+        );
+        if found.is_some() {
+            resv.reserve_path(RobotId::new(robot), &path, false);
+            reserved_paths += 1;
+        }
+    }
+    let legs: Vec<(GridPos, GridPos)> = (0..QUERIES).map(|_| (cell(), cell())).collect();
+
+    // One pass over the rotation on a fresh arena, as each episode of a
+    // run starts with one: the arena's growth and first-touch page faults
+    // are part of the time. Returns (ns, states expanded, re-allocations).
+    let mut pass = || {
+        let mut scratch = SearchScratch::new();
+        let (mut expansions, mut reallocations) = (0, 0);
+        let t0 = Instant::now();
+        for (i, &(from, to)) in legs.iter().enumerate() {
+            let slots = scratch.dense_slots();
+            plan_path_into(
+                &mut scratch,
+                grid,
+                &resv,
+                RobotId::new(0),
+                from,
+                i as u64 % 50,
+                to,
+                Some(&mut cache),
+                &opts,
+                &mut path,
+            );
+            expansions += scratch.last_expansions();
+            reallocations += usize::from(scratch.dense_slots() != slots);
+        }
+        (t0.elapsed().as_nanos() as u64, expansions, reallocations)
+    };
+    // The first pass also fills the path cache; it is not timed.
+    let (_, arena_expansions, arena_reallocations) = pass();
+    let passes = iters.div_ceil(10);
+    let mut samples: Vec<u64> = (0..passes)
+        .map(|_| {
+            let (ns, expansions, reallocations) = pass();
+            assert_eq!(
+                (expansions, reallocations),
+                (arena_expansions, arena_reallocations)
+            );
+            ns / expansions as u64
+        })
+        .collect();
+    RotationReport {
+        case: "walled 200x200, slack 256, cache L=50: 256 distinct legs against 500 reserved paths"
+            .to_string(),
+        queries: QUERIES,
+        passes,
+        reserved_paths,
+        arena_ns_per_expansion: median_ns(&mut samples),
+        arena_expansions,
+        arena_reallocations,
+        reallocation_budget: 8,
+    }
+}
+
 fn main() {
     let iters: usize = std::env::var("BENCH_ASTAR_ITERS")
         .ok()
@@ -265,8 +393,10 @@ fn main() {
         "the earliest admissible arrival is the clearance itself"
     );
 
+    let rotation = run_rotation_case(iters);
+
     let report = BenchReport {
-        schema: "bench_astar/v2",
+        schema: "bench_astar/v3",
         case: dense.case.clone(),
         iterations: dense.iterations,
         reference_median_ns: dense.reference_median_ns,
@@ -278,6 +408,7 @@ fn main() {
         arrival_tick_arena: dense.arrival_tick_arena,
         sparse_fallback: sparse,
         parked_goal_clearance: clearance,
+        paper_floor_rotation: rotation,
     };
 
     let json = serde_json::to_string_pretty(&report).expect("report serializes");
@@ -287,6 +418,7 @@ fn main() {
         "\ndense: reference {} ns/query -> arena {} ns/query ({:.2}x)\n\
          sparse fallback: reference {} ns/query -> arena {} ns/query ({:.2}x)\n\
          parked-goal clearance: arena {} ns/query, {} expansions (budget {})\n\
+         paper-floor rotation: arena {} ns/expansion over {} expansions, {} re-allocations\n\
          written to {out_path}",
         report.reference_median_ns,
         report.arena_median_ns,
@@ -296,6 +428,9 @@ fn main() {
         report.sparse_fallback.speedup,
         report.parked_goal_clearance.arena_median_ns,
         report.parked_goal_clearance.arena_expansions,
-        report.parked_goal_clearance.expansion_budget
+        report.parked_goal_clearance.expansion_budget,
+        report.paper_floor_rotation.arena_ns_per_expansion,
+        report.paper_floor_rotation.arena_expansions,
+        report.paper_floor_rotation.arena_reallocations
     );
 }

@@ -286,6 +286,25 @@ struct WorkerSlot {
     grid_epoch: u64,
 }
 
+impl WorkerSlot {
+    /// The slot's search arena and private cache, as
+    /// [`PlannerStats::scratch_bytes`] counts them.
+    fn memory_bytes(&self) -> usize {
+        self.scratch.memory_bytes() + self.cache.as_ref().map_or(0, PathCache::memory_bytes)
+    }
+}
+
+/// The search options of one leg, for the serial and the speculative path
+/// alike.
+fn leg_options(config: &EatpConfig, park: bool) -> PlanOptions {
+    PlanOptions {
+        max_expansions: config.max_expansions,
+        horizon_slack: config.horizon_slack,
+        park_at_goal: park,
+        ..PlanOptions::default()
+    }
+}
+
 /// One speculative leg search against the pre-batch reservation state:
 /// read-only (probes go through [`RecordingProbe`]), records the exact
 /// touched-cell footprint and the private cache's call sequence.
@@ -302,12 +321,6 @@ fn speculate_leg<R: ReservationSystem>(
         cache.begin_probe_log();
     }
     let probe = RecordingProbe::new(resv, &slot.log);
-    let opts = PlanOptions {
-        max_expansions: config.max_expansions,
-        horizon_slack: config.horizon_slack,
-        park_at_goal: req.park,
-        ..PlanOptions::default()
-    };
     let outcome = plan_path_with(
         &mut slot.scratch,
         grid,
@@ -317,7 +330,7 @@ fn speculate_leg<R: ReservationSystem>(
         start,
         req.to,
         slot.cache.as_mut(),
-        &opts,
+        &leg_options(config, req.park),
     );
     let cache_probes = slot
         .cache
@@ -450,12 +463,6 @@ impl<R: ReservationBackend> PlannerBase<R> {
         start: Tick,
         park_at_goal: bool,
     ) -> Option<Path> {
-        let opts = PlanOptions {
-            max_expansions: self.config.max_expansions,
-            horizon_slack: self.config.horizon_slack,
-            park_at_goal,
-            ..PlanOptions::default()
-        };
         let outcome = plan_path_with(
             &mut self.scratch,
             &self.grid,
@@ -465,7 +472,7 @@ impl<R: ReservationBackend> PlannerBase<R> {
             start,
             to,
             self.cache.as_mut(),
-            &opts,
+            &leg_options(&self.config, park_at_goal),
         );
         match outcome {
             Some(out) => {
@@ -1119,9 +1126,15 @@ impl<R: ReservationBackend> PlannerBase<R> {
         // The search arena, the distance oracle and the disruption outlook
         // are identical machinery for every planner, so they are reported
         // separately and not folded into the Fig. 12 MC comparison of
-        // reservation structures.
-        s.scratch_bytes =
-            self.scratch.memory_bytes() + self.oracle.memory_bytes() + self.outlook.memory_bytes();
+        // reservation structures. Every worker slot owns an arena too.
+        s.scratch_bytes = self.scratch.memory_bytes()
+            + self
+                .slots
+                .iter()
+                .map(WorkerSlot::memory_bytes)
+                .sum::<usize>()
+            + self.oracle.memory_bytes()
+            + self.outlook.memory_bytes();
         s
     }
 }
@@ -1223,6 +1236,38 @@ mod tests {
         }
         .build()
         .unwrap()
+    }
+
+    /// Two one-step parking legs in opposite corners of the floor: robots
+    /// pathing within their own corners cannot observe each other, so a
+    /// parallel batch adopts every tentative verbatim.
+    fn corner_requests(inst: &Instance) -> Vec<LegRequest> {
+        let w = inst.grid.width();
+        let h = inst.grid.height();
+        let near_a = inst.robots[0].pos;
+        let far_b = inst
+            .robots
+            .iter()
+            .max_by_key(|r| r.pos.manhattan(near_a))
+            .unwrap();
+        assert!(
+            near_a.manhattan(far_b.pos) > (w + h) as u64 / 4,
+            "instance must spread robots for this test"
+        );
+        let short_goal_a = inst
+            .grid
+            .passable_neighbors(near_a)
+            .next()
+            .expect("neighbour");
+        let short_goal_b = inst
+            .grid
+            .passable_neighbors(far_b.pos)
+            .next()
+            .expect("neighbour");
+        vec![
+            LegRequest::new(inst.robots[0].id, near_a, short_goal_a, true),
+            LegRequest::new(far_b.id, far_b.pos, short_goal_b, true),
+        ]
     }
 
     #[test]
@@ -1652,6 +1697,32 @@ mod tests {
         }
     }
 
+    /// Each worker slot owns a search arena and a private cache; the
+    /// reported scratch footprint counts them, not only the serial arena
+    /// (which a batch of adopted tentatives never even touches).
+    #[test]
+    fn scratch_bytes_count_the_worker_slots() {
+        let inst = instance();
+        let requests = corner_requests(&inst);
+        let mut paths = Vec::new();
+        let mut serial: PlannerBase<ConflictDetectionTable> =
+            PlannerBase::new(&inst, EatpConfig::default(), true, false);
+        serial.plan_legs(&requests, 0, &mut paths).unwrap();
+
+        let mut par: PlannerBase<ConflictDetectionTable> =
+            PlannerBase::new(&inst, EatpConfig::default(), true, false);
+        par.set_parallel_workers(2);
+        let mut tentative = Vec::new();
+        par.query_legs(&requests, 0, &mut tentative);
+        par.commit_legs(&requests, 0, &mut tentative, &mut paths)
+            .unwrap();
+        assert_eq!(par.parallel_retries, 0, "both legs ran on the worker slots");
+        assert!(
+            par.stats_snapshot(0).scratch_bytes > serial.stats_snapshot(0).scratch_bytes,
+            "two worker arenas, against the serial planner's one"
+        );
+    }
+
     /// A forced commit-retry interleaving: two robots share a corridor, so
     /// the second speculative search must observe cells the first commit
     /// reserves. The stale tentative is discarded and re-planned serially —
@@ -1798,34 +1869,7 @@ mod tests {
             "batches below two requests never speculate"
         );
 
-        // Robots pathing within their own corners cannot observe each
-        // other: every tentative must be adopted verbatim.
-        let w = inst.grid.width();
-        let h = inst.grid.height();
-        let near_a = inst.robots[0].pos;
-        let far_b = inst
-            .robots
-            .iter()
-            .max_by_key(|r| r.pos.manhattan(near_a))
-            .unwrap();
-        assert!(
-            near_a.manhattan(far_b.pos) > (w + h) as u64 / 4,
-            "instance must spread robots for this test"
-        );
-        let short_goal_a = inst
-            .grid
-            .passable_neighbors(near_a)
-            .next()
-            .expect("neighbour");
-        let short_goal_b = inst
-            .grid
-            .passable_neighbors(far_b.pos)
-            .next()
-            .expect("neighbour");
-        let requests = vec![
-            LegRequest::new(inst.robots[0].id, near_a, short_goal_a, true),
-            LegRequest::new(far_b.id, far_b.pos, short_goal_b, true),
-        ];
+        let requests = corner_requests(&inst);
         let mut tentative = Vec::new();
         base.query_legs(&requests, 0, &mut tentative);
         assert!(

@@ -38,8 +38,11 @@
 //!   `Region::compute`) — outside of which no cell can contribute to any
 //!   completion of the query (for any on-path cell `c`,
 //!   `d(start,c) + d(c,goal) ≤ d(start,goal) + slack`). A state keys the
-//!   flat tables of a [`SearchScratch`] as `region_cell * window + dt`,
-//!   stamped by query generation so buffers are reused without clearing.
+//!   one flat table of a [`SearchScratch`] wavefront-major, as
+//!   `(dt - manhattan(start, cell)) * region_cells + region_cell`: on-time
+//!   states fill plane 0 and each tick of delay opens the next, so the
+//!   slots a search touches are neighbours (`Region::slot`, ADR-004). Slots
+//!   are stamped by query generation so the table is reused without clearing.
 //! * **The open list is a dial.** Unit edge costs and a consistent
 //!   heuristic make f-values monotone with increments in `{0, 1, 2}`, so a
 //!   bucket array indexed by `f - h0` with a monotone head pointer replaces
@@ -75,9 +78,9 @@ use std::cell::RefCell;
 use std::cmp::Reverse;
 use tprw_warehouse::{Direction, GridMap, GridPos, RobotId, Tick};
 
-/// Upper bound on dense arena slots per query (≈ 640 MiB of stamps at the
-/// cap); larger queries take the sparse fallback. Far above every workload
-/// in the paper's datasets.
+/// Upper bound on dense arena slots per query (512 MiB of 4-byte stamp
+/// words at the cap, 640 MiB with growth headroom); larger queries take the
+/// sparse fallback. Far above every workload in the paper's datasets.
 pub const DENSE_TABLE_CAP: usize = 1 << 27;
 
 /// Tuning knobs for a single path query.
@@ -136,13 +139,15 @@ pub struct PlanStats {
 /// The per-query search region: the `start`/`goal` bounding box inflated by
 /// `horizon_slack / 2 + 1`, clamped to the grid.
 #[derive(Debug, Clone, Copy)]
-struct Region {
+pub(crate) struct Region {
     x0: u16,
     y0: u16,
     w: u32,
     h: u32,
     /// Number of `dt` values per cell (`horizon - start_tick + 1`).
-    window: u64,
+    pub(crate) window: u64,
+    /// The query's start cell: a state's delay is measured against it.
+    start: GridPos,
 }
 
 impl Region {
@@ -154,7 +159,7 @@ impl Region {
     /// window-1` for every cell `w` en route, and `d(s,g) ≤ d(s,c) + L`,
     /// which bounds every such cell within `slack/2 + 3L/2` of the
     /// start/goal box; `2L` over-approximates `3L/2` for a round margin.
-    fn compute(
+    pub(crate) fn compute(
         grid: &GridMap,
         start: GridPos,
         goal: GridPos,
@@ -180,27 +185,32 @@ impl Region {
             w: (x1 - x0) as u32 + 1,
             h: (y1 - y0) as u32 + 1,
             window: start.manhattan(goal) + slack + 1,
+            start,
         }
     }
 
     /// Dense slots needed (`None` on overflow — forces the sparse fallback).
-    fn slots(&self) -> Option<usize> {
+    pub(crate) fn slots(&self) -> Option<usize> {
         (self.w as usize * self.h as usize).checked_mul(usize::try_from(self.window).ok()?)
     }
 
     #[inline]
-    fn contains(&self, p: GridPos) -> bool {
+    pub(crate) fn contains(&self, p: GridPos) -> bool {
         let dx = p.x.wrapping_sub(self.x0) as u32;
         let dy = p.y.wrapping_sub(self.y0) as u32;
         dx < self.w && dy < self.h
     }
 
-    /// Dense table slot of `(p, dt)`; `p` must be inside the region.
+    /// Dense table slot of `(p, dt)`; `p` must be inside the region. No
+    /// state is reached before `manhattan(start, p)`, so its delay past
+    /// that tick is in `0..window` and `(p, dt) -> (p, delay)` is one-to-one.
     #[inline]
-    fn slot(&self, p: GridPos, dt: u64) -> usize {
+    pub(crate) fn slot(&self, p: GridPos, dt: u64) -> usize {
         debug_assert!(self.contains(p) && dt < self.window);
+        debug_assert!(dt >= self.start.manhattan(p));
         let cell = (p.y - self.y0) as usize * self.w as usize + (p.x - self.x0) as usize;
-        cell * self.window as usize + dt as usize
+        let delay = (dt - self.start.manhattan(p)) as usize;
+        delay * (self.w as usize * self.h as usize) + cell
     }
 }
 
@@ -342,8 +352,8 @@ thread_local! {
 }
 
 /// Per-thread cap on retained dense-table slots for the scratch-less
-/// wrapper (≈ 20 MiB of stamps+actions); larger tables are dropped after
-/// the query instead of pinning the thread-local high water forever.
+/// wrapper (16 MiB of stamp words); larger tables are dropped after the
+/// query instead of pinning the thread-local high water forever.
 const LOCAL_SCRATCH_MAX_SLOTS: usize = 1 << 22;
 
 /// Plan a conflict-free timed path using a thread-local scratch arena.
@@ -414,13 +424,11 @@ fn plan_dense<R: ReservationProbe>(
     let h0 = remaining_ticks(start, goal, 0, clearance_dt);
     let width = grid.width();
     let height = grid.height();
-    let generation = scratch.begin_dense(region.slots().expect("checked by caller"));
+    scratch.begin_dense(region.slots().expect("checked by caller"));
 
     // Seed the root.
     {
-        let slot = region.slot(start, 0);
-        scratch.stamp[slot] = generation;
-        scratch.action[slot] = ACTION_ROOT;
+        scratch.discover(region.slot(start, 0), ACTION_ROOT);
         scratch.ensure_bucket(0);
         scratch.buckets[0].push((start.to_index(width) as u32, 0));
     }
@@ -446,7 +454,7 @@ fn plan_dense<R: ReservationProbe>(
         // Goal test: arrived, and — for parking goals — cleared of all
         // future reservations by other robots.
         if pos == goal && t >= park_clearance {
-            reconstruct_dense(&scratch.action, &region, pos, dt, width, height, out);
+            reconstruct_dense(scratch, &region, pos, dt, width, height, out);
             out.start = start_tick;
             result = Some(PlanStats {
                 expansions,
@@ -469,7 +477,7 @@ fn plan_dense<R: ReservationProbe>(
             opts,
             &mut scratch.splice_buf,
         ) {
-            reconstruct_dense(&scratch.action, &region, pos, dt, width, height, out);
+            reconstruct_dense(scratch, &region, pos, dt, width, height, out);
             out.start = start_tick;
             out.cells.extend_from_slice(&scratch.splice_buf[1..]);
             result = Some(PlanStats {
@@ -514,7 +522,7 @@ fn plan_dense<R: ReservationProbe>(
                         clearance_dt,
                         next,
                         ndt,
-                        ACTION_MOVE_BASE + i as u8,
+                        ACTION_MOVE_BASE + i as u32,
                         width,
                         &mut dirty_hi,
                     );
@@ -542,16 +550,15 @@ fn push_dense(
     clearance_dt: u64,
     to: GridPos,
     ndt: u64,
-    action: u8,
+    action: u32,
     width: u16,
     dirty_hi: &mut usize,
 ) {
     let slot = region.slot(to, ndt);
-    if scratch.stamp[slot] == scratch.generation {
+    if scratch.discovered(slot) {
         return; // already discovered — first discovery has equal cost
     }
-    scratch.stamp[slot] = scratch.generation;
-    scratch.action[slot] = action;
+    scratch.discover(slot, action);
     let f = ndt + remaining_ticks(to, goal, ndt, clearance_dt);
     debug_assert!(f >= h0, "the heuristic must be consistent");
     let bucket = (f - h0) as usize;
@@ -566,7 +573,7 @@ fn push_dense(
 /// sequence into `out.cells` (reused buffer; reversed in place).
 #[allow(clippy::too_many_arguments)]
 fn reconstruct_dense(
-    action: &[u8],
+    scratch: &SearchScratch,
     region: &Region,
     mut pos: GridPos,
     mut dt: u64,
@@ -578,7 +585,7 @@ fn reconstruct_dense(
     out.cells.reserve(dt as usize + 1);
     loop {
         out.cells.push(pos);
-        match action[region.slot(pos, dt)] {
+        match scratch.action(region.slot(pos, dt)) {
             ACTION_ROOT => break,
             ACTION_WAIT => {}
             a => {
@@ -1500,6 +1507,74 @@ mod tests {
         assert!(splice(5), "held off the goal for one tick by the crossing");
         assert!(splice(6), "arrival exactly at the clearance");
         assert!(splice(20), "arrival after the clearance");
+    }
+
+    #[test]
+    fn arena_growth_settles_on_the_paper_floor() {
+        // `window` grows with the query's distance, so sizing the table to
+        // each record-setting query re-allocated it dozens of times a run.
+        // 500 seeded queries on the walled 200×200 floor at slack 256: the
+        // reach of the goal around the start rises over the first 50, the
+        // last 400 range over the whole floor.
+        let layout = tprw_warehouse::Layout::generate(&tprw_warehouse::LayoutConfig {
+            width: 200,
+            height: 200,
+            border_walls: true,
+            ..Default::default()
+        })
+        .expect("the paper floor generates");
+        let grid = &layout.grid;
+        let resv = ConflictDetectionTable::new(200, 200);
+        let opts = PlanOptions {
+            horizon_slack: 256,
+            ..opts()
+        };
+        let mut state = 7u64; // splitmix64
+        let mut below = |n: u16| {
+            state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
+            let z = (state ^ (state >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+            let z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+            ((z ^ (z >> 31)) % n as u64) as u16
+        };
+        let mut scratch = SearchScratch::new();
+        let mut path = Path::stationary(p(1, 1), 0);
+        let (mut reallocations, mut longest, mut settled) = (0, 0, 0);
+        for i in 0..500u16 {
+            let reach = (4 * (i + 1)).min(198);
+            let start = p(1 + below(198), 1 + below(198));
+            let goal = p(
+                (start.x + below(2 * reach + 1))
+                    .saturating_sub(reach)
+                    .clamp(1, 198),
+                (start.y + below(2 * reach + 1))
+                    .saturating_sub(reach)
+                    .clamp(1, 198),
+            );
+            let table = scratch.dense_slots();
+            plan_path_into(
+                &mut scratch,
+                grid,
+                &resv,
+                RobotId::new(0),
+                start,
+                i as Tick,
+                goal,
+                None,
+                &opts,
+                &mut path,
+            )
+            .expect("an empty floor is always solvable");
+            assert_eq!(path.end() - path.start, start.manhattan(goal));
+            reallocations += usize::from(scratch.dense_slots() != table);
+            longest = longest.max(start.manhattan(goal));
+            if i == 99 {
+                settled = scratch.capacity_signature();
+            } else if i > 99 {
+                assert_eq!(scratch.capacity_signature(), settled, "query {i}");
+            }
+        }
+        assert!(longest > 300, "the queries span the floor ({longest})");
+        assert!((1..=8).contains(&reallocations), "{reallocations}");
     }
 
     /// FNV-1a over a path's cells: one word per recorded query below.

@@ -5,7 +5,7 @@
 
 #![cfg(test)]
 
-use crate::astar::{plan_path, plan_path_with, PlanOptions};
+use crate::astar::{plan_path, plan_path_with, PlanOptions, Region};
 use crate::cache::PathCache;
 use crate::cdt::ConflictDetectionTable;
 use crate::conflict::find_conflicts;
@@ -40,6 +40,36 @@ proptest! {
         prop_assert!(out.path.is_connected());
         prop_assert_eq!(out.path.first(), s);
         prop_assert_eq!(out.path.last(), g);
+    }
+
+    /// The wavefront-major arena layout is a permutation: every state a
+    /// search can reach (inside the region, no earlier than the Manhattan
+    /// distance from the start, inside the window) owns one slot of the
+    /// `region.slots()` the table is sized to.
+    #[test]
+    fn admissible_states_map_to_distinct_slots(
+        w in 1u16..20, h in 1u16..20,
+        sx in 0u16..20, sy in 0u16..20, gx in 0u16..20, gy in 0u16..20,
+        slack in 0u64..12, splice_reach in 0u64..4,
+    ) {
+        let grid = open_grid(w, h);
+        let start = GridPos::new(sx % w, sy % h);
+        let goal = GridPos::new(gx % w, gy % h);
+        let region = Region::compute(&grid, start, goal, slack, splice_reach);
+        let mut taken = vec![false; region.slots().expect("small grid")];
+        for idx in 0..grid.cell_count() {
+            let p = GridPos::from_index(idx, w);
+            if !region.contains(p) {
+                continue;
+            }
+            for dt in start.manhattan(p)..region.window {
+                let slot = region.slot(p, dt);
+                prop_assert!(slot < taken.len(), "{p} dt {dt} -> {slot} of {}", taken.len());
+                prop_assert!(!taken[slot], "{p} dt {dt} shares slot {slot}");
+                taken[slot] = true;
+            }
+        }
+        prop_assert!(taken[region.slot(start, 0)] && region.contains(goal));
     }
 
     /// Cache-assisted planning yields conflict-free paths against random

@@ -6,14 +6,16 @@
 //!
 //! # Design
 //!
-//! * **Dense stamped tables.** A search state is a `(cell, dt)` pair with
-//!   `dt = tick - start_tick`. States map to dense slots
-//!   `slot = region_cell_index * window + dt` inside a per-query *search
-//!   region* (see `astar.rs`). Two flat tables are indexed by slot:
-//!   `stamp` (which query generation last discovered the slot) and `action`
-//!   (how the state was reached, 3 bits). Bumping `generation` invalidates
-//!   every slot at once — buffers are never cleared between queries; zeroed
-//!   growth happens only while the arena warms up to its high-water size.
+//! * **One dense stamped table, wavefront-major.** A search state is a
+//!   `(cell, dt)` pair with `dt = tick - start_tick`, keyed inside a
+//!   per-query *search region* (see `astar.rs`) by how late it is:
+//!   `slot = (dt - manhattan(start, cell)) * region_cells + region_cell`.
+//!   Plane 0 holds every on-time state, so an uncongested search stays in
+//!   the first plane or two and spatial neighbours share cache lines
+//!   (docs/adr/ADR-004-wavefront-major-arena.md). A slot's `stamp` word is
+//!   `generation << 3 | action`: which query last discovered it, and how.
+//!   Bumping `generation` invalidates every slot at once — the table is
+//!   never cleared between queries, and it grows with headroom.
 //! * **Bucketed open list.** Unit edge costs and a consistent heuristic
 //!   mean a popped state with f-value `f` only ever generates successors
 //!   with `f`, `f+1` or `f+2`. Where the Manhattan distance is the
@@ -46,24 +48,25 @@ use std::collections::HashMap;
 /// Open-list entry: grid cell index + tick offset from the query start.
 pub(crate) type OpenEntry = (u32, u32);
 
-/// Reach-action codes stored per state (3 bits used; `ACTION_NONE` only in
+/// Reach-action codes, the low [`ACTION_BITS`] of a stamp word (0 only in
 /// never-stamped slots).
-pub(crate) const ACTION_ROOT: u8 = 1;
-pub(crate) const ACTION_WAIT: u8 = 2;
-/// `ACTION_MOVE_BASE + Direction as u8` (4 directions).
-pub(crate) const ACTION_MOVE_BASE: u8 = 3;
+pub(crate) const ACTION_ROOT: u32 = 1;
+pub(crate) const ACTION_WAIT: u32 = 2;
+/// `ACTION_MOVE_BASE + Direction as u32` (4 directions).
+pub(crate) const ACTION_MOVE_BASE: u32 = 3;
+const ACTION_BITS: u32 = 3;
+/// Last generation a stamp word can hold above its action bits.
+const GENERATION_MAX: u32 = u32::MAX >> ACTION_BITS;
 
 /// Reusable buffers for [`crate::astar::plan_path_into`]. Construct once per
 /// planner (or thread) and pass to every query; buffers grow to the largest
 /// query seen and are then recycled allocation-free.
 #[derive(Debug, Default)]
 pub struct SearchScratch {
-    /// Current query generation; a slot is live iff `stamp[slot] == generation`.
-    pub(crate) generation: u32,
-    /// Discovery stamps per dense state slot.
-    pub(crate) stamp: Vec<u32>,
-    /// Reach-action per dense state slot (valid only when stamped).
-    pub(crate) action: Vec<u8>,
+    /// Current query generation (see [`Self::discovered`]).
+    generation: u32,
+    /// `generation << ACTION_BITS | action` per dense state slot.
+    stamp: Vec<u32>,
     /// Dial buckets keyed by `f - h0`.
     pub(crate) buckets: Vec<Vec<OpenEntry>>,
     /// Spliced tail assembly buffer (cache-aided planning).
@@ -91,29 +94,52 @@ impl SearchScratch {
     }
 
     /// Begin a query needing `slots` dense table entries: bumps the
-    /// generation and grows the tables if this query is the largest yet.
-    /// Returns the generation to stamp with.
-    pub(crate) fn begin_dense(&mut self, slots: usize) -> u32 {
+    /// generation and grows the table if this query is the largest yet.
+    pub(crate) fn begin_dense(&mut self, slots: usize) {
         if self.stamp.len() < slots {
-            // Fresh zeroed allocations rather than `resize`: `vec![0; n]`
+            // A fresh zeroed allocation rather than `resize`: `vec![0; n]`
             // lowers to `alloc_zeroed`, whose untouched pages the OS maps
             // lazily — resident memory tracks states actually visited, not
             // the nominal table size. Old contents need no copy because the
-            // generation bump below invalidates every slot anyway.
-            self.stamp = vec![0; slots];
-            self.action = vec![0; slots];
+            // generation bump below invalidates every slot anyway. Headroom,
+            // because `slots` creeps up with the query's distance and each
+            // re-allocation faults every visited page in again.
+            self.stamp = vec![0; slots + slots / 4];
             self.generation = 0;
         }
-        if self.generation == u32::MAX {
-            // Stamp wrap: reset the tables once every 2³² queries.
+        if self.generation == GENERATION_MAX {
+            // Stamp wrap: reset the table once every 2²⁹ queries.
             self.stamp.fill(0);
             self.generation = 0;
         }
         self.generation += 1;
-        self.generation
     }
 
-    /// Drop the dense tables if they exceed `max_slots` entries — used by
+    /// Whether the current query has discovered `slot`.
+    #[inline]
+    pub(crate) fn discovered(&self, slot: usize) -> bool {
+        self.stamp[slot] >> ACTION_BITS == self.generation
+    }
+
+    /// Mark `slot` discovered by the current query, reached via `action`.
+    #[inline]
+    pub(crate) fn discover(&mut self, slot: usize, action: u32) {
+        self.stamp[slot] = self.generation << ACTION_BITS | action;
+    }
+
+    /// The reach-action a discovered `slot` was marked with.
+    #[inline]
+    pub(crate) fn action(&self, slot: usize) -> u32 {
+        self.stamp[slot] & ((1 << ACTION_BITS) - 1)
+    }
+
+    /// Entries the dense table holds (0 before the first dense query); a
+    /// change between two queries is an arena re-allocation.
+    pub fn dense_slots(&self) -> usize {
+        self.stamp.len()
+    }
+
+    /// Drop the dense table if it exceeds `max_slots` entries — used by
     /// the thread-local [`crate::astar::plan_path`] wrapper so one-shot
     /// callers on huge grids do not pin high-water buffers for the life of
     /// the thread. Planner-owned scratches never call this; their retained
@@ -121,7 +147,6 @@ impl SearchScratch {
     pub fn trim(&mut self, max_slots: usize) {
         if self.stamp.len() > max_slots {
             self.stamp = Vec::new();
-            self.action = Vec::new();
             self.generation = 0;
         }
     }
@@ -138,7 +163,6 @@ impl SearchScratch {
     /// across queries once warmed up — asserted by the no-allocation tests.
     pub fn capacity_signature(&self) -> usize {
         self.stamp.capacity()
-            + self.action.capacity()
             + self.buckets.capacity()
             + self.buckets.iter().map(Vec::capacity).sum::<usize>()
             + self.splice_buf.capacity()
@@ -149,7 +173,6 @@ impl SearchScratch {
     /// Approximate heap bytes currently held by the scratch buffers.
     pub fn memory_bytes(&self) -> usize {
         self.stamp.capacity() * std::mem::size_of::<u32>()
-            + self.action.capacity()
             + self
                 .buckets
                 .iter()
@@ -169,11 +192,32 @@ mod tests {
     #[test]
     fn generations_invalidate_without_clearing() {
         let mut s = SearchScratch::new();
-        let g1 = s.begin_dense(16);
-        s.stamp[3] = g1;
-        let g2 = s.begin_dense(16);
-        assert_ne!(g1, g2);
-        assert_ne!(s.stamp[3], g2, "old stamps must not read as live");
+        s.begin_dense(16);
+        s.discover(3, ACTION_WAIT);
+        assert!(s.discovered(3));
+        s.begin_dense(16);
+        assert!(!s.discovered(3), "old stamps must not read as live");
+    }
+
+    #[test]
+    fn stamp_words_decode_the_action_they_were_pushed_with() {
+        let mut s = SearchScratch::new();
+        let actions = ACTION_ROOT..ACTION_MOVE_BASE + 4;
+        for generation in [1, 2, GENERATION_MAX] {
+            s.begin_dense(8);
+            s.generation = generation;
+            for action in actions.clone() {
+                s.discover(action as usize, action);
+            }
+            for action in actions.clone() {
+                assert!(s.discovered(action as usize));
+                assert_eq!(s.action(action as usize), action);
+            }
+            assert!(
+                !s.discovered(0),
+                "never-pushed slot, generation {generation}"
+            );
+        }
     }
 
     #[test]
@@ -182,19 +226,23 @@ mod tests {
         s.begin_dense(8);
         assert!(s.stamp.len() >= 8);
         s.begin_dense(4);
-        assert!(s.stamp.len() >= 8, "smaller queries keep the big tables");
+        assert!(s.stamp.len() >= 8, "smaller queries keep the big table");
         s.begin_dense(32);
         assert!(s.stamp.len() >= 32);
+        let signature = s.capacity_signature();
+        s.begin_dense(36);
+        assert_eq!(s.capacity_signature(), signature, "within the headroom");
     }
 
     #[test]
     fn stamp_wrap_resets_tables() {
         let mut s = SearchScratch::new();
         s.begin_dense(4);
-        s.stamp[0] = u32::MAX;
-        s.generation = u32::MAX;
-        let g = s.begin_dense(4);
-        assert_eq!(g, 1, "generation restarts after wrap");
+        s.generation = GENERATION_MAX;
+        s.discover(0, ACTION_WAIT);
+        assert!(s.discovered(0));
+        s.begin_dense(4);
+        assert_eq!(s.generation, 1, "generation restarts after wrap");
         assert_eq!(s.stamp[0], 0, "stale stamps cleared on wrap");
     }
 
