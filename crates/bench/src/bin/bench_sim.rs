@@ -35,17 +35,6 @@
 //! folding live blockade context into selection must never cost makespan,
 //! and the committed baseline shows a strict win).
 //!
-//! Schema `bench_sim/v5` adds the **parallel study**: two paper-scale
-//! floors (200×200, 500 robots, 2000 racks — `sim_cases::paper_scenarios`)
-//! run on `sim_cases::PAPER_SCALE_PLANNERS` twice each, serial
-//! (`EngineConfig::workers = 0`) and with the leg-query phase sharded
-//! across worker threads. Both runs must produce bit-identical reports —
-//! the harness asserts it — so the recorded speedup is a pure
-//! execution-efficiency ratio. CI gates the congested paper case's
-//! aggregate speedup at `parallel_gate` (`BENCH_SIM_PAR_ITERS` overrides
-//! the per-cell iteration count; `BENCH_SIM_PAR_WORKERS` the worker
-//! count, default `min(4, available cores)`).
-//!
 //! Schema `bench_sim/v6` adds the **event-driven study**: the quiescence
 //! cases (`sim_cases::sparse_quiescent` — an over-fleeted 64×44 floor
 //! whose ticks are mostly idle — and the paper-scale quiescent 200×200
@@ -56,6 +45,10 @@
 //! recorded speedup is a pure scheduling-efficiency ratio. CI gates the
 //! quiescent sparse floor's aggregate speedup at `event_gate`.
 //!
+//! Schema `bench_sim/v7` drops the v5 parallel study with the speculative
+//! leg planning it measured (`docs/adr/ADR-005-serial-leg-planning.md`),
+//! and `pre_change_ns_per_tick`, a number recorded on another machine.
+//!
 //! Extra modes for CI:
 //!
 //! * `BENCH_SIM_FP_OUT=<path>` — *determinism soak*: skip timing entirely,
@@ -65,23 +58,19 @@
 //!   output is also diffed against the committed
 //!   `results/fingerprints_faults_off.txt`, pinning faults-off runs to
 //!   their pre-fault-injection behaviour bit for bit.
-//! * `BENCH_SIM_PAR_FP_OUT=<path>` — the determinism soak with the
-//!   leg-query phase sharded across worker threads
-//!   (`BENCH_SIM_PAR_FP_WORKERS`, default 4). CI diffs the output against
-//!   the serial soak's file: parallel execution must be bit-invisible.
 //! * `BENCH_SIM_CHAOS_FP_OUT=<path>` — the same soak under the chaos fault
 //!   plan (`BENCH_SIM_CHAOS_SEED`, default 4242) with graceful degradation
 //!   armed: every run must stay violation-free while visibly degrading, and
 //!   CI diffs two independent processes to prove fixed-fault-seed
 //!   determinism.
 //! * `BENCH_SIM_ED_FP_OUT=<path>` — the determinism soak on the
-//!   event-driven tick strategy. CI diffs the output against the serial
+//!   event-driven tick strategy. CI diffs the output against the
 //!   dense soak's file (and thereby the committed faults-off baseline):
 //!   the agenda scheduler must be bit-invisible under disruption replay.
 
 use eatp_bench::sim_cases::{
-    deterministic_fields, paper_quiescent, paper_scenarios, scenarios, sparse_quiescent,
-    SimScenario, ANTICIPATION_CASES, PAPER_SCALE_PLANNERS,
+    deterministic_fields, paper_quiescent, scenarios, sparse_quiescent, SimScenario,
+    ANTICIPATION_CASES, PAPER_SCALE_PLANNERS,
 };
 use eatp_core::{planner_by_name, EatpConfig, PLANNER_NAMES};
 use serde::Serialize;
@@ -135,31 +124,6 @@ struct AnticipationReport {
 }
 
 #[derive(Debug, Serialize)]
-struct ParallelCell {
-    planner: String,
-    /// Median ns/tick of the serial path (`workers = 0`).
-    serial_ns_per_tick: u64,
-    /// Median ns/tick with the leg-query phase sharded across workers.
-    parallel_ns_per_tick: u64,
-    /// `serial / parallel` — both measured in-process, so the ratio is
-    /// hardware-independent enough to gate.
-    speedup: f64,
-    makespan: u64,
-    /// Every iteration's parallel report matched the serial one bit for
-    /// bit (the harness also asserts this).
-    identical_reports: bool,
-}
-
-#[derive(Debug, Serialize)]
-struct ParallelReport {
-    case: String,
-    description: String,
-    planners: Vec<ParallelCell>,
-    /// Geometric mean of the per-planner speedups.
-    aggregate_speedup: f64,
-}
-
-#[derive(Debug, Serialize)]
 struct EventDrivenCell {
     planner: String,
     /// Median ns/tick of the dense per-tick scan loop.
@@ -198,12 +162,6 @@ struct BenchReport {
     congested_eatp_over_ntp: f64,
     /// Upper bound on `congested_eatp_over_ntp` enforced by CI.
     eatp_ntp_gate: f64,
-    /// Absolute ns/tick of the unsplit pre-change engine (PR-2 seed state),
-    /// captured once before the batched path landed. Informational:
-    /// cross-machine absolute numbers are not comparable, which is why the
-    /// CI gate uses `speedup` (both modes measured in-process) instead.
-    pre_change_ns_per_tick: serde_json::Value,
-    baseline_host_note: &'static str,
     scenarios: Vec<ScenarioReport>,
     /// CI fails when the congested scenario's aggregate speedup drops below
     /// this bar.
@@ -219,15 +177,6 @@ struct BenchReport {
     /// recorded for observation — its shifting blockade set makes the
     /// aware-vs-reactive delta noisier run-to-run across code changes).
     anticipation_gate_case: &'static str,
-    /// Serial vs sharded leg planning on the paper-scale floors.
-    parallel: Vec<ParallelReport>,
-    /// Worker threads used for the parallel runs of this report.
-    parallel_workers: usize,
-    /// CI fails when the paper-scale congested case's `aggregate_speedup`
-    /// drops below this bar (only enforced with `parallel_workers >= 2`).
-    parallel_gate: f64,
-    /// The case the parallel gate reads (index 0 of `parallel`).
-    parallel_gate_case: &'static str,
     /// Dense vs event-driven ticking on the quiescence-heavy floors.
     event_driven: Vec<EventDrivenReport>,
     /// CI fails when `event_gate_case`'s `aggregate_speedup` drops below
@@ -277,7 +226,7 @@ fn timed_run(
 /// run must still be violation-free, must visibly degrade
 /// (`degraded_ticks > 0`), and its fingerprint — degradation counters
 /// included — must be byte-identical across independent processes.
-fn write_fingerprints(path: &str, chaos: Option<u64>, workers: usize, strategy: TickStrategy) {
+fn write_fingerprints(path: &str, chaos: Option<u64>, strategy: TickStrategy) {
     let base = match chaos {
         None => EngineConfig::builder(),
         Some(seed) => EngineConfig::builder()
@@ -288,7 +237,6 @@ fn write_fingerprints(path: &str, chaos: Option<u64>, workers: usize, strategy: 
             }),
     };
     let engine = base
-        .workers(workers)
         .tick_strategy(strategy)
         .build()
         .expect("soak config is valid");
@@ -336,7 +284,6 @@ fn write_fingerprints(path: &str, chaos: Option<u64>, workers: usize, strategy: 
     let flavour = match chaos {
         Some(seed) => format!("chaos (fault seed {seed})"),
         None if strategy.is_event_driven() => "disruption (event-driven ticking)".into(),
-        None if workers >= 2 => format!("disruption ({workers}-worker parallel)"),
         None => "disruption".into(),
     };
     eprintln!("wrote {flavour} fingerprints to {path}");
@@ -344,21 +291,7 @@ fn write_fingerprints(path: &str, chaos: Option<u64>, workers: usize, strategy: 
 
 fn main() {
     if let Ok(path) = std::env::var("BENCH_SIM_FP_OUT") {
-        write_fingerprints(&path, None, 0, TickStrategy::Dense);
-        return;
-    }
-    if let Ok(path) = std::env::var("BENCH_SIM_PAR_FP_OUT") {
-        // Parallel flavour of the determinism soak: the same disrupted
-        // runs with the leg-query phase sharded across workers. CI diffs
-        // this file against the *serial* soak's output (and the committed
-        // faults-off baseline), so worker threads can never leak into
-        // simulation semantics.
-        let workers = std::env::var("BENCH_SIM_PAR_FP_WORKERS")
-            .ok()
-            .and_then(|s| s.parse().ok())
-            .filter(|&n| n >= 2)
-            .unwrap_or(4);
-        write_fingerprints(&path, None, workers, TickStrategy::Dense);
+        write_fingerprints(&path, None, TickStrategy::Dense);
         return;
     }
     if let Ok(path) = std::env::var("BENCH_SIM_CHAOS_FP_OUT") {
@@ -366,7 +299,7 @@ fn main() {
             .ok()
             .and_then(|s| s.parse().ok())
             .unwrap_or(4242);
-        write_fingerprints(&path, Some(seed), 0, TickStrategy::Dense);
+        write_fingerprints(&path, Some(seed), TickStrategy::Dense);
         return;
     }
     if let Ok(path) = std::env::var("BENCH_SIM_ED_FP_OUT") {
@@ -375,7 +308,7 @@ fn main() {
         // dense soak's output (and thereby the committed faults-off
         // baseline), so agenda-based tick skipping can never leak into
         // simulation semantics.
-        write_fingerprints(&path, None, 0, TickStrategy::EventDriven);
+        write_fingerprints(&path, None, TickStrategy::EventDriven);
         return;
     }
     let iters: usize = std::env::var("BENCH_SIM_ITERS")
@@ -498,82 +431,6 @@ fn main() {
         });
     }
 
-    // Parallel study: the paper-scale floors, serial vs sharded leg
-    // planning. Fewer iterations than the main loop — each run is two
-    // orders of magnitude bigger than the 44x32 cells.
-    let par_iters: usize = std::env::var("BENCH_SIM_PAR_ITERS")
-        .ok()
-        .and_then(|s| s.parse().ok())
-        .filter(|&n| n > 0)
-        .unwrap_or(3);
-    let par_workers: usize = std::env::var("BENCH_SIM_PAR_WORKERS")
-        .ok()
-        .and_then(|s| s.parse().ok())
-        .filter(|&n| n > 0)
-        .unwrap_or_else(|| {
-            std::thread::available_parallelism()
-                .map(|n| n.get().min(4))
-                .unwrap_or(1)
-        });
-    let parallel_engine = EngineConfig::builder()
-        .workers(par_workers)
-        .build()
-        .expect("parallel config is valid");
-    let mut parallel = Vec::new();
-    for scenario in paper_scenarios() {
-        eprintln!(
-            "== parallel study {} ({par_workers} workers) ==",
-            scenario.name
-        );
-        let mut cells = Vec::new();
-        for name in PAPER_SCALE_PLANNERS {
-            let mut ser_samples = Vec::with_capacity(par_iters);
-            let mut par_samples = Vec::with_capacity(par_iters);
-            let mut identical = true;
-            let mut last_report = None;
-            for _ in 0..par_iters {
-                let (ser_ns, ser_report) =
-                    timed_run(&scenario, name, &batched_config, &batched_engine);
-                let (par_ns, par_report) =
-                    timed_run(&scenario, name, &batched_config, &parallel_engine);
-                identical &= deterministic_fields(&ser_report) == deterministic_fields(&par_report);
-                ser_samples.push(ser_ns);
-                par_samples.push(par_ns);
-                last_report = Some(par_report);
-            }
-            assert!(
-                identical,
-                "{name} on {}: the parallel run diverged from the serial path",
-                scenario.name
-            );
-            let report = last_report.expect("at least one iteration");
-            let serial_ns = median(&mut ser_samples);
-            let parallel_ns = median(&mut par_samples);
-            let speedup = serial_ns as f64 / parallel_ns.max(1) as f64;
-            eprintln!(
-                "  {name:<5} serial {serial_ns:>8} ns/tick -> parallel {parallel_ns:>8} ns/tick                  ({speedup:.2}x), makespan {}",
-                report.makespan
-            );
-            cells.push(ParallelCell {
-                planner: name.to_string(),
-                serial_ns_per_tick: serial_ns,
-                parallel_ns_per_tick: parallel_ns,
-                speedup,
-                makespan: report.makespan,
-                identical_reports: identical,
-            });
-        }
-        let aggregate =
-            (cells.iter().map(|c| c.speedup.ln()).sum::<f64>() / cells.len().max(1) as f64).exp();
-        eprintln!("  aggregate {aggregate:.2}x");
-        parallel.push(ParallelReport {
-            case: scenario.name.to_string(),
-            description: scenario.description.to_string(),
-            planners: cells,
-            aggregate_speedup: aggregate,
-        });
-    }
-
     // Event-driven study: the quiescence-heavy floors, dense scan loop vs
     // the agenda scheduler. The sparse 64x44 floor runs every planner; the
     // paper-scale quiescent floor sticks to the paper-scale pair so the
@@ -652,27 +509,17 @@ fn main() {
     let congested_ntp = ns_of("NTP");
 
     let report = BenchReport {
-        schema: "bench_sim/v6",
+        schema: "bench_sim/v7",
         iterations: iters,
         congested_eatp_ns_per_tick: congested_eatp,
         congested_eatp_over_ntp: congested_eatp as f64 / congested_ntp.max(1) as f64,
         eatp_ntp_gate: 3.0,
-        pre_change_ns_per_tick: serde_json::from_str(include_str!(
-            "../pre_change_sim_baseline.json"
-        ))
-        .expect("embedded baseline parses"),
-        baseline_host_note: "captured 2026-07-30 on the PR-2 dev container, \
-                             pre-change engine (commit 340ace9 + scenarios only)",
         scenarios: scenario_reports,
         congested_gate: 1.3,
         anticipation,
         anticipation_gate: 1.0,
         anticipation_gate_planner: "EATP",
         anticipation_gate_case: ANTICIPATION_CASES[0],
-        parallel,
-        parallel_workers: par_workers,
-        parallel_gate: 1.5,
-        parallel_gate_case: "paper-congested-200x200",
         event_driven,
         event_gate: 1.5,
         event_gate_case: "sparse-quiescent-64x44",

@@ -334,82 +334,6 @@ pub fn disrupted_blockade_rolling() -> SimScenario {
     }
 }
 
-/// Paper-scale congested floor: the ICDE'22 evaluation's large
-/// configuration — a 200×200 grid, 500 robots, two thousand racks —
-/// with border walls so the distance oracle runs its BFS fields. The
-/// item count is bounded so a full serial run stays CI-sized; the fleet
-/// density is what matters, because every tick then carries hundreds of
-/// leg searches for the parallel query phase to shard.
-pub fn paper_congested() -> SimScenario {
-    let instance = ScenarioSpec {
-        name: "bench-paper-congested".into(),
-        layout: LayoutConfig {
-            width: 200,
-            height: 200,
-            border_walls: true,
-            ..LayoutConfig::default()
-        },
-        n_racks: 2000,
-        n_robots: 500,
-        n_pickers: 24,
-        workload: WorkloadConfig::poisson(1200, 4.0),
-        disruptions: None,
-        seed: 91,
-    }
-    .build()
-    .expect("paper-scale congested scenario builds");
-    SimScenario {
-        name: "paper-congested-200x200",
-        description: "paper-scale walled 200x200 floor, 500 robots / 2000 \
-                      racks / 24 pickers, 1200 items at rate 4.0: hundreds \
-                      of concurrent legs per tick — the floor the parallel \
-                      leg-query phase is gated on",
-        instance,
-    }
-}
-
-/// Paper-scale surge floor: the same 200×200 grid and 500-robot fleet
-/// under an alternating arrival surge with skewed racks, so leg batches
-/// swing between sparse and saturated within one run.
-pub fn paper_surge() -> SimScenario {
-    let instance = ScenarioSpec {
-        name: "bench-paper-surge".into(),
-        layout: LayoutConfig {
-            width: 200,
-            height: 200,
-            border_walls: true,
-            ..LayoutConfig::default()
-        },
-        n_racks: 2000,
-        n_robots: 500,
-        n_pickers: 24,
-        workload: WorkloadConfig {
-            n_items: 900,
-            profile: ArrivalProfile::Surge {
-                base_rate: 2.0,
-                multipliers: vec![0.5, 3.0],
-                phase_len: 100,
-            },
-            processing_min: 8,
-            processing_max: 16,
-            rack_skew: 0.8,
-            skew_cap: 8.0,
-        },
-        disruptions: None,
-        seed: 92,
-    }
-    .build()
-    .expect("paper-scale surge scenario builds");
-    SimScenario {
-        name: "paper-surge-200x200",
-        description: "paper-scale walled 200x200 floor, 500 robots / 2000 \
-                      racks / 24 pickers, 900 items arriving in 0.5x/3.0x \
-                      surges every 100 ticks over skewed racks: leg batch \
-                      sizes swing between sparse and saturated",
-        instance,
-    }
-}
-
 /// Quiescent sparse floor: the 64×44 open grid with a fleet sized well
 /// past its workload — 20 items trickle in at rate 0.002, so arrivals sit
 /// ~500 ticks apart while one fulfilment trip takes ~100, and most ticks
@@ -473,20 +397,10 @@ pub fn paper_quiescent() -> SimScenario {
     }
 }
 
-/// The paper-scale scenarios measured by `bench_sim`'s parallel study.
-/// Kept out of [`scenarios`] on purpose: the main timing loop runs every
-/// planner in both execution modes, which at 500 robots would dominate
-/// the harness; the parallel study runs these on
-/// [`PAPER_SCALE_PLANNERS`] only.
-pub fn paper_scenarios() -> Vec<SimScenario> {
-    vec![paper_congested(), paper_surge()]
-}
-
 /// Planners measured at paper scale: the paper's headline planner and
 /// the fastest baseline. The ILP-style planners price every
-/// robot-rack-picker triple, which at 500 robots costs more wall clock
-/// than the study needs — the parallel path itself is planner-agnostic
-/// (it shards `PlannerBase` leg batches), so two planners bound it.
+/// robot-rack-picker triple, which at paper scale costs more wall clock
+/// than the event-driven study needs.
 pub const PAPER_SCALE_PLANNERS: [&str; 2] = ["NTP", "EATP"];
 
 /// All benchmark scenarios in gate order (congested first — the CI gate
@@ -524,27 +438,6 @@ mod tests {
     use super::*;
 
     #[test]
-    fn paper_scenarios_are_paper_scale() {
-        let all = paper_scenarios();
-        assert_eq!(all.len(), 2);
-        for s in &all {
-            assert_eq!(s.instance.grid.width(), 200, "{}", s.name);
-            assert_eq!(s.instance.grid.height(), 200, "{}", s.name);
-            assert_eq!(s.instance.robots.len(), 500, "{}", s.name);
-            assert_eq!(s.instance.racks.len(), 2000, "{}", s.name);
-            assert!(s.instance.disruptions.is_empty(), "{}", s.name);
-        }
-        // The gate case stays at index 0 (CI reads it by position).
-        assert_eq!(all[0].name, "paper-congested-200x200");
-        for name in PAPER_SCALE_PLANNERS {
-            assert!(
-                eatp_core::PLANNER_NAMES.contains(&name),
-                "{name} is not a registered planner"
-            );
-        }
-    }
-
-    #[test]
     fn quiescent_cases_are_quiescence_heavy() {
         // Both event-driven study floors: open grids (exact-Manhattan
         // oracle), no disruptions, and fleets sized well past their item
@@ -568,6 +461,12 @@ mod tests {
         // report's event_gate_case field).
         assert_eq!(sparse_quiescent().name, "sparse-quiescent-64x44");
         assert_eq!(paper_quiescent().name, "paper-quiescent-200x200");
+        for name in PAPER_SCALE_PLANNERS {
+            assert!(
+                eatp_core::PLANNER_NAMES.contains(&name),
+                "{name} is not a registered planner"
+            );
+        }
     }
 
     #[test]

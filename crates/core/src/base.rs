@@ -9,17 +9,15 @@
 
 use crate::config::EatpConfig;
 use crate::outlook::DisruptionOutlook;
-use crate::planner::{InjectedFault, LegRequest, PlannerError, PlannerStats, TentativeLeg};
+use crate::planner::{InjectedFault, LegRequest, PlannerError, PlannerEvent, PlannerStats};
 use crate::world::WorldView;
 use serde::{Deserialize, Serialize};
-use std::cell::RefCell;
 use std::time::Instant;
 use tprw_pathfinding::astar::{plan_path_with, PlanOptions};
 use tprw_pathfinding::bfs::{DistanceOracle, ReferenceDistanceOracle};
 use tprw_pathfinding::{
     ConflictDetectionTable, KNearestRacks, KnnChange, MemoryFootprint, Path, PathCache,
-    RecordingProbe, ReservationContent, ReservationSystem, SearchScratch, SpatioTemporalGraph,
-    TouchLog,
+    ReservationContent, ReservationSystem, SearchScratch, SpatioTemporalGraph,
 };
 use tprw_warehouse::{
     CellKind, DisruptionEvent, GridMap, GridPos, Instance, RackId, RobotId, Tick,
@@ -197,7 +195,7 @@ pub struct BaseSnapshot {
     pub last_gc: Tick,
     /// Scheduled-maintenance predictions `(cell, from, until)` in
     /// announcement order. Canonical, unlike the rest of the outlook:
-    /// notices arrive through `Planner::on_maintenance_notice`, not through
+    /// notices arrive as `PlannerEvent::MaintenanceNotice`, not through
     /// applied events, so the journal replay cannot rebuild them.
     pub maintenance: Vec<(GridPos, Tick, Tick)>,
 }
@@ -233,7 +231,7 @@ pub struct PlannerBase<R: ReservationBackend> {
     /// one affected-region pass, not one per mutation.
     knn_pending: Vec<KnnChange>,
     /// Mutual-exclusion groups already satisfied within the current
-    /// [`PlannerBase::plan_legs`] batch (indexed by group id).
+    /// [`PlannerBase::commit_legs`] batch (indexed by group id).
     group_done: Vec<bool>,
     last_gc: Tick,
     /// Armed decision fault: the next `plan` entry (via
@@ -251,107 +249,6 @@ pub struct PlannerBase<R: ReservationBackend> {
     /// Corrupt entries/fields detected and evicted by integrity sweeps
     /// (diagnostic, like the cache hit/miss counters — not snapshotted).
     pub poison_evictions: u64,
-    /// Worker-thread count for the speculative query phase (`0` = serial).
-    workers: usize,
-    /// The persistent worker pool behind [`PlannerBase::query_legs`]
-    /// (`None` while serial).
-    pool: Option<scoped_pool::Pool>,
-    /// Per-worker speculation state (scratch arena, private cache, touch
-    /// log); rebuilt lazily when the worker count or the grid changes.
-    slots: Vec<WorkerSlot>,
-    /// Bumped on every working-grid mutation so the worker slots' private
-    /// caches (pure functions of the grid) rebuild before their next use.
-    grid_epoch: u64,
-    /// Stale-tentative stamp set of the current commit batch: every cell
-    /// mutated by a committed reservation of this batch.
-    dirty: TouchLog,
-    /// Speculative results discarded at commit time because an earlier
-    /// commit of the same batch mutated an observed cell; each one is
-    /// re-planned serially (diagnostic — not snapshotted, not part of the
-    /// deterministic fingerprint).
-    pub parallel_retries: u64,
-}
-
-/// One worker thread's private speculation state. Nothing here is
-/// behaviorally observable: the scratch arena only recycles allocations,
-/// and the private cache is a pure memoizer of grid-shortest paths — the
-/// shared cache's observable pair set is reproduced at commit time by
-/// replaying each adopted search's recorded call sequence.
-struct WorkerSlot {
-    scratch: SearchScratch,
-    /// Private path cache (`Some` iff the planner runs with one); rebuilt
-    /// whenever `grid_epoch` falls behind the base's.
-    cache: Option<PathCache>,
-    log: RefCell<TouchLog>,
-    grid_epoch: u64,
-}
-
-impl WorkerSlot {
-    /// The slot's search arena and private cache, as
-    /// [`PlannerStats::scratch_bytes`] counts them.
-    fn memory_bytes(&self) -> usize {
-        self.scratch.memory_bytes() + self.cache.as_ref().map_or(0, PathCache::memory_bytes)
-    }
-}
-
-/// The search options of one leg, for the serial and the speculative path
-/// alike.
-fn leg_options(config: &EatpConfig, park: bool) -> PlanOptions {
-    PlanOptions {
-        max_expansions: config.max_expansions,
-        horizon_slack: config.horizon_slack,
-        park_at_goal: park,
-        ..PlanOptions::default()
-    }
-}
-
-/// One speculative leg search against the pre-batch reservation state:
-/// read-only (probes go through [`RecordingProbe`]), records the exact
-/// touched-cell footprint and the private cache's call sequence.
-fn speculate_leg<R: ReservationSystem>(
-    grid: &GridMap,
-    resv: &R,
-    config: &EatpConfig,
-    slot: &mut WorkerSlot,
-    req: &LegRequest,
-    start: Tick,
-) -> TentativeLeg {
-    slot.log.borrow_mut().begin();
-    if let Some(cache) = slot.cache.as_mut() {
-        cache.begin_probe_log();
-    }
-    let probe = RecordingProbe::new(resv, &slot.log);
-    let outcome = plan_path_with(
-        &mut slot.scratch,
-        grid,
-        &probe,
-        req.robot,
-        req.from,
-        start,
-        req.to,
-        slot.cache.as_mut(),
-        &leg_options(config, req.park),
-    );
-    let cache_probes = slot
-        .cache
-        .as_mut()
-        .map(PathCache::take_probe_log)
-        .unwrap_or_default();
-    let touched = slot.log.borrow_mut().take_cells();
-    match outcome {
-        Some(out) => TentativeLeg::Planned {
-            path: out.path,
-            expansions: out.expansions,
-            used_cache: out.used_cache,
-            cache_probes,
-            touched,
-        },
-        None => TentativeLeg::Blocked {
-            expansions: slot.scratch.last_expansions(),
-            cache_probes,
-            touched,
-        },
-    }
 }
 
 impl<R: ReservationBackend> PlannerBase<R> {
@@ -380,7 +277,6 @@ impl<R: ReservationBackend> PlannerBase<R> {
             instance.pickers.len(),
             instance.racks.len(),
         );
-        let dirty = TouchLog::new(grid.width(), grid.height());
         Self {
             oracle,
             resv,
@@ -399,27 +295,7 @@ impl<R: ReservationBackend> PlannerBase<R> {
             armed_leg: None,
             poison_pending: 0,
             poison_evictions: 0,
-            workers: 0,
-            pool: None,
-            slots: Vec::new(),
-            grid_epoch: 0,
-            dirty,
-            parallel_retries: 0,
         }
-    }
-
-    /// Size the speculative query phase's worker pool (the
-    /// [`crate::planner::Planner::set_parallel_workers`] contract for
-    /// base-backed planners). `0` and `1` both mean serial; the pool and
-    /// the per-worker slots are torn down when dropping below 2.
-    pub fn set_parallel_workers(&mut self, workers: usize) {
-        let workers = if workers <= 1 { 0 } else { workers };
-        if workers == self.workers {
-            return;
-        }
-        self.workers = workers;
-        self.slots.clear();
-        self.pool = (workers >= 2).then(|| scoped_pool::Pool::new(workers));
     }
 
     /// Uncongested distance `d(a, b)`.
@@ -453,7 +329,7 @@ impl<R: ReservationBackend> PlannerBase<R> {
     }
 
     /// The planning core without a timing bracket: callers that batch many
-    /// legs ([`PlannerBase::plan_legs`]) time the whole batch once instead
+    /// legs ([`PlannerBase::commit_legs`]) time the whole batch once instead
     /// of paying two clock reads per leg.
     fn plan_and_reserve_untimed(
         &mut self,
@@ -472,7 +348,12 @@ impl<R: ReservationBackend> PlannerBase<R> {
             start,
             to,
             self.cache.as_mut(),
-            &leg_options(&self.config, park_at_goal),
+            &PlanOptions {
+                max_expansions: self.config.max_expansions,
+                horizon_slack: self.config.horizon_slack,
+                park_at_goal,
+                ..PlanOptions::default()
+            },
         );
         match outcome {
             Some(out) => {
@@ -492,45 +373,17 @@ impl<R: ReservationBackend> PlannerBase<R> {
         }
     }
 
-    /// Plan one tick's leg batch (the [`crate::planner::Planner::plan_legs`]
-    /// contract): the serialized commit phase with no speculative input —
-    /// requests strictly in order against the shared warm [`SearchScratch`],
-    /// one PTC timing bracket for the whole batch, and mutual-exclusion
-    /// groups honoured via a reusable dense bitmap.
-    pub fn plan_legs(
-        &mut self,
-        requests: &[LegRequest],
-        start: Tick,
-        results: &mut Vec<Option<Path>>,
-    ) -> Result<(), PlannerError> {
-        let mut tentative = Vec::new();
-        self.commit_legs(requests, start, &mut tentative, results)
-    }
-
-    /// The serialized commit phase (the
+    /// Plan one tick's leg batch (the
     /// [`crate::planner::Planner::commit_legs`] contract for base-backed
-    /// planners): walk `requests` strictly in order; adopt each speculative
-    /// result verbatim unless an earlier commit of this batch mutated a
-    /// cell the search observed, in which case the request is re-planned
-    /// serially against the current state (counted in
-    /// [`PlannerBase::parallel_retries`]). Missing/`Deferred` slots are
-    /// planned serially, which *is* the plain serial batch loop.
-    ///
-    /// The adoption rule is exact, not heuristic: a commit only changes
-    /// probe answers on the cells it reserves (its timed path cells, which
-    /// include the new park cell, plus the park cell `reserve_path`
-    /// implicitly removes), all of which are stamped into `dirty`. A
-    /// tentative whose touched set misses every stamped cell would re-run
-    /// probe-for-probe identically, so adopting it is bit-identical to the
-    /// serial loop — stats included: the recorded expansion/cache counters
-    /// are folded in and the search's path-cache call sequence is replayed
-    /// on the shared cache (the memoized pair set and field LRU are
-    /// observable via `path_crosses` and checkpoint export).
+    /// planners): requests strictly in order against the shared warm
+    /// [`SearchScratch`], one PTC timing bracket for the whole batch, and
+    /// mutual-exclusion groups honoured via a reusable dense bitmap. The
+    /// trait's `tentative` buffer never reaches here: no planner implements
+    /// the query phase (`docs/adr/ADR-005-serial-leg-planning.md`).
     pub fn commit_legs(
         &mut self,
         requests: &[LegRequest],
         start: Tick,
-        tentative: &mut [TentativeLeg],
         results: &mut Vec<Option<Path>>,
     ) -> Result<(), PlannerError> {
         results.clear();
@@ -545,63 +398,14 @@ impl<R: ReservationBackend> PlannerBase<R> {
         if let Some(max_group) = requests.iter().filter_map(|r| r.group).max() {
             self.group_done.resize(max_group as usize + 1, false);
         }
-        self.dirty.begin();
-        for (i, req) in requests.iter().enumerate() {
+        for req in requests {
             if let Some(g) = req.group {
                 if self.group_done[g as usize] {
-                    // The serial loop would not attempt this request at
-                    // all: its speculative result is discarded unreplayed
-                    // (no stats, no cache calls).
                     results.push(None);
                     continue;
                 }
             }
-            let tent = tentative.get_mut(i).map(std::mem::take).unwrap_or_default();
-            let path = match tent {
-                TentativeLeg::Planned {
-                    path,
-                    expansions,
-                    used_cache,
-                    cache_probes,
-                    touched,
-                } if touched.iter().all(|&c| !self.dirty.contains(c)) => {
-                    self.stats.expansions += expansions as u64;
-                    self.stats.paths_planned += 1;
-                    if used_cache {
-                        self.stats.cache_spliced += 1;
-                    }
-                    self.replay_cache_probes(&cache_probes);
-                    // Stamp before reserving: `reserve_path` removes the
-                    // robot's current park entry, so that cell's probe
-                    // answers change too.
-                    if let Some(pos) = self.resv.parked_cell(req.robot) {
-                        self.dirty.touch(pos);
-                    }
-                    for &c in &path.cells {
-                        self.dirty.touch(c);
-                    }
-                    self.resv.reserve_path(req.robot, &path, req.park);
-                    Some(path)
-                }
-                TentativeLeg::Blocked {
-                    expansions,
-                    cache_probes,
-                    touched,
-                } if touched.iter().all(|&c| !self.dirty.contains(c)) => {
-                    self.stats.failed_expansions += expansions as u64;
-                    self.stats.paths_failed += 1;
-                    self.replay_cache_probes(&cache_probes);
-                    None
-                }
-                TentativeLeg::Deferred => self.commit_serially(req, start),
-                _ => {
-                    // Stale speculation: an earlier commit of this batch
-                    // mutated an observed cell. Deterministic fallback —
-                    // re-plan against the current state.
-                    self.parallel_retries += 1;
-                    self.commit_serially(req, start)
-                }
-            };
+            let path = self.plan_and_reserve_untimed(req.robot, req.from, req.to, start, req.park);
             if path.is_some() {
                 if let Some(g) = req.group {
                     self.group_done[g as usize] = true;
@@ -611,36 +415,6 @@ impl<R: ReservationBackend> PlannerBase<R> {
         }
         self.stats.planning_ns += t0.elapsed().as_nanos() as u64;
         Ok(())
-    }
-
-    /// Plan one request inline during the commit phase, stamping the cells
-    /// its reservation mutates into the batch's dirty set.
-    fn commit_serially(&mut self, req: &LegRequest, start: Tick) -> Option<Path> {
-        let old_park = self.resv.parked_cell(req.robot);
-        let path = self.plan_and_reserve_untimed(req.robot, req.from, req.to, start, req.park);
-        if let Some(p) = &path {
-            if let Some(pos) = old_park {
-                self.dirty.touch(pos);
-            }
-            for &c in &p.cells {
-                self.dirty.touch(c);
-            }
-        }
-        path
-    }
-
-    /// Replay an adopted search's path-cache call sequence on the shared
-    /// cache, reproducing the entries and field-LRU state the serial loop
-    /// would have produced.
-    fn replay_cache_probes(&mut self, probes: &[(GridPos, GridPos)]) {
-        if probes.is_empty() {
-            return;
-        }
-        if let Some(cache) = &mut self.cache {
-            for &(a, b) in probes {
-                cache.shortest(a, b);
-            }
-        }
     }
 
     /// Arm or apply an [`InjectedFault`] (the
@@ -695,8 +469,22 @@ impl<R: ReservationBackend> PlannerBase<R> {
         self.armed_decision.take()
     }
 
+    /// Dispatch one engine notification (the
+    /// [`crate::planner::Planner::on_event`] contract for base-backed
+    /// planners).
+    pub fn on_event(&mut self, event: PlannerEvent<'_>) {
+        match event {
+            PlannerEvent::Disruption { event, t } => self.apply_disruption(event, t),
+            PlannerEvent::PathCancelled { robot, pos, t } => self.cancel_path(robot, pos, t),
+            PlannerEvent::MaintenanceNotice { pos, from, until } => {
+                self.announce_maintenance(pos, from, until)
+            }
+            PlannerEvent::RecoverDegraded => self.invalidate_derived(),
+        }
+    }
+
     /// Degradation recovery (the
-    /// [`crate::planner::Planner::recover_degraded`] contract): drop every
+    /// [`PlannerEvent::RecoverDegraded`] contract): drop every
     /// derived structure the failed tick might have left suspect. Cache
     /// entries and oracle fields recompute identically on demand, so on a
     /// clean world this is behaviorally free.
@@ -708,7 +496,7 @@ impl<R: ReservationBackend> PlannerBase<R> {
     }
 
     /// Apply a disruption event to every grid-derived structure this base
-    /// owns (the [`crate::planner::Planner::on_disruption`] contract).
+    /// owns (the [`PlannerEvent::Disruption`] contract).
     ///
     /// Cell blockades / reopenings mutate the working grid copy, flip the
     /// distance oracle's passability snapshot (evicting its memoized BFS
@@ -757,8 +545,6 @@ impl<R: ReservationBackend> PlannerBase<R> {
             return;
         }
         self.grid.set_kind(pos, kind);
-        // Worker slots hold private grid-derived caches; age them out.
-        self.grid_epoch += 1;
         self.oracle.set_passable(pos, !blocked);
         if let Some(cache) = &mut self.cache {
             cache.set_passable(pos, !blocked);
@@ -860,7 +646,7 @@ impl<R: ReservationBackend> PlannerBase<R> {
     }
 
     /// Accept a scheduled-maintenance notice (the
-    /// [`crate::planner::Planner::on_maintenance_notice`] contract): `pos`
+    /// [`PlannerEvent::MaintenanceNotice`] contract): `pos`
     /// is expected to blockade during the inclusive `[from, until]` window.
     /// Dropped on the floor unless `config.maintenance_outlook` is on, so
     /// flag-off runs are bit-identical to runs that never received notices.
@@ -999,7 +785,7 @@ impl<R: ReservationBackend> PlannerBase<R> {
     }
 
     /// Cancel `robot`'s active path (the
-    /// [`crate::planner::Planner::on_path_cancelled`] contract): every
+    /// [`PlannerEvent::PathCancelled`] contract): every
     /// outstanding timed reservation is released so survivors can route
     /// through the abandoned route, and the robot is parked at `pos` — its
     /// frozen position — from `t` onward so survivors route *around* it.
@@ -1067,8 +853,7 @@ impl<R: ReservationBackend> PlannerBase<R> {
     ///
     /// Precondition: the base was freshly built via
     /// [`crate::planner::Planner::init`] and the applied-disruption journal
-    /// has been replayed through
-    /// [`crate::planner::Planner::on_disruption`], so the grid, oracle,
+    /// has been replayed as [`PlannerEvent::Disruption`]s, so the grid, oracle,
     /// cache passability and KNN liveness already match the checkpointed
     /// world. This method then replaces the reservation table's logical
     /// content (clearing the spawn parking `init` left behind), the cache's
@@ -1126,94 +911,10 @@ impl<R: ReservationBackend> PlannerBase<R> {
         // The search arena, the distance oracle and the disruption outlook
         // are identical machinery for every planner, so they are reported
         // separately and not folded into the Fig. 12 MC comparison of
-        // reservation structures. Every worker slot owns an arena too.
-        s.scratch_bytes = self.scratch.memory_bytes()
-            + self
-                .slots
-                .iter()
-                .map(WorkerSlot::memory_bytes)
-                .sum::<usize>()
-            + self.oracle.memory_bytes()
-            + self.outlook.memory_bytes();
+        // reservation structures.
+        s.scratch_bytes =
+            self.scratch.memory_bytes() + self.oracle.memory_bytes() + self.outlook.memory_bytes();
         s
-    }
-}
-
-impl<R: ReservationBackend + Sync> PlannerBase<R> {
-    /// The speculative query phase (the
-    /// [`crate::planner::Planner::query_legs`] contract for base-backed
-    /// planners): shard the batch's searches across the worker pool, each
-    /// running read-only against the pre-batch reservation state through a
-    /// [`RecordingProbe`]. Serial (all slots left `Deferred`) below two
-    /// workers or two requests, or while a leg fault is armed — the commit
-    /// phase is about to fail the batch, so speculating would burn work the
-    /// serial loop never does.
-    ///
-    /// Requests are assigned to workers in contiguous chunks; results land
-    /// in their request's slot, so the commit order — and therefore the
-    /// outcome — is independent of worker scheduling.
-    pub fn query_legs(
-        &mut self,
-        requests: &[LegRequest],
-        start: Tick,
-        tentative: &mut Vec<TentativeLeg>,
-    ) {
-        tentative.clear();
-        tentative.resize_with(requests.len(), TentativeLeg::default);
-        if self.workers < 2 || requests.len() < 2 || self.armed_leg.is_some() {
-            return;
-        }
-        let t0 = Instant::now();
-        self.ensure_worker_slots();
-        let chunk = requests.len().div_ceil(self.workers);
-        let grid = &self.grid;
-        let resv = &self.resv;
-        let config = &self.config;
-        let slots = &mut self.slots;
-        let pool = self.pool.as_mut().expect("pool exists while workers >= 2");
-        pool.scoped(|scope| {
-            for ((reqs, outs), slot) in requests
-                .chunks(chunk)
-                .zip(tentative.chunks_mut(chunk))
-                .zip(slots.iter_mut())
-            {
-                scope.execute(move || {
-                    for (req, out) in reqs.iter().zip(outs.iter_mut()) {
-                        *out = speculate_leg(grid, resv, config, slot, req, start);
-                    }
-                });
-            }
-        });
-        self.stats.planning_ns += t0.elapsed().as_nanos() as u64;
-    }
-
-    /// Build or refresh the per-worker speculation slots: one per worker,
-    /// with a private path cache iff the planner runs with one, rebuilt
-    /// when the working grid has mutated since the slot last ran.
-    fn ensure_worker_slots(&mut self) {
-        if self.slots.len() != self.workers {
-            self.slots.clear();
-            for _ in 0..self.workers {
-                self.slots.push(WorkerSlot {
-                    scratch: SearchScratch::new(),
-                    cache: self
-                        .cache
-                        .is_some()
-                        .then(|| PathCache::new(&self.grid, self.config.cache_threshold)),
-                    log: RefCell::new(TouchLog::new(self.grid.width(), self.grid.height())),
-                    grid_epoch: self.grid_epoch,
-                });
-            }
-            return;
-        }
-        for slot in &mut self.slots {
-            if slot.grid_epoch != self.grid_epoch {
-                if slot.cache.is_some() {
-                    slot.cache = Some(PathCache::new(&self.grid, self.config.cache_threshold));
-                }
-                slot.grid_epoch = self.grid_epoch;
-            }
-        }
     }
 }
 
@@ -1236,38 +937,6 @@ mod tests {
         }
         .build()
         .unwrap()
-    }
-
-    /// Two one-step parking legs in opposite corners of the floor: robots
-    /// pathing within their own corners cannot observe each other, so a
-    /// parallel batch adopts every tentative verbatim.
-    fn corner_requests(inst: &Instance) -> Vec<LegRequest> {
-        let w = inst.grid.width();
-        let h = inst.grid.height();
-        let near_a = inst.robots[0].pos;
-        let far_b = inst
-            .robots
-            .iter()
-            .max_by_key(|r| r.pos.manhattan(near_a))
-            .unwrap();
-        assert!(
-            near_a.manhattan(far_b.pos) > (w + h) as u64 / 4,
-            "instance must spread robots for this test"
-        );
-        let short_goal_a = inst
-            .grid
-            .passable_neighbors(near_a)
-            .next()
-            .expect("neighbour");
-        let short_goal_b = inst
-            .grid
-            .passable_neighbors(far_b.pos)
-            .next()
-            .expect("neighbour");
-        vec![
-            LegRequest::new(inst.robots[0].id, near_a, short_goal_a, true),
-            LegRequest::new(far_b.id, far_b.pos, short_goal_b, true),
-        ]
     }
 
     #[test]
@@ -1635,7 +1304,9 @@ mod tests {
         let mut batched: PlannerBase<SpatioTemporalGraph> =
             PlannerBase::new(&inst, EatpConfig::default(), false, false);
         let mut batched_paths = Vec::new();
-        batched.plan_legs(&requests, 0, &mut batched_paths).unwrap();
+        batched
+            .commit_legs(&requests, 0, &mut batched_paths)
+            .unwrap();
 
         assert_eq!(serial_paths, batched_paths, "identical paths either way");
         assert_eq!(serial.stats.paths_planned, batched.stats.paths_planned);
@@ -1644,134 +1315,36 @@ mod tests {
         assert!(batched.stats.planning_ns > 0, "batch is PTC-timed");
     }
 
-    /// Drive the two-phase path with real worker threads and compare
-    /// against the serial loop: paths and every fingerprinted counter must
-    /// be bit-identical, whatever mix of adoptions and retries the batch
-    /// produced. The cache is on so the probe-replay path is exercised.
+    /// The reported scratch footprint is the shared machinery a planner
+    /// actually holds once it has planned: the search arena, the distance
+    /// oracle and the disruption outlook.
     #[test]
-    fn parallel_query_commit_equals_serial() {
+    fn scratch_bytes_are_arena_plus_oracle_plus_outlook() {
         let inst = instance();
-        let requests: Vec<LegRequest> = inst
-            .robots
-            .iter()
-            .enumerate()
-            .map(|(i, r)| LegRequest {
-                robot: r.id,
-                from: r.pos,
-                to: inst.racks[i].home,
-                park: true,
-                group: None,
-            })
-            .collect();
-
-        let mut serial: PlannerBase<ConflictDetectionTable> =
+        let mut base: PlannerBase<ConflictDetectionTable> =
             PlannerBase::new(&inst, EatpConfig::default(), true, false);
-        let mut serial_paths = Vec::new();
-        serial.plan_legs(&requests, 0, &mut serial_paths).unwrap();
-
-        for workers in [2usize, 4] {
-            let mut par: PlannerBase<ConflictDetectionTable> =
-                PlannerBase::new(&inst, EatpConfig::default(), true, false);
-            par.set_parallel_workers(workers);
-            let mut tentative = Vec::new();
-            par.query_legs(&requests, 0, &mut tentative);
-            assert_eq!(tentative.len(), requests.len());
-            let mut par_paths = Vec::new();
-            par.commit_legs(&requests, 0, &mut tentative, &mut par_paths)
-                .unwrap();
-            assert_eq!(serial_paths, par_paths, "{workers} workers");
-            assert_eq!(serial.stats.expansions, par.stats.expansions);
-            assert_eq!(serial.stats.paths_planned, par.stats.paths_planned);
-            assert_eq!(serial.stats.paths_failed, par.stats.paths_failed);
-            assert_eq!(serial.stats.cache_spliced, par.stats.cache_spliced);
-            assert_eq!(
-                serial.cache.as_ref().unwrap().export_entries(),
-                par.cache.as_ref().unwrap().export_entries(),
-                "shared cache must end bit-identical ({workers} workers)"
-            );
-            assert_eq!(
-                serial.resv.export_content(),
-                par.resv.export_content(),
-                "reservation content must end bit-identical ({workers} workers)"
-            );
-        }
-    }
-
-    /// Each worker slot owns a search arena and a private cache; the
-    /// reported scratch footprint counts them, not only the serial arena
-    /// (which a batch of adopted tentatives never even touches).
-    #[test]
-    fn scratch_bytes_count_the_worker_slots() {
-        let inst = instance();
-        let requests = corner_requests(&inst);
-        let mut paths = Vec::new();
-        let mut serial: PlannerBase<ConflictDetectionTable> =
-            PlannerBase::new(&inst, EatpConfig::default(), true, false);
-        serial.plan_legs(&requests, 0, &mut paths).unwrap();
-
-        let mut par: PlannerBase<ConflictDetectionTable> =
-            PlannerBase::new(&inst, EatpConfig::default(), true, false);
-        par.set_parallel_workers(2);
-        let mut tentative = Vec::new();
-        par.query_legs(&requests, 0, &mut tentative);
-        par.commit_legs(&requests, 0, &mut tentative, &mut paths)
-            .unwrap();
-        assert_eq!(par.parallel_retries, 0, "both legs ran on the worker slots");
+        let requests = vec![LegRequest::new(
+            inst.robots[0].id,
+            inst.robots[0].pos,
+            inst.racks[0].home,
+            true,
+        )];
+        base.commit_legs(&requests, 0, &mut Vec::new()).unwrap();
         assert!(
-            par.stats_snapshot(0).scratch_bytes > serial.stats_snapshot(0).scratch_bytes,
-            "two worker arenas, against the serial planner's one"
+            base.scratch.memory_bytes() > 0,
+            "the batch warmed the arena"
+        );
+        assert_eq!(
+            base.stats_snapshot(0).scratch_bytes,
+            base.scratch.memory_bytes() + base.oracle.memory_bytes() + base.outlook.memory_bytes()
         );
     }
 
-    /// A forced commit-retry interleaving: two robots share a corridor, so
-    /// the second speculative search must observe cells the first commit
-    /// reserves. The stale tentative is discarded and re-planned serially —
-    /// deterministically, with the retry counter recording it.
+    /// Failed searches cost expansions too: the count folds into
+    /// `failed_expansions`, and `expansions` keeps counting successful
+    /// searches only.
     #[test]
-    fn stale_tentative_is_retried_serially() {
-        let inst = instance();
-        // Both robots head for the same rack's neighbourhood: their search
-        // footprints overlap around the shared goal area.
-        let goal = inst.racks[0].home;
-        let near = inst
-            .grid
-            .passable_neighbors(goal)
-            .next()
-            .expect("goal has a passable neighbour");
-        let requests = vec![
-            LegRequest::new(inst.robots[0].id, inst.robots[0].pos, goal, true),
-            LegRequest::new(inst.robots[1].id, inst.robots[1].pos, near, true),
-        ];
-
-        let mut serial: PlannerBase<SpatioTemporalGraph> =
-            PlannerBase::new(&inst, EatpConfig::default(), false, false);
-        let mut serial_paths = Vec::new();
-        serial.plan_legs(&requests, 0, &mut serial_paths).unwrap();
-        assert_eq!(serial.parallel_retries, 0, "serial path never retries");
-
-        let mut par: PlannerBase<SpatioTemporalGraph> =
-            PlannerBase::new(&inst, EatpConfig::default(), false, false);
-        par.set_parallel_workers(2);
-        let mut tentative = Vec::new();
-        par.query_legs(&requests, 0, &mut tentative);
-        let mut par_paths = Vec::new();
-        par.commit_legs(&requests, 0, &mut tentative, &mut par_paths)
-            .unwrap();
-        assert_eq!(serial_paths, par_paths);
-        assert!(
-            par.parallel_retries >= 1,
-            "the overlapping second leg must have been invalidated"
-        );
-        assert_eq!(serial.stats.expansions, par.stats.expansions);
-    }
-
-    /// Failed searches cost expansions too, and the count folds into
-    /// `failed_expansions` the same way on all three commit paths: planned
-    /// inline (the serial loop), adopted from a clean speculative `Blocked`,
-    /// and re-planned after a stale one. `expansions` keeps counting
-    /// successful searches only.
-    #[test]
-    fn failed_expansions_fold_the_same_on_every_commit_path() {
+    fn failed_expansions_count_failed_searches_only() {
         let inst = instance();
         let config = EatpConfig {
             horizon_slack: 6,
@@ -1779,8 +1352,7 @@ mod tests {
         };
         // Two parking goals, each three cells from a robot and crossed by
         // a third party at tick 40 — past the 9-tick horizon, so both
-        // searches run dry. Robot 0's leg ends beside robot 1, inside the
-        // cells robot 1's search observed, and nowhere near robot 3's.
+        // searches run dry.
         let (r0, r1, r3) = (&inst.robots[0], &inst.robots[1], &inst.robots[3]);
         let goals = [
             GridPos::new(r1.pos.x + 3, r1.pos.y),
@@ -1806,82 +1378,22 @@ mod tests {
             base
         };
 
-        let mut serial = build();
-        let mut serial_paths = Vec::new();
-        serial.plan_legs(&requests, 0, &mut serial_paths).unwrap();
-        assert_eq!(serial.stats.paths_planned, 1);
-        assert_eq!(serial.stats.paths_failed, 2);
+        let mut batch = build();
+        batch.commit_legs(&requests, 0, &mut Vec::new()).unwrap();
+        assert_eq!(batch.stats.paths_planned, 1);
+        assert_eq!(batch.stats.paths_failed, 2);
         assert!(
-            serial.stats.failed_expansions > 2 * 9,
+            batch.stats.failed_expansions > 2 * 9,
             "two searches ran dry"
         );
-        let one_leg = {
-            let mut alone = build();
-            alone.plan_legs(&requests[..1], 0, &mut Vec::new()).unwrap();
-            alone.stats.expansions
-        };
-        assert_eq!(serial.stats.expansions, one_leg, "successful searches only");
-
-        let mut par = build();
-        par.set_parallel_workers(2);
-        let mut tentative = Vec::new();
-        par.query_legs(&requests, 0, &mut tentative);
-        for t in &tentative[1..] {
-            assert!(
-                matches!(t, TentativeLeg::Blocked { expansions, .. } if *expansions > 9),
-                "{t:?}"
-            );
-        }
-        let mut par_paths = Vec::new();
-        par.commit_legs(&requests, 0, &mut tentative, &mut par_paths)
+        let mut alone = build();
+        alone
+            .commit_legs(&requests[..1], 0, &mut Vec::new())
             .unwrap();
-        assert_eq!(serial_paths, par_paths);
         assert_eq!(
-            par.parallel_retries, 1,
-            "robot 1 re-planned, robot 3 adopted"
+            batch.stats.expansions, alone.stats.expansions,
+            "successful searches only"
         );
-        assert_eq!(serial.stats.failed_expansions, par.stats.failed_expansions);
-        assert_eq!(serial.stats.expansions, par.stats.expansions);
-        assert_eq!(serial.stats.paths_failed, par.stats.paths_failed);
-    }
-
-    /// Disjoint speculative searches are adopted without a retry, and the
-    /// query phase leaves everything deferred below two workers.
-    #[test]
-    fn disjoint_tentatives_are_adopted() {
-        let inst = instance();
-        // One request only: too small a batch — stays serial by contract.
-        let single = vec![LegRequest::new(
-            inst.robots[0].id,
-            inst.robots[0].pos,
-            inst.racks[0].home,
-            true,
-        )];
-        let mut base: PlannerBase<SpatioTemporalGraph> =
-            PlannerBase::new(&inst, EatpConfig::default(), false, false);
-        base.set_parallel_workers(4);
-        let mut tentative = Vec::new();
-        base.query_legs(&single, 0, &mut tentative);
-        assert!(
-            tentative
-                .iter()
-                .all(|t| matches!(t, TentativeLeg::Deferred)),
-            "batches below two requests never speculate"
-        );
-
-        let requests = corner_requests(&inst);
-        let mut tentative = Vec::new();
-        base.query_legs(&requests, 0, &mut tentative);
-        assert!(
-            tentative
-                .iter()
-                .any(|t| matches!(t, TentativeLeg::Planned { .. })),
-            "speculation ran"
-        );
-        let mut results = Vec::new();
-        base.commit_legs(&requests, 0, &mut tentative, &mut results)
-            .unwrap();
-        assert_eq!(base.parallel_retries, 0, "disjoint searches adopt cleanly");
     }
 
     #[test]
@@ -1908,7 +1420,7 @@ mod tests {
         let mut base: PlannerBase<SpatioTemporalGraph> =
             PlannerBase::new(&inst, EatpConfig::default(), false, false);
         let mut results = Vec::new();
-        base.plan_legs(&requests, 0, &mut results).unwrap();
+        base.commit_legs(&requests, 0, &mut results).unwrap();
         assert!(results[0].is_some());
         assert!(results[1].is_none(), "group satisfied by the first leg");
         assert_eq!(base.stats.paths_planned, 1, "second leg never attempted");
@@ -1942,12 +1454,12 @@ mod tests {
             PlannerBase::new(&inst, EatpConfig::default(), false, false);
         assert!(base.inject_fault(&InjectedFault::LegFailure));
         let mut results = Vec::new();
-        let err = base.plan_legs(&requests, 0, &mut results).unwrap_err();
+        let err = base.commit_legs(&requests, 0, &mut results).unwrap_err();
         assert!(matches!(err, PlannerError::LegBatchFailed { .. }));
         assert!(results.is_empty(), "nothing committed on a failed batch");
         assert_eq!(base.stats.paths_planned, 0);
         // The fault is one-shot: the retry succeeds.
-        base.plan_legs(&requests, 1, &mut results).unwrap();
+        base.commit_legs(&requests, 1, &mut results).unwrap();
         assert!(results[0].is_some());
     }
 

@@ -78,7 +78,7 @@ pub struct EatpConfig {
     /// the path cache memoizes the pair.
     pub anticipation_slack: u64,
     /// Scheduled-maintenance outlook: accept advance notices of future
-    /// blockades (see `Planner::on_maintenance_notice`) and fold the
+    /// blockades (see `PlannerEvent::MaintenanceNotice`) and fold the
     /// announced cells into the anticipation trend term while their window
     /// is pending — a corridor about to close is a worse bet even while
     /// clear. Off by default; with the flag off notices are dropped on the

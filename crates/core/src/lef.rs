@@ -10,12 +10,13 @@ use crate::assignment::match_and_plan;
 use crate::base::PlannerBase;
 use crate::config::EatpConfig;
 use crate::planner::{
-    AssignmentPlan, InjectedFault, LegRequest, Planner, PlannerError, PlannerStats, TentativeLeg,
+    AssignmentPlan, InjectedFault, LegRequest, Planner, PlannerError, PlannerEvent, PlannerStats,
+    TentativeLeg,
 };
 use crate::world::WorldView;
 use serde::{Deserialize, Serialize};
 use tprw_pathfinding::{Path, SpatioTemporalGraph};
-use tprw_warehouse::{DisruptionEvent, GridPos, Instance, RackId, RobotId, Tick};
+use tprw_warehouse::{GridPos, Instance, RackId, RobotId, Tick};
 
 /// Baseline: earliest-emerged-item-first selection.
 pub struct LeastExpirationFirst {
@@ -132,72 +133,29 @@ impl Planner for LeastExpirationFirst {
             .plan_and_reserve(robot, from, to, start, park)
     }
 
-    fn query_legs(
-        &mut self,
-        requests: &[LegRequest],
-        start: Tick,
-        tentative: &mut Vec<TentativeLeg>,
-    ) {
-        self.base
-            .as_mut()
-            .expect("init() must be called first")
-            .query_legs(requests, start, tentative)
-    }
-
     fn commit_legs(
         &mut self,
         requests: &[LegRequest],
         start: Tick,
-        tentative: &mut Vec<TentativeLeg>,
+        _tentative: &mut Vec<TentativeLeg>,
         results: &mut Vec<Option<Path>>,
     ) -> Result<(), PlannerError> {
         self.base
             .as_mut()
             .expect("init() must be called first")
-            .commit_legs(requests, start, tentative, results)
-    }
-
-    fn set_parallel_workers(&mut self, workers: usize) {
-        self.base
-            .as_mut()
-            .expect("init() must be called first")
-            .set_parallel_workers(workers)
+            .commit_legs(requests, start, results)
     }
 
     fn inject_fault(&mut self, fault: &InjectedFault) -> bool {
         self.base.as_mut().expect("initialized").inject_fault(fault)
     }
 
-    fn recover_degraded(&mut self) {
-        self.base
-            .as_mut()
-            .expect("initialized")
-            .invalidate_derived();
-    }
-
     fn on_dock(&mut self, robot: RobotId) {
         self.base.as_mut().expect("initialized").on_dock(robot);
     }
 
-    fn on_disruption(&mut self, event: &DisruptionEvent, t: Tick) {
-        self.base
-            .as_mut()
-            .expect("initialized")
-            .apply_disruption(event, t);
-    }
-
-    fn on_maintenance_notice(&mut self, pos: GridPos, from: Tick, until: Tick) {
-        self.base
-            .as_mut()
-            .expect("initialized")
-            .announce_maintenance(pos, from, until);
-    }
-
-    fn on_path_cancelled(&mut self, robot: RobotId, pos: GridPos, t: Tick) {
-        self.base
-            .as_mut()
-            .expect("initialized")
-            .cancel_path(robot, pos, t);
+    fn on_event(&mut self, event: PlannerEvent<'_>) {
+        self.base.as_mut().expect("initialized").on_event(event);
     }
 
     fn housekeeping(&mut self, t: Tick) {

@@ -49,17 +49,15 @@
 //! floors the aware planners beat reactive-only makespan (gated in CI via
 //! `bench_sim`).
 //!
-//! # Parallel leg planning (two-phase API)
+//! # Leg planning is serial
 //!
-//! [`planner::Planner::plan_legs`] is composed of a read-only
-//! [`planner::Planner::query_legs`] phase — which may speculate every leg
-//! search of a tick's batch concurrently on worker threads — and a
-//! serialized [`planner::Planner::commit_legs`] phase that adopts or
-//! serially retries the tentative results in canonical request order.
-//! Any worker count is bit-identical to the serial path, anticipation
-//! included (selection runs before leg planning and is untouched); see
-//! `docs/parallel-execution.md` for the phase contract and the exact
-//! touch-set argument behind it.
+//! A tick's delivery/return legs are planned as one batch, strictly in
+//! request order, by [`planner::Planner::commit_legs`]. The
+//! [`planner::Planner::query_legs`] phase the engine calls first has no
+//! implementor: speculating the batch on worker threads was measured
+//! slower on every workload and deleted; see
+//! `docs/adr/ADR-005-serial-leg-planning.md` for the numbers and for what
+//! would have to be true before trying again.
 
 pub mod assignment;
 pub mod badcase;

@@ -19,9 +19,9 @@
 //! * **per-rack liveness horizon** — which racks are off the floor now and
 //!   how often each has been removed.
 //!
-//! `PlannerBase` feeds the outlook from `Planner::on_disruption` (every
-//! planner already routes events there) and folds it into selection through
-//! an *anticipation penalty* per candidate rack — see
+//! `PlannerBase` feeds the outlook from every `PlannerEvent::Disruption`
+//! and folds it into selection through an *anticipation penalty* per
+//! candidate rack — see
 //! `PlannerBase::reorder_by_anticipation`. The whole layer sits behind
 //! [`crate::config::EatpConfig::anticipation`]: with the flag off nothing is
 //! consulted, and even with it on a clean world produces all-zero penalties,
@@ -69,7 +69,7 @@ pub struct DisruptionOutlook {
     events_seen: u64,
     /// Scheduled-maintenance predictions `(cell, from, until)` in
     /// announcement order: the cell is expected to blockade during the
-    /// inclusive window. Fed through `Planner::on_maintenance_notice` (so
+    /// inclusive window. Fed by `PlannerEvent::MaintenanceNotice` (so
     /// only under `EatpConfig::maintenance_outlook`), never by applied
     /// events — and therefore *canonical* planner state: a checkpoint
     /// cannot rebuild it from the event journal, so `BaseSnapshot` carries

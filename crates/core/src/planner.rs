@@ -57,47 +57,15 @@ impl LegRequest {
     }
 }
 
-/// A speculative result of the read-only *query* phase of leg planning
-/// (see [`Planner::query_legs`]): what one search concluded against the
-/// pre-batch reservation state, plus everything the *commit* phase needs to
-/// either adopt the conclusion verbatim or prove it stale.
-///
-/// `touched` is the exact set of cells whose reservations the search
-/// observed (via `tprw_pathfinding::RecordingProbe`); `cache_probes` is the
-/// exact sequence of path-cache lookups it made. A commit earlier in the
-/// batch can only change this search's outcome by mutating a touched cell,
-/// so a tentative whose touched set is disjoint from everything committed
-/// so far is adopted as-is — bit-identical to re-running the search.
+/// One slot of the buffer [`Planner::query_legs`] hands to
+/// [`Planner::commit_legs`]. No planner implements the query phase
+/// (`docs/adr/ADR-005-serial-leg-planning.md`), so a slot can only say that
+/// the commit phase plans the request inline.
 #[derive(Debug, Clone, Default)]
 pub enum TentativeLeg {
-    /// No speculative search ran for this request (serial planners, or the
-    /// request was skipped); the commit phase plans it inline.
+    /// No search ran for this request; the commit phase plans it inline.
     #[default]
     Deferred,
-    /// The search found a path against the pre-batch state.
-    Planned {
-        /// The conflict-free path (not yet reserved).
-        path: Path,
-        /// A* expansions the search spent (folded into stats on adoption).
-        expansions: usize,
-        /// Whether the path tail came from the path cache.
-        used_cache: bool,
-        /// Every `(from, to)` pair the search asked the path cache for, in
-        /// call order — replayed on the shared cache on adoption.
-        cache_probes: Vec<(GridPos, GridPos)>,
-        /// Exact cells whose reservations the search observed.
-        touched: Vec<GridPos>,
-    },
-    /// The search concluded "blocked" against the pre-batch state.
-    Blocked {
-        /// A* expansions the failed search spent (folded into
-        /// [`PlannerStats::failed_expansions`] on adoption).
-        expansions: usize,
-        /// Path-cache call sequence (splice attempts run before failing).
-        cache_probes: Vec<(GridPos, GridPos)>,
-        /// Exact cells whose reservations the search observed.
-        touched: Vec<GridPos>,
-    },
 }
 
 /// Cumulative efficiency counters (the STC/PTC/MC metrics of Sec. VII-A).
@@ -212,22 +180,29 @@ pub enum InjectedFault {
 
 /// One engine-to-planner world-change notification, dispatched through
 /// [`Planner::on_event`] — the consolidated seam the event-driven scheduler
-/// wakes planners through. Each variant corresponds to one of the legacy
-/// notification hooks the surface grew by accretion; the default
-/// `on_event` implementation delegates to them, so planners can migrate
-/// hook by hook.
+/// wakes planners through.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum PlannerEvent<'a> {
-    /// A disruption event mutated the world at tick `t` (legacy hook:
-    /// [`Planner::on_disruption`]).
+    /// A disruption event mutated the world at tick `t`. Planners must
+    /// bring every grid-derived structure in line with the mutated floor:
+    /// for cell blockades / reopenings that means the working grid copy,
+    /// the distance oracle's memoized fields, the path cache and the
+    /// K-nearest-rack index (`PlannerBase` handles all four). Robot and
+    /// station events carry no planner-side structure — the engine enforces
+    /// their scheduling consequences through the world view (broken robots
+    /// leave the idle pool, closed stations' racks leave the selectable
+    /// pool) and through [`PlannerEvent::PathCancelled`].
     Disruption {
         /// The applied event.
         event: &'a DisruptionEvent,
         /// The tick it landed.
         t: Tick,
     },
-    /// The engine cancelled `robot`'s active path at tick `t`; it stands
-    /// still at `pos` (legacy hook: [`Planner::on_path_cancelled`]).
+    /// The engine cancelled `robot`'s active path at tick `t`: the robot
+    /// broke down or its route was invalidated, and it now stands still at
+    /// `pos`. Release every outstanding timed reservation of the robot and
+    /// park it at `pos` from `t` onward, so surviving robots plan around the
+    /// obstacle instead of through the robot's abandoned route.
     PathCancelled {
         /// The robot whose leg was cancelled.
         robot: RobotId,
@@ -237,8 +212,14 @@ pub enum PlannerEvent<'a> {
         t: Tick,
     },
     /// Advance notice that `pos` is expected to blockade during the
-    /// inclusive `[from, until]` window (legacy hook:
-    /// [`Planner::on_maintenance_notice`]).
+    /// inclusive `[from, until]` window. Advisory only — the notice never
+    /// mutates the world (the blockade itself still arrives as a
+    /// [`DisruptionEvent`], if it happens at all); planners fold it into
+    /// disruption-aware selection so robots stop committing to corridors
+    /// about to close. Gated behind
+    /// [`crate::config::EatpConfig::maintenance_outlook`] (default off):
+    /// with the flag off runs are bit-identical to ones that never received
+    /// the notice.
     MaintenanceNotice {
         /// The cell under scheduled maintenance.
         pos: GridPos,
@@ -247,9 +228,11 @@ pub enum PlannerEvent<'a> {
         /// Window end (inclusive).
         until: Tick,
     },
-    /// The engine degraded the previous tick; derived state must be
-    /// invalidated before resuming as primary (legacy hook:
-    /// [`Planner::recover_degraded`]).
+    /// The engine degraded the previous tick after this planner failed or
+    /// overran its budget; the planner must invalidate derived state it can
+    /// no longer trust (memoized caches, oracle fields) before resuming as
+    /// the primary. Rebuilt-on-demand structures make this behaviorally
+    /// free.
     RecoverDegraded,
 }
 
@@ -282,19 +265,11 @@ pub trait Planner {
         park: bool,
     ) -> Option<Path>;
 
-    /// The read-only *query* phase of batched leg planning: speculatively
-    /// search every request against the current (pre-batch) reservation
-    /// state **without reserving anything**, refilling `tentative` 1:1 with
-    /// `requests`. Mutual-exclusion groups are *not* resolved here — group
-    /// membership depends on commit order, so grouped requests are
-    /// speculated like any other and the skip happens in
-    /// [`Planner::commit_legs`].
-    ///
-    /// The phase is an optimization seam, not a contract extension: a
-    /// planner may always leave every slot [`TentativeLeg::Deferred`] (the
-    /// default does) and let the commit phase plan serially. Parallel
-    /// planners shard the searches across worker threads; because the phase
-    /// only *reads* reservation state, the shards race nothing.
+    /// The *query* phase of batched leg planning, called by the engine
+    /// before [`Planner::commit_legs`] with the same `requests`: refills
+    /// `tentative` 1:1 with deferred slots. Kept for source compatibility
+    /// with wrappers that time the two phases by name; no planner overrides
+    /// it (`docs/adr/ADR-005-serial-leg-planning.md`).
     fn query_legs(
         &mut self,
         requests: &[LegRequest],
@@ -305,22 +280,18 @@ pub trait Planner {
         tentative.resize_with(requests.len(), TentativeLeg::default);
     }
 
-    /// The serialized *commit* phase of batched leg planning: walk
-    /// `requests` strictly in order, adopting still-valid tentatives and
-    /// re-planning the rest inline, reserving every successful path.
-    /// `results` is cleared and refilled 1:1 with `requests` (`Some(path)` =
-    /// planned and reserved, `None` = blocked or group-skipped; the caller
-    /// retries those on a later tick), honouring each request's
-    /// mutual-exclusion [`LegRequest::group`]. `tentative` slots are
-    /// consumed (reset to [`TentativeLeg::Deferred`]); a `tentative` shorter
-    /// than `requests` is padded with deferred slots.
+    /// The *commit* phase of batched leg planning: walk `requests` strictly
+    /// in order, planning and reserving each one. `results` is cleared and
+    /// refilled 1:1 with `requests` (`Some(path)` = planned and reserved,
+    /// `None` = blocked or group-skipped; the caller retries those on a
+    /// later tick), honouring each request's mutual-exclusion
+    /// [`LegRequest::group`]. `tentative` carries no information.
     ///
-    /// The two-phase split is a *performance* contract only:
-    /// `query_legs` + `commit_legs` must produce exactly the paths the
-    /// serial per-leg loop would, so the simulation outcome is bit-identical
-    /// with any worker count. `Err` means the whole batch failed before
-    /// committing anything; the engine treats every leg as blocked and
-    /// retries on a later tick.
+    /// Batching is a *performance* contract only: `commit_legs` must
+    /// produce exactly the paths the per-leg [`Planner::plan_leg`] loop
+    /// would. `Err` means the whole batch failed before committing
+    /// anything; the engine treats every leg as blocked and retries on a
+    /// later tick.
     fn commit_legs(
         &mut self,
         requests: &[LegRequest],
@@ -348,12 +319,10 @@ pub trait Planner {
         Ok(())
     }
 
-    /// Plan a whole tick's delivery/return legs in one call: the
-    /// [`Planner::query_legs`] probe pass composed with the
-    /// [`Planner::commit_legs`] reservation pass. Callers that batch every
-    /// tick (the engine) drive the two phases directly with a reusable
-    /// tentative buffer; this composition is the convenience entry point
-    /// and the compatibility surface for pre-split call sites.
+    /// Plan a whole tick's delivery/return legs in one call:
+    /// [`Planner::query_legs`] composed with [`Planner::commit_legs`], for
+    /// callers that do not keep a tentative buffer (the engine drives the
+    /// two phases directly).
     fn plan_legs(
         &mut self,
         requests: &[LegRequest],
@@ -365,80 +334,20 @@ pub trait Planner {
         self.commit_legs(requests, start, &mut tentative, results)
     }
 
-    /// Size the worker pool [`Planner::query_legs`] shards speculative
-    /// searches across. `0` and `1` both mean "fully serial" (the paths are
-    /// identical either way — workers only change wall-clock time). The
-    /// default ignores the hint: planners without a parallel query phase
-    /// are always serial.
+    /// A no-op that nothing calls: leg planning is serial. Kept, like
+    /// [`Planner::query_legs`], for source compatibility with wrappers that
+    /// forward it.
     fn set_parallel_workers(&mut self, _workers: usize) {}
 
     /// Notification that `robot` docked at a station and left the grid.
     fn on_dock(&mut self, robot: RobotId);
 
-    /// The consolidated notification entry point: every engine-to-planner
-    /// world-change notification arrives as one [`PlannerEvent`], giving
-    /// the event-driven scheduler a single dispatch seam (see
-    /// `docs/event-driven-ticking.md`).
-    ///
-    /// The default implementation fans out to the four legacy hooks
-    /// ([`Planner::on_disruption`], [`Planner::on_path_cancelled`],
-    /// [`Planner::on_maintenance_notice`], [`Planner::recover_degraded`]),
-    /// so existing planners that override those keep working unchanged.
-    /// New planners should override `on_event` instead; the legacy hooks
-    /// are **deprecated as an implementation surface** and remain only as
-    /// delegating shims for one release. The dispatch is deliberately
-    /// one-directional (`on_event` → legacy, never the reverse): a planner
-    /// overriding neither gets the legacy no-op defaults, not a recursion.
-    fn on_event(&mut self, event: PlannerEvent<'_>) {
-        match event {
-            PlannerEvent::Disruption { event, t } => self.on_disruption(event, t),
-            PlannerEvent::PathCancelled { robot, pos, t } => self.on_path_cancelled(robot, pos, t),
-            PlannerEvent::MaintenanceNotice { pos, from, until } => {
-                self.on_maintenance_notice(pos, from, until)
-            }
-            PlannerEvent::RecoverDegraded => self.recover_degraded(),
-        }
-    }
-
-    /// Notification that a disruption event mutated the world at tick `t`.
-    /// Planners must bring every grid-derived structure in line with the
-    /// mutated floor: for cell blockades / reopenings that means the working
-    /// grid copy, the distance oracle's memoized fields, the path cache and
-    /// the K-nearest-rack index (`PlannerBase` handles all four). Robot and
-    /// station events carry no planner-side structure by default — the
-    /// engine enforces their scheduling consequences through the world view
-    /// (broken robots leave the idle pool, closed stations' racks leave the
-    /// selectable pool) and through [`Planner::on_path_cancelled`].
-    ///
-    /// **Deprecated as a call surface**: callers should dispatch
-    /// [`PlannerEvent::Disruption`] through [`Planner::on_event`] instead.
-    /// This hook remains as the default implementation target for one
-    /// release so existing planner overrides keep working.
-    fn on_disruption(&mut self, _event: &DisruptionEvent, _t: Tick) {}
-
-    /// Advance notice of scheduled maintenance: cell `pos` is expected to
-    /// be blockaded during the inclusive `[from, until]` tick window.
-    /// Advisory only — the notice never mutates the world (the blockade
-    /// itself still arrives as a [`DisruptionEvent`], if it happens at
-    /// all); planners fold it into disruption-aware selection so robots
-    /// stop committing to corridors about to close. Gated behind
-    /// [`crate::config::EatpConfig::maintenance_outlook`] (default off):
-    /// with the flag off the default no-op applies and runs are
-    /// bit-identical to ones that never received the notice.
-    ///
-    /// **Deprecated as a call surface**: dispatch
-    /// [`PlannerEvent::MaintenanceNotice`] through [`Planner::on_event`].
-    fn on_maintenance_notice(&mut self, _pos: GridPos, _from: Tick, _until: Tick) {}
-
-    /// The engine cancelled `robot`'s active path at tick `t`: the robot
-    /// broke down or its route was invalidated, and it now stands still at
-    /// `pos`. Release every outstanding timed reservation of the robot and
-    /// park it at `pos` from `t` onward, so surviving robots plan around the
-    /// obstacle instead of through the robot's abandoned route.
-    ///
-    /// **Deprecated as a call surface**: dispatch
-    /// [`PlannerEvent::PathCancelled`] through [`Planner::on_event`].
-    fn on_path_cancelled(&mut self, _robot: RobotId, _pos: GridPos, _t: Tick) {}
+    /// The notification entry point: every engine-to-planner world-change
+    /// notification arrives as one [`PlannerEvent`], giving the event-driven
+    /// scheduler a single dispatch seam (see
+    /// `docs/event-driven-ticking.md`). The default ignores every event
+    /// (stateless planners).
+    fn on_event(&mut self, _event: PlannerEvent<'_>) {}
 
     /// Arm or apply an [`InjectedFault`] (deterministic fault injection;
     /// test/chaos harness only). Decision faults arm and fire on the next
@@ -450,16 +359,6 @@ pub trait Planner {
     fn inject_fault(&mut self, _fault: &InjectedFault) -> bool {
         false
     }
-
-    /// The engine degraded the previous tick after this planner failed or
-    /// overran its budget; the planner must invalidate derived state it
-    /// can no longer trust (memoized caches, oracle fields) before
-    /// resuming as the primary. Rebuilt-on-demand structures make this
-    /// behaviorally free; the default is a no-op for stateless planners.
-    ///
-    /// **Deprecated as a call surface**: dispatch
-    /// [`PlannerEvent::RecoverDegraded`] through [`Planner::on_event`].
-    fn recover_degraded(&mut self) {}
 
     /// Periodic maintenance: reservation garbage collection (the paper's
     /// `update` operation). Called every tick; implementations self-gate on
@@ -476,8 +375,8 @@ pub trait Planner {
     /// notices). Derived structures — search scratch, distance-oracle
     /// fields, KNN indexes, the event-derived half of the disruption
     /// outlook — are *not* exported: the restore protocol rebuilds them by
-    /// calling [`Planner::init`] and replaying the journal through
-    /// [`Planner::on_disruption`] before importing this value (see
+    /// calling [`Planner::init`] and replaying the journal as
+    /// [`PlannerEvent::Disruption`]s before importing this value (see
     /// `docs/snapshot-format.md`). The default (for stateless planners) is
     /// [`serde::Value::Null`].
     fn export_snapshot(&self) -> serde::Value {
@@ -644,7 +543,7 @@ mod tests {
         };
         assert!(!p.inject_fault(&InjectedFault::SelectionFailure));
         assert!(!p.inject_fault(&InjectedFault::CachePoison { salt: 5 }));
-        p.recover_degraded();
+        p.on_event(PlannerEvent::RecoverDegraded);
         let world_plans = {
             let racks = [];
             let pickers = [];

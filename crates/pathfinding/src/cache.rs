@@ -101,12 +101,6 @@ pub struct PathCache {
     misses: u64,
     invalidations: u64,
     partial_evictions: u64,
-    /// When armed, every [`PathCache::shortest`] call is appended as a
-    /// `(from, to)` pair in call order. The memoized pair set and the field
-    /// LRU are behaviorally observable (`path_crosses`, checkpoint export),
-    /// so a speculative search recorded against a *private* cache replays
-    /// its exact call sequence on the shared cache at commit time.
-    probe_log: Option<Vec<(GridPos, GridPos)>>,
 }
 
 impl PathCache {
@@ -125,21 +119,7 @@ impl PathCache {
             misses: 0,
             invalidations: 0,
             partial_evictions: 0,
-            probe_log: None,
         }
-    }
-
-    /// Arm (and clear) the call log: subsequent [`PathCache::shortest`]
-    /// calls append their `(from, to)` pair until
-    /// [`PathCache::take_probe_log`] disarms it.
-    pub fn begin_probe_log(&mut self) {
-        self.probe_log.get_or_insert_with(Vec::new).clear();
-    }
-
-    /// Disarm the call log and move the recorded pairs out (empty when the
-    /// log was never armed).
-    pub fn take_probe_log(&mut self) -> Vec<(GridPos, GridPos)> {
-        self.probe_log.take().unwrap_or_default()
     }
 
     /// Mutate the cloned grid (a disruption blockade landed or cleared),
@@ -210,9 +190,6 @@ impl PathCache {
     /// The spatial shortest path `from → to` (inclusive of both endpoints),
     /// memoized. Returns `None` when unreachable or outside the threshold.
     pub fn shortest(&mut self, from: GridPos, to: GridPos) -> Option<&[GridPos]> {
-        if let Some(log) = &mut self.probe_log {
-            log.push((from, to));
-        }
         if !self.within_threshold(from, to) {
             return None;
         }

@@ -13,9 +13,8 @@
 //! Both implement [`reservation::ReservationSystem`], so every planner is
 //! generic over the structure — exactly the ATP/EATP split of the paper.
 //! The trait is split read/write: searches only require the read-only
-//! [`reservation::ReservationProbe`] half, which is what lets a tick's leg
-//! batch probe a shared table from worker threads ([`probe`] wraps a table
-//! to record the exact cells a search observed).
+//! [`reservation::ReservationProbe`] half, so a search cannot mutate the
+//! table it plans against.
 //!
 //! [`astar`] implements spatiotemporal A* with optional **cache-aided
 //! splicing** ([`cache::PathCache`], Sec. VI-B): when the search pops a
@@ -38,7 +37,6 @@ pub mod conflict;
 pub mod footprint;
 pub mod knn;
 pub mod path;
-pub mod probe;
 mod proptests;
 pub mod reference;
 pub mod reference_cdt;
@@ -53,7 +51,6 @@ pub use conflict::{find_conflicts, Conflict};
 pub use footprint::MemoryFootprint;
 pub use knn::{KNearestRacks, KnnChange};
 pub use path::Path;
-pub use probe::{RecordingProbe, TouchLog};
 pub use reservation::{ReservationContent, ReservationProbe, ReservationSystem, TimedReservation};
 pub use scratch::SearchScratch;
 pub use stg::SpatioTemporalGraph;

@@ -132,10 +132,6 @@ impl ReservationProbe for ReferenceConflictDetectionTable {
     fn parked_at(&self, pos: GridPos) -> Option<(RobotId, Tick)> {
         self.parked.entry(pos)
     }
-
-    fn parked_cell(&self, robot: RobotId) -> Option<GridPos> {
-        self.parked.cell_of(robot)
-    }
 }
 
 impl ReservationSystem for ReferenceConflictDetectionTable {

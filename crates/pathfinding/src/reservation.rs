@@ -47,12 +47,9 @@ pub struct ReservationContent {
 
 /// The **read-only** half of a reservation system: every query the path
 /// search performs. Splitting the probes from the commits (see
-/// [`ReservationSystem`]) is what lets a tick's leg batch run its search
-/// phase on worker threads against a shared `&R` while the commit phase
-/// stays serialized — the search can prove at the type level that it never
-/// mutates the table. Wrappers such as
-/// [`RecordingProbe`](crate::probe::RecordingProbe) implement only this
-/// trait to observe a search's exact probe footprint.
+/// [`ReservationSystem`]) is a type-level guarantee:
+/// [`plan_path_with`](crate::astar::plan_path_with) takes a `&impl
+/// ReservationProbe`, so a search cannot mutate the table it plans against.
 pub trait ReservationProbe {
     /// The robot reserving `pos` at tick `t`, if any (path step or parked).
     fn occupant(&self, pos: GridPos, t: Tick) -> Option<RobotId>;
@@ -85,12 +82,6 @@ pub trait ReservationProbe {
 
     /// The parked occupant of `pos`, with the tick its parking starts.
     fn parked_at(&self, pos: GridPos) -> Option<(RobotId, Tick)>;
-
-    /// The cell `robot` is currently parked on, if any. The commit phase of
-    /// a parallel leg batch uses this to record the cell a
-    /// [`ReservationSystem::reserve_path`] implicitly unparks, so later
-    /// tentative results probing that cell are detected as stale.
-    fn parked_cell(&self, robot: RobotId) -> Option<GridPos>;
 }
 
 /// Conflict-avoidance bookkeeping for timed paths and parked robots: the
@@ -241,12 +232,6 @@ impl ParkingBoard {
             "robot id reserved as sentinel"
         );
         self.cells[i] = ((robot.index() as u64) << 32) | (from as u32) as u64;
-    }
-
-    /// The cell `robot` is parked on, if any (reverse-index lookup).
-    #[inline]
-    pub fn cell_of(&self, robot: RobotId) -> Option<GridPos> {
-        self.by_robot.get(&robot).copied()
     }
 
     /// Remove `robot`'s parking reservation, if any.

@@ -135,10 +135,6 @@ impl ReservationProbe for SpatioTemporalGraph {
     fn parked_at(&self, pos: GridPos) -> Option<(RobotId, Tick)> {
         self.parked.entry(pos)
     }
-
-    fn parked_cell(&self, robot: RobotId) -> Option<GridPos> {
-        self.parked.cell_of(robot)
-    }
 }
 
 impl ReservationSystem for SpatioTemporalGraph {

@@ -82,7 +82,7 @@ use tprw_warehouse::{
 /// Both strategies advance the clock one tick at a time and produce
 /// **bit-identical** simulation outputs — fingerprints, ack streams,
 /// checkpoint/bottleneck series, planner counters, `state_hash` — for every
-/// planner across clean, disrupted, chaos, live-order and parallel regimes
+/// planner across clean, disrupted, chaos and live-order regimes
 /// (the `event_driven` test suite and `bench_sim` both gate this). The
 /// strategies differ only in how much work a *quiescent* tick costs.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
@@ -145,14 +145,6 @@ pub struct EngineConfig {
     /// have drained. Off (the default), completion keeps its pregenerated
     /// semantics: the run ends when the instance's item list is fulfilled.
     pub live: bool,
-    /// Worker threads for the planner's speculative leg-query phase
-    /// (`0`/`1` = fully serial). Simulation outputs are bit-identical for
-    /// every value — workers only change wall-clock time (`bench_sim`
-    /// asserts the fingerprint equality and records the speedup).
-    /// Meaningless combined with [`EngineConfig::reference_exec`], whose
-    /// per-leg path never batches; [`EngineConfig::builder`] rejects that
-    /// pairing.
-    pub workers: usize,
     /// Per-tick scheduling strategy (see [`TickStrategy`]). Simulation
     /// outputs are bit-identical for either value — the strategy only
     /// changes how much work a quiescent tick costs. `serde(default)` keeps
@@ -176,7 +168,6 @@ impl Default for EngineConfig {
             faults: FaultConfig::default(),
             degradation: DegradationPolicy::default(),
             live: false,
-            workers: 0,
             tick_strategy: TickStrategy::default(),
         }
     }
@@ -203,13 +194,6 @@ impl EngineConfig {
 /// A contradictory [`EngineConfigBuilder`] knob combination.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum EngineConfigError {
-    /// `reference_exec` reproduces the pre-batching per-leg execution
-    /// path, which has no batch to shard: parallel workers would be
-    /// silently ignored, so the pairing is rejected outright.
-    ReferenceExecIsSerial {
-        /// The rejected worker count.
-        workers: usize,
-    },
     /// `reference_exec` exists to reproduce the pre-batching loop byte for
     /// byte; layering the event-driven scheduler over it would measure a
     /// hybrid nobody ships. The pairing is rejected outright.
@@ -219,11 +203,6 @@ pub enum EngineConfigError {
 impl std::fmt::Display for EngineConfigError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
-            EngineConfigError::ReferenceExecIsSerial { workers } => write!(
-                f,
-                "reference_exec replays the serial per-leg path; \
-                 {workers} parallel workers would be ignored"
-            ),
             EngineConfigError::ReferenceExecIsDense => write!(
                 f,
                 "reference_exec replays the pre-batching dense loop; \
@@ -293,12 +272,6 @@ impl EngineConfigBuilder {
         self
     }
 
-    /// Worker threads for the speculative leg-query phase.
-    pub fn workers(mut self, workers: usize) -> Self {
-        self.config.workers = workers;
-        self
-    }
-
     /// Per-tick scheduling strategy (see [`TickStrategy`]).
     pub fn tick_strategy(mut self, strategy: TickStrategy) -> Self {
         self.config.tick_strategy = strategy;
@@ -307,11 +280,6 @@ impl EngineConfigBuilder {
 
     /// Validate the knob combination and produce the config.
     pub fn build(self) -> Result<EngineConfig, EngineConfigError> {
-        if self.config.reference_exec && self.config.workers > 1 {
-            return Err(EngineConfigError::ReferenceExecIsSerial {
-                workers: self.config.workers,
-            });
-        }
         if self.config.reference_exec && self.config.tick_strategy.is_event_driven() {
             return Err(EngineConfigError::ReferenceExecIsDense);
         }
@@ -411,8 +379,7 @@ pub struct EngineState {
     /// Cursor into the fault plan's poison schedule.
     pub next_poison_fault: usize,
     /// A [`Command::Shutdown`] was accepted: no new orders are admitted
-    /// and the run completes once backlog and floor drain. (Schema v4;
-    /// appended so v3 payloads migrate by defaulting the tail.)
+    /// and the run completes once backlog and floor drain.
     pub shutdown: bool,
     /// Idempotency cursor: commands with `seq` below this were already
     /// applied and are skipped on redelivery after a resume.
@@ -732,7 +699,6 @@ impl<'a> Engine<'a> {
     /// [`Engine::resume`] instead.
     pub fn start(&mut self, planner: &mut dyn Planner) {
         planner.init(self.instance);
-        planner.set_parallel_workers(self.config.workers);
     }
 
     /// Execute one full tick (all seven phases) and advance the clock.
@@ -1544,7 +1510,7 @@ impl<'a> Engine<'a> {
     /// resumes, delivery and return legs. Requests keep the pending lists'
     /// order, and the one-undock-per-station rule rides on
     /// [`LegRequest::group`], so the planner produces exactly the paths
-    /// the serial loops would — with any worker count.
+    /// the serial loops would.
     /// Broken robots emit no requests — their entries wait for recovery.
     fn step_legs_batched(&mut self, t: Tick, planner: &mut dyn Planner) {
         // Stale entries (the robot left the relevant phase) are dropped
@@ -2421,7 +2387,6 @@ impl<'a> Engine<'a> {
             });
         }
         planner.import_snapshot(planner_state)?;
-        planner.set_parallel_workers(config.workers);
         engine.restore_state(state);
         Ok(engine)
     }

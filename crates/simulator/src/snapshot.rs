@@ -20,13 +20,13 @@
 //! first tick at which their simulations differ.
 
 use crate::engine::{fnv1a, Engine, EngineConfig, EngineState};
-use crate::faults::{DegradationPolicy, FaultConfig, IoFaultKind};
+use crate::faults::IoFaultKind;
 use crate::report::SimulationReport;
-use eatp_core::planner::{AssignmentPlan, Planner, PlannerError, PlannerStats};
+use eatp_core::planner::{AssignmentPlan, Planner, PlannerError, PlannerEvent, PlannerStats};
 use eatp_core::world::WorldView;
 use serde::{Deserialize, Serialize, Value};
 use tprw_pathfinding::Path;
-use tprw_warehouse::{DisruptionEvent, GridPos, Instance, RobotId, Tick};
+use tprw_warehouse::{GridPos, Instance, RobotId, Tick};
 
 /// Magic bytes opening every snapshot file.
 pub const SNAPSHOT_MAGIC: [u8; 8] = *b"TPRWSNAP";
@@ -34,17 +34,19 @@ pub const SNAPSHOT_MAGIC: [u8; 8] = *b"TPRWSNAP";
 /// Magic bytes opening every serialized fingerprint journal.
 pub const JOURNAL_MAGIC: [u8; 8] = *b"TPRWFPJ1";
 
-/// Current schema version. Version 1 (the initial format) lacked the
-/// top-level `planner_name` tag and the engine's `peak_scratch` counter;
-/// version 2 predated fault injection (no `faults`/`degradation` config
-/// and none of the engine's degradation counters or fault cursors);
-/// version 3 predated order-stream ingestion (no `live` config flag and
-/// none of the engine's backlog/ingestion-cursor/order-counter fields —
-/// see `docs/order-stream.md`); version 4 predated the parallel leg-query
-/// phase (no `workers` config field). `migrate` upgrades older payloads
-/// in place, one hop at a time. Bump this when the payload schema changes
-/// and teach `migrate` the new hop.
+/// Current schema version. Readers accept the current version and one
+/// prior (`OLDEST_READABLE_VERSION`); versions 1–3 (before the
+/// `planner_name` tag, fault injection and order-stream ingestion
+/// respectively) were never written outside this repository and are
+/// rejected as [`SnapshotError::UnsupportedVersion`]. Version 5 added a
+/// `config.workers` count that version 4 lacked; the field is gone again
+/// (`docs/adr/ADR-005-serial-leg-planning.md`) and decoding looks fields up
+/// by name, so both payload shapes decode as they are. Bump this when the
+/// payload schema changes, and drop the older of the two readers.
 pub const SNAPSHOT_VERSION: u32 = 5;
+
+/// Oldest schema version [`decode_snapshot`] still reads.
+const OLDEST_READABLE_VERSION: u32 = 4;
 
 /// Little-endian sentinel; a big-endian writer would store these bytes
 /// reversed, which the reader detects as [`SnapshotError::WrongEndian`].
@@ -179,213 +181,6 @@ pub fn encode_snapshot(data: &SnapshotData) -> Vec<u8> {
     out
 }
 
-/// Forward-migrate a decoded payload from schema `version` to
-/// [`SNAPSHOT_VERSION`]. Hops apply in sequence (v1 → v2 → v3 → …), each
-/// editing the raw value tree so older snapshots keep loading after schema
-/// growth; unknown versions are rejected, never guessed at.
-fn migrate(version: u32, mut v: Value) -> Result<Value, SnapshotError> {
-    if version == 0 || version > SNAPSHOT_VERSION {
-        return Err(SnapshotError::UnsupportedVersion {
-            found: version,
-            current: SNAPSHOT_VERSION,
-        });
-    }
-    let mut at = version;
-    if at == 1 {
-        // v1 -> v2: the `planner_name` tag and the engine's
-        // `peak_scratch` counter were added in v2; default them.
-        let Value::Object(fields) = &mut v else {
-            return Err(SnapshotError::Decode(
-                "v1 snapshot root is not an object".into(),
-            ));
-        };
-        if !fields.iter().any(|(k, _)| k == "planner_name") {
-            fields.push(("planner_name".to_string(), Value::Str(String::new())));
-        }
-        if let Some((_, Value::Object(engine))) = fields.iter_mut().find(|(k, _)| k == "engine") {
-            if !engine.iter().any(|(k, _)| k == "peak_scratch") {
-                engine.push(("peak_scratch".to_string(), Value::U64(0)));
-            }
-        }
-        at = 2;
-    }
-    if at == 2 {
-        // v2 -> v3: fault injection. The config gains `faults` and
-        // `degradation` (both disabled — a v2 run had neither); the
-        // engine gains the degradation counters, the degrade/recover
-        // latches and the fault-plan cursors, all zero.
-        let Value::Object(fields) = &mut v else {
-            return Err(SnapshotError::Decode(
-                "v2 snapshot root is not an object".into(),
-            ));
-        };
-        if let Some((_, Value::Object(config))) = fields.iter_mut().find(|(k, _)| k == "config") {
-            if !config.iter().any(|(k, _)| k == "faults") {
-                config.push(("faults".to_string(), FaultConfig::default().serialize()));
-            }
-            if !config.iter().any(|(k, _)| k == "degradation") {
-                config.push((
-                    "degradation".to_string(),
-                    DegradationPolicy::default().serialize(),
-                ));
-            }
-        }
-        if let Some((_, Value::Object(engine))) = fields.iter_mut().find(|(k, _)| k == "engine") {
-            for counter in [
-                "degraded_ticks",
-                "fallback_assignments",
-                "planner_errors",
-                "next_decision_fault",
-                "next_leg_fault",
-                "next_poison_fault",
-            ] {
-                if !engine.iter().any(|(k, _)| k == counter) {
-                    engine.push((counter.to_string(), Value::U64(0)));
-                }
-            }
-            for latch in ["degrade_next", "recover_next"] {
-                if !engine.iter().any(|(k, _)| k == latch) {
-                    engine.push((latch.to_string(), Value::Bool(false)));
-                }
-            }
-        }
-        at = 3;
-    }
-    if at == 3 {
-        // v3 -> v4: order-stream ingestion. The config gains the `live`
-        // flag (off — a v3 run had no ingestion); the engine gains the
-        // backlog, the ingestion cursor and the order counters. A v3 run
-        // *is* a pure pregenerated run, and those are modelled as an
-        // order book submitted at tick 0, so the counters are not
-        // defaulted to zero but reconstructed to the exact values a v4
-        // engine would have accumulated by the checkpoint tick:
-        //
-        // * `orders_submitted`  = the instance's item count;
-        // * `orders_completed`  = items already processed;
-        // * `total_order_age`   = Σ arrival over items already landed
-        //   (each pregenerated item lands exactly at its arrival tick);
-        // * `peak_backlog`      = outstanding items after the tick-0
-        //   arrivals, the maximum of the monotonically draining series
-        //   (0 if no tick has executed — nothing was sampled yet).
-        let Value::Object(fields) = &mut v else {
-            return Err(SnapshotError::Decode(
-                "v3 snapshot root is not an object".into(),
-            ));
-        };
-        let get = |obj: &[(String, Value)], key: &str| -> Result<u64, SnapshotError> {
-            match obj.iter().find(|(k, _)| k == key) {
-                Some((_, Value::U64(n))) => Ok(*n),
-                _ => Err(SnapshotError::Decode(format!(
-                    "v3 snapshot engine field {key:?} missing or not a u64"
-                ))),
-            }
-        };
-        let arrivals: Vec<u64> = match fields.iter().find(|(k, _)| k == "instance") {
-            Some((_, Value::Object(instance))) => match instance.iter().find(|(k, _)| k == "items")
-            {
-                Some((_, Value::Array(items))) => items
-                    .iter()
-                    .map(|item| match item {
-                        Value::Object(item) => get(item, "arrival"),
-                        _ => Err(SnapshotError::Decode(
-                            "v3 snapshot instance item is not an object".into(),
-                        )),
-                    })
-                    .collect::<Result<_, _>>()?,
-                _ => {
-                    return Err(SnapshotError::Decode(
-                        "v3 snapshot instance has no item array".into(),
-                    ))
-                }
-            },
-            _ => {
-                return Err(SnapshotError::Decode(
-                    "v3 snapshot has no instance object".into(),
-                ))
-            }
-        };
-        if let Some((_, Value::Object(config))) = fields.iter_mut().find(|(k, _)| k == "config") {
-            if !config.iter().any(|(k, _)| k == "live") {
-                config.push(("live".to_string(), Value::Bool(false)));
-            }
-        }
-        if let Some((_, Value::Object(engine))) = fields.iter_mut().find(|(k, _)| k == "engine") {
-            let t = get(engine, "t")?;
-            let next_item = get(engine, "next_item")? as usize;
-            let items_processed = get(engine, "items_processed")?;
-            let n_robots = match engine.iter().find(|(k, _)| k == "robots") {
-                Some((_, Value::Array(robots))) => robots.len(),
-                _ => {
-                    return Err(SnapshotError::Decode(
-                        "v3 snapshot engine has no robot array".into(),
-                    ))
-                }
-            };
-            if next_item > arrivals.len() {
-                return Err(SnapshotError::Decode(format!(
-                    "v3 snapshot next_item {next_item} exceeds item count {}",
-                    arrivals.len()
-                )));
-            }
-            let landed_at_zero = arrivals.iter().take_while(|&&a| a == 0).count() as u64;
-            let peak_backlog = if t > 0 {
-                arrivals.len() as u64 - landed_at_zero
-            } else {
-                0
-            };
-            let total_order_age: u64 = arrivals[..next_item].iter().sum();
-            if !engine.iter().any(|(k, _)| k == "shutdown") {
-                engine.push(("shutdown".to_string(), Value::Bool(false)));
-            }
-            if !engine.iter().any(|(k, _)| k == "next_command_seq") {
-                engine.push(("next_command_seq".to_string(), Value::U64(0)));
-            }
-            for empty in ["backlog", "live_item_orders", "live_item_arrivals"] {
-                if !engine.iter().any(|(k, _)| k == empty) {
-                    engine.push((empty.to_string(), Value::Array(Vec::new())));
-                }
-            }
-            if !engine.iter().any(|(k, _)| k == "carried_orders") {
-                engine.push((
-                    "carried_orders".to_string(),
-                    Value::Array(vec![Value::Array(Vec::new()); n_robots]),
-                ));
-            }
-            for (counter, value) in [
-                ("orders_submitted", arrivals.len() as u64),
-                ("orders_cancelled", 0),
-                ("orders_rejected", 0),
-                ("orders_completed", items_processed),
-                ("peak_backlog", peak_backlog),
-                ("total_order_age", total_order_age),
-            ] {
-                if !engine.iter().any(|(k, _)| k == counter) {
-                    engine.push((counter.to_string(), Value::U64(value)));
-                }
-            }
-        }
-        at = 4;
-    }
-    if at == 4 {
-        // v4 -> v5: the engine config gained the parallel worker count.
-        // Worker count never changes simulation outputs, so the serial
-        // default is the faithful reconstruction of any v4 run.
-        let Value::Object(fields) = &mut v else {
-            return Err(SnapshotError::Decode(
-                "v4 snapshot payload is not an object".into(),
-            ));
-        };
-        if let Some((_, Value::Object(config))) = fields.iter_mut().find(|(k, _)| k == "config") {
-            if !config.iter().any(|(k, _)| k == "workers") {
-                config.push(("workers".to_string(), Value::U64(0)));
-            }
-        }
-        at = 5;
-    }
-    debug_assert_eq!(at, SNAPSHOT_VERSION, "every hop must be applied");
-    Ok(v)
-}
-
 /// Parse and validate the framed snapshot byte format. Every malformed
 /// input maps to a typed [`SnapshotError`]; this function must not panic.
 pub fn decode_snapshot(bytes: &[u8]) -> Result<SnapshotData, SnapshotError> {
@@ -409,7 +204,7 @@ pub fn decode_snapshot(bytes: &[u8]) -> Result<SnapshotData, SnapshotError> {
         )));
     }
     let version = word(12);
-    if version == 0 || version > SNAPSHOT_VERSION {
+    if !(OLDEST_READABLE_VERSION..=SNAPSHOT_VERSION).contains(&version) {
         return Err(SnapshotError::UnsupportedVersion {
             found: version,
             current: SNAPSHOT_VERSION,
@@ -439,7 +234,6 @@ pub fn decode_snapshot(bytes: &[u8]) -> Result<SnapshotData, SnapshotError> {
         });
     }
     let value = serde::binary::from_bytes(payload)?;
-    let value = migrate(version, value)?;
     Ok(SnapshotData::deserialize(&value)?)
 }
 
@@ -917,7 +711,7 @@ pub fn hunt_divergence(
 /// inner planner until the first tick `>= trigger` at which the inner
 /// planner returns a non-empty assignment batch, then drops that batch's
 /// last assignment (releasing its reservation through
-/// [`Planner::on_path_cancelled`]) and records the tick. From that point
+/// [`PlannerEvent::PathCancelled`]) and records the tick. From that point
 /// the two builds' worlds evolve differently, so the divergence hunter
 /// must report exactly [`PerturbFromTick::perturbed_at`]. Used by the CI
 /// self-test; useful for exercising the hunter against any real planner.
@@ -958,8 +752,11 @@ impl<P: Planner> Planner for PerturbFromTick<P> {
             let dropped = plans.pop().expect("non-empty");
             // Undo the dropped assignment's reservation so the inner
             // planner's tables stay consistent with the executed world.
-            self.inner
-                .on_path_cancelled(dropped.robot, dropped.path.first(), world.t);
+            self.inner.on_event(PlannerEvent::PathCancelled {
+                robot: dropped.robot,
+                pos: dropped.path.first(),
+                t: world.t,
+            });
         }
         Ok(plans)
     }
@@ -973,15 +770,6 @@ impl<P: Planner> Planner for PerturbFromTick<P> {
         park: bool,
     ) -> Option<Path> {
         self.inner.plan_leg(robot, from, to, start, park)
-    }
-
-    fn query_legs(
-        &mut self,
-        requests: &[eatp_core::planner::LegRequest],
-        start: Tick,
-        tentative: &mut Vec<eatp_core::planner::TentativeLeg>,
-    ) {
-        self.inner.query_legs(requests, start, tentative)
     }
 
     fn commit_legs(
@@ -1003,32 +791,16 @@ impl<P: Planner> Planner for PerturbFromTick<P> {
         self.inner.plan_legs(requests, start, results)
     }
 
-    fn set_parallel_workers(&mut self, workers: usize) {
-        self.inner.set_parallel_workers(workers);
-    }
-
     fn inject_fault(&mut self, fault: &eatp_core::planner::InjectedFault) -> bool {
         self.inner.inject_fault(fault)
     }
 
-    fn recover_degraded(&mut self) {
-        self.inner.recover_degraded();
-    }
-
-    fn on_event(&mut self, event: eatp_core::planner::PlannerEvent<'_>) {
+    fn on_event(&mut self, event: PlannerEvent<'_>) {
         self.inner.on_event(event);
     }
 
     fn on_dock(&mut self, robot: RobotId) {
         self.inner.on_dock(robot);
-    }
-
-    fn on_disruption(&mut self, event: &DisruptionEvent, t: Tick) {
-        self.inner.on_disruption(event, t);
-    }
-
-    fn on_path_cancelled(&mut self, robot: RobotId, pos: GridPos, t: Tick) {
-        self.inner.on_path_cancelled(robot, pos, t);
     }
 
     fn housekeeping(&mut self, t: Tick) {
@@ -1232,13 +1004,18 @@ mod tests {
             }
         );
 
-        // Version zero.
-        let mut bad = good.clone();
-        bad[12..16].copy_from_slice(&0u32.to_le_bytes());
-        assert!(matches!(
-            decode_snapshot(&bad).unwrap_err(),
-            SnapshotError::UnsupportedVersion { found: 0, .. }
-        ));
+        // Version zero, the retired versions 1–3 and the next one.
+        for version in [0, 1, 2, 3, SNAPSHOT_VERSION + 1] {
+            let mut bad = good.clone();
+            bad[12..16].copy_from_slice(&version.to_le_bytes());
+            assert_eq!(
+                decode_snapshot(&bad).unwrap_err(),
+                SnapshotError::UnsupportedVersion {
+                    found: version,
+                    current: SNAPSHOT_VERSION
+                }
+            );
+        }
 
         // Payload bit flips: checksum must catch every one of them.
         for at in (HEADER_LEN..good.len()).step_by(131) {
@@ -1274,270 +1051,61 @@ mod tests {
         ));
     }
 
-    #[test]
-    fn migrates_v1_payload_and_resumes_from_it() {
-        let inst = scenario(None, 42);
-        let config = EngineConfig::default();
-        let mut p = make("NTP");
-        let base = run_simulation(&inst, p.as_mut(), &config);
-
-        let mut p2 = make("NTP");
-        let mut engine = Engine::new(&inst, &config);
-        engine.start(p2.as_mut());
-        for _ in 0..40 {
-            engine.tick_once(p2.as_mut());
-        }
-        let data = engine.snapshot(p2.as_ref());
-
-        // Regress the payload to schema v1: strip the fields v2 added.
-        let Value::Object(mut fields) = data.serialize() else {
-            panic!("snapshot value must be an object");
-        };
-        fields.retain(|(k, _)| k != "planner_name");
-        if let Some((_, Value::Object(engine_fields))) =
-            fields.iter_mut().find(|(k, _)| k == "engine")
-        {
-            engine_fields.retain(|(k, _)| k != "peak_scratch");
-        } else {
-            panic!("engine field must be an object");
-        }
-        let payload = serde::binary::to_bytes(&Value::Object(fields));
-        let mut v1 = Vec::new();
-        v1.extend_from_slice(&SNAPSHOT_MAGIC);
-        v1.extend_from_slice(&ENDIAN_MARKER.to_le_bytes());
-        v1.extend_from_slice(&1u32.to_le_bytes());
-        v1.extend_from_slice(&(payload.len() as u64).to_le_bytes());
-        v1.extend_from_slice(&crc32(&payload).to_le_bytes());
-        v1.extend_from_slice(&payload);
-
-        let migrated = decode_snapshot(&v1).expect("v1 must migrate forward");
-        assert_eq!(migrated.planner_name, "", "migration defaults the tag");
-        assert_eq!(migrated.engine.peak_scratch, 0, "migration defaults it");
-        assert_eq!(migrated.engine.t, data.engine.t, "payload preserved");
-
-        let mut p3 = make("NTP");
-        let mut resumed = resume_from(&migrated, p3.as_mut()).expect("resume");
-        resumed.run_to_completion(p3.as_mut());
-        let report = resumed.report(p3.as_mut());
-        // peak_scratch feeds only wall-clock-ish memory reporting, which the
-        // deterministic fingerprint excludes — the run itself is identical.
-        assert_eq!(
-            base.deterministic_fingerprint(),
-            report.deterministic_fingerprint()
-        );
-    }
-
-    #[test]
-    fn migrates_v2_payload_and_resumes_from_it() {
-        let inst = scenario(None, 42);
-        let config = EngineConfig::default();
-        let mut p = make("EATP");
-        let base = run_simulation(&inst, p.as_mut(), &config);
-
-        let mut p2 = make("EATP");
-        let mut engine = Engine::new(&inst, &config);
-        engine.start(p2.as_mut());
-        for _ in 0..40 {
-            engine.tick_once(p2.as_mut());
-        }
-        let data = engine.snapshot(p2.as_ref());
-
-        // Regress the payload to schema v2: strip everything v3 added.
-        let Value::Object(mut fields) = data.serialize() else {
-            panic!("snapshot value must be an object");
-        };
-        if let Some((_, Value::Object(config_fields))) =
-            fields.iter_mut().find(|(k, _)| k == "config")
-        {
-            config_fields.retain(|(k, _)| k != "faults" && k != "degradation");
-        } else {
-            panic!("config field must be an object");
-        }
-        if let Some((_, Value::Object(engine_fields))) =
-            fields.iter_mut().find(|(k, _)| k == "engine")
-        {
-            engine_fields.retain(|(k, _)| {
-                !matches!(
-                    k.as_str(),
-                    "degraded_ticks"
-                        | "fallback_assignments"
-                        | "planner_errors"
-                        | "degrade_next"
-                        | "recover_next"
-                        | "next_decision_fault"
-                        | "next_leg_fault"
-                        | "next_poison_fault"
-                )
-            });
-        } else {
-            panic!("engine field must be an object");
-        }
-        let payload = serde::binary::to_bytes(&Value::Object(fields));
-        let mut v2 = Vec::new();
-        v2.extend_from_slice(&SNAPSHOT_MAGIC);
-        v2.extend_from_slice(&ENDIAN_MARKER.to_le_bytes());
-        v2.extend_from_slice(&2u32.to_le_bytes());
-        v2.extend_from_slice(&(payload.len() as u64).to_le_bytes());
-        v2.extend_from_slice(&crc32(&payload).to_le_bytes());
-        v2.extend_from_slice(&payload);
-
-        let migrated = decode_snapshot(&v2).expect("v2 must migrate forward");
-        assert!(!migrated.config.faults.enabled, "defaults to faults off");
-        assert!(!migrated.config.degradation.enabled);
-        assert_eq!(migrated.engine.degraded_ticks, 0);
-        assert_eq!(migrated.engine.planner_errors, 0);
-        assert!(!migrated.engine.degrade_next);
-        assert_eq!(migrated.engine.t, data.engine.t, "payload preserved");
-
-        let mut p3 = make("EATP");
-        let mut resumed = resume_from(&migrated, p3.as_mut()).expect("resume");
-        resumed.run_to_completion(p3.as_mut());
-        let report = resumed.report(p3.as_mut());
-        assert_eq!(
-            base.deterministic_fingerprint(),
-            report.deterministic_fingerprint(),
-            "a fault-free v2 snapshot must resume bit-identically"
-        );
-    }
-
-    #[test]
-    fn migrates_v3_payload_and_resumes_from_it() {
-        let inst = scenario(None, 42);
-        let config = EngineConfig::default();
-        let mut p = make("ATP");
-        let base = run_simulation(&inst, p.as_mut(), &config);
-
-        let mut p2 = make("ATP");
-        let mut engine = Engine::new(&inst, &config);
-        engine.start(p2.as_mut());
-        for _ in 0..40 {
-            engine.tick_once(p2.as_mut());
-        }
-        let data = engine.snapshot(p2.as_ref());
-
-        // Regress the payload to schema v3: strip everything v4 added.
-        let Value::Object(mut fields) = data.serialize() else {
-            panic!("snapshot value must be an object");
-        };
-        if let Some((_, Value::Object(config_fields))) =
-            fields.iter_mut().find(|(k, _)| k == "config")
-        {
-            config_fields.retain(|(k, _)| k != "live");
-        } else {
-            panic!("config field must be an object");
-        }
-        if let Some((_, Value::Object(engine_fields))) =
-            fields.iter_mut().find(|(k, _)| k == "engine")
-        {
-            engine_fields.retain(|(k, _)| {
-                !matches!(
-                    k.as_str(),
-                    "shutdown"
-                        | "next_command_seq"
-                        | "backlog"
-                        | "live_item_orders"
-                        | "live_item_arrivals"
-                        | "carried_orders"
-                        | "orders_submitted"
-                        | "orders_cancelled"
-                        | "orders_rejected"
-                        | "orders_completed"
-                        | "peak_backlog"
-                        | "total_order_age"
-                )
-            });
-        } else {
-            panic!("engine field must be an object");
-        }
-        let payload = serde::binary::to_bytes(&Value::Object(fields));
-        let mut v3 = Vec::new();
-        v3.extend_from_slice(&SNAPSHOT_MAGIC);
-        v3.extend_from_slice(&ENDIAN_MARKER.to_le_bytes());
-        v3.extend_from_slice(&3u32.to_le_bytes());
-        v3.extend_from_slice(&(payload.len() as u64).to_le_bytes());
-        v3.extend_from_slice(&crc32(&payload).to_le_bytes());
-        v3.extend_from_slice(&payload);
-
-        let migrated = decode_snapshot(&v3).expect("v3 must migrate forward");
-        assert!(!migrated.config.live, "migration defaults ingestion off");
-        // A v3 run is a pure pregenerated run, so the hop must reconstruct
-        // the order counters exactly — not default them to zero. The
-        // engine that produced `data` computed the same values natively,
-        // so the migrated state must match it field for field.
-        assert_eq!(
-            migrated.engine.orders_submitted,
-            inst.items.len() as u64,
-            "pregenerated items are orders submitted at tick 0"
-        );
-        assert_eq!(
-            migrated.engine.orders_completed,
-            data.engine.items_processed as u64
-        );
-        assert!(migrated.engine.peak_backlog > 0, "40 ticks were sampled");
-        assert_eq!(migrated.engine, data.engine, "exact reconstruction");
-
-        let mut p3 = make("ATP");
-        let mut resumed = resume_from(&migrated, p3.as_mut()).expect("resume");
-        resumed.run_to_completion(p3.as_mut());
-        let report = resumed.report(p3.as_mut());
-        assert_eq!(
-            base.deterministic_fingerprint(),
-            report.deterministic_fingerprint(),
-            "a v3 snapshot must resume bit-identically"
-        );
-    }
-
+    /// Both readable payload shapes — a v4 payload, which never had a
+    /// `config.workers` key, and a v5 payload carrying one — decode as they
+    /// are and resume to the uninterrupted run's fingerprint.
     #[test]
     fn migrates_v4_payload_and_resumes_from_it() {
         let inst = scenario(None, 42);
         let config = EngineConfig::default();
-        let mut p = make("EATP");
-        let base = run_simulation(&inst, p.as_mut(), &config);
+        for name in PLANNERS {
+            let mut p = make(name);
+            let base = run_simulation(&inst, p.as_mut(), &config);
 
-        let mut p2 = make("EATP");
-        let mut engine = Engine::new(&inst, &config);
-        engine.start(p2.as_mut());
-        for _ in 0..40 {
-            engine.tick_once(p2.as_mut());
+            let mut p2 = make(name);
+            let mut engine = Engine::new(&inst, &config);
+            engine.start(p2.as_mut());
+            for _ in 0..40 {
+                engine.tick_once(p2.as_mut());
+            }
+            let data = engine.snapshot(p2.as_ref());
+
+            for (version, workers) in [(4u32, None), (5, Some(4))] {
+                let Value::Object(mut fields) = data.serialize() else {
+                    panic!("snapshot value must be an object");
+                };
+                let Some((_, Value::Object(config_fields))) =
+                    fields.iter_mut().find(|(k, _)| k == "config")
+                else {
+                    panic!("config field must be an object");
+                };
+                assert!(config_fields.iter().all(|(k, _)| k != "workers"));
+                if let Some(n) = workers {
+                    config_fields.push(("workers".to_string(), Value::U64(n)));
+                }
+                let payload = serde::binary::to_bytes(&Value::Object(fields));
+                let mut bytes = Vec::new();
+                bytes.extend_from_slice(&SNAPSHOT_MAGIC);
+                bytes.extend_from_slice(&ENDIAN_MARKER.to_le_bytes());
+                bytes.extend_from_slice(&version.to_le_bytes());
+                bytes.extend_from_slice(&(payload.len() as u64).to_le_bytes());
+                bytes.extend_from_slice(&crc32(&payload).to_le_bytes());
+                bytes.extend_from_slice(&payload);
+
+                let decoded = decode_snapshot(&bytes).expect("v4 and v5 payloads decode");
+                assert_eq!(decoded.engine, data.engine, "payload preserved");
+
+                let mut p3 = make(name);
+                let mut resumed = resume_from(&decoded, p3.as_mut()).expect("resume");
+                resumed.run_to_completion(p3.as_mut());
+                let report = resumed.report(p3.as_mut());
+                assert_eq!(
+                    base.deterministic_fingerprint(),
+                    report.deterministic_fingerprint(),
+                    "{name}: a v{version} snapshot must resume bit-identically"
+                );
+            }
         }
-        let data = engine.snapshot(p2.as_ref());
-
-        // Regress the payload to schema v4: strip the worker count v5 added.
-        let Value::Object(mut fields) = data.serialize() else {
-            panic!("snapshot value must be an object");
-        };
-        if let Some((_, Value::Object(config_fields))) =
-            fields.iter_mut().find(|(k, _)| k == "config")
-        {
-            config_fields.retain(|(k, _)| k != "workers");
-        } else {
-            panic!("config field must be an object");
-        }
-        let payload = serde::binary::to_bytes(&Value::Object(fields));
-        let mut v4 = Vec::new();
-        v4.extend_from_slice(&SNAPSHOT_MAGIC);
-        v4.extend_from_slice(&ENDIAN_MARKER.to_le_bytes());
-        v4.extend_from_slice(&4u32.to_le_bytes());
-        v4.extend_from_slice(&(payload.len() as u64).to_le_bytes());
-        v4.extend_from_slice(&crc32(&payload).to_le_bytes());
-        v4.extend_from_slice(&payload);
-
-        let migrated = decode_snapshot(&v4).expect("v4 must migrate forward");
-        assert_eq!(
-            migrated.config.workers, 0,
-            "migration defaults to serial planning"
-        );
-        assert_eq!(migrated.engine, data.engine, "payload preserved");
-
-        let mut p3 = make("EATP");
-        let mut resumed = resume_from(&migrated, p3.as_mut()).expect("resume");
-        resumed.run_to_completion(p3.as_mut());
-        let report = resumed.report(p3.as_mut());
-        assert_eq!(
-            base.deterministic_fingerprint(),
-            report.deterministic_fingerprint(),
-            "a v4 snapshot must resume bit-identically"
-        );
     }
 
     #[test]

@@ -8,9 +8,9 @@
 //!   boundary, not just the final fingerprint. This is the strongest
 //!   form of the contract and the deterministic anchor CI re-executes.
 //! * **Regime soaks** — proptests sample (planner, scenario kind,
-//!   scenario seed, fault seed, workers ∈ {0, 2, 4}) tuples across the
-//!   clean, disrupted, chaos and live-order regimes, requiring
-//!   fingerprint (and, live, ack-stream) equality with the dense loop.
+//!   scenario seed, fault seed) tuples across the clean, disrupted, chaos
+//!   and live-order regimes, requiring fingerprint (and, live, ack-stream)
+//!   equality with the dense loop.
 //! * **Agenda reconstruction** — the wake agenda is *derived* state,
 //!   never snapshotted (`docs/snapshot-format.md`): an event-driven run
 //!   snapshotted mid-flight and resumed must re-derive an agenda that
@@ -77,10 +77,9 @@ fn scenario(kind: usize, seed: u64) -> Instance {
 }
 
 /// The two configs under comparison differ in exactly one knob.
-fn config(strategy: TickStrategy, workers: usize) -> EngineConfig {
+fn config(strategy: TickStrategy) -> EngineConfig {
     EngineConfig::builder()
         .tick_strategy(strategy)
-        .workers(workers)
         .build()
         .unwrap()
 }
@@ -178,8 +177,8 @@ fn event_driven_locksteps_dense_state_hashes() {
         for name in PLANNER_NAMES {
             let mut pd = planner_by_name(name, &planner_cfg).unwrap();
             let mut pe = planner_by_name(name, &planner_cfg).unwrap();
-            let mut dense = Engine::new(&inst, &config(TickStrategy::Dense, 0));
-            let mut ed = Engine::new(&inst, &config(TickStrategy::EventDriven, 0));
+            let mut dense = Engine::new(&inst, &config(TickStrategy::Dense));
+            let mut ed = Engine::new(&inst, &config(TickStrategy::EventDriven));
             dense.start(pd.as_mut());
             ed.start(pe.as_mut());
             while !dense.is_finished() {
@@ -235,7 +234,7 @@ fn builder_rejects_reference_exec_event_driven() {
 #[test]
 fn agenda_reconstruction_matches_fresh() {
     let planner_cfg = EatpConfig::default();
-    let cfg = config(TickStrategy::EventDriven, 0);
+    let cfg = config(TickStrategy::EventDriven);
     for kind in [0usize, 1] {
         let inst = scenario(kind, 7);
         for (name, cut) in [("NTP", 23u64), ("EATP", 41)] {
@@ -286,32 +285,28 @@ fn agenda_reconstruction_matches_fresh() {
 }
 
 proptest! {
-    /// Random (planner, scenario kind, scenario seed, workers) tuples on
-    /// clean and disrupted floors: the event-driven fingerprint equals
-    /// the dense one. Workers are sampled from {0, 2, 4} — the strategy
-    /// must compose with parallel leg planning.
+    /// Random (planner, scenario kind, scenario seed) tuples on clean and
+    /// disrupted floors: the event-driven fingerprint equals the dense one.
     #[test]
     fn event_driven_matches_dense(
         planner_idx in 0usize..5,
         kind in 0usize..3,
         seed in 0u64..10_000,
-        workers_idx in 0usize..3,
     ) {
         let name = PLANNER_NAMES[planner_idx];
-        let workers = [0usize, 2, 4][workers_idx];
         let inst = scenario(kind, seed);
         let planner_cfg = EatpConfig::default();
 
         let mut p = planner_by_name(name, &planner_cfg).unwrap();
-        let dense = run_simulation(&inst, &mut *p, &config(TickStrategy::Dense, workers));
+        let dense = run_simulation(&inst, &mut *p, &config(TickStrategy::Dense));
         let mut p = planner_by_name(name, &planner_cfg).unwrap();
-        let ed = run_simulation(&inst, &mut *p, &config(TickStrategy::EventDriven, workers));
+        let ed = run_simulation(&inst, &mut *p, &config(TickStrategy::EventDriven));
         prop_assert!(dense.completed, "{name} kind {kind} seed {seed}: dense must finish");
         prop_assert_eq!(
             dense.deterministic_fingerprint(),
             ed.deterministic_fingerprint(),
-            "{} diverged from dense (kind {}, seed {}, workers {})",
-            name, kind, seed, workers
+            "{} diverged from dense (kind {}, seed {})",
+            name, kind, seed
         );
     }
 
