@@ -1,6 +1,6 @@
 //! Perf-trajectory harness: median ns/query of the spatiotemporal A* hot
-//! path, seed reference vs arena-optimized, on the `micro_astar`
-//! congested-grid case *and* on a huge-slack query whose dense table would
+//! path, seed reference vs arena-optimized, on the congested 120×80
+//! sweeper grid *and* on a huge-slack query whose dense table would
 //! exceed [`DENSE_TABLE_CAP`] — the sparse hash fallback, which previously
 //! had no perf floor. A third case, `parked_goal_clearance`, is the
 //! paper-scale shape that used to burn the whole expansion budget: a parking
@@ -100,7 +100,7 @@ struct BenchReport {
     paper_floor_rotation: RotationReport,
 }
 
-/// The congested-grid case shared with `micro_astar` and the no-alloc test:
+/// The congested-grid case shared with the pathfinding no-alloc test:
 /// 40 robots sweep vertical columns while the query crosses them all.
 fn setup() -> (GridMap, ConflictDetectionTable) {
     let grid = GridMap::filled(120, 80, CellKind::Aisle);

@@ -10,24 +10,18 @@
 //! Run with: `cargo run --release -p eatp-bench --bin bench_sim`
 //! (`BENCH_SIM_ITERS` overrides the per-cell iteration count.)
 //!
-//! Each (scenario, planner) cell is run twice per iteration: once in
-//! **reference mode** (the pre-batching execution path: per-leg `plan_leg`
-//! calls through the engine's retain-loops, the seed's grid-cloning
-//! `HashMap`-memoized distance oracle, the seed's `HashMap` trajectory
-//! validator, per-leg timing brackets) and once in **batched mode** (one
-//! `plan_legs` call per tick, the flat generation-stamped oracle, the
-//! allocation-free validator, per-batch timing). The two modes must produce
-//! bit-identical simulation outputs — the harness asserts it — so the
-//! recorded `speedup` is a pure execution-efficiency ratio, safe to gate in
-//! CI on any hardware.
+//! Each (scenario, planner) cell records `batched_ns_per_tick`, the median
+//! ns/tick of the engine's one execution path on this host — an absolute
+//! number for orientation, not a gate; `benchmark/run.sh` on alternated
+//! parent/change pairs is what judges a performance claim
+//! (`docs/adr/ADR-006-one-execution-path.md`).
 //!
-//! Schema `bench_sim/v3` additionally pins EATP's congested tick cost:
-//! `congested_eatp_ns_per_tick` records the absolute number the ROADMAP
-//! tracks, and `congested_eatp_over_ntp` (EATP ÷ NTP, both in-process) is
-//! gated at `eatp_ntp_gate` so a regression of the pooled CDT, the
-//! step-field path cache or the flat KNN build fails CI.
+//! `congested_eatp_ns_per_tick` records EATP's congested tick cost, and
+//! `congested_eatp_over_ntp` (EATP ÷ NTP, both in-process) is gated at
+//! `eatp_ntp_gate` so a regression of the pooled CDT, the step-field path
+//! cache or the flat KNN build fails CI.
 //!
-//! Schema `bench_sim/v4` adds the **anticipation study**: on the two
+//! The **anticipation study**: on the two
 //! blockade-heavy cases (`sim_cases::ANTICIPATION_CASES`) every planner is
 //! additionally run with `EatpConfig::anticipation` on, and the
 //! aware-vs-reactive makespan ratio plus `anticipation_hits` are recorded
@@ -35,7 +29,7 @@
 //! folding live blockade context into selection must never cost makespan,
 //! and the committed baseline shows a strict win).
 //!
-//! Schema `bench_sim/v6` adds the **event-driven study**: the quiescence
+//! The **event-driven study**: the quiescence
 //! cases (`sim_cases::sparse_quiescent` — an over-fleeted 64×44 floor
 //! whose ticks are mostly idle — and the paper-scale quiescent 200×200
 //! floor, `sim_cases::paper_quiescent`) run twice per planner, once with
@@ -45,15 +39,17 @@
 //! recorded speedup is a pure scheduling-efficiency ratio. CI gates the
 //! quiescent sparse floor's aggregate speedup at `event_gate`.
 //!
-//! Schema `bench_sim/v7` drops the v5 parallel study with the speculative
-//! leg planning it measured (`docs/adr/ADR-005-serial-leg-planning.md`),
-//! and `pre_change_ns_per_tick`, a number recorded on another machine.
+//! Schema history: v7 dropped the parallel study with the speculative leg
+//! planning it measured (`docs/adr/ADR-005-serial-leg-planning.md`); v8
+//! drops the reference-vs-batched ratio (`reference_ns_per_tick`,
+//! `speedup`, `aggregate_speedup`, `identical_reports`, `congested_gate`)
+//! with the serial engine path it timed (ADR-006).
 //!
 //! Extra modes for CI:
 //!
 //! * `BENCH_SIM_FP_OUT=<path>` — *determinism soak*: skip timing entirely,
-//!   run every disrupted scenario once per planner (batched mode) and write
-//!   one fingerprint line per run. CI runs this twice and `diff`s the
+//!   run every disrupted scenario once per planner and write one
+//!   fingerprint line per run. CI runs this twice and `diff`s the
 //!   files: any nondeterminism in the disruption replay fails the job. The
 //!   output is also diffed against the committed
 //!   `results/fingerprints_faults_off.txt`, pinning faults-off runs to
@@ -69,8 +65,8 @@
 //!   the agenda scheduler must be bit-invisible under disruption replay.
 
 use eatp_bench::sim_cases::{
-    deterministic_fields, paper_quiescent, scenarios, sparse_quiescent, SimScenario,
-    ANTICIPATION_CASES, PAPER_SCALE_PLANNERS,
+    paper_quiescent, scenarios, sparse_quiescent, SimScenario, ANTICIPATION_CASES,
+    PAPER_SCALE_PLANNERS,
 };
 use eatp_core::{planner_by_name, EatpConfig, PLANNER_NAMES};
 use serde::Serialize;
@@ -82,13 +78,10 @@ use tprw_simulator::{
 #[derive(Debug, Serialize)]
 struct PlannerCell {
     planner: String,
-    reference_ns_per_tick: u64,
     batched_ns_per_tick: u64,
-    speedup: f64,
     makespan: u64,
     rack_trips: usize,
     executed_conflicts: usize,
-    identical_reports: bool,
 }
 
 #[derive(Debug, Serialize)]
@@ -96,15 +89,13 @@ struct ScenarioReport {
     name: String,
     description: String,
     planners: Vec<PlannerCell>,
-    /// Geometric mean of the per-planner speedups.
-    aggregate_speedup: f64,
 }
 
 #[derive(Debug, Serialize)]
 struct AnticipationCell {
     planner: String,
-    /// Makespan with `EatpConfig::anticipation` off (the recorded batched
-    /// run of the timing section).
+    /// Makespan with `EatpConfig::anticipation` off (the recorded run of
+    /// the timing section).
     reactive_makespan: u64,
     /// Makespan with the anticipation term on.
     aware_makespan: u64,
@@ -152,9 +143,7 @@ struct EventDrivenReport {
 struct BenchReport {
     schema: &'static str,
     iterations: usize,
-    /// EATP's absolute batched ns/tick on the congested gate scenario —
-    /// the number the ROADMAP's "EATP tick cost" item tracks (~10 µs before
-    /// the pooled CDT / step-field cache / flat KNN work).
+    /// EATP's absolute ns/tick on the congested gate scenario.
     congested_eatp_ns_per_tick: u64,
     /// `EATP ns/tick ÷ NTP ns/tick` on the congested scenario. Both sides
     /// are measured in-process, so the ratio is hardware-independent; CI
@@ -163,9 +152,6 @@ struct BenchReport {
     /// Upper bound on `congested_eatp_over_ntp` enforced by CI.
     eatp_ntp_gate: f64,
     scenarios: Vec<ScenarioReport>,
-    /// CI fails when the congested scenario's aggregate speedup drops below
-    /// this bar.
-    congested_gate: f64,
     /// Aware-vs-reactive makespan per planner on the blockade-heavy cases.
     anticipation: Vec<AnticipationReport>,
     /// CI fails when `anticipation_gate_planner`'s `makespan_ratio` exceeds
@@ -215,7 +201,7 @@ fn timed_run(
     (elapsed / report.makespan.max(1), report)
 }
 
-/// Determinism-soak mode: one batched run per (disrupted scenario, planner),
+/// Determinism-soak mode: one run per (disrupted scenario, planner),
 /// one fingerprint line each. CI invokes this twice and diffs the outputs —
 /// and, for the faults-off flavour, against the committed
 /// `results/fingerprints_faults_off.txt` so fault-injection plumbing can
@@ -276,7 +262,7 @@ fn write_fingerprints(path: &str, chaos: Option<u64>, strategy: TickStrategy) {
                 "{} {} {:?}\n",
                 scenario.name,
                 name,
-                deterministic_fields(&report)
+                report.deterministic_fingerprint()
             ));
         }
     }
@@ -318,74 +304,41 @@ fn main() {
         .unwrap_or(7);
     let out_path = std::env::var("BENCH_SIM_OUT").unwrap_or_else(|_| "BENCH_sim.json".to_string());
 
-    let reference_config = EatpConfig {
-        reference_oracle: true,
-        ..EatpConfig::default()
-    };
-    let reference_engine = EngineConfig::builder()
-        .reference_exec(true)
-        .build()
-        .expect("reference config is valid");
-    let batched_config = EatpConfig::default();
-    let batched_engine = EngineConfig::default();
+    let config = EatpConfig::default();
+    let engine = EngineConfig::default();
 
     let mut scenario_reports = Vec::new();
     for scenario in scenarios() {
         eprintln!("== scenario {} ==", scenario.name);
         let mut cells = Vec::new();
         for name in PLANNER_NAMES {
-            let mut ref_samples = Vec::with_capacity(iters);
-            let mut bat_samples = Vec::with_capacity(iters);
-            let mut identical = true;
+            let mut samples = Vec::with_capacity(iters);
             let mut last_report = None;
             for _ in 0..iters {
-                let (ref_ns, ref_report) =
-                    timed_run(&scenario, name, &reference_config, &reference_engine);
-                let (bat_ns, bat_report) =
-                    timed_run(&scenario, name, &batched_config, &batched_engine);
-                identical &= deterministic_fields(&ref_report) == deterministic_fields(&bat_report);
-                ref_samples.push(ref_ns);
-                bat_samples.push(bat_ns);
-                last_report = Some(bat_report);
+                let (ns, report) = timed_run(&scenario, name, &config, &engine);
+                samples.push(ns);
+                last_report = Some(report);
             }
-            assert!(
-                identical,
-                "{name} on {}: batched run diverged from the reference path",
-                scenario.name
-            );
             let report = last_report.expect("at least one iteration");
-            let reference_ns = median(&mut ref_samples);
-            let batched_ns = median(&mut bat_samples);
-            let speedup = reference_ns as f64 / batched_ns.max(1) as f64;
-            eprintln!(
-                "  {name:<5} reference {reference_ns:>8} ns/tick -> batched {batched_ns:>8} ns/tick \
-                 ({speedup:.2}x), makespan {}",
-                report.makespan
-            );
+            let ns = median(&mut samples);
+            eprintln!("  {name:<5} {ns:>8} ns/tick, makespan {}", report.makespan);
             cells.push(PlannerCell {
                 planner: name.to_string(),
-                reference_ns_per_tick: reference_ns,
-                batched_ns_per_tick: batched_ns,
-                speedup,
+                batched_ns_per_tick: ns,
                 makespan: report.makespan,
                 rack_trips: report.rack_trips,
                 executed_conflicts: report.executed_conflicts,
-                identical_reports: identical,
             });
         }
-        let aggregate =
-            (cells.iter().map(|c| c.speedup.ln()).sum::<f64>() / cells.len().max(1) as f64).exp();
-        eprintln!("  aggregate {aggregate:.2}x");
         scenario_reports.push(ScenarioReport {
             name: scenario.name.to_string(),
             description: scenario.description.to_string(),
             planners: cells,
-            aggregate_speedup: aggregate,
         });
     }
 
-    // Anticipation study: aware (flag-on) vs the reactive batched runs
-    // recorded above, on the blockade-heavy cases. Makespan is fully
+    // Anticipation study: aware (flag-on) vs the reactive runs recorded
+    // above, on the blockade-heavy cases. Makespan is fully
     // deterministic per (scenario, planner, flag), so one run per cell
     // suffices — this measures *outcomes*, not wall clocks.
     let aware_config = EatpConfig {
@@ -405,7 +358,7 @@ fn main() {
             .planners;
         let mut cells = Vec::new();
         for name in PLANNER_NAMES {
-            let (_, aware) = timed_run(&scenario, name, &aware_config, &batched_engine);
+            let (_, aware) = timed_run(&scenario, name, &aware_config, &engine);
             let reactive_makespan = reactive_cells
                 .iter()
                 .find(|c| c.planner == name)
@@ -453,12 +406,10 @@ fn main() {
             let mut identical = true;
             let mut last_report = None;
             for _ in 0..iters {
-                let (dense_ns, dense_report) =
-                    timed_run(&scenario, name, &batched_config, &batched_engine);
-                let (event_ns, event_report) =
-                    timed_run(&scenario, name, &batched_config, &event_engine);
-                identical &=
-                    deterministic_fields(&dense_report) == deterministic_fields(&event_report);
+                let (dense_ns, dense_report) = timed_run(&scenario, name, &config, &engine);
+                let (event_ns, event_report) = timed_run(&scenario, name, &config, &event_engine);
+                identical &= dense_report.deterministic_fingerprint()
+                    == event_report.deterministic_fingerprint();
                 dense_samples.push(dense_ns);
                 event_samples.push(event_ns);
                 last_report = Some(event_report);
@@ -509,13 +460,12 @@ fn main() {
     let congested_ntp = ns_of("NTP");
 
     let report = BenchReport {
-        schema: "bench_sim/v7",
+        schema: "bench_sim/v8",
         iterations: iters,
         congested_eatp_ns_per_tick: congested_eatp,
         congested_eatp_over_ntp: congested_eatp as f64 / congested_ntp.max(1) as f64,
         eatp_ntp_gate: 3.0,
         scenarios: scenario_reports,
-        congested_gate: 1.3,
         anticipation,
         anticipation_gate: 1.0,
         anticipation_gate_planner: "EATP",

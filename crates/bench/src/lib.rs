@@ -29,16 +29,6 @@ pub fn scale_from_env() -> f64 {
         .unwrap_or(DEFAULT_SCALE)
 }
 
-/// Criterion benches use a smaller default so iterations stay in the
-/// tens-of-milliseconds range (`BENCH_SCALE` overrides).
-pub fn bench_scale_from_env() -> f64 {
-    std::env::var("BENCH_SCALE")
-        .ok()
-        .and_then(|s| s.parse::<f64>().ok())
-        .filter(|s| *s > 0.0 && *s <= 1.0)
-        .unwrap_or(0.005)
-}
-
 /// Whether the paper could not run `planner` on `dataset` (Table III's "−"
 /// entries). We honour the same skip above a scale threshold: these
 /// baselines are quadratic-ish in fleet size and dominate wall time long
@@ -148,8 +138,6 @@ mod tests {
         // No env manipulation (tests run in parallel): defaults only.
         let s = scale_from_env();
         assert!(s > 0.0 && s <= 1.0);
-        let b = bench_scale_from_env();
-        assert!(b > 0.0 && b <= 1.0);
     }
 
     #[test]

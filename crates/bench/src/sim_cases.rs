@@ -11,9 +11,8 @@
 //!   overhead (scans, validation, metrics) dominates.
 //!
 //! Three *disrupted* workloads exercise the dynamic-world subsystem as a
-//! measured, reproducible load (each also runs through the reference/serial
-//! path, so replanning and invalidation stay bit-identical across engine
-//! modes):
+//! measured, reproducible load (their fingerprints are pinned by
+//! `results/fingerprints_faults_off.txt`):
 //!
 //! * **breakdown wave** — a quarter of the congested fleet fails across a
 //!   window, freezing mid-aisle and forcing survivors to route around;
@@ -21,13 +20,7 @@
 //!   paths (oracle/cache/KNN invalidation + replans);
 //! * **station outage during surge** — pickers walk away exactly while a
 //!   carnival-style arrival surge is peaking.
-//!
-//! [`deterministic_fields`] projects a [`SimulationReport`] onto the fields
-//! that must be bit-identical between the reference (serial, pre-change)
-//! and batched execution paths — everything except wall-clock timings and
-//! memory accounting, which legitimately differ across modes.
 
-use tprw_simulator::{DeterministicFingerprint, SimulationReport};
 use tprw_warehouse::{
     ArrivalProfile, DisruptionConfig, Instance, LayoutConfig, ScenarioSpec, WorkloadConfig,
 };
@@ -239,7 +232,7 @@ pub fn disrupted_outage_surge() -> SimScenario {
 /// case: with that many live blockades, which rack a planner commits to
 /// matters more than how it routes — disruption-aware selection
 /// (`EatpConfig::anticipation`) is measured against reactive-only here
-/// (`bench_sim` schema v4) and gated in CI for EATP.
+/// (`bench_sim`'s anticipation study) and gated in CI for EATP.
 pub fn disrupted_blockade_storm() -> SimScenario {
     let instance = ScenarioSpec {
         name: "bench-blockade-storm".into(),
@@ -340,7 +333,7 @@ pub fn disrupted_blockade_rolling() -> SimScenario {
 /// are fully quiescent. On the dense loop every such tick still scans all
 /// 48 motionless robots across the arrival/picking/planning/bookkeeping
 /// phases; the event-driven agenda collapses it to O(1). This is the
-/// CI-gated case of `bench_sim`'s event-driven study (schema v6).
+/// CI-gated case of `bench_sim`'s event-driven study.
 pub fn sparse_quiescent() -> SimScenario {
     let instance = ScenarioSpec {
         name: "bench-sparse-quiescent".into(),
@@ -371,8 +364,7 @@ pub fn sparse_quiescent() -> SimScenario {
 /// tick is pure overhead (robot scans, validator scan, bookkeeping) over
 /// 300 motionless robots. The open layout keeps the distance oracle on
 /// exact Manhattan so the study measures *engine* overhead, not BFS
-/// fields. This is the event-driven study's paper-scale case (`bench_sim`
-/// schema v6).
+/// fields. This is the event-driven study's paper-scale case.
 pub fn paper_quiescent() -> SimScenario {
     let instance = ScenarioSpec {
         name: "bench-paper-quiescent".into(),
@@ -424,14 +416,6 @@ pub const ANTICIPATION_CASES: [&str; 2] = [
     "disrupted-blockade-storm-44x32",
     "disrupted-blockade-rolling-44x32",
 ];
-
-/// The deterministic projection of a report: every field that the batched
-/// execution path must reproduce bit-identically. Delegates to
-/// [`SimulationReport::deterministic_fingerprint`] so this harness and the
-/// `batched_equivalence` test compare the same projection.
-pub fn deterministic_fields(r: &SimulationReport) -> DeterministicFingerprint {
-    r.deterministic_fingerprint()
-}
 
 #[cfg(test)]
 mod tests {

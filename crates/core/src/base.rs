@@ -14,7 +14,7 @@ use crate::world::WorldView;
 use serde::{Deserialize, Serialize};
 use std::time::Instant;
 use tprw_pathfinding::astar::{plan_path_with, PlanOptions};
-use tprw_pathfinding::bfs::{DistanceOracle, ReferenceDistanceOracle};
+use tprw_pathfinding::bfs::DistanceOracle;
 use tprw_pathfinding::{
     ConflictDetectionTable, KNearestRacks, KnnChange, MemoryFootprint, Path, PathCache,
     ReservationContent, ReservationSystem, SearchScratch, SpatioTemporalGraph,
@@ -32,89 +32,6 @@ const DETOUR_CAP: u64 = 1 << 20;
 /// currently open cells on the corridor): a mild tie-break against live
 /// blockades' detour-weighted term.
 const BLOCKADE_TREND_WEIGHT: u64 = 1;
-
-/// `d(·,·)` backend: the flat generation-stamped oracle, or the seed's
-/// grid-cloning `HashMap`-memoized one (kept, like `reference.rs` for A*,
-/// so `bench_sim` can measure the pre-change baseline in-process). The two
-/// return identical distances — pinned by the `bfs` property tests.
-pub enum Oracle {
-    /// The flat oracle (default).
-    Flat(DistanceOracle),
-    /// The seed oracle (baseline measurements only).
-    Reference(ReferenceDistanceOracle),
-}
-
-impl Oracle {
-    /// Uncongested distance `d(a, b)`.
-    #[inline]
-    pub fn dist(&mut self, a: GridPos, b: GridPos) -> u64 {
-        match self {
-            Oracle::Flat(o) => o.dist(a, b),
-            Oracle::Reference(o) => o.dist(a, b),
-        }
-    }
-
-    /// Whether Manhattan distance is exact on this grid.
-    pub fn obstacle_free(&self) -> bool {
-        match self {
-            Oracle::Flat(o) => o.obstacle_free(),
-            Oracle::Reference(o) => o.obstacle_free(),
-        }
-    }
-
-    /// Number of live memoized BFS fields (diagnostics).
-    pub fn field_count(&self) -> usize {
-        match self {
-            Oracle::Flat(o) => o.field_count(),
-            Oracle::Reference(o) => o.field_count(),
-        }
-    }
-
-    /// Approximate heap bytes held by the oracle.
-    pub fn memory_bytes(&self) -> usize {
-        match self {
-            Oracle::Flat(o) => o.memory_bytes(),
-            Oracle::Reference(o) => o.memory_bytes(),
-        }
-    }
-
-    /// Propagate a grid mutation: both backends evict their memoized fields
-    /// and recompute the obstacle-free fast-path flag.
-    pub fn set_passable(&mut self, pos: GridPos, passable: bool) {
-        match self {
-            Oracle::Flat(o) => o.set_passable(pos, passable),
-            Oracle::Reference(o) => o.set_passable(pos, passable),
-        }
-    }
-
-    /// Drop every memoized field (degradation recovery; distances recompute
-    /// identically on demand).
-    pub fn evict_all_fields(&mut self) {
-        match self {
-            Oracle::Flat(o) => o.evict_all_fields(),
-            Oracle::Reference(o) => o.evict_all_fields(),
-        }
-    }
-
-    /// Deterministically corrupt one memoized field (fault injection).
-    /// Only the flat oracle exposes poisoning; the reference baseline
-    /// reports `false` (nothing poisoned).
-    pub fn poison_field(&mut self, salt: u64) -> bool {
-        match self {
-            Oracle::Flat(o) => o.poison_field(salt),
-            Oracle::Reference(_) => false,
-        }
-    }
-
-    /// Integrity sweep over the memoized fields; returns how many corrupt
-    /// fields were found (all fields are evicted when any is).
-    pub fn verify_fields(&mut self) -> usize {
-        match self {
-            Oracle::Flat(o) => o.verify_fields(),
-            Oracle::Reference(_) => 0,
-        }
-    }
-}
 
 /// Reusable selection scratch shared through [`PlannerBase`]: EATP's
 /// flip-side selection runs every timestamp, so its membership bitmaps and
@@ -207,7 +124,7 @@ pub struct PlannerBase<R: ReservationBackend> {
     /// Conflict-avoidance structure.
     pub resv: R,
     /// Uncongested distances `d(·,·)`.
-    pub oracle: Oracle,
+    pub oracle: DistanceOracle,
     /// Cache-aided path finding (EATP; `None` elsewhere).
     pub cache: Option<PathCache>,
     /// K-nearest-rack index (EATP; `None` elsewhere).
@@ -266,11 +183,7 @@ impl<R: ReservationBackend> PlannerBase<R> {
             let homes: Vec<GridPos> = instance.racks.iter().map(|r| r.home).collect();
             KNearestRacks::build(&grid, &homes, config.k_nearest)
         });
-        let oracle = if config.reference_oracle {
-            Oracle::Reference(ReferenceDistanceOracle::new(&grid))
-        } else {
-            Oracle::Flat(DistanceOracle::new(&grid))
-        };
+        let oracle = DistanceOracle::new(&grid);
         let outlook = DisruptionOutlook::new(
             grid.width(),
             grid.cell_count(),

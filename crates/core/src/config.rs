@@ -86,12 +86,6 @@ pub struct EatpConfig {
     /// them. Only observable when [`EatpConfig::anticipation`] is also on
     /// (the notices feed the same outlook the anticipation reorder reads).
     pub maintenance_outlook: bool,
-    /// Use the seed's grid-cloning `HashMap`-memoized distance oracle
-    /// instead of the flat generation-stamped one. Distances are identical
-    /// (property-tested); only speed and memory behaviour differ. Exists so
-    /// `bench_sim` can measure the pre-change baseline in-process — leave
-    /// `false` everywhere else.
-    pub reference_oracle: bool,
 }
 
 impl Default for EatpConfig {
@@ -108,7 +102,6 @@ impl Default for EatpConfig {
             anticipation: false,
             anticipation_slack: 4,
             maintenance_outlook: false,
-            reference_oracle: false,
         }
     }
 }

@@ -8,14 +8,11 @@
 //!
 //! # Hot-path design
 //!
-//! The seed oracle ([`ReferenceDistanceOracle`], kept for baselining and
-//! equivalence tests) cloned the whole [`GridMap`] and memoized one
-//! `DistanceGrid` per *query source* in an unbounded
-//! `HashMap<GridPos, DistanceGrid>`. Planner queries put the *varying*
-//! endpoint first (`dist(robot_pos, rack_home)`), so that design computes a
-//! fresh full-grid BFS for nearly every query and every probe pays a
-//! SipHash lookup. [`DistanceOracle`] flattens all of it, in the style of
-//! the PR-1 `SearchScratch` arena:
+//! Planner queries put the *varying* endpoint first
+//! (`dist(robot_pos, rack_home)`), so a memo keyed by query source would
+//! BFS the whole grid for nearly every query. [`DistanceOracle`] is flat,
+//! in the style of the `SearchScratch` arena (its property tests compare
+//! it against the brute-force [`bfs_distances`]):
 //!
 //! * no grid clone — only a dense passability snapshot;
 //! * **dense slot index**: `slot_of[cell]` maps a BFS source to its field
@@ -28,12 +25,11 @@
 //!   recomputations without clearing — a cell's entry is valid only when
 //!   its stamp matches the slot generation;
 //! * **LRU cap**: at most [`DistanceOracle::DEFAULT_FIELD_CAP`] live fields;
-//!   the least-recently-used slot is recycled, bounding memory where the
-//!   seed grew without limit.
+//!   the least-recently-used slot is recycled, bounding memory.
 
-use crate::footprint::{MemoryFootprint, HASH_ENTRY_OVERHEAD};
-use std::collections::{HashMap, VecDeque};
-use tprw_warehouse::{CellKind, GridMap, GridPos};
+use crate::footprint::MemoryFootprint;
+use std::collections::VecDeque;
+use tprw_warehouse::{GridMap, GridPos};
 
 /// Distance field from one source over passable cells.
 #[derive(Debug, Clone)]
@@ -445,90 +441,6 @@ impl MemoryFootprint for DistanceOracle {
     }
 }
 
-/// The seed oracle: grid clone plus an unbounded source-keyed `HashMap` of
-/// BFS fields. Kept (like `reference.rs` for A*) as the pre-change baseline
-/// for `bench_sim` and as the equivalence reference for the flat oracle's
-/// property tests. Distances are identical to [`DistanceOracle`]; only
-/// speed and memory behaviour differ.
-#[derive(Debug, Clone)]
-pub struct ReferenceDistanceOracle {
-    grid: GridMap,
-    obstacle_free: bool,
-    fields: HashMap<GridPos, DistanceGrid>,
-}
-
-impl ReferenceDistanceOracle {
-    /// Build an oracle over (a clone of) the grid.
-    pub fn new(grid: &GridMap) -> Self {
-        let obstacle_free = grid.count_kind(CellKind::Blocked) == 0;
-        Self {
-            grid: grid.clone(),
-            obstacle_free,
-            fields: HashMap::new(),
-        }
-    }
-
-    /// Whether Manhattan distance is exact on this grid.
-    #[inline]
-    pub fn obstacle_free(&self) -> bool {
-        self.obstacle_free
-    }
-
-    /// Mutate the cloned grid (disruption blockade / reopening) and drop
-    /// every memoized field — the seed-design equivalent of
-    /// [`DistanceOracle::set_passable`], kept so the reference execution
-    /// path stays usable under disrupted scenarios.
-    pub fn set_passable(&mut self, pos: GridPos, passable: bool) {
-        let kind = if passable {
-            CellKind::Aisle
-        } else {
-            CellKind::Blocked
-        };
-        self.grid.set_kind(pos, kind);
-        self.obstacle_free = self.grid.count_kind(CellKind::Blocked) == 0;
-        self.fields.clear();
-    }
-
-    /// `d(a, b)`: uncongested travel delay between two cells.
-    pub fn dist(&mut self, a: GridPos, b: GridPos) -> u64 {
-        if self.obstacle_free {
-            return a.manhattan(b);
-        }
-        let field = self
-            .fields
-            .entry(a)
-            .or_insert_with(|| bfs_distances(&self.grid, a));
-        let d = field.get(b);
-        if d == UNREACHABLE {
-            u64::MAX
-        } else {
-            d as u64
-        }
-    }
-
-    /// Number of memoized BFS fields (diagnostics).
-    pub fn field_count(&self) -> usize {
-        self.fields.len()
-    }
-
-    /// Drop every memoized field (degradation recovery; see
-    /// [`DistanceOracle::evict_all_fields`]).
-    pub fn evict_all_fields(&mut self) {
-        self.fields.clear();
-    }
-}
-
-impl MemoryFootprint for ReferenceDistanceOracle {
-    fn memory_bytes(&self) -> usize {
-        let cells = self.grid.cell_count();
-        let per_field = cells * std::mem::size_of::<u32>()
-            + std::mem::size_of::<(GridPos, DistanceGrid)>()
-            + HASH_ENTRY_OVERHEAD;
-        // The cloned grid (one byte per cell) plus every memoized field.
-        cells + self.fields.len() * per_field
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -666,24 +578,6 @@ mod tests {
     }
 
     #[test]
-    fn reference_oracle_tracks_mutations() {
-        let grid = GridMap::filled(8, 8, CellKind::Aisle);
-        let mut oracle = ReferenceDistanceOracle::new(&grid);
-        assert_eq!(oracle.dist(p(0, 0), p(4, 0)), 4);
-        for y in 0..7 {
-            oracle.set_passable(p(2, y), false);
-        }
-        assert_eq!(oracle.dist(p(0, 0), p(4, 0)), 18);
-        assert!(oracle.field_count() >= 1);
-        for y in 0..7 {
-            oracle.set_passable(p(2, y), true);
-        }
-        assert!(oracle.obstacle_free());
-        assert_eq!(oracle.field_count(), 0);
-        assert_eq!(oracle.dist(p(0, 0), p(4, 0)), 4);
-    }
-
-    #[test]
     fn memory_footprint_tracks_fields() {
         let mut grid = GridMap::filled(16, 16, CellKind::Aisle);
         grid.set_kind(p(8, 8), CellKind::Blocked);
@@ -728,6 +622,14 @@ mod tests {
         let b = build(123);
         for (sa, sb) in a.slots.iter().zip(&b.slots) {
             assert_eq!(sa.dist, sb.dist, "same salt corrupts the same cell");
+        }
+    }
+
+    /// Brute force `d(a, b)`: one fresh full-grid BFS per query.
+    fn brute_dist(grid: &GridMap, a: GridPos, b: GridPos) -> u64 {
+        match bfs_distances(grid, a).get(b) {
+            UNREACHABLE => u64::MAX,
+            d => d as u64,
         }
     }
 
@@ -784,8 +686,8 @@ mod tests {
         }
 
         /// Interleaved queries and passability mutations: the flat oracle's
-        /// eviction must keep it equal to the reference oracle (which drops
-        /// its whole memo) for any block/unblock stream.
+        /// eviction must keep it equal to brute-force BFS on the mutated
+        /// grid for any block/unblock stream.
         #[test]
         fn oracles_agree_under_mutation(
             mask in 0u64..16,
@@ -798,9 +700,8 @@ mod tests {
                 .iter()
                 .flat_map(|&(_, ax, ay, bx, by)| [p(ax, ay), p(bx, by)])
                 .collect();
-            let grid = obstructed_grid(8, mask, &keep);
+            let mut grid = obstructed_grid(8, mask, &keep);
             let mut flat = DistanceOracle::with_field_cap(&grid, 2);
-            let mut reference = ReferenceDistanceOracle::new(&grid);
             // The mutable cell flips between blocked and open over the run.
             let target = p(7, 7);
             prop_assume!(!keep.contains(&target));
@@ -809,15 +710,16 @@ mod tests {
                 if flip == 1 {
                     blocked = !blocked;
                     flat.set_passable(target, !blocked);
-                    reference.set_passable(target, !blocked);
+                    let kind = if blocked { CellKind::Blocked } else { CellKind::Aisle };
+                    grid.set_kind(target, kind);
                 }
                 let (a, b) = (p(ax, ay), p(bx, by));
-                prop_assert_eq!(flat.dist(a, b), reference.dist(a, b),
+                prop_assert_eq!(flat.dist(a, b), brute_dist(&grid, a, b),
                     "d({}, {}) after mutations", a, b);
             }
         }
 
-        /// The flat oracle equals per-query reference BFS on obstructed
+        /// The flat oracle equals per-query brute-force BFS on obstructed
         /// grids, across interleaved query streams (exercising slot reuse,
         /// symmetry flips and LRU recycling with a tiny cap).
         #[test]
@@ -831,16 +733,12 @@ mod tests {
                 .collect();
             let grid = obstructed_grid(10, mask, &keep);
             let mut flat = DistanceOracle::with_field_cap(&grid, 3);
-            let mut reference = ReferenceDistanceOracle::new(&grid);
             for &(ax, ay, bx, by) in &queries {
                 let (a, b) = (p(ax, ay), p(bx, by));
-                prop_assert_eq!(
-                    flat.dist(a, b),
-                    reference.dist(a, b),
-                    "d({}, {})", a, b
-                );
+                let expected = brute_dist(&grid, a, b);
+                prop_assert_eq!(flat.dist(a, b), expected, "d({}, {})", a, b);
                 // Symmetry holds on the undirected grid.
-                prop_assert_eq!(flat.dist(b, a), reference.dist(a, b));
+                prop_assert_eq!(flat.dist(b, a), expected);
             }
         }
     }

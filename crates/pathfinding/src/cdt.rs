@@ -9,8 +9,8 @@
 //!
 //! # Pooled layout
 //!
-//! The previous layout (preserved as
-//! [`crate::reference_cdt::ReferenceConflictDetectionTable`]) kept one heap
+//! The previous layout (preserved as the test-only
+//! `reference_cdt::ReferenceConflictDetectionTable`) kept one heap
 //! `Vec<(Tick, RobotId)>` per cell: 24 bytes of `Vec` header per cell even
 //! when empty — the dominant fixed cost of the Fig. 12 small-scale
 //! inversion — and a pointer chase on every `can_move`. This module removes
@@ -51,8 +51,7 @@
 //! cell-tick), `reservations` equals the sum of window lengths, and every
 //! spilled cell's handle matches its run's generation stamp. Equivalence
 //! with the reference layout is property-tested below
-//! (`pooled_equals_reference_under_soup`); the speedup is recorded by
-//! `bench_cdt` in `BENCH_cdt.json`.
+//! (`pooled_equals_reference_under_soup`).
 
 use crate::footprint::MemoryFootprint;
 use crate::path::Path;
@@ -298,7 +297,7 @@ impl ConflictDetectionTable {
         }
     }
 
-    /// Insert a single timed reservation (used by tests and `bench_cdt`;
+    /// Insert a single timed reservation (used by tests and probes;
     /// planners insert whole paths via [`ReservationSystem::reserve_path`]).
     ///
     /// # Panics

@@ -39,7 +39,8 @@ pub mod knn;
 pub mod path;
 mod proptests;
 pub mod reference;
-pub mod reference_cdt;
+#[cfg(test)]
+mod reference_cdt;
 pub mod reservation;
 pub mod scratch;
 pub mod stg;

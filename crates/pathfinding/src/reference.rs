@@ -8,9 +8,9 @@
 //! 1. **Equivalence testing** — property tests assert the optimized search
 //!    returns conflict-free paths of *identical cost* on randomized
 //!    scenarios (`proptests.rs`).
-//! 2. **Perf baselining** — the `micro_astar` bench and the `bench_astar`
-//!    harness measure the optimized hot path against this one; the recorded
-//!    speedup seeds the repo's performance trajectory.
+//! 2. **Perf baselining** — the `bench_astar` harness measures the
+//!    optimized hot path against this one; the recorded speedup seeds the
+//!    repo's performance trajectory.
 //!
 //! ⚠ Do not use in planners: besides the allocation churn, its
 //! `(t << 24) | cell_index` state key **aliases states on grids with ≥ 2²⁴

@@ -1,14 +1,12 @@
-//! The pre-pool conflict detection table, preserved as the measured
-//! baseline (same pattern as [`crate::reference`] for A* and
-//! `ReferenceDistanceOracle` for `d(·,·)`).
+//! The pre-pool conflict detection table, compiled only under `cfg(test)`
+//! as the reference the pooled table's property tests compare against.
 //!
 //! One heap-allocated sorted `Vec<(Tick, RobotId)>` per cell: every cell
 //! pays a 24-byte `Vec` header whether or not it ever holds a reservation,
 //! `can_move` binary-searches through a pointer indirection, and GC shrinks
 //! per-cell buffers individually. [`crate::cdt::ConflictDetectionTable`]
 //! replaces this layout with an indexed small-vec window pool; the two must
-//! answer every query identically (property-tested in `cdt.rs`), and
-//! `bench_cdt` records the speedup in `BENCH_cdt.json`.
+//! answer every query identically (property-tested in `cdt.rs`).
 
 use crate::footprint::MemoryFootprint;
 use crate::path::Path;
@@ -43,12 +41,6 @@ impl ReferenceConflictDetectionTable {
         if insert_sorted(window, t, robot) {
             self.reservations += 1;
         }
-    }
-
-    /// The paper's `update` operation: drop all reservations strictly before
-    /// `t`. Alias of [`ReservationSystem::release_before`].
-    pub fn update(&mut self, t: Tick) {
-        self.release_before(t);
     }
 
     /// The timed occupant of `pos` at `t` (ignoring parked robots).
@@ -255,7 +247,7 @@ mod tests {
     fn reference_keeps_vec_header_cost() {
         // The baseline's defining property: 24 B of `Vec` header per cell
         // even while completely empty — exactly what the pooled CDT removes
-        // from the spill side and what `bench_cdt` measures against.
+        // from the spill side.
         let c = ReferenceConflictDetectionTable::new(10, 10);
         let headers = 100 * std::mem::size_of::<Vec<(Tick, RobotId)>>();
         assert_eq!(c.memory_bytes(), headers + 100 * 8);

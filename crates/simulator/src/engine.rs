@@ -125,13 +125,6 @@ pub struct EngineConfig {
     /// Bottleneck trace bucket width in ticks; `0` derives 1/40 of the
     /// expected horizon.
     pub bottleneck_bucket: Tick,
-    /// Reproduce the pre-batching execution path: per-leg
-    /// [`Planner::plan_leg`] calls through the retain-loops, the seed's
-    /// `HashMap` trajectory validator, and per-tick scratch allocation.
-    /// Simulation outputs are bit-identical either way (`bench_sim` asserts
-    /// it); this switch exists so the baseline stays measurable in-process.
-    /// Leave `false` everywhere else.
-    pub reference_exec: bool,
     /// Deterministic fault injection (see [`crate::faults`]). The default
     /// is fully disabled, which is bit-identical to not having the fault
     /// machinery at all.
@@ -150,9 +143,6 @@ pub struct EngineConfig {
     /// changes how much work a quiescent tick costs. `serde(default)` keeps
     /// pre-existing snapshot payloads (which predate the field) decoding:
     /// they resume with the dense loop, exactly as they ran.
-    /// Meaningless combined with [`EngineConfig::reference_exec`], whose
-    /// point is to reproduce the pre-batching loop byte for byte;
-    /// [`EngineConfig::builder`] rejects that pairing.
     #[serde(default)]
     pub tick_strategy: TickStrategy,
 }
@@ -164,7 +154,6 @@ impl Default for EngineConfig {
             validate: true,
             checkpoints: 10,
             bottleneck_bucket: 0,
-            reference_exec: false,
             faults: FaultConfig::default(),
             degradation: DegradationPolicy::default(),
             live: false,
@@ -174,48 +163,21 @@ impl Default for EngineConfig {
 }
 
 impl EngineConfig {
-    /// Start a validated [`EngineConfigBuilder`] (preferred over filling
-    /// the accreted pub fields by hand: the builder rejects contradictory
-    /// knob combinations at construction instead of leaving them to be
-    /// silently ignored mid-run).
+    /// Start an [`EngineConfigBuilder`] (preferred over filling the pub
+    /// fields by hand).
     pub fn builder() -> EngineConfigBuilder {
         EngineConfigBuilder {
             config: EngineConfig::default(),
         }
     }
 
-    /// Re-open an existing config for amendment; the amended knob set is
-    /// re-validated at [`EngineConfigBuilder::build`].
+    /// Re-open an existing config for amendment.
     pub fn into_builder(self) -> EngineConfigBuilder {
         EngineConfigBuilder { config: self }
     }
 }
 
-/// A contradictory [`EngineConfigBuilder`] knob combination.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum EngineConfigError {
-    /// `reference_exec` exists to reproduce the pre-batching loop byte for
-    /// byte; layering the event-driven scheduler over it would measure a
-    /// hybrid nobody ships. The pairing is rejected outright.
-    ReferenceExecIsDense,
-}
-
-impl std::fmt::Display for EngineConfigError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            EngineConfigError::ReferenceExecIsDense => write!(
-                f,
-                "reference_exec replays the pre-batching dense loop; \
-                 the event-driven strategy cannot compose with it"
-            ),
-        }
-    }
-}
-
-impl std::error::Error for EngineConfigError {}
-
-/// Builder for [`EngineConfig`]: the same knobs as the struct literal,
-/// plus cross-field validation at [`EngineConfigBuilder::build`] time.
+/// Builder for [`EngineConfig`]: the same knobs as the struct literal.
 /// The struct literal (and `..Default::default()`) keeps working for
 /// existing call sites; new call sites should prefer the builder.
 #[derive(Debug, Clone)]
@@ -248,12 +210,6 @@ impl EngineConfigBuilder {
         self
     }
 
-    /// Reproduce the pre-batching execution path (baseline measurement).
-    pub fn reference_exec(mut self, on: bool) -> Self {
-        self.config.reference_exec = on;
-        self
-    }
-
     /// Deterministic fault injection plan.
     pub fn faults(mut self, faults: FaultConfig) -> Self {
         self.config.faults = faults;
@@ -278,11 +234,10 @@ impl EngineConfigBuilder {
         self
     }
 
-    /// Validate the knob combination and produce the config.
-    pub fn build(self) -> Result<EngineConfig, EngineConfigError> {
-        if self.config.reference_exec && self.config.tick_strategy.is_event_driven() {
-            return Err(EngineConfigError::ReferenceExecIsDense);
-        }
+    /// Produce the config. No knob combination is contradictory, so this
+    /// cannot fail; the `Result` stays because the frozen `benchmark/`
+    /// package calls `.build().expect(..)`.
+    pub fn build(self) -> Result<EngineConfig, std::convert::Infallible> {
         Ok(self.config)
     }
 }
@@ -310,9 +265,8 @@ pub fn run_simulation(
 ///   this struct;
 /// * `max_ticks` and the bottleneck bucket width — recomputed from the
 ///   config and instance in [`Engine::new`];
-/// * the per-tick scratch buffers (`used_stations`, `idle_buf`,
-///   `selectable_buf`, `leg_requests`, `leg_results`, `leg_tentative`,
-///   `on_grid_buf`) —
+/// * the per-tick scratch buffers (`idle_buf`, `selectable_buf`,
+///   `leg_requests`, `leg_results`, `leg_tentative`, `on_grid_buf`) —
 ///   cleared and refilled within a single tick;
 /// * `freeze_queue` — the path-invalidation cascade always drains to empty
 ///   within the events phase, so it is empty at every tick boundary
@@ -471,11 +425,10 @@ pub struct Engine<'a> {
     events_deferred: usize,
     /// Safety violations under disruption (must stay 0; see module docs).
     disruption_violations: usize,
-    /// Per-tick scratch: stations that already undocked a robot this tick.
-    /// Reused so the steady-state engine loop stays allocation-free (the
-    /// planners' `SearchScratch` arenas do the same below `plan_leg`).
-    used_stations: Vec<bool>,
-    /// Per-tick scratch: idle robots offered to the planner.
+    /// Per-tick scratch: idle robots offered to the planner. The scratch
+    /// buffers are reused so the steady-state engine loop stays
+    /// allocation-free (the planners' `SearchScratch` arenas do the same
+    /// below `commit_legs`).
     idle_buf: Vec<RobotId>,
     /// Per-tick scratch: selectable racks offered to the planner.
     selectable_buf: Vec<RackId>,
@@ -635,7 +588,6 @@ impl<'a> Engine<'a> {
             events_applied: 0,
             events_deferred: 0,
             disruption_violations: 0,
-            used_stations: vec![false; instance.pickers.len()],
             idle_buf: Vec::with_capacity(instance.robots.len()),
             selectable_buf: Vec::with_capacity(instance.racks.len()),
             leg_requests: Vec::with_capacity(instance.robots.len()),
@@ -1012,14 +964,10 @@ impl<'a> Engine<'a> {
         pos.to_index(self.instance.grid.width())
     }
 
-    /// Whether the event-driven scheduler is active. `reference_exec`
-    /// forces the dense loop regardless of the configured strategy — its
-    /// whole point is to reproduce the pre-change loop byte for byte (the
-    /// builder rejects the pairing; a hand-rolled literal degrades to
-    /// dense instead of running an unshipped hybrid).
+    /// Whether the event-driven scheduler is active.
     #[inline]
     fn ed(&self) -> bool {
-        self.config.tick_strategy.is_event_driven() && !self.config.reference_exec
+        self.config.tick_strategy.is_event_driven()
     }
 
     /// Conservatively dirty every event-driven skip precondition: the
@@ -1427,8 +1375,7 @@ impl<'a> Engine<'a> {
         }
 
         // 3b/3c: delivery and return legs for waiting robots — one batched
-        // query+commit leg pass per tick, or the pre-change per-leg
-        // retain-loops when baselining. Event-driven: three empty pending
+        // query+commit leg pass per tick. Event-driven: three empty pending
         // pools mean the dense pass would build zero requests and return
         // before touching the leg-fault cursor — a provable no-op.
         if self.ed()
@@ -1438,11 +1385,7 @@ impl<'a> Engine<'a> {
         {
             return;
         }
-        if self.config.reference_exec {
-            self.step_legs_serial(t, planner);
-        } else {
-            self.step_legs_batched(t, planner);
-        }
+        self.step_legs_batched(t, planner);
     }
 
     /// One robot's leg-completion transition (the body of phase 3a),
@@ -1509,12 +1452,11 @@ impl<'a> Engine<'a> {
     /// [`Planner::commit_legs`]) covering the tick's interrupted-leg
     /// resumes, delivery and return legs. Requests keep the pending lists'
     /// order, and the one-undock-per-station rule rides on
-    /// [`LegRequest::group`], so the planner produces exactly the paths
-    /// the serial loops would.
+    /// [`LegRequest::group`].
     /// Broken robots emit no requests — their entries wait for recovery.
     fn step_legs_batched(&mut self, t: Tick, planner: &mut dyn Planner) {
         // Stale entries (the robot left the relevant phase) are dropped
-        // before planning — the serial loops do the same, just interleaved.
+        // before planning.
         self.needs_replan.retain(|&robot_id| {
             let ai = robot_id.index();
             self.paths[ai].is_none() && self.robots[ai].phase.is_travelling()
@@ -1694,86 +1636,16 @@ impl<'a> Engine<'a> {
     /// Destination and parking mode for resuming `ai`'s interrupted leg
     /// from its current position (phase is preserved across cancellation).
     fn resume_destination(&self, ai: usize) -> (GridPos, bool) {
-        resume_destination(&self.robots, &self.racks, &self.pickers, ai)
-    }
-
-    /// The pre-change serial leg loops (baseline measurements only; see
-    /// [`EngineConfig::reference_exec`]). Mirrors the batched path's
-    /// request order exactly: replans, then deliveries, then returns.
-    fn step_legs_serial(&mut self, t: Tick, planner: &mut dyn Planner) {
-        // 3b0. Resume interrupted legs (disruption cancellations) first.
-        self.needs_replan.retain(|&robot_id| {
-            let ai = robot_id.index();
-            if self.paths[ai].is_some() || !self.robots[ai].phase.is_travelling() {
-                return false; // stale entry
+        match self.robots[ai].phase {
+            RobotPhase::ToRack { rack } | RobotPhase::Returning { rack } => {
+                (self.racks[rack.index()].home, true)
             }
-            if self.broken[ai] {
-                return true; // still down; waits for its recovery event
+            RobotPhase::ToStation { rack } => {
+                let picker = self.racks[rack.index()].picker;
+                (self.pickers[picker.index()].pos, false)
             }
-            let (to, park) = resume_destination(&self.robots, &self.racks, &self.pickers, ai);
-            match planner.plan_leg(robot_id, self.robots[ai].pos, to, t, park) {
-                Some(path) => {
-                    self.paths[ai] = Some(path);
-                    false
-                }
-                None => true, // blocked; retry next tick
-            }
-        });
-
-        // 3b. Delivery legs for robots waiting at rack homes.
-        self.needs_delivery.retain(|&robot_id| {
-            let ai = robot_id.index();
-            let RobotPhase::ToRack { rack } = self.robots[ai].phase else {
-                return false; // stale entry
-            };
-            if self.broken[ai] {
-                return true; // waits for recovery
-            }
-            let rack_idx = rack.index();
-            let home = self.racks[rack_idx].home;
-            let station = self.pickers[self.racks[rack_idx].picker.index()].pos;
-            match planner.plan_leg(robot_id, home, station, t, false) {
-                Some(path) => {
-                    self.robots[ai].phase = RobotPhase::ToStation { rack };
-                    self.paths[ai] = Some(path);
-                    false
-                }
-                None => true, // retry next tick
-            }
-        });
-
-        // 3c. Return legs for robots whose rack finished processing. One
-        // undock per station per tick keeps handoff cells unambiguous.
-        self.used_stations.clear();
-        self.used_stations.resize(self.pickers.len(), false);
-        let used_stations = &mut self.used_stations;
-        self.needs_return.retain(|&robot_id| {
-            let ai = robot_id.index();
-            let rack = match self.robots[ai].phase {
-                RobotPhase::Processing { rack } | RobotPhase::Queuing { rack } => rack,
-                _ => return false, // stale
-            };
-            if self.broken[ai] {
-                return true; // waits for recovery
-            }
-            let picker = self.racks[rack.index()].picker;
-            if used_stations[picker.index()] {
-                return true; // another robot undocked here this tick
-            }
-            let station = self.pickers[picker.index()].pos;
-            let home = self.racks[rack.index()].home;
-            match planner.plan_leg(robot_id, station, home, t, true) {
-                Some(path) => {
-                    used_stations[picker.index()] = true;
-                    self.robots[ai].phase = RobotPhase::Returning { rack };
-                    self.robots[ai].pos = station;
-                    self.docked_count -= 1;
-                    self.paths[ai] = Some(path);
-                    false
-                }
-                None => true,
-            }
-        });
+            _ => unreachable!("only travelling robots are replanned"),
+        }
     }
 
     /// Phase 4: the planner's per-timestamp selection + assignment.
@@ -2046,19 +1918,7 @@ impl<'a> Engine<'a> {
         let conflicts_before = self.validator.conflict_count();
         let violations_before = self.disruption_violations;
         let grid_width = self.instance.grid.width();
-        // The reference path allocates its position buffer per tick, as the
-        // pre-change engine did; the default path reuses one.
-        let mut fresh: Vec<(RobotId, tprw_warehouse::GridPos)> = if self.config.reference_exec {
-            Vec::with_capacity(self.robots.len())
-        } else {
-            Vec::new()
-        };
-        let on_grid = if self.config.reference_exec {
-            &mut fresh
-        } else {
-            self.on_grid_buf.clear();
-            &mut self.on_grid_buf
-        };
+        self.on_grid_buf.clear();
         for ai in 0..self.robots.len() {
             if let Some(path) = &self.paths[ai] {
                 self.robots[ai].pos = path.at(t);
@@ -2089,15 +1949,12 @@ impl<'a> Engine<'a> {
                 if self.blocked_overlay[self.robots[ai].pos.to_index(grid_width)] {
                     self.disruption_violations += 1;
                 }
-                on_grid.push((self.robots[ai].id, self.robots[ai].pos));
+                self.on_grid_buf
+                    .push((self.robots[ai].id, self.robots[ai].pos));
             }
         }
         if self.config.validate {
-            if self.config.reference_exec {
-                self.validator.check_tick(t, on_grid);
-            } else {
-                self.validator.check_tick_fast(t, on_grid);
-            }
+            self.validator.check_tick_fast(t, &self.on_grid_buf);
         }
         // A clean scan over an all-idle fleet certifies the next tick's
         // skip; any conflict or violation it pushed would be re-pushed by
@@ -2421,30 +2278,6 @@ pub(crate) fn fnv1a(bytes: &[u8]) -> u64 {
         h = h.wrapping_mul(0x0000_0100_0000_01b3);
     }
     h
-}
-
-/// Destination and parking mode for resuming a cancelled leg from the
-/// robot's current position (the phase is preserved across cancellation).
-/// Free function over disjoint borrows so the batched request builder and
-/// the serial retain-closure — which cannot call a `&self` method without
-/// conflicting with the list borrow — share the single copy; the two
-/// execution modes must stay bit-identical.
-fn resume_destination(
-    robots: &[Robot],
-    racks: &[Rack],
-    pickers: &[Picker],
-    ai: usize,
-) -> (GridPos, bool) {
-    match robots[ai].phase {
-        RobotPhase::ToRack { rack } | RobotPhase::Returning { rack } => {
-            (racks[rack.index()].home, true)
-        }
-        RobotPhase::ToStation { rack } => {
-            let picker = racks[rack.index()].picker;
-            (pickers[picker.index()].pos, false)
-        }
-        _ => unreachable!("only travelling robots are replanned"),
-    }
 }
 
 /// Tiny deterministic instances shared by the engine and service unit

@@ -42,8 +42,7 @@ pub mod validate;
 
 pub use commands::{Ack, BacklogOrder, Command, OrderSpec, RejectReason, SequencedCommand};
 pub use engine::{
-    run_simulation, Engine, EngineConfig, EngineConfigBuilder, EngineConfigError, EngineState,
-    TickStrategy,
+    run_simulation, Engine, EngineConfig, EngineConfigBuilder, EngineState, TickStrategy,
 };
 pub use faults::{DegradationPolicy, FaultConfig, FaultPlan, IoFaultKind};
 pub use metrics::{BottleneckSample, Checkpoint};

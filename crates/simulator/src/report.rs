@@ -92,11 +92,12 @@ pub struct SimulationReport {
 }
 
 /// The deterministic projection of a [`SimulationReport`]: every field that
-/// must be bit-identical between the batched execution path and the serial
-/// pre-change path (see `EngineConfig::reference_exec`). Wall-clock timings
-/// and memory accounting — which legitimately differ across modes — are
-/// excluded. Shared by `bench_sim` and the equivalence tests so the two
-/// checks cannot drift apart.
+/// must be bit-identical across regimes that may not change behaviour
+/// (tick strategies, live vs pregenerated orders, snapshot/resume, faults
+/// off vs absent) and across PRs that claim none. Wall-clock timings and
+/// memory accounting — which legitimately differ — are excluded. Shared by
+/// `bench_sim`'s fingerprint soaks, the committed `results/fingerprints_*`
+/// files and the equivalence tests so the checks cannot drift apart.
 #[derive(Debug, Clone, PartialEq)]
 pub struct DeterministicFingerprint {
     /// Makespan `M`.

@@ -23,12 +23,12 @@
 //! the engine's `next_command_seq` idempotency cursor if they were already
 //! applied before the snapshot.
 //!
-//! # Benchmarking
+//! # Throughput reporting
 //!
 //! [`ServiceBench::run`] executes every tenant to completion and reports
-//! sustained accepted-orders/sec plus p99 per-tick latency; the
-//! `bench_service` binary records the result to `BENCH_service.json` and CI
-//! gates on it.
+//! sustained accepted-orders/sec plus p99 per-tick latency. Performance
+//! claims about live ingestion are judged by the `surge-live-eatp`
+//! workload of `benchmark/`.
 
 use std::time::Instant;
 
@@ -141,7 +141,7 @@ impl ServiceQueue {
 /// command stream.
 #[derive(Debug, Clone)]
 pub struct Tenant {
-    /// Stable label used in reports and `BENCH_service.json`.
+    /// Stable label used in reports.
     pub name: String,
     /// Planner driving this tenant — an [`eatp_core::PLANNER_NAMES`] entry.
     pub planner: String,

@@ -1051,9 +1051,10 @@ mod tests {
         ));
     }
 
-    /// Both readable payload shapes — a v4 payload, which never had a
-    /// `config.workers` key, and a v5 payload carrying one — decode as they
-    /// are and resume to the uninterrupted run's fingerprint.
+    /// Both readable payload shapes — a v4 payload, and a v5 payload
+    /// carrying the since-removed `config.workers` and
+    /// `config.reference_exec` keys — decode as they are and resume, on the
+    /// one remaining execution path, to the uninterrupted run's fingerprint.
     #[test]
     fn migrates_v4_payload_and_resumes_from_it() {
         let inst = scenario(None, 42);
@@ -1070,7 +1071,12 @@ mod tests {
             }
             let data = engine.snapshot(p2.as_ref());
 
-            for (version, workers) in [(4u32, None), (5, Some(4))] {
+            // Config keys earlier builds wrote and this one no longer has.
+            let removed = [
+                ("workers", Value::U64(4)),
+                ("reference_exec", Value::Bool(true)),
+            ];
+            for (version, stale_keys) in [(4u32, &removed[..0]), (5, &removed[..])] {
                 let Value::Object(mut fields) = data.serialize() else {
                     panic!("snapshot value must be an object");
                 };
@@ -1079,9 +1085,9 @@ mod tests {
                 else {
                     panic!("config field must be an object");
                 };
-                assert!(config_fields.iter().all(|(k, _)| k != "workers"));
-                if let Some(n) = workers {
-                    config_fields.push(("workers".to_string(), Value::U64(n)));
+                for (key, value) in stale_keys {
+                    assert!(config_fields.iter().all(|(k, _)| k != key));
+                    config_fields.push((key.to_string(), value.clone()));
                 }
                 let payload = serde::binary::to_bytes(&Value::Object(fields));
                 let mut bytes = Vec::new();

@@ -42,12 +42,13 @@ pub enum ExecutedConflict {
 /// at a time.
 ///
 /// Two equivalent checking paths exist: [`TrajectoryValidator::check_tick`]
-/// is the seed implementation (two `HashMap`s rebuilt per tick — kept for
-/// `bench_sim`'s pre-change baseline mode), while
-/// [`TrajectoryValidator::check_tick_fast`] reaches the same verdicts with
-/// a reusable sort buffer and generation-stamped dense arrays, performing
-/// no steady-state allocations. Use one path consistently per validator
-/// instance — they keep separate previous-tick state.
+/// is the seed implementation (two `HashMap`s rebuilt per tick — the
+/// reference this module's tests compare against; the engine never calls
+/// it), while [`TrajectoryValidator::check_tick_fast`] reaches the same
+/// verdicts with a reusable sort buffer and generation-stamped dense
+/// arrays, performing no steady-state allocations. Use one path
+/// consistently per validator instance — they keep separate previous-tick
+/// state.
 #[derive(Debug, Default)]
 pub struct TrajectoryValidator {
     prev: HashMap<RobotId, GridPos>,

@@ -1,17 +1,38 @@
-//! PR-2 invariant: the batched execution path (one `plan_legs` call per
-//! tick, flat distance oracle, fast validator) must reproduce the serial
-//! pre-change path (per-leg `plan_leg` retain-loops, seed oracle, seed
-//! validator) *bit-identically* — batching is a performance refactor, not a
-//! behaviour change.
+//! PR-2 invariant, kept as data: the engine's one execution path (one
+//! `commit_legs` batch per tick, flat distance oracle, fast validator) must
+//! reproduce what the serial pre-change path (per-leg `plan_leg`
+//! retain-loops, seed oracle, seed validator) produced — batching was a
+//! performance refactor, not a behaviour change.
+//!
+//! The serial path is deleted (`docs/adr/ADR-006-one-execution-path.md`);
+//! its verdict is `results/fingerprints_batched_equivalence.txt`, recorded
+//! by running this matrix through it at the last commit that had it.
 //!
 //! Every planner runs on walled (obstructed — exercising the BFS oracle)
 //! and open instances across seeds; a single-picker fleet forces return-leg
-//! contention so the one-undock-per-station group rule is exercised on the
-//! batched path too.
+//! contention so the one-undock-per-station group rule is exercised. The
+//! last five lines are `tests/disruption.rs`'s `disrupted_spec(59)`:
+//! replanning and invalidation are engine semantics, not artifacts of the
+//! batching refactor.
 
 use eatp::core::{planner_by_name, EatpConfig, PLANNER_NAMES};
-use eatp::simulator::{run_simulation, EngineConfig, SimulationReport};
+use eatp::simulator::{run_simulation, EngineConfig};
 use eatp::warehouse::{LayoutConfig, ScenarioSpec, WorkloadConfig};
+use std::fmt::Write as _;
+
+mod common;
+use common::disrupted_spec;
+
+/// One `"<case> <planner> {fingerprint:?}"` line per run, as recorded by
+/// the serial path.
+const GOLDEN: &str = include_str!("../results/fingerprints_batched_equivalence.txt");
+
+/// Where a mismatching run leaves its lines: an intended behaviour change
+/// regenerates the golden file by copying this over it.
+const ACTUAL: &str = concat!(
+    env!("CARGO_TARGET_TMPDIR"),
+    "/fingerprints_batched_equivalence.txt"
+);
 
 fn spec(walled: bool, pickers: usize, seed: u64) -> ScenarioSpec {
     ScenarioSpec {
@@ -31,47 +52,50 @@ fn spec(walled: bool, pickers: usize, seed: u64) -> ScenarioSpec {
     }
 }
 
-/// Everything that must match bit-for-bit (timing and memory accounting are
-/// the only legitimate differences between the modes) — the same projection
-/// `bench_sim` asserts on, so the two checks cannot drift apart.
-fn fingerprint(r: &SimulationReport) -> eatp::simulator::DeterministicFingerprint {
-    r.deterministic_fingerprint()
+fn record(out: &mut String, spec: &ScenarioSpec, name: &str) {
+    let inst = spec.build().unwrap();
+    let mut p = planner_by_name(name, &EatpConfig::default()).unwrap();
+    let report = run_simulation(&inst, &mut *p, &EngineConfig::default());
+    assert!(
+        report.completed,
+        "{name} on {} must finish to be meaningful",
+        spec.name
+    );
+    let fingerprint = report.deterministic_fingerprint();
+    writeln!(out, "{} {name} {fingerprint:?}", spec.name).unwrap();
 }
 
 #[test]
 fn batched_equals_serial_for_every_planner() {
+    let mut actual = String::new();
     for name in PLANNER_NAMES {
         for walled in [false, true] {
             // One picker forces same-station return contention (the
             // LegRequest group rule); three is the spread-out case.
             for pickers in [1usize, 3] {
                 for seed in [11u64, 97] {
-                    let inst = spec(walled, pickers, seed).build().unwrap();
-
-                    let serial_config = EatpConfig {
-                        reference_oracle: true,
-                        ..EatpConfig::default()
-                    };
-                    let serial_engine = EngineConfig::builder()
-                        .reference_exec(true)
-                        .build()
-                        .unwrap();
-                    let mut p = planner_by_name(name, &serial_config).unwrap();
-                    let serial = run_simulation(&inst, &mut *p, &serial_engine);
-
-                    let mut p = planner_by_name(name, &EatpConfig::default()).unwrap();
-                    let batched = run_simulation(&inst, &mut *p, &EngineConfig::default());
-
-                    assert!(
-                        fingerprint(&serial) == fingerprint(&batched),
-                        "{name} diverged (walled={walled} pickers={pickers} seed={seed}):\n\
-                         serial  {:?}\nbatched {:?}",
-                        fingerprint(&serial),
-                        fingerprint(&batched)
-                    );
-                    assert!(serial.completed, "{name} run must finish to be meaningful");
+                    record(&mut actual, &spec(walled, pickers, seed), name);
                 }
             }
         }
+    }
+    for name in PLANNER_NAMES {
+        record(&mut actual, &disrupted_spec(59), name);
+    }
+
+    if actual != GOLDEN {
+        std::fs::write(ACTUAL, &actual).expect("write the actual fingerprints");
+        let diverged: Vec<&str> = actual
+            .lines()
+            .zip(GOLDEN.lines())
+            .filter(|(a, g)| a != g)
+            .map(|(a, _)| a.split(" DeterministicFingerprint").next().unwrap_or(a))
+            .collect();
+        panic!(
+            "{} of {} runs diverged from the serial path's recorded fingerprints: {diverged:?}\n\
+             actual lines written to {ACTUAL}",
+            diverged.len(),
+            GOLDEN.lines().count()
+        );
     }
 }

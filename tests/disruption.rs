@@ -9,65 +9,30 @@
 //!   event (all pinned through `disruption_violations == 0` and the
 //!   conflict-free validator, which would catch any robot executing a path
 //!   planned against stale reservations).
-//! * **Mode equivalence** — the serial pre-change execution path and the
-//!   batched path produce bit-identical outputs under disruption too:
-//!   replanning and invalidation are engine semantics, not artifacts of
-//!   the batching refactor.
+//!
+//! The `disrupted_spec(59)` fingerprints the deleted serial path produced
+//! are pinned by `tests/batched_equivalence.rs`.
 
 use eatp::core::{planner_by_name, EatpConfig, PLANNER_NAMES};
 use eatp::simulator::{run_simulation, EngineConfig, SimulationReport};
-use eatp::warehouse::{DisruptionConfig, LayoutConfig, ScenarioSpec, WorkloadConfig};
+use eatp::warehouse::ScenarioSpec;
 
-/// A walled mid-size floor hit by all four disruption kinds at once.
-fn disrupted_spec(seed: u64) -> ScenarioSpec {
-    ScenarioSpec {
-        name: format!("disrupted-{seed}"),
-        layout: LayoutConfig {
-            width: 32,
-            height: 24,
-            border_walls: true,
-            ..LayoutConfig::default()
-        },
-        n_racks: 16,
-        n_robots: 8,
-        n_pickers: 3,
-        workload: WorkloadConfig::poisson(60, 0.7),
-        disruptions: Some(DisruptionConfig {
-            breakdowns: 3,
-            breakdown_ticks: (60, 140),
-            blockades: 3,
-            blockade_ticks: (80, 160),
-            closures: 1,
-            closure_ticks: (60, 120),
-            removals: 2,
-            removal_ticks: (60, 140),
-            window: (20, 260),
-        }),
-        seed,
-    }
-}
+mod common;
+use common::disrupted_spec;
 
-fn run(spec: &ScenarioSpec, name: &str, reference: bool) -> SimulationReport {
+fn run(spec: &ScenarioSpec, name: &str) -> SimulationReport {
     let inst = spec.build().unwrap();
     inst.validate().unwrap();
-    let config = EatpConfig {
-        reference_oracle: reference,
-        ..EatpConfig::default()
-    };
-    let engine = EngineConfig::builder()
-        .reference_exec(reference)
-        .build()
-        .unwrap();
-    let mut planner = planner_by_name(name, &config).unwrap();
-    run_simulation(&inst, &mut *planner, &engine)
+    let mut planner = planner_by_name(name, &EatpConfig::default()).unwrap();
+    run_simulation(&inst, &mut *planner, &EngineConfig::default())
 }
 
 #[test]
 fn disrupted_replay_is_bit_identical_for_every_planner() {
     let spec = disrupted_spec(31);
     for name in PLANNER_NAMES {
-        let a = run(&spec, name, false);
-        let b = run(&spec, name, false);
+        let a = run(&spec, name);
+        let b = run(&spec, name);
         assert!(a.completed, "{name} must complete under disruption");
         assert!(a.events_applied > 0, "{name}: events must actually fire");
         assert_eq!(
@@ -89,7 +54,7 @@ fn no_stale_state_survives_an_event() {
     for seed in [31u64, 77] {
         let spec = disrupted_spec(seed);
         for name in PLANNER_NAMES {
-            let r = run(&spec, name, false);
+            let r = run(&spec, name);
             assert!(r.completed, "{name}/{seed}");
             assert_eq!(r.executed_conflicts, 0, "{name}/{seed}: conflicts");
             assert_eq!(
@@ -102,25 +67,6 @@ fn no_stale_state_survives_an_event() {
 }
 
 #[test]
-fn serial_reference_path_matches_batched_under_disruption() {
-    // The preserved pre-change execution path (serial per-leg planning,
-    // seed oracle, seed validator) must absorb the identical disruption
-    // schedule with bit-identical outputs — replan requests keep the same
-    // order in both modes.
-    let spec = disrupted_spec(59);
-    for name in PLANNER_NAMES {
-        let serial = run(&spec, name, true);
-        let batched = run(&spec, name, false);
-        assert!(serial.completed);
-        assert_eq!(
-            serial.deterministic_fingerprint(),
-            batched.deterministic_fingerprint(),
-            "{name}: serial and batched modes diverged under disruption"
-        );
-    }
-}
-
-#[test]
 fn disruptions_cost_makespan_but_not_items() {
     // Sanity on the workload axis: the disrupted run serves every item and
     // (on this configuration) pays a measurable makespan price against the
@@ -129,8 +75,8 @@ fn disruptions_cost_makespan_but_not_items() {
     let mut clean = disrupted.clone();
     clean.disruptions = None;
     for name in ["NTP", "EATP"] {
-        let rd = run(&disrupted, name, false);
-        let rc = run(&clean, name, false);
+        let rd = run(&disrupted, name);
+        let rc = run(&clean, name);
         assert_eq!(rd.items_processed, rc.items_processed, "{name}");
         assert!(
             rd.makespan >= rc.makespan,

@@ -15,17 +15,13 @@
 //!   never snapshotted (`docs/snapshot-format.md`): an event-driven run
 //!   snapshotted mid-flight and resumed must re-derive an agenda that
 //!   locksteps the never-interrupted engine's state hashes to the end.
-//! * **Builder validation** — `reference_exec` + event-driven is a
-//!   contradiction (the reference path exists to replay the pre-batching
-//!   loop byte for byte) and is rejected with a typed error.
 //!
 //! `PROPTEST_CASES` scales the soaks (default 64 cases per property).
 
 use eatp::core::{planner_by_name, EatpConfig, Planner, PLANNER_NAMES};
 use eatp::simulator::{
     decode_snapshot, encode_snapshot, resume_from, run_simulation, Ack, Command, DegradationPolicy,
-    Engine, EngineConfig, EngineConfigError, FaultConfig, OrderSpec, SequencedCommand,
-    TickStrategy,
+    Engine, EngineConfig, FaultConfig, OrderSpec, SequencedCommand, TickStrategy,
 };
 use eatp::warehouse::{
     DisruptionConfig, Instance, LayoutConfig, OrderId, ScenarioSpec, Tick, WorkloadConfig,
@@ -205,25 +201,6 @@ fn event_driven_locksteps_dense_state_hashes() {
             );
         }
     }
-}
-
-/// The contradiction gate: `reference_exec` + event-driven is rejected
-/// at build time with a typed error.
-#[test]
-fn builder_rejects_reference_exec_event_driven() {
-    let err = EngineConfig::builder()
-        .reference_exec(true)
-        .tick_strategy(TickStrategy::EventDriven)
-        .build()
-        .unwrap_err();
-    assert_eq!(err, EngineConfigError::ReferenceExecIsDense);
-    // The pairing is also rejected regardless of knob order.
-    let err = EngineConfig::builder()
-        .tick_strategy(TickStrategy::EventDriven)
-        .reference_exec(true)
-        .build()
-        .unwrap_err();
-    assert_eq!(err, EngineConfigError::ReferenceExecIsDense);
 }
 
 /// Agenda reconstruction on resume: the wake agenda is derived state and
