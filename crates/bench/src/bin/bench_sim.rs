@@ -29,21 +29,14 @@
 //! folding live blockade context into selection must never cost makespan,
 //! and the committed baseline shows a strict win).
 //!
-//! The **event-driven study**: the quiescence
-//! cases (`sim_cases::sparse_quiescent` — an over-fleeted 64×44 floor
-//! whose ticks are mostly idle — and the paper-scale quiescent 200×200
-//! floor, `sim_cases::paper_quiescent`) run twice per planner, once with
-//! the dense per-tick scan loop and once with the agenda-based
-//! event-driven tick strategy (`TickStrategy::EventDriven`). Both runs
-//! must produce bit-identical reports — the harness asserts it — so the
-//! recorded speedup is a pure scheduling-efficiency ratio. CI gates the
-//! quiescent sparse floor's aggregate speedup at `event_gate`.
-//!
 //! Schema history: v7 dropped the parallel study with the speculative leg
 //! planning it measured (`docs/adr/ADR-005-serial-leg-planning.md`); v8
 //! drops the reference-vs-batched ratio (`reference_ns_per_tick`,
 //! `speedup`, `aggregate_speedup`, `identical_reports`, `congested_gate`)
-//! with the serial engine path it timed (ADR-006).
+//! with the serial engine path it timed (ADR-006); v9 drops the
+//! dense-vs-agenda study (`event_driven` and its two gate fields) with the
+//! dense tick loop it timed (`docs/adr/ADR-007-one-tick-loop.md`) —
+//! `benchmark/`'s `quiet-fleet-eatp` is the quiescent-floor measurement.
 //!
 //! Extra modes for CI:
 //!
@@ -59,20 +52,13 @@
 //!   armed: every run must stay violation-free while visibly degrading, and
 //!   CI diffs two independent processes to prove fixed-fault-seed
 //!   determinism.
-//! * `BENCH_SIM_ED_FP_OUT=<path>` — the determinism soak on the
-//!   event-driven tick strategy. CI diffs the output against the
-//!   dense soak's file (and thereby the committed faults-off baseline):
-//!   the agenda scheduler must be bit-invisible under disruption replay.
 
-use eatp_bench::sim_cases::{
-    paper_quiescent, scenarios, sparse_quiescent, SimScenario, ANTICIPATION_CASES,
-    PAPER_SCALE_PLANNERS,
-};
+use eatp_bench::sim_cases::{scenarios, SimScenario, ANTICIPATION_CASES};
 use eatp_core::{planner_by_name, EatpConfig, PLANNER_NAMES};
 use serde::Serialize;
 use std::time::Instant;
 use tprw_simulator::{
-    run_simulation, DegradationPolicy, EngineConfig, FaultConfig, SimulationReport, TickStrategy,
+    run_simulation, DegradationPolicy, EngineConfig, FaultConfig, SimulationReport,
 };
 
 #[derive(Debug, Serialize)]
@@ -115,31 +101,6 @@ struct AnticipationReport {
 }
 
 #[derive(Debug, Serialize)]
-struct EventDrivenCell {
-    planner: String,
-    /// Median ns/tick of the dense per-tick scan loop.
-    dense_ns_per_tick: u64,
-    /// Median ns/tick with the agenda-based event-driven strategy.
-    event_ns_per_tick: u64,
-    /// `dense / event` — both measured in-process, so the ratio is
-    /// hardware-independent enough to gate.
-    speedup: f64,
-    makespan: u64,
-    /// Every iteration's event-driven report matched the dense one bit
-    /// for bit (the harness also asserts this).
-    identical_reports: bool,
-}
-
-#[derive(Debug, Serialize)]
-struct EventDrivenReport {
-    case: String,
-    description: String,
-    planners: Vec<EventDrivenCell>,
-    /// Geometric mean of the per-planner speedups.
-    aggregate_speedup: f64,
-}
-
-#[derive(Debug, Serialize)]
 struct BenchReport {
     schema: &'static str,
     iterations: usize,
@@ -163,13 +124,6 @@ struct BenchReport {
     /// recorded for observation — its shifting blockade set makes the
     /// aware-vs-reactive delta noisier run-to-run across code changes).
     anticipation_gate_case: &'static str,
-    /// Dense vs event-driven ticking on the quiescence-heavy floors.
-    event_driven: Vec<EventDrivenReport>,
-    /// CI fails when `event_gate_case`'s `aggregate_speedup` drops below
-    /// this bar.
-    event_gate: f64,
-    /// The case the event-driven gate reads (index 0 of `event_driven`).
-    event_gate_case: &'static str,
 }
 
 fn median(samples: &mut [u64]) -> u64 {
@@ -212,7 +166,7 @@ fn timed_run(
 /// run must still be violation-free, must visibly degrade
 /// (`degraded_ticks > 0`), and its fingerprint — degradation counters
 /// included — must be byte-identical across independent processes.
-fn write_fingerprints(path: &str, chaos: Option<u64>, strategy: TickStrategy) {
+fn write_fingerprints(path: &str, chaos: Option<u64>) {
     let base = match chaos {
         None => EngineConfig::builder(),
         Some(seed) => EngineConfig::builder()
@@ -222,10 +176,7 @@ fn write_fingerprints(path: &str, chaos: Option<u64>, strategy: TickStrategy) {
                 max_expansions_per_tick: 0,
             }),
     };
-    let engine = base
-        .tick_strategy(strategy)
-        .build()
-        .expect("soak config is valid");
+    let engine = base.build().expect("soak config is valid");
     let config = EatpConfig::default();
     let mut out = String::new();
     for scenario in scenarios() {
@@ -269,7 +220,6 @@ fn write_fingerprints(path: &str, chaos: Option<u64>, strategy: TickStrategy) {
     std::fs::write(path, &out).expect("write fingerprint file");
     let flavour = match chaos {
         Some(seed) => format!("chaos (fault seed {seed})"),
-        None if strategy.is_event_driven() => "disruption (event-driven ticking)".into(),
         None => "disruption".into(),
     };
     eprintln!("wrote {flavour} fingerprints to {path}");
@@ -277,7 +227,7 @@ fn write_fingerprints(path: &str, chaos: Option<u64>, strategy: TickStrategy) {
 
 fn main() {
     if let Ok(path) = std::env::var("BENCH_SIM_FP_OUT") {
-        write_fingerprints(&path, None, TickStrategy::Dense);
+        write_fingerprints(&path, None);
         return;
     }
     if let Ok(path) = std::env::var("BENCH_SIM_CHAOS_FP_OUT") {
@@ -285,16 +235,7 @@ fn main() {
             .ok()
             .and_then(|s| s.parse().ok())
             .unwrap_or(4242);
-        write_fingerprints(&path, Some(seed), TickStrategy::Dense);
-        return;
-    }
-    if let Ok(path) = std::env::var("BENCH_SIM_ED_FP_OUT") {
-        // Event-driven flavour of the determinism soak: the same disrupted
-        // runs on the agenda scheduler. CI diffs this file against the
-        // dense soak's output (and thereby the committed faults-off
-        // baseline), so agenda-based tick skipping can never leak into
-        // simulation semantics.
-        write_fingerprints(&path, None, TickStrategy::EventDriven);
+        write_fingerprints(&path, Some(seed));
         return;
     }
     let iters: usize = std::env::var("BENCH_SIM_ITERS")
@@ -384,70 +325,6 @@ fn main() {
         });
     }
 
-    // Event-driven study: the quiescence-heavy floors, dense scan loop vs
-    // the agenda scheduler. The sparse 64x44 floor runs every planner; the
-    // paper-scale quiescent floor sticks to the paper-scale pair so the
-    // study stays CI-sized.
-    let event_engine = EngineConfig::builder()
-        .tick_strategy(TickStrategy::EventDriven)
-        .build()
-        .expect("event-driven config is valid");
-    let mut event_driven = Vec::new();
-    let event_cases: [(SimScenario, &[&str]); 2] = [
-        (sparse_quiescent(), &PLANNER_NAMES),
-        (paper_quiescent(), &PAPER_SCALE_PLANNERS),
-    ];
-    for (scenario, planners) in event_cases {
-        eprintln!("== event-driven study {} ==", scenario.name);
-        let mut cells = Vec::new();
-        for name in planners {
-            let mut dense_samples = Vec::with_capacity(iters);
-            let mut event_samples = Vec::with_capacity(iters);
-            let mut identical = true;
-            let mut last_report = None;
-            for _ in 0..iters {
-                let (dense_ns, dense_report) = timed_run(&scenario, name, &config, &engine);
-                let (event_ns, event_report) = timed_run(&scenario, name, &config, &event_engine);
-                identical &= dense_report.deterministic_fingerprint()
-                    == event_report.deterministic_fingerprint();
-                dense_samples.push(dense_ns);
-                event_samples.push(event_ns);
-                last_report = Some(event_report);
-            }
-            assert!(
-                identical,
-                "{name} on {}: the event-driven run diverged from the dense loop",
-                scenario.name
-            );
-            let report = last_report.expect("at least one iteration");
-            let dense_ns = median(&mut dense_samples);
-            let event_ns = median(&mut event_samples);
-            let speedup = dense_ns as f64 / event_ns.max(1) as f64;
-            eprintln!(
-                "  {name:<5} dense {dense_ns:>8} ns/tick -> event {event_ns:>8} ns/tick \
-                 ({speedup:.2}x), makespan {}",
-                report.makespan
-            );
-            cells.push(EventDrivenCell {
-                planner: name.to_string(),
-                dense_ns_per_tick: dense_ns,
-                event_ns_per_tick: event_ns,
-                speedup,
-                makespan: report.makespan,
-                identical_reports: identical,
-            });
-        }
-        let aggregate =
-            (cells.iter().map(|c| c.speedup.ln()).sum::<f64>() / cells.len().max(1) as f64).exp();
-        eprintln!("  aggregate {aggregate:.2}x");
-        event_driven.push(EventDrivenReport {
-            case: scenario.name.to_string(),
-            description: scenario.description.to_string(),
-            planners: cells,
-            aggregate_speedup: aggregate,
-        });
-    }
-
     let ns_of = |planner: &str| -> u64 {
         scenario_reports[0]
             .planners
@@ -460,7 +337,7 @@ fn main() {
     let congested_ntp = ns_of("NTP");
 
     let report = BenchReport {
-        schema: "bench_sim/v8",
+        schema: "bench_sim/v9",
         iterations: iters,
         congested_eatp_ns_per_tick: congested_eatp,
         congested_eatp_over_ntp: congested_eatp as f64 / congested_ntp.max(1) as f64,
@@ -470,9 +347,6 @@ fn main() {
         anticipation_gate: 1.0,
         anticipation_gate_planner: "EATP",
         anticipation_gate_case: ANTICIPATION_CASES[0],
-        event_driven,
-        event_gate: 1.5,
-        event_gate_case: "sparse-quiescent-64x44",
     };
     let json = serde_json::to_string_pretty(&report).expect("report serializes");
     std::fs::write(&out_path, &json).expect("write BENCH_sim.json");

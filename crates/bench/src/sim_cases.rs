@@ -327,74 +327,6 @@ pub fn disrupted_blockade_rolling() -> SimScenario {
     }
 }
 
-/// Quiescent sparse floor: the 64×44 open grid with a fleet sized well
-/// past its workload — 20 items trickle in at rate 0.002, so arrivals sit
-/// ~500 ticks apart while one fulfilment trip takes ~100, and most ticks
-/// are fully quiescent. On the dense loop every such tick still scans all
-/// 48 motionless robots across the arrival/picking/planning/bookkeeping
-/// phases; the event-driven agenda collapses it to O(1). This is the
-/// CI-gated case of `bench_sim`'s event-driven study.
-pub fn sparse_quiescent() -> SimScenario {
-    let instance = ScenarioSpec {
-        name: "bench-sparse-quiescent".into(),
-        layout: LayoutConfig::sized(64, 44),
-        n_racks: 24,
-        n_robots: 48,
-        n_pickers: 3,
-        workload: WorkloadConfig::poisson(20, 0.002),
-        disruptions: None,
-        seed: 79,
-    }
-    .build()
-    .expect("sparse quiescent scenario builds");
-    SimScenario {
-        name: "sparse-quiescent-64x44",
-        description: "open 64x44 floor, 48 robots / 24 racks / 3 pickers, \
-                      20 items at rate 0.002: arrivals ~500 ticks apart vs \
-                      ~100-tick trips, so most ticks are fully quiescent \
-                      and a dense tick is pure fixed overhead over a \
-                      motionless fleet — the event-driven gate case",
-        instance,
-    }
-}
-
-/// Paper-scale quiescent floor: the 200×200 grid with a 300-robot fleet
-/// that spends most of the run idle — 12 items trickle in at rate 0.001,
-/// so the floor is fully quiescent between fulfilment trips and a dense
-/// tick is pure overhead (robot scans, validator scan, bookkeeping) over
-/// 300 motionless robots. The open layout keeps the distance oracle on
-/// exact Manhattan so the study measures *engine* overhead, not BFS
-/// fields. This is the event-driven study's paper-scale case.
-pub fn paper_quiescent() -> SimScenario {
-    let instance = ScenarioSpec {
-        name: "bench-paper-quiescent".into(),
-        layout: LayoutConfig::sized(200, 200),
-        n_racks: 400,
-        n_robots: 300,
-        n_pickers: 12,
-        workload: WorkloadConfig::poisson(12, 0.001),
-        disruptions: None,
-        seed: 93,
-    }
-    .build()
-    .expect("paper-scale quiescent scenario builds");
-    SimScenario {
-        name: "paper-quiescent-200x200",
-        description: "open 200x200 floor, 300 robots / 400 racks / 12 \
-                      pickers, 12 items at rate 0.001: the floor is fully \
-                      quiescent between fulfilment trips, so a dense tick \
-                      is pure fixed overhead over a motionless 300-robot \
-                      fleet — the paper-scale event-driven case",
-        instance,
-    }
-}
-
-/// Planners measured at paper scale: the paper's headline planner and
-/// the fastest baseline. The ILP-style planners price every
-/// robot-rack-picker triple, which at paper scale costs more wall clock
-/// than the event-driven study needs.
-pub const PAPER_SCALE_PLANNERS: [&str; 2] = ["NTP", "EATP"];
-
 /// All benchmark scenarios in gate order (congested first — the CI gate
 /// reads index 0 — then sparse, then the disrupted cases; the two
 /// blockade-heavy anticipation cases come last).
@@ -420,38 +352,6 @@ pub const ANTICIPATION_CASES: [&str; 2] = [
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn quiescent_cases_are_quiescence_heavy() {
-        // Both event-driven study floors: open grids (exact-Manhattan
-        // oracle), no disruptions, and fleets sized well past their item
-        // counts so most ticks are quiescent.
-        for s in [sparse_quiescent(), paper_quiescent()] {
-            use tprw_warehouse::CellKind;
-            assert_eq!(
-                s.instance.grid.count_kind(CellKind::Blocked),
-                0,
-                "{}",
-                s.name
-            );
-            assert!(s.instance.disruptions.is_empty(), "{}", s.name);
-            assert!(
-                s.instance.robots.len() > s.instance.items.len(),
-                "{}: the fleet must dwarf the workload",
-                s.name
-            );
-        }
-        // The gate case keeps its recorded name (CI reads it from the
-        // report's event_gate_case field).
-        assert_eq!(sparse_quiescent().name, "sparse-quiescent-64x44");
-        assert_eq!(paper_quiescent().name, "paper-quiescent-200x200");
-        for name in PAPER_SCALE_PLANNERS {
-            assert!(
-                eatp_core::PLANNER_NAMES.contains(&name),
-                "{name} is not a registered planner"
-            );
-        }
-    }
 
     #[test]
     fn scenarios_build_and_differ() {

@@ -179,8 +179,8 @@ pub enum InjectedFault {
 }
 
 /// One engine-to-planner world-change notification, dispatched through
-/// [`Planner::on_event`] — the consolidated seam the event-driven scheduler
-/// wakes planners through.
+/// [`Planner::on_event`] — the one seam the engine notifies planners
+/// through.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum PlannerEvent<'a> {
     /// A disruption event mutated the world at tick `t`. Planners must
@@ -343,10 +343,9 @@ pub trait Planner {
     fn on_dock(&mut self, robot: RobotId);
 
     /// The notification entry point: every engine-to-planner world-change
-    /// notification arrives as one [`PlannerEvent`], giving the event-driven
-    /// scheduler a single dispatch seam (see
-    /// `docs/event-driven-ticking.md`). The default ignores every event
-    /// (stateless planners).
+    /// notification arrives as one [`PlannerEvent`], giving the engine a
+    /// single dispatch seam (see `docs/event-driven-ticking.md`). The
+    /// default ignores every event (stateless planners).
     fn on_event(&mut self, _event: PlannerEvent<'_>) {}
 
     /// Arm or apply an [`InjectedFault`] (deterministic fault injection;

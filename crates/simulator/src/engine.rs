@@ -76,42 +76,6 @@ use tprw_warehouse::{
     QueueEntry, Rack, RackId, Robot, RobotId, RobotPhase, Tick, TimedEvent,
 };
 
-/// How the engine schedules per-tick work (see
-/// `docs/event-driven-ticking.md`).
-///
-/// Both strategies advance the clock one tick at a time and produce
-/// **bit-identical** simulation outputs — fingerprints, ack streams,
-/// checkpoint/bottleneck series, planner counters, `state_hash` — for every
-/// planner across clean, disrupted, chaos and live-order regimes
-/// (the `event_driven` test suite and `bench_sim` both gate this). The
-/// strategies differ only in how much work a *quiescent* tick costs.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
-pub enum TickStrategy {
-    /// The original loop: every phase scans every robot, rack and picker
-    /// every tick, whether or not anything can happen.
-    #[default]
-    Dense,
-    /// Agenda-based scheduling: the engine maintains a canonical agenda of
-    /// wake ticks (per-robot leg completions via an arrival heap, per-picker
-    /// processing, replan/delivery/return queues, command drains, disruption
-    /// events and fault-plan cursors) plus dirty-tracking of the planner's
-    /// selection inputs, and each phase early-outs when it can prove the
-    /// dense code would be a no-op. A quiescent floor costs ~O(active)
-    /// instead of O(fleet + racks + pickers) per tick.
-    ///
-    /// The agenda is **derived state**: it is never snapshotted and is
-    /// reconstructed from canonical state on resume (see
-    /// `docs/snapshot-format.md`).
-    EventDriven,
-}
-
-impl TickStrategy {
-    /// `true` for [`TickStrategy::EventDriven`].
-    pub fn is_event_driven(self) -> bool {
-        matches!(self, TickStrategy::EventDriven)
-    }
-}
-
 /// Engine knobs.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct EngineConfig {
@@ -138,13 +102,6 @@ pub struct EngineConfig {
     /// have drained. Off (the default), completion keeps its pregenerated
     /// semantics: the run ends when the instance's item list is fulfilled.
     pub live: bool,
-    /// Per-tick scheduling strategy (see [`TickStrategy`]). Simulation
-    /// outputs are bit-identical for either value — the strategy only
-    /// changes how much work a quiescent tick costs. `serde(default)` keeps
-    /// pre-existing snapshot payloads (which predate the field) decoding:
-    /// they resume with the dense loop, exactly as they ran.
-    #[serde(default)]
-    pub tick_strategy: TickStrategy,
 }
 
 impl Default for EngineConfig {
@@ -157,7 +114,6 @@ impl Default for EngineConfig {
             faults: FaultConfig::default(),
             degradation: DegradationPolicy::default(),
             live: false,
-            tick_strategy: TickStrategy::default(),
         }
     }
 }
@@ -225,12 +181,6 @@ impl EngineConfigBuilder {
     /// Live order-ingestion mode.
     pub fn live(mut self, on: bool) -> Self {
         self.config.live = on;
-        self
-    }
-
-    /// Per-tick scheduling strategy (see [`TickStrategy`]).
-    pub fn tick_strategy(mut self, strategy: TickStrategy) -> Self {
-        self.config.tick_strategy = strategy;
         self
     }
 
@@ -510,16 +460,14 @@ pub struct Engine<'a> {
     acks_out: Vec<Ack>,
     /// Per-tick scratch: the sorted command batch being applied.
     cmd_buf: Vec<SequencedCommand>,
-    /// Event-driven agenda (see `docs/event-driven-ticking.md`): min-heap of
+    /// The arrival agenda (see `docs/event-driven-ticking.md`): min-heap of
     /// `(path end tick, robot index)` wake entries, pushed whenever a path
     /// is installed. **Derived state** — never snapshotted, rebuilt from
     /// `paths` on resume; entries are re-validated against the canonical
     /// `paths` on pop (lazy deletion), so stale entries are harmless.
-    /// Only maintained under [`TickStrategy::EventDriven`]; the dense loop
-    /// neither pushes nor pops, keeping the baseline unperturbed.
     arrival_agenda: std::collections::BinaryHeap<std::cmp::Reverse<(Tick, u32)>>,
     /// Per-tick scratch: robots woken by the arrival agenda this tick,
-    /// sorted ascending to reproduce the dense loop's robot-index order.
+    /// sorted ascending — arrivals are processed in robot-index order.
     arrivals_buf: Vec<usize>,
     /// Robots in a non-`Idle` phase. Derived; maintained at every
     /// phase-change site, rebuilt from `robots` on resume.
@@ -531,8 +479,8 @@ pub struct Engine<'a> {
     /// Conservative planning-input dirty flag: *may* some robot be idle and
     /// assignable? Set on any arrival to `Idle`, any disruption/recovery,
     /// and on init/resume; cleared only when a planning scan finds the idle
-    /// pool empty. False means the dense planning phase would early-out on
-    /// an empty `idle_buf` (which it does *before* consuming degradation or
+    /// pool empty. False means the planning scan would early-out on an
+    /// empty `idle_buf` (which it does *before* consuming degradation or
     /// decision-fault cursors — see `step_planning`).
     maybe_idle: bool,
     /// Conservative planning-input dirty flag: *may* some rack be
@@ -707,7 +655,7 @@ impl<'a> Engine<'a> {
         }
         self.step_events(t, planner);
         self.step_arrivals(t);
-        self.step_picking(t, planner);
+        self.step_picking(t);
         self.step_transitions(t, planner);
         self.step_planning(t, planner);
         self.step_movement(t);
@@ -964,17 +912,11 @@ impl<'a> Engine<'a> {
         pos.to_index(self.instance.grid.width())
     }
 
-    /// Whether the event-driven scheduler is active.
-    #[inline]
-    fn ed(&self) -> bool {
-        self.config.tick_strategy.is_event_driven()
-    }
-
-    /// Conservatively dirty every event-driven skip precondition: the
-    /// planning inputs may have changed, and the next movement scan cannot
-    /// be proven a no-op. Called on any disruption landing (scheduled or
-    /// injected) — events are rare, so over-invalidating costs one dense
-    /// rescan, never correctness.
+    /// Conservatively dirty every skip precondition: the planning inputs
+    /// may have changed, and the next movement scan cannot be proven a
+    /// no-op. Called on any disruption landing (scheduled or injected) —
+    /// events are rare, so over-invalidating costs one full rescan, never
+    /// correctness.
     #[inline]
     fn dirty_all(&mut self) {
         self.maybe_idle = true;
@@ -1011,7 +953,7 @@ impl<'a> Engine<'a> {
             return;
         }
         // Anything landing below may change phases, planning inputs or the
-        // blockade overlay — every event-driven skip precondition dirties.
+        // blockade overlay — every skip precondition dirties.
         self.dirty_all();
         // Deferred blockades and removals land first, in original order.
         if !self.deferred_blockades.is_empty() {
@@ -1263,12 +1205,12 @@ impl<'a> Engine<'a> {
     }
 
     /// Phase 2: pickers serve their queues one tick.
-    fn step_picking(&mut self, _t: Tick, _planner: &mut dyn Planner) {
-        // Event-driven: no docked robot means every queue is empty and
-        // nothing is mid-service (each queue entry and each `serving` slot
-        // holds a robot in `Queuing`/`Processing`), so the dense loop below
-        // would read every picker and mutate none — skip it.
-        if self.ed() && self.docked_count == 0 {
+    fn step_picking(&mut self, t: Tick) {
+        // No docked robot means every queue is empty and nothing is
+        // mid-service (each queue entry and each `serving` slot holds a
+        // robot in `Queuing`/`Processing`), so the loop below would read
+        // every picker and mutate none — skip it.
+        if self.docked_count == 0 {
             #[cfg(debug_assertions)]
             {
                 debug_assert!(self.serving.iter().all(|s| s.is_none()));
@@ -1303,7 +1245,7 @@ impl<'a> Engine<'a> {
                     for i in 0..self.carried_orders[ai].len() {
                         self.acks_out.push(Ack::Completed {
                             order: self.carried_orders[ai][i],
-                            tick: _t,
+                            tick: t,
                         });
                     }
                     self.carried_orders[ai].clear();
@@ -1318,68 +1260,57 @@ impl<'a> Engine<'a> {
     fn step_transitions(&mut self, t: Tick, planner: &mut dyn Planner) {
         // 3a. Pickup arrivals -> join the delivery-pending pool.
         //
-        // Event-driven: instead of scanning the fleet, pop the arrival
-        // agenda's due wake entries. Every path installation pushed
-        // `(end, robot)` onto the heap, so any robot satisfying the dense
-        // loop's `arrived` predicate has a due entry (an already-processed
-        // `ToRack` arrival keeps its ended path, but reprocessing it is the
-        // same no-op the dense loop performs every tick: the position
-        // re-set is idempotent and the pending-pool push is
-        // contains-guarded). Entries are validated against the canonical
-        // `paths` below and processed in ascending robot order — the heap
-        // orders by `(end, robot)`, which differs from the dense loop's
-        // robot order when distinct end ticks are due at once, and arrival
-        // order is observable through picker-queue FIFO order.
-        if self.ed() {
-            self.arrivals_buf.clear();
-            while let Some(&std::cmp::Reverse((end, ai))) = self.arrival_agenda.peek() {
-                if end > t {
-                    break;
-                }
-                self.arrival_agenda.pop();
-                self.arrivals_buf.push(ai as usize);
+        // Pop the arrival agenda's due wake entries — there is no fleet
+        // scan for ended paths. Every path installation pushed `(end,
+        // robot)` onto the heap, so any robot satisfying
+        // `transition_arrival`'s `arrived` predicate has a due entry —
+        // except an arrived `ToRack` robot, which keeps its ended path
+        // while it waits in the delivery pool for a leg and needs no second
+        // wake. Entries are validated against the canonical `paths` in
+        // `transition_arrival` and processed in ascending robot order — the
+        // heap orders by `(end, robot)`, which differs from robot order
+        // when distinct end ticks are due at once, and arrival order is
+        // observable through picker-queue FIFO order.
+        self.arrivals_buf.clear();
+        while let Some(&std::cmp::Reverse((end, ai))) = self.arrival_agenda.peek() {
+            if end > t {
+                break;
             }
-            self.arrivals_buf.sort_unstable();
-            self.arrivals_buf.dedup();
-            // Completeness check: every robot the dense scan would act on
-            // must have a due entry. The one legitimate absence is a
-            // `ToRack` robot whose ended path is *stale*: it arrived on an
-            // earlier tick (consuming its entry), was pushed into the
-            // delivery-pending pool, and its delivery leg has not planned
-            // yet — the dense loop reprocesses it every tick as a pure
-            // no-op (idempotent position set, contains-guarded pool push).
-            #[cfg(debug_assertions)]
-            for ai in 0..self.robots.len() {
-                let stale_to_rack = matches!(self.robots[ai].phase, RobotPhase::ToRack { .. })
-                    && self.paths[ai].as_ref().is_some_and(|p| p.end() < t);
-                debug_assert!(
-                    self.paths[ai].as_ref().is_none_or(|p| p.end() > t)
-                        || stale_to_rack
-                        || self.arrivals_buf.contains(&ai),
-                    "arrived robot {ai} missing from the arrival agenda"
-                );
-            }
-            if !self.arrivals_buf.is_empty() {
-                self.quiet_scan = false;
-                let mut due = std::mem::take(&mut self.arrivals_buf);
-                for &ai in &due {
-                    self.transition_arrival(ai, t, planner);
-                }
-                due.clear();
-                self.arrivals_buf = due;
-            }
-        } else {
-            for ai in 0..self.robots.len() {
+            self.arrival_agenda.pop();
+            self.arrivals_buf.push(ai as usize);
+        }
+        self.arrivals_buf.sort_unstable();
+        self.arrivals_buf.dedup();
+        // Completeness check: a full fleet scan finds no arrived robot the
+        // agenda missed, bar the `ToRack` robots already waiting in the
+        // delivery pool.
+        #[cfg(debug_assertions)]
+        for ai in 0..self.robots.len() {
+            let awaits_delivery = matches!(self.robots[ai].phase, RobotPhase::ToRack { .. })
+                && self.paths[ai].as_ref().is_some_and(|p| p.end() < t)
+                && self.needs_delivery.contains(&self.robots[ai].id);
+            debug_assert!(
+                self.paths[ai].as_ref().is_none_or(|p| p.end() > t)
+                    || awaits_delivery
+                    || self.arrivals_buf.contains(&ai),
+                "arrived robot {ai} missing from the arrival agenda"
+            );
+        }
+        if !self.arrivals_buf.is_empty() {
+            self.quiet_scan = false;
+            let mut due = std::mem::take(&mut self.arrivals_buf);
+            for &ai in &due {
                 self.transition_arrival(ai, t, planner);
             }
+            due.clear();
+            self.arrivals_buf = due;
         }
 
         // 3b/3c: delivery and return legs for waiting robots — one batched
-        // query+commit leg pass per tick. Event-driven: three empty pending
-        // pools mean the dense pass would build zero requests and return
-        // before touching the leg-fault cursor — a provable no-op.
-        if self.ed()
-            && self.needs_replan.is_empty()
+        // query+commit leg pass per tick. Three empty pending pools mean
+        // the pass would build zero requests and return before touching
+        // the leg-fault cursor — a provable no-op.
+        if self.needs_replan.is_empty()
             && self.needs_delivery.is_empty()
             && self.needs_return.is_empty()
         {
@@ -1388,10 +1319,9 @@ impl<'a> Engine<'a> {
         self.step_legs_batched(t, planner);
     }
 
-    /// One robot's leg-completion transition (the body of phase 3a),
-    /// shared by the dense scan and the event-driven agenda pop. Checks
-    /// the `arrived` predicate itself, so a stale agenda entry (the path
-    /// was cancelled, or replaced by one still in flight) is a no-op.
+    /// One robot's leg-completion transition (the body of phase 3a).
+    /// Checks the `arrived` predicate itself, so a stale agenda entry (the
+    /// path was cancelled, or replaced by one still in flight) is a no-op.
     fn transition_arrival(&mut self, ai: usize, t: Tick, planner: &mut dyn Planner) {
         if self.paths[ai].as_ref().is_none_or(|p| p.end() > t) {
             return;
@@ -1555,7 +1485,6 @@ impl<'a> Engine<'a> {
         }
         debug_assert_eq!(self.leg_results.len(), self.leg_requests.len());
 
-        let ed = self.ed();
         let mut i = 0;
         self.needs_replan.retain(|&robot_id| {
             let ai = robot_id.index();
@@ -1569,10 +1498,8 @@ impl<'a> Engine<'a> {
                     // The phase is preserved: the robot resumes its
                     // interrupted leg and the arrival transition handles the
                     // rest (dock / delivery hand-off / cycle completion).
-                    if ed {
-                        self.arrival_agenda
-                            .push(std::cmp::Reverse((path.end(), ai as u32)));
-                    }
+                    self.arrival_agenda
+                        .push(std::cmp::Reverse((path.end(), ai as u32)));
                     self.paths[ai] = Some(path);
                     false
                 }
@@ -1593,10 +1520,8 @@ impl<'a> Engine<'a> {
                         unreachable!("phase unchanged since collection");
                     };
                     self.robots[ai].phase = RobotPhase::ToStation { rack };
-                    if ed {
-                        self.arrival_agenda
-                            .push(std::cmp::Reverse((path.end(), ai as u32)));
-                    }
+                    self.arrival_agenda
+                        .push(std::cmp::Reverse((path.end(), ai as u32)));
                     self.paths[ai] = Some(path);
                     false
                 }
@@ -1621,10 +1546,8 @@ impl<'a> Engine<'a> {
                     self.robots[ai].phase = RobotPhase::Returning { rack };
                     self.robots[ai].pos = station;
                     self.docked_count -= 1;
-                    if ed {
-                        self.arrival_agenda
-                            .push(std::cmp::Reverse((path.end(), ai as u32)));
-                    }
+                    self.arrival_agenda
+                        .push(std::cmp::Reverse((path.end(), ai as u32)));
                     self.paths[ai] = Some(path);
                     false
                 }
@@ -1650,12 +1573,12 @@ impl<'a> Engine<'a> {
 
     /// Phase 4: the planner's per-timestamp selection + assignment.
     fn step_planning(&mut self, t: Tick, planner: &mut dyn Planner) {
-        // Event-driven: the dirty flags conservatively over-approximate the
-        // two offer pools, so both being clear proves the dense scans would
-        // find at least one pool empty and return below — *before* touching
-        // the degradation latch or the decision-fault cursor, which is what
-        // makes this skip bit-identical under chaos regimes too.
-        if self.ed() && !(self.maybe_idle && self.maybe_work) {
+        // The dirty flags conservatively over-approximate the two offer
+        // pools, so either being clear proves the scans below would find a
+        // pool empty and return — *before* touching the degradation latch or
+        // the decision-fault cursor, which is what keeps this skip exact
+        // under chaos regimes too.
+        if !(self.maybe_idle && self.maybe_work) {
             #[cfg(debug_assertions)]
             {
                 let any_idle = self
@@ -1790,10 +1713,8 @@ impl<'a> Engine<'a> {
             self.robots[ai].phase = RobotPhase::ToRack { rack: plan.rack };
             self.racks[plan.rack.index()].in_flight = true;
             self.busy_count += 1;
-            if self.ed() {
-                self.arrival_agenda
-                    .push(std::cmp::Reverse((plan.path.end(), ai as u32)));
-            }
+            self.arrival_agenda
+                .push(std::cmp::Reverse((plan.path.end(), ai as u32)));
             self.paths[ai] = Some(plan.path);
         }
     }
@@ -1869,10 +1790,8 @@ impl<'a> Engine<'a> {
             self.robots[ai].phase = RobotPhase::ToRack { rack: rid };
             self.racks[ri].in_flight = true;
             self.busy_count += 1;
-            if self.ed() {
-                self.arrival_agenda
-                    .push(std::cmp::Reverse((path.end(), ai as u32)));
-            }
+            self.arrival_agenda
+                .push(std::cmp::Reverse((path.end(), ai as u32)));
             self.paths[ai] = Some(path);
             used[ai] = true;
             assigned += 1;
@@ -1898,16 +1817,16 @@ impl<'a> Engine<'a> {
 
     /// Phase 5: advance robots along their paths; validate positions.
     fn step_movement(&mut self, t: Tick) {
-        // Event-driven: with zero busy robots nothing moves, accrues busy
-        // ticks, or changes the on-grid set (idle robots carry no path and
-        // their positions only change through busy phases). With validation
-        // off that alone proves the dense loop a no-op; with validation on
-        // we additionally need `quiet_scan` — the last real scan saw this
+        // With zero busy robots nothing moves, accrues busy ticks, or
+        // changes the on-grid set (idle robots carry no path and their
+        // positions only change through busy phases). With validation off
+        // that alone proves the loop below a no-op; with validation on we
+        // additionally need `quiet_scan` — the last real scan saw this
         // exact position set and pushed zero conflicts and zero violations
         // — so the validator can advance its window without rescanning
         // (see [`TrajectoryValidator::advance_static`]) and the violation
         // recount provably adds zero.
-        if self.ed() && self.busy_count == 0 && (!self.config.validate || self.quiet_scan) {
+        if self.busy_count == 0 && (!self.config.validate || self.quiet_scan) {
             #[cfg(debug_assertions)]
             debug_assert!(self.robots.iter().all(|r| r.is_idle()));
             if self.config.validate {
@@ -1957,8 +1876,8 @@ impl<'a> Engine<'a> {
             self.validator.check_tick_fast(t, &self.on_grid_buf);
         }
         // A clean scan over an all-idle fleet certifies the next tick's
-        // skip; any conflict or violation it pushed would be re-pushed by
-        // the dense loop every tick, so those runs must keep scanning.
+        // skip; any conflict or violation it pushed is pushed again every
+        // tick the fleet stands still, so those runs must keep scanning.
         self.quiet_scan = self.busy_count == 0
             && self.validator.conflict_count() == conflicts_before
             && self.disruption_violations == violations_before;
@@ -1969,11 +1888,12 @@ impl<'a> Engine<'a> {
         let mut transport = 0u64;
         let mut queuing = 0u64;
         let mut processing = 0u64;
-        // Event-driven: every counted phase is a busy phase, so an all-idle
-        // fleet counts (0, 0, 0) without the scan. `record_bottleneck` is
-        // still fed every tick — the zero buckets it creates are part of
-        // the deterministic fingerprint.
-        if !(self.ed() && self.busy_count == 0) {
+        // Every counted phase is a busy phase, so an all-idle fleet counts
+        // (0, 0, 0) without the scan. `record_bottleneck` is still fed
+        // every tick — the zero buckets it creates are part of the
+        // deterministic fingerprint.
+        debug_assert!(self.busy_count > 0 || self.robots.iter().all(|r| r.is_idle()));
+        if self.busy_count > 0 {
             for r in &self.robots {
                 match r.phase {
                     RobotPhase::ToRack { .. }
@@ -2186,7 +2106,7 @@ impl<'a> Engine<'a> {
         self.rebuild_agenda();
     }
 
-    /// Reconstruct the derived event-driven agenda from canonical state
+    /// Reconstruct the derived agenda from canonical state
     /// (see `docs/event-driven-ticking.md`): the arrival heap is exactly
     /// the set of active paths keyed by their end ticks, the counters are
     /// phase tallies, and the dirty flags start conservatively pessimistic
@@ -2195,12 +2115,10 @@ impl<'a> Engine<'a> {
     /// `agenda_reconstruction_matches_fresh` test pins this).
     fn rebuild_agenda(&mut self) {
         self.arrival_agenda.clear();
-        if self.ed() {
-            for (ai, path) in self.paths.iter().enumerate() {
-                if let Some(path) = path {
-                    self.arrival_agenda
-                        .push(std::cmp::Reverse((path.end(), ai as u32)));
-                }
+        for (ai, path) in self.paths.iter().enumerate() {
+            if let Some(path) = path {
+                self.arrival_agenda
+                    .push(std::cmp::Reverse((path.end(), ai as u32)));
             }
         }
         self.busy_count = self.robots.iter().filter(|r| r.phase.is_busy()).count();

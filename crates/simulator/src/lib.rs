@@ -41,9 +41,7 @@ pub mod snapshot;
 pub mod validate;
 
 pub use commands::{Ack, BacklogOrder, Command, OrderSpec, RejectReason, SequencedCommand};
-pub use engine::{
-    run_simulation, Engine, EngineConfig, EngineConfigBuilder, EngineState, TickStrategy,
-};
+pub use engine::{run_simulation, Engine, EngineConfig, EngineConfigBuilder, EngineState};
 pub use faults::{DegradationPolicy, FaultConfig, FaultPlan, IoFaultKind};
 pub use metrics::{BottleneckSample, Checkpoint};
 pub use report::{DeterministicFingerprint, SimulationReport};

@@ -40,9 +40,13 @@ pub const JOURNAL_MAGIC: [u8; 8] = *b"TPRWFPJ1";
 /// respectively) were never written outside this repository and are
 /// rejected as [`SnapshotError::UnsupportedVersion`]. Version 5 added a
 /// `config.workers` count that version 4 lacked; the field is gone again
-/// (`docs/adr/ADR-005-serial-leg-planning.md`) and decoding looks fields up
-/// by name, so both payload shapes decode as they are. Bump this when the
-/// payload schema changes, and drop the older of the two readers.
+/// (`docs/adr/ADR-005-serial-leg-planning.md`), as is the tick-strategy
+/// selector every v5 payload has carried in `config`
+/// (`docs/adr/ADR-007-one-tick-loop.md`: the agenda is derived state, so a
+/// payload written under either strategy resumes on the one loop), and
+/// decoding looks fields up by name, so every such payload shape decodes as
+/// it is. Bump this when the payload schema changes, and drop the older of
+/// the two readers.
 pub const SNAPSHOT_VERSION: u32 = 5;
 
 /// Oldest schema version [`decode_snapshot`] still reads.
@@ -1052,9 +1056,11 @@ mod tests {
     }
 
     /// Both readable payload shapes — a v4 payload, and a v5 payload
-    /// carrying the since-removed `config.workers` and
-    /// `config.reference_exec` keys — decode as they are and resume, on the
-    /// one remaining execution path, to the uninterrupted run's fingerprint.
+    /// carrying the since-removed `config.workers`, `config.reference_exec`
+    /// and tick-strategy keys (the latter as either of the unit variants it
+    /// could name) — decode as they are and resume, on the one
+    /// remaining execution path and tick loop, to the uninterrupted run's
+    /// fingerprint.
     #[test]
     fn migrates_v4_payload_and_resumes_from_it() {
         let inst = scenario(None, 42);
@@ -1072,11 +1078,18 @@ mod tests {
             let data = engine.snapshot(p2.as_ref());
 
             // Config keys earlier builds wrote and this one no longer has.
-            let removed = [
-                ("workers", Value::U64(4)),
-                ("reference_exec", Value::Bool(true)),
-            ];
-            for (version, stale_keys) in [(4u32, &removed[..0]), (5, &removed[..])] {
+            let removed = |strategy: &str| {
+                vec![
+                    ("workers", Value::U64(4)),
+                    ("reference_exec", Value::Bool(true)),
+                    ("tick_strategy", Value::Str(strategy.to_string())),
+                ]
+            };
+            for (version, stale_keys) in [
+                (4u32, Vec::new()),
+                (5, removed("Dense")),
+                (5, removed("EventDriven")),
+            ] {
                 let Value::Object(mut fields) = data.serialize() else {
                     panic!("snapshot value must be an object");
                 };
@@ -1087,7 +1100,7 @@ mod tests {
                 };
                 for (key, value) in stale_keys {
                     assert!(config_fields.iter().all(|(k, _)| k != key));
-                    config_fields.push((key.to_string(), value.clone()));
+                    config_fields.push((key.to_string(), value));
                 }
                 let payload = serde::binary::to_bytes(&Value::Object(fields));
                 let mut bytes = Vec::new();

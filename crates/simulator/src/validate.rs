@@ -190,15 +190,15 @@ impl TrajectoryValidator {
     ///   undocked) — so rewriting the entries under a new mark would store
     ///   the same data, and every edge probe would hit `was == pos`;
     /// * that last call pushed **zero** vertex conflicts — a vertex
-    ///   conflict between stationary robots would be re-pushed every tick
-    ///   by the dense loop, so skipping would under-count;
+    ///   conflict between stationary robots is pushed again by every
+    ///   scan, so skipping would under-count;
     /// * `prev_t == Some(t - 1)` — the window is contiguous.
     ///
     /// Under those preconditions the exported [`ValidatorSnapshot`] after
     /// this call is identical to the one a real `check_tick_fast` would
     /// leave (`prev_fast` filters on the *current* mark either way), and
-    /// all future verdicts agree. The event-driven engine uses this to
-    /// keep quiescent ticks O(1); debug builds assert the preconditions.
+    /// all future verdicts agree. The engine's movement phase uses this
+    /// to keep quiescent ticks O(1); debug builds assert the preconditions.
     pub fn advance_static(&mut self, t: Tick) {
         debug_assert_eq!(
             self.prev_t,

@@ -1,37 +1,61 @@
-//! The `TickStrategy` contract (see `docs/event-driven-ticking.md`): the
-//! event-driven scheduler is a performance refactor, not a behaviour
-//! change — every run is **bit-identical** to the dense loop.
+//! The tick loop's skip proofs, checked against the dense loop's verdict
+//! (see `docs/event-driven-ticking.md`): every phase early-outs when the
+//! agenda proves the full scan a no-op, and a run must stay
+//! **bit-identical** to one that scanned every robot, rack and picker
+//! every tick.
 //!
-//! * **Lockstep anchor** — for every planner on clean and disrupted
-//!   floors, a dense and an event-driven engine advanced tick by tick
-//!   must agree on the full canonical state hash at *every* tick
-//!   boundary, not just the final fingerprint. This is the strongest
-//!   form of the contract and the deterministic anchor CI re-executes.
-//! * **Regime soaks** — proptests sample (planner, scenario kind,
-//!   scenario seed, fault seed) tuples across the clean, disrupted, chaos
-//!   and live-order regimes, requiring fingerprint (and, live, ack-stream)
-//!   equality with the dense loop.
+//! The dense loop is deleted (`docs/adr/ADR-007-one-tick-loop.md`); its
+//! verdict is `results/fingerprints_event_driven.txt`, recorded by running
+//! this file's matrix through it at the last commit that had it, one row
+//! per run: `<section> <planner> kind=.. seed=.. [faults=..|orders=..] ->
+//! fp=<FNV-1a-64 of the Debug-printed fingerprint> ...`.
+//!
+//! * **`lockstep`** — every planner on clean and disrupted floors: tick
+//!   count and an FNV fold of the canonical `state_hash()` at *every* tick
+//!   boundary, not just the final fingerprint.
+//! * **`clean` / `chaos` / `live`** — the 128 (planner, scenario kind,
+//!   scenario seed[, fault seed | order seed]) tuples per regime the
+//!   retired proptests drew; live rows add a hash of the ack stream.
 //! * **Agenda reconstruction** — the wake agenda is *derived* state,
-//!   never snapshotted (`docs/snapshot-format.md`): an event-driven run
-//!   snapshotted mid-flight and resumed must re-derive an agenda that
-//!   locksteps the never-interrupted engine's state hashes to the end.
+//!   never snapshotted (`docs/snapshot-format.md`): a run snapshotted
+//!   mid-flight and resumed must re-derive an agenda that locksteps the
+//!   never-interrupted engine's state hashes to the end. A live check; it
+//!   never needed the dense loop.
 //!
-//! `PROPTEST_CASES` scales the soaks (default 64 cases per property).
+//! `state_hash()` hashes the snapshot encoding of `EngineState`, so a
+//! snapshot-schema change moves the `states=` column of the `lockstep`
+//! rows and nothing else: regenerate only that column, and let the `fp=`
+//! column (which it cannot move) be the guard that behaviour held.
 
-use eatp::core::{planner_by_name, EatpConfig, Planner, PLANNER_NAMES};
+use eatp::core::{planner_by_name, EatpConfig, Planner};
 use eatp::simulator::{
     decode_snapshot, encode_snapshot, resume_from, run_simulation, Ack, Command, DegradationPolicy,
-    Engine, EngineConfig, FaultConfig, OrderSpec, SequencedCommand, TickStrategy,
+    Engine, EngineConfig, FaultConfig, OrderSpec, SequencedCommand,
 };
 use eatp::warehouse::{
     DisruptionConfig, Instance, LayoutConfig, OrderId, ScenarioSpec, Tick, WorkloadConfig,
 };
-use proptest::prelude::*;
+use std::sync::Mutex;
+
+/// One row per run, as recorded by the dense loop.
+const GOLDEN: &str = include_str!("../results/fingerprints_event_driven.txt");
+
+/// Where a mismatching run leaves the whole table with its rows replaced:
+/// an intended behaviour change regenerates the golden file by copying
+/// this over it.
+const ACTUAL: &str = concat!(
+    env!("CARGO_TARGET_TMPDIR"),
+    "/fingerprints_event_driven.txt"
+);
+
+/// The table as this process has recomputed it so far (the four walking
+/// tests run in parallel and share [`ACTUAL`]).
+static ACTUAL_ROWS: Mutex<Vec<String>> = Mutex::new(Vec::new());
 
 /// Scenario kinds of the soak: a clean floor, a blockade storm and a
 /// breakdown wave (the same shapes the checkpoint and chaos soaks use,
-/// so the strategy equivalence composes with every disruption mechanism
-/// the repo models).
+/// so the skip proofs compose with every disruption mechanism the repo
+/// models).
 fn scenario(kind: usize, seed: u64) -> Instance {
     let disruptions = match kind {
         0 => None,
@@ -72,18 +96,9 @@ fn scenario(kind: usize, seed: u64) -> Instance {
     .unwrap()
 }
 
-/// The two configs under comparison differ in exactly one knob.
-fn config(strategy: TickStrategy) -> EngineConfig {
+/// The chaos preset.
+fn chaos_config(fault_seed: u64) -> EngineConfig {
     EngineConfig::builder()
-        .tick_strategy(strategy)
-        .build()
-        .unwrap()
-}
-
-/// The chaos preset with the strategy under test.
-fn chaos_config(strategy: TickStrategy, fault_seed: u64) -> EngineConfig {
-    EngineConfig::builder()
-        .tick_strategy(strategy)
         .faults(FaultConfig::chaos(fault_seed, (5, 150)))
         .degradation(DegradationPolicy {
             enabled: true,
@@ -161,57 +176,103 @@ fn drive_live(
     }
 }
 
-/// Every planner, clean and disrupted floors: a dense and an
-/// event-driven engine advanced in lockstep must agree on the canonical
-/// state hash at every tick boundary. This catches a divergence at the
-/// tick it happens instead of at the end of the run.
-#[test]
-fn event_driven_locksteps_dense_state_hashes() {
-    let planner_cfg = EatpConfig::default();
-    for kind in [0usize, 1, 2] {
-        let inst = scenario(kind, 42);
-        for name in PLANNER_NAMES {
-            let mut pd = planner_by_name(name, &planner_cfg).unwrap();
-            let mut pe = planner_by_name(name, &planner_cfg).unwrap();
-            let mut dense = Engine::new(&inst, &config(TickStrategy::Dense));
-            let mut ed = Engine::new(&inst, &config(TickStrategy::EventDriven));
-            dense.start(pd.as_mut());
-            ed.start(pe.as_mut());
-            while !dense.is_finished() {
-                dense.tick_once(pd.as_mut());
-                ed.tick_once(pe.as_mut());
-                assert_eq!(
-                    dense.state_hash(),
-                    ed.state_hash(),
-                    "{name} kind {kind}: canonical state diverged at tick {}",
-                    dense.current_tick()
-                );
-            }
-            assert!(
-                ed.is_finished(),
-                "{name} kind {kind}: ED must finish in step"
-            );
-            let rd = dense.report(pd.as_mut());
-            let re = ed.report(pe.as_mut());
-            assert!(rd.completed, "{name} kind {kind}: run must finish");
-            assert_eq!(
-                rd.deterministic_fingerprint(),
-                re.deterministic_fingerprint(),
-                "{name} kind {kind}: fingerprints must match"
-            );
+/// FNV-1a-64.
+fn fnv1a(bytes: &[u8]) -> u64 {
+    bytes.iter().fold(0xcbf2_9ce4_8422_2325, |h, &b| {
+        (h ^ b as u64).wrapping_mul(0x0000_0100_0000_01b3)
+    })
+}
+
+/// FNV-1a-64 of a value's `Debug` rendering.
+fn debug_hash(value: &impl std::fmt::Debug) -> u64 {
+    fnv1a(format!("{value:?}").as_bytes())
+}
+
+/// The `name=<u64>` field of a golden row's key.
+fn field(key: &str, name: &str) -> u64 {
+    key.split(' ')
+        .find_map(|tok| tok.strip_prefix(name)?.strip_prefix('='))
+        .and_then(|v| v.parse().ok())
+        .unwrap_or_else(|| panic!("golden row `{key}` lacks `{name}=`"))
+}
+
+/// Walks the `section` rows of [`GOLDEN`]: one engine per row, built from
+/// the row's key (`run` gets the planner name, the instance and the key,
+/// and returns the verdict it observed), compared with the dense loop's
+/// recorded verdict.
+fn check_section(
+    section: &str,
+    expected_rows: usize,
+    run: impl Fn(&str, &Instance, &str) -> String,
+) {
+    let mut rows = 0;
+    let mut diverged = Vec::new();
+    for (i, row) in GOLDEN.lines().enumerate() {
+        let (key, verdict) = row.split_once(" -> ").expect("`<key> -> <verdict>` rows");
+        let mut head = key.split(' ');
+        if head.next() != Some(section) {
+            continue;
+        }
+        rows += 1;
+        let planner = head.next().expect("planner name");
+        let inst = scenario(field(key, "kind") as usize, field(key, "seed"));
+        let actual = run(planner, &inst, key);
+        if actual != verdict {
+            diverged.push((i, key, actual));
         }
     }
+    assert_eq!(rows, expected_rows, "`{section}` rows in the golden file");
+    if diverged.is_empty() {
+        return;
+    }
+    {
+        let mut table = ACTUAL_ROWS.lock().expect("released before the panic below");
+        if table.is_empty() {
+            table.extend(GOLDEN.lines().map(String::from));
+        }
+        for (i, key, actual) in &diverged {
+            table[*i] = format!("{key} -> {actual}");
+        }
+        std::fs::write(ACTUAL, table.join("\n") + "\n").expect("write the actual rows");
+    }
+    let keys: Vec<&str> = diverged.iter().map(|&(_, key, _)| key).collect();
+    panic!(
+        "{} of {rows} `{section}` runs diverged from the dense loop's recorded verdict: {keys:?}\n\
+         the table with the actual rows written to {ACTUAL}",
+        keys.len()
+    );
+}
+
+/// Every planner, clean and disrupted floors: the engine must reproduce
+/// the dense loop's canonical state hash at every tick boundary (folded),
+/// its tick count and its fingerprint. The fold catches a divergence the
+/// final fingerprint would absorb.
+#[test]
+fn event_driven_locksteps_dense_state_hashes() {
+    check_section("lockstep", 15, |name, inst, _| {
+        let mut p = planner_by_name(name, &EatpConfig::default()).unwrap();
+        let mut engine = Engine::new(inst, &EngineConfig::default());
+        engine.start(p.as_mut());
+        let mut states = Vec::new();
+        while !engine.is_finished() {
+            engine.tick_once(p.as_mut());
+            states.extend(engine.state_hash().to_le_bytes());
+        }
+        let fp = debug_hash(&engine.report(p.as_mut()).deterministic_fingerprint());
+        let ticks = states.len() / 8;
+        format!("fp={fp:016x} ticks={ticks} states={:016x}", fnv1a(&states))
+    });
 }
 
 /// Agenda reconstruction on resume: the wake agenda is derived state and
-/// is *not* in the snapshot. An event-driven run snapshotted mid-flight
-/// and resumed with a fresh planner must lockstep the never-interrupted
-/// engine's state hashes all the way to completion — i.e. the rebuilt
-/// agenda wakes exactly the entities the never-snapshotted one would.
+/// is *not* in the snapshot. A run snapshotted mid-flight and resumed
+/// with a fresh planner must lockstep the never-interrupted engine's
+/// state hashes all the way to completion — i.e. the rebuilt agenda wakes
+/// exactly the entities the never-snapshotted one would.
 #[test]
 fn agenda_reconstruction_matches_fresh() {
     let planner_cfg = EatpConfig::default();
-    let cfg = config(TickStrategy::EventDriven);
+    let cfg = EngineConfig::default();
     for kind in [0usize, 1] {
         let inst = scenario(kind, 7);
         for (name, cut) in [("NTP", 23u64), ("EATP", 41)] {
@@ -231,9 +292,9 @@ fn agenda_reconstruction_matches_fresh() {
             let bytes = encode_snapshot(&engine.snapshot(p1.as_ref()));
             drop(engine);
             drop(p1);
-            let data = decode_snapshot(&bytes).expect("ED snapshot must decode");
+            let data = decode_snapshot(&bytes).expect("snapshot must decode");
             let mut fresh = planner_by_name(name, &planner_cfg).unwrap();
-            let mut resumed = resume_from(&data, fresh.as_mut()).expect("ED snapshot must resume");
+            let mut resumed = resume_from(&data, fresh.as_mut()).expect("snapshot must resume");
 
             while !whole.is_finished() {
                 whole.tick_once(p0.as_mut());
@@ -261,99 +322,47 @@ fn agenda_reconstruction_matches_fresh() {
     }
 }
 
-proptest! {
-    /// Random (planner, scenario kind, scenario seed) tuples on clean and
-    /// disrupted floors: the event-driven fingerprint equals the dense one.
-    #[test]
-    fn event_driven_matches_dense(
-        planner_idx in 0usize..5,
-        kind in 0usize..3,
-        seed in 0u64..10_000,
-    ) {
-        let name = PLANNER_NAMES[planner_idx];
-        let inst = scenario(kind, seed);
-        let planner_cfg = EatpConfig::default();
+/// (planner, scenario kind, scenario seed) tuples on clean and disrupted
+/// floors: the fingerprint equals the dense loop's.
+#[test]
+fn event_driven_matches_dense() {
+    check_section("clean", 128, |name, inst, _| {
+        let mut p = planner_by_name(name, &EatpConfig::default()).unwrap();
+        let report = run_simulation(inst, &mut *p, &EngineConfig::default());
+        format!(
+            "fp={:016x}",
+            debug_hash(&report.deterministic_fingerprint())
+        )
+    });
+}
 
-        let mut p = planner_by_name(name, &planner_cfg).unwrap();
-        let dense = run_simulation(&inst, &mut *p, &config(TickStrategy::Dense));
-        let mut p = planner_by_name(name, &planner_cfg).unwrap();
-        let ed = run_simulation(&inst, &mut *p, &config(TickStrategy::EventDriven));
-        prop_assert!(dense.completed, "{name} kind {kind} seed {seed}: dense must finish");
-        prop_assert_eq!(
-            dense.deterministic_fingerprint(),
-            ed.deterministic_fingerprint(),
-            "{} diverged from dense (kind {}, seed {})",
-            name, kind, seed
-        );
-    }
+/// The chaos regime: injected planner failures, poisoned derived state
+/// and graceful degradation — no skip may move a fault-plan cursor.
+#[test]
+fn event_driven_matches_dense_under_chaos() {
+    check_section("chaos", 128, |name, inst, key| {
+        let mut p = planner_by_name(name, &EatpConfig::default()).unwrap();
+        let report = run_simulation(inst, &mut *p, &chaos_config(field(key, "faults")));
+        format!(
+            "fp={:016x}",
+            debug_hash(&report.deterministic_fingerprint())
+        )
+    });
+}
 
-    /// The chaos regime: injected planner failures, poisoned derived
-    /// state and graceful degradation — the fault-plan cursors must
-    /// advance identically under both strategies.
-    #[test]
-    fn event_driven_matches_dense_under_chaos(
-        planner_idx in 0usize..5,
-        kind in 0usize..3,
-        seed in 0u64..10_000,
-        fault_seed in 0u64..10_000,
-    ) {
-        let name = PLANNER_NAMES[planner_idx];
-        let inst = scenario(kind, seed);
-        let planner_cfg = EatpConfig::default();
-
-        let mut p = planner_by_name(name, &planner_cfg).unwrap();
-        let dense = run_simulation(&inst, &mut *p, &chaos_config(TickStrategy::Dense, fault_seed));
-        let mut p = planner_by_name(name, &planner_cfg).unwrap();
-        let ed = run_simulation(&inst, &mut *p, &chaos_config(TickStrategy::EventDriven, fault_seed));
-        prop_assert!(dense.completed, "{name} kind {kind} seed {seed}: chaos dense must finish");
-        prop_assert_eq!(
-            dense.deterministic_fingerprint(),
-            ed.deterministic_fingerprint(),
-            "{} diverged from dense under chaos (kind {}, seed {}, faults {})",
-            name, kind, seed, fault_seed
-        );
-    }
-
-    /// The live-order regime under full command redelivery: fingerprints
-    /// *and* ack streams must match the dense loop byte for byte.
-    #[test]
-    fn event_driven_matches_dense_live_orders(
-        planner_idx in 0usize..5,
-        kind in 0usize..3,
-        seed in 0u64..10_000,
-        order_seed in 0u64..10_000,
-    ) {
-        let name = PLANNER_NAMES[planner_idx];
-        let inst = scenario(kind, seed);
-        let planner_cfg = EatpConfig::default();
-        let stream = live_order_stream(&inst, order_seed, 8);
-
-        let run = |strategy: TickStrategy| {
-            let cfg = EngineConfig::builder()
-                .tick_strategy(strategy)
-                .live(true)
-                .build()
-                .unwrap();
-            let mut p = planner_by_name(name, &planner_cfg).unwrap();
-            let mut engine = Engine::new(&inst, &cfg);
-            engine.start(p.as_mut());
-            let mut acks = Vec::new();
-            drive_live(&mut engine, p.as_mut(), &stream, &mut acks);
-            (engine.report(p.as_mut()), acks)
-        };
-
-        let (dense, dense_acks) = run(TickStrategy::Dense);
-        let (ed, ed_acks) = run(TickStrategy::EventDriven);
-        prop_assert!(
-            dense.completed,
-            "{name} kind {kind} seed {seed} orders {order_seed}: dense live run must finish"
-        );
-        prop_assert_eq!(
-            dense.deterministic_fingerprint(),
-            ed.deterministic_fingerprint(),
-            "{} diverged from dense on live orders (kind {}, seed {}, orders {})",
-            name, kind, seed, order_seed
-        );
-        prop_assert_eq!(&dense_acks, &ed_acks, "ack streams must match byte for byte");
-    }
+/// The live-order regime under full command redelivery: fingerprints
+/// *and* ack streams must match the dense loop's.
+#[test]
+fn event_driven_matches_dense_live_orders() {
+    check_section("live", 128, |name, inst, key| {
+        let stream = live_order_stream(inst, field(key, "orders"), 8);
+        let cfg = EngineConfig::builder().live(true).build().unwrap();
+        let mut p = planner_by_name(name, &EatpConfig::default()).unwrap();
+        let mut engine = Engine::new(inst, &cfg);
+        engine.start(p.as_mut());
+        let mut acks = Vec::new();
+        drive_live(&mut engine, p.as_mut(), &stream, &mut acks);
+        let fp = debug_hash(&engine.report(p.as_mut()).deterministic_fingerprint());
+        format!("fp={fp:016x} acks={:016x}", debug_hash(&acks))
+    });
 }
