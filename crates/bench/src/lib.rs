@@ -1,7 +1,8 @@
 //! Shared harness for the experiment reproduction.
 //!
 //! Every table and figure of the paper's Sec. VII maps to one entry point
-//! here (see DESIGN.md §4). Experiments run the four Table II datasets at a
+//! here and one `repro` subcommand (listed in the crate README).
+//! Experiments run the four Table II datasets at a
 //! configurable `scale` (`REPRO_SCALE`, default 0.02 ≈ laptop-minutes;
 //! `1.0` = full paper scale) and compare the five planners. Mirroring the
 //! paper, LEF and ILP are skipped on Real-Large ("too slow to execute",
@@ -11,8 +12,6 @@ use eatp_core::{planner_by_name, EatpConfig, PLANNER_NAMES};
 use serde::Serialize;
 use tprw_simulator::{run_simulation, EngineConfig, SimulationReport};
 use tprw_warehouse::{Dataset, DisruptionConfig, ScenarioSpec};
-
-pub mod sim_cases;
 
 /// Default reproduction scale when `REPRO_SCALE` is unset.
 pub const DEFAULT_SCALE: f64 = 0.02;

@@ -46,8 +46,8 @@
 //! With the flag off — or on a clean world, where every penalty is zero —
 //! selection is bit-identical to the reactive-only behaviour
 //! (equivalence-pinned by `tests/anticipation.rs`); on blockade-heavy
-//! floors the aware planners beat reactive-only makespan (gated in CI via
-//! `bench_sim`).
+//! floors aware EATP is no worse than reactive-only in makespan (gated by
+//! the same file, on a small floor and on the full-size blockade storm).
 //!
 //! # Leg planning is serial
 //!

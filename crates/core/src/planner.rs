@@ -4,8 +4,9 @@
 //! [`crate::world::WorldView`] and returns pickup assignments (`U_t` of
 //! Definition 5, restricted to newly assigned robots). As robots progress
 //! through the fulfilment cycle the engine requests the remaining legs
-//! (delivery, return) via [`Planner::plan_leg`]. All returned paths are
-//! already reserved in the planner's conflict-avoidance structure.
+//! (delivery, return) one batch per tick via [`Planner::query_legs`] and
+//! [`Planner::commit_legs`]. All returned paths are already reserved in
+//! the planner's conflict-avoidance structure.
 
 use crate::world::WorldView;
 use serde::{Deserialize, Serialize};

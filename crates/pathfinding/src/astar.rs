@@ -74,7 +74,6 @@ use crate::cache::PathCache;
 use crate::path::Path;
 use crate::reservation::ReservationProbe;
 use crate::scratch::{SearchScratch, ACTION_MOVE_BASE, ACTION_ROOT, ACTION_WAIT};
-use std::cell::RefCell;
 use std::cmp::Reverse;
 use tprw_warehouse::{Direction, GridMap, GridPos, RobotId, Tick};
 
@@ -342,53 +341,6 @@ pub fn plan_path_with<R: ReservationProbe>(
         path,
         expansions: stats.expansions,
         used_cache: stats.used_cache,
-    })
-}
-
-thread_local! {
-    /// Arena for the scratch-less compatibility entry point: call sites that
-    /// do not manage a [`SearchScratch`] still get steady-state buffer reuse.
-    static LOCAL_SCRATCH: RefCell<SearchScratch> = RefCell::new(SearchScratch::new());
-}
-
-/// Per-thread cap on retained dense-table slots for the scratch-less
-/// wrapper (16 MiB of stamp words); larger tables are dropped after the
-/// query instead of pinning the thread-local high water forever.
-const LOCAL_SCRATCH_MAX_SLOTS: usize = 1 << 22;
-
-/// Plan a conflict-free timed path using a thread-local scratch arena.
-///
-/// Prefer [`plan_path_into`]/[`plan_path_with`] with an explicitly owned
-/// [`SearchScratch`] in planner hot paths; this wrapper exists for tests and
-/// one-shot callers. Retained thread-local buffers are capped at
-/// `LOCAL_SCRATCH_MAX_SLOTS` dense slots — oversized tables are released
-/// after the query.
-#[allow(clippy::too_many_arguments)]
-pub fn plan_path<R: ReservationProbe>(
-    grid: &GridMap,
-    resv: &R,
-    robot: RobotId,
-    start: GridPos,
-    start_tick: Tick,
-    goal: GridPos,
-    cache: Option<&mut PathCache>,
-    opts: &PlanOptions,
-) -> Option<PlanOutcome> {
-    LOCAL_SCRATCH.with(|scratch| {
-        let mut scratch = scratch.borrow_mut();
-        let out = plan_path_with(
-            &mut scratch,
-            grid,
-            resv,
-            robot,
-            start,
-            start_tick,
-            goal,
-            cache,
-            opts,
-        );
-        scratch.trim(LOCAL_SCRATCH_MAX_SLOTS);
-        out
     })
 }
 
@@ -830,7 +782,8 @@ mod tests {
     fn straight_line_on_empty_grid() {
         let grid = open_grid(10, 10);
         let resv = ConflictDetectionTable::new(10, 10);
-        let out = plan_path(
+        let out = plan_path_with(
+            &mut SearchScratch::new(),
             &grid,
             &resv,
             RobotId::new(0),
@@ -853,7 +806,8 @@ mod tests {
     fn same_cell_goal() {
         let grid = open_grid(5, 5);
         let resv = ConflictDetectionTable::new(5, 5);
-        let out = plan_path(
+        let out = plan_path_with(
+            &mut SearchScratch::new(),
             &grid,
             &resv,
             RobotId::new(0),
@@ -882,7 +836,8 @@ mod tests {
         );
         // Robot 0 wants to travel along row 0 through (2,0) reaching it at
         // exactly t=2 if unimpeded.
-        let out = plan_path(
+        let out = plan_path_with(
+            &mut SearchScratch::new(),
             &grid,
             &resv,
             RobotId::new(0),
@@ -928,7 +883,8 @@ mod tests {
         let grid = open_grid(8, 8);
         let mut resv = ConflictDetectionTable::new(8, 8);
         resv.park(RobotId::new(1), p(4, 4), 0);
-        let out = plan_path(
+        let out = plan_path_with(
+            &mut SearchScratch::new(),
             &grid,
             &resv,
             RobotId::new(0),
@@ -946,7 +902,8 @@ mod tests {
         let grid = open_grid(8, 8);
         let mut resv = ConflictDetectionTable::new(8, 8);
         resv.park(RobotId::new(1), p(2, 0), 0);
-        let out = plan_path(
+        let out = plan_path_with(
+            &mut SearchScratch::new(),
             &grid,
             &resv,
             RobotId::new(0),
@@ -974,7 +931,8 @@ mod tests {
             cells: vec![p(3, 3), p(3, 2), p(3, 1), p(3, 0), p(4, 0), p(5, 0)],
         };
         resv.reserve_path(RobotId::new(1), &crossing, false);
-        let out = plan_path(
+        let out = plan_path_with(
+            &mut SearchScratch::new(),
             &grid,
             &resv,
             RobotId::new(0),
@@ -1003,7 +961,8 @@ mod tests {
         let grid = open_grid(20, 20);
         let resv = ConflictDetectionTable::new(20, 20);
         let mut cache = PathCache::new(&grid, 50);
-        let out = plan_path(
+        let out = plan_path_with(
+            &mut SearchScratch::new(),
             &grid,
             &resv,
             RobotId::new(0),
@@ -1031,7 +990,8 @@ mod tests {
         };
         resv.reserve_path(RobotId::new(1), &crossing, false);
         let mut cache = PathCache::new(&grid, 50);
-        let out = plan_path(
+        let out = plan_path_with(
+            &mut SearchScratch::new(),
             &grid,
             &resv,
             RobotId::new(0),
@@ -1060,7 +1020,8 @@ mod tests {
         // Park robots on every neighbour of the start: fully walled in.
         resv.park(RobotId::new(1), p(1, 0), 0);
         resv.park(RobotId::new(2), p(0, 1), 0);
-        let out = plan_path(
+        let out = plan_path_with(
+            &mut SearchScratch::new(),
             &grid,
             &resv,
             RobotId::new(0),
@@ -1088,7 +1049,8 @@ mod tests {
         let mut b = SpatioTemporalGraph::new(10, 10);
         a.reserve_path(RobotId::new(9), &blocker, true);
         b.reserve_path(RobotId::new(9), &blocker, true);
-        let oa = plan_path(
+        let oa = plan_path_with(
+            &mut SearchScratch::new(),
             &grid,
             &a,
             RobotId::new(0),
@@ -1098,7 +1060,8 @@ mod tests {
             None,
             &opts(),
         );
-        let ob = plan_path(
+        let ob = plan_path_with(
+            &mut SearchScratch::new(),
             &grid,
             &b,
             RobotId::new(0),
@@ -1197,7 +1160,8 @@ mod tests {
         let grid = open_grid(30, 30);
         let mut resv = ConflictDetectionTable::new(30, 30);
         resv.park(RobotId::new(1), p(15, 10), 0);
-        let out = plan_path(
+        let out = plan_path_with(
+            &mut SearchScratch::new(),
             &grid,
             &resv,
             RobotId::new(0),
@@ -1673,8 +1637,7 @@ mod tests {
                 if used_cells.contains(&start) { continue; }
                 // Plan each blocker against the current table so blockers are
                 // mutually conflict-free too.
-                if let Some(out) = plan_path(
-                    &grid, &resv, robot, start, 0, p(7 - x, 7 - y), None, &opts()
+                if let Some(out) = plan_path_with(&mut SearchScratch::new(), &grid, &resv, robot, start, 0, p(7 - x, 7 - y), None, &opts()
                 ) {
                     resv.reserve_path(robot, &out.path, true);
                     used_cells.push(start);
@@ -1691,7 +1654,7 @@ mod tests {
             prop_assume!(!used_cells.contains(&start));
             let goal = p(gx, gy);
             prop_assume!(!used_cells.contains(&goal));
-            if let Some(out) = plan_path(&grid, &resv, me, start, 0, goal, None, &opts()) {
+            if let Some(out) = plan_path_with(&mut SearchScratch::new(), &grid, &resv, me, start, 0, goal, None, &opts()) {
                 prop_assert!(out.path.is_connected());
                 prop_assert_eq!(out.path.last(), goal);
                 let mut all: Vec<(RobotId, &Path)> = vec![(me, &out.path)];

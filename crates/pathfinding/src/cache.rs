@@ -12,7 +12,7 @@
 //! Splice attempts key on `(popped vertex, goal)`, so the pair space is
 //! large and misses are the common case early in a run. Each miss used to
 //! run a full `HashMap`-frontier BFS from scratch — the dominant share of
-//! EATP's tick cost on obstructed floors (see `BENCH_sim.json`). Misses now
+//! EATP's tick cost on obstructed floors. Misses now
 //! trace a **destination-rooted step field**: one flat BFS per *goal*
 //! (direction-toward-goal per cell, 1 byte each, LRU-capped at
 //! [`FIELD_CAP`]) serves every `from` that subsequently misses on the same

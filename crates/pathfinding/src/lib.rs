@@ -24,7 +24,7 @@
 //! arena — dense generation-stamped state tables plus a dial (bucket) open
 //! list — so a warmed-up planner plans with **zero per-query heap
 //! allocations**; [`mod@reference`] preserves the seed HashMap/BinaryHeap
-//! implementation as the measured baseline (see `BENCH_astar.json`).
+//! implementation as the reference the equivalence tests compare against.
 //!
 //! [`knn::KNearestRacks`] provides the per-cell K-closest-rack index backing
 //! the "flip requesting side" optimization (Sec. VI-A).
@@ -45,7 +45,7 @@ pub mod reservation;
 pub mod scratch;
 pub mod stg;
 
-pub use astar::{plan_path, plan_path_into, plan_path_with, PlanOptions, PlanStats};
+pub use astar::{plan_path_into, plan_path_with, PlanOptions, PlanStats};
 pub use cache::PathCache;
 pub use cdt::ConflictDetectionTable;
 pub use conflict::{find_conflicts, Conflict};

@@ -5,7 +5,7 @@
 
 #![cfg(test)]
 
-use crate::astar::{plan_path, plan_path_with, PlanOptions, Region};
+use crate::astar::{plan_path_with, PlanOptions, Region};
 use crate::cache::PathCache;
 use crate::cdt::ConflictDetectionTable;
 use crate::conflict::find_conflicts;
@@ -32,8 +32,8 @@ proptest! {
         let resv = ConflictDetectionTable::new(15, 15);
         let s = GridPos::new(sx, sy);
         let g = GridPos::new(gx, gy);
-        let out = plan_path(
-            &grid, &resv, RobotId::new(0), s, start_tick, g, None,
+        let out = plan_path_with(
+            &mut SearchScratch::new(), &grid, &resv, RobotId::new(0), s, start_tick, g, None,
             &PlanOptions::default(),
         ).expect("empty grid always solvable");
         prop_assert_eq!(out.path.end() - out.path.start, s.manhattan(g));
@@ -97,7 +97,10 @@ proptest! {
         let goal = GridPos::new(gx, gy);
         let mut cache = PathCache::new(&grid, 50);
         let opts = PlanOptions { park_at_goal: false, ..PlanOptions::default() };
-        if let Some(out) = plan_path(&grid, &resv, me, start, 0, goal, Some(&mut cache), &opts) {
+        let mut scratch = SearchScratch::new();
+        if let Some(out) = plan_path_with(
+            &mut scratch, &grid, &resv, me, start, 0, goal, Some(&mut cache), &opts,
+        ) {
             prop_assert!(out.path.is_connected());
             prop_assert_eq!(out.path.last(), goal);
             // Check against the *moving window* of each blocker: blockers
@@ -134,7 +137,10 @@ proptest! {
             park_at_goal: false,
             ..PlanOptions::default()
         };
-        if let Some(out) = plan_path(&grid, &resv, RobotId::new(0), s, 0, g, None, &opts) {
+        let mut scratch = SearchScratch::new();
+        if let Some(out) = plan_path_with(
+            &mut scratch, &grid, &resv, RobotId::new(0), s, 0, g, None, &opts,
+        ) {
             prop_assert!(out.path.end() <= s.manhattan(g) + slack);
         }
     }

@@ -1,16 +1,14 @@
-//! The seed (pre-arena) spatiotemporal A* — kept verbatim as a baseline.
+//! The seed (pre-arena) spatiotemporal A* — kept verbatim as a reference.
 //!
-//! This is the implementation `plan_path` shipped with before the
+//! This is the implementation the crate shipped with before the
 //! [`crate::scratch::SearchScratch`] refactor: per-query `HashMap`s for the
-//! parent/closed sets and a `BinaryHeap` of packed tuples. It exists for two
-//! reasons only:
-//!
-//! 1. **Equivalence testing** — property tests assert the optimized search
-//!    returns conflict-free paths of *identical cost* on randomized
-//!    scenarios (`proptests.rs`).
-//! 2. **Perf baselining** — the `bench_astar` harness measures the
-//!    optimized hot path against this one; the recorded speedup seeds the
-//!    repo's performance trajectory.
+//! parent/closed sets and a `BinaryHeap` of packed tuples. It exists for
+//! **equivalence testing** only: property and unit tests assert the
+//! optimized search returns conflict-free paths of *identical cost* on
+//! randomized scenarios (`proptests.rs`, `astar.rs`,
+//! `tests/key_collision.rs`). Nothing times it
+//! (`docs/adr/ADR-008-two-measurement-systems.md` has the last recorded
+//! ratio).
 //!
 //! ⚠ Do not use in planners: besides the allocation churn, its
 //! `(t << 24) | cell_index` state key **aliases states on grids with ≥ 2²⁴
@@ -33,8 +31,9 @@ pub fn reference_state_key(pos: GridPos, t: Tick, width: u16) -> u64 {
     (t << 24) | pos.to_index(width) as u64
 }
 
-/// Pre-refactor `plan_path`: identical contract to
-/// [`crate::astar::plan_path`], kept as the measured baseline.
+/// The pre-refactor search: identical contract to
+/// [`crate::astar::plan_path_with`] (minus the scratch), kept as the test
+/// reference.
 #[allow(clippy::too_many_arguments)]
 pub fn plan_path_reference<R: ReservationSystem>(
     grid: &GridMap,

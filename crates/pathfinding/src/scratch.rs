@@ -139,18 +139,6 @@ impl SearchScratch {
         self.stamp.len()
     }
 
-    /// Drop the dense table if it exceeds `max_slots` entries — used by
-    /// the thread-local [`crate::astar::plan_path`] wrapper so one-shot
-    /// callers on huge grids do not pin high-water buffers for the life of
-    /// the thread. Planner-owned scratches never call this; their retained
-    /// size is reported via `PlannerStats::scratch_bytes`.
-    pub fn trim(&mut self, max_slots: usize) {
-        if self.stamp.len() > max_slots {
-            self.stamp = Vec::new();
-            self.generation = 0;
-        }
-    }
-
     /// Make buckets `0..=idx` available, allocating only on first growth.
     #[inline]
     pub(crate) fn ensure_bucket(&mut self, idx: usize) {

@@ -46,7 +46,7 @@ fn allocation_events() -> usize {
 
 #[test]
 fn warmed_up_plan_path_does_not_allocate() {
-    // `bench_astar`'s congested-grid scenario: 40 robots sweeping columns.
+    // A congested grid: 40 robots sweeping columns.
     let grid = GridMap::filled(120, 80, CellKind::Aisle);
     let mut resv = ConflictDetectionTable::new(120, 80);
     for i in 0..40u16 {

@@ -56,7 +56,7 @@
 //!   it finishes its cycle first — and a restore withdraws a still-deferred
 //!   removal. Items that arrive on a removed rack accumulate and wait.
 //!
-//! Under `validate`, the engine additionally counts any robot standing on a
+//! Every tick the engine additionally counts any robot standing on a
 //! blockaded cell and any plan naming a broken robot, a closed station's
 //! rack or a removed rack into
 //! [`SimulationReport::disruption_violations`] — the invariant tests pin
@@ -82,8 +82,6 @@ pub struct EngineConfig {
     /// Hard tick budget; `0` derives `128 × (last arrival + HW)` — generous
     /// enough for every planner yet finite on livelock.
     pub max_ticks: Tick,
-    /// Re-validate executed positions every tick (O(robots) per tick).
-    pub validate: bool,
     /// Number of item-progress checkpoints to sample (paper plots 10).
     pub checkpoints: usize,
     /// Bottleneck trace bucket width in ticks; `0` derives 1/40 of the
@@ -108,7 +106,6 @@ impl Default for EngineConfig {
     fn default() -> Self {
         Self {
             max_ticks: 0,
-            validate: true,
             checkpoints: 10,
             bottleneck_bucket: 0,
             faults: FaultConfig::default(),
@@ -145,12 +142,6 @@ impl EngineConfigBuilder {
     /// Hard tick budget (`0` derives a generous instance-sized budget).
     pub fn max_ticks(mut self, ticks: Tick) -> Self {
         self.config.max_ticks = ticks;
-        self
-    }
-
-    /// Re-validate executed positions every tick.
-    pub fn validate(mut self, on: bool) -> Self {
-        self.config.validate = on;
         self
     }
 
@@ -1819,19 +1810,16 @@ impl<'a> Engine<'a> {
     fn step_movement(&mut self, t: Tick) {
         // With zero busy robots nothing moves, accrues busy ticks, or
         // changes the on-grid set (idle robots carry no path and their
-        // positions only change through busy phases). With validation off
-        // that alone proves the loop below a no-op; with validation on we
-        // additionally need `quiet_scan` — the last real scan saw this
-        // exact position set and pushed zero conflicts and zero violations
-        // — so the validator can advance its window without rescanning
-        // (see [`TrajectoryValidator::advance_static`]) and the violation
+        // positions only change through busy phases). `quiet_scan` adds
+        // that the last real scan saw this exact position set and pushed
+        // zero conflicts and zero violations, so the validator can advance
+        // its window without rescanning (see
+        // [`TrajectoryValidator::advance_static`]) and the violation
         // recount provably adds zero.
-        if self.busy_count == 0 && (!self.config.validate || self.quiet_scan) {
+        if self.busy_count == 0 && self.quiet_scan {
             #[cfg(debug_assertions)]
             debug_assert!(self.robots.iter().all(|r| r.is_idle()));
-            if self.config.validate {
-                self.validator.advance_static(t);
-            }
+            self.validator.advance_static(t);
             return;
         }
         let conflicts_before = self.validator.conflict_count();
@@ -1862,7 +1850,7 @@ impl<'a> Engine<'a> {
                 phase,
                 RobotPhase::Queuing { .. } | RobotPhase::Processing { .. }
             );
-            if !docked && self.config.validate {
+            if !docked {
                 // Blockade invariant: no robot trajectory may occupy a
                 // disruption-blocked cell after its blockade tick.
                 if self.blocked_overlay[self.robots[ai].pos.to_index(grid_width)] {
@@ -1872,9 +1860,7 @@ impl<'a> Engine<'a> {
                     .push((self.robots[ai].id, self.robots[ai].pos));
             }
         }
-        if self.config.validate {
-            self.validator.check_tick_fast(t, &self.on_grid_buf);
-        }
+        self.validator.check_tick_fast(t, &self.on_grid_buf);
         // A clean scan over an all-idle fleet certifies the next tick's
         // skip; any conflict or violation it pushed is pushed again every
         // tick the fleet stands still, so those runs must keep scanning.

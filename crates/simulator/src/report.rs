@@ -58,8 +58,7 @@ pub struct SimulationReport {
     /// Selection decisions changed by the disruption-anticipation term
     /// (racks promoted past a riskier candidate; 0 unless
     /// `EatpConfig::anticipation` is on *and* the run is disrupted). The
-    /// makespan delta it buys is measured by `bench_sim`'s aware-vs-reactive
-    /// comparison.
+    /// makespan it must not cost is gated by `tests/anticipation.rs`.
     pub anticipation_hits: u64,
     /// Ticks whose planning phase degraded to the engine's greedy fallback
     /// (planner error or expansion-budget overrun; 0 with faults off and
@@ -96,8 +95,8 @@ pub struct SimulationReport {
 /// (tick strategies, live vs pregenerated orders, snapshot/resume, faults
 /// off vs absent) and across PRs that claim none. Wall-clock timings and
 /// memory accounting — which legitimately differ — are excluded. Shared by
-/// `bench_sim`'s fingerprint soaks, the committed `results/fingerprints_*`
-/// files and the equivalence tests so the checks cannot drift apart.
+/// the committed `results/fingerprints_*` files and the equivalence tests
+/// so the checks cannot drift apart.
 #[derive(Debug, Clone, PartialEq)]
 pub struct DeterministicFingerprint {
     /// Makespan `M`.

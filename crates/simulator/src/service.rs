@@ -8,8 +8,8 @@
 //! # The scripted tick-batch protocol
 //!
 //! Producers stream [`TickBatch`]es — `(tick, commands)` pairs in strictly
-//! increasing tick order — over a real channel
-//! ([`crossbeam_channel::unbounded`]) and then close it. The worker drains
+//! increasing tick order — over a bounded channel
+//! ([`std::sync::mpsc::sync_channel`]) and then close it. The worker drains
 //! the queue with [`ServiceQueue::drain_due`]: before executing tick `t` it
 //! blocks until it either holds a batch scheduled *after* `t` or observes
 //! the channel closed. At that point the set of commands due at `t` is
@@ -30,9 +30,9 @@
 //! claims about live ingestion are judged by the `surge-live-eatp`
 //! workload of `benchmark/`.
 
+use std::sync::mpsc::{sync_channel, Receiver, SyncSender};
 use std::time::Instant;
 
-use crossbeam_channel::{Receiver, Sender};
 use eatp_core::{planner_by_name, EatpConfig};
 use tprw_warehouse::{Instance, Tick};
 
@@ -71,28 +71,15 @@ pub struct ServiceQueue {
 }
 
 impl ServiceQueue {
-    /// Creates a queue, returning the producer handle and the consumer.
-    /// The producer handle is a plain [`crossbeam_channel::Sender`] and may
-    /// be moved to another thread (it is also `Clone`, but the increasing-
-    /// tick contract then spans all clones).
-    pub fn unbounded() -> (Sender<TickBatch>, ServiceQueue) {
-        let (tx, rx) = crossbeam_channel::unbounded();
-        (
-            tx,
-            ServiceQueue {
-                rx,
-                pending: None,
-                closed: false,
-            },
-        )
-    }
-
-    /// Creates a queue that buffers at most `cap` tick batches. A producer
-    /// that runs ahead of the simulation blocks in `send` until the worker
-    /// drains a batch, bounding the memory held by in-flight commands. The
-    /// tick-batch protocol is unchanged; only the producer's pacing differs.
-    pub fn bounded(cap: usize) -> (Sender<TickBatch>, ServiceQueue) {
-        let (tx, rx) = crossbeam_channel::bounded(cap);
+    /// Creates a queue that buffers at most `cap` tick batches, returning
+    /// the producer handle and the consumer. The producer handle is a plain
+    /// [`SyncSender`] and may be moved to another thread (it is also
+    /// `Clone`, but the increasing-tick contract then spans all clones). A
+    /// producer that runs ahead of the simulation blocks in `send` until
+    /// the worker drains a batch, bounding the memory held by in-flight
+    /// commands, and is released with `Err` once the consumer is dropped.
+    pub fn bounded(cap: usize) -> (SyncSender<TickBatch>, ServiceQueue) {
+        let (tx, rx) = sync_channel(cap);
         (
             tx,
             ServiceQueue {
@@ -430,7 +417,7 @@ mod tests {
 
     #[test]
     fn queue_drains_due_batches_and_blocks_on_future_ones() {
-        let (tx, mut queue) = ServiceQueue::unbounded();
+        let (tx, mut queue) = ServiceQueue::bounded(2);
         tx.send(TickBatch {
             tick: 0,
             commands: vec![SequencedCommand {
@@ -491,6 +478,27 @@ mod tests {
             assert_eq!(out.len(), 20);
             assert!(out.iter().enumerate().all(|(i, c)| c.seq == i as u64));
             assert!(queue.is_exhausted());
+        });
+    }
+
+    #[test]
+    fn dropping_the_queue_releases_a_blocked_producer() {
+        // A finished engine drops its queue while the producer may still be
+        // blocked on a full one; `send` must return `Err` so the producer
+        // thread ends instead of hanging the scope.
+        let (tx, queue) = ServiceQueue::bounded(1);
+        let batch = |tick| TickBatch {
+            tick,
+            commands: Vec::new(),
+        };
+        tx.send(batch(0)).unwrap();
+        std::thread::scope(|scope| {
+            let producer = scope.spawn(move || tx.send(batch(1)));
+            // Give the producer time to block on the full queue; the test
+            // holds either way, since `send` fails once the queue is gone.
+            std::thread::sleep(std::time::Duration::from_millis(20));
+            drop(queue);
+            assert!(producer.join().unwrap().is_err());
         });
     }
 

@@ -1056,11 +1056,11 @@ mod tests {
     }
 
     /// Both readable payload shapes — a v4 payload, and a v5 payload
-    /// carrying the since-removed `config.workers`, `config.reference_exec`
-    /// and tick-strategy keys (the latter as either of the unit variants it
-    /// could name) — decode as they are and resume, on the one
-    /// remaining execution path and tick loop, to the uninterrupted run's
-    /// fingerprint.
+    /// carrying the since-removed `config.workers`, `config.reference_exec`,
+    /// validation switch (set to off) and tick-strategy keys (the latter as
+    /// either of the unit variants it could name) — decode as they are and
+    /// resume, on the one remaining execution path and tick loop with
+    /// validation on, to the uninterrupted run's fingerprint.
     #[test]
     fn migrates_v4_payload_and_resumes_from_it() {
         let inst = scenario(None, 42);
@@ -1082,6 +1082,7 @@ mod tests {
                 vec![
                     ("workers", Value::U64(4)),
                     ("reference_exec", Value::Bool(true)),
+                    ("validate", Value::Bool(false)),
                     ("tick_strategy", Value::Str(strategy.to_string())),
                 ]
             };

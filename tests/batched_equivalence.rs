@@ -21,18 +21,11 @@ use eatp::warehouse::{LayoutConfig, ScenarioSpec, WorkloadConfig};
 use std::fmt::Write as _;
 
 mod common;
-use common::disrupted_spec;
+use common::{assert_golden, disrupted_spec};
 
 /// One `"<case> <planner> {fingerprint:?}"` line per run, as recorded by
 /// the serial path.
 const GOLDEN: &str = include_str!("../results/fingerprints_batched_equivalence.txt");
-
-/// Where a mismatching run leaves its lines: an intended behaviour change
-/// regenerates the golden file by copying this over it.
-const ACTUAL: &str = concat!(
-    env!("CARGO_TARGET_TMPDIR"),
-    "/fingerprints_batched_equivalence.txt"
-);
 
 fn spec(walled: bool, pickers: usize, seed: u64) -> ScenarioSpec {
     ScenarioSpec {
@@ -83,19 +76,6 @@ fn batched_equals_serial_for_every_planner() {
         record(&mut actual, &disrupted_spec(59), name);
     }
 
-    if actual != GOLDEN {
-        std::fs::write(ACTUAL, &actual).expect("write the actual fingerprints");
-        let diverged: Vec<&str> = actual
-            .lines()
-            .zip(GOLDEN.lines())
-            .filter(|(a, g)| a != g)
-            .map(|(a, _)| a.split(" DeterministicFingerprint").next().unwrap_or(a))
-            .collect();
-        panic!(
-            "{} of {} runs diverged from the serial path's recorded fingerprints: {diverged:?}\n\
-             actual lines written to {ACTUAL}",
-            diverged.len(),
-            GOLDEN.lines().count()
-        );
-    }
+    // The golden lines are the serial path's recorded fingerprints.
+    assert_golden("fingerprints_batched_equivalence.txt", GOLDEN, &actual);
 }

@@ -22,6 +22,10 @@
 //!   replays bit-identically, and resumes mid-ingestion bit-identically
 //!   under full command redelivery (see `docs/order-stream.md`).
 //!
+//! * **Cross-process determinism** — the five disrupted floors of
+//!   `tests/common/scenarios.rs` under fault seed 4242 reproduce
+//!   `results/fingerprints_chaos.txt`, degradation counters included.
+//!
 //! `PROPTEST_CASES` scales the soak (default 64 cases per property).
 
 use eatp::core::{planner_by_name, EatpConfig, Planner, PLANNER_NAMES};
@@ -33,6 +37,8 @@ use eatp::warehouse::{
     DisruptionConfig, Instance, LayoutConfig, OrderId, ScenarioSpec, Tick, WorkloadConfig,
 };
 use proptest::prelude::*;
+
+mod common;
 
 /// Scenario kinds of the soak: a clean floor, a blockade storm and a
 /// breakdown wave (the same shapes the checkpoint soak uses, so chaos
@@ -80,8 +86,13 @@ fn scenario(kind: usize, seed: u64) -> Instance {
 /// The standard chaos engine config: the preset fault mix inside the
 /// disruption window, with graceful degradation armed.
 fn chaos_config(fault_seed: u64) -> EngineConfig {
+    chaos_config_over(fault_seed, (5, 150))
+}
+
+/// [`chaos_config`] with the faults spread over `window`.
+fn chaos_config_over(fault_seed: u64, window: (Tick, Tick)) -> EngineConfig {
     EngineConfig::builder()
-        .faults(FaultConfig::chaos(fault_seed, (5, 150)))
+        .faults(FaultConfig::chaos(fault_seed, window))
         .degradation(DegradationPolicy {
             enabled: true,
             max_expansions_per_tick: 0,
@@ -390,4 +401,18 @@ fn fixed_seed_degradation_is_deterministic_for_all_planners() {
             );
         }
     }
+}
+
+/// The chaos soak, kept as data: every planner on the five disrupted floors
+/// under fault seed 4242 must stay violation-free while visibly degrading,
+/// and reproduce the fingerprints another process recorded
+/// (`docs/adr/ADR-008-two-measurement-systems.md`).
+#[test]
+fn chaos_soak_reproduces_the_recorded_fingerprints() {
+    let actual = common::soak_fingerprints(&chaos_config_over(4242, (5, 400)), true);
+    common::assert_golden(
+        "fingerprints_chaos.txt",
+        include_str!("../results/fingerprints_chaos.txt"),
+        &actual,
+    );
 }

@@ -10,6 +10,11 @@
 //!   conflict-free validator, which would catch any robot executing a path
 //!   planned against stale reservations).
 //!
+//! * **Faults-off transparency across processes** — the five disrupted
+//!   floors of `tests/common/scenarios.rs` reproduce
+//!   `results/fingerprints_faults_off.txt`, recorded before fault injection
+//!   existed.
+//!
 //! The `disrupted_spec(59)` fingerprints the deleted serial path produced
 //! are pinned by `tests/batched_equivalence.rs`.
 
@@ -18,7 +23,7 @@ use eatp::simulator::{run_simulation, EngineConfig, SimulationReport};
 use eatp::warehouse::ScenarioSpec;
 
 mod common;
-use common::disrupted_spec;
+use common::{assert_golden, disrupted_spec, soak_fingerprints};
 
 fn run(spec: &ScenarioSpec, name: &str) -> SimulationReport {
     let inst = spec.build().unwrap();
@@ -85,4 +90,18 @@ fn disruptions_cost_makespan_but_not_items() {
             rc.makespan
         );
     }
+}
+
+/// The faults-off soak, kept as data: every planner on the five disrupted
+/// floors must stay violation-free, never degrade, and reproduce the
+/// fingerprints another process recorded
+/// (`docs/adr/ADR-008-two-measurement-systems.md`).
+#[test]
+fn faults_off_soak_reproduces_the_recorded_fingerprints() {
+    let actual = soak_fingerprints(&EngineConfig::default(), false);
+    assert_golden(
+        "fingerprints_faults_off.txt",
+        include_str!("../results/fingerprints_faults_off.txt"),
+        &actual,
+    );
 }
