@@ -16,56 +16,116 @@
 //! Path finding runs on the full spatiotemporal graph, as in the baselines.
 
 use crate::assignment::match_and_plan;
-use crate::base::PlannerBase;
+use crate::base::{BaseSnapshot, PlannerBase, ReservationBackend};
 use crate::config::EatpConfig;
 use crate::ntp::most_slack_picker_selection;
-use crate::planner::{
-    AssignmentPlan, InjectedFault, LegRequest, Planner, PlannerError, PlannerEvent, PlannerStats,
-    TentativeLeg,
-};
+use crate::planner::{AssignmentPlan, PlannerStats};
 use crate::qlearning::{QTable, QTableSnapshot};
+use crate::shell::{Shell, Strategy};
 use crate::world::WorldView;
 use serde::{Deserialize, Serialize};
-use tprw_pathfinding::{Path, SpatioTemporalGraph};
-use tprw_warehouse::{GridPos, Instance, RackId, RobotId, Tick};
+use tprw_pathfinding::SpatioTemporalGraph;
+use tprw_warehouse::RackId;
 
 /// Canonical state of a learning planner (ATP/EATP): the shared base slice
 /// plus the Q-table (entries, RNG stream position, update count).
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub(crate) struct LearningSnapshot {
-    pub(crate) base: crate::base::BaseSnapshot,
-    pub(crate) q: QTableSnapshot,
+struct LearningSnapshot {
+    base: BaseSnapshot,
+    q: QTableSnapshot,
 }
 
-/// Algorithm 2: Q-learning rack selection + spatiotemporal A*.
-pub struct AdaptiveTaskPlanner {
-    config: EatpConfig,
-    q: QTable,
-    base: Option<PlannerBase<SpatioTemporalGraph>>,
+/// What ATP and EATP both keep beyond the base: the value function.
+pub struct Learner {
+    pub(crate) q: QTable,
 }
 
-impl AdaptiveTaskPlanner {
-    /// Build an (uninitialized) planner; call [`Planner::init`] before use.
-    pub fn new(config: EatpConfig) -> Self {
-        let q = QTable::new(config.rl.clone());
+impl Learner {
+    pub(crate) fn new(config: &EatpConfig) -> Self {
         Self {
-            config,
-            q,
-            base: None,
+            q: QTable::new(config.rl.clone()),
         }
     }
 
-    /// Read access to the value function (diagnostics, ablations).
-    pub fn q_table(&self) -> &QTable {
-        &self.q
+    pub(crate) fn add_stats(&self, stats: &mut PlannerStats) {
+        stats.memory_bytes += self.q.memory_bytes();
+        stats.q_states = self.q.state_count();
+    }
+
+    pub(crate) fn export(&self, base: BaseSnapshot) -> serde::Value {
+        LearningSnapshot {
+            base,
+            q: self.q.export_snapshot(),
+        }
+        .serialize()
+    }
+
+    pub(crate) fn import(&mut self, state: &serde::Value) -> Result<BaseSnapshot, serde::Error> {
+        let snap = LearningSnapshot::deserialize(state)?;
+        self.q.import_snapshot(&snap.q)?;
+        Ok(snap.base)
     }
 }
 
-/// Shared Q-selection machinery for ATP (rack-side) — also reused by the
-/// ATP-greedy bootstrap arm. Returns the selected racks in priority order.
-///
-/// `oracle_dist` supplies `d(l_r, l_p)` for the Eq. (4) reward.
-pub fn q_select_rack_side<R: crate::base::ReservationBackend>(
+/// Algorithm 2: Q-learning rack selection + spatiotemporal A*.
+pub type AdaptiveTaskPlanner = Shell<RackSide>;
+
+/// The [`AdaptiveTaskPlanner`] strategy: every rack decides for itself.
+pub struct RackSide(Learner);
+
+impl AdaptiveTaskPlanner {
+    /// Read access to the value function (diagnostics, ablations).
+    pub fn q_table(&self) -> &QTable {
+        &self.strategy.0.q
+    }
+}
+
+/// Train `q` on `rid` requesting fulfilment now (action 1): the Eq. (4)
+/// reward with the actual delivery distance.
+fn learn_request<R: ReservationBackend>(
+    q: &mut QTable,
+    base: &mut PlannerBase<R>,
+    world: &WorldView<'_>,
+    rid: RackId,
+) {
+    let rack = world.rack(rid);
+    let picker = world.picker_of(rack);
+    let delivery = base.dist(rack.home, picker.pos);
+    let reward = QTable::reward(picker.finish_time(), delivery, rack.pending_time);
+    q.update(
+        picker.accum_processing,
+        rack.accum_processing,
+        1,
+        reward,
+        rack.pending_time,
+    );
+}
+
+/// One rack's ε-greedy decision, trained on the spot: `true` means the
+/// rack requests fulfilment now. Holding leaves the state unchanged but
+/// every pending item waits one more epoch.
+pub(crate) fn decide_and_learn<R: ReservationBackend>(
+    q: &mut QTable,
+    base: &mut PlannerBase<R>,
+    world: &WorldView<'_>,
+    rid: RackId,
+) -> bool {
+    let rack = world.rack(rid);
+    let picker = world.picker_of(rack);
+    let s = q.state(picker.accum_processing, rack.accum_processing);
+    let request = q.epsilon_greedy(s) == 1;
+    if request {
+        learn_request(q, base, world, rid);
+    } else {
+        let hold = QTable::hold_reward(rack.pending.len());
+        q.update(picker.accum_processing, rack.accum_processing, 0, hold, 0);
+    }
+    request
+}
+
+/// Rack-side Q-selection (Alg. 2 lines 12–20). Returns the selected racks
+/// in priority order.
+pub fn q_select_rack_side<R: ReservationBackend>(
     q: &mut QTable,
     base: &mut PlannerBase<R>,
     world: &WorldView<'_>,
@@ -94,30 +154,11 @@ pub fn q_select_rack_side<R: crate::base::ReservationBackend>(
 
     let mut selected = Vec::new();
     for (_, rid) in ranked {
-        let rack = world.rack(rid);
-        let picker = world.picker_of(rack);
-        let s = q.state(picker.accum_processing, rack.accum_processing);
-        let action = q.epsilon_greedy(s);
-        if action == 1 {
-            // Reward per Eq. (4) with the actual delivery distance.
-            let delivery = base.dist(rack.home, picker.pos);
-            let reward = QTable::reward(picker.finish_time(), delivery, rack.pending_time);
-            q.update(
-                picker.accum_processing,
-                rack.accum_processing,
-                1,
-                reward,
-                rack.pending_time,
-            );
+        if decide_and_learn(q, base, world, rid) {
             selected.push(rid);
             if selected.len() >= cap {
                 break;
             }
-        } else {
-            // Holding: the state does not change but every pending item
-            // waits one more epoch.
-            let hold = QTable::hold_reward(rack.pending.len());
-            q.update(picker.accum_processing, rack.accum_processing, 0, hold, 0);
         }
     }
     selected
@@ -125,7 +166,7 @@ pub fn q_select_rack_side<R: crate::base::ReservationBackend>(
 
 /// The greedy (δ-bootstrap) arm: select like NTP and update `q` along the
 /// forced action-1 choices (Alg. 2 lines 6–9).
-pub fn greedy_bootstrap_select<R: crate::base::ReservationBackend>(
+pub fn greedy_bootstrap_select<R: ReservationBackend>(
     q: &mut QTable,
     base: &mut PlannerBase<R>,
     world: &WorldView<'_>,
@@ -133,45 +174,26 @@ pub fn greedy_bootstrap_select<R: crate::base::ReservationBackend>(
 ) -> Vec<RackId> {
     let selected = most_slack_picker_selection(world, cap);
     for &rid in &selected {
-        let rack = world.rack(rid);
-        let picker = world.picker_of(rack);
-        let delivery = base.dist(rack.home, picker.pos);
-        let reward = QTable::reward(picker.finish_time(), delivery, rack.pending_time);
-        q.update(
-            picker.accum_processing,
-            rack.accum_processing,
-            1,
-            reward,
-            rack.pending_time,
-        );
+        learn_request(q, base, world, rid);
     }
     selected
 }
 
-impl Planner for AdaptiveTaskPlanner {
-    fn name(&self) -> &'static str {
-        "ATP"
+impl Strategy for RackSide {
+    type Resv = SpatioTemporalGraph;
+    const NAME: &'static str = "ATP";
+
+    fn new(config: &EatpConfig) -> Self {
+        Self(Learner::new(config))
     }
 
-    fn init(&mut self, instance: &Instance) {
-        self.base = Some(PlannerBase::new(
-            instance,
-            self.config.clone(),
-            false,
-            false,
-        ));
-    }
-
-    fn plan(&mut self, world: &WorldView<'_>) -> Result<Vec<AssignmentPlan>, PlannerError> {
-        let base = self.base.as_mut().expect("init() must be called first");
-        if let Some(e) = base.take_armed_decision_fault() {
-            return Err(e);
-        }
-        if !world.has_work() {
-            return Ok(Vec::new());
-        }
+    fn select(
+        &mut self,
+        base: &mut PlannerBase<SpatioTemporalGraph>,
+        world: &WorldView<'_>,
+    ) -> Vec<AssignmentPlan> {
         let cap = world.idle_robots.len();
-        let q = &mut self.q;
+        let q = &mut self.0.q;
         let selected = base.timed_selection(|base| {
             let mut selected = if q.sample_bootstrap() {
                 greedy_bootstrap_select(q, base, world, cap)
@@ -182,88 +204,27 @@ impl Planner for AdaptiveTaskPlanner {
             base.reorder_by_anticipation(world, None, &mut selected);
             selected
         });
-        Ok(match_and_plan(base, world, &selected))
+        match_and_plan(base, world, &selected)
     }
 
-    fn plan_leg(
-        &mut self,
-        robot: RobotId,
-        from: GridPos,
-        to: GridPos,
-        start: Tick,
-        park: bool,
-    ) -> Option<Path> {
-        self.base
-            .as_mut()
-            .expect("init() must be called first")
-            .plan_and_reserve(robot, from, to, start, park)
+    fn add_stats(&self, stats: &mut PlannerStats) {
+        self.0.add_stats(stats);
     }
 
-    fn commit_legs(
-        &mut self,
-        requests: &[LegRequest],
-        start: Tick,
-        _tentative: &mut Vec<TentativeLeg>,
-        results: &mut Vec<Option<Path>>,
-    ) -> Result<(), PlannerError> {
-        self.base
-            .as_mut()
-            .expect("init() must be called first")
-            .commit_legs(requests, start, results)
+    fn export(&self, base: BaseSnapshot) -> serde::Value {
+        self.0.export(base)
     }
 
-    fn inject_fault(&mut self, fault: &InjectedFault) -> bool {
-        self.base.as_mut().expect("initialized").inject_fault(fault)
-    }
-
-    fn on_dock(&mut self, robot: RobotId) {
-        self.base.as_mut().expect("initialized").on_dock(robot);
-    }
-
-    fn on_event(&mut self, event: PlannerEvent<'_>) {
-        self.base.as_mut().expect("initialized").on_event(event);
-    }
-
-    fn housekeeping(&mut self, t: Tick) {
-        self.base.as_mut().expect("initialized").housekeeping(t);
-    }
-
-    fn stats(&self) -> PlannerStats {
-        let mut s = self
-            .base
-            .as_ref()
-            .map(|b| b.stats_snapshot(self.q.memory_bytes()))
-            .unwrap_or_default();
-        s.q_states = self.q.state_count();
-        s
-    }
-
-    fn export_snapshot(&self) -> serde::Value {
-        let Some(base) = self.base.as_ref() else {
-            return serde::Value::Null;
-        };
-        LearningSnapshot {
-            base: base.export_base_snapshot(),
-            q: self.q.export_snapshot(),
-        }
-        .serialize()
-    }
-
-    fn import_snapshot(&mut self, state: &serde::Value) -> Result<(), serde::Error> {
-        let snap = LearningSnapshot::deserialize(state)?;
-        let base = self
-            .base
-            .as_mut()
-            .ok_or_else(|| serde::Error::msg("ATP: import before init"))?;
-        base.import_base_snapshot(&snap.base);
-        self.q.import_snapshot(&snap.q)
+    fn import(&mut self, state: &serde::Value) -> Result<BaseSnapshot, serde::Error> {
+        self.0.import(state)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use tprw_warehouse::{ItemId, LayoutConfig, ScenarioSpec, WorkloadConfig};
+    use crate::planner::Planner;
+    use tprw_warehouse::{Instance, ItemId, LayoutConfig, RobotId, ScenarioSpec, WorkloadConfig};
 
     fn instance() -> Instance {
         ScenarioSpec {
@@ -383,7 +344,7 @@ mod tests {
         let picker = inst.racks[0].picker.index();
         let ap = inst.pickers[picker].accum_processing;
         let ar = inst.racks[0].accum_processing;
-        planner.q.update(ap, ar, 1, -1e6, 30);
+        planner.strategy.0.q.update(ap, ar, 1, -1e6, 30);
         let idle: Vec<RobotId> = inst.robots.iter().map(|r| r.id).collect();
         let selectable = vec![inst.racks[0].id];
         let world = world_of(&inst, &idle, &selectable);

@@ -69,25 +69,17 @@ pub struct SelectionScratch {
 pub trait ReservationBackend: ReservationSystem + MemoryFootprint {
     /// Construct an empty structure for a `width`×`height` grid.
     fn create(width: u16, height: u16) -> Self;
-    /// Short display name for diagnostics.
-    fn backend_name() -> &'static str;
 }
 
 impl ReservationBackend for SpatioTemporalGraph {
     fn create(width: u16, height: u16) -> Self {
         SpatioTemporalGraph::new(width, height)
     }
-    fn backend_name() -> &'static str {
-        "STG"
-    }
 }
 
 impl ReservationBackend for ConflictDetectionTable {
     fn create(width: u16, height: u16) -> Self {
         ConflictDetectionTable::new(width, height)
-    }
-    fn backend_name() -> &'static str {
-        "CDT"
     }
 }
 
@@ -815,12 +807,11 @@ impl<R: ReservationBackend> PlannerBase<R> {
     }
 
     /// Snapshot stats with the current memory footprint filled in.
-    pub fn stats_snapshot(&self, extra_bytes: usize) -> PlannerStats {
+    pub fn stats_snapshot(&self) -> PlannerStats {
         let mut s = self.stats.clone();
         s.memory_bytes = self.resv.memory_bytes()
             + self.cache.as_ref().map_or(0, |c| c.memory_bytes())
-            + self.knn.as_ref().map_or(0, |k| k.memory_bytes())
-            + extra_bytes;
+            + self.knn.as_ref().map_or(0, |k| k.memory_bytes());
         // The search arena, the distance oracle and the disruption outlook
         // are identical machinery for every planner, so they are reported
         // separately and not folded into the Fig. 12 MC comparison of
@@ -876,7 +867,7 @@ mod tests {
             PlannerBase::new(&inst, EatpConfig::default(), true, true);
         assert!(base.cache.is_some());
         assert!(base.knn.is_some());
-        let stats = base.stats_snapshot(0);
+        let stats = base.stats_snapshot();
         assert!(stats.memory_bytes > 0);
     }
 
@@ -1186,12 +1177,6 @@ mod tests {
     }
 
     #[test]
-    fn backend_names() {
-        assert_eq!(SpatioTemporalGraph::backend_name(), "STG");
-        assert_eq!(ConflictDetectionTable::backend_name(), "CDT");
-    }
-
-    #[test]
     fn batched_legs_equal_serial_legs() {
         let inst = instance();
         let requests: Vec<LegRequest> = inst
@@ -1248,7 +1233,7 @@ mod tests {
             "the batch warmed the arena"
         );
         assert_eq!(
-            base.stats_snapshot(0).scratch_bytes,
+            base.stats_snapshot().scratch_bytes,
             base.scratch.memory_bytes() + base.oracle.memory_bytes() + base.outlook.memory_bytes()
         );
     }

@@ -13,139 +13,107 @@
 //!    Manhattan distance `L`) are spliced from a conflict-agnostic shortest-
 //!    path cache with waits instead of expanding the open set.
 
-use crate::atp::{greedy_bootstrap_select, LearningSnapshot};
-use crate::base::PlannerBase;
+use crate::atp::{decide_and_learn, greedy_bootstrap_select, Learner};
+use crate::base::{BaseSnapshot, PlannerBase};
 use crate::config::EatpConfig;
-use crate::planner::{
-    AssignmentPlan, InjectedFault, LegRequest, Planner, PlannerError, PlannerEvent, PlannerStats,
-    TentativeLeg,
-};
+use crate::planner::{AssignmentPlan, PlannerStats};
 use crate::qlearning::QTable;
+use crate::shell::{Shell, Strategy};
 use crate::world::WorldView;
-use serde::{Deserialize, Serialize};
-use tprw_pathfinding::{ConflictDetectionTable, Path, ReservationProbe};
-use tprw_warehouse::{GridPos, Instance, RackId, RobotId, Tick};
+use tprw_pathfinding::{ConflictDetectionTable, ReservationProbe};
+use tprw_warehouse::{RackId, RobotId};
 
 /// Algorithm 3: flip-side Q-selection + CDT + cache-aided A*.
-pub struct EfficientAdaptiveTaskPlanner {
-    config: EatpConfig,
-    q: QTable,
-    base: Option<PlannerBase<ConflictDetectionTable>>,
-}
+pub type EfficientAdaptiveTaskPlanner = Shell<FlipSide>;
+
+/// The [`EfficientAdaptiveTaskPlanner`] strategy: every idle robot asks its
+/// K nearest racks.
+pub struct FlipSide(Learner);
 
 impl EfficientAdaptiveTaskPlanner {
-    /// Build an (uninitialized) planner; call [`Planner::init`] before use.
-    pub fn new(config: EatpConfig) -> Self {
-        let q = QTable::new(config.rl.clone());
-        Self {
-            config,
-            q,
-            base: None,
-        }
-    }
-
     /// Read access to the value function (diagnostics, ablations).
     pub fn q_table(&self) -> &QTable {
-        &self.q
-    }
-
-    /// Flip-side selection (Alg. 3 lines 10–13): per idle robot, ε-greedy
-    /// over its K nearest selectable racks; stop at the first adopted rack.
-    ///
-    /// Selection runs every timestamp, so its membership bitmap and
-    /// candidate list live in the shared [`PlannerBase`] scratch
-    /// (taken/restored around the loop to keep the `q`/`base` borrows
-    /// disjoint) — steady-state selection allocates nothing but the
-    /// returned pairs. The selected pairs are identical to the
-    /// allocate-per-tick formulation (pinned by
-    /// `scratch_select_equals_reference`).
-    fn flip_side_select(
-        q: &mut QTable,
-        base: &mut PlannerBase<ConflictDetectionTable>,
-        world: &WorldView<'_>,
-    ) -> Vec<(RackId, RobotId)> {
-        // Catch up on any grid mutations since the last read (one rebuild
-        // per batch of disruption events, not one per mutated cell).
-        base.refresh_knn();
-        // One anticipation pass spans every robot's reorder below: the
-        // outlook snapshot and each rack's delivery-side penalty are
-        // computed once per tick, not once per robot.
-        base.begin_anticipation_pass(world);
-        // Membership bitmap for `selectable` (selection must stay O(|A|·K)).
-        let mut selectable = std::mem::take(&mut base.sel.rack_flags);
-        selectable.clear();
-        selectable.resize(world.racks.len(), false);
-        for &rid in world.selectable_racks {
-            selectable[rid.index()] = true;
-        }
-        let mut candidates = std::mem::take(&mut base.sel.candidates);
-        let mut pairs = Vec::new();
-        for &aid in world.idle_robots {
-            let pos = world.robot(aid).pos;
-            let knn = base.knn.as_ref().expect("EATP builds the KNN index");
-            // Collect candidates first: the q/base borrows below must not
-            // overlap the index borrow.
-            candidates.clear();
-            candidates.extend(
-                knn.nearest(pos)
-                    .iter()
-                    .copied()
-                    .filter(|r| selectable[r.index()]),
-            );
-            // Disruption-aware pass (no-op unless enabled + disrupted):
-            // candidates with blockaded approach/delivery corridors or
-            // risky stations are examined last, so the ε-greedy adoption
-            // commits clean corridors first.
-            base.reorder_by_anticipation(world, Some(pos), &mut candidates);
-            for &rid in &candidates {
-                let rack = world.rack(rid);
-                let picker = world.picker_of(rack);
-                let s = q.state(picker.accum_processing, rack.accum_processing);
-                let action = q.epsilon_greedy(s);
-                if action == 1 {
-                    let delivery = base.dist(rack.home, picker.pos);
-                    let reward = QTable::reward(picker.finish_time(), delivery, rack.pending_time);
-                    q.update(
-                        picker.accum_processing,
-                        rack.accum_processing,
-                        1,
-                        reward,
-                        rack.pending_time,
-                    );
-                    selectable[rid.index()] = false;
-                    pairs.push((rid, aid));
-                    break; // Alg. 3 line 13: one rack per robot
-                } else {
-                    let hold = QTable::hold_reward(rack.pending.len());
-                    q.update(picker.accum_processing, rack.accum_processing, 0, hold, 0);
-                }
-            }
-        }
-        base.sel.rack_flags = selectable;
-        base.sel.candidates = candidates;
-        base.end_anticipation_pass();
-        pairs
+        &self.strategy.0.q
     }
 }
 
-impl Planner for EfficientAdaptiveTaskPlanner {
-    fn name(&self) -> &'static str {
-        "EATP"
+/// Flip-side selection (Alg. 3 lines 10–13): per idle robot, ε-greedy
+/// over its K nearest selectable racks; stop at the first adopted rack.
+///
+/// Selection runs every timestamp, so its membership bitmap and
+/// candidate list live in the shared [`PlannerBase`] scratch
+/// (taken/restored around the loop to keep the `q`/`base` borrows
+/// disjoint) — steady-state selection allocates nothing but the
+/// returned pairs. The selected pairs are identical to the
+/// allocate-per-tick formulation (pinned by
+/// `scratch_select_equals_reference`).
+fn flip_side_select(
+    q: &mut QTable,
+    base: &mut PlannerBase<ConflictDetectionTable>,
+    world: &WorldView<'_>,
+) -> Vec<(RackId, RobotId)> {
+    // Catch up on any grid mutations since the last read (one rebuild
+    // per batch of disruption events, not one per mutated cell).
+    base.refresh_knn();
+    // One anticipation pass spans every robot's reorder below: the
+    // outlook snapshot and each rack's delivery-side penalty are
+    // computed once per tick, not once per robot.
+    base.begin_anticipation_pass(world);
+    // Membership bitmap for `selectable` (selection must stay O(|A|·K)).
+    let mut selectable = std::mem::take(&mut base.sel.rack_flags);
+    selectable.clear();
+    selectable.resize(world.racks.len(), false);
+    for &rid in world.selectable_racks {
+        selectable[rid.index()] = true;
+    }
+    let mut candidates = std::mem::take(&mut base.sel.candidates);
+    let mut pairs = Vec::new();
+    for &aid in world.idle_robots {
+        let pos = world.robot(aid).pos;
+        let knn = base.knn.as_ref().expect("EATP builds the KNN index");
+        // Collect candidates first: the q/base borrows below must not
+        // overlap the index borrow.
+        candidates.clear();
+        candidates.extend(
+            knn.nearest(pos)
+                .iter()
+                .copied()
+                .filter(|r| selectable[r.index()]),
+        );
+        // Disruption-aware pass (no-op unless enabled + disrupted):
+        // candidates with blockaded approach/delivery corridors or
+        // risky stations are examined last, so the ε-greedy adoption
+        // commits clean corridors first.
+        base.reorder_by_anticipation(world, Some(pos), &mut candidates);
+        for &rid in &candidates {
+            if decide_and_learn(q, base, world, rid) {
+                selectable[rid.index()] = false;
+                pairs.push((rid, aid));
+                break; // Alg. 3 line 13: one rack per robot
+            }
+        }
+    }
+    base.sel.rack_flags = selectable;
+    base.sel.candidates = candidates;
+    base.end_anticipation_pass();
+    pairs
+}
+
+impl Strategy for FlipSide {
+    type Resv = ConflictDetectionTable;
+    const NAME: &'static str = "EATP";
+    const SEC_VI: bool = true;
+
+    fn new(config: &EatpConfig) -> Self {
+        Self(Learner::new(config))
     }
 
-    fn init(&mut self, instance: &Instance) {
-        self.base = Some(PlannerBase::new(instance, self.config.clone(), true, true));
-    }
-
-    fn plan(&mut self, world: &WorldView<'_>) -> Result<Vec<AssignmentPlan>, PlannerError> {
-        let base = self.base.as_mut().expect("init() must be called first");
-        if let Some(e) = base.take_armed_decision_fault() {
-            return Err(e);
-        }
-        if !world.has_work() {
-            return Ok(Vec::new());
-        }
-        let q = &mut self.q;
+    fn select(
+        &mut self,
+        base: &mut PlannerBase<ConflictDetectionTable>,
+        world: &WorldView<'_>,
+    ) -> Vec<AssignmentPlan> {
+        let q = &mut self.0.q;
         // Selection step (timed as STC).
         let pairs: Vec<(RackId, RobotId)> = base.timed_selection(|base| {
             if q.sample_bootstrap() {
@@ -158,7 +126,7 @@ impl Planner for EfficientAdaptiveTaskPlanner {
                     .map(|rid| (rid, RobotId::new(u32::MAX as usize)))
                     .collect()
             } else {
-                Self::flip_side_select(q, base, world)
+                flip_side_select(q, base, world)
             }
         });
 
@@ -198,88 +166,27 @@ impl Planner for EfficientAdaptiveTaskPlanner {
             }
         }
         base.sel.robot_flags = used;
-        Ok(plans)
+        plans
     }
 
-    fn plan_leg(
-        &mut self,
-        robot: RobotId,
-        from: GridPos,
-        to: GridPos,
-        start: Tick,
-        park: bool,
-    ) -> Option<Path> {
-        self.base
-            .as_mut()
-            .expect("init() must be called first")
-            .plan_and_reserve(robot, from, to, start, park)
+    fn add_stats(&self, stats: &mut PlannerStats) {
+        self.0.add_stats(stats);
     }
 
-    fn commit_legs(
-        &mut self,
-        requests: &[LegRequest],
-        start: Tick,
-        _tentative: &mut Vec<TentativeLeg>,
-        results: &mut Vec<Option<Path>>,
-    ) -> Result<(), PlannerError> {
-        self.base
-            .as_mut()
-            .expect("init() must be called first")
-            .commit_legs(requests, start, results)
+    fn export(&self, base: BaseSnapshot) -> serde::Value {
+        self.0.export(base)
     }
 
-    fn inject_fault(&mut self, fault: &InjectedFault) -> bool {
-        self.base.as_mut().expect("initialized").inject_fault(fault)
-    }
-
-    fn on_dock(&mut self, robot: RobotId) {
-        self.base.as_mut().expect("initialized").on_dock(robot);
-    }
-
-    fn on_event(&mut self, event: PlannerEvent<'_>) {
-        self.base.as_mut().expect("initialized").on_event(event);
-    }
-
-    fn housekeeping(&mut self, t: Tick) {
-        self.base.as_mut().expect("initialized").housekeeping(t);
-    }
-
-    fn stats(&self) -> PlannerStats {
-        let mut s = self
-            .base
-            .as_ref()
-            .map(|b| b.stats_snapshot(self.q.memory_bytes()))
-            .unwrap_or_default();
-        s.q_states = self.q.state_count();
-        s
-    }
-
-    fn export_snapshot(&self) -> serde::Value {
-        let Some(base) = self.base.as_ref() else {
-            return serde::Value::Null;
-        };
-        LearningSnapshot {
-            base: base.export_base_snapshot(),
-            q: self.q.export_snapshot(),
-        }
-        .serialize()
-    }
-
-    fn import_snapshot(&mut self, state: &serde::Value) -> Result<(), serde::Error> {
-        let snap = LearningSnapshot::deserialize(state)?;
-        let base = self
-            .base
-            .as_mut()
-            .ok_or_else(|| serde::Error::msg("EATP: import before init"))?;
-        base.import_base_snapshot(&snap.base);
-        self.q.import_snapshot(&snap.q)
+    fn import(&mut self, state: &serde::Value) -> Result<BaseSnapshot, serde::Error> {
+        self.0.import(state)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use tprw_warehouse::{ItemId, LayoutConfig, ScenarioSpec, WorkloadConfig};
+    use crate::planner::Planner;
+    use tprw_warehouse::{Instance, ItemId, LayoutConfig, ScenarioSpec, WorkloadConfig};
 
     fn instance() -> Instance {
         ScenarioSpec {
@@ -467,8 +374,7 @@ mod tests {
             // bitmap contents change.
             let selectable: Vec<RackId> = (round % 3..10).map(RackId::new).collect();
             let world = world_of(&inst, &idle, &selectable);
-            let pairs_new =
-                EfficientAdaptiveTaskPlanner::flip_side_select(&mut q_new, &mut base_new, &world);
+            let pairs_new = flip_side_select(&mut q_new, &mut base_new, &world);
             let pairs_ref = flip_side_select_reference(&mut q_ref, &mut base_ref, &world);
             assert_eq!(pairs_new, pairs_ref, "round {round} diverged");
             assert_eq!(q_new.update_count(), q_ref.update_count());

@@ -18,19 +18,17 @@
 //! slow to finish on Real-Large (Table III footnote), which the per-tick
 //! B&B node counts make visible in the STC metric.
 
-use crate::base::PlannerBase;
+use crate::base::{BaseSnapshot, PlannerBase};
 use crate::config::EatpConfig;
 use crate::makespan::queuing_delay;
 use crate::ntp::most_slack_picker_selection;
-use crate::planner::{
-    AssignmentPlan, InjectedFault, LegRequest, Planner, PlannerError, PlannerEvent, PlannerStats,
-    TentativeLeg,
-};
+use crate::planner::AssignmentPlan;
+use crate::shell::{Shell, Strategy};
 use crate::world::WorldView;
 use serde::{Deserialize, Serialize};
-use tprw_pathfinding::{Path, ReservationProbe, SpatioTemporalGraph};
+use tprw_pathfinding::{ReservationProbe, SpatioTemporalGraph};
 use tprw_solver::{assign_min_cost, solve_binary_min, IlpLimits, IlpProblem};
-use tprw_warehouse::{GridPos, Instance, RackId, RobotId, Tick};
+use tprw_warehouse::{RackId, RobotId};
 
 /// Maximum racks (and robots) per ILP block.
 pub const BLOCK: usize = 20;
@@ -39,171 +37,148 @@ pub const BLOCK: usize = 20;
 const FORBIDDEN: f64 = 1e9;
 
 /// Baseline: per-timestamp 0/1 ILP selection.
-pub struct IlpPlanner {
-    config: EatpConfig,
-    base: Option<PlannerBase<SpatioTemporalGraph>>,
-    /// Cumulative branch-and-bound nodes (diagnostics).
+pub type IlpPlanner = Shell<BlockwiseIlp>;
+
+/// The [`IlpPlanner`] strategy.
+pub struct BlockwiseIlp {
+    /// Cumulative branch-and-bound nodes (diagnostics; canonical).
     pub total_nodes: u64,
 }
 
-impl IlpPlanner {
-    /// Build an (uninitialized) planner; call [`Planner::init`] before use.
-    pub fn new(config: EatpConfig) -> Self {
-        Self {
-            config,
-            base: None,
-            total_nodes: 0,
-        }
+/// Solve one block, returning chosen (rack, robot) pairs.
+fn solve_block(
+    base: &mut PlannerBase<SpatioTemporalGraph>,
+    world: &WorldView<'_>,
+    racks: &[RackId],
+    robots: &[RobotId],
+) -> (Vec<(RackId, RobotId)>, u64) {
+    let nr = racks.len();
+    let na = robots.len();
+    if nr == 0 || na == 0 {
+        return (Vec::new(), 0);
     }
+    let picker_capacity = base.config.ilp_picker_capacity.max(1);
+    let max_nodes = base.config.ilp_max_nodes;
 
-    /// Solve one block, returning chosen (rack, robot) pairs.
-    fn solve_block(
-        base: &mut PlannerBase<SpatioTemporalGraph>,
-        world: &WorldView<'_>,
-        racks: &[RackId],
-        robots: &[RobotId],
-        max_nodes: usize,
-        picker_capacity: usize,
-    ) -> (Vec<(RackId, RobotId)>, u64) {
-        let nr = racks.len();
-        let na = robots.len();
-        if nr == 0 || na == 0 {
-            return (Vec::new(), 0);
-        }
-
-        // Cost matrix per Eq. (2): pickup + delivery + queuing + processing
-        // + return.
-        let mut costs = vec![vec![0f64; na]; nr];
-        let mut int_costs = vec![vec![0i64; na]; nr];
-        for (i, &rid) in racks.iter().enumerate() {
-            let rack = world.rack(rid);
-            let picker = world.picker_of(rack);
-            let delivery = base.dist(rack.home, picker.pos);
-            let fp = picker.finish_time();
-            // Parked-on-home rule: only the parked idle robot may serve.
-            let parked = base.resv.parked_at(rack.home).map(|(r, _)| r);
-            for (j, &aid) in robots.iter().enumerate() {
-                if let Some(p) = parked {
-                    if p != aid {
-                        costs[i][j] = FORBIDDEN;
-                        int_costs[i][j] = FORBIDDEN as i64;
-                        continue;
-                    }
-                }
-                let pickup = base.dist(world.robot(aid).pos, rack.home);
-                let travel = pickup + delivery;
-                let c = (travel + queuing_delay(fp, travel) + rack.pending_time + delivery) as f64;
-                costs[i][j] = c;
-                int_costs[i][j] = c as i64;
-            }
-        }
-
-        // Service bonus strictly above any real cost.
-        let max_cost = costs
-            .iter()
-            .flatten()
-            .copied()
-            .filter(|&c| c < FORBIDDEN)
-            .fold(0.0f64, f64::max);
-        let bonus = max_cost + 1.0;
-
-        // Hungarian warm start (ignores picker capacity; repaired below).
-        let warm = assign_min_cost(&int_costs);
-        let mut picker_load = vec![0usize; world.pickers.len()];
-        let mut incumbent = vec![false; nr * na];
-        for (i, col) in warm.row_to_col.iter().enumerate() {
-            if let Some(j) = *col {
-                if costs[i][j] >= FORBIDDEN {
+    // Cost matrix per Eq. (2): pickup + delivery + queuing + processing
+    // + return.
+    let mut costs = vec![vec![0f64; na]; nr];
+    let mut int_costs = vec![vec![0i64; na]; nr];
+    for (i, &rid) in racks.iter().enumerate() {
+        let rack = world.rack(rid);
+        let picker = world.picker_of(rack);
+        let delivery = base.dist(rack.home, picker.pos);
+        let fp = picker.finish_time();
+        // Parked-on-home rule: only the parked idle robot may serve.
+        let parked = base.resv.parked_at(rack.home).map(|(r, _)| r);
+        for (j, &aid) in robots.iter().enumerate() {
+            if let Some(p) = parked {
+                if p != aid {
+                    costs[i][j] = FORBIDDEN;
+                    int_costs[i][j] = FORBIDDEN as i64;
                     continue;
                 }
-                let p = world.rack(racks[i]).picker.index();
-                if picker_load[p] < picker_capacity {
-                    picker_load[p] += 1;
-                    incumbent[i * na + j] = true;
-                }
             }
+            let pickup = base.dist(world.robot(aid).pos, rack.home);
+            let travel = pickup + delivery;
+            let c = (travel + queuing_delay(fp, travel) + rack.pending_time + delivery) as f64;
+            costs[i][j] = c;
+            int_costs[i][j] = c as i64;
         }
-
-        // Build the 0/1 model.
-        let mut problem = IlpProblem {
-            n: nr * na,
-            costs: Vec::with_capacity(nr * na),
-            constraints: Vec::new(),
-        };
-        for row in costs.iter().take(nr) {
-            for &c in row.iter().take(na) {
-                problem
-                    .costs
-                    .push(if c >= FORBIDDEN { FORBIDDEN } else { c - bonus });
-            }
-        }
-        for i in 0..nr {
-            problem
-                .constraints
-                .push(((0..na).map(|j| (i * na + j, 1.0)).collect(), 1.0));
-        }
-        for j in 0..na {
-            problem
-                .constraints
-                .push(((0..nr).map(|i| (i * na + j, 1.0)).collect(), 1.0));
-        }
-        // Picker capacity rows.
-        for p in 0..world.pickers.len() {
-            let vars: Vec<(usize, f64)> = racks
-                .iter()
-                .enumerate()
-                .filter(|(_, &rid)| world.rack(rid).picker.index() == p)
-                .flat_map(|(i, _)| (0..na).map(move |j| (i * na + j, 1.0)))
-                .collect();
-            if !vars.is_empty() {
-                problem.constraints.push((vars, picker_capacity as f64));
-            }
-        }
-
-        let solution = solve_binary_min(&problem, IlpLimits { max_nodes }, Some(incumbent));
-        let Some(solution) = solution else {
-            return (Vec::new(), 0);
-        };
-        let mut pairs = Vec::new();
-        for i in 0..nr {
-            for j in 0..na {
-                if solution.x[i * na + j] && costs[i][j] < FORBIDDEN {
-                    pairs.push((racks[i], robots[j]));
-                }
-            }
-        }
-        (pairs, solution.nodes as u64)
     }
+
+    // Service bonus strictly above any real cost.
+    let max_cost = costs
+        .iter()
+        .flatten()
+        .copied()
+        .filter(|&c| c < FORBIDDEN)
+        .fold(0.0f64, f64::max);
+    let bonus = max_cost + 1.0;
+
+    // Hungarian warm start (ignores picker capacity; repaired below).
+    let warm = assign_min_cost(&int_costs);
+    let mut picker_load = vec![0usize; world.pickers.len()];
+    let mut incumbent = vec![false; nr * na];
+    for (i, col) in warm.row_to_col.iter().enumerate() {
+        if let Some(j) = *col {
+            if costs[i][j] >= FORBIDDEN {
+                continue;
+            }
+            let p = world.rack(racks[i]).picker.index();
+            if picker_load[p] < picker_capacity {
+                picker_load[p] += 1;
+                incumbent[i * na + j] = true;
+            }
+        }
+    }
+
+    // Build the 0/1 model.
+    let mut problem = IlpProblem {
+        n: nr * na,
+        costs: Vec::with_capacity(nr * na),
+        constraints: Vec::new(),
+    };
+    for row in costs.iter().take(nr) {
+        for &c in row.iter().take(na) {
+            problem
+                .costs
+                .push(if c >= FORBIDDEN { FORBIDDEN } else { c - bonus });
+        }
+    }
+    for i in 0..nr {
+        problem
+            .constraints
+            .push(((0..na).map(|j| (i * na + j, 1.0)).collect(), 1.0));
+    }
+    for j in 0..na {
+        problem
+            .constraints
+            .push(((0..nr).map(|i| (i * na + j, 1.0)).collect(), 1.0));
+    }
+    // Picker capacity rows.
+    for p in 0..world.pickers.len() {
+        let vars: Vec<(usize, f64)> = racks
+            .iter()
+            .enumerate()
+            .filter(|(_, &rid)| world.rack(rid).picker.index() == p)
+            .flat_map(|(i, _)| (0..na).map(move |j| (i * na + j, 1.0)))
+            .collect();
+        if !vars.is_empty() {
+            problem.constraints.push((vars, picker_capacity as f64));
+        }
+    }
+
+    let solution = solve_binary_min(&problem, IlpLimits { max_nodes }, Some(incumbent));
+    let Some(solution) = solution else {
+        return (Vec::new(), 0);
+    };
+    let mut pairs = Vec::new();
+    for i in 0..nr {
+        for j in 0..na {
+            if solution.x[i * na + j] && costs[i][j] < FORBIDDEN {
+                pairs.push((racks[i], robots[j]));
+            }
+        }
+    }
+    (pairs, solution.nodes as u64)
 }
 
-impl Planner for IlpPlanner {
-    fn name(&self) -> &'static str {
-        "ILP"
+impl Strategy for BlockwiseIlp {
+    type Resv = SpatioTemporalGraph;
+    const NAME: &'static str = "ILP";
+
+    fn new(_config: &EatpConfig) -> Self {
+        Self { total_nodes: 0 }
     }
 
-    fn init(&mut self, instance: &Instance) {
-        self.base = Some(PlannerBase::new(
-            instance,
-            self.config.clone(),
-            false,
-            false,
-        ));
-    }
-
-    fn plan(&mut self, world: &WorldView<'_>) -> Result<Vec<AssignmentPlan>, PlannerError> {
-        let base = self.base.as_mut().expect("init() must be called first");
-        if let Some(e) = base.take_armed_decision_fault() {
-            return Err(e);
-        }
-        if !world.has_work() {
-            return Ok(Vec::new());
-        }
-        let max_nodes = self.config.ilp_max_nodes;
-        let capacity = self.config.ilp_picker_capacity.max(1);
-
+    fn select(
+        &mut self,
+        base: &mut PlannerBase<SpatioTemporalGraph>,
+        world: &WorldView<'_>,
+    ) -> Vec<AssignmentPlan> {
         // Selection: blockwise exact 0/1 solves over the greedy priority
         // order, consuming idle robots until none remain.
-        let mut total_nodes = 0u64;
         let pairs: Vec<(RackId, RobotId)> = base.timed_selection(|base| {
             let mut priority = most_slack_picker_selection(world, world.idle_robots.len() * 2);
             // Disruption-aware pass (no-op unless enabled + disrupted):
@@ -221,9 +196,8 @@ impl Planner for IlpPlanner {
                 remaining_robots.sort_by_key(|&r| (world.robot(r).pos.manhattan(anchor), r));
                 let take = remaining_robots.len().min(BLOCK);
                 let block_robots: Vec<RobotId> = remaining_robots[..take].to_vec();
-                let (pairs, nodes) =
-                    Self::solve_block(base, world, chunk, &block_robots, max_nodes, capacity);
-                total_nodes += nodes;
+                let (pairs, nodes) = solve_block(base, world, chunk, &block_robots);
+                self.total_nodes += nodes;
                 for &(rack, robot) in &pairs {
                     remaining_robots.retain(|&r| r != robot);
                     all_pairs.push((rack, robot));
@@ -231,7 +205,6 @@ impl Planner for IlpPlanner {
             }
             all_pairs
         });
-        self.total_nodes += total_nodes;
 
         // Planning: commit pickup legs for the chosen pairs.
         let mut plans = Vec::new();
@@ -242,79 +215,21 @@ impl Planner for IlpPlanner {
                 plans.push(AssignmentPlan { robot, rack, path });
             }
         }
-        Ok(plans)
+        plans
     }
 
-    fn plan_leg(
-        &mut self,
-        robot: RobotId,
-        from: GridPos,
-        to: GridPos,
-        start: Tick,
-        park: bool,
-    ) -> Option<Path> {
-        self.base
-            .as_mut()
-            .expect("init() must be called first")
-            .plan_and_reserve(robot, from, to, start, park)
-    }
-
-    fn commit_legs(
-        &mut self,
-        requests: &[LegRequest],
-        start: Tick,
-        _tentative: &mut Vec<TentativeLeg>,
-        results: &mut Vec<Option<Path>>,
-    ) -> Result<(), PlannerError> {
-        self.base
-            .as_mut()
-            .expect("init() must be called first")
-            .commit_legs(requests, start, results)
-    }
-
-    fn inject_fault(&mut self, fault: &InjectedFault) -> bool {
-        self.base.as_mut().expect("initialized").inject_fault(fault)
-    }
-
-    fn on_dock(&mut self, robot: RobotId) {
-        self.base.as_mut().expect("initialized").on_dock(robot);
-    }
-
-    fn on_event(&mut self, event: PlannerEvent<'_>) {
-        self.base.as_mut().expect("initialized").on_event(event);
-    }
-
-    fn housekeeping(&mut self, t: Tick) {
-        self.base.as_mut().expect("initialized").housekeeping(t);
-    }
-
-    fn stats(&self) -> PlannerStats {
-        self.base
-            .as_ref()
-            .map(|b| b.stats_snapshot(0))
-            .unwrap_or_default()
-    }
-
-    fn export_snapshot(&self) -> serde::Value {
-        let Some(base) = self.base.as_ref() else {
-            return serde::Value::Null;
-        };
+    fn export(&self, base: BaseSnapshot) -> serde::Value {
         IlpSnapshot {
-            base: base.export_base_snapshot(),
+            base,
             total_nodes: self.total_nodes,
         }
         .serialize()
     }
 
-    fn import_snapshot(&mut self, state: &serde::Value) -> Result<(), serde::Error> {
+    fn import(&mut self, state: &serde::Value) -> Result<BaseSnapshot, serde::Error> {
         let snap = IlpSnapshot::deserialize(state)?;
-        let base = self
-            .base
-            .as_mut()
-            .ok_or_else(|| serde::Error::msg("ILP: import before init"))?;
-        base.import_base_snapshot(&snap.base);
         self.total_nodes = snap.total_nodes;
-        Ok(())
+        Ok(snap.base)
     }
 }
 
@@ -322,14 +237,15 @@ impl Planner for IlpPlanner {
 /// branch-and-bound node counter.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 struct IlpSnapshot {
-    base: crate::base::BaseSnapshot,
+    base: BaseSnapshot,
     total_nodes: u64,
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use tprw_warehouse::{ItemId, LayoutConfig, ScenarioSpec, WorkloadConfig};
+    use crate::planner::Planner;
+    use tprw_warehouse::{Instance, ItemId, LayoutConfig, ScenarioSpec, Tick, WorkloadConfig};
 
     fn instance() -> Instance {
         ScenarioSpec {
@@ -386,7 +302,7 @@ mod tests {
         robots.sort();
         robots.dedup();
         assert_eq!(robots.len(), plans.len(), "one rack per robot");
-        assert!(planner.total_nodes > 0, "B&B actually ran");
+        assert!(planner.strategy.total_nodes > 0, "B&B actually ran");
     }
 
     #[test]

@@ -11,7 +11,8 @@
 //! | [`atp::AdaptiveTaskPlanner`] | Alg. 2 | Q-learning (Sec. V) | STG | δ-bootstrap |
 //! | [`eatp::EfficientAdaptiveTaskPlanner`] | Alg. 3 | Q-learning, flip-side (Sec. VI-A) | CDT | K-nearest index + path cache |
 //!
-//! Planners implement [`planner::Planner`]; the simulator drives them once
+//! Each is a [`shell::Shell`] — the one [`planner::Planner`] implementation —
+//! around the [`shell::Strategy`] its file defines; the simulator drives them once
 //! per timestamp with a [`world::WorldView`] and executes the returned
 //! pickup assignments, asking back for delivery/return legs as the
 //! fulfilment cycle progresses. Selection and path-finding work are timed
@@ -71,6 +72,7 @@ pub mod ntp;
 pub mod outlook;
 pub mod planner;
 pub mod qlearning;
+pub mod shell;
 pub mod world;
 
 pub use atp::AdaptiveTaskPlanner;

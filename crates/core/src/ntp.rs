@@ -10,27 +10,17 @@
 use crate::assignment::match_and_plan;
 use crate::base::PlannerBase;
 use crate::config::EatpConfig;
-use crate::planner::{
-    AssignmentPlan, InjectedFault, LegRequest, Planner, PlannerError, PlannerEvent, PlannerStats,
-    TentativeLeg,
-};
+use crate::planner::AssignmentPlan;
+use crate::shell::{Shell, Strategy};
 use crate::world::WorldView;
-use serde::{Deserialize, Serialize};
-use tprw_pathfinding::{Path, SpatioTemporalGraph};
-use tprw_warehouse::{GridPos, Instance, RackId, RobotId, Tick};
+use tprw_pathfinding::SpatioTemporalGraph;
+use tprw_warehouse::RackId;
 
 /// Algorithm 1: greedy most-slack-picker-first dispatch.
-pub struct NaiveTaskPlanner {
-    config: EatpConfig,
-    base: Option<PlannerBase<SpatioTemporalGraph>>,
-}
+pub type NaiveTaskPlanner = Shell<MostSlackFirst>;
 
-impl NaiveTaskPlanner {
-    /// Build an (uninitialized) planner; call [`Planner::init`] before use.
-    pub fn new(config: EatpConfig) -> Self {
-        Self { config, base: None }
-    }
-}
+/// The [`NaiveTaskPlanner`] strategy: stateless.
+pub struct MostSlackFirst;
 
 /// The shared greedy selection: racks grouped by picker, pickers in
 /// ascending `f_p` order (most slack first), capped at `cap` racks. Also the
@@ -58,28 +48,19 @@ pub fn most_slack_picker_selection(world: &WorldView<'_>, cap: usize) -> Vec<Rac
     selected
 }
 
-impl Planner for NaiveTaskPlanner {
-    fn name(&self) -> &'static str {
-        "NTP"
+impl Strategy for MostSlackFirst {
+    type Resv = SpatioTemporalGraph;
+    const NAME: &'static str = "NTP";
+
+    fn new(_config: &EatpConfig) -> Self {
+        Self
     }
 
-    fn init(&mut self, instance: &Instance) {
-        self.base = Some(PlannerBase::new(
-            instance,
-            self.config.clone(),
-            false,
-            false,
-        ));
-    }
-
-    fn plan(&mut self, world: &WorldView<'_>) -> Result<Vec<AssignmentPlan>, PlannerError> {
-        let base = self.base.as_mut().expect("init() must be called first");
-        if let Some(e) = base.take_armed_decision_fault() {
-            return Err(e);
-        }
-        if !world.has_work() {
-            return Ok(Vec::new());
-        }
+    fn select(
+        &mut self,
+        base: &mut PlannerBase<SpatioTemporalGraph>,
+        world: &WorldView<'_>,
+    ) -> Vec<AssignmentPlan> {
         // Over-select 2× the idle fleet so failed path queries can fall
         // through to the next candidate rack.
         let cap = world.idle_robots.len() * 2;
@@ -90,81 +71,16 @@ impl Planner for NaiveTaskPlanner {
             base.reorder_by_anticipation(world, None, &mut selected);
             selected
         });
-        Ok(match_and_plan(base, world, &selected))
-    }
-
-    fn plan_leg(
-        &mut self,
-        robot: RobotId,
-        from: GridPos,
-        to: GridPos,
-        start: Tick,
-        park: bool,
-    ) -> Option<Path> {
-        self.base
-            .as_mut()
-            .expect("init() must be called first")
-            .plan_and_reserve(robot, from, to, start, park)
-    }
-
-    fn commit_legs(
-        &mut self,
-        requests: &[LegRequest],
-        start: Tick,
-        _tentative: &mut Vec<TentativeLeg>,
-        results: &mut Vec<Option<Path>>,
-    ) -> Result<(), PlannerError> {
-        self.base
-            .as_mut()
-            .expect("init() must be called first")
-            .commit_legs(requests, start, results)
-    }
-
-    fn inject_fault(&mut self, fault: &InjectedFault) -> bool {
-        self.base.as_mut().expect("initialized").inject_fault(fault)
-    }
-
-    fn on_dock(&mut self, robot: RobotId) {
-        self.base.as_mut().expect("initialized").on_dock(robot);
-    }
-
-    fn on_event(&mut self, event: PlannerEvent<'_>) {
-        self.base.as_mut().expect("initialized").on_event(event);
-    }
-
-    fn housekeeping(&mut self, t: Tick) {
-        self.base.as_mut().expect("initialized").housekeeping(t);
-    }
-
-    fn stats(&self) -> PlannerStats {
-        self.base
-            .as_ref()
-            .map(|b| b.stats_snapshot(0))
-            .unwrap_or_default()
-    }
-
-    fn export_snapshot(&self) -> serde::Value {
-        self.base
-            .as_ref()
-            .map_or(serde::Value::Null, |b| b.export_base_snapshot().serialize())
-    }
-
-    fn import_snapshot(&mut self, state: &serde::Value) -> Result<(), serde::Error> {
-        let snap = crate::base::BaseSnapshot::deserialize(state)?;
-        let base = self
-            .base
-            .as_mut()
-            .ok_or_else(|| serde::Error::msg("NTP: import before init"))?;
-        base.import_base_snapshot(&snap);
-        Ok(())
+        match_and_plan(base, world, &selected)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::planner::Planner;
     use tprw_warehouse::{
-        ItemId, LayoutConfig, PickerId, QueueEntry, ScenarioSpec, WorkloadConfig,
+        Instance, ItemId, LayoutConfig, PickerId, QueueEntry, RobotId, ScenarioSpec, WorkloadConfig,
     };
 
     fn instance() -> Instance {

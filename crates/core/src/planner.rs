@@ -392,24 +392,9 @@ pub trait Planner {
     }
 }
 
-/// Convenience: does this planner learn (ATP/EATP)? Used by benches to
-/// decide warm-up episodes.
-pub fn is_learning(name: &str) -> bool {
-    matches!(name, "ATP" | "EATP")
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn learning_classification() {
-        assert!(is_learning("ATP"));
-        assert!(is_learning("EATP"));
-        assert!(!is_learning("NTP"));
-        assert!(!is_learning("LEF"));
-        assert!(!is_learning("ILP"));
-    }
 
     #[test]
     fn stats_default_is_zeroed() {

@@ -50,8 +50,9 @@
 //!   queued; return legs still undock (leaving needs no picker). Reopening
 //!   resumes the queue where it stopped.
 //! * **Rack removal** — the rack leaves the floor: it is withheld from
-//!   selection and planners drop it from their K-nearest indexes
-//!   (`KNearestRacks::set_alive` + lazy rebuild). Application *defers*
+//!   selection and planners drop it from their K-nearest indexes (a
+//!   liveness change folded in by the incremental `KNearestRacks::update`
+//!   on the next read). Application *defers*
 //!   while the rack is in flight — a robot fetching, carrying or returning
 //!   it finishes its cycle first — and a restore withdraws a still-deferred
 //!   removal. Items that arrive on a removed rack accumulate and wait.
@@ -64,9 +65,9 @@
 
 use crate::commands::{Ack, BacklogOrder, Command, RejectReason, SequencedCommand};
 use crate::faults::{DegradationPolicy, FaultConfig, FaultPlan};
-use crate::metrics::{Checkpoint, MetricsCollector, MetricsSnapshot};
+use crate::metrics::{self, Checkpoint, MetricsSnapshot};
 use crate::report::SimulationReport;
-use crate::validate::{TrajectoryValidator, ValidatorSnapshot};
+use crate::validate::TrajectoryValidator;
 use eatp_core::planner::{InjectedFault, LegRequest, Planner, PlannerEvent};
 use eatp_core::world::WorldView;
 use serde::{Deserialize, Serialize};
@@ -198,21 +199,10 @@ pub fn run_simulation(
 
 /// The canonical (checkpoint-persisted) state of a mid-run [`Engine`]: every
 /// field a resumed engine cannot re-derive from the instance and config.
-///
-/// Deliberately excluded as *derived* (see `docs/snapshot-format.md` for the
-/// full decision table):
-///
-/// * the instance and config — the snapshot container carries them beside
-///   this struct;
-/// * `max_ticks` and the bottleneck bucket width — recomputed from the
-///   config and instance in [`Engine::new`];
-/// * the per-tick scratch buffers (`idle_buf`, `selectable_buf`,
-///   `leg_requests`, `leg_results`, `leg_tentative`, `on_grid_buf`) —
-///   cleared and refilled within a single tick;
-/// * `freeze_queue` — the path-invalidation cascade always drains to empty
-///   within the events phase, so it is empty at every tick boundary
-///   (asserted on export).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+/// The engine owns exactly one of these and every tick phase mutates it in
+/// place, so it is current at every tick boundary; *derived* state is what
+/// [`Engine`] holds beside it (see `docs/snapshot-format.md`).
+#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
 pub struct EngineState {
     /// Current tick (the next `tick_once` executes this tick).
     pub t: Tick,
@@ -228,28 +218,51 @@ pub struct EngineState {
     pub racks: Vec<Rack>,
     pub pickers: Vec<Picker>,
     pub robots: Vec<Robot>,
+    /// Active timed path per robot.
     pub paths: Vec<Option<Path>>,
+    /// Work batched on the carried rack, per robot.
     pub carried_work: Vec<Duration>,
+    /// Items batched on the carried rack, per robot.
     pub carried_items: Vec<u32>,
+    /// Entry currently being served per picker.
     pub serving: Vec<Option<QueueEntry>>,
+    /// Robots whose rack finished processing, awaiting a return path.
     pub needs_return: Vec<RobotId>,
+    /// Robots parked at a rack home waiting for a delivery path.
     pub needs_delivery: Vec<RobotId>,
+    /// Robots whose active leg was cancelled by a disruption (breakdown
+    /// recovery, blockade invalidation), awaiting a fresh path from their
+    /// frozen position.
     pub needs_replan: Vec<RobotId>,
+    /// Per-robot broken flag (disruption breakdowns).
     pub broken: Vec<bool>,
+    /// Per-picker closed flag (station outages).
     pub closed: Vec<bool>,
+    /// Per-rack removed flag (racks taken off the floor).
     pub removed: Vec<bool>,
+    /// Per-cell disruption-blockade overlay (static grid walls excluded).
     pub blocked_overlay: Vec<bool>,
+    /// Cursor into the instance's sorted disruption schedule.
     pub next_event: usize,
+    /// Blockades whose cell was occupied at their scheduled tick; they land
+    /// as soon as the cell clears (or are withdrawn by their unblock).
     pub deferred_blockades: Vec<GridPos>,
+    /// Rack removals whose rack was in flight at their scheduled tick; they
+    /// land once the rack is back home (or are withdrawn by their restore).
     pub deferred_removals: Vec<RackId>,
+    /// Disruption events applied (deferred blockades count when they land).
     pub events_applied: usize,
+    /// Events that had to defer at least once (see the report field).
     pub events_deferred: usize,
+    /// Safety violations under disruption (must stay 0; see module docs).
     pub disruption_violations: usize,
+    /// Cursor into the instance's arrival-sorted item list.
     pub next_item: usize,
     pub items_processed: usize,
     pub rack_trips: usize,
     pub metrics: MetricsSnapshot,
-    pub validator: ValidatorSnapshot,
+    /// Executed-trajectory checker; serialises as its `ValidatorSnapshot`.
+    pub validator: TrajectoryValidator,
     pub last_return: Tick,
     pub peak_memory: usize,
     pub peak_scratch: usize,
@@ -316,56 +329,61 @@ pub struct EngineState {
     pub total_order_age: u64,
 }
 
+impl EngineState {
+    /// The state of a fresh run of `instance` at tick 0: the fleets and the
+    /// per-robot, per-picker, per-rack and per-cell tables are sized from
+    /// the instance; every cursor, counter, flag and list not named here
+    /// starts at zero, false or empty.
+    pub fn new(instance: &Instance) -> Self {
+        let n_robots = instance.robots.len();
+        Self {
+            racks: instance.racks.clone(),
+            pickers: instance.pickers.clone(),
+            robots: instance.robots.clone(),
+            paths: vec![None; n_robots],
+            carried_work: vec![0; n_robots],
+            carried_items: vec![0; n_robots],
+            serving: vec![None; instance.pickers.len()],
+            broken: vec![false; n_robots],
+            closed: vec![false; instance.pickers.len()],
+            removed: vec![false; instance.racks.len()],
+            blocked_overlay: vec![false; instance.grid.cell_count()],
+            metrics: MetricsSnapshot::new(n_robots),
+            next_checkpoint: 1,
+            carried_orders: vec![Vec::new(); n_robots],
+            // The pregenerated item list is an order book submitted at
+            // tick 0 — counting it here is what keeps the order counters
+            // identical between a live run and its pregenerated equivalent.
+            orders_submitted: instance.items.len() as u64,
+            ..Self::default()
+        }
+    }
+}
+
 /// The discrete-time simulation engine, steppable one tick at a time so runs
 /// can be checkpointed mid-flight and resumed bit-identically (see
 /// [`crate::snapshot`]).
+///
+/// Everything beside `state` is *derived*: a function of the instance and
+/// config (`max_ticks`, `bucket_width`, `fault_plan`), rebuilt from `state`
+/// on resume (the agenda, counters and dirty flags), or scratch that is
+/// empty at every tick boundary.
 pub struct Engine<'a> {
     instance: &'a Instance,
     config: EngineConfig,
-    racks: Vec<Rack>,
-    pickers: Vec<Picker>,
-    robots: Vec<Robot>,
-    /// Active timed path per robot.
-    paths: Vec<Option<Path>>,
-    /// Work batched on the carried rack, per robot.
-    carried_work: Vec<Duration>,
-    /// Items batched on the carried rack, per robot.
-    carried_items: Vec<u32>,
-    /// Entry currently being served per picker.
-    serving: Vec<Option<QueueEntry>>,
-    /// Robots whose rack finished processing, awaiting a return path.
-    needs_return: Vec<RobotId>,
-    /// Robots parked at a rack home waiting for a delivery path.
-    needs_delivery: Vec<RobotId>,
-    /// Robots whose active leg was cancelled by a disruption (breakdown
-    /// recovery, blockade invalidation), awaiting a fresh path from their
-    /// frozen position.
-    needs_replan: Vec<RobotId>,
-    /// Per-robot broken flag (disruption breakdowns).
-    broken: Vec<bool>,
-    /// Per-picker closed flag (station outages).
-    closed: Vec<bool>,
-    /// Per-rack removed flag (racks taken off the floor).
-    removed: Vec<bool>,
-    /// Per-cell disruption-blockade overlay (static grid walls excluded).
-    blocked_overlay: Vec<bool>,
-    /// Cursor into the instance's sorted disruption schedule.
-    next_event: usize,
-    /// Blockades whose cell was occupied at their scheduled tick; they land
-    /// as soon as the cell clears (or are withdrawn by their unblock).
-    deferred_blockades: Vec<GridPos>,
-    /// Rack removals whose rack was in flight at their scheduled tick; they
-    /// land once the rack is back home (or are withdrawn by their restore).
-    deferred_removals: Vec<RackId>,
+    /// The canonical state; what a snapshot carries.
+    state: EngineState,
+    max_ticks: Tick,
+    /// Bottleneck trace bucket width in ticks.
+    bucket_width: Tick,
+    /// The materialized fault schedule, regenerated from
+    /// [`EngineConfig::faults`] (like the instance's disruption schedule);
+    /// only the cursors in `state` are canonical.
+    fault_plan: FaultPlan,
     /// Scratch for the path-invalidation cascade: cells newly claimed by
     /// frozen robots (or a fresh blockade) whose crossing paths must cancel.
+    /// Always drains to empty within the events phase.
     freeze_queue: Vec<GridPos>,
-    /// Disruption events applied (deferred blockades count when they land).
-    events_applied: usize,
-    /// Events that had to defer at least once (see the report field).
-    events_deferred: usize,
-    /// Safety violations under disruption (must stay 0; see module docs).
-    disruption_violations: usize,
     /// Per-tick scratch: idle robots offered to the planner. The scratch
     /// buffers are reused so the steady-state engine loop stays
     /// allocation-free (the planners' `SearchScratch` arenas do the same
@@ -382,68 +400,6 @@ pub struct Engine<'a> {
     leg_tentative: Vec<eatp_core::planner::TentativeLeg>,
     /// Per-tick scratch: on-grid positions handed to the validator.
     on_grid_buf: Vec<(RobotId, tprw_warehouse::GridPos)>,
-    next_item: usize,
-    items_processed: usize,
-    rack_trips: usize,
-    metrics: MetricsCollector,
-    validator: TrajectoryValidator,
-    last_return: Tick,
-    max_ticks: Tick,
-    peak_memory: usize,
-    peak_scratch: usize,
-    next_checkpoint: usize,
-    /// Current tick; the next `tick_once` call executes this tick.
-    t: Tick,
-    /// All items fulfilled and the fleet idle.
-    completed: bool,
-    /// The run has ended (completion or tick-budget exhaustion).
-    finished: bool,
-    /// Applied-event journal (see [`EngineState::journal`]).
-    journal: Vec<TimedEvent>,
-    /// The materialized fault schedule, regenerated from
-    /// [`EngineConfig::faults`] (like the instance's disruption schedule);
-    /// only the cursors below are canonical state.
-    fault_plan: FaultPlan,
-    /// See [`EngineState::degraded_ticks`].
-    degraded_ticks: u64,
-    /// See [`EngineState::fallback_assignments`].
-    fallback_assignments: u64,
-    /// See [`EngineState::planner_errors`].
-    planner_errors: u64,
-    /// See [`EngineState::degrade_next`].
-    degrade_next: bool,
-    /// See [`EngineState::recover_next`].
-    recover_next: bool,
-    /// Cursor into `fault_plan.decision`.
-    next_decision_fault: usize,
-    /// Cursor into `fault_plan.leg`.
-    next_leg_fault: usize,
-    /// Cursor into `fault_plan.poison`.
-    next_poison_fault: usize,
-    /// See [`EngineState::shutdown`].
-    shutdown: bool,
-    /// See [`EngineState::next_command_seq`].
-    next_command_seq: u64,
-    /// See [`EngineState::backlog`].
-    backlog: Vec<BacklogOrder>,
-    /// See [`EngineState::live_item_orders`].
-    live_item_orders: Vec<OrderId>,
-    /// See [`EngineState::live_item_arrivals`].
-    live_item_arrivals: Vec<Tick>,
-    /// See [`EngineState::carried_orders`].
-    carried_orders: Vec<Vec<OrderId>>,
-    /// See [`EngineState::orders_submitted`].
-    orders_submitted: u64,
-    /// See [`EngineState::orders_cancelled`].
-    orders_cancelled: u64,
-    /// See [`EngineState::orders_rejected`].
-    orders_rejected: u64,
-    /// See [`EngineState::orders_completed`].
-    orders_completed: u64,
-    /// See [`EngineState::peak_backlog`].
-    peak_backlog: u64,
-    /// See [`EngineState::total_order_age`].
-    total_order_age: u64,
     /// Per-tick scratch: acknowledgements produced while the current tick
     /// executes, drained into the `tick_with_commands` caller's sink
     /// before the call returns (empty at every tick boundary, hence never
@@ -505,72 +461,19 @@ impl<'a> Engine<'a> {
         } else {
             (horizon_guess / 40).max(1)
         };
+        let n_robots = instance.robots.len();
         Self {
-            racks: instance.racks.clone(),
-            pickers: instance.pickers.clone(),
-            robots: instance.robots.clone(),
-            paths: vec![None; instance.robots.len()],
-            carried_work: vec![0; instance.robots.len()],
-            carried_items: vec![0; instance.robots.len()],
-            serving: vec![None; instance.pickers.len()],
-            needs_return: Vec::new(),
-            needs_delivery: Vec::new(),
-            needs_replan: Vec::new(),
-            broken: vec![false; instance.robots.len()],
-            closed: vec![false; instance.pickers.len()],
-            removed: vec![false; instance.racks.len()],
-            blocked_overlay: vec![false; instance.grid.cell_count()],
-            next_event: 0,
-            deferred_blockades: Vec::new(),
-            deferred_removals: Vec::new(),
-            freeze_queue: Vec::new(),
-            events_applied: 0,
-            events_deferred: 0,
-            disruption_violations: 0,
-            idle_buf: Vec::with_capacity(instance.robots.len()),
-            selectable_buf: Vec::with_capacity(instance.racks.len()),
-            leg_requests: Vec::with_capacity(instance.robots.len()),
-            leg_results: Vec::with_capacity(instance.robots.len()),
-            leg_tentative: Vec::with_capacity(instance.robots.len()),
-            on_grid_buf: Vec::with_capacity(instance.robots.len()),
-            next_item: 0,
-            items_processed: 0,
-            rack_trips: 0,
-            metrics: MetricsCollector::new(instance.pickers.len(), instance.robots.len(), bucket),
-            validator: TrajectoryValidator::new(),
-            last_return: 0,
+            state: EngineState::new(instance),
             max_ticks,
-            peak_memory: 0,
-            peak_scratch: 0,
-            next_checkpoint: 1,
-            t: 0,
-            completed: false,
-            finished: false,
-            journal: Vec::new(),
+            bucket_width: bucket,
             fault_plan: FaultPlan::generate(&config.faults),
-            degraded_ticks: 0,
-            fallback_assignments: 0,
-            planner_errors: 0,
-            degrade_next: false,
-            recover_next: false,
-            next_decision_fault: 0,
-            next_leg_fault: 0,
-            next_poison_fault: 0,
-            shutdown: false,
-            next_command_seq: 0,
-            backlog: Vec::new(),
-            live_item_orders: Vec::new(),
-            live_item_arrivals: Vec::new(),
-            carried_orders: vec![Vec::new(); instance.robots.len()],
-            // The pregenerated item list is an order book submitted at
-            // tick 0 — counting it here is what keeps the order counters
-            // identical between a live run and its pregenerated equivalent.
-            orders_submitted: instance.items.len() as u64,
-            orders_cancelled: 0,
-            orders_rejected: 0,
-            orders_completed: 0,
-            peak_backlog: 0,
-            total_order_age: 0,
+            freeze_queue: Vec::new(),
+            idle_buf: Vec::with_capacity(n_robots),
+            selectable_buf: Vec::with_capacity(instance.racks.len()),
+            leg_requests: Vec::with_capacity(n_robots),
+            leg_results: Vec::with_capacity(n_robots),
+            leg_tentative: Vec::with_capacity(n_robots),
+            on_grid_buf: Vec::with_capacity(n_robots),
             acks_out: Vec::new(),
             cmd_buf: Vec::new(),
             arrival_agenda: std::collections::BinaryHeap::new(),
@@ -618,28 +521,28 @@ impl<'a> Engine<'a> {
         commands: &mut [SequencedCommand],
         acks: &mut Vec<Ack>,
     ) {
-        if self.finished {
+        if self.state.finished {
             return;
         }
         // A degraded tick just ran: restore the primary planner before
         // anything else this tick, with its derived state (path cache,
         // memoized distance fields) invalidated — whatever made it fail
         // must not survive into this tick's decisions.
-        if self.recover_next {
-            self.recover_next = false;
+        if self.state.recover_next {
+            self.state.recover_next = false;
             planner.on_event(PlannerEvent::RecoverDegraded);
         }
-        let t = self.t;
+        let t = self.state.t;
         if !commands.is_empty() {
             commands.sort_by_key(|c| c.seq);
             let mut batch = std::mem::take(&mut self.cmd_buf);
             batch.clear();
             batch.extend(commands.iter().cloned());
             for cmd in &batch {
-                if cmd.seq < self.next_command_seq {
+                if cmd.seq < self.state.next_command_seq {
                     continue; // already applied before the snapshot
                 }
-                self.next_command_seq = cmd.seq + 1;
+                self.state.next_command_seq = cmd.seq + 1;
                 self.apply_command(cmd.seq, &cmd.command, t, planner);
             }
             self.cmd_buf = batch;
@@ -651,16 +554,19 @@ impl<'a> Engine<'a> {
         self.step_planning(t, planner);
         self.step_movement(t);
         self.step_bookkeeping(t, planner);
-        #[cfg(debug_assertions)]
-        self.assert_agenda_counters();
+        debug_assert_eq!(
+            (self.busy_count, self.docked_count),
+            self.phase_tallies(),
+            "agenda counters drifted"
+        );
 
         if self.is_done() {
-            self.completed = true;
-            self.finished = true;
+            self.state.completed = true;
+            self.state.finished = true;
         } else if t >= self.max_ticks {
-            self.finished = true;
+            self.state.finished = true;
         } else {
-            self.t = t + 1;
+            self.state.t = t + 1;
         }
         acks.append(&mut self.acks_out);
     }
@@ -669,19 +575,19 @@ impl<'a> Engine<'a> {
     fn apply_command(&mut self, seq: u64, command: &Command, t: Tick, planner: &mut dyn Planner) {
         match command {
             Command::SubmitOrder { spec } => {
-                let reason = if self.shutdown {
+                let reason = if self.state.shutdown {
                     Some(RejectReason::ShuttingDown)
-                } else if spec.rack.index() >= self.racks.len() {
+                } else if spec.rack.index() >= self.state.racks.len() {
                     Some(RejectReason::UnknownRack)
-                } else if self.backlog.iter().any(|b| b.order == spec.order)
-                    || self.live_item_orders.contains(&spec.order)
+                } else if self.state.backlog.iter().any(|b| b.order == spec.order)
+                    || self.state.live_item_orders.contains(&spec.order)
                 {
                     Some(RejectReason::DuplicateOrder)
                 } else {
                     None
                 };
                 if let Some(reason) = reason {
-                    self.orders_rejected += 1;
+                    self.state.orders_rejected += 1;
                     self.acks_out.push(Ack::Rejected {
                         seq,
                         reason,
@@ -700,10 +606,11 @@ impl<'a> Engine<'a> {
                     submitted: t,
                 };
                 let at = self
+                    .state
                     .backlog
                     .partition_point(|b| (b.arrival, b.order) < (entry.arrival, entry.order));
-                self.backlog.insert(at, entry);
-                self.orders_submitted += 1;
+                self.state.backlog.insert(at, entry);
+                self.state.orders_submitted += 1;
                 self.acks_out.push(Ack::Accepted {
                     seq,
                     order: spec.order,
@@ -711,21 +618,21 @@ impl<'a> Engine<'a> {
                 });
             }
             Command::CancelOrder { order } => {
-                if let Some(at) = self.backlog.iter().position(|b| b.order == *order) {
-                    self.backlog.remove(at);
-                    self.orders_cancelled += 1;
+                if let Some(at) = self.state.backlog.iter().position(|b| b.order == *order) {
+                    self.state.backlog.remove(at);
+                    self.state.orders_cancelled += 1;
                     self.acks_out.push(Ack::Cancelled {
                         seq,
                         order: *order,
                         tick: t,
                     });
                 } else {
-                    let reason = if self.live_item_orders.contains(order) {
+                    let reason = if self.state.live_item_orders.contains(order) {
                         RejectReason::AlreadyLanded
                     } else {
                         RejectReason::UnknownOrder
                     };
-                    self.orders_rejected += 1;
+                    self.state.orders_rejected += 1;
                     self.acks_out.push(Ack::Rejected {
                         seq,
                         reason,
@@ -739,7 +646,7 @@ impl<'a> Engine<'a> {
                     self.apply_event(*event, t, planner);
                     self.acks_out.push(Ack::Injected { seq, tick: t });
                 } else {
-                    self.orders_rejected += 1;
+                    self.state.orders_rejected += 1;
                     self.acks_out.push(Ack::Rejected {
                         seq,
                         reason: RejectReason::InvalidDisruption,
@@ -751,7 +658,7 @@ impl<'a> Engine<'a> {
                 self.acks_out.push(Ack::SnapshotRequested { seq, tick: t });
             }
             Command::Shutdown => {
-                self.shutdown = true;
+                self.state.shutdown = true;
                 self.acks_out.push(Ack::ShutdownStarted { seq, tick: t });
             }
         }
@@ -765,43 +672,44 @@ impl<'a> Engine<'a> {
     fn injection_is_valid(&self, event: DisruptionEvent) -> bool {
         match event {
             DisruptionEvent::RobotBreakdown { robot } => {
-                robot.index() < self.robots.len() && !self.broken[robot.index()]
+                robot.index() < self.state.robots.len() && !self.state.broken[robot.index()]
             }
             DisruptionEvent::RobotRecover { robot } => {
-                robot.index() < self.robots.len() && self.broken[robot.index()]
+                robot.index() < self.state.robots.len() && self.state.broken[robot.index()]
             }
             DisruptionEvent::CellBlocked { pos } => {
                 self.instance.grid.in_bounds(pos)
                     && self.instance.grid.kind(pos) == CellKind::Aisle
-                    && !self.blocked_overlay[self.cell_index(pos)]
-                    && !self.deferred_blockades.contains(&pos)
+                    && !self.state.blocked_overlay[self.cell_index(pos)]
+                    && !self.state.deferred_blockades.contains(&pos)
             }
             DisruptionEvent::CellUnblocked { pos } => {
                 self.instance.grid.in_bounds(pos)
-                    && (self.blocked_overlay[self.cell_index(pos)]
-                        || self.deferred_blockades.contains(&pos))
+                    && (self.state.blocked_overlay[self.cell_index(pos)]
+                        || self.state.deferred_blockades.contains(&pos))
             }
             DisruptionEvent::StationClosed { picker } => {
-                picker.index() < self.pickers.len() && !self.closed[picker.index()]
+                picker.index() < self.state.pickers.len() && !self.state.closed[picker.index()]
             }
             DisruptionEvent::StationReopened { picker } => {
-                picker.index() < self.pickers.len() && self.closed[picker.index()]
+                picker.index() < self.state.pickers.len() && self.state.closed[picker.index()]
             }
             DisruptionEvent::RackRemoved { rack } => {
-                rack.index() < self.racks.len()
-                    && !self.removed[rack.index()]
-                    && !self.deferred_removals.contains(&rack)
+                rack.index() < self.state.racks.len()
+                    && !self.state.removed[rack.index()]
+                    && !self.state.deferred_removals.contains(&rack)
             }
             DisruptionEvent::RackRestored { rack } => {
-                rack.index() < self.racks.len()
-                    && (self.removed[rack.index()] || self.deferred_removals.contains(&rack))
+                rack.index() < self.state.racks.len()
+                    && (self.state.removed[rack.index()]
+                        || self.state.deferred_removals.contains(&rack))
             }
         }
     }
 
     /// Step until the run finishes (completion or tick-budget exhaustion).
     pub fn run_to_completion(&mut self, planner: &mut dyn Planner) {
-        while !self.finished {
+        while !self.state.finished {
             self.tick_once(planner);
         }
     }
@@ -809,33 +717,33 @@ impl<'a> Engine<'a> {
     /// The tick the next [`Engine::tick_once`] call will execute (or, once
     /// finished, the tick the run ended on).
     pub fn current_tick(&self) -> Tick {
-        self.t
+        self.state.t
     }
 
     /// Whether the run has ended.
     pub fn is_finished(&self) -> bool {
-        self.finished
+        self.state.finished
     }
 
     /// The applied-event journal so far (see [`EngineState::journal`]).
     pub fn journal(&self) -> &[TimedEvent] {
-        &self.journal
+        &self.state.journal
     }
 
     /// Orders accepted but not yet emerged on their racks.
     pub fn backlog_depth(&self) -> usize {
-        self.backlog.len()
+        self.state.backlog.len()
     }
 
     /// Whether a [`Command::Shutdown`] has been accepted.
     pub fn is_shutting_down(&self) -> bool {
-        self.shutdown
+        self.state.shutdown
     }
 
     /// The idempotency cursor: the lowest command sequence number the
     /// engine has not yet applied (see [`EngineState::next_command_seq`]).
     pub fn next_command_seq(&self) -> u64 {
-        self.next_command_seq
+        self.state.next_command_seq
     }
 
     /// The instance this engine runs on.
@@ -851,51 +759,56 @@ impl<'a> Engine<'a> {
     /// Build the final report. Call after [`Engine::run_to_completion`];
     /// drains the sampled metric series.
     pub fn report(&mut self, planner: &mut dyn Planner) -> SimulationReport {
-        let makespan = if self.completed {
-            self.last_return
+        let makespan = if self.state.completed {
+            self.state.last_return
         } else {
-            self.t
+            self.state.t
         };
         let stats = planner.stats();
-        let picker_busy: Duration = self.pickers.iter().map(|p| p.busy_ticks).sum();
         let horizon = makespan.max(1);
         SimulationReport {
             scenario: self.instance.name.clone(),
             planner: planner.name().to_string(),
             makespan,
-            completed: self.completed,
-            items_processed: self.items_processed,
-            rack_trips: self.rack_trips,
-            batch_factor: if self.rack_trips > 0 {
-                self.items_processed as f64 / self.rack_trips as f64
+            completed: self.state.completed,
+            items_processed: self.state.items_processed,
+            rack_trips: self.state.rack_trips,
+            batch_factor: if self.state.rack_trips > 0 {
+                self.state.items_processed as f64 / self.state.rack_trips as f64
             } else {
                 0.0
             },
-            ppr: self.metrics.ppr(picker_busy, horizon),
-            rwr: self.metrics.rwr(horizon),
-            robot_busy_rate: self.metrics.robot_busy_rate(horizon),
+            ppr: self.ppr(horizon),
+            rwr: self.state.metrics.rwr(horizon),
+            robot_busy_rate: self.state.metrics.robot_busy_rate(horizon),
             stc_s: stats.selection_ns as f64 / 1e9,
             ptc_s: stats.planning_ns as f64 / 1e9,
-            peak_memory_bytes: self.peak_memory.max(stats.memory_bytes),
-            peak_scratch_bytes: self.peak_scratch.max(stats.scratch_bytes),
-            checkpoints: std::mem::take(&mut self.metrics.checkpoints),
-            bottleneck: std::mem::take(&mut self.metrics.bottleneck),
-            executed_conflicts: self.validator.conflict_count(),
-            events_applied: self.events_applied,
-            events_deferred: self.events_deferred,
-            disruption_violations: self.disruption_violations,
+            peak_memory_bytes: self.state.peak_memory.max(stats.memory_bytes),
+            peak_scratch_bytes: self.state.peak_scratch.max(stats.scratch_bytes),
+            checkpoints: std::mem::take(&mut self.state.metrics.checkpoints),
+            bottleneck: std::mem::take(&mut self.state.metrics.bottleneck),
+            executed_conflicts: self.state.validator.conflict_count(),
+            events_applied: self.state.events_applied,
+            events_deferred: self.state.events_deferred,
+            disruption_violations: self.state.disruption_violations,
             anticipation_hits: stats.anticipation_hits,
-            degraded_ticks: self.degraded_ticks,
-            fallback_assignments: self.fallback_assignments,
-            planner_errors: self.planner_errors,
-            orders_submitted: self.orders_submitted,
-            orders_cancelled: self.orders_cancelled,
-            orders_rejected: self.orders_rejected,
-            orders_completed: self.orders_completed,
-            peak_backlog: self.peak_backlog,
-            total_order_age: self.total_order_age,
+            degraded_ticks: self.state.degraded_ticks,
+            fallback_assignments: self.state.fallback_assignments,
+            planner_errors: self.state.planner_errors,
+            orders_submitted: self.state.orders_submitted,
+            orders_cancelled: self.state.orders_cancelled,
+            orders_rejected: self.state.orders_rejected,
+            orders_completed: self.state.orders_completed,
+            peak_backlog: self.state.peak_backlog,
+            total_order_age: self.state.total_order_age,
             planner_stats: stats,
         }
+    }
+
+    /// PPR (Eq. 6) over the first `horizon` ticks.
+    fn ppr(&self, horizon: Tick) -> f64 {
+        let picker_busy: Duration = self.state.pickers.iter().map(|p| p.busy_ticks).sum();
+        metrics::ppr(picker_busy, self.state.pickers.len(), horizon)
     }
 
     #[inline]
@@ -915,59 +828,51 @@ impl<'a> Engine<'a> {
         self.quiet_scan = false;
     }
 
-    /// Debug-only: recompute the derived agenda counters from canonical
-    /// state and assert they match the incrementally maintained ones.
-    #[cfg(debug_assertions)]
-    fn assert_agenda_counters(&self) {
-        let busy = self.robots.iter().filter(|r| r.phase.is_busy()).count();
-        let docked = self
-            .robots
-            .iter()
-            .filter(|r| {
-                matches!(
-                    r.phase,
-                    RobotPhase::Queuing { .. } | RobotPhase::Processing { .. }
-                )
-            })
-            .count();
-        debug_assert_eq!(self.busy_count, busy, "busy_count drifted");
-        debug_assert_eq!(self.docked_count, docked, "docked_count drifted");
+    /// The phase tallies `(busy, docked)` the agenda counters must equal.
+    fn phase_tallies(&self) -> (usize, usize) {
+        let robots = &self.state.robots;
+        let busy = robots.iter().filter(|r| r.phase.is_busy()).count();
+        let docked = robots.iter().filter(|r| is_docked(r.phase)).count();
+        (busy, docked)
     }
 
     /// Phase 0: replay disruption events due at tick `t` (plus any deferred
     /// blockades whose cell has cleared). See the module docs for the
     /// semantics of each event kind.
     fn step_events(&mut self, t: Tick, planner: &mut dyn Planner) {
-        let due = self.next_event < self.instance.disruptions.len()
-            && self.instance.disruptions[self.next_event].t <= t;
-        if !due && self.deferred_blockades.is_empty() && self.deferred_removals.is_empty() {
+        let due = self.state.next_event < self.instance.disruptions.len()
+            && self.instance.disruptions[self.state.next_event].t <= t;
+        if !due
+            && self.state.deferred_blockades.is_empty()
+            && self.state.deferred_removals.is_empty()
+        {
             return;
         }
         // Anything landing below may change phases, planning inputs or the
         // blockade overlay — every skip precondition dirties.
         self.dirty_all();
         // Deferred blockades and removals land first, in original order.
-        if !self.deferred_blockades.is_empty() {
-            let deferred = std::mem::take(&mut self.deferred_blockades);
+        if !self.state.deferred_blockades.is_empty() {
+            let deferred = std::mem::take(&mut self.state.deferred_blockades);
             for pos in deferred {
                 if !self.try_block_cell(pos, t, planner) {
-                    self.deferred_blockades.push(pos);
+                    self.state.deferred_blockades.push(pos);
                 }
             }
         }
-        if !self.deferred_removals.is_empty() {
-            let deferred = std::mem::take(&mut self.deferred_removals);
+        if !self.state.deferred_removals.is_empty() {
+            let deferred = std::mem::take(&mut self.state.deferred_removals);
             for rack in deferred {
                 if !self.try_remove_rack(rack, t, planner) {
-                    self.deferred_removals.push(rack);
+                    self.state.deferred_removals.push(rack);
                 }
             }
         }
-        while self.next_event < self.instance.disruptions.len()
-            && self.instance.disruptions[self.next_event].t <= t
+        while self.state.next_event < self.instance.disruptions.len()
+            && self.instance.disruptions[self.state.next_event].t <= t
         {
-            let ev = self.instance.disruptions[self.next_event];
-            self.next_event += 1;
+            let ev = self.instance.disruptions[self.state.next_event];
+            self.state.next_event += 1;
             self.apply_event(ev.event, t, planner);
         }
     }
@@ -976,16 +881,14 @@ impl<'a> Engine<'a> {
         match event {
             DisruptionEvent::RobotBreakdown { robot } => {
                 let ai = robot.index();
-                if self.broken[ai] {
+                if self.state.broken[ai] {
                     return; // defensive: validated schedules never nest
                 }
-                self.broken[ai] = true;
-                self.events_applied += 1;
-                self.journal.push(TimedEvent { t, event });
-                planner.on_event(PlannerEvent::Disruption { event: &event, t });
+                self.state.broken[ai] = true;
+                self.record_applied(event, t, planner);
                 // A robot travelling a live leg freezes mid-route; its
                 // frozen cell may invalidate other planned paths.
-                if self.paths[ai].as_ref().is_some_and(|p| p.end() >= t) {
+                if self.state.paths[ai].as_ref().is_some_and(|p| p.end() >= t) {
                     self.freeze_queue.clear();
                     self.freeze_robot(ai, t, planner);
                     self.run_freeze_cascade(t, planner);
@@ -993,85 +896,83 @@ impl<'a> Engine<'a> {
             }
             DisruptionEvent::RobotRecover { robot } => {
                 let ai = robot.index();
-                if !self.broken[ai] {
+                if !self.state.broken[ai] {
                     return;
                 }
-                self.broken[ai] = false;
-                self.events_applied += 1;
-                self.journal.push(TimedEvent { t, event });
-                planner.on_event(PlannerEvent::Disruption { event: &event, t });
+                self.state.broken[ai] = false;
+                self.record_applied(event, t, planner);
                 // Mid-route robots (frozen, no path) resume via replan;
                 // robots waiting at a rack home or in a station bay resume
                 // through their pending lists instead.
-                let id = self.robots[ai].id;
-                if self.robots[ai].phase.is_travelling()
-                    && self.paths[ai].is_none()
-                    && !self.needs_delivery.contains(&id)
-                    && !self.needs_replan.contains(&id)
+                let id = self.state.robots[ai].id;
+                if self.state.robots[ai].phase.is_travelling()
+                    && self.state.paths[ai].is_none()
+                    && !self.state.needs_delivery.contains(&id)
+                    && !self.state.needs_replan.contains(&id)
                 {
-                    self.needs_replan.push(id);
+                    self.state.needs_replan.push(id);
                 }
             }
             DisruptionEvent::CellBlocked { pos } => {
                 if !self.try_block_cell(pos, t, planner) {
-                    self.events_deferred += 1;
-                    self.deferred_blockades.push(pos);
+                    self.state.events_deferred += 1;
+                    self.state.deferred_blockades.push(pos);
                 }
             }
             DisruptionEvent::CellUnblocked { pos } => {
                 // A blockade still waiting for its cell is simply withdrawn.
-                if let Some(i) = self.deferred_blockades.iter().position(|&p| p == pos) {
-                    self.deferred_blockades.remove(i);
+                if let Some(i) = self.state.deferred_blockades.iter().position(|&p| p == pos) {
+                    self.state.deferred_blockades.remove(i);
                     return;
                 }
                 let idx = self.cell_index(pos);
-                if !self.blocked_overlay[idx] {
+                if !self.state.blocked_overlay[idx] {
                     return;
                 }
-                self.blocked_overlay[idx] = false;
-                self.events_applied += 1;
-                self.journal.push(TimedEvent { t, event });
-                planner.on_event(PlannerEvent::Disruption { event: &event, t });
+                self.state.blocked_overlay[idx] = false;
+                self.record_applied(event, t, planner);
             }
             DisruptionEvent::StationClosed { picker } => {
                 let pi = picker.index();
-                if !self.closed[pi] {
-                    self.closed[pi] = true;
-                    self.events_applied += 1;
-                    self.journal.push(TimedEvent { t, event });
-                    planner.on_event(PlannerEvent::Disruption { event: &event, t });
+                if !self.state.closed[pi] {
+                    self.state.closed[pi] = true;
+                    self.record_applied(event, t, planner);
                 }
             }
             DisruptionEvent::StationReopened { picker } => {
                 let pi = picker.index();
-                if self.closed[pi] {
-                    self.closed[pi] = false;
-                    self.events_applied += 1;
-                    self.journal.push(TimedEvent { t, event });
-                    planner.on_event(PlannerEvent::Disruption { event: &event, t });
+                if self.state.closed[pi] {
+                    self.state.closed[pi] = false;
+                    self.record_applied(event, t, planner);
                 }
             }
             DisruptionEvent::RackRemoved { rack } => {
                 if !self.try_remove_rack(rack, t, planner) {
-                    self.events_deferred += 1;
-                    self.deferred_removals.push(rack);
+                    self.state.events_deferred += 1;
+                    self.state.deferred_removals.push(rack);
                 }
             }
             DisruptionEvent::RackRestored { rack } => {
                 // A removal still waiting for its rack is simply withdrawn.
-                if let Some(i) = self.deferred_removals.iter().position(|&r| r == rack) {
-                    self.deferred_removals.remove(i);
+                if let Some(i) = self.state.deferred_removals.iter().position(|&r| r == rack) {
+                    self.state.deferred_removals.remove(i);
                     return;
                 }
                 let ri = rack.index();
-                if self.removed[ri] {
-                    self.removed[ri] = false;
-                    self.events_applied += 1;
-                    self.journal.push(TimedEvent { t, event });
-                    planner.on_event(PlannerEvent::Disruption { event: &event, t });
+                if self.state.removed[ri] {
+                    self.state.removed[ri] = false;
+                    self.record_applied(event, t, planner);
                 }
             }
         }
+    }
+
+    /// An event landed at tick `t`: count it, journal it (the journal is what
+    /// a resume replays into the fresh planner) and tell the planner.
+    fn record_applied(&mut self, event: DisruptionEvent, t: Tick, planner: &mut dyn Planner) {
+        self.state.events_applied += 1;
+        self.state.journal.push(TimedEvent { t, event });
+        planner.on_event(PlannerEvent::Disruption { event: &event, t });
     }
 
     /// Apply a rack removal unless the rack is in flight (a robot is
@@ -1079,15 +980,12 @@ impl<'a> Engine<'a> {
     /// Pending items stay on the rack and wait for its restoration.
     fn try_remove_rack(&mut self, rack: RackId, t: Tick, planner: &mut dyn Planner) -> bool {
         let ri = rack.index();
-        if self.racks[ri].in_flight {
+        if self.state.racks[ri].in_flight {
             return false;
         }
-        debug_assert!(!self.removed[ri], "schedules alternate per rack");
-        self.removed[ri] = true;
-        self.events_applied += 1;
-        let event = DisruptionEvent::RackRemoved { rack };
-        self.journal.push(TimedEvent { t, event });
-        planner.on_event(PlannerEvent::Disruption { event: &event, t });
+        debug_assert!(!self.state.removed[ri], "schedules alternate per rack");
+        self.state.removed[ri] = true;
+        self.record_applied(DisruptionEvent::RackRemoved { rack }, t, planner);
         true
     }
 
@@ -1095,23 +993,21 @@ impl<'a> Engine<'a> {
     /// caller then defers it). On application, every active path visiting
     /// the cell from `t` onward is cancelled via the freeze cascade.
     fn try_block_cell(&mut self, pos: GridPos, t: Tick, planner: &mut dyn Planner) -> bool {
-        let occupied = self.robots.iter().any(|r| {
-            r.pos == pos
-                && !matches!(
-                    r.phase,
-                    RobotPhase::Queuing { .. } | RobotPhase::Processing { .. }
-                )
-        });
+        let occupied = self
+            .state
+            .robots
+            .iter()
+            .any(|r| r.pos == pos && !is_docked(r.phase));
         if occupied {
             return false;
         }
         let idx = self.cell_index(pos);
-        debug_assert!(!self.blocked_overlay[idx], "schedules alternate per cell");
-        self.blocked_overlay[idx] = true;
-        self.events_applied += 1;
-        let event = DisruptionEvent::CellBlocked { pos };
-        self.journal.push(TimedEvent { t, event });
-        planner.on_event(PlannerEvent::Disruption { event: &event, t });
+        debug_assert!(
+            !self.state.blocked_overlay[idx],
+            "schedules alternate per cell"
+        );
+        self.state.blocked_overlay[idx] = true;
+        self.record_applied(DisruptionEvent::CellBlocked { pos }, t, planner);
         self.freeze_queue.clear();
         self.freeze_queue.push(pos);
         self.run_freeze_cascade(t, planner);
@@ -1124,15 +1020,15 @@ impl<'a> Engine<'a> {
     /// cell joins the cascade queue because paths planned to cross it later
     /// are now invalid.
     fn freeze_robot(&mut self, ai: usize, t: Tick, planner: &mut dyn Planner) {
-        if self.paths[ai].is_none() {
+        if self.state.paths[ai].is_none() {
             return;
         }
-        self.paths[ai] = None;
-        let pos = self.robots[ai].pos;
-        let id = self.robots[ai].id;
+        self.state.paths[ai] = None;
+        let pos = self.state.robots[ai].pos;
+        let id = self.state.robots[ai].id;
         planner.on_event(PlannerEvent::PathCancelled { robot: id, pos, t });
-        if !self.broken[ai] && !self.needs_replan.contains(&id) {
-            self.needs_replan.push(id);
+        if !self.state.broken[ai] && !self.state.needs_replan.contains(&id) {
+            self.state.needs_replan.push(id);
         }
         self.freeze_queue.push(pos);
     }
@@ -1143,8 +1039,8 @@ impl<'a> Engine<'a> {
     /// so the loop reaches a fixpoint after at most one pass per robot.
     fn run_freeze_cascade(&mut self, t: Tick, planner: &mut dyn Planner) {
         while let Some(pos) = self.freeze_queue.pop() {
-            for ai in 0..self.robots.len() {
-                let crosses = self.paths[ai].as_ref().is_some_and(|p| {
+            for ai in 0..self.state.robots.len() {
+                let crosses = self.state.paths[ai].as_ref().is_some_and(|p| {
                     p.end() >= t && p.iter_timed().any(|(tick, c)| tick >= t && c == pos)
                 });
                 if crosses {
@@ -1160,37 +1056,38 @@ impl<'a> Engine<'a> {
     /// arrival with dense ids in sorted order, so a live run submitting
     /// the same demand pre-tick-0 lands items in the identical sequence.
     fn step_arrivals(&mut self, t: Tick) {
-        let items_before = self.next_item;
-        let live_before = self.live_item_orders.len();
-        while self.next_item < self.instance.items.len() {
-            let item = &self.instance.items[self.next_item];
+        let items_before = self.state.next_item;
+        let live_before = self.state.live_item_orders.len();
+        while self.state.next_item < self.instance.items.len() {
+            let item = &self.instance.items[self.state.next_item];
             if item.arrival > t {
                 break;
             }
-            self.racks[item.rack.index()].push_item(item);
+            self.state.racks[item.rack.index()].push_item(item);
             // Pregenerated items are orders submitted at tick 0; they land
             // exactly at their arrival tick (`t == item.arrival` here).
-            self.total_order_age += t;
-            self.next_item += 1;
+            self.state.total_order_age += t;
+            self.state.next_item += 1;
         }
-        while self.backlog.first().is_some_and(|b| b.arrival <= t) {
-            let b = self.backlog.remove(0);
+        while self.state.backlog.first().is_some_and(|b| b.arrival <= t) {
+            let b = self.state.backlog.remove(0);
             // Live items get dense ids after the pregenerated range, in
             // landing order; the order handle is kept for acks/cancels.
-            let id = ItemId::new(self.instance.items.len() + self.live_item_orders.len());
+            let id = ItemId::new(self.instance.items.len() + self.state.live_item_orders.len());
             let item = Item {
                 id,
                 rack: b.rack,
                 arrival: b.arrival,
                 processing: b.processing,
             };
-            self.racks[b.rack.index()].push_item(&item);
-            self.live_item_orders.push(b.order);
-            self.live_item_arrivals.push(b.arrival);
-            self.total_order_age += t - b.submitted;
+            self.state.racks[b.rack.index()].push_item(&item);
+            self.state.live_item_orders.push(b.order);
+            self.state.live_item_arrivals.push(b.arrival);
+            self.state.total_order_age += t - b.submitted;
         }
         // A landed item can make its rack selectable again.
-        if self.next_item != items_before || self.live_item_orders.len() != live_before {
+        if self.state.next_item != items_before || self.state.live_item_orders.len() != live_before
+        {
             self.maybe_work = true;
         }
     }
@@ -1204,44 +1101,44 @@ impl<'a> Engine<'a> {
         if self.docked_count == 0 {
             #[cfg(debug_assertions)]
             {
-                debug_assert!(self.serving.iter().all(|s| s.is_none()));
-                debug_assert!(self.pickers.iter().all(|p| p.queue.is_empty()));
+                debug_assert!(self.state.serving.iter().all(|s| s.is_none()));
+                debug_assert!(self.state.pickers.iter().all(|p| p.queue.is_empty()));
             }
             return;
         }
-        for pi in 0..self.pickers.len() {
+        for pi in 0..self.state.pickers.len() {
             // A closed station pauses mid-rack: no processing, no queue
             // pops, no busy-tick accrual, until it reopens.
-            if self.closed[pi] {
+            if self.state.closed[pi] {
                 continue;
             }
             // Start the next rack if idle.
-            if self.serving[pi].is_none() {
-                if let Some(entry) = self.pickers[pi].start_next() {
+            if self.state.serving[pi].is_none() {
+                if let Some(entry) = self.state.pickers[pi].start_next() {
                     let robot = entry.robot.index();
-                    self.robots[robot].phase = RobotPhase::Processing { rack: entry.rack };
-                    self.serving[pi] = Some(entry);
+                    self.state.robots[robot].phase = RobotPhase::Processing { rack: entry.rack };
+                    self.state.serving[pi] = Some(entry);
                 }
             }
             // Process one tick.
-            if let Some(entry) = self.serving[pi] {
-                let finished = self.pickers[pi].tick();
-                self.racks[entry.rack.index()].accum_processing += 1;
+            if let Some(entry) = self.state.serving[pi] {
+                let finished = self.state.pickers[pi].tick();
+                self.state.racks[entry.rack.index()].accum_processing += 1;
                 if finished {
                     let ai = entry.robot.index();
-                    self.items_processed += self.carried_items[ai] as usize;
-                    self.orders_completed += self.carried_items[ai] as u64;
-                    self.carried_items[ai] = 0;
+                    self.state.items_processed += self.state.carried_items[ai] as usize;
+                    self.state.orders_completed += self.state.carried_items[ai] as u64;
+                    self.state.carried_items[ai] = 0;
                     // Live orders riding on the batch are fulfilled now.
-                    for i in 0..self.carried_orders[ai].len() {
+                    for i in 0..self.state.carried_orders[ai].len() {
                         self.acks_out.push(Ack::Completed {
-                            order: self.carried_orders[ai][i],
+                            order: self.state.carried_orders[ai][i],
                             tick: t,
                         });
                     }
-                    self.carried_orders[ai].clear();
-                    self.needs_return.push(entry.robot);
-                    self.serving[pi] = None;
+                    self.state.carried_orders[ai].clear();
+                    self.state.needs_return.push(entry.robot);
+                    self.state.serving[pi] = None;
                 }
             }
         }
@@ -1276,12 +1173,15 @@ impl<'a> Engine<'a> {
         // agenda missed, bar the `ToRack` robots already waiting in the
         // delivery pool.
         #[cfg(debug_assertions)]
-        for ai in 0..self.robots.len() {
-            let awaits_delivery = matches!(self.robots[ai].phase, RobotPhase::ToRack { .. })
-                && self.paths[ai].as_ref().is_some_and(|p| p.end() < t)
-                && self.needs_delivery.contains(&self.robots[ai].id);
+        for ai in 0..self.state.robots.len() {
+            let awaits_delivery = matches!(self.state.robots[ai].phase, RobotPhase::ToRack { .. })
+                && self.state.paths[ai].as_ref().is_some_and(|p| p.end() < t)
+                && self
+                    .state
+                    .needs_delivery
+                    .contains(&self.state.robots[ai].id);
             debug_assert!(
-                self.paths[ai].as_ref().is_none_or(|p| p.end() > t)
+                self.state.paths[ai].as_ref().is_none_or(|p| p.end() > t)
                     || awaits_delivery
                     || self.arrivals_buf.contains(&ai),
                 "arrived robot {ai} missing from the arrival agenda"
@@ -1301,9 +1201,9 @@ impl<'a> Engine<'a> {
         // query+commit leg pass per tick. Three empty pending pools mean
         // the pass would build zero requests and return before touching
         // the leg-fault cursor — a provable no-op.
-        if self.needs_replan.is_empty()
-            && self.needs_delivery.is_empty()
-            && self.needs_return.is_empty()
+        if self.state.needs_replan.is_empty()
+            && self.state.needs_delivery.is_empty()
+            && self.state.needs_return.is_empty()
         {
             return;
         }
@@ -1314,7 +1214,7 @@ impl<'a> Engine<'a> {
     /// Checks the `arrived` predicate itself, so a stale agenda entry (the
     /// path was cancelled, or replaced by one still in flight) is a no-op.
     fn transition_arrival(&mut self, ai: usize, t: Tick, planner: &mut dyn Planner) {
-        if self.paths[ai].as_ref().is_none_or(|p| p.end() > t) {
+        if self.state.paths[ai].as_ref().is_none_or(|p| p.end() > t) {
             return;
         }
         // Transitions run before this tick's movement phase, so sync the
@@ -1323,42 +1223,42 @@ impl<'a> Engine<'a> {
         // `end() == t` here). Leaving the previous tick's position in
         // place would desynchronize the physical robot from its parked
         // reservation by one cell.
-        let arrival_pos = self.paths[ai]
+        let arrival_pos = self.state.paths[ai]
             .as_ref()
             .map(|p| p.last())
             .expect("checked above");
-        match self.robots[ai].phase {
+        match self.state.robots[ai].phase {
             RobotPhase::ToRack { .. } => {
-                self.robots[ai].pos = arrival_pos;
-                let id = self.robots[ai].id;
-                if !self.needs_delivery.contains(&id) {
-                    self.needs_delivery.push(id);
+                self.state.robots[ai].pos = arrival_pos;
+                let id = self.state.robots[ai].id;
+                if !self.state.needs_delivery.contains(&id) {
+                    self.state.needs_delivery.push(id);
                 }
             }
             RobotPhase::ToStation { rack } => {
                 // Dock: leave the grid, enqueue at the picker.
-                self.robots[ai].pos = arrival_pos;
-                let robot_id = self.robots[ai].id;
+                self.state.robots[ai].pos = arrival_pos;
+                let robot_id = self.state.robots[ai].id;
                 planner.on_dock(robot_id);
-                let picker = self.racks[rack.index()].picker;
-                self.pickers[picker.index()].enqueue(QueueEntry {
+                let picker = self.state.racks[rack.index()].picker;
+                self.state.pickers[picker.index()].enqueue(QueueEntry {
                     rack,
                     robot: robot_id,
-                    work: self.carried_work[ai],
+                    work: self.state.carried_work[ai],
                 });
-                self.carried_work[ai] = 0;
-                self.robots[ai].phase = RobotPhase::Queuing { rack };
-                self.paths[ai] = None;
+                self.state.carried_work[ai] = 0;
+                self.state.robots[ai].phase = RobotPhase::Queuing { rack };
+                self.state.paths[ai] = None;
                 self.docked_count += 1;
             }
             RobotPhase::Returning { rack } => {
                 // Rack home again: fulfilment cycle complete.
-                self.robots[ai].pos = arrival_pos;
-                self.racks[rack.index()].in_flight = false;
-                self.robots[ai].phase = RobotPhase::Idle;
-                self.paths[ai] = None;
-                self.last_return = self.last_return.max(t);
-                self.rack_trips += 1;
+                self.state.robots[ai].pos = arrival_pos;
+                self.state.racks[rack.index()].in_flight = false;
+                self.state.robots[ai].phase = RobotPhase::Idle;
+                self.state.paths[ai] = None;
+                self.state.last_return = self.state.last_return.max(t);
+                self.state.rack_trips += 1;
                 self.busy_count -= 1;
                 // The robot is assignable and its rack (back home, possibly
                 // with pending items) may be selectable again.
@@ -1378,61 +1278,62 @@ impl<'a> Engine<'a> {
     fn step_legs_batched(&mut self, t: Tick, planner: &mut dyn Planner) {
         // Stale entries (the robot left the relevant phase) are dropped
         // before planning.
-        self.needs_replan.retain(|&robot_id| {
+        self.state.needs_replan.retain(|&robot_id| {
             let ai = robot_id.index();
-            self.paths[ai].is_none() && self.robots[ai].phase.is_travelling()
+            self.state.paths[ai].is_none() && self.state.robots[ai].phase.is_travelling()
         });
-        self.needs_delivery.retain(|&robot_id| {
+        self.state.needs_delivery.retain(|&robot_id| {
             matches!(
-                self.robots[robot_id.index()].phase,
+                self.state.robots[robot_id.index()].phase,
                 RobotPhase::ToRack { .. }
             )
         });
-        self.needs_return.retain(|&robot_id| {
-            matches!(
-                self.robots[robot_id.index()].phase,
-                RobotPhase::Processing { .. } | RobotPhase::Queuing { .. }
-            )
-        });
+        self.state
+            .needs_return
+            .retain(|&robot_id| is_docked(self.state.robots[robot_id.index()].phase));
 
         self.leg_requests.clear();
         // Interrupted legs resume first: a robot frozen mid-aisle blocks
         // more traffic than one waiting at a rack home or station.
-        for &robot_id in &self.needs_replan {
+        for &robot_id in &self.state.needs_replan {
             let ai = robot_id.index();
-            if self.broken[ai] {
+            if self.state.broken[ai] {
                 continue; // still down; waits for its recovery event
             }
             let (to, park) = self.resume_destination(ai);
-            self.leg_requests
-                .push(LegRequest::new(robot_id, self.robots[ai].pos, to, park));
+            self.leg_requests.push(LegRequest::new(
+                robot_id,
+                self.state.robots[ai].pos,
+                to,
+                park,
+            ));
         }
         let n_replan = self.leg_requests.len();
-        for &robot_id in &self.needs_delivery {
-            if self.broken[robot_id.index()] {
+        for &robot_id in &self.state.needs_delivery {
+            if self.state.broken[robot_id.index()] {
                 continue;
             }
-            let RobotPhase::ToRack { rack } = self.robots[robot_id.index()].phase else {
+            let RobotPhase::ToRack { rack } = self.state.robots[robot_id.index()].phase else {
                 unreachable!("stale entries dropped above");
             };
             let rack_idx = rack.index();
-            let home = self.racks[rack_idx].home;
-            let station = self.pickers[self.racks[rack_idx].picker.index()].pos;
+            let home = self.state.racks[rack_idx].home;
+            let station = self.state.pickers[self.state.racks[rack_idx].picker.index()].pos;
             self.leg_requests
                 .push(LegRequest::new(robot_id, home, station, false));
         }
         let n_delivery = self.leg_requests.len();
-        for &robot_id in &self.needs_return {
-            if self.broken[robot_id.index()] {
+        for &robot_id in &self.state.needs_return {
+            if self.state.broken[robot_id.index()] {
                 continue;
             }
-            let rack = match self.robots[robot_id.index()].phase {
+            let rack = match self.state.robots[robot_id.index()].phase {
                 RobotPhase::Processing { rack } | RobotPhase::Queuing { rack } => rack,
                 _ => unreachable!("stale entries dropped above"),
             };
-            let picker = self.racks[rack.index()].picker;
-            let station = self.pickers[picker.index()].pos;
-            let home = self.racks[rack.index()].home;
+            let picker = self.state.racks[rack.index()].picker;
+            let station = self.state.pickers[picker.index()].pos;
+            let home = self.state.racks[rack.index()].home;
             self.leg_requests.push(LegRequest {
                 robot: robot_id,
                 from: station,
@@ -1450,10 +1351,10 @@ impl<'a> Engine<'a> {
         // Leg faults are consumed only by a tick that actually batches
         // legs — an armed fault must fire (and clear) within this tick so
         // no fault state ever crosses a snapshot boundary.
-        while self.next_leg_fault < self.fault_plan.leg.len()
-            && self.fault_plan.leg[self.next_leg_fault] <= t
+        while self.state.next_leg_fault < self.fault_plan.leg.len()
+            && self.fault_plan.leg[self.state.next_leg_fault] <= t
         {
-            self.next_leg_fault += 1;
+            self.state.next_leg_fault += 1;
             planner.inject_fault(&InjectedFault::LegFailure);
         }
         planner.query_legs(&self.leg_requests, t, &mut self.leg_tentative);
@@ -1470,16 +1371,16 @@ impl<'a> Engine<'a> {
             // it and hand the retain loops all-`None` results: every
             // pending leg stays queued and retries next tick, exactly like
             // individually blocked legs.
-            self.planner_errors += 1;
+            self.state.planner_errors += 1;
             self.leg_results.clear();
             self.leg_results.resize(self.leg_requests.len(), None);
         }
         debug_assert_eq!(self.leg_results.len(), self.leg_requests.len());
 
         let mut i = 0;
-        self.needs_replan.retain(|&robot_id| {
+        self.state.needs_replan.retain(|&robot_id| {
             let ai = robot_id.index();
-            if self.broken[ai] {
+            if self.state.broken[ai] {
                 return true; // no request was issued; waits for recovery
             }
             let result = self.leg_results[i].take();
@@ -1491,15 +1392,15 @@ impl<'a> Engine<'a> {
                     // rest (dock / delivery hand-off / cycle completion).
                     self.arrival_agenda
                         .push(std::cmp::Reverse((path.end(), ai as u32)));
-                    self.paths[ai] = Some(path);
+                    self.state.paths[ai] = Some(path);
                     false
                 }
                 None => true, // blocked; retry next tick
             }
         });
         debug_assert_eq!(i, n_replan);
-        self.needs_delivery.retain(|&robot_id| {
-            if self.broken[robot_id.index()] {
+        self.state.needs_delivery.retain(|&robot_id| {
+            if self.state.broken[robot_id.index()] {
                 return true; // no request was issued; waits for recovery
             }
             let result = self.leg_results[i].take();
@@ -1507,21 +1408,21 @@ impl<'a> Engine<'a> {
             match result {
                 Some(path) => {
                     let ai = robot_id.index();
-                    let RobotPhase::ToRack { rack } = self.robots[ai].phase else {
+                    let RobotPhase::ToRack { rack } = self.state.robots[ai].phase else {
                         unreachable!("phase unchanged since collection");
                     };
-                    self.robots[ai].phase = RobotPhase::ToStation { rack };
+                    self.state.robots[ai].phase = RobotPhase::ToStation { rack };
                     self.arrival_agenda
                         .push(std::cmp::Reverse((path.end(), ai as u32)));
-                    self.paths[ai] = Some(path);
+                    self.state.paths[ai] = Some(path);
                     false
                 }
                 None => true, // retry next tick
             }
         });
         debug_assert_eq!(i, n_delivery);
-        self.needs_return.retain(|&robot_id| {
-            if self.broken[robot_id.index()] {
+        self.state.needs_return.retain(|&robot_id| {
+            if self.state.broken[robot_id.index()] {
                 return true; // no request was issued; waits for recovery
             }
             let result = self.leg_results[i].take();
@@ -1530,16 +1431,16 @@ impl<'a> Engine<'a> {
             match result {
                 Some(path) => {
                     let ai = robot_id.index();
-                    let rack = match self.robots[ai].phase {
+                    let rack = match self.state.robots[ai].phase {
                         RobotPhase::Processing { rack } | RobotPhase::Queuing { rack } => rack,
                         _ => unreachable!("phase unchanged since collection"),
                     };
-                    self.robots[ai].phase = RobotPhase::Returning { rack };
-                    self.robots[ai].pos = station;
+                    self.state.robots[ai].phase = RobotPhase::Returning { rack };
+                    self.state.robots[ai].pos = station;
                     self.docked_count -= 1;
                     self.arrival_agenda
                         .push(std::cmp::Reverse((path.end(), ai as u32)));
-                    self.paths[ai] = Some(path);
+                    self.state.paths[ai] = Some(path);
                     false
                 }
                 None => true, // blocked or station already undocked this tick
@@ -1550,13 +1451,13 @@ impl<'a> Engine<'a> {
     /// Destination and parking mode for resuming `ai`'s interrupted leg
     /// from its current position (phase is preserved across cancellation).
     fn resume_destination(&self, ai: usize) -> (GridPos, bool) {
-        match self.robots[ai].phase {
+        match self.state.robots[ai].phase {
             RobotPhase::ToRack { rack } | RobotPhase::Returning { rack } => {
-                (self.racks[rack.index()].home, true)
+                (self.state.racks[rack.index()].home, true)
             }
             RobotPhase::ToStation { rack } => {
-                let picker = self.racks[rack.index()].picker;
-                (self.pickers[picker.index()].pos, false)
+                let picker = self.state.racks[rack.index()].picker;
+                (self.state.pickers[picker.index()].pos, false)
             }
             _ => unreachable!("only travelling robots are replanned"),
         }
@@ -1573,11 +1474,14 @@ impl<'a> Engine<'a> {
             #[cfg(debug_assertions)]
             {
                 let any_idle = self
+                    .state
                     .robots
                     .iter()
-                    .any(|r| r.is_idle() && !self.broken[r.id.index()]);
-                let any_work = self.racks.iter().any(|r| {
-                    r.selectable() && !self.closed[r.picker.index()] && !self.removed[r.id.index()]
+                    .any(|r| r.is_idle() && !self.state.broken[r.id.index()]);
+                let any_work = self.state.racks.iter().any(|r| {
+                    r.selectable()
+                        && !self.state.closed[r.picker.index()]
+                        && !self.state.removed[r.id.index()]
                 });
                 debug_assert!(
                     (self.maybe_idle || !any_idle) && (self.maybe_work || !any_work),
@@ -1587,18 +1491,21 @@ impl<'a> Engine<'a> {
             return;
         }
         self.idle_buf.clear();
-        for r in &self.robots {
+        for r in &self.state.robots {
             // Broken robots leave the assignment pool until they recover.
-            if r.is_idle() && !self.broken[r.id.index()] {
+            if r.is_idle() && !self.state.broken[r.id.index()] {
                 self.idle_buf.push(r.id);
             }
         }
         self.selectable_buf.clear();
-        for r in &self.racks {
+        for r in &self.state.racks {
             // Racks bound to a closed station are withheld (no item is ever
             // committed toward a picker that cannot serve it), as are racks
             // removed from the floor.
-            if r.selectable() && !self.closed[r.picker.index()] && !self.removed[r.id.index()] {
+            if r.selectable()
+                && !self.state.closed[r.picker.index()]
+                && !self.state.removed[r.id.index()]
+            {
                 self.selectable_buf.push(r.id);
             }
         }
@@ -1612,32 +1519,32 @@ impl<'a> Engine<'a> {
         }
         // A budget overrun on the previous planning tick degrades this one
         // pre-emptively: the primary planner is skipped outright.
-        if self.degrade_next {
-            self.degrade_next = false;
-            self.degraded_ticks += 1;
-            self.recover_next = true;
+        if self.state.degrade_next {
+            self.state.degrade_next = false;
+            self.state.degraded_ticks += 1;
+            self.state.recover_next = true;
             self.greedy_fallback(t, planner);
             return;
         }
         // Decision faults are consumed only by a tick that actually plans,
         // so an armed fault always fires within the tick that armed it.
-        while self.next_decision_fault < self.fault_plan.decision.len()
-            && self.fault_plan.decision[self.next_decision_fault].0 <= t
+        while self.state.next_decision_fault < self.fault_plan.decision.len()
+            && self.fault_plan.decision[self.state.next_decision_fault].0 <= t
         {
-            let fault = self.fault_plan.decision[self.next_decision_fault].1;
-            self.next_decision_fault += 1;
+            let fault = self.fault_plan.decision[self.state.next_decision_fault].1;
+            self.state.next_decision_fault += 1;
             planner.inject_fault(&fault);
         }
         let world = WorldView {
             t,
-            racks: &self.racks,
-            pickers: &self.pickers,
-            robots: &self.robots,
+            racks: &self.state.racks,
+            pickers: &self.state.pickers,
+            robots: &self.state.robots,
             idle_robots: &self.idle_buf,
             selectable_racks: &self.selectable_buf,
-            live_arrivals: &self.live_item_arrivals,
-            backlog_depth: (self.instance.items.len() - self.next_item) as u64
-                + self.backlog.len() as u64,
+            live_arrivals: &self.state.live_item_arrivals,
+            backlog_depth: (self.instance.items.len() - self.state.next_item) as u64
+                + self.state.backlog.len() as u64,
         };
         // The real (non-injected) budget check measures the A* expansions
         // this `plan()` call performs — a deterministic proxy for its cost
@@ -1660,10 +1567,10 @@ impl<'a> Engine<'a> {
                 // Degrade the tick to the greedy fallback (or, with
                 // degradation off, just lose this tick's planning phase)
                 // and restore the primary planner next tick.
-                self.planner_errors += 1;
+                self.state.planner_errors += 1;
                 if self.config.degradation.enabled {
-                    self.degraded_ticks += 1;
-                    self.recover_next = true;
+                    self.state.degraded_ticks += 1;
+                    self.state.recover_next = true;
                     self.greedy_fallback(t, planner);
                 }
                 return;
@@ -1672,41 +1579,32 @@ impl<'a> Engine<'a> {
         if budget > 0 {
             let used = planner.stats().expansions.saturating_sub(expansions_before);
             if used > budget {
-                self.degrade_next = true;
+                self.state.degrade_next = true;
             }
         }
         for plan in plans {
             let ai = plan.robot.index();
-            debug_assert!(self.robots[ai].is_idle(), "planner assigned a busy robot");
             debug_assert!(
-                self.racks[plan.rack.index()].selectable(),
+                self.state.robots[ai].is_idle(),
+                "planner assigned a busy robot"
+            );
+            debug_assert!(
+                self.state.racks[plan.rack.index()].selectable(),
                 "planner selected an unavailable rack"
             );
-            if self.broken[ai]
-                || self.closed[self.racks[plan.rack.index()].picker.index()]
-                || self.removed[plan.rack.index()]
+            if self.state.broken[ai]
+                || self.state.closed[self.state.racks[plan.rack.index()].picker.index()]
+                || self.state.removed[plan.rack.index()]
             {
                 // The planner ignored the filtered world view: a broken
                 // robot, a closed station's rack or a removed rack was
                 // named. Count the violation and drop the plan (its
                 // reservation leaks, but this path only exists to expose
                 // planner bugs).
-                self.disruption_violations += 1;
+                self.state.disruption_violations += 1;
                 continue;
             }
-            // The batch is fixed at selection time `t_k` (Eq. 2's Σ_{i∈τ_r}
-            // is the pending set when the rack is selected): items that
-            // emerge while the rack is in flight wait for the next cycle.
-            let (items, work) = self.racks[plan.rack.index()].take_pending();
-            self.carried_work[ai] = work;
-            self.carried_items[ai] = items.len() as u32;
-            self.record_carried_orders(ai, &items);
-            self.robots[ai].phase = RobotPhase::ToRack { rack: plan.rack };
-            self.racks[plan.rack.index()].in_flight = true;
-            self.busy_count += 1;
-            self.arrival_agenda
-                .push(std::cmp::Reverse((plan.path.end(), ai as u32)));
-            self.paths[ai] = Some(plan.path);
+            self.dispatch(ai, plan.rack, plan.path);
         }
     }
 
@@ -1722,45 +1620,45 @@ impl<'a> Engine<'a> {
     fn greedy_fallback(&mut self, t: Tick, planner: &mut dyn Planner) {
         let idle = std::mem::take(&mut self.idle_buf);
         let selectable = std::mem::take(&mut self.selectable_buf);
-        let mut used = vec![false; self.robots.len()];
+        let mut used = vec![false; self.state.robots.len()];
         let mut assigned = 0usize;
         for &rid in &selectable {
             if assigned >= idle.len() {
                 break;
             }
             let ri = rid.index();
-            let home = self.racks[ri].home;
+            let home = self.state.racks[ri].home;
             // Parked-home rule. A non-idle on-grid robot on the home cell
             // (frozen or passing) makes the rack unservable this tick.
-            let chosen =
-                if let Some(&a) = idle.iter().find(|&&a| self.robots[a.index()].pos == home) {
-                    if used[a.index()] {
-                        continue; // the parked robot already took a rack
-                    }
-                    Some(a)
-                } else if self.robots.iter().any(|r| {
-                    r.pos == home
-                        && !r.is_idle()
-                        && !matches!(
-                            r.phase,
-                            RobotPhase::Queuing { .. } | RobotPhase::Processing { .. }
-                        )
-                }) {
-                    continue;
-                } else {
-                    idle.iter()
-                        .copied()
-                        .filter(|a| !used[a.index()])
-                        .min_by_key(|a| {
-                            let pos = self.robots[a.index()].pos;
-                            (pos.manhattan(home), a.index())
-                        })
-                };
+            let chosen = if let Some(&a) = idle
+                .iter()
+                .find(|&&a| self.state.robots[a.index()].pos == home)
+            {
+                if used[a.index()] {
+                    continue; // the parked robot already took a rack
+                }
+                Some(a)
+            } else if self
+                .state
+                .robots
+                .iter()
+                .any(|r| r.pos == home && !r.is_idle() && !is_docked(r.phase))
+            {
+                continue;
+            } else {
+                idle.iter()
+                    .copied()
+                    .filter(|a| !used[a.index()])
+                    .min_by_key(|a| {
+                        let pos = self.state.robots[a.index()].pos;
+                        (pos.manhattan(home), a.index())
+                    })
+            };
             let Some(robot_id) = chosen else {
                 continue;
             };
             let ai = robot_id.index();
-            let from = self.robots[ai].pos;
+            let from = self.state.robots[ai].pos;
             self.leg_requests.clear();
             self.leg_requests
                 .push(LegRequest::new(robot_id, from, home, true));
@@ -1768,42 +1666,45 @@ impl<'a> Engine<'a> {
                 .plan_legs(&self.leg_requests, t, &mut self.leg_results)
                 .is_err()
             {
-                self.planner_errors += 1;
+                self.state.planner_errors += 1;
                 continue;
             }
             let Some(path) = self.leg_results.first_mut().and_then(|r| r.take()) else {
                 continue; // blocked; the rack waits for the next tick
             };
-            let (items, work) = self.racks[ri].take_pending();
-            self.carried_work[ai] = work;
-            self.carried_items[ai] = items.len() as u32;
-            self.record_carried_orders(ai, &items);
-            self.robots[ai].phase = RobotPhase::ToRack { rack: rid };
-            self.racks[ri].in_flight = true;
-            self.busy_count += 1;
-            self.arrival_agenda
-                .push(std::cmp::Reverse((path.end(), ai as u32)));
-            self.paths[ai] = Some(path);
+            self.dispatch(ai, rid, path);
             used[ai] = true;
             assigned += 1;
-            self.fallback_assignments += 1;
+            self.state.fallback_assignments += 1;
         }
         self.idle_buf = idle;
         self.selectable_buf = selectable;
     }
 
-    /// Remember which live orders ride on robot `ai`'s freshly taken
-    /// batch, so completion acks can name them when processing finishes.
-    /// Pregenerated items (ids below the instance's item count) have no
-    /// order handle to acknowledge.
-    fn record_carried_orders(&mut self, ai: usize, items: &[ItemId]) {
-        self.carried_orders[ai].clear();
+    /// Commit robot `ai` to fetch `rack` along `path`. The batch is fixed at
+    /// selection time `t_k` (Eq. 2's Σ_{i∈τ_r} is the pending set when the
+    /// rack is selected): items that emerge while the rack is in flight wait
+    /// for the next cycle. The live orders riding on the batch are
+    /// remembered so completion acks can name them; pregenerated items (ids
+    /// below the instance's item count) have no order handle to acknowledge.
+    fn dispatch(&mut self, ai: usize, rack: RackId, path: Path) {
+        let (items, work) = self.state.racks[rack.index()].take_pending();
+        self.state.carried_work[ai] = work;
+        self.state.carried_items[ai] = items.len() as u32;
+        self.state.carried_orders[ai].clear();
         let pregenerated = self.instance.items.len();
         for id in items {
             if id.index() >= pregenerated {
-                self.carried_orders[ai].push(self.live_item_orders[id.index() - pregenerated]);
+                self.state.carried_orders[ai]
+                    .push(self.state.live_item_orders[id.index() - pregenerated]);
             }
         }
+        self.state.robots[ai].phase = RobotPhase::ToRack { rack };
+        self.state.racks[rack.index()].in_flight = true;
+        self.busy_count += 1;
+        self.arrival_agenda
+            .push(std::cmp::Reverse((path.end(), ai as u32)));
+        self.state.paths[ai] = Some(path);
     }
 
     /// Phase 5: advance robots along their paths; validate positions.
@@ -1818,55 +1719,50 @@ impl<'a> Engine<'a> {
         // recount provably adds zero.
         if self.busy_count == 0 && self.quiet_scan {
             #[cfg(debug_assertions)]
-            debug_assert!(self.robots.iter().all(|r| r.is_idle()));
-            self.validator.advance_static(t);
+            debug_assert!(self.state.robots.iter().all(|r| r.is_idle()));
+            self.state.validator.advance_static(t);
             return;
         }
-        let conflicts_before = self.validator.conflict_count();
-        let violations_before = self.disruption_violations;
+        let conflicts_before = self.state.validator.conflict_count();
+        let violations_before = self.state.disruption_violations;
         let grid_width = self.instance.grid.width();
         self.on_grid_buf.clear();
-        for ai in 0..self.robots.len() {
-            if let Some(path) = &self.paths[ai] {
-                self.robots[ai].pos = path.at(t);
+        for ai in 0..self.state.robots.len() {
+            if let Some(path) = &self.state.paths[ai] {
+                self.state.robots[ai].pos = path.at(t);
             }
-            let phase = self.robots[ai].phase;
+            let phase = self.state.robots[ai].phase;
             if phase.is_busy() {
                 // Broken and outage-paused robots still count as *busy*
                 // (Definition 3: committed to a fulfilment cycle — RWR's
                 // denominator-side diagnostics should show the wasted
                 // time), but the RWR numerator below only counts ticks the
                 // picker actually works the rack.
-                self.robots[ai].busy_ticks += 1;
-                self.metrics.robot_busy_ticks[ai] += 1;
+                self.state.robots[ai].busy_ticks += 1;
+                self.state.metrics.robot_busy_ticks[ai] += 1;
                 if let RobotPhase::Processing { rack } = phase {
-                    if !self.closed[self.racks[rack.index()].picker.index()] {
-                        self.metrics.robot_processing_ticks[ai] += 1;
+                    if !self.state.closed[self.state.racks[rack.index()].picker.index()] {
+                        self.state.metrics.robot_processing_ticks[ai] += 1;
                     }
                 }
             }
-            // Docked robots (queuing/processing) are in the station bay.
-            let docked = matches!(
-                phase,
-                RobotPhase::Queuing { .. } | RobotPhase::Processing { .. }
-            );
-            if !docked {
+            if !is_docked(phase) {
                 // Blockade invariant: no robot trajectory may occupy a
                 // disruption-blocked cell after its blockade tick.
-                if self.blocked_overlay[self.robots[ai].pos.to_index(grid_width)] {
-                    self.disruption_violations += 1;
+                if self.state.blocked_overlay[self.state.robots[ai].pos.to_index(grid_width)] {
+                    self.state.disruption_violations += 1;
                 }
                 self.on_grid_buf
-                    .push((self.robots[ai].id, self.robots[ai].pos));
+                    .push((self.state.robots[ai].id, self.state.robots[ai].pos));
             }
         }
-        self.validator.check_tick_fast(t, &self.on_grid_buf);
+        self.state.validator.check_tick_fast(t, &self.on_grid_buf);
         // A clean scan over an all-idle fleet certifies the next tick's
         // skip; any conflict or violation it pushed is pushed again every
         // tick the fleet stands still, so those runs must keep scanning.
         self.quiet_scan = self.busy_count == 0
-            && self.validator.conflict_count() == conflicts_before
-            && self.disruption_violations == violations_before;
+            && self.state.validator.conflict_count() == conflicts_before
+            && self.state.disruption_violations == violations_before;
     }
 
     /// Phase 6: metrics, checkpoints, reservation GC.
@@ -1878,9 +1774,9 @@ impl<'a> Engine<'a> {
         // (0, 0, 0) without the scan. `record_bottleneck` is still fed
         // every tick — the zero buckets it creates are part of the
         // deterministic fingerprint.
-        debug_assert!(self.busy_count > 0 || self.robots.iter().all(|r| r.is_idle()));
+        debug_assert!(self.busy_count > 0 || self.state.robots.iter().all(|r| r.is_idle()));
         if self.busy_count > 0 {
-            for r in &self.robots {
+            for r in &self.state.robots {
                 match r.phase {
                     RobotPhase::ToRack { .. }
                     | RobotPhase::ToStation { .. }
@@ -1890,7 +1786,7 @@ impl<'a> Engine<'a> {
                     // *waiting*, not processing — the Fig. 13 trace must not
                     // report progress while the picker is away.
                     RobotPhase::Processing { rack } => {
-                        if self.closed[self.racks[rack.index()].picker.index()] {
+                        if self.state.closed[self.state.racks[rack.index()].picker.index()] {
                             queuing += 1;
                         } else {
                             processing += 1;
@@ -1900,41 +1796,45 @@ impl<'a> Engine<'a> {
                 }
             }
         }
-        self.metrics
-            .record_bottleneck(t, transport, queuing, processing);
+        self.state
+            .metrics
+            .record_bottleneck(t, self.bucket_width, transport, queuing, processing);
 
         // Backlog-depth watermark: pregenerated items not yet emerged plus
         // live backlog entries. Sampled after this tick's arrivals, so a
         // live run and its pregenerated equivalent agree at every tick.
-        let depth = (self.instance.items.len() - self.next_item) as u64 + self.backlog.len() as u64;
-        self.peak_backlog = self.peak_backlog.max(depth);
+        let depth = (self.instance.items.len() - self.state.next_item) as u64
+            + self.state.backlog.len() as u64;
+        self.state.peak_backlog = self.state.peak_backlog.max(depth);
 
         // Item-progress checkpoints (the x-axes of Figs. 10-12). The
         // denominator is the live order book — submissions minus
         // cancellations — which for a pregenerated run is exactly the
         // instance's item count.
-        let total_items = (self.orders_submitted - self.orders_cancelled) as usize;
+        let total_items = (self.state.orders_submitted - self.state.orders_cancelled) as usize;
         let n = self.config.checkpoints.max(1);
-        let threshold = (self.next_checkpoint * total_items) / n;
-        if self.next_checkpoint <= n && self.items_processed >= threshold && threshold > 0 {
+        let threshold = (self.state.next_checkpoint * total_items) / n;
+        if self.state.next_checkpoint <= n
+            && self.state.items_processed >= threshold
+            && threshold > 0
+        {
             let stats = planner.stats();
-            self.peak_memory = self.peak_memory.max(stats.memory_bytes);
-            self.peak_scratch = self.peak_scratch.max(stats.scratch_bytes);
-            let picker_busy: Duration = self.pickers.iter().map(|p| p.busy_ticks).sum();
+            self.state.peak_memory = self.state.peak_memory.max(stats.memory_bytes);
+            self.state.peak_scratch = self.state.peak_scratch.max(stats.scratch_bytes);
             let horizon = t.max(1);
-            self.metrics.checkpoints.push(Checkpoint {
-                items_processed: self.items_processed,
+            self.state.metrics.checkpoints.push(Checkpoint {
+                items_processed: self.state.items_processed,
                 t,
-                ppr: self.metrics.ppr(picker_busy, horizon),
-                rwr: self.metrics.rwr(horizon),
+                ppr: self.ppr(horizon),
+                rwr: self.state.metrics.rwr(horizon),
                 stc_s: stats.selection_ns as f64 / 1e9,
                 ptc_s: stats.planning_ns as f64 / 1e9,
                 memory_bytes: stats.memory_bytes,
             });
-            while self.next_checkpoint <= n
-                && self.items_processed >= (self.next_checkpoint * total_items) / n
+            while self.state.next_checkpoint <= n
+                && self.state.items_processed >= (self.state.next_checkpoint * total_items) / n
             {
-                self.next_checkpoint += 1;
+                self.state.next_checkpoint += 1;
             }
         }
 
@@ -1942,11 +1842,11 @@ impl<'a> Engine<'a> {
         // must detect, evict and recompute the corrupted entries — the
         // corruption never survives past this tick (and therefore never
         // crosses a snapshot boundary).
-        while self.next_poison_fault < self.fault_plan.poison.len()
-            && self.fault_plan.poison[self.next_poison_fault].0 <= t
+        while self.state.next_poison_fault < self.fault_plan.poison.len()
+            && self.fault_plan.poison[self.state.next_poison_fault].0 <= t
         {
-            let fault = self.fault_plan.poison[self.next_poison_fault].1;
-            self.next_poison_fault += 1;
+            let fault = self.fault_plan.poison[self.state.next_poison_fault].1;
+            self.state.next_poison_fault += 1;
             planner.inject_fault(&fault);
         }
 
@@ -1957,14 +1857,18 @@ impl<'a> Engine<'a> {
     /// mode the floor being momentarily drained is not completion — more
     /// orders may arrive — so a shutdown must have been accepted too.
     fn is_done(&self) -> bool {
-        self.next_item == self.instance.items.len()
-            && self.backlog.is_empty()
-            && (!self.config.live || self.shutdown)
-            && self.racks.iter().all(|r| !r.in_flight && !r.has_pending())
-            && self.robots.iter().all(|r| r.is_idle())
+        self.state.next_item == self.instance.items.len()
+            && self.state.backlog.is_empty()
+            && (!self.config.live || self.state.shutdown)
+            && self
+                .state
+                .racks
+                .iter()
+                .all(|r| !r.in_flight && !r.has_pending())
+            && self.state.robots.iter().all(|r| r.is_idle())
     }
 
-    /// Export the canonical engine state at the current tick boundary.
+    /// A copy of the canonical engine state at the current tick boundary.
     ///
     /// Only meaningful *between* ticks (before or after a `tick_once`
     /// call, never during one) — the per-tick scratch buffers and the
@@ -1974,121 +1878,15 @@ impl<'a> Engine<'a> {
             self.freeze_queue.is_empty(),
             "the freeze cascade drains within the events phase"
         );
-        EngineState {
-            t: self.t,
-            completed: self.completed,
-            finished: self.finished,
-            journal: self.journal.clone(),
-            racks: self.racks.clone(),
-            pickers: self.pickers.clone(),
-            robots: self.robots.clone(),
-            paths: self.paths.clone(),
-            carried_work: self.carried_work.clone(),
-            carried_items: self.carried_items.clone(),
-            serving: self.serving.clone(),
-            needs_return: self.needs_return.clone(),
-            needs_delivery: self.needs_delivery.clone(),
-            needs_replan: self.needs_replan.clone(),
-            broken: self.broken.clone(),
-            closed: self.closed.clone(),
-            removed: self.removed.clone(),
-            blocked_overlay: self.blocked_overlay.clone(),
-            next_event: self.next_event,
-            deferred_blockades: self.deferred_blockades.clone(),
-            deferred_removals: self.deferred_removals.clone(),
-            events_applied: self.events_applied,
-            events_deferred: self.events_deferred,
-            disruption_violations: self.disruption_violations,
-            next_item: self.next_item,
-            items_processed: self.items_processed,
-            rack_trips: self.rack_trips,
-            metrics: self.metrics.export_snapshot(),
-            validator: self.validator.export_snapshot(),
-            last_return: self.last_return,
-            peak_memory: self.peak_memory,
-            peak_scratch: self.peak_scratch,
-            next_checkpoint: self.next_checkpoint,
-            degraded_ticks: self.degraded_ticks,
-            fallback_assignments: self.fallback_assignments,
-            planner_errors: self.planner_errors,
-            degrade_next: self.degrade_next,
-            recover_next: self.recover_next,
-            next_decision_fault: self.next_decision_fault,
-            next_leg_fault: self.next_leg_fault,
-            next_poison_fault: self.next_poison_fault,
-            shutdown: self.shutdown,
-            next_command_seq: self.next_command_seq,
-            backlog: self.backlog.clone(),
-            live_item_orders: self.live_item_orders.clone(),
-            live_item_arrivals: self.live_item_arrivals.clone(),
-            carried_orders: self.carried_orders.clone(),
-            orders_submitted: self.orders_submitted,
-            orders_cancelled: self.orders_cancelled,
-            orders_rejected: self.orders_rejected,
-            orders_completed: self.orders_completed,
-            peak_backlog: self.peak_backlog,
-            total_order_age: self.total_order_age,
-        }
+        self.state.clone()
     }
 
     /// Overwrite this (freshly constructed) engine's canonical state with
-    /// an exported snapshot. Derived state — `max_ticks`, the bottleneck
-    /// bucket width, the scratch buffers — keeps its `new()` values, which
-    /// are functions of the instance and config alone.
+    /// an exported one and rebuild the agenda from it. The other derived
+    /// fields keep their `new()` values, which are functions of the
+    /// instance and config alone.
     pub fn restore_state(&mut self, state: &EngineState) {
-        self.t = state.t;
-        self.completed = state.completed;
-        self.finished = state.finished;
-        self.journal = state.journal.clone();
-        self.racks = state.racks.clone();
-        self.pickers = state.pickers.clone();
-        self.robots = state.robots.clone();
-        self.paths = state.paths.clone();
-        self.carried_work = state.carried_work.clone();
-        self.carried_items = state.carried_items.clone();
-        self.serving = state.serving.clone();
-        self.needs_return = state.needs_return.clone();
-        self.needs_delivery = state.needs_delivery.clone();
-        self.needs_replan = state.needs_replan.clone();
-        self.broken = state.broken.clone();
-        self.closed = state.closed.clone();
-        self.removed = state.removed.clone();
-        self.blocked_overlay = state.blocked_overlay.clone();
-        self.next_event = state.next_event;
-        self.deferred_blockades = state.deferred_blockades.clone();
-        self.deferred_removals = state.deferred_removals.clone();
-        self.events_applied = state.events_applied;
-        self.events_deferred = state.events_deferred;
-        self.disruption_violations = state.disruption_violations;
-        self.next_item = state.next_item;
-        self.items_processed = state.items_processed;
-        self.rack_trips = state.rack_trips;
-        self.metrics.import_snapshot(&state.metrics);
-        self.validator.import_snapshot(&state.validator);
-        self.last_return = state.last_return;
-        self.peak_memory = state.peak_memory;
-        self.peak_scratch = state.peak_scratch;
-        self.next_checkpoint = state.next_checkpoint;
-        self.degraded_ticks = state.degraded_ticks;
-        self.fallback_assignments = state.fallback_assignments;
-        self.planner_errors = state.planner_errors;
-        self.degrade_next = state.degrade_next;
-        self.recover_next = state.recover_next;
-        self.next_decision_fault = state.next_decision_fault;
-        self.next_leg_fault = state.next_leg_fault;
-        self.next_poison_fault = state.next_poison_fault;
-        self.shutdown = state.shutdown;
-        self.next_command_seq = state.next_command_seq;
-        self.backlog = state.backlog.clone();
-        self.live_item_orders = state.live_item_orders.clone();
-        self.live_item_arrivals = state.live_item_arrivals.clone();
-        self.carried_orders = state.carried_orders.clone();
-        self.orders_submitted = state.orders_submitted;
-        self.orders_cancelled = state.orders_cancelled;
-        self.orders_rejected = state.orders_rejected;
-        self.orders_completed = state.orders_completed;
-        self.peak_backlog = state.peak_backlog;
-        self.total_order_age = state.total_order_age;
+        self.state = state.clone();
         self.rebuild_agenda();
     }
 
@@ -2101,26 +1899,14 @@ impl<'a> Engine<'a> {
     /// `agenda_reconstruction_matches_fresh` test pins this).
     fn rebuild_agenda(&mut self) {
         self.arrival_agenda.clear();
-        for (ai, path) in self.paths.iter().enumerate() {
+        for (ai, path) in self.state.paths.iter().enumerate() {
             if let Some(path) = path {
                 self.arrival_agenda
                     .push(std::cmp::Reverse((path.end(), ai as u32)));
             }
         }
-        self.busy_count = self.robots.iter().filter(|r| r.phase.is_busy()).count();
-        self.docked_count = self
-            .robots
-            .iter()
-            .filter(|r| {
-                matches!(
-                    r.phase,
-                    RobotPhase::Queuing { .. } | RobotPhase::Processing { .. }
-                )
-            })
-            .count();
-        self.maybe_idle = true;
-        self.maybe_work = true;
-        self.quiet_scan = false;
+        (self.busy_count, self.docked_count) = self.phase_tallies();
+        self.dirty_all();
     }
 
     /// Rebuild a mid-run engine + planner pair from an exported state.
@@ -2172,6 +1958,15 @@ impl<'a> Engine<'a> {
         let bytes = serde::binary::to_bytes(&state.serialize());
         fnv1a(&bytes)
     }
+}
+
+/// Docked robots (queuing or processing) are in the station bay, off the
+/// grid.
+fn is_docked(phase: RobotPhase) -> bool {
+    matches!(
+        phase,
+        RobotPhase::Queuing { .. } | RobotPhase::Processing { .. }
+    )
 }
 
 /// 64-bit FNV-1a over a byte slice.

@@ -63,10 +63,10 @@ impl BottleneckSample {
     }
 }
 
-/// The canonical (checkpoint-persisted) state of a [`MetricsCollector`]:
-/// the accumulated per-robot tick counters and both sampled series. The
-/// fleet sizes and bucket width are construction parameters re-derived from
-/// the instance and engine config on restore.
+/// The running metric accumulators: per-robot tick counters and both sampled
+/// series. All of it is canonical (checkpoint-persisted) state; the fleet
+/// sizes and the bucket width are functions of the instance and engine
+/// config, so callers pass them in.
 #[derive(Debug, Clone, PartialEq, Default, Serialize, Deserialize)]
 pub struct MetricsSnapshot {
     /// Per-robot processing-stage ticks (RWR numerator).
@@ -79,40 +79,43 @@ pub struct MetricsSnapshot {
     pub bottleneck: Vec<BottleneckSample>,
 }
 
-/// Running accumulator for all metrics.
-#[derive(Debug, Clone)]
-pub struct MetricsCollector {
-    n_pickers: usize,
-    n_robots: usize,
-    /// Per-robot ticks spent in the Processing stage (RWR numerator).
-    pub robot_processing_ticks: Vec<Duration>,
-    /// Per-robot ticks spent busy in any stage.
-    pub robot_busy_ticks: Vec<Duration>,
-    /// Checkpoints sampled so far.
-    pub checkpoints: Vec<Checkpoint>,
-    /// Bottleneck buckets.
-    pub bottleneck: Vec<BottleneckSample>,
-    bucket_width: Tick,
+/// PPR (Eq. 6) with the given total picker busy ticks and horizon.
+pub fn ppr(total_picker_busy: Duration, n_pickers: usize, horizon: Tick) -> f64 {
+    if horizon == 0 || n_pickers == 0 {
+        return 0.0;
+    }
+    total_picker_busy as f64 / (n_pickers as f64 * horizon as f64)
 }
 
-impl MetricsCollector {
-    /// New collector for a fleet of `n_robots` and `n_pickers`, bucketing
-    /// the bottleneck trace at `bucket_width` ticks.
-    pub fn new(n_pickers: usize, n_robots: usize, bucket_width: Tick) -> Self {
+/// Mean per-robot fraction of `horizon` that `ticks` covers.
+fn fleet_fraction(ticks: &[Duration], horizon: Tick) -> f64 {
+    if horizon == 0 || ticks.is_empty() {
+        return 0.0;
+    }
+    ticks.iter().sum::<u64>() as f64 / (ticks.len() as f64 * horizon as f64)
+}
+
+impl MetricsSnapshot {
+    /// Zeroed accumulators for a fleet of `n_robots`.
+    pub fn new(n_robots: usize) -> Self {
         Self {
-            n_pickers,
-            n_robots,
             robot_processing_ticks: vec![0; n_robots],
             robot_busy_ticks: vec![0; n_robots],
-            checkpoints: Vec::new(),
-            bottleneck: Vec::new(),
-            bucket_width: bucket_width.max(1),
+            ..Self::default()
         }
     }
 
-    /// Record one tick of the bottleneck decomposition.
-    pub fn record_bottleneck(&mut self, t: Tick, transport: u64, queuing: u64, processing: u64) {
-        let bucket_start = (t / self.bucket_width) * self.bucket_width;
+    /// Record one tick of the bottleneck decomposition into its
+    /// `bucket_width`-tick bucket.
+    pub fn record_bottleneck(
+        &mut self,
+        t: Tick,
+        bucket_width: Tick,
+        transport: u64,
+        queuing: u64,
+        processing: u64,
+    ) {
+        let bucket_start = (t / bucket_width) * bucket_width;
         match self.bottleneck.last_mut() {
             Some(last) if last.t == bucket_start => {
                 last.transport += transport;
@@ -128,50 +131,14 @@ impl MetricsCollector {
         }
     }
 
-    /// PPR (Eq. 6) with the given total picker busy ticks and horizon.
-    pub fn ppr(&self, total_picker_busy: Duration, horizon: Tick) -> f64 {
-        if horizon == 0 || self.n_pickers == 0 {
-            return 0.0;
-        }
-        total_picker_busy as f64 / (self.n_pickers as f64 * horizon as f64)
-    }
-
     /// RWR (Eq. 7): mean picking-time fraction over robots.
     pub fn rwr(&self, horizon: Tick) -> f64 {
-        if horizon == 0 || self.n_robots == 0 {
-            return 0.0;
-        }
-        let total: u64 = self.robot_processing_ticks.iter().sum();
-        total as f64 / (self.n_robots as f64 * horizon as f64)
-    }
-
-    /// Export the canonical accumulated state (see [`MetricsSnapshot`]).
-    pub fn export_snapshot(&self) -> MetricsSnapshot {
-        MetricsSnapshot {
-            robot_processing_ticks: self.robot_processing_ticks.clone(),
-            robot_busy_ticks: self.robot_busy_ticks.clone(),
-            checkpoints: self.checkpoints.clone(),
-            bottleneck: self.bottleneck.clone(),
-        }
-    }
-
-    /// Overwrite the accumulated state with an exported snapshot. The
-    /// collector keeps its construction parameters (fleet sizes, bucket
-    /// width) — callers rebuild those from the instance and engine config.
-    pub fn import_snapshot(&mut self, snap: &MetricsSnapshot) {
-        self.robot_processing_ticks = snap.robot_processing_ticks.clone();
-        self.robot_busy_ticks = snap.robot_busy_ticks.clone();
-        self.checkpoints = snap.checkpoints.clone();
-        self.bottleneck = snap.bottleneck.clone();
+        fleet_fraction(&self.robot_processing_ticks, horizon)
     }
 
     /// Any-busy robot fraction (not the paper's RWR; diagnostics).
     pub fn robot_busy_rate(&self, horizon: Tick) -> f64 {
-        if horizon == 0 || self.n_robots == 0 {
-            return 0.0;
-        }
-        let total: u64 = self.robot_busy_ticks.iter().sum();
-        total as f64 / (self.n_robots as f64 * horizon as f64)
+        fleet_fraction(&self.robot_busy_ticks, horizon)
     }
 }
 
@@ -181,15 +148,14 @@ mod tests {
 
     #[test]
     fn ppr_fraction() {
-        let m = MetricsCollector::new(4, 2, 100);
         // 4 pickers, horizon 100 → denominator 400.
-        assert!((m.ppr(200, 100) - 0.5).abs() < 1e-9);
-        assert_eq!(m.ppr(0, 0), 0.0, "zero horizon guarded");
+        assert!((ppr(200, 4, 100) - 0.5).abs() < 1e-9);
+        assert_eq!(ppr(0, 4, 0), 0.0, "zero horizon guarded");
     }
 
     #[test]
     fn rwr_uses_processing_ticks() {
-        let mut m = MetricsCollector::new(1, 2, 100);
+        let mut m = MetricsSnapshot::new(2);
         m.robot_processing_ticks[0] = 30;
         m.robot_processing_ticks[1] = 10;
         m.robot_busy_ticks[0] = 90;
@@ -200,9 +166,9 @@ mod tests {
 
     #[test]
     fn bottleneck_buckets_accumulate() {
-        let mut m = MetricsCollector::new(1, 1, 10);
+        let mut m = MetricsSnapshot::new(1);
         for t in 0..25u64 {
-            m.record_bottleneck(t, 1, 0, 2);
+            m.record_bottleneck(t, 10, 1, 0, 2);
         }
         assert_eq!(m.bottleneck.len(), 3, "25 ticks / width 10");
         assert_eq!(m.bottleneck[0].t, 0);

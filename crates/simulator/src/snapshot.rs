@@ -94,6 +94,15 @@ pub enum SnapshotError {
     /// The payload passed the checksum but failed structural decoding
     /// (malformed binary value tree, or a schema/field mismatch).
     Decode(String),
+    /// The snapshot was written by a different planner than the one asked
+    /// to resume it. Payload shapes overlap (NTP/LEF, ATP/EATP), so without
+    /// this check the import would succeed and the run silently diverge.
+    WrongPlanner {
+        /// [`SnapshotData::planner_name`].
+        snapshot: String,
+        /// `Planner::name()` of the planner handed to [`resume_from`].
+        resuming: &'static str,
+    },
 }
 
 impl std::fmt::Display for SnapshotError {
@@ -120,6 +129,9 @@ impl std::fmt::Display for SnapshotError {
                 )
             }
             SnapshotError::Decode(e) => write!(f, "snapshot decode error: {e}"),
+            SnapshotError::WrongPlanner { snapshot, resuming } => {
+                write!(f, "snapshot of planner {snapshot} resumed into {resuming}")
+            }
         }
     }
 }
@@ -138,7 +150,7 @@ impl From<serde::Error> for SnapshotError {
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct SnapshotData {
     /// `Planner::name()` of the planner that produced [`Self::planner`];
-    /// purely informational (tooling/display), not validated on resume.
+    /// [`resume_from`] refuses a planner of another name.
     pub planner_name: String,
     /// The instance the run executes.
     pub instance: Instance,
@@ -426,12 +438,18 @@ impl<'a> Engine<'a> {
 /// Rebuild an engine + planner pair from a decoded snapshot. The engine
 /// borrows the instance and config out of `data`, so the snapshot must
 /// outlive the resumed run. `planner` must be a fresh instance of the same
-/// planner type that was checkpointed; do **not** call [`Engine::start`]
-/// on the returned engine.
+/// planner type that was checkpointed ([`SnapshotError::WrongPlanner`]
+/// otherwise); do **not** call [`Engine::start`] on the returned engine.
 pub fn resume_from<'a>(
     data: &'a SnapshotData,
     planner: &mut dyn Planner,
 ) -> Result<Engine<'a>, SnapshotError> {
+    if planner.name() != data.planner_name {
+        return Err(SnapshotError::WrongPlanner {
+            snapshot: data.planner_name.clone(),
+            resuming: planner.name(),
+        });
+    }
     Ok(Engine::resume(
         &data.instance,
         &data.config,
@@ -828,24 +846,11 @@ impl<P: Planner> Planner for PerturbFromTick<P> {
 mod tests {
     use super::*;
     use crate::engine::run_simulation;
-    use eatp_core::{
-        AdaptiveTaskPlanner, EatpConfig, EfficientAdaptiveTaskPlanner, IlpPlanner,
-        LeastExpirationFirst, NaiveTaskPlanner,
-    };
+    use eatp_core::{planner_by_name, EatpConfig, NaiveTaskPlanner, PLANNER_NAMES as PLANNERS};
     use tprw_warehouse::{DisruptionConfig, LayoutConfig, ScenarioSpec, WorkloadConfig};
 
-    const PLANNERS: [&str; 5] = ["NTP", "LEF", "ILP", "ATP", "EATP"];
-
     fn make(name: &str) -> Box<dyn Planner> {
-        let cfg = EatpConfig::default();
-        match name {
-            "NTP" => Box::new(NaiveTaskPlanner::new(cfg)),
-            "LEF" => Box::new(LeastExpirationFirst::new(cfg)),
-            "ILP" => Box::new(IlpPlanner::new(cfg)),
-            "ATP" => Box::new(AdaptiveTaskPlanner::new(cfg)),
-            "EATP" => Box::new(EfficientAdaptiveTaskPlanner::new(cfg)),
-            other => panic!("unknown planner {other}"),
-        }
+        planner_by_name(name, &EatpConfig::default()).expect("a paper planner")
     }
 
     fn scenario(disruptions: Option<DisruptionConfig>, seed: u64) -> Instance {
@@ -915,6 +920,11 @@ mod tests {
         assert_eq!(data.planner_name, name);
         let mut p3 = make(name);
         let mut resumed = resume_from(&data, p3.as_mut()).expect("resume");
+        assert_eq!(
+            resumed.export_state(),
+            data.engine,
+            "{name}: the whole engine state is restored at the resume tick"
+        );
         resumed.run_to_completion(p3.as_mut());
         let report = resumed.report(p3.as_mut());
         assert_eq!(
@@ -949,6 +959,37 @@ mod tests {
         for name in PLANNERS {
             assert_roundtrip(&inst, name);
         }
+    }
+
+    fn assert_wrong_planner_is_refused(written_by: &'static str, resumed_into: &'static str) {
+        let inst = scenario(None, 42);
+        let mut p = make(written_by);
+        let mut engine = Engine::new(&inst, &EngineConfig::default());
+        engine.start(p.as_mut());
+        for _ in 0..40 {
+            engine.tick_once(p.as_mut());
+        }
+        let data = engine.snapshot(p.as_ref());
+        let Err(err) = resume_from(&data, make(resumed_into).as_mut()) else {
+            panic!("{written_by} snapshot resumed into {resumed_into}");
+        };
+        assert_eq!(
+            err,
+            SnapshotError::WrongPlanner {
+                snapshot: written_by.into(),
+                resuming: resumed_into,
+            }
+        );
+    }
+
+    #[test]
+    fn ntp_snapshot_does_not_resume_into_lef() {
+        assert_wrong_planner_is_refused("NTP", "LEF");
+    }
+
+    #[test]
+    fn atp_snapshot_does_not_resume_into_eatp() {
+        assert_wrong_planner_is_refused("ATP", "EATP");
     }
 
     #[test]

@@ -49,7 +49,13 @@ pub enum ExecutedConflict {
 /// arrays, performing no steady-state allocations. Use one path
 /// consistently per validator instance — they keep separate previous-tick
 /// state.
-#[derive(Debug, Default)]
+///
+/// The validator is canonical engine state and lives in
+/// [`crate::engine::EngineState`] in this working layout, but it compares,
+/// serialises and deserialises as its [`ValidatorSnapshot`]: the generation
+/// counter, dense-array capacities and sort buffer are physical layout, not
+/// logical state.
+#[derive(Debug, Clone, Default)]
 pub struct TrajectoryValidator {
     prev: HashMap<RobotId, GridPos>,
     prev_t: Option<Tick>,
@@ -87,6 +93,26 @@ pub struct ValidatorSnapshot {
     /// Fast-path previous positions (entries live at the current
     /// generation), robot-sorted.
     pub prev_fast: Vec<(RobotId, GridPos)>,
+}
+
+impl PartialEq for TrajectoryValidator {
+    fn eq(&self, other: &Self) -> bool {
+        self.export_snapshot() == other.export_snapshot()
+    }
+}
+
+impl Serialize for TrajectoryValidator {
+    fn serialize(&self) -> serde::Value {
+        self.export_snapshot().serialize()
+    }
+}
+
+impl Deserialize for TrajectoryValidator {
+    fn deserialize(v: &serde::Value) -> Result<Self, serde::Error> {
+        let mut validator = Self::default();
+        validator.import_snapshot(&ValidatorSnapshot::deserialize(v)?);
+        Ok(validator)
+    }
 }
 
 impl TrajectoryValidator {
