@@ -1939,7 +1939,8 @@ impl<'a> Engine<'a> {
     }
 
     /// Order-sensitive FNV-1a hash over the binary encoding of the
-    /// canonical engine state, with the wall-clock-contaminated fields
+    /// canonical engine state (streamed from the typed state; no value
+    /// tree), with the wall-clock-contaminated fields
     /// (checkpoint `stc_s`/`ptc_s`/`memory_bytes`, the peak-memory
     /// counters) scrubbed to zero first — they legitimately differ between
     /// two replays of the same simulation. Two runs that agree on every
@@ -1955,7 +1956,12 @@ impl<'a> Engine<'a> {
             c.ptc_s = 0.0;
             c.memory_bytes = 0;
         }
-        let bytes = serde::binary::to_bytes(&state.serialize());
+        let bytes = serde::binary::to_bytes(&state);
+        debug_assert_eq!(
+            bytes,
+            serde::binary::to_bytes(&state.serialize()),
+            "the streamed state is the tree encoding"
+        );
         fnv1a(&bytes)
     }
 }

@@ -163,37 +163,84 @@ pub struct SnapshotData {
     pub planner: Value,
 }
 
-/// IEEE CRC32 (reflected, polynomial `0xEDB88320`).
-pub(crate) fn crc32(bytes: &[u8]) -> u32 {
-    let mut table = [0u32; 256];
-    for (i, slot) in table.iter_mut().enumerate() {
+/// Slice-by-8 tables for the IEEE CRC32 (reflected, polynomial
+/// `0xEDB88320`), built at compile time: `CRC_TABLE[0]` is the classic
+/// bytewise table, and `CRC_TABLE[k][i]` advances `CRC_TABLE[k - 1][i]` by
+/// one more zero byte.
+static CRC_TABLE: [[u32; 256]; 8] = crc_table();
+
+const fn crc_table() -> [[u32; 256]; 8] {
+    let mut table = [[0u32; 256]; 8];
+    let mut i = 0;
+    while i < 256 {
         let mut c = i as u32;
-        for _ in 0..8 {
+        let mut bit = 0;
+        while bit < 8 {
             c = if c & 1 == 1 {
                 0xEDB8_8320 ^ (c >> 1)
             } else {
                 c >> 1
             };
+            bit += 1;
         }
-        *slot = c;
+        table[0][i] = c;
+        i += 1;
     }
+    let mut k = 1;
+    while k < 8 {
+        let mut i = 0;
+        while i < 256 {
+            let prev = table[k - 1][i];
+            table[k][i] = (prev >> 8) ^ table[0][(prev & 0xFF) as usize];
+            i += 1;
+        }
+        k += 1;
+    }
+    table
+}
+
+/// IEEE CRC32 (reflected, polynomial `0xEDB88320`), eight bytes per step.
+pub(crate) fn crc32(bytes: &[u8]) -> u32 {
+    let t = &CRC_TABLE;
     let mut crc = 0xFFFF_FFFF_u32;
-    for &b in bytes {
-        crc = (crc >> 8) ^ table[((crc ^ b as u32) & 0xFF) as usize];
+    let mut words = bytes.chunks_exact(8);
+    for w in &mut words {
+        let lo = crc ^ u32::from_le_bytes([w[0], w[1], w[2], w[3]]);
+        crc = t[7][(lo & 0xFF) as usize]
+            ^ t[6][((lo >> 8) & 0xFF) as usize]
+            ^ t[5][((lo >> 16) & 0xFF) as usize]
+            ^ t[4][(lo >> 24) as usize]
+            ^ t[3][w[4] as usize]
+            ^ t[2][w[5] as usize]
+            ^ t[1][w[6] as usize]
+            ^ t[0][w[7] as usize];
+    }
+    for &b in words.remainder() {
+        crc = (crc >> 8) ^ t[0][((crc ^ b as u32) & 0xFF) as usize];
     }
     !crc
 }
 
-/// Serialize `data` into the framed snapshot byte format.
+/// Serialize `data` into the framed snapshot byte format. The payload is
+/// streamed from the typed state straight after a reserved header, whose
+/// length and CRC are then patched in place: one buffer, no value tree.
 pub fn encode_snapshot(data: &SnapshotData) -> Vec<u8> {
-    let payload = serde::binary::to_bytes(&data.serialize());
-    let mut out = Vec::with_capacity(HEADER_LEN + payload.len());
+    let mut out = Vec::new();
     out.extend_from_slice(&SNAPSHOT_MAGIC);
     out.extend_from_slice(&ENDIAN_MARKER.to_le_bytes());
     out.extend_from_slice(&SNAPSHOT_VERSION.to_le_bytes());
-    out.extend_from_slice(&(payload.len() as u64).to_le_bytes());
-    out.extend_from_slice(&crc32(&payload).to_le_bytes());
-    out.extend_from_slice(&payload);
+    out.resize(HEADER_LEN, 0);
+    data.encode(&mut out);
+    let payload = &out[HEADER_LEN..];
+    debug_assert_eq!(
+        payload,
+        serde::binary::to_bytes(&data.serialize()),
+        "the streamed payload is the tree encoding"
+    );
+    let len = (payload.len() as u64).to_le_bytes();
+    let crc = crc32(payload).to_le_bytes();
+    out[16..24].copy_from_slice(&len);
+    out[24..HEADER_LEN].copy_from_slice(&crc);
     out
 }
 
@@ -271,14 +318,18 @@ pub fn write_snapshot_atomic(
     path: &std::path::Path,
     data: &SnapshotData,
 ) -> Result<(), SnapshotError> {
-    let bytes = encode_snapshot(data);
+    write_bytes_atomic(path, &encode_snapshot(data))
+}
+
+/// [`write_snapshot_atomic`] for bytes already encoded.
+fn write_bytes_atomic(path: &std::path::Path, bytes: &[u8]) -> Result<(), SnapshotError> {
     let tmp = tmp_sibling(path);
     // Clean up after any crashed predecessor before staging anew; a failed
     // open below must not leave its torn bytes behind either.
     if tmp.exists() {
         std::fs::remove_file(&tmp).map_err(|e| SnapshotError::Io(e.to_string()))?;
     }
-    std::fs::write(&tmp, &bytes).map_err(|e| SnapshotError::Io(e.to_string()))?;
+    std::fs::write(&tmp, bytes).map_err(|e| SnapshotError::Io(e.to_string()))?;
     std::fs::rename(&tmp, path).map_err(|e| {
         // Leave no orphan on a failed rename.
         let _ = std::fs::remove_file(&tmp);
@@ -342,9 +393,11 @@ impl ResilientSnapshotWriter {
         &self.path
     }
 
-    /// Save `data`, retrying through scripted/real failures. On total
-    /// failure the last good file (if any) is untouched and still loads.
+    /// Save `data`, retrying through scripted/real failures. The snapshot
+    /// is encoded once; only the I/O is retried. On total failure the last
+    /// good file (if any) is untouched and still loads.
     pub fn save(&mut self, data: &SnapshotData) -> Result<(), SnapshotError> {
+        let bytes = encode_snapshot(data);
         let mut last_err = SnapshotError::Io("no write attempted".into());
         for attempt in 0..self.max_attempts {
             self.attempts += 1;
@@ -352,7 +405,7 @@ impl ResilientSnapshotWriter {
             if fault.is_some() {
                 self.cursor += 1;
             }
-            match self.try_write(data, fault) {
+            match self.try_write(&bytes, fault) {
                 Ok(()) => return Ok(()),
                 Err(e) => {
                     self.failures += 1;
@@ -371,13 +424,9 @@ impl ResilientSnapshotWriter {
     }
 
     /// One write attempt, with `fault` injected at the scripted boundary.
-    fn try_write(
-        &self,
-        data: &SnapshotData,
-        fault: Option<IoFaultKind>,
-    ) -> Result<(), SnapshotError> {
+    fn try_write(&self, bytes: &[u8], fault: Option<IoFaultKind>) -> Result<(), SnapshotError> {
         match fault {
-            None => write_snapshot_atomic(&self.path, data),
+            None => write_bytes_atomic(&self.path, bytes),
             Some(IoFaultKind::TmpWriteError) => {
                 // The open itself fails: nothing lands on disk.
                 Err(SnapshotError::Io("injected EIO writing tmp file".into()))
@@ -386,7 +435,6 @@ impl ResilientSnapshotWriter {
                 // A torn write: half the bytes land in the tmp file and the
                 // "process" dies before the rename — the stale tmp survives
                 // for the next attempt to clean up.
-                let bytes = encode_snapshot(data);
                 let tmp = tmp_sibling(&self.path);
                 std::fs::write(&tmp, &bytes[..bytes.len() / 2])
                     .map_err(|e| SnapshotError::Io(e.to_string()))?;
@@ -395,9 +443,8 @@ impl ResilientSnapshotWriter {
             Some(IoFaultKind::RenameError) => {
                 // The tmp write completes but the rename fails; like the
                 // real rename-failure path, no orphan is left behind.
-                let bytes = encode_snapshot(data);
                 let tmp = tmp_sibling(&self.path);
-                std::fs::write(&tmp, &bytes).map_err(|e| SnapshotError::Io(e.to_string()))?;
+                std::fs::write(&tmp, bytes).map_err(|e| SnapshotError::Io(e.to_string()))?;
                 let _ = std::fs::remove_file(&tmp);
                 Err(SnapshotError::Io("injected rename failure".into()))
             }
@@ -845,9 +892,10 @@ impl<P: Planner> Planner for PerturbFromTick<P> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::commands::{Ack, Command, OrderSpec, SequencedCommand};
     use crate::engine::run_simulation;
     use eatp_core::{planner_by_name, EatpConfig, NaiveTaskPlanner, PLANNER_NAMES as PLANNERS};
-    use tprw_warehouse::{DisruptionConfig, LayoutConfig, ScenarioSpec, WorkloadConfig};
+    use tprw_warehouse::{DisruptionConfig, LayoutConfig, OrderId, ScenarioSpec, WorkloadConfig};
 
     fn make(name: &str) -> Box<dyn Planner> {
         planner_by_name(name, &EatpConfig::default()).expect("a paper planner")
@@ -997,6 +1045,147 @@ mod tests {
         // The standard IEEE 802.3 check value.
         assert_eq!(crc32(b"123456789"), 0xCBF4_3926);
         assert_eq!(crc32(b""), 0);
+    }
+
+    /// The CRC32 one bit at a time, sharing nothing with the tables.
+    fn crc32_bytewise(bytes: &[u8]) -> u32 {
+        let mut crc = 0xFFFF_FFFF_u32;
+        for &b in bytes {
+            crc ^= b as u32;
+            for _ in 0..8 {
+                crc = if crc & 1 == 1 {
+                    0xEDB8_8320 ^ (crc >> 1)
+                } else {
+                    crc >> 1
+                };
+            }
+        }
+        !crc
+    }
+
+    #[test]
+    fn slice_by_8_crc32_equals_the_bytewise_reference() {
+        let mut x = 0x9E37_79B9_7F4A_7C15_u64;
+        let mut next = || {
+            x ^= x << 13;
+            x ^= x >> 7;
+            x ^= x << 17;
+            x
+        };
+        let buf: Vec<u8> = (0..300).map(|_| next() as u8).collect();
+        // Every offset within a word, so the 8-byte steps start misaligned.
+        for offset in 0..8 {
+            for _ in 0..64 {
+                let len = (next() % 258) as usize;
+                let bytes = &buf[offset..offset + len];
+                assert_eq!(
+                    crc32(bytes),
+                    crc32_bytewise(bytes),
+                    "len {len} at +{offset}"
+                );
+            }
+            for len in [0, 1, 7, 8, 9, 15, 16, 17, 257] {
+                let bytes = &buf[offset..offset + len];
+                assert_eq!(
+                    crc32(bytes),
+                    crc32_bytewise(bytes),
+                    "len {len} at +{offset}"
+                );
+            }
+        }
+    }
+
+    /// The streamed payload is byte-identical to the tree encoding the
+    /// decoder still builds, asserted outright so the release suite proves
+    /// it too (debug builds re-check every `encode_snapshot` call).
+    fn assert_streamed_equals_tree(engine: &Engine<'_>, planner: &dyn Planner, what: &str) {
+        let data = engine.snapshot(planner);
+        let bytes = encode_snapshot(&data);
+        assert!(
+            bytes[HEADER_LEN..] == serde::binary::to_bytes(&data.serialize())[..],
+            "{what}: streamed payload differs from the tree encoding"
+        );
+        let decoded = decode_snapshot(&bytes).expect("streamed bytes decode");
+        assert_eq!(decoded.engine, data.engine, "{what}");
+    }
+
+    #[test]
+    fn streamed_snapshot_bytes_equal_the_tree_encoding() {
+        let clean = scenario(None, 42);
+        let disrupted = scenario(blockade_storm(), 7);
+        // The live twin of the disrupted floor: the same items arrive as
+        // orders, every third of them cancelled while still backlogged.
+        let mut live = disrupted.clone();
+        live.items.clear();
+        let mut stream: Vec<SequencedCommand> = disrupted
+            .items
+            .iter()
+            .enumerate()
+            .map(|(i, item)| SequencedCommand {
+                seq: i as u64,
+                command: Command::SubmitOrder {
+                    spec: OrderSpec {
+                        order: OrderId::new(i),
+                        rack: item.rack,
+                        processing: item.processing,
+                        arrival: item.arrival + 30,
+                    },
+                },
+            })
+            .collect();
+        for i in (0..disrupted.items.len()).step_by(3) {
+            let seq = stream.len() as u64;
+            stream.push(SequencedCommand {
+                seq,
+                command: Command::CancelOrder {
+                    order: OrderId::new(i),
+                },
+            });
+        }
+        let seq = stream.len() as u64;
+        stream.push(SequencedCommand {
+            seq,
+            command: Command::Shutdown,
+        });
+        let live_config = EngineConfig::builder()
+            .max_ticks(50_000)
+            .bottleneck_bucket(50)
+            .live(true)
+            .build()
+            .unwrap();
+
+        for name in PLANNERS {
+            let mut p = make(name);
+            let mut engine = Engine::new(&clean, &EngineConfig::default());
+            engine.start(p.as_mut());
+            for _ in 0..40 {
+                engine.tick_once(p.as_mut());
+            }
+            assert_streamed_equals_tree(&engine, p.as_ref(), &format!("{name} clean"));
+
+            let mut p = make(name);
+            let mut engine = Engine::new(&live, &live_config);
+            engine.start(p.as_mut());
+            let mut acks = Vec::new();
+            engine.tick_with_commands(p.as_mut(), &mut stream.clone(), &mut acks);
+            let cancelled = acks
+                .iter()
+                .filter(|a| matches!(a, Ack::Cancelled { .. }))
+                .count();
+            assert!(cancelled > 0, "{name}: the stream cancels orders");
+            while !engine.is_finished() {
+                if engine.current_tick().is_multiple_of(25) {
+                    let what = format!("{name} live at tick {}", engine.current_tick());
+                    assert_streamed_equals_tree(&engine, p.as_ref(), &what);
+                }
+                engine.tick_with_commands(p.as_mut(), &mut [], &mut acks);
+            }
+            assert!(
+                engine.export_state().events_applied > 0,
+                "{name}: disrupted"
+            );
+            assert_streamed_equals_tree(&engine, p.as_ref(), &format!("{name} live, final"));
+        }
     }
 
     fn sample_snapshot_bytes() -> Vec<u8> {

@@ -105,6 +105,10 @@ impl Serialize for TrajectoryValidator {
     fn serialize(&self) -> serde::Value {
         self.export_snapshot().serialize()
     }
+
+    fn encode(&self, out: &mut Vec<u8>) {
+        self.export_snapshot().encode(out)
+    }
 }
 
 impl Deserialize for TrajectoryValidator {
