@@ -195,14 +195,11 @@ impl Strategy for RackSide {
         let cap = world.idle_robots.len();
         let q = &mut self.0.q;
         let selected = base.timed_selection(|base| {
-            let mut selected = if q.sample_bootstrap() {
+            if q.sample_bootstrap() {
                 greedy_bootstrap_select(q, base, world, cap)
             } else {
                 q_select_rack_side(q, base, world, cap)
-            };
-            // Disruption-aware pass (no-op unless enabled + disrupted).
-            base.reorder_by_anticipation(world, None, &mut selected);
-            selected
+            }
         });
         match_and_plan(base, world, &selected)
     }

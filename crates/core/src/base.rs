@@ -8,9 +8,7 @@
 //! strategies differ, the path-finding layer is shared.
 
 use crate::config::EatpConfig;
-use crate::outlook::DisruptionOutlook;
 use crate::planner::{InjectedFault, LegRequest, PlannerError, PlannerEvent, PlannerStats};
-use crate::world::WorldView;
 use serde::{Deserialize, Serialize};
 use std::time::Instant;
 use tprw_pathfinding::astar::{plan_path_with, PlanOptions};
@@ -22,16 +20,6 @@ use tprw_pathfinding::{
 use tprw_warehouse::{
     CellKind, DisruptionEvent, GridMap, GridPos, Instance, RackId, RobotId, Tick,
 };
-
-/// Cap on the oracle-detour factor of one anticipation penalty term: keeps
-/// an unreachable pair (`dist == u64::MAX`) from overflowing the score
-/// while still dominating every reachable detour.
-const DETOUR_CAP: u64 = 1 << 20;
-
-/// Per-cell weight of the corridor *trend* term (historically blockaded,
-/// currently open cells on the corridor): a mild tie-break against live
-/// blockades' detour-weighted term.
-const BLOCKADE_TREND_WEIGHT: u64 = 1;
 
 /// Reusable selection scratch shared through [`PlannerBase`]: EATP's
 /// flip-side selection runs every timestamp, so its membership bitmaps and
@@ -45,23 +33,6 @@ pub struct SelectionScratch {
     pub robot_flags: Vec<bool>,
     /// Per-robot candidate rack list (K entries at most).
     pub candidates: Vec<RackId>,
-    /// Anticipation reorder keys `(penalty, original index)`.
-    pub order: Vec<(u64, u32)>,
-    /// Anticipation reorder output buffer.
-    pub reordered: Vec<RackId>,
-    /// Snapshot of the outlook's live blockades for one selection pass
-    /// (copied so corridor scans don't hold a borrow of the outlook).
-    pub blockades: Vec<GridPos>,
-    /// Snapshot of the outlook's historically-blockaded-but-open cells for
-    /// one selection pass (the corridor trend term).
-    pub pressured: Vec<GridPos>,
-    /// Per-rack delivery-side penalty memo of one anticipation pass
-    /// (`u64::MAX` = not yet computed; real penalties are bounded far
-    /// below it by `DETOUR_CAP`).
-    pub rack_penalty: Vec<u64>,
-    /// Whether a [`PlannerBase::begin_anticipation_pass`] bracket is open
-    /// (snapshot + memo shared across per-robot reorders).
-    pub pass_active: bool,
 }
 
 /// Marker constructors so `PlannerBase` can build its reservation structure
@@ -86,10 +57,10 @@ impl ReservationBackend for ConflictDetectionTable {
 /// The canonical (checkpoint-persisted) slice of a [`PlannerBase`]: the
 /// reservation content, the memoized path-cache entries, the cumulative
 /// counters and the GC cursor. Everything else the base owns — grid copy,
-/// distance oracle, KNN index, disruption outlook, scratch arenas — is
-/// *derived*: the restore protocol rebuilds it via
-/// [`crate::planner::Planner::init`] plus a replay of the applied-event
-/// journal, then overwrites this canonical slice (see
+/// distance oracle, KNN index, scratch arenas — is *derived*: the restore
+/// protocol rebuilds it via [`crate::planner::Planner::init`] plus a
+/// replay of the applied-event journal, then overwrites this canonical
+/// slice (see
 /// `docs/snapshot-format.md` for the full decision table).
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct BaseSnapshot {
@@ -102,11 +73,6 @@ pub struct BaseSnapshot {
     pub stats: PlannerStats,
     /// Last reservation-GC tick (GC timing is behaviorally observable).
     pub last_gc: Tick,
-    /// Scheduled-maintenance predictions `(cell, from, until)` in
-    /// announcement order. Canonical, unlike the rest of the outlook:
-    /// notices arrive as `PlannerEvent::MaintenanceNotice`, not through
-    /// applied events, so the journal replay cannot rebuild them.
-    pub maintenance: Vec<(GridPos, Tick, Tick)>,
 }
 
 /// Shared planner state (built at [`crate::planner::Planner::init`] time).
@@ -131,9 +97,6 @@ pub struct PlannerBase<R: ReservationBackend> {
     pub scratch: SearchScratch,
     /// Reusable selection buffers (flip-side bitmaps and candidate list).
     pub sel: SelectionScratch,
-    /// Digest of observed disruptions backing disruption-aware selection
-    /// (fed unconditionally; consulted only under `config.anticipation`).
-    pub outlook: DisruptionOutlook,
     /// Grid/liveness mutations not yet folded into the KNN index; the
     /// incremental [`KNearestRacks::update`] runs lazily via
     /// [`PlannerBase::refresh_knn`], so a batch of same-tick events costs
@@ -176,12 +139,6 @@ impl<R: ReservationBackend> PlannerBase<R> {
             KNearestRacks::build(&grid, &homes, config.k_nearest)
         });
         let oracle = DistanceOracle::new(&grid);
-        let outlook = DisruptionOutlook::new(
-            grid.width(),
-            grid.cell_count(),
-            instance.pickers.len(),
-            instance.racks.len(),
-        );
         Self {
             oracle,
             resv,
@@ -191,7 +148,6 @@ impl<R: ReservationBackend> PlannerBase<R> {
             stats: PlannerStats::default(),
             scratch: SearchScratch::new(),
             sel: SelectionScratch::default(),
-            outlook,
             knn_pending: Vec::new(),
             group_done: Vec::new(),
             grid,
@@ -381,9 +337,6 @@ impl<R: ReservationBackend> PlannerBase<R> {
         match event {
             PlannerEvent::Disruption { event, t } => self.apply_disruption(event, t),
             PlannerEvent::PathCancelled { robot, pos, t } => self.cancel_path(robot, pos, t),
-            PlannerEvent::MaintenanceNotice { pos, from, until } => {
-                self.announce_maintenance(pos, from, until)
-            }
             PlannerEvent::RecoverDegraded => self.invalidate_derived(),
         }
     }
@@ -412,11 +365,8 @@ impl<R: ReservationBackend> PlannerBase<R> {
     /// rack must stop occupying a K slot) behind the same lazy
     /// one-update-per-batch gate. Robot and station events carry no
     /// planner-side structure: the engine routes their consequences through
-    /// the world view and [`PlannerBase::cancel_path`]. Every event is
-    /// additionally folded into the [`DisruptionOutlook`] so
-    /// disruption-aware selection can anticipate the mutated floor.
+    /// the world view and [`PlannerBase::cancel_path`].
     pub fn apply_disruption(&mut self, event: &DisruptionEvent, _t: Tick) {
-        self.outlook.observe(event);
         match *event {
             DisruptionEvent::CellBlocked { pos } => self.set_cell_blocked(pos, true),
             DisruptionEvent::CellUnblocked { pos } => self.set_cell_blocked(pos, false),
@@ -472,221 +422,6 @@ impl<R: ReservationBackend> PlannerBase<R> {
             knn.update(&self.grid, &self.knn_pending);
         }
         self.knn_pending.clear();
-    }
-
-    /// The anticipation penalty of one corridor `(a, b)`, two terms:
-    ///
-    /// * **live** — the number of *live* blockades on the corridor's
-    ///   Manhattan band (`manhattan(a, c) + manhattan(c, b) ≤
-    ///   manhattan(a, b) + config.anticipation_slack` — the band describes
-    ///   the routes the pair would take on a clean floor, which is the
-    ///   right membership question: post-blockade paths by construction
-    ///   route *around* live blockades, so probing them would always say
-    ///   "no"), weighted by the oracle's actual detour
-    ///   (`d(a, b) − manhattan(a, b)`, which already reflects the mutated
-    ///   floor);
-    /// * **trend** — historically blockaded but currently *open* cells the
-    ///   corridor runs through: membership is exact where the path cache
-    ///   memoizes the pair (per-entry cell bloom + scan — open cells do
-    ///   appear in cached paths, unlike live blockades) and the Manhattan
-    ///   band otherwise. A corridor that keeps blockading is a worse bet
-    ///   even while clear.
-    ///
-    /// Callers must have snapshotted the outlook's cell lists into
-    /// `sel.blockades` / `sel.pressured`, and should pass the endpoint that
-    /// *recurs* across their calls as `a`: the detour query roots the
-    /// oracle's memoized BFS field there, so one field serves every call
-    /// sharing that endpoint (the station across a tick's racks, the robot
-    /// cell across its K candidates) instead of thrashing the field LRU.
-    fn corridor_term(&mut self, a: GridPos, b: GridPos) -> u64 {
-        let base_d = a.manhattan(b);
-        let slack = self.config.anticipation_slack;
-        let in_band = |c: GridPos| a.manhattan(c) + c.manhattan(b) <= base_d + slack;
-        let mut crossings = 0u64;
-        for i in 0..self.sel.blockades.len() {
-            if in_band(self.sel.blockades[i]) {
-                crossings += 1;
-            }
-        }
-        let mut trend = 0u64;
-        for i in 0..self.sel.pressured.len() {
-            let c = self.sel.pressured[i];
-            // Cached-path membership is direction-agnostic — probe both
-            // orders, since legs memoize only their travel direction.
-            let cached = self.cache.as_ref().and_then(|pc| {
-                pc.path_crosses(a, b, c)
-                    .or_else(|| pc.path_crosses(b, a, c))
-            });
-            if cached.unwrap_or_else(|| in_band(c)) {
-                trend += 1;
-            }
-        }
-        if crossings == 0 {
-            return trend * BLOCKADE_TREND_WEIGHT;
-        }
-        // `dist` roots its field at the second argument — pass `a` there
-        // (see the rooting note above; distance itself is symmetric).
-        let detour = self
-            .oracle
-            .dist(b, a)
-            .saturating_sub(base_d)
-            .min(DETOUR_CAP);
-        crossings * (1 + detour) + trend * BLOCKADE_TREND_WEIGHT
-    }
-
-    /// The robot-independent ("delivery-side") anticipation penalty of
-    /// `rack`: delivery corridor + the outlook's station and rack risk
-    /// terms. A pure function of static world geometry and the outlook, so
-    /// [`PlannerBase::begin_anticipation_pass`] can memoize it per rack
-    /// across one tick's per-robot reorders.
-    fn delivery_penalty(&mut self, world: &WorldView<'_>, rack: RackId) -> u64 {
-        let r = world.rack(rack);
-        let picker = world.picker_of(r);
-        self.outlook
-            .station_risk(r.picker)
-            .saturating_add(self.outlook.rack_risk(rack))
-            // Station first: it is the endpoint shared across the tick's
-            // racks, so the oracle's detour field roots there.
-            .saturating_add(self.corridor_term(picker.pos, r.home))
-    }
-
-    /// Accept a scheduled-maintenance notice (the
-    /// [`PlannerEvent::MaintenanceNotice`] contract): `pos`
-    /// is expected to blockade during the inclusive `[from, until]` window.
-    /// Dropped on the floor unless `config.maintenance_outlook` is on, so
-    /// flag-off runs are bit-identical to runs that never received notices.
-    pub fn announce_maintenance(&mut self, pos: GridPos, from: Tick, until: Tick) {
-        if !self.config.maintenance_outlook {
-            return;
-        }
-        self.outlook.observe_prediction(pos, from, until);
-    }
-
-    /// Snapshot the outlook's cell lists into the selection scratch (the
-    /// corridor scans must not hold a borrow of the outlook). `now` expires
-    /// scheduled-maintenance windows.
-    fn snapshot_outlook(&mut self, now: Tick) {
-        self.sel.blockades.clear();
-        self.sel
-            .blockades
-            .extend_from_slice(self.outlook.live_blockades());
-        self.sel.pressured.clear();
-        for i in 0..self.outlook.pressured_cells().len() {
-            let c = self.outlook.pressured_cells()[i];
-            if !self.outlook.is_blocked(c) {
-                self.sel.pressured.push(c);
-            }
-        }
-        // Scheduled-maintenance predictions join the trend term while their
-        // window is still pending or live (`until ≥ now`): a corridor about
-        // to close is a worse bet even while clear. Cells already counted —
-        // blocked right now, historically pressured, or announced twice —
-        // are skipped so no cell is charged double.
-        let first_predicted = self.sel.pressured.len();
-        for i in 0..self.outlook.predicted_cells().len() {
-            let (c, _, until) = self.outlook.predicted_cells()[i];
-            if until < now || self.outlook.is_blocked(c) || self.outlook.pressure(c) > 0 {
-                continue;
-            }
-            if self.sel.pressured[first_predicted..].contains(&c) {
-                continue;
-            }
-            self.sel.pressured.push(c);
-        }
-    }
-
-    /// Begin a multi-reorder anticipation pass: EATP's flip side reorders
-    /// once per idle robot within one tick, but the outlook snapshot and
-    /// every rack's delivery-side penalty are constant across the pass —
-    /// snapshot once and reset the per-rack memo instead of recomputing
-    /// both per robot. Bracketed by
-    /// [`PlannerBase::end_anticipation_pass`]; single-reorder planners
-    /// skip the bracket and snapshot per call.
-    pub fn begin_anticipation_pass(&mut self, world: &WorldView<'_>) {
-        if !self.config.anticipation || !self.outlook.has_signal() {
-            self.sel.pass_active = false;
-            return;
-        }
-        self.snapshot_outlook(world.t);
-        self.sel.rack_penalty.clear();
-        self.sel.rack_penalty.resize(world.racks.len(), u64::MAX);
-        self.sel.pass_active = true;
-    }
-
-    /// Close the bracket opened by [`PlannerBase::begin_anticipation_pass`]
-    /// (the memo does not survive into other selection paths).
-    pub fn end_anticipation_pass(&mut self) {
-        self.sel.pass_active = false;
-    }
-
-    /// Disruption-aware reorder of a selection candidate list (the
-    /// anticipation layer, Sec. "adaptive" done on the supply side): racks
-    /// are stably re-sorted by ascending anticipation penalty, so clean
-    /// corridors and healthy stations are committed first while the
-    /// relative order of equally-risky racks — and therefore every
-    /// downstream tie-break — is preserved. `from` adds the approach
-    /// corridor of a specific robot (EATP's flip side); rack-list planners
-    /// pass `None`.
-    ///
-    /// No-ops (bit-identically, allocation-free) when the flag is off, the
-    /// outlook has never seen an event, or every penalty is equal —
-    /// clean-world runs are identical flag-on vs flag-off.
-    /// `stats.anticipation_hits` counts the racks promoted past a riskier
-    /// one.
-    pub fn reorder_by_anticipation(
-        &mut self,
-        world: &WorldView<'_>,
-        from: Option<GridPos>,
-        racks: &mut Vec<RackId>,
-    ) {
-        if !self.config.anticipation || racks.len() <= 1 || !self.outlook.has_signal() {
-            return;
-        }
-        if !self.sel.pass_active {
-            self.snapshot_outlook(world.t);
-        }
-        let mut memo = std::mem::take(&mut self.sel.rack_penalty);
-        let mut order = std::mem::take(&mut self.sel.order);
-        order.clear();
-        for (i, &rid) in racks.iter().enumerate() {
-            let delivery = if self.sel.pass_active {
-                let slot = &mut memo[rid.index()];
-                if *slot == u64::MAX {
-                    *slot = self.delivery_penalty(world, rid);
-                }
-                *slot
-            } else {
-                self.delivery_penalty(world, rid)
-            };
-            let penalty = match from {
-                Some(from) => {
-                    delivery.saturating_add(self.corridor_term(from, world.rack(rid).home))
-                }
-                None => delivery,
-            };
-            order.push((penalty, i as u32));
-        }
-        self.sel.rack_penalty = memo;
-        if order.iter().all(|&(p, _)| p == order[0].0) {
-            self.sel.order = order;
-            return;
-        }
-        // (penalty, original index) sorts stably by penalty.
-        order.sort_unstable();
-        let mut reordered = std::mem::take(&mut self.sel.reordered);
-        reordered.clear();
-        let mut hits = 0u64;
-        for (new_pos, &(_, orig)) in order.iter().enumerate() {
-            reordered.push(racks[orig as usize]);
-            if (orig as usize) > new_pos {
-                hits += 1; // promoted past at least one riskier rack
-            }
-        }
-        racks.clear();
-        racks.extend_from_slice(&reordered);
-        self.stats.anticipation_hits += hits;
-        self.sel.order = order;
-        self.sel.reordered = reordered;
     }
 
     /// Cancel `robot`'s active path (the
@@ -750,7 +485,6 @@ impl<R: ReservationBackend> PlannerBase<R> {
                 .map_or_else(Vec::new, |c| c.export_entries()),
             stats: self.stats.clone(),
             last_gc: self.last_gc,
-            maintenance: self.outlook.predicted_cells().to_vec(),
         }
     }
 
@@ -796,14 +530,6 @@ impl<R: ReservationBackend> PlannerBase<R> {
         }
         self.stats = snap.stats.clone();
         self.last_gc = snap.last_gc;
-        // Re-feed the checkpointed maintenance notices into the freshly
-        // rebuilt outlook (journal replay restored the event-derived part;
-        // predictions have no event to replay). Fed unconditionally — the
-        // snapshot only carries notices the exporting run accepted, so the
-        // flag gate already happened at announcement time.
-        for &(pos, from, until) in &snap.maintenance {
-            self.outlook.observe_prediction(pos, from, until);
-        }
     }
 
     /// Snapshot stats with the current memory footprint filled in.
@@ -812,12 +538,10 @@ impl<R: ReservationBackend> PlannerBase<R> {
         s.memory_bytes = self.resv.memory_bytes()
             + self.cache.as_ref().map_or(0, |c| c.memory_bytes())
             + self.knn.as_ref().map_or(0, |k| k.memory_bytes());
-        // The search arena, the distance oracle and the disruption outlook
-        // are identical machinery for every planner, so they are reported
-        // separately and not folded into the Fig. 12 MC comparison of
-        // reservation structures.
-        s.scratch_bytes =
-            self.scratch.memory_bytes() + self.oracle.memory_bytes() + self.outlook.memory_bytes();
+        // The search arena and the distance oracle are identical machinery
+        // for every planner, so they are reported separately and not folded
+        // into the Fig. 12 MC comparison of reservation structures.
+        s.scratch_bytes = self.scratch.memory_bytes() + self.oracle.memory_bytes();
         s
     }
 }
@@ -1064,119 +788,6 @@ mod tests {
     }
 
     #[test]
-    fn anticipation_reorder_prefers_clean_corridors() {
-        let inst = instance();
-        let config = EatpConfig {
-            anticipation: true,
-            ..EatpConfig::default()
-        };
-        let mut base: PlannerBase<SpatioTemporalGraph> =
-            PlannerBase::new(&inst, config, false, false);
-        let idle: Vec<RobotId> = inst.robots.iter().map(|r| r.id).collect();
-        // Rack 0 plus the rack whose home is farthest from rack 0's.
-        let near = inst.racks[0].id;
-        let far = inst
-            .racks
-            .iter()
-            .max_by_key(|r| (r.home.manhattan(inst.racks[0].home), r.id))
-            .unwrap()
-            .id;
-        let selectable = vec![near, far];
-        let world = WorldView {
-            t: 0,
-            racks: &inst.racks,
-            pickers: &inst.pickers,
-            robots: &inst.robots,
-            idle_robots: &idle,
-            selectable_racks: &selectable,
-            backlog_depth: 0,
-            live_arrivals: &[],
-        };
-        // No signal yet: the pass must be a strict no-op.
-        let mut order = vec![near, far];
-        base.reorder_by_anticipation(&world, None, &mut order);
-        assert_eq!(order, vec![near, far]);
-        assert_eq!(base.stats.anticipation_hits, 0);
-
-        // Blockade an aisle neighbour of rack 0's home: it sits on the
-        // rack's delivery corridor band, so the far rack must be promoted.
-        let home = inst.racks[0].home;
-        let pos = inst
-            .grid
-            .passable_neighbors(home)
-            .find(|&c| {
-                inst.grid.kind(c) == CellKind::Aisle
-                    && inst.racks.iter().all(|r| r.home != c)
-                    && inst.robots.iter().all(|r| r.pos != c)
-            })
-            .expect("aisle neighbour available");
-        base.apply_disruption(&DisruptionEvent::CellBlocked { pos }, 1);
-        let mut order = vec![near, far];
-        base.reorder_by_anticipation(&world, None, &mut order);
-        assert_eq!(order, vec![far, near], "risky corridor is deprioritized");
-        assert_eq!(base.stats.anticipation_hits, 1, "one rack was promoted");
-
-        // Flag off: same world, no reordering.
-        base.config.anticipation = false;
-        let mut order = vec![near, far];
-        base.reorder_by_anticipation(&world, None, &mut order);
-        assert_eq!(order, vec![near, far]);
-        assert_eq!(base.stats.anticipation_hits, 1, "no further hits");
-    }
-
-    #[test]
-    fn anticipation_reorder_deprioritizes_trending_stations() {
-        use tprw_warehouse::PickerId;
-        let inst = instance();
-        let config = EatpConfig {
-            anticipation: true,
-            ..EatpConfig::default()
-        };
-        let mut base: PlannerBase<SpatioTemporalGraph> =
-            PlannerBase::new(&inst, config, false, false);
-        let idle: Vec<RobotId> = inst.robots.iter().map(|r| r.id).collect();
-        let rack_p0 = inst
-            .racks
-            .iter()
-            .find(|r| r.picker == PickerId::new(0))
-            .unwrap()
-            .id;
-        let rack_p1 = inst
-            .racks
-            .iter()
-            .find(|r| r.picker == PickerId::new(1))
-            .unwrap()
-            .id;
-        let selectable = vec![rack_p0, rack_p1];
-        let world = WorldView {
-            t: 0,
-            racks: &inst.racks,
-            pickers: &inst.pickers,
-            robots: &inst.robots,
-            idle_robots: &idle,
-            selectable_racks: &selectable,
-            backlog_depth: 0,
-            live_arrivals: &[],
-        };
-        // Picker 0 closed once and reopened: its racks trend riskier.
-        base.apply_disruption(
-            &DisruptionEvent::StationClosed {
-                picker: PickerId::new(0),
-            },
-            1,
-        );
-        base.apply_disruption(
-            &DisruptionEvent::StationReopened {
-                picker: PickerId::new(0),
-            },
-            2,
-        );
-        let mut order = vec![rack_p0, rack_p1];
-        base.reorder_by_anticipation(&world, None, &mut order);
-        assert_eq!(order, vec![rack_p1, rack_p0], "trending station demoted");
-    }
-
-    #[test]
     fn batched_legs_equal_serial_legs() {
         let inst = instance();
         let requests: Vec<LegRequest> = inst
@@ -1214,10 +825,10 @@ mod tests {
     }
 
     /// The reported scratch footprint is the shared machinery a planner
-    /// actually holds once it has planned: the search arena, the distance
-    /// oracle and the disruption outlook.
+    /// actually holds once it has planned: the search arena and the
+    /// distance oracle.
     #[test]
-    fn scratch_bytes_are_arena_plus_oracle_plus_outlook() {
+    fn scratch_bytes_are_arena_plus_oracle() {
         let inst = instance();
         let mut base: PlannerBase<ConflictDetectionTable> =
             PlannerBase::new(&inst, EatpConfig::default(), true, false);
@@ -1234,7 +845,7 @@ mod tests {
         );
         assert_eq!(
             base.stats_snapshot().scratch_bytes,
-            base.scratch.memory_bytes() + base.oracle.memory_bytes() + base.outlook.memory_bytes()
+            base.scratch.memory_bytes() + base.oracle.memory_bytes()
         );
     }
 

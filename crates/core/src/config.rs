@@ -61,31 +61,6 @@ pub struct EatpConfig {
     /// ILP baseline: cap on new racks admitted per picker per timestamp
     /// (the "picker status" extension of \[12\]).
     pub ilp_picker_capacity: usize,
-    /// Disruption-aware selection (the anticipation layer): planners fold a
-    /// [`crate::outlook::DisruptionOutlook`] penalty into rack/station
-    /// scoring — racks whose corridor crosses live blockades, stations that
-    /// are closed or trending closed and churn-prone racks are
-    /// deprioritized *before* robots commit to them. Off by default; with
-    /// the flag off (or on a clean world) selection is bit-identical to the
-    /// reactive-only behaviour.
-    pub anticipation: bool,
-    /// Corridor band slack of the anticipation term: a cell `c` counts as
-    /// "on the corridor" of `(a, b)` when
-    /// `manhattan(a, c) + manhattan(c, b) ≤ manhattan(a, b) + slack`. The
-    /// band is the membership test for *live* blockades (they describe the
-    /// clean-floor routes the pair would take) and the fallback for the
-    /// historically-blockaded trend term, whose membership is exact where
-    /// the path cache memoizes the pair.
-    pub anticipation_slack: u64,
-    /// Scheduled-maintenance outlook: accept advance notices of future
-    /// blockades (see `PlannerEvent::MaintenanceNotice`) and fold the
-    /// announced cells into the anticipation trend term while their window
-    /// is pending — a corridor about to close is a worse bet even while
-    /// clear. Off by default; with the flag off notices are dropped on the
-    /// floor and every run is bit-identical to one that never received
-    /// them. Only observable when [`EatpConfig::anticipation`] is also on
-    /// (the notices feed the same outlook the anticipation reorder reads).
-    pub maintenance_outlook: bool,
 }
 
 impl Default for EatpConfig {
@@ -99,9 +74,6 @@ impl Default for EatpConfig {
             gc_period: 64,
             ilp_max_nodes: 600,
             ilp_picker_capacity: 3,
-            anticipation: false,
-            anticipation_slack: 4,
-            maintenance_outlook: false,
         }
     }
 }

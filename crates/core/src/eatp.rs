@@ -55,10 +55,6 @@ fn flip_side_select(
     // Catch up on any grid mutations since the last read (one rebuild
     // per batch of disruption events, not one per mutated cell).
     base.refresh_knn();
-    // One anticipation pass spans every robot's reorder below: the
-    // outlook snapshot and each rack's delivery-side penalty are
-    // computed once per tick, not once per robot.
-    base.begin_anticipation_pass(world);
     // Membership bitmap for `selectable` (selection must stay O(|A|·K)).
     let mut selectable = std::mem::take(&mut base.sel.rack_flags);
     selectable.clear();
@@ -80,11 +76,6 @@ fn flip_side_select(
                 .copied()
                 .filter(|r| selectable[r.index()]),
         );
-        // Disruption-aware pass (no-op unless enabled + disrupted):
-        // candidates with blockaded approach/delivery corridors or
-        // risky stations are examined last, so the ε-greedy adoption
-        // commits clean corridors first.
-        base.reorder_by_anticipation(world, Some(pos), &mut candidates);
         for &rid in &candidates {
             if decide_and_learn(q, base, world, rid) {
                 selectable[rid.index()] = false;
@@ -95,7 +86,6 @@ fn flip_side_select(
     }
     base.sel.rack_flags = selectable;
     base.sel.candidates = candidates;
-    base.end_anticipation_pass();
     pairs
 }
 
@@ -118,10 +108,7 @@ impl Strategy for FlipSide {
         let pairs: Vec<(RackId, RobotId)> = base.timed_selection(|base| {
             if q.sample_bootstrap() {
                 // Approximate arm: greedy selection; robots matched below.
-                let mut selected = greedy_bootstrap_select(q, base, world, world.idle_robots.len());
-                // Disruption-aware pass (no-op unless enabled + disrupted).
-                base.reorder_by_anticipation(world, None, &mut selected);
-                selected
+                greedy_bootstrap_select(q, base, world, world.idle_robots.len())
                     .into_iter()
                     .map(|rid| (rid, RobotId::new(u32::MAX as usize)))
                     .collect()

@@ -180,11 +180,7 @@ impl Strategy for BlockwiseIlp {
         // Selection: blockwise exact 0/1 solves over the greedy priority
         // order, consuming idle robots until none remain.
         let pairs: Vec<(RackId, RobotId)> = base.timed_selection(|base| {
-            let mut priority = most_slack_picker_selection(world, world.idle_robots.len() * 2);
-            // Disruption-aware pass (no-op unless enabled + disrupted):
-            // risky racks sink to later blocks, so the exact solves spend
-            // their node budget on clean-corridor candidates first.
-            base.reorder_by_anticipation(world, None, &mut priority);
+            let priority = most_slack_picker_selection(world, world.idle_robots.len() * 2);
             let mut remaining_robots: Vec<RobotId> = world.idle_robots.to_vec();
             let mut all_pairs = Vec::new();
             for chunk in priority.chunks(BLOCK) {

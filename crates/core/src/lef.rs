@@ -61,17 +61,14 @@ impl Strategy for EarliestItemFirst {
         world: &WorldView<'_>,
     ) -> Vec<AssignmentPlan> {
         let cap = world.idle_robots.len() * 2;
-        let selected = base.timed_selection(|base| {
+        let selected: Vec<RackId> = base.timed_selection(|_| {
             let mut ranked: Vec<(Tick, RackId)> = world
                 .selectable_racks
                 .iter()
                 .map(|&rid| (self.oldest_pending(world, rid), rid))
                 .collect();
             ranked.sort_unstable();
-            let mut selected: Vec<RackId> = ranked.into_iter().take(cap).map(|(_, r)| r).collect();
-            // Disruption-aware pass (no-op unless enabled + disrupted).
-            base.reorder_by_anticipation(world, None, &mut selected);
-            selected
+            ranked.into_iter().take(cap).map(|(_, r)| r).collect()
         });
         match_and_plan(base, world, &selected)
     }

@@ -19,36 +19,16 @@
 //! separately (the STC/PTC metrics of Sec. VII) and reservation/caching
 //! structures report their live size (MC).
 //!
-//! # Anticipation model (disruption-aware selection)
+//! # Disruptions are handled reactively
 //!
-//! Under a dynamic world (`tprw_warehouse::events`) the planners not only
-//! *react* to disruptions (cache invalidation, replanning) but can
-//! *anticipate* them during rack selection, behind
-//! [`config::EatpConfig::anticipation`]:
-//!
-//! 1. every applied event feeds a per-planner
-//!    [`outlook::DisruptionOutlook`] — live + historical blockade pressure
-//!    per cell, closure state and trend per station, removal state and
-//!    churn per rack;
-//! 2. each candidate rack is charged an **anticipation penalty**: live
-//!    blockades on its delivery corridor (and, for EATP's flip side, the
-//!    robot's approach corridor) weighted by the distance oracle's actual
-//!    detour, a *trend* term for historically-blockaded-but-open corridor
-//!    cells, plus station-risk and rack-churn terms. Live membership uses
-//!    a Manhattan band (post-blockade paths route *around* live blockades,
-//!    so probing them would be vacuous); trend membership is exact where
-//!    the EATP path cache memoizes the pair (per-entry cell bloom) and the
-//!    band otherwise;
-//! 3. selection stably reorders its candidate list by ascending penalty
-//!    (`base::PlannerBase::reorder_by_anticipation`), so robots commit to
-//!    clean corridors and healthy stations first. The number of promoted
-//!    racks is reported as `anticipation_hits`.
-//!
-//! With the flag off — or on a clean world, where every penalty is zero —
-//! selection is bit-identical to the reactive-only behaviour
-//! (equivalence-pinned by `tests/anticipation.rs`); on blockade-heavy
-//! floors aware EATP is no worse than reactive-only in makespan (gated by
-//! the same file, on a small floor and on the full-size blockade storm).
+//! Under a dynamic world (`tprw_warehouse::events`) the planners *react*
+//! to disruptions: every applied event reaches
+//! [`base::PlannerBase::apply_disruption`], which brings the grid copy,
+//! distance oracle, path cache and K-nearest index in line with the
+//! mutated floor, and the engine replans frozen legs. Selection itself is
+//! the paper's rule for each planner, with no disruption term;
+//! `docs/adr/ADR-011-one-selection-policy.md` records why the optional
+//! disruption-aware reordering was removed and where to restore it from.
 //!
 //! # Leg planning is serial
 //!
@@ -69,7 +49,6 @@ pub mod ilp;
 pub mod lef;
 pub mod makespan;
 pub mod ntp;
-pub mod outlook;
 pub mod planner;
 pub mod qlearning;
 pub mod shell;
@@ -81,7 +60,6 @@ pub use eatp::EfficientAdaptiveTaskPlanner;
 pub use ilp::IlpPlanner;
 pub use lef::LeastExpirationFirst;
 pub use ntp::NaiveTaskPlanner;
-pub use outlook::DisruptionOutlook;
 pub use planner::{
     AssignmentPlan, InjectedFault, LegRequest, Planner, PlannerError, PlannerEvent, PlannerStats,
 };

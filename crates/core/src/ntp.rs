@@ -64,13 +64,7 @@ impl Strategy for MostSlackFirst {
         // Over-select 2× the idle fleet so failed path queries can fall
         // through to the next candidate rack.
         let cap = world.idle_robots.len() * 2;
-        let selected = base.timed_selection(|base| {
-            let mut selected = most_slack_picker_selection(world, cap);
-            // Disruption-aware pass (no-op unless enabled and disrupted):
-            // racks with risky corridors/stations are committed last.
-            base.reorder_by_anticipation(world, None, &mut selected);
-            selected
-        });
+        let selected = base.timed_selection(|_| most_slack_picker_selection(world, cap));
         match_and_plan(base, world, &selected)
     }
 }

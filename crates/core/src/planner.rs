@@ -96,9 +96,10 @@ pub struct PlannerStats {
     pub paths_failed: u64,
     /// Paths whose tail came from the path cache (EATP only).
     pub cache_spliced: u64,
-    /// Selection decisions changed by the disruption-anticipation term
-    /// (candidate racks promoted past a riskier one). Always 0 with
-    /// [`crate::config::EatpConfig::anticipation`] off or on a clean world.
+    /// Always 0: the selection layer that counted here is deleted
+    /// (`docs/adr/ADR-011-one-selection-policy.md`). The field stays only
+    /// because the report copies it and every golden fingerprint line
+    /// prints it as the last `planner_counters` slot.
     pub anticipation_hits: u64,
     /// Distinct explored Q-states (ATP/EATP only).
     pub q_states: usize,
@@ -211,23 +212,6 @@ pub enum PlannerEvent<'a> {
         pos: GridPos,
         /// When.
         t: Tick,
-    },
-    /// Advance notice that `pos` is expected to blockade during the
-    /// inclusive `[from, until]` window. Advisory only — the notice never
-    /// mutates the world (the blockade itself still arrives as a
-    /// [`DisruptionEvent`], if it happens at all); planners fold it into
-    /// disruption-aware selection so robots stop committing to corridors
-    /// about to close. Gated behind
-    /// [`crate::config::EatpConfig::maintenance_outlook`] (default off):
-    /// with the flag off runs are bit-identical to ones that never received
-    /// the notice.
-    MaintenanceNotice {
-        /// The cell under scheduled maintenance.
-        pos: GridPos,
-        /// Window start (inclusive).
-        from: Tick,
-        /// Window end (inclusive).
-        until: Tick,
     },
     /// The engine degraded the previous tick after this planner failed or
     /// overran its budget; the planner must invalidate derived state it can
@@ -371,11 +355,10 @@ pub trait Planner {
     /// Export the planner's *canonical* internal state for a checkpoint:
     /// everything that cannot be reconstructed from the instance plus the
     /// applied-disruption journal (reservation content, learned Q-values,
-    /// cumulative counters, memoized cache entries, accepted maintenance
-    /// notices). Derived structures — search scratch, distance-oracle
-    /// fields, KNN indexes, the event-derived half of the disruption
-    /// outlook — are *not* exported: the restore protocol rebuilds them by
-    /// calling [`Planner::init`] and replaying the journal as
+    /// cumulative counters, memoized cache entries). Derived structures —
+    /// search scratch, distance-oracle fields, KNN indexes — are *not*
+    /// exported: the restore protocol rebuilds them by calling
+    /// [`Planner::init`] and replaying the journal as
     /// [`PlannerEvent::Disruption`]s before importing this value (see
     /// `docs/snapshot-format.md`). The default (for stateless planners) is
     /// [`serde::Value::Null`].

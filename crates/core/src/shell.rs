@@ -188,7 +188,7 @@ mod tests {
         }
         .build()
         .unwrap();
-        let base_keys = ["resv", "cache", "stats", "last_gc", "maintenance"];
+        let base_keys = ["resv", "cache", "stats", "last_gc"];
         for name in PLANNER_NAMES {
             let mut planner = planner_by_name(name, &EatpConfig::default()).unwrap();
             assert_eq!(planner.export_snapshot(), serde::Value::Null);

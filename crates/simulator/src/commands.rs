@@ -117,6 +117,9 @@ pub enum RejectReason {
     /// The injected disruption is inconsistent with the current world
     /// (out-of-range id, nested disruption, blockade on a non-aisle cell).
     InvalidDisruption,
+    /// The submitted order adds no picker work. A zero-work batch would
+    /// never finish processing and would block its station's queue.
+    ZeroProcessing,
 }
 
 /// An engine acknowledgement, delivered to the `tick_with_commands` caller

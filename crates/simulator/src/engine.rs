@@ -213,7 +213,7 @@ pub struct EngineState {
     /// Every disruption event actually applied so far, at its application
     /// tick (deferred events appear when they land, not when scheduled).
     /// Replayed through [`Planner::on_event`] on resume to rebuild the
-    /// planner's derived world model (grid overlay, KNN liveness, outlook).
+    /// planner's derived world model (grid overlay, oracle, KNN liveness).
     pub journal: Vec<TimedEvent>,
     pub racks: Vec<Rack>,
     pub pickers: Vec<Picker>,
@@ -579,6 +579,8 @@ impl<'a> Engine<'a> {
                     Some(RejectReason::ShuttingDown)
                 } else if spec.rack.index() >= self.state.racks.len() {
                     Some(RejectReason::UnknownRack)
+                } else if spec.processing == 0 {
+                    Some(RejectReason::ZeroProcessing)
                 } else if self.state.backlog.iter().any(|b| b.order == spec.order)
                     || self.state.live_item_orders.contains(&spec.order)
                 {
@@ -1915,7 +1917,7 @@ impl<'a> Engine<'a> {
     /// the planner is freshly `init`-ed on the instance, the applied-event
     /// journal is replayed through [`Planner::on_event`] to rebuild
     /// its derived world model (grid overlay, distance oracle, KNN
-    /// liveness, disruption outlook), and only then is its canonical state
+    /// liveness), and only then is its canonical state
     /// overwritten via [`Planner::import_snapshot`]. Do **not** call
     /// [`Engine::start`] on the returned engine.
     pub fn resume(

@@ -55,10 +55,10 @@ pub struct SimulationReport {
     /// Disruption-safety violations: a robot occupying a blockaded cell, or
     /// a plan naming a broken robot / a closed station's rack (must be 0).
     pub disruption_violations: usize,
-    /// Selection decisions changed by the disruption-anticipation term
-    /// (racks promoted past a riskier candidate; 0 unless
-    /// `EatpConfig::anticipation` is on *and* the run is disrupted). The
-    /// makespan it must not cost is gated by `tests/anticipation.rs`.
+    /// Always 0: the planner counter it copies has had no writer since the
+    /// selection layer behind it was deleted
+    /// (`docs/adr/ADR-011-one-selection-policy.md`). Kept because
+    /// benchmark reports read it.
     pub anticipation_hits: u64,
     /// Ticks whose planning phase degraded to the engine's greedy fallback
     /// (planner error or expansion-budget overrun; 0 with faults off and
@@ -128,7 +128,8 @@ pub struct DeterministicFingerprint {
     /// Bottleneck series: `(t, transport, queuing, processing)`.
     pub bottleneck: Vec<(Tick, u64, u64, u64)>,
     /// Planner counters: expansions, planned, failed, spliced, q-states,
-    /// anticipation hits.
+    /// and a last slot that is always 0 (kept so the committed fingerprint
+    /// lines stay unedited).
     pub planner_counters: (u64, u64, u64, u64, usize, u64),
     /// Degraded ticks (greedy-fallback planning phases). Appended after
     /// `planner_counters` so pre-fault fingerprint prefixes stay stable.

@@ -1288,7 +1288,8 @@ mod tests {
     /// Both readable payload shapes — a v4 payload, and a v5 payload
     /// carrying the since-removed `config.workers`, `config.reference_exec`,
     /// validation switch (set to off) and tick-strategy keys (the latter as
-    /// either of the unit variants it could name) — decode as they are and
+    /// either of the unit variants it could name), each with the planner
+    /// base's since-removed `maintenance` list — decode as they are and
     /// resume, on the one remaining execution path and tick loop with
     /// validation on, to the uninterrupted run's fingerprint.
     #[test]
@@ -1333,6 +1334,21 @@ mod tests {
                     assert!(config_fields.iter().all(|(k, _)| k != key));
                     config_fields.push((key.to_string(), value));
                 }
+                // Every earlier payload's planner base slice also carries
+                // the retired (empty) maintenance-notice list. ILP, ATP and
+                // EATP nest that slice under `base`.
+                let Some((_, Value::Object(planner_fields))) =
+                    fields.iter_mut().find(|(k, _)| k == "planner")
+                else {
+                    panic!("{name}: planner payload must be an object");
+                };
+                let base_fields = match planner_fields.iter_mut().find(|(k, _)| k == "base") {
+                    Some((_, Value::Object(nested))) => nested,
+                    _ => planner_fields,
+                };
+                assert!(base_fields.iter().any(|(k, _)| k == "last_gc"));
+                assert!(base_fields.iter().all(|(k, _)| k != "maintenance"));
+                base_fields.push(("maintenance".to_string(), Value::Array(Vec::new())));
                 let payload = serde::binary::to_bytes(&Value::Object(fields));
                 let mut bytes = Vec::new();
                 bytes.extend_from_slice(&SNAPSHOT_MAGIC);

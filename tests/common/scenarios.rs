@@ -11,8 +11,8 @@
 //! * **station outage during surge** — pickers walk away exactly while a
 //!   carnival-style arrival surge is peaking;
 //! * **blockade storm** / **rolling blockades** — the two blockade-heavy
-//!   floors on which disruption-aware selection was measured against
-//!   reactive-only (`tests/anticipation.rs` gates EATP on the storm case).
+//!   floors: many corridors closed at once, or a closure set that keeps
+//!   changing.
 
 use eatp::warehouse::{
     ArrivalProfile, DisruptionConfig, Instance, LayoutConfig, ScenarioSpec, WorkloadConfig,
@@ -151,11 +151,9 @@ pub fn disrupted_outage_surge() -> SimScenario {
 }
 
 /// Blockade storm: a dozen corridors of a travel-bound floor close almost
-/// simultaneously, each for most of the run. This is the *anticipation*
-/// case: with that many live blockades, which rack a planner commits to
-/// matters more than how it routes — disruption-aware selection
-/// (`EatpConfig::anticipation`) is measured against reactive-only here
-/// and gated for EATP (`tests/anticipation.rs`).
+/// simultaneously, each for most of the run. With that many live
+/// blockades, which rack a planner commits to matters as much as how it
+/// routes.
 pub fn disrupted_blockade_storm() -> SimScenario {
     let instance = ScenarioSpec {
         name: "bench-blockade-storm".into(),
@@ -199,8 +197,8 @@ pub fn disrupted_blockade_storm() -> SimScenario {
 }
 
 /// Rolling blockades: many shorter closures scattered across the whole
-/// run, so the blockade set keeps changing and the outlook must track a
-/// moving target (also the second aware-vs-reactive measurement case).
+/// run, so the blockade set keeps changing and every grid-derived planner
+/// structure is invalidated over and over.
 pub fn disrupted_blockade_rolling() -> SimScenario {
     let instance = ScenarioSpec {
         name: "bench-blockade-rolling".into(),

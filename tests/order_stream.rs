@@ -12,8 +12,8 @@
 //!   (already-applied prefix included) reproduces the uninterrupted run;
 //!   the `next_command_seq` cursor makes redelivery idempotent.
 //! * **Lifecycle acks** — submissions, cancellations, duplicates,
-//!   post-shutdown submissions and invalid disruption injections are
-//!   acknowledged deterministically.
+//!   post-shutdown submissions, zero-work orders and invalid disruption
+//!   injections are acknowledged deterministically.
 //!
 //! `PROPTEST_CASES` scales the soak (default 64 cases per property).
 
@@ -417,4 +417,54 @@ fn lifecycle_acks_are_deterministic() {
         report.planner_errors == 0 && report.executed_conflicts == 0,
         "an injected breakdown must not break safety"
     );
+}
+
+/// A zero-work order would queue a batch whose processing never finishes,
+/// stalling its station until the tick budget runs out. The command
+/// boundary refuses it, as `Instance::validate` refuses a pregenerated
+/// item with zero processing, and the rest of the stream completes.
+#[test]
+fn zero_processing_order_is_rejected_and_the_run_completes() {
+    let inst = scenario(0, 7);
+    let twin = live_twin(&inst);
+    let config = pinned_config()
+        .into_builder()
+        .live(true)
+        .max_ticks(5_000)
+        .build()
+        .unwrap();
+    let real = &inst.items[0];
+    // A rack other than the real order's, so the zero-work item cannot
+    // share a batch that has work.
+    let idle_rack = inst.racks.iter().find(|r| r.id != real.rack).unwrap().id;
+    let submit = |seq: u64, order: usize, rack, processing| SequencedCommand {
+        seq,
+        command: Command::SubmitOrder {
+            spec: OrderSpec {
+                order: OrderId::new(order),
+                rack,
+                processing,
+                arrival: 0,
+            },
+        },
+    };
+    let stream = [
+        submit(0, 0, idle_rack, 0),
+        submit(1, 1, real.rack, real.processing),
+        SequencedCommand {
+            seq: 2,
+            command: Command::Shutdown,
+        },
+    ];
+    let (fp, acks) = run_live(&twin, "EATP", &config, &stream);
+    assert_eq!(
+        acks[0],
+        Ack::Rejected {
+            seq: 0,
+            reason: RejectReason::ZeroProcessing,
+            tick: 0
+        }
+    );
+    let (submitted, _, rejected, completed, _, _) = fp.order_counters;
+    assert_eq!((submitted, rejected, completed), (1, 1, 1));
 }
