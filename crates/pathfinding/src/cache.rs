@@ -271,18 +271,6 @@ impl PathCache {
         Some(path)
     }
 
-    /// Whether the *memoized* `(from, to)` path crosses `pos`: `Some(bool)`
-    /// when an entry exists (64-bit cell bloom prefilter, exact scan on a
-    /// bloom hit), `None` when the pair is not cached. Read-only — never
-    /// computes a path — so disruption-aware selection can probe corridor
-    /// membership for free and fall back to a geometric band on a miss.
-    #[inline]
-    pub fn path_crosses(&self, from: GridPos, to: GridPos, pos: GridPos) -> Option<bool> {
-        self.map
-            .get(&(from, to))
-            .map(|e| e.bloom & cell_bit(pos) != 0 && e.path.contains(&pos))
-    }
-
     /// `(hits, misses)` counters (diagnostics).
     pub fn stats(&self) -> (u64, u64) {
         (self.hits, self.misses)
@@ -290,11 +278,12 @@ impl PathCache {
 
     /// Every memoized entry as `((from, to), path cells)`, sorted by key —
     /// the canonical enumeration used by checkpoint export. The memoized
-    /// *pair set* is behaviorally observable (`path_crosses` answers `None`
-    /// for uncached pairs) and entries surviving partial eviction need not
-    /// equal a fresh trace on the mutated grid, so the actual cells are
-    /// exported, not recomputed on restore. Step fields, the bloom words
-    /// and the hit/miss counters are derived and rebuilt on demand.
+    /// *pair set* is behaviorally observable (it sizes the reported memory,
+    /// and a cached pair is served as memoized rather than re-traced) and
+    /// entries surviving partial eviction need not equal a fresh trace on
+    /// the mutated grid, so the actual cells are exported, not recomputed
+    /// on restore. Step fields, the bloom words and the hit/miss counters
+    /// are derived and rebuilt on demand.
     pub fn export_entries(&self) -> Vec<((GridPos, GridPos), Vec<GridPos>)> {
         let width = self.grid.width();
         let mut entries: Vec<_> = self
@@ -664,21 +653,6 @@ mod tests {
         cache.set_passable(p(5, 3), true);
         assert_eq!(cache.len(), survivors - 1, "only the detour entry dies");
         assert_eq!(cache.partial_evictions(), 2);
-    }
-
-    #[test]
-    fn path_crosses_probes_cached_entries_only() {
-        let mut cache = PathCache::new(&open_grid(), 64);
-        assert_eq!(
-            cache.path_crosses(p(0, 0), p(6, 0), p(3, 0)),
-            None,
-            "uncached pair yields no verdict"
-        );
-        cache.shortest(p(0, 0), p(6, 0)).unwrap();
-        assert_eq!(cache.path_crosses(p(0, 0), p(6, 0), p(3, 0)), Some(true));
-        assert_eq!(cache.path_crosses(p(0, 0), p(6, 0), p(3, 5)), Some(false));
-        let (hits, misses) = cache.stats();
-        assert_eq!((hits, misses), (0, 1), "probing is not a cache access");
     }
 
     #[test]

@@ -727,27 +727,6 @@ impl<'a> Engine<'a> {
         self.state.finished
     }
 
-    /// The applied-event journal so far (see [`EngineState::journal`]).
-    pub fn journal(&self) -> &[TimedEvent] {
-        &self.state.journal
-    }
-
-    /// Orders accepted but not yet emerged on their racks.
-    pub fn backlog_depth(&self) -> usize {
-        self.state.backlog.len()
-    }
-
-    /// Whether a [`Command::Shutdown`] has been accepted.
-    pub fn is_shutting_down(&self) -> bool {
-        self.state.shutdown
-    }
-
-    /// The idempotency cursor: the lowest command sequence number the
-    /// engine has not yet applied (see [`EngineState::next_command_seq`]).
-    pub fn next_command_seq(&self) -> u64 {
-        self.state.next_command_seq
-    }
-
     /// The instance this engine runs on.
     pub fn instance(&self) -> &'a Instance {
         self.instance
@@ -1947,8 +1926,7 @@ impl<'a> Engine<'a> {
     /// counters) scrubbed to zero first — they legitimately differ between
     /// two replays of the same simulation. Two runs that agree on every
     /// `state_hash` along the way are simulation-identical; the first tick
-    /// where the hashes differ is where they diverged (see
-    /// [`crate::snapshot::hunt_divergence`]).
+    /// where the hashes differ is where they diverged.
     pub fn state_hash(&self) -> u64 {
         let mut state = self.export_state();
         state.peak_memory = 0;
@@ -1978,7 +1956,7 @@ fn is_docked(phase: RobotPhase) -> bool {
 }
 
 /// 64-bit FNV-1a over a byte slice.
-pub(crate) fn fnv1a(bytes: &[u8]) -> u64 {
+fn fnv1a(bytes: &[u8]) -> u64 {
     let mut h: u64 = 0xcbf2_9ce4_8422_2325;
     for &b in bytes {
         h ^= b as u64;

@@ -16,9 +16,9 @@
 //!   fulfilment cycle (pickup → delivery → queuing → processing → return),
 //!   including the live order backlog fed through
 //!   [`engine::Engine::tick_with_commands`];
-//! * [`service`] — the multi-tenant headless runner: N isolated warehouse
-//!   instances on worker threads behind per-tenant command queues (see
-//!   `docs/order-stream.md`);
+//! * [`service`] — the bounded command queue a producer thread feeds and
+//!   the engine thread drains one tick at a time, bit-identically to
+//!   handing it the same batches directly (see `docs/order-stream.md`);
 //! * [`faults`] — seed-deterministic fault plans (planner decision/leg
 //!   failures, cache/oracle poisoning, snapshot I/O errors) plus the
 //!   graceful-degradation policy (see `docs/fault-injection.md`);
@@ -26,8 +26,8 @@
 //!   Rate (RWR), Selection/Planning Time Consumption (STC/PTC), Memory
 //!   Consumption (MC) and the Fig. 13 bottleneck decomposition;
 //! * [`report`] — structured result types with text-table rendering;
-//! * [`snapshot`] — versioned, checksummed checkpoint/resume plus the
-//!   fingerprint-journal divergence hunter (see `docs/snapshot-format.md`);
+//! * [`snapshot`] — versioned, checksummed checkpoint/resume (see
+//!   `docs/snapshot-format.md`);
 //! * [`validate`] — independent per-tick re-validation that executed robot
 //!   trajectories are conflict-free (Definition 5).
 
@@ -45,10 +45,8 @@ pub use engine::{run_simulation, Engine, EngineConfig, EngineConfigBuilder, Engi
 pub use faults::{DegradationPolicy, FaultConfig, FaultPlan, IoFaultKind};
 pub use metrics::{BottleneckSample, Checkpoint};
 pub use report::{DeterministicFingerprint, SimulationReport};
-pub use service::{ServiceBench, ServiceQueue, Tenant, TenantOutcome, TickBatch};
+pub use service::{ServiceQueue, TickBatch};
 pub use snapshot::{
-    decode_snapshot, encode_snapshot, hunt_divergence, read_snapshot, resume_from,
-    run_with_fingerprints, write_snapshot_atomic, DivergenceReport, FingerprintJournal,
-    PerturbFromTick, ResilientSnapshotWriter, SnapshotData, SnapshotError, JOURNAL_MAGIC,
-    SNAPSHOT_MAGIC, SNAPSHOT_VERSION,
+    decode_snapshot, encode_snapshot, read_snapshot, resume_from, write_snapshot_atomic,
+    ResilientSnapshotWriter, SnapshotData, SnapshotError, SNAPSHOT_MAGIC, SNAPSHOT_VERSION,
 };

@@ -1,4 +1,4 @@
-//! Versioned, checksummed checkpoint/resume and divergence hunting.
+//! Versioned, checksummed checkpoint/resume.
 //!
 //! A snapshot captures everything a mid-run simulation cannot re-derive —
 //! the canonical engine state ([`crate::engine::EngineState`]), the
@@ -12,27 +12,15 @@
 //!
 //! The canonical-vs-derived split, the header layout and the migration
 //! policy are documented in `docs/snapshot-format.md`.
-//!
-//! The same state-hash machinery powers the *divergence hunter*:
-//! [`run_with_fingerprints`] records periodic engine-state hashes along a
-//! run, and [`hunt_divergence`] binary-searches two builds' replays
-//! (checkpointing and resuming as it narrows the bracket) to report the
-//! first tick at which their simulations differ.
 
-use crate::engine::{fnv1a, Engine, EngineConfig, EngineState};
+use crate::engine::{Engine, EngineConfig, EngineState};
 use crate::faults::IoFaultKind;
-use crate::report::SimulationReport;
-use eatp_core::planner::{AssignmentPlan, Planner, PlannerError, PlannerEvent, PlannerStats};
-use eatp_core::world::WorldView;
+use eatp_core::planner::Planner;
 use serde::{Deserialize, Serialize, Value};
-use tprw_pathfinding::Path;
-use tprw_warehouse::{GridPos, Instance, RobotId, Tick};
+use tprw_warehouse::{Instance, Tick};
 
 /// Magic bytes opening every snapshot file.
 pub const SNAPSHOT_MAGIC: [u8; 8] = *b"TPRWSNAP";
-
-/// Magic bytes opening every serialized fingerprint journal.
-pub const JOURNAL_MAGIC: [u8; 8] = *b"TPRWFPJ1";
 
 /// Current schema version. Readers accept the current version and one
 /// prior (`OLDEST_READABLE_VERSION`); versions 1–3 (before the
@@ -497,6 +485,7 @@ pub fn resume_from<'a>(
             resuming: planner.name(),
         });
     }
+    check_table_sizes(&data.engine, &data.instance)?;
     Ok(Engine::resume(
         &data.instance,
         &data.config,
@@ -506,387 +495,50 @@ pub fn resume_from<'a>(
     )?)
 }
 
-/// Periodic engine-state hashes along one run: the raw material for
-/// divergence hunting. Hashes are recorded *after* executing each tick `t`
-/// with `t % every == 0` (and cover the canonical engine state only — the
-/// planner's influence shows up through the paths and robot states it
-/// produces).
-#[derive(Debug, Clone, PartialEq, Eq, Default, Serialize, Deserialize)]
-pub struct FingerprintJournal {
-    /// Recording period in ticks.
-    pub every: Tick,
-    /// `(tick, state hash after that tick)`, in tick order.
-    pub records: Vec<(Tick, u64)>,
-}
-
-impl FingerprintJournal {
-    /// The first recorded tick at which `self` and `other` disagree —
-    /// either differing hashes at the same tick, or one journal ending
-    /// (run finishing) before the other. `None` means the journals agree
-    /// over their full common coverage and have equal length.
-    pub fn first_mismatch(&self, other: &FingerprintJournal) -> Option<Tick> {
-        for (a, b) in self.records.iter().zip(other.records.iter()) {
-            if a.0 != b.0 {
-                return Some(a.0.min(b.0));
-            }
-            if a.1 != b.1 {
-                return Some(a.0);
-            }
-        }
-        match self.records.len().cmp(&other.records.len()) {
-            std::cmp::Ordering::Equal => None,
-            std::cmp::Ordering::Less => other.records.get(self.records.len()).map(|r| r.0),
-            std::cmp::Ordering::Greater => self.records.get(other.records.len()).map(|r| r.0),
-        }
-    }
-
-    /// Combined order-sensitive hash of all records (for quick equality).
-    pub fn digest(&self) -> u64 {
-        let mut bytes = Vec::with_capacity(self.records.len() * 16 + 8);
-        bytes.extend_from_slice(&self.every.to_le_bytes());
-        for (t, h) in &self.records {
-            bytes.extend_from_slice(&t.to_le_bytes());
-            bytes.extend_from_slice(&h.to_le_bytes());
-        }
-        fnv1a(&bytes)
-    }
-
-    /// Ticks must be strictly increasing (records are appended in tick
-    /// order along one run); the first offender, if any.
-    pub fn validate(&self) -> Result<(), SnapshotError> {
-        for w in self.records.windows(2) {
-            if w[1].0 <= w[0].0 {
-                return Err(SnapshotError::Decode(format!(
-                    "fingerprint journal out of order: tick {} after tick {}",
-                    w[1].0, w[0].0
-                )));
-            }
-        }
-        Ok(())
-    }
-
-    /// Serialize to the flat on-disk format: magic, `every`, record count,
-    /// then one `(tick, hash)` pair of little-endian `u64`s per record.
-    pub fn to_bytes(&self) -> Vec<u8> {
-        let mut out = Vec::with_capacity(24 + self.records.len() * 16);
-        out.extend_from_slice(&JOURNAL_MAGIC);
-        out.extend_from_slice(&self.every.to_le_bytes());
-        out.extend_from_slice(&(self.records.len() as u64).to_le_bytes());
-        for (t, h) in &self.records {
-            out.extend_from_slice(&t.to_le_bytes());
-            out.extend_from_slice(&h.to_le_bytes());
-        }
-        out
-    }
-
-    /// Parse the [`FingerprintJournal::to_bytes`] format. Truncated,
-    /// odd-length or out-of-order input maps to a typed [`SnapshotError`]
-    /// — never a panic (nightly journals travel through CI artifacts and
-    /// arrive damaged often enough to matter).
-    pub fn from_bytes(bytes: &[u8]) -> Result<Self, SnapshotError> {
-        if bytes.len() < 24 {
-            return Err(SnapshotError::Truncated {
-                needed: 24,
-                got: bytes.len(),
-            });
-        }
-        if bytes[..8] != JOURNAL_MAGIC {
-            return Err(SnapshotError::BadMagic);
-        }
-        let u64_at = |at: usize| u64::from_le_bytes(bytes[at..at + 8].try_into().expect("8 bytes"));
-        let every = u64_at(8);
-        let count = u64_at(16) as usize;
-        let needed = count.saturating_mul(16).saturating_add(24);
-        if bytes.len() < needed {
-            return Err(SnapshotError::Truncated {
-                needed,
-                got: bytes.len(),
-            });
-        }
-        if bytes.len() > needed {
+/// Every per-robot, per-picker, per-rack and per-cell table of `state` must
+/// have the length [`EngineState::new`] gives it on `instance`; the engine
+/// indexes them by id without bounds checks of its own, so a snapshot whose
+/// tables fit another floor would otherwise panic within its first ticks.
+fn check_table_sizes(state: &EngineState, instance: &Instance) -> Result<(), SnapshotError> {
+    let robots = instance.robots.len();
+    let pickers = instance.pickers.len();
+    let racks = instance.racks.len();
+    let tables = [
+        ("robots", state.robots.len(), robots),
+        ("paths", state.paths.len(), robots),
+        ("carried_work", state.carried_work.len(), robots),
+        ("carried_items", state.carried_items.len(), robots),
+        ("carried_orders", state.carried_orders.len(), robots),
+        ("broken", state.broken.len(), robots),
+        (
+            "metrics.robot_processing_ticks",
+            state.metrics.robot_processing_ticks.len(),
+            robots,
+        ),
+        (
+            "metrics.robot_busy_ticks",
+            state.metrics.robot_busy_ticks.len(),
+            robots,
+        ),
+        ("pickers", state.pickers.len(), pickers),
+        ("serving", state.serving.len(), pickers),
+        ("closed", state.closed.len(), pickers),
+        ("racks", state.racks.len(), racks),
+        ("removed", state.removed.len(), racks),
+        (
+            "blocked_overlay",
+            state.blocked_overlay.len(),
+            instance.grid.cell_count(),
+        ),
+    ];
+    for (table, len, expected) in tables {
+        if len != expected {
             return Err(SnapshotError::Decode(format!(
-                "{} trailing bytes after {count} journal records",
-                bytes.len() - needed
+                "engine table `{table}` has {len} entries, the instance needs {expected}"
             )));
         }
-        let records = (0..count)
-            .map(|i| (u64_at(24 + i * 16), u64_at(32 + i * 16)))
-            .collect();
-        let journal = Self { every, records };
-        journal.validate()?;
-        Ok(journal)
     }
-}
-
-/// Run a full simulation while recording an engine-state hash every
-/// `every` ticks. The report is bit-identical to [`crate::run_simulation`]
-/// (hashing only reads state).
-pub fn run_with_fingerprints(
-    instance: &Instance,
-    planner: &mut dyn Planner,
-    config: &EngineConfig,
-    every: Tick,
-) -> (SimulationReport, FingerprintJournal) {
-    let every = every.max(1);
-    let mut engine = Engine::new(instance, config);
-    engine.start(planner);
-    let mut records = Vec::new();
-    while !engine.is_finished() {
-        let t = engine.current_tick();
-        engine.tick_once(planner);
-        if t.is_multiple_of(every) {
-            records.push((t, engine.state_hash()));
-        }
-    }
-    (
-        engine.report(planner),
-        FingerprintJournal { every, records },
-    )
-}
-
-/// Step `engine` until tick `t` has been executed (or the run finishes
-/// first, in which case the state — and its hash — is terminal).
-fn run_to_tick(engine: &mut Engine<'_>, planner: &mut dyn Planner, t: Tick) {
-    while !engine.is_finished() && engine.current_tick() <= t {
-        engine.tick_once(planner);
-    }
-}
-
-/// Outcome of a successful [`hunt_divergence`] search.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct DivergenceReport {
-    /// The first tick whose execution left the two builds' engine states
-    /// unequal (every tick before it hashes identically).
-    pub first_divergent_tick: Tick,
-    /// Lockstep replay probes the binary search spent.
-    pub probes: usize,
-}
-
-/// Locate the first tick at which two builds of a planner diverge on the
-/// same instance and config.
-///
-/// `journal` is the fingerprint trail of the *baseline* build (from
-/// [`run_with_fingerprints`], typically persisted beside a nightly run).
-/// The hunt proceeds in two stages:
-///
-/// 1. **bracket** — replay the suspect build once, hashing at the
-///    journal's record ticks; the first mismatching record brackets the
-///    divergence between the last matching record and itself.
-/// 2. **binary search** — probe the bracket's midpoint by replaying *both*
-///    builds to that tick and comparing state hashes, re-checkpointing at
-///    each matching midpoint (via the snapshot machinery) so later probes
-///    resume instead of replaying from tick zero. This narrows to the
-///    exact first divergent tick in `O(log bracket)` probes.
-///
-/// Returns `Ok(None)` when the suspect build matches every record in the
-/// journal — no divergence within its coverage. Both factories must
-/// produce deterministic planners (two calls, same behaviour).
-pub fn hunt_divergence(
-    instance: &Instance,
-    config: &EngineConfig,
-    journal: &FingerprintJournal,
-    make_baseline: &mut dyn FnMut() -> Box<dyn Planner>,
-    make_suspect: &mut dyn FnMut() -> Box<dyn Planner>,
-) -> Result<Option<DivergenceReport>, SnapshotError> {
-    // A malformed journal (tick order violated — e.g. assembled from a
-    // truncated or interleaved artifact) would send the bracket search
-    // chasing ghosts; reject it up front with a typed error.
-    journal.validate()?;
-    // Stage 1: one suspect replay over the journal's record ticks.
-    let (mut lo, mut hi): (Option<Tick>, Tick) = {
-        let mut planner = make_suspect();
-        let mut engine = Engine::new(instance, config);
-        engine.start(planner.as_mut());
-        let mut bracket = None;
-        let mut prev_match: Option<Tick> = None;
-        for &(t, expected) in &journal.records {
-            run_to_tick(&mut engine, planner.as_mut(), t);
-            if engine.state_hash() != expected {
-                bracket = Some((prev_match, t));
-                break;
-            }
-            prev_match = Some(t);
-        }
-        match bracket {
-            Some(b) => b,
-            None => return Ok(None),
-        }
-    };
-
-    // Stage 2: lockstep binary search inside (lo, hi], resuming both
-    // builds from the tightest matching checkpoint found so far.
-    let mut checkpoint: Option<(SnapshotData, SnapshotData)> = None;
-    let mut probes = 0usize;
-
-    // Engines at the end of tick `t`, resumed from the checkpoint pair
-    // when one exists (fresh runs otherwise).
-    let mut probe = |t: Tick,
-                     checkpoint: &Option<(SnapshotData, SnapshotData)>|
-     -> Result<(SnapshotData, SnapshotData, bool), SnapshotError> {
-        let mut base_planner = make_baseline();
-        let mut susp_planner = make_suspect();
-        let (mut base_engine, mut susp_engine) = match checkpoint {
-            Some((b, s)) => (
-                resume_from(b, base_planner.as_mut())?,
-                resume_from(s, susp_planner.as_mut())?,
-            ),
-            None => {
-                let mut be = Engine::new(instance, config);
-                be.start(base_planner.as_mut());
-                let mut se = Engine::new(instance, config);
-                se.start(susp_planner.as_mut());
-                (be, se)
-            }
-        };
-        run_to_tick(&mut base_engine, base_planner.as_mut(), t);
-        run_to_tick(&mut susp_engine, susp_planner.as_mut(), t);
-        let matches = base_engine.state_hash() == susp_engine.state_hash();
-        Ok((
-            base_engine.snapshot(base_planner.as_ref()),
-            susp_engine.snapshot(susp_planner.as_ref()),
-            matches,
-        ))
-    };
-
-    loop {
-        let done = match lo {
-            None => hi == 0,
-            Some(l) => hi - l <= 1,
-        };
-        if done {
-            break;
-        }
-        let mid = match lo {
-            None => hi / 2,
-            Some(l) => l + (hi - l) / 2,
-        };
-        probes += 1;
-        let (base_snap, susp_snap, matches) = probe(mid, &checkpoint)?;
-        if matches {
-            lo = Some(mid);
-            checkpoint = Some((base_snap, susp_snap));
-        } else {
-            hi = mid;
-        }
-    }
-
-    Ok(Some(DivergenceReport {
-        first_divergent_tick: hi,
-        probes,
-    }))
-}
-
-/// A deterministic single-perturbation wrapper: behaves exactly like the
-/// inner planner until the first tick `>= trigger` at which the inner
-/// planner returns a non-empty assignment batch, then drops that batch's
-/// last assignment (releasing its reservation through
-/// [`PlannerEvent::PathCancelled`]) and records the tick. From that point
-/// the two builds' worlds evolve differently, so the divergence hunter
-/// must report exactly [`PerturbFromTick::perturbed_at`]. Used by the CI
-/// self-test; useful for exercising the hunter against any real planner.
-pub struct PerturbFromTick<P> {
-    /// The planner being perturbed.
-    pub inner: P,
-    /// Earliest tick the perturbation may fire.
-    pub trigger: Tick,
-    /// The tick the perturbation actually fired, once it has.
-    pub perturbed_at: Option<Tick>,
-}
-
-impl<P> PerturbFromTick<P> {
-    /// Wrap `inner`, arming the perturbation at `trigger`.
-    pub fn new(inner: P, trigger: Tick) -> Self {
-        Self {
-            inner,
-            trigger,
-            perturbed_at: None,
-        }
-    }
-}
-
-impl<P: Planner> Planner for PerturbFromTick<P> {
-    fn name(&self) -> &'static str {
-        self.inner.name()
-    }
-
-    fn init(&mut self, instance: &Instance) {
-        self.perturbed_at = None;
-        self.inner.init(instance);
-    }
-
-    fn plan(&mut self, world: &WorldView<'_>) -> Result<Vec<AssignmentPlan>, PlannerError> {
-        let mut plans = self.inner.plan(world)?;
-        if self.perturbed_at.is_none() && world.t >= self.trigger && !plans.is_empty() {
-            self.perturbed_at = Some(world.t);
-            let dropped = plans.pop().expect("non-empty");
-            // Undo the dropped assignment's reservation so the inner
-            // planner's tables stay consistent with the executed world.
-            self.inner.on_event(PlannerEvent::PathCancelled {
-                robot: dropped.robot,
-                pos: dropped.path.first(),
-                t: world.t,
-            });
-        }
-        Ok(plans)
-    }
-
-    fn plan_leg(
-        &mut self,
-        robot: RobotId,
-        from: GridPos,
-        to: GridPos,
-        start: Tick,
-        park: bool,
-    ) -> Option<Path> {
-        self.inner.plan_leg(robot, from, to, start, park)
-    }
-
-    fn commit_legs(
-        &mut self,
-        requests: &[eatp_core::planner::LegRequest],
-        start: Tick,
-        tentative: &mut Vec<eatp_core::planner::TentativeLeg>,
-        results: &mut Vec<Option<Path>>,
-    ) -> Result<(), PlannerError> {
-        self.inner.commit_legs(requests, start, tentative, results)
-    }
-
-    fn plan_legs(
-        &mut self,
-        requests: &[eatp_core::planner::LegRequest],
-        start: Tick,
-        results: &mut Vec<Option<Path>>,
-    ) -> Result<(), PlannerError> {
-        self.inner.plan_legs(requests, start, results)
-    }
-
-    fn inject_fault(&mut self, fault: &eatp_core::planner::InjectedFault) -> bool {
-        self.inner.inject_fault(fault)
-    }
-
-    fn on_event(&mut self, event: PlannerEvent<'_>) {
-        self.inner.on_event(event);
-    }
-
-    fn on_dock(&mut self, robot: RobotId) {
-        self.inner.on_dock(robot);
-    }
-
-    fn housekeeping(&mut self, t: Tick) {
-        self.inner.housekeeping(t);
-    }
-
-    fn stats(&self) -> PlannerStats {
-        self.inner.stats()
-    }
-
-    fn export_snapshot(&self) -> Value {
-        self.inner.export_snapshot()
-    }
-
-    fn import_snapshot(&mut self, state: &Value) -> Result<(), serde::Error> {
-        self.inner.import_snapshot(state)
-    }
+    Ok(())
 }
 
 #[cfg(test)]
@@ -894,7 +546,7 @@ mod tests {
     use super::*;
     use crate::commands::{Ack, Command, OrderSpec, SequencedCommand};
     use crate::engine::run_simulation;
-    use eatp_core::{planner_by_name, EatpConfig, NaiveTaskPlanner, PLANNER_NAMES as PLANNERS};
+    use eatp_core::{planner_by_name, EatpConfig, PLANNER_NAMES as PLANNERS};
     use tprw_warehouse::{DisruptionConfig, LayoutConfig, OrderId, ScenarioSpec, WorkloadConfig};
 
     fn make(name: &str) -> Box<dyn Planner> {
@@ -1038,6 +690,35 @@ mod tests {
     #[test]
     fn atp_snapshot_does_not_resume_into_eatp() {
         assert_wrong_planner_is_refused("ATP", "EATP");
+    }
+
+    #[test]
+    fn snapshot_sized_for_another_floor_is_a_typed_error() {
+        // One entry short in a per-robot, per-picker, per-rack or per-cell
+        // table, re-framed so the checksum holds: the bytes decode, and
+        // resuming them must fail naming the table instead of indexing
+        // out of bounds a few ticks later.
+        let good = decode_snapshot(&sample_snapshot_bytes()).expect("sample decodes");
+        for table in ["broken", "serving", "paths", "removed", "blocked_overlay"] {
+            let mut data = good.clone();
+            let state = &mut data.engine;
+            let shortened = match table {
+                "broken" => state.broken.pop().is_some(),
+                "serving" => state.serving.pop().is_some(),
+                "paths" => state.paths.pop().is_some(),
+                "removed" => state.removed.pop().is_some(),
+                _ => state.blocked_overlay.pop().is_some(),
+            };
+            assert!(shortened, "{table} is empty");
+            let data = decode_snapshot(&encode_snapshot(&data)).expect("re-framed bytes decode");
+            let Err(err) = resume_from(&data, make("NTP").as_mut()) else {
+                panic!("a snapshot one `{table}` entry short resumed");
+            };
+            assert!(
+                matches!(&err, SnapshotError::Decode(msg) if msg.contains(&format!("`{table}`"))),
+                "{table}: {err:?}"
+            );
+        }
     }
 
     #[test]
@@ -1530,179 +1211,5 @@ mod tests {
         let recovered = writer.load_last_good().expect("last good survives");
         assert_eq!(recovered.engine.t, first.engine.t);
         std::fs::remove_dir_all(&dir).ok();
-    }
-
-    #[test]
-    fn journal_byte_format_roundtrips_and_rejects_damage() {
-        let journal = FingerprintJournal {
-            every: 16,
-            records: vec![(0, 0xDEAD), (16, 0xBEEF), (32, 0xF00D)],
-        };
-        let bytes = journal.to_bytes();
-        assert_eq!(bytes.len(), 24 + 3 * 16);
-        assert_eq!(
-            FingerprintJournal::from_bytes(&bytes).expect("roundtrip"),
-            journal
-        );
-
-        // Empty journals are legal on disk too.
-        let empty = FingerprintJournal {
-            every: 16,
-            records: vec![],
-        };
-        assert_eq!(
-            FingerprintJournal::from_bytes(&empty.to_bytes()).expect("empty"),
-            empty
-        );
-
-        // Truncation anywhere — header cuts, mid-record (odd-length) cuts,
-        // whole-record cuts — yields a typed error, never a panic.
-        for cut in 0..bytes.len() {
-            let err = FingerprintJournal::from_bytes(&bytes[..cut]).expect_err("truncated");
-            assert!(
-                matches!(err, SnapshotError::Truncated { .. }),
-                "cut at {cut} gave {err:?}"
-            );
-        }
-
-        // Bad magic.
-        let mut bad = bytes.clone();
-        bad[0] ^= 0xFF;
-        assert_eq!(
-            FingerprintJournal::from_bytes(&bad).unwrap_err(),
-            SnapshotError::BadMagic
-        );
-
-        // Trailing garbage after the declared record count.
-        let mut bad = bytes.clone();
-        bad.extend_from_slice(&[0u8; 7]);
-        assert!(matches!(
-            FingerprintJournal::from_bytes(&bad).unwrap_err(),
-            SnapshotError::Decode(_)
-        ));
-
-        // Out-of-order ticks (an interleaved or misassembled artifact).
-        let shuffled = FingerprintJournal {
-            every: 16,
-            records: vec![(16, 1), (0, 2)],
-        };
-        assert!(matches!(
-            FingerprintJournal::from_bytes(&shuffled.to_bytes()).unwrap_err(),
-            SnapshotError::Decode(_)
-        ));
-
-        // An absurd record count must not overflow the length check.
-        let mut bad = empty.to_bytes();
-        bad[16..24].copy_from_slice(&u64::MAX.to_le_bytes());
-        assert!(matches!(
-            FingerprintJournal::from_bytes(&bad).unwrap_err(),
-            SnapshotError::Truncated { .. }
-        ));
-    }
-
-    #[test]
-    fn hunter_rejects_malformed_journal_with_typed_error() {
-        let inst = scenario(None, 42);
-        let config = EngineConfig::default();
-        let journal = FingerprintJournal {
-            every: 16,
-            records: vec![(32, 7), (16, 9)],
-        };
-        let err = hunt_divergence(&inst, &config, &journal, &mut || make("NTP"), &mut || {
-            make("NTP")
-        })
-        .expect_err("out-of-order journal must be rejected");
-        assert!(matches!(err, SnapshotError::Decode(_)));
-    }
-
-    #[test]
-    fn fingerprint_journal_mismatch_detection() {
-        let j1 = FingerprintJournal {
-            every: 8,
-            records: vec![(0, 1), (8, 2), (16, 3)],
-        };
-        assert_eq!(j1.first_mismatch(&j1), None);
-        let mut j2 = j1.clone();
-        j2.records[1].1 = 99;
-        assert_eq!(j1.first_mismatch(&j2), Some(8));
-        let mut j3 = j1.clone();
-        j3.records.pop();
-        assert_eq!(j1.first_mismatch(&j3), Some(16), "shorter run mismatches");
-        assert_eq!(j3.first_mismatch(&j1), Some(16), "symmetric");
-        assert_ne!(j1.digest(), j2.digest());
-    }
-
-    #[test]
-    fn identical_builds_produce_identical_journals() {
-        let inst = scenario(blockade_storm(), 7);
-        let config = EngineConfig::default();
-        let mut p1 = make("EATP");
-        let (r1, j1) = run_with_fingerprints(&inst, p1.as_mut(), &config, 16);
-        let mut p2 = make("EATP");
-        let (r2, j2) = run_with_fingerprints(&inst, p2.as_mut(), &config, 16);
-        assert!(r1.completed);
-        assert_eq!(
-            r1.deterministic_fingerprint(),
-            r2.deterministic_fingerprint()
-        );
-        assert_eq!(j1, j2);
-        assert!(!j1.records.is_empty());
-
-        // And the journal rides along with the plain runner's results.
-        let mut p3 = make("EATP");
-        let plain = run_simulation(&inst, p3.as_mut(), &config);
-        assert_eq!(
-            plain.deterministic_fingerprint(),
-            r1.deterministic_fingerprint(),
-            "hashing must not perturb the run"
-        );
-    }
-
-    #[test]
-    fn hunter_reports_none_without_divergence() {
-        let inst = scenario(None, 42);
-        let config = EngineConfig::default();
-        let mut p = make("NTP");
-        let (_, journal) = run_with_fingerprints(&inst, p.as_mut(), &config, 16);
-        let found = hunt_divergence(&inst, &config, &journal, &mut || make("NTP"), &mut || {
-            make("NTP")
-        })
-        .expect("hunt");
-        assert_eq!(found, None);
-    }
-
-    #[test]
-    fn hunter_localizes_injected_perturbation_exactly() {
-        let inst = scenario(None, 42);
-        let config = EngineConfig::default();
-        let trigger = 25;
-
-        let mut base = make("NTP");
-        let (base_report, journal) = run_with_fingerprints(&inst, base.as_mut(), &config, 16);
-        assert!(base_report.completed);
-
-        // Find the tick the perturbation actually fires (first non-empty
-        // assignment batch at or after `trigger`).
-        let mut probe_planner =
-            PerturbFromTick::new(NaiveTaskPlanner::new(EatpConfig::default()), trigger);
-        let _ = run_simulation(&inst, &mut probe_planner, &config);
-        let expected = probe_planner
-            .perturbed_at
-            .expect("perturbation must fire mid-run");
-        assert!(expected >= trigger);
-
-        let report = hunt_divergence(&inst, &config, &journal, &mut || make("NTP"), &mut || {
-            Box::new(PerturbFromTick::new(
-                NaiveTaskPlanner::new(EatpConfig::default()),
-                trigger,
-            ))
-        })
-        .expect("hunt")
-        .expect("divergence must be found");
-        assert_eq!(
-            report.first_divergent_tick, expected,
-            "hunter must localize the injected perturbation to its exact tick"
-        );
-        assert!(report.probes > 0, "the bracket is wider than one tick");
     }
 }
