@@ -280,6 +280,9 @@ impl WindowPool {
 pub struct ConflictDetectionTable {
     width: u16,
     cells: Vec<CellSlot>,
+    /// One bit per cell, set by every insert: a superset of the non-empty
+    /// windows, so the GC and release passes walk only these cells.
+    occupied: Vec<u64>,
     pool: WindowPool,
     parked: ParkingBoard,
     reservations: usize,
@@ -288,9 +291,11 @@ pub struct ConflictDetectionTable {
 impl ConflictDetectionTable {
     /// Create an empty table for a `width`×`height` grid.
     pub fn new(width: u16, height: u16) -> Self {
+        let cells = width as usize * height as usize;
         Self {
             width,
-            cells: vec![CellSlot::EMPTY; width as usize * height as usize],
+            cells: vec![CellSlot::EMPTY; cells],
+            occupied: vec![0; cells.div_ceil(64)],
             pool: WindowPool::default(),
             parked: ParkingBoard::new(width, height),
             reservations: 0,
@@ -402,6 +407,7 @@ impl ConflictDetectionTable {
     /// Insert packed entry `e` into cell `idx`, keeping the window sorted;
     /// returns whether a new entry was added (`false` = duplicate tick).
     fn insert_packed(&mut self, idx: usize, e: u64) -> bool {
+        self.occupied[idx / 64] |= 1 << (idx % 64);
         let n = self.cells[idx].len as usize;
         if n < INLINE_WINDOW {
             let s = &mut self.cells[idx];
@@ -459,6 +465,118 @@ impl ConflictDetectionTable {
         true
     }
 
+    #[inline]
+    fn is_occupied(&self, idx: usize) -> bool {
+        self.occupied[idx / 64] >> (idx % 64) & 1 == 1
+    }
+
+    /// Run `f` on every occupied cell in ascending index — the order a walk
+    /// over all cells would reach the non-empty ones, so pool allocation,
+    /// freeing and compaction happen exactly as they would there. `f`
+    /// returns the cell's remaining window length; emptied cells leave the
+    /// set.
+    fn sweep_occupied(&mut self, mut f: impl FnMut(&mut Self, usize) -> usize) {
+        for w in 0..self.occupied.len() {
+            let mut bits = self.occupied[w];
+            while bits != 0 {
+                let bit = bits.trailing_zeros();
+                bits &= bits - 1;
+                if f(self, w * 64 + bit as usize) == 0 {
+                    self.occupied[w] &= !(1 << bit);
+                }
+            }
+        }
+    }
+
+    /// Drop robot `rb`'s entries from cell `idx`; the remaining length.
+    fn release_cell_robot(&mut self, idx: usize, rb: u64) -> usize {
+        let n = self.cells[idx].len as usize;
+        if n <= INLINE_WINDOW {
+            let s = &mut self.cells[idx];
+            let mut w = 0;
+            for k in 0..n {
+                let e = s.data[k];
+                if (e & ROBOT_MASK) != rb {
+                    s.data[w] = e;
+                    w += 1;
+                }
+            }
+            s.len = w as u32;
+            self.reservations -= n - w;
+            return w;
+        }
+        let (start, _) = handle_parts(self.cells[idx].data[0]);
+        let rem = {
+            let run = self.pool.entries_mut(start, n);
+            let mut w = 0;
+            for k in 0..n {
+                let e = run[k];
+                if (e & ROBOT_MASK) != rb {
+                    run[w] = e;
+                    w += 1;
+                }
+            }
+            w
+        };
+        self.reservations -= n - rem;
+        if rem <= INLINE_WINDOW {
+            self.unspill(idx, start, 0, rem);
+        } else {
+            self.cells[idx].len = rem as u32;
+        }
+        rem
+    }
+
+    /// Drop cell `idx`'s entries before tick `t`; the remaining length.
+    fn release_cell_before(&mut self, idx: usize, t: Tick) -> usize {
+        let n = self.cells[idx].len as usize;
+        if n <= INLINE_WINDOW {
+            let s = &mut self.cells[idx];
+            let cut = s.data[..n]
+                .iter()
+                .map(|&e| usize::from(tick_of(e) < t))
+                .sum::<usize>();
+            if cut > 0 {
+                for k in cut..n {
+                    s.data[k - cut] = s.data[k];
+                }
+                s.len = (n - cut) as u32;
+                self.reservations -= cut;
+            }
+            return n - cut;
+        }
+        let (start, gen) = handle_parts(self.cells[idx].data[0]);
+        debug_assert_eq!(self.pool.generation_of(start), gen, "stale window handle");
+        let cut = self
+            .pool
+            .entries(start, n)
+            .partition_point(|&e| tick_of(e) < t);
+        let rem = n - cut;
+        self.reservations -= cut;
+        if rem <= INLINE_WINDOW {
+            // The live tail fits inline again: the amortized compaction
+            // that keeps long-lived tables from accreting runs.
+            self.unspill(idx, start, cut, rem);
+            return rem;
+        }
+        if cut > 0 {
+            self.pool.entries_mut(start, n).copy_within(cut.., 0);
+            self.cells[idx].len = rem as u32;
+        }
+        // Oversized runs move down a class once they sit far above their
+        // live tail (mirrors the reference layout's `shrink_to` policy:
+        // shrink when capacity exceeds twice the 2×len target).
+        let cap = WindowPool::cap(self.pool.class_of(start));
+        let target = (rem * 2).max(MIN_RUN);
+        if cap > target * 2 {
+            let (new_start, new_gen) = self.pool.alloc(WindowPool::class_for(target), idx as u32);
+            self.pool.move_entries(start, new_start, rem);
+            self.pool.free(start);
+            self.cells[idx].data[0] = handle(new_start, new_gen);
+        }
+        rem
+    }
+
     /// Move a spilled window of `len` entries back inline and free its run.
     fn unspill(&mut self, idx: usize, start: u32, keep_from: usize, len: usize) {
         debug_assert!(len <= INLINE_WINDOW);
@@ -486,6 +604,12 @@ impl ConflictDetectionTable {
     #[cfg(test)]
     fn pool_len_words(&self) -> usize {
         self.pool.words.len()
+    }
+
+    /// Whether the occupied set is exactly the non-empty windows.
+    #[cfg(test)]
+    fn occupied_is_exact(&self) -> bool {
+        (0..self.cells.len()).all(|idx| (self.cells[idx].len > 0) == self.is_occupied(idx))
     }
 }
 
@@ -562,102 +686,18 @@ impl ReservationSystem for ConflictDetectionTable {
 
     fn release_robot(&mut self, robot: RobotId) {
         // Rare exception path (breakdown / blockade invalidation): one
-        // retain pass over the windows; spilled runs that fit inline again
-        // are compacted back and their runs freed for reuse.
+        // retain pass over the occupied windows; spilled runs that fit
+        // inline again are compacted back and their runs freed for reuse.
         let rb = robot.index() as u64;
-        for idx in 0..self.cells.len() {
-            let n = self.cells[idx].len as usize;
-            if n == 0 {
-                continue;
-            }
-            if n <= INLINE_WINDOW {
-                let s = &mut self.cells[idx];
-                let mut w = 0;
-                for k in 0..n {
-                    let e = s.data[k];
-                    if (e & ROBOT_MASK) != rb {
-                        s.data[w] = e;
-                        w += 1;
-                    }
-                }
-                s.len = w as u32;
-                self.reservations -= n - w;
-            } else {
-                let (start, _) = handle_parts(self.cells[idx].data[0]);
-                let rem = {
-                    let run = self.pool.entries_mut(start, n);
-                    let mut w = 0;
-                    for k in 0..n {
-                        let e = run[k];
-                        if (e & ROBOT_MASK) != rb {
-                            run[w] = e;
-                            w += 1;
-                        }
-                    }
-                    w
-                };
-                self.reservations -= n - rem;
-                if rem <= INLINE_WINDOW {
-                    self.unspill(idx, start, 0, rem);
-                } else {
-                    self.cells[idx].len = rem as u32;
-                }
-            }
-        }
+        self.sweep_occupied(|cdt, idx| cdt.release_cell_robot(idx, rb));
     }
 
     fn release_before(&mut self, t: Tick) {
-        for idx in 0..self.cells.len() {
-            let n = self.cells[idx].len as usize;
-            if n == 0 {
-                continue;
-            }
-            if n <= INLINE_WINDOW {
-                let s = &mut self.cells[idx];
-                let cut = s.data[..n]
-                    .iter()
-                    .map(|&e| usize::from(tick_of(e) < t))
-                    .sum::<usize>();
-                if cut > 0 {
-                    for k in cut..n {
-                        s.data[k - cut] = s.data[k];
-                    }
-                    s.len = (n - cut) as u32;
-                    self.reservations -= cut;
-                }
-                continue;
-            }
-            let (start, gen) = handle_parts(self.cells[idx].data[0]);
-            debug_assert_eq!(self.pool.generation_of(start), gen, "stale window handle");
-            let cut = self
-                .pool
-                .entries(start, n)
-                .partition_point(|&e| tick_of(e) < t);
-            let rem = n - cut;
-            self.reservations -= cut;
-            if rem <= INLINE_WINDOW {
-                // The live tail fits inline again: the amortized compaction
-                // that keeps long-lived tables from accreting runs.
-                self.unspill(idx, start, cut, rem);
-                continue;
-            }
-            if cut > 0 {
-                self.pool.entries_mut(start, n).copy_within(cut.., 0);
-                self.cells[idx].len = rem as u32;
-            }
-            // Oversized runs move down a class once they sit far above
-            // their live tail (mirrors the reference layout's `shrink_to`
-            // policy: shrink when capacity exceeds twice the 2×len target).
-            let cap = WindowPool::cap(self.pool.class_of(start));
-            let target = (rem * 2).max(MIN_RUN);
-            if cap > target * 2 {
-                let (new_start, new_gen) =
-                    self.pool.alloc(WindowPool::class_for(target), idx as u32);
-                self.pool.move_entries(start, new_start, rem);
-                self.pool.free(start);
-                self.cells[idx].data[0] = handle(new_start, new_gen);
-            }
-        }
+        debug_assert!(
+            (0..self.cells.len()).all(|idx| self.cells[idx].len == 0 || self.is_occupied(idx)),
+            "a non-empty window is missing from the occupied set"
+        );
+        self.sweep_occupied(|cdt, idx| cdt.release_cell_before(idx, t));
         self.pool.maybe_compact(&mut self.cells);
     }
 
@@ -695,6 +735,7 @@ impl ReservationSystem for ConflictDetectionTable {
 impl MemoryFootprint for ConflictDetectionTable {
     fn memory_bytes(&self) -> usize {
         self.cells.capacity() * std::mem::size_of::<CellSlot>()
+            + self.occupied.capacity() * std::mem::size_of::<u64>()
             + self.pool.memory_bytes()
             + self.parked.memory_bytes()
     }
@@ -972,14 +1013,15 @@ mod tests {
         );
     }
 
-    /// Drive the same operation soup into a pooled and a reference table.
-    /// A side map of live timed reservations skips ops that would double-
-    /// reserve a cell-tick for two robots (a planner invariant both layouts
-    /// `debug_assert`), so every generated soup is valid for both.
+    /// Drive the same operation soup into a pooled and a reference table of
+    /// `w`×`h` cells. A side map of live timed reservations skips ops that
+    /// would double-reserve a cell-tick for two robots (a planner invariant
+    /// both layouts `debug_assert`), so every generated soup is valid for
+    /// both.
     fn apply_soup(
         ops: &[(u8, usize, u16, u16, u64)],
+        (w, h): (u16, u16),
     ) -> (ConflictDetectionTable, ReferenceConflictDetectionTable) {
-        let (w, h) = (8u16, 8u16);
         let mut pooled = ConflictDetectionTable::new(w, h);
         let mut reference = ReferenceConflictDetectionTable::new(w, h);
         let mut live: std::collections::HashMap<(GridPos, Tick), RobotId> =
@@ -1105,7 +1147,7 @@ mod tests {
                 (0u8..5, 0usize..8, 0u16..8, 0u16..8, 0u64..40), 1..40),
         ) {
             use crate::reservation::ReservationContent;
-            let (pooled, _) = apply_soup(&ops);
+            let (pooled, _) = apply_soup(&ops, (8, 8));
             let content: ReservationContent = pooled.export_content();
             let mut restored = ConflictDetectionTable::new(8, 8);
             restored.import_content(&content);
@@ -1136,7 +1178,7 @@ mod tests {
                 (0u8..5, 0usize..8, 0u16..8, 0u16..8, 0u64..40), 1..40),
             qt in 0u64..48,
         ) {
-            let (pooled, reference) = apply_soup(&ops);
+            let (pooled, reference) = apply_soup(&ops, (8, 8));
             prop_assert_eq!(pooled.reservation_count(), reference.reservation_count());
             let probe = RobotId::new(99);
             for x in 0..8u16 {
@@ -1171,6 +1213,24 @@ mod tests {
                     }
                 }
             }
+        }
+
+        /// GC on a mostly empty 64×64 table walks only the occupied cells
+        /// and must leave exactly what the reference layout's walk over
+        /// every cell leaves, with the occupied set shrunk to the cells
+        /// still holding a window.
+        #[test]
+        fn sparse_gc_equals_reference(
+            ops in proptest::collection::vec(
+                (0u8..5, 0usize..8, 0u16..64, 0u16..64, 0u64..40), 1..40),
+            gc in 0u64..48,
+        ) {
+            let (mut pooled, mut reference) = apply_soup(&ops, (64, 64));
+            pooled.release_before(gc);
+            reference.release_before(gc);
+            prop_assert_eq!(pooled.export_content(), reference.export_content());
+            prop_assert_eq!(pooled.reservation_count(), reference.reservation_count());
+            prop_assert!(pooled.occupied_is_exact());
         }
     }
 }

@@ -400,6 +400,9 @@ pub struct Engine<'a> {
     leg_tentative: Vec<eatp_core::planner::TentativeLeg>,
     /// Per-tick scratch: on-grid positions handed to the validator.
     on_grid_buf: Vec<(RobotId, tprw_warehouse::GridPos)>,
+    /// Per-tick scratch: the robots a clean movement tick visited, with
+    /// their on-grid cells, handed to the validator's delta check.
+    touched_buf: Vec<(RobotId, Option<GridPos>)>,
     /// Per-tick scratch: acknowledgements produced while the current tick
     /// executes, drained into the `tick_with_commands` caller's sink
     /// before the call returns (empty at every tick boundary, hence never
@@ -416,12 +419,13 @@ pub struct Engine<'a> {
     /// Per-tick scratch: robots woken by the arrival agenda this tick,
     /// sorted ascending — arrivals are processed in robot-index order.
     arrivals_buf: Vec<usize>,
-    /// Robots in a non-`Idle` phase. Derived; maintained at every
-    /// phase-change site, rebuilt from `robots` on resume.
-    busy_count: usize,
+    /// Robots in a non-`Idle` phase, plus those that left it this tick.
+    /// Derived; `dispatch` adds a robot and the `Returning` arrival removes
+    /// it, and it is rebuilt from `robots` on resume.
+    busy: BusySet,
     /// Robots docked at a station (`Queuing` or `Processing`). Zero implies
     /// every picker queue is empty and nothing is being served, so the
-    /// picking phase is a provable no-op. Derived, like `busy_count`.
+    /// picking phase is a provable no-op. Derived, like `busy`.
     docked_count: usize,
     /// Conservative planning-input dirty flag: *may* some robot be idle and
     /// assignable? Set on any arrival to `Idle`, any disruption/recovery,
@@ -435,13 +439,70 @@ pub struct Engine<'a> {
     /// returns, and any disruption event; cleared only when a planning scan
     /// finds the selectable pool empty.
     maybe_work: bool,
-    /// The last movement scan ran with zero busy robots and pushed zero new
-    /// conflicts and zero new violations — so while `busy_count` stays 0
-    /// and no event/command lands, the next scan is a provable no-op and
-    /// the validator can [`TrajectoryValidator::advance_static`] instead.
-    /// Cleared by anything that can move a robot, change the overlay, or
-    /// change the on-grid set.
-    quiet_scan: bool,
+    /// The clean certificate: the last movement scan pushed zero conflicts
+    /// and zero violations, and nothing has dirtied since. While it holds,
+    /// a robot outside the busy set stands where that scan saw it, clear of
+    /// every other robot and every blocked cell, so the next movement tick
+    /// visits only the busy set. Cleared by [`Engine::dirty_all`].
+    clean_scan: bool,
+}
+
+/// A set of robot indices as a bitset, visited in ascending order: the
+/// busy robots, plus the robots removed since the last
+/// [`BusySet::end_tick`].
+#[derive(Debug, Clone, Default)]
+struct BusySet {
+    busy: Vec<u64>,
+    left: Vec<u64>,
+}
+
+impl BusySet {
+    fn insert(&mut self, ai: usize) {
+        let w = ai / 64;
+        if w >= self.busy.len() {
+            self.busy.resize(w + 1, 0);
+            self.left.resize(w + 1, 0);
+        }
+        self.busy[w] |= 1 << (ai % 64);
+    }
+
+    /// Remove `ai`, a member, remembering that it left this tick.
+    fn remove(&mut self, ai: usize) {
+        self.busy[ai / 64] &= !(1 << (ai % 64));
+        self.left[ai / 64] |= 1 << (ai % 64);
+    }
+
+    fn is_empty(&self) -> bool {
+        self.busy.iter().all(|&w| w == 0)
+    }
+
+    /// The busy robots, ascending.
+    fn iter(&self) -> impl Iterator<Item = usize> + '_ {
+        set_bits(self.busy.iter().copied())
+    }
+
+    /// The busy robots and those that left this tick, ascending.
+    fn iter_touched(&self) -> impl Iterator<Item = usize> + '_ {
+        set_bits(self.busy.iter().zip(&self.left).map(|(b, l)| b | l))
+    }
+
+    /// Forget which robots left.
+    fn end_tick(&mut self) {
+        self.left.fill(0);
+    }
+}
+
+/// The indices of the set bits of a bitset's words, ascending.
+fn set_bits(words: impl Iterator<Item = u64>) -> impl Iterator<Item = usize> {
+    words.enumerate().flat_map(|(w, mut word)| {
+        std::iter::from_fn(move || {
+            (word != 0).then(|| {
+                let bit = word.trailing_zeros() as usize;
+                word &= word - 1;
+                w * 64 + bit
+            })
+        })
+    })
 }
 
 impl<'a> Engine<'a> {
@@ -474,15 +535,16 @@ impl<'a> Engine<'a> {
             leg_results: Vec::with_capacity(n_robots),
             leg_tentative: Vec::with_capacity(n_robots),
             on_grid_buf: Vec::with_capacity(n_robots),
+            touched_buf: Vec::new(),
             acks_out: Vec::new(),
             cmd_buf: Vec::new(),
             arrival_agenda: std::collections::BinaryHeap::new(),
             arrivals_buf: Vec::new(),
-            busy_count: 0,
+            busy: BusySet::default(),
             docked_count: 0,
             maybe_idle: true,
             maybe_work: true,
-            quiet_scan: false,
+            clean_scan: false,
             instance,
             config: config.clone(),
         }
@@ -554,11 +616,14 @@ impl<'a> Engine<'a> {
         self.step_planning(t, planner);
         self.step_movement(t);
         self.step_bookkeeping(t, planner);
-        debug_assert_eq!(
-            (self.busy_count, self.docked_count),
-            self.phase_tallies(),
-            "agenda counters drifted"
-        );
+        #[cfg(debug_assertions)]
+        {
+            let (busy, docked) = self.phase_tallies();
+            debug_assert!(
+                self.busy.iter().eq(busy.iter()) && self.docked_count == docked,
+                "agenda drifted from the robots' phases"
+            );
+        }
 
         if self.is_done() {
             self.state.completed = true;
@@ -806,13 +871,19 @@ impl<'a> Engine<'a> {
     fn dirty_all(&mut self) {
         self.maybe_idle = true;
         self.maybe_work = true;
-        self.quiet_scan = false;
+        self.clean_scan = false;
     }
 
-    /// The phase tallies `(busy, docked)` the agenda counters must equal.
-    fn phase_tallies(&self) -> (usize, usize) {
+    /// The busy set and docked count the robots' phases give, which the
+    /// agenda must equal.
+    fn phase_tallies(&self) -> (BusySet, usize) {
         let robots = &self.state.robots;
-        let busy = robots.iter().filter(|r| r.phase.is_busy()).count();
+        let mut busy = BusySet::default();
+        for (ai, r) in robots.iter().enumerate() {
+            if r.phase.is_busy() {
+                busy.insert(ai);
+            }
+        }
         let docked = robots.iter().filter(|r| is_docked(r.phase)).count();
         (busy, docked)
     }
@@ -1169,7 +1240,6 @@ impl<'a> Engine<'a> {
             );
         }
         if !self.arrivals_buf.is_empty() {
-            self.quiet_scan = false;
             let mut due = std::mem::take(&mut self.arrivals_buf);
             for &ai in &due {
                 self.transition_arrival(ai, t, planner);
@@ -1240,7 +1310,7 @@ impl<'a> Engine<'a> {
                 self.state.paths[ai] = None;
                 self.state.last_return = self.state.last_return.max(t);
                 self.state.rack_trips += 1;
-                self.busy_count -= 1;
+                self.busy.remove(ai);
                 // The robot is assignable and its rack (back home, possibly
                 // with pending items) may be selectable again.
                 self.maybe_idle = true;
@@ -1682,68 +1752,138 @@ impl<'a> Engine<'a> {
         }
         self.state.robots[ai].phase = RobotPhase::ToRack { rack };
         self.state.racks[rack.index()].in_flight = true;
-        self.busy_count += 1;
+        self.busy.insert(ai);
         self.arrival_agenda
             .push(std::cmp::Reverse((path.end(), ai as u32)));
         self.state.paths[ai] = Some(path);
     }
 
     /// Phase 5: advance robots along their paths; validate positions.
+    ///
+    /// Under the clean certificate only the busy set and the robots that
+    /// left it this tick are visited: a robot that left was moved to its
+    /// path's last cell in phase 3, and every other robot is idle, holds no
+    /// path and stands where the last scan saw it, clear of every other
+    /// robot and every blocked cell. The validator takes those robots alone
+    /// ([`TrajectoryValidator::check_tick_delta`]) and the tick falls back
+    /// to the full check if they conflict. A dirty tick scans the fleet.
     fn step_movement(&mut self, t: Tick) {
-        // With zero busy robots nothing moves, accrues busy ticks, or
-        // changes the on-grid set (idle robots carry no path and their
-        // positions only change through busy phases). `quiet_scan` adds
-        // that the last real scan saw this exact position set and pushed
-        // zero conflicts and zero violations, so the validator can advance
-        // its window without rescanning (see
-        // [`TrajectoryValidator::advance_static`]) and the violation
-        // recount provably adds zero.
-        if self.busy_count == 0 && self.quiet_scan {
-            #[cfg(debug_assertions)]
-            debug_assert!(self.state.robots.iter().all(|r| r.is_idle()));
-            self.state.validator.advance_static(t);
-            return;
-        }
         let conflicts_before = self.state.validator.conflict_count();
         let violations_before = self.state.disruption_violations;
-        let grid_width = self.instance.grid.width();
-        self.on_grid_buf.clear();
-        for ai in 0..self.state.robots.len() {
-            if let Some(path) = &self.state.paths[ai] {
-                self.state.robots[ai].pos = path.at(t);
+        if self.clean_scan {
+            let busy = std::mem::take(&mut self.busy);
+            self.touched_buf.clear();
+            for ai in busy.iter_touched() {
+                let pos = self.move_robot(ai, t);
+                self.touched_buf.push((self.state.robots[ai].id, pos));
             }
-            let phase = self.state.robots[ai].phase;
-            if phase.is_busy() {
-                // Broken and outage-paused robots still count as *busy*
-                // (Definition 3: committed to a fulfilment cycle — RWR's
-                // denominator-side diagnostics should show the wasted
-                // time), but the RWR numerator below only counts ticks the
-                // picker actually works the rack.
-                self.state.robots[ai].busy_ticks += 1;
-                self.state.metrics.robot_busy_ticks[ai] += 1;
-                if let RobotPhase::Processing { rack } = phase {
-                    if !self.state.closed[self.state.racks[rack.index()].picker.index()] {
-                        self.state.metrics.robot_processing_ticks[ai] += 1;
-                    }
+            self.busy = busy;
+            #[cfg(debug_assertions)]
+            let (full_check, full_violations) = self.full_scan_shadow(t);
+            if !self
+                .state
+                .validator
+                .check_tick_delta(t, &self.touched_buf, &self.instance.grid)
+            {
+                self.collect_on_grid();
+                self.state.validator.check_tick_fast(t, &self.on_grid_buf);
+            }
+            #[cfg(debug_assertions)]
+            {
+                debug_assert_eq!(
+                    self.state.validator.export_snapshot(),
+                    full_check,
+                    "tick {t}: the delta check diverged from the full check"
+                );
+                debug_assert_eq!(
+                    self.state.disruption_violations - violations_before,
+                    full_violations,
+                    "tick {t}: a robot outside the busy set stands on a blocked cell"
+                );
+            }
+        } else {
+            self.on_grid_buf.clear();
+            for ai in 0..self.state.robots.len() {
+                if let Some(pos) = self.move_robot(ai, t) {
+                    self.on_grid_buf.push((self.state.robots[ai].id, pos));
                 }
             }
-            if !is_docked(phase) {
-                // Blockade invariant: no robot trajectory may occupy a
-                // disruption-blocked cell after its blockade tick.
-                if self.state.blocked_overlay[self.state.robots[ai].pos.to_index(grid_width)] {
-                    self.state.disruption_violations += 1;
+            self.state.validator.check_tick_fast(t, &self.on_grid_buf);
+        }
+        self.busy.end_tick();
+        // A conflict or violation between robots that stand still is pushed
+        // again every tick, so only a clean tick certifies the next.
+        self.clean_scan = self.state.validator.conflict_count() == conflicts_before
+            && self.state.disruption_violations == violations_before;
+    }
+
+    /// Move robot `ai` to its tick-`t` cell, accrue its busy and processing
+    /// ticks, and count a violation if it stands on a blocked cell. Returns
+    /// its cell, or `None` while it is docked off the grid.
+    fn move_robot(&mut self, ai: usize, t: Tick) -> Option<GridPos> {
+        if let Some(path) = &self.state.paths[ai] {
+            self.state.robots[ai].pos = path.at(t);
+        }
+        let phase = self.state.robots[ai].phase;
+        if phase.is_busy() {
+            // Broken and outage-paused robots still count as *busy*
+            // (Definition 3: committed to a fulfilment cycle — RWR's
+            // denominator-side diagnostics should show the wasted time),
+            // but the RWR numerator below only counts ticks the picker
+            // actually works the rack.
+            self.state.robots[ai].busy_ticks += 1;
+            self.state.metrics.robot_busy_ticks[ai] += 1;
+            if let RobotPhase::Processing { rack } = phase {
+                if !self.state.closed[self.state.racks[rack.index()].picker.index()] {
+                    self.state.metrics.robot_processing_ticks[ai] += 1;
                 }
-                self.on_grid_buf
-                    .push((self.state.robots[ai].id, self.state.robots[ai].pos));
             }
         }
-        self.state.validator.check_tick_fast(t, &self.on_grid_buf);
-        // A clean scan over an all-idle fleet certifies the next tick's
-        // skip; any conflict or violation it pushed is pushed again every
-        // tick the fleet stands still, so those runs must keep scanning.
-        self.quiet_scan = self.busy_count == 0
-            && self.state.validator.conflict_count() == conflicts_before
-            && self.state.disruption_violations == violations_before;
+        if is_docked(phase) {
+            return None;
+        }
+        // Blockade invariant: no robot trajectory may occupy a
+        // disruption-blocked cell after its blockade tick.
+        let pos = self.state.robots[ai].pos;
+        if self.state.blocked_overlay[self.cell_index(pos)] {
+            self.state.disruption_violations += 1;
+        }
+        Some(pos)
+    }
+
+    /// Fill `on_grid_buf` with every robot's on-grid cell.
+    fn collect_on_grid(&mut self) {
+        self.on_grid_buf.clear();
+        self.on_grid_buf.extend(
+            self.state
+                .robots
+                .iter()
+                .filter(|r| !is_docked(r.phase))
+                .map(|r| (r.id, r.pos)),
+        );
+    }
+
+    /// The full scan a clean movement tick replaces, run beside it once the
+    /// touched robots have moved: the validator's snapshot after a full
+    /// check from its pre-tick state, and the violations a fleet-wide count
+    /// finds.
+    #[cfg(debug_assertions)]
+    fn full_scan_shadow(&mut self, t: Tick) -> (crate::validate::ValidatorSnapshot, usize) {
+        debug_assert!(
+            (0..self.state.robots.len())
+                .all(|ai| self.state.paths[ai].is_none() || self.state.robots[ai].phase.is_busy()),
+            "an idle robot holds a path"
+        );
+        self.collect_on_grid();
+        let violations = self
+            .on_grid_buf
+            .iter()
+            .filter(|&&(_, pos)| self.state.blocked_overlay[self.cell_index(pos)])
+            .count();
+        let mut full = TrajectoryValidator::new();
+        full.import_snapshot(&self.state.validator.export_snapshot());
+        full.check_tick_fast(t, &self.on_grid_buf);
+        (full.export_snapshot(), violations)
     }
 
     /// Phase 6: metrics, checkpoints, reservation GC.
@@ -1751,30 +1891,26 @@ impl<'a> Engine<'a> {
         let mut transport = 0u64;
         let mut queuing = 0u64;
         let mut processing = 0u64;
-        // Every counted phase is a busy phase, so an all-idle fleet counts
-        // (0, 0, 0) without the scan. `record_bottleneck` is still fed
-        // every tick — the zero buckets it creates are part of the
-        // deterministic fingerprint.
-        debug_assert!(self.busy_count > 0 || self.state.robots.iter().all(|r| r.is_idle()));
-        if self.busy_count > 0 {
-            for r in &self.state.robots {
-                match r.phase {
-                    RobotPhase::ToRack { .. }
-                    | RobotPhase::ToStation { .. }
-                    | RobotPhase::Returning { .. } => transport += 1,
-                    RobotPhase::Queuing { .. } => queuing += 1,
-                    // A rack paused mid-processing by a station outage is
-                    // *waiting*, not processing — the Fig. 13 trace must not
-                    // report progress while the picker is away.
-                    RobotPhase::Processing { rack } => {
-                        if self.state.closed[self.state.racks[rack.index()].picker.index()] {
-                            queuing += 1;
-                        } else {
-                            processing += 1;
-                        }
+        // Every counted phase is a busy phase, so only the busy set is
+        // walked. `record_bottleneck` is still fed every tick — the zero
+        // buckets it creates are part of the deterministic fingerprint.
+        for ai in self.busy.iter() {
+            match self.state.robots[ai].phase {
+                RobotPhase::ToRack { .. }
+                | RobotPhase::ToStation { .. }
+                | RobotPhase::Returning { .. } => transport += 1,
+                RobotPhase::Queuing { .. } => queuing += 1,
+                // A rack paused mid-processing by a station outage is
+                // *waiting*, not processing — the Fig. 13 trace must not
+                // report progress while the picker is away.
+                RobotPhase::Processing { rack } => {
+                    if self.state.closed[self.state.racks[rack.index()].picker.index()] {
+                        queuing += 1;
+                    } else {
+                        processing += 1;
                     }
-                    RobotPhase::Idle => {}
                 }
+                RobotPhase::Idle => {}
             }
         }
         self.state
@@ -1846,7 +1982,7 @@ impl<'a> Engine<'a> {
                 .racks
                 .iter()
                 .all(|r| !r.in_flight && !r.has_pending())
-            && self.state.robots.iter().all(|r| r.is_idle())
+            && self.busy.is_empty()
     }
 
     /// A copy of the canonical engine state at the current tick boundary.
@@ -1886,7 +2022,7 @@ impl<'a> Engine<'a> {
                     .push(std::cmp::Reverse((path.end(), ai as u32)));
             }
         }
-        (self.busy_count, self.docked_count) = self.phase_tallies();
+        (self.busy, self.docked_count) = self.phase_tallies();
         self.dirty_all();
     }
 
@@ -2334,6 +2470,185 @@ mod tests {
             .map(|b| b.transport + b.queuing + b.processing)
             .sum();
         assert!(total > 0, "robots did spend time in the cycle");
+    }
+
+    /// A planner that drives robots into conflicts on purpose: two robots
+    /// enter one cell on the same tick, two swap cells, and the first two
+    /// return legs end on one cell, the first after standing there for a
+    /// while. Every leg walks an L-shaped route from where its robot
+    /// stands.
+    struct CollidingPlanner {
+        planned: bool,
+        /// The cell each robot's latest path ends on.
+        ends: std::collections::HashMap<RobotId, GridPos>,
+        returns_planned: usize,
+    }
+
+    /// The cell where both of the first two return legs end.
+    const SHARED_HOME: GridPos = GridPos::new(20, 12);
+
+    impl CollidingPlanner {
+        /// A path from `from` starting at `start` that waits in place, walks
+        /// an L-shaped route to `to` so as to stand there at tick `at`
+        /// (`None`: as early as possible), then visits `then` one cell per
+        /// tick.
+        fn walk(
+            &mut self,
+            robot: RobotId,
+            start: Tick,
+            from: GridPos,
+            to: GridPos,
+            at: Option<Tick>,
+            then: &[GridPos],
+        ) -> Path {
+            let mut route = vec![from];
+            let mut p = from;
+            while p.x != to.x {
+                p.x = if p.x < to.x { p.x + 1 } else { p.x - 1 };
+                route.push(p);
+            }
+            while p.y != to.y {
+                p.y = if p.y < to.y { p.y + 1 } else { p.y - 1 };
+                route.push(p);
+            }
+            let waits = at.map_or(0, |at| (at - start) as usize + 1 - route.len());
+            let mut cells = vec![from; waits];
+            cells.extend(route);
+            cells.extend_from_slice(then);
+            let path = Path { start, cells };
+            self.ends.insert(robot, path.last());
+            path
+        }
+    }
+
+    impl Planner for CollidingPlanner {
+        fn name(&self) -> &'static str {
+            "COLLIDE"
+        }
+
+        fn init(&mut self, _instance: &Instance) {}
+
+        fn plan(
+            &mut self,
+            world: &WorldView<'_>,
+        ) -> Result<Vec<eatp_core::planner::AssignmentPlan>, eatp_core::PlannerError> {
+            if self.planned {
+                return Ok(Vec::new());
+            }
+            self.planned = true;
+            let p = GridPos::new;
+            // (approach cell, then): robots 0 and 1 both step onto (11, 8)
+            // at tick 41; robots 2 and 3 swap (5, 3) and (6, 3) at 40 → 41.
+            let script = [
+                (p(10, 8), vec![p(11, 8), p(12, 8)]),
+                (p(11, 7), vec![p(11, 8), p(11, 9)]),
+                (p(5, 3), vec![p(6, 3)]),
+                (p(6, 3), vec![p(5, 3)]),
+            ];
+            let mut plans = Vec::new();
+            for ((&robot, &rack), (to, then)) in world
+                .idle_robots
+                .iter()
+                .zip(world.selectable_racks)
+                .zip(script)
+            {
+                let from = world.robots[robot.index()].pos;
+                let path = self.walk(robot, world.t, from, to, Some(40), &then);
+                plans.push(eatp_core::planner::AssignmentPlan { robot, rack, path });
+            }
+            Ok(plans)
+        }
+
+        fn plan_leg(
+            &mut self,
+            robot: RobotId,
+            from: GridPos,
+            to: GridPos,
+            start: Tick,
+            park: bool,
+        ) -> Option<Path> {
+            if !park {
+                let here = self.ends[&robot];
+                return Some(self.walk(robot, start, here, to, None, &[]));
+            }
+            self.returns_planned += 1;
+            Some(match self.returns_planned {
+                1 => self.walk(robot, start, from, SHARED_HOME, None, &[SHARED_HOME; 30]),
+                2 => self.walk(robot, start, from, SHARED_HOME, None, &[]),
+                _ => self.walk(robot, start, from, to, None, &[]),
+            })
+        }
+
+        fn on_dock(&mut self, _robot: RobotId) {}
+
+        fn housekeeping(&mut self, _t: Tick) {}
+
+        fn stats(&self) -> eatp_core::PlannerStats {
+            eatp_core::PlannerStats::default()
+        }
+    }
+
+    /// The engine counts executed conflicts exactly as the seed
+    /// `check_tick` does over the same per-tick positions: conflicts while
+    /// moving, a swap, and a vertex conflict between robots standing still,
+    /// counted once per tick it lasts.
+    #[test]
+    fn executed_conflicts_match_the_seed_check() {
+        let mut inst = small_instance(4, 42);
+        inst.items = (0..4)
+            .map(|i| Item {
+                id: ItemId::new(i),
+                rack: RackId::new(i),
+                arrival: 0,
+                processing: 2,
+            })
+            .collect();
+        let mut planner = CollidingPlanner {
+            planned: false,
+            ends: std::collections::HashMap::new(),
+            returns_planned: 0,
+        };
+        let config = EngineConfig::builder().max_ticks(500).build().unwrap();
+        let mut engine = Engine::new(&inst, &config);
+        engine.start(&mut planner);
+        let mut seed = TrajectoryValidator::new();
+        while !engine.is_finished() {
+            let t = engine.current_tick();
+            engine.tick_once(&mut planner);
+            let positions: Vec<(RobotId, GridPos)> = engine
+                .export_state()
+                .robots
+                .iter()
+                .filter(|r| !is_docked(r.phase))
+                .map(|r| (r.id, r.pos))
+                .collect();
+            seed.check_tick(t, &positions);
+        }
+        let report = engine.report(&mut planner);
+        assert!(report.completed, "every scripted cycle finishes");
+        assert_eq!(report.executed_conflicts, seed.conflict_count());
+
+        use crate::validate::ExecutedConflict;
+        let at = |cell: GridPos| {
+            seed.conflicts
+                .iter()
+                .filter(|c| matches!(c, ExecutedConflict::Vertex { pos, .. } if *pos == cell))
+                .count()
+        };
+        assert!(
+            at(GridPos::new(11, 8)) >= 1,
+            "two robots step onto one cell"
+        );
+        assert!(
+            seed.conflicts
+                .iter()
+                .any(|c| matches!(c, ExecutedConflict::Edge { t: 40, .. })),
+            "two robots swap"
+        );
+        assert!(
+            at(SHARED_HOME) >= 3,
+            "two robots stand on one cell for several ticks"
+        );
     }
 
     fn chaos_config(fault_seed: u64) -> EngineConfig {

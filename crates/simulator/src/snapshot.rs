@@ -496,9 +496,11 @@ pub fn resume_from<'a>(
 }
 
 /// Every per-robot, per-picker, per-rack and per-cell table of `state` must
-/// have the length [`EngineState::new`] gives it on `instance`; the engine
-/// indexes them by id without bounds checks of its own, so a snapshot whose
-/// tables fit another floor would otherwise panic within its first ticks.
+/// have the length [`EngineState::new`] gives it on `instance`, and the
+/// validator's previous positions must name robots of the fleet on cells
+/// of the grid; the engine indexes them by id and cell without bounds
+/// checks of its own, so a snapshot that fits another floor would otherwise
+/// panic within its first ticks.
 fn check_table_sizes(state: &EngineState, instance: &Instance) -> Result<(), SnapshotError> {
     let robots = instance.robots.len();
     let pickers = instance.pickers.len();
@@ -538,6 +540,18 @@ fn check_table_sizes(state: &EngineState, instance: &Instance) -> Result<(), Sna
             )));
         }
     }
+    let validator = state.validator.export_snapshot();
+    let grid = &instance.grid;
+    for &(robot, pos) in validator.prev_seed.iter().chain(&validator.prev_fast) {
+        if robot.index() >= robots || !grid.in_bounds(pos) {
+            return Err(SnapshotError::Decode(format!(
+                "engine table `validator` places {robot} at {pos}, off the instance's \
+                 {robots} robots on a {}×{} grid",
+                grid.width(),
+                grid.height()
+            )));
+        }
+    }
     Ok(())
 }
 
@@ -547,7 +561,9 @@ mod tests {
     use crate::commands::{Ack, Command, OrderSpec, SequencedCommand};
     use crate::engine::run_simulation;
     use eatp_core::{planner_by_name, EatpConfig, PLANNER_NAMES as PLANNERS};
-    use tprw_warehouse::{DisruptionConfig, LayoutConfig, OrderId, ScenarioSpec, WorkloadConfig};
+    use tprw_warehouse::{
+        DisruptionConfig, GridPos, LayoutConfig, OrderId, RobotId, ScenarioSpec, WorkloadConfig,
+    };
 
     fn make(name: &str) -> Box<dyn Planner> {
         planner_by_name(name, &EatpConfig::default()).expect("a paper planner")
@@ -952,18 +968,85 @@ mod tests {
         ));
 
         // A checksum-consistent but structurally bogus payload.
-        let payload = b"\xFFnot a value tree";
-        let mut bad = Vec::new();
-        bad.extend_from_slice(&SNAPSHOT_MAGIC);
-        bad.extend_from_slice(&ENDIAN_MARKER.to_le_bytes());
-        bad.extend_from_slice(&SNAPSHOT_VERSION.to_le_bytes());
-        bad.extend_from_slice(&(payload.len() as u64).to_le_bytes());
-        bad.extend_from_slice(&crc32(payload).to_le_bytes());
-        bad.extend_from_slice(payload);
+        let bad = framed(SNAPSHOT_VERSION, b"\xFFnot a value tree");
         assert!(matches!(
             decode_snapshot(&bad).unwrap_err(),
             SnapshotError::Decode(_)
         ));
+    }
+
+    /// `payload` behind a valid header of schema `version`.
+    fn framed(version: u32, payload: &[u8]) -> Vec<u8> {
+        let mut bytes = Vec::new();
+        bytes.extend_from_slice(&SNAPSHOT_MAGIC);
+        bytes.extend_from_slice(&ENDIAN_MARKER.to_le_bytes());
+        bytes.extend_from_slice(&version.to_le_bytes());
+        bytes.extend_from_slice(&(payload.len() as u64).to_le_bytes());
+        bytes.extend_from_slice(&crc32(payload).to_le_bytes());
+        bytes.extend_from_slice(payload);
+        bytes
+    }
+
+    #[test]
+    fn validator_entries_off_the_fleet_or_grid_are_typed_errors() {
+        // One extra previous position in the validator section, re-framed
+        // so the checksum holds.
+        let good = decode_snapshot(&sample_snapshot_bytes()).expect("sample decodes");
+        let with_entry = |seed_path: bool, robot: u32, pos: GridPos| {
+            let mut validator = good.engine.validator.export_snapshot();
+            let prev = if seed_path {
+                &mut validator.prev_seed
+            } else {
+                &mut validator.prev_fast
+            };
+            prev.push((RobotId(robot), pos));
+            let Value::Object(mut fields) = good.serialize() else {
+                panic!("snapshot value must be an object");
+            };
+            let Some((_, Value::Object(engine))) = fields.iter_mut().find(|(k, _)| k == "engine")
+            else {
+                panic!("engine field must be an object");
+            };
+            let (_, section) = engine
+                .iter_mut()
+                .find(|(k, _)| k == "validator")
+                .expect("engine state carries the validator");
+            *section = validator.serialize();
+            framed(
+                SNAPSHOT_VERSION,
+                &serde::binary::to_bytes(&Value::Object(fields)),
+            )
+        };
+        let fleet = good.instance.robots.len() as u32;
+        let (width, height) = (good.instance.grid.width(), good.instance.grid.height());
+        // A robot past the fleet, or a cell off the grid: the bytes decode,
+        // and resuming them must fail naming the validator instead of
+        // indexing out of bounds.
+        for (seed_path, robot, pos) in [
+            (false, fleet, GridPos::new(0, 0)),
+            (true, fleet, GridPos::new(0, 0)),
+            (false, 0, GridPos::new(width, 0)),
+            (true, 0, GridPos::new(0, height)),
+        ] {
+            let data = decode_snapshot(&with_entry(seed_path, robot, pos)).expect("bytes decode");
+            let Err(err) = resume_from(&data, make("NTP").as_mut()) else {
+                panic!("a validator entry for robot {robot} at {pos} resumed");
+            };
+            assert!(
+                matches!(&err, SnapshotError::Decode(msg) if msg.contains("`validator`")),
+                "{err:?}"
+            );
+        }
+        // A robot id past the `u16` fleet cap is refused while decoding,
+        // before the dense per-robot arrays are sized by it.
+        for seed_path in [false, true] {
+            let err = decode_snapshot(&with_entry(seed_path, u32::MAX, GridPos::new(0, 0)))
+                .expect_err("an id past the fleet cap must not decode");
+            assert!(
+                matches!(&err, SnapshotError::Decode(msg) if msg.contains("validator")),
+                "{err:?}"
+            );
+        }
     }
 
     /// Both readable payload shapes — a v4 payload, and a v5 payload
@@ -1030,14 +1113,7 @@ mod tests {
                 assert!(base_fields.iter().any(|(k, _)| k == "last_gc"));
                 assert!(base_fields.iter().all(|(k, _)| k != "maintenance"));
                 base_fields.push(("maintenance".to_string(), Value::Array(Vec::new())));
-                let payload = serde::binary::to_bytes(&Value::Object(fields));
-                let mut bytes = Vec::new();
-                bytes.extend_from_slice(&SNAPSHOT_MAGIC);
-                bytes.extend_from_slice(&ENDIAN_MARKER.to_le_bytes());
-                bytes.extend_from_slice(&version.to_le_bytes());
-                bytes.extend_from_slice(&(payload.len() as u64).to_le_bytes());
-                bytes.extend_from_slice(&crc32(&payload).to_le_bytes());
-                bytes.extend_from_slice(&payload);
+                let bytes = framed(version, &serde::binary::to_bytes(&Value::Object(fields)));
 
                 let decoded = decode_snapshot(&bytes).expect("v4 and v5 payloads decode");
                 assert_eq!(decoded.engine, data.engine, "payload preserved");

@@ -4,10 +4,32 @@
 //! on every executed tick, independently of the reservation structures. A
 //! violation is a planner bug, never workload-dependent behaviour, so the
 //! engine surfaces it loudly in the report.
+//!
+//! A tick enters the validator one of two ways:
+//!
+//! * [`TrajectoryValidator::check_tick_fast`] takes every on-grid robot and
+//!   sorts them by cell: O(n log n) in the fleet.
+//! * [`TrajectoryValidator::check_tick_delta`] takes only the robots that
+//!   changed since the previous tick and checks their new cells against a
+//!   per-cell occupancy index: O(changed). It applies only when the
+//!   previous tick was checked and left no two robots on one cell, and it
+//!   declines (changing nothing) whenever the changed robots conflict, so
+//!   the caller reruns the full check and conflict counts and order stay
+//!   the full check's.
+//!
+//! Both leave the same canonical state ([`ValidatorSnapshot`]). The cell
+//! index is derived and never serialised.
 
 use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
-use tprw_warehouse::{GridPos, RobotId, Tick};
+use tprw_warehouse::{GridMap, GridPos, RobotId, Tick};
+
+/// Largest robot index a [`ValidatorSnapshot`] may name on import: the
+/// `u16` fleet cap both reservation layers enforce
+/// ([`tprw_pathfinding::cdt::MAX_CDT_ROBOTS`]). The dense previous-position
+/// arrays are sized by the largest index, so an unchecked one could ask
+/// for gigabytes.
+const MAX_ROBOT_INDEX: usize = tprw_pathfinding::cdt::MAX_CDT_ROBOTS;
 
 /// A conflict observed during execution.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
@@ -50,11 +72,14 @@ pub enum ExecutedConflict {
 /// consistently per validator instance — they keep separate previous-tick
 /// state.
 ///
+/// [`TrajectoryValidator::check_tick_delta`] shares the fast path's
+/// previous-tick state and may be mixed with `check_tick_fast` freely.
+///
 /// The validator is canonical engine state and lives in
 /// [`crate::engine::EngineState`] in this working layout, but it compares,
 /// serialises and deserialises as its [`ValidatorSnapshot`]: the generation
-/// counter, dense-array capacities and sort buffer are physical layout, not
-/// logical state.
+/// counter, dense-array capacities, sort buffer and cell index are physical
+/// layout, not logical state.
 #[derive(Debug, Clone, Default)]
 pub struct TrajectoryValidator {
     prev: HashMap<RobotId, GridPos>,
@@ -69,6 +94,14 @@ pub struct TrajectoryValidator {
     mark: u32,
     /// Reusable `(cell key, position index)` sort buffer.
     sorted: Vec<(u32, u32)>,
+    /// Delta path: `(stamp, robot index)` per row-major grid cell, an
+    /// occupant where the stamp equals `cell_stamp` (never 0). Allocated by
+    /// the first delta check.
+    cells: Vec<(u32, u32)>,
+    cell_stamp: u32,
+    /// `cells` holds exactly the fast path's previous positions, and no
+    /// two of them share a cell.
+    cells_synced: bool,
 }
 
 /// Order-preserving cell key (grids are < 2¹⁶ on a side).
@@ -113,8 +146,20 @@ impl Serialize for TrajectoryValidator {
 
 impl Deserialize for TrajectoryValidator {
     fn deserialize(v: &serde::Value) -> Result<Self, serde::Error> {
+        let snap = ValidatorSnapshot::deserialize(v)?;
+        if let Some(&(robot, _)) = snap
+            .prev_seed
+            .iter()
+            .chain(&snap.prev_fast)
+            .find(|(robot, _)| robot.index() > MAX_ROBOT_INDEX)
+        {
+            return Err(serde::Error::msg(format!(
+                "validator names {robot}, beyond the fleet cap of {}",
+                MAX_ROBOT_INDEX + 1
+            )));
+        }
         let mut validator = Self::default();
-        validator.import_snapshot(&ValidatorSnapshot::deserialize(v)?);
+        validator.import_snapshot(&snap);
         Ok(validator)
     }
 }
@@ -197,45 +242,132 @@ impl TrajectoryValidator {
             self.mark = 1;
         }
         for &(robot, pos) in positions {
-            let i = robot.index();
-            if i >= self.prev_pos.len() {
-                self.prev_pos.resize(i + 1, GridPos::new(0, 0));
-                self.prev_mark.resize(i + 1, 0);
-            }
-            self.prev_pos[i] = pos;
-            self.prev_mark[i] = self.mark;
+            self.stamp(robot, pos);
         }
         self.prev_t = Some(t);
+        self.cells_synced = false;
     }
 
-    /// Advance the fast path one tick **without rescanning positions**:
-    /// sets `prev_t = Some(t)` and leaves the generation mark and dense
-    /// previous-position entries untouched.
+    /// Check tick `t` from only the robots that changed: `touched` lists,
+    /// without repeats, every robot whose cell or on-grid status may differ
+    /// from the previous check, with its cell at `t` (`None` = off the
+    /// grid). Every robot not listed must stand where the previous check
+    /// saw it, on or off `grid`.
     ///
-    /// Callable only when a fresh [`TrajectoryValidator::check_tick_fast`]
-    /// call would be a provable no-op, i.e. all of:
-    ///
-    /// * the on-grid position set is byte-identical to the one passed to
-    ///   the last `check_tick_fast` call (nothing moved, docked or
-    ///   undocked) — so rewriting the entries under a new mark would store
-    ///   the same data, and every edge probe would hit `was == pos`;
-    /// * that last call pushed **zero** vertex conflicts — a vertex
-    ///   conflict between stationary robots is pushed again by every
-    ///   scan, so skipping would under-count;
-    /// * `prev_t == Some(t - 1)` — the window is contiguous.
-    ///
-    /// Under those preconditions the exported [`ValidatorSnapshot`] after
-    /// this call is identical to the one a real `check_tick_fast` would
-    /// leave (`prev_fast` filters on the *current* mark either way), and
-    /// all future verdicts agree. The engine's movement phase uses this
-    /// to keep quiescent ticks O(1); debug builds assert the preconditions.
-    pub fn advance_static(&mut self, t: Tick) {
-        debug_assert_eq!(
-            self.prev_t,
-            Some(t.wrapping_sub(1)),
-            "advance_static requires a contiguous window"
-        );
+    /// Applies when the previous check was at `t - 1` and left no two
+    /// robots on one cell. Then a vertex conflict needs a touched robot on
+    /// its cell and a swap needs two robots that moved, so the touched
+    /// robots' cells decide the verdict. If they conflict with nothing, the
+    /// previous positions are updated in place and the result is `true`:
+    /// the canonical state is exactly what
+    /// [`TrajectoryValidator::check_tick_fast`] over every on-grid robot
+    /// would leave. Otherwise the result is `false`, the canonical state is
+    /// unchanged, and the caller must run `check_tick_fast` for this tick.
+    pub fn check_tick_delta(
+        &mut self,
+        t: Tick,
+        touched: &[(RobotId, Option<GridPos>)],
+        grid: &GridMap,
+    ) -> bool {
+        if self.mark == 0 || self.prev_t != Some(t.wrapping_sub(1)) || !self.sync_cells(grid) {
+            return false;
+        }
+        let width = grid.width();
+        // Vacate every touched robot's previous cell before claiming the
+        // new ones, so following into a just-left cell is no conflict.
+        for &(robot, _) in touched {
+            if let Some(was) = self.fast_prev(robot) {
+                debug_assert_eq!(self.cell_occupant(was, width), Some(robot));
+                self.cells[was.to_index(width)].0 = 0;
+            }
+        }
+        let mut clean = true;
+        for &(robot, now) in touched {
+            let Some(pos) = now else { continue };
+            if self.cell_occupant(pos, width).is_some() {
+                clean = false; // vertex conflict
+                break;
+            }
+            self.cells[pos.to_index(width)] = (self.cell_stamp, robot.0);
+        }
+        // A swap: `robot` moved `was → pos` and whoever stands on `was`
+        // now came from `pos`.
+        clean = clean
+            && touched.iter().all(|&(robot, now)| {
+                let (Some(was), Some(pos)) = (self.fast_prev(robot), now) else {
+                    return true;
+                };
+                was == pos
+                    || self
+                        .cell_occupant(was, width)
+                        .is_none_or(|other| other == robot || self.fast_prev(other) != Some(pos))
+            });
+        if !clean {
+            self.cells_synced = false;
+            return false;
+        }
+        for &(robot, now) in touched {
+            match now {
+                Some(pos) => self.stamp(robot, pos),
+                None => {
+                    if let Some(mark) = self.prev_mark.get_mut(robot.index()) {
+                        *mark = 0;
+                    }
+                }
+            }
+        }
         self.prev_t = Some(t);
+        true
+    }
+
+    /// Record `pos` as `robot`'s previous-tick position at the current
+    /// generation.
+    fn stamp(&mut self, robot: RobotId, pos: GridPos) {
+        let i = robot.index();
+        if i >= self.prev_pos.len() {
+            self.prev_pos.resize(i + 1, GridPos::new(0, 0));
+            self.prev_mark.resize(i + 1, 0);
+        }
+        self.prev_pos[i] = pos;
+        self.prev_mark[i] = self.mark;
+    }
+
+    /// The robot the cell index places on `pos`.
+    #[inline]
+    fn cell_occupant(&self, pos: GridPos, width: u16) -> Option<RobotId> {
+        let (stamp, robot) = self.cells[pos.to_index(width)];
+        (stamp == self.cell_stamp).then_some(RobotId(robot))
+    }
+
+    /// Make `cells` mirror the previous positions, sizing it to `grid` on
+    /// first use. `false` if two robots share a cell: the delta check does
+    /// not apply, because a full check pushes that conflict again.
+    fn sync_cells(&mut self, grid: &GridMap) -> bool {
+        if self.cells_synced {
+            return true;
+        }
+        if self.cells.len() != grid.cell_count() {
+            self.cells.clear();
+            self.cells.resize(grid.cell_count(), (0, 0));
+        }
+        self.cell_stamp = self.cell_stamp.wrapping_add(1);
+        if self.cell_stamp == 0 {
+            // Stamp wrap: clear once so stale stamps cannot alias.
+            self.cells.fill((0, 0));
+            self.cell_stamp = 1;
+        }
+        for i in 0..self.prev_mark.len() {
+            if self.prev_mark[i] != self.mark {
+                continue;
+            }
+            let pos = self.prev_pos[i];
+            if self.cell_occupant(pos, grid.width()).is_some() {
+                return false;
+            }
+            self.cells[pos.to_index(grid.width())] = (self.cell_stamp, i as u32);
+        }
+        self.cells_synced = true;
+        true
     }
 
     /// The previous-tick position of `robot` on the fast path.
@@ -504,5 +636,91 @@ mod tests {
             );
         }
         assert!(seed_v.conflict_count() > 0, "the soup must collide");
+    }
+
+    /// The delta entry leaves exactly the full check's state after every
+    /// tick of random trajectories: steps, docks and undocks, injected
+    /// vertex conflicts (some left standing) and swaps, tick gaps, and
+    /// export/import round trips that drop the cell index.
+    #[test]
+    fn delta_check_matches_full_check() {
+        let grid = GridMap::filled(12, 12, tprw_warehouse::CellKind::Aisle);
+        let mut applied = 0;
+        for seed in 1..=24u64 {
+            let mut state = seed.wrapping_mul(0x9E37_79B9_7F4A_7C15);
+            let mut next = move |n: u64| {
+                state ^= state << 13;
+                state ^= state >> 7;
+                state ^= state << 17;
+                state % n
+            };
+            let n = 10;
+            let mut cells: Vec<Option<GridPos>> = (0..n).map(|i| Some(p(i as u16, 0))).collect();
+            let (mut full, mut delta) = (TrajectoryValidator::new(), TrajectoryValidator::new());
+            let mut t = 0;
+            for _ in 0..300 {
+                t += if next(40) == 0 { 2 } else { 1 };
+                let mut touched = Vec::new();
+                for i in 0..n {
+                    let to = match (cells[i], next(12)) {
+                        (None, 0) => Some(p(next(12) as u16, next(12) as u16)),
+                        (Some(_), 0) => None,
+                        (Some(at), 1..=3) => {
+                            let step = [(1, 0), (0, 1), (-1, 0), (0, -1)][next(4) as usize];
+                            let x = (at.x as i32 + step.0).clamp(0, 11) as u16;
+                            let y = (at.y as i32 + step.1).clamp(0, 11) as u16;
+                            Some(p(x, y))
+                        }
+                        (Some(_), 4) if next(8) == 0 => cells[next(n as u64) as usize],
+                        _ => continue,
+                    };
+                    cells[i] = to;
+                    touched.push(i);
+                }
+                if next(10) == 0 {
+                    let (a, b) = (next(n as u64) as usize, next(n as u64) as usize);
+                    if a != b && cells[a].is_some() && cells[b].is_some() {
+                        cells.swap(a, b);
+                        touched.extend([a, b]);
+                    }
+                }
+                touched.sort_unstable();
+                touched.dedup();
+                let touched: Vec<(RobotId, Option<GridPos>)> =
+                    touched.into_iter().map(|i| (id(i), cells[i])).collect();
+                let on_grid: Vec<(RobotId, GridPos)> = (0..n)
+                    .filter_map(|i| cells[i].map(|c| (id(i), c)))
+                    .collect();
+                full.check_tick_fast(t, &on_grid);
+                if delta.check_tick_delta(t, &touched, &grid) {
+                    applied += 1;
+                } else {
+                    delta.check_tick_fast(t, &on_grid);
+                }
+                assert_eq!(
+                    delta.conflict_count(),
+                    full.conflict_count(),
+                    "seed {seed}, tick {t}"
+                );
+                assert_eq!(
+                    delta.export_snapshot(),
+                    full.export_snapshot(),
+                    "seed {seed}, tick {t}"
+                );
+                if next(25) == 0 {
+                    let snap = delta.export_snapshot();
+                    delta = TrajectoryValidator::new();
+                    delta.import_snapshot(&snap);
+                }
+            }
+            assert!(
+                full.conflict_count() > 0,
+                "seed {seed}: the trajectories must collide"
+            );
+        }
+        assert!(
+            applied > 24 * 100,
+            "the delta entry applied on only {applied} ticks"
+        );
     }
 }
