@@ -23,22 +23,19 @@ use tprw_warehouse::{Instance, Tick};
 pub const SNAPSHOT_MAGIC: [u8; 8] = *b"TPRWSNAP";
 
 /// Current schema version. Readers accept the current version and one
-/// prior (`OLDEST_READABLE_VERSION`); versions 1–3 (before the
-/// `planner_name` tag, fault injection and order-stream ingestion
-/// respectively) were never written outside this repository and are
-/// rejected as [`SnapshotError::UnsupportedVersion`]. Version 5 added a
-/// `config.workers` count that version 4 lacked; the field is gone again
-/// (`docs/adr/ADR-005-serial-leg-planning.md`), as is the tick-strategy
-/// selector every v5 payload has carried in `config`
-/// (`docs/adr/ADR-007-one-tick-loop.md`: the agenda is derived state, so a
-/// payload written under either strategy resumes on the one loop), and
-/// decoding looks fields up by name, so every such payload shape decodes as
-/// it is. Bump this when the payload schema changes, and drop the older of
-/// the two readers.
-pub const SNAPSHOT_VERSION: u32 = 5;
+/// prior (`OLDEST_READABLE_VERSION`); versions 1–4 are rejected as
+/// [`SnapshotError::UnsupportedVersion`]. Version 6 writes every grid
+/// position as one packed integer where version 5 wrote an `{x, y}` object
+/// (`docs/adr/ADR-014-packed-positions.md`); `GridPos`'s `Deserialize`
+/// reads both, and that object branch is the whole v5 reader. Decoding
+/// looks fields up by name, so the keys v5 payloads may carry and this
+/// build no longer has (`config.workers`, `config.tick_strategy`, …) are
+/// ignored. Bump this when the payload schema changes, and drop the older
+/// of the two readers.
+pub const SNAPSHOT_VERSION: u32 = 6;
 
 /// Oldest schema version [`decode_snapshot`] still reads.
-const OLDEST_READABLE_VERSION: u32 = 4;
+const OLDEST_READABLE_VERSION: u32 = 5;
 
 /// Little-endian sentinel; a big-endian writer would store these bytes
 /// reversed, which the reader detects as [`SnapshotError::WrongEndian`].
@@ -261,19 +258,23 @@ pub fn decode_snapshot(bytes: &[u8]) -> Result<SnapshotData, SnapshotError> {
             current: SNAPSHOT_VERSION,
         });
     }
-    let payload_len = u64::from_le_bytes(bytes[16..24].try_into().expect("8 bytes")) as usize;
+    // The declared length is input: a value near `u64::MAX` must read as
+    // truncation, not overflow.
+    let payload_len = u64::from_le_bytes(bytes[16..24].try_into().expect("8 bytes"));
+    let needed = usize::try_from(payload_len)
+        .unwrap_or(usize::MAX)
+        .saturating_add(HEADER_LEN);
     let expected_crc = word(24);
-    let got = bytes.len() - HEADER_LEN;
-    if got < payload_len {
+    if bytes.len() < needed {
         return Err(SnapshotError::Truncated {
-            needed: HEADER_LEN + payload_len,
+            needed,
             got: bytes.len(),
         });
     }
-    if got > payload_len {
+    if bytes.len() > needed {
         return Err(SnapshotError::Decode(format!(
             "{} trailing bytes after payload",
-            got - payload_len
+            bytes.len() - needed
         )));
     }
     let payload = &bytes[HEADER_LEN..];
@@ -935,8 +936,8 @@ mod tests {
             }
         );
 
-        // Version zero, the retired versions 1–3 and the next one.
-        for version in [0, 1, 2, 3, SNAPSHOT_VERSION + 1] {
+        // Version zero, the retired versions 1–4 and the next one.
+        for version in [0, 1, 2, 3, 4, SNAPSHOT_VERSION + 1] {
             let mut bad = good.clone();
             bad[12..16].copy_from_slice(&version.to_le_bytes());
             assert_eq!(
@@ -956,6 +957,21 @@ mod tests {
             assert!(
                 matches!(err, SnapshotError::ChecksumMismatch { .. }),
                 "flip at {at} gave {err:?}"
+            );
+        }
+
+        // A declared payload length the header plus payload cannot reach
+        // without overflowing.
+        for declared in [u64::MAX, u64::MAX - HEADER_LEN as u64 + 1] {
+            let mut bad = good[..HEADER_LEN].to_vec();
+            bad[16..24].copy_from_slice(&declared.to_le_bytes());
+            assert_eq!(
+                decode_snapshot(&bad).unwrap_err(),
+                SnapshotError::Truncated {
+                    needed: usize::MAX,
+                    got: HEADER_LEN
+                },
+                "declared length {declared:#x}"
             );
         }
 
@@ -1000,22 +1016,9 @@ mod tests {
                 &mut validator.prev_fast
             };
             prev.push((RobotId(robot), pos));
-            let Value::Object(mut fields) = good.serialize() else {
-                panic!("snapshot value must be an object");
-            };
-            let Some((_, Value::Object(engine))) = fields.iter_mut().find(|(k, _)| k == "engine")
-            else {
-                panic!("engine field must be an object");
-            };
-            let (_, section) = engine
-                .iter_mut()
-                .find(|(k, _)| k == "validator")
-                .expect("engine state carries the validator");
-            *section = validator.serialize();
-            framed(
-                SNAPSHOT_VERSION,
-                &serde::binary::to_bytes(&Value::Object(fields)),
-            )
+            let mut tree = good.serialize();
+            *field_mut(field_mut(&mut tree, "engine"), "validator") = validator.serialize();
+            framed(SNAPSHOT_VERSION, &serde::binary::to_bytes(&tree))
         };
         let fleet = good.instance.robots.len() as u32;
         let (width, height) = (good.instance.grid.width(), good.instance.grid.height());
@@ -1049,86 +1052,137 @@ mod tests {
         }
     }
 
-    /// Both readable payload shapes — a v4 payload, and a v5 payload
-    /// carrying the since-removed `config.workers`, `config.reference_exec`,
-    /// validation switch (set to off) and tick-strategy keys (the latter as
-    /// either of the unit variants it could name), each with the planner
-    /// base's since-removed `maintenance` list — decode as they are and
-    /// resume, on the one remaining execution path and tick loop with
-    /// validation on, to the uninterrupted run's fingerprint.
+    /// The value under `key` in the object `v`.
+    fn field_mut<'v>(v: &'v mut Value, key: &str) -> &'v mut Value {
+        let Value::Object(fields) = v else {
+            panic!("`{key}` must sit in an object");
+        };
+        let (_, value) = fields
+            .iter_mut()
+            .find(|(k, _)| k == key)
+            .unwrap_or_else(|| panic!("no `{key}` field"));
+        value
+    }
+
+    /// One snapshot per planner, written by the last v5 build at tick 40 of
+    /// `scenario(None, 42)`. Every position in them is an `{x, y}` object.
+    const V5_FIXTURES: [(&str, &[u8]); 5] = [
+        ("NTP", include_bytes!("../testdata/snapshot-v5/ntp.snap")),
+        ("LEF", include_bytes!("../testdata/snapshot-v5/lef.snap")),
+        ("ILP", include_bytes!("../testdata/snapshot-v5/ilp.snap")),
+        ("ATP", include_bytes!("../testdata/snapshot-v5/atp.snap")),
+        ("EATP", include_bytes!("../testdata/snapshot-v5/eatp.snap")),
+    ];
+
+    /// Every recorded v5 snapshot decodes and resumes, on the one execution
+    /// path and tick loop with validation on, to the uninterrupted run's
+    /// fingerprint: as recorded, and carrying the keys earlier v5 builds
+    /// wrote and this one no longer has — `config.workers`,
+    /// `config.reference_exec`, the validation switch (off), the
+    /// tick-strategy selector as either unit variant it could name, and the
+    /// planner base's `maintenance` list.
     #[test]
-    fn migrates_v4_payload_and_resumes_from_it() {
+    fn recorded_v5_snapshots_resume_bit_identically() {
         let inst = scenario(None, 42);
         let config = EngineConfig::default();
-        for name in PLANNERS {
+        let removed = |strategy: &str| {
+            vec![
+                ("workers", Value::U64(4)),
+                ("reference_exec", Value::Bool(true)),
+                ("validate", Value::Bool(false)),
+                ("tick_strategy", Value::Str(strategy.to_string())),
+            ]
+        };
+        for (name, recorded) in V5_FIXTURES {
+            assert_eq!(recorded[12..16], 5u32.to_le_bytes(), "{name}: a v5 header");
+            let base = run_simulation(&inst, make(name).as_mut(), &config);
             let mut p = make(name);
-            let base = run_simulation(&inst, p.as_mut(), &config);
-
-            let mut p2 = make(name);
             let mut engine = Engine::new(&inst, &config);
-            engine.start(p2.as_mut());
+            engine.start(p.as_mut());
             for _ in 0..40 {
-                engine.tick_once(p2.as_mut());
+                engine.tick_once(p.as_mut());
             }
-            let data = engine.snapshot(p2.as_ref());
+            let state_at_40 = engine.state_hash();
 
-            // Config keys earlier builds wrote and this one no longer has.
-            let removed = |strategy: &str| {
-                vec![
-                    ("workers", Value::U64(4)),
-                    ("reference_exec", Value::Bool(true)),
-                    ("validate", Value::Bool(false)),
-                    ("tick_strategy", Value::Str(strategy.to_string())),
-                ]
-            };
-            for (version, stale_keys) in [
-                (4u32, Vec::new()),
-                (5, removed("Dense")),
-                (5, removed("EventDriven")),
-            ] {
-                let Value::Object(mut fields) = data.serialize() else {
-                    panic!("snapshot value must be an object");
-                };
-                let Some((_, Value::Object(config_fields))) =
-                    fields.iter_mut().find(|(k, _)| k == "config")
-                else {
+            let tree = serde::binary::from_bytes(&recorded[HEADER_LEN..]).expect("a v5 payload");
+            let mut payloads = vec![recorded.to_vec()];
+            for stale_keys in [removed("Dense"), removed("EventDriven")] {
+                let mut tree = tree.clone();
+                let Value::Object(config_fields) = field_mut(&mut tree, "config") else {
                     panic!("config field must be an object");
                 };
                 for (key, value) in stale_keys {
                     assert!(config_fields.iter().all(|(k, _)| k != key));
                     config_fields.push((key.to_string(), value));
                 }
-                // Every earlier payload's planner base slice also carries
-                // the retired (empty) maintenance-notice list. ILP, ATP and
-                // EATP nest that slice under `base`.
-                let Some((_, Value::Object(planner_fields))) =
-                    fields.iter_mut().find(|(k, _)| k == "planner")
-                else {
-                    panic!("{name}: planner payload must be an object");
+                // ILP, ATP and EATP nest the base slice under `base`.
+                let planner = field_mut(&mut tree, "planner");
+                let base_slice = if planner.get("base").is_some() {
+                    field_mut(planner, "base")
+                } else {
+                    planner
                 };
-                let base_fields = match planner_fields.iter_mut().find(|(k, _)| k == "base") {
-                    Some((_, Value::Object(nested))) => nested,
-                    _ => planner_fields,
+                let Value::Object(base_fields) = base_slice else {
+                    panic!("{name}: planner payload must be an object");
                 };
                 assert!(base_fields.iter().any(|(k, _)| k == "last_gc"));
                 assert!(base_fields.iter().all(|(k, _)| k != "maintenance"));
                 base_fields.push(("maintenance".to_string(), Value::Array(Vec::new())));
-                let bytes = framed(version, &serde::binary::to_bytes(&Value::Object(fields)));
+                payloads.push(framed(5, &serde::binary::to_bytes(&tree)));
+            }
 
-                let decoded = decode_snapshot(&bytes).expect("v4 and v5 payloads decode");
-                assert_eq!(decoded.engine, data.engine, "payload preserved");
-
+            for bytes in payloads {
+                let decoded = decode_snapshot(&bytes).expect("v5 payloads decode");
                 let mut p3 = make(name);
                 let mut resumed = resume_from(&decoded, p3.as_mut()).expect("resume");
+                assert_eq!(
+                    resumed.state_hash(),
+                    state_at_40,
+                    "{name}: the recorded state is the one this build reaches"
+                );
                 resumed.run_to_completion(p3.as_mut());
                 let report = resumed.report(p3.as_mut());
                 assert_eq!(
                     base.deterministic_fingerprint(),
                     report.deterministic_fingerprint(),
-                    "{name}: a v{version} snapshot must resume bit-identically"
+                    "{name}: a v5 snapshot must resume bit-identically"
                 );
             }
         }
+    }
+
+    #[test]
+    fn cached_path_position_out_of_range_is_a_decode_error() {
+        let inst = scenario(None, 42);
+        let mut p = make("EATP");
+        let mut engine = Engine::new(&inst, &EngineConfig::default());
+        engine.start(p.as_mut());
+        for _ in 0..40 {
+            engine.tick_once(p.as_mut());
+        }
+        let mut tree = engine.snapshot(p.as_ref()).serialize();
+        let cache = field_mut(field_mut(field_mut(&mut tree, "planner"), "base"), "cache");
+        // Entries are `[[from, to], cells]`.
+        let Value::Array(entries) = cache else {
+            panic!("the path cache must be an array");
+        };
+        let Some(Value::Array(entry)) = entries.first_mut() else {
+            panic!("EATP has cached a path by tick 40");
+        };
+        let Value::Array(cells) = &mut entry[1] else {
+            panic!("a cached path must be an array of cells");
+        };
+        assert!(matches!(cells[0], Value::U64(_)), "a packed position");
+        cells[0] = Value::U64(1 << 32);
+        let data = decode_snapshot(&framed(SNAPSHOT_VERSION, &serde::binary::to_bytes(&tree)))
+            .expect("the planner slice stays a tree until resume");
+        let Err(err) = resume_from(&data, make("EATP").as_mut()) else {
+            panic!("a cached cell packed past 32 bits resumed");
+        };
+        assert!(
+            matches!(&err, SnapshotError::Decode(msg) if msg.contains("grid position")),
+            "{err:?}"
+        );
     }
 
     #[test]

@@ -4,11 +4,16 @@
 //! robot's side length (Sec. II); all movement is 4-connected at unit
 //! velocity, so the Manhattan distance equals the uncongested travel delay.
 
-use serde::{Deserialize, Serialize};
+use serde::{Deserialize, Serialize, Value};
 use std::fmt;
 
 /// A cell coordinate. `x` indexes columns (0..width), `y` rows (0..height).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+///
+/// It serializes as one integer, `x | y << 16`: a position is the
+/// commonest value in a snapshot, and a `{x, y}` object cost it 33 bytes
+/// and three heap allocations in the tree (snapshot schema v6,
+/// `docs/adr/ADR-014-packed-positions.md`).
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct GridPos {
     /// Column.
     pub x: u16,
@@ -79,6 +84,43 @@ impl GridPos {
 impl fmt::Display for GridPos {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(f, "({}, {})", self.x, self.y)
+    }
+}
+
+impl GridPos {
+    /// The serialized form: `x` in the low 16 bits, `y` in the next 16.
+    #[inline]
+    fn packed(self) -> u64 {
+        self.x as u64 | (self.y as u64) << 16
+    }
+}
+
+impl Serialize for GridPos {
+    fn serialize(&self) -> Value {
+        Value::U64(self.packed())
+    }
+
+    fn encode(&self, out: &mut Vec<u8>) {
+        self.packed().encode(out)
+    }
+}
+
+impl Deserialize for GridPos {
+    /// The packed integer, or the `{x, y}` object schema-v5 snapshots
+    /// carry; that branch is the v5 reader and leaves with it.
+    fn deserialize(v: &Value) -> Result<Self, serde::Error> {
+        let context = |e: serde::Error| serde::Error::msg(format!("grid position: {}", e.0));
+        if let Value::Object(_) = v {
+            let field = |name: &str| {
+                v.get(name)
+                    .ok_or_else(|| serde::Error::msg(format!("missing field `{name}`")))
+                    .and_then(u16::deserialize)
+                    .map_err(context)
+            };
+            return Ok(GridPos::new(field("x")?, field("y")?));
+        }
+        let packed = u32::deserialize(v).map_err(context)?;
+        Ok(GridPos::new(packed as u16, (packed >> 16) as u16))
     }
 }
 
@@ -235,6 +277,50 @@ mod tests {
         assert!(!r.contains(GridPos::new(4, 2)));
         assert!(!r.contains(GridPos::new(0, 1)));
         assert_eq!(r.iter().count(), 6);
+    }
+
+    #[test]
+    fn packed_position_streams_its_tree_encoding_and_round_trips() {
+        let max = u16::MAX;
+        for p in [
+            GridPos::new(0, 0),
+            GridPos::new(max, max),
+            GridPos::new(max, 0),
+            GridPos::new(0, max),
+            GridPos::new(1, 2),
+        ] {
+            let mut tree = Vec::new();
+            serde::binary::encode_into(&p.serialize(), &mut tree);
+            assert_eq!(serde::binary::to_bytes(&p), tree, "{p}: identity rule");
+            assert_eq!(tree.len(), 9, "{p}: one tag-3 integer");
+            let legacy = Value::Object(vec![
+                ("x".into(), Value::U64(p.x as u64)),
+                ("y".into(), Value::U64(p.y as u64)),
+            ]);
+            assert_eq!(GridPos::deserialize(&p.serialize()), Ok(p));
+            assert_eq!(GridPos::deserialize(&legacy), Ok(p), "{p}: v5 object");
+        }
+        assert_eq!(GridPos::new(3, 5).serialize(), Value::U64(3 | 5 << 16));
+    }
+
+    #[test]
+    fn malformed_positions_are_typed_errors() {
+        let no_y = Value::Object(vec![("x".into(), Value::U64(1))]);
+        let wide_x = Value::Object(vec![
+            ("x".into(), Value::U64(1 << 16)),
+            ("y".into(), Value::U64(0)),
+        ]);
+        for bad in [
+            Value::U64(1 << 32),
+            Value::U64(u64::MAX),
+            Value::I64(-1),
+            Value::Str("(1, 2)".into()),
+            no_y,
+            wide_x,
+        ] {
+            let got = GridPos::deserialize(&bad);
+            assert!(got.is_err(), "{bad:?} decoded as {got:?}");
+        }
     }
 
     #[test]
