@@ -8,7 +8,7 @@
 //! paper, LEF and ILP are skipped on Real-Large ("too slow to execute",
 //! Table III) unless the scale is tiny.
 
-use eatp_core::{planner_by_name, EatpConfig, PLANNER_NAMES};
+use eatp_core::{planner_by_name, EatpConfig};
 use serde::Serialize;
 use tprw_simulator::{run_simulation, EngineConfig, SimulationReport};
 use tprw_warehouse::{Dataset, DisruptionConfig, ScenarioSpec};
@@ -103,20 +103,6 @@ pub fn run_cell_disrupted(
     let mut planner =
         planner_by_name(planner_name, config).unwrap_or_else(|| panic!("unknown {planner_name}"));
     run_simulation(&instance, &mut *planner, &EngineConfig::default())
-}
-
-/// One Table III-style sweep: all planners × all datasets.
-pub fn run_table3(scale: f64, seed: u64) -> Vec<SimulationReport> {
-    let mut reports = Vec::new();
-    for dataset in Dataset::ALL {
-        for name in PLANNER_NAMES {
-            if skipped_in_paper(name, dataset, scale) {
-                continue;
-            }
-            reports.push(run_cell(dataset, name, scale, seed));
-        }
-    }
-    reports
 }
 
 /// Write a JSON artifact under `results/` (ignored on failure: the harness

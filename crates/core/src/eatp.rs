@@ -52,7 +52,7 @@ fn flip_side_select(
     base: &mut PlannerBase<ConflictDetectionTable>,
     world: &WorldView<'_>,
 ) -> Vec<(RackId, RobotId)> {
-    // Catch up on any grid mutations since the last read (one rebuild
+    // Catch up on any grid mutations since the last read (one index pass
     // per batch of disruption events, not one per mutated cell).
     base.refresh_knn();
     // Membership bitmap for `selectable` (selection must stay O(|A|·K)).

@@ -33,8 +33,8 @@
 //! # Leg planning is serial
 //!
 //! A tick's delivery/return legs are planned as one batch, strictly in
-//! request order, by [`planner::Planner::commit_legs`]. The
-//! [`planner::Planner::query_legs`] phase the engine calls first has no
+//! request order, by [`planner::Planner::commit_legs`]. The engine's
+//! per-tick pass skips [`planner::Planner::query_legs`], which has no
 //! implementor: speculating the batch on worker threads was measured
 //! slower on every workload and deleted; see
 //! `docs/adr/ADR-005-serial-leg-planning.md` for the numbers and for what

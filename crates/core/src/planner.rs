@@ -4,9 +4,9 @@
 //! [`crate::world::WorldView`] and returns pickup assignments (`U_t` of
 //! Definition 5, restricted to newly assigned robots). As robots progress
 //! through the fulfilment cycle the engine requests the remaining legs
-//! (delivery, return) one batch per tick via [`Planner::query_legs`] and
-//! [`Planner::commit_legs`]. All returned paths are already reserved in
-//! the planner's conflict-avoidance structure.
+//! (delivery, return) one batch per tick via [`Planner::commit_legs`]. All
+//! returned paths are already reserved in the planner's conflict-avoidance
+//! structure.
 
 use crate::world::WorldView;
 use serde::{Deserialize, Serialize};
@@ -58,7 +58,7 @@ impl LegRequest {
     }
 }
 
-/// One slot of the buffer [`Planner::query_legs`] hands to
+/// One slot of the buffer [`Planner::query_legs`] fills for
 /// [`Planner::commit_legs`]. No planner implements the query phase
 /// (`docs/adr/ADR-005-serial-leg-planning.md`), so a slot can only say that
 /// the commit phase plans the request inline.
@@ -163,7 +163,7 @@ pub enum InjectedFault {
     /// The next [`Planner::plan`] call returns
     /// [`PlannerError::BudgetExceeded`].
     BudgetOverrun,
-    /// The next [`Planner::plan_legs`] call returns
+    /// The next [`Planner::commit_legs`] call returns
     /// [`PlannerError::LegBatchFailed`].
     LegFailure,
     /// Corrupt one memoized path-cache entry (salt-selected); the planner's
@@ -250,11 +250,11 @@ pub trait Planner {
         park: bool,
     ) -> Option<Path>;
 
-    /// The *query* phase of batched leg planning, called by the engine
-    /// before [`Planner::commit_legs`] with the same `requests`: refills
-    /// `tentative` 1:1 with deferred slots. Kept for source compatibility
-    /// with wrappers that time the two phases by name; no planner overrides
-    /// it (`docs/adr/ADR-005-serial-leg-planning.md`).
+    /// The *query* phase of batched leg planning: refills `tentative` 1:1
+    /// with deferred slots for a later [`Planner::commit_legs`] on the same
+    /// `requests`. Kept for source compatibility with wrappers that forward
+    /// it by name; only [`Planner::plan_legs`] calls it, and no planner
+    /// overrides it (`docs/adr/ADR-005-serial-leg-planning.md`).
     fn query_legs(
         &mut self,
         requests: &[LegRequest],
@@ -306,8 +306,8 @@ pub trait Planner {
 
     /// Plan a whole tick's delivery/return legs in one call:
     /// [`Planner::query_legs`] composed with [`Planner::commit_legs`], for
-    /// callers that do not keep a tentative buffer (the engine drives the
-    /// two phases directly).
+    /// callers that do not keep a tentative buffer (the engine's per-tick
+    /// pass calls `commit_legs` directly).
     fn plan_legs(
         &mut self,
         requests: &[LegRequest],

@@ -164,8 +164,7 @@ impl<S: Strategy> Planner for Shell<S> {
             .base
             .as_mut()
             .ok_or_else(|| serde::Error::msg(format!("{}: import before init", S::NAME)))?;
-        base.import_base_snapshot(&self.strategy.import(state)?);
-        Ok(())
+        base.import_base_snapshot(&self.strategy.import(state)?)
     }
 }
 

@@ -214,17 +214,6 @@ impl DistanceOracle {
         self.read_slot(slot, ia).expect("freshly computed slot")
     }
 
-    /// Read-only distance when available without computing a field.
-    pub fn dist_fast(&self, a: GridPos, b: GridPos) -> Option<u64> {
-        if self.obstacle_free {
-            return Some(a.manhattan(b));
-        }
-        let ia = a.to_index(self.width);
-        let ib = b.to_index(self.width);
-        self.peek_slot(self.slot_of[ia], ib)
-            .or_else(|| self.peek_slot(self.slot_of[ib], ia))
-    }
-
     /// Number of live memoized BFS fields (diagnostics).
     pub fn field_count(&self) -> usize {
         self.slots.len()
@@ -239,20 +228,6 @@ impl DistanceOracle {
         }
         let s = &mut self.slots[slot as usize];
         s.last_used = self.clock;
-        Some(if s.stamp[target] == s.generation {
-            s.dist[target] as u64
-        } else {
-            u64::MAX
-        })
-    }
-
-    /// [`Self::read_slot`] without the LRU bump (shared-ref path).
-    #[inline]
-    fn peek_slot(&self, slot: u32, target: usize) -> Option<u64> {
-        if slot == SLOT_NONE {
-            return None;
-        }
-        let s = &self.slots[slot as usize];
         Some(if s.stamp[target] == s.generation {
             s.dist[target] as u64
         } else {

@@ -27,11 +27,10 @@
 //! The index is *mostly* static — but disruption events change what
 //! "closest" means: an aisle blockade reroutes the whole neighbourhood, and
 //! rack churn (a rack taken off the floor via `RackRemoved` and later
-//! restored) removes a BFS seed. [`KNearestRacks::rebuild`] re-runs the
-//! full multi-source BFS in place; it remains the reference formulation and
-//! the recovery hatch, but it costs `O(HW·K)` regardless of how local the
-//! mutation was. [`KNearestRacks::update`] instead applies a **batch of
-//! changes around their epicenters**:
+//! restored) removes a BFS seed. Re-running the full multi-source BFS would
+//! cost `O(HW·K)` however local the mutation was, so
+//! [`KNearestRacks::update`] instead applies a **batch of changes around
+//! their epicenters**:
 //!
 //! 1. *deletion* — entries invalidated by a newly blocked cell or a removed
 //!    seed are deleted by support propagation: an entry `(cell, rack, d)`
@@ -44,14 +43,16 @@
 //!    list from its neighbours' lists (`topK` of `seeds ∪ neighbours + 1`)
 //!    until a fixpoint. Entries surviving deletion are exact, so the
 //!    relaxation converges to the unique fixpoint — the same lists a fresh
-//!    masked build produces (property-tested below).
+//!    masked index produces (property-tested below).
 //!
 //! Work is therefore proportional to the *affected region*, not the floor:
 //! the deterministic [`KNearestRacks::enqueued_count`] cost counter (every
 //! deletion/repair work-list push counts, exactly like a full pass's BFS
 //! enqueues) lets tests and benches pin that locality without wall clocks,
-//! and [`KNearestRacks::update_count`] / [`KNearestRacks::rebuild_count`]
-//! record how often each path ran.
+//! and [`KNearestRacks::update_count`] records how many batches ran. The
+//! one full pass after `build` is the first `update`, which materializes
+//! the distance column against the already mutated grid and liveness
+//! mask.
 
 use crate::footprint::MemoryFootprint;
 use std::collections::VecDeque;
@@ -75,7 +76,8 @@ pub enum KnnChange {
     Rack(RackId),
 }
 
-/// Per-cell index of the K nearest racks, rebuildable on grid or rack churn.
+/// Per-cell index of the K nearest racks, maintained incrementally on grid
+/// or rack churn.
 #[derive(Debug, Clone)]
 pub struct KNearestRacks {
     width: u16,
@@ -98,7 +100,7 @@ pub struct KNearestRacks {
     /// Live entries per cell.
     count: Vec<u8>,
     /// Build scratch: `(cell, rack)` enqueued-bitset, rows of
-    /// `ceil(racks / 64)` words per cell; reused across rebuilds.
+    /// `ceil(racks / 64)` words per cell; reused by every full pass.
     visited: Vec<u64>,
     /// Build scratch: the BFS frontier `(pos, rack, dist)`, reused.
     queue: VecDeque<(GridPos, RackId, u32)>,
@@ -111,11 +113,9 @@ pub struct KNearestRacks {
     in_repair: Vec<bool>,
     /// Update scratch: candidate `(dist, rack)` pairs of one recompute.
     cand: Vec<(u32, u32)>,
-    /// Number of full rebuilds performed (diagnostics; deterministic).
-    rebuilds: u64,
     /// Number of incremental update batches applied (diagnostics).
     updates: u64,
-    /// Cumulative work-list pushes across build, rebuilds and incremental
+    /// Cumulative work-list pushes across full passes and incremental
     /// updates — the deterministic cost proxy for index maintenance.
     enqueued: u64,
 }
@@ -148,7 +148,6 @@ impl KNearestRacks {
             repair_queue: VecDeque::new(),
             in_repair: vec![false; cells],
             cand: Vec::new(),
-            rebuilds: 0,
             updates: 0,
             enqueued: 0,
         };
@@ -157,10 +156,10 @@ impl KNearestRacks {
     }
 
     /// Mark rack `rack` as present on / absent from the floor. Takes effect
-    /// at the next [`KNearestRacks::rebuild`] or [`KNearestRacks::update`]
-    /// — callers batch several churn operations into one pass. The engine
-    /// drives this from the `RackRemoved` / `RackRestored` disruption
-    /// events through `PlannerBase::apply_disruption`.
+    /// at the next [`KNearestRacks::update`] — callers batch several churn
+    /// operations into one pass. The engine drives this from the
+    /// `RackRemoved` / `RackRestored` disruption events through
+    /// `PlannerBase::apply_disruption`.
     pub fn set_alive(&mut self, rack: RackId, alive: bool) {
         self.alive[rack.index()] = alive;
     }
@@ -170,22 +169,14 @@ impl KNearestRacks {
         self.alive[rack.index()]
     }
 
-    /// Re-run the full multi-source BFS against `grid` (which may have
-    /// gained or lost blockades since the last build) and the current
-    /// liveness mask. Every buffer — lists, counts, bitset, frontier — is
-    /// reused; only the entries are rewritten. This is the `O(HW·K)`
-    /// reference formulation; [`KNearestRacks::update`] produces the same
-    /// lists at affected-region cost.
-    pub fn rebuild(&mut self, grid: &GridMap) {
-        self.rebuilds += 1;
-        self.fill(grid);
-    }
-
-    /// The multi-source BFS core shared by build and rebuild. `(cell,
-    /// rack)` pairs enter the frontier at most once (the visited bitset),
-    /// so the level-order pop sequence — and therefore the deterministic
-    /// nearest-first, tie-by-id list contents — matches the classic
-    /// formulation with every duplicate no-op push removed.
+    /// The `O(HW·K)` multi-source BFS behind `build` and the first
+    /// `update`, against `grid` and the current liveness mask. Every
+    /// buffer — lists, counts, bitset, frontier — is reused; only the
+    /// entries are rewritten. `(cell, rack)` pairs enter the frontier at
+    /// most once (the visited bitset), so the level-order pop sequence —
+    /// and therefore the deterministic nearest-first, tie-by-id list
+    /// contents — matches the classic formulation with every duplicate
+    /// no-op push removed.
     fn fill(&mut self, grid: &GridMap) {
         debug_assert_eq!(grid.width(), self.width, "index bound to one grid size");
         debug_assert_eq!(grid.cell_count(), self.count.len());
@@ -293,7 +284,7 @@ impl KNearestRacks {
     /// Apply a batch of world mutations *incrementally*: `grid` must
     /// already reflect every change in `changes` (and the liveness mask
     /// every [`KNearestRacks::set_alive`] flip). Produces exactly the lists
-    /// [`KNearestRacks::rebuild`] would — pinned by the
+    /// of a fresh index under the same mask — pinned by the
     /// `update_equals_fresh_masked_build` property test — at a cost
     /// proportional to the affected region (observable through
     /// [`KNearestRacks::enqueued_count`]).
@@ -445,17 +436,12 @@ impl KNearestRacks {
         self.k
     }
 
-    /// Number of full rebuilds performed since construction.
-    pub fn rebuild_count(&self) -> u64 {
-        self.rebuilds
-    }
-
     /// Number of incremental [`KNearestRacks::update`] batches applied.
     pub fn update_count(&self) -> u64 {
         self.updates
     }
 
-    /// Cumulative work-list pushes across build, rebuilds and incremental
+    /// Cumulative work-list pushes across full passes and incremental
     /// updates (deterministic cost counter: `O(HW·K)` per full pass,
     /// affected-region-sized per incremental batch).
     pub fn enqueued_count(&self) -> u64 {
@@ -492,6 +478,18 @@ mod tests {
 
     fn open_grid(w: u16, h: u16) -> GridMap {
         GridMap::filled(w, h, CellKind::Aisle)
+    }
+
+    /// A fresh index over `grid` with the racks of `dead` off the floor:
+    /// `build`, the liveness mask, then the first `update`, which runs the
+    /// full masked pass.
+    fn fresh(grid: &GridMap, homes: &[GridPos], k: usize, dead: &[usize]) -> KNearestRacks {
+        let mut idx = KNearestRacks::build(grid, homes, k);
+        for &r in dead {
+            idx.set_alive(RackId::new(r), false);
+        }
+        idx.update(grid, &[]);
+        idx
     }
 
     #[test]
@@ -550,20 +548,22 @@ mod tests {
     #[test]
     fn rebuild_tracks_grid_mutation() {
         let mut grid = open_grid(5, 3);
-        let mut idx = KNearestRacks::build(&grid, &[p(0, 0), p(4, 0)], 1);
+        let homes = [p(0, 0), p(4, 0)];
+        let mut idx = KNearestRacks::build(&grid, &homes, 1);
         assert_eq!(idx.nearest(p(1, 0)), &[RackId::new(0)]);
-        // A wall lands mid-run: rebuild must re-route the neighbourhood and
-        // match a from-scratch build on the mutated grid.
+        // A wall lands mid-run: the first update rebuilds every list with
+        // one full pass, which must re-route the neighbourhood and match a
+        // from-scratch build on the mutated grid.
         grid.set_kind(p(2, 0), CellKind::Blocked);
         grid.set_kind(p(2, 1), CellKind::Blocked);
-        idx.rebuild(&grid);
-        assert_eq!(idx.rebuild_count(), 1);
-        let fresh = KNearestRacks::build(&grid, &[p(0, 0), p(4, 0)], 1);
+        idx.update(&grid, &[KnnChange::Cell(p(2, 0)), KnnChange::Cell(p(2, 1))]);
+        let want = KNearestRacks::build(&grid, &homes, 1);
         for y in 0..3 {
             for x in 0..5 {
-                assert_eq!(idx.nearest(p(x, y)), fresh.nearest(p(x, y)));
+                assert_eq!(idx.nearest(p(x, y)), want.nearest(p(x, y)));
             }
         }
+        assert_eq!(idx.nearest(p(3, 0)), &[RackId::new(1)]);
     }
 
     #[test]
@@ -574,11 +574,11 @@ mod tests {
         let original: Vec<Vec<RackId>> = (0..64)
             .map(|i| idx.nearest(GridPos::from_index(i, 8)).to_vec())
             .collect();
-        // Remove rack 1: rebuild must equal a fresh build over racks {0, 2}
-        // with ids preserved.
+        // Remove rack 1: the update must equal a fresh build over racks
+        // {0, 2} with ids preserved.
         idx.set_alive(RackId::new(1), false);
         assert!(!idx.is_alive(RackId::new(1)));
-        idx.rebuild(&grid);
+        idx.update(&grid, &[KnnChange::Rack(RackId::new(1))]);
         for i in 0..64 {
             let cell = GridPos::from_index(i, 8);
             assert!(
@@ -589,11 +589,11 @@ mod tests {
         assert_eq!(idx.nearest(p(7, 1)), &[RackId::new(0), RackId::new(2)]);
         // Re-add: the index must return exactly to its original state.
         idx.set_alive(RackId::new(1), true);
-        idx.rebuild(&grid);
+        idx.update(&grid, &[KnnChange::Rack(RackId::new(1))]);
         for (i, want) in original.iter().enumerate() {
             assert_eq!(idx.nearest(GridPos::from_index(i, 8)), want.as_slice());
         }
-        assert_eq!(idx.rebuild_count(), 2);
+        assert_eq!(idx.update_count(), 2);
     }
 
     #[test]
@@ -607,40 +607,39 @@ mod tests {
         // once (the visited bitset guarantees it).
         let bound = (grid.cell_count() * homes.len()) as u64;
         assert!(build_cost <= bound, "{build_cost} > {bound}");
-        a.rebuild(&grid);
-        // An identical rebuild costs exactly the initial build again.
+        let b = KNearestRacks::build(&grid, &homes, 4);
+        assert_eq!(b.enqueued_count(), build_cost, "deterministic");
+        // The first update's full pass on an unchanged grid costs exactly
+        // the build again.
+        a.update(&grid, &[]);
         assert_eq!(a.enqueued_count(), build_cost * 2);
-        let mut b = KNearestRacks::build(&grid, &homes, 4);
-        b.rebuild(&grid);
-        assert_eq!(a.enqueued_count(), b.enqueued_count(), "deterministic");
     }
 
     #[test]
     fn incremental_blockade_matches_rebuild_and_costs_less() {
         // One blockade on a 32x32 floor: the incremental update must equal
-        // a full rebuild list-for-list while touching far fewer work-list
+        // a fresh index list-for-list while touching far fewer work-list
         // entries than the O(HW*K) pass.
         let mut grid = open_grid(32, 32);
         let homes: Vec<GridPos> = (0..8).map(|i| p(i * 4, 16)).collect();
         let mut inc = KNearestRacks::build(&grid, &homes, 4);
-        let mut full = inc.clone();
-        let full_pass_cost = full.enqueued_count(); // one fill() == one pass
-                                                    // Warm: the first update materializes the distance column with one
-                                                    // full tracking pass; everything after is affected-region-sized.
+        // The build is one fill(), i.e. one full pass.
+        let full_pass_cost = inc.enqueued_count();
+        // Warm: the first update materializes the distance column with one
+        // full tracking pass; everything after is affected-region-sized.
         inc.update(&grid, &[]);
 
         grid.set_kind(p(9, 16), CellKind::Blocked);
         let before = inc.enqueued_count();
         inc.update(&grid, &[KnnChange::Cell(p(9, 16))]);
         let inc_cost = inc.enqueued_count() - before;
-        full.rebuild(&grid);
+        let full = fresh(&grid, &homes, 4, &[]);
 
         for i in 0..grid.cell_count() {
             let cell = GridPos::from_index(i, 32);
             assert_eq!(inc.nearest(cell), full.nearest(cell), "differs at {cell}");
         }
         assert_eq!(inc.update_count(), 2);
-        assert_eq!(inc.rebuild_count(), 0, "no explicit full rebuild ran");
         assert!(
             inc_cost < full_pass_cost / 2,
             "incremental cost {inc_cost} must undercut the full pass {full_pass_cost}"
@@ -677,13 +676,10 @@ mod tests {
     fn incremental_rack_churn_matches_rebuild() {
         let grid = open_grid(10, 10);
         let homes = [p(0, 0), p(9, 0), p(0, 9), p(9, 9)];
-        let mut inc = KNearestRacks::build(&grid, &homes, 3);
-        inc.update(&grid, &[]); // materialize the distance column
-        let mut full = inc.clone();
+        let mut inc = fresh(&grid, &homes, 3, &[]);
         // Remove two racks in one batch.
         for r in [1usize, 2] {
             inc.set_alive(RackId::new(r), false);
-            full.set_alive(RackId::new(r), false);
         }
         inc.update(
             &grid,
@@ -692,16 +688,15 @@ mod tests {
                 KnnChange::Rack(RackId::new(2)),
             ],
         );
-        full.rebuild(&grid);
+        let full = fresh(&grid, &homes, 3, &[1, 2]);
         for i in 0..grid.cell_count() {
             let cell = GridPos::from_index(i, 10);
             assert_eq!(inc.nearest(cell), full.nearest(cell));
         }
         // Restore one.
         inc.set_alive(RackId::new(2), true);
-        full.set_alive(RackId::new(2), true);
         inc.update(&grid, &[KnnChange::Rack(RackId::new(2))]);
-        full.rebuild(&grid);
+        let full = fresh(&grid, &homes, 3, &[1]);
         for i in 0..grid.cell_count() {
             let cell = GridPos::from_index(i, 10);
             assert_eq!(inc.nearest(cell), full.nearest(cell));
@@ -739,30 +734,6 @@ mod tests {
             prop_assert_eq!(homes[reported.index()].manhattan(q), best);
         }
 
-        /// Rebuild after arbitrary churn equals a fresh build over the alive
-        /// subset (ids preserved through the mask).
-        #[test]
-        fn rebuild_equals_fresh_masked_build(
-            dead in proptest::collection::hash_set(0usize..6, 0..5),
-        ) {
-            let grid = open_grid(9, 9);
-            let homes: Vec<GridPos> = (0..6).map(|i| p(i as u16, i as u16)).collect();
-            let mut churned = KNearestRacks::build(&grid, &homes, 3);
-            for &d in &dead {
-                churned.set_alive(RackId::new(d), false);
-            }
-            churned.rebuild(&grid);
-            let mut fresh = KNearestRacks::build(&grid, &homes, 3);
-            for &d in &dead {
-                fresh.set_alive(RackId::new(d), false);
-            }
-            fresh.rebuild(&grid);
-            for i in 0..grid.cell_count() {
-                let cell = GridPos::from_index(i, 9);
-                prop_assert_eq!(churned.nearest(cell), fresh.nearest(cell));
-            }
-        }
-
         /// The flat bitset-deduped build equals the classic nested-`Vec`
         /// formulation on arbitrary obstructed grids.
         #[test]
@@ -784,6 +755,28 @@ mod tests {
                     want.as_slice(),
                     "lists disagree at {}", cell
                 );
+            }
+        }
+
+        /// The masked full pass the first update runs after arbitrary churn
+        /// equals the classic build over the alive subset, ids preserved
+        /// through the mask.
+        #[test]
+        fn rebuild_equals_fresh_masked_build(
+            dead in proptest::collection::hash_set(0usize..6, 0..5),
+        ) {
+            let grid = open_grid(9, 9);
+            let homes: Vec<GridPos> = (0..6).map(|i| p(i as u16, i as u16)).collect();
+            let dead: Vec<usize> = dead.into_iter().collect();
+            let churned = fresh(&grid, &homes, 3, &dead);
+            let alive: Vec<usize> = (0..6).filter(|r| !dead.contains(r)).collect();
+            let alive_homes: Vec<GridPos> = alive.iter().map(|&r| homes[r]).collect();
+            let classic = classic_build(&grid, &alive_homes, 3);
+            for (i, lists) in classic.iter().enumerate() {
+                let want: Vec<RackId> =
+                    lists.iter().map(|r| RackId::new(alive[r.index()])).collect();
+                let cell = GridPos::from_index(i, 9);
+                prop_assert_eq!(churned.nearest(cell), want.as_slice());
             }
         }
 
@@ -825,18 +818,13 @@ mod tests {
                     }
                 }
                 inc.update(&grid, &changes);
-                let mut fresh = KNearestRacks::build(&grid, &homes, 3);
-                for (r, &a) in alive.iter().enumerate() {
-                    if !a {
-                        fresh.set_alive(RackId::new(r), false);
-                    }
-                }
-                fresh.rebuild(&grid);
+                let dead: Vec<usize> = (0..5).filter(|&r| !alive[r]).collect();
+                let want = fresh(&grid, &homes, 3, &dead);
                 for i in 0..grid.cell_count() {
                     let cell = GridPos::from_index(i, 9);
                     prop_assert_eq!(
                         inc.nearest(cell),
-                        fresh.nearest(cell),
+                        want.nearest(cell),
                         "lists disagree at {} after a batch", cell
                     );
                 }

@@ -23,8 +23,8 @@
 //! conflict-free. The search core runs on a reusable [`scratch::SearchScratch`]
 //! arena — dense generation-stamped state tables plus a dial (bucket) open
 //! list — so a warmed-up planner plans with **zero per-query heap
-//! allocations**; [`mod@reference`] preserves the seed HashMap/BinaryHeap
-//! implementation as the reference the equivalence tests compare against.
+//! allocations**. The seed HashMap/BinaryHeap search survives only as a
+//! test-only module, the reference the equivalence tests compare against.
 //!
 //! [`knn::KNearestRacks`] provides the per-cell K-closest-rack index backing
 //! the "flip requesting side" optimization (Sec. VI-A).
@@ -38,7 +38,8 @@ pub mod footprint;
 pub mod knn;
 pub mod path;
 mod proptests;
-pub mod reference;
+#[cfg(test)]
+mod reference;
 #[cfg(test)]
 mod reference_cdt;
 pub mod reservation;

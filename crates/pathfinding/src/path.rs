@@ -75,16 +75,6 @@ impl Path {
             .map(move |(i, &c)| (self.start + i as Tick, c))
     }
 
-    /// Number of *move* steps (excludes waits).
-    pub fn move_count(&self) -> usize {
-        self.cells.windows(2).filter(|w| w[0] != w[1]).count()
-    }
-
-    /// Number of *wait* steps.
-    pub fn wait_count(&self) -> usize {
-        self.cells.windows(2).filter(|w| w[0] == w[1]).count()
-    }
-
     /// Validate spatial continuity: each consecutive pair equal or adjacent.
     pub fn is_connected(&self) -> bool {
         self.cells
@@ -141,14 +131,6 @@ mod tests {
     }
 
     #[test]
-    fn move_and_wait_counts() {
-        let path = sample();
-        assert_eq!(path.move_count(), 3);
-        assert_eq!(path.wait_count(), 1);
-        assert!(path.is_connected());
-    }
-
-    #[test]
     fn disconnected_detected() {
         let path = Path {
             start: 0,
@@ -163,7 +145,6 @@ mod tests {
         assert!(path.is_empty());
         assert_eq!(path.end(), 7);
         assert_eq!(path.at(7), p(3, 3));
-        assert_eq!(path.move_count(), 0);
     }
 
     #[test]

@@ -1,20 +1,19 @@
-//! The seed (pre-arena) spatiotemporal A* — kept verbatim as a reference.
+//! The seed (pre-arena) spatiotemporal A*, compiled only under
+//! `cfg(test)` as the reference the optimized search is compared against.
 //!
 //! This is the implementation the crate shipped with before the
 //! [`crate::scratch::SearchScratch`] refactor: per-query `HashMap`s for the
-//! parent/closed sets and a `BinaryHeap` of packed tuples. It exists for
-//! **equivalence testing** only: property and unit tests assert the
-//! optimized search returns conflict-free paths of *identical cost* on
-//! randomized scenarios (`proptests.rs`, `astar.rs`,
-//! `tests/key_collision.rs`). Nothing times it
-//! (`docs/adr/ADR-008-two-measurement-systems.md` has the last recorded
-//! ratio).
+//! parent/closed sets and a `BinaryHeap` of packed tuples. Property and
+//! unit tests assert the optimized search returns conflict-free paths of
+//! *identical cost* on randomized scenarios (`proptests.rs`, `astar.rs`).
+//! Nothing times it (`docs/adr/ADR-008-two-measurement-systems.md` has the
+//! last recorded ratio).
 //!
-//! ⚠ Do not use in planners: besides the allocation churn, its
-//! `(t << 24) | cell_index` state key **aliases states on grids with ≥ 2²⁴
-//! cells** (and on tick values ≥ 2⁴⁰) — the exact defect the arena keying
-//! removed. [`reference_state_key`] is exposed so the regression test can
-//! document the collision.
+//! Its `(t << 24) | cell_index` state key **aliases states on grids with
+//! ≥ 2²⁴ cells** (and on tick values ≥ 2⁴⁰) — the exact defect the arena
+//! keying removed. The tests below document the collision, and
+//! `tests/key_collision.rs` plans through the aliasing zone with the arena
+//! search.
 
 use crate::astar::{PlanOptions, PlanOutcome};
 use crate::cache::PathCache;
@@ -290,6 +289,29 @@ mod tests {
             reference_state_key(a, 0, width),
             reference_state_key(b, 1, width),
             "the seed key conflates (a, t=0) with (b, t=1)"
+        );
+    }
+
+    #[test]
+    fn old_packing_aliases_states_on_large_grids() {
+        // 4200 × 4200 = 17 640 000 cells overflow the key's 24-bit cell field.
+        let width = 4200u16;
+        // A cell whose index overflows 24 bits…
+        let high = GridPos::from_index((1 << 24) + 917, width);
+        // …aliases a low-index cell one tick later.
+        let low = GridPos::from_index(917, width);
+        assert_ne!(high, low);
+        assert_eq!(
+            reference_state_key(high, 1_000, width),
+            reference_state_key(low, 1_001, width),
+            "seed key must conflate these states (the documented defect)"
+        );
+        // And tick bit 40 wraps into oblivion: `(1 << 40) << 24` overflows u64,
+        // so a tick-2⁴⁰ state collides with the tick-0 state of the same cell.
+        assert_eq!(
+            reference_state_key(low, 1 << 40, width),
+            reference_state_key(low, 0, width),
+            "tick 2^40 shifts entirely out of the key"
         );
     }
 }

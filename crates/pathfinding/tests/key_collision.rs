@@ -3,43 +3,19 @@
 //! The pre-refactor implementation keyed time-expanded states as
 //! `(t << 24) | cell_index`, which silently aliases distinct states once a
 //! grid has ≥ 2²⁴ cells (the cell index bleeds into the tick bits) or ticks
-//! reach 2⁴⁰. The arena keying of [`tprw_pathfinding::SearchScratch`]
-//! removed the packing entirely; this test pins both facts:
-//!
-//! 1. the old packing provably conflates states on a ≥ 2²⁴-cell grid, and
-//! 2. the new search plans correctly through exactly that aliasing zone,
-//!    at late ticks for good measure.
+//! reach 2⁴⁰ (the test-only reference search's unit tests document the
+//! collision). The arena keying of [`tprw_pathfinding::SearchScratch`]
+//! removed the packing entirely; this test pins that the search plans
+//! correctly through exactly that aliasing zone, at late ticks for good
+//! measure.
 
 use tprw_pathfinding::astar::{plan_path_with, PlanOptions};
-use tprw_pathfinding::reference::reference_state_key;
 use tprw_pathfinding::{ReservationSystem, SearchScratch, SpatioTemporalGraph};
 use tprw_warehouse::{CellKind, GridMap, GridPos, RobotId};
 
 /// 4200 × 4200 = 17 640 000 cells > 2²⁴ = 16 777 216: indices in the last
 /// ~860 k cells overflow the seed key's 24-bit cell field.
 const SIDE: u16 = 4200;
-
-#[test]
-fn old_packing_aliases_states_on_large_grids() {
-    let width = SIDE;
-    // A cell whose index overflows 24 bits…
-    let high = GridPos::from_index((1 << 24) + 917, width);
-    // …aliases a low-index cell one tick later.
-    let low = GridPos::from_index(917, width);
-    assert_ne!(high, low);
-    assert_eq!(
-        reference_state_key(high, 1_000, width),
-        reference_state_key(low, 1_001, width),
-        "seed key must conflate these states (the documented defect)"
-    );
-    // And tick bit 40 wraps into oblivion: `(1 << 40) << 24` overflows u64,
-    // so a tick-2⁴⁰ state collides with the tick-0 state of the same cell.
-    assert_eq!(
-        reference_state_key(low, 1 << 40, width),
-        reference_state_key(low, 0, width),
-        "tick 2^40 shifts entirely out of the key"
-    );
-}
 
 #[test]
 fn arena_search_plans_correctly_in_the_aliasing_zone() {

@@ -393,11 +393,8 @@ pub struct Engine<'a> {
     selectable_buf: Vec<RackId>,
     /// Per-tick scratch: the tick's delivery+return leg batch.
     leg_requests: Vec<LegRequest>,
-    /// Per-tick scratch: results of the batched `plan_legs` call.
+    /// Per-tick scratch: results of the batched `commit_legs` call.
     leg_results: Vec<Option<Path>>,
-    /// Per-tick scratch: speculative results of the planner's read-only
-    /// leg-query phase, consumed by the serialized commit phase.
-    leg_tentative: Vec<eatp_core::planner::TentativeLeg>,
     /// Per-tick scratch: on-grid positions handed to the validator.
     on_grid_buf: Vec<(RobotId, tprw_warehouse::GridPos)>,
     /// Per-tick scratch: the robots a clean movement tick visited, with
@@ -533,7 +530,6 @@ impl<'a> Engine<'a> {
             selectable_buf: Vec::with_capacity(instance.racks.len()),
             leg_requests: Vec::with_capacity(n_robots),
             leg_results: Vec::with_capacity(n_robots),
-            leg_tentative: Vec::with_capacity(n_robots),
             on_grid_buf: Vec::with_capacity(n_robots),
             touched_buf: Vec::new(),
             acks_out: Vec::new(),
@@ -1320,9 +1316,9 @@ impl<'a> Engine<'a> {
         }
     }
 
-    /// One two-phase leg pass ([`Planner::query_legs`] +
-    /// [`Planner::commit_legs`]) covering the tick's interrupted-leg
-    /// resumes, delivery and return legs. Requests keep the pending lists'
+    /// One batched leg pass ([`Planner::commit_legs`], planning each
+    /// request in order) covering the tick's interrupted-leg resumes,
+    /// delivery and return legs. Requests keep the pending lists'
     /// order, and the one-undock-per-station rule rides on
     /// [`LegRequest::group`].
     /// Broken robots emit no requests — their entries wait for recovery.
@@ -1408,12 +1404,13 @@ impl<'a> Engine<'a> {
             self.state.next_leg_fault += 1;
             planner.inject_fault(&InjectedFault::LegFailure);
         }
-        planner.query_legs(&self.leg_requests, t, &mut self.leg_tentative);
+        // No planner reads the tentative buffer (ADR-005), so an empty one
+        // is passed and `query_legs` is never called.
         if planner
             .commit_legs(
                 &self.leg_requests,
                 t,
-                &mut self.leg_tentative,
+                &mut Vec::new(),
                 &mut self.leg_results,
             )
             .is_err()

@@ -6,22 +6,19 @@
 //! as replayable as a clean one, and enabling faults never perturbs the
 //! static world (the fault RNG is independent of every other generator).
 //!
-//! Four fault classes, each injected where the real failure would surface:
+//! Three fault classes, each injected where the real failure would surface:
 //!
 //! * **decision faults** — the planner's per-timestamp `plan()` call fails
 //!   ([`eatp_core::PlannerError::SelectionFailed`]) or reports a budget
 //!   blow-up ([`eatp_core::PlannerError::BudgetExceeded`]). Armed at the
 //!   planning boundary, consumed only on a tick that actually plans;
-//! * **leg faults** — the tick's batched `plan_legs` call fails as a unit
+//! * **leg faults** — the tick's batched `commit_legs` call fails as a unit
 //!   ([`eatp_core::PlannerError::LegBatchFailed`]); every pending leg
 //!   retries next tick through the engine's existing retain loops;
 //! * **poison faults** — one memoized path-cache entry or distance-oracle
 //!   field is silently corrupted. The planner's housekeeping sweep must
 //!   detect, evict and recompute it the same tick (pinned by the
-//!   `poison_evictions` counter and the standing zero-conflict invariants);
-//! * **I/O faults** — snapshot writes fail (short write, `EIO` on the tmp
-//!   file, rename failure); the [`crate::snapshot::ResilientSnapshotWriter`]
-//!   must retry and recover from the last good file.
+//!   `poison_evictions` counter and the standing zero-conflict invariants).
 //!
 //! The degradation side of the contract lives in [`DegradationPolicy`]: on a
 //! planner error (or a real per-tick expansion-budget overrun) the engine
@@ -49,8 +46,6 @@ pub struct FaultConfig {
     pub leg_faults: usize,
     /// Cache/oracle poisonings to schedule.
     pub poison_faults: usize,
-    /// Snapshot write failures to script (consumed per write attempt).
-    pub io_faults: usize,
     /// Tick window `[t0, t1]` the tick-indexed faults are drawn from.
     pub window: (Tick, Tick),
 }
@@ -65,22 +60,9 @@ impl FaultConfig {
             decision_faults: 4,
             leg_faults: 3,
             poison_faults: 4,
-            io_faults: 2,
             window,
         }
     }
-}
-
-/// One scripted snapshot-write failure (see
-/// [`crate::snapshot::ResilientSnapshotWriter`]).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum IoFaultKind {
-    /// The tmp file is written truncated (a torn write survives on disk).
-    ShortWrite,
-    /// Writing the tmp file fails outright (no file is left behind).
-    TmpWriteError,
-    /// The tmp file is fully written but the atomic rename fails.
-    RenameError,
 }
 
 /// The materialized fault schedule: per-class sorted vectors, replayed by
@@ -94,8 +76,6 @@ pub struct FaultPlan {
     pub leg: Vec<Tick>,
     /// Tick-sorted poisonings (cache or oracle, with a selection salt).
     pub poison: Vec<(Tick, InjectedFault)>,
-    /// Write-attempt-ordered I/O fault script.
-    pub io: Vec<IoFaultKind>,
 }
 
 impl FaultPlan {
@@ -105,16 +85,12 @@ impl FaultPlan {
             decision: Vec::new(),
             leg: Vec::new(),
             poison: Vec::new(),
-            io: Vec::new(),
         }
     }
 
     /// Whether the plan schedules no faults at all.
     pub fn is_empty(&self) -> bool {
-        self.decision.is_empty()
-            && self.leg.is_empty()
-            && self.poison.is_empty()
-            && self.io.is_empty()
+        self.decision.is_empty() && self.leg.is_empty() && self.poison.is_empty()
     }
 
     /// Draw the schedule from the config's own RNG. Deterministic in the
@@ -158,19 +134,10 @@ impl FaultPlan {
         }
         poison.sort_by_key(|&(t, _)| t);
 
-        let io = (0..config.io_faults)
-            .map(|_| match rng.gen_range(0..3u32) {
-                0 => IoFaultKind::ShortWrite,
-                1 => IoFaultKind::TmpWriteError,
-                _ => IoFaultKind::RenameError,
-            })
-            .collect();
-
         Self {
             decision,
             leg,
             poison,
-            io,
         }
     }
 }
@@ -214,9 +181,56 @@ mod tests {
         assert_eq!(a.decision.len(), 4);
         assert_eq!(a.leg.len(), 3);
         assert_eq!(a.poison.len(), 4);
-        assert_eq!(a.io.len(), 2);
         let c = FaultPlan::generate(&FaultConfig::chaos(100, (10, 400)));
         assert_ne!(a, c, "different seeds draw different schedules");
+    }
+
+    /// The three schedules the last build with an I/O fault class drew for
+    /// this config. Its io draws came after these, so retiring them moved
+    /// no other class.
+    #[test]
+    fn chaos_schedules_are_pinned() {
+        use InjectedFault::*;
+        let plan = FaultPlan::generate(&FaultConfig::chaos(4242, (5, 400)));
+        assert_eq!(
+            plan.decision,
+            [
+                (26, SelectionFailure),
+                (145, SelectionFailure),
+                (271, BudgetOverrun),
+                (283, SelectionFailure),
+            ]
+        );
+        assert_eq!(plan.leg, [140, 151, 395]);
+        assert_eq!(
+            plan.poison,
+            [
+                (
+                    41,
+                    OraclePoison {
+                        salt: 9667149516951190688
+                    }
+                ),
+                (
+                    74,
+                    CachePoison {
+                        salt: 5908585959078054052
+                    }
+                ),
+                (
+                    228,
+                    CachePoison {
+                        salt: 14955438926943431418
+                    }
+                ),
+                (
+                    364,
+                    CachePoison {
+                        salt: 14767745269908002428
+                    }
+                ),
+            ]
+        );
     }
 
     #[test]
@@ -227,7 +241,6 @@ mod tests {
             decision_faults: 16,
             leg_faults: 16,
             poison_faults: 16,
-            io_faults: 4,
             window: (50, 60),
         };
         let plan = FaultPlan::generate(&config);
@@ -269,6 +282,14 @@ mod tests {
         let value = config.serialize();
         let back = FaultConfig::deserialize(&value).unwrap();
         assert_eq!(config, back);
+        // Snapshots written before the I/O class was retired carry its
+        // count; the key is ignored on read.
+        let mut legacy = value.clone();
+        let serde::Value::Object(fields) = &mut legacy else {
+            panic!("a fault config serializes to an object");
+        };
+        fields.push(("io_faults".into(), serde::Value::U64(2)));
+        assert_eq!(FaultConfig::deserialize(&legacy).unwrap(), config);
         let policy = DegradationPolicy {
             enabled: true,
             max_expansions_per_tick: 10_000,

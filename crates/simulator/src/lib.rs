@@ -20,14 +20,14 @@
 //!   the engine thread drains one tick at a time, bit-identically to
 //!   handing it the same batches directly (see `docs/order-stream.md`);
 //! * [`faults`] — seed-deterministic fault plans (planner decision/leg
-//!   failures, cache/oracle poisoning, snapshot I/O errors) plus the
-//!   graceful-degradation policy (see `docs/fault-injection.md`);
+//!   failures, cache/oracle poisoning) plus the graceful-degradation
+//!   policy (see `docs/fault-injection.md`);
 //! * [`metrics`] — makespan (M), Picker Processing Rate (PPR), Robot Working
 //!   Rate (RWR), Selection/Planning Time Consumption (STC/PTC), Memory
 //!   Consumption (MC) and the Fig. 13 bottleneck decomposition;
 //! * [`report`] — structured result types with text-table rendering;
-//! * [`snapshot`] — versioned, checksummed checkpoint/resume (see
-//!   `docs/snapshot-format.md`);
+//! * [`snapshot`] — versioned, checksummed checkpoint/resume with atomic
+//!   file writes (see `docs/snapshot-format.md`);
 //! * [`validate`] — independent per-tick re-validation that executed robot
 //!   trajectories are conflict-free (Definition 5).
 
@@ -42,11 +42,11 @@ pub mod validate;
 
 pub use commands::{Ack, BacklogOrder, Command, OrderSpec, RejectReason, SequencedCommand};
 pub use engine::{run_simulation, Engine, EngineConfig, EngineConfigBuilder, EngineState};
-pub use faults::{DegradationPolicy, FaultConfig, FaultPlan, IoFaultKind};
+pub use faults::{DegradationPolicy, FaultConfig, FaultPlan};
 pub use metrics::{BottleneckSample, Checkpoint};
 pub use report::{DeterministicFingerprint, SimulationReport};
 pub use service::{ServiceQueue, TickBatch};
 pub use snapshot::{
     decode_snapshot, encode_snapshot, read_snapshot, resume_from, write_snapshot_atomic,
-    ResilientSnapshotWriter, SnapshotData, SnapshotError, SNAPSHOT_MAGIC, SNAPSHOT_VERSION,
+    SnapshotData, SnapshotError, SNAPSHOT_MAGIC, SNAPSHOT_VERSION,
 };

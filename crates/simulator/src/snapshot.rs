@@ -14,10 +14,9 @@
 //! policy are documented in `docs/snapshot-format.md`.
 
 use crate::engine::{Engine, EngineConfig, EngineState};
-use crate::faults::IoFaultKind;
 use eatp_core::planner::Planner;
 use serde::{Deserialize, Serialize, Value};
-use tprw_warehouse::{Instance, Tick};
+use tprw_warehouse::Instance;
 
 /// Magic bytes opening every snapshot file.
 pub const SNAPSHOT_MAGIC: [u8; 8] = *b"TPRWSNAP";
@@ -289,13 +288,6 @@ pub fn decode_snapshot(bytes: &[u8]) -> Result<SnapshotData, SnapshotError> {
     Ok(SnapshotData::deserialize(&value)?)
 }
 
-/// The sibling temp path `write_snapshot_atomic` stages its bytes in.
-fn tmp_sibling(path: &std::path::Path) -> std::path::PathBuf {
-    let mut tmp_name = path.as_os_str().to_os_string();
-    tmp_name.push(".tmp");
-    std::path::PathBuf::from(tmp_name)
-}
-
 /// Write `data` to `path` atomically: the bytes land in a sibling
 /// `<path>.tmp` first and are renamed over the target, so a crash mid-write
 /// can never leave a half-written snapshot under the real name. A stale
@@ -307,138 +299,20 @@ pub fn write_snapshot_atomic(
     path: &std::path::Path,
     data: &SnapshotData,
 ) -> Result<(), SnapshotError> {
-    write_bytes_atomic(path, &encode_snapshot(data))
-}
-
-/// [`write_snapshot_atomic`] for bytes already encoded.
-fn write_bytes_atomic(path: &std::path::Path, bytes: &[u8]) -> Result<(), SnapshotError> {
-    let tmp = tmp_sibling(path);
-    // Clean up after any crashed predecessor before staging anew; a failed
-    // open below must not leave its torn bytes behind either.
+    let mut tmp_name = path.as_os_str().to_os_string();
+    tmp_name.push(".tmp");
+    let tmp = std::path::PathBuf::from(tmp_name);
+    // Clean up after any crashed predecessor before staging anew.
     if tmp.exists() {
         std::fs::remove_file(&tmp).map_err(|e| SnapshotError::Io(e.to_string()))?;
     }
-    std::fs::write(&tmp, bytes).map_err(|e| SnapshotError::Io(e.to_string()))?;
+    std::fs::write(&tmp, encode_snapshot(data)).map_err(|e| SnapshotError::Io(e.to_string()))?;
     std::fs::rename(&tmp, path).map_err(|e| {
         // Leave no orphan on a failed rename.
         let _ = std::fs::remove_file(&tmp);
         SnapshotError::Io(e.to_string())
     })?;
     Ok(())
-}
-
-/// A checkpoint writer that rides out transient I/O failures: each save
-/// retries the atomic write up to `max_attempts` times, accumulating a
-/// deterministic simulated backoff (`backoff_base << attempt` ticks per
-/// retry — bookkeeping only, nothing sleeps), and the reader side recovers
-/// from the last good file because half-written bytes only ever live under
-/// the `.tmp` sibling.
-///
-/// Fault injection: [`ResilientSnapshotWriter::with_fault_script`] scripts
-/// one [`IoFaultKind`] per write *attempt* (from
-/// [`crate::faults::FaultPlan::io`]); attempts beyond the script succeed
-/// normally. This is how the chaos suite exercises the retry and recovery
-/// paths deterministically.
-pub struct ResilientSnapshotWriter {
-    path: std::path::PathBuf,
-    max_attempts: u32,
-    backoff_base: Tick,
-    script: Vec<IoFaultKind>,
-    cursor: usize,
-    /// Total write attempts across all saves.
-    pub attempts: u64,
-    /// Attempts that failed (injected or real).
-    pub failures: u64,
-    /// Simulated backoff accumulated across retries, in ticks.
-    pub backoff_ticks: Tick,
-}
-
-impl ResilientSnapshotWriter {
-    /// A writer targeting `path`, retrying each save up to `max_attempts`
-    /// times (min 1) with `backoff_base` ticks of simulated backoff,
-    /// doubled per retry.
-    pub fn new(path: impl Into<std::path::PathBuf>, max_attempts: u32, backoff_base: Tick) -> Self {
-        Self {
-            path: path.into(),
-            max_attempts: max_attempts.max(1),
-            backoff_base,
-            script: Vec::new(),
-            cursor: 0,
-            attempts: 0,
-            failures: 0,
-            backoff_ticks: 0,
-        }
-    }
-
-    /// Attach a scripted fault plan, consumed one entry per write attempt.
-    pub fn with_fault_script(mut self, script: Vec<IoFaultKind>) -> Self {
-        self.script = script;
-        self.cursor = 0;
-        self
-    }
-
-    /// The target path.
-    pub fn path(&self) -> &std::path::Path {
-        &self.path
-    }
-
-    /// Save `data`, retrying through scripted/real failures. The snapshot
-    /// is encoded once; only the I/O is retried. On total failure the last
-    /// good file (if any) is untouched and still loads.
-    pub fn save(&mut self, data: &SnapshotData) -> Result<(), SnapshotError> {
-        let bytes = encode_snapshot(data);
-        let mut last_err = SnapshotError::Io("no write attempted".into());
-        for attempt in 0..self.max_attempts {
-            self.attempts += 1;
-            let fault = self.script.get(self.cursor).copied();
-            if fault.is_some() {
-                self.cursor += 1;
-            }
-            match self.try_write(&bytes, fault) {
-                Ok(()) => return Ok(()),
-                Err(e) => {
-                    self.failures += 1;
-                    self.backoff_ticks += self.backoff_base << attempt.min(16);
-                    last_err = e;
-                }
-            }
-        }
-        Err(last_err)
-    }
-
-    /// Load the last successfully renamed snapshot. Stale `.tmp` siblings
-    /// (torn writes) are never consulted.
-    pub fn load_last_good(&self) -> Result<SnapshotData, SnapshotError> {
-        read_snapshot(&self.path)
-    }
-
-    /// One write attempt, with `fault` injected at the scripted boundary.
-    fn try_write(&self, bytes: &[u8], fault: Option<IoFaultKind>) -> Result<(), SnapshotError> {
-        match fault {
-            None => write_bytes_atomic(&self.path, bytes),
-            Some(IoFaultKind::TmpWriteError) => {
-                // The open itself fails: nothing lands on disk.
-                Err(SnapshotError::Io("injected EIO writing tmp file".into()))
-            }
-            Some(IoFaultKind::ShortWrite) => {
-                // A torn write: half the bytes land in the tmp file and the
-                // "process" dies before the rename — the stale tmp survives
-                // for the next attempt to clean up.
-                let tmp = tmp_sibling(&self.path);
-                std::fs::write(&tmp, &bytes[..bytes.len() / 2])
-                    .map_err(|e| SnapshotError::Io(e.to_string()))?;
-                Err(SnapshotError::Io("injected short write".into()))
-            }
-            Some(IoFaultKind::RenameError) => {
-                // The tmp write completes but the rename fails; like the
-                // real rename-failure path, no orphan is left behind.
-                let tmp = tmp_sibling(&self.path);
-                std::fs::write(&tmp, bytes).map_err(|e| SnapshotError::Io(e.to_string()))?;
-                let _ = std::fs::remove_file(&tmp);
-                Err(SnapshotError::Io("injected rename failure".into()))
-            }
-        }
-    }
 }
 
 /// Read and validate a snapshot file written by [`write_snapshot_atomic`].
@@ -561,6 +435,7 @@ mod tests {
     use super::*;
     use crate::commands::{Ack, Command, OrderSpec, SequencedCommand};
     use crate::engine::run_simulation;
+    use eatp_core::base::BaseSnapshot;
     use eatp_core::{planner_by_name, EatpConfig, PLANNER_NAMES as PLANNERS};
     use tprw_warehouse::{
         DisruptionConfig, GridPos, LayoutConfig, OrderId, RobotId, ScenarioSpec, WorkloadConfig,
@@ -1185,6 +1060,59 @@ mod tests {
         );
     }
 
+    /// A CRC-valid planner slice with a cell off the grid, or with two
+    /// robots parked on one cell, is refused on resume before any
+    /// reservation table or the path cache indexes it.
+    #[test]
+    fn planner_slice_off_the_grid_is_a_decode_error() {
+        let inst = scenario(None, 42);
+        let (width, height) = (inst.grid.width(), inst.grid.height());
+        let mut p = make("EATP");
+        let mut engine = Engine::new(&inst, &EngineConfig::default());
+        engine.start(p.as_mut());
+        let base_of = |tree: &mut Value| {
+            let slice = field_mut(field_mut(tree, "planner"), "base");
+            BaseSnapshot::deserialize(slice).expect("a base slice")
+        };
+        // The first tick whose slice has every table the cases edit.
+        let tree = loop {
+            engine.tick_once(p.as_mut());
+            assert!(!engine.is_finished(), "no tick had every table filled");
+            let mut tree = engine.snapshot(p.as_ref()).serialize();
+            let base = base_of(&mut tree);
+            let parked = base.resv.parked.len();
+            if parked >= 2 && !base.resv.timed.is_empty() && !base.cache.is_empty() {
+                break tree;
+            }
+        };
+        let below = GridPos::new(0, height);
+        for what in [
+            "parking cell",
+            "reservation cell",
+            "two robots",
+            "cached-path cell",
+        ] {
+            let mut tree = tree.clone();
+            let mut b = base_of(&mut tree);
+            match what {
+                "parking cell" => b.resv.parked[0].1 = below,
+                "reservation cell" => b.resv.timed[0].pos = GridPos::new(width, 0),
+                "two robots" => b.resv.parked[1].1 = b.resv.parked[0].1,
+                _ => b.cache[0].1[0] = below,
+            }
+            *field_mut(field_mut(&mut tree, "planner"), "base") = b.serialize();
+            let data = decode_snapshot(&framed(SNAPSHOT_VERSION, &serde::binary::to_bytes(&tree)))
+                .expect("the planner slice stays a tree until resume");
+            let Err(err) = resume_from(&data, make("EATP").as_mut()) else {
+                panic!("a planner slice with a bad {what} resumed");
+            };
+            assert!(
+                matches!(&err, SnapshotError::Decode(msg) if msg.contains(what)),
+                "{what}: {err:?}"
+            );
+        }
+    }
+
     #[test]
     fn atomic_write_reads_back_and_leaves_no_temp() {
         let inst = scenario(None, 42);
@@ -1258,88 +1186,6 @@ mod tests {
         assert!(!tmp.exists(), "stale tmp must be swept by the next write");
         let latest = read_snapshot(&path).expect("fresh write loads");
         assert_eq!(latest.engine.t, engine.current_tick());
-        std::fs::remove_dir_all(&dir).ok();
-    }
-
-    #[test]
-    fn resilient_writer_retries_through_scripted_faults() {
-        let inst = scenario(None, 42);
-        let config = EngineConfig::default();
-        let mut p = make("NTP");
-        let mut engine = Engine::new(&inst, &config);
-        engine.start(p.as_mut());
-        for _ in 0..20 {
-            engine.tick_once(p.as_mut());
-        }
-        let data = engine.snapshot(p.as_ref());
-
-        let dir = std::env::temp_dir().join(format!("tprw-resil-{}", std::process::id()));
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("run.snap");
-
-        // Two scripted failures, then the third attempt succeeds.
-        let mut writer = ResilientSnapshotWriter::new(&path, 3, 4)
-            .with_fault_script(vec![IoFaultKind::ShortWrite, IoFaultKind::TmpWriteError]);
-        writer.save(&data).expect("third attempt must land");
-        assert_eq!(writer.attempts, 3);
-        assert_eq!(writer.failures, 2);
-        // Deterministic simulated backoff: 4<<0 + 4<<1 ticks.
-        assert_eq!(writer.backoff_ticks, 12);
-        assert!(!dir.join("run.snap.tmp").exists(), "no torn tmp left");
-        let loaded = writer.load_last_good().expect("load");
-        assert_eq!(loaded.engine.t, data.engine.t);
-
-        // Re-running the same script is bit-for-bit repeatable.
-        let mut writer2 = ResilientSnapshotWriter::new(&path, 3, 4)
-            .with_fault_script(vec![IoFaultKind::ShortWrite, IoFaultKind::TmpWriteError]);
-        writer2.save(&data).expect("same script, same outcome");
-        assert_eq!(
-            (writer2.attempts, writer2.failures, writer2.backoff_ticks),
-            (writer.attempts, writer.failures, writer.backoff_ticks),
-        );
-        std::fs::remove_dir_all(&dir).ok();
-    }
-
-    #[test]
-    fn resilient_writer_total_failure_leaves_last_good_loadable() {
-        let inst = scenario(None, 42);
-        let config = EngineConfig::default();
-        let mut p = make("NTP");
-        let mut engine = Engine::new(&inst, &config);
-        engine.start(p.as_mut());
-        for _ in 0..20 {
-            engine.tick_once(p.as_mut());
-        }
-        let first = engine.snapshot(p.as_ref());
-        engine.tick_once(p.as_mut());
-        let second = engine.snapshot(p.as_ref());
-
-        let dir = std::env::temp_dir().join(format!("tprw-resil2-{}", std::process::id()));
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("run.snap");
-
-        // First save lands clean; the next save exhausts every attempt.
-        let mut writer = ResilientSnapshotWriter::new(&path, 2, 1).with_fault_script(vec![
-            IoFaultKind::RenameError,
-            IoFaultKind::ShortWrite,
-            IoFaultKind::TmpWriteError,
-        ]);
-        // Script entries are consumed per attempt, so push a clean save
-        // through a separate writer first.
-        let mut clean = ResilientSnapshotWriter::new(&path, 1, 1);
-        clean.save(&first).expect("clean save");
-
-        let err = writer
-            .save(&second)
-            .expect_err("all attempts scripted to fail");
-        assert!(matches!(err, SnapshotError::Io(_)));
-        assert_eq!(writer.attempts, 2);
-        assert_eq!(writer.failures, 2);
-
-        // The earlier good file is untouched (the ShortWrite attempt's torn
-        // bytes only ever live under `.tmp`).
-        let recovered = writer.load_last_good().expect("last good survives");
-        assert_eq!(recovered.engine.t, first.engine.t);
         std::fs::remove_dir_all(&dir).ok();
     }
 }

@@ -168,12 +168,6 @@ impl Picker {
         self.busy_ticks += 1;
         self.remaining == 0
     }
-
-    /// Whether the picker is actively processing a rack this tick.
-    #[inline]
-    pub fn is_processing(&self) -> bool {
-        self.remaining > 0
-    }
 }
 
 /// The phase of a robot within the fulfilment cycle (Fig. 2): pickup →

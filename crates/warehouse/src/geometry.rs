@@ -195,14 +195,6 @@ impl Rect {
         p.x >= self.x0 && p.x < self.x1 && p.y >= self.y0 && p.y < self.y1
     }
 
-    /// Number of cells covered.
-    #[inline]
-    pub fn area(&self) -> usize {
-        let w = self.x1.saturating_sub(self.x0) as usize;
-        let h = self.y1.saturating_sub(self.y0) as usize;
-        w * h
-    }
-
     /// Iterate all positions in row-major order.
     pub fn iter(&self) -> impl Iterator<Item = GridPos> + '_ {
         let (x0, x1, y0, y1) = (self.x0, self.x1, self.y0, self.y1);
@@ -271,7 +263,6 @@ mod tests {
     #[test]
     fn rect_contains_and_area() {
         let r = Rect::new(1, 1, 4, 3);
-        assert_eq!(r.area(), 6);
         assert!(r.contains(GridPos::new(1, 1)));
         assert!(r.contains(GridPos::new(3, 2)));
         assert!(!r.contains(GridPos::new(4, 2)));
@@ -326,7 +317,6 @@ mod tests {
     #[test]
     fn empty_rect() {
         let r = Rect::new(3, 3, 3, 5);
-        assert_eq!(r.area(), 0);
         assert_eq!(r.iter().count(), 0);
         assert!(!r.contains(GridPos::new(3, 3)));
     }

@@ -4,7 +4,7 @@
 //! cell: in rack-to-picker systems robots drive *underneath* stored racks, so
 //! storage cells remain passable (Wurman et al., AI Mag. 2008).
 
-use crate::geometry::{GridPos, Rect};
+use crate::geometry::GridPos;
 use serde::{Deserialize, Serialize};
 
 /// The function of a cell.
@@ -83,19 +83,6 @@ impl GridMap {
     pub fn set_kind(&mut self, p: GridPos, kind: CellKind) {
         let w = self.width;
         self.cells[p.to_index(w)] = kind;
-    }
-
-    /// Fill every cell of `rect` (clipped to the map) with `kind`.
-    pub fn fill_rect(&mut self, rect: Rect, kind: CellKind) {
-        let clipped = Rect::new(
-            rect.x0.min(self.width),
-            rect.y0.min(self.height),
-            rect.x1.min(self.width),
-            rect.y1.min(self.height),
-        );
-        for p in clipped.iter() {
-            self.set_kind(p, kind);
-        }
     }
 
     /// Whether robots may occupy `p`.
@@ -185,13 +172,6 @@ mod tests {
         assert_eq!(m.count_kind(CellKind::Aisle), 4 * 3 - 3);
         let st: Vec<_> = m.cells_of_kind(CellKind::Station).collect();
         assert_eq!(st, vec![GridPos::new(3, 2)]);
-    }
-
-    #[test]
-    fn fill_rect_clips() {
-        let mut m = GridMap::filled(4, 4, CellKind::Aisle);
-        m.fill_rect(Rect::new(2, 2, 10, 10), CellKind::Blocked);
-        assert_eq!(m.count_kind(CellKind::Blocked), 4);
     }
 
     #[test]

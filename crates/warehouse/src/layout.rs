@@ -171,11 +171,6 @@ impl Layout {
             station_cells,
         })
     }
-
-    /// Number of aisle cells (candidate robot parking spots).
-    pub fn aisle_cell_count(&self) -> usize {
-        self.grid.count_kind(CellKind::Aisle)
-    }
 }
 
 #[cfg(test)]

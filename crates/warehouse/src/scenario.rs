@@ -214,11 +214,6 @@ fn bind_racks_balanced(pickers: &[Picker], homes: &[GridPos], weights: &[f64]) -
 }
 
 impl Instance {
-    /// Total item count.
-    pub fn item_count(&self) -> usize {
-        self.items.len()
-    }
-
     /// Total processing work across all items (lower bounds Σ processing).
     pub fn total_work(&self) -> u64 {
         self.items.iter().map(|i| i.processing).sum()
@@ -401,7 +396,7 @@ mod tests {
     #[test]
     fn instance_aggregates() {
         let inst = small_spec().build().unwrap();
-        assert_eq!(inst.item_count(), 200);
+        assert_eq!(inst.items.len(), 200);
         assert!(inst.total_work() >= 200 * 20);
         assert!(inst.total_work() <= 200 * 40);
         assert!(inst.last_arrival() >= 1);

@@ -6,31 +6,3 @@ pub type Tick = u64;
 
 /// A span of ticks.
 pub type Duration = u64;
-
-/// Timestamp bucketing helper used by metric time series: maps a tick to the
-/// index of its bucket of width `bucket`. Bucket width must be non-zero.
-#[inline]
-pub fn bucket_of(t: Tick, bucket: Duration) -> usize {
-    debug_assert!(bucket > 0, "bucket width must be non-zero");
-    (t / bucket) as usize
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn bucket_boundaries() {
-        assert_eq!(bucket_of(0, 10), 0);
-        assert_eq!(bucket_of(9, 10), 0);
-        assert_eq!(bucket_of(10, 10), 1);
-        assert_eq!(bucket_of(99, 10), 9);
-    }
-
-    #[test]
-    fn bucket_width_one_is_identity() {
-        for t in [0u64, 1, 5, 1000] {
-            assert_eq!(bucket_of(t, 1), t as usize);
-        }
-    }
-}
