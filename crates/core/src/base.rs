@@ -13,6 +13,8 @@ use serde::{Deserialize, Serialize};
 use std::time::Instant;
 use tprw_pathfinding::astar::{plan_path_with, PlanOptions};
 use tprw_pathfinding::bfs::DistanceOracle;
+use tprw_pathfinding::cdt::MAX_CDT_TICK;
+use tprw_pathfinding::reservation::MAX_PARK_TICK;
 use tprw_pathfinding::{
     ConflictDetectionTable, KNearestRacks, KnnChange, MemoryFootprint, Path, PathCache,
     ReservationContent, ReservationSystem, SearchScratch, SpatioTemporalGraph,
@@ -105,6 +107,9 @@ pub struct PlannerBase<R: ReservationBackend> {
     /// Mutual-exclusion groups already satisfied within the current
     /// [`PlannerBase::commit_legs`] batch (indexed by group id).
     group_done: Vec<bool>,
+    /// Robots in the instance's fleet; a snapshot naming any other robot
+    /// is refused.
+    fleet: usize,
     last_gc: Tick,
     /// Armed decision fault: the next `plan` entry (via
     /// [`PlannerBase::take_armed_decision_fault`]) returns it. Transient
@@ -150,6 +155,7 @@ impl<R: ReservationBackend> PlannerBase<R> {
             sel: SelectionScratch::default(),
             knn_pending: Vec::new(),
             group_done: Vec::new(),
+            fleet: instance.robots.len(),
             grid,
             last_gc: 0,
             armed_decision: None,
@@ -498,10 +504,31 @@ impl<R: ReservationBackend> PlannerBase<R> {
     /// content (clearing the spawn parking `init` left behind), the cache's
     /// memoized entries, the counters and the GC cursor.
     ///
-    /// A reservation or cached-path cell off the grid, or two robots parked
-    /// on one cell, is refused before any table is touched: the tables
-    /// index cells without bounds checks of their own.
+    /// A reservation or cached-path cell off the grid, two robots parked on
+    /// one cell, a robot outside the fleet, or a tick past what the tables
+    /// encode ([`MAX_CDT_TICK`] for a reservation, [`MAX_PARK_TICK`] for a
+    /// parking start) is refused before any table is touched: the tables
+    /// index cells and pack robots and ticks with asserts of their own.
     pub fn import_base_snapshot(&mut self, snap: &BaseSnapshot) -> Result<(), serde::Error> {
+        let resv = &snap.resv;
+        let timed = resv
+            .timed
+            .iter()
+            .map(|r| ("reservation", r.robot, r.t, MAX_CDT_TICK));
+        let parked = resv
+            .parked
+            .iter()
+            .map(|&(r, _, t)| ("parking", r, t, MAX_PARK_TICK));
+        for (what, robot, t, max) in timed.chain(parked) {
+            let problem = if robot.index() >= self.fleet {
+                format!("robot {robot} is outside the {}-robot fleet", self.fleet)
+            } else if t > max {
+                format!("tick {t} is past the largest encodable tick {max}")
+            } else {
+                continue;
+            };
+            return Err(serde::Error::msg(format!("planner {what} {problem}")));
+        }
         let grid = &self.grid;
         let timed = snap.resv.timed.iter().map(|r| ("reservation", r.pos));
         let parked = snap.resv.parked.iter().map(|&(_, pos, _)| ("parking", pos));

@@ -33,8 +33,9 @@
 //! # Leg planning is serial
 //!
 //! A tick's delivery/return legs are planned as one batch, strictly in
-//! request order, by [`planner::Planner::commit_legs`]. The engine's
-//! per-tick pass skips [`planner::Planner::query_legs`], which has no
+//! request order, by [`planner::Planner::commit_legs`], which the engine's
+//! per-tick leg pass and its degraded-tick fallback both call directly.
+//! The engine never calls [`planner::Planner::query_legs`], which has no
 //! implementor: speculating the batch on worker threads was measured
 //! slower on every workload and deleted; see
 //! `docs/adr/ADR-005-serial-leg-planning.md` for the numbers and for what

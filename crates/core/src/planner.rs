@@ -24,8 +24,8 @@ pub struct AssignmentPlan {
     pub path: Path,
 }
 
-/// One delivery/return leg of a tick's planning batch (see
-/// [`Planner::plan_legs`]).
+/// One leg of a planning batch (see [`Planner::commit_legs`]): a
+/// delivery, return or resumed leg, or a degraded tick's pickup.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct LegRequest {
     /// The robot needing a path.
@@ -253,8 +253,8 @@ pub trait Planner {
     /// The *query* phase of batched leg planning: refills `tentative` 1:1
     /// with deferred slots for a later [`Planner::commit_legs`] on the same
     /// `requests`. Kept for source compatibility with wrappers that forward
-    /// it by name; only [`Planner::plan_legs`] calls it, and no planner
-    /// overrides it (`docs/adr/ADR-005-serial-leg-planning.md`).
+    /// it by name; nothing calls it, and no planner overrides it
+    /// (`docs/adr/ADR-005-serial-leg-planning.md`).
     fn query_legs(
         &mut self,
         requests: &[LegRequest],
@@ -304,21 +304,6 @@ pub trait Planner {
         Ok(())
     }
 
-    /// Plan a whole tick's delivery/return legs in one call:
-    /// [`Planner::query_legs`] composed with [`Planner::commit_legs`], for
-    /// callers that do not keep a tentative buffer (the engine's per-tick
-    /// pass calls `commit_legs` directly).
-    fn plan_legs(
-        &mut self,
-        requests: &[LegRequest],
-        start: Tick,
-        results: &mut Vec<Option<Path>>,
-    ) -> Result<(), PlannerError> {
-        let mut tentative = Vec::new();
-        self.query_legs(requests, start, &mut tentative);
-        self.commit_legs(requests, start, &mut tentative, results)
-    }
-
     /// A no-op that nothing calls: leg planning is serial. Kept, like
     /// [`Planner::query_legs`], for source compatibility with wrappers that
     /// forward it.
@@ -335,7 +320,7 @@ pub trait Planner {
 
     /// Arm or apply an [`InjectedFault`] (deterministic fault injection;
     /// test/chaos harness only). Decision faults arm and fire on the next
-    /// matching `plan`/`plan_legs` call; poison faults corrupt a memoized
+    /// matching `plan`/`commit_legs` call; poison faults corrupt a memoized
     /// structure immediately. Returns whether the fault took hold (a
     /// planner without the targeted structure reports `false` and the
     /// fault is a no-op). The default ignores every fault, so planners
@@ -405,7 +390,7 @@ mod tests {
     }
 
     /// Mock planner whose `plan_leg` succeeds except on a poisoned cell —
-    /// exercises the default serial `plan_legs` implementation.
+    /// exercises the default serial `commit_legs` implementation.
     struct MockPlanner {
         blocked: GridPos,
         calls: usize,
@@ -458,7 +443,8 @@ mod tests {
         };
         let requests = vec![req(0, 1, None), req(1, 9, None), req(2, 2, None)];
         let mut results = Vec::new();
-        p.plan_legs(&requests, 7, &mut results).unwrap();
+        p.commit_legs(&requests, 7, &mut Vec::new(), &mut results)
+            .unwrap();
         assert_eq!(results.len(), 3);
         assert!(results[0].is_some() && results[2].is_some());
         assert!(results[1].is_none(), "blocked leg fails");
@@ -481,7 +467,8 @@ mod tests {
             req(3, 3, Some(2)),
         ];
         let mut results = Vec::new();
-        p.plan_legs(&requests, 0, &mut results).unwrap();
+        p.commit_legs(&requests, 0, &mut Vec::new(), &mut results)
+            .unwrap();
         assert!(results[0].is_none());
         assert!(results[1].is_some(), "group retries after a failure");
         assert!(results[2].is_some());

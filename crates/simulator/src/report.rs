@@ -66,7 +66,7 @@ pub struct SimulationReport {
     pub degraded_ticks: u64,
     /// Assignments committed by the greedy fallback during degraded ticks.
     pub fallback_assignments: u64,
-    /// Planner `plan`/`plan_legs` errors observed (injected or real).
+    /// Planner `plan`/`commit_legs` errors observed (injected or real).
     pub planner_errors: u64,
     /// Orders submitted: live-ingested acceptances plus the pregenerated
     /// item list, which the engine models as an order book submitted at

@@ -28,9 +28,9 @@ pub const SNAPSHOT_MAGIC: [u8; 8] = *b"TPRWSNAP";
 /// (`docs/adr/ADR-014-packed-positions.md`); `GridPos`'s `Deserialize`
 /// reads both, and that object branch is the whole v5 reader. Decoding
 /// looks fields up by name, so the keys v5 payloads may carry and this
-/// build no longer has (`config.workers`, `config.tick_strategy`, …) are
-/// ignored. Bump this when the payload schema changes, and drop the older
-/// of the two readers.
+/// build no longer has (`config.workers`, `config.tick_strategy`,
+/// `config.checkpoints`, …) are ignored. Bump this when the payload schema
+/// changes, and drop the older of the two readers.
 pub const SNAPSHOT_VERSION: u32 = 6;
 
 /// Oldest schema version [`decode_snapshot`] still reads.
@@ -289,29 +289,42 @@ pub fn decode_snapshot(bytes: &[u8]) -> Result<SnapshotData, SnapshotError> {
 }
 
 /// Write `data` to `path` atomically: the bytes land in a sibling
-/// `<path>.tmp` first and are renamed over the target, so a crash mid-write
-/// can never leave a half-written snapshot under the real name. A stale
-/// `.tmp` left by a crashed earlier attempt is removed first — it must
-/// never be mistaken for progress, and readers ([`read_snapshot`]) only
-/// ever look at the real name, so the last good snapshot stays loadable
-/// throughout.
+/// `<path>.tmp` first, are synced to disk, and only then renamed over the
+/// target, so neither a crash mid-write nor a power loss after the rename
+/// can leave a torn snapshot under the real name. On Unix the parent
+/// directory is synced after the rename so the new name itself survives a
+/// power loss. A stale `.tmp` left by a crashed earlier attempt is removed
+/// first — it must never be mistaken for progress, and readers
+/// ([`read_snapshot`]) only ever look at the real name, so the last good
+/// snapshot stays loadable throughout.
 pub fn write_snapshot_atomic(
     path: &std::path::Path,
     data: &SnapshotData,
 ) -> Result<(), SnapshotError> {
+    use std::io::Write;
+    let io = |e: std::io::Error| SnapshotError::Io(e.to_string());
     let mut tmp_name = path.as_os_str().to_os_string();
     tmp_name.push(".tmp");
     let tmp = std::path::PathBuf::from(tmp_name);
     // Clean up after any crashed predecessor before staging anew.
     if tmp.exists() {
-        std::fs::remove_file(&tmp).map_err(|e| SnapshotError::Io(e.to_string()))?;
+        std::fs::remove_file(&tmp).map_err(io)?;
     }
-    std::fs::write(&tmp, encode_snapshot(data)).map_err(|e| SnapshotError::Io(e.to_string()))?;
-    std::fs::rename(&tmp, path).map_err(|e| {
-        // Leave no orphan on a failed rename.
+    let staged = std::fs::File::create(&tmp).and_then(|mut file| {
+        file.write_all(&encode_snapshot(data))?;
+        file.sync_all()
+    });
+    // Leave no orphan on a failed write or rename.
+    if let Err(e) = staged.and_then(|()| std::fs::rename(&tmp, path)) {
         let _ = std::fs::remove_file(&tmp);
-        SnapshotError::Io(e.to_string())
-    })?;
+        return Err(io(e));
+    }
+    #[cfg(unix)]
+    {
+        let dir = path.parent().filter(|d| !d.as_os_str().is_empty());
+        let dir = std::fs::File::open(dir.unwrap_or(std::path::Path::new(".")));
+        dir.and_then(|d| d.sync_all()).map_err(io)?;
+    }
     Ok(())
 }
 
@@ -437,6 +450,8 @@ mod tests {
     use crate::engine::run_simulation;
     use eatp_core::base::BaseSnapshot;
     use eatp_core::{planner_by_name, EatpConfig, PLANNER_NAMES as PLANNERS};
+    use tprw_pathfinding::cdt::{MAX_CDT_ROBOTS, MAX_CDT_TICK};
+    use tprw_pathfinding::reservation::MAX_PARK_TICK;
     use tprw_warehouse::{
         DisruptionConfig, GridPos, LayoutConfig, OrderId, RobotId, ScenarioSpec, WorkloadConfig,
     };
@@ -1060,9 +1075,11 @@ mod tests {
         );
     }
 
-    /// A CRC-valid planner slice with a cell off the grid, or with two
-    /// robots parked on one cell, is refused on resume before any
-    /// reservation table or the path cache indexes it.
+    /// A CRC-valid planner slice with a cell off the grid, two robots
+    /// parked on one cell, a robot outside the fleet (below or above the
+    /// CDT's robot cap) or a tick past the CDT's or the parking board's
+    /// encoding is refused on resume before any reservation table or the
+    /// path cache indexes it.
     #[test]
     fn planner_slice_off_the_grid_is_a_decode_error() {
         let inst = scenario(None, 42);
@@ -1086,11 +1103,18 @@ mod tests {
             }
         };
         let below = GridPos::new(0, height);
-        for what in [
-            "parking cell",
-            "reservation cell",
-            "two robots",
-            "cached-path cell",
+        let phantom = RobotId::new(inst.robots.len());
+        let past_cap = RobotId::new(MAX_CDT_ROBOTS + 1);
+        for (what, expected) in [
+            ("parking cell", "parking cell"),
+            ("reservation cell", "reservation cell"),
+            ("two robots", "two robots"),
+            ("cached-path cell", "cached-path cell"),
+            ("reservation robot", "reservation robot"),
+            ("reservation robot past the cap", "reservation robot"),
+            ("parking robot", "parking robot"),
+            ("reservation tick", "reservation tick"),
+            ("parking tick", "parking tick"),
         ] {
             let mut tree = tree.clone();
             let mut b = base_of(&mut tree);
@@ -1098,7 +1122,12 @@ mod tests {
                 "parking cell" => b.resv.parked[0].1 = below,
                 "reservation cell" => b.resv.timed[0].pos = GridPos::new(width, 0),
                 "two robots" => b.resv.parked[1].1 = b.resv.parked[0].1,
-                _ => b.cache[0].1[0] = below,
+                "cached-path cell" => b.cache[0].1[0] = below,
+                "reservation robot" => b.resv.timed[0].robot = phantom,
+                "reservation robot past the cap" => b.resv.timed[0].robot = past_cap,
+                "parking robot" => b.resv.parked[0].0 = phantom,
+                "reservation tick" => b.resv.timed[0].t = MAX_CDT_TICK + 1,
+                _ => b.resv.parked[0].2 = MAX_PARK_TICK + 1,
             }
             *field_mut(field_mut(&mut tree, "planner"), "base") = b.serialize();
             let data = decode_snapshot(&framed(SNAPSHOT_VERSION, &serde::binary::to_bytes(&tree)))
@@ -1107,7 +1136,7 @@ mod tests {
                 panic!("a planner slice with a bad {what} resumed");
             };
             assert!(
-                matches!(&err, SnapshotError::Decode(msg) if msg.contains(what)),
+                matches!(&err, SnapshotError::Decode(msg) if msg.contains(expected)),
                 "{what}: {err:?}"
             );
         }
