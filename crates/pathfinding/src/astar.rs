@@ -8,7 +8,7 @@
 //! and inter-grid conflicts of Definition 5.
 //!
 //! The heuristic is `max(manhattan(cell, goal), park_clearance - tick)`
-//! (`remaining_ticks`, shared by both search cores). A parking goal is
+//! (`remaining_ticks`). A parking goal is
 //! accepted only once every reservation other robots hold on it has passed
 //! (`park_clearance`), so no plan ends earlier than that, however short the
 //! way; the second term says so. Each term drops by at most one per tick,
@@ -32,17 +32,23 @@
 //! `(t << 24) | cell_index` key silently aliased states on grids with
 //! ≥ 2²⁴ cells. This implementation replaces all of that:
 //!
-//! * **States are dense slots.** Each query computes a *search region* — the
-//!   bounding box of `start`/`goal` inflated by `horizon_slack / 2 + 1`
+//! * **States are region slots.** Each query computes a *search region* —
+//!   the bounding box of `start`/`goal` inflated by `horizon_slack / 2 + 1`
 //!   (plus twice the cache threshold when splicing is enabled; see
 //!   `Region::compute`) — outside of which no cell can contribute to any
 //!   completion of the query (for any on-path cell `c`,
-//!   `d(start,c) + d(c,goal) ≤ d(start,goal) + slack`). A state keys the
-//!   one flat table of a [`SearchScratch`] wavefront-major, as
+//!   `d(start,c) + d(c,goal) ≤ d(start,goal) + slack`). A state keys its
+//!   slot wavefront-major, as
 //!   `(dt - manhattan(start, cell)) * region_cells + region_cell`: on-time
 //!   states fill plane 0 and each tick of delay opens the next, so the
-//!   slots a search touches are neighbours (`Region::slot`, ADR-004). Slots
-//!   are stamped by query generation so the table is reused without clearing.
+//!   slots a search touches are neighbours (`Region::slot`, ADR-004).
+//! * **One loop, two state tables.** The search is generic over the
+//!   `StateTable` that records discovered slots. Regions of up to
+//!   [`DENSE_TABLE_CAP`] slots use the [`SearchScratch`]'s dense table,
+//!   stamped by query generation so it is reused without clearing; larger
+//!   ones a hash map from the same slot. Region size is the only selection
+//!   rule, and both tables answer alike, so a query expands the same states
+//!   in the same order with either (docs/adr/ADR-017-one-search-loop.md).
 //! * **The open list is a dial.** Unit edge costs and a consistent
 //!   heuristic make f-values monotone with increments in `{0, 1, 2}`, so a
 //!   bucket array indexed by `f - h0` with a monotone head pointer replaces
@@ -60,10 +66,6 @@
 //! * **No closed set.** Every path into `(cell, dt)` has cost exactly `dt`,
 //!   so the first discovery is optimal and stamping at discovery dedupes.
 //!
-//! Queries whose dense table would exceed [`DENSE_TABLE_CAP`] slots fall
-//! back to a hash-keyed search with a collision-free `dt * cells + cell`
-//! key (see [`SearchScratch`] docs); behaviour is identical, only slower.
-//!
 //! When a [`PathCache`] is supplied and the popped vertex lies within the
 //! cache threshold `L` of the destination, the planner follows the cached
 //! conflict-agnostic shortest path and inserts waits until each step is
@@ -73,13 +75,16 @@
 use crate::cache::PathCache;
 use crate::path::Path;
 use crate::reservation::ReservationProbe;
-use crate::scratch::{SearchScratch, ACTION_MOVE_BASE, ACTION_ROOT, ACTION_WAIT};
-use std::cmp::Reverse;
+use crate::scratch::{Dial, SearchScratch, StateTable, ACTION_MOVE_BASE, ACTION_ROOT, ACTION_WAIT};
 use tprw_warehouse::{Direction, GridMap, GridPos, RobotId, Tick};
 
 /// Upper bound on dense arena slots per query (512 MiB of 4-byte stamp
-/// words at the cap, 640 MiB with growth headroom); larger queries take the
-/// sparse fallback. Far above every workload in the paper's datasets.
+/// words at the cap, 640 MiB with growth headroom); larger regions record
+/// their states in a hash table instead. No benchmark workload reaches it:
+/// a 200×200 region needs at most 40 000 cells × 655 ticks ≈ 26 M slots.
+/// The paper's Real-Large floor does: at full scale (541×302, slack 256,
+/// `L = 50`) a leg longer than about 565 cells spans the whole floor for
+/// more than 821 ticks.
 pub const DENSE_TABLE_CAP: usize = 1 << 27;
 
 /// Tuning knobs for a single path query.
@@ -188,7 +193,7 @@ impl Region {
         }
     }
 
-    /// Dense slots needed (`None` on overflow — forces the sparse fallback).
+    /// Dense slots needed (`None` on overflow — forces the hash table).
     pub(crate) fn slots(&self) -> Option<usize> {
         (self.w as usize * self.h as usize).checked_mul(usize::try_from(self.window).ok()?)
     }
@@ -200,7 +205,7 @@ impl Region {
         dx < self.w && dy < self.h
     }
 
-    /// Dense table slot of `(p, dt)`; `p` must be inside the region. No
+    /// State table slot of `(p, dt)`; `p` must be inside the region. No
     /// state is reached before `manhattan(start, p)`, so its delay past
     /// that tick is in `0..window` and `(p, dt) -> (p, delay)` is one-to-one.
     #[inline]
@@ -258,9 +263,10 @@ pub fn plan_path_into<R: ReservationProbe>(
     )
 }
 
-/// Post-precondition dispatch between the dense arena and the sparse
-/// fallback. `force_sparse` exists for tests that pin the two
-/// implementations against each other.
+/// Post-precondition dispatch: regions of up to [`DENSE_TABLE_CAP`] slots
+/// search with the dense table, larger ones with the hash table.
+/// `force_hashed` exists for tests that pin the two tables against each
+/// other.
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn plan_path_checked<R: ReservationProbe>(
     scratch: &mut SearchScratch,
@@ -270,10 +276,10 @@ pub(crate) fn plan_path_checked<R: ReservationProbe>(
     start: GridPos,
     start_tick: Tick,
     goal: GridPos,
-    mut cache: Option<&mut PathCache>,
+    cache: Option<&mut PathCache>,
     opts: &PlanOptions,
     out: &mut Path,
-    force_sparse: bool,
+    force_hashed: bool,
 ) -> Option<PlanStats> {
     // Earliest tick at which a parking goal may be occupied forever.
     let park_clearance = if opts.park_at_goal {
@@ -286,35 +292,35 @@ pub(crate) fn plan_path_checked<R: ReservationProbe>(
 
     let splice_reach = cache.as_ref().map_or(0, |c| c.threshold());
     let region = Region::compute(grid, start, goal, opts.horizon_slack, splice_reach);
-    match region.slots() {
-        Some(slots) if slots <= DENSE_TABLE_CAP && !force_sparse => plan_dense(
-            scratch,
-            region,
-            grid,
-            resv,
-            robot,
-            start,
-            start_tick,
-            goal,
-            cache.as_deref_mut(),
-            park_clearance,
-            opts,
-            out,
-        ),
-        _ => plan_sparse(
-            scratch,
-            grid,
-            resv,
-            robot,
-            start,
-            start_tick,
-            goal,
-            cache,
-            park_clearance,
-            opts,
-            out,
-        ),
-    }
+    let SearchScratch {
+        stamps,
+        hashed,
+        open,
+        splice_buf,
+        last_expansions,
+    } = scratch;
+    let query = Query {
+        region,
+        grid,
+        resv,
+        robot,
+        start_tick,
+        goal,
+        park_clearance,
+        opts,
+    };
+    let (result, expansions) = match region.slots() {
+        Some(slots) if slots <= DENSE_TABLE_CAP && !force_hashed => {
+            stamps.begin(slots);
+            search(stamps, open, splice_buf, &query, cache, out)
+        }
+        _ => {
+            hashed.clear();
+            search(hashed, open, splice_buf, &query, cache, out)
+        }
+    };
+    *last_expansions = expansions;
+    result
 }
 
 /// [`plan_path_into`] with an owned result path.
@@ -344,10 +350,10 @@ pub fn plan_path_with<R: ReservationProbe>(
     })
 }
 
-/// The heuristic of both search cores: a lower bound on the ticks a robot
-/// at `pos`, `dt` ticks into the query, still needs. It must cover the
-/// Manhattan distance and cannot be accepted by the goal test before the
-/// parking clearance (`clearance_dt` ticks after the query start; 0 for
+/// The search's heuristic: a lower bound on the ticks a robot at `pos`,
+/// `dt` ticks into the query, still needs. It must cover the Manhattan
+/// distance and cannot be accepted by the goal test before the parking
+/// clearance (`clearance_dt` ticks after the query start; 0 for
 /// non-parking goals). Both terms drop by at most one per tick, so the
 /// bound is admissible and consistent.
 #[inline]
@@ -355,49 +361,53 @@ fn remaining_ticks(pos: GridPos, goal: GridPos, dt: u64, clearance_dt: u64) -> u
     pos.manhattan(goal).max(clearance_dt.saturating_sub(dt))
 }
 
-/// Dense-arena search core.
-#[allow(clippy::too_many_arguments)]
-fn plan_dense<R: ReservationProbe>(
-    scratch: &mut SearchScratch,
+/// One query's inputs, whichever state table it searches with.
+struct Query<'a, R> {
     region: Region,
-    grid: &GridMap,
-    resv: &R,
+    grid: &'a GridMap,
+    resv: &'a R,
     robot: RobotId,
-    start: GridPos,
     start_tick: Tick,
     goal: GridPos,
-    mut cache: Option<&mut PathCache>,
     park_clearance: Tick,
-    opts: &PlanOptions,
+    opts: &'a PlanOptions,
+}
+
+/// The search loop, over whichever state table the region's size picked
+/// (the caller has begun or cleared it). Returns the result and the number
+/// of states expanded, successful or not.
+fn search<T: StateTable, R: ReservationProbe>(
+    table: &mut T,
+    open: &mut Dial,
+    splice_buf: &mut Vec<GridPos>,
+    query: &Query<R>,
+    mut cache: Option<&mut PathCache>,
     out: &mut Path,
-) -> Option<PlanStats> {
+) -> (Option<PlanStats>, usize) {
+    let Query {
+        region,
+        grid,
+        resv,
+        robot,
+        start_tick,
+        goal,
+        park_clearance,
+        opts,
+    } = *query;
+    let start = region.start;
     let horizon = start_tick + region.window - 1;
     let clearance_dt = park_clearance.saturating_sub(start_tick);
     let h0 = remaining_ticks(start, goal, 0, clearance_dt);
     let width = grid.width();
     let height = grid.height();
-    scratch.begin_dense(region.slots().expect("checked by caller"));
 
-    // Seed the root.
-    {
-        scratch.discover(region.slot(start, 0), ACTION_ROOT);
-        scratch.ensure_bucket(0);
-        scratch.buckets[0].push((start.to_index(width) as u32, 0));
-    }
-    let mut dirty_hi = 0usize; // highest bucket touched this query
-    let mut head = 0usize; // monotone dial pointer
+    table.discover(region.slot(start, 0), ACTION_ROOT);
+    open.push(0, (start.to_index(width) as u32, 0));
     let mut expansions = 0usize;
     let mut splice_attempts = 0u32;
     let mut result: Option<PlanStats> = None;
 
-    'search: loop {
-        while head <= dirty_hi && scratch.buckets[head].is_empty() {
-            head += 1;
-        }
-        if head > dirty_hi {
-            break; // open list exhausted
-        }
-        let (pos_idx, dt) = scratch.buckets[head].pop().expect("non-empty bucket");
+    while let Some((pos_idx, dt)) = open.pop() {
         let pos = GridPos::from_index(pos_idx as usize, width);
         let dt = dt as u64;
         let t = start_tick + dt;
@@ -406,7 +416,7 @@ fn plan_dense<R: ReservationProbe>(
         // Goal test: arrived, and — for parking goals — cleared of all
         // future reservations by other robots.
         if pos == goal && t >= park_clearance {
-            reconstruct_dense(scratch, &region, pos, dt, width, height, out);
+            reconstruct(table, &region, pos, dt, width, height, out);
             out.start = start_tick;
             result = Some(PlanStats {
                 expansions,
@@ -415,28 +425,36 @@ fn plan_dense<R: ReservationProbe>(
             break;
         }
 
-        // Cache-aided tail: follow the conflict-agnostic shortest path with
-        // waits (Sec. VI-B).
-        if splice_completes(
-            resv,
-            robot,
-            pos,
-            t,
-            goal,
-            &mut cache,
-            &mut splice_attempts,
-            park_clearance,
-            opts,
-            &mut scratch.splice_buf,
-        ) {
-            reconstruct_dense(scratch, &region, pos, dt, width, height, out);
-            out.start = start_tick;
-            out.cells.extend_from_slice(&scratch.splice_buf[1..]);
-            result = Some(PlanStats {
-                expansions,
-                used_cache: true,
-            });
-            break 'search;
+        // Cache-aided tail: within `L` of the goal, follow the
+        // conflict-agnostic shortest path with waits (Sec. VI-B), at most
+        // `max_splice_attempts` times per query.
+        if let Some(cache) = cache.as_deref_mut() {
+            if pos != goal
+                && cache.within_threshold(pos, goal)
+                && splice_attempts < opts.max_splice_attempts
+            {
+                splice_attempts += 1;
+                if try_splice_into(
+                    resv,
+                    robot,
+                    pos,
+                    t,
+                    goal,
+                    cache,
+                    park_clearance,
+                    opts,
+                    splice_buf,
+                ) {
+                    reconstruct(table, &region, pos, dt, width, height, out);
+                    out.start = start_tick;
+                    out.cells.extend_from_slice(&splice_buf[1..]);
+                    result = Some(PlanStats {
+                        expansions,
+                        used_cache: true,
+                    });
+                    break;
+                }
+            }
         }
 
         if expansions >= opts.max_expansions || t >= horizon {
@@ -446,19 +464,16 @@ fn plan_dense<R: ReservationProbe>(
         // Expand: wait + the four moves. Cells outside the region cannot lie
         // on any path meeting the horizon, so they are pruned at generation.
         let ndt = dt + 1;
+        let mut push = |to: GridPos, action: u32| {
+            if !table.discover(region.slot(to, ndt), action) {
+                return; // already discovered — first discovery has equal cost
+            }
+            let f = ndt + remaining_ticks(to, goal, ndt, clearance_dt);
+            debug_assert!(f >= h0, "the heuristic must be consistent");
+            open.push((f - h0) as usize, (to.to_index(width) as u32, ndt as u32));
+        };
         if resv.can_move(robot, pos, pos, t) {
-            push_dense(
-                scratch,
-                &region,
-                goal,
-                h0,
-                clearance_dt,
-                pos,
-                ndt,
-                ACTION_WAIT,
-                width,
-                &mut dirty_hi,
-            );
+            push(pos, ACTION_WAIT);
         }
         for (i, dir) in Direction::ALL.into_iter().enumerate() {
             if let Some(next) = pos.step(dir, width, height) {
@@ -466,66 +481,20 @@ fn plan_dense<R: ReservationProbe>(
                     && grid.passable(next)
                     && resv.can_move(robot, pos, next, t)
                 {
-                    push_dense(
-                        scratch,
-                        &region,
-                        goal,
-                        h0,
-                        clearance_dt,
-                        next,
-                        ndt,
-                        ACTION_MOVE_BASE + i as u32,
-                        width,
-                        &mut dirty_hi,
-                    );
+                    push(next, ACTION_MOVE_BASE + i as u32);
                 }
             }
         }
     }
 
-    // Recycle the dial: lengths reset, capacities kept for the next query.
-    for bucket in &mut scratch.buckets[..=dirty_hi] {
-        bucket.clear();
-    }
-    scratch.last_expansions = expansions;
-    result
-}
-
-/// Stamp-dedupe and enqueue `(to, ndt)` reached via `action`.
-#[allow(clippy::too_many_arguments)]
-#[inline]
-fn push_dense(
-    scratch: &mut SearchScratch,
-    region: &Region,
-    goal: GridPos,
-    h0: u64,
-    clearance_dt: u64,
-    to: GridPos,
-    ndt: u64,
-    action: u32,
-    width: u16,
-    dirty_hi: &mut usize,
-) {
-    let slot = region.slot(to, ndt);
-    if scratch.discovered(slot) {
-        return; // already discovered — first discovery has equal cost
-    }
-    scratch.discover(slot, action);
-    let f = ndt + remaining_ticks(to, goal, ndt, clearance_dt);
-    debug_assert!(f >= h0, "the heuristic must be consistent");
-    let bucket = (f - h0) as usize;
-    scratch.ensure_bucket(bucket);
-    scratch.buckets[bucket].push((to.to_index(width) as u32, ndt as u32));
-    if bucket > *dirty_hi {
-        *dirty_hi = bucket;
-    }
+    open.clear();
+    (result, expansions)
 }
 
 /// Walk reach-actions back from `(pos, dt)` to the root, writing the cell
 /// sequence into `out.cells` (reused buffer; reversed in place).
-#[allow(clippy::too_many_arguments)]
-fn reconstruct_dense(
-    scratch: &SearchScratch,
+fn reconstruct<T: StateTable>(
+    table: &T,
     region: &Region,
     mut pos: GridPos,
     mut dt: u64,
@@ -537,7 +506,7 @@ fn reconstruct_dense(
     out.cells.reserve(dt as usize + 1);
     loop {
         out.cells.push(pos);
-        match scratch.action(region.slot(pos, dt)) {
+        match table.action(region.slot(pos, dt)) {
             ACTION_ROOT => break,
             ACTION_WAIT => {}
             a => {
@@ -550,167 +519,6 @@ fn reconstruct_dense(
         dt -= 1;
     }
     out.cells.reverse();
-}
-
-/// Sparse fallback for queries whose dense table would exceed
-/// [`DENSE_TABLE_CAP`]: the seed's hash-based search with a collision-free
-/// `dt * cell_count + cell_index` key and recycled buffers.
-#[allow(clippy::too_many_arguments)]
-fn plan_sparse<R: ReservationProbe>(
-    scratch: &mut SearchScratch,
-    grid: &GridMap,
-    resv: &R,
-    robot: RobotId,
-    start: GridPos,
-    start_tick: Tick,
-    goal: GridPos,
-    mut cache: Option<&mut PathCache>,
-    park_clearance: Tick,
-    opts: &PlanOptions,
-    out: &mut Path,
-) -> Option<PlanStats> {
-    let horizon = start_tick + start.manhattan(goal) + opts.horizon_slack;
-    let width = grid.width();
-    let n_cells = grid.cell_count() as u64;
-    let key = |pos: GridPos, dt: u64| -> u64 { dt * n_cells + pos.to_index(width) as u64 };
-
-    let parents = &mut scratch.sparse_parent;
-    let open = &mut scratch.sparse_open;
-    parents.clear();
-    open.clear();
-
-    let clearance_dt = park_clearance.saturating_sub(start_tick);
-    let h0 = remaining_ticks(start, goal, 0, clearance_dt);
-    open.push(Reverse((h0, h0, start.to_index(width) as u32, 0)));
-    parents.insert(key(start, 0), key(start, 0));
-
-    let mut expansions = 0usize;
-    let mut splice_attempts = 0u32;
-    let mut result: Option<PlanStats> = None;
-
-    while let Some(Reverse((_f, _h, pos_idx, dt))) = open.pop() {
-        let pos = GridPos::from_index(pos_idx as usize, width);
-        let t = start_tick + dt;
-        expansions += 1;
-
-        if pos == goal && t >= park_clearance {
-            reconstruct_sparse(parents, key(pos, dt), n_cells, width, out);
-            out.start = start_tick;
-            result = Some(PlanStats {
-                expansions,
-                used_cache: false,
-            });
-            break;
-        }
-
-        if splice_completes(
-            resv,
-            robot,
-            pos,
-            t,
-            goal,
-            &mut cache,
-            &mut splice_attempts,
-            park_clearance,
-            opts,
-            &mut scratch.splice_buf,
-        ) {
-            reconstruct_sparse(parents, key(pos, dt), n_cells, width, out);
-            out.start = start_tick;
-            out.cells.extend_from_slice(&scratch.splice_buf[1..]);
-            result = Some(PlanStats {
-                expansions,
-                used_cache: true,
-            });
-            break;
-        }
-
-        if expansions >= opts.max_expansions || t >= horizon {
-            continue;
-        }
-
-        let ndt = dt + 1;
-        if resv.can_move(robot, pos, pos, t) {
-            let nkey = key(pos, ndt);
-            if let std::collections::hash_map::Entry::Vacant(e) = parents.entry(nkey) {
-                e.insert(key(pos, dt));
-                let h = remaining_ticks(pos, goal, ndt, clearance_dt);
-                open.push(Reverse((ndt + h, h, pos_idx, ndt)));
-            }
-        }
-        for next in grid.passable_neighbors(pos) {
-            if resv.can_move(robot, pos, next, t) {
-                let nkey = key(next, ndt);
-                if let std::collections::hash_map::Entry::Vacant(e) = parents.entry(nkey) {
-                    e.insert(key(pos, dt));
-                    let h = remaining_ticks(next, goal, ndt, clearance_dt);
-                    open.push(Reverse((ndt + h, h, next.to_index(width) as u32, ndt)));
-                }
-            }
-        }
-    }
-    scratch.last_expansions = expansions;
-    result
-}
-
-fn reconstruct_sparse(
-    parents: &std::collections::HashMap<u64, u64>,
-    mut state: u64,
-    n_cells: u64,
-    width: u16,
-    out: &mut Path,
-) {
-    out.cells.clear();
-    loop {
-        out.cells
-            .push(GridPos::from_index((state % n_cells) as usize, width));
-        let parent = parents[&state];
-        if parent == state {
-            break;
-        }
-        state = parent;
-    }
-    out.cells.reverse();
-}
-
-/// Shared splice gating for both search cores (dense and sparse): whether
-/// the popped state `(pos, t)` completes the query via the cache. Bundles
-/// the threshold check, the per-query attempt budget and the wait-splice
-/// itself so the two cores cannot drift semantically.
-#[allow(clippy::too_many_arguments)]
-fn splice_completes<R: ReservationProbe>(
-    resv: &R,
-    robot: RobotId,
-    pos: GridPos,
-    t: Tick,
-    goal: GridPos,
-    cache: &mut Option<&mut PathCache>,
-    splice_attempts: &mut u32,
-    park_clearance: Tick,
-    opts: &PlanOptions,
-    buf: &mut Vec<GridPos>,
-) -> bool {
-    if pos == goal {
-        return false;
-    }
-    let Some(cache_ref) = cache.as_deref_mut() else {
-        return false;
-    };
-    if !cache_ref.within_threshold(pos, goal) || *splice_attempts >= opts.max_splice_attempts {
-        return false;
-    }
-    *splice_attempts += 1;
-    try_splice_into(
-        resv,
-        robot,
-        pos,
-        t,
-        goal,
-        cache_ref,
-        park_clearance,
-        opts,
-        buf,
-    )
 }
 
 /// Follow the cached spatial path from `(from, t0)` to `goal`, waiting when
@@ -1240,10 +1048,78 @@ mod tests {
         );
     }
 
+    /// One query through the dense table, then through the hash table: each
+    /// run's path (if it found one) and expansion count.
+    fn through_both_tables<R: ReservationProbe>(
+        scratch: &mut SearchScratch,
+        grid: &GridMap,
+        resv: &R,
+        start: GridPos,
+        start_tick: Tick,
+        goal: GridPos,
+        opts: &PlanOptions,
+    ) -> [(Option<Path>, usize); 2] {
+        [false, true].map(|force_hashed| {
+            let mut path = Path::stationary(start, 0);
+            let found = plan_path_checked(
+                scratch,
+                grid,
+                resv,
+                RobotId::new(0),
+                start,
+                start_tick,
+                goal,
+                None,
+                opts,
+                &mut path,
+                force_hashed,
+            );
+            (found.map(|_| path), scratch.last_expansions())
+        })
+    }
+
+    #[test]
+    fn regions_over_the_cap_search_the_hash_table() {
+        // Nothing forces the table here: a 1 200-cell leg with slack 512 on
+        // a 1 200×1 200 floor needs a region of 1 115² cells × 1 713 ticks,
+        // about 2.1 G slots, past the cap, so the dense table is never
+        // allocated and every state lands in the hash table.
+        let side = 1_200;
+        let grid = open_grid(side, side);
+        let resv = SpatioTemporalGraph::new(side, side);
+        let (start, goal) = (p(300, 300), p(900, 900));
+        let region = Region::compute(&grid, start, goal, opts().horizon_slack, 0);
+        assert!(region.slots().expect("fits a usize") > DENSE_TABLE_CAP);
+        let mut scratch = SearchScratch::new();
+        let out = plan_path_with(
+            &mut scratch,
+            &grid,
+            &resv,
+            RobotId::new(0),
+            start,
+            11,
+            goal,
+            None,
+            &opts(),
+        )
+        .expect("an empty floor is always solvable");
+        assert_eq!(out.path.end() - out.path.start, start.manhattan(goal));
+        assert!(out.path.is_connected());
+        assert_eq!(
+            scratch.dense_slots(),
+            0,
+            "the dense table stays unallocated"
+        );
+        assert!(scratch.hashed.len() > 1_200, "{}", scratch.hashed.len());
+        assert_eq!(scratch.last_expansions(), out.expansions);
+    }
+
     #[test]
     fn sparse_fallback_matches_dense() {
-        // Pin the two search cores against each other on a congested grid:
-        // identical feasibility and identical arrival ticks.
+        // The hash table answers every probe the dense table does, so the
+        // one search loop expands the same states in the same order over
+        // either: identical feasibility, cells and expansion counts on a
+        // congested grid.
         let grid = open_grid(16, 16);
         let mut resv = ConflictDetectionTable::new(16, 16);
         for i in 0..5u16 {
@@ -1268,53 +1144,10 @@ mod tests {
             (p(0, 8), p(15, 8)),
             (p(2, 2), p(2, 14)),
         ] {
-            let mut dense_path = Path {
-                start: 0,
-                cells: Vec::new(),
-            };
-            let mut sparse_path = Path {
-                start: 0,
-                cells: Vec::new(),
-            };
-            let dense = crate::astar::plan_path_checked(
-                &mut scratch,
-                &grid,
-                &resv,
-                RobotId::new(0),
-                s,
-                3,
-                g,
-                None,
-                &opts,
-                &mut dense_path,
-                false,
-            );
-            let sparse = crate::astar::plan_path_checked(
-                &mut scratch,
-                &grid,
-                &resv,
-                RobotId::new(0),
-                s,
-                3,
-                g,
-                None,
-                &opts,
-                &mut sparse_path,
-                true,
-            );
-            assert_eq!(
-                dense.is_some(),
-                sparse.is_some(),
-                "feasibility for {s}->{g}"
-            );
-            if dense.is_some() {
-                assert_eq!(
-                    dense_path.end(),
-                    sparse_path.end(),
-                    "arrival ticks for {s}->{g}"
-                );
-                assert!(sparse_path.is_connected());
-            }
+            let [dense, hashed] = through_both_tables(&mut scratch, &grid, &resv, s, 3, g, &opts);
+            assert_eq!(dense, hashed, "{s}->{g}");
+            let path = dense.0.expect("every leg is feasible");
+            assert!(path.is_connected());
         }
     }
 
@@ -1346,35 +1179,21 @@ mod tests {
         reserve_crossing(&mut resv, 1, goal, start_tick + 100);
         let park_clearance = start_tick + 101;
         let mut scratch = SearchScratch::new();
-        for force_sparse in [false, true] {
-            let mut path = Path::stationary(start, 0);
-            let stats = plan_path_checked(
-                &mut scratch,
-                &grid,
-                &resv,
-                RobotId::new(0),
-                start,
-                start_tick,
-                goal,
-                None,
-                &opts(),
-                &mut path,
-                force_sparse,
-            )
-            .expect("the goal clears inside the horizon");
-            assert_eq!(path.end(), park_clearance, "earliest admissible arrival");
-            assert!(
-                stats.expansions as u64 <= 4 * (park_clearance - start_tick),
-                "{} expansions (sparse: {force_sparse})",
-                stats.expansions
-            );
-            assert_eq!(scratch.last_expansions(), stats.expansions);
-            assert!(path.is_connected());
-            let mut cur = start;
-            for (t, cell) in path.iter_timed().skip(1) {
-                assert!(resv.can_move(RobotId::new(0), cur, cell, t - 1));
-                cur = cell;
-            }
+        let [dense, hashed] =
+            through_both_tables(&mut scratch, &grid, &resv, start, start_tick, goal, &opts());
+        assert_eq!(dense, hashed, "both tables walk the plateau alike");
+        let (path, expansions) = dense;
+        let path = path.expect("the goal clears inside the horizon");
+        assert_eq!(path.end(), park_clearance, "earliest admissible arrival");
+        assert!(
+            expansions as u64 <= 4 * (park_clearance - start_tick),
+            "{expansions} expansions"
+        );
+        assert!(path.is_connected());
+        let mut cur = start;
+        for (t, cell) in path.iter_timed().skip(1) {
+            assert!(resv.can_move(RobotId::new(0), cur, cell, t - 1));
+            cur = cell;
         }
         // The same query through the seed search: same arrival tick.
         let reference = crate::reference::plan_path_reference(
@@ -1406,24 +1225,11 @@ mod tests {
             ..opts()
         };
         let mut scratch = SearchScratch::new();
-        for force_sparse in [false, true] {
-            let mut path = Path::stationary(p(2, 6), 0);
-            let out = plan_path_checked(
-                &mut scratch,
-                &grid,
-                &resv,
-                RobotId::new(0),
-                p(2, 6),
-                0,
-                p(6, 6),
-                None,
-                &tight,
-                &mut path,
-                force_sparse,
-            );
-            assert!(out.is_none());
-            assert!(scratch.last_expansions() > 12, "sparse: {force_sparse}");
-        }
+        let [dense, hashed] =
+            through_both_tables(&mut scratch, &grid, &resv, p(2, 6), 0, p(6, 6), &tight);
+        assert_eq!(dense, hashed);
+        assert!(dense.0.is_none());
+        assert!(dense.1 > 12, "{} expansions", dense.1);
         // A query refused before the search starts reports zero, not the
         // previous query's count.
         resv.park(RobotId::new(2), p(9, 9), 0);
@@ -1593,28 +1399,22 @@ mod tests {
         ];
         let mut scratch = SearchScratch::new();
         for park_at_goal in [false, true] {
-            let mut got = Vec::new();
+            let opts = PlanOptions {
+                park_at_goal,
+                ..opts()
+            };
+            let mut got = [Vec::new(), Vec::new()];
             for &(s, g) in &legs {
-                let out = plan_path_with(
-                    &mut scratch,
-                    &grid,
-                    &resv,
-                    RobotId::new(0),
-                    s,
-                    3,
-                    g,
-                    None,
-                    &PlanOptions {
-                        park_at_goal,
-                        ..opts()
-                    },
-                )
-                .expect("every recorded query is feasible");
-                got.push(path_hash(&out.path));
+                let tables = through_both_tables(&mut scratch, &grid, &resv, s, 3, g, &opts);
+                for (hashes, (path, _)) in got.iter_mut().zip(tables) {
+                    hashes.push(path_hash(&path.expect("every recorded query is feasible")));
+                }
             }
+            let [dense, hashed] = got;
             assert_eq!(
-                got, RECORDED,
-                "a recorded path changed (park: {park_at_goal})"
+                (dense, hashed),
+                (RECORDED.to_vec(), RECORDED.to_vec()),
+                "a recorded path changed (dense, hashed; park: {park_at_goal})"
             );
         }
     }

@@ -12,7 +12,7 @@
 //! (`dist(robot_pos, rack_home)`), so a memo keyed by query source would
 //! BFS the whole grid for nearly every query. [`DistanceOracle`] is flat,
 //! in the style of the `SearchScratch` arena (its property tests compare
-//! it against the brute-force [`bfs_distances`]):
+//! it against a brute-force BFS of their own):
 //!
 //! * no grid clone — only a dense passability snapshot;
 //! * **dense slot index**: `slot_of[cell]` maps a BFS source to its field
@@ -31,48 +31,6 @@ use crate::footprint::MemoryFootprint;
 use std::collections::VecDeque;
 use tprw_warehouse::{GridMap, GridPos};
 
-/// Distance field from one source over passable cells.
-#[derive(Debug, Clone)]
-pub struct DistanceGrid {
-    width: u16,
-    dist: Vec<u32>,
-}
-
-/// Marker for unreachable cells.
-pub const UNREACHABLE: u32 = u32::MAX;
-
-impl DistanceGrid {
-    /// Distance from the BFS source to `p` (`UNREACHABLE` if cut off).
-    #[inline]
-    pub fn get(&self, p: GridPos) -> u32 {
-        self.dist[p.to_index(self.width)]
-    }
-}
-
-/// BFS over passable cells from `source`.
-pub fn bfs_distances(grid: &GridMap, source: GridPos) -> DistanceGrid {
-    let mut dist = vec![UNREACHABLE; grid.cell_count()];
-    let mut queue = VecDeque::new();
-    if grid.passable(source) {
-        dist[source.to_index(grid.width())] = 0;
-        queue.push_back(source);
-    }
-    while let Some(p) = queue.pop_front() {
-        let d = dist[p.to_index(grid.width())];
-        for q in grid.passable_neighbors(p) {
-            let slot = &mut dist[q.to_index(grid.width())];
-            if *slot == UNREACHABLE {
-                *slot = d + 1;
-                queue.push_back(q);
-            }
-        }
-    }
-    DistanceGrid {
-        width: grid.width(),
-        dist,
-    }
-}
-
 /// One memoized BFS field slot of the flat oracle.
 #[derive(Debug, Clone)]
 struct FieldSlot {
@@ -86,6 +44,49 @@ struct FieldSlot {
     dist: Box<[u32]>,
     /// Per-cell generation stamps.
     stamp: Box<[u32]>,
+}
+
+impl FieldSlot {
+    /// BFS from `source` over the flat passability snapshot of a
+    /// `width × height` grid, under a fresh generation.
+    fn fill(&mut self, passable: &[bool], width: u16, height: u16, queue: &mut VecDeque<u32>) {
+        if self.generation == u32::MAX {
+            // Stamp wrap: clear once so stale max-stamps cannot alias.
+            self.stamp.fill(0);
+            self.generation = 0;
+        }
+        self.generation += 1;
+        let (width, height) = (width as usize, height as usize);
+        queue.clear();
+        self.relax(passable, queue, self.source as usize, 0);
+        while let Some(i) = queue.pop_front() {
+            let i = i as usize;
+            let d = self.dist[i] + 1;
+            let (x, y) = (i % width, i / width);
+            // 4-neighbourhood unrolled over the flat passability snapshot.
+            if x > 0 {
+                self.relax(passable, queue, i - 1, d);
+            }
+            if x + 1 < width {
+                self.relax(passable, queue, i + 1, d);
+            }
+            if y > 0 {
+                self.relax(passable, queue, i - width, d);
+            }
+            if y + 1 < height {
+                self.relax(passable, queue, i + width, d);
+            }
+        }
+    }
+
+    #[inline]
+    fn relax(&mut self, passable: &[bool], queue: &mut VecDeque<u32>, j: usize, d: u32) {
+        if passable[j] && self.stamp[j] != self.generation {
+            self.stamp[j] = self.generation;
+            self.dist[j] = d;
+            queue.push_back(j as u32);
+        }
+    }
 }
 
 /// Shared distance oracle: exact Manhattan on obstacle-free grids, flat
@@ -260,73 +261,11 @@ impl DistanceOracle {
         };
         self.slot_of[source as usize] = slot_id;
 
-        let width = self.width as usize;
         let slot = &mut self.slots[slot_id as usize];
         slot.source = source;
         slot.last_used = self.clock;
-        if slot.generation == u32::MAX {
-            // Stamp wrap: clear once so stale max-stamps cannot alias.
-            slot.stamp.fill(0);
-            slot.generation = 0;
-        }
-        slot.generation += 1;
-        let generation = slot.generation;
-
-        self.queue.clear();
-        if self.passable[source as usize] {
-            slot.dist[source as usize] = 0;
-            slot.stamp[source as usize] = generation;
-            self.queue.push_back(source);
-        }
-        while let Some(i) = self.queue.pop_front() {
-            let i = i as usize;
-            let d = slot.dist[i] + 1;
-            let (x, y) = (i % width, i / width);
-            // 4-neighbourhood unrolled over the flat passability snapshot.
-            if x > 0 {
-                Self::relax(slot, &self.passable, &mut self.queue, i - 1, d, generation);
-            }
-            if x + 1 < width {
-                Self::relax(slot, &self.passable, &mut self.queue, i + 1, d, generation);
-            }
-            if y > 0 {
-                Self::relax(
-                    slot,
-                    &self.passable,
-                    &mut self.queue,
-                    i - width,
-                    d,
-                    generation,
-                );
-            }
-            if y + 1 < self.height as usize {
-                Self::relax(
-                    slot,
-                    &self.passable,
-                    &mut self.queue,
-                    i + width,
-                    d,
-                    generation,
-                );
-            }
-        }
+        slot.fill(&self.passable, self.width, self.height, &mut self.queue);
         slot_id
-    }
-
-    #[inline]
-    fn relax(
-        slot: &mut FieldSlot,
-        passable: &[bool],
-        queue: &mut VecDeque<u32>,
-        j: usize,
-        d: u32,
-        generation: u32,
-    ) {
-        if passable[j] && slot.stamp[j] != generation {
-            slot.stamp[j] = generation;
-            slot.dist[j] = d;
-            queue.push_back(j as u32);
-        }
     }
 
     /// Deterministically corrupt one memoized BFS field (fault injection):
@@ -352,52 +291,34 @@ impl DistanceOracle {
     }
 
     /// Integrity sweep: re-derive every live field by a fresh BFS over the
-    /// current passability snapshot and compare against the stamped
-    /// distances. Any mismatch evicts *all* fields — mirroring
+    /// current passability snapshot — the one [`DistanceOracle::dist`]
+    /// computes fields with — and compare against the stamped distances.
+    /// Any mismatch evicts *all* fields — mirroring
     /// [`DistanceOracle::set_passable`]: once one memoized field lies, none
     /// can be trusted, and dropping a single slot would dangle the
     /// `slot_of` indices of the slots behind it. Returns how many corrupt
     /// fields were found (fields rebuild lazily on the next queries).
     pub fn verify_fields(&mut self) -> usize {
-        let width = self.width as usize;
-        let height = self.height as usize;
-        let mut dist = vec![u32::MAX; self.passable.len()];
-        let mut queue: VecDeque<u32> = VecDeque::new();
+        let cells = self.passable.len();
+        let mut fresh = FieldSlot {
+            source: 0,
+            generation: 0,
+            last_used: 0,
+            dist: vec![0; cells].into_boxed_slice(),
+            stamp: vec![0; cells].into_boxed_slice(),
+        };
+        let mut queue = VecDeque::new();
         let mut corrupt = 0;
         for slot in &self.slots {
-            dist.fill(u32::MAX);
-            queue.clear();
-            let source = slot.source as usize;
-            if self.passable[source] {
-                dist[source] = 0;
-                queue.push_back(slot.source);
-            }
-            while let Some(i) = queue.pop_front() {
-                let i = i as usize;
-                let d = dist[i] + 1;
-                let (x, y) = (i % width, i / width);
-                for j in [
-                    (x > 0).then(|| i - 1),
-                    (x + 1 < width).then(|| i + 1),
-                    (y > 0).then(|| i - width),
-                    (y + 1 < height).then(|| i + width),
-                ]
-                .into_iter()
-                .flatten()
-                {
-                    if self.passable[j] && dist[j] == u32::MAX {
-                        dist[j] = d;
-                        queue.push_back(j as u32);
-                    }
-                }
-            }
+            fresh.source = slot.source;
+            fresh.fill(&self.passable, self.width, self.height, &mut queue);
             // Unstamped cells read as "unknown" and are recomputed on
             // demand, so only stamped entries can lie.
-            let ok = (0..dist.len())
-                .all(|i| slot.stamp[i] != slot.generation || slot.dist[i] == dist[i]);
-            if !ok {
-                corrupt += 1;
-            }
+            let lies = (0..cells).any(|i| {
+                slot.stamp[i] == slot.generation
+                    && (fresh.stamp[i] != fresh.generation || fresh.dist[i] != slot.dist[i])
+            });
+            corrupt += usize::from(lies);
         }
         if corrupt > 0 {
             self.evict_fields();
@@ -424,6 +345,47 @@ mod tests {
 
     fn p(x: u16, y: u16) -> GridPos {
         GridPos::new(x, y)
+    }
+
+    /// Marker for unreachable cells.
+    const UNREACHABLE: u32 = u32::MAX;
+
+    /// Distance field from one source over passable cells.
+    struct DistanceGrid {
+        width: u16,
+        dist: Vec<u32>,
+    }
+
+    impl DistanceGrid {
+        /// Distance from the BFS source to `p` (`UNREACHABLE` if cut off).
+        fn get(&self, p: GridPos) -> u32 {
+            self.dist[p.to_index(self.width)]
+        }
+    }
+
+    /// Brute-force BFS over passable cells from `source`, through the
+    /// grid's own neighbour iterator: the oracle's reference.
+    fn bfs_distances(grid: &GridMap, source: GridPos) -> DistanceGrid {
+        let mut dist = vec![UNREACHABLE; grid.cell_count()];
+        let mut queue = VecDeque::new();
+        if grid.passable(source) {
+            dist[source.to_index(grid.width())] = 0;
+            queue.push_back(source);
+        }
+        while let Some(p) = queue.pop_front() {
+            let d = dist[p.to_index(grid.width())];
+            for q in grid.passable_neighbors(p) {
+                let slot = &mut dist[q.to_index(grid.width())];
+                if *slot == UNREACHABLE {
+                    *slot = d + 1;
+                    queue.push_back(q);
+                }
+            }
+        }
+        DistanceGrid {
+            width: grid.width(),
+            dist,
+        }
     }
 
     #[test]

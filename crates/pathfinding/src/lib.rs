@@ -20,11 +20,13 @@
 //! splicing** ([`cache::PathCache`], Sec. VI-B): when the search pops a
 //! vertex within Manhattan distance `L` of the goal, it follows the cached
 //! conflict-agnostic shortest path, inserting waits until each step is
-//! conflict-free. The search core runs on a reusable [`scratch::SearchScratch`]
-//! arena — dense generation-stamped state tables plus a dial (bucket) open
-//! list — so a warmed-up planner plans with **zero per-query heap
-//! allocations**. The seed HashMap/BinaryHeap search survives only as a
-//! test-only module, the reference the equivalence tests compare against.
+//! conflict-free. There is one search loop. It runs on a reusable
+//! [`scratch::SearchScratch`] arena — a dense generation-stamped state
+//! table (a hash table from the same slots for regions over
+//! [`astar::DENSE_TABLE_CAP`]) plus a dial (bucket) open list — so a
+//! warmed-up planner plans with **zero per-query heap allocations**. The
+//! seed HashMap/BinaryHeap search survives only as a test-only module, the
+//! reference the equivalence tests compare against.
 //!
 //! [`knn::KNearestRacks`] provides the per-cell K-closest-rack index backing
 //! the "flip requesting side" optimization (Sec. VI-A).

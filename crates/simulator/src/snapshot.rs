@@ -16,7 +16,7 @@
 use crate::engine::{Engine, EngineConfig, EngineState};
 use eatp_core::planner::Planner;
 use serde::{Deserialize, Serialize, Value};
-use tprw_warehouse::Instance;
+use tprw_warehouse::{DisruptionEvent, Instance};
 
 /// Magic bytes opening every snapshot file.
 pub const SNAPSHOT_MAGIC: [u8; 8] = *b"TPRWSNAP";
@@ -384,11 +384,13 @@ pub fn resume_from<'a>(
 }
 
 /// Every per-robot, per-picker, per-rack and per-cell table of `state` must
-/// have the length [`EngineState::new`] gives it on `instance`, and the
+/// have the length [`EngineState::new`] gives it on `instance`, the
 /// validator's previous positions must name robots of the fleet on cells
-/// of the grid; the engine indexes them by id and cell without bounds
-/// checks of its own, so a snapshot that fits another floor would otherwise
-/// panic within its first ticks.
+/// of the grid, and so must every robot position, active-path cell,
+/// journaled cell event and deferred blockade. The engine indexes them by
+/// id and cell without bounds checks of its own, and the journal replay
+/// mutates the planner's grid by them, so a snapshot that fits another
+/// floor would otherwise panic on resume or within its first ticks.
 fn check_table_sizes(state: &EngineState, instance: &Instance) -> Result<(), SnapshotError> {
     let robots = instance.robots.len();
     let pickers = instance.pickers.len();
@@ -440,6 +442,22 @@ fn check_table_sizes(state: &EngineState, instance: &Instance) -> Result<(), Sna
             )));
         }
     }
+    let mut cells = (state.robots.iter().map(|r| ("robots", r.pos)))
+        .chain((state.paths.iter().flatten()).flat_map(|p| p.cells.iter().map(|&c| ("paths", c))))
+        .chain(state.journal.iter().filter_map(|e| match e.event {
+            DisruptionEvent::CellBlocked { pos } | DisruptionEvent::CellUnblocked { pos } => {
+                Some(("journal", pos))
+            }
+            _ => None,
+        }))
+        .chain((state.deferred_blockades.iter()).map(|&pos| ("deferred_blockades", pos)));
+    if let Some((table, pos)) = cells.find(|&(_, pos)| !grid.in_bounds(pos)) {
+        return Err(SnapshotError::Decode(format!(
+            "engine table `{table}` names cell {pos}, off the instance's {}×{} grid",
+            grid.width(),
+            grid.height()
+        )));
+    }
     Ok(())
 }
 
@@ -453,7 +471,8 @@ mod tests {
     use tprw_pathfinding::cdt::{MAX_CDT_ROBOTS, MAX_CDT_TICK};
     use tprw_pathfinding::reservation::MAX_PARK_TICK;
     use tprw_warehouse::{
-        DisruptionConfig, GridPos, LayoutConfig, OrderId, RobotId, ScenarioSpec, WorkloadConfig,
+        DisruptionConfig, GridPos, LayoutConfig, OrderId, RobotId, ScenarioSpec, TimedEvent,
+        WorkloadConfig,
     };
 
     fn make(name: &str) -> Box<dyn Planner> {
@@ -937,6 +956,65 @@ mod tests {
                 .expect_err("an id past the fleet cap must not decode");
             assert!(
                 matches!(&err, SnapshotError::Decode(msg) if msg.contains("validator")),
+                "{err:?}"
+            );
+        }
+        // The other engine tables that name cells, at tick 3, while idle
+        // robots still have work ahead. Each of these bytes resumed before
+        // the check and then panicked: the journal cases inside the
+        // planner's journal replay, the rest within the first ticks.
+        let good = {
+            let inst = scenario(None, 42);
+            let config = EngineConfig::default();
+            let mut p = make("NTP");
+            let mut engine = Engine::new(&inst, &config);
+            engine.start(p.as_mut());
+            for _ in 0..3 {
+                engine.tick_once(p.as_mut());
+            }
+            engine.snapshot(p.as_ref())
+        };
+        let off = GridPos::new(0, height);
+        let idle = good.engine.paths.iter().position(Option::is_none);
+        let idle = idle.expect("an idle robot at tick 3");
+        let moving = good.engine.paths.iter().position(Option::is_some);
+        let moving = moving.expect("a moving robot at tick 3");
+        let journaled = |event| TimedEvent { t: 1, event };
+        type Corrupt<'a> = Box<dyn Fn(&mut EngineState) + 'a>;
+        let cases: [(&str, Corrupt); 5] = [
+            ("robots", Box::new(|s| s.robots[idle].pos = off)),
+            (
+                "paths",
+                Box::new(|s| s.paths[moving].as_mut().unwrap().cells.fill(off)),
+            ),
+            (
+                "journal",
+                Box::new(|s| {
+                    s.journal
+                        .push(journaled(DisruptionEvent::CellBlocked { pos: off }))
+                }),
+            ),
+            (
+                "journal",
+                Box::new(|s| {
+                    let event = DisruptionEvent::CellUnblocked { pos: off };
+                    s.journal.push(journaled(event))
+                }),
+            ),
+            (
+                "deferred_blockades",
+                Box::new(|s| s.deferred_blockades.push(off)),
+            ),
+        ];
+        for (table, corrupt) in cases {
+            let mut data = good.clone();
+            corrupt(&mut data.engine);
+            let data = decode_snapshot(&encode_snapshot(&data)).expect("bytes decode");
+            let Err(err) = resume_from(&data, make("NTP").as_mut()) else {
+                panic!("a `{table}` cell off the grid resumed");
+            };
+            assert!(
+                matches!(&err, SnapshotError::Decode(msg) if msg.contains(&format!("`{table}`"))),
                 "{err:?}"
             );
         }
