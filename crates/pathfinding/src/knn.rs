@@ -7,61 +7,57 @@
 //!
 //! Built with a multi-source BFS seeded at every rack home, so "closest"
 //! means true passable-grid distance; each cell keeps the `K` racks with the
-//! smallest `(distance, rack id)` pairs, nearest first (ties broken by rack
-//! id, deterministically).
+//! smallest `(distance, rack id)` pairs, nearest first.
 //!
 //! # Layout and build cost
 //!
-//! Lists live in one **flat `K`-stride array** (`lists[cell·K ..]` plus a
-//! per-cell length byte) instead of a `Vec<Vec<RackId>>` — no per-cell heap
-//! headers or capacity slack, `nearest` is a single indexed slice. A
-//! parallel `K`-stride distance array records each entry's grid distance:
-//! it is what makes incremental maintenance (below) possible. The BFS
-//! dedups `(cell, rack)` pairs through a reusable visited *bitset* rather
-//! than scanning each list per enqueue; that pruning made the build ~50×
-//! cheaper on the bench floors, which matters because EATP pays it inside
-//! `init`.
+//! Lists live in one flat `K`-stride array (`lists[cell·K ..]` plus a
+//! per-cell length byte), so `nearest` is one indexed slice. A parallel
+//! distance array makes incremental maintenance (below) possible.
+//!
+//! The full pass (EATP pays it inside `init`) runs the BFS one level at a
+//! time over two frontiers of `(cell, rack)` pairs; the level counter is
+//! the distance. It pushes exactly the pairs a per-pair visited set admits,
+//! without one (`docs/adr/ADR-018-knn-level-pass.md`):
+//! - a level lists its racks in id order (seeds go in id order, a child
+//!   inherits its parent's rack), so one level's pushes of a rack are
+//!   contiguous, and a per-cell index of the last push catches a repeat;
+//! - an earlier push of the pair has been popped, since the 4-grid is
+//!   bipartite: the neighbour's list is full, or it got the rack one level
+//!   before and pushed the very entry being popped. Entries carry the
+//!   directions that pushed them, and never push back along them.
+//!
+//! Its scratch (neighbour mask, push index, frontiers) scales with cells,
+//! not cells × racks, and is freed when the pass returns.
 //!
 //! # Incremental maintenance
 //!
-//! The index is *mostly* static — but disruption events change what
-//! "closest" means: an aisle blockade reroutes the whole neighbourhood, and
-//! rack churn (a rack taken off the floor via `RackRemoved` and later
-//! restored) removes a BFS seed. Re-running the full multi-source BFS would
-//! cost `O(HW·K)` however local the mutation was, so
-//! [`KNearestRacks::update`] instead applies a **batch of changes around
-//! their epicenters**:
+//! Disruptions change what "closest" means: a blockade reroutes a
+//! neighbourhood, and rack churn (`RackRemoved`, later restored) removes a
+//! seed. [`KNearestRacks::update`] applies a batch of such changes around
+//! their epicenters instead of re-running the `O(HW·K)` pass:
 //!
-//! 1. *deletion* — entries invalidated by a newly blocked cell or a removed
-//!    seed are deleted by support propagation: an entry `(cell, rack, d)`
-//!    survives iff it is a live seed or some passable neighbour still holds
-//!    `(rack, d − 1)`. Support chains strictly decrease `d`, so the
-//!    propagation cannot cycle and deletes exactly the entries whose every
-//!    shortest route died (no count-to-infinity);
-//! 2. *repair* — a work-list re-relaxation seeded at the cells that lost
-//!    entries, reopened cells and restored seeds recomputes each cell's
-//!    list from its neighbours' lists (`topK` of `seeds ∪ neighbours + 1`)
-//!    until a fixpoint. Entries surviving deletion are exact, so the
-//!    relaxation converges to the unique fixpoint — the same lists a fresh
-//!    masked index produces (property-tested below).
+//! 1. *deletion* — an entry `(cell, rack, d)` survives iff it is a live
+//!    seed or a passable neighbour still holds `(rack, d − 1)`. Support
+//!    chains strictly decrease `d`, so propagation cannot cycle and deletes
+//!    exactly the entries whose every shortest route died;
+//! 2. *repair* — a work list seeded at cells that lost entries, reopened
+//!    cells and restored seeds recomputes each list as `topK(seeds ∪
+//!    neighbours + 1)` up to the unique fixpoint: the lists a fresh masked
+//!    index produces (property-tested below).
 //!
-//! Work is therefore proportional to the *affected region*, not the floor:
-//! the deterministic [`KNearestRacks::enqueued_count`] cost counter (every
-//! deletion/repair work-list push counts, exactly like a full pass's BFS
-//! enqueues) lets tests and benches pin that locality without wall clocks,
-//! and [`KNearestRacks::update_count`] records how many batches ran. The
-//! one full pass after `build` is the first `update`, which materializes
-//! the distance column against the already mutated grid and liveness
-//! mask.
+//! Work is proportional to the affected region: the deterministic
+//! [`KNearestRacks::enqueued_count`] (every work-list push, like a full
+//! pass's BFS enqueues) pins that locality without wall clocks. The one
+//! full pass after `build` is the first `update`, which materializes the
+//! distance column against the already mutated grid and liveness mask.
 
 use crate::footprint::MemoryFootprint;
 use std::collections::VecDeque;
-use tprw_warehouse::{GridMap, GridPos, RackId};
+use tprw_warehouse::{Direction, GridMap, GridPos, RackId};
 
 /// Largest per-entry grid distance the index can record (the distance
-/// column stores `u16`). Real floors sit orders of magnitude below this —
-/// distances are near-Manhattan, not maze-length — and the build/update
-/// paths panic loudly if a pathological grid ever exceeds it.
+/// column stores `u16`); a grid past it panics in the full pass or repair.
 pub const MAX_KNN_DIST: u32 = u16::MAX as u32;
 
 /// One world mutation relevant to the index. Callers batch the changes of a
@@ -91,19 +87,12 @@ pub struct KNearestRacks {
     /// Flat `k`-stride storage: cell `c`'s nearest racks are
     /// `lists[c·k .. c·k + count[c]]`, nearest first.
     lists: Vec<RackId>,
-    /// Grid distance of each entry, parallel to `lists` (bounded by
-    /// [`MAX_KNN_DIST`]). **Materialized lazily** by the first
-    /// [`KNearestRacks::update`]: clean (never-disrupted) runs carry no
-    /// per-entry distance memory, which keeps the Fig. 12 MC comparison
-    /// honest.
+    /// Grid distance of each entry, parallel to `lists`. Materialized
+    /// lazily by the first [`KNearestRacks::update`], so clean runs carry
+    /// no per-entry distance memory into the Fig. 12 MC.
     dists: Vec<u16>,
     /// Live entries per cell.
     count: Vec<u8>,
-    /// Build scratch: `(cell, rack)` enqueued-bitset, rows of
-    /// `ceil(racks / 64)` words per cell; reused by every full pass.
-    visited: Vec<u64>,
-    /// Build scratch: the BFS frontier `(pos, rack, dist)`, reused.
-    queue: VecDeque<(GridPos, RackId, u32)>,
     /// Update scratch: deletion work list `(cell, rack, dist)` of entries
     /// already removed whose dependants must be re-checked.
     del_queue: VecDeque<(u32, u32, u32)>,
@@ -127,8 +116,8 @@ impl KNearestRacks {
     pub fn build(grid: &GridMap, rack_homes: &[GridPos], k: usize) -> Self {
         assert!(k >= 1, "K must be at least 1");
         assert!(k <= u8::MAX as usize, "K must fit the per-cell length byte");
+        assert!(rack_homes.len() < 1 << 28, "rack ids must fit 28 bits");
         let cells = grid.cell_count();
-        let words = rack_homes.len().div_ceil(64);
         let mut is_home = vec![false; cells];
         for home in rack_homes {
             is_home[home.to_index(grid.width())] = true;
@@ -142,8 +131,6 @@ impl KNearestRacks {
             lists: vec![RackId::new(0); cells * k],
             dists: Vec::new(),
             count: vec![0; cells],
-            visited: vec![0; cells * words],
-            queue: VecDeque::new(),
             del_queue: VecDeque::new(),
             repair_queue: VecDeque::new(),
             in_repair: vec![false; cells],
@@ -155,11 +142,9 @@ impl KNearestRacks {
         idx
     }
 
-    /// Mark rack `rack` as present on / absent from the floor. Takes effect
-    /// at the next [`KNearestRacks::update`] — callers batch several churn
-    /// operations into one pass. The engine drives this from the
-    /// `RackRemoved` / `RackRestored` disruption events through
-    /// `PlannerBase::apply_disruption`.
+    /// Mark rack `rack` as present on / absent from the floor, from the next
+    /// [`KNearestRacks::update`] on (`PlannerBase::apply_disruption` drives
+    /// it from `RackRemoved` / `RackRestored`).
     pub fn set_alive(&mut self, rack: RackId, alive: bool) {
         self.alive[rack.index()] = alive;
     }
@@ -169,54 +154,76 @@ impl KNearestRacks {
         self.alive[rack.index()]
     }
 
-    /// The `O(HW·K)` multi-source BFS behind `build` and the first
-    /// `update`, against `grid` and the current liveness mask. Every
-    /// buffer — lists, counts, bitset, frontier — is reused; only the
-    /// entries are rewritten. `(cell, rack)` pairs enter the frontier at
-    /// most once (the visited bitset), so the level-order pop sequence —
-    /// and therefore the deterministic nearest-first, tie-by-id list
-    /// contents — matches the classic formulation with every duplicate
-    /// no-op push removed.
+    /// The `O(HW·K)` level-order BFS behind `build` and the first `update`,
+    /// against `grid` and the liveness mask. It pushes the pairs of the
+    /// classic FIFO formulation with a visited set (module docs), in order.
     fn fill(&mut self, grid: &GridMap) {
         debug_assert_eq!(grid.width(), self.width, "index bound to one grid size");
         debug_assert_eq!(grid.cell_count(), self.count.len());
-        let words = self.homes.len().div_ceil(64);
-        self.count.fill(0);
-        self.visited.fill(0);
-        self.queue.clear();
-        // Seed in rack-id order for deterministic tie-breaking.
-        for (i, &home) in self.homes.iter().enumerate() {
-            if self.alive[i] && grid.passable(home) {
-                let cell = home.to_index(grid.width());
-                self.visited[cell * words + i / 64] |= 1 << (i % 64);
-                self.queue.push_back((home, RackId::new(i), 0));
-                self.enqueued += 1;
+        let (k, w) = (self.k, self.width as isize);
+        // Cell-index step per `Direction::ALL` entry, and per cell the bits
+        // of the steps that land on a passable cell.
+        let step =
+            Direction::ALL.map(|d| (d.delta().1 as isize * w + d.delta().0 as isize) as usize);
+        let mask: Vec<u8> = (0..self.count.len())
+            .map(|c| {
+                let pos = GridPos::from_index(c, self.width);
+                (Direction::ALL.iter().enumerate()).fold(0, |m, (i, &d)| {
+                    let open = pos.step(d, grid.width(), grid.height());
+                    m | u8::from(open.is_some_and(|q| grid.passable(q))) << i
+                })
+            })
+            .collect();
+        // Frontier entries are `(cell, rack << 4 | from)`, where `from` has
+        // the step bit of every neighbour that pushed the pair: exactly the
+        // neighbours whose lists hold the rack. `slot[c]` is the index in
+        // `next` of the last push to cell `c`.
+        let mut slot = vec![u32::MAX; self.count.len()];
+        let (mut level, mut next) = (Vec::new(), Vec::<(u32, u32)>::new());
+        for (r, &home) in self.homes.iter().enumerate() {
+            if self.alive[r] && grid.passable(home) {
+                level.push((home.to_index(self.width) as u32, (r as u32) << 4));
             }
         }
-        let k = self.k;
         let track_dists = self.dists.len() == self.lists.len();
-        while let Some((pos, rack, d)) = self.queue.pop_front() {
-            let cell = pos.to_index(grid.width());
-            let c = self.count[cell] as usize;
-            if c >= k {
-                continue;
-            }
-            self.lists[cell * k + c] = rack;
-            if track_dists {
-                assert!(d <= MAX_KNN_DIST, "grid distance exceeds MAX_KNN_DIST");
-                self.dists[cell * k + c] = d as u16;
-            }
-            self.count[cell] = (c + 1) as u8;
-            let r = rack.index();
-            for next in grid.passable_neighbors(pos) {
-                let ncell = next.to_index(grid.width());
-                let bit = &mut self.visited[ncell * words + r / 64];
-                if (self.count[ncell] as usize) < k && *bit & (1 << (r % 64)) == 0 {
-                    *bit |= 1 << (r % 64);
-                    self.queue.push_back((next, rack, d + 1));
-                    self.enqueued += 1;
+        let (lists, dists, count) = (&mut self.lists, &mut self.dists, &mut self.count);
+        count.fill(0);
+        let mut d = 0;
+        while !level.is_empty() {
+            debug_assert!(level.windows(2).all(|p| p[0].1 >> 4 <= p[1].1 >> 4));
+            self.enqueued += level.len() as u64;
+            for &(cell, packed) in &level {
+                let (cell, rack) = (cell as usize, packed >> 4);
+                let c = count[cell] as usize;
+                if c >= k {
+                    continue;
+                }
+                lists[cell * k + c] = RackId(rack);
+                if track_dists {
+                    assert!(d <= MAX_KNN_DIST, "grid distance exceeds MAX_KNN_DIST");
+                    dists[cell * k + c] = d as u16;
+                }
+                count[cell] = (c + 1) as u8;
+                let open = mask[cell] & !(packed as u8 & 15);
+                for (i, &off) in step.iter().enumerate() {
+                    let n = cell.wrapping_add(off);
+                    if open >> i & 1 == 0 || count[n] as usize >= k {
+                        continue;
+                    }
+                    // `Direction::ALL` is N, E, S, W: the way back is two on.
+                    let back = 1 << ((i + 2) % 4);
+                    match next.get_mut(slot[n] as usize) {
+                        Some(e) if e.0 as usize == n && e.1 >> 4 == rack => e.1 |= back,
+                        _ => {
+                            slot[n] = next.len() as u32;
+                            next.push((n as u32, rack << 4 | back));
+                        }
+                    }
                 }
             }
+            std::mem::swap(&mut level, &mut next);
+            next.clear();
+            d += 1;
         }
     }
 
@@ -281,21 +288,16 @@ impl KNearestRacks {
         }
     }
 
-    /// Apply a batch of world mutations *incrementally*: `grid` must
-    /// already reflect every change in `changes` (and the liveness mask
-    /// every [`KNearestRacks::set_alive`] flip). Produces exactly the lists
-    /// of a fresh index under the same mask — pinned by the
-    /// `update_equals_fresh_masked_build` property test — at a cost
-    /// proportional to the affected region (observable through
-    /// [`KNearestRacks::enqueued_count`]).
+    /// Apply a batch of world mutations incrementally: `grid` must already
+    /// reflect every change in `changes` (and the liveness mask every
+    /// [`KNearestRacks::set_alive`] flip). Produces exactly the lists of a
+    /// fresh index under the same mask (`update_equals_fresh_masked_build`).
     pub fn update(&mut self, grid: &GridMap, changes: &[KnnChange]) {
         debug_assert_eq!(grid.width(), self.width, "index bound to one grid size");
         debug_assert_eq!(grid.cell_count(), self.count.len());
         self.updates += 1;
-        // The distance column materializes on the first incremental batch
-        // (clean runs never pay for it): one full distance-tracking pass —
-        // against the already-mutated grid and mask, so `changes` is
-        // subsumed — and every later batch is affected-region-sized.
+        // The first batch materializes the distance column with one full
+        // pass over the mutated grid and mask, which subsumes `changes`.
         if self.dists.len() != self.lists.len() {
             self.dists = vec![0; self.lists.len()];
             self.fill(grid);
@@ -441,9 +443,8 @@ impl KNearestRacks {
         self.updates
     }
 
-    /// Cumulative work-list pushes across full passes and incremental
-    /// updates (deterministic cost counter: `O(HW·K)` per full pass,
-    /// affected-region-sized per incremental batch).
+    /// Cumulative work-list pushes across full passes (`O(HW·K)` each) and
+    /// incremental updates (affected-region-sized): a deterministic cost.
     pub fn enqueued_count(&self) -> u64 {
         self.enqueued
     }
@@ -454,8 +455,6 @@ impl MemoryFootprint for KNearestRacks {
         self.lists.capacity() * std::mem::size_of::<RackId>()
             + self.dists.capacity() * std::mem::size_of::<u16>()
             + self.count.capacity()
-            + self.visited.capacity() * std::mem::size_of::<u64>()
-            + self.queue.capacity() * std::mem::size_of::<(GridPos, RackId, u32)>()
             + self.del_queue.capacity() * std::mem::size_of::<(u32, u32, u32)>()
             + self.repair_queue.capacity() * std::mem::size_of::<u32>()
             + self.in_repair.capacity()
@@ -470,6 +469,7 @@ impl MemoryFootprint for KNearestRacks {
 mod tests {
     use super::*;
     use proptest::prelude::*;
+    use std::collections::HashSet;
     use tprw_warehouse::CellKind;
 
     fn p(x: u16, y: u16) -> GridPos {
@@ -478,6 +478,57 @@ mod tests {
 
     fn open_grid(w: u16, h: u16) -> GridMap {
         GridMap::filled(w, h, CellKind::Aisle)
+    }
+
+    /// A `w`×`h` floor with `walls` blocked and a rack at each of `homes`,
+    /// both drawn over 24×24 and folded onto the floor. Homes may repeat
+    /// (racks sharing a cell) and may land on a wall (a rack that seeds
+    /// nothing).
+    fn obstructed(
+        (w, h): (u16, u16),
+        walls: &[(u16, u16)],
+        homes: &[(u16, u16)],
+    ) -> (GridMap, Vec<GridPos>) {
+        let mut grid = open_grid(w, h);
+        for &(x, y) in walls {
+            grid.set_kind(p(x % w, y % h), CellKind::Blocked);
+        }
+        (grid, homes.iter().map(|&(x, y)| p(x % w, y % h)).collect())
+    }
+
+    /// A fixed obstructed 32×32 floor: two shelving walls with gaps, a
+    /// scatter of pillars, and 24 racks, two of them sharing a home.
+    fn pinned_floor() -> (GridMap, Vec<GridPos>) {
+        let mut grid = open_grid(32, 32);
+        for i in (0..32).filter(|i| i % 8 != 3) {
+            grid.set_kind(p(10, i), CellKind::Blocked);
+            grid.set_kind(p(i, 21), CellKind::Blocked);
+        }
+        for c in (0..1024).filter(|c| c % 17 == 5) {
+            grid.set_kind(GridPos::from_index(c, 32), CellKind::Blocked);
+        }
+        let mut homes: Vec<GridPos> = (0..23)
+            .map(|i| p((i * 5 + 1) % 32, (i * 11 + 2) % 32))
+            .collect();
+        homes.push(homes[4]);
+        (grid, homes)
+    }
+
+    /// Grid distance from `from` to every cell (`None`: unreachable).
+    fn grid_distances(grid: &GridMap, from: GridPos) -> Vec<Option<u32>> {
+        let mut dist = vec![None; grid.cell_count()];
+        let mut queue = VecDeque::from([(from, 0)]);
+        dist[from.to_index(grid.width())] = Some(0);
+        while let Some((pos, d)) = queue.pop_front() {
+            for next in grid.passable_neighbors(pos) {
+                let slot = &mut dist[next.to_index(grid.width())];
+                if slot.is_none() {
+                    *slot = Some(d + 1);
+                    queue.push_back((next, d + 1));
+                }
+            }
+        }
+        dist
     }
 
     /// A fresh index over `grid` with the racks of `dead` off the floor:
@@ -604,7 +655,7 @@ mod tests {
         let build_cost = a.enqueued_count();
         assert!(build_cost > 0);
         // Loose bound: each (cell, rack) pair enters the frontier at most
-        // once (the visited bitset guarantees it).
+        // once.
         let bound = (grid.cell_count() * homes.len()) as u64;
         assert!(build_cost <= bound, "{build_cost} > {bound}");
         let b = KNearestRacks::build(&grid, &homes, 4);
@@ -613,6 +664,29 @@ mod tests {
         // the build again.
         a.update(&grid, &[]);
         assert_eq!(a.enqueued_count(), build_cost * 2);
+    }
+
+    /// The level-order pass makes exactly the enqueues of the visited-bitset
+    /// FIFO it replaced: the count that build recorded on this floor.
+    #[test]
+    fn build_enqueues_are_pinned() {
+        let (grid, homes) = pinned_floor();
+        let idx = KNearestRacks::build(&grid, &homes, 8);
+        assert_eq!(idx.enqueued_count(), PINNED_ENQUEUES);
+        assert_eq!(classic_build(&grid, &homes, 8, &[]).1, PINNED_ENQUEUES);
+    }
+
+    /// After `build` the index holds its lists, per-cell counts, repair
+    /// flags and home marks, and per-rack homes and liveness: no frontier,
+    /// visited set or other term that grows with cells × racks.
+    #[test]
+    fn build_keeps_no_scratch() {
+        let (grid, homes) = pinned_floor();
+        let (cells, k) = (grid.cell_count(), 8);
+        let idx = KNearestRacks::build(&grid, &homes, k);
+        let lists = cells * k * std::mem::size_of::<RackId>();
+        let per_rack = homes.len() * (std::mem::size_of::<GridPos>() + 1);
+        assert_eq!(idx.memory_bytes(), lists + 3 * cells + per_rack);
     }
 
     #[test]
@@ -734,27 +808,67 @@ mod tests {
             prop_assert_eq!(homes[reported.index()].manhattan(q), best);
         }
 
-        /// The flat bitset-deduped build equals the classic nested-`Vec`
-        /// formulation on arbitrary obstructed grids.
+        /// On obstructed floors up to 24×24 with 1–40 racks (homes may be
+        /// shared or walled) and K in 1..=8, `build` and the masked pass the
+        /// first `update` runs over a random dead set both give the classic
+        /// build's lists after the classic build's number of enqueues.
         #[test]
         fn flat_build_equals_classic_build(
-            walls in proptest::collection::hash_set((0u16..9, 0u16..9), 0..12),
-            homes in proptest::collection::hash_set((0u16..9, 0u16..9), 1..6),
+            size in (1u16..25, 1u16..25),
+            walls in proptest::collection::vec((0u16..24, 0u16..24), 0..150),
+            homes in proptest::collection::vec((0u16..24, 0u16..24), 1..41),
+            k in 1usize..9,
+            dead in proptest::collection::vec(0usize..40, 0..12),
         ) {
-            let mut grid = open_grid(9, 9);
-            for &(x, y) in &walls {
-                grid.set_kind(p(x, y), CellKind::Blocked);
+            let (grid, homes) = obstructed(size, &walls, &homes);
+            let dead: Vec<usize> = dead.into_iter().filter(|&r| r < homes.len()).collect();
+            let idx = KNearestRacks::build(&grid, &homes, k);
+            let (want, enqueued) = classic_build(&grid, &homes, k, &[]);
+            prop_assert_eq!(idx.enqueued_count(), enqueued);
+            for (i, want) in want.iter().enumerate() {
+                let cell = GridPos::from_index(i, size.0);
+                prop_assert_eq!(idx.nearest(cell), want.as_slice(), "build differs at {}", cell);
             }
-            let homes: Vec<GridPos> = homes.into_iter().map(|(x, y)| p(x, y)).collect();
-            let idx = KNearestRacks::build(&grid, &homes, 3);
-            let classic = classic_build(&grid, &homes, 3);
-            for (i, want) in classic.iter().enumerate() {
-                let cell = GridPos::from_index(i, 9);
-                prop_assert_eq!(
-                    idx.nearest(cell),
-                    want.as_slice(),
-                    "lists disagree at {}", cell
-                );
+            let masked = fresh(&grid, &homes, k, &dead);
+            let (want, more) = classic_build(&grid, &homes, k, &dead);
+            prop_assert_eq!(masked.enqueued_count(), enqueued + more);
+            for (i, want) in want.iter().enumerate() {
+                let cell = GridPos::from_index(i, size.0);
+                prop_assert_eq!(masked.nearest(cell), want.as_slice(), "pass differs at {}", cell);
+            }
+        }
+
+        /// After the first `update`, each entry's distance is its rack's
+        /// true grid distance, and each list is the K smallest `(distance,
+        /// rack id)` pairs over the live racks that reach the cell.
+        #[test]
+        fn distances_are_grid_distances(
+            size in (1u16..17, 1u16..17),
+            walls in proptest::collection::vec((0u16..24, 0u16..24), 0..60),
+            homes in proptest::collection::vec((0u16..24, 0u16..24), 1..21),
+            k in 1usize..9,
+            dead in proptest::collection::vec(0usize..20, 0..6),
+        ) {
+            let (grid, homes) = obstructed(size, &walls, &homes);
+            let dead: Vec<usize> = dead.into_iter().filter(|&r| r < homes.len()).collect();
+            let idx = fresh(&grid, &homes, k, &dead);
+            let fields: Vec<Vec<Option<u32>>> = (homes.iter().enumerate())
+                .map(|(r, &home)| {
+                    let live = !dead.contains(&r) && grid.passable(home);
+                    if live { grid_distances(&grid, home) } else { vec![None; grid.cell_count()] }
+                })
+                .collect();
+            for c in 0..grid.cell_count() {
+                let mut want: Vec<(u32, RackId)> = (fields.iter().enumerate())
+                    .filter_map(|(r, field)| Some((field[c]?, RackId::new(r))))
+                    .collect();
+                want.sort_unstable();
+                want.truncate(k);
+                let got: Vec<(u32, RackId)> = (idx.nearest(GridPos::from_index(c, size.0)).iter())
+                    .zip(&idx.dists[c * k..])
+                    .map(|(&r, &d)| (d as u32, r))
+                    .collect();
+                prop_assert_eq!(got, want, "cell {}", c);
             }
         }
 
@@ -769,12 +883,8 @@ mod tests {
             let homes: Vec<GridPos> = (0..6).map(|i| p(i as u16, i as u16)).collect();
             let dead: Vec<usize> = dead.into_iter().collect();
             let churned = fresh(&grid, &homes, 3, &dead);
-            let alive: Vec<usize> = (0..6).filter(|r| !dead.contains(r)).collect();
-            let alive_homes: Vec<GridPos> = alive.iter().map(|&r| homes[r]).collect();
-            let classic = classic_build(&grid, &alive_homes, 3);
-            for (i, lists) in classic.iter().enumerate() {
-                let want: Vec<RackId> =
-                    lists.iter().map(|r| RackId::new(alive[r.index()])).collect();
+            let (classic, _) = classic_build(&grid, &homes, 3, &dead);
+            for (i, want) in classic.iter().enumerate() {
                 let cell = GridPos::from_index(i, 9);
                 prop_assert_eq!(churned.nearest(cell), want.as_slice());
             }
@@ -832,29 +942,44 @@ mod tests {
         }
     }
 
-    /// The pre-flattening build (nested `Vec`s, `contains` dedup), kept as
-    /// the behavioural reference for the bitset-deduped fill.
-    fn classic_build(grid: &GridMap, homes: &[GridPos], k: usize) -> Vec<Vec<RackId>> {
+    /// Enqueues of the visited-bitset build on `pinned_floor` at K = 8, as
+    /// that build recorded them before the level-order pass replaced it.
+    const PINNED_ENQUEUES: u64 = 7_513;
+
+    /// The classic build over the racks not in `dead` (ids preserved): a
+    /// FIFO of `(cell, rack)` pairs into nested `Vec`s, each pair enqueued
+    /// at most once through a visited set. It is the behavioural reference
+    /// for the level-order pass, which must give the same lists after the
+    /// same number of enqueues (returned beside the lists).
+    fn classic_build(
+        grid: &GridMap,
+        homes: &[GridPos],
+        k: usize,
+        dead: &[usize],
+    ) -> (Vec<Vec<RackId>>, u64) {
         let mut lists: Vec<Vec<RackId>> = vec![Vec::new(); grid.cell_count()];
-        let mut queue: VecDeque<(GridPos, RackId)> = VecDeque::new();
+        let mut visited = HashSet::new();
+        let mut queue = VecDeque::new();
         for (i, &home) in homes.iter().enumerate() {
-            if grid.passable(home) {
-                queue.push_back((home, RackId::new(i)));
+            if !dead.contains(&i) && grid.passable(home) {
+                visited.insert((home, i));
+                queue.push_back((home, i));
             }
         }
+        let mut enqueued = queue.len() as u64;
         while let Some((pos, rack)) = queue.pop_front() {
             let list = &mut lists[pos.to_index(grid.width())];
-            if list.len() >= k || list.contains(&rack) {
+            if list.len() >= k {
                 continue;
             }
-            list.push(rack);
+            list.push(RackId::new(rack));
             for next in grid.passable_neighbors(pos) {
-                let nlist = &lists[next.to_index(grid.width())];
-                if nlist.len() < k && !nlist.contains(&rack) {
+                if lists[next.to_index(grid.width())].len() < k && visited.insert((next, rack)) {
                     queue.push_back((next, rack));
+                    enqueued += 1;
                 }
             }
         }
-        lists
+        (lists, enqueued)
     }
 }

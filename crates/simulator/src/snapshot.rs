@@ -373,6 +373,8 @@ pub fn resume_from<'a>(
             resuming: planner.name(),
         });
     }
+    (data.instance.validate())
+        .map_err(|e| SnapshotError::Decode(format!("snapshot instance: {e}")))?;
     check_table_sizes(&data.engine, &data.instance)?;
     Ok(Engine::resume(
         &data.instance,
@@ -643,6 +645,37 @@ mod tests {
             assert!(
                 matches!(&err, SnapshotError::Decode(msg) if msg.contains(&format!("`{table}`"))),
                 "{table}: {err:?}"
+            );
+        }
+    }
+
+    /// A CRC-valid snapshot whose own instance puts a rack home or a picker
+    /// off its grid is refused before the resumed `Planner::init` indexes
+    /// by it (EATP's KNN build used to panic on such a rack home).
+    #[test]
+    fn instance_positions_off_the_grid_are_typed_errors() {
+        let inst = scenario(None, 42);
+        let mut p = make("EATP");
+        let mut engine = Engine::new(&inst, &EngineConfig::default());
+        engine.start(p.as_mut());
+        for _ in 0..3 {
+            engine.tick_once(p.as_mut());
+        }
+        let good = engine.snapshot(p.as_ref());
+        let (width, height) = (inst.grid.width(), inst.grid.height());
+        for what in ["rack", "picker"] {
+            let mut data = good.clone();
+            match what {
+                "rack" => data.instance.racks[0].home = GridPos::new(0, height),
+                _ => data.instance.pickers[0].pos = GridPos::new(width, height),
+            }
+            let data = decode_snapshot(&encode_snapshot(&data)).expect("bytes decode");
+            let Err(err) = resume_from(&data, make("EATP").as_mut()) else {
+                panic!("a {what} off the grid resumed");
+            };
+            assert!(
+                matches!(&err, SnapshotError::Decode(msg) if msg.contains(what)),
+                "{what}: {err:?}"
             );
         }
     }

@@ -224,7 +224,8 @@ impl Instance {
         self.items.last().map(|i| i.arrival).unwrap_or(0)
     }
 
-    /// Check structural invariants; used by tests and on load.
+    /// Check structural invariants; used by tests and when a snapshot
+    /// resumes. Positions are bounds-checked before the grid is read there.
     ///
     /// # Errors
     ///
@@ -233,6 +234,9 @@ impl Instance {
         for (i, r) in self.racks.iter().enumerate() {
             if r.id.index() != i {
                 return Err(format!("rack {i} has id {}", r.id));
+            }
+            if !self.grid.in_bounds(r.home) {
+                return Err(format!("rack {} home {} is off the grid", r.id, r.home));
             }
             if self.grid.kind(r.home) != CellKind::Storage {
                 return Err(format!("rack {} home {} is not storage", r.id, r.home));
@@ -245,7 +249,7 @@ impl Instance {
             if p.id.index() != i {
                 return Err(format!("picker {i} has id {}", p.id));
             }
-            if self.grid.kind(p.pos) != CellKind::Station {
+            if !self.grid.in_bounds(p.pos) || self.grid.kind(p.pos) != CellKind::Station {
                 return Err(format!("picker {} is not on a station cell", p.id));
             }
         }
