@@ -7,7 +7,7 @@
 //! ```
 //!
 //! Subcommands: `table3`, `fig10`, `fig11`, `fig12`, `fig13`, `badcase`,
-//! `disrupted`, `ablation-delta`, `ablation-l`, `ablation-k`, `all`.
+//! `disrupted`, `ablation-delta`, `ablation-k`, `all`.
 //!
 //! Output goes to stdout as aligned text tables (the same rows/series the
 //! paper reports) and to `results/*.json` for archival. A counting global
@@ -71,7 +71,6 @@ fn main() {
         "badcase" => badcase(),
         "disrupted" => disrupted(scale),
         "ablation-delta" => ablation_delta(scale),
-        "ablation-l" => ablation_l(scale),
         "ablation-k" => ablation_k(scale),
         "all" => {
             // One grid run feeds Table III and Figs. 10-12.
@@ -84,12 +83,11 @@ fn main() {
             badcase();
             disrupted(scale);
             ablation_delta(scale);
-            ablation_l(scale);
             ablation_k(scale);
         }
         other => {
             eprintln!(
-                "unknown command {other}; use table3|fig10|fig11|fig12|fig13|badcase|disrupted|ablation-delta|ablation-l|ablation-k|all"
+                "unknown command {other}; use table3|fig10|fig11|fig12|fig13|badcase|disrupted|ablation-delta|ablation-k|all"
             );
             std::process::exit(2);
         }
@@ -353,25 +351,6 @@ fn ablation_delta(scale: f64) {
         println!(
             "  delta={delta:<4} M={:<8} batch={:.2} q_states={}",
             report.makespan, report.batch_factor, report.planner_stats.q_states
-        );
-    }
-    println!();
-}
-
-fn ablation_l(scale: f64) {
-    println!("== Ablation: cache threshold L (Sec. VI-B cache-aided path finding) ==");
-    for l in [0u64, 10, 25, 50, 100] {
-        let config = EatpConfig {
-            cache_threshold: l,
-            ..EatpConfig::default()
-        };
-        let report = run_cell_with(Dataset::SynA, "EATP", scale, DEFAULT_SEED, &config);
-        println!(
-            "  L={l:<4} M={:<8} PTC={:.3}s spliced={} of {} paths",
-            report.makespan,
-            report.ptc_s,
-            report.planner_stats.cache_spliced,
-            report.planner_stats.paths_planned,
         );
     }
     println!();

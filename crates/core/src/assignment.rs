@@ -99,7 +99,7 @@ mod tests {
         let mut inst = instance();
         mark_pending(&mut inst, 0);
         let mut base: PlannerBase<ConflictDetectionTable> =
-            PlannerBase::new(&inst, EatpConfig::default(), false, false);
+            PlannerBase::new(&inst, EatpConfig::default(), false);
         let idle: Vec<RobotId> = inst.robots.iter().map(|r| r.id).collect();
         let selectable = vec![inst.racks[0].id];
         let world = WorldView {
@@ -132,7 +132,7 @@ mod tests {
         let home = inst.racks[0].home;
         inst.robots[3].pos = home;
         let mut base: PlannerBase<ConflictDetectionTable> =
-            PlannerBase::new(&inst, EatpConfig::default(), false, false);
+            PlannerBase::new(&inst, EatpConfig::default(), false);
         let idle: Vec<RobotId> = inst.robots.iter().map(|r| r.id).collect();
         let selectable = vec![inst.racks[0].id];
         let world = WorldView {
@@ -158,7 +158,7 @@ mod tests {
         let home = inst.racks[0].home;
         inst.robots[3].pos = home;
         let mut base: PlannerBase<ConflictDetectionTable> =
-            PlannerBase::new(&inst, EatpConfig::default(), false, false);
+            PlannerBase::new(&inst, EatpConfig::default(), false);
         // Robot 3 is NOT idle (busy elsewhere but still parked pre-departure).
         let idle: Vec<RobotId> = inst
             .robots
@@ -188,7 +188,7 @@ mod tests {
             mark_pending(&mut inst, i);
         }
         let mut base: PlannerBase<ConflictDetectionTable> =
-            PlannerBase::new(&inst, EatpConfig::default(), false, false);
+            PlannerBase::new(&inst, EatpConfig::default(), false);
         let idle: Vec<RobotId> = inst.robots.iter().take(3).map(|r| r.id).collect();
         let selectable: Vec<RackId> = (0..10).map(RackId::new).collect();
         let world = WorldView {
@@ -215,7 +215,7 @@ mod tests {
         let mut inst = instance();
         mark_pending(&mut inst, 0);
         let mut base: PlannerBase<ConflictDetectionTable> =
-            PlannerBase::new(&inst, EatpConfig::default(), false, false);
+            PlannerBase::new(&inst, EatpConfig::default(), false);
         let idle: Vec<RobotId> = inst.robots.iter().map(|r| r.id).collect();
         let selectable = vec![inst.racks[0].id];
         let world = WorldView {

@@ -45,8 +45,6 @@ impl Default for RlConfig {
 pub struct EatpConfig {
     /// RL hyperparameters (used by ATP and EATP).
     pub rl: RlConfig,
-    /// Cache-aiding distance threshold L (Sec. VI-B); 0 disables the cache.
-    pub cache_threshold: u64,
     /// K of the flip-side K-nearest-rack index (Sec. VI-A).
     pub k_nearest: usize,
     /// A* expansion budget per query.
@@ -67,7 +65,6 @@ impl Default for EatpConfig {
     fn default() -> Self {
         Self {
             rl: RlConfig::default(),
-            cache_threshold: 50,
             k_nearest: 16,
             max_expansions: 60_000,
             horizon_slack: 256,
@@ -88,7 +85,6 @@ mod tests {
         assert_eq!(c.rl.delta, 0.2);
         assert_eq!(c.rl.epsilon, 0.05);
         assert_eq!(c.rl.beta, 0.1);
-        assert_eq!(c.cache_threshold, 50);
     }
 
     #[test]

@@ -9,22 +9,24 @@
 //! | [`lef::LeastExpirationFirst`] | \[17\] | earliest emerged item first | STG | — |
 //! | [`ilp::IlpPlanner`] | \[12\] | 0/1 ILP with picker status | STG | B&B + Hungarian warm start |
 //! | [`atp::AdaptiveTaskPlanner`] | Alg. 2 | Q-learning (Sec. V) | STG | δ-bootstrap |
-//! | [`eatp::EfficientAdaptiveTaskPlanner`] | Alg. 3 | Q-learning, flip-side (Sec. VI-A) | CDT | K-nearest index + path cache |
+//! | [`eatp::EfficientAdaptiveTaskPlanner`] | Alg. 3 | Q-learning, flip-side (Sec. VI-A) | CDT | K-nearest index |
 //!
 //! Each is a [`shell::Shell`] — the one [`planner::Planner`] implementation —
 //! around the [`shell::Strategy`] its file defines; the simulator drives them once
 //! per timestamp with a [`world::WorldView`] and executes the returned
 //! pickup assignments, asking back for delivery/return legs as the
 //! fulfilment cycle progresses. Selection and path-finding work are timed
-//! separately (the STC/PTC metrics of Sec. VII) and reservation/caching
-//! structures report their live size (MC).
+//! separately (the STC/PTC metrics of Sec. VII) and reservation/index
+//! structures report their live size (MC). Every planner plans its legs
+//! with the same A*: the paper's cache-aided tail for EATP (Sec. VI-B) is
+//! not built (`docs/adr/ADR-019-one-leg-search.md`).
 //!
 //! # Disruptions are handled reactively
 //!
 //! Under a dynamic world (`tprw_warehouse::events`) the planners *react*
 //! to disruptions: every applied event reaches
 //! [`base::PlannerBase::apply_disruption`], which brings the grid copy,
-//! distance oracle, path cache and K-nearest index in line with the
+//! distance oracle and K-nearest index in line with the
 //! mutated floor, and the engine replans frozen legs. Selection itself is
 //! the paper's rule for each planner, with no disruption term;
 //! `docs/adr/ADR-011-one-selection-policy.md` records why the optional

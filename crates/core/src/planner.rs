@@ -76,7 +76,7 @@ pub struct PlannerStats {
     pub selection_ns: u64,
     /// Nanoseconds spent in path finding (PTC).
     pub planning_ns: u64,
-    /// Current memory of reservation/cache/learning structures (MC).
+    /// Current memory of reservation/index/learning structures (MC).
     pub memory_bytes: usize,
     /// Memory of the shared planner machinery — the reusable A* search
     /// arena plus the distance oracle's memoized fields. Reported
@@ -94,7 +94,11 @@ pub struct PlannerStats {
     pub paths_planned: u64,
     /// Failed path queries (retried by the engine on later ticks).
     pub paths_failed: u64,
-    /// Paths whose tail came from the path cache (EATP only).
+    /// Always 0: it counted paths whose tail came from the path cache,
+    /// which is deleted (`docs/adr/ADR-019-one-leg-search.md`). A husk like
+    /// [`Planner::query_legs`]: it stays only because the benchmark's
+    /// report reads it and every golden fingerprint line prints it as the
+    /// fourth `planner_counters` slot.
     pub cache_spliced: u64,
     /// Always 0: the selection layer that counted here is deleted
     /// (`docs/adr/ADR-011-one-selection-policy.md`). The field stays only
@@ -166,14 +170,9 @@ pub enum InjectedFault {
     /// The next [`Planner::commit_legs`] call returns
     /// [`PlannerError::LegBatchFailed`].
     LegFailure,
-    /// Corrupt one memoized path-cache entry (salt-selected); the planner's
-    /// integrity sweep must detect and evict it before the next read.
-    CachePoison {
-        /// Deterministic selector for which entry rots.
-        salt: u64,
-    },
-    /// Corrupt one memoized distance-oracle field (salt-selected); same
-    /// detect-and-evict contract as `CachePoison`.
+    /// Corrupt one memoized distance-oracle field (salt-selected); the
+    /// planner's integrity sweep must detect and evict it before the next
+    /// read.
     OraclePoison {
         /// Deterministic selector for which field rots.
         salt: u64,
@@ -188,8 +187,8 @@ pub enum PlannerEvent<'a> {
     /// A disruption event mutated the world at tick `t`. Planners must
     /// bring every grid-derived structure in line with the mutated floor:
     /// for cell blockades / reopenings that means the working grid copy,
-    /// the distance oracle's memoized fields, the path cache and the
-    /// K-nearest-rack index (`PlannerBase` handles all four). Robot and
+    /// the distance oracle's memoized fields and the K-nearest-rack index
+    /// (`PlannerBase` handles all three). Robot and
     /// station events carry no planner-side structure — the engine enforces
     /// their scheduling consequences through the world view (broken robots
     /// leave the idle pool, closed stations' racks leave the selectable
@@ -215,7 +214,7 @@ pub enum PlannerEvent<'a> {
     },
     /// The engine degraded the previous tick after this planner failed or
     /// overran its budget; the planner must invalidate derived state it can
-    /// no longer trust (memoized caches, oracle fields) before resuming as
+    /// no longer trust (memoized oracle fields) before resuming as
     /// the primary. Rebuilt-on-demand structures make this behaviorally
     /// free.
     RecoverDegraded,
@@ -340,7 +339,7 @@ pub trait Planner {
     /// Export the planner's *canonical* internal state for a checkpoint:
     /// everything that cannot be reconstructed from the instance plus the
     /// applied-disruption journal (reservation content, learned Q-values,
-    /// cumulative counters, memoized cache entries). Derived structures —
+    /// cumulative counters). Derived structures —
     /// search scratch, distance-oracle fields, KNN indexes — are *not*
     /// exported: the restore protocol rebuilds them by calling
     /// [`Planner::init`] and replaying the journal as
@@ -497,7 +496,7 @@ mod tests {
             calls: 0,
         };
         assert!(!p.inject_fault(&InjectedFault::SelectionFailure));
-        assert!(!p.inject_fault(&InjectedFault::CachePoison { salt: 5 }));
+        assert!(!p.inject_fault(&InjectedFault::OraclePoison { salt: 5 }));
         p.on_event(PlannerEvent::RecoverDegraded);
         let world_plans = {
             let racks = [];

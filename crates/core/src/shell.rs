@@ -24,7 +24,7 @@ pub trait Strategy {
     type Resv: ReservationBackend;
     /// Paper-facing name ([`Planner::name`]).
     const NAME: &'static str;
-    /// Whether `init` builds the Sec. VI path cache and K-nearest-rack index.
+    /// Whether `init` builds the Sec. VI-A K-nearest-rack index.
     const SEC_VI: bool = false;
 
     /// The strategy's state before `init`.
@@ -87,12 +87,7 @@ impl<S: Strategy> Planner for Shell<S> {
 
     fn init(&mut self, instance: &Instance) {
         self.strategy.bind(instance);
-        self.base = Some(PlannerBase::new(
-            instance,
-            self.config.clone(),
-            S::SEC_VI,
-            S::SEC_VI,
-        ));
+        self.base = Some(PlannerBase::new(instance, self.config.clone(), S::SEC_VI));
     }
 
     fn plan(&mut self, world: &WorldView<'_>) -> Result<Vec<AssignmentPlan>, PlannerError> {
@@ -187,7 +182,7 @@ mod tests {
         }
         .build()
         .unwrap();
-        let base_keys = ["resv", "cache", "stats", "last_gc"];
+        let base_keys = ["resv", "stats", "last_gc"];
         for name in PLANNER_NAMES {
             let mut planner = planner_by_name(name, &EatpConfig::default()).unwrap();
             assert_eq!(planner.export_snapshot(), serde::Value::Null);

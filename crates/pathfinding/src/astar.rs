@@ -1,5 +1,4 @@
-//! Spatiotemporal A* (Sec. V-C) with optional cache-aided splicing
-//! (Sec. VI-B), flattened around a reusable arena.
+//! Spatiotemporal A* (Sec. V-C), flattened around a reusable arena.
 //!
 //! The search runs on the time-expanded graph: a state is a `(cell, tick)`
 //! pair, moves cost one tick and waiting in place costs one tick. Conflict
@@ -34,9 +33,8 @@
 //!
 //! * **States are region slots.** Each query computes a *search region* —
 //!   the bounding box of `start`/`goal` inflated by `horizon_slack / 2 + 1`
-//!   (plus twice the cache threshold when splicing is enabled; see
-//!   `Region::compute`) — outside of which no cell can contribute to any
-//!   completion of the query (for any on-path cell `c`,
+//!   — outside of which no cell can contribute to any completion of the
+//!   query (for any on-path cell `c`,
 //!   `d(start,c) + d(c,goal) ≤ d(start,goal) + slack`). A state keys its
 //!   slot wavefront-major, as
 //!   `(dt - manhattan(start, cell)) * region_cells + region_cell`: on-time
@@ -66,25 +64,25 @@
 //! * **No closed set.** Every path into `(cell, dt)` has cost exactly `dt`,
 //!   so the first discovery is optimal and stamping at discovery dedupes.
 //!
-//! When a [`PathCache`] is supplied and the popped vertex lies within the
-//! cache threshold `L` of the destination, the planner follows the cached
-//! conflict-agnostic shortest path and inserts waits until each step is
-//! conflict-free — the paper's "let the robot wait till there is no conflict
-//! to move next steps along the shortest path".
+//! The paper's cache-aided tail (Sec. VI-B: near the goal, follow a
+//! memoized conflict-agnostic shortest path with waits) is not built: it
+//! saved expansions, but the walks and their memo cost more planning time
+//! and memory than the expansions did (docs/adr/ADR-019-one-leg-search.md).
 
-use crate::cache::PathCache;
 use crate::path::Path;
 use crate::reservation::ReservationProbe;
 use crate::scratch::{Dial, SearchScratch, StateTable, ACTION_MOVE_BASE, ACTION_ROOT, ACTION_WAIT};
+use std::convert::Infallible;
 use tprw_warehouse::{Direction, GridMap, GridPos, RobotId, Tick};
 
 /// Upper bound on dense arena slots per query (512 MiB of 4-byte stamp
 /// words at the cap, 640 MiB with growth headroom); larger regions record
 /// their states in a hash table instead. No benchmark workload reaches it:
 /// a 200×200 region needs at most 40 000 cells × 655 ticks ≈ 26 M slots.
-/// The paper's Real-Large floor does: at full scale (541×302, slack 256,
-/// `L = 50`) a leg longer than about 565 cells spans the whole floor for
-/// more than 821 ticks.
+/// The paper's Real-Large floor does: at full scale (541×302, slack 256) a
+/// region of the whole floor crosses it past 821 ticks, which a leg of 565
+/// cells reaches when its box spans the floor (283 cells across, 44 down).
+/// Every leg longer than 578 cells crosses.
 pub const DENSE_TABLE_CAP: usize = 1 << 27;
 
 /// Tuning knobs for a single path query.
@@ -100,11 +98,6 @@ pub struct PlanOptions {
     /// legs). Parking goals are accepted only after every already-reserved
     /// traversal of the goal cell has passed.
     pub park_at_goal: bool,
-    /// Maximum consecutive waits inserted per step while splicing a cached
-    /// path; splice attempts abort beyond this and regular search resumes.
-    pub max_splice_wait: u64,
-    /// Maximum splice attempts per query (bounds worst-case splice cost).
-    pub max_splice_attempts: u32,
 }
 
 impl Default for PlanOptions {
@@ -113,8 +106,6 @@ impl Default for PlanOptions {
             max_expansions: 100_000,
             horizon_slack: 512,
             park_at_goal: true,
-            max_splice_wait: 64,
-            max_splice_attempts: 16,
         }
     }
 }
@@ -126,8 +117,6 @@ pub struct PlanOutcome {
     pub path: Path,
     /// States expanded by the A* loop (efficiency diagnostics).
     pub expansions: usize,
-    /// Whether the tail was derived from the path cache.
-    pub used_cache: bool,
 }
 
 /// Statistics of a successful [`plan_path_into`] query (the path itself is
@@ -136,8 +125,6 @@ pub struct PlanOutcome {
 pub struct PlanStats {
     /// States expanded by the A* loop.
     pub expansions: usize,
-    /// Whether the tail was derived from the path cache.
-    pub used_cache: bool,
 }
 
 /// The per-query search region: the `start`/`goal` bounding box inflated by
@@ -155,22 +142,8 @@ pub(crate) struct Region {
 }
 
 impl Region {
-    /// `splice_reach` is the path cache's threshold `L` (0 without a cache):
-    /// cache splicing can complete a path from any popped state within `L`
-    /// of the goal, and the spatial splice tail is *not* horizon-bounded, so
-    /// splice-eligible states live beyond the pure-search ellipse. A state
-    /// `c` reachable in the search phase satisfies `d(s,w) + d(w,c) ≤
-    /// window-1` for every cell `w` en route, and `d(s,g) ≤ d(s,c) + L`,
-    /// which bounds every such cell within `slack/2 + 3L/2` of the
-    /// start/goal box; `2L` over-approximates `3L/2` for a round margin.
-    pub(crate) fn compute(
-        grid: &GridMap,
-        start: GridPos,
-        goal: GridPos,
-        slack: u64,
-        splice_reach: u64,
-    ) -> Region {
-        let margin = (slack / 2 + 1 + 2 * splice_reach).min(u16::MAX as u64) as u16;
+    pub(crate) fn compute(grid: &GridMap, start: GridPos, goal: GridPos, slack: u64) -> Region {
+        let margin = (slack / 2 + 1).min(u16::MAX as u64) as u16;
         let x0 = start.x.min(goal.x).saturating_sub(margin);
         let y0 = start.y.min(goal.y).saturating_sub(margin);
         let x1 = start
@@ -227,7 +200,7 @@ impl Region {
 /// yet reserved; call [`ReservationSystem::reserve_path`](crate::reservation::ReservationSystem::reserve_path) to commit it.
 ///
 /// After the scratch has warmed up to the workload's largest query, this
-/// function performs **no heap allocations** on the cache-less path.
+/// function performs **no heap allocations**.
 #[allow(clippy::too_many_arguments)]
 pub fn plan_path_into<R: ReservationProbe>(
     scratch: &mut SearchScratch,
@@ -237,7 +210,6 @@ pub fn plan_path_into<R: ReservationProbe>(
     start: GridPos,
     start_tick: Tick,
     goal: GridPos,
-    cache: Option<&mut PathCache>,
     opts: &PlanOptions,
     out: &mut Path,
 ) -> Option<PlanStats> {
@@ -259,7 +231,7 @@ pub fn plan_path_into<R: ReservationProbe>(
     }
 
     plan_path_checked(
-        scratch, grid, resv, robot, start, start_tick, goal, cache, opts, out, false,
+        scratch, grid, resv, robot, start, start_tick, goal, opts, out, false,
     )
 }
 
@@ -276,7 +248,6 @@ pub(crate) fn plan_path_checked<R: ReservationProbe>(
     start: GridPos,
     start_tick: Tick,
     goal: GridPos,
-    cache: Option<&mut PathCache>,
     opts: &PlanOptions,
     out: &mut Path,
     force_hashed: bool,
@@ -290,13 +261,11 @@ pub(crate) fn plan_path_checked<R: ReservationProbe>(
         0
     };
 
-    let splice_reach = cache.as_ref().map_or(0, |c| c.threshold());
-    let region = Region::compute(grid, start, goal, opts.horizon_slack, splice_reach);
+    let region = Region::compute(grid, start, goal, opts.horizon_slack);
     let SearchScratch {
         stamps,
         hashed,
         open,
-        splice_buf,
         last_expansions,
     } = scratch;
     let query = Query {
@@ -312,11 +281,11 @@ pub(crate) fn plan_path_checked<R: ReservationProbe>(
     let (result, expansions) = match region.slots() {
         Some(slots) if slots <= DENSE_TABLE_CAP && !force_hashed => {
             stamps.begin(slots);
-            search(stamps, open, splice_buf, &query, cache, out)
+            search(stamps, open, &query, out)
         }
         _ => {
             hashed.clear();
-            search(hashed, open, splice_buf, &query, cache, out)
+            search(hashed, open, &query, out)
         }
     };
     *last_expansions = expansions;
@@ -324,6 +293,10 @@ pub(crate) fn plan_path_checked<R: ReservationProbe>(
 }
 
 /// [`plan_path_into`] with an owned result path.
+///
+/// `_no_cache` is a husk: the slot the path cache was passed in, kept so
+/// existing callers that pass `None` still build. Its type is uninhabited,
+/// so `None` is the only value it takes.
 #[allow(clippy::too_many_arguments)]
 pub fn plan_path_with<R: ReservationProbe>(
     scratch: &mut SearchScratch,
@@ -333,7 +306,7 @@ pub fn plan_path_with<R: ReservationProbe>(
     start: GridPos,
     start_tick: Tick,
     goal: GridPos,
-    cache: Option<&mut PathCache>,
+    _no_cache: Option<&mut Infallible>,
     opts: &PlanOptions,
 ) -> Option<PlanOutcome> {
     let mut path = Path {
@@ -341,12 +314,11 @@ pub fn plan_path_with<R: ReservationProbe>(
         cells: Vec::new(),
     };
     let stats = plan_path_into(
-        scratch, grid, resv, robot, start, start_tick, goal, cache, opts, &mut path,
+        scratch, grid, resv, robot, start, start_tick, goal, opts, &mut path,
     )?;
     Some(PlanOutcome {
         path,
         expansions: stats.expansions,
-        used_cache: stats.used_cache,
     })
 }
 
@@ -379,9 +351,7 @@ struct Query<'a, R> {
 fn search<T: StateTable, R: ReservationProbe>(
     table: &mut T,
     open: &mut Dial,
-    splice_buf: &mut Vec<GridPos>,
     query: &Query<R>,
-    mut cache: Option<&mut PathCache>,
     out: &mut Path,
 ) -> (Option<PlanStats>, usize) {
     let Query {
@@ -404,7 +374,6 @@ fn search<T: StateTable, R: ReservationProbe>(
     table.discover(region.slot(start, 0), ACTION_ROOT);
     open.push(0, (start.to_index(width) as u32, 0));
     let mut expansions = 0usize;
-    let mut splice_attempts = 0u32;
     let mut result: Option<PlanStats> = None;
 
     while let Some((pos_idx, dt)) = open.pop() {
@@ -418,43 +387,8 @@ fn search<T: StateTable, R: ReservationProbe>(
         if pos == goal && t >= park_clearance {
             reconstruct(table, &region, pos, dt, width, height, out);
             out.start = start_tick;
-            result = Some(PlanStats {
-                expansions,
-                used_cache: false,
-            });
+            result = Some(PlanStats { expansions });
             break;
-        }
-
-        // Cache-aided tail: within `L` of the goal, follow the
-        // conflict-agnostic shortest path with waits (Sec. VI-B), at most
-        // `max_splice_attempts` times per query.
-        if let Some(cache) = cache.as_deref_mut() {
-            if pos != goal
-                && cache.within_threshold(pos, goal)
-                && splice_attempts < opts.max_splice_attempts
-            {
-                splice_attempts += 1;
-                if try_splice_into(
-                    resv,
-                    robot,
-                    pos,
-                    t,
-                    goal,
-                    cache,
-                    park_clearance,
-                    opts,
-                    splice_buf,
-                ) {
-                    reconstruct(table, &region, pos, dt, width, height, out);
-                    out.start = start_tick;
-                    out.cells.extend_from_slice(&splice_buf[1..]);
-                    result = Some(PlanStats {
-                        expansions,
-                        used_cache: true,
-                    });
-                    break;
-                }
-            }
         }
 
         if expansions >= opts.max_expansions || t >= horizon {
@@ -521,49 +455,6 @@ fn reconstruct<T: StateTable>(
     out.cells.reverse();
 }
 
-/// Follow the cached spatial path from `(from, t0)` to `goal`, waiting when
-/// the next step is blocked. On success, `buf` holds the timed tail starting
-/// at `(from, t0)`; returns `false` if a wait budget is exceeded or the path
-/// cannot be completed.
-#[allow(clippy::too_many_arguments)]
-fn try_splice_into<R: ReservationProbe>(
-    resv: &R,
-    robot: RobotId,
-    from: GridPos,
-    t0: Tick,
-    goal: GridPos,
-    cache: &mut PathCache,
-    park_clearance: Tick,
-    opts: &PlanOptions,
-    buf: &mut Vec<GridPos>,
-) -> bool {
-    let Some(spatial) = cache.shortest(from, goal) else {
-        return false;
-    };
-    buf.clear();
-    buf.push(from);
-    let mut t = t0;
-    let mut cur = from;
-    for &next in spatial.iter().skip(1) {
-        let mut waited = 0;
-        while !resv.can_move(robot, cur, next, t) {
-            if waited >= opts.max_splice_wait || !resv.can_move(robot, cur, cur, t) {
-                return false;
-            }
-            buf.push(cur); // wait in place
-            t += 1;
-            waited += 1;
-        }
-        buf.push(next);
-        t += 1;
-        cur = next;
-    }
-    // Parking clearance. An early arrival cannot wait it out on the goal:
-    // another robot holds the goal at `park_clearance - 1` by definition,
-    // so the last of those waits would always be refused.
-    t >= park_clearance
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -607,7 +498,6 @@ mod tests {
         assert_eq!(out.path.first(), p(0, 0));
         assert_eq!(out.path.last(), p(4, 0));
         assert!(out.path.is_connected());
-        assert!(!out.used_cache);
     }
 
     #[test]
@@ -765,63 +655,6 @@ mod tests {
     }
 
     #[test]
-    fn cache_splice_produces_valid_path() {
-        let grid = open_grid(20, 20);
-        let resv = ConflictDetectionTable::new(20, 20);
-        let mut cache = PathCache::new(&grid, 50);
-        let out = plan_path_with(
-            &mut SearchScratch::new(),
-            &grid,
-            &resv,
-            RobotId::new(0),
-            p(0, 0),
-            0,
-            p(10, 10),
-            Some(&mut cache),
-            &opts(),
-        )
-        .unwrap();
-        assert!(out.used_cache, "within L of goal from the start");
-        assert_eq!(out.path.end(), 20, "shortest despite splicing");
-        assert!(out.path.is_connected());
-        assert_eq!(out.path.last(), p(10, 10));
-    }
-
-    #[test]
-    fn cache_splice_waits_through_conflicts() {
-        let grid = open_grid(12, 12);
-        let mut resv = ConflictDetectionTable::new(12, 12);
-        // A robot crossing the splice corridor.
-        let crossing = Path {
-            start: 0,
-            cells: vec![p(1, 1), p(1, 0), p(2, 0), p(2, 1)],
-        };
-        resv.reserve_path(RobotId::new(1), &crossing, false);
-        let mut cache = PathCache::new(&grid, 50);
-        let out = plan_path_with(
-            &mut SearchScratch::new(),
-            &grid,
-            &resv,
-            RobotId::new(0),
-            p(0, 0),
-            0,
-            p(6, 0),
-            Some(&mut cache),
-            &PlanOptions {
-                park_at_goal: false,
-                ..opts()
-            },
-        )
-        .unwrap();
-        let conflicts = find_conflicts(
-            &[(RobotId::new(0), &out.path), (RobotId::new(1), &crossing)],
-            0,
-            3,
-        );
-        assert!(conflicts.is_empty(), "{conflicts:?}");
-    }
-
-    #[test]
     fn expansion_budget_fails_gracefully() {
         let grid = open_grid(6, 6);
         let mut resv = ConflictDetectionTable::new(6, 6);
@@ -934,7 +767,6 @@ mod tests {
             p(0, 0),
             3,
             p(9, 4),
-            None,
             &opts(),
             &mut path,
         )
@@ -952,7 +784,6 @@ mod tests {
             p(2, 2),
             0,
             p(4, 2),
-            None,
             &opts(),
             &mut path,
         )
@@ -987,67 +818,6 @@ mod tests {
         assert!(out.path.is_connected());
     }
 
-    #[test]
-    fn splice_reaches_states_beyond_the_pure_search_region() {
-        // A tight slack shrinks the pure-search region to rows 12..=18, but
-        // a wall of parked robots blocks every crossing inside it; the only
-        // way through is a detour to row 25 — outside the slack-only region,
-        // yet splice-eligible (within L of the goal, and the spatial splice
-        // tail is not horizon-bounded). The region must therefore be
-        // inflated by the cache threshold, or this query would return None
-        // while the reference implementation succeeds.
-        let grid = open_grid(40, 30);
-        let mut resv = ConflictDetectionTable::new(40, 30);
-        for y in 12..=18u16 {
-            resv.park(RobotId::new(100 + y as usize), p(5, y), 0);
-        }
-        let opts = PlanOptions {
-            horizon_slack: 4,
-            max_splice_attempts: 1000,
-            park_at_goal: false,
-            ..PlanOptions::default()
-        };
-        let mut cache = PathCache::new(&grid, 60);
-        let mut scratch = SearchScratch::new();
-        let dense = plan_path_with(
-            &mut scratch,
-            &grid,
-            &resv,
-            RobotId::new(0),
-            p(0, 15),
-            0,
-            p(30, 15),
-            Some(&mut cache),
-            &opts,
-        );
-        let mut ref_cache = PathCache::new(&grid, 60);
-        let reference = crate::reference::plan_path_reference(
-            &grid,
-            &resv,
-            RobotId::new(0),
-            p(0, 15),
-            0,
-            p(30, 15),
-            Some(&mut ref_cache),
-            &opts,
-        );
-        assert!(
-            reference.is_some(),
-            "the reference finds the spliced detour"
-        );
-        let dense = dense.expect("the arena search must match reference feasibility");
-        assert!(dense.used_cache, "only a splice can complete this query");
-        assert!(dense.path.is_connected());
-        assert_eq!(dense.path.last(), p(30, 15));
-        assert!(
-            dense
-                .path
-                .iter_timed()
-                .all(|(_, c)| c.x != 5 || !(12..=18).contains(&c.y)),
-            "must not pass through the parked wall"
-        );
-    }
-
     /// One query through the dense table, then through the hash table: each
     /// run's path (if it found one) and expansion count.
     fn through_both_tables<R: ReservationProbe>(
@@ -1069,7 +839,6 @@ mod tests {
                 start,
                 start_tick,
                 goal,
-                None,
                 opts,
                 &mut path,
                 force_hashed,
@@ -1088,7 +857,7 @@ mod tests {
         let grid = open_grid(side, side);
         let resv = SpatioTemporalGraph::new(side, side);
         let (start, goal) = (p(300, 300), p(900, 900));
-        let region = Region::compute(&grid, start, goal, opts().horizon_slack, 0);
+        let region = Region::compute(&grid, start, goal, opts().horizon_slack);
         assert!(region.slots().expect("fits a usize") > DENSE_TABLE_CAP);
         let mut scratch = SearchScratch::new();
         let out = plan_path_with(
@@ -1203,7 +972,6 @@ mod tests {
             start,
             start_tick,
             goal,
-            None,
             &PlanOptions {
                 max_expansions: usize::MAX,
                 ..opts()
@@ -1246,37 +1014,6 @@ mod tests {
         );
         assert!(refused.is_none());
         assert_eq!(scratch.last_expansions(), 0);
-    }
-
-    #[test]
-    fn splice_needs_to_arrive_at_or_after_the_parking_clearance() {
-        let grid = open_grid(12, 12);
-        let mut resv = ConflictDetectionTable::new(12, 12);
-        let (from, goal) = (p(2, 3), p(6, 3));
-        reserve_crossing(&mut resv, 1, goal, 9);
-        let park_clearance = 10;
-        let mut cache = PathCache::new(&grid, 50);
-        let mut buf = Vec::new();
-        let mut splice = |t0: Tick| {
-            try_splice_into(
-                &resv,
-                RobotId::new(0),
-                from,
-                t0,
-                goal,
-                &mut cache,
-                park_clearance,
-                &opts(),
-                &mut buf,
-            )
-        };
-        // Arriving at tick 4 or 8 would mean sitting on the goal through
-        // the other robot's tick-9 crossing.
-        assert!(!splice(0), "early arrival cannot wait the clearance out");
-        assert!(!splice(4), "one tick early is still early");
-        assert!(splice(5), "held off the goal for one tick by the crossing");
-        assert!(splice(6), "arrival exactly at the clearance");
-        assert!(splice(20), "arrival after the clearance");
     }
 
     #[test]
@@ -1329,7 +1066,6 @@ mod tests {
                 start,
                 i as Tick,
                 goal,
-                None,
                 &opts,
                 &mut path,
             )

@@ -16,15 +16,13 @@
 //! [`reservation::ReservationProbe`] half, so a search cannot mutate the
 //! table it plans against.
 //!
-//! [`astar`] implements spatiotemporal A* with optional **cache-aided
-//! splicing** ([`cache::PathCache`], Sec. VI-B): when the search pops a
-//! vertex within Manhattan distance `L` of the goal, it follows the cached
-//! conflict-agnostic shortest path, inserting waits until each step is
-//! conflict-free. There is one search loop. It runs on a reusable
-//! [`scratch::SearchScratch`] arena — a dense generation-stamped state
-//! table (a hash table from the same slots for regions over
-//! [`astar::DENSE_TABLE_CAP`]) plus a dial (bucket) open list — so a
-//! warmed-up planner plans with **zero per-query heap allocations**. The
+//! [`astar`] implements spatiotemporal A*, the one leg search every
+//! planner runs; the paper's cache-aided tail (Sec. VI-B) is not built
+//! (`docs/adr/ADR-019-one-leg-search.md`). There is one search loop. It
+//! runs on a reusable [`scratch::SearchScratch`] arena — a dense
+//! generation-stamped state table (a hash table from the same slots for
+//! regions over [`astar::DENSE_TABLE_CAP`]) plus a dial (bucket) open list
+//! — so a warmed-up planner plans with **zero per-query heap allocations**. The
 //! seed HashMap/BinaryHeap search survives only as a test-only module, the
 //! reference the equivalence tests compare against.
 //!
@@ -33,7 +31,6 @@
 
 pub mod astar;
 pub mod bfs;
-pub mod cache;
 pub mod cdt;
 pub mod conflict;
 pub mod footprint;
@@ -49,7 +46,6 @@ pub mod scratch;
 pub mod stg;
 
 pub use astar::{plan_path_into, plan_path_with, PlanOptions, PlanStats};
-pub use cache::PathCache;
 pub use cdt::ConflictDetectionTable;
 pub use conflict::{find_conflicts, Conflict};
 pub use footprint::MemoryFootprint;

@@ -81,17 +81,6 @@ impl Path {
             .windows(2)
             .all(|w| w[0] == w[1] || w[0].is_adjacent(w[1]))
     }
-
-    /// Append `other`, which must begin where and when `self` ends.
-    ///
-    /// # Panics
-    ///
-    /// Panics (debug) if the junction does not line up.
-    pub fn extend_with(&mut self, other: &Path) {
-        debug_assert_eq!(other.start, self.end());
-        debug_assert_eq!(other.first(), self.last());
-        self.cells.extend_from_slice(&other.cells[1..]);
-    }
 }
 
 #[cfg(test)]
@@ -154,22 +143,5 @@ mod tests {
         assert_eq!(v[0], (10, p(0, 0)));
         assert_eq!(v[4], (14, p(2, 1)));
         assert_eq!(v.len(), 5);
-    }
-
-    #[test]
-    fn extend_with_joins() {
-        let mut a = Path {
-            start: 0,
-            cells: vec![p(0, 0), p(1, 0)],
-        };
-        let b = Path {
-            start: 1,
-            cells: vec![p(1, 0), p(1, 1), p(1, 2)],
-        };
-        a.extend_with(&b);
-        assert_eq!(a.end(), 3);
-        assert_eq!(a.last(), p(1, 2));
-        assert!(a.is_connected());
-        assert_eq!(a.len(), 4);
     }
 }

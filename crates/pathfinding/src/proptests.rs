@@ -1,5 +1,5 @@
 //! Cross-module property tests: optimality on open grids, safety of
-//! cache-assisted planning against arbitrary reservation sets,
+//! planning against arbitrary reservation sets,
 //! cost-equivalence of the arena-optimized search against the seed
 //! (HashMap/BinaryHeap) reference implementation, and identity of the
 //! search over its dense and hash state tables.
@@ -7,7 +7,6 @@
 #![cfg(test)]
 
 use crate::astar::{plan_path_with, PlanOptions, Region};
-use crate::cache::PathCache;
 use crate::cdt::ConflictDetectionTable;
 use crate::conflict::find_conflicts;
 use crate::path::Path;
@@ -51,12 +50,12 @@ proptest! {
     fn admissible_states_map_to_distinct_slots(
         w in 1u16..20, h in 1u16..20,
         sx in 0u16..20, sy in 0u16..20, gx in 0u16..20, gy in 0u16..20,
-        slack in 0u64..12, splice_reach in 0u64..4,
+        slack in 0u64..12,
     ) {
         let grid = open_grid(w, h);
         let start = GridPos::new(sx % w, sy % h);
         let goal = GridPos::new(gx % w, gy % h);
-        let region = Region::compute(&grid, start, goal, slack, splice_reach);
+        let region = Region::compute(&grid, start, goal, slack);
         let mut taken = vec![false; region.slots().expect("small grid")];
         for idx in 0..grid.cell_count() {
             let p = GridPos::from_index(idx, w);
@@ -73,11 +72,10 @@ proptest! {
         prop_assert!(taken[region.slot(start, 0)] && region.contains(goal));
     }
 
-    /// Cache-assisted planning yields conflict-free paths against random
-    /// pre-reserved traffic (the Sec. VI-B optimization must not lose the
-    /// Definition 5 guarantee).
+    /// Planning yields conflict-free paths against random pre-reserved
+    /// traffic (the Definition 5 guarantee).
     #[test]
-    fn cached_plans_are_conflict_free(
+    fn plans_are_conflict_free(
         blockers in proptest::collection::vec((0u16..10, 0u64..5), 1..5),
         gx in 0u16..10, gy in 1u16..10,
     ) {
@@ -96,11 +94,10 @@ proptest! {
         let me = RobotId::new(0);
         let start = GridPos::new(9, 0); // column 9 is never a blocker lane
         let goal = GridPos::new(gx, gy);
-        let mut cache = PathCache::new(&grid, 50);
         let opts = PlanOptions { park_at_goal: false, ..PlanOptions::default() };
         let mut scratch = SearchScratch::new();
         if let Some(out) = plan_path_with(
-            &mut scratch, &grid, &resv, me, start, 0, goal, Some(&mut cache), &opts,
+            &mut scratch, &grid, &resv, me, start, 0, goal, None, &opts,
         ) {
             prop_assert!(out.path.is_connected());
             prop_assert_eq!(out.path.last(), goal);
@@ -203,7 +200,7 @@ proptest! {
             &mut scratch, &grid, &resv, RobotId::new(0), start, start_tick, goal, None, &opts,
         );
         let old = plan_path_reference(
-            &grid, &resv, RobotId::new(0), start, start_tick, goal, None, &opts,
+            &grid, &resv, RobotId::new(0), start, start_tick, goal, &opts,
         );
 
         match (&new, &old) {
@@ -258,7 +255,7 @@ proptest! {
         let new = plan_path_with(
             &mut scratch, &grid, &resv, RobotId::new(0), start, 0, goal, None, &opts,
         );
-        let old = plan_path_reference(&grid, &resv, RobotId::new(0), start, 0, goal, None, &opts);
+        let old = plan_path_reference(&grid, &resv, RobotId::new(0), start, 0, goal, &opts);
 
         match (&new, &old) {
             (Some(a), Some(b)) => prop_assert_eq!(a.path.end(), b.path.end()),
@@ -314,12 +311,12 @@ proptest! {
         prop_assume!(resv.occupant(start, start_tick).is_none());
         let opts = PlanOptions { max_expansions: usize::MAX, ..PlanOptions::default() };
 
-        let old = plan_path_reference(&grid, &resv, me, start, start_tick, goal, None, &opts);
+        let old = plan_path_reference(&grid, &resv, me, start, start_tick, goal, &opts);
         let mut scratch = SearchScratch::new();
         let [dense, hashed] = [false, true].map(|force_hashed| {
             let mut path = Path::stationary(start, 0);
             let new = crate::astar::plan_path_checked(
-                &mut scratch, &grid, &resv, me, start, start_tick, goal, None, &opts,
+                &mut scratch, &grid, &resv, me, start, start_tick, goal, &opts,
                 &mut path, force_hashed,
             );
             (new.map(|_| path), scratch.last_expansions())

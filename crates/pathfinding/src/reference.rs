@@ -16,7 +16,6 @@
 //! search.
 
 use crate::astar::{PlanOptions, PlanOutcome};
-use crate::cache::PathCache;
 use crate::path::Path;
 use crate::reservation::ReservationSystem;
 use std::cmp::Reverse;
@@ -41,7 +40,6 @@ pub fn plan_path_reference<R: ReservationSystem>(
     start: GridPos,
     start_tick: Tick,
     goal: GridPos,
-    mut cache: Option<&mut PathCache>,
     opts: &PlanOptions,
 ) -> Option<PlanOutcome> {
     debug_assert!(grid.passable(start) && grid.passable(goal));
@@ -81,7 +79,6 @@ pub fn plan_path_reference<R: ReservationSystem>(
     parents.insert(key(start, start_tick), key(start, start_tick));
 
     let mut expansions = 0usize;
-    let mut splice_attempts = 0u32;
 
     while let Some(Reverse((_f, _h, pos_idx, t))) = open.pop() {
         let pos = GridPos::from_index(pos_idx as usize, width);
@@ -94,32 +91,7 @@ pub fn plan_path_reference<R: ReservationSystem>(
 
         if pos == goal && t >= park_clearance {
             let path = reconstruct(&parents, state, start_tick, t, width);
-            return Some(PlanOutcome {
-                path,
-                expansions,
-                used_cache: false,
-            });
-        }
-
-        if pos != goal {
-            if let Some(cache_ref) = cache.as_deref_mut() {
-                if cache_ref.within_threshold(pos, goal)
-                    && splice_attempts < opts.max_splice_attempts
-                {
-                    splice_attempts += 1;
-                    if let Some(tail) =
-                        try_splice(resv, robot, pos, t, goal, cache_ref, park_clearance, opts)
-                    {
-                        let mut path = reconstruct(&parents, state, start_tick, t, width);
-                        path.extend_with(&tail);
-                        return Some(PlanOutcome {
-                            path,
-                            expansions,
-                            used_cache: true,
-                        });
-                    }
-                }
-            }
+            return Some(PlanOutcome { path, expansions });
         }
 
         if expansions >= opts.max_expansions || t >= horizon {
@@ -207,47 +179,6 @@ fn reconstruct(
     }
 }
 
-#[allow(clippy::too_many_arguments)]
-fn try_splice<R: ReservationSystem>(
-    resv: &R,
-    robot: RobotId,
-    from: GridPos,
-    t0: Tick,
-    goal: GridPos,
-    cache: &mut PathCache,
-    park_clearance: Tick,
-    opts: &PlanOptions,
-) -> Option<Path> {
-    let spatial: Vec<GridPos> = cache.shortest(from, goal)?.to_vec();
-    let mut cells = vec![from];
-    let mut t = t0;
-    let mut cur = from;
-    for &next in &spatial[1..] {
-        let mut waited = 0;
-        while !resv.can_move(robot, cur, next, t) {
-            if waited >= opts.max_splice_wait || !resv.can_move(robot, cur, cur, t) {
-                return None;
-            }
-            cells.push(cur); // wait in place
-            t += 1;
-            waited += 1;
-        }
-        cells.push(next);
-        t += 1;
-        cur = next;
-    }
-    let mut waited = 0;
-    while t < park_clearance {
-        if waited >= opts.max_splice_wait || !resv.can_move(robot, cur, cur, t) {
-            return None;
-        }
-        cells.push(cur);
-        t += 1;
-        waited += 1;
-    }
-    Some(Path { start: t0, cells })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -269,7 +200,6 @@ mod tests {
             p(0, 0),
             0,
             p(7, 3),
-            None,
             &PlanOptions::default(),
         )
         .unwrap();

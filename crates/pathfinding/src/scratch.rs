@@ -45,7 +45,6 @@
 //!   both dedupes the open list and makes a `closed` set unnecessary.
 
 use std::collections::hash_map::{Entry, HashMap};
-use tprw_warehouse::GridPos;
 
 /// Open-list entry: grid cell index + tick offset from the query start.
 pub(crate) type OpenEntry = (u32, u32);
@@ -198,8 +197,6 @@ pub struct SearchScratch {
     /// State table of larger regions.
     pub(crate) hashed: HashMap<usize, u8>,
     pub(crate) open: Dial,
-    /// Spliced tail assembly buffer (cache-aided planning).
-    pub(crate) splice_buf: Vec<GridPos>,
     /// States the most recent query expanded (see [`Self::last_expansions`]).
     pub(crate) last_expansions: usize,
 }
@@ -230,7 +227,6 @@ impl SearchScratch {
         self.stamps.stamp.capacity()
             + self.open.buckets.capacity()
             + self.open.buckets.iter().map(Vec::capacity).sum::<usize>()
-            + self.splice_buf.capacity()
             + self.hashed.capacity()
     }
 
@@ -243,7 +239,6 @@ impl SearchScratch {
                 .iter()
                 .map(|b| b.capacity() * std::mem::size_of::<OpenEntry>())
                 .sum::<usize>()
-            + self.splice_buf.capacity() * std::mem::size_of::<GridPos>()
             + self.hashed.capacity()
                 * (std::mem::size_of::<(usize, u8)>() + crate::footprint::HASH_ENTRY_OVERHEAD)
     }

@@ -84,19 +84,8 @@ fn warmed_up_plan_path_does_not_allocate() {
     // Warm-up: two rounds so every buffer reaches steady state.
     for _ in 0..2 {
         for &(s, g) in &queries {
-            plan_path_into(
-                &mut scratch,
-                &grid,
-                &resv,
-                me,
-                s,
-                100,
-                g,
-                None,
-                &opts,
-                &mut out,
-            )
-            .expect("path exists");
+            plan_path_into(&mut scratch, &grid, &resv, me, s, 100, g, &opts, &mut out)
+                .expect("path exists");
         }
     }
 
@@ -110,19 +99,9 @@ fn warmed_up_plan_path_does_not_allocate() {
         let before = allocation_events();
         for _ in 0..5 {
             for &(s, g) in &queries {
-                let stats = plan_path_into(
-                    &mut scratch,
-                    &grid,
-                    &resv,
-                    me,
-                    s,
-                    100,
-                    g,
-                    None,
-                    &opts,
-                    &mut out,
-                )
-                .expect("path exists");
+                let stats =
+                    plan_path_into(&mut scratch, &grid, &resv, me, s, 100, g, &opts, &mut out)
+                        .expect("path exists");
                 assert!(stats.expansions > 0);
             }
         }

@@ -16,7 +16,7 @@
 //!   while any on-grid robot stands on the cell (the blockade lands once
 //!   the cell clears; a paired unblock withdraws a still-deferred
 //!   blockade). On application the planner is notified (grid copy, distance
-//!   oracle, path cache and KNN index all invalidate) and every active path
+//!   oracle and KNN index all invalidate) and every active path
 //!   that visits the cell at the current tick or later is cancelled. Each
 //!   cancellation freezes its robot mid-route, which can invalidate
 //!   *other* paths that planned to cross the now-occupied cell — the

@@ -15,8 +15,8 @@
 //! * **leg faults** — the tick's batched `commit_legs` call fails as a unit
 //!   ([`eatp_core::PlannerError::LegBatchFailed`]); every pending leg
 //!   retries next tick through the engine's existing retain loops;
-//! * **poison faults** — one memoized path-cache entry or distance-oracle
-//!   field is silently corrupted. The planner's housekeeping sweep must
+//! * **poison faults** — one memoized distance-oracle field is silently
+//!   corrupted. The planner's housekeeping sweep must
 //!   detect, evict and recompute it the same tick (pinned by the
 //!   `poison_evictions` counter and the standing zero-conflict invariants).
 //!
@@ -44,7 +44,9 @@ pub struct FaultConfig {
     pub decision_faults: usize,
     /// Batched leg-planning failures to schedule.
     pub leg_faults: usize,
-    /// Cache/oracle poisonings to schedule.
+    /// Poisoning draws. Each draws a tick, a salt and a coin; only the
+    /// oracle side of the coin schedules a fault (the path cache the other
+    /// side poisoned is deleted), so about half of them land.
     pub poison_faults: usize,
     /// Tick window `[t0, t1]` the tick-indexed faults are drawn from.
     pub window: (Tick, Tick),
@@ -74,7 +76,7 @@ pub struct FaultPlan {
     pub decision: Vec<(Tick, InjectedFault)>,
     /// Tick-sorted batched-leg failures.
     pub leg: Vec<Tick>,
-    /// Tick-sorted poisonings (cache or oracle, with a selection salt).
+    /// Tick-sorted oracle poisonings, each with a selection salt.
     pub poison: Vec<(Tick, InjectedFault)>,
 }
 
@@ -121,16 +123,18 @@ impl FaultPlan {
             .collect();
         leg.sort_unstable();
 
+        // Every draw still takes its tick, salt and cache-or-oracle coin,
+        // although the cache side schedules nothing since the path cache
+        // went: the oracle poisonings keep their ticks and salts, so every
+        // faulted run replays as it did on a planner without a cache, where
+        // a cache poisoning found nothing to corrupt.
         let mut poison = Vec::with_capacity(config.poison_faults);
         for _ in 0..config.poison_faults {
             let t = rng.gen_range(w0..=w1);
             let salt = rng.next_u64();
-            let fault = if rng.gen_range(0..2u32) == 0 {
-                InjectedFault::CachePoison { salt }
-            } else {
-                InjectedFault::OraclePoison { salt }
-            };
-            poison.push((t, fault));
+            if rng.gen_range(0..2u32) == 1 {
+                poison.push((t, InjectedFault::OraclePoison { salt }));
+            }
         }
         poison.sort_by_key(|&(t, _)| t);
 
@@ -180,14 +184,18 @@ mod tests {
         assert_eq!(a, b);
         assert_eq!(a.decision.len(), 4);
         assert_eq!(a.leg.len(), 3);
-        assert_eq!(a.poison.len(), 4);
+        // Four poisoning draws; the two that drew the cache side schedule
+        // nothing.
+        assert_eq!(a.poison.len(), 2);
         let c = FaultPlan::generate(&FaultConfig::chaos(100, (10, 400)));
         assert_ne!(a, c, "different seeds draw different schedules");
     }
 
     /// The three schedules the last build with an I/O fault class drew for
     /// this config. Its io draws came after these, so retiring them moved
-    /// no other class.
+    /// no other class. The last build with a path cache also scheduled
+    /// three cache poisonings (ticks 74, 228 and 364); their draws stay, so
+    /// the oracle poisoning keeps its tick and salt.
     #[test]
     fn chaos_schedules_are_pinned() {
         use InjectedFault::*;
@@ -204,32 +212,12 @@ mod tests {
         assert_eq!(plan.leg, [140, 151, 395]);
         assert_eq!(
             plan.poison,
-            [
-                (
-                    41,
-                    OraclePoison {
-                        salt: 9667149516951190688
-                    }
-                ),
-                (
-                    74,
-                    CachePoison {
-                        salt: 5908585959078054052
-                    }
-                ),
-                (
-                    228,
-                    CachePoison {
-                        salt: 14955438926943431418
-                    }
-                ),
-                (
-                    364,
-                    CachePoison {
-                        salt: 14767745269908002428
-                    }
-                ),
-            ]
+            [(
+                41,
+                OraclePoison {
+                    salt: 9667149516951190688
+                }
+            )]
         );
     }
 

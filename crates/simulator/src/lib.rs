@@ -20,7 +20,7 @@
 //!   the engine thread drains one tick at a time, bit-identically to
 //!   handing it the same batches directly (see `docs/order-stream.md`);
 //! * [`faults`] — seed-deterministic fault plans (planner decision/leg
-//!   failures, cache/oracle poisoning) plus the graceful-degradation
+//!   failures, oracle poisoning) plus the graceful-degradation
 //!   policy (see `docs/fault-injection.md`);
 //! * [`metrics`] — makespan (M), Picker Processing Rate (PPR), Robot Working
 //!   Rate (RWR), Selection/Planning Time Consumption (STC/PTC), Memory

@@ -127,9 +127,9 @@ pub struct DeterministicFingerprint {
     pub checkpoints: Vec<(usize, Tick, u64, u64)>,
     /// Bottleneck series: `(t, transport, queuing, processing)`.
     pub bottleneck: Vec<(Tick, u64, u64, u64)>,
-    /// Planner counters: expansions, planned, failed, spliced, q-states,
-    /// and a last slot that is always 0 (kept so the committed fingerprint
-    /// lines stay unedited).
+    /// Planner counters: expansions, planned, failed, the path-cache slot,
+    /// q-states, and a last slot. The path-cache and last slots are always
+    /// 0 (kept so the committed fingerprint lines stay unedited).
     pub planner_counters: (u64, u64, u64, u64, usize, u64),
     /// Degraded ticks (greedy-fallback planning phases). Appended after
     /// `planner_counters` so pre-fault fingerprint prefixes stay stable.

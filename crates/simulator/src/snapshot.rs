@@ -469,6 +469,7 @@ mod tests {
     use crate::commands::{Ack, Command, OrderSpec, SequencedCommand};
     use crate::engine::run_simulation;
     use eatp_core::base::BaseSnapshot;
+    use eatp_core::planner::PlannerStats;
     use eatp_core::{planner_by_name, EatpConfig, PLANNER_NAMES as PLANNERS};
     use tprw_pathfinding::cdt::{MAX_CDT_ROBOTS, MAX_CDT_TICK};
     use tprw_pathfinding::reservation::MAX_PARK_TICK;
@@ -1075,13 +1076,31 @@ mod tests {
         ("EATP", include_bytes!("../testdata/snapshot-v5/eatp.snap")),
     ];
 
+    /// The planner base slice of a snapshot tree: ILP, ATP and EATP nest
+    /// it under `base`, NTP and LEF write it as the whole planner payload.
+    fn base_slice_mut(tree: &mut Value) -> &mut Value {
+        let planner = field_mut(tree, "planner");
+        if planner.get("base").is_some() {
+            field_mut(planner, "base")
+        } else {
+            planner
+        }
+    }
+
     /// Every recorded v5 snapshot decodes and resumes, on the one execution
     /// path and tick loop with validation on, to the uninterrupted run's
     /// fingerprint: as recorded, and carrying the keys earlier v5 builds
     /// wrote and this one no longer has — `config.workers`,
     /// `config.reference_exec`, the validation switch (off), the
     /// tick-strategy selector as either unit variant it could name, and the
-    /// planner base's `maintenance` list.
+    /// planner base's `maintenance` list. A v6 payload that still carries
+    /// the deleted path cache's `cache` entries resumes too.
+    ///
+    /// The EATP fixture was recorded with the path cache, so its cumulative
+    /// planner counters (expansions, cached tails) are the cached search's.
+    /// Its state at tick 40 is the one this build reaches, so the resumed
+    /// run ends with the uninterrupted run's fingerprint except that its
+    /// counters are the fixture's plus what the run adds after tick 40.
     #[test]
     fn recorded_v5_snapshots_resume_bit_identically() {
         let inst = scenario(None, 42);
@@ -1104,9 +1123,48 @@ mod tests {
                 engine.tick_once(p.as_mut());
             }
             let state_at_40 = engine.state_hash();
+            let stats_at_40 = p.stats();
 
-            let tree = serde::binary::from_bytes(&recorded[HEADER_LEN..]).expect("a v5 payload");
-            let mut payloads = vec![recorded.to_vec()];
+            let mut tree =
+                serde::binary::from_bytes(&recorded[HEADER_LEN..]).expect("a v5 payload");
+            let recorded_slice = base_slice_mut(&mut tree);
+            let recorded_stats = PlannerStats::deserialize(field_mut(recorded_slice, "stats"))
+                .expect("recorded planner counters");
+            let recorded_cache = field_mut(recorded_slice, "cache").clone();
+            let mut resumed_fp = base.deterministic_fingerprint();
+            let c = &mut resumed_fp.planner_counters;
+            let carried = [
+                (&mut c.0, recorded_stats.expansions, stats_at_40.expansions),
+                (
+                    &mut c.1,
+                    recorded_stats.paths_planned,
+                    stats_at_40.paths_planned,
+                ),
+                (
+                    &mut c.2,
+                    recorded_stats.paths_failed,
+                    stats_at_40.paths_failed,
+                ),
+                (
+                    &mut c.3,
+                    recorded_stats.cache_spliced,
+                    stats_at_40.cache_spliced,
+                ),
+            ];
+            for (slot, recorded, fresh) in carried {
+                *slot = *slot - fresh + recorded;
+            }
+            if name == "EATP" {
+                assert_eq!(
+                    recorded_stats.cache_spliced, 8,
+                    "the fixture carries cached tails"
+                );
+                assert_ne!(recorded_stats.expansions, stats_at_40.expansions);
+            } else {
+                assert_eq!(resumed_fp, base.deterministic_fingerprint());
+            }
+
+            let mut payloads = vec![(recorded.to_vec(), resumed_fp.clone())];
             for stale_keys in [removed("Dense"), removed("EventDriven")] {
                 let mut tree = tree.clone();
                 let Value::Object(config_fields) = field_mut(&mut tree, "config") else {
@@ -1116,24 +1174,36 @@ mod tests {
                     assert!(config_fields.iter().all(|(k, _)| k != key));
                     config_fields.push((key.to_string(), value));
                 }
-                // ILP, ATP and EATP nest the base slice under `base`.
-                let planner = field_mut(&mut tree, "planner");
-                let base_slice = if planner.get("base").is_some() {
-                    field_mut(planner, "base")
-                } else {
-                    planner
-                };
-                let Value::Object(base_fields) = base_slice else {
+                let Value::Object(base_fields) = base_slice_mut(&mut tree) else {
                     panic!("{name}: planner payload must be an object");
                 };
                 assert!(base_fields.iter().any(|(k, _)| k == "last_gc"));
                 assert!(base_fields.iter().all(|(k, _)| k != "maintenance"));
                 base_fields.push(("maintenance".to_string(), Value::Array(Vec::new())));
-                payloads.push(framed(5, &serde::binary::to_bytes(&tree)));
+                payloads.push((
+                    framed(5, &serde::binary::to_bytes(&tree)),
+                    resumed_fp.clone(),
+                ));
             }
+            // This build's own tick-40 payload, plus the `cache` key every
+            // EATP payload carried while the path cache existed (the
+            // fixture's entries, re-encoded as v6 packed positions).
+            let mut v6 = engine.snapshot(p.as_ref()).serialize();
+            let Value::Object(base_fields) = base_slice_mut(&mut v6) else {
+                panic!("{name}: planner payload must be an object");
+            };
+            assert!(base_fields.iter().all(|(k, _)| k != "cache"));
+            let entries = Vec::<((GridPos, GridPos), Vec<GridPos>)>::deserialize(&recorded_cache)
+                .expect("recorded path-cache entries");
+            assert_eq!(entries.is_empty(), name != "EATP", "{name}: cache entries");
+            base_fields.push(("cache".to_string(), entries.serialize()));
+            payloads.push((
+                framed(SNAPSHOT_VERSION, &serde::binary::to_bytes(&v6)),
+                base.deterministic_fingerprint(),
+            ));
 
-            for bytes in payloads {
-                let decoded = decode_snapshot(&bytes).expect("v5 payloads decode");
+            for (bytes, expected) in payloads {
+                let decoded = decode_snapshot(&bytes).expect("v5 and v6 payloads decode");
                 let mut p3 = make(name);
                 let mut resumed = resume_from(&decoded, p3.as_mut()).expect("resume");
                 assert_eq!(
@@ -1144,53 +1214,19 @@ mod tests {
                 resumed.run_to_completion(p3.as_mut());
                 let report = resumed.report(p3.as_mut());
                 assert_eq!(
-                    base.deterministic_fingerprint(),
                     report.deterministic_fingerprint(),
-                    "{name}: a v5 snapshot must resume bit-identically"
+                    expected,
+                    "{name}: a recorded snapshot must resume bit-identically"
                 );
             }
         }
     }
 
-    #[test]
-    fn cached_path_position_out_of_range_is_a_decode_error() {
-        let inst = scenario(None, 42);
-        let mut p = make("EATP");
-        let mut engine = Engine::new(&inst, &EngineConfig::default());
-        engine.start(p.as_mut());
-        for _ in 0..40 {
-            engine.tick_once(p.as_mut());
-        }
-        let mut tree = engine.snapshot(p.as_ref()).serialize();
-        let cache = field_mut(field_mut(field_mut(&mut tree, "planner"), "base"), "cache");
-        // Entries are `[[from, to], cells]`.
-        let Value::Array(entries) = cache else {
-            panic!("the path cache must be an array");
-        };
-        let Some(Value::Array(entry)) = entries.first_mut() else {
-            panic!("EATP has cached a path by tick 40");
-        };
-        let Value::Array(cells) = &mut entry[1] else {
-            panic!("a cached path must be an array of cells");
-        };
-        assert!(matches!(cells[0], Value::U64(_)), "a packed position");
-        cells[0] = Value::U64(1 << 32);
-        let data = decode_snapshot(&framed(SNAPSHOT_VERSION, &serde::binary::to_bytes(&tree)))
-            .expect("the planner slice stays a tree until resume");
-        let Err(err) = resume_from(&data, make("EATP").as_mut()) else {
-            panic!("a cached cell packed past 32 bits resumed");
-        };
-        assert!(
-            matches!(&err, SnapshotError::Decode(msg) if msg.contains("grid position")),
-            "{err:?}"
-        );
-    }
-
     /// A CRC-valid planner slice with a cell off the grid, two robots
     /// parked on one cell, a robot outside the fleet (below or above the
     /// CDT's robot cap) or a tick past the CDT's or the parking board's
-    /// encoding is refused on resume before any reservation table or the
-    /// path cache indexes it.
+    /// encoding is refused on resume before any reservation table indexes
+    /// it.
     #[test]
     fn planner_slice_off_the_grid_is_a_decode_error() {
         let inst = scenario(None, 42);
@@ -1209,7 +1245,7 @@ mod tests {
             let mut tree = engine.snapshot(p.as_ref()).serialize();
             let base = base_of(&mut tree);
             let parked = base.resv.parked.len();
-            if parked >= 2 && !base.resv.timed.is_empty() && !base.cache.is_empty() {
+            if parked >= 2 && !base.resv.timed.is_empty() {
                 break tree;
             }
         };
@@ -1220,7 +1256,6 @@ mod tests {
             ("parking cell", "parking cell"),
             ("reservation cell", "reservation cell"),
             ("two robots", "two robots"),
-            ("cached-path cell", "cached-path cell"),
             ("reservation robot", "reservation robot"),
             ("reservation robot past the cap", "reservation robot"),
             ("parking robot", "parking robot"),
@@ -1233,7 +1268,6 @@ mod tests {
                 "parking cell" => b.resv.parked[0].1 = below,
                 "reservation cell" => b.resv.timed[0].pos = GridPos::new(width, 0),
                 "two robots" => b.resv.parked[1].1 = b.resv.parked[0].1,
-                "cached-path cell" => b.cache[0].1[0] = below,
                 "reservation robot" => b.resv.timed[0].robot = phantom,
                 "reservation robot past the cap" => b.resv.timed[0].robot = past_cap,
                 "parking robot" => b.resv.parked[0].0 = phantom,
