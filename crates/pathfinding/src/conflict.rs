@@ -4,10 +4,12 @@
 //! of executed trajectories: planners must *never* produce either conflict.
 
 use crate::path::Path;
+use serde::{Deserialize, Serialize};
 use tprw_warehouse::{GridPos, RobotId, Tick};
 
-/// A detected conflict between two robots' paths.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+/// A detected conflict between two robots' paths, or between two robots'
+/// executed trajectories (the simulator's validator records this type).
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub enum Conflict {
     /// Single-grid conflict: both paths visit `pos` at tick `t`.
     Vertex {

@@ -38,7 +38,7 @@ impl Engine<'_> {
                 .check_tick_delta(t, &self.touched_buf, &self.instance.grid)
             {
                 self.collect_on_grid();
-                self.state.validator.check_tick_fast(t, &self.on_grid_buf);
+                (self.state.validator).check_tick(t, &self.on_grid_buf, &self.instance.grid);
             }
             #[cfg(debug_assertions)]
             {
@@ -60,7 +60,7 @@ impl Engine<'_> {
                     self.on_grid_buf.push((self.state.robots[ai].id, pos));
                 }
             }
-            self.state.validator.check_tick_fast(t, &self.on_grid_buf);
+            (self.state.validator).check_tick(t, &self.on_grid_buf, &self.instance.grid);
         }
         // A conflict or violation between robots that stand still is pushed
         // again every tick, so only a clean tick certifies the next.
@@ -96,7 +96,7 @@ impl Engine<'_> {
             .count();
         let mut full = crate::validate::TrajectoryValidator::new();
         full.import_snapshot(&self.state.validator.export_snapshot());
-        full.check_tick_fast(t, &self.on_grid_buf);
+        full.check_tick(t, &self.on_grid_buf, &self.instance.grid);
         (full.export_snapshot(), violations)
     }
 

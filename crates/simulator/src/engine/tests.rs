@@ -462,10 +462,10 @@ impl Planner for CollidingPlanner {
     }
 }
 
-/// The engine counts executed conflicts exactly as the seed
-/// `check_tick` does over the same per-tick positions: conflicts while
-/// moving, a swap, and a vertex conflict between robots standing still,
-/// counted once per tick it lasts.
+/// The engine records executed conflicts exactly as the seed check (the
+/// `cfg(test)` reference) does over the same per-tick positions:
+/// conflicts while moving, a swap, and a vertex conflict between robots
+/// standing still, counted once per tick it lasts.
 #[test]
 fn executed_conflicts_match_the_seed_check() {
     let mut inst = small_instance(4, 42);
@@ -485,7 +485,7 @@ fn executed_conflicts_match_the_seed_check() {
     let config = EngineConfig::builder().max_ticks(500).build().unwrap();
     let mut engine = Engine::new(&inst, &config);
     engine.start(&mut planner);
-    let mut seed = TrajectoryValidator::new();
+    let mut seed = crate::validate::reference::SeedValidator::default();
     while !engine.is_finished() {
         let t = engine.current_tick();
         engine.tick_once(&mut planner);
@@ -498,15 +498,16 @@ fn executed_conflicts_match_the_seed_check() {
             .collect();
         seed.check_tick(t, &positions);
     }
+    assert_eq!(engine.export_state().validator.conflicts, seed.conflicts);
     let report = engine.report(&mut planner);
     assert!(report.completed, "every scripted cycle finishes");
-    assert_eq!(report.executed_conflicts, seed.conflict_count());
+    assert_eq!(report.executed_conflicts, seed.conflicts.len());
 
-    use crate::validate::ExecutedConflict;
+    use tprw_pathfinding::Conflict;
     let at = |cell: GridPos| {
         seed.conflicts
             .iter()
-            .filter(|c| matches!(c, ExecutedConflict::Vertex { pos, .. } if *pos == cell))
+            .filter(|c| matches!(c, Conflict::Vertex { pos, .. } if *pos == cell))
             .count()
     };
     assert!(
@@ -516,7 +517,7 @@ fn executed_conflicts_match_the_seed_check() {
     assert!(
         seed.conflicts
             .iter()
-            .any(|c| matches!(c, ExecutedConflict::Edge { t: 40, .. })),
+            .any(|c| matches!(c, Conflict::Edge { t: 40, .. })),
         "two robots swap"
     );
     assert!(

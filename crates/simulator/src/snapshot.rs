@@ -388,11 +388,14 @@ pub fn resume_from<'a>(
 /// Every per-robot, per-picker, per-rack and per-cell table of `state` must
 /// have the length [`EngineState::new`] gives it on `instance`, the
 /// validator's previous positions must name robots of the fleet on cells
-/// of the grid, and so must every robot position, active-path cell,
-/// journaled cell event and deferred blockade. The engine indexes them by
+/// of the grid, every robot position, active-path cell, journaled cell
+/// event and deferred blockade must lie on the grid, and every robot,
+/// picker and rack id of the pending-leg lists, the deferred removals and
+/// the journal must name one of the instance's. The engine indexes them by
 /// id and cell without bounds checks of its own, and the journal replay
-/// mutates the planner's grid by them, so a snapshot that fits another
-/// floor would otherwise panic on resume or within its first ticks.
+/// mutates the planner's grid and indexes by them, so a snapshot that fits
+/// another floor would otherwise panic on resume or within its first
+/// ticks.
 fn check_table_sizes(state: &EngineState, instance: &Instance) -> Result<(), SnapshotError> {
     let robots = instance.robots.len();
     let pickers = instance.pickers.len();
@@ -434,7 +437,7 @@ fn check_table_sizes(state: &EngineState, instance: &Instance) -> Result<(), Sna
     }
     let validator = state.validator.export_snapshot();
     let grid = &instance.grid;
-    for &(robot, pos) in validator.prev_seed.iter().chain(&validator.prev_fast) {
+    for &(robot, pos) in &validator.prev_fast {
         if robot.index() >= robots || !grid.in_bounds(pos) {
             return Err(SnapshotError::Decode(format!(
                 "engine table `validator` places {robot} at {pos}, off the instance's \
@@ -460,6 +463,33 @@ fn check_table_sizes(state: &EngineState, instance: &Instance) -> Result<(), Sna
             grid.height()
         )));
     }
+    let robot_lists = [
+        ("needs_return", &state.needs_return),
+        ("needs_delivery", &state.needs_delivery),
+        ("needs_replan", &state.needs_replan),
+    ];
+    let robot_ids = (robot_lists.into_iter())
+        .flat_map(|(table, ids)| ids.iter().map(move |r| (table, "robot", r.index(), robots)));
+    let rack_ids =
+        (state.deferred_removals.iter()).map(|r| ("deferred_removals", "rack", r.index(), racks));
+    let journal_ids = state.journal.iter().filter_map(|e| match e.event {
+        DisruptionEvent::RobotBreakdown { robot } | DisruptionEvent::RobotRecover { robot } => {
+            Some(("journal", "robot", robot.index(), robots))
+        }
+        DisruptionEvent::StationClosed { picker } | DisruptionEvent::StationReopened { picker } => {
+            Some(("journal", "picker", picker.index(), pickers))
+        }
+        DisruptionEvent::RackRemoved { rack } | DisruptionEvent::RackRestored { rack } => {
+            Some(("journal", "rack", rack.index(), racks))
+        }
+        DisruptionEvent::CellBlocked { .. } | DisruptionEvent::CellUnblocked { .. } => None,
+    });
+    let mut ids = robot_ids.chain(rack_ids).chain(journal_ids);
+    if let Some((table, kind, id, count)) = ids.find(|&(_, _, id, count)| id >= count) {
+        return Err(SnapshotError::Decode(format!(
+            "engine table `{table}` names {kind} {id}, outside the instance's {count} {kind}s"
+        )));
+    }
     Ok(())
 }
 
@@ -474,8 +504,8 @@ mod tests {
     use tprw_pathfinding::cdt::{MAX_CDT_ROBOTS, MAX_CDT_TICK};
     use tprw_pathfinding::reservation::MAX_PARK_TICK;
     use tprw_warehouse::{
-        DisruptionConfig, GridPos, LayoutConfig, OrderId, RobotId, ScenarioSpec, TimedEvent,
-        WorkloadConfig,
+        DisruptionConfig, GridPos, LayoutConfig, OrderId, PickerId, RackId, RobotId, ScenarioSpec,
+        TimedEvent, WorkloadConfig,
     };
 
     fn make(name: &str) -> Box<dyn Planner> {
@@ -951,16 +981,17 @@ mod tests {
         // One extra previous position in the validator section, re-framed
         // so the checksum holds.
         let good = decode_snapshot(&sample_snapshot_bytes()).expect("sample decodes");
-        let with_entry = |seed_path: bool, robot: u32, pos: GridPos| {
-            let mut validator = good.engine.validator.export_snapshot();
-            let prev = if seed_path {
-                &mut validator.prev_seed
-            } else {
-                &mut validator.prev_fast
+        let with_entry = |key: &str, robot: u32, pos: GridPos| {
+            let mut validator = good.engine.validator.serialize();
+            let Value::Object(fields) = &mut validator else {
+                panic!("the validator must be an object");
             };
-            prev.push((RobotId(robot), pos));
+            match fields.iter_mut().find(|(k, _)| k == key) {
+                Some((_, Value::Array(prev))) => prev.push((RobotId(robot), pos).serialize()),
+                _ => fields.push((key.to_string(), vec![(RobotId(robot), pos)].serialize())),
+            }
             let mut tree = good.serialize();
-            *field_mut(field_mut(&mut tree, "engine"), "validator") = validator.serialize();
+            *field_mut(field_mut(&mut tree, "engine"), "validator") = validator;
             framed(SNAPSHOT_VERSION, &serde::binary::to_bytes(&tree))
         };
         let fleet = good.instance.robots.len() as u32;
@@ -968,13 +999,12 @@ mod tests {
         // A robot past the fleet, or a cell off the grid: the bytes decode,
         // and resuming them must fail naming the validator instead of
         // indexing out of bounds.
-        for (seed_path, robot, pos) in [
-            (false, fleet, GridPos::new(0, 0)),
-            (true, fleet, GridPos::new(0, 0)),
-            (false, 0, GridPos::new(width, 0)),
-            (true, 0, GridPos::new(0, height)),
+        for (robot, pos) in [
+            (fleet, GridPos::new(0, 0)),
+            (0, GridPos::new(width, 0)),
+            (0, GridPos::new(0, height)),
         ] {
-            let data = decode_snapshot(&with_entry(seed_path, robot, pos)).expect("bytes decode");
+            let data = decode_snapshot(&with_entry("prev_fast", robot, pos)).expect("bytes decode");
             let Err(err) = resume_from(&data, make("NTP").as_mut()) else {
                 panic!("a validator entry for robot {robot} at {pos} resumed");
             };
@@ -984,15 +1014,19 @@ mod tests {
             );
         }
         // A robot id past the `u16` fleet cap is refused while decoding,
-        // before the dense per-robot arrays are sized by it.
-        for seed_path in [false, true] {
-            let err = decode_snapshot(&with_entry(seed_path, u32::MAX, GridPos::new(0, 0)))
-                .expect_err("an id past the fleet cap must not decode");
-            assert!(
-                matches!(&err, SnapshotError::Decode(msg) if msg.contains("validator")),
-                "{err:?}"
-            );
-        }
+        // before the dense per-robot array is sized by it.
+        let err = decode_snapshot(&with_entry("prev_fast", u32::MAX, GridPos::new(0, 0)))
+            .expect_err("an id past the fleet cap must not decode");
+        assert!(
+            matches!(&err, SnapshotError::Decode(msg) if msg.contains("validator")),
+            "{err:?}"
+        );
+        // The retired second list, `prev_seed`, is ignored on read, even
+        // when it names a robot past the fleet.
+        let data = decode_snapshot(&with_entry("prev_seed", u32::MAX, GridPos::new(0, height)))
+            .expect("a retired `prev_seed` list decodes");
+        assert_eq!(data.engine.validator, good.engine.validator);
+        resume_from(&data, make("NTP").as_mut()).expect("a retired `prev_seed` list resumes");
         // The other engine tables that name cells, at tick 3, while idle
         // robots still have work ahead. Each of these bytes resumed before
         // the check and then panicked: the journal cases inside the
@@ -1046,6 +1080,62 @@ mod tests {
             let data = decode_snapshot(&encode_snapshot(&data)).expect("bytes decode");
             let Err(err) = resume_from(&data, make("NTP").as_mut()) else {
                 panic!("a `{table}` cell off the grid resumed");
+            };
+            assert!(
+                matches!(&err, SnapshotError::Decode(msg) if msg.contains(&format!("`{table}`"))),
+                "{err:?}"
+            );
+        }
+    }
+
+    /// The engine tables that name robots, pickers and racks by id. Each
+    /// case of the first group resumed before the check and then panicked:
+    /// the pending-leg lists and the deferred removals within the first
+    /// ticks, the journaled rack events inside EATP's journal replay. The
+    /// journaled robot and picker events resumed without a panic, because
+    /// no planner's replay indexes by them, and are refused all the same.
+    #[test]
+    fn id_tables_outside_the_instance_are_typed_errors() {
+        let inst = scenario(None, 42);
+        let good = {
+            let mut p = make("EATP");
+            let mut engine = Engine::new(&inst, &EngineConfig::default());
+            engine.start(p.as_mut());
+            for _ in 0..3 {
+                engine.tick_once(p.as_mut());
+            }
+            engine.snapshot(p.as_ref())
+        };
+        let robot = RobotId::new(inst.robots.len());
+        let picker = PickerId::new(inst.pickers.len());
+        let rack = RackId::new(inst.racks.len());
+        type Corrupt<'a> = Box<dyn Fn(&mut EngineState) + 'a>;
+        let mut cases: Vec<(&str, Corrupt)> = vec![
+            ("needs_return", Box::new(|s| s.needs_return.push(robot))),
+            ("needs_delivery", Box::new(|s| s.needs_delivery.push(robot))),
+            ("needs_replan", Box::new(|s| s.needs_replan.push(robot))),
+            (
+                "deferred_removals",
+                Box::new(|s| s.deferred_removals.push(rack)),
+            ),
+        ];
+        for event in [
+            DisruptionEvent::RackRemoved { rack },
+            DisruptionEvent::RackRestored { rack },
+            DisruptionEvent::RobotBreakdown { robot },
+            DisruptionEvent::RobotRecover { robot },
+            DisruptionEvent::StationClosed { picker },
+            DisruptionEvent::StationReopened { picker },
+        ] {
+            let journal = move |s: &mut EngineState| s.journal.push(TimedEvent { t: 1, event });
+            cases.push(("journal", Box::new(journal)));
+        }
+        for (table, corrupt) in cases {
+            let mut data = good.clone();
+            corrupt(&mut data.engine);
+            let data = decode_snapshot(&encode_snapshot(&data)).expect("bytes decode");
+            let Err(err) = resume_from(&data, make("EATP").as_mut()) else {
+                panic!("a `{table}` id outside the instance resumed");
             };
             assert!(
                 matches!(&err, SnapshotError::Decode(msg) if msg.contains(&format!("`{table}`"))),

@@ -5,126 +5,73 @@
 //! violation is a planner bug, never workload-dependent behaviour, so the
 //! engine surfaces it loudly in the report.
 //!
-//! A tick enters the validator one of two ways:
+//! One per-cell index of `(stamp, robot)` answers every tick, entered one
+//! of two ways:
 //!
-//! * [`TrajectoryValidator::check_tick_fast`] takes every on-grid robot and
-//!   sorts them by cell: O(n log n) in the fleet.
+//! * [`TrajectoryValidator::check_tick`] takes every on-grid robot and
+//!   claims their cells in list order: O(fleet).
 //! * [`TrajectoryValidator::check_tick_delta`] takes only the robots that
-//!   changed since the previous tick and checks their new cells against a
-//!   per-cell occupancy index: O(changed). It applies only when the
-//!   previous tick was checked and left no two robots on one cell, and it
-//!   declines (changing nothing) whenever the changed robots conflict, so
-//!   the caller reruns the full check and conflict counts and order stay
-//!   the full check's.
+//!   changed since the previous tick and moves just their claims:
+//!   O(changed). It applies only when the previous check left the index
+//!   synced, and it declines (leaving the canonical state unchanged)
+//!   whenever the changed robots conflict, so the caller reruns the full
+//!   check and conflict counts and order stay the full check's.
 //!
 //! Both leave the same canonical state ([`ValidatorSnapshot`]). The cell
 //! index is derived and never serialised.
 
 use serde::{Deserialize, Serialize};
-use std::collections::HashMap;
+use tprw_pathfinding::Conflict;
 use tprw_warehouse::{GridMap, GridPos, RobotId, Tick};
+
+#[cfg(test)]
+pub(crate) mod reference;
 
 /// Largest robot index a [`ValidatorSnapshot`] may name on import: the
 /// `u16` fleet cap both reservation layers enforce
 /// ([`tprw_pathfinding::cdt::MAX_CDT_ROBOTS`]). The dense previous-position
-/// arrays are sized by the largest index, so an unchecked one could ask
-/// for gigabytes.
+/// array is sized by the largest index, so an unchecked one could ask for
+/// gigabytes.
 const MAX_ROBOT_INDEX: usize = tprw_pathfinding::cdt::MAX_CDT_ROBOTS;
 
-/// A conflict observed during execution.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-pub enum ExecutedConflict {
-    /// Two robots occupied the same cell at the same tick.
-    Vertex {
-        /// The shared cell.
-        pos: GridPos,
-        /// When.
-        t: Tick,
-        /// Robots involved.
-        a: RobotId,
-        /// Second robot.
-        b: RobotId,
-    },
-    /// Two robots swapped cells across consecutive ticks.
-    Edge {
-        /// Where the first robot came from.
-        from: GridPos,
-        /// Where it went (and the other came from).
-        to: GridPos,
-        /// Tick the swap started.
-        t: Tick,
-        /// Robots involved.
-        a: RobotId,
-        /// Second robot.
-        b: RobotId,
-    },
-}
-
-/// Sliding-window conflict checker fed one tick of on-grid robot positions
-/// at a time.
-///
-/// Two equivalent checking paths exist: [`TrajectoryValidator::check_tick`]
-/// is the seed implementation (two `HashMap`s rebuilt per tick — the
-/// reference this module's tests compare against; the engine never calls
-/// it), while [`TrajectoryValidator::check_tick_fast`] reaches the same
-/// verdicts with a reusable sort buffer and generation-stamped dense
-/// arrays, performing no steady-state allocations. Use one path
-/// consistently per validator instance — they keep separate previous-tick
-/// state.
-///
-/// [`TrajectoryValidator::check_tick_delta`] shares the fast path's
-/// previous-tick state and may be mixed with `check_tick_fast` freely.
+/// Sliding-window conflict checker fed one tick of robot positions at a
+/// time.
 ///
 /// The validator is canonical engine state and lives in
 /// [`crate::engine::EngineState`] in this working layout, but it compares,
-/// serialises and deserialises as its [`ValidatorSnapshot`]: the generation
-/// counter, dense-array capacities, sort buffer and cell index are physical
-/// layout, not logical state.
+/// serialises and deserialises as its [`ValidatorSnapshot`]: the cell
+/// index, its stamp and the array capacities are physical layout, not
+/// logical state.
 #[derive(Debug, Clone, Default)]
 pub struct TrajectoryValidator {
-    prev: HashMap<RobotId, GridPos>,
     prev_t: Option<Tick>,
     /// All conflicts observed so far.
-    pub conflicts: Vec<ExecutedConflict>,
-    /// Fast path: previous position per robot index, valid where
-    /// `prev_mark` carries the current generation.
-    prev_pos: Vec<GridPos>,
-    prev_mark: Vec<u32>,
-    /// Generation of the *previous* tick's `prev_pos` entries.
-    mark: u32,
-    /// Reusable `(cell key, position index)` sort buffer.
-    sorted: Vec<(u32, u32)>,
-    /// Delta path: `(stamp, robot index)` per row-major grid cell, an
-    /// occupant where the stamp equals `cell_stamp` (never 0). Allocated by
-    /// the first delta check.
+    pub conflicts: Vec<Conflict>,
+    /// Previous checked cell per robot index (`None` = off the grid).
+    prev: Vec<Option<GridPos>>,
+    /// `(stamp, robot index)` per row-major grid cell: the cell's first
+    /// claimant where the stamp equals `cell_stamp` (never 0 once a full
+    /// check ran).
     cells: Vec<(u32, u32)>,
     cell_stamp: u32,
-    /// `cells` holds exactly the fast path's previous positions, and no
-    /// two of them share a cell.
-    cells_synced: bool,
-}
-
-/// Order-preserving cell key (grids are < 2¹⁶ on a side).
-#[inline]
-fn cell_key(p: GridPos) -> u32 {
-    ((p.x as u32) << 16) | p.y as u32
+    /// `cells` holds exactly `prev`, one robot per cell.
+    synced: bool,
 }
 
 /// The canonical (checkpoint-persisted) state of a
-/// [`TrajectoryValidator`]: the previous tick's positions for both checking
-/// paths, the previous tick itself, and every conflict observed so far.
-/// The generation counter, dense-array capacities and sort buffer are
-/// physical layout, not logical state, and are rebuilt on import.
+/// [`TrajectoryValidator`]: the previous tick's positions, the previous
+/// tick itself, and every conflict observed so far. The cell index is
+/// physical layout, not logical state, and is rebuilt by the first full
+/// check after import.
 #[derive(Debug, Clone, PartialEq, Eq, Default, Serialize, Deserialize)]
 pub struct ValidatorSnapshot {
     /// Previous checked tick (`None` before the first check).
     pub prev_t: Option<Tick>,
     /// Conflicts observed so far, in recording order.
-    pub conflicts: Vec<ExecutedConflict>,
-    /// Seed-path previous positions, robot-sorted for canonical bytes.
-    pub prev_seed: Vec<(RobotId, GridPos)>,
-    /// Fast-path previous positions (entries live at the current
-    /// generation), robot-sorted.
+    pub conflicts: Vec<Conflict>,
+    /// Previous positions, robot-sorted. The wire key is the one v5 and v6
+    /// payloads have always used; their second list, `prev_seed` (always
+    /// empty in engine runs), is ignored on read.
     pub prev_fast: Vec<(RobotId, GridPos)>,
 }
 
@@ -147,12 +94,8 @@ impl Serialize for TrajectoryValidator {
 impl Deserialize for TrajectoryValidator {
     fn deserialize(v: &serde::Value) -> Result<Self, serde::Error> {
         let snap = ValidatorSnapshot::deserialize(v)?;
-        if let Some(&(robot, _)) = snap
-            .prev_seed
-            .iter()
-            .chain(&snap.prev_fast)
-            .find(|(robot, _)| robot.index() > MAX_ROBOT_INDEX)
-        {
+        let beyond_cap = |(r, _): &&(RobotId, GridPos)| r.index() > MAX_ROBOT_INDEX;
+        if let Some(&(robot, _)) = snap.prev_fast.iter().find(beyond_cap) {
             return Err(serde::Error::msg(format!(
                 "validator names {robot}, beyond the fleet cap of {}",
                 MAX_ROBOT_INDEX + 1
@@ -170,182 +113,14 @@ impl TrajectoryValidator {
         Self::default()
     }
 
-    /// Allocation-free equivalent of [`TrajectoryValidator::check_tick`]:
-    /// sorts the tick's positions by cell to find shared cells and answers
-    /// the swap check with binary searches plus dense per-robot
-    /// previous-position arrays. Conflict verdicts (and counts) are
-    /// identical to the seed path; only the in-`conflicts` ordering of
-    /// *vertex* conflicts of distinct cells may differ (cell order instead
-    /// of insertion order).
-    pub fn check_tick_fast(&mut self, t: Tick, positions: &[(RobotId, GridPos)]) {
-        self.sorted.clear();
-        self.sorted.extend(
-            positions
-                .iter()
-                .enumerate()
-                .map(|(i, &(_, pos))| (cell_key(pos), i as u32)),
-        );
-        self.sorted.sort_unstable();
-
-        // Vertex conflicts: runs of equal cell keys, every later occupant
-        // against the first (matching the seed's first-insert-wins map).
-        let mut i = 0;
-        while i < self.sorted.len() {
-            let mut j = i + 1;
-            while j < self.sorted.len() && self.sorted[j].0 == self.sorted[i].0 {
-                j += 1;
-            }
-            if j - i > 1 {
-                let (a, pos) = positions[self.sorted[i].1 as usize];
-                for &(_, idx) in &self.sorted[i + 1..j] {
-                    let (b, _) = positions[idx as usize];
-                    self.conflicts
-                        .push(ExecutedConflict::Vertex { pos, t, a, b });
-                }
-            }
-            i = j;
-        }
-
-        // Edge (swap) conflicts against the previous tick.
-        if self.prev_t == Some(t.wrapping_sub(1)) {
-            for &(robot, pos) in positions {
-                let Some(was) = self.fast_prev(robot) else {
-                    continue;
-                };
-                if was == pos {
-                    continue;
-                }
-                // First current occupant of `was`, as the seed map held.
-                let target = cell_key(was);
-                let lo = self.sorted.partition_point(|&(k, _)| k < target);
-                if lo >= self.sorted.len() || self.sorted[lo].0 != target {
-                    continue;
-                }
-                let (other, _) = positions[self.sorted[lo].1 as usize];
-                if other != robot && self.fast_prev(other) == Some(pos) && robot < other {
-                    self.conflicts.push(ExecutedConflict::Edge {
-                        from: was,
-                        to: pos,
-                        t: t - 1,
-                        a: robot,
-                        b: other,
-                    });
-                }
-            }
-        }
-
-        // Roll the dense previous-tick state forward one generation.
-        self.mark = self.mark.wrapping_add(1);
-        if self.mark == 0 {
-            // Generation wrap: clear stamps once so stale marks cannot alias.
-            self.prev_mark.fill(0);
-            self.mark = 1;
-        }
-        for &(robot, pos) in positions {
-            self.stamp(robot, pos);
-        }
-        self.prev_t = Some(t);
-        self.cells_synced = false;
-    }
-
-    /// Check tick `t` from only the robots that changed: `touched` lists,
-    /// without repeats, every robot whose cell or on-grid status may differ
-    /// from the previous check, with its cell at `t` (`None` = off the
-    /// grid). Every robot not listed must stand where the previous check
-    /// saw it, on or off `grid`.
-    ///
-    /// Applies when the previous check was at `t - 1` and left no two
-    /// robots on one cell. Then a vertex conflict needs a touched robot on
-    /// its cell and a swap needs two robots that moved, so the touched
-    /// robots' cells decide the verdict. If they conflict with nothing, the
-    /// previous positions are updated in place and the result is `true`:
-    /// the canonical state is exactly what
-    /// [`TrajectoryValidator::check_tick_fast`] over every on-grid robot
-    /// would leave. Otherwise the result is `false`, the canonical state is
-    /// unchanged, and the caller must run `check_tick_fast` for this tick.
-    pub fn check_tick_delta(
-        &mut self,
-        t: Tick,
-        touched: &[(RobotId, Option<GridPos>)],
-        grid: &GridMap,
-    ) -> bool {
-        if self.mark == 0 || self.prev_t != Some(t.wrapping_sub(1)) || !self.sync_cells(grid) {
-            return false;
-        }
-        let width = grid.width();
-        // Vacate every touched robot's previous cell before claiming the
-        // new ones, so following into a just-left cell is no conflict.
-        for &(robot, _) in touched {
-            if let Some(was) = self.fast_prev(robot) {
-                debug_assert_eq!(self.cell_occupant(was, width), Some(robot));
-                self.cells[was.to_index(width)].0 = 0;
-            }
-        }
-        let mut clean = true;
-        for &(robot, now) in touched {
-            let Some(pos) = now else { continue };
-            if self.cell_occupant(pos, width).is_some() {
-                clean = false; // vertex conflict
-                break;
-            }
-            self.cells[pos.to_index(width)] = (self.cell_stamp, robot.0);
-        }
-        // A swap: `robot` moved `was → pos` and whoever stands on `was`
-        // now came from `pos`.
-        clean = clean
-            && touched.iter().all(|&(robot, now)| {
-                let (Some(was), Some(pos)) = (self.fast_prev(robot), now) else {
-                    return true;
-                };
-                was == pos
-                    || self
-                        .cell_occupant(was, width)
-                        .is_none_or(|other| other == robot || self.fast_prev(other) != Some(pos))
-            });
-        if !clean {
-            self.cells_synced = false;
-            return false;
-        }
-        for &(robot, now) in touched {
-            match now {
-                Some(pos) => self.stamp(robot, pos),
-                None => {
-                    if let Some(mark) = self.prev_mark.get_mut(robot.index()) {
-                        *mark = 0;
-                    }
-                }
-            }
-        }
-        self.prev_t = Some(t);
-        true
-    }
-
-    /// Record `pos` as `robot`'s previous-tick position at the current
-    /// generation.
-    fn stamp(&mut self, robot: RobotId, pos: GridPos) {
-        let i = robot.index();
-        if i >= self.prev_pos.len() {
-            self.prev_pos.resize(i + 1, GridPos::new(0, 0));
-            self.prev_mark.resize(i + 1, 0);
-        }
-        self.prev_pos[i] = pos;
-        self.prev_mark[i] = self.mark;
-    }
-
-    /// The robot the cell index places on `pos`.
-    #[inline]
-    fn cell_occupant(&self, pos: GridPos, width: u16) -> Option<RobotId> {
-        let (stamp, robot) = self.cells[pos.to_index(width)];
-        (stamp == self.cell_stamp).then_some(RobotId(robot))
-    }
-
-    /// Make `cells` mirror the previous positions, sizing it to `grid` on
-    /// first use. `false` if two robots share a cell: the delta check does
-    /// not apply, because a full check pushes that conflict again.
-    fn sync_cells(&mut self, grid: &GridMap) -> bool {
-        if self.cells_synced {
-            return true;
-        }
+    /// Check tick `t` from every on-grid robot's cell on `grid`. Each robot
+    /// claims its cell in list order: a robot on an already claimed cell is
+    /// a vertex conflict against the cell's first claimant, and a robot
+    /// that moved `was → pos` swapped with the first claimant of `was` if
+    /// that one came from `pos` (recorded once, by the lower id). Leaves
+    /// the index synced for [`TrajectoryValidator::check_tick_delta`]
+    /// unless it recorded a vertex conflict.
+    pub fn check_tick(&mut self, t: Tick, positions: &[(RobotId, GridPos)], grid: &GridMap) {
         if self.cells.len() != grid.cell_count() {
             self.cells.clear();
             self.cells.resize(grid.cell_count(), (0, 0));
@@ -356,71 +131,127 @@ impl TrajectoryValidator {
             self.cells.fill((0, 0));
             self.cell_stamp = 1;
         }
-        for i in 0..self.prev_mark.len() {
-            if self.prev_mark[i] != self.mark {
-                continue;
+        let width = grid.width();
+        let before = self.conflicts.len();
+        for &(b, pos) in positions {
+            match self.cell_occupant(pos, width) {
+                Some(a) => self.conflicts.push(Conflict::Vertex { pos, t, a, b }),
+                None => self.cells[pos.to_index(width)] = (self.cell_stamp, b.0),
             }
-            let pos = self.prev_pos[i];
-            if self.cell_occupant(pos, grid.width()).is_some() {
+        }
+        self.synced = self.conflicts.len() == before;
+        if self.prev_t == Some(t.wrapping_sub(1)) {
+            for &(robot, pos) in positions {
+                let Some((from, b)) = self.swap_partner(robot, Some(pos), width) else {
+                    continue;
+                };
+                if robot < b {
+                    self.conflicts.push(Conflict::Edge {
+                        from,
+                        to: pos,
+                        t: t - 1,
+                        a: robot,
+                        b,
+                    });
+                }
+            }
+        }
+        self.prev.fill(None);
+        for &(robot, pos) in positions {
+            self.set_prev(robot, Some(pos));
+        }
+        self.prev_t = Some(t);
+    }
+
+    /// Check tick `t` from only the robots that changed: `touched` lists,
+    /// without repeats, every robot whose cell or on-grid status may differ
+    /// from the previous check, with its cell at `t` (`None` = off the
+    /// grid). Every robot not listed must stand where the previous check
+    /// saw it, on or off `grid`.
+    ///
+    /// Applies when the previous check was at `t - 1` and left the index
+    /// synced (no two robots on one cell). Then a vertex conflict needs a
+    /// touched robot on its cell and a swap needs two robots that moved, so
+    /// the touched robots' cells decide the verdict. If they conflict with
+    /// nothing, their claims and previous positions move in place and the
+    /// result is `true`: the canonical state is exactly what
+    /// [`TrajectoryValidator::check_tick`] over every on-grid robot would
+    /// leave. Otherwise the result is `false`, the canonical state is
+    /// unchanged, and the caller must run `check_tick` for this tick.
+    pub fn check_tick_delta(
+        &mut self,
+        t: Tick,
+        touched: &[(RobotId, Option<GridPos>)],
+        grid: &GridMap,
+    ) -> bool {
+        if !self.synced || self.prev_t != Some(t.wrapping_sub(1)) {
+            return false;
+        }
+        let width = grid.width();
+        // Vacate every touched robot's previous cell before claiming the
+        // new ones, so following into a just-left cell is no conflict.
+        for &(robot, _) in touched {
+            if let Some(was) = self.prev_of(robot) {
+                debug_assert_eq!(self.cell_occupant(was, width), Some(robot));
+                self.cells[was.to_index(width)].0 = 0;
+            }
+        }
+        for &(robot, now) in touched {
+            let Some(pos) = now else { continue };
+            if self.cell_occupant(pos, width).is_some() {
+                self.synced = false; // vertex conflict
                 return false;
             }
-            self.cells[pos.to_index(grid.width())] = (self.cell_stamp, i as u32);
+            self.cells[pos.to_index(width)] = (self.cell_stamp, robot.0);
         }
-        self.cells_synced = true;
+        if (touched.iter()).any(|&(robot, now)| self.swap_partner(robot, now, width).is_some()) {
+            self.synced = false;
+            return false;
+        }
+        for &(robot, now) in touched {
+            self.set_prev(robot, now);
+        }
+        self.prev_t = Some(t);
         true
     }
 
-    /// The previous-tick position of `robot` on the fast path.
-    #[inline]
-    fn fast_prev(&self, robot: RobotId) -> Option<GridPos> {
-        let i = robot.index();
-        (i < self.prev_mark.len() && self.prev_mark[i] == self.mark).then(|| self.prev_pos[i])
+    /// The previous cell `was` of `robot` and the robot it swapped with by
+    /// moving to `now`: the first claimant of `was`, if that one came from
+    /// `now`.
+    fn swap_partner(
+        &self,
+        robot: RobotId,
+        now: Option<GridPos>,
+        width: u16,
+    ) -> Option<(GridPos, RobotId)> {
+        let (was, pos) = (self.prev_of(robot)?, now?);
+        let other = self.cell_occupant(was, width)?;
+        (was != pos && other != robot && self.prev_of(other) == Some(pos)).then_some((was, other))
     }
 
-    /// Check one tick of positions (only robots physically on the grid).
-    pub fn check_tick(&mut self, t: Tick, positions: &[(RobotId, GridPos)]) {
-        // Vertex conflicts: any shared cell.
-        let mut by_cell: HashMap<GridPos, RobotId> = HashMap::with_capacity(positions.len());
-        for &(robot, pos) in positions {
-            if let Some(&other) = by_cell.get(&pos) {
-                self.conflicts.push(ExecutedConflict::Vertex {
-                    pos,
-                    t,
-                    a: other,
-                    b: robot,
-                });
-            } else {
-                by_cell.insert(pos, robot);
+    /// The robot the cell index places on `pos`.
+    #[inline]
+    fn cell_occupant(&self, pos: GridPos, width: u16) -> Option<RobotId> {
+        let (stamp, robot) = self.cells[pos.to_index(width)];
+        (stamp == self.cell_stamp).then_some(RobotId(robot))
+    }
+
+    /// The previous checked cell of `robot` (`None` = off the grid).
+    #[inline]
+    fn prev_of(&self, robot: RobotId) -> Option<GridPos> {
+        self.prev.get(robot.index()).copied().flatten()
+    }
+
+    /// Record `pos` as `robot`'s previous cell.
+    fn set_prev(&mut self, robot: RobotId, pos: Option<GridPos>) {
+        let i = robot.index();
+        if i >= self.prev.len() {
+            if pos.is_none() {
+                return;
             }
+            self.prev.resize(i + 1, None);
         }
-        // Edge (swap) conflicts against the previous tick.
-        if self.prev_t == Some(t.wrapping_sub(1)) {
-            for &(robot, pos) in positions {
-                let Some(&was) = self.prev.get(&robot) else {
-                    continue;
-                };
-                if was == pos {
-                    continue;
-                }
-                // Someone who was at `pos` and is now at `was` swapped with us.
-                if let Some(&other) = by_cell.get(&was) {
-                    if other != robot && self.prev.get(&other) == Some(&pos) {
-                        // Record once (ordered pair).
-                        if robot < other {
-                            self.conflicts.push(ExecutedConflict::Edge {
-                                from: was,
-                                to: pos,
-                                t: t - 1,
-                                a: robot,
-                                b: other,
-                            });
-                        }
-                    }
-                }
-            }
-        }
-        self.prev = positions.iter().copied().collect();
-        self.prev_t = Some(t);
+        self.prev[i] = pos;
     }
 
     /// Number of conflicts observed.
@@ -430,54 +261,35 @@ impl TrajectoryValidator {
 
     /// Export the canonical state (see [`ValidatorSnapshot`]).
     pub fn export_snapshot(&self) -> ValidatorSnapshot {
-        let mut prev_seed: Vec<(RobotId, GridPos)> =
-            self.prev.iter().map(|(&r, &p)| (r, p)).collect();
-        prev_seed.sort_unstable_by_key(|&(r, _)| r);
-        let mut prev_fast: Vec<(RobotId, GridPos)> = self
-            .prev_mark
-            .iter()
-            .enumerate()
-            .filter(|&(_, &m)| m == self.mark && self.mark != 0)
-            .map(|(i, _)| (RobotId::new(i), self.prev_pos[i]))
-            .collect();
-        prev_fast.sort_unstable_by_key(|&(r, _)| r);
+        let prev = self.prev.iter().enumerate();
         ValidatorSnapshot {
             prev_t: self.prev_t,
             conflicts: self.conflicts.clone(),
-            prev_seed,
-            prev_fast,
+            prev_fast: prev
+                .filter_map(|(i, &p)| Some((RobotId::new(i), p?)))
+                .collect(),
         }
     }
 
     /// Rebuild a validator from an exported snapshot: the restored instance
     /// reaches exactly the verdicts the exporting one would from the next
-    /// `check_tick`/`check_tick_fast` call onward.
+    /// check onward. Its first check is a full one, which rebuilds the
+    /// cell index.
     pub fn import_snapshot(&mut self, snap: &ValidatorSnapshot) {
         *self = Self::default();
         self.prev_t = snap.prev_t;
         self.conflicts = snap.conflicts.clone();
-        self.prev = snap.prev_seed.iter().copied().collect();
-        if !snap.prev_fast.is_empty() {
-            self.mark = 1;
-            let max_index = snap
-                .prev_fast
-                .iter()
-                .map(|&(r, _)| r.index())
-                .max()
-                .expect("non-empty");
-            self.prev_pos.resize(max_index + 1, GridPos::new(0, 0));
-            self.prev_mark.resize(max_index + 1, 0);
-            for &(robot, pos) in &snap.prev_fast {
-                self.prev_pos[robot.index()] = pos;
-                self.prev_mark[robot.index()] = self.mark;
-            }
+        for &(robot, pos) in &snap.prev_fast {
+            self.set_prev(robot, Some(pos));
         }
     }
 }
 
 #[cfg(test)]
 mod tests {
+    use super::reference::SeedValidator;
     use super::*;
+    use tprw_warehouse::CellKind;
 
     fn p(x: u16, y: u16) -> GridPos {
         GridPos::new(x, y)
@@ -487,131 +299,203 @@ mod tests {
         RobotId::new(i)
     }
 
-    #[test]
-    fn clean_run_no_conflicts() {
-        let mut v = TrajectoryValidator::new();
-        v.check_tick(0, &[(id(0), p(0, 0)), (id(1), p(5, 5))]);
-        v.check_tick(1, &[(id(0), p(1, 0)), (id(1), p(5, 6))]);
-        assert_eq!(v.conflict_count(), 0);
+    fn grid() -> GridMap {
+        GridMap::filled(12, 12, CellKind::Aisle)
+    }
+
+    /// A validator fed `ticks` by the full check on [`grid`].
+    fn checked(ticks: &[(Tick, &[(RobotId, GridPos)])]) -> TrajectoryValidator {
+        let (mut v, grid) = (TrajectoryValidator::new(), grid());
+        for &(t, positions) in ticks {
+            v.check_tick(t, positions, &grid);
+        }
+        v
     }
 
     #[test]
+    fn clean_run_no_conflicts() {
+        let v = checked(&[
+            (0, &[(id(0), p(0, 0)), (id(1), p(5, 5))]),
+            (1, &[(id(0), p(1, 0)), (id(1), p(5, 6))]),
+        ]);
+        assert_eq!(v.conflict_count(), 0);
+    }
+
+    /// Every later claimant of a cell conflicts with its first claimant.
+    #[test]
     fn vertex_conflict_detected() {
-        let mut v = TrajectoryValidator::new();
-        v.check_tick(3, &[(id(0), p(2, 2)), (id(1), p(2, 2))]);
-        assert_eq!(v.conflict_count(), 1);
-        assert!(matches!(
-            v.conflicts[0],
-            ExecutedConflict::Vertex { t: 3, .. }
-        ));
+        let v = checked(&[(3, &[(id(2), p(2, 2)), (id(0), p(2, 2)), (id(1), p(2, 2))])]);
+        let vertex = |b| Conflict::Vertex {
+            pos: p(2, 2),
+            t: 3,
+            a: id(2),
+            b,
+        };
+        assert_eq!(v.conflicts, [vertex(id(0)), vertex(id(1))]);
     }
 
     #[test]
     fn swap_conflict_detected() {
-        let mut v = TrajectoryValidator::new();
-        v.check_tick(0, &[(id(0), p(0, 0)), (id(1), p(1, 0))]);
-        v.check_tick(1, &[(id(0), p(1, 0)), (id(1), p(0, 0))]);
-        assert_eq!(v.conflict_count(), 1);
+        let v = checked(&[
+            (0, &[(id(0), p(0, 0)), (id(1), p(1, 0)), (id(2), p(1, 0))]),
+            (1, &[(id(0), p(1, 0)), (id(1), p(0, 0)), (id(2), p(2, 0))]),
+        ]);
+        assert_eq!(v.conflict_count(), 2, "a shared cell, then 0 and 1 swap");
         assert!(matches!(
-            v.conflicts[0],
-            ExecutedConflict::Edge { t: 0, .. }
+            v.conflicts[1],
+            Conflict::Edge {
+                t: 0,
+                a: RobotId(0),
+                b: RobotId(1),
+                ..
+            }
         ));
     }
 
     #[test]
     fn follow_through_is_clean() {
-        let mut v = TrajectoryValidator::new();
-        v.check_tick(0, &[(id(0), p(1, 0)), (id(1), p(0, 0))]);
-        v.check_tick(1, &[(id(0), p(2, 0)), (id(1), p(1, 0))]);
+        let v = checked(&[
+            (0, &[(id(0), p(1, 0)), (id(1), p(0, 0))]),
+            (1, &[(id(0), p(2, 0)), (id(1), p(1, 0))]),
+        ]);
         assert_eq!(v.conflict_count(), 0, "following is not swapping");
     }
 
     #[test]
     fn gap_in_ticks_resets_edge_check() {
-        let mut v = TrajectoryValidator::new();
-        v.check_tick(0, &[(id(0), p(0, 0)), (id(1), p(1, 0))]);
         // Tick 5 (not consecutive): swap-looking positions are NOT an edge
         // conflict across a gap.
-        v.check_tick(5, &[(id(0), p(1, 0)), (id(1), p(0, 0))]);
+        let v = checked(&[
+            (0, &[(id(0), p(0, 0)), (id(1), p(1, 0))]),
+            (5, &[(id(0), p(1, 0)), (id(1), p(0, 0))]),
+        ]);
+        assert_eq!(v.conflict_count(), 0);
+    }
+
+    /// Named for the sorting fast path the full check replaced: the verdict
+    /// after each tick, not only at the end, is the vertex conflict and then
+    /// the swap.
+    #[test]
+    fn fast_path_detects_vertex_and_swap() {
+        let (mut v, grid) = (TrajectoryValidator::new(), grid());
+        v.check_tick(
+            0,
+            &[(id(0), p(0, 0)), (id(1), p(1, 0)), (id(2), p(1, 0))],
+            &grid,
+        );
+        assert_eq!(v.conflict_count(), 1, "shared cell");
+        assert!(matches!(v.conflicts[0], Conflict::Vertex { t: 0, .. }));
+        v.check_tick(
+            1,
+            &[(id(0), p(1, 0)), (id(1), p(0, 0)), (id(2), p(2, 0))],
+            &grid,
+        );
+        assert_eq!(v.conflict_count(), 2, "0 and 1 swapped");
+        assert!(matches!(v.conflicts[1], Conflict::Edge { t: 0, .. }));
+    }
+
+    /// Named for the sorting fast path the full check replaced: following
+    /// stays clean tick by tick, and a gap in ticks before swap-looking
+    /// positions adds no edge conflict.
+    #[test]
+    fn fast_path_follow_through_and_gaps_clean() {
+        let (mut v, grid) = (TrajectoryValidator::new(), grid());
+        v.check_tick(0, &[(id(0), p(1, 0)), (id(1), p(0, 0))], &grid);
+        v.check_tick(1, &[(id(0), p(2, 0)), (id(1), p(1, 0))], &grid);
+        assert_eq!(v.conflict_count(), 0, "following is not swapping");
+        v.check_tick(5, &[(id(0), p(1, 0)), (id(1), p(2, 0))], &grid);
         assert_eq!(v.conflict_count(), 0);
     }
 
     #[test]
     fn robot_leaving_grid_is_fine() {
-        let mut v = TrajectoryValidator::new();
-        v.check_tick(0, &[(id(0), p(0, 0)), (id(1), p(1, 0))]);
         // Robot 1 docked (absent); robot 0 moves into its old cell.
-        v.check_tick(1, &[(id(0), p(1, 0))]);
-        assert_eq!(v.conflict_count(), 0);
-    }
-
-    #[test]
-    fn fast_path_detects_vertex_and_swap() {
-        let mut v = TrajectoryValidator::new();
-        v.check_tick_fast(0, &[(id(0), p(0, 0)), (id(1), p(1, 0)), (id(2), p(1, 0))]);
-        assert_eq!(v.conflict_count(), 1, "shared cell");
-        assert!(matches!(
-            v.conflicts[0],
-            ExecutedConflict::Vertex { t: 0, .. }
-        ));
-        v.check_tick_fast(1, &[(id(0), p(1, 0)), (id(1), p(0, 0)), (id(2), p(2, 0))]);
-        assert_eq!(v.conflict_count(), 2, "0 and 1 swapped");
-        assert!(matches!(
-            v.conflicts[1],
-            ExecutedConflict::Edge { t: 0, .. }
-        ));
-    }
-
-    #[test]
-    fn fast_path_follow_through_and_gaps_clean() {
-        let mut v = TrajectoryValidator::new();
-        v.check_tick_fast(0, &[(id(0), p(1, 0)), (id(1), p(0, 0))]);
-        v.check_tick_fast(1, &[(id(0), p(2, 0)), (id(1), p(1, 0))]);
-        assert_eq!(v.conflict_count(), 0, "following is not swapping");
-        // A tick gap resets the edge check.
-        v.check_tick_fast(5, &[(id(0), p(1, 0)), (id(1), p(2, 0))]);
+        let v = checked(&[
+            (0, &[(id(0), p(0, 0)), (id(1), p(1, 0))]),
+            (1, &[(id(0), p(1, 0))]),
+        ]);
         assert_eq!(v.conflict_count(), 0);
     }
 
     /// A validator restored from a snapshot must reach exactly the verdicts
-    /// the original would on every subsequent tick, on both checking paths.
+    /// the original would on every subsequent tick.
     #[test]
     fn snapshot_roundtrip_preserves_verdicts() {
-        let mut fast = TrajectoryValidator::new();
-        fast.check_tick_fast(0, &[(id(0), p(0, 0)), (id(1), p(1, 0))]);
-        let mut restored_fast = TrajectoryValidator::new();
-        restored_fast.import_snapshot(&fast.export_snapshot());
+        let grid = grid();
+        let mut v = checked(&[(0, &[(id(0), p(0, 0)), (id(1), p(1, 0))])]);
+        let mut restored = TrajectoryValidator::new();
+        restored.import_snapshot(&v.export_snapshot());
         // The swap verdict depends on the previous tick's positions.
         let swap = [(id(0), p(1, 0)), (id(1), p(0, 0))];
-        fast.check_tick_fast(1, &swap);
-        restored_fast.check_tick_fast(1, &swap);
-        assert_eq!(fast.conflicts, restored_fast.conflicts);
-        assert_eq!(fast.conflict_count(), 1);
+        v.check_tick(1, &swap, &grid);
+        restored.check_tick(1, &swap, &grid);
+        assert_eq!(v.conflicts, restored.conflicts);
+        assert_eq!(v.conflict_count(), 1);
         assert_eq!(
-            fast.export_snapshot(),
-            restored_fast.export_snapshot(),
+            v.export_snapshot(),
+            restored.export_snapshot(),
             "re-exports agree after further checking"
         );
-
-        let mut seed = TrajectoryValidator::new();
-        seed.check_tick(0, &[(id(0), p(0, 0)), (id(1), p(1, 0))]);
-        let mut restored_seed = TrajectoryValidator::new();
-        restored_seed.import_snapshot(&seed.export_snapshot());
-        seed.check_tick(1, &swap);
-        restored_seed.check_tick(1, &swap);
-        assert_eq!(seed.conflicts, restored_seed.conflicts);
 
         // An untouched validator round-trips to the empty snapshot.
         let empty = TrajectoryValidator::new().export_snapshot();
         assert_eq!(empty, ValidatorSnapshot::default());
     }
 
-    /// The two checking paths must agree on every conflict count across a
-    /// pseudo-random trajectory soup.
+    /// Recorded conflicts keep the wire bytes of the type they replaced,
+    /// so v5 and v6 payloads that carry conflicts decode unchanged. The
+    /// literals are the encodings the last build with a validator-owned
+    /// conflict enum wrote.
     #[test]
-    fn fast_path_matches_seed_path() {
-        let mut seed_v = TrajectoryValidator::new();
-        let mut fast_v = TrajectoryValidator::new();
+    fn conflicts_encode_as_recorded() {
+        let vertex = Conflict::Vertex {
+            pos: p(3, 7),
+            t: 41,
+            a: id(2),
+            b: id(5),
+        };
+        let edge = Conflict::Edge {
+            from: p(1, 2),
+            to: p(2, 2),
+            t: 40,
+            a: id(0),
+            b: id(9),
+        };
+        let recorded: [(Conflict, &[u8]); 2] = [
+            (
+                vertex,
+                b"\x08\x01\x00\x00\x00\x06\x00\x00\x00Vertex\x08\x04\x00\x00\x00\
+                  \x03\x00\x00\x00pos\x03\x03\x00\x07\x00\x00\x00\x00\x00\
+                  \x01\x00\x00\x00t\x03\x29\x00\x00\x00\x00\x00\x00\x00\
+                  \x01\x00\x00\x00a\x03\x02\x00\x00\x00\x00\x00\x00\x00\
+                  \x01\x00\x00\x00b\x03\x05\x00\x00\x00\x00\x00\x00\x00",
+            ),
+            (
+                edge,
+                b"\x08\x01\x00\x00\x00\x04\x00\x00\x00Edge\x08\x05\x00\x00\x00\
+                  \x04\x00\x00\x00from\x03\x01\x00\x02\x00\x00\x00\x00\x00\
+                  \x02\x00\x00\x00to\x03\x02\x00\x02\x00\x00\x00\x00\x00\
+                  \x01\x00\x00\x00t\x03\x28\x00\x00\x00\x00\x00\x00\x00\
+                  \x01\x00\x00\x00a\x03\x00\x00\x00\x00\x00\x00\x00\x00\
+                  \x01\x00\x00\x00b\x03\x09\x00\x00\x00\x00\x00\x00\x00",
+            ),
+        ];
+        for (conflict, bytes) in recorded {
+            assert_eq!(serde::binary::to_bytes(&conflict), bytes, "{conflict:?}");
+            let decoded = serde::binary::from_bytes(bytes).expect("recorded bytes decode");
+            assert_eq!(Conflict::deserialize(&decoded).unwrap(), conflict);
+        }
+    }
+
+    /// The full check records exactly the reference's conflicts, in the
+    /// reference's order, across a pseudo-random trajectory soup and two
+    /// ticks where a three-robot pile and a swap into the piled cell meet:
+    /// the pile's first claimant decides whether the swap is recorded.
+    #[test]
+    fn full_check_matches_reference() {
+        let grid = grid();
+        let mut reference = SeedValidator::default();
+        let mut full = TrajectoryValidator::new();
         let mut state = 0x9E3779B97F4A7C15u64;
         let mut next = move || {
             state ^= state << 13;
@@ -619,23 +503,56 @@ mod tests {
             state ^= state << 17;
             state
         };
-        for t in 0..200u64 {
-            let n = (next() % 12) as usize + 1;
-            let positions: Vec<(RobotId, GridPos)> = (0..n)
-                .map(|i| {
-                    let r = next();
-                    (id(i), p((r % 4) as u16, ((r >> 8) % 4) as u16))
-                })
-                .collect();
-            seed_v.check_tick(t, &positions);
-            fast_v.check_tick_fast(t, &positions);
+        let mut ticks: Vec<Vec<(RobotId, GridPos)>> = (0..200)
+            .map(|_| {
+                let n = (next() % 12) as usize + 1;
+                (0..n)
+                    .map(|i| {
+                        let r = next();
+                        (id(i), p((r % 4) as u16, ((r >> 8) % 4) as u16))
+                    })
+                    .collect()
+            })
+            .collect();
+        // Robot 0 leaves the pile's cell for robot 3's; robot 3 joins the
+        // pile, first (a swap of 0 and 3) or last (no swap recorded).
+        let (pile, other) = (p(1, 0), p(2, 0));
+        let before = [
+            (id(0), pile),
+            (id(1), p(0, 0)),
+            (id(2), p(1, 1)),
+            (id(3), other),
+        ];
+        for first in [id(3), id(1)] {
+            let last = if first == id(3) { id(1) } else { id(3) };
+            ticks.push(before.to_vec());
+            ticks.push(vec![
+                (first, pile),
+                (id(2), pile),
+                (last, pile),
+                (id(0), other),
+            ]);
+        }
+        for (t, positions) in ticks.iter().enumerate() {
+            reference.check_tick(t as Tick, positions);
+            full.check_tick(t as Tick, positions, &grid);
             assert_eq!(
-                seed_v.conflict_count(),
-                fast_v.conflict_count(),
+                full.conflicts, reference.conflicts,
                 "divergence at tick {t}"
             );
         }
-        assert!(seed_v.conflict_count() > 0, "the soup must collide");
+        let t = ticks.len() as Tick;
+        let edges_at = |t: Tick| {
+            let edge = |c: &&Conflict| matches!(c, Conflict::Edge { t: at, .. } if *at == t);
+            full.conflicts.iter().filter(edge).count()
+        };
+        assert_eq!(edges_at(t - 4), 1, "robot 3 claimed the pile first");
+        assert_eq!(edges_at(t - 2), 0, "robot 1 claimed the pile first");
+        let vertices = full
+            .conflicts
+            .iter()
+            .filter(|c| matches!(c, Conflict::Vertex { .. }));
+        assert!(vertices.count() > 0, "the soup must collide");
     }
 
     /// The delta entry leaves exactly the full check's state after every
@@ -644,7 +561,7 @@ mod tests {
     /// export/import round trips that drop the cell index.
     #[test]
     fn delta_check_matches_full_check() {
-        let grid = GridMap::filled(12, 12, tprw_warehouse::CellKind::Aisle);
+        let grid = grid();
         let mut applied = 0;
         for seed in 1..=24u64 {
             let mut state = seed.wrapping_mul(0x9E37_79B9_7F4A_7C15);
@@ -691,11 +608,11 @@ mod tests {
                 let on_grid: Vec<(RobotId, GridPos)> = (0..n)
                     .filter_map(|i| cells[i].map(|c| (id(i), c)))
                     .collect();
-                full.check_tick_fast(t, &on_grid);
+                full.check_tick(t, &on_grid, &grid);
                 if delta.check_tick_delta(t, &touched, &grid) {
                     applied += 1;
                 } else {
-                    delta.check_tick_fast(t, &on_grid);
+                    delta.check_tick(t, &on_grid, &grid);
                 }
                 assert_eq!(
                     delta.conflict_count(),
