@@ -12,7 +12,7 @@
 //! Output goes to stdout as aligned text tables (the same rows/series the
 //! paper reports) and to `results/*.json` for archival. A counting global
 //! allocator additionally reports allocator-level peak memory per run,
-//! complementing the logical MC metric (DESIGN.md §3).
+//! complementing the logical MC metric (`tprw_pathfinding::footprint`).
 
 use eatp_bench::{
     run_cell, run_cell_disrupted, run_cell_with, scale_from_env, skipped_in_paper, write_json,
@@ -238,7 +238,8 @@ fn fig12(reports: &[SimulationReport]) {
 fn fig13(scale: f64) {
     println!("== Fig. 13: bottleneck variation over time (ATP, Real-Norm surge) ==");
     // The case study uses the demonstrative surge warehouse; Real-Norm's
-    // carnival profile is our stand-in (DESIGN.md §3).
+    // carnival profile is our stand-in (the Geekplus logs are proprietary;
+    // `tprw_warehouse::datasets` documents the substitution).
     let report = run_cell(Dataset::RealNorm, "ATP", scale, DEFAULT_SEED);
     println!("{}", report.bottleneck_table());
     // The paper's qualitative claim: transport dominates early, queuing

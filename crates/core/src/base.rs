@@ -16,7 +16,7 @@ use tprw_pathfinding::bfs::DistanceOracle;
 use tprw_pathfinding::cdt::MAX_CDT_TICK;
 use tprw_pathfinding::reservation::MAX_PARK_TICK;
 use tprw_pathfinding::{
-    ConflictDetectionTable, KNearestRacks, KnnChange, MemoryFootprint, Path, ReservationContent,
+    ConflictDetectionTable, KNearestRacks, MemoryFootprint, Path, ReservationContent,
     ReservationSystem, SearchScratch, SpatioTemporalGraph,
 };
 use tprw_warehouse::{
@@ -81,7 +81,8 @@ pub struct PlannerBase<R: ReservationBackend> {
     pub resv: R,
     /// Uncongested distances `d(·,·)`.
     pub oracle: DistanceOracle,
-    /// K-nearest-rack index (EATP; `None` elsewhere).
+    /// K-nearest-rack index (EATP; `None` elsewhere), built once from the
+    /// instance: disruptions never touch it (`docs/adr/ADR-021-static-knn.md`).
     pub knn: Option<KNearestRacks>,
     /// Planner configuration.
     pub config: EatpConfig,
@@ -93,11 +94,6 @@ pub struct PlannerBase<R: ReservationBackend> {
     pub scratch: SearchScratch,
     /// Reusable selection buffers (flip-side bitmaps and candidate list).
     pub sel: SelectionScratch,
-    /// Grid/liveness mutations not yet folded into the KNN index; the
-    /// incremental [`KNearestRacks::update`] runs lazily via
-    /// [`PlannerBase::refresh_knn`], so a batch of same-tick events costs
-    /// one affected-region pass, not one per mutation.
-    knn_pending: Vec<KnnChange>,
     /// Mutual-exclusion groups already satisfied within the current
     /// [`PlannerBase::commit_legs`] batch (indexed by group id).
     group_done: Vec<bool>,
@@ -143,7 +139,6 @@ impl<R: ReservationBackend> PlannerBase<R> {
             stats: PlannerStats::default(),
             scratch: SearchScratch::new(),
             sel: SelectionScratch::default(),
-            knn_pending: Vec::new(),
             group_done: Vec::new(),
             fleet: instance.robots.len(),
             grid,
@@ -335,35 +330,25 @@ impl<R: ReservationBackend> PlannerBase<R> {
     /// Apply a disruption event to every grid-derived structure this base
     /// owns (the [`PlannerEvent::Disruption`] contract).
     ///
-    /// Cell blockades / reopenings mutate the working grid copy, flip the
-    /// distance oracle's passability snapshot (evicting its memoized BFS
-    /// fields), and queue an incremental update of the K-nearest-rack index
-    /// — stale state in any of them would route robots through walls or to
-    /// the wrong rack. Rack removals /
-    /// restorations flip the rack's liveness in the K-nearest index (a dead
-    /// rack must stop occupying a K slot) behind the same lazy
-    /// one-update-per-batch gate. Robot and station events carry no
-    /// planner-side structure: the engine routes their consequences through
-    /// the world view and [`PlannerBase::cancel_path`].
+    /// Cell blockades / reopenings mutate the working grid copy and flip
+    /// the distance oracle's passability snapshot (evicting its memoized
+    /// BFS fields) — stale state in either would route robots through
+    /// walls. The K-nearest-rack index is static (Sec. VI-A): a removed
+    /// rack leaves selection through the engine's selectable set, and a
+    /// walled-off rack's pickup search fails and retries on a later tick.
+    /// Rack, robot and station events carry no planner-side structure: the
+    /// engine routes their consequences through the world view and
+    /// [`PlannerBase::cancel_path`].
     pub fn apply_disruption(&mut self, event: &DisruptionEvent, _t: Tick) {
         match *event {
             DisruptionEvent::CellBlocked { pos } => self.set_cell_blocked(pos, true),
             DisruptionEvent::CellUnblocked { pos } => self.set_cell_blocked(pos, false),
-            DisruptionEvent::RackRemoved { rack } => self.set_rack_alive(rack, false),
-            DisruptionEvent::RackRestored { rack } => self.set_rack_alive(rack, true),
-            DisruptionEvent::RobotBreakdown { .. }
+            DisruptionEvent::RackRemoved { .. }
+            | DisruptionEvent::RackRestored { .. }
+            | DisruptionEvent::RobotBreakdown { .. }
             | DisruptionEvent::RobotRecover { .. }
             | DisruptionEvent::StationClosed { .. }
             | DisruptionEvent::StationReopened { .. } => {}
-        }
-    }
-
-    fn set_rack_alive(&mut self, rack: RackId, alive: bool) {
-        if let Some(knn) = &mut self.knn {
-            if knn.is_alive(rack) != alive {
-                knn.set_alive(rack, alive);
-                self.knn_pending.push(KnnChange::Rack(rack));
-            }
         }
     }
 
@@ -380,24 +365,6 @@ impl<R: ReservationBackend> PlannerBase<R> {
         }
         self.grid.set_kind(pos, kind);
         self.oracle.set_passable(pos, !blocked);
-        // The KNN refresh is deferred to the next index read: however many
-        // cells a tick's events mutate, the incremental pass runs once.
-        if self.knn.is_some() {
-            self.knn_pending.push(KnnChange::Cell(pos));
-        }
-    }
-
-    /// Fold pending grid/liveness mutations into the KNN index via the
-    /// incremental affected-region pass. Index readers (EATP's flip-side
-    /// selection) call this before `knn.nearest`.
-    pub fn refresh_knn(&mut self) {
-        if self.knn_pending.is_empty() {
-            return;
-        }
-        if let Some(knn) = &mut self.knn {
-            knn.update(&self.grid, &self.knn_pending);
-        }
-        self.knn_pending.clear();
     }
 
     /// Cancel `robot`'s active path (the
@@ -459,8 +426,9 @@ impl<R: ReservationBackend> PlannerBase<R> {
     ///
     /// Precondition: the base was freshly built via
     /// [`crate::planner::Planner::init`] and the applied-disruption journal
-    /// has been replayed as [`PlannerEvent::Disruption`]s, so the grid, oracle
-    /// and KNN liveness already match the checkpointed world. This method
+    /// has been replayed as [`PlannerEvent::Disruption`]s, so the grid and
+    /// oracle already match the checkpointed world (the KNN index is built
+    /// from the instance and needs no replay). This method
     /// then replaces the reservation table's logical content (clearing the
     /// spawn parking `init` left behind), the counters and the GC cursor.
     ///
@@ -700,46 +668,23 @@ mod tests {
                 inst.racks.iter().all(|r| r.home != c) && inst.robots.iter().all(|r| r.pos != c)
             })
             .expect("aisle cell available");
+        let lists = |base: &PlannerBase<ConflictDetectionTable>| -> Vec<Vec<RackId>> {
+            let knn = base.knn.as_ref().unwrap();
+            (0..base.grid.cell_count())
+                .map(|i| {
+                    knn.nearest(GridPos::from_index(i, base.grid.width()))
+                        .to_vec()
+                })
+                .collect()
+        };
+        let built = lists(&base);
         base.apply_disruption(&DisruptionEvent::CellBlocked { pos }, 5);
         assert_eq!(base.grid.kind(pos), CellKind::Blocked);
         assert!(!base.oracle.obstacle_free(), "oracle sees the blockade");
         assert_eq!(base.oracle.field_count(), 0, "fields evicted");
-        // The KNN refresh is lazy *and incremental*: a batch of events
-        // costs one index pass at the next read, however many cells
-        // changed.
-        let second = GridPos::new(pos.x, pos.y + 1);
-        if base.grid.kind(second) == CellKind::Aisle {
-            base.apply_disruption(&DisruptionEvent::CellBlocked { pos: second }, 5);
-            base.apply_disruption(&DisruptionEvent::CellUnblocked { pos: second }, 5);
-        }
-        assert_eq!(
-            base.knn.as_ref().unwrap().update_count(),
-            0,
-            "no eager index pass per event"
-        );
-        base.refresh_knn();
-        assert_eq!(
-            base.knn.as_ref().unwrap().update_count(),
-            1,
-            "one incremental pass per event batch"
-        );
-        base.refresh_knn();
-        assert_eq!(
-            base.knn.as_ref().unwrap().update_count(),
-            1,
-            "refresh is a no-op while clean"
-        );
-        // The incrementally maintained lists equal a fresh masked build.
-        {
-            let knn = base.knn.as_ref().unwrap();
-            let homes: Vec<GridPos> = inst.racks.iter().map(|r| r.home).collect();
-            let fresh =
-                tprw_pathfinding::KNearestRacks::build(&base.grid, &homes, base.config.k_nearest);
-            for i in 0..base.grid.cell_count() {
-                let cell = GridPos::from_index(i, base.grid.width());
-                assert_eq!(knn.nearest(cell), fresh.nearest(cell), "differs at {cell}");
-            }
-        }
+        // The K-nearest index is static (Sec. VI-A): a blockade leaves
+        // every list as the instance built it.
+        assert_eq!(lists(&base), built, "the index ignores blockades");
         // Paths must now avoid the cell.
         let robot = inst.robots[0].id;
         if let Some(p) =
@@ -747,45 +692,14 @@ mod tests {
         {
             assert!(p.iter_timed().all(|(_, c)| c != pos));
         }
-        // Reopen: everything flips back.
+        // Reopen: the grid and oracle flip back.
         base.apply_disruption(&DisruptionEvent::CellUnblocked { pos }, 9);
         assert_eq!(base.grid.kind(pos), CellKind::Aisle);
         assert!(base.oracle.obstacle_free());
-        base.refresh_knn();
-        assert_eq!(base.knn.as_ref().unwrap().update_count(), 2);
+        assert_eq!(lists(&base), built);
         // Robot/station events are structure-neutral on the base.
         base.apply_disruption(&DisruptionEvent::RobotBreakdown { robot }, 10);
         assert_eq!(base.grid.kind(pos), CellKind::Aisle);
-    }
-
-    #[test]
-    fn apply_disruption_rack_removal_flips_knn_liveness() {
-        use tprw_warehouse::RackId;
-        let inst = instance();
-        let mut base: PlannerBase<ConflictDetectionTable> =
-            PlannerBase::new(&inst, EatpConfig::default(), true);
-        let rack = RackId::new(0);
-        base.apply_disruption(&DisruptionEvent::RackRemoved { rack }, 3);
-        assert!(!base.knn.as_ref().unwrap().is_alive(rack));
-        base.refresh_knn();
-        assert_eq!(
-            base.knn.as_ref().unwrap().update_count(),
-            1,
-            "removal dirties the index once"
-        );
-        let home = inst.racks[0].home;
-        assert!(
-            !base.knn.as_ref().unwrap().nearest(home).contains(&rack),
-            "removed rack must leave every nearest list"
-        );
-        // Idempotent re-removal is free; restoration flips it back.
-        base.apply_disruption(&DisruptionEvent::RackRemoved { rack }, 4);
-        base.refresh_knn();
-        assert_eq!(base.knn.as_ref().unwrap().update_count(), 1);
-        base.apply_disruption(&DisruptionEvent::RackRestored { rack }, 5);
-        base.refresh_knn();
-        assert!(base.knn.as_ref().unwrap().is_alive(rack));
-        assert!(base.knn.as_ref().unwrap().nearest(home).contains(&rack));
     }
 
     #[test]

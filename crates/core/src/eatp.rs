@@ -56,9 +56,6 @@ fn flip_side_select(
     base: &mut PlannerBase<ConflictDetectionTable>,
     world: &WorldView<'_>,
 ) -> Vec<(RackId, RobotId)> {
-    // Catch up on any grid mutations since the last read (one index pass
-    // per batch of disruption events, not one per mutated cell).
-    base.refresh_knn();
     // Membership bitmap for `selectable` (selection must stay O(|A|·K)).
     let mut selectable = std::mem::take(&mut base.sel.rack_flags);
     selectable.clear();

@@ -25,9 +25,10 @@
 //!
 //! Under a dynamic world (`tprw_warehouse::events`) the planners *react*
 //! to disruptions: every applied event reaches
-//! [`base::PlannerBase::apply_disruption`], which brings the grid copy,
-//! distance oracle and K-nearest index in line with the
-//! mutated floor, and the engine replans frozen legs. Selection itself is
+//! [`base::PlannerBase::apply_disruption`], which brings the grid copy and
+//! distance oracle in line with the mutated floor (the K-nearest index is
+//! static, `docs/adr/ADR-021-static-knn.md`), and the engine replans frozen
+//! legs. Selection itself is
 //! the paper's rule for each planner, with no disruption term;
 //! `docs/adr/ADR-011-one-selection-policy.md` records why the optional
 //! disruption-aware reordering was removed and where to restore it from.

@@ -186,13 +186,13 @@ pub enum InjectedFault {
 pub enum PlannerEvent<'a> {
     /// A disruption event mutated the world at tick `t`. Planners must
     /// bring every grid-derived structure in line with the mutated floor:
-    /// for cell blockades / reopenings that means the working grid copy,
-    /// the distance oracle's memoized fields and the K-nearest-rack index
-    /// (`PlannerBase` handles all three). Robot and
+    /// for cell blockades / reopenings that means the working grid copy and
+    /// the distance oracle's memoized fields (`PlannerBase` handles both;
+    /// the K-nearest-rack index is static). Rack, robot and
     /// station events carry no planner-side structure — the engine enforces
     /// their scheduling consequences through the world view (broken robots
-    /// leave the idle pool, closed stations' racks leave the selectable
-    /// pool) and through [`PlannerEvent::PathCancelled`].
+    /// leave the idle pool, removed racks and closed stations' racks leave
+    /// the selectable pool) and through [`PlannerEvent::PathCancelled`].
     Disruption {
         /// The applied event.
         event: &'a DisruptionEvent,

@@ -87,8 +87,10 @@ impl QTable {
     /// Reward of *holding* (action 0) for one decision epoch: every pending
     /// item's end-to-end latency grows by one tick, so the marginal
     /// makespan-aligned cost is the pending item count. (The paper defines
-    /// the reward only for the request action; without a hold cost the
-    /// value function degenerates to "never request" — see DESIGN.md §2.)
+    /// the reward only for the request action; without a hold cost a hold
+    /// scores 0 against every request's negative reward, so the value
+    /// function degenerates to "never request". This cost is the repo's
+    /// own addition.)
     pub fn hold_reward(pending_items: usize) -> f64 {
         -(pending_items as f64)
     }

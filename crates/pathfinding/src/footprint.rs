@@ -3,10 +3,10 @@
 //! The paper's Fig. 12 compares the *memory consumption* of planners, whose
 //! dominant component is the reservation structure (spatiotemporal graph vs
 //! conflict detection table). JVM MiB numbers are not portable, so we account
-//! the live size of exactly those structures: every reservation/caching type
-//! reports its current heap usage in bytes (see DESIGN.md §3). The `repro`
-//! binary additionally reports allocator-level numbers via a counting global
-//! allocator.
+//! the live size of exactly those structures: every reservation/index type
+//! reports its current heap usage in bytes through [`MemoryFootprint`]. The
+//! `repro` binary additionally reports allocator-level numbers via a
+//! counting global allocator.
 //!
 //! Accounting is **capacity-based** for the flat structures introduced by
 //! the arena refactor: the CDT's per-cell sorted windows, the STG's `u32`

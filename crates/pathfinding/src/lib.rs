@@ -27,7 +27,8 @@
 //! reference the equivalence tests compare against.
 //!
 //! [`knn::KNearestRacks`] provides the per-cell K-closest-rack index backing
-//! the "flip requesting side" optimization (Sec. VI-A).
+//! the "flip requesting side" optimization (Sec. VI-A), built once from the
+//! instance and never updated (`docs/adr/ADR-021-static-knn.md`).
 
 pub mod astar;
 pub mod bfs;
@@ -49,7 +50,7 @@ pub use astar::{plan_path_into, plan_path_with, PlanOptions, PlanStats};
 pub use cdt::ConflictDetectionTable;
 pub use conflict::{find_conflicts, Conflict};
 pub use footprint::MemoryFootprint;
-pub use knn::{KNearestRacks, KnnChange};
+pub use knn::KNearestRacks;
 pub use path::Path;
 pub use reservation::{ReservationContent, ReservationProbe, ReservationSystem, TimedReservation};
 pub use scratch::SearchScratch;

@@ -15,21 +15,22 @@
 //! * **Blockade** — an aisle cell becomes impassable. Application *defers*
 //!   while any on-grid robot stands on the cell (the blockade lands once
 //!   the cell clears; a paired unblock withdraws a still-deferred
-//!   blockade). On application the planner is notified (grid copy, distance
-//!   oracle and KNN index all invalidate) and every active path
-//!   that visits the cell at the current tick or later is cancelled. Each
-//!   cancellation freezes its robot mid-route, which can invalidate
-//!   *other* paths that planned to cross the now-occupied cell — the
-//!   engine cascades until a fixpoint, then the frozen robots replan.
+//!   blockade). On application the planner is notified (its grid copy and
+//!   distance oracle invalidate; the static KNN index does not) and every
+//!   active path that visits the cell at the current tick or later is
+//!   cancelled. Each cancellation freezes its robot mid-route, which can
+//!   invalidate *other* paths that planned to cross the now-occupied cell
+//!   — the engine cascades until a fixpoint, then the frozen robots
+//!   replan.
 //! * **Station closure** — the picker pauses mid-rack (no processing, no
 //!   queue pops) and the engine stops offering its racks to planners, so no
 //!   item is committed toward a closed station. Robots already queuing stay
 //!   queued; return legs still undock (leaving needs no picker). Reopening
 //!   resumes the queue where it stopped.
 //! * **Rack removal** — the rack leaves the floor: it is withheld from
-//!   selection and planners drop it from their K-nearest indexes (a
-//!   liveness change folded in by the incremental `KNearestRacks::update`
-//!   on the next read). Application *defers*
+//!   selection through the selectable set (EATP's static K-nearest lists
+//!   keep naming it, and its selection filters it out). Application
+//!   *defers*
 //!   while the rack is in flight — a robot fetching, carrying or returning
 //!   it finishes its cycle first — and a restore withdraws a still-deferred
 //!   removal. Items that arrive on a removed rack accumulate and wait.

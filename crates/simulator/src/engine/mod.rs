@@ -169,7 +169,7 @@ pub struct EngineState {
     /// Every disruption event actually applied so far, at its application
     /// tick (deferred events appear when they land, not when scheduled).
     /// Replayed through [`Planner::on_event`] on resume to rebuild the
-    /// planner's derived world model (grid overlay, oracle, KNN liveness).
+    /// planner's derived world model (grid overlay, oracle).
     pub journal: Vec<TimedEvent>,
     pub racks: Vec<Rack>,
     pub pickers: Vec<Picker>,
@@ -602,8 +602,9 @@ impl<'a> Engine<'a> {
     /// The restore protocol (documented in `docs/snapshot-format.md`):
     /// the planner is freshly `init`-ed on the instance, the applied-event
     /// journal is replayed through [`Planner::on_event`] to rebuild
-    /// its derived world model (grid overlay, distance oracle, KNN
-    /// liveness), and only then is its canonical state
+    /// its derived world model (grid overlay, distance oracle; the KNN
+    /// index is built from the instance alone), and only then is its
+    /// canonical state
     /// overwritten via [`Planner::import_snapshot`]. Do **not** call
     /// [`Engine::start`] on the returned engine.
     pub fn resume(

@@ -8,9 +8,10 @@
 //! | Real-Large | 541×302 | 1e6   | 3,000  | 34,000|
 //!
 //! The two *real* datasets derive from proprietary Geekplus logs; we
-//! substitute surge-mixed Poisson arrivals with rack-popularity skew (see
-//! DESIGN.md §3) so the throughput varies strongly over time, which is the
-//! property the paper's adaptive planner exploits.
+//! substitute surge-mixed Poisson arrivals with rack-popularity skew
+//! ([`crate::workload::ArrivalProfile::Surge`]) so the throughput varies
+//! strongly over time, which is the property the paper's adaptive planner
+//! exploits.
 //!
 //! **Scaling.** `scale ∈ (0, 1]` shrinks the instance while holding its
 //! "shape": entity counts scale by `scale`, grid dimensions by

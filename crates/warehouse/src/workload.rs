@@ -4,8 +4,9 @@
 //! and each rack's picking time is distributed uniformly between 20 and 40
 //! seconds"*. The real (Geekplus) datasets additionally show strong
 //! throughput variation over time — the property that shifts the makespan
-//! bottleneck (Fig. 13). We reproduce that with a piecewise *surge* profile
-//! layered over the Poisson base process (see DESIGN.md §3).
+//! bottleneck (Fig. 13). The Geekplus logs are proprietary, so we reproduce
+//! that with a piecewise *surge* profile layered over the Poisson base
+//! process ([`ArrivalProfile::Surge`]).
 
 use crate::entities::Item;
 use crate::error::WarehouseError;

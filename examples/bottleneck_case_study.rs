@@ -14,8 +14,9 @@ use eatp::warehouse::Dataset;
 
 fn main() {
     // The Real-Norm stand-in carries the carnival-style surge profile
-    // (DESIGN.md §3) — the same throughput variation as the Geekplus
-    // demonstration warehouse of Sec. VII-C.
+    // (`tprw_warehouse::datasets` documents the substitution) — the same
+    // throughput variation as the Geekplus demonstration warehouse of
+    // Sec. VII-C.
     let instance = Dataset::RealNorm
         .spec(0.01, 7)
         .build()

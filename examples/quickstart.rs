@@ -35,8 +35,8 @@ fn main() {
     println!("{}", instance.grid.ascii());
 
     // 2. Run the paper's headline planner: EATP (Algorithm 3) — Q-learning
-    //    rack selection, flip-side robot matching, CDT reservations and
-    //    cache-aided A*.
+    //    rack selection, flip-side robot matching over a static K-nearest
+    //    index, and A* over CDT reservations.
     let mut planner = EfficientAdaptiveTaskPlanner::new(EatpConfig::default());
     let report = run_simulation(&instance, &mut planner, &EngineConfig::default());
 
