@@ -90,7 +90,7 @@ fn learn_request<R: ReservationBackend>(
 ) {
     let rack = world.rack(rid);
     let picker = world.picker_of(rack);
-    let delivery = base.dist(rack.home, picker.pos);
+    let delivery = base.delivery(rack);
     let reward = QTable::reward(picker.finish_time(), delivery, rack.pending_time);
     q.update(
         picker.accum_processing,

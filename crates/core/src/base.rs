@@ -20,7 +20,7 @@ use tprw_pathfinding::{
     ReservationSystem, SearchScratch, SpatioTemporalGraph,
 };
 use tprw_warehouse::{
-    CellKind, DisruptionEvent, GridMap, GridPos, Instance, RackId, RobotId, Tick,
+    CellKind, DisruptionEvent, GridMap, GridPos, Instance, Rack, RackId, RobotId, Tick,
 };
 
 /// Reusable selection scratch shared through [`PlannerBase`]: EATP's
@@ -79,7 +79,7 @@ pub struct PlannerBase<R: ReservationBackend> {
     pub grid: GridMap,
     /// Conflict-avoidance structure.
     pub resv: R,
-    /// Uncongested distances `d(·,·)`.
+    /// Uncongested delivery distances (rack home to station).
     pub oracle: DistanceOracle,
     /// K-nearest-rack index (EATP; `None` elsewhere), built once from the
     /// instance: disruptions never touch it (`docs/adr/ADR-021-static-knn.md`).
@@ -130,7 +130,8 @@ impl<R: ReservationBackend> PlannerBase<R> {
             let homes: Vec<GridPos> = instance.racks.iter().map(|r| r.home).collect();
             KNearestRacks::build(&grid, &homes, config.k_nearest)
         });
-        let oracle = DistanceOracle::new(&grid);
+        let stations: Vec<GridPos> = instance.pickers.iter().map(|p| p.pos).collect();
+        let oracle = DistanceOracle::new(&grid, &stations);
         Self {
             oracle,
             resv,
@@ -150,10 +151,11 @@ impl<R: ReservationBackend> PlannerBase<R> {
         }
     }
 
-    /// Uncongested distance `d(a, b)`.
+    /// Uncongested delivery distance `d(l_r, l_p)` from `rack`'s home to
+    /// its own station (Eq. 2).
     #[inline]
-    pub fn dist(&mut self, a: GridPos, b: GridPos) -> u64 {
-        self.oracle.dist(a, b)
+    pub fn delivery(&mut self, rack: &Rack) -> u64 {
+        self.oracle.to_station(rack.home, rack.picker)
     }
 
     /// Time a closure into the *selection* bucket (STC).
@@ -331,8 +333,8 @@ impl<R: ReservationBackend> PlannerBase<R> {
     /// owns (the [`PlannerEvent::Disruption`] contract).
     ///
     /// Cell blockades / reopenings mutate the working grid copy and flip
-    /// the distance oracle's passability snapshot (evicting its memoized
-    /// BFS fields) — stale state in either would route robots through
+    /// the distance oracle's passability snapshot (dropping its station
+    /// fields) — stale state in either would route robots through
     /// walls. The K-nearest-rack index is static (Sec. VI-A): a removed
     /// rack leaves selection through the engine's selectable set, and a
     /// walled-off rack's pickup search fails and retries on a later tick.
@@ -680,7 +682,7 @@ mod tests {
         let built = lists(&base);
         base.apply_disruption(&DisruptionEvent::CellBlocked { pos }, 5);
         assert_eq!(base.grid.kind(pos), CellKind::Blocked);
-        assert!(!base.oracle.obstacle_free(), "oracle sees the blockade");
+        assert!(!base.oracle.manhattan_exact(), "oracle sees the blockade");
         assert_eq!(base.oracle.field_count(), 0, "fields evicted");
         // The K-nearest index is static (Sec. VI-A): a blockade leaves
         // every list as the instance built it.
@@ -695,7 +697,7 @@ mod tests {
         // Reopen: the grid and oracle flip back.
         base.apply_disruption(&DisruptionEvent::CellUnblocked { pos }, 9);
         assert_eq!(base.grid.kind(pos), CellKind::Aisle);
-        assert!(base.oracle.obstacle_free());
+        assert!(base.oracle.manhattan_exact());
         assert_eq!(lists(&base), built);
         // Robot/station events are structure-neutral on the base.
         base.apply_disruption(&DisruptionEvent::RobotBreakdown { robot }, 10);
@@ -890,31 +892,35 @@ mod tests {
     #[test]
     fn oracle_poison_is_swept_by_housekeeping() {
         let mut inst = instance();
-        // Block a cell so the oracle memoizes BFS fields instead of taking
+        // Block a cell so the oracle fills BFS fields instead of taking
         // the Manhattan fast path.
         inst.grid.set_kind(GridPos::new(3, 3), CellKind::Blocked);
         let mut base: PlannerBase<SpatioTemporalGraph> =
             PlannerBase::new(&inst, EatpConfig::default(), false);
-        base.dist(inst.robots[0].pos, inst.racks[0].home);
+        let rack = inst.racks.iter().find(|r| r.picker != inst.racks[0].picker);
+        let rack = rack.expect("racks serve both pickers");
+        let clean = base.delivery(rack);
+        base.delivery(&inst.racks[0]);
+        assert_eq!(base.oracle.field_count(), 2, "one field per station");
         assert!(base.inject_fault(&InjectedFault::OraclePoison { salt: 11 }));
         base.housekeeping(0);
         assert_eq!(base.poison_evictions, 1, "corrupt field detected");
-        assert_eq!(base.oracle.field_count(), 0, "all fields evicted");
+        assert_eq!(base.oracle.field_count(), 1, "the other field kept");
+        assert_eq!(base.delivery(rack), clean, "answers stay exact");
     }
 
     #[test]
     fn invalidate_derived_is_behaviorally_free() {
         let mut inst = instance();
-        // A blocked cell makes the oracle memoize BFS fields.
+        // A blocked cell makes the oracle fill BFS fields.
         inst.grid.set_kind(GridPos::new(3, 3), CellKind::Blocked);
         let mut base: PlannerBase<ConflictDetectionTable> =
             PlannerBase::new(&inst, EatpConfig::default(), false);
-        let from = inst.robots[0].pos;
-        let to = inst.racks[0].home;
-        let clean = base.dist(from, to);
+        let rack = &inst.racks[0];
+        let clean = base.delivery(rack);
         assert!(base.oracle.field_count() > 0);
         base.invalidate_derived();
         assert_eq!(base.oracle.field_count(), 0);
-        assert_eq!(base.dist(from, to), clean, "recomputation is bit-identical");
+        assert_eq!(base.delivery(rack), clean, "recomputation is bit-identical");
     }
 }

@@ -318,7 +318,7 @@ mod tests {
                 let s = q.state(picker.accum_processing, rack.accum_processing);
                 let action = q.epsilon_greedy(s);
                 if action == 1 {
-                    let delivery = base.dist(rack.home, picker.pos);
+                    let delivery = base.delivery(rack);
                     let reward = QTable::reward(picker.finish_time(), delivery, rack.pending_time);
                     q.update(
                         picker.accum_processing,

@@ -6,7 +6,11 @@
 //!
 //! * objective — minimize Σ (cost − B)·x, where `cost` is the end-to-end
 //!   delay estimate of Eq. (2) for the pair and `B` a service bonus larger
-//!   than any cost (so serving racks is always preferred when feasible);
+//!   than any cost (so serving racks is always preferred when feasible).
+//!   The delivery term is the distance oracle's home-to-station distance;
+//!   the pickup term is the Manhattan distance from the robot to the rack
+//!   home, the rule `assignment::pick_robot` and the engine's greedy
+//!   fallback rank robots by;
 //! * Σ_a x_{r,a} ≤ 1 per rack, Σ_r x_{r,a} ≤ 1 per robot;
 //! * **picker status**: Σ_{r: p_r = p} x_{r,·} ≤ capacity per picker, the
 //!   extension that folds queue state into the model.
@@ -67,7 +71,7 @@ fn solve_block(
     for (i, &rid) in racks.iter().enumerate() {
         let rack = world.rack(rid);
         let picker = world.picker_of(rack);
-        let delivery = base.dist(rack.home, picker.pos);
+        let delivery = base.delivery(rack);
         let fp = picker.finish_time();
         // Parked-on-home rule: only the parked idle robot may serve.
         let parked = base.resv.parked_at(rack.home).map(|(r, _)| r);
@@ -79,7 +83,7 @@ fn solve_block(
                     continue;
                 }
             }
-            let pickup = base.dist(world.robot(aid).pos, rack.home);
+            let pickup = world.robot(aid).pos.manhattan(rack.home);
             let travel = pickup + delivery;
             let c = (travel + queuing_delay(fp, travel) + rack.pending_time + delivery) as f64;
             costs[i][j] = c;

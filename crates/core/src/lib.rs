@@ -26,9 +26,12 @@
 //! Under a dynamic world (`tprw_warehouse::events`) the planners *react*
 //! to disruptions: every applied event reaches
 //! [`base::PlannerBase::apply_disruption`], which brings the grid copy and
-//! distance oracle in line with the mutated floor (the K-nearest index is
-//! static, `docs/adr/ADR-021-static-knn.md`), and the engine replans frozen
-//! legs. Selection itself is
+//! distance oracle in line with the mutated floor, and the engine replans
+//! frozen legs. The oracle answers only Eq. 2's delivery term
+//! ([`base::PlannerBase::delivery`]): by Manhattan while the free floor is
+//! a rectangle, by one BFS field per station otherwise
+//! (`docs/adr/ADR-022-station-fields.md`). The K-nearest index is static
+//! (`docs/adr/ADR-021-static-knn.md`). Selection itself is
 //! the paper's rule for each planner, with no disruption term;
 //! `docs/adr/ADR-011-one-selection-policy.md` records why the optional
 //! disruption-aware reordering was removed and where to restore it from.

@@ -79,7 +79,9 @@ pub struct PlannerStats {
     /// Current memory of reservation/index/learning structures (MC).
     pub memory_bytes: usize,
     /// Memory of the shared planner machinery — the reusable A* search
-    /// arena plus the distance oracle's memoized fields. Reported
+    /// arena plus the distance oracle: its passability snapshot and one
+    /// 4 B-per-cell BFS field per queried station, none while the free
+    /// floor is a rectangle (`docs/adr/ADR-022-station-fields.md`). Reported
     /// separately from MC: both are identical machinery for every planner,
     /// so folding them into `memory_bytes` would wash out the STG-vs-CDT
     /// comparison.
@@ -170,9 +172,9 @@ pub enum InjectedFault {
     /// The next [`Planner::commit_legs`] call returns
     /// [`PlannerError::LegBatchFailed`].
     LegFailure,
-    /// Corrupt one memoized distance-oracle field (salt-selected); the
-    /// planner's integrity sweep must detect and evict it before the next
-    /// read.
+    /// Corrupt one distance-oracle station field (salt-selected); the
+    /// planner's integrity sweep must detect and drop it before the next
+    /// read. A floor where Manhattan is exact has no field to corrupt.
     OraclePoison {
         /// Deterministic selector for which field rots.
         salt: u64,
@@ -187,7 +189,7 @@ pub enum PlannerEvent<'a> {
     /// A disruption event mutated the world at tick `t`. Planners must
     /// bring every grid-derived structure in line with the mutated floor:
     /// for cell blockades / reopenings that means the working grid copy and
-    /// the distance oracle's memoized fields (`PlannerBase` handles both;
+    /// the distance oracle's station fields (`PlannerBase` handles both;
     /// the K-nearest-rack index is static). Rack, robot and
     /// station events carry no planner-side structure — the engine enforces
     /// their scheduling consequences through the world view (broken robots
@@ -214,7 +216,7 @@ pub enum PlannerEvent<'a> {
     },
     /// The engine degraded the previous tick after this planner failed or
     /// overran its budget; the planner must invalidate derived state it can
-    /// no longer trust (memoized oracle fields) before resuming as
+    /// no longer trust (oracle station fields) before resuming as
     /// the primary. Rebuilt-on-demand structures make this behaviorally
     /// free.
     RecoverDegraded,

@@ -1,338 +1,214 @@
-//! Uncongested shortest distances `d(·,·)` on the grid.
+//! Uncongested delivery distances: a rack's home to its own station.
 //!
-//! The makespan formulas (Eq. 2) and all selection heuristics use the path
-//! length between two locations ignoring other robots. On obstacle-free
-//! layouts (the default: robots drive under racks) this is exactly the
-//! Manhattan distance; with blocked cells we fall back to memoized BFS
-//! fields.
+//! The one grid distance the planners ask is Eq. 2's delivery term, from a
+//! rack's home `l_r` to its picker's station `l_p` ignoring other robots,
+//! and [`DistanceOracle::to_station`] answers only that:
 //!
-//! # Hot-path design
+//! * **Manhattan wherever it is exact**: when the passable cells fill
+//!   their bounding box, a staircase path between two of them stays in the
+//!   box and has Manhattan length. Open floors and the paper's walled floor
+//!   (side columns and top row blocked, station row open) qualify. The box
+//!   is fixed at build time and one misfit counter keeps
+//!   [`DistanceOracle::set_passable`] O(1).
+//! * **One BFS field per station otherwise**, filled on the station's
+//!   first query and dropped on any passability change.
 //!
-//! Planner queries put the *varying* endpoint first
-//! (`dist(robot_pos, rack_home)`), so a memo keyed by query source would
-//! BFS the whole grid for nearly every query. [`DistanceOracle`] is flat,
-//! in the style of the `SearchScratch` arena (its property tests compare
-//! it against a brute-force BFS of their own):
-//!
-//! * no grid clone — only a dense passability snapshot;
-//! * **dense slot index**: `slot_of[cell]` maps a BFS source to its field
-//!   slot, so probes are two array loads, no hashing;
-//! * **symmetry flip**: `d(a,b) = d(b,a)` on the undirected unit grid, so a
-//!   field rooted at *either* endpoint answers the query, and new fields
-//!   are rooted at the *destination* (rack homes / stations — a small,
-//!   recurring set) instead of the varying source;
-//! * **generation stamps**: each slot's distance buffer is reused across
-//!   recomputations without clearing — a cell's entry is valid only when
-//!   its stamp matches the slot generation;
-//! * **LRU cap**: at most [`DistanceOracle::DEFAULT_FIELD_CAP`] live fields;
-//!   the least-recently-used slot is recycled, bounding memory.
+//! Pickup distances are not asked here: the planners rank robots by
+//! Manhattan distance to the rack.
 
 use crate::footprint::MemoryFootprint;
 use std::collections::VecDeque;
-use tprw_warehouse::{GridMap, GridPos};
+use tprw_warehouse::{GridMap, GridPos, PickerId};
 
-/// One memoized BFS field slot of the flat oracle.
-#[derive(Debug, Clone)]
-struct FieldSlot {
-    /// Cell index of the BFS source this field is rooted at.
-    source: u32,
-    /// Stamp a `dist` entry must carry to be valid for this rooting.
-    generation: u32,
-    /// LRU clock value of the last query answered from this slot.
-    last_used: u64,
-    /// Distance per cell (valid only where `stamp` matches `generation`).
-    dist: Box<[u32]>,
-    /// Per-cell generation stamps.
-    stamp: Box<[u32]>,
-}
-
-impl FieldSlot {
-    /// BFS from `source` over the flat passability snapshot of a
-    /// `width × height` grid, under a fresh generation.
-    fn fill(&mut self, passable: &[bool], width: u16, height: u16, queue: &mut VecDeque<u32>) {
-        if self.generation == u32::MAX {
-            // Stamp wrap: clear once so stale max-stamps cannot alias.
-            self.stamp.fill(0);
-            self.generation = 0;
-        }
-        self.generation += 1;
-        let (width, height) = (width as usize, height as usize);
-        queue.clear();
-        self.relax(passable, queue, self.source as usize, 0);
-        while let Some(i) = queue.pop_front() {
-            let i = i as usize;
-            let d = self.dist[i] + 1;
-            let (x, y) = (i % width, i / width);
-            // 4-neighbourhood unrolled over the flat passability snapshot.
-            if x > 0 {
-                self.relax(passable, queue, i - 1, d);
-            }
-            if x + 1 < width {
-                self.relax(passable, queue, i + 1, d);
-            }
-            if y > 0 {
-                self.relax(passable, queue, i - width, d);
-            }
-            if y + 1 < height {
-                self.relax(passable, queue, i + width, d);
-            }
-        }
-    }
-
-    #[inline]
-    fn relax(&mut self, passable: &[bool], queue: &mut VecDeque<u32>, j: usize, d: u32) {
-        if passable[j] && self.stamp[j] != self.generation {
-            self.stamp[j] = self.generation;
-            self.dist[j] = d;
-            queue.push_back(j as u32);
-        }
-    }
-}
-
-/// Shared distance oracle: exact Manhattan on obstacle-free grids, flat
-/// generation-stamped BFS fields otherwise (see the module docs).
+/// Delivery-distance oracle: Manhattan while the free floor is a
+/// rectangle, one lazily filled BFS field per station otherwise (see the
+/// module docs).
 #[derive(Debug, Clone)]
 pub struct DistanceOracle {
     width: u16,
-    height: u16,
     passable: Box<[bool]>,
-    /// Number of impassable cells (`obstacle_free == (blocked == 0)`).
-    blocked: usize,
-    obstacle_free: bool,
-    /// Field slot per source cell (`SLOT_NONE` = no field rooted there).
-    slot_of: Box<[u32]>,
-    slots: Vec<FieldSlot>,
-    field_cap: usize,
-    /// LRU clock, bumped per mutable query.
-    clock: u64,
+    /// Bounding box `(x0, y0, x1, y1)` (inclusive) of the passable cells at
+    /// build time; empty (`x0 > x1`) on a floor with none.
+    bbox: (u16, u16, u16, u16),
+    /// Blocked cells inside `bbox` plus passable cells outside it.
+    misfits: usize,
+    /// Station cell per picker index.
+    stations: Box<[GridPos]>,
+    /// BFS field per station (`d + 1` per cell, 0 = unreached), if filled.
+    fields: Box<[Option<Box<[u32]>>]>,
     /// Reusable BFS frontier (cell indices).
     queue: VecDeque<u32>,
 }
 
-/// Sentinel for "no slot" in `slot_of`.
-const SLOT_NONE: u32 = u32::MAX;
-
 impl DistanceOracle {
-    /// Default cap on live BFS fields. Sources are rack homes and station
-    /// cells in practice, so this is generous; each field costs
-    /// `8 × cells` bytes.
-    pub const DEFAULT_FIELD_CAP: usize = 64;
-
     /// Build an oracle over a passability snapshot of the grid (the grid
-    /// itself is not cloned or retained).
-    pub fn new(grid: &GridMap) -> Self {
-        Self::with_field_cap(grid, Self::DEFAULT_FIELD_CAP)
-    }
-
-    /// [`DistanceOracle::new`] with an explicit LRU field cap (≥ 1).
-    pub fn with_field_cap(grid: &GridMap, field_cap: usize) -> Self {
-        let cells = grid.cell_count();
-        let mut passable = vec![false; cells].into_boxed_slice();
-        for y in 0..grid.height() {
-            for x in 0..grid.width() {
+    /// itself is not retained) for the stations at `stations`, indexed by
+    /// picker.
+    pub fn new(grid: &GridMap, stations: &[GridPos]) -> Self {
+        let (width, height) = (grid.width(), grid.height());
+        let mut passable = vec![false; grid.cell_count()].into_boxed_slice();
+        let (mut x0, mut y0, mut x1, mut y1) = (u16::MAX, u16::MAX, 0, 0);
+        let mut open = 0;
+        for y in 0..height {
+            for x in 0..width {
                 let p = GridPos::new(x, y);
-                passable[p.to_index(grid.width())] = grid.passable(p);
+                if grid.passable(p) {
+                    passable[p.to_index(width)] = true;
+                    open += 1;
+                    (x0, y0, x1, y1) = (x0.min(x), y0.min(y), x1.max(x), y1.max(y));
+                }
             }
         }
-        let blocked = passable.iter().filter(|&&p| !p).count();
+        // Every passable cell lies inside its own bounding box, so the
+        // misfits are the box's blocked cells (an empty box has area 0).
+        let area = (x1 + 1).saturating_sub(x0) as usize * (y1 + 1).saturating_sub(y0) as usize;
         Self {
-            width: grid.width(),
-            height: grid.height(),
+            width,
             passable,
-            blocked,
-            obstacle_free: blocked == 0,
-            slot_of: vec![SLOT_NONE; cells].into_boxed_slice(),
-            slots: Vec::new(),
-            field_cap: field_cap.max(1),
-            clock: 0,
+            bbox: (x0, y0, x1, y1),
+            misfits: area - open,
+            stations: stations.into(),
+            fields: vec![None; stations.len()].into_boxed_slice(),
             queue: VecDeque::new(),
         }
     }
 
-    /// Whether Manhattan distance is exact on this grid.
+    /// Whether Manhattan distance is exact: the passable cells fill the
+    /// bounding box fixed at build time.
     #[inline]
-    pub fn obstacle_free(&self) -> bool {
-        self.obstacle_free
+    pub fn manhattan_exact(&self) -> bool {
+        self.misfits == 0
     }
 
     /// Mutate the passability snapshot (a cell was blockaded or reopened by
-    /// a disruption event) and evict every memoized field: a BFS field
-    /// rooted anywhere can route through the mutated cell, so all distances
-    /// are suspect. Fields rebuild lazily on the next queries — the source
-    /// set (rack homes, stations) is small and recurring, so the warm state
-    /// recovers within a few ticks.
+    /// a disruption event) and drop every BFS field: a field can route
+    /// through the mutated cell, so all its distances are suspect. Fields
+    /// refill lazily on the next queries.
     pub fn set_passable(&mut self, pos: GridPos, passable: bool) {
         let i = pos.to_index(self.width);
         if self.passable[i] == passable {
             return;
         }
         self.passable[i] = passable;
-        if passable {
-            self.blocked -= 1;
+        let (x0, y0, x1, y1) = self.bbox;
+        let inside = (x0..=x1).contains(&pos.x) && (y0..=y1).contains(&pos.y);
+        // A cell fits when it is passable exactly inside the box.
+        if inside == passable {
+            self.misfits -= 1;
         } else {
-            self.blocked += 1;
+            self.misfits += 1;
         }
-        self.obstacle_free = self.blocked == 0;
-        self.evict_fields();
+        self.evict_all_fields();
     }
 
-    /// Drop every memoized BFS field (the buffers are freed; slots regrow on
-    /// demand up to the LRU cap).
-    fn evict_fields(&mut self) {
-        for slot in &self.slots {
-            self.slot_of[slot.source as usize] = SLOT_NONE;
-        }
-        self.slots.clear();
-    }
-
-    /// Externally drop every memoized field — degradation recovery
-    /// invalidates derived state wholesale; distances recompute identically
-    /// on demand, so this is behaviorally free.
+    /// Drop every BFS field — degradation recovery invalidates derived
+    /// state wholesale; distances recompute identically on demand, so this
+    /// is behaviorally free.
     pub fn evict_all_fields(&mut self) {
-        self.evict_fields();
+        self.fields.fill(None);
     }
 
-    /// `d(a, b)`: uncongested travel delay between two cells (`u64::MAX`
-    /// when disconnected).
-    pub fn dist(&mut self, a: GridPos, b: GridPos) -> u64 {
-        if self.obstacle_free {
-            return a.manhattan(b);
+    /// Uncongested travel delay from `from` to `station`'s cell
+    /// (`u64::MAX` when disconnected).
+    pub fn to_station(&mut self, from: GridPos, station: PickerId) -> u64 {
+        let to = self.stations[station.index()];
+        let i = from.to_index(self.width);
+        if self.misfits == 0 {
+            let both = self.passable[i] && self.passable[to.to_index(self.width)];
+            return if both { from.manhattan(to) } else { u64::MAX };
         }
-        let ia = a.to_index(self.width);
-        let ib = b.to_index(self.width);
-        self.clock += 1;
-        // A field rooted at either endpoint answers the query (symmetry).
-        if let Some(d) = self.read_slot(self.slot_of[ia], ib) {
-            return d;
+        let field = self.fields[station.index()]
+            .get_or_insert_with(|| bfs_field(&self.passable, self.width, to, &mut self.queue));
+        match field[i] {
+            0 => u64::MAX,
+            d => u64::from(d - 1),
         }
-        if let Some(d) = self.read_slot(self.slot_of[ib], ia) {
-            return d;
-        }
-        // Root the new field at the destination: planner queries put the
-        // varying endpoint first (`dist(robot_pos, rack_home)`), so the
-        // destination is the recurring one.
-        let slot = self.compute_field(ib as u32);
-        self.read_slot(slot, ia).expect("freshly computed slot")
     }
 
-    /// Number of live memoized BFS fields (diagnostics).
+    /// Number of filled BFS fields (diagnostics).
     pub fn field_count(&self) -> usize {
-        self.slots.len()
+        self.fields.iter().flatten().count()
     }
 
-    /// Distance read from `slot` (bumping its LRU stamp), if the slot
-    /// exists.
-    #[inline]
-    fn read_slot(&mut self, slot: u32, target: usize) -> Option<u64> {
-        if slot == SLOT_NONE {
-            return None;
-        }
-        let s = &mut self.slots[slot as usize];
-        s.last_used = self.clock;
-        Some(if s.stamp[target] == s.generation {
-            s.dist[target] as u64
-        } else {
-            u64::MAX
-        })
-    }
-
-    /// BFS a new field rooted at cell index `source`, recycling the LRU
-    /// slot when at capacity. Returns the slot id.
-    fn compute_field(&mut self, source: u32) -> u32 {
-        let cells = self.passable.len();
-        let slot_id = if self.slots.len() < self.field_cap {
-            self.slots.push(FieldSlot {
-                source,
-                generation: 0,
-                last_used: 0,
-                dist: vec![0; cells].into_boxed_slice(),
-                stamp: vec![0; cells].into_boxed_slice(),
-            });
-            (self.slots.len() - 1) as u32
-        } else {
-            let (evict, _) = self
-                .slots
-                .iter()
-                .enumerate()
-                .min_by_key(|(_, s)| s.last_used)
-                .expect("field_cap >= 1");
-            self.slot_of[self.slots[evict].source as usize] = SLOT_NONE;
-            evict as u32
-        };
-        self.slot_of[source as usize] = slot_id;
-
-        let slot = &mut self.slots[slot_id as usize];
-        slot.source = source;
-        slot.last_used = self.clock;
-        slot.fill(&self.passable, self.width, self.height, &mut self.queue);
-        slot_id
-    }
-
-    /// Deterministically corrupt one memoized BFS field (fault injection):
-    /// the `salt`-selected live slot gets one stamped distance bumped — the
+    /// Deterministically corrupt one BFS field (fault injection): the
+    /// `salt`-selected filled field gets one reached distance bumped — the
     /// silent bit-rot [`DistanceOracle::verify_fields`] must catch. Returns
-    /// `false` when no field is live (nothing to poison).
+    /// `false` when no field is filled (nothing to poison).
     pub fn poison_field(&mut self, salt: u64) -> bool {
-        if self.slots.is_empty() {
+        let live = self.field_count().max(1);
+        let Some(field) = self.fields.iter_mut().flatten().nth(salt as usize % live) else {
+            return false;
+        };
+        let reached: Vec<usize> = (0..field.len()).filter(|&i| field[i] != 0).collect();
+        if reached.is_empty() {
             return false;
         }
-        let idx = (salt as usize) % self.slots.len();
-        let slot = &mut self.slots[idx];
-        let generation = slot.generation;
-        let stamped: Vec<usize> = (0..slot.dist.len())
-            .filter(|&i| slot.stamp[i] == generation)
-            .collect();
-        if stamped.is_empty() {
-            return false;
-        }
-        let i = stamped[((salt >> 8) as usize) % stamped.len()];
-        slot.dist[i] = slot.dist[i].wrapping_add(1 + (salt % 5) as u32);
+        let i = reached[((salt >> 8) as usize) % reached.len()];
+        field[i] = field[i].wrapping_add(1 + (salt % 5) as u32);
         true
     }
 
-    /// Integrity sweep: re-derive every live field by a fresh BFS over the
-    /// current passability snapshot — the one [`DistanceOracle::dist`]
-    /// computes fields with — and compare against the stamped distances.
-    /// Any mismatch evicts *all* fields — mirroring
-    /// [`DistanceOracle::set_passable`]: once one memoized field lies, none
-    /// can be trusted, and dropping a single slot would dangle the
-    /// `slot_of` indices of the slots behind it. Returns how many corrupt
-    /// fields were found (fields rebuild lazily on the next queries).
+    /// Integrity sweep: re-derive every filled field by a fresh BFS over the
+    /// current passability snapshot — the one
+    /// [`DistanceOracle::to_station`] fills fields with — and drop each
+    /// field that differs. Returns how many corrupt fields were dropped
+    /// (they refill lazily on the next queries).
     pub fn verify_fields(&mut self) -> usize {
-        let cells = self.passable.len();
-        let mut fresh = FieldSlot {
-            source: 0,
-            generation: 0,
-            last_used: 0,
-            dist: vec![0; cells].into_boxed_slice(),
-            stamp: vec![0; cells].into_boxed_slice(),
-        };
-        let mut queue = VecDeque::new();
         let mut corrupt = 0;
-        for slot in &self.slots {
-            fresh.source = slot.source;
-            fresh.fill(&self.passable, self.width, self.height, &mut queue);
-            // Unstamped cells read as "unknown" and are recomputed on
-            // demand, so only stamped entries can lie.
-            let lies = (0..cells).any(|i| {
-                slot.stamp[i] == slot.generation
-                    && (fresh.stamp[i] != fresh.generation || fresh.dist[i] != slot.dist[i])
-            });
-            corrupt += usize::from(lies);
-        }
-        if corrupt > 0 {
-            self.evict_fields();
+        for (slot, &station) in self.fields.iter_mut().zip(self.stations.iter()) {
+            let Some(field) = slot else { continue };
+            let fresh = bfs_field(&self.passable, self.width, station, &mut self.queue);
+            if *field != fresh {
+                *slot = None;
+                corrupt += 1;
+            }
         }
         corrupt
     }
 }
 
+/// BFS from `source` over the flat passability snapshot of a grid `width`
+/// cells wide: `d + 1` per reached cell, 0 elsewhere.
+fn bfs_field(
+    passable: &[bool],
+    width: u16,
+    source: GridPos,
+    queue: &mut VecDeque<u32>,
+) -> Box<[u32]> {
+    let (w, h) = (width as usize, passable.len() / width as usize);
+    let mut field = vec![0u32; passable.len()].into_boxed_slice();
+    let s = source.to_index(width);
+    queue.clear();
+    if passable[s] {
+        field[s] = 1;
+        queue.push_back(s as u32);
+    }
+    while let Some(i) = queue.pop_front() {
+        let i = i as usize;
+        let (x, y) = (i % w, i / w);
+        let next = field[i] + 1;
+        // 4-neighbourhood over the flat snapshot; `ok` guards the edges.
+        let neighbours = [
+            (x > 0, i.wrapping_sub(1)),
+            (x + 1 < w, i + 1),
+            (y > 0, i.wrapping_sub(w)),
+            (y + 1 < h, i + w),
+        ];
+        for (ok, j) in neighbours {
+            if ok && passable[j] && field[j] == 0 {
+                field[j] = next;
+                queue.push_back(j as u32);
+            }
+        }
+    }
+    field
+}
+
 impl MemoryFootprint for DistanceOracle {
     fn memory_bytes(&self) -> usize {
         let cells = self.passable.len();
-        let per_slot = cells * (std::mem::size_of::<u32>() * 2);
-        cells * (std::mem::size_of::<bool>() + std::mem::size_of::<u32>())
-            + self.slots.len() * per_slot
+        cells * std::mem::size_of::<bool>()
+            + self.field_count() * cells * std::mem::size_of::<u32>()
             + self.queue.capacity() * std::mem::size_of::<u32>()
     }
 }
@@ -345,6 +221,10 @@ mod tests {
 
     fn p(x: u16, y: u16) -> GridPos {
         GridPos::new(x, y)
+    }
+
+    fn s(index: usize) -> PickerId {
+        PickerId::new(index)
     }
 
     /// Marker for unreachable cells.
@@ -388,6 +268,59 @@ mod tests {
         }
     }
 
+    /// Every cell of `grid`, row-major.
+    fn cells(grid: &GridMap) -> impl Iterator<Item = GridPos> + '_ {
+        (0..grid.cell_count()).map(|i| GridPos::from_index(i, grid.width()))
+    }
+
+    /// `oracle.to_station` from every cell to every station equals a fresh
+    /// brute-force BFS from that station on `grid`.
+    fn check_every_pair(
+        oracle: &mut DistanceOracle,
+        grid: &GridMap,
+        stations: &[GridPos],
+    ) -> Result<(), TestCaseError> {
+        for (k, &station) in stations.iter().enumerate() {
+            let field = bfs_distances(grid, station);
+            for c in cells(grid) {
+                let expected = match field.get(c) {
+                    UNREACHABLE => u64::MAX,
+                    d => d as u64,
+                };
+                prop_assert_eq!(oracle.to_station(c, s(k)), expected, "{} to {}", c, station);
+            }
+        }
+        Ok(())
+    }
+
+    /// A `width × height` grid whose passable cells are exactly the
+    /// rectangle `x0..=x1 × y0..=y1`.
+    fn rectangle_floor(width: u16, height: u16, rect: (u16, u16, u16, u16)) -> GridMap {
+        let (x0, y0, x1, y1) = rect;
+        let mut grid = GridMap::filled(width, height, CellKind::Aisle);
+        for c in (0..grid.cell_count()).map(|i| GridPos::from_index(i, width)) {
+            if !((x0..=x1).contains(&c.x) && (y0..=y1).contains(&c.y)) {
+                grid.set_kind(c, CellKind::Blocked);
+            }
+        }
+        grid
+    }
+
+    /// Station cells inside `rect`, one per `(x, y)` pick folded into it.
+    fn stations_in(rect: (u16, u16, u16, u16), picks: &[(u16, u16)]) -> Vec<GridPos> {
+        let (x0, y0, x1, y1) = rect;
+        picks
+            .iter()
+            .map(|&(x, y)| p(x0 + x % (x1 - x0 + 1), y0 + y % (y1 - y0 + 1)))
+            .collect()
+    }
+
+    /// The paper's walled floor: left column, right column and top row
+    /// blocked, the bottom (station) row open.
+    fn walled_floor(width: u16, height: u16) -> GridMap {
+        rectangle_floor(width, height, (1, 1, width - 2, height - 1))
+    }
+
     #[test]
     fn open_grid_matches_manhattan() {
         let grid = GridMap::filled(10, 10, CellKind::Aisle);
@@ -411,9 +344,9 @@ mod tests {
         assert_eq!(field.get(p(4, 0)), 12);
         assert_eq!(field.get(p(2, 0)), UNREACHABLE, "wall cell itself");
 
-        let mut oracle = DistanceOracle::new(&grid);
-        assert_eq!(oracle.dist(p(0, 0), p(4, 0)), 12);
-        assert_eq!(oracle.dist(p(0, 0), p(2, 0)), u64::MAX, "wall cell");
+        let mut oracle = DistanceOracle::new(&grid, &[p(4, 0), p(0, 0)]);
+        assert_eq!(oracle.to_station(p(0, 0), s(0)), 12);
+        assert_eq!(oracle.to_station(p(2, 0), s(1)), u64::MAX, "wall cell");
     }
 
     #[test]
@@ -426,17 +359,20 @@ mod tests {
         let field = bfs_distances(&grid, p(0, 0));
         assert_eq!(field.get(p(4, 4)), UNREACHABLE);
 
-        let mut oracle = DistanceOracle::new(&grid);
-        assert_eq!(oracle.dist(p(0, 0), p(4, 4)), u64::MAX);
-        assert_eq!(oracle.dist(p(4, 4), p(0, 0)), u64::MAX, "symmetric");
+        let mut oracle = DistanceOracle::new(&grid, &[p(4, 4), p(0, 0)]);
+        assert_eq!(oracle.to_station(p(0, 0), s(0)), u64::MAX);
+        assert_eq!(oracle.to_station(p(4, 4), s(1)), u64::MAX, "symmetric");
     }
 
     #[test]
     fn oracle_uses_manhattan_when_free() {
-        let grid = GridMap::filled(8, 8, CellKind::Aisle);
-        let mut oracle = DistanceOracle::new(&grid);
-        assert!(oracle.obstacle_free());
-        assert_eq!(oracle.dist(p(1, 1), p(4, 5)), 7);
+        // The walled floor's free cells form a rectangle: Manhattan is
+        // exact although the border is blocked.
+        let grid = walled_floor(8, 8);
+        let mut oracle = DistanceOracle::new(&grid, &[p(3, 7)]);
+        assert!(oracle.manhattan_exact());
+        assert_eq!(oracle.to_station(p(1, 1), s(0)), 8);
+        assert_eq!(oracle.to_station(p(0, 1), s(0)), u64::MAX, "wall cell");
         assert_eq!(oracle.field_count(), 0, "no BFS fields needed");
     }
 
@@ -444,71 +380,44 @@ mod tests {
     fn oracle_memoizes_with_obstacles() {
         let mut grid = GridMap::filled(8, 8, CellKind::Aisle);
         grid.set_kind(p(4, 4), CellKind::Blocked);
-        let mut oracle = DistanceOracle::new(&grid);
-        assert!(!oracle.obstacle_free());
-        let d1 = oracle.dist(p(0, 0), p(7, 7));
+        let mut oracle = DistanceOracle::new(&grid, &[p(7, 7), p(7, 0)]);
+        assert!(!oracle.manhattan_exact());
+        let d1 = oracle.to_station(p(0, 0), s(0));
         assert_eq!(oracle.field_count(), 1);
-        // Flipped endpoints and repeated destinations reuse the same field.
-        let d2 = oracle.dist(p(7, 7), p(7, 0));
-        let d3 = oracle.dist(p(7, 0), p(7, 7));
-        assert_eq!(oracle.field_count(), 1, "destination field reused");
+        // Repeated stations reuse their field.
+        let d2 = oracle.to_station(p(7, 0), s(0));
+        assert_eq!(oracle.field_count(), 1, "station field reused");
+        let d3 = oracle.to_station(p(7, 7), s(1));
+        assert_eq!(oracle.field_count(), 2, "one field per station");
         assert_eq!(d1, 14);
         assert_eq!(d2, 7);
         assert_eq!(d3, 7);
     }
 
     #[test]
-    fn lru_cap_bounds_fields() {
-        let mut grid = GridMap::filled(12, 12, CellKind::Aisle);
-        grid.set_kind(p(6, 6), CellKind::Blocked);
-        let mut oracle = DistanceOracle::with_field_cap(&grid, 2);
-        // Three distinct destinations with disjoint sources: only two
-        // fields may stay live.
-        for x in 0..3u16 {
-            let d = oracle.dist(p(0, 0), p(9 - x, 9));
-            assert_ne!(d, u64::MAX);
-        }
-        assert_eq!(oracle.field_count(), 2, "LRU cap respected");
-        // Evicted or not, answers stay exact.
-        assert_eq!(oracle.dist(p(0, 0), p(9, 9)), 18);
-    }
-
-    #[test]
-    fn recycled_slot_forgets_old_field() {
-        let mut grid = GridMap::filled(10, 10, CellKind::Aisle);
-        grid.set_kind(p(5, 5), CellKind::Blocked);
-        let mut oracle = DistanceOracle::with_field_cap(&grid, 1);
-        assert_eq!(oracle.dist(p(0, 0), p(9, 9)), 18);
-        // Recompute rooted elsewhere; the stale rooting must not answer.
-        assert_eq!(oracle.dist(p(9, 0), p(0, 9)), 18);
-        assert_eq!(oracle.field_count(), 1);
-        assert_eq!(oracle.dist(p(1, 0), p(0, 0)), 1, "exact after recycling");
-    }
-
-    #[test]
     fn set_passable_evicts_and_reroutes() {
         // Open grid: Manhattan fast path, no fields.
         let grid = GridMap::filled(8, 8, CellKind::Aisle);
-        let mut oracle = DistanceOracle::new(&grid);
-        assert_eq!(oracle.dist(p(0, 0), p(4, 0)), 4);
+        let mut oracle = DistanceOracle::new(&grid, &[p(4, 0)]);
+        assert_eq!(oracle.to_station(p(0, 0), s(0)), 4);
         // Wall appears at (2,0)-(2,6): detours via y=7.
         for y in 0..7 {
             oracle.set_passable(p(2, y), false);
         }
-        assert!(!oracle.obstacle_free());
-        assert_eq!(oracle.dist(p(0, 0), p(4, 0)), 4 + 14, "detour via row 7");
+        assert!(!oracle.manhattan_exact());
+        assert_eq!(oracle.to_station(p(0, 0), s(0)), 4 + 14, "detour via row 7");
         assert!(oracle.field_count() >= 1, "BFS fields in use");
         // Wall clears: fields evicted, Manhattan fast path restored.
         for y in 0..7 {
             oracle.set_passable(p(2, y), true);
         }
-        assert!(oracle.obstacle_free());
+        assert!(oracle.manhattan_exact());
         assert_eq!(oracle.field_count(), 0, "eviction dropped every field");
-        assert_eq!(oracle.dist(p(0, 0), p(4, 0)), 4);
+        assert_eq!(oracle.to_station(p(0, 0), s(0)), 4);
         // No-op mutation neither flips state nor evicts.
-        let mut walled = DistanceOracle::new(&grid);
+        let mut walled = DistanceOracle::new(&grid, &[p(7, 7)]);
         walled.set_passable(p(3, 3), false);
-        walled.dist(p(0, 0), p(7, 7));
+        walled.to_station(p(0, 0), s(0));
         let fields = walled.field_count();
         walled.set_passable(p(3, 3), false);
         assert_eq!(walled.field_count(), fields, "idempotent set keeps fields");
@@ -518,12 +427,12 @@ mod tests {
     fn memory_footprint_tracks_fields() {
         let mut grid = GridMap::filled(16, 16, CellKind::Aisle);
         grid.set_kind(p(8, 8), CellKind::Blocked);
-        let mut oracle = DistanceOracle::new(&grid);
+        let mut oracle = DistanceOracle::new(&grid, &[p(15, 15)]);
         let empty = oracle.memory_bytes();
-        oracle.dist(p(0, 0), p(15, 15));
+        oracle.to_station(p(0, 0), s(0));
         assert!(
-            oracle.memory_bytes() >= empty + 16 * 16 * 8,
-            "one field adds dist+stamp arrays"
+            oracle.memory_bytes() >= empty + 16 * 16 * 4,
+            "one field adds 4 B per cell"
         );
     }
 
@@ -531,16 +440,17 @@ mod tests {
     fn poisoned_field_is_detected_evicted_and_recomputed() {
         let mut grid = GridMap::filled(10, 10, CellKind::Aisle);
         grid.set_kind(p(5, 5), CellKind::Blocked);
-        let mut oracle = DistanceOracle::new(&grid);
+        let mut oracle = DistanceOracle::new(&grid, &[p(9, 9), p(9, 0)]);
         assert_eq!(oracle.verify_fields(), 0, "nothing live yet");
         assert!(!oracle.poison_field(7), "no field to poison");
-        let clean = oracle.dist(p(0, 0), p(9, 9));
-        assert_eq!(oracle.field_count(), 1);
-        assert_eq!(oracle.verify_fields(), 0, "fresh field is consistent");
+        let clean = [s(0), s(1)].map(|k| oracle.to_station(p(0, 0), k));
+        assert_eq!(oracle.field_count(), 2);
+        assert_eq!(oracle.verify_fields(), 0, "fresh fields are consistent");
         assert!(oracle.poison_field(7));
         assert_eq!(oracle.verify_fields(), 1, "corruption detected");
-        assert_eq!(oracle.field_count(), 0, "all fields evicted");
-        assert_eq!(oracle.dist(p(0, 0), p(9, 9)), clean, "recomputed exactly");
+        assert_eq!(oracle.field_count(), 1, "only the lying field dropped");
+        let again = [s(0), s(1)].map(|k| oracle.to_station(p(0, 0), k));
+        assert_eq!(again, clean, "recomputed exactly");
         assert_eq!(oracle.verify_fields(), 0);
     }
 
@@ -549,29 +459,19 @@ mod tests {
         let mut grid = GridMap::filled(10, 10, CellKind::Aisle);
         grid.set_kind(p(5, 5), CellKind::Blocked);
         let build = |salt: u64| {
-            let mut oracle = DistanceOracle::new(&grid);
-            oracle.dist(p(0, 0), p(9, 9));
-            oracle.dist(p(0, 9), p(9, 0));
+            let mut oracle = DistanceOracle::new(&grid, &[p(9, 9), p(9, 0)]);
+            oracle.to_station(p(0, 0), s(0));
+            oracle.to_station(p(0, 9), s(1));
             assert!(oracle.poison_field(salt));
             oracle
         };
-        let a = build(123);
-        let b = build(123);
-        for (sa, sb) in a.slots.iter().zip(&b.slots) {
-            assert_eq!(sa.dist, sb.dist, "same salt corrupts the same cell");
-        }
-    }
-
-    /// Brute force `d(a, b)`: one fresh full-grid BFS per query.
-    fn brute_dist(grid: &GridMap, a: GridPos, b: GridPos) -> u64 {
-        match bfs_distances(grid, a).get(b) {
-            UNREACHABLE => u64::MAX,
-            d => d as u64,
-        }
+        let (a, b) = (build(123), build(123));
+        assert_eq!(a.fields, b.fields, "same salt corrupts the same cell");
+        assert_ne!(a.fields, build(124).fields, "another salt, another cell");
     }
 
     /// Scatter obstacles deterministically from a small seed, keeping the
-    /// two probe cells free.
+    /// probe cells free.
     fn obstructed_grid(size: u16, mask: u64, keep: &[GridPos]) -> GridMap {
         let mut grid = GridMap::filled(size, size, CellKind::Aisle);
         for y in 0..size {
@@ -622,61 +522,114 @@ mod tests {
             }
         }
 
-        /// Interleaved queries and passability mutations: the flat oracle's
-        /// eviction must keep it equal to brute-force BFS on the mutated
-        /// grid for any block/unblock stream.
+        /// The exactness rule: on a floor whose passable cells are a
+        /// rectangle, Manhattan is exact, no field is ever filled, and
+        /// every answer equals brute-force BFS (wall cells included).
         #[test]
-        fn oracles_agree_under_mutation(
-            mask in 0u64..16,
-            ops in proptest::collection::vec(
-                (0u8..2, 0u16..8, 0u16..8, 0u16..8, 0u16..8), 1..20),
+        fn rectangle_floor_is_manhattan_exact(
+            size in (1u16..10, 1u16..10),
+            corners in (0u16..10, 0u16..10, 0u16..10, 0u16..10),
+            picks in proptest::collection::vec((0u16..10, 0u16..10), 1..4),
         ) {
-            // Keep the probe cells of every op passable so queries are
-            // well-defined; mutations target a disjoint fixed cell set.
-            let keep: Vec<GridPos> = ops
-                .iter()
-                .flat_map(|&(_, ax, ay, bx, by)| [p(ax, ay), p(bx, by)])
-                .collect();
-            let mut grid = obstructed_grid(8, mask, &keep);
-            let mut flat = DistanceOracle::with_field_cap(&grid, 2);
-            // The mutable cell flips between blocked and open over the run.
-            let target = p(7, 7);
-            prop_assume!(!keep.contains(&target));
-            let mut blocked = !grid.passable(target);
-            for &(flip, ax, ay, bx, by) in &ops {
-                if flip == 1 {
-                    blocked = !blocked;
-                    flat.set_passable(target, !blocked);
-                    let kind = if blocked { CellKind::Blocked } else { CellKind::Aisle };
-                    grid.set_kind(target, kind);
+            let (width, height) = size;
+            let (ax, ay, bx, by) = corners;
+            let (ax, bx) = (ax % width, bx % width);
+            let (ay, by) = (ay % height, by % height);
+            let rect = (ax.min(bx), ay.min(by), ax.max(bx), ay.max(by));
+            let grid = rectangle_floor(width, height, rect);
+            let stations = stations_in(rect, &picks);
+            let mut oracle = DistanceOracle::new(&grid, &stations);
+            prop_assert!(oracle.manhattan_exact());
+            check_every_pair(&mut oracle, &grid, &stations)?;
+            prop_assert_eq!(oracle.field_count(), 0);
+        }
+
+        /// Block/reopen streams inside and outside the build-time box:
+        /// every answer equals brute-force BFS, and whenever the oracle
+        /// calls Manhattan exact, BFS equals Manhattan for every (cell,
+        /// station) pair.
+        #[test]
+        fn exactness_tracks_block_reopen_streams(
+            corners in (0u16..8, 0u16..8, 0u16..8, 0u16..8),
+            picks in proptest::collection::vec((0u16..8, 0u16..8), 1..3),
+            ops in proptest::collection::vec((0u16..8, 0u16..8), 1..12),
+        ) {
+            let (ax, ay, bx, by) = corners;
+            let rect = (ax.min(bx), ay.min(by), ax.max(bx), ay.max(by));
+            let mut grid = rectangle_floor(8, 8, rect);
+            let stations = stations_in(rect, &picks);
+            let mut oracle = DistanceOracle::new(&grid, &stations);
+            for &(x, y) in &ops {
+                // Stations stay open; any other cell flips.
+                let c = p(x, y);
+                if stations.contains(&c) {
+                    continue;
                 }
-                let (a, b) = (p(ax, ay), p(bx, by));
-                prop_assert_eq!(flat.dist(a, b), brute_dist(&grid, a, b),
-                    "d({}, {}) after mutations", a, b);
+                let open = !grid.passable(c);
+                grid.set_kind(c, if open { CellKind::Aisle } else { CellKind::Blocked });
+                oracle.set_passable(c, open);
+                check_every_pair(&mut oracle, &grid, &stations)?;
+                if oracle.manhattan_exact() {
+                    for &station in &stations {
+                        let field = bfs_distances(&grid, station);
+                        for c in cells(&grid) {
+                            let manhattan = if grid.passable(c) {
+                                c.manhattan(station) as u32
+                            } else {
+                                UNREACHABLE
+                            };
+                            prop_assert_eq!(field.get(c), manhattan, "{} to {}", c, station);
+                        }
+                    }
+                }
             }
         }
 
-        /// The flat oracle equals per-query brute-force BFS on obstructed
-        /// grids, across interleaved query streams (exercising slot reuse,
-        /// symmetry flips and LRU recycling with a tiny cap).
+        /// Interleaved queries and passability mutations: dropping the
+        /// fields must keep the oracle equal to brute-force BFS on the
+        /// mutated grid for any block/unblock stream.
+        #[test]
+        fn oracles_agree_under_mutation(
+            mask in 0u64..16,
+            ops in proptest::collection::vec((0u8..2, 0u16..8, 0u16..8), 1..20),
+        ) {
+            // The stations stay passable; the mutable cell is disjoint.
+            let stations = [p(0, 0), p(5, 2), p(3, 6)];
+            let mut grid = obstructed_grid(8, mask, &stations);
+            let mut oracle = DistanceOracle::new(&grid, &stations);
+            // The mutable cell flips between blocked and open over the run.
+            let target = p(7, 7);
+            let mut blocked = !grid.passable(target);
+            for &(flip, x, y) in &ops {
+                if flip == 1 {
+                    blocked = !blocked;
+                    oracle.set_passable(target, !blocked);
+                    let kind = if blocked { CellKind::Blocked } else { CellKind::Aisle };
+                    grid.set_kind(target, kind);
+                }
+                for (k, &station) in stations.iter().enumerate() {
+                    let from = p(x, y);
+                    let expected = match bfs_distances(&grid, station).get(from) {
+                        UNREACHABLE => u64::MAX,
+                        d => d as u64,
+                    };
+                    prop_assert_eq!(oracle.to_station(from, s(k)), expected,
+                        "{} to {} after mutations", from, station);
+                }
+            }
+        }
+
+        /// The oracle equals brute-force BFS from every cell to every
+        /// station on obstructed grids.
         #[test]
         fn flat_oracle_matches_reference_bfs(
             mask in 0u64..32,
-            queries in proptest::collection::vec((0u16..10, 0u16..10, 0u16..10, 0u16..10), 1..24),
+            picks in proptest::collection::vec((0u16..10, 0u16..10), 1..4),
         ) {
-            let keep: Vec<GridPos> = queries
-                .iter()
-                .flat_map(|&(ax, ay, bx, by)| [p(ax, ay), p(bx, by)])
-                .collect();
-            let grid = obstructed_grid(10, mask, &keep);
-            let mut flat = DistanceOracle::with_field_cap(&grid, 3);
-            for &(ax, ay, bx, by) in &queries {
-                let (a, b) = (p(ax, ay), p(bx, by));
-                let expected = brute_dist(&grid, a, b);
-                prop_assert_eq!(flat.dist(a, b), expected, "d({}, {})", a, b);
-                // Symmetry holds on the undirected grid.
-                prop_assert_eq!(flat.dist(b, a), expected);
-            }
+            let stations: Vec<GridPos> = picks.iter().map(|&(x, y)| p(x, y)).collect();
+            let grid = obstructed_grid(10, mask, &stations);
+            let mut oracle = DistanceOracle::new(&grid, &stations);
+            check_every_pair(&mut oracle, &grid, &stations)?;
         }
     }
 }

@@ -26,6 +26,12 @@
 //! seed HashMap/BinaryHeap search survives only as a test-only module, the
 //! reference the equivalence tests compare against.
 //!
+//! [`bfs::DistanceOracle`] answers the one uncongested distance the
+//! planners ask, a rack's home to its own station (Eq. 2's delivery term):
+//! Manhattan while the passable cells fill their bounding box, one lazily
+//! filled BFS field per station otherwise
+//! (`docs/adr/ADR-022-station-fields.md`).
+//!
 //! [`knn::KNearestRacks`] provides the per-cell K-closest-rack index backing
 //! the "flip requesting side" optimization (Sec. VI-A), built once from the
 //! instance and never updated (`docs/adr/ADR-021-static-knn.md`).

@@ -437,8 +437,8 @@ impl<'a> Engine<'a> {
             return;
         }
         // A degraded tick just ran: restore the primary planner before
-        // anything else this tick, with its derived state (memoized
-        // distance fields) invalidated — whatever made it fail
+        // anything else this tick, with its derived state (the oracle's
+        // station fields) invalidated — whatever made it fail
         // must not survive into this tick's decisions.
         if self.state.recover_next {
             self.state.recover_next = false;

@@ -15,10 +15,11 @@
 //! * **leg faults** — the tick's batched `commit_legs` call fails as a unit
 //!   ([`eatp_core::PlannerError::LegBatchFailed`]); every pending leg
 //!   retries next tick through the engine's existing retain loops;
-//! * **poison faults** — one memoized distance-oracle field is silently
-//!   corrupted. The planner's housekeeping sweep must
-//!   detect, evict and recompute it the same tick (pinned by the
-//!   `poison_evictions` counter and the standing zero-conflict invariants).
+//! * **poison faults** — one distance-oracle station field is silently
+//!   corrupted (a floor where Manhattan is exact has none). The planner's
+//!   housekeeping sweep must detect, drop and recompute it the same tick
+//!   (pinned by the `poison_evictions` counter and the standing
+//!   zero-conflict invariants).
 //!
 //! The degradation side of the contract lives in [`DegradationPolicy`]: on a
 //! planner error (or a real per-tick expansion-budget overrun) the engine
