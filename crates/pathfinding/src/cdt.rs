@@ -1,56 +1,29 @@
-//! The conflict detection table (Sec. VI-B), stored as an **indexed
-//! small-vec window pool**.
+//! The conflict detection table (Sec. VI-B).
 //!
 //! *"An array is built for all grids, and each entry contains a set
-//! recording the passing time."* — one per-cell **sorted tick window**
-//! holding `(tick, robot)` reservations in ascending tick order. Space is
-//! `O(HW + live reservations)` instead of the spatiotemporal graph's
-//! `O(HW · T)`.
+//! recording the passing time."* Each cell holds one **sorted tick window**
+//! of `(tick, robot)` reservations, so space is `O(HW + live reservations)`
+//! instead of the spatiotemporal graph's `O(HW · T)`.
 //!
-//! # Pooled layout
+//! * **Packed entries.** A reservation is one `u64`: the tick in the high 48
+//!   bits ([`MAX_CDT_TICK`]) and the robot id in the low 16 (ids stay below
+//!   [`MAX_FLEET`]). A cell-tick holds at most one robot, so sorting the
+//!   words sorts by tick.
+//! * **Inline windows.** Each cell is a 24-byte slot, the size of a `Vec`
+//!   header, holding up to [`INLINE_WINDOW`] entries in place. The common
+//!   probe touches one cache line and no heap pointer.
+//! * **Spills.** A longer window moves into a `Vec` of its own, whose index
+//!   the cell keeps. When the window shrinks back inline, the `Vec` is
+//!   cleared and its index goes on a free list with its capacity, so a
+//!   steady churn does not allocate. Only the owning cell holds an index,
+//!   and it gives it up when it unspills, so no index can go stale.
+//! * **Occupied set.** One bit per cell, set on insert, so `release_before`
+//!   (the paper's `update`) and `release_robot` visit only occupied cells.
 //!
-//! The previous layout (preserved as the test-only
-//! `reference_cdt::ReferenceConflictDetectionTable`) kept one heap
-//! `Vec<(Tick, RobotId)>` per cell: 24 bytes of `Vec` header per cell even
-//! when empty — the dominant fixed cost of the Fig. 12 small-scale
-//! inversion — and a pointer chase on every `can_move`. This module removes
-//! both:
-//!
-//! * **Packed entries** — a reservation is one `u64`: the tick in the high
-//!   48 bits ([`MAX_CDT_TICK`] guard), the robot id in the low 16
-//!   ([`MAX_CDT_ROBOTS`] guard, the same fleet bound as the STG's `u16`
-//!   layers). Sorting by the packed word sorts by tick, because a cell-tick
-//!   holds at most one robot.
-//! * **Inline windows** — each cell is a fixed 24-byte slot holding up to
-//!   [`INLINE_WINDOW`] sorted entries *in place*: same fixed cost as the old
-//!   `Vec` header, but the common probe touches a single cache line and
-//!   never dereferences a heap pointer.
-//! * **Spill pool** — a cell crossed by more robots spills its window into a
-//!   shared arena (`WindowPool`): runs of power-of-two capacity with a
-//!   one-word header (size class, 24-bit generation stamp, owning cell).
-//!   Freed runs go on per-class free lists and are reused without touching
-//!   the allocator; handles carry the generation stamp so a stale reference
-//!   is caught in debug builds.
-//! * **Amortized GC** — `release_before` (the paper's `update`) cuts each
-//!   window's expired prefix in place, compacts spilled runs **back inline**
-//!   once they fit, moves oversized runs to a smaller class, and — when most
-//!   of the pool is free — compacts the whole arena in place and returns the
-//!   memory, keeping the Fig. 12 numbers honest on sparse loads.
-//!
-//! # Hot-path design
-//!
-//! * `can_move` — the `t`/`t+1` occupants of `to` come from a *single*
-//!   lower-bound probe, since consecutive ticks are adjacent in the sorted
-//!   window; for inline windows the lower bound is a branch-free comparison
-//!   sum over at most [`INLINE_WINDOW`] words.
-//! * `occupant` — one lower bound over a contiguous `u64` run.
-//! * `reserve_path` — steps arrive in ascending tick order, so insertion is
-//!   usually an append; spills allocate from the free lists first.
-//!
-//! Invariants: each window is strictly sorted by tick (at most one robot per
-//! cell-tick), `reservations` equals the sum of window lengths, and every
-//! spilled cell's handle matches its run's generation stamp. Equivalence
-//! with the reference layout is property-tested below
+//! `can_move` reads the `t` and `t + 1` occupants of `to` from one lower
+//! bound, because consecutive ticks sit side by side in the window. The
+//! test-only `reference_cdt::ReferenceConflictDetectionTable`, one `Vec`
+//! per cell, must answer every query the same way
 //! (`pooled_equals_reference_under_soup`).
 
 use crate::footprint::MemoryFootprint;
@@ -58,18 +31,15 @@ use crate::path::Path;
 use crate::reservation::{
     ParkingBoard, ReservationContent, ReservationProbe, ReservationSystem, TimedReservation,
 };
-use tprw_warehouse::{GridPos, RobotId, Tick};
+use tprw_warehouse::{GridPos, RobotId, Tick, MAX_FLEET};
 
-/// Entries a cell stores inline before spilling into the pool.
+/// Entries a cell stores inline before its window spills.
 pub const INLINE_WINDOW: usize = 2;
 
 /// Robot-id bits of a packed entry.
 const ROBOT_BITS: u32 = 16;
 const ROBOT_MASK: u64 = (1 << ROBOT_BITS) - 1;
-
-/// Largest robot index the packed-entry encoding can hold. Matches the
-/// spirit of `MAX_STG_ROBOTS`: fleets beyond it must shard.
-pub const MAX_CDT_ROBOTS: usize = ROBOT_MASK as usize;
+const _: () = assert!(MAX_FLEET <= ROBOT_MASK as usize + 1);
 
 /// Largest tick the packed-entry encoding can hold (48 bits ≈ 2.8 × 10¹⁴;
 /// paper horizons are ~10⁵). Reserving beyond it panics rather than
@@ -92,8 +62,7 @@ fn robot_of(e: u64) -> RobotId {
 }
 
 /// One cell: `len` live entries, inline in `data` while `len <=`
-/// [`INLINE_WINDOW`]; otherwise `data[0]` is a [`WindowPool`] handle
-/// (`generation << 32 | run start`) and the entries live in the pool.
+/// [`INLINE_WINDOW`]; otherwise `data[0]` is the index of the cell's spill.
 #[derive(Debug, Clone, Copy)]
 struct CellSlot {
     len: u32,
@@ -107,175 +76,7 @@ impl CellSlot {
     };
 }
 
-#[inline]
-fn handle(start: u32, gen: u32) -> u64 {
-    start as u64 | ((gen as u64) << 32)
-}
-
-#[inline]
-fn handle_parts(h: u64) -> (u32, u32) {
-    (h as u32, (h >> 32) as u32)
-}
-
-/// Smallest spill-run capacity (entries); classes double from here.
-const MIN_RUN: usize = 4;
-/// Generation stamps are 24 bits (wrapping).
-const GEN_MASK: u64 = (1 << 24) - 1;
-/// Header owner value marking a run as free.
-const FREE_OWNER: u32 = u32::MAX;
-/// Pools below this size never whole-arena compact (bounded residual).
-const COMPACT_MIN_WORDS: usize = 256;
-
-/// The shared spill arena: runs of `MIN_RUN << class` packed entries behind
-/// a one-word header `(owner cell << 32 | generation << 8 | class)`, with
-/// per-class free lists. Freed runs are reused allocation-free; when free
-/// runs dominate, [`WindowPool::maybe_compact`] slides live runs to the
-/// front, rewrites the owning cells' handles, and returns the tail to the
-/// allocator.
-#[derive(Debug, Clone, Default)]
-struct WindowPool {
-    words: Vec<u64>,
-    /// Free-run start indices per size class.
-    free: Vec<Vec<u32>>,
-    /// Total words (headers included) sitting on free lists.
-    free_words: usize,
-}
-
-impl WindowPool {
-    /// Capacity in entries of a class-`c` run.
-    #[inline]
-    fn cap(class: usize) -> usize {
-        MIN_RUN << class
-    }
-
-    /// Smallest class whose capacity is at least `need`.
-    fn class_for(need: usize) -> usize {
-        let mut c = 0;
-        while Self::cap(c) < need {
-            c += 1;
-        }
-        c
-    }
-
-    #[inline]
-    fn header(&self, start: u32) -> u64 {
-        self.words[start as usize]
-    }
-
-    #[inline]
-    fn class_of(&self, start: u32) -> usize {
-        (self.header(start) & 0xFF) as usize
-    }
-
-    #[inline]
-    fn generation_of(&self, start: u32) -> u32 {
-        ((self.header(start) >> 8) & GEN_MASK) as u32
-    }
-
-    /// The first `len` (live) entries of the run at `start`.
-    #[inline]
-    fn entries(&self, start: u32, len: usize) -> &[u64] {
-        debug_assert!(len <= Self::cap(self.class_of(start)));
-        let s = start as usize + 1;
-        &self.words[s..s + len]
-    }
-
-    /// Mutable view of the first `len` entries of the run at `start`.
-    #[inline]
-    fn entries_mut(&mut self, start: u32, len: usize) -> &mut [u64] {
-        debug_assert!(len <= Self::cap(self.class_of(start)));
-        let s = start as usize + 1;
-        &mut self.words[s..s + len]
-    }
-
-    /// Allocate a class-`class` run owned by cell `owner`; returns
-    /// `(start, generation)`. Free-listed runs are reused without touching
-    /// the allocator.
-    fn alloc(&mut self, class: usize, owner: u32) -> (u32, u32) {
-        if self.free.len() <= class {
-            self.free.resize_with(class + 1, Vec::new);
-        }
-        if let Some(start) = self.free[class].pop() {
-            self.free_words -= 1 + Self::cap(class);
-            let gen = self.generation_of(start);
-            self.words[start as usize] =
-                class as u64 | ((gen as u64 & GEN_MASK) << 8) | ((owner as u64) << 32);
-            return (start, gen);
-        }
-        let start = self.words.len();
-        debug_assert!(start + 1 + Self::cap(class) <= u32::MAX as usize);
-        self.words
-            .push(class as u64 | ((owner as u64) << 32)) /* generation 0 */;
-        self.words.resize(start + 1 + Self::cap(class), 0);
-        (start as u32, 0)
-    }
-
-    /// Return the run at `start` to its class free list, bumping its
-    /// generation stamp so stale handles are detectable.
-    fn free(&mut self, start: u32) {
-        let class = self.class_of(start);
-        let gen = (self.generation_of(start) as u64 + 1) & GEN_MASK;
-        self.words[start as usize] = class as u64 | (gen << 8) | ((FREE_OWNER as u64) << 32);
-        self.free[class].push(start);
-        self.free_words += 1 + Self::cap(class);
-    }
-
-    /// Copy `len` entries between runs (ranges may overlap after a
-    /// same-arena reallocation).
-    fn move_entries(&mut self, from: u32, to: u32, len: usize) {
-        let f = from as usize + 1;
-        let t = to as usize + 1;
-        self.words.copy_within(f..f + len, t);
-    }
-
-    /// Whole-arena compaction, amortized behind a free-ratio trigger: when
-    /// more than two thirds of a non-trivial pool is free, slide live runs
-    /// to the front (rewriting the owning cells' handles), drop the free
-    /// lists, and shrink the backing buffer — the only point at which the
-    /// pool returns memory to the allocator.
-    fn maybe_compact(&mut self, cells: &mut [CellSlot]) {
-        if self.words.len() < COMPACT_MIN_WORDS || self.free_words * 3 <= self.words.len() * 2 {
-            return;
-        }
-        let mut pos = 0;
-        let mut write = 0;
-        while pos < self.words.len() {
-            let h = self.words[pos];
-            let class = (h & 0xFF) as usize;
-            let run = 1 + Self::cap(class);
-            let owner = (h >> 32) as u32;
-            if owner != FREE_OWNER {
-                if write != pos {
-                    self.words.copy_within(pos..pos + run, write);
-                }
-                let gen = ((h >> 8) & GEN_MASK) as u32;
-                cells[owner as usize].data[0] = handle(write as u32, gen);
-                write += run;
-            }
-            pos += run;
-        }
-        self.words.truncate(write);
-        self.words.shrink_to(write);
-        for list in &mut self.free {
-            list.clear();
-        }
-        self.free_words = 0;
-    }
-
-    /// Approximate heap bytes held (capacity-based, like every flat
-    /// structure in this crate).
-    fn memory_bytes(&self) -> usize {
-        self.words.capacity() * std::mem::size_of::<u64>()
-            + self.free.capacity() * std::mem::size_of::<Vec<u32>>()
-            + self
-                .free
-                .iter()
-                .map(|f| f.capacity() * std::mem::size_of::<u32>())
-                .sum::<usize>()
-    }
-}
-
-/// Per-cell sorted reservation windows over a pooled small-vec layout.
+/// Per-cell sorted reservation windows: inline slots, spilling into `Vec`s.
 #[derive(Debug, Clone)]
 pub struct ConflictDetectionTable {
     width: u16,
@@ -283,7 +84,10 @@ pub struct ConflictDetectionTable {
     /// One bit per cell, set by every insert: a superset of the non-empty
     /// windows, so the GC and release passes walk only these cells.
     occupied: Vec<u64>,
-    pool: WindowPool,
+    /// Windows longer than [`INLINE_WINDOW`], each owned by one cell.
+    spills: Vec<Vec<u64>>,
+    /// Indices of the empty spills, which keep their capacity for reuse.
+    free_spills: Vec<u32>,
     parked: ParkingBoard,
     reservations: usize,
 }
@@ -296,7 +100,8 @@ impl ConflictDetectionTable {
             width,
             cells: vec![CellSlot::EMPTY; cells],
             occupied: vec![0; cells.div_ceil(64)],
-            pool: WindowPool::default(),
+            spills: Vec::new(),
+            free_spills: Vec::new(),
             parked: ParkingBoard::new(width, height),
             reservations: 0,
         }
@@ -307,7 +112,7 @@ impl ConflictDetectionTable {
     ///
     /// # Panics
     ///
-    /// Panics if `robot` exceeds [`MAX_CDT_ROBOTS`] or `t` exceeds
+    /// Panics if `robot` is not below [`MAX_FLEET`] or `t` exceeds
     /// [`MAX_CDT_TICK`].
     pub fn insert(&mut self, robot: RobotId, pos: GridPos, t: Tick) {
         self.check_limits(robot, t);
@@ -325,9 +130,9 @@ impl ConflictDetectionTable {
     #[inline]
     fn check_limits(&self, robot: RobotId, t: Tick) {
         assert!(
-            robot.index() <= MAX_CDT_ROBOTS,
+            robot.index() < MAX_FLEET,
             "robot index {} exceeds the packed CDT encoding \
-             (MAX_CDT_ROBOTS = {MAX_CDT_ROBOTS}); shard the fleet or widen the entries",
+             (MAX_FLEET = {MAX_FLEET}); shard the fleet or widen the entries",
             robot.index()
         );
         assert!(
@@ -344,14 +149,12 @@ impl ConflictDetectionTable {
         if n <= INLINE_WINDOW {
             &s.data[..n]
         } else {
-            let (start, gen) = handle_parts(s.data[0]);
-            debug_assert_eq!(self.pool.generation_of(start), gen, "stale window handle");
-            self.pool.entries(start, n)
+            &self.spills[s.data[0] as usize]
         }
     }
 
     /// First index of `w` whose tick is ≥ `t`. Inline windows use a
-    /// branch-free comparison sum; spilled runs binary-search.
+    /// branch-free comparison sum; spilled windows binary-search.
     #[inline]
     fn lower_bound(w: &[u64], t: Tick) -> usize {
         let key = t << ROBOT_BITS;
@@ -408,60 +211,28 @@ impl ConflictDetectionTable {
     /// returns whether a new entry was added (`false` = duplicate tick).
     fn insert_packed(&mut self, idx: usize, e: u64) -> bool {
         self.occupied[idx / 64] |= 1 << (idx % 64);
-        let n = self.cells[idx].len as usize;
+        let Some(i) = Self::insertion_point(self.window(idx), e) else {
+            return false;
+        };
+        let s = &mut self.cells[idx];
+        let n = s.len as usize;
+        s.len += 1;
         if n < INLINE_WINDOW {
-            let s = &mut self.cells[idx];
-            let Some(i) = Self::insertion_point(&s.data[..n], e) else {
-                return false;
-            };
-            let mut k = n;
-            while k > i {
-                s.data[k] = s.data[k - 1];
-                k -= 1;
-            }
+            s.data.copy_within(i..n, i + 1);
             s.data[i] = e;
-            s.len += 1;
             return true;
         }
         if n == INLINE_WINDOW {
-            // Full inline window: spill to the smallest run class.
-            let inline = self.cells[idx].data;
-            let Some(i) = Self::insertion_point(&inline, e) else {
-                return false;
-            };
-            let class = WindowPool::class_for(n + 1);
-            let (start, gen) = self.pool.alloc(class, idx as u32);
-            let run = self.pool.entries_mut(start, n + 1);
-            run[..i].copy_from_slice(&inline[..i]);
-            run[i] = e;
-            run[i + 1..].copy_from_slice(&inline[i..]);
-            let s = &mut self.cells[idx];
-            s.data[0] = handle(start, gen);
-            s.len = (n + 1) as u32;
-            return true;
+            // A full inline window spills, into a free spill if there is
+            // one, else into a new one sized for the window it takes.
+            let k = self.free_spills.pop().unwrap_or_else(|| {
+                self.spills.push(Vec::with_capacity(INLINE_WINDOW + 1));
+                (self.spills.len() - 1) as u32
+            });
+            self.spills[k as usize].extend_from_slice(&s.data);
+            s.data[0] = k as u64;
         }
-        // Spilled window.
-        let (start, gen) = handle_parts(self.cells[idx].data[0]);
-        debug_assert_eq!(self.pool.generation_of(start), gen, "stale window handle");
-        let cap = WindowPool::cap(self.pool.class_of(start));
-        let Some(i) = Self::insertion_point(self.pool.entries(start, n), e) else {
-            return false;
-        };
-        let start = if n == cap {
-            // Grow into the next class: allocate first (the old run stays
-            // valid), slide the entries over, then free the old run.
-            let (new_start, new_gen) = self.pool.alloc(WindowPool::class_for(n + 1), idx as u32);
-            self.pool.move_entries(start, new_start, n);
-            self.pool.free(start);
-            self.cells[idx].data[0] = handle(new_start, new_gen);
-            new_start
-        } else {
-            start
-        };
-        let run = self.pool.entries_mut(start, n + 1);
-        run.copy_within(i..n, i + 1);
-        run[i] = e;
-        self.cells[idx].len = (n + 1) as u32;
+        self.spills[s.data[0] as usize].insert(i, e);
         true
     }
 
@@ -470,11 +241,8 @@ impl ConflictDetectionTable {
         self.occupied[idx / 64] >> (idx % 64) & 1 == 1
     }
 
-    /// Run `f` on every occupied cell in ascending index — the order a walk
-    /// over all cells would reach the non-empty ones, so pool allocation,
-    /// freeing and compaction happen exactly as they would there. `f`
-    /// returns the cell's remaining window length; emptied cells leave the
-    /// set.
+    /// Run `f` on every occupied cell in ascending index. `f` returns the
+    /// cell's remaining window length; emptied cells leave the set.
     fn sweep_occupied(&mut self, mut f: impl FnMut(&mut Self, usize) -> usize) {
         for w in 0..self.occupied.len() {
             let mut bits = self.occupied[w];
@@ -488,104 +256,37 @@ impl ConflictDetectionTable {
         }
     }
 
-    /// Drop robot `rb`'s entries from cell `idx`; the remaining length.
-    fn release_cell_robot(&mut self, idx: usize, rb: u64) -> usize {
-        let n = self.cells[idx].len as usize;
-        if n <= INLINE_WINDOW {
-            let s = &mut self.cells[idx];
+    /// Keep the entries of cell `idx` for which `keep` holds; a spilled
+    /// window that fits inline again moves back and frees its spill.
+    /// Returns the remaining length.
+    fn retain_cell(&mut self, idx: usize, keep: impl Fn(u64) -> bool) -> usize {
+        let s = &mut self.cells[idx];
+        let n = s.len as usize;
+        let rem = if n <= INLINE_WINDOW {
             let mut w = 0;
             for k in 0..n {
                 let e = s.data[k];
-                if (e & ROBOT_MASK) != rb {
+                if keep(e) {
                     s.data[w] = e;
                     w += 1;
                 }
             }
-            s.len = w as u32;
-            self.reservations -= n - w;
-            return w;
-        }
-        let (start, _) = handle_parts(self.cells[idx].data[0]);
-        let rem = {
-            let run = self.pool.entries_mut(start, n);
-            let mut w = 0;
-            for k in 0..n {
-                let e = run[k];
-                if (e & ROBOT_MASK) != rb {
-                    run[w] = e;
-                    w += 1;
-                }
-            }
             w
-        };
-        self.reservations -= n - rem;
-        if rem <= INLINE_WINDOW {
-            self.unspill(idx, start, 0, rem);
         } else {
-            self.cells[idx].len = rem as u32;
-        }
-        rem
-    }
-
-    /// Drop cell `idx`'s entries before tick `t`; the remaining length.
-    fn release_cell_before(&mut self, idx: usize, t: Tick) -> usize {
-        let n = self.cells[idx].len as usize;
-        if n <= INLINE_WINDOW {
-            let s = &mut self.cells[idx];
-            let cut = s.data[..n]
-                .iter()
-                .map(|&e| usize::from(tick_of(e) < t))
-                .sum::<usize>();
-            if cut > 0 {
-                for k in cut..n {
-                    s.data[k - cut] = s.data[k];
-                }
-                s.len = (n - cut) as u32;
-                self.reservations -= cut;
+            let k = s.data[0] as usize;
+            let spill = &mut self.spills[k];
+            spill.retain(|&e| keep(e));
+            let rem = spill.len();
+            if rem <= INLINE_WINDOW {
+                s.data[..rem].copy_from_slice(spill);
+                spill.clear();
+                self.free_spills.push(k as u32);
             }
-            return n - cut;
-        }
-        let (start, gen) = handle_parts(self.cells[idx].data[0]);
-        debug_assert_eq!(self.pool.generation_of(start), gen, "stale window handle");
-        let cut = self
-            .pool
-            .entries(start, n)
-            .partition_point(|&e| tick_of(e) < t);
-        let rem = n - cut;
-        self.reservations -= cut;
-        if rem <= INLINE_WINDOW {
-            // The live tail fits inline again: the amortized compaction
-            // that keeps long-lived tables from accreting runs.
-            self.unspill(idx, start, cut, rem);
-            return rem;
-        }
-        if cut > 0 {
-            self.pool.entries_mut(start, n).copy_within(cut.., 0);
-            self.cells[idx].len = rem as u32;
-        }
-        // Oversized runs move down a class once they sit far above their
-        // live tail (mirrors the reference layout's `shrink_to` policy:
-        // shrink when capacity exceeds twice the 2×len target).
-        let cap = WindowPool::cap(self.pool.class_of(start));
-        let target = (rem * 2).max(MIN_RUN);
-        if cap > target * 2 {
-            let (new_start, new_gen) = self.pool.alloc(WindowPool::class_for(target), idx as u32);
-            self.pool.move_entries(start, new_start, rem);
-            self.pool.free(start);
-            self.cells[idx].data[0] = handle(new_start, new_gen);
-        }
+            rem
+        };
+        s.len = rem as u32;
+        self.reservations -= n - rem;
         rem
-    }
-
-    /// Move a spilled window of `len` entries back inline and free its run.
-    fn unspill(&mut self, idx: usize, start: u32, keep_from: usize, len: usize) {
-        debug_assert!(len <= INLINE_WINDOW);
-        let mut tmp = [0u64; INLINE_WINDOW];
-        tmp[..len].copy_from_slice(&self.pool.entries(start, keep_from + len)[keep_from..]);
-        self.pool.free(start);
-        let s = &mut self.cells[idx];
-        s.data = tmp;
-        s.len = len as u32;
     }
 
     #[cfg(test)]
@@ -602,14 +303,35 @@ impl ConflictDetectionTable {
     }
 
     #[cfg(test)]
-    fn pool_len_words(&self) -> usize {
-        self.pool.words.len()
+    fn spill_count(&self) -> usize {
+        self.spills.len()
     }
 
     /// Whether the occupied set is exactly the non-empty windows.
     #[cfg(test)]
     fn occupied_is_exact(&self) -> bool {
         (0..self.cells.len()).all(|idx| (self.cells[idx].len > 0) == self.is_occupied(idx))
+    }
+
+    /// Whether every spilled cell owns a distinct spill of its window's
+    /// length, and every other spill is empty and on the free list once.
+    #[cfg(test)]
+    fn spills_are_exact(&self) -> bool {
+        let mut uses = vec![0u32; self.spills.len()];
+        for s in self.cells.iter().filter(|s| s.len as usize > INLINE_WINDOW) {
+            let k = s.data[0] as usize;
+            if self.spills.get(k).map(Vec::len) != Some(s.len as usize) {
+                return false;
+            }
+            uses[k] += 1;
+        }
+        for &k in &self.free_spills {
+            if self.spills.get(k as usize).map(Vec::len) != Some(0) {
+                return false;
+            }
+            uses[k as usize] += 1;
+        }
+        uses.iter().all(|&u| u == 1)
     }
 }
 
@@ -620,12 +342,12 @@ impl ReservationProbe for ConflictDetectionTable {
     }
 
     /// Specialization of the trait default: the `t`/`t+1` occupants of `to`
-    /// come from one probe over the pooled window — a branch-free
-    /// comparison sum inside the cell's own cache line for the common
-    /// inline case, a single binary search on spilled runs. The swap-side
-    /// probe of `from` is evaluated lazily: on an uncontended floor nobody
-    /// sits on `to` at `t`, so the common `can_move` touches exactly one
-    /// window and one parking word.
+    /// come from one probe over its window — a branch-free comparison sum
+    /// inside the cell's own cache line for the common inline case, a
+    /// single binary search on spills. The swap-side probe of `from` is
+    /// evaluated lazily: on an uncontended floor nobody sits on `to` at `t`,
+    /// so the common `can_move` touches exactly one window and one parking
+    /// word.
     fn can_move(&self, robot: RobotId, from: GridPos, to: GridPos, t: Tick) -> bool {
         let w = self.window(to.to_index(self.width));
         let (to_now_timed, to_next_timed) = Self::probe_pair(w, t);
@@ -686,10 +408,9 @@ impl ReservationSystem for ConflictDetectionTable {
 
     fn release_robot(&mut self, robot: RobotId) {
         // Rare exception path (breakdown / blockade invalidation): one
-        // retain pass over the occupied windows; spilled runs that fit
-        // inline again are compacted back and their runs freed for reuse.
+        // retain pass over the occupied windows.
         let rb = robot.index() as u64;
-        self.sweep_occupied(|cdt, idx| cdt.release_cell_robot(idx, rb));
+        self.sweep_occupied(|cdt, idx| cdt.retain_cell(idx, |e| (e & ROBOT_MASK) != rb));
     }
 
     fn release_before(&mut self, t: Tick) {
@@ -697,8 +418,7 @@ impl ReservationSystem for ConflictDetectionTable {
             (0..self.cells.len()).all(|idx| self.cells[idx].len == 0 || self.is_occupied(idx)),
             "a non-empty window is missing from the occupied set"
         );
-        self.sweep_occupied(|cdt, idx| cdt.release_cell_before(idx, t));
-        self.pool.maybe_compact(&mut self.cells);
+        self.sweep_occupied(|cdt, idx| cdt.retain_cell(idx, |e| tick_of(e) >= t));
     }
 
     fn reservation_count(&self) -> usize {
@@ -736,7 +456,13 @@ impl MemoryFootprint for ConflictDetectionTable {
     fn memory_bytes(&self) -> usize {
         self.cells.capacity() * std::mem::size_of::<CellSlot>()
             + self.occupied.capacity() * std::mem::size_of::<u64>()
-            + self.pool.memory_bytes()
+            + self.spills.capacity() * std::mem::size_of::<Vec<u64>>()
+            + self
+                .spills
+                .iter()
+                .map(|s| s.capacity() * std::mem::size_of::<u64>())
+                .sum::<usize>()
+            + self.free_spills.capacity() * std::mem::size_of::<u32>()
             + self.parked.memory_bytes()
     }
 }
@@ -832,19 +558,21 @@ mod tests {
         assert!(c.is_spilled(p(1, 1)));
         assert_eq!(c.window_ticks(p(1, 1)), (0..10).collect::<Vec<_>>());
         // GC down to two live entries: the window must fold back inline and
-        // free its run.
+        // free its spill.
         c.release_before(8);
         assert!(!c.is_spilled(p(1, 1)));
         assert_eq!(c.window_ticks(p(1, 1)), vec![8, 9]);
         assert_eq!(c.reservation_count(), 2);
-        // The freed run is reused by the next spill without growing the
-        // pool (free-list reuse, not allocator traffic).
-        let words = c.pool_len_words();
+        assert!(c.spills_are_exact());
+        // The freed spill is reused by the next spill instead of a new one
+        // (free-list reuse, not allocator traffic).
+        assert_eq!(c.spill_count(), 1);
         for t in 0..6 {
             c.insert(RobotId::new(0), p(2, 2), t);
         }
         assert!(c.is_spilled(p(2, 2)));
-        assert_eq!(c.pool_len_words(), words, "spill must reuse the free run");
+        assert_eq!(c.spill_count(), 1, "spill must reuse the free spill");
+        assert!(c.spills_are_exact());
     }
 
     #[test]
@@ -937,59 +665,10 @@ mod tests {
     }
 
     #[test]
-    fn gc_compacts_pool_when_mostly_free() {
-        // Spill enough cells that the pool crosses COMPACT_MIN_WORDS, then
-        // GC everything: the arena must compact in place and return the
-        // memory (capacity-based accounting must drop).
-        let mut c = ConflictDetectionTable::new(16, 16);
-        for i in 0..64u16 {
-            for t in 0..8 {
-                c.insert(RobotId::new(0), p(i % 16, i / 16), t);
-            }
-        }
-        let bytes_full = c.memory_bytes();
-        assert!(c.pool_len_words() >= COMPACT_MIN_WORDS);
-        c.release_before(100);
-        assert_eq!(c.reservation_count(), 0);
-        assert!(
-            c.memory_bytes() < bytes_full,
-            "emptied pool must compact ({} vs {bytes_full})",
-            c.memory_bytes()
-        );
-        assert_eq!(c.pool_len_words(), 0, "no live runs remain");
-    }
-
-    #[test]
-    fn partial_gc_keeps_spilled_capacity() {
-        // Mirrors the reference layout's policy: a window near its high
-        // water keeps its run (steady-state reuse); only far-oversized runs
-        // move down a class.
-        let mut c = ConflictDetectionTable::new(4, 4);
-        for t in 0..64 {
-            c.insert(RobotId::new(0), p(1, 1), t);
-        }
-        let words_full = c.pool_len_words();
-        c.release_before(8);
-        assert_eq!(c.reservation_count(), 56);
-        assert_eq!(
-            c.pool_len_words(),
-            words_full,
-            "near-high-water runs keep their class"
-        );
-        // Cutting to 8 live entries leaves a 64-capacity run 4× oversized:
-        // it must move to a smaller class (freeing the big run for reuse).
-        c.release_before(56);
-        assert_eq!(c.reservation_count(), 8);
-        assert!(c.is_spilled(p(1, 1)));
-        let ticks = c.window_ticks(p(1, 1));
-        assert_eq!(ticks, (56..64).collect::<Vec<_>>());
-    }
-
-    #[test]
     #[should_panic(expected = "exceeds the packed CDT encoding")]
     fn robot_beyond_guard_panics() {
         let mut c = ConflictDetectionTable::new(4, 4);
-        c.insert(RobotId::new(MAX_CDT_ROBOTS + 1), p(0, 0), 0);
+        c.insert(RobotId::new(MAX_FLEET), p(0, 0), 0);
     }
 
     #[test]
@@ -1002,10 +681,10 @@ mod tests {
     #[test]
     fn guard_boundaries_roundtrip() {
         let mut c = ConflictDetectionTable::new(4, 4);
-        c.insert(RobotId::new(MAX_CDT_ROBOTS), p(0, 0), MAX_CDT_TICK);
+        c.insert(RobotId::new(MAX_FLEET - 1), p(0, 0), MAX_CDT_TICK);
         assert_eq!(
             c.occupant(p(0, 0), MAX_CDT_TICK),
-            Some(RobotId::new(MAX_CDT_ROBOTS))
+            Some(RobotId::new(MAX_FLEET - 1))
         );
         assert_eq!(
             c.last_reservation_excluding(p(0, 0), RobotId::new(0)),
@@ -1170,8 +849,8 @@ mod tests {
         /// The pooled table must answer every occupancy, `can_move`,
         /// `last_reservation_excluding` and count query exactly like the
         /// reference layout after an arbitrary soup of inserts, path
-        /// reservations, GC passes, robot releases and (un)parking — the
-        /// acceptance bar of the pool rewrite.
+        /// reservations, GC passes, robot releases and (un)parking, with
+        /// every spill owned by one cell or free.
         #[test]
         fn pooled_equals_reference_under_soup(
             ops in proptest::collection::vec(
@@ -1180,6 +859,7 @@ mod tests {
         ) {
             let (pooled, reference) = apply_soup(&ops, (8, 8));
             prop_assert_eq!(pooled.reservation_count(), reference.reservation_count());
+            prop_assert!(pooled.spills_are_exact());
             let probe = RobotId::new(99);
             for x in 0..8u16 {
                 for y in 0..8u16 {
@@ -1231,6 +911,7 @@ mod tests {
             prop_assert_eq!(pooled.export_content(), reference.export_content());
             prop_assert_eq!(pooled.reservation_count(), reference.reservation_count());
             prop_assert!(pooled.occupied_is_exact());
+            prop_assert!(pooled.spills_are_exact());
         }
     }
 }

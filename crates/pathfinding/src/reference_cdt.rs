@@ -1,12 +1,14 @@
-//! The pre-pool conflict detection table, compiled only under `cfg(test)`
-//! as the reference the pooled table's property tests compare against.
+//! The one-`Vec`-per-cell conflict detection table, compiled only under
+//! `cfg(test)` as the reference the shipped table's property tests compare
+//! against.
 //!
 //! One heap-allocated sorted `Vec<(Tick, RobotId)>` per cell: every cell
 //! pays a 24-byte `Vec` header whether or not it ever holds a reservation,
 //! `can_move` binary-searches through a pointer indirection, and GC shrinks
 //! per-cell buffers individually. [`crate::cdt::ConflictDetectionTable`]
-//! replaces this layout with an indexed small-vec window pool; the two must
-//! answer every query identically (property-tested in `cdt.rs`).
+//! keeps up to two packed entries inline per cell and gives only longer
+//! windows a `Vec`; the two must answer every query identically
+//! (property-tested in `cdt.rs`).
 
 use crate::footprint::MemoryFootprint;
 use crate::path::Path;
@@ -246,8 +248,8 @@ mod tests {
     #[test]
     fn reference_keeps_vec_header_cost() {
         // The baseline's defining property: 24 B of `Vec` header per cell
-        // even while completely empty — exactly what the pooled CDT removes
-        // from the spill side.
+        // even while completely empty. The shipped CDT spends those 24 B on
+        // two inline entries and pays a `Vec` header only per spilled cell.
         let c = ReferenceConflictDetectionTable::new(10, 10);
         let headers = 100 * std::mem::size_of::<Vec<(Tick, RobotId)>>();
         assert_eq!(c.memory_bytes(), headers + 100 * 8);

@@ -35,7 +35,7 @@ pub struct TimedReservation {
 /// reservation plus every parked robot, in a canonical order (timed sorted
 /// by `(t, cell index, robot)`, parked by cell index). Two backends with
 /// equal content answer every [`ReservationSystem`] query identically, no
-/// matter how their physical layouts (layer rings, spill pools) differ —
+/// matter how their physical layouts (layer rings, spilled windows) differ —
 /// this is what checkpoints persist and restores rebuild.
 #[derive(Debug, Clone, PartialEq, Eq, Default, Serialize, Deserialize)]
 pub struct ReservationContent {

@@ -15,8 +15,8 @@
 //! than the seed's `Option<RobotId>` boxes — a quarter of the bytes per
 //! cell, so `occupant` is a single dense load and layer churn touches a
 //! quarter of the cache lines. Fleet sizes in the paper are ≤ 10⁴, far
-//! below the [`MAX_STG_ROBOTS`] guard; reserving with a larger robot id
-//! panics rather than aliasing the sentinel. The `VecDeque` of layers is
+//! below [`MAX_FLEET`]; reserving with a robot id at or above it panics
+//! rather than aliasing the sentinel. The `VecDeque` of layers is
 //! the tick ring: `layers[t - base]` is the occupancy of tick `t`, the
 //! front is popped as time passes, and `ensure_layer` appends (or prepends,
 //! for out-of-order reservations) zero-cost views of the same boxed slices.
@@ -31,14 +31,11 @@ use crate::reservation::{
     ParkingBoard, ReservationContent, ReservationProbe, ReservationSystem, TimedReservation,
 };
 use std::collections::VecDeque;
-use tprw_warehouse::{GridPos, RobotId, Tick};
+use tprw_warehouse::{GridPos, RobotId, Tick, MAX_FLEET};
 
 /// Sentinel for "no robot" in a layer cell.
 const EMPTY: u16 = u16::MAX;
-
-/// Largest robot id the `u16` layer encoding can hold (`u16::MAX` is the
-/// empty sentinel). Reserving for a robot beyond this panics.
-pub const MAX_STG_ROBOTS: usize = u16::MAX as usize - 1;
+const _: () = assert!(MAX_FLEET <= EMPTY as usize);
 
 /// One time layer: dense occupancy plus its live-reservation count.
 #[derive(Debug, Clone)]
@@ -142,9 +139,9 @@ impl ReservationSystem for SpatioTemporalGraph {
         self.parked.unpark(robot);
         let width = self.width;
         assert!(
-            robot.index() <= MAX_STG_ROBOTS,
+            robot.index() < MAX_FLEET,
             "robot {robot} exceeds the u16 STG layer encoding \
-             (MAX_STG_ROBOTS = {MAX_STG_ROBOTS}); shard the fleet or widen the layers"
+             (MAX_FLEET = {MAX_FLEET}); shard the fleet or widen the layers"
         );
         let id = robot.index() as u16;
         let mut added = 0usize;
@@ -209,9 +206,9 @@ impl ReservationSystem for SpatioTemporalGraph {
 
     fn restore_timed(&mut self, robot: RobotId, pos: GridPos, t: Tick) {
         assert!(
-            robot.index() <= MAX_STG_ROBOTS,
+            robot.index() < MAX_FLEET,
             "robot {robot} exceeds the u16 STG layer encoding \
-             (MAX_STG_ROBOTS = {MAX_STG_ROBOTS}); shard the fleet or widen the layers"
+             (MAX_FLEET = {MAX_FLEET}); shard the fleet or widen the layers"
         );
         let id = robot.index() as u16;
         let width = self.width;
@@ -402,10 +399,10 @@ mod tests {
     #[test]
     fn max_fleet_id_reserves() {
         let mut g = SpatioTemporalGraph::new(4, 4);
-        g.reserve_path(RobotId::new(MAX_STG_ROBOTS), &path(0, &[(0, 0)]), false);
+        g.reserve_path(RobotId::new(MAX_FLEET - 1), &path(0, &[(0, 0)]), false);
         assert_eq!(
             g.occupant(p(0, 0), 0),
-            Some(RobotId::new(MAX_STG_ROBOTS)),
+            Some(RobotId::new(MAX_FLEET - 1)),
             "largest encodable id round-trips"
         );
     }
@@ -414,6 +411,6 @@ mod tests {
     #[should_panic(expected = "exceeds the u16 STG layer encoding")]
     fn oversized_fleet_panics() {
         let mut g = SpatioTemporalGraph::new(4, 4);
-        g.reserve_path(RobotId::new(MAX_STG_ROBOTS + 1), &path(0, &[(0, 0)]), false);
+        g.reserve_path(RobotId::new(MAX_FLEET), &path(0, &[(0, 0)]), false);
     }
 }

@@ -501,11 +501,11 @@ mod tests {
     use eatp_core::base::BaseSnapshot;
     use eatp_core::planner::PlannerStats;
     use eatp_core::{planner_by_name, EatpConfig, PLANNER_NAMES as PLANNERS};
-    use tprw_pathfinding::cdt::{MAX_CDT_ROBOTS, MAX_CDT_TICK};
+    use tprw_pathfinding::cdt::MAX_CDT_TICK;
     use tprw_pathfinding::reservation::MAX_PARK_TICK;
     use tprw_warehouse::{
         DisruptionConfig, GridPos, LayoutConfig, OrderId, PickerId, RackId, RobotId, ScenarioSpec,
-        TimedEvent, WorkloadConfig,
+        TimedEvent, WorkloadConfig, MAX_FLEET,
     };
 
     fn make(name: &str) -> Box<dyn Planner> {
@@ -1341,7 +1341,7 @@ mod tests {
         };
         let below = GridPos::new(0, height);
         let phantom = RobotId::new(inst.robots.len());
-        let past_cap = RobotId::new(MAX_CDT_ROBOTS + 1);
+        let past_cap = RobotId::new(MAX_FLEET);
         for (what, expected) in [
             ("parking cell", "parking cell"),
             ("reservation cell", "reservation cell"),

@@ -28,11 +28,10 @@ use tprw_warehouse::{GridMap, GridPos, RobotId, Tick};
 pub(crate) mod reference;
 
 /// Largest robot index a [`ValidatorSnapshot`] may name on import: the
-/// `u16` fleet cap both reservation layers enforce
-/// ([`tprw_pathfinding::cdt::MAX_CDT_ROBOTS`]). The dense previous-position
-/// array is sized by the largest index, so an unchecked one could ask for
-/// gigabytes.
-const MAX_ROBOT_INDEX: usize = tprw_pathfinding::cdt::MAX_CDT_ROBOTS;
+/// fleet cap both reservation layers enforce ([`tprw_warehouse::MAX_FLEET`]).
+/// The dense previous-position array is sized by the largest index, so an
+/// unchecked one could ask for gigabytes.
+const MAX_ROBOT_INDEX: usize = tprw_warehouse::MAX_FLEET - 1;
 
 /// Sliding-window conflict checker fed one tick of robot positions at a
 /// time.

@@ -21,11 +21,13 @@ pub enum WarehouseError {
         /// Storage cells available.
         available: usize,
     },
-    /// The layout cannot host the requested number of robots.
+    /// The layout cannot host the requested number of robots, or the fleet
+    /// is larger than [`crate::MAX_FLEET`].
     TooManyRobots {
         /// Robots requested.
         requested: usize,
-        /// Aisle cells available.
+        /// Robots the layout can host: its aisle cells, at most
+        /// [`crate::MAX_FLEET`].
         available: usize,
     },
     /// The layout cannot host the requested number of pickers.
@@ -64,7 +66,7 @@ impl fmt::Display for WarehouseError {
                 available,
             } => write!(
                 f,
-                "requested {requested} robots but layout has {available} aisle cells"
+                "requested {requested} robots but at most {available} fit"
             ),
             WarehouseError::TooManyPickers {
                 requested,

@@ -60,6 +60,12 @@ id_type!(
     RobotId,
     "robot#"
 );
+
+/// Largest fleet a scenario may hold. Robot ids stay below it, so each fits
+/// the conflict detection table's 16-bit entry field and the spatiotemporal
+/// graph's `u16` layers beside their empty sentinel `u16::MAX`.
+pub const MAX_FLEET: usize = 65_535;
+
 id_type!(
     /// Identifier of an item (a task in the paper's terminology).
     ItemId,

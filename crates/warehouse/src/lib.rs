@@ -40,7 +40,7 @@ pub use error::WarehouseError;
 pub use events::{DisruptionConfig, DisruptionEvent, TimedEvent};
 pub use geometry::{Direction, GridPos, Rect};
 pub use grid::{CellKind, GridMap};
-pub use ids::{ItemId, OrderId, PickerId, RackId, RobotId};
+pub use ids::{ItemId, OrderId, PickerId, RackId, RobotId, MAX_FLEET};
 pub use layout::{Layout, LayoutConfig};
 pub use scenario::{Instance, ScenarioSpec};
 pub use time::{Duration, Tick};

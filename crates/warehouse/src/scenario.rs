@@ -11,7 +11,7 @@ use crate::error::WarehouseError;
 use crate::events::{validate_events, DisruptionConfig, TimedEvent};
 use crate::geometry::GridPos;
 use crate::grid::{CellKind, GridMap};
-use crate::ids::{PickerId, RackId, RobotId};
+use crate::ids::{PickerId, RackId, RobotId, MAX_FLEET};
 use crate::layout::{Layout, LayoutConfig};
 use crate::workload::{self, generate_items, sample_without_replacement, WorkloadConfig};
 use rand::rngs::StdRng;
@@ -125,10 +125,11 @@ impl ScenarioSpec {
         // Robots: random aisle cells (never on a station, so stations stay
         // clear for handoffs; storage cells host racks).
         let aisle_cells: Vec<GridPos> = layout.grid.cells_of_kind(CellKind::Aisle).collect();
-        if self.n_robots == 0 || self.n_robots > aisle_cells.len() {
+        let available = aisle_cells.len().min(MAX_FLEET);
+        if self.n_robots == 0 || self.n_robots > available {
             return Err(WarehouseError::TooManyRobots {
                 requested: self.n_robots,
-                available: aisle_cells.len(),
+                available,
             });
         }
         let spawns = sample_without_replacement(&aisle_cells, self.n_robots, &mut rng);
@@ -252,6 +253,12 @@ impl Instance {
             if !self.grid.in_bounds(p.pos) || self.grid.kind(p.pos) != CellKind::Station {
                 return Err(format!("picker {} is not on a station cell", p.id));
             }
+        }
+        if self.robots.len() > MAX_FLEET {
+            return Err(format!(
+                "{} robots exceed the fleet cap of {MAX_FLEET}",
+                self.robots.len()
+            ));
         }
         let mut seen = std::collections::HashSet::new();
         for (i, a) in self.robots.iter().enumerate() {
@@ -395,6 +402,30 @@ mod tests {
             spec.build(),
             Err(WarehouseError::TooManyPickers { .. })
         ));
+    }
+
+    #[test]
+    fn fleet_beyond_the_cap_is_a_typed_error() {
+        // The floor has room for 80 000 robots, but their ids would not fit
+        // the reservation layers' 16-bit robot fields.
+        let spec = ScenarioSpec {
+            layout: LayoutConfig::sized(420, 420),
+            n_robots: 80_000,
+            n_racks: 400,
+            ..small_spec()
+        };
+        assert_eq!(
+            spec.build().unwrap_err(),
+            WarehouseError::TooManyRobots {
+                requested: 80_000,
+                available: MAX_FLEET,
+            }
+        );
+        let mut inst = small_spec().build().unwrap();
+        let robot = inst.robots[0];
+        inst.robots.resize(MAX_FLEET + 1, robot);
+        let err = inst.validate().unwrap_err();
+        assert!(err.contains("fleet cap"), "{err}");
     }
 
     #[test]
