@@ -8,7 +8,7 @@
 //! strategies differ, the path-finding layer is shared.
 
 use crate::config::EatpConfig;
-use crate::planner::{InjectedFault, LegRequest, PlannerError, PlannerEvent, PlannerStats};
+use crate::planner::{LegRequest, PlannerEvent, PlannerStats};
 use serde::{Deserialize, Serialize};
 use std::time::Instant;
 use tprw_pathfinding::astar::{plan_path_with, PlanOptions};
@@ -101,21 +101,6 @@ pub struct PlannerBase<R: ReservationBackend> {
     /// is refused.
     fleet: usize,
     last_gc: Tick,
-    /// Armed decision fault: the next `plan` entry (via
-    /// [`PlannerBase::take_armed_decision_fault`]) returns it. Transient
-    /// within a tick — the engine only arms faults it fires the same tick,
-    /// so this never crosses a snapshot boundary.
-    armed_decision: Option<PlannerError>,
-    /// Armed leg-batch fault; same in-tick transience as `armed_decision`.
-    armed_leg: Option<PlannerError>,
-    /// Poison injections since the last integrity sweep: the sweep in
-    /// [`PlannerBase::housekeeping`] is gated on this so the faults-off hot
-    /// path never pays for verification. Cleared the same tick it is set
-    /// (poison lands in the bookkeeping phase, right before housekeeping).
-    poison_pending: u32,
-    /// Corrupt entries/fields detected and evicted by integrity sweeps
-    /// (diagnostic, not snapshotted).
-    pub poison_evictions: u64,
 }
 
 impl<R: ReservationBackend> PlannerBase<R> {
@@ -144,10 +129,6 @@ impl<R: ReservationBackend> PlannerBase<R> {
             fleet: instance.robots.len(),
             grid,
             last_gc: 0,
-            armed_decision: None,
-            armed_leg: None,
-            poison_pending: 0,
-            poison_evictions: 0,
         }
     }
 
@@ -235,13 +216,10 @@ impl<R: ReservationBackend> PlannerBase<R> {
         requests: &[LegRequest],
         start: Tick,
         results: &mut Vec<Option<Path>>,
-    ) -> Result<(), PlannerError> {
+    ) {
         results.clear();
-        if let Some(e) = self.armed_leg.take() {
-            return Err(e);
-        }
         if requests.is_empty() {
-            return Ok(());
+            return;
         }
         let t0 = Instant::now();
         self.group_done.clear();
@@ -264,49 +242,6 @@ impl<R: ReservationBackend> PlannerBase<R> {
             results.push(path);
         }
         self.stats.planning_ns += t0.elapsed().as_nanos() as u64;
-        Ok(())
-    }
-
-    /// Arm or apply an [`InjectedFault`] (the
-    /// [`crate::planner::Planner::inject_fault`] contract for base-backed
-    /// planners). Decision/leg faults arm and fire on the next matching
-    /// call; poison faults corrupt the targeted memoized structure now and
-    /// schedule the integrity sweep.
-    pub fn inject_fault(&mut self, fault: &InjectedFault) -> bool {
-        match *fault {
-            InjectedFault::SelectionFailure => {
-                self.armed_decision = Some(PlannerError::SelectionFailed {
-                    reason: "injected selection fault".into(),
-                });
-                true
-            }
-            InjectedFault::BudgetOverrun => {
-                self.armed_decision = Some(PlannerError::BudgetExceeded {
-                    used: self.stats.expansions,
-                    budget: self.config.max_expansions as u64,
-                });
-                true
-            }
-            InjectedFault::LegFailure => {
-                self.armed_leg = Some(PlannerError::LegBatchFailed {
-                    reason: "injected leg-batch fault".into(),
-                });
-                true
-            }
-            InjectedFault::OraclePoison { salt } => {
-                let poisoned = self.oracle.poison_field(salt);
-                if poisoned {
-                    self.poison_pending += 1;
-                }
-                poisoned
-            }
-        }
-    }
-
-    /// The armed decision fault, if any — base-backed planners call this at
-    /// the top of `plan` and return the error instead of selecting.
-    pub fn take_armed_decision_fault(&mut self) -> Option<PlannerError> {
-        self.armed_decision.take()
     }
 
     /// Dispatch one engine notification (the
@@ -316,17 +251,7 @@ impl<R: ReservationBackend> PlannerBase<R> {
         match event {
             PlannerEvent::Disruption { event, t } => self.apply_disruption(event, t),
             PlannerEvent::PathCancelled { robot, pos, t } => self.cancel_path(robot, pos, t),
-            PlannerEvent::RecoverDegraded => self.invalidate_derived(),
         }
-    }
-
-    /// Degradation recovery (the
-    /// [`PlannerEvent::RecoverDegraded`] contract): drop every
-    /// derived structure the failed tick might have left suspect. Oracle
-    /// fields recompute identically on demand, so on a clean world this is
-    /// behaviorally free.
-    pub fn invalidate_derived(&mut self) {
-        self.oracle.evict_all_fields();
     }
 
     /// Apply a disruption event to every grid-derived structure this base
@@ -393,17 +318,8 @@ impl<R: ReservationBackend> PlannerBase<R> {
         self.resv.park(robot, pos, t);
     }
 
-    /// Reservation GC, self-gated on the configured period — plus the
-    /// poison integrity sweep when an injected fault corrupted a memoized
-    /// structure this tick. The sweep is gated on `poison_pending`, so the
-    /// faults-off hot path never pays for verification, and it runs in the
-    /// same tick the poison landed, so corruption never survives into a
-    /// read or a snapshot.
+    /// Reservation GC, self-gated on the configured period.
     pub fn housekeeping(&mut self, t: Tick) {
-        if self.poison_pending > 0 {
-            self.poison_pending = 0;
-            self.poison_evictions += self.oracle.verify_fields() as u64;
-        }
         if t >= self.last_gc + self.config.gc_period {
             self.resv.release_before(t);
             self.last_gc = t;
@@ -730,9 +646,7 @@ mod tests {
         let mut batched: PlannerBase<SpatioTemporalGraph> =
             PlannerBase::new(&inst, EatpConfig::default(), false);
         let mut batched_paths = Vec::new();
-        batched
-            .commit_legs(&requests, 0, &mut batched_paths)
-            .unwrap();
+        batched.commit_legs(&requests, 0, &mut batched_paths);
 
         assert_eq!(serial_paths, batched_paths, "identical paths either way");
         assert_eq!(serial.stats.paths_planned, batched.stats.paths_planned);
@@ -755,7 +669,7 @@ mod tests {
             inst.racks[0].home,
             true,
         )];
-        base.commit_legs(&requests, 0, &mut Vec::new()).unwrap();
+        base.commit_legs(&requests, 0, &mut Vec::new());
         assert!(
             base.scratch.memory_bytes() > 0,
             "the batch warmed the arena"
@@ -805,7 +719,7 @@ mod tests {
         };
 
         let mut batch = build();
-        batch.commit_legs(&requests, 0, &mut Vec::new()).unwrap();
+        batch.commit_legs(&requests, 0, &mut Vec::new());
         assert_eq!(batch.stats.paths_planned, 1);
         assert_eq!(batch.stats.paths_failed, 2);
         assert!(
@@ -813,9 +727,7 @@ mod tests {
             "two searches ran dry"
         );
         let mut alone = build();
-        alone
-            .commit_legs(&requests[..1], 0, &mut Vec::new())
-            .unwrap();
+        alone.commit_legs(&requests[..1], 0, &mut Vec::new());
         assert_eq!(
             batch.stats.expansions, alone.stats.expansions,
             "successful searches only"
@@ -846,81 +758,9 @@ mod tests {
         let mut base: PlannerBase<SpatioTemporalGraph> =
             PlannerBase::new(&inst, EatpConfig::default(), false);
         let mut results = Vec::new();
-        base.commit_legs(&requests, 0, &mut results).unwrap();
+        base.commit_legs(&requests, 0, &mut results);
         assert!(results[0].is_some());
         assert!(results[1].is_none(), "group satisfied by the first leg");
         assert_eq!(base.stats.paths_planned, 1, "second leg never attempted");
-    }
-
-    #[test]
-    fn armed_decision_fault_fires_once() {
-        let inst = instance();
-        let mut base: PlannerBase<SpatioTemporalGraph> =
-            PlannerBase::new(&inst, EatpConfig::default(), false);
-        assert!(base.inject_fault(&InjectedFault::SelectionFailure));
-        let e = base.take_armed_decision_fault().expect("armed");
-        assert!(matches!(e, PlannerError::SelectionFailed { .. }));
-        assert!(base.take_armed_decision_fault().is_none(), "one-shot");
-        assert!(base.inject_fault(&InjectedFault::BudgetOverrun));
-        let e = base.take_armed_decision_fault().expect("armed");
-        assert!(matches!(e, PlannerError::BudgetExceeded { .. }));
-    }
-
-    #[test]
-    fn armed_leg_fault_fails_the_batch_then_clears() {
-        let inst = instance();
-        let requests = vec![LegRequest {
-            robot: inst.robots[0].id,
-            from: inst.robots[0].pos,
-            to: inst.racks[0].home,
-            park: true,
-            group: None,
-        }];
-        let mut base: PlannerBase<SpatioTemporalGraph> =
-            PlannerBase::new(&inst, EatpConfig::default(), false);
-        assert!(base.inject_fault(&InjectedFault::LegFailure));
-        let mut results = Vec::new();
-        let err = base.commit_legs(&requests, 0, &mut results).unwrap_err();
-        assert!(matches!(err, PlannerError::LegBatchFailed { .. }));
-        assert!(results.is_empty(), "nothing committed on a failed batch");
-        assert_eq!(base.stats.paths_planned, 0);
-        // The fault is one-shot: the retry succeeds.
-        base.commit_legs(&requests, 1, &mut results).unwrap();
-        assert!(results[0].is_some());
-    }
-
-    #[test]
-    fn oracle_poison_is_swept_by_housekeeping() {
-        let mut inst = instance();
-        // Block a cell so the oracle fills BFS fields instead of taking
-        // the Manhattan fast path.
-        inst.grid.set_kind(GridPos::new(3, 3), CellKind::Blocked);
-        let mut base: PlannerBase<SpatioTemporalGraph> =
-            PlannerBase::new(&inst, EatpConfig::default(), false);
-        let rack = inst.racks.iter().find(|r| r.picker != inst.racks[0].picker);
-        let rack = rack.expect("racks serve both pickers");
-        let clean = base.delivery(rack);
-        base.delivery(&inst.racks[0]);
-        assert_eq!(base.oracle.field_count(), 2, "one field per station");
-        assert!(base.inject_fault(&InjectedFault::OraclePoison { salt: 11 }));
-        base.housekeeping(0);
-        assert_eq!(base.poison_evictions, 1, "corrupt field detected");
-        assert_eq!(base.oracle.field_count(), 1, "the other field kept");
-        assert_eq!(base.delivery(rack), clean, "answers stay exact");
-    }
-
-    #[test]
-    fn invalidate_derived_is_behaviorally_free() {
-        let mut inst = instance();
-        // A blocked cell makes the oracle fill BFS fields.
-        inst.grid.set_kind(GridPos::new(3, 3), CellKind::Blocked);
-        let mut base: PlannerBase<ConflictDetectionTable> =
-            PlannerBase::new(&inst, EatpConfig::default(), false);
-        let rack = &inst.racks[0];
-        let clean = base.delivery(rack);
-        assert!(base.oracle.field_count() > 0);
-        base.invalidate_derived();
-        assert_eq!(base.oracle.field_count(), 0);
-        assert_eq!(base.delivery(rack), clean, "recomputation is bit-identical");
     }
 }

@@ -40,7 +40,7 @@
 //!
 //! A tick's delivery/return legs are planned as one batch, strictly in
 //! request order, by [`planner::Planner::commit_legs`], which the engine's
-//! per-tick leg pass and its degraded-tick fallback both call directly.
+//! per-tick leg pass calls directly.
 //! The engine never calls [`planner::Planner::query_legs`], which has no
 //! implementor: speculating the batch on worker threads was measured
 //! slower on every workload and deleted; see
@@ -67,9 +67,7 @@ pub use eatp::EfficientAdaptiveTaskPlanner;
 pub use ilp::IlpPlanner;
 pub use lef::LeastExpirationFirst;
 pub use ntp::NaiveTaskPlanner;
-pub use planner::{
-    AssignmentPlan, InjectedFault, LegRequest, Planner, PlannerError, PlannerEvent, PlannerStats,
-};
+pub use planner::{AssignmentPlan, LegRequest, Planner, PlannerEvent, PlannerStats};
 pub use world::WorldView;
 
 pub mod atp;

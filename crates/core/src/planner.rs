@@ -25,7 +25,7 @@ pub struct AssignmentPlan {
 }
 
 /// One leg of a planning batch (see [`Planner::commit_legs`]): a
-/// delivery, return or resumed leg, or a degraded tick's pickup.
+/// delivery, return or resumed leg.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct LegRequest {
     /// The robot needing a path.
@@ -111,75 +111,16 @@ pub struct PlannerStats {
     pub q_states: usize,
 }
 
-/// Typed failure of a planner decision boundary. The engine never panics on
-/// these: it counts the error, degrades the tick to the greedy fallback
-/// ([`crate::ntp`]-style nearest assignment) and recovers the primary
-/// planner on the next tick with invalidated derived state.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum PlannerError {
-    /// Rack selection failed outright (injected, or a future real failure
-    /// path such as a poisoned index that cannot self-heal in-tick).
-    SelectionFailed {
-        /// Human-readable cause, for the report only — never matched on.
-        reason: String,
-    },
-    /// The per-tick planning budget was exhausted before a decision landed.
-    BudgetExceeded {
-        /// A* expansions spent when the breach was declared.
-        used: u64,
-        /// The configured per-tick expansion budget.
-        budget: u64,
-    },
-    /// Batched leg planning failed wholesale; every leg of the batch is
-    /// retried on a later tick.
-    LegBatchFailed {
-        /// Human-readable cause, for the report only — never matched on.
-        reason: String,
-    },
-}
+/// The error type of [`Planner::plan`] and [`Planner::commit_legs`]. No
+/// planner fails either call, so it has no values; the `Result`s stay
+/// because the frozen `benchmark/` package forwards them
+/// (`docs/adr/ADR-024-no-fault-injection.md`).
+pub type PlannerError = std::convert::Infallible;
 
-impl std::fmt::Display for PlannerError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            PlannerError::SelectionFailed { reason } => {
-                write!(f, "rack selection failed: {reason}")
-            }
-            PlannerError::BudgetExceeded { used, budget } => {
-                write!(f, "planning budget exceeded: {used} expansions > {budget}")
-            }
-            PlannerError::LegBatchFailed { reason } => {
-                write!(f, "leg batch failed: {reason}")
-            }
-        }
-    }
-}
-
-impl std::error::Error for PlannerError {}
-
-/// A fault the engine injects into a planner at a subsystem boundary (see
-/// `tprw-simulator`'s `faults` module for how plans are drawn). Armed
-/// faults are *sticky*: they fire on the next matching call, however many
-/// ticks later that is, so a fault scheduled during a quiet stretch still
-/// lands deterministically.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum InjectedFault {
-    /// The next [`Planner::plan`] call returns
-    /// [`PlannerError::SelectionFailed`].
-    SelectionFailure,
-    /// The next [`Planner::plan`] call returns
-    /// [`PlannerError::BudgetExceeded`].
-    BudgetOverrun,
-    /// The next [`Planner::commit_legs`] call returns
-    /// [`PlannerError::LegBatchFailed`].
-    LegFailure,
-    /// Corrupt one distance-oracle station field (salt-selected); the
-    /// planner's integrity sweep must detect and drop it before the next
-    /// read. A floor where Manhattan is exact has no field to corrupt.
-    OraclePoison {
-        /// Deterministic selector for which field rots.
-        salt: u64,
-    },
-}
+/// The argument type of [`Planner::inject_fault`]. There are no faults, so
+/// it has no values; the method stays because the frozen `benchmark/`
+/// package forwards it (`docs/adr/ADR-024-no-fault-injection.md`).
+pub type InjectedFault = std::convert::Infallible;
 
 /// One engine-to-planner world-change notification, dispatched through
 /// [`Planner::on_event`] — the one seam the engine notifies planners
@@ -214,12 +155,6 @@ pub enum PlannerEvent<'a> {
         /// When.
         t: Tick,
     },
-    /// The engine degraded the previous tick after this planner failed or
-    /// overran its budget; the planner must invalidate derived state it can
-    /// no longer trust (oracle station fields) before resuming as
-    /// the primary. Rebuilt-on-demand structures make this behaviorally
-    /// free.
-    RecoverDegraded,
 }
 
 /// A task planner for the TPRW problem.
@@ -233,10 +168,8 @@ pub trait Planner {
     fn init(&mut self, instance: &Instance);
 
     /// The per-timestamp planning step: select racks, match idle robots,
-    /// plan and reserve conflict-free pickup paths. `Err` means the
-    /// decision boundary failed *before committing anything* — no
-    /// reservations were made — and the engine degrades the tick to its
-    /// greedy fallback instead of aborting.
+    /// plan and reserve conflict-free pickup paths. It cannot fail
+    /// ([`PlannerError`] has no values).
     fn plan(&mut self, world: &WorldView<'_>) -> Result<Vec<AssignmentPlan>, PlannerError>;
 
     /// Plan and reserve a delivery (`park = false`; the robot docks into the
@@ -275,9 +208,7 @@ pub trait Planner {
     ///
     /// Batching is a *performance* contract only: `commit_legs` must
     /// produce exactly the paths the per-leg [`Planner::plan_leg`] loop
-    /// would. `Err` means the whole batch failed before committing
-    /// anything; the engine treats every leg as blocked and retries on a
-    /// later tick.
+    /// would. It cannot fail ([`PlannerError`] has no values).
     fn commit_legs(
         &mut self,
         requests: &[LegRequest],
@@ -319,15 +250,10 @@ pub trait Planner {
     /// default ignores every event (stateless planners).
     fn on_event(&mut self, _event: PlannerEvent<'_>) {}
 
-    /// Arm or apply an [`InjectedFault`] (deterministic fault injection;
-    /// test/chaos harness only). Decision faults arm and fire on the next
-    /// matching `plan`/`commit_legs` call; poison faults corrupt a memoized
-    /// structure immediately. Returns whether the fault took hold (a
-    /// planner without the targeted structure reports `false` and the
-    /// fault is a no-op). The default ignores every fault, so planners
-    /// outside the harness are unaffected.
-    fn inject_fault(&mut self, _fault: &InjectedFault) -> bool {
-        false
+    /// Uncallable: [`InjectedFault`] has no values. Kept, like
+    /// [`Planner::query_legs`], for wrappers that forward it.
+    fn inject_fault(&mut self, fault: &InjectedFault) -> bool {
+        match *fault {}
     }
 
     /// Periodic maintenance: reservation garbage collection (the paper's
@@ -475,47 +401,5 @@ mod tests {
         assert!(results[2].is_some());
         assert!(results[3].is_none(), "group already satisfied");
         assert_eq!(p.calls, 3, "the satisfied group is not re-attempted");
-    }
-
-    #[test]
-    fn planner_error_display_is_informative() {
-        let e = PlannerError::BudgetExceeded {
-            used: 70_000,
-            budget: 60_000,
-        };
-        assert!(e.to_string().contains("70000"));
-        assert!(e.to_string().contains("60000"));
-        let e = PlannerError::SelectionFailed {
-            reason: "injected".into(),
-        };
-        assert!(e.to_string().contains("injected"));
-    }
-
-    #[test]
-    fn default_fault_hooks_are_noops() {
-        let mut p = MockPlanner {
-            blocked: GridPos::new(9, 0),
-            calls: 0,
-        };
-        assert!(!p.inject_fault(&InjectedFault::SelectionFailure));
-        assert!(!p.inject_fault(&InjectedFault::OraclePoison { salt: 5 }));
-        p.on_event(PlannerEvent::RecoverDegraded);
-        let world_plans = {
-            let racks = [];
-            let pickers = [];
-            let robots = [];
-            let world = crate::world::WorldView {
-                t: 0,
-                racks: &racks,
-                pickers: &pickers,
-                robots: &robots,
-                idle_robots: &[],
-                selectable_racks: &[],
-                backlog_depth: 0,
-                live_arrivals: &[],
-            };
-            p.plan(&world)
-        };
-        assert!(world_plans.unwrap().is_empty(), "no armed fault fires");
     }
 }

@@ -10,8 +10,7 @@
 use crate::base::{BaseSnapshot, PlannerBase, ReservationBackend};
 use crate::config::EatpConfig;
 use crate::planner::{
-    AssignmentPlan, InjectedFault, LegRequest, Planner, PlannerError, PlannerEvent, PlannerStats,
-    TentativeLeg,
+    AssignmentPlan, LegRequest, Planner, PlannerError, PlannerEvent, PlannerStats, TentativeLeg,
 };
 use crate::world::WorldView;
 use serde::{Deserialize, Serialize};
@@ -34,7 +33,7 @@ pub trait Strategy {
     fn bind(&mut self, _instance: &Instance) {}
 
     /// One timestamp's selection step and pickup planning. Called only when
-    /// the world has work and no decision fault is armed.
+    /// the world has work.
     fn select(
         &mut self,
         base: &mut PlannerBase<Self::Resv>,
@@ -92,9 +91,6 @@ impl<S: Strategy> Planner for Shell<S> {
 
     fn plan(&mut self, world: &WorldView<'_>) -> Result<Vec<AssignmentPlan>, PlannerError> {
         let base = bound(&mut self.base);
-        if let Some(e) = base.take_armed_decision_fault() {
-            return Err(e);
-        }
         if !world.has_work() {
             return Ok(Vec::new());
         }
@@ -119,11 +115,8 @@ impl<S: Strategy> Planner for Shell<S> {
         _tentative: &mut Vec<TentativeLeg>,
         results: &mut Vec<Option<Path>>,
     ) -> Result<(), PlannerError> {
-        bound(&mut self.base).commit_legs(requests, start, results)
-    }
-
-    fn inject_fault(&mut self, fault: &InjectedFault) -> bool {
-        bound(&mut self.base).inject_fault(fault)
+        bound(&mut self.base).commit_legs(requests, start, results);
+        Ok(())
     }
 
     fn on_dock(&mut self, robot: RobotId) {

@@ -101,9 +101,7 @@ impl DistanceOracle {
         self.evict_all_fields();
     }
 
-    /// Drop every BFS field — degradation recovery invalidates derived
-    /// state wholesale; distances recompute identically on demand, so this
-    /// is behaviorally free.
+    /// Drop every BFS field; distances recompute identically on demand.
     pub fn evict_all_fields(&mut self) {
         self.fields.fill(None);
     }
@@ -128,42 +126,6 @@ impl DistanceOracle {
     /// Number of filled BFS fields (diagnostics).
     pub fn field_count(&self) -> usize {
         self.fields.iter().flatten().count()
-    }
-
-    /// Deterministically corrupt one BFS field (fault injection): the
-    /// `salt`-selected filled field gets one reached distance bumped — the
-    /// silent bit-rot [`DistanceOracle::verify_fields`] must catch. Returns
-    /// `false` when no field is filled (nothing to poison).
-    pub fn poison_field(&mut self, salt: u64) -> bool {
-        let live = self.field_count().max(1);
-        let Some(field) = self.fields.iter_mut().flatten().nth(salt as usize % live) else {
-            return false;
-        };
-        let reached: Vec<usize> = (0..field.len()).filter(|&i| field[i] != 0).collect();
-        if reached.is_empty() {
-            return false;
-        }
-        let i = reached[((salt >> 8) as usize) % reached.len()];
-        field[i] = field[i].wrapping_add(1 + (salt % 5) as u32);
-        true
-    }
-
-    /// Integrity sweep: re-derive every filled field by a fresh BFS over the
-    /// current passability snapshot — the one
-    /// [`DistanceOracle::to_station`] fills fields with — and drop each
-    /// field that differs. Returns how many corrupt fields were dropped
-    /// (they refill lazily on the next queries).
-    pub fn verify_fields(&mut self) -> usize {
-        let mut corrupt = 0;
-        for (slot, &station) in self.fields.iter_mut().zip(self.stations.iter()) {
-            let Some(field) = slot else { continue };
-            let fresh = bfs_field(&self.passable, self.width, station, &mut self.queue);
-            if *field != fresh {
-                *slot = None;
-                corrupt += 1;
-            }
-        }
-        corrupt
     }
 }
 
@@ -434,40 +396,6 @@ mod tests {
             oracle.memory_bytes() >= empty + 16 * 16 * 4,
             "one field adds 4 B per cell"
         );
-    }
-
-    #[test]
-    fn poisoned_field_is_detected_evicted_and_recomputed() {
-        let mut grid = GridMap::filled(10, 10, CellKind::Aisle);
-        grid.set_kind(p(5, 5), CellKind::Blocked);
-        let mut oracle = DistanceOracle::new(&grid, &[p(9, 9), p(9, 0)]);
-        assert_eq!(oracle.verify_fields(), 0, "nothing live yet");
-        assert!(!oracle.poison_field(7), "no field to poison");
-        let clean = [s(0), s(1)].map(|k| oracle.to_station(p(0, 0), k));
-        assert_eq!(oracle.field_count(), 2);
-        assert_eq!(oracle.verify_fields(), 0, "fresh fields are consistent");
-        assert!(oracle.poison_field(7));
-        assert_eq!(oracle.verify_fields(), 1, "corruption detected");
-        assert_eq!(oracle.field_count(), 1, "only the lying field dropped");
-        let again = [s(0), s(1)].map(|k| oracle.to_station(p(0, 0), k));
-        assert_eq!(again, clean, "recomputed exactly");
-        assert_eq!(oracle.verify_fields(), 0);
-    }
-
-    #[test]
-    fn poison_salt_selects_deterministically() {
-        let mut grid = GridMap::filled(10, 10, CellKind::Aisle);
-        grid.set_kind(p(5, 5), CellKind::Blocked);
-        let build = |salt: u64| {
-            let mut oracle = DistanceOracle::new(&grid, &[p(9, 9), p(9, 0)]);
-            oracle.to_station(p(0, 0), s(0));
-            oracle.to_station(p(0, 9), s(1));
-            assert!(oracle.poison_field(salt));
-            oracle
-        };
-        let (a, b) = (build(123), build(123));
-        assert_eq!(a.fields, b.fields, "same salt corrupts the same cell");
-        assert_ne!(a.fields, build(124).fields, "another salt, another cell");
     }
 
     /// Scatter obstacles deterministically from a small seed, keeping the

@@ -42,11 +42,10 @@ mod schedule;
 mod transitions;
 
 use crate::commands::{Ack, BacklogOrder, SequencedCommand};
-use crate::faults::{DegradationPolicy, FaultConfig, FaultPlan};
 use crate::metrics::{self, MetricsSnapshot};
 use crate::report::SimulationReport;
 use crate::validate::TrajectoryValidator;
-use eatp_core::planner::{InjectedFault, LegRequest, Planner, PlannerEvent};
+use eatp_core::planner::{LegRequest, Planner, PlannerEvent};
 use schedule::Schedule;
 use serde::{Deserialize, Serialize};
 use tprw_pathfinding::Path;
@@ -64,13 +63,6 @@ pub struct EngineConfig {
     /// Bottleneck trace bucket width in ticks; `0` derives 1/40 of the
     /// expected horizon.
     pub bottleneck_bucket: Tick,
-    /// Deterministic fault injection (see [`crate::faults`]). The default
-    /// is fully disabled, which is bit-identical to not having the fault
-    /// machinery at all.
-    pub faults: FaultConfig,
-    /// How planner errors and budget overruns degrade the tick (see
-    /// [`DegradationPolicy`]). Disabled by default.
-    pub degradation: DegradationPolicy,
     /// Live-ingestion mode: the run is fed orders through
     /// [`Engine::tick_with_commands`] and only completes once a
     /// [`Command::Shutdown`](crate::commands::Command::Shutdown) has been
@@ -111,18 +103,6 @@ impl EngineConfigBuilder {
     /// Bottleneck trace bucket width in ticks (`0` derives).
     pub fn bottleneck_bucket(mut self, width: Tick) -> Self {
         self.config.bottleneck_bucket = width;
-        self
-    }
-
-    /// Deterministic fault injection plan.
-    pub fn faults(mut self, faults: FaultConfig) -> Self {
-        self.config.faults = faults;
-        self
-    }
-
-    /// Planner-error degradation policy.
-    pub fn degradation(mut self, policy: DegradationPolicy) -> Self {
-        self.config.degradation = policy;
         self
     }
 
@@ -223,25 +203,6 @@ pub struct EngineState {
     pub peak_memory: usize,
     pub peak_scratch: usize,
     pub next_checkpoint: usize,
-    /// Ticks whose planning phase ran the greedy fallback instead of the
-    /// primary planner (degradation).
-    pub degraded_ticks: u64,
-    /// Assignments committed by the greedy fallback.
-    pub fallback_assignments: u64,
-    /// Planner `plan`/`commit_legs` errors observed (injected or real).
-    pub planner_errors: u64,
-    /// The previous planning tick overran its expansion budget; the next
-    /// planning tick degrades pre-emptively.
-    pub degrade_next: bool,
-    /// A degraded tick just ran; the primary planner is restored (derived
-    /// state invalidated) at the start of the next tick.
-    pub recover_next: bool,
-    /// Cursor into the fault plan's decision-fault schedule.
-    pub next_decision_fault: usize,
-    /// Cursor into the fault plan's leg-fault schedule.
-    pub next_leg_fault: usize,
-    /// Cursor into the fault plan's poison schedule.
-    pub next_poison_fault: usize,
     /// A [`Command::Shutdown`](crate::commands::Command::Shutdown) was
     /// accepted: no new orders are admitted and the run completes once
     /// backlog and floor drain.
@@ -322,7 +283,7 @@ impl EngineState {
 /// [`crate::snapshot`]).
 ///
 /// Everything beside `state` is *derived*: a function of the instance and
-/// config (`max_ticks`, `bucket_width`, `fault_plan`), rebuilt from `state`
+/// config (`max_ticks`, `bucket_width`), rebuilt from `state`
 /// on resume (the schedule), or scratch that is empty at every tick
 /// boundary.
 pub struct Engine<'a> {
@@ -333,10 +294,6 @@ pub struct Engine<'a> {
     max_ticks: Tick,
     /// Bottleneck trace bucket width in ticks.
     bucket_width: Tick,
-    /// The materialized fault schedule, regenerated from
-    /// [`EngineConfig::faults`] (like the instance's disruption schedule);
-    /// only the cursors in `state` are canonical.
-    fault_plan: FaultPlan,
     /// The busy set, docked count, arrival agenda, planning dirty flags and
     /// clean certificate every phase consults; built from `state` at
     /// construction and again on resume.
@@ -386,7 +343,6 @@ impl<'a> Engine<'a> {
             schedule,
             max_ticks,
             bucket_width: bucket,
-            fault_plan: FaultPlan::generate(&config.faults),
             freeze_queue: Vec::new(),
             idle_buf: Vec::with_capacity(n_robots),
             selectable_buf: Vec::with_capacity(instance.racks.len()),
@@ -435,14 +391,6 @@ impl<'a> Engine<'a> {
     ) {
         if self.state.finished {
             return;
-        }
-        // A degraded tick just ran: restore the primary planner before
-        // anything else this tick, with its derived state (the oracle's
-        // station fields) invalidated — whatever made it fail
-        // must not survive into this tick's decisions.
-        if self.state.recover_next {
-            self.state.recover_next = false;
-            planner.on_event(PlannerEvent::RecoverDegraded);
         }
         let t = self.state.t;
         self.apply_commands(commands, t, planner);
@@ -531,9 +479,6 @@ impl<'a> Engine<'a> {
             events_deferred: self.state.events_deferred,
             disruption_violations: self.state.disruption_violations,
             anticipation_hits: stats.anticipation_hits,
-            degraded_ticks: self.state.degraded_ticks,
-            fallback_assignments: self.state.fallback_assignments,
-            planner_errors: self.state.planner_errors,
             orders_submitted: self.state.orders_submitted,
             orders_cancelled: self.state.orders_cancelled,
             orders_rejected: self.state.orders_rejected,
@@ -661,20 +606,6 @@ fn is_docked(phase: RobotPhase) -> bool {
         phase,
         RobotPhase::Queuing { .. } | RobotPhase::Processing { .. }
     )
-}
-
-/// Inject into `planner` every fault of the tick-sorted `faults` due at
-/// `t`, advancing `cursor` past them.
-fn inject_due(
-    planner: &mut dyn Planner,
-    faults: &[(Tick, InjectedFault)],
-    cursor: &mut usize,
-    t: Tick,
-) {
-    while let Some(&(_, fault)) = faults.get(*cursor).filter(|&&(at, _)| at <= t) {
-        *cursor += 1;
-        planner.inject_fault(&fault);
-    }
 }
 
 /// 64-bit FNV-1a over a byte slice.

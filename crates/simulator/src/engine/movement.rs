@@ -1,8 +1,8 @@
 //! Phases 5–6: robots advance along their paths and the validator checks
-//! the new positions; then metrics, checkpoints, fault poison and the
-//! planner's reservation GC.
+//! the new positions; then metrics, checkpoints and the planner's
+//! reservation GC.
 
-use super::{inject_due, is_docked, Engine, EngineState};
+use super::{is_docked, Engine, EngineState};
 use crate::metrics::Checkpoint;
 use eatp_core::planner::Planner;
 use tprw_warehouse::{GridPos, RobotPhase, Tick};
@@ -166,13 +166,6 @@ impl Engine<'_> {
                 self.state.next_checkpoint += 1;
             }
         }
-
-        // Poison faults land immediately before housekeeping, whose sweep
-        // must detect, evict and recompute the corrupted entries — the
-        // corruption never survives past this tick (and therefore never
-        // crosses a snapshot boundary).
-        let cursor = &mut self.state.next_poison_fault;
-        inject_due(planner, &self.fault_plan.poison, cursor, t);
 
         planner.housekeeping(t);
     }

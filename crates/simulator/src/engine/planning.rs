@@ -1,9 +1,8 @@
-//! Phase 4: the planner's per-timestamp selection and assignment, the
-//! engine's greedy fallback for degraded ticks, and `dispatch`, which
-//! commits a robot to a rack.
+//! Phase 4: the planner's per-timestamp selection and assignment, and
+//! `dispatch`, which commits a robot to a rack.
 
-use super::{inject_due, is_docked, Engine, EngineState};
-use eatp_core::planner::{LegRequest, Planner};
+use super::{Engine, EngineState};
+use eatp_core::planner::Planner;
 use eatp_core::world::WorldView;
 use tprw_pathfinding::Path;
 use tprw_warehouse::{Rack, RackId, Robot, RobotPhase, Tick};
@@ -13,9 +12,7 @@ impl Engine<'_> {
     pub(super) fn step_planning(&mut self, t: Tick, planner: &mut dyn Planner) {
         // The dirty flags conservatively over-approximate the two offer
         // pools, so either being clear proves the scans below would find a
-        // pool empty and return — *before* touching the degradation latch or
-        // the decision-fault cursor, which is what keeps this skip exact
-        // under chaos regimes too.
+        // pool empty and return.
         let state = &self.state;
         if !self.schedule.may_plan() {
             debug_assert!(
@@ -40,19 +37,6 @@ impl Engine<'_> {
                 .planning_scanned(!self.idle_buf.is_empty(), !self.selectable_buf.is_empty());
             return;
         }
-        // A budget overrun on the previous planning tick degrades this one
-        // pre-emptively: the primary planner is skipped outright.
-        if self.state.degrade_next {
-            self.state.degrade_next = false;
-            self.state.degraded_ticks += 1;
-            self.state.recover_next = true;
-            self.greedy_fallback(t, planner);
-            return;
-        }
-        // Decision faults are consumed only by a tick that actually plans,
-        // so an armed fault always fires within the tick that armed it.
-        let cursor = &mut self.state.next_decision_fault;
-        inject_due(planner, &self.fault_plan.decision, cursor, t);
         let world = WorldView {
             t,
             racks: &self.state.racks,
@@ -63,42 +47,7 @@ impl Engine<'_> {
             live_arrivals: &self.state.live_item_arrivals,
             backlog_depth: self.backlog_depth(),
         };
-        // The real (non-injected) budget check measures the A* expansions
-        // this `plan()` call performs — a deterministic proxy for its cost
-        // (wall-clock would make degradation nondeterministic). Faults-off
-        // runs with no budget never call `stats()` here.
-        let budget = if self.config.degradation.enabled {
-            self.config.degradation.max_expansions_per_tick
-        } else {
-            0
-        };
-        let expansions_before = if budget > 0 {
-            planner.stats().expansions
-        } else {
-            0
-        };
-        let plans = match planner.plan(&world) {
-            Ok(plans) => plans,
-            Err(_e) => {
-                // The planner failed before committing any reservation.
-                // Degrade the tick to the greedy fallback (or, with
-                // degradation off, just lose this tick's planning phase)
-                // and restore the primary planner next tick.
-                self.state.planner_errors += 1;
-                if self.config.degradation.enabled {
-                    self.state.degraded_ticks += 1;
-                    self.state.recover_next = true;
-                    self.greedy_fallback(t, planner);
-                }
-                return;
-            }
-        };
-        if budget > 0 {
-            let used = planner.stats().expansions.saturating_sub(expansions_before);
-            if used > budget {
-                self.state.degrade_next = true;
-            }
-        }
+        let Ok(plans) = planner.plan(&world);
         for plan in plans {
             let ai = plan.robot.index();
             debug_assert!(
@@ -123,80 +72,6 @@ impl Engine<'_> {
             }
             self.dispatch(ai, plan.rack, plan.path);
         }
-    }
-
-    /// The degradation fallback: NTP-style nearest assignment, run by the
-    /// engine itself so it cannot depend on the failed planner's selection
-    /// machinery. For each selectable rack (engine offer order) it applies
-    /// the planners' parked-home rule — an idle robot standing on the rack
-    /// home must take the job itself — then falls back to the closest
-    /// unused idle robot by `(manhattan, id)`. Pickup legs still go through
-    /// [`Planner::commit_legs`], the same reservation-backed path the
-    /// per-tick leg pass uses, so fallback trajectories stay
-    /// conflict-checked like any other.
-    fn greedy_fallback(&mut self, t: Tick, planner: &mut dyn Planner) {
-        let idle = std::mem::take(&mut self.idle_buf);
-        let selectable = std::mem::take(&mut self.selectable_buf);
-        let mut used = vec![false; self.state.robots.len()];
-        let mut assigned = 0usize;
-        for &rid in &selectable {
-            if assigned >= idle.len() {
-                break;
-            }
-            let ri = rid.index();
-            let home = self.state.racks[ri].home;
-            // Parked-home rule. A non-idle on-grid robot on the home cell
-            // (frozen or passing) makes the rack unservable this tick.
-            let chosen = if let Some(&a) = idle
-                .iter()
-                .find(|&&a| self.state.robots[a.index()].pos == home)
-            {
-                if used[a.index()] {
-                    continue; // the parked robot already took a rack
-                }
-                Some(a)
-            } else if self
-                .state
-                .robots
-                .iter()
-                .any(|r| r.pos == home && !r.is_idle() && !is_docked(r.phase))
-            {
-                continue;
-            } else {
-                idle.iter()
-                    .copied()
-                    .filter(|a| !used[a.index()])
-                    .min_by_key(|a| {
-                        let pos = self.state.robots[a.index()].pos;
-                        (pos.manhattan(home), a.index())
-                    })
-            };
-            let Some(robot_id) = chosen else {
-                continue;
-            };
-            let ai = robot_id.index();
-            let from = self.state.robots[ai].pos;
-            self.leg_requests.clear();
-            self.leg_requests
-                .push(LegRequest::new(robot_id, from, home, true));
-            let results = &mut self.leg_results;
-            if planner
-                .commit_legs(&self.leg_requests, t, &mut Vec::new(), results)
-                .is_err()
-            {
-                self.state.planner_errors += 1;
-                continue;
-            }
-            let Some(path) = self.leg_results.first_mut().and_then(|r| r.take()) else {
-                continue; // blocked; the rack waits for the next tick
-            };
-            self.dispatch(ai, rid, path);
-            used[ai] = true;
-            assigned += 1;
-            self.state.fallback_assignments += 1;
-        }
-        self.idle_buf = idle;
-        self.selectable_buf = selectable;
     }
 
     /// Commit robot `ai` to fetch `rack` along `path`. The batch is fixed at

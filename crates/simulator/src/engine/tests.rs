@@ -417,7 +417,7 @@ impl Planner for CollidingPlanner {
     fn plan(
         &mut self,
         world: &WorldView<'_>,
-    ) -> Result<Vec<eatp_core::planner::AssignmentPlan>, eatp_core::PlannerError> {
+    ) -> Result<Vec<eatp_core::planner::AssignmentPlan>, eatp_core::planner::PlannerError> {
         if self.planned {
             return Ok(Vec::new());
         }
@@ -535,100 +535,5 @@ fn executed_conflicts_match_the_seed_check() {
     assert!(
         at(SHARED_HOME) >= 3,
         "two robots stand on one cell for several ticks"
-    );
-}
-
-fn chaos_config(fault_seed: u64) -> EngineConfig {
-    EngineConfig::builder()
-        .faults(crate::faults::FaultConfig::chaos(fault_seed, (5, 150)))
-        .degradation(crate::faults::DegradationPolicy {
-            enabled: true,
-            max_expansions_per_tick: 0,
-        })
-        .build()
-        .unwrap()
-}
-
-#[test]
-fn injected_faults_degrade_gracefully_and_stay_safe() {
-    let inst = small_instance(25, 42);
-    let config = chaos_config(1234);
-    let mut planner = NaiveTaskPlanner::new(EatpConfig::default());
-    let report = run_simulation(&inst, &mut planner, &config);
-    assert!(report.completed, "faults must not wedge the run");
-    assert_eq!(report.executed_conflicts, 0, "fallback plans stay safe");
-    assert!(report.planner_errors > 0, "injected errors must surface");
-    assert!(report.degraded_ticks > 0, "errors must degrade ticks");
-    assert!(
-        report.fallback_assignments > 0,
-        "the greedy fallback must commit work on degraded ticks"
-    );
-
-    // Same fault seed, fresh planner: bit-identical replay, injected
-    // degradations included.
-    let mut p2 = NaiveTaskPlanner::new(EatpConfig::default());
-    let r2 = run_simulation(&inst, &mut p2, &config);
-    assert_eq!(
-        report.deterministic_fingerprint(),
-        r2.deterministic_fingerprint(),
-        "fault injection must be seed-deterministic"
-    );
-}
-
-#[test]
-fn faults_off_means_zero_degraded_ticks_and_unchanged_run() {
-    let inst = small_instance(20, 7);
-    let mut p1 = NaiveTaskPlanner::new(EatpConfig::default());
-    let clean = run_simulation(&inst, &mut p1, &EngineConfig::default());
-    assert_eq!(clean.degraded_ticks, 0);
-    assert_eq!(clean.fallback_assignments, 0);
-    assert_eq!(clean.planner_errors, 0);
-
-    // Arming the degradation policy without faults (and without an
-    // expansion budget) must not perturb the run at all.
-    let armed = EngineConfig::builder()
-        .degradation(crate::faults::DegradationPolicy {
-            enabled: true,
-            max_expansions_per_tick: 0,
-        })
-        .build()
-        .unwrap();
-    let mut p2 = NaiveTaskPlanner::new(EatpConfig::default());
-    let r2 = run_simulation(&inst, &mut p2, &armed);
-    assert_eq!(
-        clean.deterministic_fingerprint(),
-        r2.deterministic_fingerprint(),
-        "an idle degradation policy is a no-op"
-    );
-}
-
-#[test]
-fn expansion_budget_overrun_degrades_next_planning_tick() {
-    let inst = small_instance(25, 13);
-    let config = EngineConfig::builder()
-        .degradation(crate::faults::DegradationPolicy {
-            enabled: true,
-            max_expansions_per_tick: 1,
-        })
-        .build()
-        .unwrap();
-    let mut planner = NaiveTaskPlanner::new(EatpConfig::default());
-    let report = run_simulation(&inst, &mut planner, &config);
-    assert!(report.completed, "budget pressure must not wedge the run");
-    assert_eq!(report.executed_conflicts, 0);
-    assert!(
-        report.degraded_ticks > 0,
-        "a one-expansion budget must trip the overrun latch"
-    );
-    assert_eq!(
-        report.planner_errors, 0,
-        "budget overruns degrade without counting as planner errors"
-    );
-
-    let mut p2 = NaiveTaskPlanner::new(EatpConfig::default());
-    let r2 = run_simulation(&inst, &mut p2, &config);
-    assert_eq!(
-        report.deterministic_fingerprint(),
-        r2.deterministic_fingerprint()
     );
 }

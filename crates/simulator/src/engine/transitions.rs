@@ -4,7 +4,7 @@
 
 use super::{is_docked, Engine, EngineState};
 use crate::commands::Ack;
-use eatp_core::planner::{InjectedFault, LegRequest, Planner};
+use eatp_core::planner::{LegRequest, Planner};
 use tprw_pathfinding::Path;
 use tprw_warehouse::{Item, ItemId, QueueEntry, RobotId, RobotPhase, Tick};
 
@@ -184,8 +184,7 @@ impl Engine<'_> {
         self.schedule.recycle_due(due);
 
         // 3b. One leg pass. Three empty pending lists mean the pass would
-        // build zero requests and return before touching the leg-fault
-        // cursor — a provable no-op.
+        // build zero requests and return — a provable no-op.
         let s = &self.state;
         if [&s.needs_replan, &s.needs_delivery, &s.needs_return]
             .iter()
@@ -264,31 +263,10 @@ impl Engine<'_> {
         if self.leg_requests.is_empty() {
             return;
         }
-
-        // Leg faults are consumed only by a tick that actually batches
-        // legs — an armed fault must fire (and clear) within this tick so
-        // no fault state ever crosses a snapshot boundary.
-        while self.state.next_leg_fault < self.fault_plan.leg.len()
-            && self.fault_plan.leg[self.state.next_leg_fault] <= t
-        {
-            self.state.next_leg_fault += 1;
-            planner.inject_fault(&InjectedFault::LegFailure);
-        }
         // No planner reads the tentative buffer (ADR-005), so an empty one
         // is passed and `query_legs` is never called.
         let results = &mut self.leg_results;
-        if planner
-            .commit_legs(&self.leg_requests, t, &mut Vec::new(), results)
-            .is_err()
-        {
-            // The batch failed as a unit before reserving anything. Count
-            // it and apply all-`None` results: every pending leg stays
-            // queued and retries next tick, exactly like individually
-            // blocked legs.
-            self.state.planner_errors += 1;
-            self.leg_results.clear();
-            self.leg_results.resize(self.leg_requests.len(), None);
-        }
+        let Ok(()) = planner.commit_legs(&self.leg_requests, t, &mut Vec::new(), results);
         debug_assert_eq!(self.leg_results.len(), self.leg_requests.len());
 
         let mut i = 0;

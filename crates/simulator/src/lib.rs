@@ -19,9 +19,6 @@
 //! * [`service`] — the bounded command queue a producer thread feeds and
 //!   the engine thread drains one tick at a time, bit-identically to
 //!   handing it the same batches directly (see `docs/order-stream.md`);
-//! * [`faults`] — seed-deterministic fault plans (planner decision/leg
-//!   failures, oracle poisoning) plus the graceful-degradation
-//!   policy (see `docs/fault-injection.md`);
 //! * [`metrics`] — makespan (M), Picker Processing Rate (PPR), Robot Working
 //!   Rate (RWR), Selection/Planning Time Consumption (STC/PTC), Memory
 //!   Consumption (MC) and the Fig. 13 bottleneck decomposition;
@@ -33,7 +30,6 @@
 
 pub mod commands;
 pub mod engine;
-pub mod faults;
 pub mod metrics;
 pub mod report;
 pub mod service;
@@ -42,7 +38,6 @@ pub mod validate;
 
 pub use commands::{Ack, BacklogOrder, Command, OrderSpec, RejectReason, SequencedCommand};
 pub use engine::{run_simulation, Engine, EngineConfig, EngineConfigBuilder, EngineState};
-pub use faults::{DegradationPolicy, FaultConfig, FaultPlan};
 pub use metrics::{BottleneckSample, Checkpoint};
 pub use report::{DeterministicFingerprint, SimulationReport};
 pub use service::{ServiceQueue, TickBatch};

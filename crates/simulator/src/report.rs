@@ -60,14 +60,6 @@ pub struct SimulationReport {
     /// (`docs/adr/ADR-011-one-selection-policy.md`). Kept because
     /// benchmark reports read it.
     pub anticipation_hits: u64,
-    /// Ticks whose planning phase degraded to the engine's greedy fallback
-    /// (planner error or expansion-budget overrun; 0 with faults off and
-    /// degradation disabled).
-    pub degraded_ticks: u64,
-    /// Assignments committed by the greedy fallback during degraded ticks.
-    pub fallback_assignments: u64,
-    /// Planner `plan`/`commit_legs` errors observed (injected or real).
-    pub planner_errors: u64,
     /// Orders submitted: live-ingested acceptances plus the pregenerated
     /// item list, which the engine models as an order book submitted at
     /// tick 0 (so a live run and its pregenerated equivalent agree).
@@ -92,8 +84,8 @@ pub struct SimulationReport {
 
 /// The deterministic projection of a [`SimulationReport`]: every field that
 /// must be bit-identical across regimes that may not change behaviour
-/// (tick strategies, live vs pregenerated orders, snapshot/resume, faults
-/// off vs absent) and across PRs that claim none. Wall-clock timings and
+/// (tick strategies, live vs pregenerated orders, snapshot/resume) and
+/// across PRs that claim none. Wall-clock timings and
 /// memory accounting — which legitimately differ — are excluded. Shared by
 /// the committed `results/fingerprints_*` files and the equivalence tests
 /// so the checks cannot drift apart.
@@ -131,12 +123,14 @@ pub struct DeterministicFingerprint {
     /// q-states, and a last slot. The path-cache and last slots are always
     /// 0 (kept so the committed fingerprint lines stay unedited).
     pub planner_counters: (u64, u64, u64, u64, usize, u64),
-    /// Degraded ticks (greedy-fallback planning phases). Appended after
-    /// `planner_counters` so pre-fault fingerprint prefixes stay stable.
+    /// Always 0, like the next two: the degraded-tick count of the deleted
+    /// fault-injection layer (`docs/adr/ADR-024-no-fault-injection.md`).
+    /// The three slots stay so the committed fingerprint lines, and the
+    /// benchmark's hash of them, stay unedited.
     pub degraded_ticks: u64,
-    /// Fallback assignments committed during degraded ticks.
+    /// Always 0: the deleted greedy fallback's assignment count.
     pub fallback_assignments: u64,
-    /// Planner errors observed (injected or real).
+    /// Always 0: the deleted planner-error count.
     pub planner_errors: u64,
     /// Order-lifecycle counters, appended after `planner_errors` so every
     /// pre-ingestion fingerprint prefix stays stable: submitted,
@@ -181,9 +175,9 @@ impl SimulationReport {
                 self.planner_stats.q_states,
                 self.planner_stats.anticipation_hits,
             ),
-            degraded_ticks: self.degraded_ticks,
-            fallback_assignments: self.fallback_assignments,
-            planner_errors: self.planner_errors,
+            degraded_ticks: 0,
+            fallback_assignments: 0,
+            planner_errors: 0,
             order_counters: (
                 self.orders_submitted,
                 self.orders_cancelled,
@@ -289,9 +283,6 @@ mod tests {
             events_deferred: 0,
             disruption_violations: 0,
             anticipation_hits: 0,
-            degraded_ticks: 0,
-            fallback_assignments: 0,
-            planner_errors: 0,
             orders_submitted: 100,
             orders_cancelled: 0,
             orders_rejected: 0,

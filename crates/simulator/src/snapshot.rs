@@ -1312,6 +1312,87 @@ mod tests {
         }
     }
 
+    /// A v6 payload written while fault injection existed still reads
+    /// (`docs/adr/ADR-024-no-fault-injection.md`): one that carries every
+    /// retired key with non-default values — the fault plan and
+    /// degradation policy in the config, the degradation latches, the
+    /// three fault cursors and the three degradation counters in the
+    /// engine state — decodes to this build's default config and resumes,
+    /// fault-free, to the uninterrupted run's fingerprint.
+    #[test]
+    fn v6_payloads_with_fault_keys_resume_fault_free() {
+        let inst = scenario(blockade_storm(), 42);
+        let config = EngineConfig::default();
+        let retired_config = [
+            (
+                "faults",
+                Value::Object(vec![
+                    ("enabled".into(), Value::Bool(true)),
+                    ("seed".into(), Value::U64(4242)),
+                    ("decision_faults".into(), Value::U64(4)),
+                    ("leg_faults".into(), Value::U64(3)),
+                    ("poison_faults".into(), Value::U64(4)),
+                    (
+                        "window".into(),
+                        Value::Array(vec![Value::U64(5), Value::U64(150)]),
+                    ),
+                ]),
+            ),
+            (
+                "degradation",
+                Value::Object(vec![
+                    ("enabled".into(), Value::Bool(true)),
+                    ("max_expansions_per_tick".into(), Value::U64(1)),
+                ]),
+            ),
+        ];
+        let retired_engine = [
+            ("degraded_ticks", Value::U64(3)),
+            ("fallback_assignments", Value::U64(5)),
+            ("planner_errors", Value::U64(7)),
+            ("degrade_next", Value::Bool(true)),
+            ("recover_next", Value::Bool(true)),
+            ("next_decision_fault", Value::U64(2)),
+            ("next_leg_fault", Value::U64(1)),
+            ("next_poison_fault", Value::U64(1)),
+        ];
+        for name in PLANNERS {
+            let base = run_simulation(&inst, make(name).as_mut(), &config);
+            let mut p = make(name);
+            let mut engine = Engine::new(&inst, &config);
+            engine.start(p.as_mut());
+            for _ in 0..40 {
+                engine.tick_once(p.as_mut());
+            }
+            let state_at_40 = engine.state_hash();
+            let mut tree = engine.snapshot(p.as_ref()).serialize();
+            for (section, keys) in [
+                ("config", &retired_config[..]),
+                ("engine", &retired_engine[..]),
+            ] {
+                let Value::Object(fields) = field_mut(&mut tree, section) else {
+                    panic!("`{section}` must be an object");
+                };
+                for (key, value) in keys {
+                    assert!(fields.iter().all(|(k, _)| k != key), "`{key}` is retired");
+                    fields.push((key.to_string(), value.clone()));
+                }
+            }
+            let bytes = framed(SNAPSHOT_VERSION, &serde::binary::to_bytes(&tree));
+            let decoded = decode_snapshot(&bytes).expect("retired keys are ignored");
+            assert_eq!(decoded.config, config, "{name}: no fault knob survives");
+            let mut p2 = make(name);
+            let mut resumed = resume_from(&decoded, p2.as_mut()).expect("resume");
+            assert_eq!(resumed.state_hash(), state_at_40, "{name}");
+            resumed.run_to_completion(p2.as_mut());
+            assert_eq!(
+                resumed.report(p2.as_mut()).deterministic_fingerprint(),
+                base.deterministic_fingerprint(),
+                "{name}: a faulted v6 payload resumes fault-free"
+            );
+        }
+    }
+
     /// A CRC-valid planner slice with a cell off the grid, two robots
     /// parked on one cell, a robot outside the fleet (below or above the
     /// CDT's robot cap) or a tick past the CDT's or the parking board's

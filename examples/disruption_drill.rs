@@ -16,37 +16,26 @@
 //! drill asserts the final fingerprint is bit-identical to the
 //! straight-through run.
 //!
-//! With `--chaos SEED` the disrupted run additionally layers the
-//! seed-deterministic fault plan of `docs/fault-injection.md` on top of the
-//! disruption schedule: injected planner failures and poisoned derived
-//! state degrade individual planning ticks to the greedy fallback while the
-//! run must stay conflict- and violation-free. The drill reruns each chaos
-//! run and asserts the final fingerprint is bit-identical — and when both
-//! flags are given, the checkpoint segments run *under* chaos, proving the
-//! fault cursors survive the snapshot boundary.
-//!
 //! With `--live-orders` the disrupted floor additionally runs in **live
 //! ingestion** mode: the pregenerated item list is stripped and resubmitted
 //! as `SubmitOrder` commands (plus a final `Shutdown`), redelivered every
 //! tick — the harshest redelivery schedule the idempotency cursor must
 //! absorb (see `docs/order-stream.md`). The drill asserts the live
 //! fingerprint is bit-identical to the pregenerated run. The flag composes:
-//! under `--chaos` the live stream is ingested with the fault plan armed,
-//! and under `--checkpoint-every` the live run crosses save/drop/resume
+//! under `--checkpoint-every` the live run crosses save/drop/resume
 //! boundaries *mid-ingestion*, redelivering the whole stream into every
 //! resumed segment.
 //!
 //! ```text
 //! cargo run --release --example disruption_drill
 //! cargo run --release --example disruption_drill -- --checkpoint-every 64
-//! cargo run --release --example disruption_drill -- --chaos 99 --checkpoint-every 64
-//! cargo run --release --example disruption_drill -- --live-orders --chaos 99 --checkpoint-every 64
+//! cargo run --release --example disruption_drill -- --live-orders --checkpoint-every 64
 //! ```
 
 use eatp::core::{planner_by_name, EatpConfig, PLANNER_NAMES};
 use eatp::simulator::{
-    read_snapshot, run_simulation, Ack, Command, DegradationPolicy, Engine, EngineConfig,
-    FaultConfig, OrderSpec, SequencedCommand, SimulationReport,
+    read_snapshot, run_simulation, Ack, Command, Engine, EngineConfig, OrderSpec, SequencedCommand,
+    SimulationReport,
 };
 use eatp::warehouse::{
     CellKind, DisruptionConfig, DisruptionEvent, GridPos, Instance, LayoutConfig, OrderId,
@@ -222,7 +211,6 @@ fn checkpointed_live_run(
 
 fn main() {
     let checkpoint_every = numeric_arg("checkpoint-every", 1);
-    let chaos_seed = numeric_arg("chaos", 0);
     let live_orders = std::env::args().skip(1).any(|a| a == "--live-orders");
     let wave = DisruptionConfig {
         breakdowns: 6,
@@ -307,57 +295,8 @@ fn main() {
             disrupted_report.events_applied,
             disrupted_report.planner_stats.paths_failed,
         );
-        // Chaos layer: the same disrupted floor with the seed-deterministic
-        // fault plan armed (window matched to the disruption wave) and
-        // graceful degradation on. Run twice; the fingerprints — degraded
-        // ticks and fallback assignments included — must match exactly.
-        let chaos_config = chaos_seed.map(|seed| {
-            EngineConfig::builder()
-                .faults(FaultConfig::chaos(seed, (80, 420)))
-                .degradation(DegradationPolicy {
-                    enabled: true,
-                    max_expansions_per_tick: 0,
-                })
-                .build()
-                .expect("chaos drill config is valid")
-        });
-        if let Some(config) = &chaos_config {
-            let mut p = planner_by_name(name, &EatpConfig::default()).expect("known planner");
-            let chaos_report = run_simulation(&disrupted, &mut *p, config);
-            assert!(chaos_report.completed, "{name}: chaos run must complete");
-            assert_eq!(
-                chaos_report.executed_conflicts, 0,
-                "{name}: chaos stays safe"
-            );
-            assert_eq!(
-                chaos_report.disruption_violations, 0,
-                "{name}: chaos stays legal"
-            );
-            assert!(
-                chaos_report.degraded_ticks > 0,
-                "{name}: the chaos fault plan must trip degradation"
-            );
-            let mut p = planner_by_name(name, &EatpConfig::default()).expect("known planner");
-            let rerun = run_simulation(&disrupted, &mut *p, config);
-            assert_eq!(
-                chaos_report.deterministic_fingerprint(),
-                rerun.deterministic_fingerprint(),
-                "{name}: chaos rerun diverged — fault injection must be seed-deterministic"
-            );
-            println!(
-                "       chaos drill: {} degraded ticks, {} fallback assignments, \
-                 {} planner errors; rerun fingerprint identical",
-                chaos_report.degraded_ticks,
-                chaos_report.fallback_assignments,
-                chaos_report.planner_errors,
-            );
-        }
         if let Some(every) = checkpoint_every {
-            // Under --chaos the checkpoint segments run with faults armed:
-            // the straight-through reference is then the chaos run itself.
-            let config = chaos_config.clone().unwrap_or_default();
-            let mut p = planner_by_name(name, &EatpConfig::default()).expect("known planner");
-            let reference = run_simulation(&disrupted, &mut *p, &config);
+            let config = EngineConfig::default();
             let path = std::env::temp_dir().join(format!(
                 "disruption-drill-{}-{name}.tprwsnap",
                 std::process::id()
@@ -365,18 +304,13 @@ fn main() {
             let (resumed, saves) = checkpointed_run(&disrupted, name, every, &path, &config);
             let _ = std::fs::remove_file(&path);
             assert_eq!(
-                reference.deterministic_fingerprint(),
+                disrupted_report.deterministic_fingerprint(),
                 resumed.deterministic_fingerprint(),
                 "{name}: checkpointed run diverged from the straight-through run"
             );
             println!(
-                "       checkpoint drill{}: {saves} save/drop/resume cycles every {every} \
+                "       checkpoint drill: {saves} save/drop/resume cycles every {every} \
                  ticks, final fingerprint identical",
-                if chaos_config.is_some() {
-                    " (under chaos)"
-                } else {
-                    ""
-                },
             );
         }
         if live_orders {
@@ -384,10 +318,7 @@ fn main() {
             // a command stream. The horizon quantities normally derived
             // from the item list must be pinned identically on both sides
             // of the comparison (the live twin's list is empty).
-            let pregen_config = chaos_config
-                .clone()
-                .unwrap_or_default()
-                .into_builder()
+            let pregen_config = EngineConfig::builder()
                 .max_ticks(50_000)
                 .bottleneck_bucket(50)
                 .build()
@@ -430,13 +361,8 @@ fn main() {
                 "{name}: every live order must complete"
             );
             println!(
-                "       live-order drill{}: {} orders ingested under redelivery, \
+                "       live-order drill: {} orders ingested under redelivery, \
                  fingerprint matches the pregenerated run",
-                if chaos_config.is_some() {
-                    " (under chaos)"
-                } else {
-                    ""
-                },
                 disrupted.items.len(),
             );
             if let Some(every) = checkpoint_every {
@@ -463,12 +389,6 @@ fn main() {
         "\nevery planner absorbed the identical breakdown/blockade/closure \
          schedule with zero conflicts and zero blocked-cell occupations."
     );
-    if chaos_seed.is_some() {
-        println!(
-            "chaos drill held: every injected fault degraded gracefully and \
-             replayed bit-identically under its seed."
-        );
-    }
     if checkpoint_every.is_some() {
         println!(
             "checkpoint/resume held under fire: every segment boundary crossed \

@@ -1,8 +1,7 @@
 //! The five disrupted floors whose fingerprints are pinned by
-//! `results/fingerprints_faults_off.txt` (`tests/disruption.rs`) and, under
-//! the chaos fault plan, by `results/fingerprints_chaos.txt`
-//! (`tests/chaos.rs`). Names, specs and seeds are part of those files: a
-//! change here is a regeneration of both.
+//! `results/fingerprints_faults_off.txt` (`tests/disruption.rs`). Names,
+//! specs and seeds are part of that file: a change here is a regeneration
+//! of it.
 //!
 //! * **breakdown wave** — a quarter of a dense fleet fails across a
 //!   window, freezing mid-aisle and forcing survivors to route around;

@@ -10,10 +10,9 @@
 //!   conflict-free validator, which would catch any robot executing a path
 //!   planned against stale reservations).
 //!
-//! * **Faults-off transparency across processes** — the five disrupted
-//!   floors of `tests/common/scenarios.rs` reproduce
-//!   `results/fingerprints_faults_off.txt`, recorded before fault injection
-//!   existed.
+//! * **Determinism across processes** — the five disrupted floors of
+//!   `tests/common/scenarios.rs` reproduce
+//!   `results/fingerprints_faults_off.txt`, recorded by another process.
 //!
 //! The `disrupted_spec(59)` fingerprints the deleted serial path produced
 //! are pinned by `tests/batched_equivalence.rs`.
@@ -93,12 +92,12 @@ fn disruptions_cost_makespan_but_not_items() {
 }
 
 /// The faults-off soak, kept as data: every planner on the five disrupted
-/// floors must stay violation-free, never degrade, and reproduce the
+/// floors must stay violation-free and reproduce the
 /// fingerprints another process recorded
 /// (`docs/adr/ADR-008-two-measurement-systems.md`).
 #[test]
 fn faults_off_soak_reproduces_the_recorded_fingerprints() {
-    let actual = soak_fingerprints(&EngineConfig::default(), false);
+    let actual = soak_fingerprints(&EngineConfig::default());
     assert_golden(
         "fingerprints_faults_off.txt",
         include_str!("../results/fingerprints_faults_off.txt"),

@@ -7,15 +7,15 @@
 //! The dense loop is deleted (`docs/adr/ADR-007-one-tick-loop.md`); its
 //! verdict is `results/fingerprints_event_driven.txt`, recorded by running
 //! this file's matrix through it at the last commit that had it, one row
-//! per run: `<section> <planner> kind=.. seed=.. [faults=..|orders=..] ->
+//! per run: `<section> <planner> kind=.. seed=.. [orders=..] ->
 //! fp=<FNV-1a-64 of the Debug-printed fingerprint> ...`.
 //!
 //! * **`lockstep`** — every planner on clean and disrupted floors: tick
 //!   count and an FNV fold of the canonical `state_hash()` at *every* tick
 //!   boundary, not just the final fingerprint.
-//! * **`clean` / `chaos` / `live`** — the 128 (planner, scenario kind,
-//!   scenario seed[, fault seed | order seed]) tuples per regime the
-//!   retired proptests drew; live rows add a hash of the ack stream.
+//! * **`clean` / `live`** — the 128 (planner, scenario kind, scenario
+//!   seed[, order seed]) tuples per regime the retired proptests drew;
+//!   live rows add a hash of the ack stream.
 //! * **Agenda reconstruction** — the wake agenda is *derived* state,
 //!   never snapshotted (`docs/snapshot-format.md`): a run snapshotted
 //!   mid-flight and resumed must re-derive an agenda that locksteps the
@@ -29,8 +29,8 @@
 
 use eatp::core::{planner_by_name, EatpConfig, Planner};
 use eatp::simulator::{
-    decode_snapshot, encode_snapshot, resume_from, run_simulation, Ack, Command, DegradationPolicy,
-    Engine, EngineConfig, FaultConfig, OrderSpec, SequencedCommand,
+    decode_snapshot, encode_snapshot, resume_from, run_simulation, Ack, Command, Engine,
+    EngineConfig, OrderSpec, SequencedCommand,
 };
 use eatp::warehouse::{
     DisruptionConfig, Instance, LayoutConfig, OrderId, ScenarioSpec, Tick, WorkloadConfig,
@@ -48,7 +48,7 @@ const ACTUAL: &str = concat!(
     "/fingerprints_event_driven.txt"
 );
 
-/// The table as this process has recomputed it so far (the four walking
+/// The table as this process has recomputed it so far (the three walking
 /// tests run in parallel and share [`ACTUAL`]).
 static ACTUAL_ROWS: Mutex<Vec<String>> = Mutex::new(Vec::new());
 
@@ -96,20 +96,8 @@ fn scenario(kind: usize, seed: u64) -> Instance {
     .unwrap()
 }
 
-/// The chaos preset.
-fn chaos_config(fault_seed: u64) -> EngineConfig {
-    EngineConfig::builder()
-        .faults(FaultConfig::chaos(fault_seed, (5, 150)))
-        .degradation(DegradationPolicy {
-            enabled: true,
-            max_expansions_per_tick: 0,
-        })
-        .build()
-        .unwrap()
-}
-
 /// A deterministic live-order stream derived from `order_seed` (same
-/// construction as the chaos soak): `n` submissions spread across the
+/// construction as `tests/chaos.rs`): `n` submissions spread across the
 /// disruption window, closed by a shutdown.
 fn live_order_stream(inst: &Instance, order_seed: u64, n: usize) -> Vec<(Tick, SequencedCommand)> {
     let mut x = order_seed.wrapping_mul(0x9E37_79B9_7F4A_7C15).max(1);
@@ -329,20 +317,6 @@ fn event_driven_matches_dense() {
     check_section("clean", 128, |name, inst, _| {
         let mut p = planner_by_name(name, &EatpConfig::default()).unwrap();
         let report = run_simulation(inst, &mut *p, &EngineConfig::default());
-        format!(
-            "fp={:016x}",
-            debug_hash(&report.deterministic_fingerprint())
-        )
-    });
-}
-
-/// The chaos regime: injected planner failures, poisoned derived state
-/// and graceful degradation — no skip may move a fault-plan cursor.
-#[test]
-fn event_driven_matches_dense_under_chaos() {
-    check_section("chaos", 128, |name, inst, key| {
-        let mut p = planner_by_name(name, &EatpConfig::default()).unwrap();
-        let report = run_simulation(inst, &mut *p, &chaos_config(field(key, "faults")));
         format!(
             "fp={:016x}",
             debug_hash(&report.deterministic_fingerprint())
