@@ -81,8 +81,10 @@ pub struct PlannerBase<R: ReservationBackend> {
     pub resv: R,
     /// Uncongested delivery distances (rack home to station).
     pub oracle: DistanceOracle,
-    /// K-nearest-rack index (EATP; `None` elsewhere), built once from the
-    /// instance: disruptions never touch it (`docs/adr/ADR-021-static-knn.md`).
+    /// K-nearest-rack index (EATP; `None` elsewhere) over the rack homes
+    /// and spawn cells, built once from the instance: disruptions never
+    /// touch it (`docs/adr/ADR-021-static-knn.md`,
+    /// `docs/adr/ADR-025-knn-idle-cells.md`).
     pub knn: Option<KNearestRacks>,
     /// Planner configuration.
     pub config: EatpConfig,
@@ -113,7 +115,11 @@ impl<R: ReservationBackend> PlannerBase<R> {
         }
         let knn = with_knn.then(|| {
             let homes: Vec<GridPos> = instance.racks.iter().map(|r| r.home).collect();
-            KNearestRacks::build(&grid, &homes, config.k_nearest)
+            // A robot idles only on its spawn cell or its rack's home
+            // (`docs/adr/ADR-025-knn-idle-cells.md`).
+            let spawns = instance.robots.iter().map(|r| r.pos);
+            let at: Vec<GridPos> = homes.iter().copied().chain(spawns).collect();
+            KNearestRacks::build(&grid, &homes, &at, config.k_nearest)
         });
         let stations: Vec<GridPos> = instance.pickers.iter().map(|p| p.pos).collect();
         let oracle = DistanceOracle::new(&grid, &stations);
@@ -586,14 +592,13 @@ mod tests {
                 inst.racks.iter().all(|r| r.home != c) && inst.robots.iter().all(|r| r.pos != c)
             })
             .expect("aisle cell available");
+        // The index holds lists for the rack homes and spawn cells only.
+        let indexed: Vec<GridPos> = (inst.racks.iter().map(|r| r.home))
+            .chain(inst.robots.iter().map(|r| r.pos))
+            .collect();
         let lists = |base: &PlannerBase<ConflictDetectionTable>| -> Vec<Vec<RackId>> {
             let knn = base.knn.as_ref().unwrap();
-            (0..base.grid.cell_count())
-                .map(|i| {
-                    knn.nearest(GridPos::from_index(i, base.grid.width()))
-                        .to_vec()
-                })
-                .collect()
+            indexed.iter().map(|&c| knn.nearest(c).to_vec()).collect()
         };
         let built = lists(&base);
         base.apply_disruption(&DisruptionEvent::CellBlocked { pos }, 5);

@@ -3,10 +3,11 @@
 //! ATP plus two of the paper's three efficiency optimizations:
 //!
 //! 1. **Flip requesting side** (Sec. VI-A): instead of ranking every rack,
-//!    iterate idle *robots* and consult the static per-cell K-nearest-rack
-//!    index; each robot ε-greedily adopts the first of its K closest
-//!    selectable racks whose Q-action says "request". Selection drops from
-//!    `O(R log R)` to `O(|A|·K)`.
+//!    iterate idle *robots* and consult the static K-nearest-rack index of
+//!    the cells where a robot idles (its spawn cell and the rack homes,
+//!    `docs/adr/ADR-025-knn-idle-cells.md`); each robot ε-greedily adopts
+//!    the first of its K closest selectable racks whose Q-action says
+//!    "request". Selection drops from `O(R log R)` to `O(|A|·K)`.
 //! 2. **Conflict detection table** (Sec. VI-B): path finding reserves into
 //!    the `O(HW + live)` CDT instead of the dense spatiotemporal graph.
 //!
@@ -174,6 +175,7 @@ impl Strategy for FlipSide {
 mod tests {
     use super::*;
     use crate::planner::Planner;
+    use tprw_pathfinding::MemoryFootprint;
     use tprw_warehouse::{Instance, ItemId, LayoutConfig, ScenarioSpec, WorkloadConfig};
 
     fn instance() -> Instance {
@@ -220,6 +222,35 @@ mod tests {
         planner.init(&inst);
         let base = planner.base.as_ref().unwrap();
         assert!(base.knn.is_some());
+    }
+
+    /// On the benchmark's paper floor (200×200 walled, 2 000 racks, 500
+    /// robots, K = 16) the index lists the 2 500 rack homes and spawn
+    /// cells: a 40 000-cell slot map plus 2 500 rows of 65 bytes.
+    #[test]
+    fn paper_floor_index_footprint_is_pinned() {
+        let inst = ScenarioSpec {
+            name: "paper-floor".into(),
+            layout: LayoutConfig {
+                width: 200,
+                height: 200,
+                border_walls: true,
+                ..LayoutConfig::default()
+            },
+            n_racks: 2000,
+            n_robots: 500,
+            n_pickers: 24,
+            workload: WorkloadConfig::poisson(10, 4.0),
+            disruptions: None,
+            seed: 7,
+        }
+        .build()
+        .unwrap();
+        let base: PlannerBase<ConflictDetectionTable> =
+            PlannerBase::new(&inst, EatpConfig::default(), true);
+        let knn = base.knn.as_ref().unwrap();
+        assert_eq!(knn.k(), 16);
+        assert_eq!(knn.memory_bytes(), 322_500);
     }
 
     #[test]

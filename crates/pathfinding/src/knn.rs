@@ -1,4 +1,5 @@
-//! Per-cell K-nearest-rack index (Sec. VI-A, "flip requesting side").
+//! K-nearest-rack index over the cells where a robot can idle (Sec. VI-A,
+//! "flip requesting side").
 //!
 //! *"Since all racks' locations in the storage area are fixed, recording the
 //! closest K racks of different grids is static and easy to maintain."* —
@@ -7,8 +8,17 @@
 //!
 //! Built once from the instance with a multi-source BFS seeded at every
 //! passable rack home, so "closest" means passable-grid distance on the
-//! initial floor; each cell keeps the `K` racks with the smallest
+//! initial floor; each indexed cell keeps the `K` racks with the smallest
 //! `(distance, rack id)` pairs, nearest first.
+//!
+//! # Indexed cells
+//!
+//! Lists are kept only for the cells the caller names (`at`). EATP asks
+//! only where an idle robot stands, and a robot idles only on its spawn
+//! cell or on its rack's home, so the planner indexes exactly those
+//! (`docs/adr/ADR-025-knn-idle-cells.md`). A list equals the one an
+//! every-cell build gives that cell. Asking off the index is a bug: a
+//! debug build asserts, a release build answers no racks.
 //!
 //! # A static index
 //!
@@ -21,8 +31,11 @@
 //!
 //! # Layout and build cost
 //!
-//! Lists live in one flat `K`-stride array (`lists[cell·K ..]` plus a
-//! per-cell length byte), so `nearest` is one indexed slice.
+//! A dense per-cell slot map gives each indexed cell a row (`u32::MAX`
+//! off the index). Rows live in one flat `K`-stride array (`lists[row·K
+//! ..]` plus a per-row length byte), so `nearest` is one indexed lookup
+//! and a slice: `cells·4 + rows·(4K+1)` bytes in all. On the paper floor
+//! (40 000 cells, 2 000 racks, 500 robots, K = 16) that is 322 500 bytes.
 //!
 //! The build (EATP pays it inside `init`) runs the BFS one level at a time
 //! over two frontiers of `(cell, rack)` pairs; the level counter is the
@@ -36,40 +49,58 @@
 //!   before and pushed the very entry being popped. Entries carry the
 //!   directions that pushed them, and never push back along them.
 //!
-//! Its scratch (neighbour mask, push index, frontiers) scales with cells,
-//! not cells × racks, and is freed when the pass returns.
+//! Every cell still counts its racks, since a full cell stops the
+//! propagation, but only an indexed cell writes a list entry. The pass
+//! stops at the top of a level once every indexed row holds `K` racks,
+//! after counting that level's pushes, so an every-cell build makes the
+//! classic build's enqueues. Its scratch (neighbour mask, per-cell counts,
+//! push index, frontiers) scales with cells, not cells × racks, and is
+//! freed when the pass returns.
 
 use crate::footprint::MemoryFootprint;
 use tprw_warehouse::{Direction, GridMap, GridPos, RackId};
 
-/// Per-cell index of the K nearest racks, built once.
+/// The K nearest racks of each indexed cell, built once.
 #[derive(Debug, Clone)]
 pub struct KNearestRacks {
     width: u16,
     k: usize,
-    /// Flat `k`-stride storage: cell `c`'s nearest racks are
-    /// `lists[c·k .. c·k + count[c]]`, nearest first.
+    /// Per cell, its row in `lists`; `u32::MAX` off the index.
+    slot: Vec<u32>,
+    /// Flat `k`-stride storage: row `i`'s nearest racks are
+    /// `lists[i·k .. i·k + count[i]]`, nearest first.
     lists: Vec<RackId>,
-    /// Entries per cell.
+    /// Entries per row.
     count: Vec<u8>,
     /// BFS frontier pushes of the build — a deterministic cost.
     enqueued: u64,
 }
 
 impl KNearestRacks {
-    /// Build the index for `rack_homes` over `grid`.
+    /// Build the lists of the cells `at` (repeats allowed) for
+    /// `rack_homes` over `grid`.
     ///
     /// Complexity `O(HW·K)`: every cell is enqueued at most `K` times.
-    pub fn build(grid: &GridMap, rack_homes: &[GridPos], k: usize) -> Self {
+    pub fn build(grid: &GridMap, rack_homes: &[GridPos], at: &[GridPos], k: usize) -> Self {
         assert!(k >= 1, "K must be at least 1");
-        assert!(k <= u8::MAX as usize, "K must fit the per-cell length byte");
+        assert!(k <= u8::MAX as usize, "K must fit the per-row length byte");
         assert!(rack_homes.len() < 1 << 28, "rack ids must fit 28 bits");
-        let cells = grid.cell_count();
+        let mut slot = vec![u32::MAX; grid.cell_count()];
+        let mut rows = 0;
+        for &pos in at {
+            assert!(grid.in_bounds(pos), "indexed cell {pos} is off the grid");
+            let s = &mut slot[pos.to_index(grid.width())];
+            if *s == u32::MAX {
+                *s = rows;
+                rows += 1;
+            }
+        }
         let mut idx = Self {
             width: grid.width(),
             k,
-            lists: vec![RackId::new(0); cells * k],
-            count: vec![0; cells],
+            slot,
+            lists: vec![RackId::new(0); rows as usize * k],
+            count: vec![0; rows as usize],
             enqueued: 0,
         };
         idx.fill(grid, rack_homes);
@@ -78,14 +109,15 @@ impl KNearestRacks {
 
     /// The `O(HW·K)` level-order BFS behind `build`. It pushes the pairs of
     /// the classic FIFO formulation with a visited set (module docs), in
-    /// order.
+    /// order, up to the level that fills the last indexed row.
     fn fill(&mut self, grid: &GridMap, homes: &[GridPos]) {
         let (k, w) = (self.k, self.width as isize);
+        let cells = self.slot.len();
         // Cell-index step per `Direction::ALL` entry, and per cell the bits
         // of the steps that land on a passable cell.
         let step =
             Direction::ALL.map(|d| (d.delta().1 as isize * w + d.delta().0 as isize) as usize);
-        let mask: Vec<u8> = (0..self.count.len())
+        let mask: Vec<u8> = (0..cells)
             .map(|c| {
                 let pos = GridPos::from_index(c, self.width);
                 (Direction::ALL.iter().enumerate()).fold(0, |m, (i, &d)| {
@@ -96,39 +128,50 @@ impl KNearestRacks {
             .collect();
         // Frontier entries are `(cell, rack << 4 | from)`, where `from` has
         // the step bit of every neighbour that pushed the pair: exactly the
-        // neighbours whose lists hold the rack. `slot[c]` is the index in
-        // `next` of the last push to cell `c`.
-        let mut slot = vec![u32::MAX; self.count.len()];
+        // neighbours whose lists hold the rack. `last[c]` is the index in
+        // `next` of the last push to cell `c`; `held[c]` counts the racks
+        // cell `c` has taken, indexed or not.
+        let mut last = vec![u32::MAX; cells];
+        let mut held = vec![0u8; cells];
         let (mut level, mut next) = (Vec::new(), Vec::<(u32, u32)>::new());
         for (r, &home) in homes.iter().enumerate() {
             if grid.passable(home) {
                 level.push((home.to_index(self.width) as u32, (r as u32) << 4));
             }
         }
-        let (lists, count) = (&mut self.lists, &mut self.count);
+        let (slot, lists, count) = (&self.slot, &mut self.lists, &mut self.count);
+        let mut full = 0;
         while !level.is_empty() {
             debug_assert!(level.windows(2).all(|p| p[0].1 >> 4 <= p[1].1 >> 4));
             self.enqueued += level.len() as u64;
+            if full == count.len() {
+                break;
+            }
             for &(cell, packed) in &level {
                 let (cell, rack) = (cell as usize, packed >> 4);
-                let c = count[cell] as usize;
+                let c = held[cell] as usize;
                 if c >= k {
                     continue;
                 }
-                lists[cell * k + c] = RackId(rack);
-                count[cell] = (c + 1) as u8;
+                held[cell] = (c + 1) as u8;
+                let row = slot[cell] as usize;
+                if row < count.len() {
+                    lists[row * k + c] = RackId(rack);
+                    count[row] = (c + 1) as u8;
+                    full += usize::from(c + 1 == k);
+                }
                 let open = mask[cell] & !(packed as u8 & 15);
                 for (i, &off) in step.iter().enumerate() {
                     let n = cell.wrapping_add(off);
-                    if open >> i & 1 == 0 || count[n] as usize >= k {
+                    if open >> i & 1 == 0 || held[n] as usize >= k {
                         continue;
                     }
                     // `Direction::ALL` is N, E, S, W: the way back is two on.
                     let back = 1 << ((i + 2) % 4);
-                    match next.get_mut(slot[n] as usize) {
+                    match next.get_mut(last[n] as usize) {
                         Some(e) if e.0 as usize == n && e.1 >> 4 == rack => e.1 |= back,
                         _ => {
-                            slot[n] = next.len() as u32;
+                            last[n] = next.len() as u32;
                             next.push((n as u32, rack << 4 | back));
                         }
                     }
@@ -139,11 +182,16 @@ impl KNearestRacks {
         }
     }
 
-    /// The up-to-K racks nearest to `pos`, nearest first.
+    /// The up-to-K racks nearest to `pos`, nearest first. `pos` must be
+    /// indexed; off the index a release build answers no racks.
     #[inline]
     pub fn nearest(&self, pos: GridPos) -> &[RackId] {
-        let cell = pos.to_index(self.width);
-        &self.lists[cell * self.k..cell * self.k + self.count[cell] as usize]
+        let row = self.slot[pos.to_index(self.width)] as usize;
+        debug_assert!(row != u32::MAX as usize, "{pos} is off the K-nearest index");
+        let Some(&len) = self.count.get(row) else {
+            return &[];
+        };
+        &self.lists[row * self.k..][..len as usize]
     }
 
     /// The configured K.
@@ -160,7 +208,9 @@ impl KNearestRacks {
 
 impl MemoryFootprint for KNearestRacks {
     fn memory_bytes(&self) -> usize {
-        self.lists.capacity() * std::mem::size_of::<RackId>() + self.count.capacity()
+        self.slot.capacity() * std::mem::size_of::<u32>()
+            + self.lists.capacity() * std::mem::size_of::<RackId>()
+            + self.count.capacity()
     }
 }
 
@@ -177,6 +227,14 @@ mod tests {
 
     fn open_grid(w: u16, h: u16) -> GridMap {
         GridMap::filled(w, h, CellKind::Aisle)
+    }
+
+    /// Every cell of `grid`, walls included: the `at` of an every-cell
+    /// index.
+    fn every_cell(grid: &GridMap) -> Vec<GridPos> {
+        (0..grid.cell_count())
+            .map(|c| GridPos::from_index(c, grid.width()))
+            .collect()
     }
 
     /// A `w`×`h` floor with `walls` blocked and a rack at each of `homes`,
@@ -233,7 +291,7 @@ mod tests {
     #[test]
     fn single_rack_everywhere() {
         let grid = open_grid(6, 6);
-        let idx = KNearestRacks::build(&grid, &[p(3, 3)], 2);
+        let idx = KNearestRacks::build(&grid, &[p(3, 3)], &every_cell(&grid), 2);
         for y in 0..6 {
             for x in 0..6 {
                 assert_eq!(idx.nearest(p(x, y)), &[RackId::new(0)]);
@@ -245,7 +303,7 @@ mod tests {
     fn nearest_first_ordering() {
         let grid = open_grid(10, 3);
         // Racks at x = 0 and x = 9 on the middle row.
-        let idx = KNearestRacks::build(&grid, &[p(0, 1), p(9, 1)], 2);
+        let idx = KNearestRacks::build(&grid, &[p(0, 1), p(9, 1)], &every_cell(&grid), 2);
         assert_eq!(idx.nearest(p(1, 1))[0], RackId::new(0));
         assert_eq!(idx.nearest(p(8, 1))[0], RackId::new(1));
         assert_eq!(idx.nearest(p(1, 1)).len(), 2);
@@ -255,7 +313,7 @@ mod tests {
     fn k_limits_list_length() {
         let grid = open_grid(8, 8);
         let homes: Vec<GridPos> = (0..6).map(|i| p(i, 0)).collect();
-        let idx = KNearestRacks::build(&grid, &homes, 3);
+        let idx = KNearestRacks::build(&grid, &homes, &every_cell(&grid), 3);
         for y in 0..8 {
             for x in 0..8 {
                 assert!(idx.nearest(p(x, y)).len() <= 3);
@@ -268,7 +326,7 @@ mod tests {
     fn tie_break_by_rack_id() {
         let grid = open_grid(5, 1);
         // Two racks equidistant from the center cell.
-        let idx = KNearestRacks::build(&grid, &[p(0, 0), p(4, 0)], 1);
+        let idx = KNearestRacks::build(&grid, &[p(0, 0), p(4, 0)], &every_cell(&grid), 1);
         assert_eq!(idx.nearest(p(2, 0)), &[RackId::new(0)], "lower id wins tie");
     }
 
@@ -278,7 +336,7 @@ mod tests {
         // Wall separating left and right halves except via the bottom row.
         grid.set_kind(p(2, 0), CellKind::Blocked);
         grid.set_kind(p(2, 1), CellKind::Blocked);
-        let idx = KNearestRacks::build(&grid, &[p(0, 0), p(4, 0)], 1);
+        let idx = KNearestRacks::build(&grid, &[p(0, 0), p(4, 0)], &every_cell(&grid), 1);
         // Cell (3,0) is 1 from rack 1, but rack 0 requires the detour.
         assert_eq!(idx.nearest(p(3, 0)), &[RackId::new(1)]);
     }
@@ -287,14 +345,14 @@ mod tests {
     fn rebuild_cost_counter_is_deterministic_and_bounded() {
         let grid = open_grid(16, 16);
         let homes: Vec<GridPos> = (0..8).map(|i| p(i * 2, 8)).collect();
-        let a = KNearestRacks::build(&grid, &homes, 4);
+        let a = KNearestRacks::build(&grid, &homes, &every_cell(&grid), 4);
         let build_cost = a.enqueued_count();
         assert!(build_cost > 0);
         // Loose bound: each (cell, rack) pair enters the frontier at most
         // once.
         let bound = (grid.cell_count() * homes.len()) as u64;
         assert!(build_cost <= bound, "{build_cost} > {bound}");
-        let b = KNearestRacks::build(&grid, &homes, 4);
+        let b = KNearestRacks::build(&grid, &homes, &every_cell(&grid), 4);
         assert_eq!(b.enqueued_count(), build_cost, "deterministic");
     }
 
@@ -303,28 +361,57 @@ mod tests {
     #[test]
     fn build_enqueues_are_pinned() {
         let (grid, homes) = pinned_floor();
-        let idx = KNearestRacks::build(&grid, &homes, 8);
+        let idx = KNearestRacks::build(&grid, &homes, &every_cell(&grid), 8);
         assert_eq!(idx.enqueued_count(), PINNED_ENQUEUES);
         assert_eq!(classic_build(&grid, &homes, 8).1, PINNED_ENQUEUES);
     }
 
-    /// After `build` the index holds its lists and per-cell counts: no
-    /// frontier, visited set, per-rack table or other scratch.
+    /// After `build` the index holds its slot map, lists and per-row
+    /// counts, `cells·4 + |at|·(4K+1)` bytes: no frontier, per-cell count,
+    /// visited set, per-rack table or other scratch.
     #[test]
     fn build_keeps_no_scratch() {
         let (grid, homes) = pinned_floor();
         let (cells, k) = (grid.cell_count(), 8);
-        let idx = KNearestRacks::build(&grid, &homes, k);
-        let lists = cells * k * std::mem::size_of::<RackId>();
-        assert_eq!(idx.memory_bytes(), lists + cells);
+        let some: Vec<GridPos> = every_cell(&grid).into_iter().step_by(7).collect();
+        for at in [every_cell(&grid), some] {
+            let idx = KNearestRacks::build(&grid, &homes, &at, k);
+            assert_eq!(idx.memory_bytes(), cells * 4 + at.len() * (4 * k + 1));
+        }
+    }
+
+    /// A cell named twice in `at` gets one row.
+    #[test]
+    fn repeated_cells_share_a_row() {
+        let grid = open_grid(6, 6);
+        let homes = [p(0, 0), p(5, 5)];
+        let once = KNearestRacks::build(&grid, &homes, &[p(2, 2)], 2);
+        let twice = KNearestRacks::build(&grid, &homes, &[p(2, 2), p(2, 2)], 2);
+        assert_eq!(twice.memory_bytes(), once.memory_bytes());
+        assert_eq!(twice.nearest(p(2, 2)), once.nearest(p(2, 2)));
+    }
+
+    /// Asking off the index is a bug: debug builds assert, release builds
+    /// answer no racks.
+    #[test]
+    fn off_the_index_answers_nothing() {
+        let grid = open_grid(6, 6);
+        let idx = KNearestRacks::build(&grid, &[p(0, 0)], &[p(1, 1)], 2);
+        assert_eq!(idx.nearest(p(1, 1)), &[RackId::new(0)]);
+        let off = std::panic::catch_unwind(|| idx.nearest(p(4, 4)).len());
+        if cfg!(debug_assertions) {
+            assert!(off.is_err(), "debug builds assert off the index");
+        } else {
+            assert_eq!(off.ok(), Some(0));
+        }
     }
 
     #[test]
     fn memory_footprint_scales_with_k() {
         let grid = open_grid(20, 20);
         let homes: Vec<GridPos> = (0..10).map(|i| p(i, 10)).collect();
-        let small = KNearestRacks::build(&grid, &homes, 1);
-        let large = KNearestRacks::build(&grid, &homes, 8);
+        let small = KNearestRacks::build(&grid, &homes, &every_cell(&grid), 1);
+        let large = KNearestRacks::build(&grid, &homes, &every_cell(&grid), 8);
         assert!(large.memory_bytes() > small.memory_bytes());
     }
 
@@ -339,7 +426,7 @@ mod tests {
             let grid = open_grid(10, 10);
             let homes: Vec<GridPos> =
                 homes.into_iter().map(|(x, y)| p(x, y)).collect();
-            let idx = KNearestRacks::build(&grid, &homes, 3);
+            let idx = KNearestRacks::build(&grid, &homes, &every_cell(&grid), 3);
             let q = p(qx, qy);
             let reported = idx.nearest(q)[0];
             let best = homes
@@ -351,8 +438,10 @@ mod tests {
         }
 
         /// On obstructed floors up to 24×24 with 1–40 racks (homes may be
-        /// shared or walled) and K in 1..=8, `build` gives the classic
-        /// build's lists after the classic build's number of enqueues.
+        /// shared or walled) and K in 1..=8, and on the same floors without
+        /// walls (where every cell fills, so the pass stops early), `build`
+        /// gives the classic build's lists after the classic build's
+        /// number of enqueues.
         #[test]
         fn flat_build_equals_classic_build(
             size in (1u16..25, 1u16..25),
@@ -360,13 +449,36 @@ mod tests {
             homes in proptest::collection::vec((0u16..24, 0u16..24), 1..41),
             k in 1usize..9,
         ) {
+            for walls in [&walls[..], &[]] {
+                let (grid, homes) = obstructed(size, walls, &homes);
+                let idx = KNearestRacks::build(&grid, &homes, &every_cell(&grid), k);
+                let (want, enqueued) = classic_build(&grid, &homes, k);
+                prop_assert_eq!(idx.enqueued_count(), enqueued);
+                for (i, want) in want.iter().enumerate() {
+                    let cell = GridPos::from_index(i, size.0);
+                    prop_assert_eq!(idx.nearest(cell), want.as_slice(), "build differs at {}", cell);
+                }
+            }
+        }
+
+        /// On the same floors, an index over a random subset of the cells
+        /// (repeats allowed) gives every indexed cell the every-cell
+        /// build's list, though its pass may stop levels earlier.
+        #[test]
+        fn indexed_cells_equal_every_cell_build(
+            size in (1u16..25, 1u16..25),
+            walls in proptest::collection::vec((0u16..24, 0u16..24), 0..150),
+            homes in proptest::collection::vec((0u16..24, 0u16..24), 1..41),
+            at in proptest::collection::vec((0u16..24, 0u16..24), 0..60),
+            k in 1usize..9,
+        ) {
             let (grid, homes) = obstructed(size, &walls, &homes);
-            let idx = KNearestRacks::build(&grid, &homes, k);
-            let (want, enqueued) = classic_build(&grid, &homes, k);
-            prop_assert_eq!(idx.enqueued_count(), enqueued);
-            for (i, want) in want.iter().enumerate() {
-                let cell = GridPos::from_index(i, size.0);
-                prop_assert_eq!(idx.nearest(cell), want.as_slice(), "build differs at {}", cell);
+            let at: Vec<GridPos> = at.iter().map(|&(x, y)| p(x % size.0, y % size.1)).collect();
+            let every = KNearestRacks::build(&grid, &homes, &every_cell(&grid), k);
+            let idx = KNearestRacks::build(&grid, &homes, &at, k);
+            prop_assert!(idx.enqueued_count() <= every.enqueued_count());
+            for &cell in &at {
+                prop_assert_eq!(idx.nearest(cell), every.nearest(cell), "index differs at {}", cell);
             }
         }
 
@@ -380,7 +492,7 @@ mod tests {
             k in 1usize..9,
         ) {
             let (grid, homes) = obstructed(size, &walls, &homes);
-            let idx = KNearestRacks::build(&grid, &homes, k);
+            let idx = KNearestRacks::build(&grid, &homes, &every_cell(&grid), k);
             let walled = vec![None; grid.cell_count()];
             let fields: Vec<Vec<Option<u32>>> = (homes.iter())
                 .map(|&h| if grid.passable(h) { grid_distances(&grid, h) } else { walled.clone() })

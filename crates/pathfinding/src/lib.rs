@@ -32,9 +32,12 @@
 //! filled BFS field per station otherwise
 //! (`docs/adr/ADR-022-station-fields.md`).
 //!
-//! [`knn::KNearestRacks`] provides the per-cell K-closest-rack index backing
-//! the "flip requesting side" optimization (Sec. VI-A), built once from the
-//! instance and never updated (`docs/adr/ADR-021-static-knn.md`).
+//! [`knn::KNearestRacks`] provides the K-closest-rack index backing the
+//! "flip requesting side" optimization (Sec. VI-A), built once from the
+//! instance and never updated (`docs/adr/ADR-021-static-knn.md`). It lists
+//! only the cells the caller names: EATP names the rack homes and spawn
+//! cells, the only cells where a robot idles
+//! (`docs/adr/ADR-025-knn-idle-cells.md`).
 
 pub mod astar;
 pub mod bfs;

@@ -307,10 +307,10 @@ fn terminal_rack_removal_is_legal_and_run_completes_when_demand_allows() {
     assert_eq!(report.disruption_violations, 0, "still safe");
 }
 
-#[test]
-fn disrupted_run_is_deterministic() {
+/// A small floor with every kind of disruption.
+fn disrupted_spec() -> ScenarioSpec {
     use tprw_warehouse::DisruptionConfig;
-    let spec = ScenarioSpec {
+    ScenarioSpec {
         name: "engine-disrupted".into(),
         layout: LayoutConfig::sized(24, 16),
         n_racks: 10,
@@ -329,7 +329,12 @@ fn disrupted_run_is_deterministic() {
             window: (10, 120),
         }),
         seed: 7,
-    };
+    }
+}
+
+#[test]
+fn disrupted_run_is_deterministic() {
+    let spec = disrupted_spec();
     let inst = spec.build().unwrap();
     assert!(!inst.disruptions.is_empty());
     let r1 = run_default(&inst);
@@ -360,9 +365,9 @@ fn bottleneck_trace_covers_run() {
 
 /// A planner that drives robots into conflicts on purpose: two robots
 /// enter one cell on the same tick, two swap cells, and the first two
-/// return legs end on one cell, the first after standing there for a
-/// while. Every leg walks an L-shaped route from where its robot
-/// stands.
+/// return legs meet on one cell and stand there together before each
+/// walks on to its rack's home, where a robot turns idle. Every leg walks
+/// L-shaped routes from where its robot stands.
 struct CollidingPlanner {
     planned: bool,
     /// The cell each robot's latest path ends on.
@@ -370,8 +375,23 @@ struct CollidingPlanner {
     returns_planned: usize,
 }
 
-/// The cell where both of the first two return legs end.
+/// The cell where the first two return legs meet.
 const SHARED_HOME: GridPos = GridPos::new(20, 12);
+
+/// The L-shaped route from `from` to `to`, `from` excluded.
+fn l_route(from: GridPos, to: GridPos) -> Vec<GridPos> {
+    let mut route = Vec::new();
+    let mut p = from;
+    while p.x != to.x {
+        p.x = if p.x < to.x { p.x + 1 } else { p.x - 1 };
+        route.push(p);
+    }
+    while p.y != to.y {
+        p.y = if p.y < to.y { p.y + 1 } else { p.y - 1 };
+        route.push(p);
+    }
+    route
+}
 
 impl CollidingPlanner {
     /// A path from `from` starting at `start` that waits in place, walks
@@ -388,15 +408,7 @@ impl CollidingPlanner {
         then: &[GridPos],
     ) -> Path {
         let mut route = vec![from];
-        let mut p = from;
-        while p.x != to.x {
-            p.x = if p.x < to.x { p.x + 1 } else { p.x - 1 };
-            route.push(p);
-        }
-        while p.y != to.y {
-            p.y = if p.y < to.y { p.y + 1 } else { p.y - 1 };
-            route.push(p);
-        }
+        route.extend(l_route(from, to));
         let waits = at.map_or(0, |at| (at - start) as usize + 1 - route.len());
         let mut cells = vec![from; waits];
         cells.extend(route);
@@ -458,11 +470,14 @@ impl Planner for CollidingPlanner {
             return Some(self.walk(robot, start, here, to, None, &[]));
         }
         self.returns_planned += 1;
-        Some(match self.returns_planned {
-            1 => self.walk(robot, start, from, SHARED_HOME, None, &[SHARED_HOME; 30]),
-            2 => self.walk(robot, start, from, SHARED_HOME, None, &[]),
-            _ => self.walk(robot, start, from, to, None, &[]),
-        })
+        let stand = match self.returns_planned {
+            1 => 30,
+            2 => 10,
+            _ => return Some(self.walk(robot, start, from, to, None, &[])),
+        };
+        let mut then = vec![SHARED_HOME; stand];
+        then.extend(l_route(SHARED_HOME, to));
+        Some(self.walk(robot, start, from, SHARED_HOME, None, &then))
     }
 
     fn on_dock(&mut self, _robot: RobotId) {}
@@ -536,4 +551,169 @@ fn executed_conflicts_match_the_seed_check() {
         at(SHARED_HOME) >= 3,
         "two robots stand on one cell for several ticks"
     );
+}
+
+/// Wraps a planner and asserts at every `plan` call that each idle robot
+/// stands on a rack home or its own spawn cell, the only cells EATP's
+/// K-nearest index lists (`docs/adr/ADR-025-knn-idle-cells.md`).
+struct IdleCellProbe {
+    inner: Box<dyn Planner>,
+    spawns: Vec<GridPos>,
+    /// Idle robots seen on their spawn cell and on a rack home.
+    on_spawn: usize,
+    on_home: usize,
+}
+
+impl IdleCellProbe {
+    fn eatp() -> Self {
+        Self {
+            inner: Box::new(EfficientAdaptiveTaskPlanner::new(EatpConfig::default())),
+            spawns: Vec::new(),
+            on_spawn: 0,
+            on_home: 0,
+        }
+    }
+}
+
+impl Planner for IdleCellProbe {
+    fn name(&self) -> &'static str {
+        self.inner.name()
+    }
+
+    fn init(&mut self, instance: &Instance) {
+        self.spawns = instance.robots.iter().map(|r| r.pos).collect();
+        self.inner.init(instance);
+    }
+
+    fn plan(
+        &mut self,
+        world: &WorldView<'_>,
+    ) -> Result<Vec<eatp_core::planner::AssignmentPlan>, eatp_core::planner::PlannerError> {
+        for &robot in world.idle_robots {
+            let pos = world.robot(robot).pos;
+            if pos == self.spawns[robot.index()] {
+                self.on_spawn += 1;
+            } else {
+                assert!(
+                    world.racks.iter().any(|r| r.home == pos),
+                    "idle {robot} at {pos} at tick {}: neither a rack home nor its spawn cell",
+                    world.t
+                );
+                self.on_home += 1;
+            }
+        }
+        self.inner.plan(world)
+    }
+
+    fn plan_leg(
+        &mut self,
+        robot: RobotId,
+        from: GridPos,
+        to: GridPos,
+        start: Tick,
+        park: bool,
+    ) -> Option<Path> {
+        self.inner.plan_leg(robot, from, to, start, park)
+    }
+
+    fn commit_legs(
+        &mut self,
+        requests: &[eatp_core::planner::LegRequest],
+        start: Tick,
+        tentative: &mut Vec<eatp_core::planner::TentativeLeg>,
+        results: &mut Vec<Option<Path>>,
+    ) -> Result<(), eatp_core::planner::PlannerError> {
+        self.inner.commit_legs(requests, start, tentative, results)
+    }
+
+    fn on_dock(&mut self, robot: RobotId) {
+        self.inner.on_dock(robot);
+    }
+
+    fn on_event(&mut self, event: eatp_core::planner::PlannerEvent<'_>) {
+        self.inner.on_event(event);
+    }
+
+    fn housekeeping(&mut self, t: Tick) {
+        self.inner.housekeeping(t);
+    }
+
+    fn stats(&self) -> eatp_core::PlannerStats {
+        self.inner.stats()
+    }
+
+    fn export_snapshot(&self) -> serde::Value {
+        self.inner.export_snapshot()
+    }
+
+    fn import_snapshot(&mut self, state: &serde::Value) -> Result<(), serde::Error> {
+        self.inner.import_snapshot(state)
+    }
+}
+
+/// Every idle robot EATP is asked about stands on an indexed cell: on a
+/// disrupted floor fed live orders, and after a snapshot resume.
+#[test]
+fn idle_robots_stand_on_indexed_cells() {
+    use crate::commands::{Command, OrderSpec, SequencedCommand};
+    use crate::snapshot::{decode_snapshot, encode_snapshot, resume_from};
+    use tprw_warehouse::OrderId;
+
+    // Live orders on the disrupted floor: its items arrive as submissions.
+    let disrupted = disrupted_spec().build().unwrap();
+    let mut live = disrupted.clone();
+    live.items.clear();
+    let mut stream: Vec<SequencedCommand> = (disrupted.items.iter().enumerate())
+        .map(|(i, item)| SequencedCommand {
+            seq: i as u64,
+            command: Command::SubmitOrder {
+                spec: OrderSpec {
+                    order: OrderId::new(i),
+                    rack: item.rack,
+                    processing: item.processing,
+                    arrival: item.arrival,
+                },
+            },
+        })
+        .collect();
+    let seq = stream.len() as u64;
+    stream.push(SequencedCommand {
+        seq,
+        command: Command::Shutdown,
+    });
+    let config = EngineConfig::builder()
+        .max_ticks(50_000)
+        .live(true)
+        .build()
+        .unwrap();
+    let mut probe = IdleCellProbe::eatp();
+    let mut engine = Engine::new(&live, &config);
+    engine.start(&mut probe);
+    let mut acks = Vec::new();
+    engine.tick_with_commands(&mut probe, &mut stream, &mut acks);
+    while !engine.is_finished() {
+        engine.tick_with_commands(&mut probe, &mut [], &mut acks);
+    }
+    assert!(engine.report(&mut probe).completed);
+    assert!(engine.export_state().events_applied > 0, "disrupted");
+    assert!(
+        probe.on_spawn > 0 && probe.on_home > 0,
+        "both kinds of idle cell asked"
+    );
+
+    // A snapshot cut once robots have come home, resumed under a fresh
+    // probe and run to the end.
+    let inst = disrupted;
+    let mut probe = IdleCellProbe::eatp();
+    let mut engine = Engine::new(&inst, &EngineConfig::default());
+    engine.start(&mut probe);
+    while probe.on_home == 0 {
+        engine.tick_once(&mut probe);
+    }
+    let data = decode_snapshot(&encode_snapshot(&engine.snapshot(&probe))).unwrap();
+    let mut probe = IdleCellProbe::eatp();
+    let mut engine = resume_from(&data, &mut probe).expect("the snapshot resumes");
+    engine.run_to_completion(&mut probe);
+    assert!(engine.report(&mut probe).completed);
+    assert!(probe.on_home > 0, "the resumed run asks at rack homes");
 }

@@ -231,7 +231,14 @@ impl Engine<'_> {
                 self.schedule.docked();
             }
             RobotPhase::Returning { rack } => {
-                // Rack home again: fulfilment cycle complete.
+                // Rack home again: fulfilment cycle complete. A robot idles
+                // only here or on its spawn cell, the cells EATP's K-nearest
+                // index lists (`docs/adr/ADR-025-knn-idle-cells.md`).
+                debug_assert_eq!(
+                    self.state.robots[ai].pos,
+                    self.state.racks[rack.index()].home,
+                    "a robot turned idle off its rack's home"
+                );
                 self.state.racks[rack.index()].in_flight = false;
                 self.state.robots[ai].phase = RobotPhase::Idle;
                 self.state.paths[ai] = None;

@@ -389,13 +389,16 @@ pub fn resume_from<'a>(
 /// have the length [`EngineState::new`] gives it on `instance`, the
 /// validator's previous positions must name robots of the fleet on cells
 /// of the grid, every robot position, active-path cell, journaled cell
-/// event and deferred blockade must lie on the grid, and every robot,
-/// picker and rack id of the pending-leg lists, the deferred removals and
-/// the journal must name one of the instance's. The engine indexes them by
-/// id and cell without bounds checks of its own, and the journal replay
-/// mutates the planner's grid and indexes by them, so a snapshot that fits
-/// another floor would otherwise panic on resume or within its first
-/// ticks.
+/// event and deferred blockade must lie on the grid, every idle robot must
+/// stand on a rack home or its own spawn cell, and every robot, picker and
+/// rack id of the pending-leg lists, the deferred removals and the journal
+/// must name one of the instance's. The engine indexes them by id and cell
+/// without bounds checks of its own, and the journal replay mutates the
+/// planner's grid and indexes by them, so a snapshot that fits another
+/// floor would otherwise panic on resume or within its first ticks. EATP
+/// looks idle robots up in a K-nearest index of just the rack homes and
+/// spawn cells (`docs/adr/ADR-025-knn-idle-cells.md`): an idle robot
+/// anywhere else would never be offered a rack.
 fn check_table_sizes(state: &EngineState, instance: &Instance) -> Result<(), SnapshotError> {
     let robots = instance.robots.len();
     let pickers = instance.pickers.len();
@@ -461,6 +464,19 @@ fn check_table_sizes(state: &EngineState, instance: &Instance) -> Result<(), Sna
             "engine table `{table}` names cell {pos}, off the instance's {}×{} grid",
             grid.width(),
             grid.height()
+        )));
+    }
+    let mut home = vec![false; grid.cell_count()];
+    for rack in &instance.racks {
+        home[rack.home.to_index(grid.width())] = true;
+    }
+    let stray = (state.robots.iter().zip(&instance.robots)).find(|(r, spawn)| {
+        r.is_idle() && r.pos != spawn.pos && !home[r.pos.to_index(grid.width())]
+    });
+    if let Some((robot, _)) = stray {
+        return Err(SnapshotError::Decode(format!(
+            "engine table `robots` has idle {} at {}, neither a rack home nor its spawn cell",
+            robot.id, robot.pos
         )));
     }
     let robot_lists = [
@@ -1086,6 +1102,48 @@ mod tests {
                 "{err:?}"
             );
         }
+    }
+
+    /// An idle robot stands on a rack home or its own spawn cell, the
+    /// only cells EATP's K-nearest index lists. One moved to a plain aisle
+    /// cell, or to another robot's spawn cell, is refused naming the
+    /// `robots` table; on its own spawn cell it resumes.
+    #[test]
+    fn idle_robots_off_the_idle_cells_are_typed_errors() {
+        let inst = scenario(None, 42);
+        let good = {
+            let mut p = make("EATP");
+            let mut engine = Engine::new(&inst, &EngineConfig::default());
+            engine.start(p.as_mut());
+            for _ in 0..3 {
+                engine.tick_once(p.as_mut());
+            }
+            engine.snapshot(p.as_ref())
+        };
+        let idle = (good.engine.robots.iter())
+            .position(|r| r.is_idle() && r.pos == inst.robots[r.id.index()].pos);
+        let idle = idle.expect("an idle robot on its spawn cell at tick 3");
+        let plain = inst
+            .grid
+            .cells_of_kind(tprw_warehouse::CellKind::Aisle)
+            .find(|&c| {
+                inst.racks.iter().all(|r| r.home != c) && inst.robots.iter().all(|r| r.pos != c)
+            });
+        let other = inst.robots[(idle + 1) % inst.robots.len()].pos;
+        for pos in [plain.expect("a plain aisle cell"), other] {
+            let mut data = good.clone();
+            data.engine.robots[idle].pos = pos;
+            let data = decode_snapshot(&encode_snapshot(&data)).expect("bytes decode");
+            let Err(err) = resume_from(&data, make("EATP").as_mut()) else {
+                panic!("an idle robot at {pos} resumed");
+            };
+            assert!(
+                matches!(&err, SnapshotError::Decode(msg) if msg.contains("`robots`")),
+                "{err:?}"
+            );
+        }
+        let data = decode_snapshot(&encode_snapshot(&good)).expect("bytes decode");
+        resume_from(&data, make("EATP").as_mut()).expect("idle robots on their spawn cells resume");
     }
 
     /// The engine tables that name robots, pickers and racks by id. Each

@@ -53,15 +53,16 @@ fn eatp_memory_below_stg_planners() {
     let eatp = reports["EATP"].peak_memory_bytes;
     for name in ["NTP", "ATP"] {
         let other = reports[name].peak_memory_bytes;
-        // Guard band: 2/1. CDT windows live inline in 24-byte cell slots,
-        // the KNN lists in one K-stride array, and the KNN build keeps no
-        // scratch once it returns (its per-(cell, rack) visited bitset is
-        // gone). Measured here: EATP ≈ 437 KiB vs NTP ≈ 1173 KiB ≈ 2.68×,
-        // ATP ≈ 1112 KiB ≈ 2.54× (EATP was ≈ 576 KiB at the 9/5 guard this
-        // replaces). The paper's qualitative Fig. 12 claim — CDT well below
-        // dense layers — must keep holding with ~10% headroom.
+        // Guard band: 6/1. CDT windows live inline in 24-byte cell slots,
+        // the KNN build keeps no scratch once it returns, and the KNN
+        // lists cover only the rack homes and spawn cells, where a robot
+        // can idle (ADR-025). Measured here: EATP ≈ 170 KiB vs NTP ≈ 1173
+        // KiB ≈ 6.9×, ATP ≈ 1112 KiB ≈ 6.6× (EATP was ≈ 437 KiB at the 2/1
+        // guard this replaces, with a list on every cell). The paper's
+        // qualitative Fig. 12 claim — CDT well below dense layers — must
+        // keep holding with ~10% headroom.
         assert!(
-            eatp * 2 < other,
+            eatp * 6 < other,
             "EATP peak {} should be well below {name}'s {}",
             eatp,
             other
