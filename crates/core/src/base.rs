@@ -604,7 +604,7 @@ mod tests {
         base.apply_disruption(&DisruptionEvent::CellBlocked { pos }, 5);
         assert_eq!(base.grid.kind(pos), CellKind::Blocked);
         assert!(!base.oracle.manhattan_exact(), "oracle sees the blockade");
-        assert_eq!(base.oracle.field_count(), 0, "fields evicted");
+        assert_eq!(base.oracle.field_count(), 0, "no field before a query");
         // The K-nearest index is static (Sec. VI-A): a blockade leaves
         // every list as the instance built it.
         assert_eq!(lists(&base), built, "the index ignores blockades");
@@ -623,6 +623,81 @@ mod tests {
         // Robot/station events are structure-neutral on the base.
         base.apply_disruption(&DisruptionEvent::RobotBreakdown { robot }, 10);
         assert_eq!(base.grid.kind(pos), CellKind::Aisle);
+    }
+
+    /// The benchmark's surge floor at seed 7 replays its 60 cell blockades
+    /// and reopenings with every rack's delivery distance asked after each:
+    /// the patched station fields keep answering as a fresh oracle does,
+    /// and only the fields whose blockade certificate fails are dropped.
+    #[test]
+    fn surge_blockade_replay_patches_station_fields() {
+        use tprw_warehouse::{ArrivalProfile, DisruptionConfig};
+        let inst = ScenarioSpec {
+            name: "surge-live".into(),
+            layout: LayoutConfig {
+                width: 200,
+                height: 200,
+                border_walls: true,
+                ..LayoutConfig::default()
+            },
+            n_racks: 2000,
+            n_robots: 500,
+            n_pickers: 24,
+            workload: WorkloadConfig {
+                n_items: 500,
+                profile: ArrivalProfile::Surge {
+                    base_rate: 2.0,
+                    multipliers: vec![0.5, 3.0],
+                    phase_len: 100,
+                },
+                processing_min: 8,
+                processing_max: 16,
+                rack_skew: 0.8,
+                skew_cap: 8.0,
+            },
+            disruptions: Some(DisruptionConfig {
+                breakdowns: 62,
+                breakdown_ticks: (100, 300),
+                blockades: 30,
+                blockade_ticks: (150, 400),
+                closures: 4,
+                closure_ticks: (150, 300),
+                removals: 20,
+                removal_ticks: (100, 250),
+                window: (50, 1000),
+            }),
+            seed: 7,
+        }
+        .build()
+        .unwrap();
+        let mut base: PlannerBase<ConflictDetectionTable> =
+            PlannerBase::new(&inst, EatpConfig::default(), false);
+        let stations: Vec<GridPos> = inst.pickers.iter().map(|p| p.pos).collect();
+        let cell_events: Vec<_> = (inst.disruptions.iter())
+            .filter(|e| {
+                matches!(
+                    e.event,
+                    DisruptionEvent::CellBlocked { .. } | DisruptionEvent::CellUnblocked { .. }
+                )
+            })
+            .collect();
+        assert_eq!(cell_events.len(), 60);
+        let mut dropped = 0;
+        for (n, e) in cell_events.iter().enumerate() {
+            let live = base.oracle.field_count();
+            base.apply_disruption(&e.event, e.t);
+            dropped += live - base.oracle.field_count();
+            let answers: Vec<u64> = inst.racks.iter().map(|r| base.delivery(r)).collect();
+            if n % 10 == 9 {
+                let mut fresh = DistanceOracle::new(&base.grid, &stations);
+                let expected: Vec<u64> = (inst.racks.iter())
+                    .map(|r| fresh.to_station(r.home, r.picker))
+                    .collect();
+                assert_eq!(answers, expected, "after cell event {n}");
+            }
+        }
+        // Dropping every field on each event dropped 1 416 here.
+        assert_eq!(dropped, 8, "fields dropped by failed certificates");
     }
 
     #[test]

@@ -8,10 +8,15 @@
 //!   their bounding box, a staircase path between two of them stays in the
 //!   box and has Manhattan length. Open floors and the paper's walled floor
 //!   (side columns and top row blocked, station row open) qualify. The box
-//!   is fixed at build time and one misfit counter keeps
-//!   [`DistanceOracle::set_passable`] O(1).
+//!   is fixed at build time and one misfit counter, kept by
+//!   [`DistanceOracle::set_passable`], makes the check O(1).
 //! * **One BFS field per station otherwise**, filled on the station's
-//!   first query and dropped on any passability change.
+//!   first query. A passability change patches every live field in place
+//!   (`docs/adr/ADR-026-patched-station-fields.md`): a reopening runs a
+//!   BFS wave from the reopened cell; a blockade clears one cell when a
+//!   local certificate shows no other distance moves, and drops that one
+//!   field otherwise. Fields stay patched while the floor is a rectangle
+//!   again, so the next blockade finds them filled.
 //!
 //! Pickup distances are not asked here: the planners rank robots by
 //! Manhattan distance to the rack.
@@ -81,9 +86,9 @@ impl DistanceOracle {
     }
 
     /// Mutate the passability snapshot (a cell was blockaded or reopened by
-    /// a disruption event) and drop every BFS field: a field can route
-    /// through the mutated cell, so all its distances are suspect. Fields
-    /// refill lazily on the next queries.
+    /// a disruption event) and patch every live BFS field to equal a fresh
+    /// fill on the new snapshot. A blockade whose local certificate fails
+    /// drops that one field, which refills lazily on its next query.
     pub fn set_passable(&mut self, pos: GridPos, passable: bool) {
         let i = pos.to_index(self.width);
         if self.passable[i] == passable {
@@ -98,12 +103,21 @@ impl DistanceOracle {
         } else {
             self.misfits += 1;
         }
-        self.evict_all_fields();
-    }
-
-    /// Drop every BFS field; distances recompute identically on demand.
-    pub fn evict_all_fields(&mut self) {
-        self.fields.fill(None);
+        for (slot, &station) in self.fields.iter_mut().zip(self.stations.iter()) {
+            let Some(field) = slot else { continue };
+            if passable {
+                reopen_cell(
+                    field,
+                    &self.passable,
+                    self.width,
+                    i,
+                    pos == station,
+                    &mut self.queue,
+                );
+            } else if !block_cell(field, &self.passable, self.width, i) {
+                *slot = None;
+            }
+        }
     }
 
     /// Uncongested travel delay from `from` to `station`'s cell
@@ -137,7 +151,6 @@ fn bfs_field(
     source: GridPos,
     queue: &mut VecDeque<u32>,
 ) -> Box<[u32]> {
-    let (w, h) = (width as usize, passable.len() / width as usize);
     let mut field = vec![0u32; passable.len()].into_boxed_slice();
     let s = source.to_index(width);
     queue.clear();
@@ -145,25 +158,95 @@ fn bfs_field(
         field[s] = 1;
         queue.push_back(s as u32);
     }
+    wave(&mut field, passable, width, queue);
+    field
+}
+
+/// The 4-neighbourhood of cell `i` on a grid `width` cells wide and
+/// `height` tall; `ok` is false for a neighbour past an edge.
+fn neighbours(i: usize, width: usize, height: usize) -> [(bool, usize); 4] {
+    let (x, y) = (i % width, i / width);
+    [
+        (x > 0, i.wrapping_sub(1)),
+        (x + 1 < width, i + 1),
+        (y > 0, i.wrapping_sub(width)),
+        (y + 1 < height, i + width),
+    ]
+}
+
+/// Drain `queue` in FIFO order, lowering each passable neighbour that is
+/// unreached or farther than one step past the popped cell. From one
+/// seeded cell this is BFS; on an exact field whose distances only
+/// shrink, it is exact from the cell that shrank them.
+fn wave(field: &mut [u32], passable: &[bool], width: u16, queue: &mut VecDeque<u32>) {
+    let (w, h) = (width as usize, passable.len() / width as usize);
     while let Some(i) = queue.pop_front() {
-        let i = i as usize;
-        let (x, y) = (i % w, i / w);
-        let next = field[i] + 1;
-        // 4-neighbourhood over the flat snapshot; `ok` guards the edges.
-        let neighbours = [
-            (x > 0, i.wrapping_sub(1)),
-            (x + 1 < w, i + 1),
-            (y > 0, i.wrapping_sub(w)),
-            (y + 1 < h, i + w),
-        ];
-        for (ok, j) in neighbours {
-            if ok && passable[j] && field[j] == 0 {
+        let next = field[i as usize] + 1;
+        for &(ok, j) in &neighbours(i as usize, w, h) {
+            // An unreached 0 wraps to `u32::MAX`: one compare covers both.
+            if ok && passable[j] && field[j].wrapping_sub(1) >= next {
                 field[j] = next;
                 queue.push_back(j as u32);
             }
         }
     }
-    field
+}
+
+/// Patch an exact `field` for the blockade of cell `c` (already
+/// impassable in `passable`); false when the field must be dropped.
+///
+/// Blocking only lengthens distances, and no cell at or below `d(c)`
+/// routes through `c`. So when every neighbour at `d(c) + 1` has another
+/// neighbour at `d(c)`, each keeps its distance, every shortest path
+/// through `c` has an equal detour, and only `c` itself changes.
+fn block_cell(field: &mut [u32], passable: &[bool], width: u16, c: usize) -> bool {
+    let (w, h) = (width as usize, passable.len() / width as usize);
+    let dc = field[c];
+    // Stored values are `d + 1`, and only reached cells are nonzero, so
+    // `field[m] == dc` names a passable cell at `d(c)`.
+    let kept = dc == 0
+        || neighbours(c, w, h).into_iter().all(|(ok, n)| {
+            !ok || field[n] != dc + 1
+                || neighbours(n, w, h)
+                    .into_iter()
+                    .any(|(ok, m)| ok && m != c && field[m] == dc)
+        });
+    if kept {
+        field[c] = 0;
+    }
+    kept
+}
+
+/// Patch an exact `field` for the reopening of cell `c` (already
+/// passable in `passable`; `is_source` when it is the field's station).
+/// Distances only shrink, so `c` takes one step past its nearest reached
+/// neighbour (0 as the source) and a [`wave`] from it lowers every
+/// distance it shortens, reaching pockets the blockade had cut off.
+fn reopen_cell(
+    field: &mut [u32],
+    passable: &[bool],
+    width: u16,
+    c: usize,
+    is_source: bool,
+    queue: &mut VecDeque<u32>,
+) {
+    let (w, h) = (width as usize, passable.len() / width as usize);
+    field[c] = if is_source {
+        1
+    } else {
+        let nearest = neighbours(c, w, h)
+            .into_iter()
+            .filter(|&(ok, n)| ok && field[n] != 0)
+            .map(|(_, n)| field[n])
+            .min();
+        match nearest {
+            Some(d) => d + 1,
+            None => return,
+        }
+    };
+    queue.clear();
+    queue.push_back(c as u32);
+    wave(field, passable, width, queue);
 }
 
 impl MemoryFootprint for DistanceOracle {
@@ -356,33 +439,114 @@ mod tests {
         assert_eq!(d3, 7);
     }
 
+    /// Every live field of `oracle` equals a fresh fill on `grid`, cell
+    /// for cell, unreached cells included.
+    fn check_live_fields(oracle: &DistanceOracle, grid: &GridMap) -> Result<(), TestCaseError> {
+        let passable: Vec<bool> = cells(grid).map(|c| grid.passable(c)).collect();
+        let live = oracle.fields.iter().zip(oracle.stations.iter());
+        for (field, &station) in live.filter_map(|(f, s)| Some((f.as_ref()?, s))) {
+            let fresh = bfs_field(&passable, grid.width(), station, &mut VecDeque::new());
+            prop_assert_eq!(field, &fresh, "field of {}", station);
+        }
+        Ok(())
+    }
+
+    /// Flip `c` on both `grid` and `oracle`.
+    fn flip(grid: &mut GridMap, oracle: &mut DistanceOracle, c: GridPos) {
+        let open = !grid.passable(c);
+        grid.set_kind(
+            c,
+            if open {
+                CellKind::Aisle
+            } else {
+                CellKind::Blocked
+            },
+        );
+        oracle.set_passable(c, open);
+    }
+
     #[test]
-    fn set_passable_evicts_and_reroutes() {
+    fn set_passable_patches_and_reroutes() {
         // Open grid: Manhattan fast path, no fields.
-        let grid = GridMap::filled(8, 8, CellKind::Aisle);
+        let mut grid = GridMap::filled(8, 8, CellKind::Aisle);
         let mut oracle = DistanceOracle::new(&grid, &[p(4, 0)]);
         assert_eq!(oracle.to_station(p(0, 0), s(0)), 4);
         // Wall appears at (2,0)-(2,6): detours via y=7.
         for y in 0..7 {
-            oracle.set_passable(p(2, y), false);
+            flip(&mut grid, &mut oracle, p(2, y));
         }
         assert!(!oracle.manhattan_exact());
         assert_eq!(oracle.to_station(p(0, 0), s(0)), 4 + 14, "detour via row 7");
-        assert!(oracle.field_count() >= 1, "BFS fields in use");
-        // Wall clears: fields evicted, Manhattan fast path restored.
+        assert_eq!(oracle.field_count(), 1, "BFS field in use");
+        // Wall clears: the field is patched, not dropped, and Manhattan is
+        // exact again.
         for y in 0..7 {
-            oracle.set_passable(p(2, y), true);
+            flip(&mut grid, &mut oracle, p(2, y));
         }
         assert!(oracle.manhattan_exact());
-        assert_eq!(oracle.field_count(), 0, "eviction dropped every field");
+        assert_eq!(oracle.field_count(), 1, "the field is kept");
+        check_live_fields(&oracle, &grid).unwrap();
         assert_eq!(oracle.to_station(p(0, 0), s(0)), 4);
-        // No-op mutation neither flips state nor evicts.
+        // No-op mutation neither flips state nor drops fields.
         let mut walled = DistanceOracle::new(&grid, &[p(7, 7)]);
         walled.set_passable(p(3, 3), false);
         walled.to_station(p(0, 0), s(0));
         let fields = walled.field_count();
         walled.set_passable(p(3, 3), false);
         assert_eq!(walled.field_count(), fields, "idempotent set keeps fields");
+    }
+
+    #[test]
+    fn blocking_next_to_a_station_drops_only_its_field() {
+        // (7,7) blocked so the fields are read.
+        let mut grid = GridMap::filled(8, 8, CellKind::Aisle);
+        grid.set_kind(p(7, 7), CellKind::Blocked);
+        let stations = [p(3, 0), p(0, 7)];
+        let mut oracle = DistanceOracle::new(&grid, &stations);
+        check_every_pair(&mut oracle, &grid, &stations).unwrap();
+        assert_eq!(oracle.field_count(), 2);
+        // (3,1) is on station 0's column: (3,2) reaches (3,0) only through
+        // it, so station 0's certificate fails. Station 1 routes around.
+        flip(&mut grid, &mut oracle, p(3, 1));
+        assert!(oracle.fields[0].is_none(), "station 0's field dropped");
+        assert!(oracle.fields[1].is_some(), "station 1's field kept");
+        check_live_fields(&oracle, &grid).unwrap();
+        check_every_pair(&mut oracle, &grid, &stations).unwrap();
+        assert_eq!(oracle.to_station(p(3, 2), s(0)), 4, "around the blockade");
+    }
+
+    #[test]
+    fn reopening_reconnects_a_walled_off_pocket() {
+        // Column x=3 walls off the pocket x=4..5.
+        let mut grid = GridMap::filled(6, 6, CellKind::Aisle);
+        for y in 0..6 {
+            grid.set_kind(p(3, y), CellKind::Blocked);
+        }
+        let mut oracle = DistanceOracle::new(&grid, &[p(0, 0)]);
+        assert_eq!(oracle.to_station(p(5, 0), s(0)), u64::MAX, "pocket cut off");
+        flip(&mut grid, &mut oracle, p(3, 2));
+        assert_eq!(oracle.field_count(), 1, "the field is patched");
+        check_live_fields(&oracle, &grid).unwrap();
+        assert_eq!(oracle.to_station(p(3, 2), s(0)), 5);
+        assert_eq!(oracle.to_station(p(5, 0), s(0)), 9, "through the gap");
+        assert_eq!(oracle.to_station(p(5, 5), s(0)), 10);
+    }
+
+    #[test]
+    fn blocking_and_reopening_a_station_restores_its_field() {
+        let mut grid = GridMap::filled(6, 6, CellKind::Aisle);
+        grid.set_kind(p(4, 4), CellKind::Blocked);
+        let station = p(2, 2);
+        let mut oracle = DistanceOracle::new(&grid, &[station]);
+        oracle.to_station(p(0, 0), s(0));
+        let before = oracle.fields[0].clone().unwrap();
+        flip(&mut grid, &mut oracle, station);
+        // A blocked station reaches nothing; the query refills its field.
+        assert_eq!(oracle.to_station(p(0, 0), s(0)), u64::MAX);
+        assert_eq!(oracle.field_count(), 1);
+        flip(&mut grid, &mut oracle, station);
+        assert_eq!(oracle.fields[0].as_deref(), Some(&before[..]), "restored");
+        check_live_fields(&oracle, &grid).unwrap();
     }
 
     #[test]
@@ -545,6 +709,34 @@ mod tests {
                         "{} to {} after mutations", from, station);
                 }
             }
+        }
+
+        /// Patching is exact: on random obstructed floors, after every
+        /// block/reopen flip of any cell (stations included), every live
+        /// field equals a fresh fill cell for cell, unreached cells
+        /// included. Queries in between keep fields live.
+        #[test]
+        fn patched_fields_equal_fresh_fills(
+            roll in proptest::collection::vec(0u8..4, 144),
+            picks in proptest::collection::vec((0u16..12, 0u16..12), 1..4),
+            ops in proptest::collection::vec((0u16..12, 0u16..12, 0usize..6), 1..60),
+        ) {
+            // A quarter of the cells start blocked.
+            let mut grid = GridMap::filled(12, 12, CellKind::Aisle);
+            for (i, _) in roll.iter().enumerate().filter(|&(_, &r)| r == 0) {
+                grid.set_kind(GridPos::from_index(i, 12), CellKind::Blocked);
+            }
+            let stations: Vec<GridPos> = picks.iter().map(|&(x, y)| p(x, y)).collect();
+            let mut oracle = DistanceOracle::new(&grid, &stations);
+            for &(x, y, ask) in &ops {
+                // Asking a station (half the time) fills its field.
+                if ask < stations.len() {
+                    oracle.to_station(p(x, y), s(ask));
+                }
+                flip(&mut grid, &mut oracle, p(x, y));
+                check_live_fields(&oracle, &grid)?;
+            }
+            check_every_pair(&mut oracle, &grid, &stations)?;
         }
 
         /// The oracle equals brute-force BFS from every cell to every

@@ -30,7 +30,8 @@
 //! planners ask, a rack's home to its own station (Eq. 2's delivery term):
 //! Manhattan while the passable cells fill their bounding box, one lazily
 //! filled BFS field per station otherwise
-//! (`docs/adr/ADR-022-station-fields.md`).
+//! (`docs/adr/ADR-022-station-fields.md`), patched in place when a cell is
+//! blockaded or reopened (`docs/adr/ADR-026-patched-station-fields.md`).
 //!
 //! [`knn::KNearestRacks`] provides the K-closest-rack index backing the
 //! "flip requesting side" optimization (Sec. VI-A), built once from the
