@@ -9,8 +9,7 @@
 //!   than any cost (so serving racks is always preferred when feasible).
 //!   The delivery term is the distance oracle's home-to-station distance;
 //!   the pickup term is the Manhattan distance from the robot to the rack
-//!   home, the rule `assignment::pick_robot` and the engine's greedy
-//!   fallback rank robots by;
+//!   home, the rule `assignment::pick_robot` ranks robots by;
 //! * Σ_a x_{r,a} ≤ 1 per rack, Σ_r x_{r,a} ≤ 1 per robot;
 //! * **picker status**: Σ_{r: p_r = p} x_{r,·} ≤ capacity per picker, the
 //!   extension that folds queue state into the model.

@@ -6,10 +6,13 @@
 //! EATP traverses robots instead of racks and looks up the K racks closest
 //! to each robot's cell in O(1).
 //!
-//! Built once from the instance with a multi-source BFS seeded at every
-//! passable rack home, so "closest" means passable-grid distance on the
-//! initial floor; each indexed cell keeps the `K` racks with the smallest
-//! `(distance, rack id)` pairs, nearest first.
+//! Built once from the instance, ranking the racks whose home is passable
+//! by Manhattan distance: each indexed cell keeps the `K` racks with the
+//! smallest `(distance, rack id)` pairs, nearest first. Every generated
+//! floor's passable cells fill their bounding box, so there Manhattan
+//! distance is grid distance. On a hand-built obstructed floor a list is a
+//! shortlist by straight-line reach; Eq. 2's costs and the A\* legs still
+//! use true distances (`docs/adr/ADR-027-manhattan-knn.md`).
 //!
 //! # Indexed cells
 //!
@@ -37,28 +40,16 @@
 //! and a slice: `cells·4 + rows·(4K+1)` bytes in all. On the paper floor
 //! (40 000 cells, 2 000 racks, 500 robots, K = 16) that is 322 500 bytes.
 //!
-//! The build (EATP pays it inside `init`) runs the BFS one level at a time
-//! over two frontiers of `(cell, rack)` pairs; the level counter is the
-//! distance. It pushes exactly the pairs a per-pair visited set admits,
-//! without one (`docs/adr/ADR-018-knn-level-pass.md`):
-//! - a level lists its racks in id order (seeds go in id order, a child
-//!   inherits its parent's rack), so one level's pushes of a rack are
-//!   contiguous, and a per-cell index of the last push catches a repeat;
-//! - an earlier push of the pair has been popped, since the 4-grid is
-//!   bipartite: the neighbour's list is full, or it got the rack one level
-//!   before and pushed the very entry being popped. Entries carry the
-//!   directions that pushed them, and never push back along them.
-//!
-//! Every cell still counts its racks, since a full cell stops the
-//! propagation, but only an indexed cell writes a list entry. The pass
-//! stops at the top of a level once every indexed row holds `K` racks,
-//! after counting that level's pushes, so an every-cell build makes the
-//! classic build's enqueues. Its scratch (neighbour mask, per-cell counts,
-//! push index, frontiers) scales with cells, not cells × racks, and is
-//! freed when the pass returns.
+//! The build (EATP pays it inside `init`) buckets the rack ids per cell,
+//! row-major, so the racks of one row segment are one contiguous span.
+//! Around each indexed cell it grows a diamond of Manhattan radius 1, 2,
+//! 4, … until the diamond holds `K` racks or covers the floor, gathering
+//! one span per grid row. The `K` smallest `(distance, rack id)` pairs of
+//! the diamond are the list: any rack outside it is farther than all of
+//! them. The buckets are freed when `build` returns.
 
 use crate::footprint::MemoryFootprint;
-use tprw_warehouse::{Direction, GridMap, GridPos, RackId};
+use tprw_warehouse::{GridMap, GridPos, RackId};
 
 /// The K nearest racks of each indexed cell, built once.
 #[derive(Debug, Clone)]
@@ -72,19 +63,18 @@ pub struct KNearestRacks {
     lists: Vec<RackId>,
     /// Entries per row.
     count: Vec<u8>,
-    /// BFS frontier pushes of the build — a deterministic cost.
-    enqueued: u64,
 }
 
 impl KNearestRacks {
     /// Build the lists of the cells `at` (repeats allowed) for
     /// `rack_homes` over `grid`.
     ///
-    /// Complexity `O(HW·K)`: every cell is enqueued at most `K` times.
+    /// Complexity `O(HW + racks + rows·(D + n log n))`, where `D` is the
+    /// Manhattan radius that holds a row's `K` racks and `n` the racks
+    /// within `2D`.
     pub fn build(grid: &GridMap, rack_homes: &[GridPos], at: &[GridPos], k: usize) -> Self {
         assert!(k >= 1, "K must be at least 1");
         assert!(k <= u8::MAX as usize, "K must fit the per-row length byte");
-        assert!(rack_homes.len() < 1 << 28, "rack ids must fit 28 bits");
         let mut slot = vec![u32::MAX; grid.cell_count()];
         let mut rows = 0;
         for &pos in at {
@@ -101,84 +91,66 @@ impl KNearestRacks {
             slot,
             lists: vec![RackId::new(0); rows as usize * k],
             count: vec![0; rows as usize],
-            enqueued: 0,
         };
         idx.fill(grid, rack_homes);
         idx
     }
 
-    /// The `O(HW·K)` level-order BFS behind `build`. It pushes the pairs of
-    /// the classic FIFO formulation with a visited set (module docs), in
-    /// order, up to the level that fills the last indexed row.
+    /// The diamond scan behind `build` (module docs).
     fn fill(&mut self, grid: &GridMap, homes: &[GridPos]) {
-        let (k, w) = (self.k, self.width as isize);
-        let cells = self.slot.len();
-        // Cell-index step per `Direction::ALL` entry, and per cell the bits
-        // of the steps that land on a passable cell.
-        let step =
-            Direction::ALL.map(|d| (d.delta().1 as isize * w + d.delta().0 as isize) as usize);
-        let mask: Vec<u8> = (0..cells)
-            .map(|c| {
-                let pos = GridPos::from_index(c, self.width);
-                (Direction::ALL.iter().enumerate()).fold(0, |m, (i, &d)| {
-                    let open = pos.step(d, grid.width(), grid.height());
-                    m | u8::from(open.is_some_and(|q| grid.passable(q))) << i
-                })
-            })
-            .collect();
-        // Frontier entries are `(cell, rack << 4 | from)`, where `from` has
-        // the step bit of every neighbour that pushed the pair: exactly the
-        // neighbours whose lists hold the rack. `last[c]` is the index in
-        // `next` of the last push to cell `c`; `held[c]` counts the racks
-        // cell `c` has taken, indexed or not.
-        let mut last = vec![u32::MAX; cells];
-        let mut held = vec![0u8; cells];
-        let (mut level, mut next) = (Vec::new(), Vec::<(u32, u32)>::new());
-        for (r, &home) in homes.iter().enumerate() {
-            if grid.passable(home) {
-                level.push((home.to_index(self.width) as u32, (r as u32) << 4));
-            }
+        let (k, w, h) = (self.k, grid.width() as usize, grid.height() as usize);
+        // Cell `c`'s racks are `ids[start[c]..start[c + 1]]`: count, sum,
+        // then place the racks in reverse so each bucket ascends.
+        let seeds = || {
+            (homes.iter().enumerate())
+                .filter(|&(_, &home)| grid.passable(home))
+                .map(|(r, home)| (home.to_index(grid.width()), r as u32))
+        };
+        let mut start = vec![0u32; w * h + 1];
+        for (c, _) in seeds() {
+            start[c] += 1;
         }
-        let (slot, lists, count) = (&self.slot, &mut self.lists, &mut self.count);
-        let mut full = 0;
-        while !level.is_empty() {
-            debug_assert!(level.windows(2).all(|p| p[0].1 >> 4 <= p[1].1 >> 4));
-            self.enqueued += level.len() as u64;
-            if full == count.len() {
-                break;
+        for c in 1..start.len() {
+            start[c] += start[c - 1];
+        }
+        let mut ids = vec![0u32; start[w * h] as usize];
+        for (c, r) in seeds().rev() {
+            start[c] -= 1;
+            ids[start[c] as usize] = r;
+        }
+        // The racks within radius `r` of `(x, y)`, keyed `distance << 32 |
+        // id`: one bucket span per grid row of the diamond.
+        let mut near = Vec::new();
+        for (cell, &row) in self.slot.iter().enumerate() {
+            if row == u32::MAX {
+                continue;
             }
-            for &(cell, packed) in &level {
-                let (cell, rack) = (cell as usize, packed >> 4);
-                let c = held[cell] as usize;
-                if c >= k {
-                    continue;
+            let (x, y) = (cell % w, cell / w);
+            let reach = x.max(w - 1 - x) + y.max(h - 1 - y);
+            let mut r = 1;
+            loop {
+                near.clear();
+                for ry in y.saturating_sub(r)..=(y + r).min(h - 1) {
+                    let (dy, base) = (ry.abs_diff(y), ry * w);
+                    let lo = base + x.saturating_sub(r - dy);
+                    let hi = base + (x + r - dy).min(w - 1);
+                    let span = &ids[start[lo] as usize..start[hi + 1] as usize];
+                    near.extend(span.iter().map(|&id| {
+                        let dx = usize::from(homes[id as usize].x).abs_diff(x);
+                        ((dx + dy) as u64) << 32 | u64::from(id)
+                    }));
                 }
-                held[cell] = (c + 1) as u8;
-                let row = slot[cell] as usize;
-                if row < count.len() {
-                    lists[row * k + c] = RackId(rack);
-                    count[row] = (c + 1) as u8;
-                    full += usize::from(c + 1 == k);
+                if near.len() >= k || r >= reach {
+                    break;
                 }
-                let open = mask[cell] & !(packed as u8 & 15);
-                for (i, &off) in step.iter().enumerate() {
-                    let n = cell.wrapping_add(off);
-                    if open >> i & 1 == 0 || held[n] as usize >= k {
-                        continue;
-                    }
-                    // `Direction::ALL` is N, E, S, W: the way back is two on.
-                    let back = 1 << ((i + 2) % 4);
-                    match next.get_mut(last[n] as usize) {
-                        Some(e) if e.0 as usize == n && e.1 >> 4 == rack => e.1 |= back,
-                        _ => {
-                            last[n] = next.len() as u32;
-                            next.push((n as u32, rack << 4 | back));
-                        }
-                    }
-                }
+                r = (2 * r).min(reach);
             }
-            std::mem::swap(&mut level, &mut next);
-            next.clear();
+            near.sort_unstable();
+            let list = &mut self.lists[row as usize * k..][..k];
+            for (entry, &key) in list.iter_mut().zip(&near) {
+                *entry = RackId(key as u32);
+            }
+            self.count[row as usize] = near.len().min(k) as u8;
         }
     }
 
@@ -199,11 +171,6 @@ impl KNearestRacks {
     pub fn k(&self) -> usize {
         self.k
     }
-
-    /// BFS frontier pushes of the build (`O(HW·K)`): a deterministic cost.
-    pub fn enqueued_count(&self) -> u64 {
-        self.enqueued
-    }
 }
 
 impl MemoryFootprint for KNearestRacks {
@@ -218,7 +185,6 @@ impl MemoryFootprint for KNearestRacks {
 mod tests {
     use super::*;
     use proptest::prelude::*;
-    use std::collections::{HashSet, VecDeque};
     use tprw_warehouse::CellKind;
 
     fn p(x: u16, y: u16) -> GridPos {
@@ -271,23 +237,6 @@ mod tests {
         (grid, homes)
     }
 
-    /// Grid distance from `from` to every cell (`None`: unreachable).
-    fn grid_distances(grid: &GridMap, from: GridPos) -> Vec<Option<u32>> {
-        let mut dist = vec![None; grid.cell_count()];
-        let mut queue = VecDeque::from([(from, 0)]);
-        dist[from.to_index(grid.width())] = Some(0);
-        while let Some((pos, d)) = queue.pop_front() {
-            for next in grid.passable_neighbors(pos) {
-                let slot = &mut dist[next.to_index(grid.width())];
-                if slot.is_none() {
-                    *slot = Some(d + 1);
-                    queue.push_back((next, d + 1));
-                }
-            }
-        }
-        dist
-    }
-
     #[test]
     fn single_rack_everywhere() {
         let grid = open_grid(6, 6);
@@ -328,42 +277,6 @@ mod tests {
         // Two racks equidistant from the center cell.
         let idx = KNearestRacks::build(&grid, &[p(0, 0), p(4, 0)], &every_cell(&grid), 1);
         assert_eq!(idx.nearest(p(2, 0)), &[RackId::new(0)], "lower id wins tie");
-    }
-
-    #[test]
-    fn respects_walls() {
-        let mut grid = open_grid(5, 3);
-        // Wall separating left and right halves except via the bottom row.
-        grid.set_kind(p(2, 0), CellKind::Blocked);
-        grid.set_kind(p(2, 1), CellKind::Blocked);
-        let idx = KNearestRacks::build(&grid, &[p(0, 0), p(4, 0)], &every_cell(&grid), 1);
-        // Cell (3,0) is 1 from rack 1, but rack 0 requires the detour.
-        assert_eq!(idx.nearest(p(3, 0)), &[RackId::new(1)]);
-    }
-
-    #[test]
-    fn rebuild_cost_counter_is_deterministic_and_bounded() {
-        let grid = open_grid(16, 16);
-        let homes: Vec<GridPos> = (0..8).map(|i| p(i * 2, 8)).collect();
-        let a = KNearestRacks::build(&grid, &homes, &every_cell(&grid), 4);
-        let build_cost = a.enqueued_count();
-        assert!(build_cost > 0);
-        // Loose bound: each (cell, rack) pair enters the frontier at most
-        // once.
-        let bound = (grid.cell_count() * homes.len()) as u64;
-        assert!(build_cost <= bound, "{build_cost} > {bound}");
-        let b = KNearestRacks::build(&grid, &homes, &every_cell(&grid), 4);
-        assert_eq!(b.enqueued_count(), build_cost, "deterministic");
-    }
-
-    /// The level-order pass makes exactly the enqueues of the visited-bitset
-    /// FIFO it replaced: the count that build recorded on this floor.
-    #[test]
-    fn build_enqueues_are_pinned() {
-        let (grid, homes) = pinned_floor();
-        let idx = KNearestRacks::build(&grid, &homes, &every_cell(&grid), 8);
-        assert_eq!(idx.enqueued_count(), PINNED_ENQUEUES);
-        assert_eq!(classic_build(&grid, &homes, 8).1, PINNED_ENQUEUES);
     }
 
     /// After `build` the index holds its slot map, lists and per-row
@@ -437,13 +350,13 @@ mod tests {
             prop_assert_eq!(homes[reported.index()].manhattan(q), best);
         }
 
-        /// On obstructed floors up to 24×24 with 1–40 racks (homes may be
-        /// shared or walled) and K in 1..=8, and on the same floors without
-        /// walls (where every cell fills, so the pass stops early), `build`
-        /// gives the classic build's lists after the classic build's
-        /// number of enqueues.
+        /// On floors up to 24×24 with 1–40 racks (homes may be shared or
+        /// walled), with and without walls, and K in 1..=8, every cell's
+        /// list is a brute-force sort of `(Manhattan distance, rack id)`
+        /// over the passable homes, truncated to K. Walls do not bend the
+        /// ranking (`docs/adr/ADR-027-manhattan-knn.md`).
         #[test]
-        fn flat_build_equals_classic_build(
+        fn lists_are_manhattan_sorts(
             size in (1u16..25, 1u16..25),
             walls in proptest::collection::vec((0u16..24, 0u16..24), 0..150),
             homes in proptest::collection::vec((0u16..24, 0u16..24), 1..41),
@@ -452,18 +365,22 @@ mod tests {
             for walls in [&walls[..], &[]] {
                 let (grid, homes) = obstructed(size, walls, &homes);
                 let idx = KNearestRacks::build(&grid, &homes, &every_cell(&grid), k);
-                let (want, enqueued) = classic_build(&grid, &homes, k);
-                prop_assert_eq!(idx.enqueued_count(), enqueued);
-                for (i, want) in want.iter().enumerate() {
-                    let cell = GridPos::from_index(i, size.0);
-                    prop_assert_eq!(idx.nearest(cell), want.as_slice(), "build differs at {}", cell);
+                for cell in every_cell(&grid) {
+                    let mut want: Vec<(u64, RackId)> = (homes.iter().enumerate())
+                        .filter(|&(_, &h)| grid.passable(h))
+                        .map(|(r, h)| (h.manhattan(cell), RackId::new(r)))
+                        .collect();
+                    want.sort_unstable();
+                    want.truncate(k);
+                    let want: Vec<RackId> = want.into_iter().map(|(_, r)| r).collect();
+                    prop_assert_eq!(idx.nearest(cell), want.as_slice(), "cell {}", cell);
                 }
             }
         }
 
         /// On the same floors, an index over a random subset of the cells
         /// (repeats allowed) gives every indexed cell the every-cell
-        /// build's list, though its pass may stop levels earlier.
+        /// build's list.
         #[test]
         fn indexed_cells_equal_every_cell_build(
             size in (1u16..25, 1u16..25),
@@ -476,74 +393,9 @@ mod tests {
             let at: Vec<GridPos> = at.iter().map(|&(x, y)| p(x % size.0, y % size.1)).collect();
             let every = KNearestRacks::build(&grid, &homes, &every_cell(&grid), k);
             let idx = KNearestRacks::build(&grid, &homes, &at, k);
-            prop_assert!(idx.enqueued_count() <= every.enqueued_count());
             for &cell in &at {
                 prop_assert_eq!(idx.nearest(cell), every.nearest(cell), "index differs at {}", cell);
             }
         }
-
-        /// Each list is the K smallest `(grid distance, rack id)` pairs
-        /// over the racks whose passable home reaches the cell.
-        #[test]
-        fn distances_are_grid_distances(
-            size in (1u16..17, 1u16..17),
-            walls in proptest::collection::vec((0u16..24, 0u16..24), 0..60),
-            homes in proptest::collection::vec((0u16..24, 0u16..24), 1..21),
-            k in 1usize..9,
-        ) {
-            let (grid, homes) = obstructed(size, &walls, &homes);
-            let idx = KNearestRacks::build(&grid, &homes, &every_cell(&grid), k);
-            let walled = vec![None; grid.cell_count()];
-            let fields: Vec<Vec<Option<u32>>> = (homes.iter())
-                .map(|&h| if grid.passable(h) { grid_distances(&grid, h) } else { walled.clone() })
-                .collect();
-            for c in 0..grid.cell_count() {
-                let mut want: Vec<(u32, RackId)> = (fields.iter().enumerate())
-                    .filter_map(|(r, field)| Some((field[c]?, RackId::new(r))))
-                    .collect();
-                want.sort_unstable();
-                want.truncate(k);
-                let got: Vec<(u32, RackId)> = (idx.nearest(GridPos::from_index(c, size.0)).iter())
-                    .map(|&r| (fields[r.index()][c].expect("a listed rack reaches the cell"), r))
-                    .collect();
-                prop_assert_eq!(got, want, "cell {}", c);
-            }
-        }
-    }
-
-    /// Enqueues of the visited-bitset build on `pinned_floor` at K = 8, as
-    /// that build recorded them before the level-order pass replaced it.
-    const PINNED_ENQUEUES: u64 = 7_513;
-
-    /// The classic build: a FIFO of `(cell, rack)` pairs into nested
-    /// `Vec`s, each pair enqueued at most once through a visited set. It is
-    /// the behavioural reference for the level-order pass, which must give
-    /// the same lists after the same number of enqueues (returned beside
-    /// the lists).
-    fn classic_build(grid: &GridMap, homes: &[GridPos], k: usize) -> (Vec<Vec<RackId>>, u64) {
-        let mut lists: Vec<Vec<RackId>> = vec![Vec::new(); grid.cell_count()];
-        let mut visited = HashSet::new();
-        let mut queue = VecDeque::new();
-        for (i, &home) in homes.iter().enumerate() {
-            if grid.passable(home) {
-                visited.insert((home, i));
-                queue.push_back((home, i));
-            }
-        }
-        let mut enqueued = queue.len() as u64;
-        while let Some((pos, rack)) = queue.pop_front() {
-            let list = &mut lists[pos.to_index(grid.width())];
-            if list.len() >= k {
-                continue;
-            }
-            list.push(RackId::new(rack));
-            for next in grid.passable_neighbors(pos) {
-                if lists[next.to_index(grid.width())].len() < k && visited.insert((next, rack)) {
-                    queue.push_back((next, rack));
-                    enqueued += 1;
-                }
-            }
-        }
-        (lists, enqueued)
     }
 }

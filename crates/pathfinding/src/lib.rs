@@ -35,9 +35,10 @@
 //!
 //! [`knn::KNearestRacks`] provides the K-closest-rack index backing the
 //! "flip requesting side" optimization (Sec. VI-A), built once from the
-//! instance and never updated (`docs/adr/ADR-021-static-knn.md`). It lists
-//! only the cells the caller names: EATP names the rack homes and spawn
-//! cells, the only cells where a robot idles
+//! instance and never updated (`docs/adr/ADR-021-static-knn.md`). It ranks
+//! racks by Manhattan distance (`docs/adr/ADR-027-manhattan-knn.md`) and
+//! lists only the cells the caller names: EATP names the rack homes and
+//! spawn cells, the only cells where a robot idles
 //! (`docs/adr/ADR-025-knn-idle-cells.md`).
 
 pub mod astar;

@@ -176,6 +176,7 @@ impl Layout {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::datasets::Dataset;
     use crate::grid::CellKind;
 
     #[test]
@@ -259,6 +260,49 @@ mod tests {
             // With 2-col blocks every storage cell borders a vertical aisle
             // or a cross aisle.
             assert!(has_aisle_neighbor, "storage cell {s} is landlocked");
+        }
+    }
+
+    /// The passable cells of every generated floor fill their bounding
+    /// box, so grid distance between them is Manhattan distance. EATP's
+    /// K-nearest index ranks racks by Manhattan distance on this premise
+    /// (`docs/adr/ADR-027-manhattan-knn.md`), and the distance oracle
+    /// answers Manhattan under it (`docs/adr/ADR-022-station-fields.md`).
+    #[test]
+    fn passable_cells_fill_their_bounding_box() {
+        let mut configs = vec![LayoutConfig {
+            block_cols: 3,
+            block_rows: 2,
+            ..LayoutConfig::sized(33, 19)
+        }];
+        for border_walls in [false, true] {
+            for (w, h) in [(40, 30), (60, 40), (200, 200)] {
+                configs.push(LayoutConfig {
+                    border_walls,
+                    ..LayoutConfig::sized(w, h)
+                });
+            }
+        }
+        for scale in [0.01, 1.0] {
+            configs.extend(Dataset::ALL.map(|d| d.spec(scale, 7).layout));
+        }
+        for cfg in &configs {
+            let grid = Layout::generate(cfg).unwrap().grid;
+            let passable: Vec<GridPos> = (0..grid.cell_count())
+                .map(|c| GridPos::from_index(c, grid.width()))
+                .filter(|&p| grid.passable(p))
+                .collect();
+            let span = |axis: fn(&GridPos) -> u16| {
+                let lo = passable.iter().map(axis).min().unwrap();
+                let hi = passable.iter().map(axis).max().unwrap();
+                usize::from(hi - lo) + 1
+            };
+            assert_eq!(
+                passable.len(),
+                span(|p| p.x) * span(|p| p.y),
+                "{cfg:?} has interior obstacles: revisit ADR-027's Manhattan \
+                 K-nearest ranking and ADR-022's Manhattan delivery oracle"
+            );
         }
     }
 

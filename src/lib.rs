@@ -6,7 +6,7 @@
 //! * [`warehouse`] — grids, layouts, entities, workloads, the Table II
 //!   datasets;
 //! * [`pathfinding`] — spatiotemporal A*, reservation systems (STG / CDT),
-//!   path cache, K-nearest-rack index;
+//!   the station distance oracle, K-nearest-rack index;
 //! * [`solver`] — Hungarian assignment, simplex LP and branch-and-bound ILP
 //!   (substrate for the ILP baseline);
 //! * [`simulator`] — the discrete-time validation system and all metrics

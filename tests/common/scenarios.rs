@@ -65,7 +65,7 @@ pub fn disrupted_breakdowns() -> SimScenario {
 
 /// Mid-run aisle blockades on the same dense floor: six corridors close for
 /// 200–400 ticks each, invalidating planned paths (freeze cascade) and
-/// every grid-derived planner structure (oracle fields, path cache, KNN).
+/// patching the distance oracle's station fields.
 pub fn disrupted_blockades() -> SimScenario {
     let instance = ScenarioSpec {
         name: "bench-aisle-blockades".into(),
