@@ -185,6 +185,7 @@ impl MemoryFootprint for KNearestRacks {
 mod tests {
     use super::*;
     use proptest::prelude::*;
+    use std::collections::VecDeque;
     use tprw_warehouse::CellKind;
 
     fn p(x: u16, y: u16) -> GridPos {
@@ -217,6 +218,24 @@ mod tests {
             grid.set_kind(p(x % w, y % h), CellKind::Blocked);
         }
         (grid, homes.iter().map(|&(x, y)| p(x % w, y % h)).collect())
+    }
+
+    /// Grid distance from `from` to every cell by BFS; `None` where the
+    /// walls cut it off.
+    fn grid_distances(grid: &GridMap, from: GridPos) -> Vec<Option<u32>> {
+        let mut dist = vec![None; grid.cell_count()];
+        let mut queue = VecDeque::from([(from, 0)]);
+        dist[from.to_index(grid.width())] = Some(0);
+        while let Some((pos, d)) = queue.pop_front() {
+            for next in grid.passable_neighbors(pos) {
+                let slot = &mut dist[next.to_index(grid.width())];
+                if slot.is_none() {
+                    *slot = Some(d + 1);
+                    queue.push_back((next, d + 1));
+                }
+            }
+        }
+        dist
     }
 
     /// A fixed obstructed 32×32 floor: two shelving walls with gaps, a
@@ -277,6 +296,29 @@ mod tests {
         // Two racks equidistant from the center cell.
         let idx = KNearestRacks::build(&grid, &[p(0, 0), p(4, 0)], &every_cell(&grid), 1);
         assert_eq!(idx.nearest(p(2, 0)), &[RackId::new(0)], "lower id wins tie");
+    }
+
+    /// A wall ranks nothing by itself: a rack homed on a wall is listed
+    /// nowhere, and a wall between a cell and a rack leaves the rack at
+    /// its Manhattan distance (`docs/adr/ADR-027-manhattan-knn.md`).
+    #[test]
+    fn respects_walls() {
+        let mut grid = open_grid(5, 3);
+        // Wall separating left and right halves except via the bottom row.
+        grid.set_kind(p(2, 0), CellKind::Blocked);
+        grid.set_kind(p(2, 1), CellKind::Blocked);
+        let homes = [p(0, 0), p(4, 0), p(2, 1)];
+        let idx = KNearestRacks::build(&grid, &homes, &every_cell(&grid), 3);
+        // Cell (3,0) is 1 from rack 1; rack 0 is 3 away across the wall.
+        assert_eq!(idx.nearest(p(3, 0)), &[RackId::new(1), RackId::new(0)]);
+        // Cell (1,0) is 1 from rack 0 and 3 from rack 1, wall or not.
+        assert_eq!(idx.nearest(p(1, 0)), &[RackId::new(0), RackId::new(1)]);
+        for cell in every_cell(&grid) {
+            assert!(
+                !idx.nearest(cell).contains(&RackId::new(2)),
+                "walled home listed at {cell}"
+            );
+        }
     }
 
     /// After `build` the index holds its slot map, lists and per-row
@@ -350,13 +392,14 @@ mod tests {
             prop_assert_eq!(homes[reported.index()].manhattan(q), best);
         }
 
-        /// On floors up to 24×24 with 1–40 racks (homes may be shared or
-        /// walled), with and without walls, and K in 1..=8, every cell's
-        /// list is a brute-force sort of `(Manhattan distance, rack id)`
-        /// over the passable homes, truncated to K. Walls do not bend the
-        /// ranking (`docs/adr/ADR-027-manhattan-knn.md`).
+        /// The flat diamond-scan build equals the classic build: on floors
+        /// up to 24×24 with 1–40 racks (homes may be shared or walled),
+        /// with and without walls, and K in 1..=8, every cell's list is a
+        /// brute-force sort of `(Manhattan distance, rack id)` over the
+        /// passable homes, truncated to K. Walls do not bend the ranking
+        /// (`docs/adr/ADR-027-manhattan-knn.md`).
         #[test]
-        fn lists_are_manhattan_sorts(
+        fn flat_build_equals_classic_build(
             size in (1u16..25, 1u16..25),
             walls in proptest::collection::vec((0u16..24, 0u16..24), 0..150),
             homes in proptest::collection::vec((0u16..24, 0u16..24), 1..41),
@@ -375,6 +418,44 @@ mod tests {
                     let want: Vec<RackId> = want.into_iter().map(|(_, r)| r).collect();
                     prop_assert_eq!(idx.nearest(cell), want.as_slice(), "cell {}", cell);
                 }
+            }
+        }
+
+        /// Where the passable cells fill their bounding box, as on every
+        /// generated floor, each passable cell's list is its K nearest
+        /// racks by grid distance: the top K `(BFS distance, rack id)`
+        /// pairs from per-rack fields. The floors are up to 16×16 inside
+        /// a wall margin of 0–2 cells per side, with 1–20 racks (homes may
+        /// be shared or on the margin) and K in 1..=8.
+        #[test]
+        fn distances_are_grid_distances(
+            size in (1u16..17, 1u16..17),
+            margin in (0u16..3, 0u16..3, 0u16..3, 0u16..3),
+            homes in proptest::collection::vec((0u16..24, 0u16..24), 1..21),
+            k in 1usize..9,
+        ) {
+            let (left, right, top, bottom) = margin;
+            let (w, h) = (size.0 + left + right, size.1 + top + bottom);
+            let walls: Vec<(u16, u16)> = (0..w)
+                .flat_map(|x| (0..h).map(move |y| (x, y)))
+                .filter(|&(x, y)| x < left || x >= w - right || y < top || y >= h - bottom)
+                .collect();
+            let (grid, homes) = obstructed((w, h), &walls, &homes);
+            let idx = KNearestRacks::build(&grid, &homes, &every_cell(&grid), k);
+            let walled = vec![None; grid.cell_count()];
+            let fields: Vec<Vec<Option<u32>>> = (homes.iter())
+                .map(|&h| if grid.passable(h) { grid_distances(&grid, h) } else { walled.clone() })
+                .collect();
+            for c in (0..grid.cell_count()).filter(|&c| grid.passable(GridPos::from_index(c, w))) {
+                let mut want: Vec<(u32, RackId)> = (fields.iter().enumerate())
+                    .filter_map(|(r, field)| Some((field[c]?, RackId::new(r))))
+                    .collect();
+                want.sort_unstable();
+                want.truncate(k);
+                let got: Vec<(u32, RackId)> = (idx.nearest(GridPos::from_index(c, w)).iter())
+                    .map(|&r| (fields[r.index()][c].expect("a listed rack reaches the cell"), r))
+                    .collect();
+                prop_assert_eq!(got, want, "cell {}", c);
             }
         }
 
