@@ -54,11 +54,6 @@ pub struct EatpConfig {
     /// Reservation garbage-collection period in ticks (the paper's periodic
     /// `update`).
     pub gc_period: u64,
-    /// ILP baseline: branch-and-bound node budget per timestamp.
-    pub ilp_max_nodes: usize,
-    /// ILP baseline: cap on new racks admitted per picker per timestamp
-    /// (the "picker status" extension of \[12\]).
-    pub ilp_picker_capacity: usize,
 }
 
 impl Default for EatpConfig {
@@ -69,8 +64,6 @@ impl Default for EatpConfig {
             max_expansions: 60_000,
             horizon_slack: 256,
             gc_period: 64,
-            ilp_max_nodes: 600,
-            ilp_picker_capacity: 3,
         }
     }
 }

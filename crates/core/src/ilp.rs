@@ -11,15 +11,17 @@
 //!   the pickup term is the Manhattan distance from the robot to the rack
 //!   home, the rule `assignment::pick_robot` ranks robots by;
 //! * Σ_a x_{r,a} ≤ 1 per rack, Σ_r x_{r,a} ≤ 1 per robot;
-//! * **picker status**: Σ_{r: p_r = p} x_{r,·} ≤ capacity per picker, the
-//!   extension that folds queue state into the model.
+//! * **picker status**: Σ_{r: p_r = p} x_{r,·} ≤ 3 (`PICKER_CAPACITY`) per
+//!   picker, the extension that folds queue state into the model.
 //!
-//! The model is solved per *block* of at most [`BLOCK`] racks × robots by
-//! branch-and-bound with a Hungarian warm start; blocks repeat until idle
-//! robots run out. This keeps the baseline functional on large floors while
-//! faithfully reproducing its cost profile — the paper reports ILP is too
-//! slow to finish on Real-Large (Table III footnote), which the per-tick
-//! B&B node counts make visible in the STC metric.
+//! The model is solved per *block* of at most [`BLOCK`] racks × robots;
+//! blocks repeat until idle robots run out. A block's rows make it a
+//! transportation network — source → robot → rack → picker → sink — so its
+//! LP is integral and one min-cost flow solves it exactly, with no bounds,
+//! no branching and no node cap (`docs/adr/ADR-028-ilp-min-cost-flow.md`).
+//! The paper reports ILP too slow to finish on Real-Large (Table III
+//! footnote); that was a generic solver's cost, not the model's, and
+//! `repro` still skips ILP there to mirror the table's "–".
 
 use crate::base::{BaseSnapshot, PlannerBase};
 use crate::config::EatpConfig;
@@ -30,141 +32,146 @@ use crate::shell::{Shell, Strategy};
 use crate::world::WorldView;
 use serde::{Deserialize, Serialize};
 use tprw_pathfinding::{ReservationProbe, SpatioTemporalGraph};
-use tprw_solver::{assign_min_cost, solve_binary_min, IlpLimits, IlpProblem};
 use tprw_warehouse::{RackId, RobotId};
 
 /// Maximum racks (and robots) per ILP block.
 pub const BLOCK: usize = 20;
 
-/// Cost marker for forbidden pairs (rack home parked on by another robot).
-const FORBIDDEN: f64 = 1e9;
+/// Cap on the racks one block admits per picker (the "picker status"
+/// extension of \[12\]).
+const PICKER_CAPACITY: usize = 3;
 
 /// Baseline: per-timestamp 0/1 ILP selection.
 pub type IlpPlanner = Shell<BlockwiseIlp>;
 
-/// The [`IlpPlanner`] strategy.
-pub struct BlockwiseIlp {
-    /// Cumulative branch-and-bound nodes (diagnostics; canonical).
-    pub total_nodes: u64,
-}
+/// The [`IlpPlanner`] strategy. It keeps no state of its own.
+pub struct BlockwiseIlp;
 
-/// Solve one block, returning chosen (rack, robot) pairs.
+/// Solve one block, returning chosen (rack, robot) pairs in rack order.
 fn solve_block(
     base: &mut PlannerBase<SpatioTemporalGraph>,
     world: &WorldView<'_>,
     racks: &[RackId],
     robots: &[RobotId],
-) -> (Vec<(RackId, RobotId)>, u64) {
-    let nr = racks.len();
-    let na = robots.len();
-    if nr == 0 || na == 0 {
-        return (Vec::new(), 0);
-    }
-    let picker_capacity = base.config.ilp_picker_capacity.max(1);
-    let max_nodes = base.config.ilp_max_nodes;
-
-    // Cost matrix per Eq. (2): pickup + delivery + queuing + processing
-    // + return.
-    let mut costs = vec![vec![0f64; na]; nr];
-    let mut int_costs = vec![vec![0i64; na]; nr];
-    for (i, &rid) in racks.iter().enumerate() {
-        let rack = world.rack(rid);
-        let picker = world.picker_of(rack);
-        let delivery = base.delivery(rack);
-        let fp = picker.finish_time();
-        // Parked-on-home rule: only the parked idle robot may serve.
-        let parked = base.resv.parked_at(rack.home).map(|(r, _)| r);
-        for (j, &aid) in robots.iter().enumerate() {
-            if let Some(p) = parked {
-                if p != aid {
-                    costs[i][j] = FORBIDDEN;
-                    int_costs[i][j] = FORBIDDEN as i64;
-                    continue;
-                }
-            }
-            let pickup = world.robot(aid).pos.manhattan(rack.home);
-            let travel = pickup + delivery;
-            let c = (travel + queuing_delay(fp, travel) + rack.pending_time + delivery) as f64;
-            costs[i][j] = c;
-            int_costs[i][j] = c as i64;
-        }
-    }
+) -> Vec<(RackId, RobotId)> {
+    // Cost per Eq. (2): pickup + delivery + queuing + processing + return.
+    // Parked-on-home rule: only the parked idle robot may serve the rack.
+    let mut cost: Vec<Vec<Option<i64>>> = racks
+        .iter()
+        .map(|&rid| {
+            let rack = world.rack(rid);
+            let delivery = base.delivery(rack);
+            let fp = world.picker_of(rack).finish_time();
+            let parked = base.resv.parked_at(rack.home).map(|(r, _)| r);
+            robots
+                .iter()
+                .map(|&aid| {
+                    parked.is_none_or(|p| p == aid).then(|| {
+                        let travel = world.robot(aid).pos.manhattan(rack.home) + delivery;
+                        (travel + queuing_delay(fp, travel) + rack.pending_time + delivery) as i64
+                    })
+                })
+                .collect()
+        })
+        .collect();
 
     // Service bonus strictly above any real cost.
-    let max_cost = costs
+    let bonus = cost.iter().flatten().flatten().copied().max().unwrap_or(0) + 1;
+    for c in cost.iter_mut().flatten().flatten() {
+        *c -= bonus;
+    }
+    let picker: Vec<usize> = racks
         .iter()
-        .flatten()
-        .copied()
-        .filter(|&c| c < FORBIDDEN)
-        .fold(0.0f64, f64::max);
-    let bonus = max_cost + 1.0;
+        .map(|&r| world.rack(r).picker.index())
+        .collect();
+    min_cost_pairs(&cost, &picker, PICKER_CAPACITY)
+        .into_iter()
+        .map(|(i, j)| (racks[i], robots[j]))
+        .collect()
+}
 
-    // Hungarian warm start (ignores picker capacity; repaired below).
-    let warm = assign_min_cost(&int_costs);
-    let mut picker_load = vec![0usize; world.pickers.len()];
-    let mut incumbent = vec![false; nr * na];
-    for (i, col) in warm.row_to_col.iter().enumerate() {
-        if let Some(j) = *col {
-            if costs[i][j] >= FORBIDDEN {
-                continue;
-            }
-            let p = world.rack(racks[i]).picker.index();
-            if picker_load[p] < picker_capacity {
-                picker_load[p] += 1;
-                incumbent[i * na + j] = true;
-            }
-        }
-    }
-
-    // Build the 0/1 model.
-    let mut problem = IlpProblem {
-        n: nr * na,
-        costs: Vec::with_capacity(nr * na),
-        constraints: Vec::new(),
+/// A minimum-cost set of (rack, robot) index pairs, in rack order: each rack
+/// and each robot in at most one pair, at most `capacity` racks per picker.
+/// `cost[i][j]` is the cost of robot `j` serving rack `i` (`None`: it may
+/// not), and `picker[i]` names rack `i`'s picker.
+///
+/// Successive shortest paths with Bellman–Ford on source → robot → rack →
+/// picker → sink, every edge of capacity 1 except picker → sink
+/// (`capacity`). Path costs never fall from one augmentation to the next,
+/// so the flow stops at the first shortest path that costs ≥ 0. The graph
+/// starts acyclic, so no residual graph has a negative cycle; relaxing with
+/// a strict `<` keeps the passes from circling zero-cost cycles.
+fn min_cost_pairs(
+    cost: &[Vec<Option<i64>>],
+    picker: &[usize],
+    capacity: usize,
+) -> Vec<(usize, usize)> {
+    let (nr, na) = (cost.len(), cost.first().map_or(0, Vec::len));
+    let mut pickers = picker.to_vec();
+    pickers.sort_unstable();
+    pickers.dedup();
+    // Nodes: source, robots, racks, pickers, sink.
+    let (source, sink) = (0, 1 + na + nr + pickers.len());
+    let rack_node = |i: usize| 1 + na + i;
+    let picker_node = |k: usize| 1 + na + nr + k;
+    // Edge `e` as (from, to, residual capacity, cost); `e ^ 1` is its reverse.
+    let mut edges: Vec<(usize, usize, usize, i64)> = Vec::new();
+    let mut add = |from: usize, to: usize, cap: usize, c: i64| {
+        edges.push((from, to, cap, c));
+        edges.push((to, from, 0, -c));
+        edges.len() - 2
     };
-    for row in costs.iter().take(nr) {
-        for &c in row.iter().take(na) {
-            problem
-                .costs
-                .push(if c >= FORBIDDEN { FORBIDDEN } else { c - bonus });
-        }
-    }
-    for i in 0..nr {
-        problem
-            .constraints
-            .push(((0..na).map(|j| (i * na + j, 1.0)).collect(), 1.0));
-    }
     for j in 0..na {
-        problem
-            .constraints
-            .push(((0..nr).map(|i| (i * na + j, 1.0)).collect(), 1.0));
+        add(source, 1 + j, 1, 0);
     }
-    // Picker capacity rows.
-    for p in 0..world.pickers.len() {
-        let vars: Vec<(usize, f64)> = racks
-            .iter()
-            .enumerate()
-            .filter(|(_, &rid)| world.rack(rid).picker.index() == p)
-            .flat_map(|(i, _)| (0..na).map(move |j| (i * na + j, 1.0)))
-            .collect();
-        if !vars.is_empty() {
-            problem.constraints.push((vars, picker_capacity as f64));
-        }
-    }
-
-    let solution = solve_binary_min(&problem, IlpLimits { max_nodes }, Some(incumbent));
-    let Some(solution) = solution else {
-        return (Vec::new(), 0);
-    };
-    let mut pairs = Vec::new();
-    for i in 0..nr {
-        for j in 0..na {
-            if solution.x[i * na + j] && costs[i][j] < FORBIDDEN {
-                pairs.push((racks[i], robots[j]));
+    let mut arcs = Vec::new();
+    for (i, row) in cost.iter().enumerate() {
+        for (j, c) in row.iter().enumerate() {
+            if let Some(c) = *c {
+                arcs.push((i, j, add(1 + j, rack_node(i), 1, c)));
             }
         }
     }
-    (pairs, solution.nodes as u64)
+    for (i, p) in picker.iter().enumerate() {
+        let k = pickers
+            .binary_search(p)
+            .expect("every rack's picker is listed");
+        add(rack_node(i), picker_node(k), 1, 0);
+    }
+    for k in 0..pickers.len() {
+        add(picker_node(k), sink, capacity, 0);
+    }
+
+    loop {
+        let mut dist = vec![i64::MAX; sink + 1];
+        let mut via = vec![usize::MAX; sink + 1];
+        dist[source] = 0;
+        let mut relaxed = true;
+        while relaxed {
+            relaxed = false;
+            for (e, &(from, to, cap, c)) in edges.iter().enumerate() {
+                if cap > 0 && dist[from] != i64::MAX && dist[from] + c < dist[to] {
+                    dist[to] = dist[from] + c;
+                    via[to] = e;
+                    relaxed = true;
+                }
+            }
+        }
+        if dist[sink] >= 0 {
+            break;
+        }
+        let mut v = sink;
+        while v != source {
+            let e = via[v];
+            edges[e].2 -= 1;
+            edges[e ^ 1].2 += 1;
+            v = edges[e].0;
+        }
+    }
+    arcs.into_iter()
+        .filter(|&(_, _, e)| edges[e].2 == 0)
+        .map(|(i, j, _)| (i, j))
+        .collect()
 }
 
 impl Strategy for BlockwiseIlp {
@@ -172,7 +179,7 @@ impl Strategy for BlockwiseIlp {
     const NAME: &'static str = "ILP";
 
     fn new(_config: &EatpConfig) -> Self {
-        Self { total_nodes: 0 }
+        Self
     }
 
     fn select(
@@ -194,9 +201,7 @@ impl Strategy for BlockwiseIlp {
                 let anchor = world.rack(chunk[0]).home;
                 remaining_robots.sort_by_key(|&r| (world.robot(r).pos.manhattan(anchor), r));
                 let take = remaining_robots.len().min(BLOCK);
-                let block_robots: Vec<RobotId> = remaining_robots[..take].to_vec();
-                let (pairs, nodes) = solve_block(base, world, chunk, &block_robots);
-                self.total_nodes += nodes;
+                let pairs = solve_block(base, world, chunk, &remaining_robots[..take]);
                 for &(rack, robot) in &pairs {
                     remaining_robots.retain(|&r| r != robot);
                     all_pairs.push((rack, robot));
@@ -218,32 +223,27 @@ impl Strategy for BlockwiseIlp {
     }
 
     fn export(&self, base: BaseSnapshot) -> serde::Value {
-        IlpSnapshot {
-            base,
-            total_nodes: self.total_nodes,
-        }
-        .serialize()
+        IlpSnapshot { base }.serialize()
     }
 
     fn import(&mut self, state: &serde::Value) -> Result<BaseSnapshot, serde::Error> {
-        let snap = IlpSnapshot::deserialize(state)?;
-        self.total_nodes = snap.total_nodes;
-        Ok(snap.base)
+        Ok(IlpSnapshot::deserialize(state)?.base)
     }
 }
 
-/// Canonical ILP state: the shared base slice plus the cumulative
-/// branch-and-bound node counter.
+/// Canonical ILP state: the shared base slice, nested under `base` so the
+/// payloads of older builds (which also carried a branch-and-bound node
+/// counter, `total_nodes`) still import.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 struct IlpSnapshot {
     base: BaseSnapshot,
-    total_nodes: u64,
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::planner::Planner;
+    use proptest::prelude::*;
     use tprw_warehouse::{Instance, ItemId, LayoutConfig, ScenarioSpec, Tick, WorkloadConfig};
 
     fn instance() -> Instance {
@@ -301,7 +301,6 @@ mod tests {
         robots.sort();
         robots.dedup();
         assert_eq!(robots.len(), plans.len(), "one rack per robot");
-        assert!(planner.strategy.total_nodes > 0, "B&B actually ran");
     }
 
     #[test]
@@ -318,19 +317,19 @@ mod tests {
         for &i in &p0_racks {
             add_pending(&mut inst, i, 30);
         }
-        let config = EatpConfig {
-            ilp_picker_capacity: 1,
-            ..EatpConfig::default()
-        };
-        let mut planner = IlpPlanner::new(config);
+        let mut planner = IlpPlanner::new(EatpConfig::default());
         planner.init(&inst);
         let idle: Vec<RobotId> = inst.robots.iter().map(|r| r.id).collect();
+        // The capacity binds: more of picker 0's racks wait than it admits,
+        // and more robots are idle than it admits.
+        assert!(p0_racks.len() > PICKER_CAPACITY);
+        assert!(idle.len() > PICKER_CAPACITY);
         let selectable: Vec<RackId> = p0_racks.iter().map(|&i| inst.racks[i].id).collect();
         let world = world_of(&inst, 0, &idle, &selectable);
         let plans = planner.plan(&world).unwrap();
         assert!(
-            plans.len() <= 1,
-            "capacity 1 admits at most one rack for picker 0, got {}",
+            plans.len() <= PICKER_CAPACITY,
+            "capacity {PICKER_CAPACITY} admits at most {PICKER_CAPACITY} racks for picker 0, got {}",
             plans.len()
         );
     }
@@ -366,5 +365,79 @@ mod tests {
         let plans = planner.plan(&world).unwrap();
         assert_eq!(plans.len(), 1);
         assert_eq!(plans[0].robot, inst.robots[2].id);
+    }
+
+    /// The least objective over every feasible pair set, by trying each
+    /// rack unserved or with each robot still free.
+    fn exhaustive_min(
+        cost: &[Vec<Option<i64>>],
+        picker: &[usize],
+        capacity: usize,
+        rack: usize,
+        robot_used: &mut [bool],
+        load: &mut [usize],
+    ) -> i64 {
+        if rack == cost.len() {
+            return 0;
+        }
+        let mut best = exhaustive_min(cost, picker, capacity, rack + 1, robot_used, load);
+        if load[picker[rack]] == capacity {
+            return best;
+        }
+        for (j, c) in cost[rack].iter().enumerate() {
+            let Some(c) = *c else { continue };
+            if robot_used[j] {
+                continue;
+            }
+            robot_used[j] = true;
+            load[picker[rack]] += 1;
+            let rest = exhaustive_min(cost, picker, capacity, rack + 1, robot_used, load);
+            best = best.min(c + rest);
+            load[picker[rack]] -= 1;
+            robot_used[j] = false;
+        }
+        best
+    }
+
+    proptest! {
+        /// The flow's pairs are feasible, and their objective is the least
+        /// over every feasible pair set, on random blocks of up to 5 racks ×
+        /// 5 robots with forbidden pairs, 1–3 pickers and capacity 1–3.
+        #[test]
+        fn flow_matches_exhaustive_search(
+            nr in 0usize..6,
+            na in 1usize..6,
+            cells in proptest::collection::vec((-40i64..40, 0u8..4), 25),
+            pickers in proptest::collection::vec(0usize..3, 5),
+            n_pickers in 1usize..4,
+            capacity in 1usize..4,
+        ) {
+            // A quarter of the pairs are forbidden.
+            let cost: Vec<Vec<Option<i64>>> = (0..nr)
+                .map(|i| (0..na).map(|j| {
+                    let (c, gate) = cells[i * 5 + j];
+                    (gate > 0).then_some(c)
+                }).collect())
+                .collect();
+            let picker: Vec<usize> = pickers[..nr].iter().map(|p| p % n_pickers).collect();
+
+            let pairs = min_cost_pairs(&cost, &picker, capacity);
+            let (mut rack_used, mut robot_used) = (vec![false; nr], vec![false; na]);
+            let mut load = vec![0usize; n_pickers];
+            let mut objective = 0;
+            for &(i, j) in &pairs {
+                prop_assert!(!rack_used[i] && !robot_used[j], "{pairs:?} reuses a rack or robot");
+                rack_used[i] = true;
+                robot_used[j] = true;
+                load[picker[i]] += 1;
+                prop_assert!(load[picker[i]] <= capacity, "{pairs:?} overloads a picker");
+                let c = cost[i][j];
+                prop_assert!(c.is_some(), "{pairs:?} uses a forbidden pair");
+                objective += c.unwrap();
+            }
+            prop_assert!(pairs.windows(2).all(|w| w[0].0 < w[1].0), "rack order");
+            let best = exhaustive_min(&cost, &picker, capacity, 0, &mut vec![false; na], &mut vec![0; n_pickers]);
+            prop_assert_eq!(objective, best);
+        }
     }
 }

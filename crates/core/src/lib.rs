@@ -7,7 +7,7 @@
 //! |---------|-------|-----------|-------------|--------|
 //! | [`ntp::NaiveTaskPlanner`] | Alg. 1 (ext. of \[7\]) | most-slack picker first | STG | — |
 //! | [`lef::LeastExpirationFirst`] | \[17\] | earliest emerged item first | STG | — |
-//! | [`ilp::IlpPlanner`] | \[12\] | 0/1 ILP with picker status | STG | B&B + Hungarian warm start |
+//! | [`ilp::IlpPlanner`] | \[12\] | 0/1 ILP with picker status | STG | blocks solved as a min-cost flow |
 //! | [`atp::AdaptiveTaskPlanner`] | Alg. 2 | Q-learning (Sec. V) | STG | δ-bootstrap |
 //! | [`eatp::EfficientAdaptiveTaskPlanner`] | Alg. 3 | Q-learning, flip-side (Sec. VI-A) | CDT | K-nearest index |
 //!

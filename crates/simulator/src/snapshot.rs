@@ -1240,9 +1240,10 @@ mod tests {
     /// fingerprint: as recorded, and carrying the keys earlier v5 builds
     /// wrote and this one no longer has — `config.workers`,
     /// `config.reference_exec`, the validation switch (off), the
-    /// tick-strategy selector as either unit variant it could name, and the
-    /// planner base's `maintenance` list. A v6 payload that still carries
-    /// the deleted path cache's `cache` entries resumes too.
+    /// tick-strategy selector as either unit variant it could name, the
+    /// planner base's `maintenance` list, and the ILP slice's
+    /// branch-and-bound node counter `total_nodes`. A v6 payload that still
+    /// carries the deleted path cache's `cache` entries resumes too.
     ///
     /// The EATP fixture was recorded with the path cache, so its cumulative
     /// planner counters (expansions, cached tails) are the cached search's.

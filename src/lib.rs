@@ -7,16 +7,14 @@
 //!   datasets;
 //! * [`pathfinding`] — spatiotemporal A*, reservation systems (STG / CDT),
 //!   the station distance oracle, K-nearest-rack index;
-//! * [`solver`] — Hungarian assignment, simplex LP and branch-and-bound ILP
-//!   (substrate for the ILP baseline);
 //! * [`simulator`] — the discrete-time validation system and all metrics
 //!   (makespan, PPR, RWR, STC, PTC, MC);
-//! * [`core`] — the planners: NTP, LEF, ILP, ATP and EATP.
+//! * [`core`] — the planners: NTP, LEF, ILP (each block an exact min-cost
+//!   flow), ATP and EATP.
 //!
 //! See `examples/quickstart.rs` for a three-minute tour.
 
 pub use eatp_core as core;
 pub use tprw_pathfinding as pathfinding;
 pub use tprw_simulator as simulator;
-pub use tprw_solver as solver;
 pub use tprw_warehouse as warehouse;
