@@ -14,9 +14,9 @@
 //! arrays all report `capacity × element size`, which is what the allocator
 //! actually holds (windows keep their capacity across `release_before` so
 //! steady-state GC does not free memory — the number reflects that). Hash
-//! maps that remain (the parking reverse index, the search's hash table) add
-//! [`HASH_ENTRY_OVERHEAD`] per entry for control bytes and load-factor
-//! slack.
+//! maps that remain (the parking reverse index, the search's deep-delay
+//! map) add [`HASH_ENTRY_OVERHEAD`] per entry for control bytes and
+//! load-factor slack.
 
 /// Types that can report their (approximate) live heap size.
 pub trait MemoryFootprint {

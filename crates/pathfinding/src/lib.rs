@@ -18,13 +18,14 @@
 //!
 //! [`astar`] implements spatiotemporal A*, the one leg search every
 //! planner runs; the paper's cache-aided tail (Sec. VI-B) is not built
-//! (`docs/adr/ADR-019-one-leg-search.md`). There is one search loop. It
-//! runs on a reusable [`scratch::SearchScratch`] arena — a dense
-//! generation-stamped state table (a hash table from the same slots for
-//! regions over [`astar::DENSE_TABLE_CAP`]) plus a dial (bucket) open list
-//! — so a warmed-up planner plans with **zero per-query heap allocations**. The
-//! seed HashMap/BinaryHeap search survives only as a test-only module, the
-//! reference the equivalence tests compare against.
+//! (`docs/adr/ADR-019-one-leg-search.md`). There is one search loop over
+//! one state table. It runs on a reusable [`scratch::SearchScratch`] arena
+//! — a generation-stamped dense band of the first four delay planes, a
+//! hash map from the same slots for deeper states
+//! (`docs/adr/ADR-029-banded-state-table.md`), and a dial (bucket) open
+//! list — so a warmed-up planner plans with **zero per-query heap
+//! allocations**. The seed HashMap/BinaryHeap search survives only as a
+//! test-only module, the reference the equivalence tests compare against.
 //!
 //! [`bfs::DistanceOracle`] answers the one uncongested distance the
 //! planners ask, a rack's home to its own station (Eq. 2's delivery term):

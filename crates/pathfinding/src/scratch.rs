@@ -6,26 +6,30 @@
 //!
 //! # Design
 //!
-//! * **A state table keyed by region slot.** A search state is a
-//!   `(cell, dt)` pair with `dt = tick - start_tick`, keyed inside a
+//! * **One state table keyed by region slot, in two tiers.** A search state
+//!   is a `(cell, dt)` pair with `dt = tick - start_tick`, keyed inside a
 //!   per-query *search region* (see `astar.rs`) by how late it is:
 //!   `slot = (dt - manhattan(start, cell)) * region_cells + region_cell`.
-//!   A `StateTable` records, per discovered slot, the 3-bit action that
-//!   reached it. Two tables implement it, and the search loop is
-//!   monomorphised over each:
-//!   - `StampTable`, dense and wavefront-major. Plane 0 holds every
-//!     on-time state, so an uncongested search stays in the first plane or
-//!     two and spatial neighbours share cache lines
-//!     (docs/adr/ADR-004-wavefront-major-arena.md). A slot's stamp word is
-//!     `generation << 3 | action`: which query last discovered it, and
-//!     how. Bumping `generation` invalidates every slot at once — the table
-//!     is never cleared between queries, and it grows with headroom.
-//!   - A `HashMap` from the same slot to the same action, for regions whose
-//!     dense table would exceed [`crate::astar::DENSE_TABLE_CAP`] slots.
-//!     The keys and answers are the dense table's, so the search expands
-//!     the same states in the same order with either
-//!     (docs/adr/ADR-017-one-search-loop.md); only the cost per state
-//!     differs.
+//!   The `StateTable` records, per discovered slot, the 3-bit action that
+//!   reached it, in the tier the slot falls in:
+//!   - the *band*, one stamp word per slot of the first `BAND_PLANES` (4)
+//!     delay planes. Plane 0 holds every on-time state, and an expansion
+//!     at delay 0 or 1 discovers only into planes 0–3, so the band takes
+//!     95–99 % of a paper-scale search's states, and spatial neighbours
+//!     share cache lines (docs/adr/ADR-004-wavefront-major-arena.md).
+//!     A stamp word is `generation << 3 | action`: which query last
+//!     discovered the slot, and how. Bumping `generation` invalidates every
+//!     slot at once, so the band is never cleared between queries. It grows
+//!     only when a larger region arrives;
+//!   - the *deep map*, a `HashMap` from the same slot to the same action,
+//!     for every state delayed past the band. A query clears it first if
+//!     the one before left entries.
+//!
+//!   The tiers answer alike, so a search expands the same states in the
+//!   same order as over one dense table of every plane. Such a table is
+//!   `region cells × window` words, tens of MB at paper scale, whose deep
+//!   planes a search touches once and leaves resident
+//!   (docs/adr/ADR-029-banded-state-table.md).
 //! * **Bucketed open list.** Unit edge costs and a consistent heuristic
 //!   mean a popped state with f-value `f` only ever generates successors
 //!   with `f`, `f+1` or `f+2`. Where the Manhattan distance is the
@@ -58,78 +62,61 @@ pub(crate) const ACTION_MOVE_BASE: u32 = 3;
 const ACTION_BITS: u32 = 3;
 /// Last generation a stamp word can hold above its action bits.
 const GENERATION_MAX: u32 = u32::MAX >> ACTION_BITS;
+/// Delay planes the dense band holds; deeper states go to the deep map.
+const BAND_PLANES: usize = 4;
 
 /// Where a search records the states it has discovered, by region slot
-/// (`Region::slot`), and the reach-action of each.
-pub(crate) trait StateTable {
-    /// Record `slot` as reached via `action` and return `true`, or return
-    /// `false` and change nothing if this query already discovered it.
-    fn discover(&mut self, slot: usize, action: u32) -> bool;
-    /// The reach-action a discovered `slot` was recorded with.
-    fn action(&self, slot: usize) -> u32;
-}
-
-/// The dense state table: one `generation << ACTION_BITS | action` stamp
-/// word per region slot.
+/// (`Region::slot`), and the reach-action of each: stamp words for the
+/// slots below `dense`, a map for the rest.
 #[derive(Debug, Default)]
-pub(crate) struct StampTable {
-    /// Current query generation (see [`Self::discovered`]).
+pub(crate) struct StateTable {
+    /// Current query generation: a band word is live iff it carries it.
     generation: u32,
-    stamp: Vec<u32>,
+    band: Vec<u32>,
+    /// This query's band size; slots from here on live in `deep`.
+    dense: usize,
+    pub(crate) deep: HashMap<usize, u8>,
 }
 
-impl StampTable {
-    /// Begin a query needing `slots` entries: bumps the generation and
-    /// grows the table if this query is the largest yet.
-    pub(crate) fn begin(&mut self, slots: usize) {
-        if self.stamp.len() < slots {
-            // A fresh zeroed allocation rather than `resize`: `vec![0; n]`
-            // lowers to `alloc_zeroed`, whose untouched pages the OS maps
-            // lazily — resident memory tracks states actually visited, not
-            // the nominal table size. Old contents need no copy because the
-            // generation bump below invalidates every slot anyway. Headroom,
-            // because `slots` creeps up with the query's distance and each
-            // re-allocation faults every visited page in again.
-            self.stamp = vec![0; slots + slots / 4];
+impl StateTable {
+    /// Begin a query over a region of `cells` cells and `window` delay
+    /// planes: bumps the generation, grows the band if this region is the
+    /// largest yet, and empties the deep map.
+    pub(crate) fn begin(&mut self, cells: usize, window: u64) {
+        self.dense = cells * window.min(BAND_PLANES as u64) as usize;
+        if self.band.len() < self.dense {
+            // A fresh zeroed allocation rather than `resize`: old contents
+            // need no copy because the generation bump below invalidates
+            // every slot anyway.
+            self.band = vec![0; self.dense];
             self.generation = 0;
         }
         if self.generation == GENERATION_MAX {
-            // Stamp wrap: reset the table once every 2²⁹ queries.
-            self.stamp.fill(0);
+            // Stamp wrap: reset the band once every 2²⁹ queries.
+            self.band.fill(0);
             self.generation = 0;
         }
         self.generation += 1;
-    }
-
-    /// Whether the current query has discovered `slot`.
-    #[inline]
-    fn discovered(&self, slot: usize) -> bool {
-        self.stamp[slot] >> ACTION_BITS == self.generation
-    }
-}
-
-impl StateTable for StampTable {
-    #[inline]
-    fn discover(&mut self, slot: usize, action: u32) -> bool {
-        if self.discovered(slot) {
-            return false;
+        // `clear` walks the whole capacity, so skip it when there is
+        // nothing to drop.
+        if !self.deep.is_empty() {
+            self.deep.clear();
         }
-        self.stamp[slot] = self.generation << ACTION_BITS | action;
-        true
     }
 
+    /// Record `slot` as reached via `action` and return `true`, or return
+    /// `false` and change nothing if this query already discovered it.
     #[inline]
-    fn action(&self, slot: usize) -> u32 {
-        self.stamp[slot] & ((1 << ACTION_BITS) - 1)
-    }
-}
-
-/// The table for regions over [`crate::astar::DENSE_TABLE_CAP`]: cleared
-/// per query, one entry per discovered state.
-impl StateTable for HashMap<usize, u8> {
-    #[inline]
-    fn discover(&mut self, slot: usize, action: u32) -> bool {
-        match self.entry(slot) {
+    pub(crate) fn discover(&mut self, slot: usize, action: u32) -> bool {
+        if slot < self.dense {
+            let word = &mut self.band[slot];
+            if *word >> ACTION_BITS == self.generation {
+                return false;
+            }
+            *word = self.generation << ACTION_BITS | action;
+            return true;
+        }
+        match self.deep.entry(slot) {
             Entry::Vacant(entry) => {
                 entry.insert(action as u8);
                 true
@@ -138,9 +125,14 @@ impl StateTable for HashMap<usize, u8> {
         }
     }
 
+    /// The reach-action a discovered `slot` was recorded with.
     #[inline]
-    fn action(&self, slot: usize) -> u32 {
-        u32::from(self[&slot])
+    pub(crate) fn action(&self, slot: usize) -> u32 {
+        if slot < self.dense {
+            self.band[slot] & ((1 << ACTION_BITS) - 1)
+        } else {
+            u32::from(self.deep[&slot])
+        }
     }
 }
 
@@ -192,10 +184,7 @@ impl Dial {
 /// query seen and are then recycled allocation-free.
 #[derive(Debug, Default)]
 pub struct SearchScratch {
-    /// State table of regions up to [`crate::astar::DENSE_TABLE_CAP`] slots.
-    pub(crate) stamps: StampTable,
-    /// State table of larger regions.
-    pub(crate) hashed: HashMap<usize, u8>,
+    pub(crate) table: StateTable,
     pub(crate) open: Dial,
     /// States the most recent query expanded (see [`Self::last_expansions`]).
     pub(crate) last_expansions: usize,
@@ -215,72 +204,83 @@ impl SearchScratch {
         self.last_expansions
     }
 
-    /// Entries the dense table holds (0 before the first dense query); a
-    /// change between two queries is an arena re-allocation.
+    /// Stamp words the dense band holds (0 before the first query); a
+    /// change between two queries is a band re-allocation.
     pub fn dense_slots(&self) -> usize {
-        self.stamps.stamp.len()
+        self.table.band.len()
     }
 
     /// Sum of the capacities of every internal buffer, in elements. Stable
     /// across queries once warmed up — asserted by the no-allocation tests.
     pub fn capacity_signature(&self) -> usize {
-        self.stamps.stamp.capacity()
+        self.table.band.capacity()
+            + self.table.deep.capacity()
             + self.open.buckets.capacity()
             + self.open.buckets.iter().map(Vec::capacity).sum::<usize>()
-            + self.hashed.capacity()
     }
 
-    /// Approximate heap bytes currently held by the scratch buffers.
+    /// Heap bytes held by the scratch buffers: the band, the deep map and
+    /// the dial, each at its capacity.
     pub fn memory_bytes(&self) -> usize {
-        self.stamps.stamp.capacity() * std::mem::size_of::<u32>()
+        self.table.band.capacity() * std::mem::size_of::<u32>()
+            + self.table.deep.capacity()
+                * (std::mem::size_of::<(usize, u8)>() + crate::footprint::HASH_ENTRY_OVERHEAD)
+            + self.open.buckets.capacity() * std::mem::size_of::<Vec<OpenEntry>>()
             + self
                 .open
                 .buckets
                 .iter()
                 .map(|b| b.capacity() * std::mem::size_of::<OpenEntry>())
                 .sum::<usize>()
-            + self.hashed.capacity()
-                * (std::mem::size_of::<(usize, u8)>() + crate::footprint::HASH_ENTRY_OVERHEAD)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+
+    /// A table begun on a region of `cells` cells and 16 planes.
+    fn begun(cells: usize) -> StateTable {
+        let mut s = StateTable::default();
+        s.begin(cells, 16);
+        s
+    }
 
     #[test]
     fn generations_invalidate_without_clearing() {
-        let mut s = StampTable::default();
-        s.begin(16);
+        let mut s = begun(4);
         assert!(s.discover(3, ACTION_WAIT));
-        assert!(s.discovered(3));
         assert!(!s.discover(3, ACTION_ROOT), "a second discovery is refused");
         assert_eq!(s.action(3), ACTION_WAIT);
-        s.begin(16);
-        assert!(!s.discovered(3), "old stamps must not read as live");
+        s.begin(4, 16);
+        assert!(
+            s.discover(3, ACTION_ROOT),
+            "old stamps must not read as live"
+        );
     }
 
     #[test]
     fn stamp_words_decode_the_action_they_were_pushed_with() {
-        let mut s = StampTable::default();
-        let mut hashed = HashMap::new();
+        // Slots 1..=6 are band words on a 2-cell region (band 8 slots), and
+        // slots 9..=14 deep-map entries: both tiers decode alike.
+        let mut s = begun(2);
         let actions = ACTION_ROOT..ACTION_MOVE_BASE + 4;
         for generation in [1, 2, GENERATION_MAX] {
-            s.begin(8);
+            s.begin(2, 16);
             s.generation = generation;
-            hashed.clear();
             for action in actions.clone() {
-                assert!(s.discover(action as usize, action));
-                assert!(hashed.discover(action as usize, action));
+                for slot in [action as usize, action as usize + 8] {
+                    assert!(s.discover(slot, action), "slot {slot}");
+                }
             }
             for action in actions.clone() {
-                assert!(s.discovered(action as usize));
                 assert_eq!(s.action(action as usize), action);
-                assert_eq!(hashed.action(action as usize), action);
+                assert_eq!(s.action(action as usize + 8), action);
             }
             assert!(
-                !s.discovered(0),
-                "never-pushed slot, generation {generation}"
+                s.discover(0, ACTION_ROOT) && s.discover(8, ACTION_ROOT),
+                "never-pushed slots, generation {generation}"
             );
         }
     }
@@ -288,27 +288,27 @@ mod tests {
     #[test]
     fn tables_grow_monotonically() {
         let mut s = SearchScratch::new();
-        s.stamps.begin(8);
-        assert!(s.dense_slots() >= 8);
-        s.stamps.begin(4);
-        assert!(s.dense_slots() >= 8, "smaller queries keep the big table");
-        s.stamps.begin(32);
-        assert!(s.dense_slots() >= 32);
+        s.table.begin(2, 16);
+        assert_eq!(s.dense_slots(), 2 * BAND_PLANES, "the band, not the window");
+        s.table.begin(1, 16);
+        assert_eq!(s.dense_slots(), 8, "smaller regions keep the big band");
+        s.table.begin(8, 2);
+        assert_eq!(s.dense_slots(), 16, "a two-plane window needs two planes");
         let signature = s.capacity_signature();
-        s.stamps.begin(36);
-        assert_eq!(s.capacity_signature(), signature, "within the headroom");
+        s.table.begin(3, 100);
+        assert_eq!(s.capacity_signature(), signature, "a smaller band fits");
+        s.table.begin(5, 100);
+        assert_eq!(s.dense_slots(), 20);
     }
 
     #[test]
     fn stamp_wrap_resets_tables() {
-        let mut s = StampTable::default();
-        s.begin(4);
+        let mut s = begun(1);
         s.generation = GENERATION_MAX;
         s.discover(0, ACTION_WAIT);
-        assert!(s.discovered(0));
-        s.begin(4);
+        s.begin(1, 16);
         assert_eq!(s.generation, 1, "generation restarts after wrap");
-        assert_eq!(s.stamp[0], 0, "stale stamps cleared on wrap");
+        assert_eq!(s.band[0], 0, "stale stamps cleared on wrap");
     }
 
     #[test]
@@ -319,8 +319,12 @@ mod tests {
         assert!(s.capacity_signature() > before);
         assert!(s.memory_bytes() > 0);
         let (signature, bytes) = (s.capacity_signature(), s.memory_bytes());
-        s.hashed.discover(5, ACTION_ROOT);
-        assert!(s.capacity_signature() > signature, "the hash table counts");
+        s.table.begin(1, 16);
+        assert_eq!(s.memory_bytes(), bytes + 4 * BAND_PLANES, "the band counts");
+        let (signature, bytes) = (signature + BAND_PLANES, s.memory_bytes());
+        assert_eq!(s.capacity_signature(), signature);
+        s.table.discover(5, ACTION_ROOT);
+        assert!(s.capacity_signature() > signature, "the deep map counts");
         assert!(s.memory_bytes() > bytes);
     }
 
@@ -336,5 +340,39 @@ mod tests {
         dial.push(4, (5, 2));
         dial.clear();
         assert_eq!(dial.pop(), None, "clear empties every touched bucket");
+    }
+
+    proptest! {
+        /// The two tiers are one table: random discoveries on slots either
+        /// side of the band edge (`4 × cells`), over regions of changing
+        /// size, generation bumps and the stamp wrap, answer as a fresh
+        /// `HashMap` per query would.
+        #[test]
+        fn band_and_deep_map_answer_as_one_map(
+            queries in proptest::collection::vec(
+                (1usize..6, 1u64..8, 0u8..3,
+                 proptest::collection::vec((0usize..48, ACTION_ROOT..ACTION_MOVE_BASE + 4), 0..40)),
+                1..12),
+        ) {
+            let mut table = StateTable::default();
+            for (cells, window, wrap, ops) in queries {
+                if wrap == 0 && table.generation < GENERATION_MAX - 1 {
+                    table.generation = GENERATION_MAX - 1; // the next query wraps
+                }
+                table.begin(cells, window);
+                let slots = cells * window as usize;
+                let mut model = HashMap::new();
+                for (slot, action) in ops {
+                    let slot = slot % slots;
+                    let fresh = !model.contains_key(&slot);
+                    prop_assert_eq!(table.discover(slot, action), fresh, "slot {}", slot);
+                    model.entry(slot).or_insert(action);
+                    for (&slot, &action) in &model {
+                        prop_assert_eq!(table.action(slot), action, "slot {}", slot);
+                    }
+                }
+                prop_assert!(table.dense <= 4 * cells && table.band.len() >= table.dense);
+            }
+        }
     }
 }
