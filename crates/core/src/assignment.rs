@@ -1,6 +1,7 @@
 //! Rack→robot matching shared by every planner.
 //!
-//! Given an ordered list of selected racks, match each to an idle robot
+//! Given an ordered list of picks — a rack, and the robot selection already
+//! paired with it, if any — match each rack to an idle robot
 //! (closest-first, as in Alg. 1 line 6 / Alg. 2 line 23) and plan the pickup
 //! leg. Two practical rules keep the floor live:
 //!
@@ -13,34 +14,42 @@ use crate::planner::AssignmentPlan;
 use crate::world::WorldView;
 use tprw_warehouse::{RackId, RobotId};
 
-/// Match `selected` racks (in priority order) to idle robots and plan
-/// pickup paths. Consumes at most `world.idle_robots.len()` robots; racks
-/// whose path planning fails are skipped (the engine retries next tick).
+/// Match `picks` (in priority order) to idle robots and plan pickup paths.
+/// A pick's robot, when selection paired one, serves the rack unless
+/// another robot is parked on the rack's home or it is already used; a
+/// pick without one goes to [`pick_robot`]. Consumes at most
+/// `world.idle_robots.len()` robots; picks whose path planning fails are
+/// skipped (the engine retries next tick). The used-robot bitmap is the
+/// base's selection scratch, so a tick allocates only the plans.
 pub fn match_and_plan<R: ReservationBackend>(
     base: &mut PlannerBase<R>,
     world: &WorldView<'_>,
-    selected: &[RackId],
+    picks: impl IntoIterator<Item = (RackId, Option<RobotId>)>,
 ) -> Vec<AssignmentPlan> {
-    let mut used = vec![false; world.robots.len()];
+    let mut used = std::mem::take(&mut base.sel.robot_flags);
+    used.clear();
+    used.resize(world.robots.len(), false);
     let mut plans = Vec::new();
-    for &rack_id in selected {
+    for (rack, hint) in picks {
         if plans.len() >= world.idle_robots.len() {
             break;
         }
-        let rack = world.rack(rack_id);
-        let Some(robot_id) = pick_robot(base, world, rack_id, &used) else {
+        let home = world.rack(rack).home;
+        let robot = match (hint, base.resv.parked_at(home)) {
+            (Some(robot), Some((parked, _))) if parked != robot => None,
+            (Some(robot), _) => Some(robot),
+            (None, _) => pick_robot(base, world, rack, &used),
+        };
+        let Some(robot) = robot.filter(|r| !used[r.index()]) else {
             continue;
         };
-        let robot = world.robot(robot_id);
-        if let Some(path) = base.plan_and_reserve(robot_id, robot.pos, rack.home, world.t, true) {
-            used[robot_id.index()] = true;
-            plans.push(AssignmentPlan {
-                robot: robot_id,
-                rack: rack_id,
-                path,
-            });
+        let from = world.robot(robot).pos;
+        if let Some(path) = base.plan_and_reserve(robot, from, home, world.t, true) {
+            used[robot.index()] = true;
+            plans.push(AssignmentPlan { robot, rack, path });
         }
     }
+    base.sel.robot_flags = used;
     plans
 }
 
@@ -109,10 +118,9 @@ mod tests {
             robots: &inst.robots,
             idle_robots: &idle,
             selectable_racks: &selectable,
-            backlog_depth: 0,
             live_arrivals: &[],
         };
-        let plans = match_and_plan(&mut base, &world, &selectable);
+        let plans = match_and_plan(&mut base, &world, selectable.iter().map(|&r| (r, None)));
         assert_eq!(plans.len(), 1);
         let assigned = plans[0].robot;
         let d_assigned = inst.robots[assigned.index()]
@@ -142,13 +150,51 @@ mod tests {
             robots: &inst.robots,
             idle_robots: &idle,
             selectable_racks: &selectable,
-            backlog_depth: 0,
             live_arrivals: &[],
         };
-        let plans = match_and_plan(&mut base, &world, &selectable);
+        let plans = match_and_plan(&mut base, &world, selectable.iter().map(|&r| (r, None)));
         assert_eq!(plans.len(), 1);
         assert_eq!(plans[0].robot, inst.robots[3].id);
         assert_eq!(plans[0].path.len(), 1, "already on site");
+    }
+
+    /// A pick's own robot serves its rack, even when another robot is
+    /// closer, unless another robot is parked on the rack's home or the
+    /// robot already took an earlier pick.
+    #[test]
+    fn hinted_picks_keep_their_robot() {
+        let mut inst = instance();
+        for i in 0..3 {
+            mark_pending(&mut inst, i);
+        }
+        inst.robots[3].pos = inst.racks[0].home;
+        let mut base: PlannerBase<ConflictDetectionTable> =
+            PlannerBase::new(&inst, EatpConfig::default(), false);
+        let idle: Vec<RobotId> = inst.robots.iter().map(|r| r.id).collect();
+        let selectable: Vec<RackId> = (0..3).map(RackId::new).collect();
+        let world = WorldView {
+            t: 0,
+            racks: &inst.racks,
+            pickers: &inst.pickers,
+            robots: &inst.robots,
+            idle_robots: &idle,
+            selectable_racks: &selectable,
+            live_arrivals: &[],
+        };
+        let far = (inst.robots.iter())
+            .filter(|r| r.id.index() != 3)
+            .max_by_key(|r| (r.pos.manhattan(inst.racks[1].home), r.id))
+            .map(|r| r.id)
+            .unwrap();
+        let other = idle.iter().copied().find(|&r| r != far && r.index() != 3);
+        let picks = [
+            (RackId::new(1), Some(far)),
+            (RackId::new(0), other),
+            (RackId::new(2), Some(far)),
+        ];
+        let plans = match_and_plan(&mut base, &world, picks);
+        let pairs: Vec<_> = plans.iter().map(|p| (p.rack, p.robot)).collect();
+        assert_eq!(pairs, [(RackId::new(1), far)]);
     }
 
     #[test]
@@ -174,10 +220,9 @@ mod tests {
             robots: &inst.robots,
             idle_robots: &idle,
             selectable_racks: &selectable,
-            backlog_depth: 0,
             live_arrivals: &[],
         };
-        let plans = match_and_plan(&mut base, &world, &selectable);
+        let plans = match_and_plan(&mut base, &world, selectable.iter().map(|&r| (r, None)));
         assert!(plans.is_empty(), "home blocked by busy robot: defer");
     }
 
@@ -198,10 +243,9 @@ mod tests {
             robots: &inst.robots,
             idle_robots: &idle,
             selectable_racks: &selectable,
-            backlog_depth: 0,
             live_arrivals: &[],
         };
-        let plans = match_and_plan(&mut base, &world, &selectable);
+        let plans = match_and_plan(&mut base, &world, selectable.iter().map(|&r| (r, None)));
         assert!(plans.len() <= 3);
         // All robots distinct.
         let mut robots: Vec<_> = plans.iter().map(|p| p.robot).collect();
@@ -225,10 +269,9 @@ mod tests {
             robots: &inst.robots,
             idle_robots: &idle,
             selectable_racks: &selectable,
-            backlog_depth: 0,
             live_arrivals: &[],
         };
-        let plans = match_and_plan(&mut base, &world, &selectable);
+        let plans = match_and_plan(&mut base, &world, selectable.iter().map(|&r| (r, None)));
         let path = &plans[0].path;
         if path.len() > 1 {
             assert_eq!(

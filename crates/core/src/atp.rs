@@ -201,7 +201,7 @@ impl Strategy for RackSide {
                 q_select_rack_side(q, base, world, cap)
             }
         });
-        match_and_plan(base, world, &selected)
+        match_and_plan(base, world, selected.into_iter().map(|r| (r, None)))
     }
 
     fn add_stats(&self, stats: &mut PlannerStats) {
@@ -255,7 +255,6 @@ mod tests {
             robots: &inst.robots,
             idle_robots: idle,
             selectable_racks: selectable,
-            backlog_depth: 0,
             live_arrivals: &[],
         }
     }

@@ -24,14 +24,16 @@ use tprw_warehouse::{
 };
 
 /// Reusable selection scratch shared through [`PlannerBase`]: EATP's
-/// flip-side selection runs every timestamp, so its membership bitmaps and
-/// candidate list must not be reallocated per tick (the same discipline as
-/// the [`SearchScratch`] arena below `plan_leg`).
+/// flip-side selection and every planner's pickup matching run every
+/// timestamp, so their membership bitmaps and candidate list must not be
+/// reallocated per tick (the same discipline as the [`SearchScratch`] arena
+/// below `plan_leg`).
 #[derive(Debug, Default)]
 pub struct SelectionScratch {
     /// Rack membership bitmap (`selectable_racks` as dense flags).
     pub rack_flags: Vec<bool>,
-    /// Robot membership bitmap (robots consumed by the current plan step).
+    /// Robot membership bitmap (robots consumed by the current plan step,
+    /// in [`crate::assignment::match_and_plan`]).
     pub robot_flags: Vec<bool>,
     /// Per-robot candidate rack list (K entries at most).
     pub candidates: Vec<RackId>,

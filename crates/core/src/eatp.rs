@@ -18,6 +18,7 @@
 //! planning time and memory than it saved
 //! (`docs/adr/ADR-019-one-leg-search.md`).
 
+use crate::assignment::match_and_plan;
 use crate::atp::{decide_and_learn, greedy_bootstrap_select, Learner};
 use crate::base::{BaseSnapshot, PlannerBase};
 use crate::config::EatpConfig;
@@ -25,7 +26,7 @@ use crate::planner::{AssignmentPlan, PlannerStats};
 use crate::qlearning::QTable;
 use crate::shell::{Shell, Strategy};
 use crate::world::WorldView;
-use tprw_pathfinding::{ConflictDetectionTable, ReservationProbe};
+use tprw_pathfinding::ConflictDetectionTable;
 use tprw_warehouse::{RackId, RobotId};
 
 /// Algorithm 3: flip-side Q-selection + CDT-backed A*.
@@ -44,6 +45,7 @@ impl EfficientAdaptiveTaskPlanner {
 
 /// Flip-side selection (Alg. 3 lines 10–13): per idle robot, ε-greedy
 /// over its K nearest selectable racks; stop at the first adopted rack.
+/// Each pick carries its robot for [`match_and_plan`].
 ///
 /// Selection runs every timestamp, so its membership bitmap and
 /// candidate list live in the shared [`PlannerBase`] scratch
@@ -56,7 +58,7 @@ fn flip_side_select(
     q: &mut QTable,
     base: &mut PlannerBase<ConflictDetectionTable>,
     world: &WorldView<'_>,
-) -> Vec<(RackId, RobotId)> {
+) -> Vec<(RackId, Option<RobotId>)> {
     // Membership bitmap for `selectable` (selection must stay O(|A|·K)).
     let mut selectable = std::mem::take(&mut base.sel.rack_flags);
     selectable.clear();
@@ -81,7 +83,7 @@ fn flip_side_select(
         for &rid in &candidates {
             if decide_and_learn(q, base, world, rid) {
                 selectable[rid.index()] = false;
-                pairs.push((rid, aid));
+                pairs.push((rid, Some(aid)));
                 break; // Alg. 3 line 13: one rack per robot
             }
         }
@@ -106,56 +108,20 @@ impl Strategy for FlipSide {
         world: &WorldView<'_>,
     ) -> Vec<AssignmentPlan> {
         let q = &mut self.0.q;
-        // Selection step (timed as STC).
-        let pairs: Vec<(RackId, RobotId)> = base.timed_selection(|base| {
+        // Selection step (timed as STC). The greedy arm leaves the robots
+        // to the matcher; the flip-side arm already paired one per rack.
+        let picks = base.timed_selection(|base| {
             if q.sample_bootstrap() {
-                // Approximate arm: greedy selection; robots matched below.
                 greedy_bootstrap_select(q, base, world, world.idle_robots.len())
                     .into_iter()
-                    .map(|rid| (rid, RobotId::new(u32::MAX as usize)))
+                    .map(|rid| (rid, None))
                     .collect()
             } else {
                 flip_side_select(q, base, world)
             }
         });
-
-        // Planning step (timed as PTC inside plan_and_reserve). The
-        // used-robot bitmap rides in the shared selection scratch too.
-        let mut used = std::mem::take(&mut base.sel.robot_flags);
-        used.clear();
-        used.resize(world.robots.len(), false);
-        let mut plans = Vec::new();
-        for (rack_id, robot_hint) in pairs {
-            let rack = world.rack(rack_id);
-            let robot = if robot_hint.0 == u32::MAX {
-                // Greedy arm: closest unused idle robot (parked-home rule).
-                match crate::assignment::pick_robot(base, world, rack_id, &used) {
-                    Some(r) => r,
-                    None => continue,
-                }
-            } else {
-                // Flip-side arm already paired a robot; honour the
-                // parked-home rule.
-                match base.resv.parked_at(rack.home) {
-                    Some((p, _)) if p != robot_hint => continue,
-                    _ => robot_hint,
-                }
-            };
-            if used[robot.index()] {
-                continue;
-            }
-            let from = world.robot(robot).pos;
-            if let Some(path) = base.plan_and_reserve(robot, from, rack.home, world.t, true) {
-                used[robot.index()] = true;
-                plans.push(AssignmentPlan {
-                    robot,
-                    rack: rack_id,
-                    path,
-                });
-            }
-        }
-        base.sel.robot_flags = used;
-        plans
+        // Planning step (timed as PTC inside plan_and_reserve).
+        match_and_plan(base, world, picks)
     }
 
     fn add_stats(&self, stats: &mut PlannerStats) {
@@ -210,7 +176,6 @@ mod tests {
             robots: &inst.robots,
             idle_robots: idle,
             selectable_racks: selectable,
-            backlog_depth: 0,
             live_arrivals: &[],
         }
     }
@@ -394,6 +359,7 @@ mod tests {
             let world = world_of(&inst, &idle, &selectable);
             let pairs_new = flip_side_select(&mut q_new, &mut base_new, &world);
             let pairs_ref = flip_side_select_reference(&mut q_ref, &mut base_ref, &world);
+            let pairs_ref: Vec<_> = pairs_ref.into_iter().map(|(r, a)| (r, Some(a))).collect();
             assert_eq!(pairs_new, pairs_ref, "round {round} diverged");
             assert_eq!(q_new.update_count(), q_ref.update_count());
             assert_eq!(q_new.state_count(), q_ref.state_count());

@@ -23,14 +23,14 @@
 //! footnote); that was a generic solver's cost, not the model's, and
 //! `repro` still skips ILP there to mirror the table's "–".
 
-use crate::base::{BaseSnapshot, PlannerBase};
+use crate::assignment::match_and_plan;
+use crate::base::PlannerBase;
 use crate::config::EatpConfig;
 use crate::makespan::queuing_delay;
 use crate::ntp::most_slack_picker_selection;
 use crate::planner::AssignmentPlan;
 use crate::shell::{Shell, Strategy};
 use crate::world::WorldView;
-use serde::{Deserialize, Serialize};
 use tprw_pathfinding::{ReservationProbe, SpatioTemporalGraph};
 use tprw_warehouse::{RackId, RobotId};
 
@@ -211,32 +211,8 @@ impl Strategy for BlockwiseIlp {
         });
 
         // Planning: commit pickup legs for the chosen pairs.
-        let mut plans = Vec::new();
-        for (rack, robot) in pairs {
-            let from = world.robot(robot).pos;
-            let home = world.rack(rack).home;
-            if let Some(path) = base.plan_and_reserve(robot, from, home, world.t, true) {
-                plans.push(AssignmentPlan { robot, rack, path });
-            }
-        }
-        plans
+        match_and_plan(base, world, pairs.into_iter().map(|(r, a)| (r, Some(a))))
     }
-
-    fn export(&self, base: BaseSnapshot) -> serde::Value {
-        IlpSnapshot { base }.serialize()
-    }
-
-    fn import(&mut self, state: &serde::Value) -> Result<BaseSnapshot, serde::Error> {
-        Ok(IlpSnapshot::deserialize(state)?.base)
-    }
-}
-
-/// Canonical ILP state: the shared base slice, nested under `base` so the
-/// payloads of older builds (which also carried a branch-and-bound node
-/// counter, `total_nodes`) still import.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-struct IlpSnapshot {
-    base: BaseSnapshot,
 }
 
 #[cfg(test)]
@@ -279,7 +255,6 @@ mod tests {
             robots: &inst.robots,
             idle_robots: idle,
             selectable_racks: selectable,
-            backlog_depth: 0,
             live_arrivals: &[],
         }
     }

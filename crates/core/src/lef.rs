@@ -70,7 +70,7 @@ impl Strategy for EarliestItemFirst {
             ranked.sort_unstable();
             ranked.into_iter().take(cap).map(|(_, r)| r).collect()
         });
-        match_and_plan(base, world, &selected)
+        match_and_plan(base, world, selected.into_iter().map(|r| (r, None)))
     }
 
     fn add_stats(&self, stats: &mut PlannerStats) {
@@ -122,7 +122,6 @@ mod tests {
             robots: &inst.robots,
             idle_robots: &idle,
             selectable_racks: &selectable,
-            backlog_depth: 0,
             live_arrivals: &[],
         };
         let plans = planner.plan(&world).unwrap();
@@ -148,7 +147,6 @@ mod tests {
             robots: &inst.robots,
             idle_robots: &[],
             selectable_racks: &[],
-            backlog_depth: 0,
             live_arrivals: &[],
         };
         assert_eq!(

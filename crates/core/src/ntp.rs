@@ -65,7 +65,7 @@ impl Strategy for MostSlackFirst {
         // through to the next candidate rack.
         let cap = world.idle_robots.len() * 2;
         let selected = base.timed_selection(|_| most_slack_picker_selection(world, cap));
-        match_and_plan(base, world, &selected)
+        match_and_plan(base, world, selected.into_iter().map(|r| (r, None)))
     }
 }
 
@@ -128,7 +128,6 @@ mod tests {
             robots: &inst.robots,
             idle_robots: &idle,
             selectable_racks: &selectable,
-            backlog_depth: 0,
             live_arrivals: &[],
         };
         let selected = most_slack_picker_selection(&world, 10);
@@ -154,7 +153,6 @@ mod tests {
             robots: &inst.robots,
             idle_robots: &idle,
             selectable_racks: &selectable,
-            backlog_depth: 0,
             live_arrivals: &[],
         };
         let plans = planner.plan(&world).unwrap();
@@ -182,7 +180,6 @@ mod tests {
             robots: &inst.robots,
             idle_robots: &[],
             selectable_racks: &[],
-            backlog_depth: 0,
             live_arrivals: &[],
         };
         assert!(planner.plan(&world).unwrap().is_empty());
@@ -203,7 +200,6 @@ mod tests {
             robots: &inst.robots,
             idle_robots: &idle,
             selectable_racks: &selectable,
-            backlog_depth: 0,
             live_arrivals: &[],
         };
         assert_eq!(most_slack_picker_selection(&world, 3).len(), 3);

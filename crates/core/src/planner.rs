@@ -89,8 +89,7 @@ pub struct PlannerStats {
     /// A* state expansions of the *successful* path queries.
     pub expansions: u64,
     /// A* state expansions of the failed path queries — work that produced
-    /// no path. Absent from payloads written before the counter existed.
-    #[serde(default)]
+    /// no path.
     pub failed_expansions: u64,
     /// Successful path queries.
     pub paths_planned: u64,
@@ -300,7 +299,7 @@ mod tests {
     }
 
     #[test]
-    fn stats_written_before_failed_expansions_still_decode() {
+    fn stats_missing_failed_expansions_are_a_decode_error() {
         let stats = PlannerStats {
             expansions: 7,
             failed_expansions: 9,
@@ -311,9 +310,13 @@ mod tests {
         };
         let full = serde::Value::Object(fields.clone());
         assert_eq!(PlannerStats::deserialize(&full).unwrap(), stats);
+        // Stats written before the counter existed no longer read.
         fields.retain(|(k, _)| k != "failed_expansions");
-        let old = PlannerStats::deserialize(&serde::Value::Object(fields)).unwrap();
-        assert_eq!((old.expansions, old.failed_expansions), (7, 0));
+        let old = PlannerStats::deserialize(&serde::Value::Object(fields));
+        assert_eq!(
+            old,
+            Err(serde::Error::msg("missing field failed_expansions"))
+        );
     }
 
     /// Mock planner whose `plan_leg` succeeds except on a poisoned cell —

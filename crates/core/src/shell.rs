@@ -186,8 +186,7 @@ mod tests {
             };
             let keys: Vec<&str> = fields.iter().map(|(k, _)| k.as_str()).collect();
             let expected: &[&str] = match name {
-                "NTP" | "LEF" => &base_keys,
-                "ILP" => &["base"],
+                "NTP" | "LEF" | "ILP" => &base_keys,
                 _ => &["base", "q"],
             };
             assert_eq!(keys, expected, "{name}: top-level payload keys");

@@ -24,14 +24,6 @@ pub struct WorldView<'a> {
     /// Racks with pending items and no robot committed
     /// (`τ_r ≠ ∅ ∧ ¬in_flight`).
     pub selectable_racks: &'a [RackId],
-    /// Orders known to be outstanding but not yet emerged on their racks:
-    /// pregenerated items still to arrive plus live-ingested backlog
-    /// entries. Demand pressure the planner can see *before* it
-    /// materialises as pending items — selection heuristics may use it to
-    /// tune batching without breaking the bit-identical live≡pregenerated
-    /// contract, because the unified definition makes the depth series
-    /// identical between a live run and its pregenerated equivalent.
-    pub backlog_depth: u64,
     /// Arrival (emergence) tick of every live-landed item, indexed by
     /// `item id − pregenerated item count` (live items are issued dense
     /// ids after the instance's item range). Together with the planner's
@@ -93,7 +85,6 @@ mod tests {
             robots: &robots,
             idle_robots: &idle,
             selectable_racks: &selectable,
-            backlog_depth: 0,
             live_arrivals: &[],
         };
         assert_eq!(view.rack(RackId::new(0)).home, GridPos::new(2, 2));
@@ -115,7 +106,6 @@ mod tests {
             robots: &robots,
             idle_robots: &[],
             selectable_racks: &[RackId::new(0)],
-            backlog_depth: 0,
             live_arrivals: &[],
         };
         assert!(!view.has_work());

@@ -39,7 +39,7 @@ pub struct OrderSpec {
 }
 
 /// One accepted order waiting in the live backlog: canonical engine state
-/// (snapshot schema v4 carries the backlog verbatim). `arrival` is the
+/// (snapshots carry the backlog verbatim). `arrival` is the
 /// *effective* arrival — `max(requested arrival, submission tick)` — and
 /// the backlog stays sorted by `(arrival, order)` so landing order is a
 /// pure function of the accepted set.

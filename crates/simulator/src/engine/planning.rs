@@ -45,7 +45,6 @@ impl Engine<'_> {
             idle_robots: &self.idle_buf,
             selectable_racks: &self.selectable_buf,
             live_arrivals: &self.state.live_item_arrivals,
-            backlog_depth: self.backlog_depth(),
         };
         let Ok(plans) = planner.plan(&world);
         for plan in plans {

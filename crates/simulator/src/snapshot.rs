@@ -10,31 +10,23 @@
 //! round-trip tests pin `SimulationReport::deterministic_fingerprint`
 //! equality for every planner on clean and disrupted scenarios.
 //!
-//! The canonical-vs-derived split, the header layout and the migration
+//! The canonical-vs-derived split, the header layout and the version
 //! policy are documented in `docs/snapshot-format.md`.
 
 use crate::engine::{Engine, EngineConfig, EngineState};
 use eatp_core::planner::Planner;
 use serde::{Deserialize, Serialize, Value};
+use std::iter::zip;
 use tprw_warehouse::{DisruptionEvent, Instance};
 
 /// Magic bytes opening every snapshot file.
 pub const SNAPSHOT_MAGIC: [u8; 8] = *b"TPRWSNAP";
 
-/// Current schema version. Readers accept the current version and one
-/// prior (`OLDEST_READABLE_VERSION`); versions 1–4 are rejected as
-/// [`SnapshotError::UnsupportedVersion`]. Version 6 writes every grid
-/// position as one packed integer where version 5 wrote an `{x, y}` object
-/// (`docs/adr/ADR-014-packed-positions.md`); `GridPos`'s `Deserialize`
-/// reads both, and that object branch is the whole v5 reader. Decoding
-/// looks fields up by name, so the keys v5 payloads may carry and this
-/// build no longer has (`config.workers`, `config.tick_strategy`,
-/// `config.checkpoints`, …) are ignored. Bump this when the payload schema
-/// changes, and drop the older of the two readers.
-pub const SNAPSHOT_VERSION: u32 = 6;
-
-/// Oldest schema version [`decode_snapshot`] still reads.
-const OLDEST_READABLE_VERSION: u32 = 5;
+/// Current schema version, and the only one [`decode_snapshot`] reads: every
+/// other is [`SnapshotError::UnsupportedVersion`]. A payload schema change
+/// bumps it and re-records `testdata/snapshot-v{N}/` instead of carrying a
+/// reader for the old payloads (`docs/adr/ADR-030-current-only-snapshots.md`).
+pub const SNAPSHOT_VERSION: u32 = 7;
 
 /// Little-endian sentinel; a big-endian writer would store these bytes
 /// reversed, which the reader detects as [`SnapshotError::WrongEndian`].
@@ -79,7 +71,7 @@ pub enum SnapshotError {
     /// (malformed binary value tree, or a schema/field mismatch).
     Decode(String),
     /// The snapshot was written by a different planner than the one asked
-    /// to resume it. Payload shapes overlap (NTP/LEF, ATP/EATP), so without
+    /// to resume it. Payload shapes overlap (NTP/LEF/ILP, ATP/EATP), so without
     /// this check the import would succeed and the run silently diverge.
     WrongPlanner {
         /// [`SnapshotData::planner_name`].
@@ -251,7 +243,7 @@ pub fn decode_snapshot(bytes: &[u8]) -> Result<SnapshotData, SnapshotError> {
         )));
     }
     let version = word(12);
-    if !(OLDEST_READABLE_VERSION..=SNAPSHOT_VERSION).contains(&version) {
+    if version != SNAPSHOT_VERSION {
         return Err(SnapshotError::UnsupportedVersion {
             found: version,
             current: SNAPSHOT_VERSION,
@@ -386,19 +378,23 @@ pub fn resume_from<'a>(
 }
 
 /// Every per-robot, per-picker, per-rack and per-cell table of `state` must
-/// have the length [`EngineState::new`] gives it on `instance`, the
+/// have the length [`EngineState::new`] gives it on `instance` (and the live
+/// items' arrival list the length of their order list), every rack, picker
+/// and robot must keep the instance's id, home, picker and station, the
 /// validator's previous positions must name robots of the fleet on cells
 /// of the grid, every robot position, active-path cell, journaled cell
 /// event and deferred blockade must lie on the grid, every idle robot must
-/// stand on a rack home or its own spawn cell, and every robot, picker and
-/// rack id of the pending-leg lists, the deferred removals and the journal
-/// must name one of the instance's. The engine indexes them by id and cell
-/// without bounds checks of its own, and the journal replay mutates the
-/// planner's grid and indexes by them, so a snapshot that fits another
-/// floor would otherwise panic on resume or within its first ticks. EATP
-/// looks idle robots up in a K-nearest index of just the rack homes and
-/// spawn cells (`docs/adr/ADR-025-knn-idle-cells.md`): an idle robot
-/// anywhere else would never be offered a rack.
+/// stand on a rack home or its own spawn cell, and every robot, picker,
+/// rack and item id of the pending-leg lists, the deferred removals, the
+/// backlog, the robots' phases, the picker queues, `serving`, the racks'
+/// pending items and the journal must name one of the run's. The engine
+/// indexes them by id and cell without bounds checks of its own, and the
+/// journal replay mutates the planner's grid and indexes by them, so a
+/// snapshot that fits another floor would otherwise panic on resume or
+/// within its first ticks. EATP looks idle robots up in a K-nearest index
+/// of just the rack homes and spawn cells
+/// (`docs/adr/ADR-025-knn-idle-cells.md`): an idle robot anywhere else
+/// would never be offered a rack.
 fn check_table_sizes(state: &EngineState, instance: &Instance) -> Result<(), SnapshotError> {
     let robots = instance.robots.len();
     let pickers = instance.pickers.len();
@@ -430,6 +426,11 @@ fn check_table_sizes(state: &EngineState, instance: &Instance) -> Result<(), Sna
             state.blocked_overlay.len(),
             instance.grid.cell_count(),
         ),
+        (
+            "live_item_arrivals",
+            state.live_item_arrivals.len(),
+            state.live_item_orders.len(),
+        ),
     ];
     for (table, len, expected) in tables {
         if len != expected {
@@ -437,6 +438,21 @@ fn check_table_sizes(state: &EngineState, instance: &Instance) -> Result<(), Sna
                 "engine table `{table}` has {len} entries, the instance needs {expected}"
             )));
         }
+    }
+    let racks_fit = zip(&state.racks, &instance.racks)
+        .all(|(r, i)| (r.id, r.home, r.picker) == (i.id, i.home, i.picker));
+    let pickers_fit =
+        zip(&state.pickers, &instance.pickers).all(|(p, i)| (p.id, p.pos) == (i.id, i.pos));
+    let robots_fit = zip(&state.robots, &instance.robots).all(|(r, i)| r.id == i.id);
+    let fits = [
+        ("racks", racks_fit),
+        ("pickers", pickers_fit),
+        ("robots", robots_fit),
+    ];
+    if let Some((table, _)) = fits.into_iter().find(|&(_, fit)| !fit) {
+        return Err(SnapshotError::Decode(format!(
+            "engine table `{table}` differs from the instance's ids, homes, pickers or stations"
+        )));
     }
     let validator = state.validator.export_snapshot();
     let grid = &instance.grid;
@@ -486,8 +502,18 @@ fn check_table_sizes(state: &EngineState, instance: &Instance) -> Result<(), Sna
     ];
     let robot_ids = (robot_lists.into_iter())
         .flat_map(|(table, ids)| ids.iter().map(move |r| (table, "robot", r.index(), robots)));
-    let rack_ids =
-        (state.deferred_removals.iter()).map(|r| ("deferred_removals", "rack", r.index(), racks));
+    let queued = (state.pickers.iter().flat_map(|p| &p.queue)).map(|e| ("pickers", e));
+    let entries = queued.chain(state.serving.iter().flatten().map(|e| ("serving", e)));
+    let removals = (state.deferred_removals.iter()).map(|&r| ("deferred_removals", r));
+    let backlog = state.backlog.iter().map(|o| ("backlog", o.rack));
+    let phases = (state.robots.iter()).filter_map(|r| Some(("robots", r.phase.rack()?)));
+    let rack_ids = (removals.chain(backlog).chain(phases))
+        .chain(entries.clone().map(|(table, e)| (table, e.rack)))
+        .map(|(table, r)| (table, "rack", r.index(), racks));
+    let entry_robots = entries.map(|(table, e)| (table, "robot", e.robot.index(), robots));
+    let items = instance.items.len() + state.live_item_orders.len();
+    let pending = state.racks.iter().flat_map(|r| &r.pending);
+    let item_ids = pending.map(|i| ("racks", "item", i.index(), items));
     let journal_ids = state.journal.iter().filter_map(|e| match e.event {
         DisruptionEvent::RobotBreakdown { robot } | DisruptionEvent::RobotRecover { robot } => {
             Some(("journal", "robot", robot.index(), robots))
@@ -500,7 +526,11 @@ fn check_table_sizes(state: &EngineState, instance: &Instance) -> Result<(), Sna
         }
         DisruptionEvent::CellBlocked { .. } | DisruptionEvent::CellUnblocked { .. } => None,
     });
-    let mut ids = robot_ids.chain(rack_ids).chain(journal_ids);
+    let ids = robot_ids
+        .chain(entry_robots)
+        .chain(rack_ids)
+        .chain(item_ids);
+    let mut ids = ids.chain(journal_ids);
     if let Some((table, kind, id, count)) = ids.find(|&(_, _, id, count)| id >= count) {
         return Err(SnapshotError::Decode(format!(
             "engine table `{table}` names {kind} {id}, outside the instance's {count} {kind}s"
@@ -512,16 +542,15 @@ fn check_table_sizes(state: &EngineState, instance: &Instance) -> Result<(), Sna
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::commands::{Ack, Command, OrderSpec, SequencedCommand};
+    use crate::commands::{Ack, BacklogOrder, Command, OrderSpec, SequencedCommand};
     use crate::engine::run_simulation;
     use eatp_core::base::BaseSnapshot;
-    use eatp_core::planner::PlannerStats;
     use eatp_core::{planner_by_name, EatpConfig, PLANNER_NAMES as PLANNERS};
     use tprw_pathfinding::cdt::MAX_CDT_TICK;
     use tprw_pathfinding::reservation::MAX_PARK_TICK;
     use tprw_warehouse::{
-        DisruptionConfig, GridPos, LayoutConfig, OrderId, PickerId, RackId, RobotId, ScenarioSpec,
-        TimedEvent, WorkloadConfig, MAX_FLEET,
+        DisruptionConfig, GridPos, ItemId, LayoutConfig, OrderId, PickerId, RackId, RobotId,
+        RobotPhase, ScenarioSpec, TimedEvent, WorkloadConfig, MAX_FLEET,
     };
 
     fn make(name: &str) -> Box<dyn Planner> {
@@ -925,8 +954,8 @@ mod tests {
             }
         );
 
-        // Version zero, the retired versions 1–4 and the next one.
-        for version in [0, 1, 2, 3, 4, SNAPSHOT_VERSION + 1] {
+        // Version zero, the retired versions 1–6 and the next one.
+        for version in [0, 1, 2, 3, 4, 5, 6, SNAPSHOT_VERSION + 1] {
             let mut bad = good.clone();
             bad[12..16].copy_from_slice(&version.to_le_bytes());
             assert_eq!(
@@ -997,15 +1026,12 @@ mod tests {
         // One extra previous position in the validator section, re-framed
         // so the checksum holds.
         let good = decode_snapshot(&sample_snapshot_bytes()).expect("sample decodes");
-        let with_entry = |key: &str, robot: u32, pos: GridPos| {
+        let with_entry = |robot: u32, pos: GridPos| {
             let mut validator = good.engine.validator.serialize();
-            let Value::Object(fields) = &mut validator else {
-                panic!("the validator must be an object");
+            let Value::Array(prev) = field_mut(&mut validator, "prev_fast") else {
+                panic!("`prev_fast` must be a list");
             };
-            match fields.iter_mut().find(|(k, _)| k == key) {
-                Some((_, Value::Array(prev))) => prev.push((RobotId(robot), pos).serialize()),
-                _ => fields.push((key.to_string(), vec![(RobotId(robot), pos)].serialize())),
-            }
+            prev.push((RobotId(robot), pos).serialize());
             let mut tree = good.serialize();
             *field_mut(field_mut(&mut tree, "engine"), "validator") = validator;
             framed(SNAPSHOT_VERSION, &serde::binary::to_bytes(&tree))
@@ -1020,7 +1046,7 @@ mod tests {
             (0, GridPos::new(width, 0)),
             (0, GridPos::new(0, height)),
         ] {
-            let data = decode_snapshot(&with_entry("prev_fast", robot, pos)).expect("bytes decode");
+            let data = decode_snapshot(&with_entry(robot, pos)).expect("bytes decode");
             let Err(err) = resume_from(&data, make("NTP").as_mut()) else {
                 panic!("a validator entry for robot {robot} at {pos} resumed");
             };
@@ -1031,18 +1057,12 @@ mod tests {
         }
         // A robot id past the `u16` fleet cap is refused while decoding,
         // before the dense per-robot array is sized by it.
-        let err = decode_snapshot(&with_entry("prev_fast", u32::MAX, GridPos::new(0, 0)))
+        let err = decode_snapshot(&with_entry(u32::MAX, GridPos::new(0, 0)))
             .expect_err("an id past the fleet cap must not decode");
         assert!(
             matches!(&err, SnapshotError::Decode(msg) if msg.contains("validator")),
             "{err:?}"
         );
-        // The retired second list, `prev_seed`, is ignored on read, even
-        // when it names a robot past the fleet.
-        let data = decode_snapshot(&with_entry("prev_seed", u32::MAX, GridPos::new(0, height)))
-            .expect("a retired `prev_seed` list decodes");
-        assert_eq!(data.engine.validator, good.engine.validator);
-        resume_from(&data, make("NTP").as_mut()).expect("a retired `prev_seed` list resumes");
         // The other engine tables that name cells, at tick 3, while idle
         // robots still have work ahead. Each of these bytes resumed before
         // the check and then panicked: the journal cases inside the
@@ -1146,20 +1166,26 @@ mod tests {
         resume_from(&data, make("EATP").as_mut()).expect("idle robots on their spawn cells resume");
     }
 
-    /// The engine tables that name robots, pickers and racks by id. Each
-    /// case of the first group resumed before the check and then panicked:
-    /// the pending-leg lists and the deferred removals within the first
-    /// ticks, the journaled rack events inside EATP's journal replay. The
-    /// journaled robot and picker events resumed without a panic, because
-    /// no planner's replay indexes by them, and are refused all the same.
+    /// The engine tables that name robots, pickers, racks and items by id,
+    /// and the fixed fields of the engine's fleets. These cases resumed
+    /// before the check and then panicked: the pending-leg lists and the
+    /// deferred removals within the first ticks, the journaled rack events
+    /// inside EATP's journal replay, and the first four written at tick 40
+    /// (a pending item past the run's items, a rack's picker, a backlogged
+    /// order's rack) once the engine dispatched, delivered or landed it,
+    /// LEF's inside its oldest-pending lookup; so did a robot whose id is
+    /// not its index and a serving robot past the fleet. The journaled
+    /// robot and picker events, a busy robot's rack, a moved station and a
+    /// stray live arrival resumed without a panic, and are refused all the
+    /// same.
     #[test]
     fn id_tables_outside_the_instance_are_typed_errors() {
         let inst = scenario(None, 42);
-        let good = {
-            let mut p = make("EATP");
+        let at_tick = |name: &str, ticks: usize| {
+            let mut p = make(name);
             let mut engine = Engine::new(&inst, &EngineConfig::default());
             engine.start(p.as_mut());
-            for _ in 0..3 {
+            for _ in 0..ticks {
                 engine.tick_once(p.as_mut());
             }
             engine.snapshot(p.as_ref())
@@ -1168,11 +1194,28 @@ mod tests {
         let picker = PickerId::new(inst.pickers.len());
         let rack = RackId::new(inst.racks.len());
         type Corrupt<'a> = Box<dyn Fn(&mut EngineState) + 'a>;
-        let mut cases: Vec<(&str, Corrupt)> = vec![
-            ("needs_return", Box::new(|s| s.needs_return.push(robot))),
-            ("needs_delivery", Box::new(|s| s.needs_delivery.push(robot))),
-            ("needs_replan", Box::new(|s| s.needs_replan.push(robot))),
+        let mut cases: Vec<(&str, usize, &str, Corrupt)> = vec![
             (
+                "EATP",
+                3,
+                "needs_return",
+                Box::new(|s| s.needs_return.push(robot)),
+            ),
+            (
+                "EATP",
+                3,
+                "needs_delivery",
+                Box::new(|s| s.needs_delivery.push(robot)),
+            ),
+            (
+                "EATP",
+                3,
+                "needs_replan",
+                Box::new(|s| s.needs_replan.push(robot)),
+            ),
+            (
+                "EATP",
+                3,
                 "deferred_removals",
                 Box::new(|s| s.deferred_removals.push(rack)),
             ),
@@ -1186,18 +1229,73 @@ mod tests {
             DisruptionEvent::StationReopened { picker },
         ] {
             let journal = move |s: &mut EngineState| s.journal.push(TimedEvent { t: 1, event });
-            cases.push(("journal", Box::new(journal)));
+            cases.push(("EATP", 3, "journal", Box::new(journal)));
         }
-        for (table, corrupt) in cases {
-            let mut data = good.clone();
+        let pending = |s: &mut EngineState| {
+            let rack = s.racks.iter_mut().find(|r| !r.pending.is_empty());
+            rack.expect("a rack with pending items at tick 40").pending[0] = ItemId::new(100_000);
+        };
+        let backlogged = BacklogOrder {
+            order: OrderId::new(0),
+            rack: RackId::new(99_999),
+            processing: 5,
+            arrival: 10,
+            submitted: 0,
+        };
+        let busy = |s: &mut EngineState| {
+            let robot = s.robots.iter_mut().find(|r| !r.is_idle());
+            robot.expect("a busy robot at tick 40").phase = RobotPhase::ToRack { rack };
+        };
+        let served = |s: &mut EngineState| {
+            let entry = s.serving.iter_mut().flatten().next();
+            entry.expect("a picker serving at tick 40").robot = robot;
+        };
+        cases.extend::<[(&str, usize, &str, Corrupt); 9]>([
+            ("LEF", 40, "racks", Box::new(pending)),
+            ("NTP", 40, "racks", Box::new(pending)),
+            (
+                "EATP",
+                40,
+                "racks",
+                Box::new(|s| s.racks[0].picker = PickerId::new(77)),
+            ),
+            (
+                "EATP",
+                40,
+                "backlog",
+                Box::new(move |s| s.backlog.push(backlogged)),
+            ),
+            (
+                "EATP",
+                40,
+                "robots",
+                Box::new(|s| s.robots[0].id = RobotId::new(77)),
+            ),
+            ("EATP", 40, "robots", Box::new(busy)),
+            (
+                "EATP",
+                40,
+                "pickers",
+                Box::new(|s| s.pickers[0].pos = GridPos::new(0, 0)),
+            ),
+            ("EATP", 40, "serving", Box::new(served)),
+            (
+                "EATP",
+                40,
+                "live_item_arrivals",
+                Box::new(|s| s.live_item_arrivals.push(3)),
+            ),
+        ]);
+        for (name, ticks, table, corrupt) in cases {
+            let mut data = at_tick(name, ticks);
             corrupt(&mut data.engine);
             let data = decode_snapshot(&encode_snapshot(&data)).expect("bytes decode");
-            let Err(err) = resume_from(&data, make("EATP").as_mut()) else {
-                panic!("a `{table}` id outside the instance resumed");
+            let Err(err) = resume_from(&data, make(name).as_mut()) else {
+                panic!("{name}: a `{table}` id outside the instance resumed");
             };
             assert!(
                 matches!(&err, SnapshotError::Decode(msg) if msg.contains(&format!("`{table}`"))),
-                "{err:?}"
+                "{name}: {err:?}"
             );
         }
     }
@@ -1212,244 +1310,6 @@ mod tests {
             .find(|(k, _)| k == key)
             .unwrap_or_else(|| panic!("no `{key}` field"));
         value
-    }
-
-    /// One snapshot per planner, written by the last v5 build at tick 40 of
-    /// `scenario(None, 42)`. Every position in them is an `{x, y}` object.
-    const V5_FIXTURES: [(&str, &[u8]); 5] = [
-        ("NTP", include_bytes!("../testdata/snapshot-v5/ntp.snap")),
-        ("LEF", include_bytes!("../testdata/snapshot-v5/lef.snap")),
-        ("ILP", include_bytes!("../testdata/snapshot-v5/ilp.snap")),
-        ("ATP", include_bytes!("../testdata/snapshot-v5/atp.snap")),
-        ("EATP", include_bytes!("../testdata/snapshot-v5/eatp.snap")),
-    ];
-
-    /// The planner base slice of a snapshot tree: ILP, ATP and EATP nest
-    /// it under `base`, NTP and LEF write it as the whole planner payload.
-    fn base_slice_mut(tree: &mut Value) -> &mut Value {
-        let planner = field_mut(tree, "planner");
-        if planner.get("base").is_some() {
-            field_mut(planner, "base")
-        } else {
-            planner
-        }
-    }
-
-    /// Every recorded v5 snapshot decodes and resumes, on the one execution
-    /// path and tick loop with validation on, to the uninterrupted run's
-    /// fingerprint: as recorded, and carrying the keys earlier v5 builds
-    /// wrote and this one no longer has — `config.workers`,
-    /// `config.reference_exec`, the validation switch (off), the
-    /// tick-strategy selector as either unit variant it could name, the
-    /// planner base's `maintenance` list, and the ILP slice's
-    /// branch-and-bound node counter `total_nodes`. A v6 payload that still
-    /// carries the deleted path cache's `cache` entries resumes too.
-    ///
-    /// The EATP fixture was recorded with the path cache, so its cumulative
-    /// planner counters (expansions, cached tails) are the cached search's.
-    /// Its state at tick 40 is the one this build reaches, so the resumed
-    /// run ends with the uninterrupted run's fingerprint except that its
-    /// counters are the fixture's plus what the run adds after tick 40.
-    #[test]
-    fn recorded_v5_snapshots_resume_bit_identically() {
-        let inst = scenario(None, 42);
-        let config = EngineConfig::default();
-        let removed = |strategy: &str| {
-            vec![
-                ("workers", Value::U64(4)),
-                ("reference_exec", Value::Bool(true)),
-                ("validate", Value::Bool(false)),
-                ("tick_strategy", Value::Str(strategy.to_string())),
-            ]
-        };
-        for (name, recorded) in V5_FIXTURES {
-            assert_eq!(recorded[12..16], 5u32.to_le_bytes(), "{name}: a v5 header");
-            let base = run_simulation(&inst, make(name).as_mut(), &config);
-            let mut p = make(name);
-            let mut engine = Engine::new(&inst, &config);
-            engine.start(p.as_mut());
-            for _ in 0..40 {
-                engine.tick_once(p.as_mut());
-            }
-            let state_at_40 = engine.state_hash();
-            let stats_at_40 = p.stats();
-
-            let mut tree =
-                serde::binary::from_bytes(&recorded[HEADER_LEN..]).expect("a v5 payload");
-            let recorded_slice = base_slice_mut(&mut tree);
-            let recorded_stats = PlannerStats::deserialize(field_mut(recorded_slice, "stats"))
-                .expect("recorded planner counters");
-            let recorded_cache = field_mut(recorded_slice, "cache").clone();
-            let mut resumed_fp = base.deterministic_fingerprint();
-            let c = &mut resumed_fp.planner_counters;
-            let carried = [
-                (&mut c.0, recorded_stats.expansions, stats_at_40.expansions),
-                (
-                    &mut c.1,
-                    recorded_stats.paths_planned,
-                    stats_at_40.paths_planned,
-                ),
-                (
-                    &mut c.2,
-                    recorded_stats.paths_failed,
-                    stats_at_40.paths_failed,
-                ),
-                (
-                    &mut c.3,
-                    recorded_stats.cache_spliced,
-                    stats_at_40.cache_spliced,
-                ),
-            ];
-            for (slot, recorded, fresh) in carried {
-                *slot = *slot - fresh + recorded;
-            }
-            if name == "EATP" {
-                assert_eq!(
-                    recorded_stats.cache_spliced, 8,
-                    "the fixture carries cached tails"
-                );
-                assert_ne!(recorded_stats.expansions, stats_at_40.expansions);
-            } else {
-                assert_eq!(resumed_fp, base.deterministic_fingerprint());
-            }
-
-            let mut payloads = vec![(recorded.to_vec(), resumed_fp.clone())];
-            for stale_keys in [removed("Dense"), removed("EventDriven")] {
-                let mut tree = tree.clone();
-                let Value::Object(config_fields) = field_mut(&mut tree, "config") else {
-                    panic!("config field must be an object");
-                };
-                for (key, value) in stale_keys {
-                    assert!(config_fields.iter().all(|(k, _)| k != key));
-                    config_fields.push((key.to_string(), value));
-                }
-                let Value::Object(base_fields) = base_slice_mut(&mut tree) else {
-                    panic!("{name}: planner payload must be an object");
-                };
-                assert!(base_fields.iter().any(|(k, _)| k == "last_gc"));
-                assert!(base_fields.iter().all(|(k, _)| k != "maintenance"));
-                base_fields.push(("maintenance".to_string(), Value::Array(Vec::new())));
-                payloads.push((
-                    framed(5, &serde::binary::to_bytes(&tree)),
-                    resumed_fp.clone(),
-                ));
-            }
-            // This build's own tick-40 payload, plus the `cache` key every
-            // EATP payload carried while the path cache existed (the
-            // fixture's entries, re-encoded as v6 packed positions).
-            let mut v6 = engine.snapshot(p.as_ref()).serialize();
-            let Value::Object(base_fields) = base_slice_mut(&mut v6) else {
-                panic!("{name}: planner payload must be an object");
-            };
-            assert!(base_fields.iter().all(|(k, _)| k != "cache"));
-            let entries = Vec::<((GridPos, GridPos), Vec<GridPos>)>::deserialize(&recorded_cache)
-                .expect("recorded path-cache entries");
-            assert_eq!(entries.is_empty(), name != "EATP", "{name}: cache entries");
-            base_fields.push(("cache".to_string(), entries.serialize()));
-            payloads.push((
-                framed(SNAPSHOT_VERSION, &serde::binary::to_bytes(&v6)),
-                base.deterministic_fingerprint(),
-            ));
-
-            for (bytes, expected) in payloads {
-                let decoded = decode_snapshot(&bytes).expect("v5 and v6 payloads decode");
-                let mut p3 = make(name);
-                let mut resumed = resume_from(&decoded, p3.as_mut()).expect("resume");
-                assert_eq!(
-                    resumed.state_hash(),
-                    state_at_40,
-                    "{name}: the recorded state is the one this build reaches"
-                );
-                resumed.run_to_completion(p3.as_mut());
-                let report = resumed.report(p3.as_mut());
-                assert_eq!(
-                    report.deterministic_fingerprint(),
-                    expected,
-                    "{name}: a recorded snapshot must resume bit-identically"
-                );
-            }
-        }
-    }
-
-    /// A v6 payload written while fault injection existed still reads
-    /// (`docs/adr/ADR-024-no-fault-injection.md`): one that carries every
-    /// retired key with non-default values — the fault plan and
-    /// degradation policy in the config, the degradation latches, the
-    /// three fault cursors and the three degradation counters in the
-    /// engine state — decodes to this build's default config and resumes,
-    /// fault-free, to the uninterrupted run's fingerprint.
-    #[test]
-    fn v6_payloads_with_fault_keys_resume_fault_free() {
-        let inst = scenario(blockade_storm(), 42);
-        let config = EngineConfig::default();
-        let retired_config = [
-            (
-                "faults",
-                Value::Object(vec![
-                    ("enabled".into(), Value::Bool(true)),
-                    ("seed".into(), Value::U64(4242)),
-                    ("decision_faults".into(), Value::U64(4)),
-                    ("leg_faults".into(), Value::U64(3)),
-                    ("poison_faults".into(), Value::U64(4)),
-                    (
-                        "window".into(),
-                        Value::Array(vec![Value::U64(5), Value::U64(150)]),
-                    ),
-                ]),
-            ),
-            (
-                "degradation",
-                Value::Object(vec![
-                    ("enabled".into(), Value::Bool(true)),
-                    ("max_expansions_per_tick".into(), Value::U64(1)),
-                ]),
-            ),
-        ];
-        let retired_engine = [
-            ("degraded_ticks", Value::U64(3)),
-            ("fallback_assignments", Value::U64(5)),
-            ("planner_errors", Value::U64(7)),
-            ("degrade_next", Value::Bool(true)),
-            ("recover_next", Value::Bool(true)),
-            ("next_decision_fault", Value::U64(2)),
-            ("next_leg_fault", Value::U64(1)),
-            ("next_poison_fault", Value::U64(1)),
-        ];
-        for name in PLANNERS {
-            let base = run_simulation(&inst, make(name).as_mut(), &config);
-            let mut p = make(name);
-            let mut engine = Engine::new(&inst, &config);
-            engine.start(p.as_mut());
-            for _ in 0..40 {
-                engine.tick_once(p.as_mut());
-            }
-            let state_at_40 = engine.state_hash();
-            let mut tree = engine.snapshot(p.as_ref()).serialize();
-            for (section, keys) in [
-                ("config", &retired_config[..]),
-                ("engine", &retired_engine[..]),
-            ] {
-                let Value::Object(fields) = field_mut(&mut tree, section) else {
-                    panic!("`{section}` must be an object");
-                };
-                for (key, value) in keys {
-                    assert!(fields.iter().all(|(k, _)| k != key), "`{key}` is retired");
-                    fields.push((key.to_string(), value.clone()));
-                }
-            }
-            let bytes = framed(SNAPSHOT_VERSION, &serde::binary::to_bytes(&tree));
-            let decoded = decode_snapshot(&bytes).expect("retired keys are ignored");
-            assert_eq!(decoded.config, config, "{name}: no fault knob survives");
-            let mut p2 = make(name);
-            let mut resumed = resume_from(&decoded, p2.as_mut()).expect("resume");
-            assert_eq!(resumed.state_hash(), state_at_40, "{name}");
-            resumed.run_to_completion(p2.as_mut());
-            assert_eq!(
-                resumed.report(p2.as_mut()).deterministic_fingerprint(),
-                base.deterministic_fingerprint(),
-                "{name}: a faulted v6 payload resumes fault-free"
-            );
-        }
     }
 
     /// A CRC-valid planner slice with a cell off the grid, two robots

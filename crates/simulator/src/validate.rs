@@ -68,9 +68,7 @@ pub struct ValidatorSnapshot {
     pub prev_t: Option<Tick>,
     /// Conflicts observed so far, in recording order.
     pub conflicts: Vec<Conflict>,
-    /// Previous positions, robot-sorted. The wire key is the one v5 and v6
-    /// payloads have always used; their second list, `prev_seed` (always
-    /// empty in engine runs), is ignored on read.
+    /// Previous positions, robot-sorted.
     pub prev_fast: Vec<(RobotId, GridPos)>,
 }
 
@@ -441,10 +439,10 @@ mod tests {
         assert_eq!(empty, ValidatorSnapshot::default());
     }
 
-    /// Recorded conflicts keep the wire bytes of the type they replaced,
-    /// so v5 and v6 payloads that carry conflicts decode unchanged. The
-    /// literals are the encodings the last build with a validator-owned
-    /// conflict enum wrote.
+    /// Recorded conflicts keep the wire bytes of the type they replaced.
+    /// The literals are the encodings the last build with a
+    /// validator-owned conflict enum wrote; the snapshot fixtures carry no
+    /// conflict, so this test is what pins these bytes.
     #[test]
     fn conflicts_encode_as_recorded() {
         let vertex = Conflict::Vertex {

@@ -11,7 +11,7 @@ use std::fmt;
 ///
 /// It serializes as one integer, `x | y << 16`: a position is the
 /// commonest value in a snapshot, and a `{x, y}` object cost it 33 bytes
-/// and three heap allocations in the tree (snapshot schema v6,
+/// and three heap allocations in the tree (snapshot schema v6 on,
 /// `docs/adr/ADR-014-packed-positions.md`).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct GridPos {
@@ -106,20 +106,11 @@ impl Serialize for GridPos {
 }
 
 impl Deserialize for GridPos {
-    /// The packed integer, or the `{x, y}` object schema-v5 snapshots
-    /// carry; that branch is the v5 reader and leaves with it.
+    /// The packed integer; anything else, or a value not below 2³², is an
+    /// error.
     fn deserialize(v: &Value) -> Result<Self, serde::Error> {
-        let context = |e: serde::Error| serde::Error::msg(format!("grid position: {}", e.0));
-        if let Value::Object(_) = v {
-            let field = |name: &str| {
-                v.get(name)
-                    .ok_or_else(|| serde::Error::msg(format!("missing field `{name}`")))
-                    .and_then(u16::deserialize)
-                    .map_err(context)
-            };
-            return Ok(GridPos::new(field("x")?, field("y")?));
-        }
-        let packed = u32::deserialize(v).map_err(context)?;
+        let packed = u32::deserialize(v)
+            .map_err(|e| serde::Error::msg(format!("grid position: {}", e.0)))?;
         Ok(GridPos::new(packed as u16, (packed >> 16) as u16))
     }
 }
@@ -284,18 +275,18 @@ mod tests {
             serde::binary::encode_into(&p.serialize(), &mut tree);
             assert_eq!(serde::binary::to_bytes(&p), tree, "{p}: identity rule");
             assert_eq!(tree.len(), 9, "{p}: one tag-3 integer");
-            let legacy = Value::Object(vec![
-                ("x".into(), Value::U64(p.x as u64)),
-                ("y".into(), Value::U64(p.y as u64)),
-            ]);
             assert_eq!(GridPos::deserialize(&p.serialize()), Ok(p));
-            assert_eq!(GridPos::deserialize(&legacy), Ok(p), "{p}: v5 object");
         }
         assert_eq!(GridPos::new(3, 5).serialize(), Value::U64(3 | 5 << 16));
     }
 
     #[test]
     fn malformed_positions_are_typed_errors() {
+        // An `{x, y}` object, well-formed or not, is not a position.
+        let object = Value::Object(vec![
+            ("x".into(), Value::U64(1)),
+            ("y".into(), Value::U64(2)),
+        ]);
         let no_y = Value::Object(vec![("x".into(), Value::U64(1))]);
         let wide_x = Value::Object(vec![
             ("x".into(), Value::U64(1 << 16)),
@@ -306,6 +297,7 @@ mod tests {
             Value::U64(u64::MAX),
             Value::I64(-1),
             Value::Str("(1, 2)".into()),
+            object,
             no_y,
             wide_x,
         ] {
