@@ -359,10 +359,13 @@ impl<R: ReservationBackend> PlannerBase<R> {
     /// spawn parking `init` left behind), the counters and the GC cursor.
     ///
     /// A reservation cell off the grid, two robots parked on
-    /// one cell, a robot outside the fleet, or a tick past what the tables
+    /// one cell, a robot outside the fleet, a tick past what the tables
     /// encode ([`MAX_CDT_TICK`] for a reservation, [`MAX_PARK_TICK`] for a
-    /// parking start) is refused before any table is touched: the tables
-    /// index cells and pack robots and ticks with asserts of their own.
+    /// parking start) or a reservation tick outside the live window
+    /// (`live_ticks`) is refused before any table is touched: the tables
+    /// index cells and pack robots and ticks with asserts of their own, and
+    /// the spatiotemporal graph allocates one layer per tick of the span it
+    /// holds.
     pub fn import_base_snapshot(&mut self, snap: &BaseSnapshot) -> Result<(), serde::Error> {
         let resv = &snap.resv;
         let timed = resv
@@ -382,6 +385,16 @@ impl<R: ReservationBackend> PlannerBase<R> {
                 continue;
             };
             return Err(serde::Error::msg(format!("planner {what} {problem}")));
+        }
+        let live = self.live_ticks(snap.last_gc);
+        if let Some(r) = resv.timed.iter().find(|r| !live.contains(&r.t)) {
+            return Err(serde::Error::msg(format!(
+                "planner reservation tick {} is outside the live ticks {}..={} after the GC at {}",
+                r.t,
+                live.start(),
+                live.end(),
+                snap.last_gc
+            )));
         }
         let grid = &self.grid;
         let timed = snap.resv.timed.iter().map(|r| ("reservation", r.pos));
@@ -433,6 +446,25 @@ impl<R: ReservationBackend> PlannerBase<R> {
         self.stats = snap.stats.clone();
         self.last_gc = snap.last_gc;
         Ok(())
+    }
+
+    /// The ticks a timed reservation can hold while the last GC ran at
+    /// `last_gc`.
+    ///
+    /// GC drops every tick below `last_gc`, and no leg starts before it.
+    /// [`PlannerBase::housekeeping`] runs every tick and collects once the
+    /// tick reaches `last_gc + gc_period`, so every leg still held was
+    /// planned at a tick `T ≤ last_gc + gc_period + 1` (one tick of margin
+    /// for where in the tick a snapshot is cut). A leg planned at `T`
+    /// starts at `T` and ends by its A* horizon, `T + manhattan + slack`,
+    /// and no Manhattan distance on the grid exceeds `(W−1) + (H−1)`.
+    fn live_ticks(&self, last_gc: Tick) -> std::ops::RangeInclusive<Tick> {
+        let span = (self.config.gc_period)
+            .saturating_add(1)
+            .saturating_add(self.grid.width() as Tick - 1)
+            .saturating_add(self.grid.height() as Tick - 1)
+            .saturating_add(self.config.horizon_slack);
+        last_gc..=last_gc.saturating_add(span)
     }
 
     /// Snapshot stats with the current memory footprint filled in.
@@ -551,6 +583,38 @@ mod tests {
         assert_eq!(base.resv.reservation_count(), live);
         base.housekeeping(path.end() + 65);
         assert_eq!(base.resv.reservation_count(), 0, "past entries collected");
+    }
+
+    #[test]
+    fn snapshot_ticks_outside_the_live_window_are_refused() {
+        let inst = instance();
+        let (w, h) = (inst.grid.width() as Tick, inst.grid.height() as Tick);
+        let config = EatpConfig::default();
+        let last = 10 + config.gc_period + 1 + (w - 1) + (h - 1) + config.horizon_slack;
+        let robot = inst.robots[0].id;
+        let pos = inst.robots[0].pos;
+        for (t, ok) in [(9, false), (10, true), (last, true), (last + 1, false)] {
+            let mut base: PlannerBase<SpatioTemporalGraph> =
+                PlannerBase::new(&inst, config.clone(), false);
+            let snap = BaseSnapshot {
+                resv: ReservationContent {
+                    timed: vec![tprw_pathfinding::TimedReservation { t, pos, robot }],
+                    parked: Vec::new(),
+                },
+                stats: PlannerStats::default(),
+                last_gc: 10,
+            };
+            match base.import_base_snapshot(&snap) {
+                Ok(()) => {
+                    assert!(ok, "tick {t} imported");
+                    assert_eq!(base.resv.occupant(pos, t), Some(robot));
+                }
+                Err(e) => {
+                    assert!(!ok, "tick {t} refused: {e}");
+                    assert!(e.to_string().contains("reservation tick"), "{e}");
+                }
+            }
+        }
     }
 
     #[test]

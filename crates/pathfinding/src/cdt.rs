@@ -470,7 +470,7 @@ impl MemoryFootprint for ConflictDetectionTable {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::reference_cdt::ReferenceConflictDetectionTable;
+    use crate::reference_cdt::{self, default_can_move, ReferenceConflictDetectionTable};
     use crate::stg::SpatioTemporalGraph;
     use proptest::prelude::*;
 
@@ -692,66 +692,14 @@ mod tests {
         );
     }
 
-    /// Drive the same operation soup into a pooled and a reference table of
-    /// `w`×`h` cells. A side map of live timed reservations skips ops that
-    /// would double-reserve a cell-tick for two robots (a planner invariant
-    /// both layouts `debug_assert`), so every generated soup is valid for
-    /// both.
+    /// Drive the same operation soup (`reference_cdt::apply_soup`) into a
+    /// pooled and a reference table of `w`×`h` cells.
     fn apply_soup(
         ops: &[(u8, usize, u16, u16, u64)],
         (w, h): (u16, u16),
     ) -> (ConflictDetectionTable, ReferenceConflictDetectionTable) {
         let mut pooled = ConflictDetectionTable::new(w, h);
-        let mut reference = ReferenceConflictDetectionTable::new(w, h);
-        let mut live: std::collections::HashMap<(GridPos, Tick), RobotId> =
-            std::collections::HashMap::new();
-        for &(kind, robot, x, y, t) in ops {
-            let robot = RobotId::new(robot);
-            let pos = p(x % w, y % h);
-            match kind % 5 {
-                0 => {
-                    if *live.entry((pos, t)).or_insert(robot) == robot {
-                        pooled.insert(robot, pos, t);
-                        reference.insert(robot, pos, t);
-                    }
-                }
-                1 => {
-                    // Short eastward path, skipped wholesale if any step
-                    // would collide with another robot's reservation.
-                    let cells: Vec<GridPos> = (0..4u16).map(|d| p((x + d) % w, y % h)).collect();
-                    let path = Path { start: t, cells };
-                    let clash = path
-                        .iter_timed()
-                        .any(|(pt, pc)| live.get(&(pc, pt)).is_some_and(|&r| r != robot));
-                    if !clash {
-                        for (pt, pc) in path.iter_timed() {
-                            live.insert((pc, pt), robot);
-                        }
-                        pooled.reserve_path(robot, &path, false);
-                        reference.reserve_path(robot, &path, false);
-                    }
-                }
-                2 => {
-                    live.retain(|&(_, lt), _| lt >= t);
-                    pooled.release_before(t);
-                    reference.release_before(t);
-                }
-                3 => {
-                    live.retain(|_, &mut r| r != robot);
-                    pooled.release_robot(robot);
-                    reference.release_robot(robot);
-                }
-                _ => {
-                    if pooled.parked_at(pos).is_none() && reference.parked_at(pos).is_none() {
-                        pooled.park(robot, pos, t);
-                        reference.park(robot, pos, t);
-                    } else {
-                        pooled.unpark(robot);
-                        reference.unpark(robot);
-                    }
-                }
-            }
-        }
+        let reference = reference_cdt::apply_soup(ops, &mut pooled, (w, h));
         (pooled, reference)
     }
 
@@ -789,7 +737,7 @@ mod tests {
         }
 
         /// The specialized `can_move` must match the trait-default
-        /// three-probe logic exactly (STG still uses the default).
+        /// three-probe logic exactly, and the STG's own specialization.
         #[test]
         fn specialized_can_move_matches_default(
             starts in proptest::collection::vec((0u64..10, 0u16..8, 0u16..8), 1..6),
@@ -808,11 +756,13 @@ mod tests {
             let probe = RobotId::new(99);
             let from = p(qx, qy);
             for to in [p(qx, qy), p(qx, qy + 1)] {
+                let want = default_can_move(&cdt, probe, from, to, qt);
                 prop_assert_eq!(
                     cdt.can_move(probe, from, to, qt),
-                    stg.can_move(probe, from, to, qt),
+                    want,
                     "disagree for {} -> {} @ {}", from, to, qt
                 );
+                prop_assert_eq!(stg.can_move(probe, from, to, qt), want);
             }
         }
 

@@ -206,6 +206,96 @@ impl ReservationSystem for ReferenceConflictDetectionTable {
     }
 }
 
+/// A copy of the [`ReservationProbe::can_move`] trait default: every
+/// table that specializes `can_move` must answer exactly like it.
+pub fn default_can_move(
+    probe: &impl ReservationProbe,
+    robot: RobotId,
+    from: GridPos,
+    to: GridPos,
+    t: Tick,
+) -> bool {
+    if probe.occupant(to, t + 1).is_some_and(|x| x != robot) {
+        return false;
+    }
+    if from != to {
+        let there_now = probe.occupant(to, t);
+        let here_next = probe.occupant(from, t + 1);
+        if let (Some(x), Some(y)) = (there_now, here_next) {
+            if x == y && x != robot {
+                return false;
+            }
+        }
+    }
+    true
+}
+
+/// Drive an operation soup into `table` and a fresh reference table of
+/// `w`×`h` cells: single inserts, short eastward paths, GC passes, robot
+/// releases and (un)parking, each op a `(kind, robot, x, y, t)` tuple. A
+/// side map of live timed reservations skips ops that would double-reserve
+/// a cell-tick for two robots (a planner invariant every layout
+/// `debug_assert`s), so every generated soup is valid for both.
+pub fn apply_soup(
+    ops: &[(u8, usize, u16, u16, u64)],
+    table: &mut impl ReservationSystem,
+    (w, h): (u16, u16),
+) -> ReferenceConflictDetectionTable {
+    let mut reference = ReferenceConflictDetectionTable::new(w, h);
+    let mut live: std::collections::HashMap<(GridPos, Tick), RobotId> =
+        std::collections::HashMap::new();
+    for &(kind, robot, x, y, t) in ops {
+        let robot = RobotId::new(robot);
+        let pos = GridPos::new(x % w, y % h);
+        match kind % 5 {
+            0 => {
+                if *live.entry((pos, t)).or_insert(robot) == robot {
+                    table.restore_timed(robot, pos, t);
+                    reference.insert(robot, pos, t);
+                }
+            }
+            1 => {
+                // Short eastward path, skipped wholesale if any step would
+                // collide with another robot's reservation.
+                let cells: Vec<GridPos> = (0..4u16)
+                    .map(|d| GridPos::new((x + d) % w, y % h))
+                    .collect();
+                let path = Path { start: t, cells };
+                let clash = path
+                    .iter_timed()
+                    .any(|(pt, pc)| live.get(&(pc, pt)).is_some_and(|&r| r != robot));
+                if !clash {
+                    for (pt, pc) in path.iter_timed() {
+                        live.insert((pc, pt), robot);
+                    }
+                    table.reserve_path(robot, &path, false);
+                    reference.reserve_path(robot, &path, false);
+                }
+            }
+            2 => {
+                live.retain(|&(_, lt), _| lt >= t);
+                table.release_before(t);
+                reference.release_before(t);
+            }
+            3 => {
+                live.retain(|_, &mut r| r != robot);
+                table.release_robot(robot);
+                reference.release_robot(robot);
+            }
+            _ => {
+                if table.parked_at(pos).is_none() && reference.parked_at(pos).is_none() {
+                    table.park(robot, pos, t);
+                    reference.park(robot, pos, t);
+                } else {
+                    table.unpark(robot);
+                    reference.unpark(robot);
+                }
+            }
+        }
+    }
+    reference
+}
+
 impl MemoryFootprint for ReferenceConflictDetectionTable {
     fn memory_bytes(&self) -> usize {
         let entry = std::mem::size_of::<(Tick, RobotId)>();

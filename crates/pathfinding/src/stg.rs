@@ -12,18 +12,30 @@
 //! # Hot-path design
 //!
 //! Layers are `u16` arrays with `u16::MAX` as the "empty" sentinel rather
-//! than the seed's `Option<RobotId>` boxes — a quarter of the bytes per
-//! cell, so `occupant` is a single dense load and layer churn touches a
-//! quarter of the cache lines. Fleet sizes in the paper are ≤ 10⁴, far
-//! below [`MAX_FLEET`]; reserving with a robot id at or above it panics
-//! rather than aliasing the sentinel. The `VecDeque` of layers is
-//! the tick ring: `layers[t - base]` is the occupancy of tick `t`, the
-//! front is popped as time passes, and `ensure_layer` appends (or prepends,
-//! for out-of-order reservations) zero-cost views of the same boxed slices.
-//! Each layer carries its live-reservation count, maintained on insert, so
-//! `release_before` pops passed layers without rescanning their cells.
-//! [`crate::reservation::ParkingBoard`] supplies the parked fallthrough as a
-//! dense probe as well.
+//! than the seed's `Option<RobotId>` boxes, a quarter of the bytes per
+//! cell. Fleet sizes in the paper are ≤ 10⁴, far below [`MAX_FLEET`];
+//! reserving with a robot id at or above it panics rather than aliasing
+//! the sentinel. The `VecDeque` of layers is the tick ring: `layers[t -
+//! base]` is the occupancy of tick `t`, the front is popped as time passes,
+//! and `ensure_layer` appends (or prepends, for out-of-order reservations)
+//! fresh layers. Each layer carries its live-reservation count, maintained
+//! on insert, so `release_before` pops passed layers without rescanning
+//! their cells.
+//!
+//! A paper-scale layer is 80 KB, and the live ones fill ~21 MB, so a probe
+//! of the dense cell misses L2 and almost always finds it empty. Each layer
+//! therefore also keeps a **line map**: one bit per `LINE` = 32 consecutive
+//! cells (64 bytes of the layer), 160 B for a 200×200 layer. The invariant
+//! is one-sided: a clear bit means every cell of its line is `EMPTY`.
+//! Writes set the bit of every cell they fill; `release_robot` leaves bits
+//! set, since a stale bit only costs the dense read it would have made
+//! anyway. `occupant`, `can_move` and `last_reservation_excluding` read the
+//! bit first and the dense cell only when it is set, and the full walks
+//! (`release_robot`, `export_content`) visit only set lines. `can_move` is
+//! specialized like the CDT's: the `from` cell is probed only when someone
+//! stands on `to` at `t`. [`crate::reservation::ParkingBoard`] supplies the
+//! parked fallthrough as a dense probe as well
+//! (`docs/adr/ADR-031-stg-line-map.md`).
 
 use crate::footprint::MemoryFootprint;
 use crate::path::Path;
@@ -37,11 +49,56 @@ use tprw_warehouse::{GridPos, RobotId, Tick, MAX_FLEET};
 const EMPTY: u16 = u16::MAX;
 const _: () = assert!(MAX_FLEET <= EMPTY as usize);
 
-/// One time layer: dense occupancy plus its live-reservation count.
+/// Cells per line-map bit: 64 bytes of a `u16` layer.
+const LINE: usize = 32;
+
+/// One time layer: dense occupancy, its line map (bit `l % 64` of word
+/// `l / 64` for line `l`) and its live-reservation count. A clear bit means
+/// all [`LINE`] cells of its line are [`EMPTY`].
 #[derive(Debug, Clone)]
 struct Layer {
     cells: Box<[u16]>,
+    lines: Box<[u64]>,
     occupied: u32,
+}
+
+impl Layer {
+    fn new(cells: usize) -> Self {
+        Self {
+            cells: vec![EMPTY; cells].into_boxed_slice(),
+            lines: vec![0; cells.div_ceil(LINE * 64)].into_boxed_slice(),
+            occupied: 0,
+        }
+    }
+
+    /// The occupant of cell `idx`, reading the dense cell only when the
+    /// line map says its line may hold one.
+    #[inline]
+    fn get(&self, idx: usize) -> u16 {
+        if line_set(&self.lines, idx / LINE) {
+            self.cells[idx]
+        } else {
+            EMPTY
+        }
+    }
+
+    /// Write `id` into cell `idx` and set its line's bit; returns whether
+    /// the cell was empty.
+    #[inline]
+    fn put(&mut self, idx: usize, id: u16) -> bool {
+        let line = idx / LINE;
+        self.lines[line / 64] |= 1 << (line % 64);
+        let added = self.cells[idx] == EMPTY;
+        self.cells[idx] = id;
+        self.occupied += u32::from(added);
+        added
+    }
+}
+
+/// Whether `line`'s bit is set in a line map.
+#[inline]
+fn line_set(lines: &[u64], line: usize) -> bool {
+    lines[line / 64] >> (line % 64) & 1 != 0
 }
 
 /// Dense per-tick occupancy layers over an `H·W` grid.
@@ -83,18 +140,12 @@ impl SpatioTemporalGraph {
         }
         // Reservations may arrive out of tick order; extend backwards too.
         while t < self.base {
-            self.layers.push_front(Layer {
-                cells: vec![EMPTY; self.cells_per_layer].into_boxed_slice(),
-                occupied: 0,
-            });
+            self.layers.push_front(Layer::new(self.cells_per_layer));
             self.base -= 1;
         }
         let need = (t - self.base) as usize + 1;
         while self.layers.len() < need {
-            self.layers.push_back(Layer {
-                cells: vec![EMPTY; self.cells_per_layer].into_boxed_slice(),
-                occupied: 0,
-            });
+            self.layers.push_back(Layer::new(self.cells_per_layer));
         }
         let i = (t - self.base) as usize;
         &mut self.layers[i]
@@ -108,20 +159,41 @@ impl SpatioTemporalGraph {
 
 impl ReservationProbe for SpatioTemporalGraph {
     fn occupant(&self, pos: GridPos, t: Tick) -> Option<RobotId> {
-        if let Some(i) = self.layer_index(t) {
-            let r = self.layers[i].cells[pos.to_index(self.width)];
-            if r != EMPTY {
-                return Some(RobotId::from(r as u32));
+        let idx = pos.to_index(self.width);
+        match self
+            .layer_index(t)
+            .map_or(EMPTY, |i| self.layers[i].get(idx))
+        {
+            EMPTY => self.parked.occupant(pos, t),
+            r => Some(RobotId::from(r as u32)),
+        }
+    }
+
+    /// Specialization of the trait default with the same answer: the swap
+    /// probe of `from` runs only when someone stands on `to` at `t`, so on
+    /// an uncontended floor a move reads two line-map words and two
+    /// parking words.
+    fn can_move(&self, robot: RobotId, from: GridPos, to: GridPos, t: Tick) -> bool {
+        if self.occupant(to, t + 1).is_some_and(|x| x != robot) {
+            return false; // single-grid conflict
+        }
+        if from != to {
+            // inter-grid (swap) conflict: someone sits on `to` now and will
+            // be on `from` next tick.
+            if let Some(x) = self.occupant(to, t) {
+                if x != robot && self.occupant(from, t + 1) == Some(x) {
+                    return false;
+                }
             }
         }
-        self.parked.occupant(pos, t)
+        true
     }
 
     fn last_reservation_excluding(&self, pos: GridPos, robot: RobotId) -> Option<Tick> {
         let idx = pos.to_index(self.width);
         let id = robot.index() as u16;
         for (i, layer) in self.layers.iter().enumerate().rev() {
-            let r = layer.cells[idx];
+            let r = layer.get(idx);
             if r != EMPTY && r != id {
                 return Some(self.base + i as Tick);
             }
@@ -147,16 +219,12 @@ impl ReservationSystem for SpatioTemporalGraph {
         let mut added = 0usize;
         for (t, cell) in path.iter_timed() {
             let layer = self.ensure_layer(t);
-            let slot = &mut layer.cells[cell.to_index(width)];
+            let idx = cell.to_index(width);
             debug_assert!(
-                *slot == EMPTY || *slot == id,
+                layer.cells[idx] == EMPTY || layer.cells[idx] == id,
                 "double reservation at {cell}@{t}"
             );
-            if *slot == EMPTY {
-                added += 1;
-                layer.occupied += 1;
-            }
-            *slot = id;
+            added += usize::from(layer.put(idx, id));
         }
         self.reservations += added;
         if park_at_end {
@@ -173,15 +241,23 @@ impl ReservationSystem for SpatioTemporalGraph {
     }
 
     fn release_robot(&mut self, robot: RobotId) {
-        // Rare exception path (breakdown / blockade invalidation): a full
-        // layer scan is fine here — events are orders of magnitude rarer
-        // than `occupant` probes, which the dense layout optimizes for.
+        // Rare exception path (breakdown / blockade invalidation): a scan
+        // of the set lines. Their bits stay set (a stale bit costs one
+        // dense read).
         let id = robot.index() as u16;
         for layer in &mut self.layers {
-            for slot in layer.cells.iter_mut() {
-                if *slot == id {
+            let Layer {
+                cells,
+                lines,
+                occupied,
+            } = layer;
+            for (line, chunk) in cells.chunks_mut(LINE).enumerate() {
+                if !line_set(lines, line) {
+                    continue;
+                }
+                for slot in chunk.iter_mut().filter(|slot| **slot == id) {
                     *slot = EMPTY;
-                    layer.occupied -= 1;
+                    *occupied -= 1;
                     self.reservations -= 1;
                 }
             }
@@ -211,14 +287,8 @@ impl ReservationSystem for SpatioTemporalGraph {
              (MAX_FLEET = {MAX_FLEET}); shard the fleet or widen the layers"
         );
         let id = robot.index() as u16;
-        let width = self.width;
-        let layer = self.ensure_layer(t);
-        let slot = &mut layer.cells[pos.to_index(width)];
-        let added = *slot == EMPTY;
-        if added {
-            layer.occupied += 1;
-        }
-        *slot = id;
+        let idx = pos.to_index(self.width);
+        let added = self.ensure_layer(t).put(idx, id);
         self.reservations += usize::from(added);
     }
 
@@ -227,8 +297,12 @@ impl ReservationSystem for SpatioTemporalGraph {
         let mut timed = Vec::with_capacity(self.reservations);
         for (i, layer) in self.layers.iter().enumerate() {
             let t = self.base + i as Tick;
-            for (idx, &r) in layer.cells.iter().enumerate() {
-                if r != EMPTY {
+            for (line, chunk) in layer.cells.chunks(LINE).enumerate() {
+                if !line_set(&layer.lines, line) {
+                    continue;
+                }
+                for (k, &r) in chunk.iter().enumerate().filter(|&(_, &r)| r != EMPTY) {
+                    let idx = line * LINE + k;
                     timed.push(TimedReservation {
                         t,
                         pos: GridPos::new((idx % width) as u16, (idx / width) as u16),
@@ -237,7 +311,7 @@ impl ReservationSystem for SpatioTemporalGraph {
                 }
             }
         }
-        // Layer-then-cell iteration already yields (t, cell index) order.
+        // Layer-then-line iteration already yields (t, cell index) order.
         ReservationContent {
             timed,
             parked: self.parked.entries(),
@@ -247,8 +321,9 @@ impl ReservationSystem for SpatioTemporalGraph {
 
 impl MemoryFootprint for SpatioTemporalGraph {
     fn memory_bytes(&self) -> usize {
-        let layer_bytes =
-            self.cells_per_layer * std::mem::size_of::<u16>() + std::mem::size_of::<u32>();
+        let layer_bytes = self.cells_per_layer * std::mem::size_of::<u16>()
+            + self.cells_per_layer.div_ceil(LINE * 64) * std::mem::size_of::<u64>()
+            + std::mem::size_of::<u32>();
         self.layers.len() * layer_bytes + self.parked.memory_bytes()
     }
 }
@@ -256,6 +331,8 @@ impl MemoryFootprint for SpatioTemporalGraph {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::reference_cdt::{apply_soup, default_can_move};
+    use proptest::prelude::*;
 
     fn p(x: u16, y: u16) -> GridPos {
         GridPos::new(x, y)
@@ -354,15 +431,44 @@ mod tests {
 
     #[test]
     fn layers_are_a_quarter_of_the_seed_size() {
-        // The u16 sentinel encoding stores a 16×16 layer in 512 B plus the
-        // occupancy counter — a quarter of the seed's `Option<RobotId>`
-        // (8-byte) slots and half of PR 1's u32 layers.
+        // The u16 sentinel encoding stores a 16×16 layer in 512 B — a
+        // quarter of the seed's `Option<RobotId>` (8-byte) slots and half of
+        // `u32` cells — plus one line-map word (256 cells are 8 lines) and
+        // the occupancy counter.
         let mut g = SpatioTemporalGraph::new(16, 16);
         g.reserve_path(RobotId::new(0), &path(0, &[(0, 0)]), false);
         assert_eq!(
             g.memory_bytes() - g.parked.memory_bytes(),
-            16 * 16 * 2 + 4,
-            "one layer, 2 bytes per cell plus the occupancy count"
+            16 * 16 * 2 + 8 + 4,
+            "one layer, 2 bytes per cell plus 8 per map word plus the count"
+        );
+    }
+
+    #[test]
+    fn a_line_straddles_rows_and_holds_several_robots() {
+        // On a 40-wide floor the second line (cells 32..64) is the end of
+        // row 0 and the start of row 1.
+        let mut g = SpatioTemporalGraph::new(40, 6);
+        let (a, b) = (RobotId::new(1), RobotId::new(2));
+        g.reserve_path(a, &path(5, &[(38, 0), (39, 0)]), false);
+        g.restore_timed(b, p(0, 1), 6);
+        assert_eq!(g.layers[1].lines[0], 0b10, "one line set in layer 6");
+        assert_eq!(g.occupant(p(39, 0), 6), Some(a));
+        assert_eq!(g.occupant(p(0, 1), 6), Some(b));
+        assert_eq!(g.occupant(p(31, 0), 6), None, "the first line is clear");
+        assert_eq!(g.occupant(p(24, 1), 6), None, "the third line is clear");
+        g.release_robot(a);
+        assert_eq!(g.layers[1].lines[0], 0b10, "release leaves the bit set");
+        assert_eq!(g.occupant(p(39, 0), 6), None);
+        assert_eq!(g.occupant(p(0, 1), 6), Some(b));
+        assert_eq!(g.reservation_count(), 1);
+        assert_eq!(
+            g.export_content().timed,
+            vec![TimedReservation {
+                t: 6,
+                pos: p(0, 1),
+                robot: b
+            }]
         );
     }
 
@@ -412,5 +518,63 @@ mod tests {
     fn oversized_fleet_panics() {
         let mut g = SpatioTemporalGraph::new(4, 4);
         g.reserve_path(RobotId::new(MAX_FLEET), &path(0, &[(0, 0)]), false);
+    }
+
+    proptest! {
+        /// After the CDT's operation soup on a floor whose lines straddle
+        /// rows, the graph answers every probe at every tick like the
+        /// reference table: `occupant`, the `can_move` wait and the four
+        /// moves from every cell (also against the trait default),
+        /// `last_reservation_excluding`, the count and the exported
+        /// content. Eight robots on 240 cells put several in one line.
+        #[test]
+        fn line_map_answers_like_the_reference(
+            ops in proptest::collection::vec(
+                (0u8..5, 0usize..8, 0u16..40, 0u16..6, 0u64..24), 1..48),
+        ) {
+            let (w, h) = (40u16, 6u16);
+            let mut g = SpatioTemporalGraph::new(w, h);
+            let reference = apply_soup(&ops, &mut g, (w, h));
+            prop_assert_eq!(g.reservation_count(), reference.reservation_count());
+            prop_assert_eq!(g.export_content(), reference.export_content());
+            for y in 0..h {
+                for x in 0..w {
+                    let from = p(x, y);
+                    for r in 0..9 {
+                        let robot = RobotId::new(r);
+                        prop_assert_eq!(
+                            g.last_reservation_excluding(from, robot),
+                            reference.last_reservation_excluding(from, robot),
+                            "last_reservation_excluding disagrees at {}", from
+                        );
+                    }
+                    let moves = [(0, 0), (1, 0), (-1, 0), (0, 1), (0, -1)];
+                    let tos = moves.iter().filter_map(|&(dx, dy)| {
+                        let (tx, ty) = (x as i32 + dx, y as i32 + dy);
+                        ((0..w as i32).contains(&tx) && (0..h as i32).contains(&ty))
+                            .then(|| p(tx as u16, ty as u16))
+                    });
+                    for to in tos {
+                        for t in 0..30 {
+                            // Ids 8 and 9 hold nothing; 0..8 are the soup's.
+                            let robot = RobotId::new((x as usize + t as usize) % 10);
+                            let want = reference.can_move(robot, from, to, t);
+                            prop_assert_eq!(
+                                g.can_move(robot, from, to, t), want,
+                                "can_move disagrees for {} {}->{}@{}", robot, from, to, t
+                            );
+                            prop_assert_eq!(default_can_move(&g, robot, from, to, t), want);
+                        }
+                    }
+                    for t in 0..30 {
+                        prop_assert_eq!(
+                            g.occupant(from, t),
+                            reference.occupant(from, t),
+                            "occupant disagrees at {}@{}", from, t
+                        );
+                    }
+                }
+            }
+        }
     }
 }

@@ -1377,6 +1377,52 @@ mod tests {
         }
     }
 
+    /// A CRC-valid ATP slice with a reservation tick below the last GC or
+    /// far past every leg the planner could hold is refused on resume. At
+    /// 10¹² the spatiotemporal graph would otherwise allocate a layer per
+    /// tick between the slice's ticks.
+    #[test]
+    fn reservation_ticks_outside_the_live_window_are_decode_errors() {
+        let inst = scenario(None, 42);
+        let mut p = make("ATP");
+        let mut engine = Engine::new(&inst, &EngineConfig::default());
+        engine.start(p.as_mut());
+        let base_of = |tree: &mut Value| {
+            let slice = field_mut(field_mut(tree, "planner"), "base");
+            BaseSnapshot::deserialize(slice).expect("a base slice")
+        };
+        // The first tick after a GC whose slice holds a timed reservation.
+        let tree = loop {
+            engine.tick_once(p.as_mut());
+            assert!(!engine.is_finished(), "no GC ran before the run ended");
+            let mut tree = engine.snapshot(p.as_ref()).serialize();
+            let base = base_of(&mut tree);
+            if base.last_gc > 0 && !base.resv.timed.is_empty() {
+                break tree;
+            }
+        };
+        let resume = |edit: &dyn Fn(&mut BaseSnapshot)| {
+            let mut tree = tree.clone();
+            let mut b = base_of(&mut tree);
+            edit(&mut b);
+            *field_mut(field_mut(&mut tree, "planner"), "base") = b.serialize();
+            let data = decode_snapshot(&framed(SNAPSHOT_VERSION, &serde::binary::to_bytes(&tree)))
+                .expect("the planner slice stays a tree until resume");
+            resume_from(&data, make("ATP").as_mut()).map(|_| ())
+        };
+        resume(&|_| {}).expect("the untouched slice resumes");
+        let far: &dyn Fn(&mut BaseSnapshot) =
+            &|b| b.resv.timed.last_mut().unwrap().t = 1_000_000_000_000;
+        let below: &dyn Fn(&mut BaseSnapshot) = &|b| b.resv.timed[0].t = b.last_gc - 1;
+        for (what, edit) in [("10¹²", far), ("below the GC", below)] {
+            let err = resume(edit).expect_err(what);
+            assert!(
+                matches!(&err, SnapshotError::Decode(msg) if msg.contains("reservation tick")),
+                "{what}: {err:?}"
+            );
+        }
+    }
+
     #[test]
     fn atomic_write_reads_back_and_leaves_no_temp() {
         let inst = scenario(None, 42);
