@@ -359,42 +359,49 @@ impl<R: ReservationBackend> PlannerBase<R> {
     /// spawn parking `init` left behind), the counters and the GC cursor.
     ///
     /// A reservation cell off the grid, two robots parked on
-    /// one cell, a robot outside the fleet, a tick past what the tables
-    /// encode ([`MAX_CDT_TICK`] for a reservation, [`MAX_PARK_TICK`] for a
-    /// parking start) or a reservation tick outside the live window
-    /// (`live_ticks`) is refused before any table is touched: the tables
-    /// index cells and pack robots and ticks with asserts of their own, and
-    /// the spatiotemporal graph allocates one layer per tick of the span it
-    /// holds.
+    /// one cell, a robot outside the fleet, a parking start past
+    /// [`MAX_PARK_TICK`] or a reservation tick outside the live window is
+    /// refused before any table is touched: the tables index cells and
+    /// pack robots and ticks with asserts of their own, and the
+    /// spatiotemporal graph allocates one layer per tick of the span it
+    /// holds. The live window runs from `last_gc` to the last tick a leg
+    /// can reach, capped at [`MAX_CDT_TICK`]. GC drops every tick below
+    /// `last_gc`, and no leg starts before it.
+    /// [`PlannerBase::housekeeping`] runs every tick and collects once the
+    /// tick reaches `last_gc + gc_period`, so every leg still held was
+    /// planned at a tick `T ≤ last_gc + gc_period + 1` (one tick of margin
+    /// for where in the tick a snapshot is cut). A leg planned at `T`
+    /// starts at `T` and ends by its A* horizon, `T + manhattan + slack`,
+    /// and no Manhattan distance on the grid exceeds `(W−1) + (H−1)`.
+    /// [`PlannerBase::check_resume_tick`] ties `last_gc` to the engine's
+    /// tick.
     pub fn import_base_snapshot(&mut self, snap: &BaseSnapshot) -> Result<(), serde::Error> {
         let resv = &snap.resv;
+        let reach = self
+            .config
+            .gc_period
+            .saturating_add(1)
+            .saturating_add(self.grid.width() as Tick - 1)
+            .saturating_add(self.grid.height() as Tick - 1)
+            .saturating_add(self.config.horizon_slack);
+        let live = snap.last_gc..=MAX_CDT_TICK.min(snap.last_gc.saturating_add(reach));
         let timed = resv
             .timed
             .iter()
-            .map(|r| ("reservation", r.robot, r.t, MAX_CDT_TICK));
+            .map(|r| ("reservation", r.robot, r.t, live.clone()));
         let parked = resv
             .parked
             .iter()
-            .map(|&(r, _, t)| ("parking", r, t, MAX_PARK_TICK));
-        for (what, robot, t, max) in timed.chain(parked) {
+            .map(|&(r, _, t)| ("parking", r, t, 0..=MAX_PARK_TICK));
+        for (what, robot, t, ticks) in timed.chain(parked) {
             let problem = if robot.index() >= self.fleet {
                 format!("robot {robot} is outside the {}-robot fleet", self.fleet)
-            } else if t > max {
-                format!("tick {t} is past the largest encodable tick {max}")
+            } else if !ticks.contains(&t) {
+                format!("tick {t} is outside {}..={}", ticks.start(), ticks.end())
             } else {
                 continue;
             };
             return Err(serde::Error::msg(format!("planner {what} {problem}")));
-        }
-        let live = self.live_ticks(snap.last_gc);
-        if let Some(r) = resv.timed.iter().find(|r| !live.contains(&r.t)) {
-            return Err(serde::Error::msg(format!(
-                "planner reservation tick {} is outside the live ticks {}..={} after the GC at {}",
-                r.t,
-                live.start(),
-                live.end(),
-                snap.last_gc
-            )));
         }
         let grid = &self.grid;
         let timed = snap.resv.timed.iter().map(|r| ("reservation", r.pos));
@@ -448,23 +455,26 @@ impl<R: ReservationBackend> PlannerBase<R> {
         Ok(())
     }
 
-    /// The ticks a timed reservation can hold while the last GC ran at
-    /// `last_gc`.
-    ///
-    /// GC drops every tick below `last_gc`, and no leg starts before it.
-    /// [`PlannerBase::housekeeping`] runs every tick and collects once the
-    /// tick reaches `last_gc + gc_period`, so every leg still held was
-    /// planned at a tick `T ≤ last_gc + gc_period + 1` (one tick of margin
-    /// for where in the tick a snapshot is cut). A leg planned at `T`
-    /// starts at `T` and ends by its A* horizon, `T + manhattan + slack`,
-    /// and no Manhattan distance on the grid exceeds `(W−1) + (H−1)`.
-    fn live_ticks(&self, last_gc: Tick) -> std::ops::RangeInclusive<Tick> {
-        let span = (self.config.gc_period)
-            .saturating_add(1)
-            .saturating_add(self.grid.width() as Tick - 1)
-            .saturating_add(self.grid.height() as Tick - 1)
-            .saturating_add(self.config.horizon_slack);
-        last_gc..=last_gc.saturating_add(span)
+    /// Refuse an imported GC cursor that the engine's tick `t` cannot
+    /// follow. [`PlannerBase::housekeeping`] runs at the end of every tick
+    /// and collects once the tick reaches `last_gc + gc_period`, so a run
+    /// cut between ticks holds `last_gc ≤ t ≤ last_gc + gc_period` (one
+    /// tick of margin above, as in the live window). Past that, the first
+    /// leg planned at `t` would make the spatiotemporal graph allocate one
+    /// layer per tick between `t` and the imported reservations, and GC
+    /// would never run again once `last_gc` lies ahead of every tick.
+    pub fn check_resume_tick(&self, t: Tick) -> Result<(), serde::Error> {
+        let last = self
+            .last_gc
+            .saturating_add(self.config.gc_period)
+            .saturating_add(1);
+        if (self.last_gc..=last).contains(&t) {
+            return Ok(());
+        }
+        Err(serde::Error::msg(format!(
+            "planner GC cursor {} does not fit the resumed tick {t} (GC period {})",
+            self.last_gc, self.config.gc_period
+        )))
     }
 
     /// Snapshot stats with the current memory footprint filled in.
@@ -612,6 +622,31 @@ mod tests {
                 Err(e) => {
                     assert!(!ok, "tick {t} refused: {e}");
                     assert!(e.to_string().contains("reservation tick"), "{e}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn resume_ticks_the_gc_cursor_cannot_reach_are_refused() {
+        let inst = instance();
+        let config = EatpConfig::default();
+        let mut base: PlannerBase<SpatioTemporalGraph> =
+            PlannerBase::new(&inst, config.clone(), false);
+        let snap = BaseSnapshot {
+            resv: ReservationContent::default(),
+            stats: PlannerStats::default(),
+            last_gc: 10,
+        };
+        base.import_base_snapshot(&snap)
+            .expect("an empty slice imports");
+        let last = 10 + config.gc_period + 1;
+        for (t, ok) in [(9, false), (10, true), (last, true), (last + 1, false)] {
+            match base.check_resume_tick(t) {
+                Ok(()) => assert!(ok, "tick {t} accepted"),
+                Err(e) => {
+                    assert!(!ok, "tick {t} refused: {e}");
+                    assert!(e.to_string().contains("GC cursor"), "{e}");
                 }
             }
         }

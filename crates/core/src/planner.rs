@@ -284,6 +284,14 @@ pub trait Planner {
     fn import_snapshot(&mut self, _state: &serde::Value) -> Result<(), serde::Error> {
         Ok(())
     }
+
+    /// Refuse imported state that no run could hold when the engine
+    /// resumes at tick `t` (the tick its next step executes). Called right
+    /// after [`Planner::import_snapshot`] on resume; a typed error, never a
+    /// panic.
+    fn check_resume_tick(&self, _t: Tick) -> Result<(), serde::Error> {
+        Ok(())
+    }
 }
 
 #[cfg(test)]

@@ -154,6 +154,12 @@ impl<S: Strategy> Planner for Shell<S> {
             .ok_or_else(|| serde::Error::msg(format!("{}: import before init", S::NAME)))?;
         base.import_base_snapshot(&self.strategy.import(state)?)
     }
+
+    fn check_resume_tick(&self, t: Tick) -> Result<(), serde::Error> {
+        self.base
+            .as_ref()
+            .map_or(Ok(()), |b| b.check_resume_tick(t))
+    }
 }
 
 #[cfg(test)]

@@ -736,8 +736,8 @@ mod tests {
             }
         }
 
-        /// The specialized `can_move` must match the trait-default
-        /// three-probe logic exactly, and the STG's own specialization.
+        /// The specialized `can_move` must match the three-probe
+        /// reference exactly, and so must the trait default the STG uses.
         #[test]
         fn specialized_can_move_matches_default(
             starts in proptest::collection::vec((0u64..10, 0u16..8, 0u16..8), 1..6),

@@ -206,8 +206,9 @@ impl ReservationSystem for ReferenceConflictDetectionTable {
     }
 }
 
-/// A copy of the [`ReservationProbe::can_move`] trait default: every
-/// table that specializes `can_move` must answer exactly like it.
+/// [`ReservationProbe::can_move`] as three unconditional probes: the trait
+/// default, which skips the `from` probe when `to` is free at `t`, and
+/// every table that specializes `can_move` must answer exactly like it.
 pub fn default_can_move(
     probe: &impl ReservationProbe,
     robot: RobotId,

@@ -57,6 +57,8 @@ pub trait ReservationProbe {
     /// Whether `robot` may *wait on or move to* `to` at tick `t+1` coming
     /// from `from` at tick `t` without a single-grid or inter-grid conflict
     /// (Definition 5). A robot never conflicts with its own reservations.
+    /// The swap probe of `from` runs only when another robot stands on
+    /// `to` at `t`, so an uncontended move costs two probes.
     fn can_move(&self, robot: RobotId, from: GridPos, to: GridPos, t: Tick) -> bool {
         if self.occupant(to, t + 1).is_some_and(|x| x != robot) {
             return false; // single-grid conflict
@@ -64,10 +66,8 @@ pub trait ReservationProbe {
         if from != to {
             // inter-grid (swap) conflict: someone sits on `to` now and will
             // be on `from` next tick.
-            let there_now = self.occupant(to, t);
-            let here_next = self.occupant(from, t + 1);
-            if let (Some(x), Some(y)) = (there_now, here_next) {
-                if x == y && x != robot {
+            if let Some(x) = self.occupant(to, t) {
+                if x != robot && self.occupant(from, t + 1) == Some(x) {
                     return false;
                 }
             }

@@ -29,13 +29,13 @@
 //! is one-sided: a clear bit means every cell of its line is `EMPTY`.
 //! Writes set the bit of every cell they fill; `release_robot` leaves bits
 //! set, since a stale bit only costs the dense read it would have made
-//! anyway. `occupant`, `can_move` and `last_reservation_excluding` read the
-//! bit first and the dense cell only when it is set, and the full walks
+//! anyway. `occupant` and `last_reservation_excluding` read the bit first
+//! and the dense cell only when it is set, and the full walks
 //! (`release_robot`, `export_content`) visit only set lines. `can_move` is
-//! specialized like the CDT's: the `from` cell is probed only when someone
-//! stands on `to` at `t`. [`crate::reservation::ParkingBoard`] supplies the
-//! parked fallthrough as a dense probe as well
-//! (`docs/adr/ADR-031-stg-line-map.md`).
+//! the trait default over `occupant`, which probes the `from` cell only
+//! when someone stands on `to` at `t`.
+//! [`crate::reservation::ParkingBoard`] supplies the parked fallthrough as
+//! a dense probe as well (`docs/adr/ADR-031-stg-line-map.md`).
 
 use crate::footprint::MemoryFootprint;
 use crate::path::Path;
@@ -167,26 +167,6 @@ impl ReservationProbe for SpatioTemporalGraph {
             EMPTY => self.parked.occupant(pos, t),
             r => Some(RobotId::from(r as u32)),
         }
-    }
-
-    /// Specialization of the trait default with the same answer: the swap
-    /// probe of `from` runs only when someone stands on `to` at `t`, so on
-    /// an uncontended floor a move reads two line-map words and two
-    /// parking words.
-    fn can_move(&self, robot: RobotId, from: GridPos, to: GridPos, t: Tick) -> bool {
-        if self.occupant(to, t + 1).is_some_and(|x| x != robot) {
-            return false; // single-grid conflict
-        }
-        if from != to {
-            // inter-grid (swap) conflict: someone sits on `to` now and will
-            // be on `from` next tick.
-            if let Some(x) = self.occupant(to, t) {
-                if x != robot && self.occupant(from, t + 1) == Some(x) {
-                    return false;
-                }
-            }
-        }
-        true
     }
 
     fn last_reservation_excluding(&self, pos: GridPos, robot: RobotId) -> Option<Tick> {
@@ -524,7 +504,7 @@ mod tests {
         /// After the CDT's operation soup on a floor whose lines straddle
         /// rows, the graph answers every probe at every tick like the
         /// reference table: `occupant`, the `can_move` wait and the four
-        /// moves from every cell (also against the trait default),
+        /// moves from every cell (also against the three-probe form),
         /// `last_reservation_excluding`, the count and the exported
         /// content. Eight robots on 240 cells put several in one line.
         #[test]

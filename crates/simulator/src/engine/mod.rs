@@ -550,7 +550,8 @@ impl<'a> Engine<'a> {
     /// its derived world model (grid overlay, distance oracle; the KNN
     /// index is built from the instance alone), and only then is its
     /// canonical state
-    /// overwritten via [`Planner::import_snapshot`]. Do **not** call
+    /// overwritten via [`Planner::import_snapshot`] and checked against
+    /// the resumed tick ([`Planner::check_resume_tick`]). Do **not** call
     /// [`Engine::start`] on the returned engine.
     pub fn resume(
         instance: &'a Instance,
@@ -568,6 +569,7 @@ impl<'a> Engine<'a> {
             });
         }
         planner.import_snapshot(planner_state)?;
+        planner.check_resume_tick(state.t)?;
         engine.restore_state(state);
         Ok(engine)
     }

@@ -649,6 +649,10 @@ impl Planner for IdleCellProbe {
     fn import_snapshot(&mut self, state: &serde::Value) -> Result<(), serde::Error> {
         self.inner.import_snapshot(state)
     }
+
+    fn check_resume_tick(&self, t: Tick) -> Result<(), serde::Error> {
+        self.inner.check_resume_tick(t)
+    }
 }
 
 /// Every idle robot EATP is asked about stands on an indexed cell: on a

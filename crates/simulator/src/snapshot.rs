@@ -1378,9 +1378,11 @@ mod tests {
     }
 
     /// A CRC-valid ATP slice with a reservation tick below the last GC or
-    /// far past every leg the planner could hold is refused on resume. At
-    /// 10¹² the spatiotemporal graph would otherwise allocate a layer per
-    /// tick between the slice's ticks.
+    /// far past every leg the planner could hold, or with every tick and
+    /// the GC cursor moved to 10¹² while the engine stays at its tick, is
+    /// refused on resume. The spatiotemporal graph would otherwise allocate
+    /// a layer per tick between the slice's ticks, or between the engine's
+    /// tick and the slice's.
     #[test]
     fn reservation_ticks_outside_the_live_window_are_decode_errors() {
         let inst = scenario(None, 42);
@@ -1414,10 +1416,21 @@ mod tests {
         let far: &dyn Fn(&mut BaseSnapshot) =
             &|b| b.resv.timed.last_mut().unwrap().t = 1_000_000_000_000;
         let below: &dyn Fn(&mut BaseSnapshot) = &|b| b.resv.timed[0].t = b.last_gc - 1;
-        for (what, edit) in [("10¹²", far), ("below the GC", below)] {
+        let ahead: &dyn Fn(&mut BaseSnapshot) = &|b| {
+            let shift = 1_000_000_000_000 - b.last_gc;
+            b.last_gc += shift;
+            for r in &mut b.resv.timed {
+                r.t += shift;
+            }
+        };
+        for (what, edit, msg) in [
+            ("10¹²", far, "reservation tick"),
+            ("below the GC", below, "reservation tick"),
+            ("GC cursor at 10¹²", ahead, "GC cursor"),
+        ] {
             let err = resume(edit).expect_err(what);
             assert!(
-                matches!(&err, SnapshotError::Decode(msg) if msg.contains("reservation tick")),
+                matches!(&err, SnapshotError::Decode(m) if m.contains(msg)),
                 "{what}: {err:?}"
             );
         }
