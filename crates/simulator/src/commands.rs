@@ -9,7 +9,7 @@
 //! the order producer threads happened to enqueue them. Two runs that
 //! apply the same `(tick, seq, command)` triples are bit-identical, which
 //! is the determinism contract `docs/order-stream.md` spells out and
-//! `tests/order_stream.rs` pins (a live-ingested run reproduces the
+//! the lattice (`tests/lattice.rs`) pins (a live-ingested run reproduces the
 //! equivalent pregenerated [`tprw_warehouse::ScenarioSpec`] run exactly).
 //!
 //! Every applied command is answered with an [`Ack`]; completions of

@@ -15,16 +15,16 @@
 //! replanning and invalidation are engine semantics, not artifacts of the
 //! batching refactor.
 
-use eatp::core::{planner_by_name, EatpConfig, PLANNER_NAMES};
-use eatp::simulator::{run_simulation, EngineConfig};
 use eatp::warehouse::{LayoutConfig, ScenarioSpec, WorkloadConfig};
-use std::fmt::Write as _;
 
 mod common;
-use common::{assert_golden, disrupted_spec};
+use common::{check_fingerprints, disrupted_spec};
 
-/// One `"<case> <planner> {fingerprint:?}"` line per run, as recorded by
-/// the serial path.
+/// One `"<case> <planner> {fingerprint:?}"` row per run, as recorded by
+/// the serial path: every planner on `equiv-<walled>-<pickers>-<seed>`
+/// for walled and open floors, one picker (same-station return
+/// contention, the LegRequest group rule) and three, and seeds 11 and
+/// 97, then every planner on `disrupted-59`.
 const GOLDEN: &str = include_str!("../results/fingerprints_batched_equivalence.txt");
 
 fn spec(walled: bool, pickers: usize, seed: u64) -> ScenarioSpec {
@@ -45,37 +45,24 @@ fn spec(walled: bool, pickers: usize, seed: u64) -> ScenarioSpec {
     }
 }
 
-fn record(out: &mut String, spec: &ScenarioSpec, name: &str) {
-    let inst = spec.build().unwrap();
-    let mut p = planner_by_name(name, &EatpConfig::default()).unwrap();
-    let report = run_simulation(&inst, &mut *p, &EngineConfig::default());
-    assert!(
-        report.completed,
-        "{name} on {} must finish to be meaningful",
-        spec.name
-    );
-    let fingerprint = report.deterministic_fingerprint();
-    writeln!(out, "{} {name} {fingerprint:?}", spec.name).unwrap();
+/// The spec a golden row's case names.
+fn case(name: &str) -> ScenarioSpec {
+    if let Some(seed) = name.strip_prefix("disrupted-") {
+        return disrupted_spec(seed.parse().expect("a seed"));
+    }
+    let mut fields = name
+        .strip_prefix("equiv-")
+        .expect("a known case")
+        .split('-');
+    let mut next = || fields.next().expect("three fields");
+    let walled = next().parse().expect("walled");
+    let pickers = next().parse().expect("pickers");
+    spec(walled, pickers, next().parse().expect("seed"))
 }
 
 #[test]
 fn batched_equals_serial_for_every_planner() {
-    let mut actual = String::new();
-    for name in PLANNER_NAMES {
-        for walled in [false, true] {
-            // One picker forces same-station return contention (the
-            // LegRequest group rule); three is the spread-out case.
-            for pickers in [1usize, 3] {
-                for seed in [11u64, 97] {
-                    record(&mut actual, &spec(walled, pickers, seed), name);
-                }
-            }
-        }
-    }
-    for name in PLANNER_NAMES {
-        record(&mut actual, &disrupted_spec(59), name);
-    }
-
-    // The golden lines are the serial path's recorded fingerprints.
-    assert_golden("fingerprints_batched_equivalence.txt", GOLDEN, &actual);
+    check_fingerprints("fingerprints_batched_equivalence.txt", GOLDEN, 45, |name| {
+        case(name).build().unwrap()
+    });
 }

@@ -1,77 +1,26 @@
-//! Property soak for the checkpoint/resume subsystem (see
-//! `docs/snapshot-format.md`).
-//!
-//! * **Resume ≡ uninterrupted** — for a random (planner, scenario kind,
-//!   scenario seed, checkpoint fraction), checkpointing through the full
-//!   byte format at an arbitrary mid-run tick and resuming with a fresh
-//!   planner yields a final report fingerprint bit-identical to the
-//!   straight-through run. This is the subsystem's core contract, sampled
-//!   far beyond the fixed split points of the unit tests.
-//! * **Corruption never panics** — random single-bit flips and truncations
-//!   of a valid snapshot always surface as a typed [`SnapshotError`]; the
-//!   decoder must never panic or return a mangled snapshot as `Ok`.
+//! Corruption never panics: random single-bit flips and truncations of a
+//! valid snapshot always surface as a typed [`SnapshotError`]; the decoder
+//! must never panic or return a mangled snapshot as `Ok` (see
+//! `docs/snapshot-format.md`). That a snapshot resumes to the uncut run's
+//! end is the lattice's contract (`tests/lattice.rs`).
 //!
 //! `PROPTEST_CASES` scales the soak (default 64 cases per property).
 
 use std::sync::OnceLock;
 
-use eatp::core::{planner_by_name, EatpConfig, PLANNER_NAMES};
-use eatp::simulator::{
-    decode_snapshot, encode_snapshot, resume_from, run_simulation, Engine, EngineConfig,
-};
-use eatp::warehouse::{
-    DisruptionConfig, Instance, LayoutConfig, ScenarioSpec, Tick, WorkloadConfig,
-};
+use eatp::core::{planner_by_name, EatpConfig};
+use eatp::simulator::{decode_snapshot, encode_snapshot, Engine, EngineConfig};
 use proptest::prelude::*;
 
-/// Scenario kinds of the soak: a clean floor, a blockade storm and a
-/// breakdown wave (the same shapes the unit-level round-trip tests pin).
-fn scenario(kind: usize, seed: u64) -> Instance {
-    let disruptions = match kind {
-        0 => None,
-        1 => Some(DisruptionConfig {
-            breakdowns: 0,
-            breakdown_ticks: (30, 80),
-            blockades: 4,
-            blockade_ticks: (30, 90),
-            closures: 1,
-            closure_ticks: (30, 60),
-            removals: 1,
-            removal_ticks: (30, 60),
-            window: (10, 120),
-        }),
-        _ => Some(DisruptionConfig {
-            breakdowns: 3,
-            breakdown_ticks: (20, 90),
-            blockades: 0,
-            blockade_ticks: (30, 80),
-            closures: 0,
-            closure_ticks: (30, 60),
-            removals: 2,
-            removal_ticks: (30, 60),
-            window: (10, 120),
-        }),
-    };
-    ScenarioSpec {
-        name: format!("ckpt-soak-{kind}-{seed}"),
-        layout: LayoutConfig::sized(24, 16),
-        n_racks: 10,
-        n_robots: 4,
-        n_pickers: 2,
-        workload: WorkloadConfig::poisson(20, 0.5),
-        disruptions,
-        seed,
-    }
-    .build()
-    .unwrap()
-}
+mod common;
+use common::lattice::floor;
 
 /// One valid mid-run snapshot's encoded bytes, built once for the whole
 /// corruption soak (the mutations are the random part, not the payload).
 fn valid_snapshot_bytes() -> &'static [u8] {
     static BYTES: OnceLock<Vec<u8>> = OnceLock::new();
     BYTES.get_or_init(|| {
-        let inst = scenario(1, 9);
+        let inst = floor(1, 9);
         let cfg = EngineConfig::default();
         let mut planner = planner_by_name("EATP", &EatpConfig::default()).unwrap();
         let mut engine = Engine::new(&inst, &cfg);
@@ -84,49 +33,6 @@ fn valid_snapshot_bytes() -> &'static [u8] {
 }
 
 proptest! {
-    /// Checkpoint at a random fraction of the makespan, resume from the
-    /// decoded bytes with a fresh planner, and require fingerprint
-    /// equality with the uninterrupted run.
-    #[test]
-    fn resume_matches_uninterrupted(
-        planner_idx in 0usize..5,
-        kind in 0usize..3,
-        seed in 0u64..10_000,
-        frac in 0.05f64..0.95,
-    ) {
-        let name = PLANNER_NAMES[planner_idx];
-        let inst = scenario(kind, seed);
-        let engine_cfg = EngineConfig::default();
-        let planner_cfg = EatpConfig::default();
-
-        let mut p = planner_by_name(name, &planner_cfg).unwrap();
-        let baseline = run_simulation(&inst, &mut *p, &engine_cfg);
-        prop_assume!(baseline.completed);
-
-        let at = ((baseline.makespan as f64 * frac) as Tick).max(1);
-        let mut p = planner_by_name(name, &planner_cfg).unwrap();
-        let mut engine = Engine::new(&inst, &engine_cfg);
-        engine.start(&mut *p);
-        while !engine.is_finished() && engine.current_tick() < at {
-            engine.tick_once(&mut *p);
-        }
-        let bytes = encode_snapshot(&engine.snapshot(&*p));
-        drop(engine);
-        drop(p);
-
-        let data = decode_snapshot(&bytes).expect("own snapshot must decode");
-        let mut fresh = planner_by_name(name, &planner_cfg).unwrap();
-        let mut resumed = resume_from(&data, &mut *fresh).expect("own snapshot must resume");
-        resumed.run_to_completion(&mut *fresh);
-        let report = resumed.report(&mut *fresh);
-        prop_assert_eq!(
-            baseline.deterministic_fingerprint(),
-            report.deterministic_fingerprint(),
-            "{} diverged after resuming at tick {} of {} (kind {}, seed {})",
-            name, at, baseline.makespan, kind, seed
-        );
-    }
-
     /// A single bit flip anywhere in a valid snapshot is always caught as
     /// a typed error — the header checks or the payload CRC must trip, and
     /// nothing may panic.

@@ -1,13 +1,16 @@
-//! Scenarios and golden-file plumbing shared by the integration tests. Each
-//! test binary compiles this module and uses only part of it.
+//! Scenarios, the bit-identity lattice and golden-file plumbing shared by
+//! the integration tests. Each test binary compiles this module and uses
+//! only part of it.
 #![allow(dead_code)]
 
-use eatp::core::{planner_by_name, EatpConfig, PLANNER_NAMES};
-use eatp::simulator::{run_simulation, EngineConfig};
-use eatp::warehouse::{DisruptionConfig, LayoutConfig, ScenarioSpec, WorkloadConfig};
-use std::fmt::Write as _;
+use eatp::warehouse::{DisruptionConfig, Instance, LayoutConfig, ScenarioSpec, WorkloadConfig};
+use std::collections::BTreeMap;
+use std::sync::Mutex;
 
+pub mod lattice;
 pub mod scenarios;
+
+use lattice::{agree, run, Feed, Point};
 
 /// A walled mid-size floor hit by all four disruption kinds at once.
 pub fn disrupted_spec(seed: u64) -> ScenarioSpec {
@@ -38,49 +41,71 @@ pub fn disrupted_spec(seed: u64) -> ScenarioSpec {
     }
 }
 
-/// Runs every planner on each of [`scenarios::disrupted_scenarios`] under
-/// `engine` and returns one `"<scenario> <planner> {fingerprint:?}"` line
-/// per run, in the row order of the committed soak file. Every run must be
-/// violation- and conflict-free.
-pub fn soak_fingerprints(engine: &EngineConfig) -> String {
-    let config = EatpConfig::default();
-    let mut out = String::new();
-    for scenario in scenarios::disrupted_scenarios() {
-        let s = scenario.name;
-        scenario.instance.validate().unwrap();
-        for name in PLANNER_NAMES {
-            let mut planner = planner_by_name(name, &config).unwrap();
-            let report = run_simulation(&scenario.instance, &mut *planner, engine);
-            assert_eq!(report.disruption_violations, 0, "{name} on {s}");
-            assert_eq!(report.executed_conflicts, 0, "{name} on {s}");
-            let fingerprint = report.deterministic_fingerprint();
-            writeln!(out, "{s} {name} {fingerprint:?}").unwrap();
+/// The rows of the table each golden file is rewritten to, as far as this
+/// process has recomputed them (tests walking one file run in parallel).
+static ACTUAL: Mutex<BTreeMap<&str, Vec<String>>> = Mutex::new(BTreeMap::new());
+
+/// Checks the `rows` rows of `golden`, the `include_str!`-ed
+/// `results/<file>`, that start with `prefix`: `actual` maps each golden
+/// row to the row this build produces for the same key. On a mismatch
+/// the table with the actual rows in place lands in `target/tmp/<file>`,
+/// so an intended behaviour change regenerates the golden file with one
+/// `cp`.
+pub fn check_golden(
+    file: &'static str,
+    golden: &'static str,
+    prefix: &str,
+    rows: usize,
+    actual: impl Fn(&'static str) -> String,
+) {
+    let mut seen = 0;
+    let mut diverged = Vec::new();
+    for (i, row) in golden.lines().enumerate() {
+        if row.starts_with(prefix) {
+            seen += 1;
+            let produced = actual(row);
+            if produced != row {
+                diverged.push((i, produced));
+            }
         }
     }
-    out
-}
-
-/// Asserts that `actual` reproduces `golden`, the `include_str!`-ed
-/// `results/<file>`, line for line. On a mismatch the actual lines land in
-/// `target/tmp/<file>` and the diverged rows are named, so an intended
-/// behaviour change regenerates the golden file with one `cp`.
-pub fn assert_golden(file: &str, golden: &str, actual: &str) {
-    if actual == golden {
+    assert_eq!(seen, rows, "`{prefix}` rows in results/{file}");
+    if diverged.is_empty() {
         return;
     }
     let path = format!("{}/{file}", env!("CARGO_TARGET_TMPDIR"));
-    std::fs::write(&path, actual).expect("write the actual fingerprints");
-    let diverged: Vec<&str> = actual
-        .lines()
-        .zip(golden.lines())
-        .filter(|(a, g)| a != g)
-        .map(|(a, _)| a.split(" DeterministicFingerprint").next().unwrap_or(a))
-        .collect();
+    {
+        let mut tables = ACTUAL.lock().expect("released before the panic below");
+        let table = tables
+            .entry(file)
+            .or_insert_with(|| golden.lines().map(String::from).collect());
+        for (i, produced) in &diverged {
+            table[*i] = produced.clone();
+        }
+        std::fs::write(&path, table.join("\n") + "\n").expect("write the actual rows");
+    }
+    let lines: Vec<usize> = diverged.iter().map(|(i, _)| i + 1).collect();
     panic!(
-        "{} of {} runs diverged from results/{file} ({} lines produced): {diverged:?}\n\
-         actual lines written to {path}",
-        diverged.len(),
-        golden.lines().count(),
-        actual.lines().count()
+        "{} of {seen} `{prefix}` rows diverged from results/{file}, at lines {lines:?}\n\
+         the table with the actual rows written to {path}",
+        lines.len()
     );
+}
+
+/// Checks a golden file of `"<world> <planner> {fingerprint:?}"` rows:
+/// the pregenerated run of each row's planner on `world(<world>)` must
+/// pass the lattice property and reproduce the recorded fingerprint.
+pub fn check_fingerprints(
+    file: &'static str,
+    golden: &'static str,
+    rows: usize,
+    world: impl Fn(&str) -> Instance,
+) {
+    check_golden(file, golden, "", rows, |row| {
+        let mut key = row.split(' ');
+        let (name, planner) = (key.next().unwrap(), key.next().unwrap());
+        let outcome = run(&world(name), Point::new(planner, Feed::Pregenerated));
+        agree(std::slice::from_ref(&outcome)).unwrap();
+        format!("{name} {planner} {:?}", outcome.fingerprint)
+    });
 }

@@ -1,5 +1,6 @@
-//! Reproducibility: identical seeds yield identical simulations, including
-//! the RL-driven planners (seeded policy RNG) — and different seeds differ.
+//! Seeds matter: different scenario seeds give different runs, and so do
+//! different RL policy seeds. That identical seeds give identical runs is
+//! the lattice's contract (`tests/lattice.rs`).
 
 use eatp::core::{planner_by_name, EatpConfig};
 use eatp::simulator::{run_simulation, EngineConfig};
@@ -15,28 +16,6 @@ fn spec(seed: u64) -> ScenarioSpec {
         workload: WorkloadConfig::poisson(40, 0.7),
         disruptions: None,
         seed,
-    }
-}
-
-#[test]
-fn all_planners_are_deterministic() {
-    let inst = spec(9).build().unwrap();
-    for name in ["NTP", "LEF", "ILP", "ATP", "EATP"] {
-        let mut p1 = planner_by_name(name, &EatpConfig::default()).unwrap();
-        let mut p2 = planner_by_name(name, &EatpConfig::default()).unwrap();
-        let r1 = run_simulation(&inst, &mut *p1, &EngineConfig::default());
-        let r2 = run_simulation(&inst, &mut *p2, &EngineConfig::default());
-        assert_eq!(r1.makespan, r2.makespan, "{name} makespan diverged");
-        assert_eq!(r1.rack_trips, r2.rack_trips, "{name} trips diverged");
-        assert_eq!(
-            r1.items_processed, r2.items_processed,
-            "{name} items diverged"
-        );
-        // Deterministic planner-side counters too (not wall-clock).
-        assert_eq!(
-            r1.planner_stats.expansions, r2.planner_stats.expansions,
-            "{name} A* expansions diverged"
-        );
     }
 }
 

@@ -17,33 +17,32 @@
 //! The `disrupted_spec(59)` fingerprints the deleted serial path produced
 //! are pinned by `tests/batched_equivalence.rs`.
 
-use eatp::core::{planner_by_name, EatpConfig, PLANNER_NAMES};
-use eatp::simulator::{run_simulation, EngineConfig, SimulationReport};
+use eatp::core::PLANNER_NAMES;
 use eatp::warehouse::ScenarioSpec;
 
 mod common;
-use common::{assert_golden, disrupted_spec, soak_fingerprints};
+use common::lattice::{self, agree, Feed, Outcome, Point};
+use common::scenarios::disrupted_scenarios;
+use common::{check_fingerprints, disrupted_spec};
 
-fn run(spec: &ScenarioSpec, name: &str) -> SimulationReport {
+/// The lattice runner's pregenerated run of planner `name` on `spec`.
+fn run(spec: &ScenarioSpec, name: &'static str) -> Outcome {
     let inst = spec.build().unwrap();
     inst.validate().unwrap();
-    let mut planner = planner_by_name(name, &EatpConfig::default()).unwrap();
-    run_simulation(&inst, &mut *planner, &EngineConfig::default())
+    lattice::run(&inst, Point::new(name, Feed::Pregenerated))
 }
 
 #[test]
 fn disrupted_replay_is_bit_identical_for_every_planner() {
     let spec = disrupted_spec(31);
     for name in PLANNER_NAMES {
-        let a = run(&spec, name);
-        let b = run(&spec, name);
-        assert!(a.completed, "{name} must complete under disruption");
-        assert!(a.events_applied > 0, "{name}: events must actually fire");
-        assert_eq!(
-            a.deterministic_fingerprint(),
-            b.deterministic_fingerprint(),
-            "{name}: same spec + seed must replay bit-identically"
+        let (a, b) = (run(&spec, name), run(&spec, name));
+        assert!(
+            a.fingerprint.events_applied > 0,
+            "{name}: events must actually fire"
         );
+        // Both complete, and replay bit-identically.
+        agree(&[a, b]).unwrap();
     }
 }
 
@@ -59,13 +58,9 @@ fn no_stale_state_survives_an_event() {
         let spec = disrupted_spec(seed);
         for name in PLANNER_NAMES {
             let r = run(&spec, name);
-            assert!(r.completed, "{name}/{seed}");
-            assert_eq!(r.executed_conflicts, 0, "{name}/{seed}: conflicts");
-            assert_eq!(
-                r.disruption_violations, 0,
-                "{name}/{seed}: blocked-cell occupation or bad assignment"
-            );
-            assert_eq!(r.items_processed, 60, "{name}/{seed}: all items served");
+            let items = r.fingerprint.items_processed;
+            assert_eq!(items, 60, "{name}/{seed}: all items served");
+            agree(&[r]).unwrap_or_else(|e| panic!("seed {seed}: {e:?}"));
         }
     }
 }
@@ -79,8 +74,8 @@ fn disruptions_cost_makespan_but_not_items() {
     let mut clean = disrupted.clone();
     clean.disruptions = None;
     for name in ["NTP", "EATP"] {
-        let rd = run(&disrupted, name);
-        let rc = run(&clean, name);
+        let rd = run(&disrupted, name).fingerprint;
+        let rc = run(&clean, name).fingerprint;
         assert_eq!(rd.items_processed, rc.items_processed, "{name}");
         assert!(
             rd.makespan >= rc.makespan,
@@ -94,13 +89,17 @@ fn disruptions_cost_makespan_but_not_items() {
 /// The faults-off soak, kept as data: every planner on the five disrupted
 /// floors must stay violation-free and reproduce the
 /// fingerprints another process recorded
-/// (`docs/adr/ADR-008-two-measurement-systems.md`).
+/// (`docs/adr/ADR-008-two-measurement-systems.md`), one
+/// `"<scenario> <planner> {fingerprint:?}"` row per run.
 #[test]
 fn faults_off_soak_reproduces_the_recorded_fingerprints() {
-    let actual = soak_fingerprints(&EngineConfig::default());
-    assert_golden(
-        "fingerprints_faults_off.txt",
-        include_str!("../results/fingerprints_faults_off.txt"),
-        &actual,
-    );
+    let floors = disrupted_scenarios();
+    for floor in &floors {
+        floor.validate().unwrap();
+    }
+    let golden = include_str!("../results/fingerprints_faults_off.txt");
+    check_fingerprints("fingerprints_faults_off.txt", golden, 25, |name| {
+        let floor = floors.iter().find(|f| f.name == name);
+        floor.expect("a known floor").clone()
+    });
 }

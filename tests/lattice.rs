@@ -1,0 +1,101 @@
+//! The bit-identity contract, stated once: slices of the lattice of
+//! `tests/common/lattice.rs`, each run through its one runner and checked
+//! by its one property, `agree` — the runs complete safely, acknowledge
+//! every live order once, and runs of one world that receive the same
+//! orders agree on the fingerprint, the ack stream and the final state.
+//!
+//! `PROPTEST_CASES` scales the soak (default 64 cases per property).
+
+use eatp::core::PLANNER_NAMES;
+use eatp::warehouse::Tick;
+use proptest::prelude::*;
+
+mod common;
+use common::lattice::{agree, floor, run, Enqueue, Feed, Point, FLOORS};
+
+proptest! {
+    /// Pregenerated orders: a run replays bit-identically, and a snapshot
+    /// at a random fraction of its makespan, resumed with a fresh planner,
+    /// ends where the uncut run does.
+    #[test]
+    fn pregenerated_runs_replay_and_resume(
+        planner in 0usize..5,
+        kind in 0usize..FLOORS,
+        seed in 0u64..10_000,
+        frac in 0.05f64..0.95,
+    ) {
+        let world = floor(kind, seed);
+        let point = Point::new(PLANNER_NAMES[planner], Feed::Pregenerated);
+        let uncut = run(&world, point);
+        let at = ((uncut.fingerprint.makespan as f64 * frac) as Tick).max(1);
+        let replay = run(&world, point);
+        agree(&[uncut, replay, run(&world, Point { cut: Some(at), ..point })])?;
+    }
+
+    /// The item list resent as live orders runs as the pregenerated list
+    /// does, whatever order the batch is enqueued in.
+    #[test]
+    fn resent_item_lists_match_pregenerated(
+        planner in 0usize..5,
+        kind in 0usize..FLOORS,
+        seed in 0u64..10_000,
+    ) {
+        let world = floor(kind, seed);
+        let feeds = [
+            Feed::Pregenerated,
+            Feed::Resent(Enqueue::Sorted),
+            Feed::Resent(Enqueue::Reversed),
+            Feed::Resent(Enqueue::Interleaved),
+        ];
+        let point = |feed| Point { pinned: true, ..Point::new(PLANNER_NAMES[planner], feed) };
+        agree(&feeds.map(|feed| run(&world, point(feed))))?;
+    }
+
+    /// A snapshot taken while the item list is still trickling in, resumed
+    /// with the whole stream redelivered, ends where the uncut run does:
+    /// the sequence cursor skips the applied prefix.
+    #[test]
+    fn trickled_orders_resume_mid_stream(
+        planner in 0usize..5,
+        kind in 0usize..FLOORS,
+        seed in 0u64..10_000,
+        cut in 1u64..40,
+    ) {
+        let world = floor(kind, seed);
+        let point = Point { pinned: true, ..Point::new(PLANNER_NAMES[planner], Feed::Trickled) };
+        agree(&[run(&world, point), run(&world, Point { cut: Some(cut), ..point })])?;
+    }
+
+    /// Extra live orders on top of the pregenerated workload, redelivered
+    /// every tick: the run replays, and resumes mid-ingestion, bit for bit.
+    #[test]
+    fn live_orders_replay_and_resume(
+        planner in 0usize..5,
+        kind in 0usize..FLOORS,
+        seed in 0u64..10_000,
+        order_seed in 0u64..10_000,
+        cut in 5u64..120,
+    ) {
+        let world = floor(kind, seed);
+        let point = Point::new(PLANNER_NAMES[planner], Feed::Extra(order_seed));
+        let (uncut, replay) = (run(&world, point), run(&world, point));
+        agree(&[uncut, replay, run(&world, Point { cut: Some(cut), ..point })])?;
+    }
+}
+
+/// The wake agenda is derived state and not in the snapshot: a run
+/// resumed mid-flight must rebuild an agenda that locksteps the uncut
+/// run's state hash at every tick to the end.
+#[test]
+fn agenda_reconstruction_matches_fresh() {
+    for kind in [0, 1] {
+        let world = floor(kind, 7);
+        for (planner, cut) in [("NTP", 23), ("EATP", 41)] {
+            let mut point = Point::new(planner, Feed::Pregenerated);
+            point.lockstep = true;
+            let uncut = run(&world, point);
+            point.cut = Some(cut);
+            agree(&[uncut, run(&world, point)]).unwrap();
+        }
+    }
+}
