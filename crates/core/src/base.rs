@@ -354,9 +354,11 @@ impl<R: ReservationBackend> PlannerBase<R> {
     /// [`crate::planner::Planner::init`] and the applied-disruption journal
     /// has been replayed as [`PlannerEvent::Disruption`]s, so the grid and
     /// oracle already match the checkpointed world (the KNN index is built
-    /// from the instance and needs no replay). This method
-    /// then replaces the reservation table's logical content (clearing the
-    /// spawn parking `init` left behind), the counters and the GC cursor.
+    /// from the instance and needs no replay). The replay touches neither
+    /// the reservation table nor the counters, so the table holds only the
+    /// spawn parking `init` left behind: this method swaps in a fresh table
+    /// holding the snapshot's content, and takes its counters and GC
+    /// cursor.
     ///
     /// A reservation cell off the grid, two robots parked on
     /// one cell, a robot outside the fleet, a parking start past
@@ -372,18 +374,15 @@ impl<R: ReservationBackend> PlannerBase<R> {
     /// planned at a tick `T ≤ last_gc + gc_period + 1` (one tick of margin
     /// for where in the tick a snapshot is cut). A leg planned at `T`
     /// starts at `T` and ends by its A* horizon, `T + manhattan + slack`,
-    /// and no Manhattan distance on the grid exceeds `(W−1) + (H−1)`.
+    /// and no Manhattan distance on the grid exceeds `(W−1) + (H−1)`
+    /// (`leg_span`).
     /// [`PlannerBase::check_resume_tick`] ties `last_gc` to the engine's
     /// tick.
     pub fn import_base_snapshot(&mut self, snap: &BaseSnapshot) -> Result<(), serde::Error> {
         let resv = &snap.resv;
-        let reach = self
-            .config
-            .gc_period
+        let reach = (self.config.gc_period)
             .saturating_add(1)
-            .saturating_add(self.grid.width() as Tick - 1)
-            .saturating_add(self.grid.height() as Tick - 1)
-            .saturating_add(self.config.horizon_slack);
+            .saturating_add(self.leg_span());
         let live = snap.last_gc..=MAX_CDT_TICK.min(snap.last_gc.saturating_add(reach));
         let timed = resv
             .timed
@@ -426,29 +425,7 @@ impl<R: ReservationBackend> PlannerBase<R> {
                 "planner parks two robots on cell {pos}"
             )));
         }
-        // Clear every robot the table currently knows (post-`init` that is
-        // the spawn-parked fleet) plus, defensively, every robot the
-        // snapshot mentions.
-        let current = self.resv.export_content();
-        let mut robots: Vec<RobotId> = current
-            .timed
-            .iter()
-            .chain(snap.resv.timed.iter())
-            .map(|r| r.robot)
-            .chain(
-                current
-                    .parked
-                    .iter()
-                    .chain(snap.resv.parked.iter())
-                    .map(|&(r, _, _)| r),
-            )
-            .collect();
-        robots.sort_unstable();
-        robots.dedup();
-        for robot in robots {
-            self.resv.release_robot(robot);
-            self.resv.unpark(robot);
-        }
+        self.resv = R::create(grid.width(), grid.height());
         self.resv.import_content(&snap.resv);
         self.stats = snap.stats.clone();
         self.last_gc = snap.last_gc;
@@ -463,18 +440,35 @@ impl<R: ReservationBackend> PlannerBase<R> {
     /// leg planned at `t` would make the spatiotemporal graph allocate one
     /// layer per tick between `t` and the imported reservations, and GC
     /// would never run again once `last_gc` lies ahead of every tick.
+    ///
+    /// A `t` whose legs could park past [`MAX_PARK_TICK`] is refused too: a
+    /// leg planned at `t` parks by `t + leg_span + 1`, and the parking
+    /// board's encoding would panic on the first such leg.
     pub fn check_resume_tick(&self, t: Tick) -> Result<(), serde::Error> {
         let last = self
             .last_gc
             .saturating_add(self.config.gc_period)
             .saturating_add(1);
-        if (self.last_gc..=last).contains(&t) {
-            return Ok(());
+        if !(self.last_gc..=last).contains(&t) {
+            return Err(serde::Error::msg(format!(
+                "planner GC cursor {} does not fit the resumed tick {t} (GC period {})",
+                self.last_gc, self.config.gc_period
+            )));
         }
-        Err(serde::Error::msg(format!(
-            "planner GC cursor {} does not fit the resumed tick {t} (GC period {})",
-            self.last_gc, self.config.gc_period
-        )))
+        let park = t.saturating_add(self.leg_span()).saturating_add(1);
+        if park > MAX_PARK_TICK {
+            return Err(serde::Error::msg(format!(
+                "planner resume tick {t} could park a leg at tick {park}, past {MAX_PARK_TICK}"
+            )));
+        }
+        Ok(())
+    }
+
+    /// The most ticks a leg's A* horizon spans past its start: the longest
+    /// Manhattan distance on the grid, `(W−1) + (H−1)`, plus the slack.
+    fn leg_span(&self) -> Tick {
+        let (w, h) = (self.grid.width() as Tick, self.grid.height() as Tick);
+        (w - 1 + h - 1).saturating_add(self.config.horizon_slack)
     }
 
     /// Snapshot stats with the current memory footprint filled in.
@@ -627,27 +621,40 @@ mod tests {
         }
     }
 
+    /// A resumed tick outside the GC cursor's reach, or so close to
+    /// [`MAX_PARK_TICK`] that a leg planned at it could park past it, is
+    /// refused.
     #[test]
     fn resume_ticks_the_gc_cursor_cannot_reach_are_refused() {
         let inst = instance();
         let config = EatpConfig::default();
-        let mut base: PlannerBase<SpatioTemporalGraph> =
-            PlannerBase::new(&inst, config.clone(), false);
-        let snap = BaseSnapshot {
-            resv: ReservationContent::default(),
-            stats: PlannerStats::default(),
-            last_gc: 10,
-        };
-        base.import_base_snapshot(&snap)
-            .expect("an empty slice imports");
+        let (w, h) = (inst.grid.width() as Tick, inst.grid.height() as Tick);
         let last = 10 + config.gc_period + 1;
-        for (t, ok) in [(9, false), (10, true), (last, true), (last + 1, false)] {
-            match base.check_resume_tick(t) {
-                Ok(()) => assert!(ok, "tick {t} accepted"),
-                Err(e) => {
-                    assert!(!ok, "tick {t} refused: {e}");
-                    assert!(e.to_string().contains("GC cursor"), "{e}");
-                }
+        // The latest tick whose legs still park within the encoding.
+        let latest = MAX_PARK_TICK - (w - 1) - (h - 1) - config.horizon_slack - 1;
+        let cases = [
+            (10, 9, Some("GC cursor")),
+            (10, 10, None),
+            (10, last, None),
+            (10, last + 1, Some("GC cursor")),
+            (latest, latest, None),
+            (latest, latest + 1, Some("past")),
+            (u32::MAX as Tick - 5, u32::MAX as Tick - 5, Some("past")),
+        ];
+        for (last_gc, t, refusal) in cases {
+            let mut base: PlannerBase<SpatioTemporalGraph> =
+                PlannerBase::new(&inst, config.clone(), false);
+            let snap = BaseSnapshot {
+                resv: ReservationContent::default(),
+                stats: PlannerStats::default(),
+                last_gc,
+            };
+            base.import_base_snapshot(&snap)
+                .expect("an empty slice imports");
+            match (base.check_resume_tick(t), refusal) {
+                (Ok(()), None) => {}
+                (Err(e), Some(msg)) => assert!(e.to_string().contains(msg), "tick {t}: {e}"),
+                (result, _) => panic!("tick {t} (GC cursor {last_gc}): {result:?}"),
             }
         }
     }

@@ -128,9 +128,8 @@ pub trait ReservationSystem: ReservationProbe {
     fn export_content(&self) -> ReservationContent;
 
     /// Rebuild logical content exported by
-    /// [`ReservationSystem::export_content`], assuming an empty table
-    /// (callers clear via [`ReservationSystem::release_robot`] /
-    /// [`ReservationSystem::unpark`] first).
+    /// [`ReservationSystem::export_content`] into an empty table (callers
+    /// import into a freshly built one).
     fn import_content(&mut self, content: &ReservationContent) {
         for r in &content.timed {
             self.restore_timed(r.robot, r.pos, r.t);

@@ -283,10 +283,10 @@ impl Engine<'_> {
         }
     }
 
-    /// An event landed at tick `t`: count it, journal it (the journal is what
-    /// a resume replays into the fresh planner) and tell the planner.
+    /// An event landed at tick `t`: journal it (the journal is what a resume
+    /// replays into the fresh planner, and its length is the applied count)
+    /// and tell the planner.
     fn record_applied(&mut self, event: DisruptionEvent, t: Tick, planner: &mut dyn Planner) {
-        self.state.events_applied += 1;
         self.state.journal.push(TimedEvent { t, event });
         planner.on_event(PlannerEvent::Disruption { event: &event, t });
     }

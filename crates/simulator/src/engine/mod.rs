@@ -147,7 +147,8 @@ pub struct EngineState {
     /// The run has ended (completion or tick-budget exhaustion).
     pub finished: bool,
     /// Every disruption event actually applied so far, at its application
-    /// tick (deferred events appear when they land, not when scheduled).
+    /// tick (deferred events appear when they land, not when scheduled);
+    /// never truncated, so its length is the applied-event count.
     /// Replayed through [`Planner::on_event`] on resume to rebuild the
     /// planner's derived world model (grid overlay, oracle).
     pub journal: Vec<TimedEvent>,
@@ -186,8 +187,6 @@ pub struct EngineState {
     /// Rack removals whose rack was in flight at their scheduled tick; they
     /// land once the rack is back home (or are withdrawn by their restore).
     pub deferred_removals: Vec<RackId>,
-    /// Disruption events applied (deferred blockades count when they land).
-    pub events_applied: usize,
     /// Events that had to defer at least once (see the report field).
     pub events_deferred: usize,
     /// Safety violations under disruption (must stay 0; see module docs).
@@ -200,7 +199,6 @@ pub struct EngineState {
     /// Executed-trajectory checker; serialises as its `ValidatorSnapshot`.
     pub validator: TrajectoryValidator,
     pub last_return: Tick,
-    pub peak_memory: usize,
     pub peak_scratch: usize,
     pub next_checkpoint: usize,
     /// A [`Command::Shutdown`](crate::commands::Command::Shutdown) was
@@ -235,9 +233,6 @@ pub struct EngineState {
     /// Commands rejected (duplicate/unknown orders, post-shutdown
     /// submissions, invalid disruption injections).
     pub orders_rejected: u64,
-    /// Orders whose items finished processing (pregenerated items count —
-    /// they are orders submitted at tick 0).
-    pub orders_completed: u64,
     /// Peak backlog depth observed at bookkeeping: not-yet-emerged
     /// pregenerated items plus live backlog entries.
     pub peak_backlog: u64,
@@ -266,7 +261,6 @@ impl EngineState {
             closed: vec![false; instance.pickers.len()],
             removed: vec![false; instance.racks.len()],
             blocked_overlay: vec![false; instance.grid.cell_count()],
-            metrics: MetricsSnapshot::new(n_robots),
             next_checkpoint: 1,
             carried_orders: vec![Vec::new(); n_robots],
             // The pregenerated item list is an order book submitted at
@@ -444,7 +438,8 @@ impl<'a> Engine<'a> {
     }
 
     /// Build the final report. Call after [`Engine::run_to_completion`];
-    /// drains the sampled metric series.
+    /// drains the sampled metric series, after reading RWR, the busy rate
+    /// and the checkpoints' peak memory from them.
     pub fn report(&mut self, planner: &mut dyn Planner) -> SimulationReport {
         let makespan = if self.state.completed {
             self.state.last_return
@@ -453,6 +448,10 @@ impl<'a> Engine<'a> {
         };
         let stats = planner.stats();
         let horizon = makespan.max(1);
+        let n_robots = self.state.robots.len();
+        let metrics = std::mem::take(&mut self.state.metrics);
+        let checkpoint_memory = metrics.checkpoints.iter().map(|c| c.memory_bytes);
+        let peak_memory = checkpoint_memory.max().unwrap_or(0);
         SimulationReport {
             scenario: self.instance.name.clone(),
             planner: planner.name().to_string(),
@@ -466,23 +465,23 @@ impl<'a> Engine<'a> {
                 0.0
             },
             ppr: self.ppr(horizon),
-            rwr: self.state.metrics.rwr(horizon),
-            robot_busy_rate: self.state.metrics.robot_busy_rate(horizon),
+            rwr: metrics.rwr(n_robots, horizon),
+            robot_busy_rate: metrics.robot_busy_rate(n_robots, horizon),
             stc_s: stats.selection_ns as f64 / 1e9,
             ptc_s: stats.planning_ns as f64 / 1e9,
-            peak_memory_bytes: self.state.peak_memory.max(stats.memory_bytes),
+            peak_memory_bytes: peak_memory.max(stats.memory_bytes),
             peak_scratch_bytes: self.state.peak_scratch.max(stats.scratch_bytes),
-            checkpoints: std::mem::take(&mut self.state.metrics.checkpoints),
-            bottleneck: std::mem::take(&mut self.state.metrics.bottleneck),
+            checkpoints: metrics.checkpoints,
+            bottleneck: metrics.bottleneck,
             executed_conflicts: self.state.validator.conflict_count(),
-            events_applied: self.state.events_applied,
+            events_applied: self.state.journal.len(),
             events_deferred: self.state.events_deferred,
             disruption_violations: self.state.disruption_violations,
             anticipation_hits: stats.anticipation_hits,
             orders_submitted: self.state.orders_submitted,
             orders_cancelled: self.state.orders_cancelled,
             orders_rejected: self.state.orders_rejected,
-            orders_completed: self.state.orders_completed,
+            orders_completed: self.state.items_processed as u64,
             peak_backlog: self.state.peak_backlog,
             total_order_age: self.state.total_order_age,
             planner_stats: stats,
@@ -491,8 +490,8 @@ impl<'a> Engine<'a> {
 
     /// PPR (Eq. 6) over the first `horizon` ticks.
     fn ppr(&self, horizon: Tick) -> f64 {
-        let picker_busy: Duration = self.state.pickers.iter().map(|p| p.busy_ticks).sum();
-        metrics::ppr(picker_busy, self.state.pickers.len(), horizon)
+        let picker_busy: Duration = self.state.pickers.iter().map(|p| p.accum_processing).sum();
+        metrics::rate(picker_busy, self.state.pickers.len(), horizon)
     }
 
     /// Pregenerated items not yet emerged plus live backlog entries.
@@ -577,14 +576,13 @@ impl<'a> Engine<'a> {
     /// Order-sensitive FNV-1a hash over the binary encoding of the
     /// canonical engine state (streamed from the typed state; no value
     /// tree), with the wall-clock-contaminated fields
-    /// (checkpoint `stc_s`/`ptc_s`/`memory_bytes`, the peak-memory
-    /// counters) scrubbed to zero first — they legitimately differ between
+    /// (checkpoint `stc_s`/`ptc_s`/`memory_bytes`, the peak-scratch
+    /// counter) scrubbed to zero first — they legitimately differ between
     /// two replays of the same simulation. Two runs that agree on every
     /// `state_hash` along the way are simulation-identical; the first tick
     /// where the hashes differ is where they diverged.
     pub fn state_hash(&self) -> u64 {
         let mut state = self.export_state();
-        state.peak_memory = 0;
         state.peak_scratch = 0;
         for c in &mut state.metrics.checkpoints {
             c.stc_s = 0.0;

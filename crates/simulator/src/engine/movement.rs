@@ -105,9 +105,12 @@ impl Engine<'_> {
         let mut transport = 0u64;
         let mut queuing = 0u64;
         let mut processing = 0u64;
-        // Every counted phase is a busy phase, so only the busy set is
-        // walked. `record_bottleneck` is still fed every tick — the zero
-        // buckets it creates are part of the deterministic fingerprint.
+        // Every busy robot lands in exactly one stage, so the buckets also
+        // give RWR (the processing stage) and the busy rate (all three);
+        // broken and outage-paused robots count as busy (Definition 3:
+        // committed to a fulfilment cycle). Only the busy set is walked.
+        // `record_bottleneck` is still fed every tick — the zero buckets it
+        // creates are part of the deterministic fingerprint.
         for ai in self.schedule.busy() {
             match self.state.robots[ai].phase {
                 RobotPhase::ToRack { .. }
@@ -147,14 +150,13 @@ impl Engine<'_> {
             && threshold > 0
         {
             let stats = planner.stats();
-            self.state.peak_memory = self.state.peak_memory.max(stats.memory_bytes);
             self.state.peak_scratch = self.state.peak_scratch.max(stats.scratch_bytes);
             let horizon = t.max(1);
             self.state.metrics.checkpoints.push(Checkpoint {
                 items_processed: self.state.items_processed,
                 t,
                 ppr: self.ppr(horizon),
-                rwr: self.state.metrics.rwr(horizon),
+                rwr: (self.state.metrics).rwr(self.state.robots.len(), horizon),
                 stc_s: stats.selection_ns as f64 / 1e9,
                 ptc_s: stats.planning_ns as f64 / 1e9,
                 memory_bytes: stats.memory_bytes,
@@ -171,29 +173,14 @@ impl Engine<'_> {
     }
 }
 
-/// Move robot `ai` to its tick-`t` cell, accrue its busy and processing
-/// ticks, and count a violation if it stands on a blocked cell. Returns
-/// its cell, or `None` while it is docked off the grid.
+/// Move robot `ai` to its tick-`t` cell and count a violation if it
+/// stands on a blocked cell. Returns its cell, or `None` while it is
+/// docked off the grid.
 fn move_robot(state: &mut EngineState, width: u16, ai: usize, t: Tick) -> Option<GridPos> {
     if let Some(path) = &state.paths[ai] {
         state.robots[ai].pos = path.at(t);
     }
-    let phase = state.robots[ai].phase;
-    if phase.is_busy() {
-        // Broken and outage-paused robots still count as *busy*
-        // (Definition 3: committed to a fulfilment cycle — RWR's
-        // denominator-side diagnostics should show the wasted time),
-        // but the RWR numerator below only counts ticks the picker
-        // actually works the rack.
-        state.robots[ai].busy_ticks += 1;
-        state.metrics.robot_busy_ticks[ai] += 1;
-        if let RobotPhase::Processing { rack } = phase {
-            if !state.closed[state.racks[rack.index()].picker.index()] {
-                state.metrics.robot_processing_ticks[ai] += 1;
-            }
-        }
-    }
-    if is_docked(phase) {
+    if is_docked(state.robots[ai].phase) {
         return None;
     }
     // Blockade invariant: no robot trajectory may occupy a

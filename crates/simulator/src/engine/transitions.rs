@@ -141,7 +141,6 @@ impl Engine<'_> {
                 if finished {
                     let ai = entry.robot.index();
                     self.state.items_processed += self.state.carried_items[ai] as usize;
-                    self.state.orders_completed += self.state.carried_items[ai] as u64;
                     self.state.carried_items[ai] = 0;
                     // Live orders riding on the batch are fulfilled now.
                     let orders = self.state.carried_orders[ai].drain(..);

@@ -12,7 +12,9 @@
 //! more picking time", and its reported magnitudes (0.05–0.16 with hundreds
 //! of robots) match picking-time fractions, not any-busy fractions. We
 //! therefore count the `Processing` phase in the RWR numerator and expose
-//! the any-busy fraction separately as `robot_busy_rate`.
+//! the any-busy fraction separately as `robot_busy_rate`. Both numerators
+//! are sums of the Fig. 13 buckets, which count every busy robot once per
+//! tick (`docs/adr/ADR-032-counts-stored-once.md`).
 
 use serde::{Deserialize, Serialize};
 use tprw_warehouse::{Duration, Tick};
@@ -63,48 +65,28 @@ impl BottleneckSample {
     }
 }
 
-/// The running metric accumulators: per-robot tick counters and both sampled
-/// series. All of it is canonical (checkpoint-persisted) state; the fleet
-/// sizes and the bucket width are functions of the instance and engine
-/// config, so callers pass them in.
+/// The running metric accumulators: both sampled series. All of it is
+/// canonical (checkpoint-persisted) state; the fleet sizes and the bucket
+/// width are functions of the instance and engine config, so callers pass
+/// them in.
 #[derive(Debug, Clone, PartialEq, Default, Serialize, Deserialize)]
 pub struct MetricsSnapshot {
-    /// Per-robot processing-stage ticks (RWR numerator).
-    pub robot_processing_ticks: Vec<Duration>,
-    /// Per-robot any-busy ticks.
-    pub robot_busy_ticks: Vec<Duration>,
     /// Checkpoints sampled so far.
     pub checkpoints: Vec<Checkpoint>,
     /// Bottleneck buckets accumulated so far.
     pub bottleneck: Vec<BottleneckSample>,
 }
 
-/// PPR (Eq. 6) with the given total picker busy ticks and horizon.
-pub fn ppr(total_picker_busy: Duration, n_pickers: usize, horizon: Tick) -> f64 {
-    if horizon == 0 || n_pickers == 0 {
+/// The fraction of the `n · horizon` entity-ticks that `busy` covers: PPR
+/// (Eq. 6) over pickers, RWR (Eq. 7) and the busy rate over robots.
+pub fn rate(busy: Duration, n: usize, horizon: Tick) -> f64 {
+    if horizon == 0 || n == 0 {
         return 0.0;
     }
-    total_picker_busy as f64 / (n_pickers as f64 * horizon as f64)
-}
-
-/// Mean per-robot fraction of `horizon` that `ticks` covers.
-fn fleet_fraction(ticks: &[Duration], horizon: Tick) -> f64 {
-    if horizon == 0 || ticks.is_empty() {
-        return 0.0;
-    }
-    ticks.iter().sum::<u64>() as f64 / (ticks.len() as f64 * horizon as f64)
+    busy as f64 / (n as f64 * horizon as f64)
 }
 
 impl MetricsSnapshot {
-    /// Zeroed accumulators for a fleet of `n_robots`.
-    pub fn new(n_robots: usize) -> Self {
-        Self {
-            robot_processing_ticks: vec![0; n_robots],
-            robot_busy_ticks: vec![0; n_robots],
-            ..Self::default()
-        }
-    }
-
     /// Record one tick of the bottleneck decomposition into its
     /// `bucket_width`-tick bucket.
     pub fn record_bottleneck(
@@ -131,14 +113,18 @@ impl MetricsSnapshot {
         }
     }
 
-    /// RWR (Eq. 7): mean picking-time fraction over robots.
-    pub fn rwr(&self, horizon: Tick) -> f64 {
-        fleet_fraction(&self.robot_processing_ticks, horizon)
+    /// RWR (Eq. 7): mean picking-time fraction of a fleet of `n_robots`,
+    /// from the robot-ticks the buckets count as processing.
+    pub fn rwr(&self, n_robots: usize, horizon: Tick) -> f64 {
+        let processing = self.bottleneck.iter().map(|b| b.processing).sum();
+        rate(processing, n_robots, horizon)
     }
 
-    /// Any-busy robot fraction (not the paper's RWR; diagnostics).
-    pub fn robot_busy_rate(&self, horizon: Tick) -> f64 {
-        fleet_fraction(&self.robot_busy_ticks, horizon)
+    /// Any-busy robot fraction (not the paper's RWR; diagnostics): every
+    /// busy robot-tick lies in exactly one bucket stage.
+    pub fn robot_busy_rate(&self, n_robots: usize, horizon: Tick) -> f64 {
+        let busy = (self.bottleneck.iter()).map(|b| b.transport + b.queuing + b.processing);
+        rate(busy.sum(), n_robots, horizon)
     }
 }
 
@@ -149,24 +135,23 @@ mod tests {
     #[test]
     fn ppr_fraction() {
         // 4 pickers, horizon 100 → denominator 400.
-        assert!((ppr(200, 4, 100) - 0.5).abs() < 1e-9);
-        assert_eq!(ppr(0, 4, 0), 0.0, "zero horizon guarded");
+        assert!((rate(200, 4, 100) - 0.5).abs() < 1e-9);
+        assert_eq!(rate(0, 4, 0), 0.0, "zero horizon guarded");
     }
 
     #[test]
     fn rwr_uses_processing_ticks() {
-        let mut m = MetricsSnapshot::new(2);
-        m.robot_processing_ticks[0] = 30;
-        m.robot_processing_ticks[1] = 10;
-        m.robot_busy_ticks[0] = 90;
-        m.robot_busy_ticks[1] = 80;
-        assert!((m.rwr(100) - 0.2).abs() < 1e-9);
-        assert!((m.robot_busy_rate(100) - 0.85).abs() < 1e-9);
+        let mut m = MetricsSnapshot::default();
+        m.record_bottleneck(0, 100, 80, 50, 30);
+        m.record_bottleneck(150, 100, 30, 0, 10);
+        assert!((m.rwr(2, 100) - 0.2).abs() < 1e-9);
+        assert!((m.robot_busy_rate(2, 100) - 1.0).abs() < 1e-9);
+        assert_eq!(m.rwr(0, 100), 0.0, "empty fleet guarded");
     }
 
     #[test]
     fn bottleneck_buckets_accumulate() {
-        let mut m = MetricsSnapshot::new(1);
+        let mut m = MetricsSnapshot::default();
         for t in 0..25u64 {
             m.record_bottleneck(t, 10, 1, 0, 2);
         }

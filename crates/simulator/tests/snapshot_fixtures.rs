@@ -7,9 +7,9 @@
 //! format: a change to the payload schema fails this test until the
 //! version is bumped and the fixtures are re-recorded. On a mismatch the
 //! bytes this build writes land in
-//! `$CARGO_TARGET_TMPDIR/snapshot-v7/<planner>.snap`; re-recording is
-//! one `cp` of that directory over `testdata/snapshot-v7/` (renamed with the
-//! version).
+//! `$CARGO_TARGET_TMPDIR/snapshot-v<SNAPSHOT_VERSION>/<planner>.snap`;
+//! re-recording is one `cp` of that directory to `testdata/` and one edit
+//! of the directory named in `fixture!`.
 
 use eatp_core::{planner_by_name, EatpConfig};
 use serde::Value;
@@ -19,12 +19,19 @@ use tprw_simulator::{
 };
 use tprw_warehouse::{Instance, LayoutConfig, ScenarioSpec, WorkloadConfig};
 
+/// The bytes of one recorded fixture of this schema version.
+macro_rules! fixture {
+    ($file:literal) => {
+        include_bytes!(concat!("../testdata/snapshot-v8/", $file))
+    };
+}
+
 const FIXTURES: [(&str, &[u8]); 5] = [
-    ("NTP", include_bytes!("../testdata/snapshot-v7/ntp.snap")),
-    ("LEF", include_bytes!("../testdata/snapshot-v7/lef.snap")),
-    ("ILP", include_bytes!("../testdata/snapshot-v7/ilp.snap")),
-    ("ATP", include_bytes!("../testdata/snapshot-v7/atp.snap")),
-    ("EATP", include_bytes!("../testdata/snapshot-v7/eatp.snap")),
+    ("NTP", fixture!("ntp.snap")),
+    ("LEF", fixture!("lef.snap")),
+    ("ILP", fixture!("ilp.snap")),
+    ("ATP", fixture!("atp.snap")),
+    ("EATP", fixture!("eatp.snap")),
 ];
 
 /// The tick the fixtures were written at.
@@ -69,11 +76,10 @@ fn planner_stats(planner: &mut Value) -> &mut Value {
 }
 
 /// Copy the wall-clock and allocator readings of `from` into `to`: the
-/// planner's selection and planning time, the engine's peak memory and
-/// scratch, and each metrics checkpoint's STC, PTC and memory. Every other
-/// byte of a snapshot is a function of the run.
+/// planner's selection and planning time, the engine's peak scratch, and
+/// each metrics checkpoint's STC, PTC and memory. Every other byte of a
+/// snapshot is a function of the run.
 fn copy_wall_clock(from: &SnapshotData, to: &mut SnapshotData) {
-    to.engine.peak_memory = from.engine.peak_memory;
     to.engine.peak_scratch = from.engine.peak_scratch;
     let checkpoints = to.engine.metrics.checkpoints.iter_mut();
     for (to, from) in checkpoints.zip(&from.engine.metrics.checkpoints) {
@@ -100,7 +106,10 @@ fn recorded_snapshots_pin_the_format_and_resume_bit_identically() {
     let inst = scenario();
     let config = EngineConfig::default();
     let make = |name| planner_by_name(name, &EatpConfig::default()).expect("a paper planner");
-    let dir = format!("{}/snapshot-v7", env!("CARGO_TARGET_TMPDIR"));
+    let dir = format!(
+        "{}/snapshot-v{SNAPSHOT_VERSION}",
+        env!("CARGO_TARGET_TMPDIR")
+    );
     let mut mismatched = Vec::new();
     for (name, fixture) in FIXTURES {
         let mut p = make(name);

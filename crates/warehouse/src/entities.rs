@@ -112,10 +112,9 @@ pub struct Picker {
     pub queued_work: Duration,
     /// Estimated remaining processing time `e_p` of the rack being served.
     pub remaining: Duration,
-    /// Accumulative processing time `ap` of this picker (RL state, Sec. V-A).
+    /// Accumulative processing time `ap` of this picker (RL state, Sec. V-A;
+    /// also the PPR numerator, Eq. 6).
     pub accum_processing: Duration,
-    /// Total ticks this picker has spent processing (for the PPR metric).
-    pub busy_ticks: Duration,
 }
 
 impl Picker {
@@ -128,7 +127,6 @@ impl Picker {
             queued_work: 0,
             remaining: 0,
             accum_processing: 0,
-            busy_ticks: 0,
         }
     }
 
@@ -165,7 +163,6 @@ impl Picker {
         }
         self.remaining -= 1;
         self.accum_processing += 1;
-        self.busy_ticks += 1;
         self.remaining == 0
     }
 }
@@ -243,8 +240,6 @@ pub struct Robot {
     pub pos: GridPos,
     /// Current phase (the paper's busy/idle state, refined).
     pub phase: RobotPhase,
-    /// Total ticks spent busy (for the RWR metric).
-    pub busy_ticks: Duration,
 }
 
 impl Robot {
@@ -254,7 +249,6 @@ impl Robot {
             id,
             pos,
             phase: RobotPhase::Idle,
-            busy_ticks: 0,
         }
     }
 
@@ -341,7 +335,7 @@ mod tests {
     fn picker_tick_idle_is_noop() {
         let mut p = Picker::new(PickerId::new(0), GridPos::new(0, 0));
         assert!(!p.tick());
-        assert_eq!(p.busy_ticks, 0);
+        assert_eq!(p.accum_processing, 0);
     }
 
     #[test]

@@ -7,7 +7,7 @@
 //! `PROPTEST_CASES` scales the soak (default 64 cases per property).
 
 use eatp::core::PLANNER_NAMES;
-use eatp::warehouse::Tick;
+use eatp::warehouse::{DisruptionEvent, GridPos, Tick, TimedEvent};
 use proptest::prelude::*;
 
 mod common;
@@ -97,5 +97,38 @@ fn agenda_reconstruction_matches_fresh() {
             point.cut = Some(cut);
             agree(&[uncut, run(&world, point)]).unwrap();
         }
+    }
+}
+
+/// A blockade reaches a resumed planner only through the journal replay.
+/// On `floor(1, 1)` the cell (18, 15) is blocked at tick 46, and after a
+/// cut at tick 50 every planner plans a leg that would cross it if the
+/// resumed planner did not know of it: each must resume to the uncut run.
+#[test]
+fn blockade_live_at_the_cut_reaches_the_resumed_planner() {
+    let world = floor(1, 1);
+    let blockade = TimedEvent {
+        t: 46,
+        event: DisruptionEvent::CellBlocked {
+            pos: GridPos::new(18, 15),
+        },
+    };
+    assert!(
+        world.disruptions.contains(&blockade),
+        "the corner's blockade moved"
+    );
+    for planner in PLANNER_NAMES {
+        let point = Point::new(planner, Feed::Pregenerated);
+        agree(&[
+            run(&world, point),
+            run(
+                &world,
+                Point {
+                    cut: Some(50),
+                    ..point
+                },
+            ),
+        ])
+        .unwrap();
     }
 }

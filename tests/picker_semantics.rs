@@ -2,8 +2,8 @@
 //! conservation of work, and the end-to-end makespan accounting.
 
 use eatp::core::{planner_by_name, EatpConfig};
-use eatp::simulator::{run_simulation, EngineConfig};
-use eatp::warehouse::{LayoutConfig, ScenarioSpec, WorkloadConfig};
+use eatp::simulator::{run_simulation, BottleneckSample, Engine, EngineConfig};
+use eatp::warehouse::{DisruptionConfig, LayoutConfig, RobotPhase, ScenarioSpec, WorkloadConfig};
 
 fn spec(items: usize, rate: f64, seed: u64) -> ScenarioSpec {
     ScenarioSpec {
@@ -84,23 +84,50 @@ fn batch_factor_definition() {
 
 #[test]
 fn bottleneck_accounts_all_busy_robot_time() {
-    let inst = spec(40, 0.6, 6).build().unwrap();
+    // Count, at every tick boundary, the busy robots and the robots whose
+    // rack an open station is processing, straight from the engine state;
+    // the Fig. 13 series must hold exactly those robot-ticks, and RWR and
+    // the busy rate must be them over the fleet's robot-ticks. Station
+    // outages pause racks mid-processing, which count as busy, not as
+    // processing.
+    let mut spec = spec(40, 0.6, 6);
+    spec.disruptions = Some(DisruptionConfig {
+        window: (10, 120),
+        closures: 2,
+        closure_ticks: (30, 60),
+        ..DisruptionConfig::none()
+    });
+    let inst = spec.build().unwrap();
     let mut planner = planner_by_name("NTP", &EatpConfig::default()).unwrap();
-    let report = run_simulation(&inst, &mut *planner, &EngineConfig::default());
+    let mut engine = Engine::new(&inst, &EngineConfig::default());
+    engine.start(planner.as_mut());
+    let (mut busy, mut processing, mut paused) = (0u64, 0u64, 0u64);
+    while !engine.is_finished() {
+        engine.tick_once(planner.as_mut());
+        let state = engine.export_state();
+        for robot in &state.robots {
+            busy += u64::from(robot.phase.is_busy());
+            if let RobotPhase::Processing { rack } = robot.phase {
+                let closed = state.closed[state.racks[rack.index()].picker.index()];
+                processing += u64::from(!closed);
+                paused += u64::from(closed);
+            }
+        }
+    }
+    let report = engine.report(planner.as_mut());
     assert!(report.completed);
-    let bucketed: u64 = report
-        .bottleneck
-        .iter()
-        .map(|b| b.transport + b.queuing + b.processing)
-        .sum();
-    // Bottleneck samples record per-tick busy counts; the total must equal
-    // the aggregate busy robot-ticks implied by robot_busy_rate.
-    let busy_ticks = report.robot_busy_rate * inst.robots.len() as f64 * report.makespan as f64;
-    let diff = (bucketed as f64 - busy_ticks).abs();
-    assert!(
-        diff <= inst.robots.len() as f64 + 1.0,
-        "bucketed {bucketed} vs busy {busy_ticks}"
+    assert!(paused > 0, "an outage paused a rack mid-processing");
+    let series = |stage: fn(&BottleneckSample) -> u64| report.bottleneck.iter().map(stage).sum();
+    let bucketed: u64 = series(|b| b.transport + b.queuing + b.processing);
+    assert_eq!(bucketed, busy, "busy robot-ticks");
+    assert_eq!(
+        series(|b| b.processing),
+        processing,
+        "processing robot-ticks"
     );
+    let fleet_ticks = inst.robots.len() as f64 * report.makespan as f64;
+    assert_eq!(report.robot_busy_rate, busy as f64 / fleet_ticks);
+    assert_eq!(report.rwr, processing as f64 / fleet_ticks);
 }
 
 #[test]
