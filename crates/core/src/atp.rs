@@ -16,7 +16,7 @@
 //! Path finding runs on the full spatiotemporal graph, as in the baselines.
 
 use crate::assignment::match_and_plan;
-use crate::base::{BaseSnapshot, PlannerBase, ReservationBackend};
+use crate::base::{PlannerBase, ReservationBackend};
 use crate::config::EatpConfig;
 use crate::ntp::most_slack_picker_selection;
 use crate::planner::{AssignmentPlan, PlannerStats};
@@ -28,10 +28,10 @@ use tprw_pathfinding::SpatioTemporalGraph;
 use tprw_warehouse::RackId;
 
 /// Canonical state of a learning planner (ATP/EATP): the shared base slice
-/// plus the Q-table (entries, RNG stream position, update count).
+/// (the counters) plus the Q-table (entries, RNG stream position, update count).
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 struct LearningSnapshot {
-    base: BaseSnapshot,
+    base: PlannerStats,
     q: QTableSnapshot,
 }
 
@@ -52,7 +52,7 @@ impl Learner {
         stats.q_states = self.q.state_count();
     }
 
-    pub(crate) fn export(&self, base: BaseSnapshot) -> serde::Value {
+    pub(crate) fn export(&self, base: PlannerStats) -> serde::Value {
         LearningSnapshot {
             base,
             q: self.q.export_snapshot(),
@@ -60,7 +60,7 @@ impl Learner {
         .serialize()
     }
 
-    pub(crate) fn import(&mut self, state: &serde::Value) -> Result<BaseSnapshot, serde::Error> {
+    pub(crate) fn import(&mut self, state: &serde::Value) -> Result<PlannerStats, serde::Error> {
         let snap = LearningSnapshot::deserialize(state)?;
         self.q.import_snapshot(&snap.q)?;
         Ok(snap.base)
@@ -208,11 +208,11 @@ impl Strategy for RackSide {
         self.0.add_stats(stats);
     }
 
-    fn export(&self, base: BaseSnapshot) -> serde::Value {
+    fn export(&self, base: PlannerStats) -> serde::Value {
         self.0.export(base)
     }
 
-    fn import(&mut self, state: &serde::Value) -> Result<BaseSnapshot, serde::Error> {
+    fn import(&mut self, state: &serde::Value) -> Result<PlannerStats, serde::Error> {
         self.0.import(state)
     }
 }

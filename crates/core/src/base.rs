@@ -8,19 +8,17 @@
 //! strategies differ, the path-finding layer is shared.
 
 use crate::config::EatpConfig;
-use crate::planner::{LegRequest, PlannerEvent, PlannerStats};
-use serde::{Deserialize, Serialize};
+use crate::planner::{resumed_reservations, LegRequest, PlannerEvent, PlannerStats};
 use std::time::Instant;
 use tprw_pathfinding::astar::{plan_path_with, PlanOptions};
 use tprw_pathfinding::bfs::DistanceOracle;
-use tprw_pathfinding::cdt::MAX_CDT_TICK;
 use tprw_pathfinding::reservation::MAX_PARK_TICK;
 use tprw_pathfinding::{
-    ConflictDetectionTable, KNearestRacks, MemoryFootprint, Path, ReservationContent,
-    ReservationSystem, SearchScratch, SpatioTemporalGraph,
+    ConflictDetectionTable, KNearestRacks, MemoryFootprint, Path, ReservationSystem, SearchScratch,
+    SpatioTemporalGraph,
 };
 use tprw_warehouse::{
-    CellKind, DisruptionEvent, GridMap, GridPos, Instance, Rack, RackId, RobotId, Tick,
+    CellKind, DisruptionEvent, GridMap, GridPos, Instance, Rack, RackId, Robot, RobotId, Tick,
 };
 
 /// Reusable selection scratch shared through [`PlannerBase`]: EATP's
@@ -58,23 +56,6 @@ impl ReservationBackend for ConflictDetectionTable {
     }
 }
 
-/// The canonical (checkpoint-persisted) slice of a [`PlannerBase`]: the
-/// reservation content, the cumulative counters and the GC cursor.
-/// Everything else the base owns — grid copy, distance oracle, KNN index,
-/// scratch arenas — is *derived*: the restore protocol rebuilds it via
-/// [`crate::planner::Planner::init`] plus a replay of the applied-event
-/// journal, then overwrites this canonical slice (see
-/// `docs/snapshot-format.md` for the full decision table).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct BaseSnapshot {
-    /// Logical reservation content (timed + parked, canonical order).
-    pub resv: ReservationContent,
-    /// Cumulative STC/PTC counters.
-    pub stats: PlannerStats,
-    /// Last reservation-GC tick (GC timing is behaviorally observable).
-    pub last_gc: Tick,
-}
-
 /// Shared planner state (built at [`crate::planner::Planner::init`] time).
 pub struct PlannerBase<R: ReservationBackend> {
     /// The cell map.
@@ -90,7 +71,10 @@ pub struct PlannerBase<R: ReservationBackend> {
     pub knn: Option<KNearestRacks>,
     /// Planner configuration.
     pub config: EatpConfig,
-    /// Cumulative counters.
+    /// Cumulative counters: the base's whole checkpoint slice. Everything
+    /// else it owns is derived — rebuilt by [`crate::planner::Planner::init`],
+    /// the journal replay and [`PlannerEvent::Resumed`] (see
+    /// `docs/snapshot-format.md`).
     pub stats: PlannerStats,
     /// Reusable A* arena shared by every leg this planner plans: after the
     /// first few queries warm it up, path finding is allocation-free except
@@ -101,9 +85,7 @@ pub struct PlannerBase<R: ReservationBackend> {
     /// Mutual-exclusion groups already satisfied within the current
     /// [`PlannerBase::commit_legs`] batch (indexed by group id).
     group_done: Vec<bool>,
-    /// Robots in the instance's fleet; a snapshot naming any other robot
-    /// is refused.
-    fleet: usize,
+    /// The tick reservation GC last ran at.
     last_gc: Tick,
 }
 
@@ -134,7 +116,6 @@ impl<R: ReservationBackend> PlannerBase<R> {
             scratch: SearchScratch::new(),
             sel: SelectionScratch::default(),
             group_done: Vec::new(),
-            fleet: instance.robots.len(),
             grid,
             last_gc: 0,
         }
@@ -259,6 +240,9 @@ impl<R: ReservationBackend> PlannerBase<R> {
         match event {
             PlannerEvent::Disruption { event, t } => self.apply_disruption(event, t),
             PlannerEvent::PathCancelled { robot, pos, t } => self.cancel_path(robot, pos, t),
+            PlannerEvent::Resumed { t, robots, paths } => {
+                self.rebuild_reservations(t, robots, paths)
+            }
         }
     }
 
@@ -339,122 +323,37 @@ impl<R: ReservationBackend> PlannerBase<R> {
         self.resv.unpark(robot);
     }
 
-    /// Export the canonical slice of this base (see [`BaseSnapshot`]).
-    pub fn export_base_snapshot(&self) -> BaseSnapshot {
-        BaseSnapshot {
-            resv: self.resv.export_content(),
-            stats: self.stats.clone(),
-            last_gc: self.last_gc,
+    /// Rebuild the reservation table of a resumed run from the engine's
+    /// state at tick `t` (the [`PlannerEvent::Resumed`] contract): every
+    /// robot holds its [`resumed_reservations`]. The uncut run's table
+    /// differs only in ticks before `t`, which no query reads, and in the
+    /// starts of parks that began by `t`, which every query reads alike
+    /// (`docs/adr/ADR-033-derived-reservations.md`). GC keeps the uncut
+    /// run's cadence: housekeeping runs at the end of every tick, so the
+    /// last collection was at the latest multiple of the period before `t`.
+    ///
+    /// The caller guarantees the state is one a run can hold: every path
+    /// holds a cell and starts by `t`, and no two robots meet on a cell
+    /// (`resume_from` refuses any other).
+    pub fn rebuild_reservations(&mut self, t: Tick, robots: &[Robot], paths: &[Option<Path>]) {
+        self.resv = R::create(self.grid.width(), self.grid.height());
+        for (robot, path) in robots.iter().zip(paths) {
+            let (ahead, park) = resumed_reservations(t, robot, path.as_ref());
+            if let Some(ahead) = ahead {
+                self.resv.reserve_path(robot.id, &ahead, false);
+            }
+            if let Some((pos, from)) = park {
+                self.resv.park(robot.id, pos, from);
+            }
         }
+        let last = t.saturating_sub(1);
+        self.last_gc = last - last.checked_rem(self.config.gc_period).unwrap_or(0);
     }
 
-    /// Overwrite this base's canonical slice with an exported snapshot.
-    ///
-    /// Precondition: the base was freshly built via
-    /// [`crate::planner::Planner::init`] and the applied-disruption journal
-    /// has been replayed as [`PlannerEvent::Disruption`]s, so the grid and
-    /// oracle already match the checkpointed world (the KNN index is built
-    /// from the instance and needs no replay). The replay touches neither
-    /// the reservation table nor the counters, so the table holds only the
-    /// spawn parking `init` left behind: this method swaps in a fresh table
-    /// holding the snapshot's content, and takes its counters and GC
-    /// cursor.
-    ///
-    /// A reservation cell off the grid, two robots parked on
-    /// one cell, a robot outside the fleet, a parking start past
-    /// [`MAX_PARK_TICK`] or a reservation tick outside the live window is
-    /// refused before any table is touched: the tables index cells and
-    /// pack robots and ticks with asserts of their own, and the
-    /// spatiotemporal graph allocates one layer per tick of the span it
-    /// holds. The live window runs from `last_gc` to the last tick a leg
-    /// can reach, capped at [`MAX_CDT_TICK`]. GC drops every tick below
-    /// `last_gc`, and no leg starts before it.
-    /// [`PlannerBase::housekeeping`] runs every tick and collects once the
-    /// tick reaches `last_gc + gc_period`, so every leg still held was
-    /// planned at a tick `T ≤ last_gc + gc_period + 1` (one tick of margin
-    /// for where in the tick a snapshot is cut). A leg planned at `T`
-    /// starts at `T` and ends by its A* horizon, `T + manhattan + slack`,
-    /// and no Manhattan distance on the grid exceeds `(W−1) + (H−1)`
-    /// (`leg_span`).
-    /// [`PlannerBase::check_resume_tick`] ties `last_gc` to the engine's
-    /// tick.
-    pub fn import_base_snapshot(&mut self, snap: &BaseSnapshot) -> Result<(), serde::Error> {
-        let resv = &snap.resv;
-        let reach = (self.config.gc_period)
-            .saturating_add(1)
-            .saturating_add(self.leg_span());
-        let live = snap.last_gc..=MAX_CDT_TICK.min(snap.last_gc.saturating_add(reach));
-        let timed = resv
-            .timed
-            .iter()
-            .map(|r| ("reservation", r.robot, r.t, live.clone()));
-        let parked = resv
-            .parked
-            .iter()
-            .map(|&(r, _, t)| ("parking", r, t, 0..=MAX_PARK_TICK));
-        for (what, robot, t, ticks) in timed.chain(parked) {
-            let problem = if robot.index() >= self.fleet {
-                format!("robot {robot} is outside the {}-robot fleet", self.fleet)
-            } else if !ticks.contains(&t) {
-                format!("tick {t} is outside {}..={}", ticks.start(), ticks.end())
-            } else {
-                continue;
-            };
-            return Err(serde::Error::msg(format!("planner {what} {problem}")));
-        }
-        let grid = &self.grid;
-        let timed = snap.resv.timed.iter().map(|r| ("reservation", r.pos));
-        let parked = snap.resv.parked.iter().map(|&(_, pos, _)| ("parking", pos));
-        if let Some((what, pos)) = timed.chain(parked).find(|&(_, p)| !grid.in_bounds(p)) {
-            return Err(serde::Error::msg(format!(
-                "planner {what} cell {pos} is off the {}×{} grid",
-                grid.width(),
-                grid.height()
-            )));
-        }
-        let mut parked: Vec<usize> = snap
-            .resv
-            .parked
-            .iter()
-            .map(|&(_, pos, _)| pos.to_index(grid.width()))
-            .collect();
-        parked.sort_unstable();
-        if let Some(w) = parked.windows(2).find(|w| w[0] == w[1]) {
-            let pos = GridPos::from_index(w[0], grid.width());
-            return Err(serde::Error::msg(format!(
-                "planner parks two robots on cell {pos}"
-            )));
-        }
-        self.resv = R::create(grid.width(), grid.height());
-        self.resv.import_content(&snap.resv);
-        self.stats = snap.stats.clone();
-        self.last_gc = snap.last_gc;
-        Ok(())
-    }
-
-    /// Refuse an imported GC cursor that the engine's tick `t` cannot
-    /// follow. [`PlannerBase::housekeeping`] runs at the end of every tick
-    /// and collects once the tick reaches `last_gc + gc_period`, so a run
-    /// cut between ticks holds `last_gc ≤ t ≤ last_gc + gc_period` (one
-    /// tick of margin above, as in the live window). Past that, the first
-    /// leg planned at `t` would make the spatiotemporal graph allocate one
-    /// layer per tick between `t` and the imported reservations, and GC
-    /// would never run again once `last_gc` lies ahead of every tick.
-    ///
-    /// A `t` whose legs could park past [`MAX_PARK_TICK`] is refused too: a
-    /// leg planned at `t` parks by `t + leg_span + 1`, and the parking
-    /// board's encoding would panic on the first such leg.
+    /// Refuse a resume at tick `t` whose legs could park past
+    /// [`MAX_PARK_TICK`]: a leg planned at `t` parks by `t + leg_span + 1`,
+    /// and the parking board's encoding would panic on the first such leg.
     pub fn check_resume_tick(&self, t: Tick) -> Result<(), serde::Error> {
-        let last = self
-            .last_gc
-            .saturating_add(self.config.gc_period)
-            .saturating_add(1);
-        if !(self.last_gc..=last).contains(&t) {
-            return Err(serde::Error::msg(format!(
-                "planner GC cursor {} does not fit the resumed tick {t} (GC period {})",
-                self.last_gc, self.config.gc_period
-            )));
-        }
         let park = t.saturating_add(self.leg_span()).saturating_add(1);
         if park > MAX_PARK_TICK {
             return Err(serde::Error::msg(format!(
@@ -488,7 +387,7 @@ impl<R: ReservationBackend> PlannerBase<R> {
 mod tests {
     use super::*;
     use tprw_pathfinding::ReservationProbe;
-    use tprw_warehouse::{LayoutConfig, ScenarioSpec, WorkloadConfig};
+    use tprw_warehouse::{LayoutConfig, RobotPhase, ScenarioSpec, WorkloadConfig};
 
     fn instance() -> Instance {
         ScenarioSpec {
@@ -589,72 +488,95 @@ mod tests {
         assert_eq!(base.resv.reservation_count(), 0, "past entries collected");
     }
 
+    /// A table rebuilt at a resumed tick from the fleet and its active
+    /// paths answers like the one the run built leg by leg, from that tick
+    /// on, on either backend: robots on a parking and a docking leg, one
+    /// frozen by a cancellation, one standing at its spawn and one docked.
+    /// Ticks before the resumed one are not held, so a clearance reads
+    /// only when it lies at or after it, and a park that began by then
+    /// reads as beginning then.
     #[test]
-    fn snapshot_ticks_outside_the_live_window_are_refused() {
-        let inst = instance();
-        let (w, h) = (inst.grid.width() as Tick, inst.grid.height() as Tick);
-        let config = EatpConfig::default();
-        let last = 10 + config.gc_period + 1 + (w - 1) + (h - 1) + config.horizon_slack;
-        let robot = inst.robots[0].id;
-        let pos = inst.robots[0].pos;
-        for (t, ok) in [(9, false), (10, true), (last, true), (last + 1, false)] {
-            let mut base: PlannerBase<SpatioTemporalGraph> =
-                PlannerBase::new(&inst, config.clone(), false);
-            let snap = BaseSnapshot {
-                resv: ReservationContent {
-                    timed: vec![tprw_pathfinding::TimedReservation { t, pos, robot }],
-                    parked: Vec::new(),
-                },
-                stats: PlannerStats::default(),
-                last_gc: 10,
-            };
-            match base.import_base_snapshot(&snap) {
-                Ok(()) => {
-                    assert!(ok, "tick {t} imported");
-                    assert_eq!(base.resv.occupant(pos, t), Some(robot));
+    fn resume_rebuilds_the_table_from_active_paths() {
+        fn check<R: ReservationBackend>() {
+            let inst = instance();
+            let (r, t) = (&inst.robots, 3);
+            let mut uncut: PlannerBase<R> = PlannerBase::new(&inst, EatpConfig::default(), false);
+            let mut robots = inst.robots.clone();
+            let mut paths = vec![None; robots.len()];
+            let rack = |i: usize| inst.racks[i].id;
+            let legs = [
+                (0, inst.racks[0].home, RobotPhase::ToRack { rack: rack(0) }),
+                (
+                    1,
+                    inst.pickers[0].pos,
+                    RobotPhase::ToStation { rack: rack(1) },
+                ),
+                (3, inst.racks[3].home, RobotPhase::ToRack { rack: rack(3) }),
+            ];
+            for (i, to, phase) in legs {
+                let park = !matches!(phase, RobotPhase::ToStation { .. });
+                let path = uncut.plan_and_reserve(r[i].id, r[i].pos, to, 0, park);
+                let path = path.expect("the leg plans");
+                assert!(path.end() > t, "robot {i}'s leg is still under way");
+                (robots[i].phase, robots[i].pos) = (phase, path.at(t - 1));
+                paths[i] = Some(path);
+            }
+            // Robot 3 freezes at tick 2; robot 4 docks.
+            uncut.cancel_path(r[3].id, robots[3].pos, 2);
+            paths[3] = None;
+            uncut.on_dock(r[4].id);
+            robots[4].phase = RobotPhase::Queuing { rack: rack(4) };
+
+            let mut resumed: PlannerBase<R> = PlannerBase::new(&inst, EatpConfig::default(), false);
+            let (robots, paths) = (&robots[..], &paths[..]);
+            resumed.on_event(PlannerEvent::Resumed { t, robots, paths });
+            let (w, h) = (inst.grid.width(), inst.grid.height());
+            for pos in (0..h).flat_map(|y| (0..w).map(move |x| GridPos::new(x, y))) {
+                for tick in t..t + 80 {
+                    let (a, b) = (&resumed.resv, &uncut.resv);
+                    assert_eq!(a.occupant(pos, tick), b.occupant(pos, tick), "{pos}@{tick}");
                 }
-                Err(e) => {
-                    assert!(!ok, "tick {t} refused: {e}");
-                    assert!(e.to_string().contains("reservation tick"), "{e}");
+                let parked = |b: &PlannerBase<R>| b.resv.parked_at(pos).map(|(r, f)| (r, f.max(t)));
+                assert_eq!(parked(&resumed), parked(&uncut), "parked on {pos}");
+                for robot in r.iter().map(|r| r.id) {
+                    assert_eq!(
+                        resumed.resv.last_reservation_excluding(pos, robot),
+                        (uncut.resv.last_reservation_excluding(pos, robot)).filter(|&x| x >= t),
+                        "clearance of {pos} for {robot}"
+                    );
                 }
             }
+            assert!(resumed.resv.reservation_count() < uncut.resv.reservation_count());
+            // The next leg plans alike on both.
+            let next = |b: &mut PlannerBase<R>| {
+                b.plan_and_reserve(r[2].id, r[2].pos, inst.racks[5].home, t, true)
+            };
+            assert_eq!(next(&mut resumed), next(&mut uncut));
         }
+        check::<SpatioTemporalGraph>();
+        check::<ConflictDetectionTable>();
     }
 
-    /// A resumed tick outside the GC cursor's reach, or so close to
-    /// [`MAX_PARK_TICK`] that a leg planned at it could park past it, is
-    /// refused.
+    /// A resumed tick so close to [`MAX_PARK_TICK`] that a leg planned at
+    /// it could park past it is refused, and the tick before is not.
     #[test]
-    fn resume_ticks_the_gc_cursor_cannot_reach_are_refused() {
+    fn resume_ticks_past_the_parking_encoding_are_refused() {
         let inst = instance();
         let config = EatpConfig::default();
         let (w, h) = (inst.grid.width() as Tick, inst.grid.height() as Tick);
-        let last = 10 + config.gc_period + 1;
         // The latest tick whose legs still park within the encoding.
         let latest = MAX_PARK_TICK - (w - 1) - (h - 1) - config.horizon_slack - 1;
+        let base: PlannerBase<SpatioTemporalGraph> = PlannerBase::new(&inst, config, false);
         let cases = [
-            (10, 9, Some("GC cursor")),
-            (10, 10, None),
-            (10, last, None),
-            (10, last + 1, Some("GC cursor")),
-            (latest, latest, None),
-            (latest, latest + 1, Some("past")),
-            (u32::MAX as Tick - 5, u32::MAX as Tick - 5, Some("past")),
+            (0, false),
+            (latest, false),
+            (latest + 1, true),
+            (u32::MAX as Tick - 5, true),
         ];
-        for (last_gc, t, refusal) in cases {
-            let mut base: PlannerBase<SpatioTemporalGraph> =
-                PlannerBase::new(&inst, config.clone(), false);
-            let snap = BaseSnapshot {
-                resv: ReservationContent::default(),
-                stats: PlannerStats::default(),
-                last_gc,
-            };
-            base.import_base_snapshot(&snap)
-                .expect("an empty slice imports");
-            match (base.check_resume_tick(t), refusal) {
-                (Ok(()), None) => {}
-                (Err(e), Some(msg)) => assert!(e.to_string().contains(msg), "tick {t}: {e}"),
-                (result, _) => panic!("tick {t} (GC cursor {last_gc}): {result:?}"),
+        for (t, refused) in cases {
+            match base.check_resume_tick(t) {
+                Ok(()) => assert!(!refused, "tick {t} resumed"),
+                Err(e) => assert!(refused && e.to_string().contains("past"), "tick {t}: {e}"),
             }
         }
     }

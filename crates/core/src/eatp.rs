@@ -20,7 +20,7 @@
 
 use crate::assignment::match_and_plan;
 use crate::atp::{decide_and_learn, greedy_bootstrap_select, Learner};
-use crate::base::{BaseSnapshot, PlannerBase};
+use crate::base::PlannerBase;
 use crate::config::EatpConfig;
 use crate::planner::{AssignmentPlan, PlannerStats};
 use crate::qlearning::QTable;
@@ -128,11 +128,11 @@ impl Strategy for FlipSide {
         self.0.add_stats(stats);
     }
 
-    fn export(&self, base: BaseSnapshot) -> serde::Value {
+    fn export(&self, base: PlannerStats) -> serde::Value {
         self.0.export(base)
     }
 
-    fn import(&mut self, state: &serde::Value) -> Result<BaseSnapshot, serde::Error> {
+    fn import(&mut self, state: &serde::Value) -> Result<PlannerStats, serde::Error> {
         self.0.import(state)
     }
 }

@@ -11,7 +11,9 @@
 use crate::world::WorldView;
 use serde::{Deserialize, Serialize};
 use tprw_pathfinding::Path;
-use tprw_warehouse::{DisruptionEvent, GridPos, Instance, RackId, RobotId, Tick};
+use tprw_warehouse::{
+    DisruptionEvent, GridPos, Instance, RackId, Robot, RobotId, RobotPhase, Tick,
+};
 
 /// One pickup assignment: `robot` travels `path` to fetch `rack`.
 #[derive(Debug, Clone)]
@@ -154,6 +156,48 @@ pub enum PlannerEvent<'a> {
         /// When.
         t: Tick,
     },
+    /// The engine resumed a run from a snapshot; its next step executes
+    /// tick `t`. A snapshot carries no reservation table: it is a function
+    /// of the committed legs, which are the engine's active `paths`, so the
+    /// planner rebuilds it from them and from where the `robots` stand,
+    /// each robot holding its [`resumed_reservations`]
+    /// (`docs/adr/ADR-033-derived-reservations.md`). Sent once, after
+    /// [`Planner::import_snapshot`] and [`Planner::check_resume_tick`].
+    Resumed {
+        /// The resumed tick.
+        t: Tick,
+        /// The fleet as restored.
+        robots: &'a [Robot],
+        /// Each robot's active path, indexed like `robots`.
+        paths: &'a [Option<Path>],
+    },
+}
+
+/// What `robot` holds in a reservation table rebuilt at resumed tick `t`
+/// ([`PlannerEvent::Resumed`]): the steps of its active `path` from `t` on,
+/// when the path ends at or after `t`, and the cell it parks on with the
+/// tick the park starts. A leg that parks at its end (`ToRack`,
+/// `Returning`) parks on its last cell after the end, and a `ToStation`
+/// leg docks instead; any other robot parks where it stands from `t`,
+/// unless it is docked. `path` must hold a cell.
+pub fn resumed_reservations(
+    t: Tick,
+    robot: &Robot,
+    path: Option<&Path>,
+) -> (Option<Path>, Option<(GridPos, Tick)>) {
+    match path {
+        Some(path) if path.end() >= t => {
+            let past = t.saturating_sub(path.start);
+            let ahead = Path {
+                start: path.start + past,
+                cells: path.cells[past as usize..].to_vec(),
+            };
+            let parks = !matches!(robot.phase, RobotPhase::ToStation { .. });
+            (Some(ahead), parks.then(|| (path.last(), path.end() + 1)))
+        }
+        _ if robot.phase.is_docked() => (None, None),
+        _ => (None, Some((robot.pos, t))),
+    }
 }
 
 /// A task planner for the TPRW problem.
@@ -264,31 +308,32 @@ pub trait Planner {
     fn stats(&self) -> PlannerStats;
 
     /// Export the planner's *canonical* internal state for a checkpoint:
-    /// everything that cannot be reconstructed from the instance plus the
-    /// applied-disruption journal (reservation content, learned Q-values,
-    /// cumulative counters). Derived structures —
+    /// everything that cannot be reconstructed from the instance, the
+    /// applied-disruption journal and the engine's state (learned Q-values,
+    /// cumulative counters). Derived structures — the reservation table,
     /// search scratch, distance-oracle fields, KNN indexes — are *not*
     /// exported: the restore protocol rebuilds them by calling
-    /// [`Planner::init`] and replaying the journal as
-    /// [`PlannerEvent::Disruption`]s before importing this value (see
-    /// `docs/snapshot-format.md`). The default (for stateless planners) is
-    /// [`serde::Value::Null`].
+    /// [`Planner::init`], replaying the journal as
+    /// [`PlannerEvent::Disruption`]s, importing this value and sending
+    /// [`PlannerEvent::Resumed`] (see `docs/snapshot-format.md`). The
+    /// default (for stateless planners) is [`serde::Value::Null`].
     fn export_snapshot(&self) -> serde::Value {
         serde::Value::Null
     }
 
     /// Restore the canonical state produced by [`Planner::export_snapshot`].
-    /// Called after `init` + journal replay; must leave the planner
-    /// bit-identical to the one that exported. Malformed input yields a
-    /// typed error, never a panic.
+    /// Called after `init` + journal replay and before
+    /// [`PlannerEvent::Resumed`], which together must leave the planner
+    /// answering every later call as the one that exported would.
+    /// Malformed input yields a typed error, never a panic.
     fn import_snapshot(&mut self, _state: &serde::Value) -> Result<(), serde::Error> {
         Ok(())
     }
 
-    /// Refuse imported state that no run could hold when the engine
-    /// resumes at tick `t` (the tick its next step executes). Called right
-    /// after [`Planner::import_snapshot`] on resume; a typed error, never a
-    /// panic.
+    /// Refuse a resume at tick `t` (the tick the engine's next step
+    /// executes) that this planner could not follow. Called right after
+    /// [`Planner::import_snapshot`] on resume, before
+    /// [`PlannerEvent::Resumed`]; a typed error, never a panic.
     fn check_resume_tick(&self, _t: Tick) -> Result<(), serde::Error> {
         Ok(())
     }

@@ -7,7 +7,7 @@
 //! reservation backend, whether the Sec. VI structures are built, the
 //! selection step, and any canonical state beyond the base slice.
 
-use crate::base::{BaseSnapshot, PlannerBase, ReservationBackend};
+use crate::base::{PlannerBase, ReservationBackend};
 use crate::config::EatpConfig;
 use crate::planner::{
     AssignmentPlan, LegRequest, Planner, PlannerError, PlannerEvent, PlannerStats, TentativeLeg,
@@ -43,15 +43,16 @@ pub trait Strategy {
     /// Fold the strategy's own structures into MC and the Q-state count.
     fn add_stats(&self, _stats: &mut PlannerStats) {}
 
-    /// Compose the checkpoint payload around the shared base slice.
-    fn export(&self, base: BaseSnapshot) -> serde::Value {
+    /// Compose the checkpoint payload around the shared base slice, the
+    /// base's counters.
+    fn export(&self, base: PlannerStats) -> serde::Value {
         base.serialize()
     }
 
     /// Restore the strategy's own canonical state from a payload written by
     /// [`Strategy::export`] and hand back its base slice.
-    fn import(&mut self, state: &serde::Value) -> Result<BaseSnapshot, serde::Error> {
-        BaseSnapshot::deserialize(state)
+    fn import(&mut self, state: &serde::Value) -> Result<PlannerStats, serde::Error> {
+        PlannerStats::deserialize(state)
     }
 }
 
@@ -142,8 +143,8 @@ impl<S: Strategy> Planner for Shell<S> {
     }
 
     fn export_snapshot(&self) -> serde::Value {
-        self.base.as_ref().map_or(serde::Value::Null, |b| {
-            self.strategy.export(b.export_base_snapshot())
+        (self.base.as_ref()).map_or(serde::Value::Null, |b| {
+            self.strategy.export(b.stats.clone())
         })
     }
 
@@ -152,7 +153,8 @@ impl<S: Strategy> Planner for Shell<S> {
             .base
             .as_mut()
             .ok_or_else(|| serde::Error::msg(format!("{}: import before init", S::NAME)))?;
-        base.import_base_snapshot(&self.strategy.import(state)?)
+        base.stats = self.strategy.import(state)?;
+        Ok(())
     }
 
     fn check_resume_tick(&self, t: Tick) -> Result<(), serde::Error> {
@@ -181,7 +183,19 @@ mod tests {
         }
         .build()
         .unwrap();
-        let base_keys = ["resv", "stats", "last_gc"];
+        let base_keys = [
+            "selection_ns",
+            "planning_ns",
+            "memory_bytes",
+            "scratch_bytes",
+            "expansions",
+            "failed_expansions",
+            "paths_planned",
+            "paths_failed",
+            "cache_spliced",
+            "anticipation_hits",
+            "q_states",
+        ];
         for name in PLANNER_NAMES {
             let mut planner = planner_by_name(name, &EatpConfig::default()).unwrap();
             assert_eq!(planner.export_snapshot(), serde::Value::Null);

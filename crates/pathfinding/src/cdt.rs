@@ -28,9 +28,7 @@
 
 use crate::footprint::MemoryFootprint;
 use crate::path::Path;
-use crate::reservation::{
-    ParkingBoard, ReservationContent, ReservationProbe, ReservationSystem, TimedReservation,
-};
+use crate::reservation::{ParkingBoard, ReservationProbe, ReservationSystem};
 use tprw_warehouse::{GridPos, RobotId, Tick, MAX_FLEET};
 
 /// Entries a cell stores inline before its window spills.
@@ -107,8 +105,8 @@ impl ConflictDetectionTable {
         }
     }
 
-    /// Insert a single timed reservation (used by tests and probes;
-    /// planners insert whole paths via [`ReservationSystem::reserve_path`]).
+    /// Insert a single timed reservation (used by tests; planners insert
+    /// whole paths via [`ReservationSystem::reserve_path`]).
     ///
     /// # Panics
     ///
@@ -424,32 +422,6 @@ impl ReservationSystem for ConflictDetectionTable {
     fn reservation_count(&self) -> usize {
         self.reservations
     }
-
-    fn restore_timed(&mut self, robot: RobotId, pos: GridPos, t: Tick) {
-        self.insert(robot, pos, t);
-    }
-
-    fn export_content(&self) -> ReservationContent {
-        let width = self.width as usize;
-        let mut timed = Vec::with_capacity(self.reservations);
-        for idx in 0..self.cells.len() {
-            let pos = GridPos::new((idx % width) as u16, (idx / width) as u16);
-            for &e in self.window(idx) {
-                timed.push(TimedReservation {
-                    t: tick_of(e),
-                    pos,
-                    robot: robot_of(e),
-                });
-            }
-        }
-        // Canonical (t, cell index, robot) order: the per-cell windows are
-        // tick-sorted but interleave across cells.
-        timed.sort_by_key(|r| (r.t, r.pos.to_index(self.width), r.robot.index()));
-        ReservationContent {
-            timed,
-            parked: self.parked.entries(),
-        }
-    }
 }
 
 impl MemoryFootprint for ConflictDetectionTable {
@@ -470,7 +442,9 @@ impl MemoryFootprint for ConflictDetectionTable {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::reference_cdt::{self, default_can_move, ReferenceConflictDetectionTable};
+    use crate::reference_cdt::{
+        self, default_can_move, same_answers, ReferenceConflictDetectionTable,
+    };
     use crate::stg::SpatioTemporalGraph;
     use proptest::prelude::*;
 
@@ -766,34 +740,19 @@ mod tests {
             }
         }
 
-        /// Checkpoint restore: exporting a table's logical content and
-        /// importing it into a fresh table — of the same or the other
-        /// backend — preserves every occupancy query and re-exports
-        /// identical canonical content.
+        /// The same soup driven into the pooled table, the spatiotemporal
+        /// graph and the reference leaves all three answering every probe
+        /// alike (`same_answers`) at every tick of the soup's span.
         #[test]
-        fn exported_content_roundtrips(
+        fn backends_answer_alike_after_one_soup(
             ops in proptest::collection::vec(
                 (0u8..5, 0usize..8, 0u16..8, 0u16..8, 0u64..40), 1..40),
         ) {
-            use crate::reservation::ReservationContent;
-            let (pooled, _) = apply_soup(&ops, (8, 8));
-            let content: ReservationContent = pooled.export_content();
-            let mut restored = ConflictDetectionTable::new(8, 8);
-            restored.import_content(&content);
-            prop_assert_eq!(restored.reservation_count(), pooled.reservation_count());
-            prop_assert_eq!(&restored.export_content(), &content);
+            let (pooled, reference) = apply_soup(&ops, (8, 8));
             let mut stg = SpatioTemporalGraph::new(8, 8);
-            stg.import_content(&content);
-            prop_assert_eq!(&stg.export_content(), &content);
-            for x in 0..8u16 {
-                for y in 0..8u16 {
-                    for t in 0..44u64 {
-                        let want = pooled.occupant(p(x, y), t);
-                        prop_assert_eq!(restored.occupant(p(x, y), t), want);
-                        prop_assert_eq!(stg.occupant(p(x, y), t), want);
-                    }
-                }
-            }
+            reference_cdt::apply_soup(&ops, &mut stg, (8, 8));
+            same_answers(&pooled, &reference, (8, 8), 0..44, 9)?;
+            same_answers(&stg, &reference, (8, 8), 0..44, 9)?;
         }
 
         /// The pooled table must answer every occupancy, `can_move`,
@@ -858,8 +817,7 @@ mod tests {
             let (mut pooled, mut reference) = apply_soup(&ops, (64, 64));
             pooled.release_before(gc);
             reference.release_before(gc);
-            prop_assert_eq!(pooled.export_content(), reference.export_content());
-            prop_assert_eq!(pooled.reservation_count(), reference.reservation_count());
+            same_answers(&pooled, &reference, (64, 64), 0..44, 9)?;
             prop_assert!(pooled.occupied_is_exact());
             prop_assert!(pooled.spills_are_exact());
         }

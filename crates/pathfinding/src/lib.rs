@@ -64,6 +64,6 @@ pub use conflict::{find_conflicts, Conflict};
 pub use footprint::MemoryFootprint;
 pub use knn::KNearestRacks;
 pub use path::Path;
-pub use reservation::{ReservationContent, ReservationProbe, ReservationSystem, TimedReservation};
+pub use reservation::{ReservationProbe, ReservationSystem};
 pub use scratch::SearchScratch;
 pub use stg::SpatioTemporalGraph;

@@ -12,9 +12,9 @@
 
 use crate::footprint::MemoryFootprint;
 use crate::path::Path;
-use crate::reservation::{
-    ParkingBoard, ReservationContent, ReservationProbe, ReservationSystem, TimedReservation,
-};
+use crate::reservation::{ParkingBoard, ReservationProbe, ReservationSystem};
+use proptest::prop_assert_eq;
+use proptest::test_runner::TestCaseError;
 use tprw_warehouse::{GridPos, RobotId, Tick};
 
 /// Per-cell sorted reservation windows, one heap `Vec` per cell.
@@ -184,26 +184,6 @@ impl ReservationSystem for ReferenceConflictDetectionTable {
     fn reservation_count(&self) -> usize {
         self.reservations
     }
-
-    fn restore_timed(&mut self, robot: RobotId, pos: GridPos, t: Tick) {
-        self.insert(robot, pos, t);
-    }
-
-    fn export_content(&self) -> ReservationContent {
-        let width = self.width as usize;
-        let mut timed = Vec::with_capacity(self.reservations);
-        for (idx, window) in self.cells.iter().enumerate() {
-            let pos = GridPos::new((idx % width) as u16, (idx / width) as u16);
-            for &(t, robot) in window {
-                timed.push(TimedReservation { t, pos, robot });
-            }
-        }
-        timed.sort_by_key(|r| (r.t, r.pos.to_index(self.width), r.robot.index()));
-        ReservationContent {
-            timed,
-            parked: self.parked.entries(),
-        }
-    }
 }
 
 /// [`ReservationProbe::can_move`] as three unconditional probes: the trait
@@ -231,8 +211,44 @@ pub fn default_can_move(
     true
 }
 
+/// Whether `a` and `b` answer alike on the `w`×`h` cells: `occupant` at
+/// every cell and every tick of `ticks`, `parked_at` and, for every robot
+/// below `robots`, `last_reservation_excluding` at every cell, and the
+/// reservation count.
+pub fn same_answers(
+    a: &impl ReservationSystem,
+    b: &impl ReservationSystem,
+    (w, h): (u16, u16),
+    ticks: std::ops::Range<Tick>,
+    robots: usize,
+) -> Result<(), TestCaseError> {
+    prop_assert_eq!(a.reservation_count(), b.reservation_count());
+    for pos in (0..h).flat_map(|y| (0..w).map(move |x| GridPos::new(x, y))) {
+        prop_assert_eq!(a.parked_at(pos), b.parked_at(pos), "parked_at {}", pos);
+        for r in (0..robots).map(RobotId::new) {
+            prop_assert_eq!(
+                a.last_reservation_excluding(pos, r),
+                b.last_reservation_excluding(pos, r),
+                "last_reservation_excluding {} at {}",
+                r,
+                pos
+            );
+        }
+        for t in ticks.clone() {
+            prop_assert_eq!(
+                a.occupant(pos, t),
+                b.occupant(pos, t),
+                "occupant {}@{}",
+                pos,
+                t
+            );
+        }
+    }
+    Ok(())
+}
+
 /// Drive an operation soup into `table` and a fresh reference table of
-/// `w`×`h` cells: single inserts, short eastward paths, GC passes, robot
+/// `w`×`h` cells: one-cell and short eastward paths, GC passes, robot
 /// releases and (un)parking, each op a `(kind, robot, x, y, t)` tuple. A
 /// side map of live timed reservations skips ops that would double-reserve
 /// a cell-tick for two robots (a planner invariant every layout
@@ -251,8 +267,9 @@ pub fn apply_soup(
         match kind % 5 {
             0 => {
                 if *live.entry((pos, t)).or_insert(robot) == robot {
-                    table.restore_timed(robot, pos, t);
-                    reference.insert(robot, pos, t);
+                    let step = Path::stationary(pos, t);
+                    table.reserve_path(robot, &step, false);
+                    reference.reserve_path(robot, &step, false);
                 }
             }
             1 => {

@@ -16,34 +16,8 @@
 
 use crate::footprint::HASH_ENTRY_OVERHEAD;
 use crate::path::Path;
-use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 use tprw_warehouse::{GridPos, RobotId, Tick};
-
-/// One timed reservation: `robot` occupies `pos` exactly at tick `t`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-pub struct TimedReservation {
-    /// The reserved tick.
-    pub t: Tick,
-    /// The reserved cell.
-    pub pos: GridPos,
-    /// The reserving robot.
-    pub robot: RobotId,
-}
-
-/// The full logical content of a reservation system: every live timed
-/// reservation plus every parked robot, in a canonical order (timed sorted
-/// by `(t, cell index, robot)`, parked by cell index). Two backends with
-/// equal content answer every [`ReservationSystem`] query identically, no
-/// matter how their physical layouts (layer rings, spilled windows) differ —
-/// this is what checkpoints persist and restores rebuild.
-#[derive(Debug, Clone, PartialEq, Eq, Default, Serialize, Deserialize)]
-pub struct ReservationContent {
-    /// Timed reservations in canonical order.
-    pub timed: Vec<TimedReservation>,
-    /// Parked robots as `(robot, cell, start tick)` in cell-index order.
-    pub parked: Vec<(RobotId, GridPos, Tick)>,
-}
 
 /// The **read-only** half of a reservation system: every query the path
 /// search performs. Splitting the probes from the commits (see
@@ -116,28 +90,6 @@ pub trait ReservationSystem: ReservationProbe {
 
     /// Number of live timed reservations (diagnostics).
     fn reservation_count(&self) -> usize;
-
-    /// Insert one timed reservation directly (checkpoint restore path; the
-    /// planning hot path reserves whole paths via
-    /// [`ReservationSystem::reserve_path`]). Idempotent for an already-held
-    /// cell-tick of the same robot.
-    fn restore_timed(&mut self, robot: RobotId, pos: GridPos, t: Tick);
-
-    /// Export the full logical content in canonical order (see
-    /// [`ReservationContent`]).
-    fn export_content(&self) -> ReservationContent;
-
-    /// Rebuild logical content exported by
-    /// [`ReservationSystem::export_content`] into an empty table (callers
-    /// import into a freshly built one).
-    fn import_content(&mut self, content: &ReservationContent) {
-        for r in &content.timed {
-            self.restore_timed(r.robot, r.pos, r.t);
-        }
-        for &(robot, pos, from) in &content.parked {
-            self.park(robot, pos, from);
-        }
-    }
 }
 
 /// Sentinel for "no robot" in the packed robot half-word.
@@ -238,24 +190,6 @@ impl ParkingBoard {
         if let Some(pos) = self.by_robot.remove(&robot) {
             self.cells[pos.to_index(self.width)] = EMPTY_CELL;
         }
-    }
-
-    /// Every parked robot as `(robot, cell, start tick)`, in cell-index
-    /// order — the canonical enumeration used by checkpoint export.
-    pub fn entries(&self) -> Vec<(RobotId, GridPos, Tick)> {
-        let width = self.width;
-        self.cells
-            .iter()
-            .enumerate()
-            .filter_map(|(i, &e)| {
-                let r = (e >> 32) as u32;
-                (r != EMPTY).then(|| {
-                    let pos =
-                        GridPos::new((i % width as usize) as u16, (i / width as usize) as u16);
-                    (RobotId::from(r), pos, (e as u32) as Tick)
-                })
-            })
-            .collect()
     }
 
     /// Number of parked robots.

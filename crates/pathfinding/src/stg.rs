@@ -30,8 +30,8 @@
 //! Writes set the bit of every cell they fill; `release_robot` leaves bits
 //! set, since a stale bit only costs the dense read it would have made
 //! anyway. `occupant` and `last_reservation_excluding` read the bit first
-//! and the dense cell only when it is set, and the full walks
-//! (`release_robot`, `export_content`) visit only set lines. `can_move` is
+//! and the dense cell only when it is set, and the full walk
+//! (`release_robot`) visits only set lines. `can_move` is
 //! the trait default over `occupant`, which probes the `from` cell only
 //! when someone stands on `to` at `t`.
 //! [`crate::reservation::ParkingBoard`] supplies the parked fallthrough as
@@ -39,9 +39,7 @@
 
 use crate::footprint::MemoryFootprint;
 use crate::path::Path;
-use crate::reservation::{
-    ParkingBoard, ReservationContent, ReservationProbe, ReservationSystem, TimedReservation,
-};
+use crate::reservation::{ParkingBoard, ReservationProbe, ReservationSystem};
 use std::collections::VecDeque;
 use tprw_warehouse::{GridPos, RobotId, Tick, MAX_FLEET};
 
@@ -259,44 +257,6 @@ impl ReservationSystem for SpatioTemporalGraph {
     fn reservation_count(&self) -> usize {
         self.reservations
     }
-
-    fn restore_timed(&mut self, robot: RobotId, pos: GridPos, t: Tick) {
-        assert!(
-            robot.index() < MAX_FLEET,
-            "robot {robot} exceeds the u16 STG layer encoding \
-             (MAX_FLEET = {MAX_FLEET}); shard the fleet or widen the layers"
-        );
-        let id = robot.index() as u16;
-        let idx = pos.to_index(self.width);
-        let added = self.ensure_layer(t).put(idx, id);
-        self.reservations += usize::from(added);
-    }
-
-    fn export_content(&self) -> ReservationContent {
-        let width = self.width as usize;
-        let mut timed = Vec::with_capacity(self.reservations);
-        for (i, layer) in self.layers.iter().enumerate() {
-            let t = self.base + i as Tick;
-            for (line, chunk) in layer.cells.chunks(LINE).enumerate() {
-                if !line_set(&layer.lines, line) {
-                    continue;
-                }
-                for (k, &r) in chunk.iter().enumerate().filter(|&(_, &r)| r != EMPTY) {
-                    let idx = line * LINE + k;
-                    timed.push(TimedReservation {
-                        t,
-                        pos: GridPos::new((idx % width) as u16, (idx / width) as u16),
-                        robot: RobotId::from(r as u32),
-                    });
-                }
-            }
-        }
-        // Layer-then-line iteration already yields (t, cell index) order.
-        ReservationContent {
-            timed,
-            parked: self.parked.entries(),
-        }
-    }
 }
 
 impl MemoryFootprint for SpatioTemporalGraph {
@@ -311,7 +271,7 @@ impl MemoryFootprint for SpatioTemporalGraph {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::reference_cdt::{apply_soup, default_can_move};
+    use crate::reference_cdt::{apply_soup, default_can_move, same_answers};
     use proptest::prelude::*;
 
     fn p(x: u16, y: u16) -> GridPos {
@@ -431,7 +391,7 @@ mod tests {
         let mut g = SpatioTemporalGraph::new(40, 6);
         let (a, b) = (RobotId::new(1), RobotId::new(2));
         g.reserve_path(a, &path(5, &[(38, 0), (39, 0)]), false);
-        g.restore_timed(b, p(0, 1), 6);
+        g.reserve_path(b, &path(6, &[(0, 1)]), false);
         assert_eq!(g.layers[1].lines[0], 0b10, "one line set in layer 6");
         assert_eq!(g.occupant(p(39, 0), 6), Some(a));
         assert_eq!(g.occupant(p(0, 1), 6), Some(b));
@@ -442,14 +402,8 @@ mod tests {
         assert_eq!(g.occupant(p(39, 0), 6), None);
         assert_eq!(g.occupant(p(0, 1), 6), Some(b));
         assert_eq!(g.reservation_count(), 1);
-        assert_eq!(
-            g.export_content().timed,
-            vec![TimedReservation {
-                t: 6,
-                pos: p(0, 1),
-                robot: b
-            }]
-        );
+        assert_eq!(g.last_reservation_excluding(p(0, 1), a), Some(6));
+        assert_eq!(g.last_reservation_excluding(p(39, 0), b), None);
     }
 
     #[test]
@@ -503,10 +457,11 @@ mod tests {
     proptest! {
         /// After the CDT's operation soup on a floor whose lines straddle
         /// rows, the graph answers every probe at every tick like the
-        /// reference table: `occupant`, the `can_move` wait and the four
-        /// moves from every cell (also against the three-probe form),
-        /// `last_reservation_excluding`, the count and the exported
-        /// content. Eight robots on 240 cells put several in one line.
+        /// reference table: `occupant`, `parked_at`,
+        /// `last_reservation_excluding` and the count (`same_answers`), and
+        /// the `can_move` wait and the four moves from every cell (also
+        /// against the three-probe form). Eight robots on 240 cells put
+        /// several in one line.
         #[test]
         fn line_map_answers_like_the_reference(
             ops in proptest::collection::vec(
@@ -515,19 +470,10 @@ mod tests {
             let (w, h) = (40u16, 6u16);
             let mut g = SpatioTemporalGraph::new(w, h);
             let reference = apply_soup(&ops, &mut g, (w, h));
-            prop_assert_eq!(g.reservation_count(), reference.reservation_count());
-            prop_assert_eq!(g.export_content(), reference.export_content());
+            same_answers(&g, &reference, (w, h), 0..30, 9)?;
             for y in 0..h {
                 for x in 0..w {
                     let from = p(x, y);
-                    for r in 0..9 {
-                        let robot = RobotId::new(r);
-                        prop_assert_eq!(
-                            g.last_reservation_excluding(from, robot),
-                            reference.last_reservation_excluding(from, robot),
-                            "last_reservation_excluding disagrees at {}", from
-                        );
-                    }
                     let moves = [(0, 0), (1, 0), (-1, 0), (0, 1), (0, -1)];
                     let tos = moves.iter().filter_map(|&(dx, dy)| {
                         let (tx, ty) = (x as i32 + dx, y as i32 + dy);
@@ -545,13 +491,6 @@ mod tests {
                             );
                             prop_assert_eq!(default_can_move(&g, robot, from, to, t), want);
                         }
-                    }
-                    for t in 0..30 {
-                        prop_assert_eq!(
-                            g.occupant(from, t),
-                            reference.occupant(from, t),
-                            "occupant disagrees at {}@{}", from, t
-                        );
                     }
                 }
             }

@@ -35,7 +35,7 @@
 //!   it finishes its cycle first — and a restore withdraws a still-deferred
 //!   removal. Items that arrive on a removed rack accumulate and wait.
 
-use super::{is_docked, Engine};
+use super::Engine;
 use crate::commands::{Ack, BacklogOrder, Command, RejectReason, SequencedCommand};
 use eatp_core::planner::{Planner, PlannerEvent};
 use tprw_warehouse::{CellKind, DisruptionEvent, GridPos, RackId, Tick, TimedEvent};
@@ -313,7 +313,7 @@ impl Engine<'_> {
             .state
             .robots
             .iter()
-            .any(|r| r.pos == pos && !is_docked(r.phase))
+            .any(|r| r.pos == pos && !r.phase.is_docked())
         {
             return false;
         }

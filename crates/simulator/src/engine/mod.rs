@@ -50,8 +50,8 @@ use schedule::Schedule;
 use serde::{Deserialize, Serialize};
 use tprw_pathfinding::Path;
 use tprw_warehouse::{
-    Duration, GridPos, Instance, OrderId, Picker, QueueEntry, Rack, RackId, Robot, RobotId,
-    RobotPhase, Tick, TimedEvent,
+    Duration, GridPos, Instance, OrderId, Picker, QueueEntry, Rack, RackId, Robot, RobotId, Tick,
+    TimedEvent,
 };
 
 /// Engine knobs.
@@ -547,10 +547,11 @@ impl<'a> Engine<'a> {
     /// the planner is freshly `init`-ed on the instance, the applied-event
     /// journal is replayed through [`Planner::on_event`] to rebuild
     /// its derived world model (grid overlay, distance oracle; the KNN
-    /// index is built from the instance alone), and only then is its
-    /// canonical state
+    /// index is built from the instance alone), its canonical state is
     /// overwritten via [`Planner::import_snapshot`] and checked against
-    /// the resumed tick ([`Planner::check_resume_tick`]). Do **not** call
+    /// the resumed tick ([`Planner::check_resume_tick`]), and last
+    /// [`PlannerEvent::Resumed`] hands it the fleet and the active paths
+    /// its reservation table is rebuilt from. Do **not** call
     /// [`Engine::start`] on the returned engine.
     pub fn resume(
         instance: &'a Instance,
@@ -569,6 +570,11 @@ impl<'a> Engine<'a> {
         }
         planner.import_snapshot(planner_state)?;
         planner.check_resume_tick(state.t)?;
+        planner.on_event(PlannerEvent::Resumed {
+            t: state.t,
+            robots: &state.robots,
+            paths: &state.paths,
+        });
         engine.restore_state(state);
         Ok(engine)
     }
@@ -597,15 +603,6 @@ impl<'a> Engine<'a> {
         );
         fnv1a(&bytes)
     }
-}
-
-/// Docked robots (queuing or processing) are in the station bay, off the
-/// grid.
-fn is_docked(phase: RobotPhase) -> bool {
-    matches!(
-        phase,
-        RobotPhase::Queuing { .. } | RobotPhase::Processing { .. }
-    )
 }
 
 /// 64-bit FNV-1a over a byte slice.

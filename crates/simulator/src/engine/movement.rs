@@ -2,7 +2,7 @@
 //! the new positions; then metrics, checkpoints and the planner's
 //! reservation GC.
 
-use super::{is_docked, Engine, EngineState};
+use super::{Engine, EngineState};
 use crate::metrics::Checkpoint;
 use eatp_core::planner::Planner;
 use tprw_warehouse::{GridPos, RobotPhase, Tick};
@@ -72,7 +72,7 @@ impl Engine<'_> {
 
     /// Fill `on_grid_buf` with every robot's on-grid cell.
     fn collect_on_grid(&mut self) {
-        let on_grid = self.state.robots.iter().filter(|r| !is_docked(r.phase));
+        let on_grid = self.state.robots.iter().filter(|r| !r.phase.is_docked());
         self.on_grid_buf.clear();
         self.on_grid_buf.extend(on_grid.map(|r| (r.id, r.pos)));
     }
@@ -180,7 +180,7 @@ fn move_robot(state: &mut EngineState, width: u16, ai: usize, t: Tick) -> Option
     if let Some(path) = &state.paths[ai] {
         state.robots[ai].pos = path.at(t);
     }
-    if is_docked(state.robots[ai].phase) {
+    if state.robots[ai].phase.is_docked() {
         return None;
     }
     // Blockade invariant: no robot trajectory may occupy a

@@ -7,7 +7,7 @@
 //! exactly the robots in a non-`Idle` phase, the docked count the robots in
 //! a station bay, and every installed path has an agenda entry at its end.
 
-use super::{is_docked, EngineState};
+use super::EngineState;
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 use tprw_pathfinding::Path;
@@ -187,7 +187,7 @@ fn tallies(robots: &[Robot]) -> (BusySet, usize) {
             busy.insert(ai);
         }
     }
-    let docked = robots.iter().filter(|r| is_docked(r.phase)).count();
+    let docked = robots.iter().filter(|r| r.phase.is_docked()).count();
     (busy, docked)
 }
 

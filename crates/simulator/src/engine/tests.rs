@@ -520,7 +520,7 @@ fn executed_conflicts_match_the_seed_check() {
             .export_state()
             .robots
             .iter()
-            .filter(|r| !is_docked(r.phase))
+            .filter(|r| !r.phase.is_docked())
             .map(|r| (r.id, r.pos))
             .collect();
         seed.check_tick(t, &positions);

@@ -2,7 +2,7 @@
 //! completed a leg get their next one — the arrival transitions popped
 //! from the agenda, then one leg pass over the three pending-leg lists.
 
-use super::{is_docked, Engine, EngineState};
+use super::{Engine, EngineState};
 use crate::commands::Ack;
 use eatp_core::planner::{LegRequest, Planner};
 use tprw_pathfinding::Path;
@@ -41,7 +41,7 @@ impl LegKind {
         match self {
             LegKind::Resume => state.paths[ai].is_none() && phase.is_travelling(),
             LegKind::Delivery => matches!(phase, RobotPhase::ToRack { .. }),
-            LegKind::Return => is_docked(phase),
+            LegKind::Return => phase.is_docked(),
         }
     }
 

@@ -14,10 +14,14 @@
 //! policy are documented in `docs/snapshot-format.md`.
 
 use crate::engine::{Engine, EngineConfig, EngineState};
-use eatp_core::planner::Planner;
+use eatp_core::planner::{resumed_reservations, Planner};
 use serde::{Deserialize, Serialize, Value};
+use std::collections::HashMap;
 use std::iter::zip;
-use tprw_warehouse::{DisruptionEvent, Instance};
+use tprw_pathfinding::cdt::MAX_CDT_TICK;
+use tprw_pathfinding::reservation::MAX_PARK_TICK;
+use tprw_pathfinding::Path;
+use tprw_warehouse::{DisruptionEvent, Instance, Tick};
 
 /// Magic bytes opening every snapshot file.
 pub const SNAPSHOT_MAGIC: [u8; 8] = *b"TPRWSNAP";
@@ -26,7 +30,7 @@ pub const SNAPSHOT_MAGIC: [u8; 8] = *b"TPRWSNAP";
 /// other is [`SnapshotError::UnsupportedVersion`]. A payload schema change
 /// bumps it and re-records `testdata/snapshot-v{N}/` instead of carrying a
 /// reader for the old payloads (`docs/adr/ADR-030-current-only-snapshots.md`).
-pub const SNAPSHOT_VERSION: u32 = 8;
+pub const SNAPSHOT_VERSION: u32 = 9;
 
 /// Little-endian sentinel; a big-endian writer would store these bytes
 /// reversed, which the reader detects as [`SnapshotError::WrongEndian`].
@@ -368,6 +372,7 @@ pub fn resume_from<'a>(
     (data.instance.validate())
         .map_err(|e| SnapshotError::Decode(format!("snapshot instance: {e}")))?;
     check_table_sizes(&data.engine, &data.instance)?;
+    check_legs(&data.engine)?;
     Ok(Engine::resume(
         &data.instance,
         &data.config,
@@ -529,18 +534,87 @@ fn check_table_sizes(state: &EngineState, instance: &Instance) -> Result<(), Sna
     Ok(())
 }
 
+/// The reservations a resumed planner rebuilds from `state` (each robot's
+/// [`resumed_reservations`], `docs/adr/ADR-033-derived-reservations.md`)
+/// must be ones a run can hold: every active path holds a cell, starts by
+/// the resumed tick `t` and ends within the CDT's tick encoding; every park
+/// starts within the parking board's and has its cell to itself; no two
+/// robots on the grid stand on one cell; and no path step at `t` or later
+/// meets another robot's step or park. The tables assert against each of
+/// these, so a snapshot that broke one would panic inside the rebuild.
+/// Cells are checked by [`check_table_sizes`] first.
+fn check_legs(state: &EngineState) -> Result<(), SnapshotError> {
+    let t = state.t;
+    let refuse = |what: String| Err(SnapshotError::Decode(format!("engine table {what}")));
+    let (mut steps, mut parks) = (Vec::new(), Vec::new());
+    for (robot, path) in zip(&state.robots, &state.paths) {
+        let id = robot.id;
+        if let Some(p) = path {
+            if p.cells.is_empty() {
+                return refuse(format!("`paths` has {id} on no cell"));
+            }
+            if p.start > t {
+                return refuse(format!(
+                    "`paths` starts {id} at tick {}, after tick {t}",
+                    p.start
+                ));
+            }
+            if p.start.saturating_add(p.cells.len() as Tick - 1) > MAX_CDT_TICK {
+                return refuse(format!("`paths` ends {id}'s path past tick {MAX_CDT_TICK}"));
+            }
+        }
+        let (ahead, park) = resumed_reservations(t, robot, path.as_ref());
+        steps.extend(ahead.iter().flat_map(Path::iter_timed).map(|s| (s, id)));
+        parks.extend(park.map(|(pos, from)| (pos, from, id)));
+    }
+    let mut parked = HashMap::with_capacity(parks.len());
+    for (pos, from, id) in parks {
+        if from > MAX_PARK_TICK {
+            return refuse(format!(
+                "`paths` parks {id} at tick {from}, past {MAX_PARK_TICK}"
+            ));
+        }
+        if let Some((_, other)) = parked.insert(pos, (from, id)) {
+            return refuse(format!("`paths` parks {other} and {id} on cell {pos}"));
+        }
+    }
+    let mut standing = HashMap::new();
+    for r in state.robots.iter().filter(|r| !r.phase.is_docked()) {
+        if let Some(other) = standing.insert(r.pos, r.id) {
+            return refuse(format!(
+                "`robots` stands {other} and {} on cell {}",
+                r.id, r.pos
+            ));
+        }
+    }
+    let mut taken = HashMap::with_capacity(steps.len());
+    for ((tick, pos), id) in steps {
+        if let Some(other) = taken.insert((tick, pos), id).filter(|&other| other != id) {
+            return refuse(format!(
+                "`paths` meets {other} and {id} on {pos} at tick {tick}"
+            ));
+        }
+        let parker = parked
+            .get(&pos)
+            .filter(|&&(from, other)| other != id && tick >= from);
+        if let Some(&(from, other)) = parker {
+            return refuse(format!(
+                "`paths` moves {id} onto {pos} at tick {tick}, where {other} parks from {from}"
+            ));
+        }
+    }
+    Ok(())
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::commands::{Ack, BacklogOrder, Command, OrderSpec, SequencedCommand};
     use crate::engine::run_simulation;
-    use eatp_core::base::BaseSnapshot;
     use eatp_core::{planner_by_name, EatpConfig, PLANNER_NAMES as PLANNERS};
-    use tprw_pathfinding::cdt::MAX_CDT_TICK;
-    use tprw_pathfinding::reservation::MAX_PARK_TICK;
     use tprw_warehouse::{
         DisruptionConfig, GridPos, ItemId, LayoutConfig, OrderId, PickerId, RackId, RobotId,
-        RobotPhase, ScenarioSpec, Tick, TimedEvent, WorkloadConfig, MAX_FLEET,
+        RobotPhase, ScenarioSpec, Tick, TimedEvent, WorkloadConfig,
     };
 
     fn make(name: &str) -> Box<dyn Planner> {
@@ -944,8 +1018,8 @@ mod tests {
             }
         );
 
-        // Version zero, the retired versions 1–6 and the next one.
-        for version in [0, 1, 2, 3, 4, 5, 6, 7, SNAPSHOT_VERSION + 1] {
+        // Version zero, the retired versions 1–8 and the next one.
+        for version in [0, 1, 2, 3, 4, 5, 6, 7, 8, SNAPSHOT_VERSION + 1] {
             let mut bad = good.clone();
             bad[12..16].copy_from_slice(&version.to_le_bytes());
             assert_eq!(
@@ -1302,133 +1376,157 @@ mod tests {
         value
     }
 
-    /// A CRC-valid planner slice with a cell off the grid, two robots
-    /// parked on one cell, a robot outside the fleet (below or above the
-    /// CDT's robot cap) or a tick past the CDT's or the parking board's
-    /// encoding is refused on resume before any reservation table indexes
-    /// it.
-    #[test]
-    fn planner_slice_off_the_grid_is_a_decode_error() {
+    /// The first snapshot of a clean-floor `name` run at a tick boundary
+    /// whose engine state `fits`.
+    fn first_snapshot(name: &str, fits: impl Fn(&EngineState) -> bool) -> SnapshotData {
         let inst = scenario(None, 42);
-        let (width, height) = (inst.grid.width(), inst.grid.height());
-        let mut p = make("EATP");
+        let mut p = make(name);
         let mut engine = Engine::new(&inst, &EngineConfig::default());
         engine.start(p.as_mut());
-        let base_of = |tree: &mut Value| {
-            let slice = field_mut(field_mut(tree, "planner"), "base");
-            BaseSnapshot::deserialize(slice).expect("a base slice")
-        };
-        // The first tick whose slice has every table the cases edit.
-        let tree = loop {
+        loop {
             engine.tick_once(p.as_mut());
-            assert!(!engine.is_finished(), "no tick had every table filled");
-            let mut tree = engine.snapshot(p.as_ref()).serialize();
-            let base = base_of(&mut tree);
-            let parked = base.resv.parked.len();
-            if parked >= 2 && !base.resv.timed.is_empty() {
-                break tree;
+            assert!(!engine.is_finished(), "{name}: no tick fits");
+            let data = engine.snapshot(p.as_ref());
+            if fits(&data.engine) {
+                return data;
             }
-        };
-        let below = GridPos::new(0, height);
-        let phantom = RobotId::new(inst.robots.len());
-        let past_cap = RobotId::new(MAX_FLEET);
-        for (what, expected) in [
-            ("parking cell", "parking cell"),
-            ("reservation cell", "reservation cell"),
-            ("two robots", "two robots"),
-            ("reservation robot", "reservation robot"),
-            ("reservation robot past the cap", "reservation robot"),
-            ("parking robot", "parking robot"),
-            ("reservation tick", "reservation tick"),
-            ("parking tick", "parking tick"),
-        ] {
-            let mut tree = tree.clone();
-            let mut b = base_of(&mut tree);
-            match what {
-                "parking cell" => b.resv.parked[0].1 = below,
-                "reservation cell" => b.resv.timed[0].pos = GridPos::new(width, 0),
-                "two robots" => b.resv.parked[1].1 = b.resv.parked[0].1,
-                "reservation robot" => b.resv.timed[0].robot = phantom,
-                "reservation robot past the cap" => b.resv.timed[0].robot = past_cap,
-                "parking robot" => b.resv.parked[0].0 = phantom,
-                "reservation tick" => b.resv.timed[0].t = MAX_CDT_TICK + 1,
-                _ => b.resv.parked[0].2 = MAX_PARK_TICK + 1,
-            }
-            *field_mut(field_mut(&mut tree, "planner"), "base") = b.serialize();
-            let data = decode_snapshot(&framed(SNAPSHOT_VERSION, &serde::binary::to_bytes(&tree)))
-                .expect("the planner slice stays a tree until resume");
-            let Err(err) = resume_from(&data, make("EATP").as_mut()) else {
-                panic!("a planner slice with a bad {what} resumed");
-            };
+        }
+    }
+
+    /// Resume `data` with its engine slice edited by `edit`, through the
+    /// byte format, and return the refusal.
+    fn refusal(data: &SnapshotData, edit: impl Fn(&mut EngineState)) -> SnapshotError {
+        let mut data = data.clone();
+        edit(&mut data.engine);
+        let data = decode_snapshot(&encode_snapshot(&data)).expect("bytes decode");
+        match resume_from(&data, make(&data.planner_name).as_mut()) {
+            Ok(_) => panic!("{}: the edited slice resumed", data.planner_name),
+            Err(err) => err,
+        }
+    }
+
+    /// The robots whose active path reaches the resumed tick.
+    fn moving(s: &EngineState) -> Vec<usize> {
+        let live = |ai: &usize| s.paths[*ai].as_ref().is_some_and(|p| p.end() > s.t + 1);
+        (0..s.robots.len()).filter(live).collect()
+    }
+
+    /// A CRC-valid engine slice whose robots or active paths collide — two
+    /// robots on the grid on one cell, two parks on one cell, a path step at
+    /// the resumed tick or later on another robot's step or park — or whose
+    /// active path holds no cell, is refused on resume before the planner
+    /// rebuilds its reservation table from it: the tables assert against
+    /// each, and the rebuild would reach the asserts first.
+    #[test]
+    fn colliding_engine_legs_are_decode_errors() {
+        // Two robots on parking legs, and one standing on the grid.
+        let data = first_snapshot("EATP", |s| {
+            let parking = moving(s)
+                .into_iter()
+                .filter(|&ai| s.robots[ai].phase.is_travelling());
+            let standing = (0..s.robots.len()).any(|ai| s.paths[ai].is_none());
+            parking.count() >= 2 && standing
+        });
+        let s = &data.engine;
+        let t = s.t;
+        let (a, b) = (moving(s)[0], moving(s)[1]);
+        let still = (0..s.robots.len())
+            .find(|&ai| s.paths[ai].is_none())
+            .unwrap();
+        let (stand, a_now) = (s.robots[still].pos, s.paths[a].as_ref().unwrap().at(t));
+        let b_last = s.paths[b].as_ref().unwrap().last();
+        let leg = move |cells: Vec<GridPos>| Some(Path { start: t, cells });
+        type Edit = Box<dyn Fn(&mut EngineState)>;
+        let cases: [(&str, Edit, &str); 5] = [
+            (
+                "two robots",
+                Box::new(move |s| s.robots[a].pos = stand),
+                "stands",
+            ),
+            (
+                "two parks",
+                Box::new(move |s| s.paths[b] = leg(vec![stand])),
+                "parks",
+            ),
+            (
+                "a step on a park",
+                Box::new(move |s| s.paths[b] = leg(vec![stand, b_last])),
+                "where",
+            ),
+            (
+                "a step on a step",
+                Box::new(move |s| s.paths[b] = leg(vec![a_now, b_last])),
+                "meets",
+            ),
+            (
+                "an empty path",
+                Box::new(move |s| s.paths[a].as_mut().unwrap().cells.clear()),
+                "no cell",
+            ),
+        ];
+        for (what, edit, expected) in cases {
+            let err = refusal(&data, edit);
             assert!(
-                matches!(&err, SnapshotError::Decode(msg) if msg.contains(expected)),
+                matches!(&err, SnapshotError::Decode(m) if m.contains(expected)),
                 "{what}: {err:?}"
             );
         }
     }
 
-    /// A CRC-valid ATP slice with a reservation tick below the last GC or
-    /// far past every leg the planner could hold, or with every tick and
-    /// the GC cursor moved to 10¹² while the engine stays at its tick, is
-    /// refused on resume. The spatiotemporal graph would otherwise allocate
-    /// a layer per tick between the slice's ticks, or between the engine's
-    /// tick and the slice's. So is a run moved, engine tick and slice
-    /// alike, to `u32::MAX − 5`, where the first leg would park past the
-    /// parking board's encoding.
+    /// A CRC-valid engine slice whose legs reach outside the ticks the
+    /// reservation tables hold is refused on resume: a path that starts
+    /// after the resumed tick; a run moved, engine tick and paths alike, to
+    /// 10¹², where every robot standing on the grid would park past the
+    /// parking board's `u32` ticks; to `u32::MAX − 5`, where a leg parks
+    /// past them (or, were every leg shorter, one planned at the resumed
+    /// tick could); or to just below the CDT's 48-bit tick limit, where a
+    /// path ends past it.
     #[test]
     fn reservation_ticks_outside_the_live_window_are_decode_errors() {
-        let inst = scenario(None, 42);
-        let mut p = make("ATP");
-        let mut engine = Engine::new(&inst, &EngineConfig::default());
-        engine.start(p.as_mut());
-        let base_of = |planner: &mut Value| {
-            BaseSnapshot::deserialize(field_mut(planner, "base")).expect("a base slice")
-        };
-        // The first tick after a GC whose slice holds a timed reservation.
-        let data = loop {
-            engine.tick_once(p.as_mut());
-            assert!(!engine.is_finished(), "no GC ran before the run ended");
-            let mut data = engine.snapshot(p.as_ref());
-            let base = base_of(&mut data.planner);
-            if base.last_gc > 0 && !base.resv.timed.is_empty() {
-                break data;
-            }
-        };
-        type Edit = dyn Fn(&mut BaseSnapshot, &mut Tick);
-        let resume = |edit: &Edit| {
-            let mut data = data.clone();
-            let mut b = base_of(&mut data.planner);
-            edit(&mut b, &mut data.engine.t);
-            *field_mut(&mut data.planner, "base") = b.serialize();
-            let data = decode_snapshot(&encode_snapshot(&data)).expect("bytes decode");
-            resume_from(&data, make("ATP").as_mut()).map(|_| ())
-        };
-        resume(&|_, _| {}).expect("the untouched slice resumes");
-        /// Move the GC cursor to `to`, and every reservation with it.
-        fn shift(b: &mut BaseSnapshot, to: Tick) {
-            let by = to - b.last_gc;
-            b.last_gc += by;
-            for r in &mut b.resv.timed {
-                r.t += by;
+        // A robot on a parking leg at least six ticks from its end.
+        let data = first_snapshot("ATP", |s| {
+            let long = |p: &Path| p.end() >= s.t + 6;
+            (0..s.robots.len()).any(|ai| {
+                s.robots[ai].phase.is_travelling() && s.paths[ai].as_ref().is_some_and(long)
+            })
+        });
+        resume_from(&data, make("ATP").as_mut()).expect("the untouched slice resumes");
+        let ai = moving(&data.engine)[0];
+        /// Move the run to tick `to`, every path with it.
+        fn shift(s: &mut EngineState, to: Tick) {
+            let by = to - s.t;
+            s.t = to;
+            for p in s.paths.iter_mut().flatten() {
+                p.start += by;
             }
         }
-        let far: &Edit = &|b, _| b.resv.timed.last_mut().unwrap().t = 1_000_000_000_000;
-        let below: &Edit = &|b, _| b.resv.timed[0].t = b.last_gc - 1;
-        let ahead: &Edit = &|b, _| shift(b, 1_000_000_000_000);
-        let parking_limit: &Edit = &|b, t| {
-            let to = u32::MAX as Tick - 5;
-            *t = to + (*t - b.last_gc);
-            shift(b, to);
-        };
-        for (what, edit, msg) in [
-            ("10¹²", far, "reservation tick"),
-            ("below the GC", below, "reservation tick"),
-            ("GC cursor at 10¹²", ahead, "GC cursor"),
-            ("run at u32::MAX − 5", parking_limit, "resume tick"),
-        ] {
-            let err = resume(edit).expect_err(what);
+        type Edit = Box<dyn Fn(&mut EngineState)>;
+        let cases: [(&str, Edit, String); 4] = [
+            (
+                "a start after the tick",
+                Box::new(move |s| s.paths[ai].as_mut().unwrap().start = s.t + 1),
+                "after tick".into(),
+            ),
+            (
+                "10¹²",
+                Box::new(|s| shift(s, 1_000_000_000_000)),
+                format!("past {MAX_PARK_TICK}"),
+            ),
+            (
+                "u32::MAX − 5",
+                Box::new(|s| shift(s, u32::MAX as Tick - 5)),
+                format!("past {MAX_PARK_TICK}"),
+            ),
+            (
+                "MAX_CDT_TICK − 1",
+                Box::new(|s| shift(s, MAX_CDT_TICK - 1)),
+                format!("past tick {MAX_CDT_TICK}"),
+            ),
+        ];
+        for (what, edit, expected) in cases {
+            let err = refusal(&data, edit);
             assert!(
-                matches!(&err, SnapshotError::Decode(m) if m.contains(msg)),
+                matches!(&err, SnapshotError::Decode(m) if m.contains(&expected)),
                 "{what}: {err:?}"
             );
         }

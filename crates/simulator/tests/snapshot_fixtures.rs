@@ -22,7 +22,7 @@ use tprw_warehouse::{Instance, LayoutConfig, ScenarioSpec, WorkloadConfig};
 /// The bytes of one recorded fixture of this schema version.
 macro_rules! fixture {
     ($file:literal) => {
-        include_bytes!(concat!("../testdata/snapshot-v8/", $file))
+        include_bytes!(concat!("../testdata/snapshot-v9/", $file))
     };
 }
 
@@ -63,16 +63,15 @@ fn field_mut<'v>(v: &'v mut Value, key: &str) -> &'v mut Value {
     value
 }
 
-/// The planner counters of a snapshot's planner payload: NTP, LEF and ILP
-/// write the base slice as the whole payload, ATP and EATP nest it under
-/// `base` beside their Q-table.
+/// The planner counters of a snapshot's planner payload, its base slice:
+/// NTP, LEF and ILP write them as the whole payload, ATP and EATP nest them
+/// under `base` beside their Q-table.
 fn planner_stats(planner: &mut Value) -> &mut Value {
-    let base = if planner.get("base").is_some() {
+    if planner.get("base").is_some() {
         field_mut(planner, "base")
     } else {
         planner
-    };
-    field_mut(base, "stats")
+    }
 }
 
 /// Copy the wall-clock and allocator readings of `from` into `to`: the

@@ -229,6 +229,16 @@ impl RobotPhase {
             RobotPhase::ToRack { .. } | RobotPhase::ToStation { .. } | RobotPhase::Returning { .. }
         )
     }
+
+    /// Whether the robot is in a station bay (queuing or processing), off
+    /// the grid.
+    #[inline]
+    pub fn is_docked(self) -> bool {
+        matches!(
+            self,
+            RobotPhase::Queuing { .. } | RobotPhase::Processing { .. }
+        )
+    }
 }
 
 /// A robot `⟨l_a, s_a⟩` (Definition 3).

@@ -6,7 +6,8 @@
 //!
 //! * **floor** — [`floor`]`(kind, seed)`, one 24×16 floor per kind: clean,
 //!   blockade storm, breakdown wave, and a mixed floor with every
-//!   disruption kind;
+//!   disruption kind; and kind [`PAPER`], the benchmark's 200×200 walled
+//!   floor under surge's disruption mix, a release-only soak;
 //! * **feed** — how the orders reach the engine ([`Feed`]);
 //! * **cut** — none, or a snapshot through the byte format at a tick,
 //!   resumed with a fresh planner while the whole stream is redelivered.
@@ -30,12 +31,19 @@ use proptest::prelude::*;
 /// Floor kinds: clean, blockade storm, breakdown wave, mixed.
 pub const FLOORS: usize = 4;
 
+/// The paper-scale floor kind, outside the `0..FLOORS` the proptests draw.
+pub const PAPER: usize = FLOORS;
+
 /// Orders in one [`Feed::Extra`] stream.
 pub const LIVE_ORDERS: usize = 8;
 
 /// The lattice's floor: 24×16, ten racks, four robots, two pickers and
-/// twenty Poisson items, hit by the disruptions of `kind`.
+/// twenty Poisson items, hit by the disruptions of `kind`; or, for
+/// [`PAPER`], [`paper_floor`].
 pub fn floor(kind: usize, seed: u64) -> Instance {
+    if kind == PAPER {
+        return paper_floor(seed);
+    }
     let quiet = DisruptionConfig {
         window: (10, 120),
         ..DisruptionConfig::none()
@@ -78,6 +86,42 @@ pub fn floor(kind: usize, seed: u64) -> Instance {
         n_pickers: 2,
         workload: WorkloadConfig::poisson(20, 0.5),
         disruptions,
+        seed,
+    }
+    .build()
+    .unwrap()
+}
+
+/// The benchmark's paper floor (200×200 with walls, 2 000 racks, 500
+/// robots, 24 pickers) under `surge-live-eatp`'s disruption mix: 62
+/// breakdowns, 30 blockades, 4 station closures and 20 rack removals.
+/// Its 500 Poisson items arrive four per tick, so runs last about a
+/// thousand ticks and a cut at 137, 400 or 777 lands mid-run, with
+/// hundreds of robots on legs, live STG layers and CDT spills.
+pub fn paper_floor(seed: u64) -> Instance {
+    ScenarioSpec {
+        name: format!("lattice-paper-{seed}"),
+        layout: LayoutConfig {
+            width: 200,
+            height: 200,
+            border_walls: true,
+            ..LayoutConfig::default()
+        },
+        n_racks: 2000,
+        n_robots: 500,
+        n_pickers: 24,
+        workload: WorkloadConfig::poisson(500, 4.0),
+        disruptions: Some(DisruptionConfig {
+            breakdowns: 62,
+            breakdown_ticks: (100, 300),
+            blockades: 30,
+            blockade_ticks: (150, 400),
+            closures: 4,
+            closure_ticks: (150, 300),
+            removals: 20,
+            removal_ticks: (100, 250),
+            window: (50, 1000),
+        }),
         seed,
     }
     .build()

@@ -11,7 +11,7 @@ use eatp::warehouse::{DisruptionEvent, GridPos, Tick, TimedEvent};
 use proptest::prelude::*;
 
 mod common;
-use common::lattice::{agree, floor, run, Enqueue, Feed, Point, FLOORS};
+use common::lattice::{agree, floor, run, Enqueue, Feed, Point, FLOORS, PAPER};
 
 proptest! {
     /// Pregenerated orders: a run replays bit-identically, and a snapshot
@@ -131,4 +131,48 @@ fn blockade_live_at_the_cut_reaches_the_resumed_planner() {
         ])
         .unwrap();
     }
+}
+
+/// The contract at the benchmark's scale: on the paper floor every planner
+/// at seed 7, and EATP at seed 92, resumes from cuts at ticks 137, 400 and
+/// 777 to the uncut run, and EATP's item list resent live and cut at 400
+/// runs as the pregenerated list does. A release soak (about 25 runs of
+/// 500 robots); debug builds skip it.
+#[test]
+#[cfg_attr(debug_assertions, ignore)]
+fn paper_floor_resumes_at_scale() {
+    let cuts = [137, 400, 777];
+    let worlds = [(7, &PLANNER_NAMES[..]), (92, &["EATP"][..])];
+    for (seed, planners) in worlds {
+        let world = floor(PAPER, seed);
+        for &planner in planners {
+            let point = Point::new(planner, Feed::Pregenerated);
+            let uncut = run(&world, point);
+            assert!(
+                uncut.fingerprint.makespan > cuts[2],
+                "{planner} at seed {seed}: the last cut lands after the run"
+            );
+            let mut runs = vec![uncut];
+            runs.extend(cuts.map(|cut| {
+                run(
+                    &world,
+                    Point {
+                        cut: Some(cut),
+                        ..point
+                    },
+                )
+            }));
+            agree(&runs).unwrap();
+        }
+    }
+    let world = floor(PAPER, 7);
+    let pinned = |feed| Point {
+        pinned: true,
+        ..Point::new("EATP", feed)
+    };
+    let resent = Point {
+        cut: Some(400),
+        ..pinned(Feed::Resent(Enqueue::Sorted))
+    };
+    agree(&[run(&world, pinned(Feed::Pregenerated)), run(&world, resent)]).unwrap();
 }
