@@ -333,8 +333,9 @@ impl<R: ReservationBackend> PlannerBase<R> {
     /// last collection was at the latest multiple of the period before `t`.
     ///
     /// The caller guarantees the state is one a run can hold: every path
-    /// holds a cell and starts by `t`, and no two robots meet on a cell
-    /// (`resume_from` refuses any other).
+    /// holds a cell, starts by `t` and ends by `t + leg_span`, and no two
+    /// robots meet on a cell (`resume_from` and
+    /// [`PlannerBase::check_resume_tick`] refuse any other).
     pub fn rebuild_reservations(&mut self, t: Tick, robots: &[Robot], paths: &[Option<Path>]) {
         self.resv = R::create(self.grid.width(), self.grid.height());
         for (robot, path) in robots.iter().zip(paths) {
@@ -350,11 +351,23 @@ impl<R: ReservationBackend> PlannerBase<R> {
         self.last_gc = last - last.checked_rem(self.config.gc_period).unwrap_or(0);
     }
 
-    /// Refuse a resume at tick `t` whose legs could park past
-    /// [`MAX_PARK_TICK`]: a leg planned at `t` parks by `t + leg_span + 1`,
-    /// and the parking board's encoding would panic on the first such leg.
-    pub fn check_resume_tick(&self, t: Tick) -> Result<(), serde::Error> {
-        let park = t.saturating_add(self.leg_span()).saturating_add(1);
+    /// Refuse a resume at tick `t` whose active paths run to a tick
+    /// `last_end` no leg reaches, or whose legs could park past
+    /// [`MAX_PARK_TICK`]. Every active path is a leg planned at or before
+    /// `t`, so it ends by `t + leg_span`; a later end is no run's, and the
+    /// spatiotemporal graph would allocate one layer per tick of it on
+    /// [`PlannerBase::rebuild_reservations`]. A leg planned at `t` parks by
+    /// `t + leg_span + 1`, and the parking board's encoding would panic on
+    /// the first one past its limit.
+    pub fn check_resume_tick(&self, t: Tick, last_end: Tick) -> Result<(), serde::Error> {
+        let reach = t.saturating_add(self.leg_span());
+        if last_end > reach {
+            return Err(serde::Error::msg(format!(
+                "planner resume tick {t} holds a path to tick {last_end}, past tick {reach}, \
+                 the last a leg planned by then reaches"
+            )));
+        }
+        let park = reach.saturating_add(1);
         if park > MAX_PARK_TICK {
             return Err(serde::Error::msg(format!(
                 "planner resume tick {t} could park a leg at tick {park}, past {MAX_PARK_TICK}"
@@ -558,24 +571,29 @@ mod tests {
     }
 
     /// A resumed tick so close to [`MAX_PARK_TICK`] that a leg planned at
-    /// it could park past it is refused, and the tick before is not.
+    /// it could park past it is refused, and the tick before is not; an
+    /// active path may end as late as a leg planned at the resumed tick
+    /// does, and no later.
     #[test]
-    fn resume_ticks_past_the_parking_encoding_are_refused() {
+    fn resume_ticks_and_paths_past_a_legs_reach_are_refused() {
         let inst = instance();
         let config = EatpConfig::default();
         let (w, h) = (inst.grid.width() as Tick, inst.grid.height() as Tick);
+        let reach = (w - 1) + (h - 1) + config.horizon_slack;
         // The latest tick whose legs still park within the encoding.
-        let latest = MAX_PARK_TICK - (w - 1) - (h - 1) - config.horizon_slack - 1;
+        let latest = MAX_PARK_TICK - reach - 1;
         let base: PlannerBase<SpatioTemporalGraph> = PlannerBase::new(&inst, config, false);
         let cases = [
-            (0, false),
-            (latest, false),
-            (latest + 1, true),
-            (u32::MAX as Tick - 5, true),
+            (0, 0, false),
+            (latest, latest, false),
+            (latest + 1, latest + 1, true),
+            (u32::MAX as Tick - 5, u32::MAX as Tick - 5, true),
+            (400, 400 + reach, false),
+            (400, 400 + reach + 1, true),
         ];
-        for (t, refused) in cases {
-            match base.check_resume_tick(t) {
-                Ok(()) => assert!(!refused, "tick {t} resumed"),
+        for (t, end, refused) in cases {
+            match base.check_resume_tick(t, end) {
+                Ok(()) => assert!(!refused, "tick {t}, path to {end} resumed"),
                 Err(e) => assert!(refused && e.to_string().contains("past"), "tick {t}: {e}"),
             }
         }

@@ -331,10 +331,11 @@ pub trait Planner {
     }
 
     /// Refuse a resume at tick `t` (the tick the engine's next step
-    /// executes) that this planner could not follow. Called right after
-    /// [`Planner::import_snapshot`] on resume, before
+    /// executes), whose active paths run to tick `last_end` (`t` when none
+    /// runs past it), that this planner could not follow. Called right
+    /// after [`Planner::import_snapshot`] on resume, before
     /// [`PlannerEvent::Resumed`]; a typed error, never a panic.
-    fn check_resume_tick(&self, _t: Tick) -> Result<(), serde::Error> {
+    fn check_resume_tick(&self, _t: Tick, _last_end: Tick) -> Result<(), serde::Error> {
         Ok(())
     }
 }

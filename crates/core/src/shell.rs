@@ -157,10 +157,10 @@ impl<S: Strategy> Planner for Shell<S> {
         Ok(())
     }
 
-    fn check_resume_tick(&self, t: Tick) -> Result<(), serde::Error> {
+    fn check_resume_tick(&self, t: Tick, last_end: Tick) -> Result<(), serde::Error> {
         self.base
             .as_ref()
-            .map_or(Ok(()), |b| b.check_resume_tick(t))
+            .map_or(Ok(()), |b| b.check_resume_tick(t, last_end))
     }
 }
 

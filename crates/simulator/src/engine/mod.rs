@@ -549,7 +549,8 @@ impl<'a> Engine<'a> {
     /// its derived world model (grid overlay, distance oracle; the KNN
     /// index is built from the instance alone), its canonical state is
     /// overwritten via [`Planner::import_snapshot`] and checked against
-    /// the resumed tick ([`Planner::check_resume_tick`]), and last
+    /// the resumed tick and the last tick an active path reaches
+    /// ([`Planner::check_resume_tick`]), and last
     /// [`PlannerEvent::Resumed`] hands it the fleet and the active paths
     /// its reservation table is rebuilt from. Do **not** call
     /// [`Engine::start`] on the returned engine.
@@ -569,7 +570,8 @@ impl<'a> Engine<'a> {
             });
         }
         planner.import_snapshot(planner_state)?;
-        planner.check_resume_tick(state.t)?;
+        let last_end = (state.paths.iter().flatten()).fold(state.t, |end, p| end.max(p.end()));
+        planner.check_resume_tick(state.t, last_end)?;
         planner.on_event(PlannerEvent::Resumed {
             t: state.t,
             robots: &state.robots,

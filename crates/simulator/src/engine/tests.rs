@@ -650,8 +650,8 @@ impl Planner for IdleCellProbe {
         self.inner.import_snapshot(state)
     }
 
-    fn check_resume_tick(&self, t: Tick) -> Result<(), serde::Error> {
-        self.inner.check_resume_tick(t)
+    fn check_resume_tick(&self, t: Tick, last_end: Tick) -> Result<(), serde::Error> {
+        self.inner.check_resume_tick(t, last_end)
     }
 }
 

@@ -1479,8 +1479,10 @@ mod tests {
     /// 10¹², where every robot standing on the grid would park past the
     /// parking board's `u32` ticks; to `u32::MAX − 5`, where a leg parks
     /// past them (or, were every leg shorter, one planned at the resumed
-    /// tick could); or to just below the CDT's 48-bit tick limit, where a
-    /// path ends past it.
+    /// tick could); to just below the CDT's 48-bit tick limit, where a
+    /// path ends past it; or a path stretched one tick past the latest end
+    /// of a leg planned by the resumed tick, which would make the
+    /// spatiotemporal graph allocate a layer per tick of it.
     #[test]
     fn reservation_ticks_outside_the_live_window_are_decode_errors() {
         // A robot on a parking leg at least six ticks from its end.
@@ -1492,6 +1494,9 @@ mod tests {
         });
         resume_from(&data, make("ATP").as_mut()).expect("the untouched slice resumes");
         let ai = moving(&data.engine)[0];
+        let grid = &data.instance.grid;
+        let (w, h) = (grid.width() as Tick, grid.height() as Tick);
+        let reach = data.engine.t + (w - 1) + (h - 1) + EatpConfig::default().horizon_slack;
         /// Move the run to tick `to`, every path with it.
         fn shift(s: &mut EngineState, to: Tick) {
             let by = to - s.t;
@@ -1501,11 +1506,20 @@ mod tests {
             }
         }
         type Edit = Box<dyn Fn(&mut EngineState)>;
-        let cases: [(&str, Edit, String); 4] = [
+        let cases: [(&str, Edit, String); 5] = [
             (
                 "a start after the tick",
                 Box::new(move |s| s.paths[ai].as_mut().unwrap().start = s.t + 1),
                 "after tick".into(),
+            ),
+            (
+                "an end past a leg's reach",
+                Box::new(move |s| {
+                    let p = s.paths[ai].as_mut().unwrap();
+                    let last = p.last();
+                    p.cells.resize((reach + 2 - p.start) as usize, last);
+                }),
+                format!("to tick {}, past tick {reach}", reach + 1),
             ),
             (
                 "10¹²",

@@ -6,7 +6,7 @@
 //!
 //! * **floor** — [`floor`]`(kind, seed)`, one 24×16 floor per kind: clean,
 //!   blockade storm, breakdown wave, and a mixed floor with every
-//!   disruption kind; and kind [`PAPER`], the benchmark's 200×200 walled
+//!   disruption kind; and [`paper_floor`], the benchmark's 200×200 walled
 //!   floor under surge's disruption mix, a release-only soak;
 //! * **feed** — how the orders reach the engine ([`Feed`]);
 //! * **cut** — none, or a snapshot through the byte format at a tick,
@@ -31,19 +31,12 @@ use proptest::prelude::*;
 /// Floor kinds: clean, blockade storm, breakdown wave, mixed.
 pub const FLOORS: usize = 4;
 
-/// The paper-scale floor kind, outside the `0..FLOORS` the proptests draw.
-pub const PAPER: usize = FLOORS;
-
 /// Orders in one [`Feed::Extra`] stream.
 pub const LIVE_ORDERS: usize = 8;
 
 /// The lattice's floor: 24×16, ten racks, four robots, two pickers and
-/// twenty Poisson items, hit by the disruptions of `kind`; or, for
-/// [`PAPER`], [`paper_floor`].
+/// twenty Poisson items, hit by the disruptions of `kind`.
 pub fn floor(kind: usize, seed: u64) -> Instance {
-    if kind == PAPER {
-        return paper_floor(seed);
-    }
     let quiet = DisruptionConfig {
         window: (10, 120),
         ..DisruptionConfig::none()

@@ -11,7 +11,7 @@ use eatp::warehouse::{DisruptionEvent, GridPos, Tick, TimedEvent};
 use proptest::prelude::*;
 
 mod common;
-use common::lattice::{agree, floor, run, Enqueue, Feed, Point, FLOORS, PAPER};
+use common::lattice::{agree, floor, paper_floor, run, Enqueue, Feed, Point, FLOORS};
 
 proptest! {
     /// Pregenerated orders: a run replays bit-identically, and a snapshot
@@ -144,7 +144,7 @@ fn paper_floor_resumes_at_scale() {
     let cuts = [137, 400, 777];
     let worlds = [(7, &PLANNER_NAMES[..]), (92, &["EATP"][..])];
     for (seed, planners) in worlds {
-        let world = floor(PAPER, seed);
+        let world = paper_floor(seed);
         for &planner in planners {
             let point = Point::new(planner, Feed::Pregenerated);
             let uncut = run(&world, point);
@@ -165,7 +165,7 @@ fn paper_floor_resumes_at_scale() {
             agree(&runs).unwrap();
         }
     }
-    let world = floor(PAPER, 7);
+    let world = paper_floor(7);
     let pinned = |feed| Point {
         pinned: true,
         ..Point::new("EATP", feed)
