@@ -54,6 +54,9 @@ use tprw_warehouse::{
     TimedEvent,
 };
 
+/// Item-progress checkpoints sampled per run (the paper plots 10).
+pub(crate) const CHECKPOINTS: usize = 10;
+
 /// Engine knobs.
 #[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
 pub struct EngineConfig {
@@ -196,7 +199,7 @@ pub struct EngineState {
     pub items_processed: usize,
     pub rack_trips: usize,
     pub metrics: MetricsSnapshot,
-    /// Executed-trajectory checker; serialises as its `ValidatorSnapshot`.
+    /// Executed-trajectory checker; serialises as its conflicts alone.
     pub validator: TrajectoryValidator,
     pub last_return: Tick,
     pub peak_scratch: usize,
@@ -533,11 +536,15 @@ impl<'a> Engine<'a> {
     }
 
     /// Overwrite this (freshly constructed) engine's canonical state with
-    /// an exported one and rebuild the schedule from it. The other derived
-    /// fields keep their `new()` values, which are functions of the
-    /// instance and config alone.
+    /// an exported one, and rebuild the validator's previous check (the
+    /// robots on the grid at `t − 1`) and the schedule from it. The other
+    /// derived fields keep their `new()` values, functions of the instance
+    /// and config alone.
     pub fn restore_state(&mut self, state: &EngineState) {
         self.state = state.clone();
+        self.collect_on_grid();
+        let prev_t = self.state.t.checked_sub(1);
+        (self.state.validator).restart(prev_t, &self.on_grid_buf);
         self.schedule.rebuild(&self.state);
     }
 

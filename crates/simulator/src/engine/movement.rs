@@ -2,13 +2,10 @@
 //! the new positions; then metrics, checkpoints and the planner's
 //! reservation GC.
 
-use super::{Engine, EngineState};
+use super::{Engine, EngineState, CHECKPOINTS};
 use crate::metrics::Checkpoint;
 use eatp_core::planner::Planner;
 use tprw_warehouse::{GridPos, RobotPhase, Tick};
-
-/// Item-progress checkpoints sampled per run (the paper plots 10).
-const CHECKPOINTS: usize = 10;
 
 impl Engine<'_> {
     /// Phase 5: advance robots along their paths; validate positions.
@@ -42,9 +39,10 @@ impl Engine<'_> {
             }
             #[cfg(debug_assertions)]
             {
+                let delta = &self.state.validator;
                 debug_assert_eq!(
-                    self.state.validator.export_snapshot(),
-                    full_check,
+                    (&delta.conflicts, delta.previous()),
+                    (&full_check.conflicts, full_check.previous()),
                     "tick {t}: the delta check diverged from the full check"
                 );
                 debug_assert_eq!(
@@ -71,18 +69,17 @@ impl Engine<'_> {
     }
 
     /// Fill `on_grid_buf` with every robot's on-grid cell.
-    fn collect_on_grid(&mut self) {
+    pub(super) fn collect_on_grid(&mut self) {
         let on_grid = self.state.robots.iter().filter(|r| !r.phase.is_docked());
         self.on_grid_buf.clear();
         self.on_grid_buf.extend(on_grid.map(|r| (r.id, r.pos)));
     }
 
     /// The full scan a clean movement tick replaces, run beside it once the
-    /// touched robots have moved: the validator's snapshot after a full
-    /// check from its pre-tick state, and the violations a fleet-wide count
-    /// finds.
+    /// touched robots have moved: the validator after a full check from its
+    /// pre-tick state, and the violations a fleet-wide count finds.
     #[cfg(debug_assertions)]
-    fn full_scan_shadow(&mut self, t: Tick) -> (crate::validate::ValidatorSnapshot, usize) {
+    fn full_scan_shadow(&mut self, t: Tick) -> (crate::validate::TrajectoryValidator, usize) {
         debug_assert!(
             (0..self.state.robots.len())
                 .all(|ai| self.state.paths[ai].is_none() || self.state.robots[ai].phase.is_busy()),
@@ -94,10 +91,9 @@ impl Engine<'_> {
             .iter()
             .filter(|&&(_, pos)| self.state.blocked_overlay[self.cell_index(pos)])
             .count();
-        let mut full = crate::validate::TrajectoryValidator::new();
-        full.import_snapshot(&self.state.validator.export_snapshot());
+        let mut full = self.state.validator.clone();
         full.check_tick(t, &self.on_grid_buf, &self.instance.grid);
-        (full.export_snapshot(), violations)
+        (full, violations)
     }
 
     /// Phase 6: metrics, checkpoints, reservation GC.

@@ -716,7 +716,7 @@ fn idle_robots_stand_on_indexed_cells() {
     }
     let data = decode_snapshot(&encode_snapshot(&engine.snapshot(&probe))).unwrap();
     let mut probe = IdleCellProbe::eatp();
-    let mut engine = resume_from(&data, &mut probe).expect("the snapshot resumes");
+    let mut engine = resume_from(&inst, &data, &mut probe).expect("the snapshot resumes");
     engine.run_to_completion(&mut probe);
     assert!(engine.report(&mut probe).completed);
     assert!(probe.on_home > 0, "the resumed run asks at rack homes");

@@ -3,9 +3,10 @@
 //! A snapshot captures everything a mid-run simulation cannot re-derive —
 //! the canonical engine state ([`crate::engine::EngineState`]), the
 //! planner's canonical internals ([`eatp_core::planner::Planner::
-//! export_snapshot`]), the instance and the engine config — in a binary
-//! container with a fixed header (magic, endianness marker, schema version,
-//! payload length, CRC32). Resuming from a checkpoint taken at tick `T`
+//! export_snapshot`]) and the engine config — plus a fingerprint of the
+//! instance the caller supplies again on resume, in a binary container
+//! with a fixed header (magic, endianness marker, schema version, payload
+//! length, CRC32). Resuming from a checkpoint taken at tick `T`
 //! produces a run bit-identical to one that was never interrupted: the
 //! round-trip tests pin `SimulationReport::deterministic_fingerprint`
 //! equality for every planner on clean and disrupted scenarios.
@@ -13,7 +14,7 @@
 //! The canonical-vs-derived split, the header layout and the version
 //! policy are documented in `docs/snapshot-format.md`.
 
-use crate::engine::{Engine, EngineConfig, EngineState};
+use crate::engine::{Engine, EngineConfig, EngineState, CHECKPOINTS};
 use eatp_core::planner::{resumed_reservations, Planner};
 use serde::{Deserialize, Serialize, Value};
 use std::collections::HashMap;
@@ -30,7 +31,7 @@ pub const SNAPSHOT_MAGIC: [u8; 8] = *b"TPRWSNAP";
 /// other is [`SnapshotError::UnsupportedVersion`]. A payload schema change
 /// bumps it and re-records `testdata/snapshot-v{N}/` instead of carrying a
 /// reader for the old payloads (`docs/adr/ADR-030-current-only-snapshots.md`).
-pub const SNAPSHOT_VERSION: u32 = 9;
+pub const SNAPSHOT_VERSION: u32 = 10;
 
 /// Little-endian sentinel; a big-endian writer would store these bytes
 /// reversed, which the reader detects as [`SnapshotError::WrongEndian`].
@@ -83,6 +84,14 @@ pub enum SnapshotError {
         /// `Planner::name()` of the planner handed to [`resume_from`].
         resuming: &'static str,
     },
+    /// The instance handed to [`resume_from`] is not the one the snapshot
+    /// was taken on: their fingerprints differ.
+    WrongInstance {
+        /// [`SnapshotData::instance_fingerprint`].
+        snapshot: u32,
+        /// The fingerprint of the instance handed to [`resume_from`].
+        resuming: u32,
+    },
 }
 
 impl std::fmt::Display for SnapshotError {
@@ -112,6 +121,10 @@ impl std::fmt::Display for SnapshotError {
             SnapshotError::WrongPlanner { snapshot, resuming } => {
                 write!(f, "snapshot of planner {snapshot} resumed into {resuming}")
             }
+            SnapshotError::WrongInstance { snapshot, resuming } => write!(
+                f,
+                "snapshot of instance {snapshot:#010x} resumed on instance {resuming:#010x}"
+            ),
         }
     }
 }
@@ -124,16 +137,18 @@ impl From<serde::Error> for SnapshotError {
     }
 }
 
-/// Everything needed to resume a run: the world it was built from, the
-/// engine knobs, the canonical engine state and the planner's canonical
-/// internals (a planner-defined value tree; `Null` for stateless planners).
+/// Everything needed to resume a run beside the instance, which the caller
+/// holds: the instance's fingerprint, the engine knobs, the canonical engine
+/// state and the planner's canonical internals (a planner-defined value
+/// tree; `Null` for stateless planners).
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct SnapshotData {
     /// `Planner::name()` of the planner that produced [`Self::planner`];
     /// [`resume_from`] refuses a planner of another name.
     pub planner_name: String,
-    /// The instance the run executes.
-    pub instance: Instance,
+    /// The CRC32 of the encoding of the instance the run executes;
+    /// [`resume_from`] refuses an instance of another.
+    pub instance_fingerprint: u32,
     /// Engine knobs (derived quantities like `max_ticks` are recomputed
     /// from these on resume).
     pub config: EngineConfig,
@@ -199,6 +214,13 @@ pub(crate) fn crc32(bytes: &[u8]) -> u32 {
         crc = (crc >> 8) ^ t[0][((crc ^ b as u32) & 0xFF) as usize];
     }
     !crc
+}
+
+/// The CRC32 of the instance's binary encoding. The encoding holds no hash
+/// map, so one instance always gives one fingerprint
+/// (`docs/adr/ADR-034-instance-by-fingerprint.md`).
+pub(crate) fn instance_fingerprint(instance: &Instance) -> u32 {
+    crc32(&serde::binary::to_bytes(instance))
 }
 
 /// Serialize `data` into the framed snapshot byte format. The payload is
@@ -336,7 +358,7 @@ impl<'a> Engine<'a> {
     pub fn snapshot(&self, planner: &dyn Planner) -> SnapshotData {
         SnapshotData {
             planner_name: planner.name().to_string(),
-            instance: self.instance().clone(),
+            instance_fingerprint: instance_fingerprint(self.instance()),
             config: self.config().clone(),
             engine: self.export_state(),
             planner: planner.export_snapshot(),
@@ -354,13 +376,15 @@ impl<'a> Engine<'a> {
     }
 }
 
-/// Rebuild an engine + planner pair from a decoded snapshot. The engine
-/// borrows the instance and config out of `data`, so the snapshot must
-/// outlive the resumed run. `planner` must be a fresh instance of the same
-/// planner type that was checkpointed ([`SnapshotError::WrongPlanner`]
-/// otherwise); do **not** call [`Engine::start`] on the returned engine.
+/// Rebuild an engine + planner pair from a decoded snapshot of a run on
+/// `instance`. The engine borrows only the instance. `instance` must be the
+/// one the snapshot was taken on ([`SnapshotError::WrongInstance`]
+/// otherwise), and `planner` a fresh instance of the same planner type that
+/// was checkpointed ([`SnapshotError::WrongPlanner`] otherwise); do
+/// **not** call [`Engine::start`] on the returned engine.
 pub fn resume_from<'a>(
-    data: &'a SnapshotData,
+    instance: &'a Instance,
+    data: &SnapshotData,
     planner: &mut dyn Planner,
 ) -> Result<Engine<'a>, SnapshotError> {
     if planner.name() != data.planner_name {
@@ -369,12 +393,17 @@ pub fn resume_from<'a>(
             resuming: planner.name(),
         });
     }
-    (data.instance.validate())
-        .map_err(|e| SnapshotError::Decode(format!("snapshot instance: {e}")))?;
-    check_table_sizes(&data.engine, &data.instance)?;
+    let resuming = instance_fingerprint(instance);
+    if resuming != data.instance_fingerprint {
+        return Err(SnapshotError::WrongInstance {
+            snapshot: data.instance_fingerprint,
+            resuming,
+        });
+    }
+    check_table_sizes(&data.engine, instance)?;
     check_legs(&data.engine)?;
     Ok(Engine::resume(
-        &data.instance,
+        instance,
         &data.config,
         planner,
         &data.engine,
@@ -386,20 +415,19 @@ pub fn resume_from<'a>(
 /// have the length [`EngineState::new`] gives it on `instance` (and the live
 /// items' arrival list the length of their order list), every rack, picker
 /// and robot must keep the instance's id, home, picker and station, the
-/// validator's previous positions must name robots of the fleet on cells
-/// of the grid, every robot position, active-path cell, journaled cell
-/// event and deferred blockade must lie on the grid, every idle robot must
-/// stand on a rack home or its own spawn cell, and every robot, picker,
-/// rack and item id of the pending-leg lists, the deferred removals, the
-/// backlog, the robots' phases, the picker queues, `serving`, the racks'
-/// pending items and the journal must name one of the run's. The engine
-/// indexes them by id and cell without bounds checks of its own, and the
-/// journal replay mutates the planner's grid and indexes by them, so a
-/// snapshot that fits another floor would otherwise panic on resume or
-/// within its first ticks. EATP looks idle robots up in a K-nearest index
-/// of just the rack homes and spawn cells
-/// (`docs/adr/ADR-025-knn-idle-cells.md`): an idle robot anywhere else
-/// would never be offered a rack.
+/// cursors and the cancelled orders must lie within what they count, every
+/// robot position, active-path cell, journaled cell event and deferred
+/// blockade must lie on the grid, every idle robot must stand on a rack
+/// home or its own spawn cell, and every robot, picker, rack and item id of
+/// the pending-leg lists, the deferred removals, the backlog, the robots'
+/// phases, the picker queues, `serving`, the racks' pending items and the
+/// journal must name one of the run's. The engine indexes and counts by
+/// them without checks of its own, and the journal replay mutates the
+/// planner's grid and indexes by them, so a snapshot that fits another
+/// floor would otherwise panic on resume or within its first ticks. EATP
+/// looks idle robots up in a K-nearest index of just the rack homes and
+/// spawn cells (`docs/adr/ADR-025-knn-idle-cells.md`): an idle robot
+/// anywhere else would never be offered a rack.
 fn check_table_sizes(state: &EngineState, instance: &Instance) -> Result<(), SnapshotError> {
     let robots = instance.robots.len();
     let pickers = instance.pickers.len();
@@ -449,18 +477,27 @@ fn check_table_sizes(state: &EngineState, instance: &Instance) -> Result<(), Sna
             "engine table `{table}` differs from the instance's ids, homes, pickers or stations"
         )));
     }
-    let validator = state.validator.export_snapshot();
-    let grid = &instance.grid;
-    for &(robot, pos) in &validator.prev_fast {
-        if robot.index() >= robots || !grid.in_bounds(pos) {
-            return Err(SnapshotError::Decode(format!(
-                "engine table `validator` places {robot} at {pos}, off the instance's \
-                 {robots} robots on a {}×{} grid",
-                grid.width(),
-                grid.height()
-            )));
-        }
+    let (pregenerated, events) = (instance.items.len(), instance.disruptions.len());
+    let counters = [
+        ("next_item", state.next_item as u64, 0..=pregenerated as u64),
+        ("next_event", state.next_event as u64, 0..=events as u64),
+        (
+            "next_checkpoint",
+            state.next_checkpoint as u64,
+            1..=CHECKPOINTS as u64 + 1,
+        ),
+        (
+            "orders_cancelled",
+            state.orders_cancelled,
+            0..=state.orders_submitted,
+        ),
+    ];
+    if let Some((field, at, range)) = counters.into_iter().find(|(_, at, r)| !r.contains(at)) {
+        return Err(SnapshotError::Decode(format!(
+            "engine field `{field}` is {at}, outside {range:?}"
+        )));
     }
+    let grid = &instance.grid;
     let mut cells = (state.robots.iter().map(|r| ("robots", r.pos)))
         .chain((state.paths.iter().flatten()).flat_map(|p| p.cells.iter().map(|&c| ("paths", c))))
         .chain(state.journal.iter().filter_map(|e| match e.event {
@@ -681,17 +718,23 @@ mod tests {
         }
         assert!(!engine.is_finished(), "{name}: checkpoint must be mid-run");
         let bytes = encode_snapshot(&engine.snapshot(p2.as_ref()));
+        let previous = engine.export_state().validator.previous();
         drop(engine);
         drop(p2);
 
         let data = decode_snapshot(&bytes).expect("wire round-trip");
         assert_eq!(data.planner_name, name);
         let mut p3 = make(name);
-        let mut resumed = resume_from(&data, p3.as_mut()).expect("resume");
+        let mut resumed = resume_from(inst, &data, p3.as_mut()).expect("resume");
         assert_eq!(
             resumed.export_state(),
             data.engine,
             "{name}: the whole engine state is restored at the resume tick"
+        );
+        assert_eq!(
+            resumed.export_state().validator.previous(),
+            previous,
+            "{name}: the validator's previous check is derived from the robots"
         );
         resumed.run_to_completion(p3.as_mut());
         let report = resumed.report(p3.as_mut());
@@ -738,7 +781,7 @@ mod tests {
             engine.tick_once(p.as_mut());
         }
         let data = engine.snapshot(p.as_ref());
-        let Err(err) = resume_from(&data, make(resumed_into).as_mut()) else {
+        let Err(err) = resume_from(&inst, &data, make(resumed_into).as_mut()) else {
             panic!("{written_by} snapshot resumed into {resumed_into}");
         };
         assert_eq!(
@@ -766,6 +809,7 @@ mod tests {
         // table, re-framed so the checksum holds: the bytes decode, and
         // resuming them must fail naming the table instead of indexing
         // out of bounds a few ticks later.
+        let inst = scenario(None, 42);
         let good = decode_snapshot(&sample_snapshot_bytes()).expect("sample decodes");
         for table in ["broken", "serving", "paths", "removed", "blocked_overlay"] {
             let mut data = good.clone();
@@ -779,7 +823,7 @@ mod tests {
             };
             assert!(shortened, "{table} is empty");
             let data = decode_snapshot(&encode_snapshot(&data)).expect("re-framed bytes decode");
-            let Err(err) = resume_from(&data, make("NTP").as_mut()) else {
+            let Err(err) = resume_from(&inst, &data, make("NTP").as_mut()) else {
                 panic!("a snapshot one `{table}` entry short resumed");
             };
             assert!(
@@ -789,11 +833,11 @@ mod tests {
         }
     }
 
-    /// A CRC-valid snapshot whose own instance puts a rack home or a picker
-    /// off its grid is refused before the resumed `Planner::init` indexes
-    /// by it (EATP's KNN build used to panic on such a rack home).
+    /// A snapshot resumes only on the instance it was taken on: one rack
+    /// home moved, one item's arrival changed or the name changed is
+    /// refused before anything is read against it.
     #[test]
-    fn instance_positions_off_the_grid_are_typed_errors() {
+    fn another_instance_is_refused_by_fingerprint() {
         let inst = scenario(None, 42);
         let mut p = make("EATP");
         let mut engine = Engine::new(&inst, &EngineConfig::default());
@@ -801,23 +845,30 @@ mod tests {
         for _ in 0..3 {
             engine.tick_once(p.as_mut());
         }
-        let good = engine.snapshot(p.as_ref());
-        let (width, height) = (inst.grid.width(), inst.grid.height());
-        for what in ["rack", "picker"] {
-            let mut data = good.clone();
-            match what {
-                "rack" => data.instance.racks[0].home = GridPos::new(0, height),
-                _ => data.instance.pickers[0].pos = GridPos::new(width, height),
-            }
-            let data = decode_snapshot(&encode_snapshot(&data)).expect("bytes decode");
-            let Err(err) = resume_from(&data, make("EATP").as_mut()) else {
-                panic!("a {what} off the grid resumed");
+        let data = decode_snapshot(&encode_snapshot(&engine.snapshot(p.as_ref()))).unwrap();
+        assert_eq!(data.instance_fingerprint, instance_fingerprint(&inst));
+        type Edit = fn(&mut Instance);
+        let edits: [(&str, Edit); 3] = [
+            ("a rack home", |i| i.racks[0].home = i.racks[1].home),
+            ("an arrival", |i| i.items[5].arrival += 1),
+            ("the name", |i| i.name.push('!')),
+        ];
+        for (what, edit) in edits {
+            let mut other = inst.clone();
+            edit(&mut other);
+            let Err(err) = resume_from(&other, &data, make("EATP").as_mut()) else {
+                panic!("a snapshot resumed on an instance with another {what}");
             };
-            assert!(
-                matches!(&err, SnapshotError::Decode(msg) if msg.contains(what)),
-                "{what}: {err:?}"
+            assert_eq!(
+                err,
+                SnapshotError::WrongInstance {
+                    snapshot: data.instance_fingerprint,
+                    resuming: instance_fingerprint(&other),
+                },
+                "{what}"
             );
         }
+        resume_from(&inst, &data, make("EATP").as_mut()).expect("the true instance resumes");
     }
 
     #[test]
@@ -1018,8 +1069,8 @@ mod tests {
             }
         );
 
-        // Version zero, the retired versions 1–8 and the next one.
-        for version in [0, 1, 2, 3, 4, 5, 6, 7, 8, SNAPSHOT_VERSION + 1] {
+        // Version zero, the retired versions 1–9 and the next one.
+        for version in [0, 1, 2, 3, 4, 5, 6, 7, 8, 9, SNAPSHOT_VERSION + 1] {
             let mut bad = good.clone();
             bad[12..16].copy_from_slice(&version.to_le_bytes());
             assert_eq!(
@@ -1085,54 +1136,14 @@ mod tests {
         bytes
     }
 
+    /// The engine tables that name cells, at tick 3, while idle robots
+    /// still have work ahead. Each of these bytes resumed before the check
+    /// and then panicked: the journal cases inside the planner's journal
+    /// replay, the rest within the first ticks.
     #[test]
-    fn validator_entries_off_the_fleet_or_grid_are_typed_errors() {
-        // One extra previous position in the validator section, re-framed
-        // so the checksum holds.
-        let good = decode_snapshot(&sample_snapshot_bytes()).expect("sample decodes");
-        let with_entry = |robot: u32, pos: GridPos| {
-            let mut validator = good.engine.validator.serialize();
-            let Value::Array(prev) = field_mut(&mut validator, "prev_fast") else {
-                panic!("`prev_fast` must be a list");
-            };
-            prev.push((RobotId(robot), pos).serialize());
-            let mut tree = good.serialize();
-            *field_mut(field_mut(&mut tree, "engine"), "validator") = validator;
-            framed(SNAPSHOT_VERSION, &serde::binary::to_bytes(&tree))
-        };
-        let fleet = good.instance.robots.len() as u32;
-        let (width, height) = (good.instance.grid.width(), good.instance.grid.height());
-        // A robot past the fleet, or a cell off the grid: the bytes decode,
-        // and resuming them must fail naming the validator instead of
-        // indexing out of bounds.
-        for (robot, pos) in [
-            (fleet, GridPos::new(0, 0)),
-            (0, GridPos::new(width, 0)),
-            (0, GridPos::new(0, height)),
-        ] {
-            let data = decode_snapshot(&with_entry(robot, pos)).expect("bytes decode");
-            let Err(err) = resume_from(&data, make("NTP").as_mut()) else {
-                panic!("a validator entry for robot {robot} at {pos} resumed");
-            };
-            assert!(
-                matches!(&err, SnapshotError::Decode(msg) if msg.contains("`validator`")),
-                "{err:?}"
-            );
-        }
-        // A robot id past the `u16` fleet cap is refused while decoding,
-        // before the dense per-robot array is sized by it.
-        let err = decode_snapshot(&with_entry(u32::MAX, GridPos::new(0, 0)))
-            .expect_err("an id past the fleet cap must not decode");
-        assert!(
-            matches!(&err, SnapshotError::Decode(msg) if msg.contains("validator")),
-            "{err:?}"
-        );
-        // The other engine tables that name cells, at tick 3, while idle
-        // robots still have work ahead. Each of these bytes resumed before
-        // the check and then panicked: the journal cases inside the
-        // planner's journal replay, the rest within the first ticks.
+    fn engine_cells_off_the_grid_are_typed_errors() {
+        let inst = scenario(None, 42);
         let good = {
-            let inst = scenario(None, 42);
             let config = EngineConfig::default();
             let mut p = make("NTP");
             let mut engine = Engine::new(&inst, &config);
@@ -1142,7 +1153,7 @@ mod tests {
             }
             engine.snapshot(p.as_ref())
         };
-        let off = GridPos::new(0, height);
+        let off = GridPos::new(0, inst.grid.height());
         let idle = good.engine.paths.iter().position(Option::is_none);
         let idle = idle.expect("an idle robot at tick 3");
         let moving = good.engine.paths.iter().position(Option::is_some);
@@ -1178,7 +1189,7 @@ mod tests {
             let mut data = good.clone();
             corrupt(&mut data.engine);
             let data = decode_snapshot(&encode_snapshot(&data)).expect("bytes decode");
-            let Err(err) = resume_from(&data, make("NTP").as_mut()) else {
+            let Err(err) = resume_from(&inst, &data, make("NTP").as_mut()) else {
                 panic!("a `{table}` cell off the grid resumed");
             };
             assert!(
@@ -1218,7 +1229,7 @@ mod tests {
             let mut data = good.clone();
             data.engine.robots[idle].pos = pos;
             let data = decode_snapshot(&encode_snapshot(&data)).expect("bytes decode");
-            let Err(err) = resume_from(&data, make("EATP").as_mut()) else {
+            let Err(err) = resume_from(&inst, &data, make("EATP").as_mut()) else {
                 panic!("an idle robot at {pos} resumed");
             };
             assert!(
@@ -1227,7 +1238,8 @@ mod tests {
             );
         }
         let data = decode_snapshot(&encode_snapshot(&good)).expect("bytes decode");
-        resume_from(&data, make("EATP").as_mut()).expect("idle robots on their spawn cells resume");
+        resume_from(&inst, &data, make("EATP").as_mut())
+            .expect("idle robots on their spawn cells resume");
     }
 
     /// The engine tables that name robots, pickers, racks and items by id,
@@ -1241,7 +1253,11 @@ mod tests {
     /// not its index and a serving robot past the fleet. The journaled
     /// robot and picker events, a busy robot's rack, a moved station and a
     /// stray live arrival resumed without a panic, and are refused all the
-    /// same.
+    /// same. So are the cursors no run can hold: an item cursor past the
+    /// items (the backlog depth underflowed), more orders cancelled than
+    /// submitted and a checkpoint cursor far past the last checkpoint (both
+    /// overflowed in the checkpoint threshold), an event cursor past the
+    /// schedule and a checkpoint cursor of 0.
     #[test]
     fn id_tables_outside_the_instance_are_typed_errors() {
         let inst = scenario(None, 42);
@@ -1314,7 +1330,7 @@ mod tests {
             let entry = s.serving.iter_mut().flatten().next();
             entry.expect("a picker serving at tick 40").robot = robot;
         };
-        cases.extend::<[(&str, usize, &str, Corrupt); 9]>([
+        cases.extend::<[(&str, usize, &str, Corrupt); 14]>([
             ("LEF", 40, "racks", Box::new(pending)),
             ("NTP", 40, "racks", Box::new(pending)),
             (
@@ -1349,12 +1365,42 @@ mod tests {
                 "live_item_arrivals",
                 Box::new(|s| s.live_item_arrivals.push(3)),
             ),
+            (
+                "NTP",
+                40,
+                "next_item",
+                Box::new(|s| s.next_item = inst.items.len() + 1),
+            ),
+            (
+                "NTP",
+                40,
+                "next_event",
+                Box::new(|s| s.next_event = inst.disruptions.len() + 1),
+            ),
+            (
+                "NTP",
+                40,
+                "orders_cancelled",
+                Box::new(|s| s.orders_cancelled = s.orders_submitted + 1),
+            ),
+            (
+                "NTP",
+                40,
+                "next_checkpoint",
+                Box::new(|s| s.next_checkpoint = usize::MAX / 2),
+            ),
+            (
+                "NTP",
+                40,
+                "next_checkpoint",
+                Box::new(|s| s.next_checkpoint = 0),
+            ),
         ]);
         for (name, ticks, table, corrupt) in cases {
             let mut data = at_tick(name, ticks);
             corrupt(&mut data.engine);
             let data = decode_snapshot(&encode_snapshot(&data)).expect("bytes decode");
-            let Err(err) = resume_from(&data, make(name).as_mut()) else {
+            let Err(err) = resume_from(&inst, &data, make(name).as_mut()) else {
                 panic!("{name}: a `{table}` id outside the instance resumed");
             };
             assert!(
@@ -1362,18 +1408,6 @@ mod tests {
                 "{name}: {err:?}"
             );
         }
-    }
-
-    /// The value under `key` in the object `v`.
-    fn field_mut<'v>(v: &'v mut Value, key: &str) -> &'v mut Value {
-        let Value::Object(fields) = v else {
-            panic!("`{key}` must sit in an object");
-        };
-        let (_, value) = fields
-            .iter_mut()
-            .find(|(k, _)| k == key)
-            .unwrap_or_else(|| panic!("no `{key}` field"));
-        value
     }
 
     /// The first snapshot of a clean-floor `name` run at a tick boundary
@@ -1393,13 +1427,14 @@ mod tests {
         }
     }
 
-    /// Resume `data` with its engine slice edited by `edit`, through the
-    /// byte format, and return the refusal.
+    /// Resume `data`, a snapshot of the clean floor, with its engine slice
+    /// edited by `edit`, through the byte format, and return the refusal.
     fn refusal(data: &SnapshotData, edit: impl Fn(&mut EngineState)) -> SnapshotError {
         let mut data = data.clone();
         edit(&mut data.engine);
         let data = decode_snapshot(&encode_snapshot(&data)).expect("bytes decode");
-        match resume_from(&data, make(&data.planner_name).as_mut()) {
+        let inst = scenario(None, 42);
+        match resume_from(&inst, &data, make(&data.planner_name).as_mut()) {
             Ok(_) => panic!("{}: the edited slice resumed", data.planner_name),
             Err(err) => err,
         }
@@ -1492,9 +1527,10 @@ mod tests {
                 s.robots[ai].phase.is_travelling() && s.paths[ai].as_ref().is_some_and(long)
             })
         });
-        resume_from(&data, make("ATP").as_mut()).expect("the untouched slice resumes");
+        let inst = scenario(None, 42);
+        resume_from(&inst, &data, make("ATP").as_mut()).expect("the untouched slice resumes");
         let ai = moving(&data.engine)[0];
-        let grid = &data.instance.grid;
+        let grid = &inst.grid;
         let (w, h) = (grid.width() as Tick, grid.height() as Tick);
         let reach = data.engine.t + (w - 1) + (h - 1) + EatpConfig::default().horizon_slack;
         /// Move the run to tick `to`, every path with it.

@@ -17,8 +17,10 @@
 //!   whenever the changed robots conflict, so the caller reruns the full
 //!   check and conflict counts and order stay the full check's.
 //!
-//! Both leave the same canonical state ([`ValidatorSnapshot`]). The cell
-//! index is derived and never serialised.
+//! Both leave the same state. Only the conflicts are canonical: the
+//! previous check's tick and positions are the engine's robots at the
+//! tick boundary, restored by `TrajectoryValidator::restart` on resume,
+//! and the cell index is rebuilt by the first full check after it.
 
 use serde::{Deserialize, Serialize};
 use tprw_pathfinding::Conflict;
@@ -27,80 +29,38 @@ use tprw_warehouse::{GridMap, GridPos, RobotId, Tick};
 #[cfg(test)]
 pub(crate) mod reference;
 
-/// Largest robot index a [`ValidatorSnapshot`] may name on import: the
-/// fleet cap both reservation layers enforce ([`tprw_warehouse::MAX_FLEET`]).
-/// The dense previous-position array is sized by the largest index, so an
-/// unchecked one could ask for gigabytes.
-const MAX_ROBOT_INDEX: usize = tprw_warehouse::MAX_FLEET - 1;
-
 /// Sliding-window conflict checker fed one tick of robot positions at a
 /// time.
 ///
 /// The validator is canonical engine state and lives in
 /// [`crate::engine::EngineState`] in this working layout, but it compares,
-/// serialises and deserialises as its [`ValidatorSnapshot`]: the cell
-/// index, its stamp and the array capacities are physical layout, not
-/// logical state.
-#[derive(Debug, Clone, Default)]
+/// serialises and deserialises as its conflicts alone: the previous check
+/// is derived from the engine's robots, and the cell index, its stamp and
+/// the array capacities are physical layout, not logical state.
+#[derive(Debug, Clone, Default, Serialize, Deserialize)]
 pub struct TrajectoryValidator {
+    #[serde(skip)]
     prev_t: Option<Tick>,
     /// All conflicts observed so far.
     pub conflicts: Vec<Conflict>,
     /// Previous checked cell per robot index (`None` = off the grid).
+    #[serde(skip)]
     prev: Vec<Option<GridPos>>,
     /// `(stamp, robot index)` per row-major grid cell: the cell's first
     /// claimant where the stamp equals `cell_stamp` (never 0 once a full
     /// check ran).
+    #[serde(skip)]
     cells: Vec<(u32, u32)>,
+    #[serde(skip)]
     cell_stamp: u32,
     /// `cells` holds exactly `prev`, one robot per cell.
+    #[serde(skip)]
     synced: bool,
-}
-
-/// The canonical (checkpoint-persisted) state of a
-/// [`TrajectoryValidator`]: the previous tick's positions, the previous
-/// tick itself, and every conflict observed so far. The cell index is
-/// physical layout, not logical state, and is rebuilt by the first full
-/// check after import.
-#[derive(Debug, Clone, PartialEq, Eq, Default, Serialize, Deserialize)]
-pub struct ValidatorSnapshot {
-    /// Previous checked tick (`None` before the first check).
-    pub prev_t: Option<Tick>,
-    /// Conflicts observed so far, in recording order.
-    pub conflicts: Vec<Conflict>,
-    /// Previous positions, robot-sorted.
-    pub prev_fast: Vec<(RobotId, GridPos)>,
 }
 
 impl PartialEq for TrajectoryValidator {
     fn eq(&self, other: &Self) -> bool {
-        self.export_snapshot() == other.export_snapshot()
-    }
-}
-
-impl Serialize for TrajectoryValidator {
-    fn serialize(&self) -> serde::Value {
-        self.export_snapshot().serialize()
-    }
-
-    fn encode(&self, out: &mut Vec<u8>) {
-        self.export_snapshot().encode(out)
-    }
-}
-
-impl Deserialize for TrajectoryValidator {
-    fn deserialize(v: &serde::Value) -> Result<Self, serde::Error> {
-        let snap = ValidatorSnapshot::deserialize(v)?;
-        let beyond_cap = |(r, _): &&(RobotId, GridPos)| r.index() > MAX_ROBOT_INDEX;
-        if let Some(&(robot, _)) = snap.prev_fast.iter().find(beyond_cap) {
-            return Err(serde::Error::msg(format!(
-                "validator names {robot}, beyond the fleet cap of {}",
-                MAX_ROBOT_INDEX + 1
-            )));
-        }
-        let mut validator = Self::default();
-        validator.import_snapshot(&snap);
-        Ok(validator)
+        self.conflicts == other.conflicts
     }
 }
 
@@ -256,27 +216,27 @@ impl TrajectoryValidator {
         self.conflicts.len()
     }
 
-    /// Export the canonical state (see [`ValidatorSnapshot`]).
-    pub fn export_snapshot(&self) -> ValidatorSnapshot {
+    /// The previous check's tick and every on-grid robot's cell in it,
+    /// robot-sorted.
+    #[cfg(any(test, debug_assertions))]
+    pub(crate) fn previous(&self) -> (Option<Tick>, Vec<(RobotId, GridPos)>) {
         let prev = self.prev.iter().enumerate();
-        ValidatorSnapshot {
-            prev_t: self.prev_t,
-            conflicts: self.conflicts.clone(),
-            prev_fast: prev
-                .filter_map(|(i, &p)| Some((RobotId::new(i), p?)))
-                .collect(),
-        }
+        let cells = prev.filter_map(|(i, &p)| Some((RobotId::new(i), p?)));
+        (self.prev_t, cells.collect())
     }
 
-    /// Rebuild a validator from an exported snapshot: the restored instance
-    /// reaches exactly the verdicts the exporting one would from the next
-    /// check onward. Its first check is a full one, which rebuilds the
-    /// cell index.
-    pub fn import_snapshot(&mut self, snap: &ValidatorSnapshot) {
-        *self = Self::default();
-        self.prev_t = snap.prev_t;
-        self.conflicts = snap.conflicts.clone();
-        for &(robot, pos) in &snap.prev_fast {
+    /// Keep the conflicts and restart the rest as if the previous check
+    /// had been at `prev_t` and seen `positions`: a run resumed at a tick
+    /// boundary `t` passes `t.checked_sub(1)` and its on-grid robots, and
+    /// then reaches exactly the uncut run's verdicts. Its first check is a
+    /// full one, which rebuilds the cell index.
+    pub(crate) fn restart(&mut self, prev_t: Option<Tick>, positions: &[(RobotId, GridPos)]) {
+        *self = Self {
+            prev_t,
+            conflicts: std::mem::take(&mut self.conflicts),
+            ..Self::default()
+        };
+        for &(robot, pos) in positions {
             self.set_prev(robot, Some(pos));
         }
     }
@@ -414,29 +374,38 @@ mod tests {
         assert_eq!(v.conflict_count(), 0);
     }
 
-    /// A validator restored from a snapshot must reach exactly the verdicts
-    /// the original would on every subsequent tick.
+    /// A validator decoded from its conflicts and restarted from the
+    /// previous tick's positions must reach exactly the verdicts the
+    /// original would on every subsequent tick.
     #[test]
     fn snapshot_roundtrip_preserves_verdicts() {
         let grid = grid();
-        let mut v = checked(&[(0, &[(id(0), p(0, 0)), (id(1), p(1, 0))])]);
-        let mut restored = TrajectoryValidator::new();
-        restored.import_snapshot(&v.export_snapshot());
+        let before = [(id(0), p(0, 0)), (id(1), p(1, 0))];
+        let mut v = checked(&[(0, &[(id(2), p(5, 5)), (id(3), p(5, 5))]), (1, &before)]);
+        let bytes = serde::binary::to_bytes(&v);
+        let tree = serde::binary::from_bytes(&bytes).expect("the conflicts decode");
+        let mut restored = TrajectoryValidator::deserialize(&tree).expect("a conflict list");
+        assert_eq!(restored.conflicts, v.conflicts);
+        restored.restart(Some(1), &before);
+        assert_eq!(restored.previous(), v.previous());
         // The swap verdict depends on the previous tick's positions.
         let swap = [(id(0), p(1, 0)), (id(1), p(0, 0))];
-        v.check_tick(1, &swap, &grid);
-        restored.check_tick(1, &swap, &grid);
+        v.check_tick(2, &swap, &grid);
+        restored.check_tick(2, &swap, &grid);
         assert_eq!(v.conflicts, restored.conflicts);
-        assert_eq!(v.conflict_count(), 1);
+        assert_eq!(v.conflict_count(), 2, "a shared cell, then 0 and 1 swap");
         assert_eq!(
-            v.export_snapshot(),
-            restored.export_snapshot(),
-            "re-exports agree after further checking"
+            v.previous(),
+            restored.previous(),
+            "the previous positions agree after further checking"
         );
 
-        // An untouched validator round-trips to the empty snapshot.
-        let empty = TrajectoryValidator::new().export_snapshot();
-        assert_eq!(empty, ValidatorSnapshot::default());
+        // An untouched validator decodes as one.
+        let untouched = serde::binary::to_bytes(&TrajectoryValidator::new());
+        let tree = serde::binary::from_bytes(&untouched).expect("the conflicts decode");
+        let decoded = TrajectoryValidator::deserialize(&tree).expect("no conflict");
+        assert_eq!(decoded.previous(), TrajectoryValidator::new().previous());
+        assert!(decoded.conflicts.is_empty());
     }
 
     /// Recorded conflicts keep the wire bytes of the type they replaced.
@@ -555,7 +524,7 @@ mod tests {
     /// The delta entry leaves exactly the full check's state after every
     /// tick of random trajectories: steps, docks and undocks, injected
     /// vertex conflicts (some left standing) and swaps, tick gaps, and
-    /// export/import round trips that drop the cell index.
+    /// restarts that drop the cell index.
     #[test]
     fn delta_check_matches_full_check() {
         let grid = grid();
@@ -616,15 +585,11 @@ mod tests {
                     full.conflict_count(),
                     "seed {seed}, tick {t}"
                 );
-                assert_eq!(
-                    delta.export_snapshot(),
-                    full.export_snapshot(),
-                    "seed {seed}, tick {t}"
-                );
+                assert_eq!(delta.conflicts, full.conflicts, "seed {seed}, tick {t}");
+                assert_eq!(delta.previous(), full.previous(), "seed {seed}, tick {t}");
                 if next(25) == 0 {
-                    let snap = delta.export_snapshot();
-                    delta = TrajectoryValidator::new();
-                    delta.import_snapshot(&snap);
+                    let (prev_t, cells) = delta.previous();
+                    delta.restart(prev_t, &cells);
                 }
             }
             assert!(

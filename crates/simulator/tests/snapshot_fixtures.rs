@@ -22,7 +22,7 @@ use tprw_warehouse::{Instance, LayoutConfig, ScenarioSpec, WorkloadConfig};
 /// The bytes of one recorded fixture of this schema version.
 macro_rules! fixture {
     ($file:literal) => {
-        include_bytes!(concat!("../testdata/snapshot-v9/", $file))
+        include_bytes!(concat!("../testdata/snapshot-v10/", $file))
     };
 }
 
@@ -146,7 +146,7 @@ fn recorded_snapshots_pin_the_format_and_resume_bit_identically() {
         );
 
         let mut p = make(name);
-        let mut resumed = resume_from(&recorded, p.as_mut()).expect("the fixture resumes");
+        let mut resumed = resume_from(&inst, &recorded, p.as_mut()).expect("the fixture resumes");
         assert_eq!(
             resumed.state_hash(),
             state_at_tick,

@@ -10,7 +10,7 @@ use std::collections::VecDeque;
 
 /// An item (a *task*): it emerges on rack `rack` at `arrival` and consumes
 /// `processing` time units at the rack's picker.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
 pub struct Item {
     /// Identifier.
     pub id: ItemId,

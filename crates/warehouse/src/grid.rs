@@ -5,10 +5,10 @@
 //! storage cells remain passable (Wurman et al., AI Mag. 2008).
 
 use crate::geometry::GridPos;
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 /// The function of a cell.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize)]
 pub enum CellKind {
     /// Open floor used for travel.
     Aisle,
@@ -30,7 +30,7 @@ impl CellKind {
 
 /// A dense `height`×`width` map of [`CellKind`]s with a grid index
 /// (row-major `Vec`), as built by [`crate::layout::LayoutConfig`].
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Serialize)]
 pub struct GridMap {
     width: u16,
     height: u16,
@@ -182,13 +182,5 @@ mod tests {
         assert_eq!(lines.len(), 3);
         assert_eq!(lines[1], ".R#.");
         assert_eq!(lines[2], "...P");
-    }
-
-    #[test]
-    fn serde_roundtrip() {
-        let m = small_map();
-        let json = serde_json::to_string(&m).unwrap();
-        let back: GridMap = serde_json::from_str(&json).unwrap();
-        assert_eq!(m, back);
     }
 }

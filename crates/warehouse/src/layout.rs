@@ -60,7 +60,7 @@ impl LayoutConfig {
 
 /// A generated layout: the grid plus the storage and station cell lists in
 /// deterministic (row-major) order.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone, Serialize)]
 pub struct Layout {
     /// The cell map.
     pub grid: GridMap,

@@ -42,7 +42,7 @@ pub struct ScenarioSpec {
 }
 
 /// A concrete problem instance: initial world state + item stream.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone, Serialize)]
 pub struct Instance {
     /// Scenario name.
     pub name: String,
@@ -225,8 +225,8 @@ impl Instance {
         self.items.last().map(|i| i.arrival).unwrap_or(0)
     }
 
-    /// Check structural invariants; used by tests and when a snapshot
-    /// resumes. Positions are bounds-checked before the grid is read there.
+    /// Check structural invariants; used by tests. Positions are
+    /// bounds-checked before the grid is read.
     ///
     /// # Errors
     ///

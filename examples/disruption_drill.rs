@@ -12,7 +12,8 @@
 //! With `--checkpoint-every N` the disrupted run additionally exercises the
 //! checkpoint/resume subsystem under fire: every `N` ticks the engine and
 //! planner are serialized to disk, **dropped**, and resumed from the file
-//! alone — the only state crossing a segment boundary is the snapshot. The
+//! plus the instance it was built on — the only run state crossing a
+//! segment boundary is the snapshot. The
 //! drill asserts the final fingerprint is bit-identical to the
 //! straight-through run.
 //!
@@ -74,7 +75,8 @@ fn numeric_arg(flag: &str, min: u64) -> Option<u64> {
 
 /// Run `name` on `inst` in `every`-tick segments: each boundary saves a
 /// snapshot to `path`, drops the engine and planner, and resumes a fresh
-/// pair from the file alone. Returns the final report and the save count.
+/// pair from the file plus the instance it was built on. Returns the final
+/// report and the save count.
 fn checkpointed_run(
     inst: &Instance,
     name: &str,
@@ -104,7 +106,7 @@ fn checkpointed_run(
     loop {
         let data = read_snapshot(path).expect("snapshot reads back");
         let mut planner = planner_by_name(name, &EatpConfig::default()).expect("known planner");
-        let mut engine = eatp::simulator::resume_from(&data, &mut *planner).expect("resumes");
+        let mut engine = eatp::simulator::resume_from(inst, &data, &mut *planner).expect("resumes");
         let target = engine.current_tick() + every;
         while !engine.is_finished() && engine.current_tick() < target {
             engine.tick_once(&mut *planner);
@@ -163,7 +165,8 @@ fn drive_live(
 }
 
 /// [`checkpointed_run`] for live mode: each segment boundary saves, drops
-/// engine + planner, resumes from the file alone, and the *entire* command
+/// engine + planner, resumes from the file plus the instance it was built
+/// on, and the *entire* command
 /// stream is redelivered into every resumed segment.
 fn checkpointed_live_run(
     twin: &Instance,
@@ -193,7 +196,7 @@ fn checkpointed_live_run(
     loop {
         let data = read_snapshot(path).expect("snapshot reads back");
         let mut planner = planner_by_name(name, &EatpConfig::default()).expect("known planner");
-        let mut engine = eatp::simulator::resume_from(&data, &mut *planner).expect("resumes");
+        let mut engine = eatp::simulator::resume_from(twin, &data, &mut *planner).expect("resumes");
         let target = engine.current_tick() + every;
         while !engine.is_finished() && engine.current_tick() < target {
             let mut due = stream.to_vec();
@@ -392,7 +395,7 @@ fn main() {
     if checkpoint_every.is_some() {
         println!(
             "checkpoint/resume held under fire: every segment boundary crossed \
-             through the snapshot file alone."
+             through the snapshot file plus the instance it was built on."
         );
     }
     if live_orders {

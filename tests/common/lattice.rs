@@ -328,16 +328,15 @@ pub fn run(world: &Instance, point: Point) -> Outcome {
         acks: Vec::new(),
         states: point.lockstep.then(Vec::new),
     };
-    let snapshot;
     let mut planner = planner_by_name(point.planner, &EatpConfig::default()).unwrap();
     let mut engine = Engine::new(&instance, &config);
     engine.start(planner.as_mut());
     if let Some(cut) = point.cut {
         drive(&mut engine, &mut *planner, &stream, cut, &mut trace);
         let bytes = encode_snapshot(&engine.snapshot(planner.as_ref()));
-        snapshot = decode_snapshot(&bytes).expect("a snapshot decodes");
+        let snapshot = decode_snapshot(&bytes).expect("a snapshot decodes");
         planner = planner_by_name(point.planner, &EatpConfig::default()).unwrap();
-        engine = resume_from(&snapshot, planner.as_mut()).expect("a snapshot resumes");
+        engine = resume_from(&instance, &snapshot, planner.as_mut()).expect("a snapshot resumes");
     }
     drive(&mut engine, &mut *planner, &stream, Tick::MAX, &mut trace);
     let submitted = stream
