@@ -37,22 +37,36 @@ pub struct SelectionScratch {
     pub candidates: Vec<RackId>,
 }
 
-/// Marker constructors so `PlannerBase` can build its reservation structure
-/// from grid dimensions.
+/// How `PlannerBase` builds its reservation structure and collects it.
 pub trait ReservationBackend: ReservationSystem + MemoryFootprint {
     /// Construct an empty structure for a `width`×`height` grid.
     fn create(width: u16, height: u16) -> Self;
+    /// End-of-tick GC at `t` on this structure's cadence, which depends on
+    /// `t` alone (called every tick, so a resume keeps the uncut cadence).
+    fn housekeeping(&mut self, t: Tick);
 }
 
+/// Releases passed layers every tick (`docs/adr/ADR-035-stg-layer-ring.md`).
 impl ReservationBackend for SpatioTemporalGraph {
     fn create(width: u16, height: u16) -> Self {
         SpatioTemporalGraph::new(width, height)
     }
+    fn housekeeping(&mut self, t: Tick) {
+        self.release_before(t);
+    }
 }
+
+/// Ticks between CDT collections, each a sweep of every occupied window.
+const GC_PERIOD: Tick = 64;
 
 impl ReservationBackend for ConflictDetectionTable {
     fn create(width: u16, height: u16) -> Self {
         ConflictDetectionTable::new(width, height)
+    }
+    fn housekeeping(&mut self, t: Tick) {
+        if t.is_multiple_of(GC_PERIOD) {
+            self.release_before(t);
+        }
     }
 }
 
@@ -85,8 +99,6 @@ pub struct PlannerBase<R: ReservationBackend> {
     /// Mutual-exclusion groups already satisfied within the current
     /// [`PlannerBase::commit_legs`] batch (indexed by group id).
     group_done: Vec<bool>,
-    /// The tick reservation GC last ran at.
-    last_gc: Tick,
 }
 
 impl<R: ReservationBackend> PlannerBase<R> {
@@ -117,7 +129,6 @@ impl<R: ReservationBackend> PlannerBase<R> {
             sel: SelectionScratch::default(),
             group_done: Vec::new(),
             grid,
-            last_gc: 0,
         }
     }
 
@@ -310,12 +321,9 @@ impl<R: ReservationBackend> PlannerBase<R> {
         self.resv.park(robot, pos, t);
     }
 
-    /// Reservation GC, self-gated on the configured period.
+    /// End-of-tick reservation GC ([`ReservationBackend::housekeeping`]).
     pub fn housekeeping(&mut self, t: Tick) {
-        if t >= self.last_gc + self.config.gc_period {
-            self.resv.release_before(t);
-            self.last_gc = t;
-        }
+        self.resv.housekeeping(t);
     }
 
     /// Remove the parked entry of a robot that docked into a station bay.
@@ -328,9 +336,7 @@ impl<R: ReservationBackend> PlannerBase<R> {
     /// robot holds its [`resumed_reservations`]. The uncut run's table
     /// differs only in ticks before `t`, which no query reads, and in the
     /// starts of parks that began by `t`, which every query reads alike
-    /// (`docs/adr/ADR-033-derived-reservations.md`). GC keeps the uncut
-    /// run's cadence: housekeeping runs at the end of every tick, so the
-    /// last collection was at the latest multiple of the period before `t`.
+    /// (`docs/adr/ADR-033-derived-reservations.md`).
     ///
     /// The caller guarantees the state is one a run can hold: every path
     /// holds a cell, starts by `t` and ends by `t + leg_span`, and no two
@@ -347,8 +353,6 @@ impl<R: ReservationBackend> PlannerBase<R> {
                 self.resv.park(robot.id, pos, from);
             }
         }
-        let last = t.saturating_sub(1);
-        self.last_gc = last - last.checked_rem(self.config.gc_period).unwrap_or(0);
     }
 
     /// Refuse a resume at tick `t` whose active paths run to a tick
@@ -484,21 +488,72 @@ mod tests {
         assert!(base.stats.selection_ns > 0);
     }
 
+    /// A 300-tick wait of robot 0 on its spawn cell: one timed step a tick.
+    fn wait_300(inst: &Instance) -> Path {
+        Path {
+            start: 0,
+            cells: vec![inst.robots[0].pos; 300],
+        }
+    }
+
+    /// The conflict detection table collects at the multiples of 64 only.
+    /// A table rebuilt at a resumed tick between two of them collects on
+    /// the uncut run's ticks, so from the first collection after the cut
+    /// both hold the same steps.
     #[test]
-    fn housekeeping_gates_on_period() {
+    fn cdt_collects_at_multiples_of_64_also_after_a_resume() {
         let inst = instance();
-        let mut base: PlannerBase<ConflictDetectionTable> =
+        let wait = wait_300(&inst);
+        let mut uncut: PlannerBase<ConflictDetectionTable> =
             PlannerBase::new(&inst, EatpConfig::default(), false);
-        let robot = inst.robots[0].id;
-        let from = inst.robots[0].pos;
-        let to = inst.racks[0].home;
-        let path = base.plan_and_reserve(robot, from, to, 0, true).unwrap();
-        let live = base.resv.reservation_count();
-        assert!(live > 0);
-        base.housekeeping(1); // within period: no-op (last_gc = 0, period 64)
-        assert_eq!(base.resv.reservation_count(), live);
-        base.housekeeping(path.end() + 65);
-        assert_eq!(base.resv.reservation_count(), 0, "past entries collected");
+        uncut.resv.reserve_path(inst.robots[0].id, &wait, true);
+        let cut = 100;
+        let mut resumed: PlannerBase<ConflictDetectionTable> =
+            PlannerBase::new(&inst, EatpConfig::default(), false);
+        let paths: Vec<Option<Path>> = (0..inst.robots.len())
+            .map(|i| (i == 0).then(|| wait.clone()))
+            .collect();
+        let robots = &inst.robots[..];
+        resumed.on_event(PlannerEvent::Resumed {
+            t: cut,
+            robots,
+            paths: &paths,
+        });
+        for t in 0..300 {
+            // Housekeeping runs at the end of every tick, from the cut on
+            // in the resumed run.
+            uncut.housekeeping(t);
+            let collected = t - t % 64;
+            assert_eq!(
+                uncut.resv.reservation_count() as Tick,
+                300 - collected,
+                "tick {t}"
+            );
+            if t >= cut {
+                resumed.housekeeping(t);
+                let held = 300 - collected.max(cut);
+                assert_eq!(
+                    resumed.resv.reservation_count() as Tick,
+                    held,
+                    "resumed, tick {t}"
+                );
+            }
+        }
+    }
+
+    /// The spatiotemporal graph releases its passed layers every tick.
+    #[test]
+    fn stg_releases_every_tick() {
+        let inst = instance();
+        let mut base: PlannerBase<SpatioTemporalGraph> =
+            PlannerBase::new(&inst, EatpConfig::default(), false);
+        base.resv
+            .reserve_path(inst.robots[0].id, &wait_300(&inst), true);
+        for t in 0..300 {
+            base.housekeeping(t);
+            assert_eq!(base.resv.reservation_count() as Tick, 300 - t, "tick {t}");
+            assert_eq!(base.resv.layer_count() as Tick, 300 - t, "tick {t}");
+        }
     }
 
     /// A table rebuilt at a resumed tick from the fleet and its active

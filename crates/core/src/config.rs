@@ -51,9 +51,6 @@ pub struct EatpConfig {
     pub max_expansions: usize,
     /// Extra ticks beyond the uncongested distance before a query gives up.
     pub horizon_slack: u64,
-    /// Reservation garbage-collection period in ticks (the paper's periodic
-    /// `update`).
-    pub gc_period: u64,
 }
 
 impl Default for EatpConfig {
@@ -63,7 +60,6 @@ impl Default for EatpConfig {
             k_nearest: 16,
             max_expansions: 60_000,
             horizon_slack: 256,
-            gc_period: 64,
         }
     }
 }

@@ -299,9 +299,9 @@ pub trait Planner {
         match *fault {}
     }
 
-    /// Periodic maintenance: reservation garbage collection (the paper's
-    /// `update` operation). Called every tick; implementations self-gate on
-    /// their configured period.
+    /// End-of-tick maintenance: reservation garbage collection (the paper's
+    /// `update` operation). Called every tick; each reservation structure
+    /// collects on its own cadence.
     fn housekeeping(&mut self, t: Tick);
 
     /// Current cumulative statistics.
