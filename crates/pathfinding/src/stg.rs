@@ -3,34 +3,39 @@
 //! This is the reservation structure used by ATP and the baseline planners.
 //! Each *time layer* is a dense `H·W` occupancy array, so worst-case space is
 //! `O(HW · T)` — the cost the paper's Sec. VI-B replaces with the
-//! [`crate::cdt::ConflictDetectionTable`]. Planners release passed layers
-//! at the end of every tick (`release_before`), matching the paper's note
-//! that all planners "eliminate passed spatiotemporal graph … timely"; the
-//! structure is nonetheless much larger than the CDT because live layers
-//! materialize every cell.
+//! [`crate::cdt::ConflictDetectionTable`]. Passed layers are released
+//! every tick (`release_before`, ADR-035), matching the paper's note that
+//! all planners "eliminate passed spatiotemporal graph … timely"; the structure
+//! is nonetheless much larger than the CDT because live layers materialize
+//! every cell.
 //!
 //! # Hot-path design
 //!
-//! Layers are `u16` arrays with `u16::MAX` as the "empty" sentinel, a
-//! quarter of the seed's `Option<RobotId>` bytes; reserving with a robot
-//! id at or above [`MAX_FLEET`] panics rather than aliasing it. The
-//! `VecDeque` of layers is a ring of the live ticks, `layers[t - base]`
-//! holding tick `t`. `release_before` pops passed layers, subtracting the
-//! live-reservation count each keeps on insert, and keeps one of them as
-//! the `spare`, which `ensure_layer` takes before it allocates: a ring
-//! that opens and passes one tick at a time fills no new layer with
-//! `EMPTY`. `memory_bytes` counts the spare
-//! (`docs/adr/ADR-035-stg-layer-ring.md`).
+//! Layers are `u16` arrays with `u16::MAX` as the "empty" sentinel rather
+//! than the seed's `Option<RobotId>` boxes, a quarter of the bytes per
+//! cell. Fleet sizes in the paper are ≤ 10⁴, far below [`MAX_FLEET`];
+//! reserving with a robot id at or above it panics rather than aliasing
+//! the sentinel. The `VecDeque` of layers is the tick ring: `layers[t -
+//! base]` is the occupancy of tick `t`, the front is popped as time passes,
+//! and `ensure_layer` appends (or prepends, for out-of-order reservations)
+//! fresh layers. Each layer carries its live-reservation count, maintained
+//! on insert, so `release_before` pops passed layers without rescanning
+//! their cells.
 //!
-//! A paper-scale layer is 80 KB, so a probe of the dense cell misses L2
-//! and almost always finds it empty. Each layer therefore keeps a **line
-//! map**, one bit per `LINE` = 32 cells: a clear bit means every cell of
-//! its line is `EMPTY`. Writes set bits and `release_robot` leaves them
-//! set (a stale bit costs the dense read it would have made anyway); reads
-//! check the bit first, and walks (`release_robot`, emptying the spare)
-//! visit only set lines. `can_move` is the trait default over `occupant`,
-//! and [`crate::reservation::ParkingBoard`] supplies the parked
-//! fallthrough (`docs/adr/ADR-031-stg-line-map.md`).
+//! A paper-scale layer is 80 KB, and the live ones fill ~17 MB, so a probe
+//! of the dense cell misses L2 and almost always finds it empty. Each layer
+//! therefore also keeps a **line map**: one bit per `LINE` = 32 consecutive
+//! cells (64 bytes of the layer), 160 B for a 200×200 layer. The invariant
+//! is one-sided: a clear bit means every cell of its line is `EMPTY`.
+//! Writes set the bit of every cell they fill; `release_robot` leaves bits
+//! set, since a stale bit only costs the dense read it would have made
+//! anyway. `occupant` and `last_reservation_excluding` read the bit first
+//! and the dense cell only when it is set, and the full walk
+//! (`release_robot`) visits only set lines. `can_move` is
+//! the trait default over `occupant`, which probes the `from` cell only
+//! when someone stands on `to` at `t`.
+//! [`crate::reservation::ParkingBoard`] supplies the parked fallthrough as
+//! a dense probe as well (`docs/adr/ADR-031-stg-line-map.md`).
 
 use crate::footprint::MemoryFootprint;
 use crate::path::Path;
@@ -94,18 +99,6 @@ fn line_set(lines: &[u64], line: usize) -> bool {
     lines[line / 64] >> (line % 64) & 1 != 0
 }
 
-/// The cells of each set line of a map over `len` cells, one step per set
-/// bit (a clear word costs one test).
-fn set_lines(lines: &[u64], len: usize) -> impl Iterator<Item = std::ops::Range<usize>> + '_ {
-    let bits = |(w, &word): (usize, &u64)| {
-        let rest = std::iter::successors(Some(word), |&b| Some(b & b.wrapping_sub(1)));
-        rest.take_while(|&b| b != 0)
-            .map(move |b| w * 64 + b.trailing_zeros() as usize)
-    };
-    let lines = lines.iter().enumerate().flat_map(bits);
-    lines.map(move |line| line * LINE..len.min((line + 1) * LINE))
-}
-
 /// Dense per-tick occupancy layers over an `H·W` grid.
 #[derive(Debug, Clone)]
 pub struct SpatioTemporalGraph {
@@ -114,8 +107,6 @@ pub struct SpatioTemporalGraph {
     /// Tick of `layers\[0\]`.
     base: Tick,
     layers: VecDeque<Layer>,
-    /// One popped layer, already empty, for the next `ensure_layer`.
-    spare: Option<Layer>,
     parked: ParkingBoard,
     reservations: usize,
 }
@@ -128,14 +119,16 @@ impl SpatioTemporalGraph {
             cells_per_layer: width as usize * height as usize,
             base: 0,
             layers: VecDeque::new(),
-            spare: None,
             parked: ParkingBoard::new(width, height),
             reservations: 0,
         }
     }
 
     fn layer_index(&self, t: Tick) -> Option<usize> {
-        let i = t.checked_sub(self.base)? as usize;
+        if t < self.base {
+            return None;
+        }
+        let i = (t - self.base) as usize;
         (i < self.layers.len()).then_some(i)
     }
 
@@ -143,16 +136,17 @@ impl SpatioTemporalGraph {
         if self.layers.is_empty() {
             self.base = t;
         }
-        let mut empty = || (self.spare.take()).unwrap_or_else(|| Layer::new(self.cells_per_layer));
         // Reservations may arrive out of tick order; extend backwards too.
         while t < self.base {
-            self.layers.push_front(empty());
+            self.layers.push_front(Layer::new(self.cells_per_layer));
             self.base -= 1;
         }
-        while self.layers.len() <= (t - self.base) as usize {
-            self.layers.push_back(empty());
+        let need = (t - self.base) as usize + 1;
+        while self.layers.len() < need {
+            self.layers.push_back(Layer::new(self.cells_per_layer));
         }
-        &mut self.layers[(t - self.base) as usize]
+        let i = (t - self.base) as usize;
+        &mut self.layers[i]
     }
 
     /// Number of live time layers (diagnostics / memory tests).
@@ -176,9 +170,13 @@ impl ReservationProbe for SpatioTemporalGraph {
     fn last_reservation_excluding(&self, pos: GridPos, robot: RobotId) -> Option<Tick> {
         let idx = pos.to_index(self.width);
         let id = robot.index() as u16;
-        let mut held = self.layers.iter().map(|layer| layer.get(idx));
-        let i = held.rposition(|r| r != EMPTY && r != id)?;
-        Some(self.base + i as Tick)
+        for (i, layer) in self.layers.iter().enumerate().rev() {
+            let r = layer.get(idx);
+            if r != EMPTY && r != id {
+                return Some(self.base + i as Tick);
+            }
+        }
+        None
     }
 
     fn parked_at(&self, pos: GridPos) -> Option<(RobotId, Tick)> {
@@ -222,13 +220,22 @@ impl ReservationSystem for SpatioTemporalGraph {
 
     fn release_robot(&mut self, robot: RobotId) {
         // Rare exception path (breakdown / blockade invalidation): a scan
-        // of the set lines. Their bits stay set (a stale bit costs a read).
+        // of the set lines. Their bits stay set (a stale bit costs one
+        // dense read).
         let id = robot.index() as u16;
         for layer in &mut self.layers {
-            for span in set_lines(&layer.lines, layer.cells.len()) {
-                for slot in layer.cells[span].iter_mut().filter(|slot| **slot == id) {
+            let Layer {
+                cells,
+                lines,
+                occupied,
+            } = layer;
+            for (line, chunk) in cells.chunks_mut(LINE).enumerate() {
+                if !line_set(lines, line) {
+                    continue;
+                }
+                for slot in chunk.iter_mut().filter(|slot| **slot == id) {
                     *slot = EMPTY;
-                    layer.occupied -= 1;
+                    *occupied -= 1;
                     self.reservations -= 1;
                 }
             }
@@ -236,22 +243,15 @@ impl ReservationSystem for SpatioTemporalGraph {
     }
 
     fn release_before(&mut self, t: Tick) {
-        let passed = (t.saturating_sub(self.base) as usize).min(self.layers.len());
-        for mut layer in self.layers.drain(..passed) {
+        while self.base < t && !self.layers.is_empty() {
+            let layer = self.layers.pop_front().expect("non-empty checked");
             // Maintained on insert, so no O(HW) cell rescan per layer here.
-            self.reservations -= std::mem::take(&mut layer.occupied) as usize;
-            if self.spare.is_none() {
-                // Empty the spare through its line map, stale bits included.
-                for span in set_lines(&layer.lines, layer.cells.len()) {
-                    layer.cells[span].fill(EMPTY);
-                }
-                debug_assert!(layer.cells.iter().all(|&c| c == EMPTY));
-                layer.lines.fill(0);
-                self.spare = Some(layer);
-            }
+            self.reservations -= layer.occupied as usize;
+            self.base += 1;
         }
-        // An empty ring's base is set by its next `ensure_layer`.
-        self.base += passed as Tick;
+        if self.layers.is_empty() {
+            self.base = t;
+        }
     }
 
     fn reservation_count(&self) -> usize {
@@ -264,7 +264,7 @@ impl MemoryFootprint for SpatioTemporalGraph {
         let layer_bytes = self.cells_per_layer * std::mem::size_of::<u16>()
             + self.cells_per_layer.div_ceil(LINE * 64) * std::mem::size_of::<u64>()
             + std::mem::size_of::<u32>();
-        (self.layers.len() + self.spare.iter().len()) * layer_bytes + self.parked.memory_bytes()
+        self.layers.len() * layer_bytes + self.parked.memory_bytes()
     }
 }
 
@@ -322,88 +322,27 @@ mod tests {
         );
     }
 
+    /// After `release_before(t)` no tick before `t` answers, and
+    /// `memory_bytes` counts exactly the layers left.
     #[test]
     fn release_before_frees_layers() {
         let mut g = SpatioTemporalGraph::new(8, 8);
+        let layer = 8 * 8 * 2 + 8 + 4;
+        let held = |g: &SpatioTemporalGraph| g.memory_bytes() - g.parked.memory_bytes();
         g.reserve_path(RobotId::new(1), &path(0, &[(0, 0), (1, 0), (2, 0)]), true);
         assert_eq!(g.layer_count(), 3);
-        let before = g.memory_bytes();
+        assert_eq!(held(&g), 3 * layer);
         g.release_before(2);
         assert_eq!(g.layer_count(), 1);
-        assert!(g.memory_bytes() < before);
-        assert_eq!(g.occupant(p(0, 0), 0), None, "past layer released");
-        assert_eq!(g.occupant(p(2, 0), 2), Some(RobotId::new(1)));
-    }
-
-    /// After `release_before(t)` no tick before `t` answers, at most one
-    /// popped layer stays as the spare, `memory_bytes` counts it, and the
-    /// next new layer takes it.
-    #[test]
-    fn release_keeps_one_spare_and_counts_it() {
-        let mut g = SpatioTemporalGraph::new(16, 16);
-        let layer = 16 * 16 * 2 + 8 + 4;
-        let held = |g: &SpatioTemporalGraph| g.memory_bytes() - g.parked.memory_bytes();
-        let r = RobotId::new(1);
-        g.reserve_path(
-            r,
-            &path(0, &[(0, 0), (1, 0), (2, 0), (3, 0), (4, 0)]),
-            false,
-        );
-        assert!(g.spare.is_none());
-        assert_eq!(held(&g), 5 * layer);
-        g.release_before(3);
-        assert_eq!(g.layer_count(), 2);
-        assert!(g.spare.is_some(), "one of the three popped layers is kept");
-        assert_eq!(held(&g), 3 * layer, "two live layers and the spare");
-        for t in 0..3 {
-            for pos in (0..16).flat_map(|y| (0..16).map(move |x| p(x, y))) {
+        assert_eq!(held(&g), layer);
+        for t in 0..2 {
+            for pos in (0..8).flat_map(|y| (0..8).map(move |x| p(x, y))) {
                 assert_eq!(g.occupant(pos, t), None, "{pos}@{t} released");
             }
         }
-        assert_eq!(g.occupant(p(3, 0), 3), Some(r));
-        assert_eq!(g.last_reservation_excluding(p(0, 0), RobotId::new(2)), None);
-        g.reserve_path(RobotId::new(2), &path(5, &[(5, 5)]), false);
-        assert!(g.spare.is_none(), "tick 5's layer is the spare");
-        assert_eq!(held(&g), 3 * layer);
+        assert_eq!(g.occupant(p(2, 0), 2), Some(RobotId::new(1)));
         g.release_before(100);
-        assert_eq!(g.layer_count(), 0);
-        assert_eq!(held(&g), layer, "only the spare is left");
-        assert_eq!(g.reservation_count(), 0);
-    }
-
-    /// A layer recycled after `release_robot` left a stale line bit, next
-    /// to a line a robot still held in the map's second word, comes back
-    /// empty with a clear map: at its new tick, with both lines written
-    /// again, only the new reservations answer.
-    #[test]
-    fn a_recycled_layer_with_stale_bits_answers_nothing() {
-        let (w, h) = (40u16, 60u16);
-        let mut g = SpatioTemporalGraph::new(w, h);
-        let [a, b, c, d] = [1, 2, 3, 4].map(RobotId::new);
-        // Line 1 holds (38, 0) and (39, 0); line 68 (bit 4 of word 1)
-        // holds (5, 55) and (6, 55).
-        g.reserve_path(a, &path(0, &[(38, 0)]), false);
-        g.reserve_path(b, &path(0, &[(5, 55)]), false);
-        g.release_robot(a);
-        assert_eq!(
-            g.layers[0].lines[..],
-            [1 << 1, 1 << 4],
-            "line 1's bit is stale"
-        );
-        g.release_before(1);
-        let spare = g.spare.as_ref().expect("the popped layer is kept");
-        assert_eq!((&spare.lines[..], spare.occupied), (&[0, 0][..], 0));
-        g.reserve_path(c, &path(1, &[(6, 55)]), false);
-        g.reserve_path(d, &path(1, &[(39, 0)]), false);
-        assert_eq!(g.layer_count(), 1, "tick 1's layer is the recycled one");
-        for pos in (0..h).flat_map(|y| (0..w).map(move |x| p(x, y))) {
-            let want = [(p(6, 55), c), (p(39, 0), d)]
-                .into_iter()
-                .find(|&(at, _)| at == pos);
-            assert_eq!(g.occupant(pos, 1), want.map(|(_, r)| r), "{pos}@1");
-        }
-        assert_eq!(g.last_reservation_excluding(p(5, 55), c), None);
-        assert_eq!(g.reservation_count(), 2);
+        assert_eq!((g.layer_count(), held(&g)), (0, 0));
     }
 
     #[test]

@@ -61,7 +61,7 @@ fn eatp_memory_below_stg_planners() {
         // slots, the KNN build keeps no scratch once it returns, and the
         // KNN lists cover only the rack homes and spawn cells, where a
         // robot can idle (ADR-025). Measured here: EATP 173 714 B vs NTP
-        // 737 032 B ≈ 4.2×, ATP 854 114 B ≈ 4.9×. The band was 6/1 while
+        // 737 000 B ≈ 4.2×, ATP 845 126 B ≈ 4.9×. The band was 6/1 while
         // the STG kept passed layers until a 64-tick collection (NTP
         // 1 204 376 B ≈ 6.9×, ATP 1 141 532 B ≈ 6.6×); it releases them
         // every tick since ADR-035. The paper's qualitative Fig. 12 claim
