@@ -9,9 +9,12 @@
 //!   bits ([`MAX_CDT_TICK`]) and the robot id in the low 16 (ids stay below
 //!   [`MAX_FLEET`]). A cell-tick holds at most one robot, so sorting the
 //!   words sorts by tick.
-//! * **Inline windows.** Each cell is a 24-byte slot, the size of a `Vec`
-//!   header, holding up to [`INLINE_WINDOW`] entries in place. The common
-//!   probe touches one cache line and no heap pointer.
+//! * **Inline windows.** Each cell is a 16-byte slot of [`INLINE_WINDOW`]
+//!   words that are the window itself, kept sorted: an unused word holds
+//!   `EMPTY` (`u64::MAX`), which sorts after every entry, and a spilled
+//!   cell holds `[spill index, SPILLED]` (`u64::MAX − 1`). No entry's tick
+//!   is a sentinel's tick, so the window's length is read off the words.
+//!   The common probe touches one cache line and no heap pointer.
 //! * **Spills.** A longer window moves into a `Vec` of its own, whose index
 //!   the cell keeps. When the window shrinks back inline, the `Vec` is
 //!   cleared and its index goes on a free list with its capacity, so a
@@ -40,9 +43,17 @@ const ROBOT_MASK: u64 = (1 << ROBOT_BITS) - 1;
 const _: () = assert!(MAX_FLEET <= ROBOT_MASK as usize + 1);
 
 /// Largest tick the packed-entry encoding can hold (48 bits ≈ 2.8 × 10¹⁴;
-/// paper horizons are ~10⁵). Reserving beyond it panics rather than
+/// paper horizons are ~10⁵). The top 48-bit tick is left to the slot
+/// sentinels `EMPTY` and `SPILLED`. Reserving beyond it panics rather than
 /// silently truncating.
-pub const MAX_CDT_TICK: Tick = (1 << (64 - ROBOT_BITS)) - 1;
+pub const MAX_CDT_TICK: Tick = (1 << (64 - ROBOT_BITS)) - 2;
+
+/// An unused inline word. It sorts after every entry.
+const EMPTY: u64 = u64::MAX;
+
+/// The second word of a spilled cell, whose first word is the spill index.
+const SPILLED: u64 = u64::MAX - 1;
+const _: () = assert!(tick_of(SPILLED) > MAX_CDT_TICK);
 
 #[inline]
 fn pack(t: Tick, robot: RobotId) -> u64 {
@@ -50,7 +61,7 @@ fn pack(t: Tick, robot: RobotId) -> u64 {
 }
 
 #[inline]
-fn tick_of(e: u64) -> Tick {
+const fn tick_of(e: u64) -> Tick {
     e >> ROBOT_BITS
 }
 
@@ -59,19 +70,33 @@ fn robot_of(e: u64) -> RobotId {
     RobotId::new((e & ROBOT_MASK) as usize)
 }
 
-/// One cell: `len` live entries, inline in `data` while `len <=`
-/// [`INLINE_WINDOW`]; otherwise `data[0]` is the index of the cell's spill.
+/// One cell: up to [`INLINE_WINDOW`] sorted entries followed by `EMPTY`
+/// words, or `[spill index, SPILLED]` for a longer window.
 #[derive(Debug, Clone, Copy)]
 struct CellSlot {
-    len: u32,
     data: [u64; INLINE_WINDOW],
 }
 
 impl CellSlot {
     const EMPTY: Self = Self {
-        len: 0,
-        data: [0; INLINE_WINDOW],
+        data: [EMPTY; INLINE_WINDOW],
     };
+
+    #[inline]
+    fn is_spilled(&self) -> bool {
+        self.data[1] == SPILLED
+    }
+
+    /// Entries held inline (the slot must not be spilled).
+    #[inline]
+    fn inline_len(&self) -> usize {
+        usize::from(self.data[0] != EMPTY) + usize::from(self.data[1] != EMPTY)
+    }
+
+    #[inline]
+    fn is_empty(&self) -> bool {
+        self.data[0] == EMPTY
+    }
 }
 
 /// Per-cell sorted reservation windows: inline slots, spilling into `Vec`s.
@@ -143,11 +168,10 @@ impl ConflictDetectionTable {
     #[inline]
     fn window(&self, idx: usize) -> &[u64] {
         let s = &self.cells[idx];
-        let n = s.len as usize;
-        if n <= INLINE_WINDOW {
-            &s.data[..n]
-        } else {
+        if s.is_spilled() {
             &self.spills[s.data[0] as usize]
+        } else {
+            &s.data[..s.inline_len()]
         }
     }
 
@@ -213,14 +237,13 @@ impl ConflictDetectionTable {
             return false;
         };
         let s = &mut self.cells[idx];
-        let n = s.len as usize;
-        s.len += 1;
-        if n < INLINE_WINDOW {
-            s.data.copy_within(i..n, i + 1);
-            s.data[i] = e;
-            return true;
-        }
-        if n == INLINE_WINDOW {
+        if !s.is_spilled() {
+            let n = s.inline_len();
+            if n < INLINE_WINDOW {
+                s.data.copy_within(i..n, i + 1);
+                s.data[i] = e;
+                return true;
+            }
             // A full inline window spills, into a free spill if there is
             // one, else into a new one sized for the window it takes.
             let k = self.free_spills.pop().unwrap_or_else(|| {
@@ -228,7 +251,7 @@ impl ConflictDetectionTable {
                 (self.spills.len() - 1) as u32
             });
             self.spills[k as usize].extend_from_slice(&s.data);
-            s.data[0] = k as u64;
+            s.data = [k as u64, SPILLED];
         }
         self.spills[s.data[0] as usize].insert(i, e);
         true
@@ -255,34 +278,34 @@ impl ConflictDetectionTable {
     }
 
     /// Keep the entries of cell `idx` for which `keep` holds; a spilled
-    /// window that fits inline again moves back and frees its spill.
-    /// Returns the remaining length.
+    /// window that fits inline again moves back and frees its spill. Freed
+    /// inline words go back to `EMPTY`. Returns the remaining length.
     fn retain_cell(&mut self, idx: usize, keep: impl Fn(u64) -> bool) -> usize {
         let s = &mut self.cells[idx];
-        let n = s.len as usize;
-        let rem = if n <= INLINE_WINDOW {
-            let mut w = 0;
-            for k in 0..n {
-                let e = s.data[k];
-                if keep(e) {
-                    s.data[w] = e;
-                    w += 1;
-                }
-            }
-            w
-        } else {
+        let (n, rem) = if s.is_spilled() {
             let k = s.data[0] as usize;
             let spill = &mut self.spills[k];
+            let n = spill.len();
             spill.retain(|&e| keep(e));
             let rem = spill.len();
             if rem <= INLINE_WINDOW {
+                s.data = [EMPTY; INLINE_WINDOW];
                 s.data[..rem].copy_from_slice(spill);
                 spill.clear();
                 self.free_spills.push(k as u32);
             }
-            rem
+            (n, rem)
+        } else {
+            // `keep` holds for `EMPTY`, whose tick and robot no entry
+            // has, so the padding stays and only entries drop out.
+            debug_assert!(keep(EMPTY));
+            let [a, b] = s.data;
+            let (ka, kb) = (keep(a), keep(b));
+            let b = if kb { b } else { EMPTY };
+            s.data = if ka { [a, b] } else { [b, EMPTY] };
+            let rem = s.inline_len();
+            (rem + usize::from(!ka) + usize::from(!kb), rem)
         };
-        s.len = rem as u32;
         self.reservations -= n - rem;
         rem
     }
@@ -297,7 +320,7 @@ impl ConflictDetectionTable {
 
     #[cfg(test)]
     fn is_spilled(&self, pos: GridPos) -> bool {
-        self.cells[pos.to_index(self.width)].len as usize > INLINE_WINDOW
+        self.cells[pos.to_index(self.width)].is_spilled()
     }
 
     #[cfg(test)]
@@ -308,17 +331,24 @@ impl ConflictDetectionTable {
     /// Whether the occupied set is exactly the non-empty windows.
     #[cfg(test)]
     fn occupied_is_exact(&self) -> bool {
-        (0..self.cells.len()).all(|idx| (self.cells[idx].len > 0) == self.is_occupied(idx))
+        (0..self.cells.len()).all(|idx| self.cells[idx].is_empty() != self.is_occupied(idx))
     }
 
-    /// Whether every spilled cell owns a distinct spill of its window's
-    /// length, and every other spill is empty and on the free list once.
+    /// Whether every inline slot is a sorted window padded with `EMPTY`,
+    /// every spilled cell owns a distinct spill too long to fit inline, and
+    /// every other spill is empty and on the free list once.
     #[cfg(test)]
     fn spills_are_exact(&self) -> bool {
         let mut uses = vec![0u32; self.spills.len()];
-        for s in self.cells.iter().filter(|s| s.len as usize > INLINE_WINDOW) {
+        for s in &self.cells {
+            if !s.is_spilled() {
+                if s.data[0] >= s.data[1] && s.data[1] != EMPTY {
+                    return false;
+                }
+                continue;
+            }
             let k = s.data[0] as usize;
-            if self.spills.get(k).map(Vec::len) != Some(s.len as usize) {
+            if self.spills.get(k).is_none_or(|w| w.len() <= INLINE_WINDOW) {
                 return false;
             }
             uses[k] += 1;
@@ -413,7 +443,7 @@ impl ReservationSystem for ConflictDetectionTable {
 
     fn release_before(&mut self, t: Tick) {
         debug_assert!(
-            (0..self.cells.len()).all(|idx| self.cells[idx].len == 0 || self.is_occupied(idx)),
+            (0..self.cells.len()).all(|idx| self.cells[idx].is_empty() || self.is_occupied(idx)),
             "a non-empty window is missing from the occupied set"
         );
         self.sweep_occupied(|cdt, idx| cdt.retain_cell(idx, |e| tick_of(e) >= t));
@@ -460,13 +490,10 @@ mod tests {
     }
 
     #[test]
-    fn cell_slot_is_one_vec_header_wide() {
-        // The pooled layout's fixed cost must not exceed the reference
-        // layout's per-cell `Vec` header it replaces.
-        assert_eq!(
-            std::mem::size_of::<CellSlot>(),
-            std::mem::size_of::<Vec<(Tick, RobotId)>>()
-        );
+    fn cell_slot_is_two_words_wide() {
+        // The fixed cost per cell is the inline window itself: its length
+        // is read off the sentinel words, not stored beside them.
+        assert_eq!(std::mem::size_of::<CellSlot>(), 16);
     }
 
     #[test]
@@ -664,6 +691,38 @@ mod tests {
             c.last_reservation_excluding(p(0, 0), RobotId::new(0)),
             Some(MAX_CDT_TICK)
         );
+
+        // A spilled window at the top ticks, its last entry one below the
+        // `SPILLED` word: the sentinels must not read as entries.
+        let top = RobotId::new(MAX_FLEET - 1);
+        for t in MAX_CDT_TICK - 2..=MAX_CDT_TICK {
+            c.insert(top, p(1, 1), t);
+        }
+        assert!(c.is_spilled(p(1, 1)));
+        for t in MAX_CDT_TICK - 2..=MAX_CDT_TICK {
+            assert_eq!(c.occupant(p(1, 1), t), Some(top));
+        }
+        assert_eq!(c.occupant(p(1, 1), MAX_CDT_TICK - 3), None);
+        let other = RobotId::new(0);
+        assert!(!c.can_move(other, p(1, 0), p(1, 1), MAX_CDT_TICK - 1));
+        assert!(c.can_move(top, p(1, 0), p(1, 1), MAX_CDT_TICK - 1));
+        assert!(c.can_move(other, p(1, 0), p(1, 1), MAX_CDT_TICK - 4));
+        assert_eq!(
+            c.last_reservation_excluding(p(1, 1), other),
+            Some(MAX_CDT_TICK)
+        );
+        assert_eq!(c.last_reservation_excluding(p(1, 1), top), None);
+
+        // Shrunk back inline by the GC, the window keeps its top entries.
+        c.release_before(MAX_CDT_TICK - 1);
+        assert!(!c.is_spilled(p(1, 1)));
+        assert_eq!(
+            c.window_ticks(p(1, 1)),
+            vec![MAX_CDT_TICK - 1, MAX_CDT_TICK]
+        );
+        assert_eq!(c.occupant(p(1, 1), MAX_CDT_TICK), Some(top));
+        assert!(c.spills_are_exact());
+        assert!(c.occupied_is_exact());
     }
 
     /// Drive the same operation soup (`reference_cdt::apply_soup`) into a

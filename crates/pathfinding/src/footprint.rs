@@ -8,15 +8,15 @@
 //! `repro` binary additionally reports allocator-level numbers via a
 //! counting global allocator.
 //!
-//! Accounting is **capacity-based** for the flat structures introduced by
-//! the arena refactor: the CDT's per-cell sorted windows, the STG's `u32`
-//! sentinel layers and the dense [`crate::reservation::ParkingBoard`]
-//! arrays all report `capacity × element size`, which is what the allocator
-//! actually holds (windows keep their capacity across `release_before` so
-//! steady-state GC does not free memory — the number reflects that). Hash
-//! maps that remain (the parking reverse index, the search's deep-delay
-//! map) add [`HASH_ENTRY_OVERHEAD`] per entry for control bytes and
-//! load-factor slack.
+//! Accounting is **capacity-based** for the flat structures: the CDT's
+//! 16-byte cell slots and spill `Vec`s, the STG's `u16` sentinel layers and
+//! the [`crate::reservation::ParkingBoard`]'s 2-byte cells and per-robot
+//! spots all report `capacity × element size`, which is what the allocator
+//! actually holds (spills keep their capacity across `release_before` so
+//! steady-state GC does not free memory — the number reflects that). The
+//! one hash map that remains, the search's deep-delay map, adds
+//! [`HASH_ENTRY_OVERHEAD`] per entry for control bytes and load-factor
+//! slack.
 
 /// Types that can report their (approximate) live heap size.
 pub trait MemoryFootprint {

@@ -356,10 +356,11 @@ mod tests {
     #[test]
     fn reference_keeps_vec_header_cost() {
         // The baseline's defining property: 24 B of `Vec` header per cell
-        // even while completely empty. The shipped CDT spends those 24 B on
-        // two inline entries and pays a `Vec` header only per spilled cell.
+        // even while completely empty. The shipped CDT spends 16 B per cell
+        // on two inline entries and pays a `Vec` header only per spilled
+        // cell.
         let c = ReferenceConflictDetectionTable::new(10, 10);
         let headers = 100 * std::mem::size_of::<Vec<(Tick, RobotId)>>();
-        assert_eq!(c.memory_bytes(), headers + 100 * 8);
+        assert_eq!(c.memory_bytes(), headers + 100 * 2);
     }
 }

@@ -8,15 +8,13 @@
 //! Figs. 11–12 of the paper.
 //!
 //! [`ParkingBoard`] is the shared parked-robot index. Because `occupant` is
-//! probed on every A* expansion (the `can_move` fallthrough), it stores
-//! parked robots in **one packed `u64` per cell** (robot in the high half,
-//! start tick in the low) rather than a `HashMap`: the hot read is a single
-//! bounds-checked array load touching a single cache line. The rarely-used
-//! robot→cell side stays a small `HashMap`.
+//! probed on every A* expansion (the `can_move` fallthrough), it stores the
+//! parked robot of each cell in **one `u16` per cell** rather than a
+//! `HashMap`: the hot read on a free cell is a single bounds-checked load.
+//! The start tick sits with the robot's spot in a `Vec` indexed by robot
+//! id, read only when a robot is there.
 
-use crate::footprint::HASH_ENTRY_OVERHEAD;
 use crate::path::Path;
-use std::collections::HashMap;
 use tprw_warehouse::{GridPos, RobotId, Tick};
 
 /// The **read-only** half of a reservation system: every query the path
@@ -92,31 +90,34 @@ pub trait ReservationSystem: ReservationProbe {
     fn reservation_count(&self) -> usize;
 }
 
-/// Sentinel for "no robot" in the packed robot half-word.
-const EMPTY: u32 = u32::MAX;
+/// A cell with no parked robot. Robot ids stay below it
+/// (`tprw_warehouse::MAX_FLEET` is 65 535).
+const NO_ROBOT: u16 = u16::MAX;
 
-/// A cell with no parked robot: sentinel robot, zero start tick.
-const EMPTY_CELL: u64 = (EMPTY as u64) << 32;
+/// The spot of a robot that is not parked.
+const NO_SPOT: (u32, u32) = (u32::MAX, 0);
 
-/// Largest parking start tick the `u32` cell encoding can hold. Horizons in
+/// Largest parking start tick a robot's `u32` spot can hold. Horizons in
 /// the paper's datasets are ~10⁵ ticks, so four billion is far out of reach;
 /// parking beyond it panics rather than silently truncating.
 pub const MAX_PARK_TICK: Tick = u32::MAX as Tick;
 
 /// Shared bookkeeping for parked (indefinitely stationary) robots, used by
-/// both reservation-system implementations. Each cell is **one packed
-/// `u64`** — the parked robot in the high half (sentinel = none), the
-/// `u32` start tick in the low half under the [`MAX_PARK_TICK`] guard — so
-/// the per-expansion `occupant` probe is a single bounds-checked load of a
-/// single cache line (8 B/cell total, the Fig. 12 fixed cost charged to
-/// every planner). The rarely-used robot→cell side stays a small `HashMap`.
+/// every reservation-system implementation. Each cell is **one `u16`**, the
+/// parked robot or `u16::MAX` for none (2 B/cell, the Fig. 12 fixed cost
+/// charged to every planner), so the per-expansion `occupant` probe of a
+/// free cell is a single bounds-checked load. Each robot's spot — its cell
+/// and the `u32` start tick under the [`MAX_PARK_TICK`] guard — sits in a
+/// `Vec` indexed by robot id, read only when the cell names the robot.
 #[derive(Debug, Clone)]
 pub struct ParkingBoard {
     width: u16,
-    /// Packed parked entry per cell: `robot << 32 | start tick`.
-    cells: Vec<u64>,
-    /// Reverse index for `unpark`/re-`park` (rare operations).
-    by_robot: HashMap<RobotId, GridPos>,
+    /// The robot parked on each cell.
+    cells: Vec<u16>,
+    /// `(cell index, start tick)` per robot id; `NO_SPOT` when not parked.
+    spots: Vec<(u32, u32)>,
+    /// Number of parked robots.
+    parked: usize,
 }
 
 impl ParkingBoard {
@@ -125,29 +126,24 @@ impl ParkingBoard {
         let cells = width as usize * height as usize;
         Self {
             width,
-            cells: vec![EMPTY_CELL; cells],
-            by_robot: HashMap::new(),
+            cells: vec![NO_ROBOT; cells],
+            spots: Vec::new(),
+            parked: 0,
         }
     }
 
     /// The robot parked on `pos` at tick `t`, if any.
     #[inline]
     pub fn occupant(&self, pos: GridPos, t: Tick) -> Option<RobotId> {
-        let e = self.cells[pos.to_index(self.width)];
-        let r = (e >> 32) as u32;
-        if r != EMPTY && t >= (e as u32) as Tick {
-            Some(RobotId::from(r))
-        } else {
-            None
-        }
+        self.entry(pos)
+            .and_then(|(r, from)| (t >= from).then_some(r))
     }
 
     /// The parked occupant of `pos` regardless of start tick.
     #[inline]
     pub fn entry(&self, pos: GridPos) -> Option<(RobotId, Tick)> {
-        let e = self.cells[pos.to_index(self.width)];
-        let r = (e >> 32) as u32;
-        (r != EMPTY).then(|| (RobotId::from(r), (e as u32) as Tick))
+        let r = self.cells[pos.to_index(self.width)];
+        (r != NO_ROBOT).then(|| (RobotId::new(r as usize), self.spots[r as usize].1 as Tick))
     }
 
     /// Park `robot` at `pos` from `from` onward, replacing any previous
@@ -156,63 +152,76 @@ impl ParkingBoard {
     /// # Panics
     ///
     /// Panics if a *different* robot is already parked on `pos` — that would
-    /// be a planner bug leading to a guaranteed vertex conflict — or if
-    /// `from` exceeds [`MAX_PARK_TICK`].
+    /// be a planner bug leading to a guaranteed vertex conflict — if `from`
+    /// exceeds [`MAX_PARK_TICK`], or if the robot id is `u16::MAX` or more.
     pub fn park(&mut self, robot: RobotId, pos: GridPos, from: Tick) {
         assert!(
             from <= MAX_PARK_TICK,
             "parking tick {from} exceeds the u32 ParkingBoard encoding \
              (MAX_PARK_TICK = {MAX_PARK_TICK})"
         );
+        assert!(
+            robot.index() < NO_ROBOT as usize,
+            "robot {robot} exceeds the u16 ParkingBoard encoding"
+        );
         let i = pos.to_index(self.width);
-        let occupant = (self.cells[i] >> 32) as u32;
-        if occupant != EMPTY {
-            let other = RobotId::from(occupant);
+        let occupant = self.cells[i];
+        if occupant != NO_ROBOT {
+            let other = RobotId::new(occupant as usize);
             assert_eq!(
                 other, robot,
                 "cell {pos} already holds parked robot {other}, cannot park {robot}"
             );
         }
-        if let Some(old) = self.by_robot.insert(robot, pos) {
-            if old != pos {
-                self.cells[old.to_index(self.width)] = EMPTY_CELL;
-            }
+        let r = robot.index();
+        if r >= self.spots.len() {
+            self.spots.resize(r + 1, NO_SPOT);
         }
-        debug_assert!(
-            (robot.index() as u32) < EMPTY,
-            "robot id reserved as sentinel"
-        );
-        self.cells[i] = ((robot.index() as u64) << 32) | (from as u32) as u64;
+        let (old, _) = self.spots[r];
+        if old == NO_SPOT.0 {
+            self.parked += 1;
+        } else {
+            self.cells[old as usize] = NO_ROBOT;
+        }
+        self.cells[i] = r as u16;
+        self.spots[r] = (i as u32, from as u32);
     }
 
     /// Remove `robot`'s parking reservation, if any.
     pub fn unpark(&mut self, robot: RobotId) {
-        if let Some(pos) = self.by_robot.remove(&robot) {
-            self.cells[pos.to_index(self.width)] = EMPTY_CELL;
+        let Some(spot) = self.spots.get_mut(robot.index()) else {
+            return;
+        };
+        if spot.0 != NO_SPOT.0 {
+            self.cells[spot.0 as usize] = NO_ROBOT;
+            *spot = NO_SPOT;
+            self.parked -= 1;
         }
     }
 
     /// Number of parked robots.
     pub fn len(&self) -> usize {
-        self.by_robot.len()
+        self.parked
     }
 
     /// Whether no robot is parked.
     pub fn is_empty(&self) -> bool {
-        self.by_robot.is_empty()
+        self.parked == 0
     }
 
-    /// Approximate heap bytes held: the packed cell array (8 B/cell) plus
-    /// the reverse index.
+    /// Heap bytes held: the cell array (2 B/cell) plus the spots (8 B per
+    /// robot id slot).
     pub fn memory_bytes(&self) -> usize {
-        let robot_entry = std::mem::size_of::<(RobotId, GridPos)>() + HASH_ENTRY_OVERHEAD;
-        self.cells.capacity() * std::mem::size_of::<u64>() + self.by_robot.len() * robot_entry
+        self.cells.capacity() * std::mem::size_of::<u16>()
+            + self.spots.capacity() * std::mem::size_of::<(u32, u32)>()
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+    use std::collections::BTreeMap;
 
     fn p(x: u16, y: u16) -> GridPos {
         GridPos::new(x, y)
@@ -270,9 +279,9 @@ mod tests {
     #[test]
     fn memory_accounts_dense_arrays() {
         let b = ParkingBoard::new(10, 10);
-        // 100 cells × one packed 8-byte word exactly while the reverse
-        // index is empty — the Fig. 12 fixed cost per cell.
-        assert_eq!(b.memory_bytes(), 100 * 8);
+        // 100 cells × one 2-byte robot word exactly while no robot has a
+        // spot — the Fig. 12 fixed cost per cell.
+        assert_eq!(b.memory_bytes(), 100 * 2);
         let mut c = b.clone();
         c.park(RobotId::new(0), p(0, 0), 0);
         assert!(c.memory_bytes() > b.memory_bytes());
@@ -292,5 +301,73 @@ mod tests {
     fn park_beyond_guard_panics() {
         let mut b = ParkingBoard::new(4, 4);
         b.park(RobotId::new(1), p(1, 1), MAX_PARK_TICK + 1);
+    }
+
+    #[test]
+    fn largest_robot_id_roundtrips() {
+        let mut b = ParkingBoard::new(4, 4);
+        let r = RobotId::new(u16::MAX as usize - 1);
+        b.park(r, p(3, 3), 5);
+        assert_eq!(b.entry(p(3, 3)), Some((r, 5)));
+        assert_eq!(b.occupant(p(3, 3), 5), Some(r));
+        b.unpark(r);
+        assert_eq!(b.entry(p(3, 3)), None);
+    }
+
+    #[test]
+    #[should_panic(expected = "exceeds the u16 ParkingBoard encoding")]
+    fn robot_id_of_the_sentinel_panics() {
+        let mut b = ParkingBoard::new(4, 4);
+        b.park(RobotId::new(u16::MAX as usize), p(1, 1), 0);
+    }
+
+    proptest! {
+        /// Random park, re-park, unpark and probe sequences answer exactly
+        /// like a `BTreeMap` from robot to `(cell, start tick)`, and the
+        /// board's bytes are its two arrays' capacities to the byte.
+        #[test]
+        fn board_matches_a_map_model(
+            ops in proptest::collection::vec(
+                (0u8..3, 0usize..12, 0u16..6, 0u16..6, 0u64..30), 1..80),
+        ) {
+            let mut b = ParkingBoard::new(6, 6);
+            let mut model: BTreeMap<RobotId, (GridPos, Tick)> = BTreeMap::new();
+            for &(op, r, x, y, t) in &ops {
+                let robot = RobotId::new(r);
+                let pos = p(x, y);
+                match op {
+                    0 | 1 => {
+                        // Park only where no other robot stands (the board
+                        // panics otherwise, a planner bug).
+                        let taken = model.iter().any(|(&o, &(c, _))| c == pos && o != robot);
+                        if !taken {
+                            b.park(robot, pos, t);
+                            model.insert(robot, (pos, t));
+                        }
+                    }
+                    _ => {
+                        b.unpark(robot);
+                        model.remove(&robot);
+                    }
+                }
+                prop_assert_eq!(b.len(), model.len());
+                prop_assert_eq!(b.is_empty(), model.is_empty());
+                for cx in 0..6u16 {
+                    for cy in 0..6u16 {
+                        let c = p(cx, cy);
+                        let want = model.iter().find(|(_, &(mc, _))| mc == c);
+                        prop_assert_eq!(b.entry(c), want.map(|(&o, &(_, f))| (o, f)));
+                        for probe in [0, t, t + 1, 31] {
+                            prop_assert_eq!(
+                                b.occupant(c, probe),
+                                want.and_then(|(&o, &(_, f))| (probe >= f).then_some(o)),
+                                "occupant disagrees at {}@{}", c, probe
+                            );
+                        }
+                    }
+                }
+                prop_assert_eq!(b.memory_bytes(), 36 * 2 + b.spots.capacity() * 8);
+            }
+        }
     }
 }
