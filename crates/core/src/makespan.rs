@@ -1,7 +1,8 @@
-//! The end-to-end makespan model (Eqs. 1–3).
+//! The queuing term of the end-to-end makespan model (Eqs. 1–3).
 //!
 //! The makespan `M = max_r f_r` where the rack finish estimate `f_r`
-//! decomposes into the five fulfilment-cycle delays:
+//! decomposes into the five fulfilment-cycle delays (ILP's assignment cost
+//! is `f_r − t_k`, taking the return trip as long as the delivery):
 //!
 //! ```text
 //! f_r = t_k                              (selection time)
@@ -17,9 +18,7 @@
 //! Semantically the rack queues while the picker is still busy *after* the
 //! rack arrives, which is `max{fp − travel, 0}` — the interpretation
 //! implemented here (and the one consistent with the FIFO queue of
-//! Definition 2 and the reward of Eq. (4)). [`queuing_delay_as_printed`]
-//! implements the literal text for comparison; both are exercised in tests
-//! and the choice does not alter any ranking in the evaluation.
+//! Definition 2 and the reward of Eq. (4)).
 
 use tprw_warehouse::Duration;
 
@@ -31,49 +30,9 @@ pub fn queuing_delay(picker_finish: Duration, travel: Duration) -> Duration {
     picker_finish.saturating_sub(travel)
 }
 
-/// The queuing term exactly as printed in Eq. (2) (travel minus `f_p`);
-/// kept for documentation and comparison tests.
-#[inline]
-pub fn queuing_delay_as_printed(picker_finish: Duration, travel: Duration) -> Duration {
-    travel.saturating_sub(picker_finish)
-}
-
-/// Inputs to the rack finish-time estimate `f_r` (Eq. 2).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct RackFinishInputs {
-    /// Selection timestamp `t_k`.
-    pub selected_at: u64,
-    /// `d(l_a, l_r)`: robot → rack travel.
-    pub pickup: Duration,
-    /// `d(l_r, l_p)`: rack → picker travel.
-    pub delivery: Duration,
-    /// `f_p`: the picker's current finish time (Eq. 3).
-    pub picker_finish: Duration,
-    /// `Σ_{i∈τ_r} i`: total processing time of the rack's pending items.
-    pub processing: Duration,
-    /// `d(l_p, l_r)`: picker → rack return travel.
-    pub return_trip: Duration,
-}
-
-/// The rack finish-time estimate `f_r` (Eq. 2, corrected queuing term).
-pub fn rack_finish_time(inputs: &RackFinishInputs) -> u64 {
-    let travel_in = inputs.pickup + inputs.delivery;
-    inputs.selected_at
-        + travel_in
-        + queuing_delay(inputs.picker_finish, travel_in)
-        + inputs.processing
-        + inputs.return_trip
-}
-
-/// Makespan over per-rack finish times (Eq. 1).
-pub fn makespan(finish_times: impl IntoIterator<Item = u64>) -> u64 {
-    finish_times.into_iter().max().unwrap_or(0)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use proptest::prelude::*;
 
     #[test]
     fn queuing_zero_when_picker_idle() {
@@ -84,85 +43,5 @@ mod tests {
     #[test]
     fn queuing_positive_when_picker_busy() {
         assert_eq!(queuing_delay(100, 25), 75);
-    }
-
-    #[test]
-    fn printed_variant_is_the_mirror() {
-        assert_eq!(queuing_delay_as_printed(10, 25), 15);
-        assert_eq!(queuing_delay_as_printed(100, 25), 0);
-    }
-
-    #[test]
-    fn finish_time_composes_five_delays() {
-        let f = rack_finish_time(&RackFinishInputs {
-            selected_at: 1000,
-            pickup: 10,
-            delivery: 20,
-            picker_finish: 0,
-            processing: 60,
-            return_trip: 20,
-        });
-        assert_eq!(f, (1000 + 10 + 20) + 60 + 20);
-    }
-
-    #[test]
-    fn finish_time_with_queue() {
-        let f = rack_finish_time(&RackFinishInputs {
-            selected_at: 0,
-            pickup: 5,
-            delivery: 5,
-            picker_finish: 50,
-            processing: 30,
-            return_trip: 5,
-        });
-        // Arrives at 10, waits 40, processes 30, returns 5.
-        assert_eq!(f, 10 + 40 + 30 + 5);
-    }
-
-    #[test]
-    fn makespan_is_max() {
-        assert_eq!(makespan([3, 9, 7]), 9);
-        assert_eq!(makespan(Vec::<u64>::new()), 0);
-    }
-
-    proptest! {
-        /// f_r is monotone in every component.
-        #[test]
-        fn finish_time_monotone(
-            sel in 0u64..1000, pickup in 0u64..100, delivery in 0u64..100,
-            fp in 0u64..500, proc_ in 0u64..500, ret in 0u64..100,
-        ) {
-            let base = RackFinishInputs {
-                selected_at: sel, pickup, delivery,
-                picker_finish: fp, processing: proc_, return_trip: ret,
-            };
-            let f0 = rack_finish_time(&base);
-            for bump in [
-                RackFinishInputs { selected_at: sel + 1, ..base },
-                RackFinishInputs { processing: proc_ + 1, ..base },
-                RackFinishInputs { picker_finish: fp + 1, ..base },
-                RackFinishInputs { return_trip: ret + 1, ..base },
-            ] {
-                prop_assert!(rack_finish_time(&bump) >= f0);
-            }
-        }
-
-        /// The rack never starts processing before both it arrives and the
-        /// picker frees up: f_r ≥ t_k + max(travel, f_p) + proc + return.
-        #[test]
-        fn finish_time_lower_bound(
-            pickup in 0u64..100, delivery in 0u64..100,
-            fp in 0u64..500, proc_ in 0u64..500,
-        ) {
-            let inputs = RackFinishInputs {
-                selected_at: 0, pickup, delivery,
-                picker_finish: fp, processing: proc_, return_trip: 7,
-            };
-            let travel = pickup + delivery;
-            prop_assert_eq!(
-                rack_finish_time(&inputs),
-                travel.max(fp) + proc_ + 7
-            );
-        }
     }
 }

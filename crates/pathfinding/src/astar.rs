@@ -373,7 +373,7 @@ fn reconstruct(
 mod tests {
     use super::*;
     use crate::cdt::ConflictDetectionTable;
-    use crate::conflict::find_conflicts;
+    use crate::conflict::tests::find_conflicts;
     use crate::reservation::ReservationSystem;
     use crate::stg::SpatioTemporalGraph;
     use proptest::prelude::*;

@@ -1,9 +1,11 @@
-//! Conflict definitions (Definition 5 / Fig. 3) and trajectory validation.
+//! The two conflicts of Definition 5 / Fig. 3, as values.
 //!
-//! Used by property tests and by the simulator's independent re-validation
-//! of executed trajectories: planners must *never* produce either conflict.
+//! The rule that finds them is stated once, in the simulator's
+//! `TrajectoryValidator`: it checks every executed tick, and a snapshot's
+//! legs are replayed through it before a resume. Planners must *never*
+//! produce either conflict. The tests' pairwise path check,
+//! `tests::find_conflicts`, is test code.
 
-use crate::path::Path;
 use serde::{Deserialize, Serialize};
 use tprw_warehouse::{GridPos, RobotId, Tick};
 
@@ -37,47 +39,48 @@ pub enum Conflict {
     },
 }
 
-/// Find all conflicts among timed paths over the inclusive tick window
-/// `[window_start, window_end]`. Robots park on their final cell after their
-/// path ends and occupy their first cell before it starts, matching the
-/// simulator's execution semantics.
-pub fn find_conflicts(
-    paths: &[(RobotId, &Path)],
-    window_start: Tick,
-    window_end: Tick,
-) -> Vec<Conflict> {
-    let mut conflicts = Vec::new();
-    for t in window_start..=window_end {
-        for (i, &(a, pa)) in paths.iter().enumerate() {
-            for &(b, pb) in paths.iter().skip(i + 1) {
-                let pa_t = pa.at(t);
-                let pb_t = pb.at(t);
-                if pa_t == pb_t {
-                    conflicts.push(Conflict::Vertex { pos: pa_t, t, a, b });
-                }
-                if t < window_end {
-                    let pa_n = pa.at(t + 1);
-                    let pb_n = pb.at(t + 1);
-                    // Swap: a moves x->y while b moves y->x.
-                    if pa_t == pb_n && pb_t == pa_n && pa_t != pa_n {
-                        conflicts.push(Conflict::Edge {
-                            from: pa_t,
-                            to: pa_n,
-                            t,
-                            a,
-                            b,
-                        });
+#[cfg(test)]
+pub(crate) mod tests {
+    use super::*;
+    use crate::path::Path;
+
+    /// Find all conflicts among timed paths over the inclusive tick window
+    /// `[window_start, window_end]`. Robots park on their final cell after their
+    /// path ends and occupy their first cell before it starts, matching the
+    /// simulator's execution semantics.
+    pub(crate) fn find_conflicts(
+        paths: &[(RobotId, &Path)],
+        window_start: Tick,
+        window_end: Tick,
+    ) -> Vec<Conflict> {
+        let mut conflicts = Vec::new();
+        for t in window_start..=window_end {
+            for (i, &(a, pa)) in paths.iter().enumerate() {
+                for &(b, pb) in paths.iter().skip(i + 1) {
+                    let pa_t = pa.at(t);
+                    let pb_t = pb.at(t);
+                    if pa_t == pb_t {
+                        conflicts.push(Conflict::Vertex { pos: pa_t, t, a, b });
+                    }
+                    if t < window_end {
+                        let pa_n = pa.at(t + 1);
+                        let pb_n = pb.at(t + 1);
+                        // Swap: a moves x->y while b moves y->x.
+                        if pa_t == pb_n && pb_t == pa_n && pa_t != pa_n {
+                            conflicts.push(Conflict::Edge {
+                                from: pa_t,
+                                to: pa_n,
+                                t,
+                                a,
+                                b,
+                            });
+                        }
                     }
                 }
             }
         }
+        conflicts
     }
-    conflicts
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
 
     fn p(x: u16, y: u16) -> GridPos {
         GridPos::new(x, y)

@@ -60,7 +60,7 @@ pub mod stg;
 
 pub use astar::{plan_path_into, plan_path_with, PlanOptions, PlanStats};
 pub use cdt::ConflictDetectionTable;
-pub use conflict::{find_conflicts, Conflict};
+pub use conflict::Conflict;
 pub use footprint::MemoryFootprint;
 pub use knn::KNearestRacks;
 pub use path::Path;

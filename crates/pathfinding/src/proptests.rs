@@ -7,7 +7,7 @@
 
 use crate::astar::{plan_path_into, plan_path_with, PlanOptions, Region};
 use crate::cdt::ConflictDetectionTable;
-use crate::conflict::find_conflicts;
+use crate::conflict::tests::find_conflicts;
 use crate::path::Path;
 use crate::reference::plan_path_reference;
 use crate::reservation::{ReservationProbe, ReservationSystem};

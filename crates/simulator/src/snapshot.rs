@@ -15,14 +15,14 @@
 //! policy are documented in `docs/snapshot-format.md`.
 
 use crate::engine::{Engine, EngineConfig, EngineState, CHECKPOINTS};
+use crate::validate::TrajectoryValidator;
 use eatp_core::planner::{resumed_reservations, Planner};
 use serde::{Deserialize, Serialize, Value};
-use std::collections::HashMap;
 use std::iter::zip;
 use tprw_pathfinding::cdt::MAX_CDT_TICK;
 use tprw_pathfinding::reservation::MAX_PARK_TICK;
-use tprw_pathfinding::Path;
-use tprw_warehouse::{DisruptionEvent, Instance, Tick};
+use tprw_pathfinding::Conflict;
+use tprw_warehouse::{DisruptionEvent, GridMap, GridPos, Instance, RobotId, Tick};
 
 /// Magic bytes opening every snapshot file.
 pub const SNAPSHOT_MAGIC: [u8; 8] = *b"TPRWSNAP";
@@ -401,7 +401,7 @@ pub fn resume_from<'a>(
         });
     }
     check_table_sizes(&data.engine, instance)?;
-    check_legs(&data.engine)?;
+    check_legs(&data.engine, &instance.grid)?;
     Ok(Engine::resume(
         instance,
         &data.config,
@@ -574,73 +574,85 @@ fn check_table_sizes(state: &EngineState, instance: &Instance) -> Result<(), Sna
 /// The reservations a resumed planner rebuilds from `state` (each robot's
 /// [`resumed_reservations`], `docs/adr/ADR-033-derived-reservations.md`)
 /// must be ones a run can hold: every active path holds a cell, starts by
-/// the resumed tick `t` and ends within the CDT's tick encoding; every park
-/// starts within the parking board's and has its cell to itself; no two
-/// robots on the grid stand on one cell; and no path step at `t` or later
-/// meets another robot's step or park. The tables assert against each of
-/// these, so a snapshot that broke one would panic inside the rebuild.
-/// Cells are checked by [`check_table_sizes`] first.
-fn check_legs(state: &EngineState) -> Result<(), SnapshotError> {
+/// the resumed tick `t` and ends within the CDT's tick encoding, and every
+/// park starts within the parking board's. The tables assert against these
+/// and against double reservations, so a snapshot that broke one would
+/// panic inside the rebuild.
+///
+/// The legs must also keep the one conflict rule, [`TrajectoryValidator`]'s:
+/// they are replayed through it, one full check of the robots on the grid
+/// at `t − 1` (none at tick 0, as on resume), then one check per tick up to
+/// the last path's end + 1, each robot on its reserved cell (its path's
+/// cell while the path runs, then its park, or off the grid once it docks),
+/// and the first vertex or swap conflict is refused. After the first check
+/// only the robots on a leg are handed over, so the replay costs one step
+/// per path cell; a full check runs again only to name a conflict. Cells
+/// are checked by [`check_table_sizes`] first.
+fn check_legs(state: &EngineState, grid: &GridMap) -> Result<(), SnapshotError> {
     let t = state.t;
-    let refuse = |what: String| Err(SnapshotError::Decode(format!("engine table {what}")));
-    let (mut steps, mut parks) = (Vec::new(), Vec::new());
-    for (robot, path) in zip(&state.robots, &state.paths) {
+    let refuse = |what: String| {
+        Err(SnapshotError::Decode(format!(
+            "engine table `paths` {what}"
+        )))
+    };
+    let (mut legs, mut parks) = (Vec::new(), Vec::new());
+    for (ai, (robot, path)) in zip(&state.robots, &state.paths).enumerate() {
         let id = robot.id;
         if let Some(p) = path {
             if p.cells.is_empty() {
-                return refuse(format!("`paths` has {id} on no cell"));
+                return refuse(format!("has {id} on no cell"));
             }
             if p.start > t {
-                return refuse(format!(
-                    "`paths` starts {id} at tick {}, after tick {t}",
-                    p.start
-                ));
+                return refuse(format!("starts {id} at tick {}, after tick {t}", p.start));
             }
             if p.start.saturating_add(p.cells.len() as Tick - 1) > MAX_CDT_TICK {
-                return refuse(format!("`paths` ends {id}'s path past tick {MAX_CDT_TICK}"));
+                return refuse(format!("ends {id}'s path past tick {MAX_CDT_TICK}"));
             }
         }
         let (ahead, park) = resumed_reservations(t, robot, path.as_ref());
-        steps.extend(ahead.iter().flat_map(Path::iter_timed).map(|s| (s, id)));
-        parks.extend(park.map(|(pos, from)| (pos, from, id)));
+        parks.extend(park.map(|(_, from)| (id, from)));
+        legs.extend(ahead.map(|ahead| (ai, ahead, park.map(|(pos, _)| pos))));
     }
-    let mut parked = HashMap::with_capacity(parks.len());
-    for (pos, from, id) in parks {
-        if from > MAX_PARK_TICK {
-            return refuse(format!(
-                "`paths` parks {id} at tick {from}, past {MAX_PARK_TICK}"
-            ));
-        }
-        if let Some((_, other)) = parked.insert(pos, (from, id)) {
-            return refuse(format!("`paths` parks {other} and {id} on cell {pos}"));
-        }
+    if let Some((id, from)) = parks.into_iter().find(|&(_, from)| from > MAX_PARK_TICK) {
+        return refuse(format!("parks {id} at tick {from}, past {MAX_PARK_TICK}"));
     }
-    let mut standing = HashMap::new();
-    for r in state.robots.iter().filter(|r| !r.phase.is_docked()) {
-        if let Some(other) = standing.insert(r.pos, r.id) {
-            return refuse(format!(
-                "`robots` stands {other} and {} on cell {}",
-                r.id, r.pos
-            ));
-        }
+    let mut cells: Vec<Option<GridPos>> = (state.robots.iter())
+        .map(|r| (!r.phase.is_docked()).then_some(r.pos))
+        .collect();
+    let on_grid = |cells: &[Option<GridPos>]| -> Vec<(RobotId, GridPos)> {
+        zip(&state.robots, cells)
+            .filter_map(|(r, &c)| Some((r.id, c?)))
+            .collect()
+    };
+    let mut validator = TrajectoryValidator::new();
+    if let Some(before) = t.checked_sub(1) {
+        validator.check_tick(before, &on_grid(&cells), grid);
     }
-    let mut taken = HashMap::with_capacity(steps.len());
-    for ((tick, pos), id) in steps {
-        if let Some(other) = taken.insert((tick, pos), id).filter(|&other| other != id) {
-            return refuse(format!(
-                "`paths` meets {other} and {id} on {pos} at tick {tick}"
-            ));
+    let last = (legs.iter()).map(|(_, ahead, _)| ahead.end() + 1).max();
+    let mut touched = Vec::with_capacity(legs.len());
+    for tick in t..=last.unwrap_or(t) {
+        if !validator.conflicts.is_empty() {
+            break;
         }
-        let parker = parked
-            .get(&pos)
-            .filter(|&&(from, other)| other != id && tick >= from);
-        if let Some(&(from, other)) = parker {
-            return refuse(format!(
-                "`paths` moves {id} onto {pos} at tick {tick}, where {other} parks from {from}"
-            ));
+        legs.retain(|(_, ahead, _)| ahead.end() + 1 >= tick);
+        touched.clear();
+        for (ai, ahead, park) in &legs {
+            cells[*ai] = (tick <= ahead.end()).then(|| ahead.at(tick)).or(*park);
+            touched.push((state.robots[*ai].id, cells[*ai]));
+        }
+        if !validator.check_tick_delta(tick, &touched, grid) {
+            validator.check_tick(tick, &on_grid(&cells), grid);
         }
     }
-    Ok(())
+    match validator.conflicts.first() {
+        None => Ok(()),
+        Some(Conflict::Vertex { pos, t, a, b }) => {
+            refuse(format!("meets {a} and {b} on {pos} at tick {t}"))
+        }
+        Some(Conflict::Edge { from, to, t, a, b }) => refuse(format!(
+            "swaps {a} and {b} between {from} and {to} from tick {t}"
+        )),
+    }
 }
 
 #[cfg(test)]
@@ -649,6 +661,7 @@ mod tests {
     use crate::commands::{Ack, BacklogOrder, Command, OrderSpec, SequencedCommand};
     use crate::engine::run_simulation;
     use eatp_core::{planner_by_name, EatpConfig, PLANNER_NAMES as PLANNERS};
+    use tprw_pathfinding::Path;
     use tprw_warehouse::{
         DisruptionConfig, GridPos, ItemId, LayoutConfig, OrderId, PickerId, RackId, RobotId,
         RobotPhase, ScenarioSpec, Tick, TimedEvent, WorkloadConfig,
@@ -809,27 +822,19 @@ mod tests {
         // table, re-framed so the checksum holds: the bytes decode, and
         // resuming them must fail naming the table instead of indexing
         // out of bounds a few ticks later.
-        let inst = scenario(None, 42);
-        let good = decode_snapshot(&sample_snapshot_bytes()).expect("sample decodes");
+        let good = first_snapshot("NTP", |s| s.t == 40);
         for table in ["broken", "serving", "paths", "removed", "blocked_overlay"] {
-            let mut data = good.clone();
-            let state = &mut data.engine;
-            let shortened = match table {
-                "broken" => state.broken.pop().is_some(),
-                "serving" => state.serving.pop().is_some(),
-                "paths" => state.paths.pop().is_some(),
-                "removed" => state.removed.pop().is_some(),
-                _ => state.blocked_overlay.pop().is_some(),
-            };
-            assert!(shortened, "{table} is empty");
-            let data = decode_snapshot(&encode_snapshot(&data)).expect("re-framed bytes decode");
-            let Err(err) = resume_from(&inst, &data, make("NTP").as_mut()) else {
-                panic!("a snapshot one `{table}` entry short resumed");
-            };
-            assert!(
-                matches!(&err, SnapshotError::Decode(msg) if msg.contains(&format!("`{table}`"))),
-                "{table}: {err:?}"
-            );
+            let err = refusal(&good, |state| {
+                let shortened = match table {
+                    "broken" => state.broken.pop().is_some(),
+                    "serving" => state.serving.pop().is_some(),
+                    "paths" => state.paths.pop().is_some(),
+                    "removed" => state.removed.pop().is_some(),
+                    _ => state.blocked_overlay.pop().is_some(),
+                };
+                assert!(shortened, "{table} is empty");
+            });
+            assert_names(&err, table);
         }
     }
 
@@ -1143,16 +1148,7 @@ mod tests {
     #[test]
     fn engine_cells_off_the_grid_are_typed_errors() {
         let inst = scenario(None, 42);
-        let good = {
-            let config = EngineConfig::default();
-            let mut p = make("NTP");
-            let mut engine = Engine::new(&inst, &config);
-            engine.start(p.as_mut());
-            for _ in 0..3 {
-                engine.tick_once(p.as_mut());
-            }
-            engine.snapshot(p.as_ref())
-        };
+        let good = first_snapshot("NTP", |s| s.t == 3);
         let off = GridPos::new(0, inst.grid.height());
         let idle = good.engine.paths.iter().position(Option::is_none);
         let idle = idle.expect("an idle robot at tick 3");
@@ -1186,16 +1182,7 @@ mod tests {
             ),
         ];
         for (table, corrupt) in cases {
-            let mut data = good.clone();
-            corrupt(&mut data.engine);
-            let data = decode_snapshot(&encode_snapshot(&data)).expect("bytes decode");
-            let Err(err) = resume_from(&inst, &data, make("NTP").as_mut()) else {
-                panic!("a `{table}` cell off the grid resumed");
-            };
-            assert!(
-                matches!(&err, SnapshotError::Decode(msg) if msg.contains(&format!("`{table}`"))),
-                "{err:?}"
-            );
+            assert_names(&refusal(&good, corrupt), table);
         }
     }
 
@@ -1206,15 +1193,7 @@ mod tests {
     #[test]
     fn idle_robots_off_the_idle_cells_are_typed_errors() {
         let inst = scenario(None, 42);
-        let good = {
-            let mut p = make("EATP");
-            let mut engine = Engine::new(&inst, &EngineConfig::default());
-            engine.start(p.as_mut());
-            for _ in 0..3 {
-                engine.tick_once(p.as_mut());
-            }
-            engine.snapshot(p.as_ref())
-        };
+        let good = first_snapshot("EATP", |s| s.t == 3);
         let idle = (good.engine.robots.iter())
             .position(|r| r.is_idle() && r.pos == inst.robots[r.id.index()].pos);
         let idle = idle.expect("an idle robot on its spawn cell at tick 3");
@@ -1226,16 +1205,7 @@ mod tests {
             });
         let other = inst.robots[(idle + 1) % inst.robots.len()].pos;
         for pos in [plain.expect("a plain aisle cell"), other] {
-            let mut data = good.clone();
-            data.engine.robots[idle].pos = pos;
-            let data = decode_snapshot(&encode_snapshot(&data)).expect("bytes decode");
-            let Err(err) = resume_from(&inst, &data, make("EATP").as_mut()) else {
-                panic!("an idle robot at {pos} resumed");
-            };
-            assert!(
-                matches!(&err, SnapshotError::Decode(msg) if msg.contains("`robots`")),
-                "{err:?}"
-            );
+            assert_names(&refusal(&good, |s| s.robots[idle].pos = pos), "robots");
         }
         let data = decode_snapshot(&encode_snapshot(&good)).expect("bytes decode");
         resume_from(&inst, &data, make("EATP").as_mut())
@@ -1261,20 +1231,11 @@ mod tests {
     #[test]
     fn id_tables_outside_the_instance_are_typed_errors() {
         let inst = scenario(None, 42);
-        let at_tick = |name: &str, ticks: usize| {
-            let mut p = make(name);
-            let mut engine = Engine::new(&inst, &EngineConfig::default());
-            engine.start(p.as_mut());
-            for _ in 0..ticks {
-                engine.tick_once(p.as_mut());
-            }
-            engine.snapshot(p.as_ref())
-        };
         let robot = RobotId::new(inst.robots.len());
         let picker = PickerId::new(inst.pickers.len());
         let rack = RackId::new(inst.racks.len());
         type Corrupt<'a> = Box<dyn Fn(&mut EngineState) + 'a>;
-        let mut cases: Vec<(&str, usize, &str, Corrupt)> = vec![
+        let mut cases: Vec<(&str, Tick, &str, Corrupt)> = vec![
             (
                 "EATP",
                 3,
@@ -1330,7 +1291,7 @@ mod tests {
             let entry = s.serving.iter_mut().flatten().next();
             entry.expect("a picker serving at tick 40").robot = robot;
         };
-        cases.extend::<[(&str, usize, &str, Corrupt); 14]>([
+        cases.extend::<[(&str, Tick, &str, Corrupt); 14]>([
             ("LEF", 40, "racks", Box::new(pending)),
             ("NTP", 40, "racks", Box::new(pending)),
             (
@@ -1396,16 +1357,10 @@ mod tests {
                 Box::new(|s| s.next_checkpoint = 0),
             ),
         ]);
-        for (name, ticks, table, corrupt) in cases {
-            let mut data = at_tick(name, ticks);
-            corrupt(&mut data.engine);
-            let data = decode_snapshot(&encode_snapshot(&data)).expect("bytes decode");
-            let Err(err) = resume_from(&inst, &data, make(name).as_mut()) else {
-                panic!("{name}: a `{table}` id outside the instance resumed");
-            };
-            assert!(
-                matches!(&err, SnapshotError::Decode(msg) if msg.contains(&format!("`{table}`"))),
-                "{name}: {err:?}"
+        for (name, t, table, corrupt) in cases {
+            assert_names(
+                &refusal(&first_snapshot(name, |s| s.t == t), corrupt),
+                table,
             );
         }
     }
@@ -1440,6 +1395,14 @@ mod tests {
         }
     }
 
+    /// `err` is a `Decode` error naming the engine table `table`.
+    fn assert_names(err: &SnapshotError, table: &str) {
+        assert!(
+            matches!(err, SnapshotError::Decode(msg) if msg.contains(&format!("`{table}`"))),
+            "{table}: {err:?}"
+        );
+    }
+
     /// The robots whose active path reaches the resumed tick.
     fn moving(s: &EngineState) -> Vec<usize> {
         let live = |ai: &usize| s.paths[*ai].as_ref().is_some_and(|p| p.end() > s.t + 1);
@@ -1448,10 +1411,12 @@ mod tests {
 
     /// A CRC-valid engine slice whose robots or active paths collide — two
     /// robots on the grid on one cell, two parks on one cell, a path step at
-    /// the resumed tick or later on another robot's step or park — or whose
-    /// active path holds no cell, is refused on resume before the planner
-    /// rebuilds its reservation table from it: the tables assert against
-    /// each, and the rebuild would reach the asserts first.
+    /// the resumed tick or later on another robot's step or park, two robots
+    /// trading cells — or whose active path holds no cell, is refused on
+    /// resume before the planner rebuilds its reservation table from it:
+    /// the tables assert against the double reservations, and the resumed
+    /// run would execute the swap as a conflict. Every collision is the
+    /// validator's verdict: a vertex conflict "meets", a swap "swaps".
     #[test]
     fn colliding_engine_legs_are_decode_errors() {
         // Two robots on parking legs, and one standing on the grid.
@@ -1471,28 +1436,53 @@ mod tests {
         let (stand, a_now) = (s.robots[still].pos, s.paths[a].as_ref().unwrap().at(t));
         let b_last = s.paths[b].as_ref().unwrap().last();
         let leg = move |cells: Vec<GridPos>| Some(Path { start: t, cells });
+        // A robot that left its rack's home with the rack at `t − 1`, and
+        // the standing robot sent to fetch that rack from the carrier's next
+        // cell: a consistent `ToRack` leg that trades cells with the carrier
+        // at `t`.
+        let picked_up = |ai: usize| match s.robots[ai].phase {
+            RobotPhase::ToStation { rack } => {
+                let set_out = s.paths[ai].as_ref().filter(|p| p.start + 1 == t);
+                set_out.map(|p| (ai, rack, p.at(t - 1), p.at(t)))
+            }
+            _ => None,
+        };
+        let (carrier, rack, home, next) = (0..s.robots.len())
+            .find_map(picked_up)
+            .expect("a rack picked up at the tick before");
+        assert_eq!(data.engine.racks[rack.index()].home, home);
+        assert!(carrier != still && home != next);
+        let trade = move |s: &mut EngineState| {
+            s.robots[still].pos = next;
+            s.robots[still].phase = RobotPhase::ToRack { rack };
+            s.paths[still] = Some(Path {
+                start: t - 1,
+                cells: vec![next, home],
+            });
+        };
         type Edit = Box<dyn Fn(&mut EngineState)>;
-        let cases: [(&str, Edit, &str); 5] = [
+        let cases: [(&str, Edit, &str); 6] = [
             (
                 "two robots",
                 Box::new(move |s| s.robots[a].pos = stand),
-                "stands",
+                "meets",
             ),
             (
                 "two parks",
                 Box::new(move |s| s.paths[b] = leg(vec![stand])),
-                "parks",
+                "meets",
             ),
             (
                 "a step on a park",
                 Box::new(move |s| s.paths[b] = leg(vec![stand, b_last])),
-                "where",
+                "meets",
             ),
             (
                 "a step on a step",
                 Box::new(move |s| s.paths[b] = leg(vec![a_now, b_last])),
                 "meets",
             ),
+            ("a swap", Box::new(trade), "swaps"),
             (
                 "an empty path",
                 Box::new(move |s| s.paths[a].as_mut().unwrap().cells.clear()),
@@ -1502,7 +1492,7 @@ mod tests {
         for (what, edit, expected) in cases {
             let err = refusal(&data, edit);
             assert!(
-                matches!(&err, SnapshotError::Decode(m) if m.contains(expected)),
+                matches!(&err, SnapshotError::Decode(m) if m.contains("`paths`") && m.contains(expected)),
                 "{what}: {err:?}"
             );
         }

@@ -5,6 +5,11 @@
 //! violation is a planner bug, never workload-dependent behaviour, so the
 //! engine surfaces it loudly in the report.
 //!
+//! This is the one statement of the vertex and swap rules in shipped code
+//! (`docs/adr/ADR-037-one-conflict-rule.md`): `resume_from` replays a
+//! snapshot's committed legs through the same checks before it resumes
+//! them, and refuses the first conflict they record.
+//!
 //! One per-cell index of `(stamp, robot)` answers every tick, entered one
 //! of two ways:
 //!

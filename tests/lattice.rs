@@ -6,7 +6,8 @@
 //!
 //! `PROPTEST_CASES` scales the soak (default 64 cases per property).
 
-use eatp::core::PLANNER_NAMES;
+use eatp::core::{planner_by_name, EatpConfig, PLANNER_NAMES};
+use eatp::simulator::{decode_snapshot, encode_snapshot, resume_from, Engine};
 use eatp::warehouse::{DisruptionEvent, GridPos, Tick, TimedEvent};
 use proptest::prelude::*;
 
@@ -175,4 +176,39 @@ fn paper_floor_resumes_at_scale() {
         ..pinned(Feed::Resent(Enqueue::Sorted))
     };
     agree(&[run(&world, pinned(Feed::Pregenerated)), run(&world, resent)]).unwrap();
+}
+
+/// Every state a run reaches is one resume accepts: on every floor kind at
+/// seeds 0..5, for every planner, the snapshot at each tick boundary up to
+/// tick 3 000 goes through the byte format and `resume_from` returns `Ok`.
+/// This is the other half of resume's refusals, which must reject only
+/// states no run holds. A release soak (44 871 states, ~6 s); debug builds
+/// skip it.
+#[test]
+#[cfg_attr(debug_assertions, ignore)]
+fn every_reached_state_resumes() {
+    let make = |name| planner_by_name(name, &EatpConfig::default()).unwrap();
+    let mut states = 0;
+    for kind in 0..FLOORS {
+        for seed in 0..5 {
+            let world = floor(kind, seed);
+            for planner in PLANNER_NAMES {
+                let config = Point::new(planner, Feed::Pregenerated).config();
+                let mut p = make(planner);
+                let mut engine = Engine::new(&world, &config);
+                engine.start(p.as_mut());
+                while !engine.is_finished() && engine.current_tick() < 3_000 {
+                    engine.tick_once(p.as_mut());
+                    let bytes = encode_snapshot(&engine.snapshot(p.as_ref()));
+                    let data = decode_snapshot(&bytes).unwrap();
+                    if let Err(err) = resume_from(&world, &data, make(planner).as_mut()) {
+                        let t = engine.current_tick();
+                        panic!("{planner} on floor {kind} at seed {seed}, tick {t}: {err}");
+                    }
+                    states += 1;
+                }
+            }
+        }
+    }
+    assert!(states > 40_000, "only {states} states");
 }
