@@ -56,17 +56,14 @@ impl ReservationBackend for SpatioTemporalGraph {
     }
 }
 
-/// Ticks between CDT collections, each a sweep of every occupied window.
-const GC_PERIOD: Tick = 64;
-
+/// Records the finished tick and collects every 64 ticks
+/// ([`ConflictDetectionTable::housekeeping`]).
 impl ReservationBackend for ConflictDetectionTable {
     fn create(width: u16, height: u16) -> Self {
         ConflictDetectionTable::new(width, height)
     }
     fn housekeeping(&mut self, t: Tick) {
-        if t.is_multiple_of(GC_PERIOD) {
-            self.release_before(t);
-        }
+        ConflictDetectionTable::housekeeping(self, t);
     }
 }
 

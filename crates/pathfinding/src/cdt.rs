@@ -11,15 +11,23 @@
 //!   words sorts by tick.
 //! * **Inline windows.** Each cell is a 16-byte slot of [`INLINE_WINDOW`]
 //!   words that are the window itself, kept sorted: an unused word holds
-//!   `EMPTY` (`u64::MAX`), which sorts after every entry, and a spilled
-//!   cell holds `[spill index, SPILLED]` (`u64::MAX − 1`). No entry's tick
+//!   `EMPTY` (`u64::MAX`), which sorts after every entry. No entry's tick
 //!   is a sentinel's tick, so the window's length is read off the words.
 //!   The common probe touches one cache line and no heap pointer.
-//! * **Spills.** A longer window moves into a `Vec` of its own, whose index
-//!   the cell keeps. When the window shrinks back inline, the `Vec` is
-//!   cleared and its index goes on a free list with its capacity, so a
-//!   steady churn does not allocate. Only the owning cell holds an index,
-//!   and it gives it up when it unspills, so no index can go stale.
+//! * **Spill arena.** A longer window moves into a block of one arena, a
+//!   `Vec<u64>` with no per-block header. The spilled cell's two words
+//!   hold the block's offset and the window's length, then `SPILLED` plus
+//!   the block's size class. A block of class `k` is `3·2^k` words. A free
+//!   block links to the next free block of its class through its own first
+//!   word, so a steady churn does not allocate. A window that outgrows its
+//!   block moves to a block of the next class, and the arena grows by a
+//!   quarter of its length when no free block fits, never by doubling.
+//!   Only the owning cell names a live block, and it frees the block when
+//!   the window shrinks back inline.
+//! * **Pruning.** [`ConflictDetectionTable::housekeeping`] records each
+//!   finished tick. A window that would spill or outgrow its block first
+//!   drops its entries before that tick: the ones the next collection
+//!   drops, which no probe at a live tick reads.
 //! * **Occupied set.** One bit per cell, set on insert, so `release_before`
 //!   (the paper's `update`) and `release_robot` visit only occupied cells.
 //!
@@ -31,11 +39,14 @@
 
 use crate::footprint::MemoryFootprint;
 use crate::path::Path;
-use crate::reservation::{ParkingBoard, ReservationProbe, ReservationSystem};
+use crate::reservation::{ParkingBoard, ReservationProbe, ReservationSystem, MAX_PARK_TICK};
 use tprw_warehouse::{GridPos, RobotId, Tick, MAX_FLEET};
 
 /// Entries a cell stores inline before its window spills.
 pub const INLINE_WINDOW: usize = 2;
+
+/// Ticks between collections of every occupied window.
+const GC_PERIOD: Tick = 64;
 
 /// Robot-id bits of a packed entry.
 const ROBOT_BITS: u32 = 16;
@@ -48,12 +59,31 @@ const _: () = assert!(MAX_FLEET <= ROBOT_MASK as usize + 1);
 /// silently truncating.
 pub const MAX_CDT_TICK: Tick = (1 << (64 - ROBOT_BITS)) - 2;
 
+/// The longest window a cell holds: a spilled cell keeps the length in 32
+/// bits. A window holds one entry per tick, and a resume refuses every leg
+/// that ends or could park past [`MAX_PARK_TICK`] (`u32::MAX`), so every
+/// window a resumed run holds fits. The block offset is 32 bits of 3-word
+/// units: the arena holds up to 3·(2³² − 1) words (96 GiB), so it can hold
+/// a block for any window this long.
+const MAX_WINDOW: usize = u32::MAX as usize;
+const _: () = assert!(MAX_PARK_TICK as usize <= MAX_WINDOW);
+
 /// An unused inline word. It sorts after every entry.
 const EMPTY: u64 = u64::MAX;
 
-/// The second word of a spilled cell, whose first word is the spill index.
-const SPILLED: u64 = u64::MAX - 1;
+/// The second word of a spilled cell, plus the block's size class.
+const SPILLED: u64 = EMPTY << ROBOT_BITS;
 const _: () = assert!(tick_of(SPILLED) > MAX_CDT_TICK);
+
+/// Words in one arena unit, the class-0 block: the window that spills.
+const UNIT: usize = INLINE_WINDOW + 1;
+
+/// Block size classes. The largest block holds [`MAX_WINDOW`] entries.
+const CLASSES: usize = 32;
+const _: () = assert!(UNIT << (CLASSES - 1) >= MAX_WINDOW);
+
+/// The end of a free list. Block offsets, in units, stay below it.
+const NO_BLOCK: u32 = u32::MAX;
 
 #[inline]
 fn pack(t: Tick, robot: RobotId) -> u64 {
@@ -70,8 +100,15 @@ fn robot_of(e: u64) -> RobotId {
     RobotId::new((e & ROBOT_MASK) as usize)
 }
 
+/// Words in a block of size class `class`.
+#[inline]
+const fn block_words(class: usize) -> usize {
+    UNIT << class
+}
+
 /// One cell: up to [`INLINE_WINDOW`] sorted entries followed by `EMPTY`
-/// words, or `[spill index, SPILLED]` for a longer window.
+/// words, or `[offset | len << 32, SPILLED | class]` for a longer window
+/// held in an arena block.
 #[derive(Debug, Clone, Copy)]
 struct CellSlot {
     data: [u64; INLINE_WINDOW],
@@ -82,9 +119,42 @@ impl CellSlot {
         data: [EMPTY; INLINE_WINDOW],
     };
 
+    /// A window of `len` entries in the class-`class` block at word `off`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `len` exceeds [`MAX_WINDOW`] rather than corrupting the
+    /// offset.
+    #[inline]
+    fn spilled(off: usize, len: usize, class: usize) -> Self {
+        assert!(
+            len <= MAX_WINDOW,
+            "a CDT window exceeds {MAX_WINDOW} entries"
+        );
+        debug_assert!(off.is_multiple_of(UNIT) && class < CLASSES);
+        Self {
+            data: [
+                (off / UNIT) as u64 | (len as u64) << 32,
+                SPILLED | class as u64,
+            ],
+        }
+    }
+
     #[inline]
     fn is_spilled(&self) -> bool {
-        self.data[1] == SPILLED
+        (SPILLED..EMPTY).contains(&self.data[1])
+    }
+
+    /// The block's word offset, the window's length and the block's class
+    /// (the slot must be spilled).
+    #[inline]
+    fn block(&self) -> (usize, usize, usize) {
+        let [w, c] = self.data;
+        (
+            (w as u32) as usize * UNIT,
+            (w >> 32) as usize,
+            (c - SPILLED) as usize,
+        )
     }
 
     /// Entries held inline (the slot must not be spilled).
@@ -99,7 +169,8 @@ impl CellSlot {
     }
 }
 
-/// Per-cell sorted reservation windows: inline slots, spilling into `Vec`s.
+/// Per-cell sorted reservation windows: inline slots, spilling into one
+/// arena.
 #[derive(Debug, Clone)]
 pub struct ConflictDetectionTable {
     width: u16,
@@ -107,10 +178,13 @@ pub struct ConflictDetectionTable {
     /// One bit per cell, set by every insert: a superset of the non-empty
     /// windows, so the GC and release passes walk only these cells.
     occupied: Vec<u64>,
-    /// Windows longer than [`INLINE_WINDOW`], each owned by one cell.
-    spills: Vec<Vec<u64>>,
-    /// Indices of the empty spills, which keep their capacity for reuse.
-    free_spills: Vec<u32>,
+    /// The blocks of the windows longer than [`INLINE_WINDOW`], each owned
+    /// by one cell, and the free blocks.
+    arena: Vec<u64>,
+    /// The first free block of each class, in units, or `NO_BLOCK`.
+    free: [u32; CLASSES],
+    /// The last tick [`Self::housekeeping`] finished.
+    finished: Tick,
     parked: ParkingBoard,
     reservations: usize,
 }
@@ -123,8 +197,9 @@ impl ConflictDetectionTable {
             width,
             cells: vec![CellSlot::EMPTY; cells],
             occupied: vec![0; cells.div_ceil(64)],
-            spills: Vec::new(),
-            free_spills: Vec::new(),
+            arena: Vec::new(),
+            free: [NO_BLOCK; CLASSES],
+            finished: 0,
             parked: ParkingBoard::new(width, height),
             reservations: 0,
         }
@@ -144,10 +219,16 @@ impl ConflictDetectionTable {
         }
     }
 
-    /// The paper's `update` operation: drop all reservations strictly before
-    /// `t`. Alias of [`ReservationSystem::release_before`].
-    pub fn update(&mut self, t: Tick) {
-        self.release_before(t);
+    /// End-of-tick upkeep once tick `t` has finished: records `t`, so a
+    /// window that must grow first drops its entries before `t`, and at
+    /// every multiple of `GC_PERIOD` (64) collects every occupied window
+    /// ([`ReservationSystem::release_before`]). The cadence depends on `t`
+    /// alone, so a resumed run collects on the uncut run's ticks.
+    pub fn housekeeping(&mut self, t: Tick) {
+        self.finished = t;
+        if t.is_multiple_of(GC_PERIOD) {
+            self.release_before(t);
+        }
     }
 
     #[inline]
@@ -169,7 +250,8 @@ impl ConflictDetectionTable {
     fn window(&self, idx: usize) -> &[u64] {
         let s = &self.cells[idx];
         if s.is_spilled() {
-            &self.spills[s.data[0] as usize]
+            let (off, len, _) = s.block();
+            &self.arena[off..off + len]
         } else {
             &s.data[..s.inline_len()]
         }
@@ -233,28 +315,86 @@ impl ConflictDetectionTable {
     /// returns whether a new entry was added (`false` = duplicate tick).
     fn insert_packed(&mut self, idx: usize, e: u64) -> bool {
         self.occupied[idx / 64] |= 1 << (idx % 64);
-        let Some(i) = Self::insertion_point(self.window(idx), e) else {
+        let Some(mut i) = Self::insertion_point(self.window(idx), e) else {
             return false;
         };
-        let s = &mut self.cells[idx];
+        if self.is_full(idx) {
+            // The window would spill or outgrow its block: first drop its
+            // entries before the finished tick, a sorted prefix that the
+            // next collection drops anyway.
+            let finished = self.finished;
+            let passed = Self::lower_bound(self.window(idx), finished);
+            if passed > 0 {
+                self.retain_cell(idx, |x| tick_of(x) >= finished);
+                i = i.saturating_sub(passed);
+            }
+        }
+        let s = self.cells[idx];
         if !s.is_spilled() {
             let n = s.inline_len();
             if n < INLINE_WINDOW {
-                s.data.copy_within(i..n, i + 1);
-                s.data[i] = e;
+                let d = &mut self.cells[idx].data;
+                d.copy_within(i..n, i + 1);
+                d[i] = e;
                 return true;
             }
-            // A full inline window spills, into a free spill if there is
-            // one, else into a new one sized for the window it takes.
-            let k = self.free_spills.pop().unwrap_or_else(|| {
-                self.spills.push(Vec::with_capacity(INLINE_WINDOW + 1));
-                (self.spills.len() - 1) as u32
-            });
-            self.spills[k as usize].extend_from_slice(&s.data);
-            s.data = [k as u64, SPILLED];
+            let off = self.alloc(0);
+            self.arena[off..off + n].copy_from_slice(&s.data);
+            self.cells[idx] = CellSlot::spilled(off, n, 0);
         }
-        self.spills[s.data[0] as usize].insert(i, e);
+        let (mut off, len, mut class) = self.cells[idx].block();
+        if len == block_words(class) {
+            let grown = self.alloc(class + 1);
+            self.arena.copy_within(off..off + len, grown);
+            self.free_block(off, class);
+            (off, class) = (grown, class + 1);
+        }
+        self.arena.copy_within(off + i..off + len, off + i + 1);
+        self.arena[off + i] = e;
+        self.cells[idx] = CellSlot::spilled(off, len + 1, class);
         true
+    }
+
+    /// Whether the next entry of cell `idx` spills its inline window or
+    /// outgrows its block.
+    #[inline]
+    fn is_full(&self, idx: usize) -> bool {
+        let s = &self.cells[idx];
+        if s.is_spilled() {
+            let (_, len, class) = s.block();
+            len == block_words(class)
+        } else {
+            s.inline_len() == INLINE_WINDOW
+        }
+    }
+
+    /// The word offset of a free block of `class`: the head of its free
+    /// list, else a new block at the arena's end. The arena grows by a
+    /// quarter of its length, or by the block if that is more.
+    fn alloc(&mut self, class: usize) -> usize {
+        let head = self.free[class];
+        if head != NO_BLOCK {
+            let off = head as usize * UNIT;
+            self.free[class] = self.arena[off] as u32;
+            return off;
+        }
+        let (off, words) = (self.arena.len(), block_words(class));
+        assert!(
+            (off + words) / UNIT < NO_BLOCK as usize,
+            "the CDT's spill arena is full at {off} words"
+        );
+        if self.arena.capacity() - off < words {
+            self.arena.reserve_exact(words.max(off / 4));
+        }
+        self.arena.resize(off + words, EMPTY);
+        off
+    }
+
+    /// Put the class-`class` block at word `off` on its free list, linked
+    /// through its first word.
+    fn free_block(&mut self, off: usize, class: usize) {
+        self.arena[off] = u64::from(self.free[class]);
+        self.free[class] = (off / UNIT) as u32;
     }
 
     #[inline]
@@ -278,21 +418,27 @@ impl ConflictDetectionTable {
     }
 
     /// Keep the entries of cell `idx` for which `keep` holds; a spilled
-    /// window that fits inline again moves back and frees its spill. Freed
+    /// window that fits inline again moves back and frees its block. Freed
     /// inline words go back to `EMPTY`. Returns the remaining length.
     fn retain_cell(&mut self, idx: usize, keep: impl Fn(u64) -> bool) -> usize {
-        let s = &mut self.cells[idx];
+        let s = self.cells[idx];
         let (n, rem) = if s.is_spilled() {
-            let k = s.data[0] as usize;
-            let spill = &mut self.spills[k];
-            let n = spill.len();
-            spill.retain(|&e| keep(e));
-            let rem = spill.len();
+            let (off, n, class) = s.block();
+            let w = &mut self.arena[off..off + n];
+            let mut rem = 0;
+            for j in 0..n {
+                if keep(w[j]) {
+                    w[rem] = w[j];
+                    rem += 1;
+                }
+            }
             if rem <= INLINE_WINDOW {
-                s.data = [EMPTY; INLINE_WINDOW];
-                s.data[..rem].copy_from_slice(spill);
-                spill.clear();
-                self.free_spills.push(k as u32);
+                let mut data = [EMPTY; INLINE_WINDOW];
+                data[..rem].copy_from_slice(&w[..rem]);
+                self.cells[idx].data = data;
+                self.free_block(off, class);
+            } else {
+                self.cells[idx] = CellSlot::spilled(off, rem, class);
             }
             (n, rem)
         } else {
@@ -302,8 +448,8 @@ impl ConflictDetectionTable {
             let [a, b] = s.data;
             let (ka, kb) = (keep(a), keep(b));
             let b = if kb { b } else { EMPTY };
-            s.data = if ka { [a, b] } else { [b, EMPTY] };
-            let rem = s.inline_len();
+            self.cells[idx].data = if ka { [a, b] } else { [b, EMPTY] };
+            let rem = self.cells[idx].inline_len();
             (rem + usize::from(!ka) + usize::from(!kb), rem)
         };
         self.reservations -= n - rem;
@@ -323,23 +469,29 @@ impl ConflictDetectionTable {
         self.cells[pos.to_index(self.width)].is_spilled()
     }
 
-    #[cfg(test)]
-    fn spill_count(&self) -> usize {
-        self.spills.len()
-    }
-
     /// Whether the occupied set is exactly the non-empty windows.
     #[cfg(test)]
     fn occupied_is_exact(&self) -> bool {
         (0..self.cells.len()).all(|idx| self.cells[idx].is_empty() != self.is_occupied(idx))
     }
 
-    /// Whether every inline slot is a sorted window padded with `EMPTY`,
-    /// every spilled cell owns a distinct spill too long to fit inline, and
-    /// every other spill is empty and on the free list once.
+    /// Whether the arena is partitioned: every arena word lies in exactly
+    /// one block, either a spilled cell's or one on its class's free list.
+    /// Also, every inline slot is a sorted window padded with `EMPTY`, and
+    /// every spilled window is sorted, longer than [`INLINE_WINDOW`] and no
+    /// longer than its block.
     #[cfg(test)]
-    fn spills_are_exact(&self) -> bool {
-        let mut uses = vec![0u32; self.spills.len()];
+    fn arena_is_partitioned(&self) -> bool {
+        let mut owners = vec![0u8; self.arena.len()];
+        let mut claim = |off: usize, class: usize| {
+            let words = owners.get_mut(off..off + block_words(class));
+            words.is_some_and(|ws| {
+                ws.iter_mut().all(|o| {
+                    *o += 1;
+                    *o == 1
+                })
+            })
+        };
         for s in &self.cells {
             if !s.is_spilled() {
                 if s.data[0] >= s.data[1] && s.data[1] != EMPTY {
@@ -347,19 +499,24 @@ impl ConflictDetectionTable {
                 }
                 continue;
             }
-            let k = s.data[0] as usize;
-            if self.spills.get(k).is_none_or(|w| w.len() <= INLINE_WINDOW) {
+            let (off, len, class) = s.block();
+            let fits = INLINE_WINDOW < len && len <= block_words(class);
+            if !fits || !claim(off, class) || !self.arena[off..off + len].is_sorted_by(|a, b| a < b)
+            {
                 return false;
             }
-            uses[k] += 1;
         }
-        for &k in &self.free_spills {
-            if self.spills.get(k as usize).map(Vec::len) != Some(0) {
-                return false;
+        for (class, &head) in self.free.iter().enumerate() {
+            let mut next = head;
+            while next != NO_BLOCK {
+                let off = next as usize * UNIT;
+                if !claim(off, class) {
+                    return false;
+                }
+                next = self.arena[off] as u32;
             }
-            uses[k as usize] += 1;
         }
-        uses.iter().all(|&u| u == 1)
+        owners.iter().all(|&o| o == 1)
     }
 }
 
@@ -458,13 +615,7 @@ impl MemoryFootprint for ConflictDetectionTable {
     fn memory_bytes(&self) -> usize {
         self.cells.capacity() * std::mem::size_of::<CellSlot>()
             + self.occupied.capacity() * std::mem::size_of::<u64>()
-            + self.spills.capacity() * std::mem::size_of::<Vec<u64>>()
-            + self
-                .spills
-                .iter()
-                .map(|s| s.capacity() * std::mem::size_of::<u64>())
-                .sum::<usize>()
-            + self.free_spills.capacity() * std::mem::size_of::<u32>()
+            + self.arena.capacity() * std::mem::size_of::<u64>()
             + self.parked.memory_bytes()
     }
 }
@@ -517,7 +668,7 @@ mod tests {
             true,
         );
         assert_eq!(c.reservation_count(), 4);
-        c.update(2);
+        c.release_before(2);
         assert_eq!(c.reservation_count(), 2);
         assert_eq!(c.occupant(p(0, 0), 0), None);
         assert_eq!(c.occupant(p(2, 0), 2), Some(RobotId::new(0)));
@@ -558,22 +709,25 @@ mod tests {
         }
         assert!(c.is_spilled(p(1, 1)));
         assert_eq!(c.window_ticks(p(1, 1)), (0..10).collect::<Vec<_>>());
+        // Ten entries grew through the 3-, 6- and 12-word classes, and the
+        // outgrown blocks went on their free lists.
+        assert_eq!(c.arena.len(), 3 + 6 + 12);
+        assert!(c.arena_is_partitioned());
         // GC down to two live entries: the window must fold back inline and
-        // free its spill.
+        // free its block.
         c.release_before(8);
         assert!(!c.is_spilled(p(1, 1)));
         assert_eq!(c.window_ticks(p(1, 1)), vec![8, 9]);
         assert_eq!(c.reservation_count(), 2);
-        assert!(c.spills_are_exact());
-        // The freed spill is reused by the next spill instead of a new one
+        assert!(c.arena_is_partitioned());
+        // The freed blocks serve the next spill instead of new ones
         // (free-list reuse, not allocator traffic).
-        assert_eq!(c.spill_count(), 1);
         for t in 0..6 {
             c.insert(RobotId::new(0), p(2, 2), t);
         }
         assert!(c.is_spilled(p(2, 2)));
-        assert_eq!(c.spill_count(), 1, "spill must reuse the free spill");
-        assert!(c.spills_are_exact());
+        assert_eq!(c.arena.len(), 21, "spills must reuse the free blocks");
+        assert!(c.arena_is_partitioned());
     }
 
     #[test]
@@ -721,18 +875,114 @@ mod tests {
             vec![MAX_CDT_TICK - 1, MAX_CDT_TICK]
         );
         assert_eq!(c.occupant(p(1, 1), MAX_CDT_TICK), Some(top));
-        assert!(c.spills_are_exact());
+        assert!(c.arena_is_partitioned());
         assert!(c.occupied_is_exact());
     }
 
+    /// The spill words hold the longest window at the last offset, and a
+    /// window as long as the longest leg a resume accepts on the largest
+    /// grid (`(W−1) + (H−1)` plus the default slack of 256, at `u16::MAX`
+    /// per side) spills, answers and folds back inline.
+    #[test]
+    fn longest_windows_roundtrip() {
+        let last = (NO_BLOCK as usize - 1) * UNIT;
+        let s = CellSlot::spilled(last, MAX_WINDOW, CLASSES - 1);
+        assert!(s.is_spilled() && !s.is_empty());
+        assert_eq!(s.block(), (last, MAX_WINDOW, CLASSES - 1));
+        assert!(block_words(CLASSES - 1) >= MAX_WINDOW);
+
+        let span = 2 * (u16::MAX as Tick - 1) + 256;
+        let mut c = ConflictDetectionTable::new(4, 4);
+        let r = RobotId::new(3);
+        let wait = Path {
+            start: 0,
+            cells: vec![p(1, 1); span as usize + 1],
+        };
+        c.reserve_path(r, &wait, true);
+        assert!(c.is_spilled(p(1, 1)));
+        assert_eq!(c.reservation_count() as Tick, span + 1);
+        for t in [0, 1, span / 2, span - 1, span] {
+            assert_eq!(c.occupant(p(1, 1), t), Some(r));
+        }
+        assert!(!c.can_move(RobotId::new(0), p(1, 0), p(1, 1), span - 1));
+        assert_eq!(
+            c.last_reservation_excluding(p(1, 1), RobotId::new(0)),
+            Some(span)
+        );
+        assert!(c.arena_is_partitioned());
+        c.release_before(span - 1);
+        assert!(!c.is_spilled(p(1, 1)));
+        assert_eq!(c.window_ticks(p(1, 1)), vec![span - 1, span]);
+        assert!(c.arena_is_partitioned());
+    }
+
+    /// A window that must spill first drops its entries before the
+    /// finished tick, and keeps the ones at it.
+    #[test]
+    fn passed_entries_drop_before_a_window_spills() {
+        let mut c = ConflictDetectionTable::new(4, 4);
+        let (a, b) = (RobotId::new(1), RobotId::new(2));
+        c.insert(a, p(2, 2), 3);
+        c.insert(b, p(2, 2), 10);
+        c.housekeeping(10);
+        c.insert(a, p(2, 2), 12);
+        assert!(!c.is_spilled(p(2, 2)), "tick 3 made room inline");
+        assert_eq!(c.window_ticks(p(2, 2)), vec![10, 12]);
+        assert_eq!(c.reservation_count(), 2);
+        // Nothing passed: the window spills with every entry.
+        c.insert(b, p(2, 2), 11);
+        assert!(c.is_spilled(p(2, 2)));
+        assert_eq!(c.window_ticks(p(2, 2)), vec![10, 11, 12]);
+        assert!(c.arena_is_partitioned());
+    }
+
+    /// A spilled window that must outgrow its block first drops its
+    /// passed entries, and moves back inline if that leaves two or fewer.
+    /// A tick that is not a multiple of 64 collects nothing else.
+    #[test]
+    fn passed_entries_drop_before_a_block_grows() {
+        let mut c = ConflictDetectionTable::new(4, 4);
+        let r = RobotId::new(0);
+        for t in [1, 2, 5] {
+            c.insert(r, p(1, 1), t);
+        }
+        c.insert(r, p(3, 3), 1);
+        c.housekeeping(5);
+        assert_eq!(c.reservation_count(), 4, "no collection at tick 5");
+        c.insert(r, p(1, 1), 6);
+        assert!(!c.is_spilled(p(1, 1)));
+        assert_eq!(c.window_ticks(p(1, 1)), vec![5, 6]);
+        assert_eq!(c.window_ticks(p(3, 3)), vec![1]);
+        assert_eq!(c.reservation_count(), 3);
+        // Six entries fill a 6-word block. An entry before the finished
+        // tick still goes in, ahead of the kept ones.
+        for t in [7, 8, 9, 10] {
+            c.insert(r, p(1, 1), t);
+        }
+        c.housekeeping(8);
+        c.insert(r, p(1, 1), 4);
+        assert_eq!(c.window_ticks(p(1, 1)), vec![4, 8, 9, 10]);
+        assert!(c.is_spilled(p(1, 1)));
+        assert!(c.arena_is_partitioned());
+        c.housekeeping(64);
+        assert_eq!(
+            c.reservation_count(),
+            0,
+            "tick 64 collects everything before it"
+        );
+        assert!(c.arena_is_partitioned() && c.occupied_is_exact());
+    }
+
     /// Drive the same operation soup (`reference_cdt::apply_soup`) into a
-    /// pooled and a reference table of `w`×`h` cells.
+    /// pooled and a reference table of `w`×`h` cells. An advance runs the
+    /// pooled table's housekeeping, so its windows prune as they grow.
     fn apply_soup(
         ops: &[(u8, usize, u16, u16, u64)],
         (w, h): (u16, u16),
     ) -> (ConflictDetectionTable, ReferenceConflictDetectionTable) {
         let mut pooled = ConflictDetectionTable::new(w, h);
-        let reference = reference_cdt::apply_soup(ops, &mut pooled, (w, h));
+        let reference =
+            reference_cdt::apply_soup(ops, &mut pooled, (w, h), |c, t| c.housekeeping(t));
         (pooled, reference)
     }
 
@@ -805,11 +1055,11 @@ mod tests {
         #[test]
         fn backends_answer_alike_after_one_soup(
             ops in proptest::collection::vec(
-                (0u8..5, 0usize..8, 0u16..8, 0u16..8, 0u64..40), 1..40),
+                (0u8..6, 0usize..8, 0u16..8, 0u16..8, 0u64..40), 1..40),
         ) {
             let (pooled, reference) = apply_soup(&ops, (8, 8));
             let mut stg = SpatioTemporalGraph::new(8, 8);
-            reference_cdt::apply_soup(&ops, &mut stg, (8, 8));
+            reference_cdt::apply_soup(&ops, &mut stg, (8, 8), |_, _| {});
             same_answers(&pooled, &reference, (8, 8), 0..44, 9)?;
             same_answers(&stg, &reference, (8, 8), 0..44, 9)?;
         }
@@ -822,12 +1072,12 @@ mod tests {
         #[test]
         fn pooled_equals_reference_under_soup(
             ops in proptest::collection::vec(
-                (0u8..5, 0usize..8, 0u16..8, 0u16..8, 0u64..40), 1..40),
+                (0u8..6, 0usize..8, 0u16..8, 0u16..8, 0u64..40), 1..40),
             qt in 0u64..48,
         ) {
             let (pooled, reference) = apply_soup(&ops, (8, 8));
             prop_assert_eq!(pooled.reservation_count(), reference.reservation_count());
-            prop_assert!(pooled.spills_are_exact());
+            prop_assert!(pooled.arena_is_partitioned());
             let probe = RobotId::new(99);
             for x in 0..8u16 {
                 for y in 0..8u16 {
@@ -870,7 +1120,7 @@ mod tests {
         #[test]
         fn sparse_gc_equals_reference(
             ops in proptest::collection::vec(
-                (0u8..5, 0usize..8, 0u16..64, 0u16..64, 0u64..40), 1..40),
+                (0u8..6, 0usize..8, 0u16..64, 0u16..64, 0u64..40), 1..40),
             gc in 0u64..48,
         ) {
             let (mut pooled, mut reference) = apply_soup(&ops, (64, 64));
@@ -878,7 +1128,7 @@ mod tests {
             reference.release_before(gc);
             same_answers(&pooled, &reference, (64, 64), 0..44, 9)?;
             prop_assert!(pooled.occupied_is_exact());
-            prop_assert!(pooled.spills_are_exact());
+            prop_assert!(pooled.arena_is_partitioned());
         }
     }
 }

@@ -9,11 +9,11 @@
 //! counting global allocator.
 //!
 //! Accounting is **capacity-based** for the flat structures: the CDT's
-//! 16-byte cell slots and spill `Vec`s, the STG's `u16` sentinel layers and
+//! 16-byte cell slots and spill arena, the STG's `u16` sentinel layers and
 //! the [`crate::reservation::ParkingBoard`]'s 2-byte cells and per-robot
 //! spots all report `capacity × element size`, which is what the allocator
-//! actually holds (spills keep their capacity across `release_before` so
-//! steady-state GC does not free memory — the number reflects that). The
+//! actually holds (the arena keeps its freed blocks across `release_before`
+//! so steady-state GC does not free memory — the number reflects that). The
 //! one hash map that remains, the search's deep-delay map, adds
 //! [`HASH_ENTRY_OVERHEAD`] per entry for control bytes and load-factor
 //! slack.

@@ -7,8 +7,8 @@
 //! `can_move` binary-searches through a pointer indirection, and GC shrinks
 //! per-cell buffers individually. [`crate::cdt::ConflictDetectionTable`]
 //! keeps up to two packed entries inline per cell and gives only longer
-//! windows a `Vec`; the two must answer every query identically
-//! (property-tested in `cdt.rs`).
+//! windows a block of one arena; the two must answer every query
+//! identically (property-tested in `cdt.rs`).
 
 use crate::footprint::MemoryFootprint;
 use crate::path::Path;
@@ -249,22 +249,28 @@ pub fn same_answers(
 
 /// Drive an operation soup into `table` and a fresh reference table of
 /// `w`×`h` cells: one-cell and short eastward paths, GC passes, robot
-/// releases and (un)parking, each op a `(kind, robot, x, y, t)` tuple. A
-/// side map of live timed reservations skips ops that would double-reserve
-/// a cell-tick for two robots (a planner invariant every layout
-/// `debug_assert`s), so every generated soup is valid for both.
-pub fn apply_soup(
+/// releases, (un)parking and advances of the finished tick, each op a
+/// `(kind, robot, x, y, t)` tuple. A side map of live timed reservations
+/// skips ops that would double-reserve a cell-tick for two robots (a
+/// planner invariant every layout `debug_assert`s), so every generated
+/// soup is valid for both. An advance moves the finished tick `now` up to
+/// `t`, never down, and calls `advance(table, now)`; the reference does
+/// nothing. The soup ends with `release_before(now)` on both, which drops
+/// every entry a table may have dropped early.
+pub fn apply_soup<T: ReservationSystem>(
     ops: &[(u8, usize, u16, u16, u64)],
-    table: &mut impl ReservationSystem,
+    table: &mut T,
     (w, h): (u16, u16),
+    advance: impl Fn(&mut T, Tick),
 ) -> ReferenceConflictDetectionTable {
     let mut reference = ReferenceConflictDetectionTable::new(w, h);
+    let mut now = 0;
     let mut live: std::collections::HashMap<(GridPos, Tick), RobotId> =
         std::collections::HashMap::new();
     for &(kind, robot, x, y, t) in ops {
         let robot = RobotId::new(robot);
         let pos = GridPos::new(x % w, y % h);
-        match kind % 5 {
+        match kind % 6 {
             0 => {
                 if *live.entry((pos, t)).or_insert(robot) == robot {
                     let step = Path::stationary(pos, t);
@@ -300,7 +306,7 @@ pub fn apply_soup(
                 table.release_robot(robot);
                 reference.release_robot(robot);
             }
-            _ => {
+            4 => {
                 if table.parked_at(pos).is_none() && reference.parked_at(pos).is_none() {
                     table.park(robot, pos, t);
                     reference.park(robot, pos, t);
@@ -309,8 +315,14 @@ pub fn apply_soup(
                     reference.unpark(robot);
                 }
             }
+            _ => {
+                now = now.max(t);
+                advance(table, now);
+            }
         }
     }
+    table.release_before(now);
+    reference.release_before(now);
     reference
 }
 

@@ -479,7 +479,7 @@ mod tests {
         ) {
             let (w, h) = (40u16, 6u16);
             let mut g = SpatioTemporalGraph::new(w, h);
-            let reference = apply_soup(&ops, &mut g, (w, h));
+            let reference = apply_soup(&ops, &mut g, (w, h), |_, _| {});
             same_answers(&g, &reference, (w, h), 0..30, 9)?;
             for y in 0..h {
                 for x in 0..w {

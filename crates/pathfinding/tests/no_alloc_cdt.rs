@@ -1,13 +1,14 @@
 //! Steady-state allocation test for the conflict detection table.
 //!
 //! A counting global allocator wraps `System`; after a warm-up that spills
-//! a working set of windows into their own `Vec`s and releases them again,
-//! a steady-state churn cycle — reserve paths (spilling into the freed
-//! spills, which keep their capacity), probe `can_move` heavily, release
-//! the robots, GC — must perform **zero** heap allocations: inline windows
-//! live in the cell slots, spills are served from the free list, and
-//! `can_move` itself is read-only. The reference layout re-allocates
-//! per-cell `Vec` buffers whenever a window's high water mark moves.
+//! a working set of windows into blocks of the spill arena and releases
+//! them again, a steady-state churn cycle — reserve paths (spilling into
+//! the freed blocks, which stay in the arena), probe `can_move` heavily,
+//! release the robots, GC — must perform **zero** heap allocations: inline
+//! windows live in the cell slots, spills are served from the per-class
+//! free lists, and `can_move` itself is read-only. The reference layout
+//! re-allocates per-cell `Vec` buffers whenever a window's high water mark
+//! moves.
 //!
 //! This file intentionally holds a single `#[test]` so no concurrent test
 //! thread can pollute the allocation counters (same discipline as
