@@ -45,13 +45,16 @@ use crate::commands::{Ack, BacklogOrder, SequencedCommand};
 use crate::metrics::{self, MetricsSnapshot};
 use crate::report::SimulationReport;
 use crate::validate::TrajectoryValidator;
-use eatp_core::planner::{LegRequest, Planner, PlannerEvent};
+use eatp_core::planner::{resumed_reservations, LegRequest, Planner};
 use schedule::Schedule;
 use serde::{Deserialize, Serialize};
-use tprw_pathfinding::Path;
+use std::iter::zip;
+use tprw_pathfinding::cdt::MAX_CDT_TICK;
+use tprw_pathfinding::reservation::MAX_PARK_TICK;
+use tprw_pathfinding::{Conflict, Path};
 use tprw_warehouse::{
-    Duration, GridPos, Instance, OrderId, Picker, QueueEntry, Rack, RackId, Robot, RobotId, Tick,
-    TimedEvent,
+    DisruptionEvent, Duration, GridPos, Instance, OrderId, Picker, QueueEntry, Rack, RackId, Robot,
+    RobotId, RobotPhase, Tick, TimedEvent,
 };
 
 /// Item-progress checkpoints sampled per run (the paper plots 10).
@@ -273,6 +276,275 @@ impl EngineState {
             ..Self::default()
         }
     }
+
+    /// The one statement of the mid-run states an engine on `instance`
+    /// accepts (`docs/adr/ADR-039-one-resume-path.md`):
+    /// [`resume_from`](crate::snapshot::resume_from) refuses every other. The
+    /// engine and the resumed planner index, count and assert by these facts
+    /// without checks of their own. The clauses, in the order checked:
+    ///
+    /// 1. the per-robot, per-picker, per-rack and per-cell tables have the
+    ///    lengths [`EngineState::new`] gives them (the live arrivals that of
+    ///    the live orders), and the racks, pickers and robots keep the
+    ///    instance's ids, homes, pickers and stations;
+    /// 2. the item, event and checkpoint cursors and the cancelled orders lie
+    ///    within what they count;
+    /// 3. the robots, active-path cells, journaled cell events and deferred
+    ///    blockades lie on the grid;
+    /// 4. an idle robot stands on a rack home or its own spawn cell, the
+    ///    cells EATP's K-nearest index lists (ADR-025);
+    /// 5. the robot, picker, rack and item ids of the pending-leg lists,
+    ///    deferred removals, backlog, phases, picker queues, `serving`,
+    ///    pending items and journal name entities of the run;
+    /// 6. no robot is named twice by the pending-leg lists, the picker queues
+    ///    and `serving`, and a queue or `serving` entry's robot is docked
+    ///    with the entry's rack;
+    /// 7. the reservations a resumed planner rebuilds
+    ///    ([`resumed_reservations`], ADR-033) fit the tables' tick encodings:
+    ///    an active path holds a cell, starts by `t` and ends by
+    ///    `MAX_CDT_TICK`, and a park starts by `MAX_PARK_TICK`;
+    /// 8. the legs keep [`TrajectoryValidator`]'s conflict rule (ADR-037):
+    ///    one full check at `t − 1`, then one check per tick of the robots on
+    ///    a leg to the last end + 1, refusing the first vertex ("meets") or
+    ///    swap ("swaps") conflict;
+    /// 9. only a travelling robot holds a path, and its leg ends at its goal:
+    ///    the rack's home, or for `ToStation` the rack's picker's cell;
+    /// 10. a leg is a walk (Definition 5): each step waits or moves to a
+    ///     4-adjacent cell, and each cell is passable.
+    pub fn check(&self, instance: &Instance) -> Result<(), String> {
+        let (robots, pickers) = (instance.robots.len(), instance.pickers.len());
+        let (racks, grid) = (instance.racks.len(), &instance.grid);
+        let n_cells = grid.cell_count();
+        let tables = [
+            ("robots", self.robots.len(), robots),
+            ("paths", self.paths.len(), robots),
+            ("carried_work", self.carried_work.len(), robots),
+            ("carried_items", self.carried_items.len(), robots),
+            ("carried_orders", self.carried_orders.len(), robots),
+            ("broken", self.broken.len(), robots),
+            ("pickers", self.pickers.len(), pickers),
+            ("serving", self.serving.len(), pickers),
+            ("closed", self.closed.len(), pickers),
+            ("racks", self.racks.len(), racks),
+            ("removed", self.removed.len(), racks),
+            ("blocked_overlay", self.blocked_overlay.len(), n_cells),
+            (
+                "live_item_arrivals",
+                self.live_item_arrivals.len(),
+                self.live_item_orders.len(),
+            ),
+        ];
+        if let Some((table, len, expected)) = tables.into_iter().find(|&(_, l, e)| l != e) {
+            return Err(format!(
+                "engine table `{table}` has {len} entries, the instance needs {expected}"
+            ));
+        }
+        let racks_fit = zip(&self.racks, &instance.racks)
+            .all(|(r, i)| (r.id, r.home, r.picker) == (i.id, i.home, i.picker));
+        let pickers_fit =
+            zip(&self.pickers, &instance.pickers).all(|(p, i)| (p.id, p.pos) == (i.id, i.pos));
+        let robots_fit = zip(&self.robots, &instance.robots).all(|(r, i)| r.id == i.id);
+        let fits = [
+            ("racks", racks_fit),
+            ("pickers", pickers_fit),
+            ("robots", robots_fit),
+        ];
+        if let Some((table, _)) = fits.into_iter().find(|&(_, fit)| !fit) {
+            return Err(format!(
+                "engine table `{table}` differs from the instance's ids, homes, pickers or stations"
+            ));
+        }
+        let (pregenerated, events) = (instance.items.len(), instance.disruptions.len());
+        let counters = [
+            ("next_item", self.next_item as u64, 0..=pregenerated as u64),
+            ("next_event", self.next_event as u64, 0..=events as u64),
+            (
+                "next_checkpoint",
+                self.next_checkpoint as u64,
+                1..=CHECKPOINTS as u64 + 1,
+            ),
+            (
+                "orders_cancelled",
+                self.orders_cancelled,
+                0..=self.orders_submitted,
+            ),
+        ];
+        if let Some((field, at, range)) = counters.into_iter().find(|(_, at, r)| !r.contains(at)) {
+            return Err(format!("engine field `{field}` is {at}, outside {range:?}"));
+        }
+        let mut cells = (self.robots.iter().map(|r| ("robots", r.pos)))
+            .chain(
+                (self.paths.iter().flatten()).flat_map(|p| p.cells.iter().map(|&c| ("paths", c))),
+            )
+            .chain(self.journal.iter().filter_map(|e| match e.event {
+                DisruptionEvent::CellBlocked { pos } | DisruptionEvent::CellUnblocked { pos } => {
+                    Some(("journal", pos))
+                }
+                _ => None,
+            }))
+            .chain((self.deferred_blockades.iter()).map(|&pos| ("deferred_blockades", pos)));
+        if let Some((table, pos)) = cells.find(|&(_, pos)| !grid.in_bounds(pos)) {
+            return Err(format!(
+                "engine table `{table}` names cell {pos}, off the instance's {}×{} grid",
+                grid.width(),
+                grid.height()
+            ));
+        }
+        let mut home = vec![false; n_cells];
+        for rack in &instance.racks {
+            home[rack.home.to_index(grid.width())] = true;
+        }
+        let stray = zip(&self.robots, &instance.robots).find(|(r, spawn)| {
+            r.is_idle() && r.pos != spawn.pos && !home[r.pos.to_index(grid.width())]
+        });
+        if let Some((robot, _)) = stray {
+            return Err(format!(
+                "engine table `robots` has idle {} at {}, neither a rack home nor its spawn cell",
+                robot.id, robot.pos
+            ));
+        }
+        let robot_lists = [
+            ("needs_return", &self.needs_return),
+            ("needs_delivery", &self.needs_delivery),
+            ("needs_replan", &self.needs_replan),
+        ];
+        let listed =
+            (robot_lists.into_iter()).flat_map(|(table, ids)| ids.iter().map(move |&r| (table, r)));
+        let robot_ids = listed
+            .clone()
+            .map(|(table, r)| (table, "robot", r.index(), robots));
+        let queued = (self.pickers.iter().flat_map(|p| &p.queue)).map(|e| ("pickers", e));
+        let entries = queued.chain(self.serving.iter().flatten().map(|e| ("serving", e)));
+        let removals = (self.deferred_removals.iter()).map(|&r| ("deferred_removals", r));
+        let backlog = self.backlog.iter().map(|o| ("backlog", o.rack));
+        let phases = (self.robots.iter()).filter_map(|r| Some(("robots", r.phase.rack()?)));
+        let rack_ids = (removals.chain(backlog).chain(phases))
+            .chain(entries.clone().map(|(table, e)| (table, e.rack)))
+            .map(|(table, r)| (table, "rack", r.index(), racks));
+        let entry_robots =
+            (entries.clone()).map(|(table, e)| (table, "robot", e.robot.index(), robots));
+        let items = instance.items.len() + self.live_item_orders.len();
+        let pending = self.racks.iter().flat_map(|r| &r.pending);
+        let item_ids = pending.map(|i| ("racks", "item", i.index(), items));
+        let journal_ids = self.journal.iter().filter_map(|e| match e.event {
+            DisruptionEvent::RobotBreakdown { robot } | DisruptionEvent::RobotRecover { robot } => {
+                Some(("journal", "robot", robot.index(), robots))
+            }
+            DisruptionEvent::StationClosed { picker }
+            | DisruptionEvent::StationReopened { picker } => {
+                Some(("journal", "picker", picker.index(), pickers))
+            }
+            DisruptionEvent::RackRemoved { rack } | DisruptionEvent::RackRestored { rack } => {
+                Some(("journal", "rack", rack.index(), racks))
+            }
+            DisruptionEvent::CellBlocked { .. } | DisruptionEvent::CellUnblocked { .. } => None,
+        });
+        let ids = robot_ids.chain(entry_robots).chain(rack_ids);
+        let mut ids = ids.chain(item_ids).chain(journal_ids);
+        if let Some((table, kind, id, count)) = ids.find(|&(_, _, id, count)| id >= count) {
+            return Err(format!(
+                "engine table `{table}` names {kind} {id}, outside the instance's {count} {kind}s"
+            ));
+        }
+        let mut named = vec![false; robots];
+        let seated = entries.map(|(table, e)| (table, e.robot, Some(e.rack)));
+        for (table, id, rack) in listed.map(|(table, r)| (table, r, None)).chain(seated) {
+            if std::mem::replace(&mut named[id.index()], true) {
+                return Err(format!("engine table `{table}` names {id} a second time"));
+            }
+            let phase = self.robots[id.index()].phase;
+            if rack.is_some_and(|rack| !phase.is_docked() || phase.rack() != Some(rack)) {
+                return Err(format!(
+                    "engine table `{table}` holds {id}, not docked with its rack"
+                ));
+            }
+        }
+        let t = self.t;
+        let refuse = |what: String| Err(format!("engine table `paths` {what}"));
+        let (mut legs, mut parks) = (Vec::new(), Vec::new());
+        for (ai, (robot, path)) in zip(&self.robots, &self.paths).enumerate() {
+            let id = robot.id;
+            if let Some(p) = path {
+                if p.cells.is_empty() {
+                    return refuse(format!("has {id} on no cell"));
+                }
+                if p.start > t {
+                    return refuse(format!("starts {id} at tick {}, after tick {t}", p.start));
+                }
+                if p.start.saturating_add(p.cells.len() as Tick - 1) > MAX_CDT_TICK {
+                    return refuse(format!("ends {id}'s path past tick {MAX_CDT_TICK}"));
+                }
+            }
+            let (ahead, park) = resumed_reservations(t, robot, path.as_ref());
+            parks.extend(park.map(|(_, from)| (id, from)));
+            legs.extend(ahead.map(|ahead| (ai, ahead, park.map(|(pos, _)| pos))));
+        }
+        if let Some((id, from)) = parks.into_iter().find(|&(_, from)| from > MAX_PARK_TICK) {
+            return refuse(format!("parks {id} at tick {from}, past {MAX_PARK_TICK}"));
+        }
+        let mut cells: Vec<Option<GridPos>> = (self.robots.iter())
+            .map(|r| (!r.phase.is_docked()).then_some(r.pos))
+            .collect();
+        let on_grid = |cells: &[Option<GridPos>]| -> Vec<(RobotId, GridPos)> {
+            zip(&self.robots, cells)
+                .filter_map(|(r, &c)| Some((r.id, c?)))
+                .collect()
+        };
+        let mut validator = TrajectoryValidator::new();
+        if let Some(before) = t.checked_sub(1) {
+            validator.check_tick(before, &on_grid(&cells), grid);
+        }
+        let last = (legs.iter()).map(|(_, ahead, _)| ahead.end() + 1).max();
+        let mut touched = Vec::with_capacity(legs.len());
+        for tick in t..=last.unwrap_or(t) {
+            if !validator.conflicts.is_empty() {
+                break;
+            }
+            legs.retain(|(_, ahead, _)| ahead.end() + 1 >= tick);
+            touched.clear();
+            for (ai, ahead, park) in &legs {
+                cells[*ai] = (tick <= ahead.end()).then(|| ahead.at(tick)).or(*park);
+                touched.push((self.robots[*ai].id, cells[*ai]));
+            }
+            if !validator.check_tick_delta(tick, &touched, grid) {
+                validator.check_tick(tick, &on_grid(&cells), grid);
+            }
+        }
+        if let Some(&conflict) = validator.conflicts.first() {
+            return refuse(match conflict {
+                Conflict::Vertex { pos, t, a, b } => {
+                    format!("meets {a} and {b} on {pos} at tick {t}")
+                }
+                Conflict::Edge { from, to, t, a, b } => {
+                    format!("swaps {a} and {b} between {from} and {to} from tick {t}")
+                }
+            });
+        }
+        for (robot, path) in zip(&self.robots, &self.paths) {
+            let (id, Some(p)) = (robot.id, path) else {
+                continue;
+            };
+            let rack = |rack: RackId| &self.racks[rack.index()];
+            let goal = match robot.phase {
+                RobotPhase::ToRack { rack: r } | RobotPhase::Returning { rack: r } => rack(r).home,
+                RobotPhase::ToStation { rack: r } => self.pickers[rack(r).picker.index()].pos,
+                _ => return refuse(format!("holds a path for {id}, which is on no leg")),
+            };
+            if p.last() != goal {
+                return refuse(format!(
+                    "ends {id}'s leg on {}, not at its goal {goal}",
+                    p.last()
+                ));
+            }
+            if let Some(w) = p.cells.windows(2).find(|w| w[0].manhattan(w[1]) > 1) {
+                return refuse(format!("moves {id} from {} to {}, not a step", w[0], w[1]));
+            }
+            if let Some(c) = p.cells.iter().find(|&&c| !grid.passable(c)) {
+                return refuse(format!("puts {id} on {c}, which is not passable"));
+            }
+        }
+        Ok(())
+    }
 }
 
 /// The discrete-time simulation engine, steppable one tick at a time so runs
@@ -355,7 +627,7 @@ impl<'a> Engine<'a> {
 
     /// Initialise the planner for this run. Must be called exactly once
     /// before stepping a fresh engine; resumed engines are initialised by
-    /// [`Engine::resume`] instead.
+    /// [`resume_from`](crate::snapshot::resume_from) instead.
     pub fn start(&mut self, planner: &mut dyn Planner) {
         planner.init(self.instance);
     }
@@ -535,57 +807,22 @@ impl<'a> Engine<'a> {
         self.state.clone()
     }
 
-    /// Overwrite this (freshly constructed) engine's canonical state with
-    /// an exported one, and rebuild the validator's previous check (the
-    /// robots on the grid at `t − 1`) and the schedule from it. The other
-    /// derived fields keep their `new()` values, functions of the instance
-    /// and config alone.
-    pub fn restore_state(&mut self, state: &EngineState) {
-        self.state = state.clone();
-        self.collect_on_grid();
-        let prev_t = self.state.t.checked_sub(1);
-        (self.state.validator).restart(prev_t, &self.on_grid_buf);
-        self.schedule.rebuild(&self.state);
-    }
-
-    /// Rebuild a mid-run engine + planner pair from an exported state.
-    ///
-    /// The restore protocol (documented in `docs/snapshot-format.md`):
-    /// the planner is freshly `init`-ed on the instance, the applied-event
-    /// journal is replayed through [`Planner::on_event`] to rebuild
-    /// its derived world model (grid overlay, distance oracle; the KNN
-    /// index is built from the instance alone), its canonical state is
-    /// overwritten via [`Planner::import_snapshot`] and checked against
-    /// the resumed tick and the last tick an active path reaches
-    /// ([`Planner::check_resume_tick`]), and last
-    /// [`PlannerEvent::Resumed`] hands it the fleet and the active paths
-    /// its reservation table is rebuilt from. Do **not** call
-    /// [`Engine::start`] on the returned engine.
-    pub fn resume(
+    /// The engine resumed from `state`, which
+    /// [`resume_from`](crate::snapshot::resume_from) checked and handed the
+    /// planner first: the validator restarts its previous check from the
+    /// robots on the grid at `t − 1`, and the schedule is rebuilt.
+    pub(crate) fn resumed(
         instance: &'a Instance,
         config: &EngineConfig,
-        planner: &mut dyn Planner,
-        state: &EngineState,
-        planner_state: &serde::Value,
-    ) -> Result<Self, serde::Error> {
+        state: EngineState,
+    ) -> Self {
         let mut engine = Engine::new(instance, config);
-        planner.init(instance);
-        for ev in &state.journal {
-            planner.on_event(PlannerEvent::Disruption {
-                event: &ev.event,
-                t: ev.t,
-            });
-        }
-        planner.import_snapshot(planner_state)?;
-        let last_end = (state.paths.iter().flatten()).fold(state.t, |end, p| end.max(p.end()));
-        planner.check_resume_tick(state.t, last_end)?;
-        planner.on_event(PlannerEvent::Resumed {
-            t: state.t,
-            robots: &state.robots,
-            paths: &state.paths,
-        });
-        engine.restore_state(state);
-        Ok(engine)
+        engine.state = state;
+        engine.collect_on_grid();
+        let prev_t = engine.state.t.checked_sub(1);
+        (engine.state.validator).restart(prev_t, &engine.on_grid_buf);
+        engine.schedule.rebuild(&engine.state);
+        engine
     }
 
     /// Order-sensitive FNV-1a hash over the binary encoding of the

@@ -14,15 +14,10 @@
 //! The canonical-vs-derived split, the header layout and the version
 //! policy are documented in `docs/snapshot-format.md`.
 
-use crate::engine::{Engine, EngineConfig, EngineState, CHECKPOINTS};
-use crate::validate::TrajectoryValidator;
-use eatp_core::planner::{resumed_reservations, Planner};
+use crate::engine::{Engine, EngineConfig, EngineState};
+use eatp_core::planner::{Planner, PlannerEvent};
 use serde::{Deserialize, Serialize, Value};
-use std::iter::zip;
-use tprw_pathfinding::cdt::MAX_CDT_TICK;
-use tprw_pathfinding::reservation::MAX_PARK_TICK;
-use tprw_pathfinding::Conflict;
-use tprw_warehouse::{DisruptionEvent, GridMap, GridPos, Instance, RobotId, Tick};
+use tprw_warehouse::{Instance, TimedEvent};
 
 /// Magic bytes opening every snapshot file.
 pub const SNAPSHOT_MAGIC: [u8; 8] = *b"TPRWSNAP";
@@ -377,11 +372,18 @@ impl<'a> Engine<'a> {
 }
 
 /// Rebuild an engine + planner pair from a decoded snapshot of a run on
-/// `instance`. The engine borrows only the instance. `instance` must be the
-/// one the snapshot was taken on ([`SnapshotError::WrongInstance`]
-/// otherwise), and `planner` a fresh instance of the same planner type that
-/// was checkpointed ([`SnapshotError::WrongPlanner`] otherwise); do
-/// **not** call [`Engine::start`] on the returned engine.
+/// `instance`: the one way into a mid-run [`Engine`], which borrows only the
+/// instance. It refuses a planner of another name
+/// ([`SnapshotError::WrongPlanner`]), an instance of another fingerprint
+/// ([`SnapshotError::WrongInstance`]) and an engine slice
+/// [`EngineState::check`] rejects ([`SnapshotError::Decode`]). Then the
+/// fresh `planner` is `init`-ed, the journal replayed through
+/// [`Planner::on_event`] (grid overlay, distance oracle), its slice imported
+/// and checked against the last tick an active path reaches
+/// ([`Planner::check_resume_tick`]), and [`PlannerEvent::Resumed`] rebuilds
+/// its reservation table from the fleet and the active paths, before the
+/// engine takes the state (`docs/snapshot-format.md`). Do **not** call
+/// [`Engine::start`] on the result.
 pub fn resume_from<'a>(
     instance: &'a Instance,
     data: &SnapshotData,
@@ -400,259 +402,18 @@ pub fn resume_from<'a>(
             resuming,
         });
     }
-    check_table_sizes(&data.engine, instance)?;
-    check_legs(&data.engine, &instance.grid)?;
-    Ok(Engine::resume(
-        instance,
-        &data.config,
-        planner,
-        &data.engine,
-        &data.planner,
-    )?)
-}
-
-/// Every per-robot, per-picker, per-rack and per-cell table of `state` must
-/// have the length [`EngineState::new`] gives it on `instance` (and the live
-/// items' arrival list the length of their order list), every rack, picker
-/// and robot must keep the instance's id, home, picker and station, the
-/// cursors and the cancelled orders must lie within what they count, every
-/// robot position, active-path cell, journaled cell event and deferred
-/// blockade must lie on the grid, every idle robot must stand on a rack
-/// home or its own spawn cell, and every robot, picker, rack and item id of
-/// the pending-leg lists, the deferred removals, the backlog, the robots'
-/// phases, the picker queues, `serving`, the racks' pending items and the
-/// journal must name one of the run's. The engine indexes and counts by
-/// them without checks of its own, and the journal replay mutates the
-/// planner's grid and indexes by them, so a snapshot that fits another
-/// floor would otherwise panic on resume or within its first ticks. EATP
-/// looks idle robots up in a K-nearest index of just the rack homes and
-/// spawn cells (`docs/adr/ADR-025-knn-idle-cells.md`): an idle robot
-/// anywhere else would never be offered a rack.
-fn check_table_sizes(state: &EngineState, instance: &Instance) -> Result<(), SnapshotError> {
-    let robots = instance.robots.len();
-    let pickers = instance.pickers.len();
-    let racks = instance.racks.len();
-    let tables = [
-        ("robots", state.robots.len(), robots),
-        ("paths", state.paths.len(), robots),
-        ("carried_work", state.carried_work.len(), robots),
-        ("carried_items", state.carried_items.len(), robots),
-        ("carried_orders", state.carried_orders.len(), robots),
-        ("broken", state.broken.len(), robots),
-        ("pickers", state.pickers.len(), pickers),
-        ("serving", state.serving.len(), pickers),
-        ("closed", state.closed.len(), pickers),
-        ("racks", state.racks.len(), racks),
-        ("removed", state.removed.len(), racks),
-        (
-            "blocked_overlay",
-            state.blocked_overlay.len(),
-            instance.grid.cell_count(),
-        ),
-        (
-            "live_item_arrivals",
-            state.live_item_arrivals.len(),
-            state.live_item_orders.len(),
-        ),
-    ];
-    for (table, len, expected) in tables {
-        if len != expected {
-            return Err(SnapshotError::Decode(format!(
-                "engine table `{table}` has {len} entries, the instance needs {expected}"
-            )));
-        }
+    let state = &data.engine;
+    state.check(instance).map_err(SnapshotError::Decode)?;
+    planner.init(instance);
+    for TimedEvent { t, event } in &state.journal {
+        planner.on_event(PlannerEvent::Disruption { event, t: *t });
     }
-    let racks_fit = zip(&state.racks, &instance.racks)
-        .all(|(r, i)| (r.id, r.home, r.picker) == (i.id, i.home, i.picker));
-    let pickers_fit =
-        zip(&state.pickers, &instance.pickers).all(|(p, i)| (p.id, p.pos) == (i.id, i.pos));
-    let robots_fit = zip(&state.robots, &instance.robots).all(|(r, i)| r.id == i.id);
-    let fits = [
-        ("racks", racks_fit),
-        ("pickers", pickers_fit),
-        ("robots", robots_fit),
-    ];
-    if let Some((table, _)) = fits.into_iter().find(|&(_, fit)| !fit) {
-        return Err(SnapshotError::Decode(format!(
-            "engine table `{table}` differs from the instance's ids, homes, pickers or stations"
-        )));
-    }
-    let (pregenerated, events) = (instance.items.len(), instance.disruptions.len());
-    let counters = [
-        ("next_item", state.next_item as u64, 0..=pregenerated as u64),
-        ("next_event", state.next_event as u64, 0..=events as u64),
-        (
-            "next_checkpoint",
-            state.next_checkpoint as u64,
-            1..=CHECKPOINTS as u64 + 1,
-        ),
-        (
-            "orders_cancelled",
-            state.orders_cancelled,
-            0..=state.orders_submitted,
-        ),
-    ];
-    if let Some((field, at, range)) = counters.into_iter().find(|(_, at, r)| !r.contains(at)) {
-        return Err(SnapshotError::Decode(format!(
-            "engine field `{field}` is {at}, outside {range:?}"
-        )));
-    }
-    let grid = &instance.grid;
-    let mut cells = (state.robots.iter().map(|r| ("robots", r.pos)))
-        .chain((state.paths.iter().flatten()).flat_map(|p| p.cells.iter().map(|&c| ("paths", c))))
-        .chain(state.journal.iter().filter_map(|e| match e.event {
-            DisruptionEvent::CellBlocked { pos } | DisruptionEvent::CellUnblocked { pos } => {
-                Some(("journal", pos))
-            }
-            _ => None,
-        }))
-        .chain((state.deferred_blockades.iter()).map(|&pos| ("deferred_blockades", pos)));
-    if let Some((table, pos)) = cells.find(|&(_, pos)| !grid.in_bounds(pos)) {
-        return Err(SnapshotError::Decode(format!(
-            "engine table `{table}` names cell {pos}, off the instance's {}×{} grid",
-            grid.width(),
-            grid.height()
-        )));
-    }
-    let mut home = vec![false; grid.cell_count()];
-    for rack in &instance.racks {
-        home[rack.home.to_index(grid.width())] = true;
-    }
-    let stray = (state.robots.iter().zip(&instance.robots)).find(|(r, spawn)| {
-        r.is_idle() && r.pos != spawn.pos && !home[r.pos.to_index(grid.width())]
-    });
-    if let Some((robot, _)) = stray {
-        return Err(SnapshotError::Decode(format!(
-            "engine table `robots` has idle {} at {}, neither a rack home nor its spawn cell",
-            robot.id, robot.pos
-        )));
-    }
-    let robot_lists = [
-        ("needs_return", &state.needs_return),
-        ("needs_delivery", &state.needs_delivery),
-        ("needs_replan", &state.needs_replan),
-    ];
-    let robot_ids = (robot_lists.into_iter())
-        .flat_map(|(table, ids)| ids.iter().map(move |r| (table, "robot", r.index(), robots)));
-    let queued = (state.pickers.iter().flat_map(|p| &p.queue)).map(|e| ("pickers", e));
-    let entries = queued.chain(state.serving.iter().flatten().map(|e| ("serving", e)));
-    let removals = (state.deferred_removals.iter()).map(|&r| ("deferred_removals", r));
-    let backlog = state.backlog.iter().map(|o| ("backlog", o.rack));
-    let phases = (state.robots.iter()).filter_map(|r| Some(("robots", r.phase.rack()?)));
-    let rack_ids = (removals.chain(backlog).chain(phases))
-        .chain(entries.clone().map(|(table, e)| (table, e.rack)))
-        .map(|(table, r)| (table, "rack", r.index(), racks));
-    let entry_robots = entries.map(|(table, e)| (table, "robot", e.robot.index(), robots));
-    let items = instance.items.len() + state.live_item_orders.len();
-    let pending = state.racks.iter().flat_map(|r| &r.pending);
-    let item_ids = pending.map(|i| ("racks", "item", i.index(), items));
-    let journal_ids = state.journal.iter().filter_map(|e| match e.event {
-        DisruptionEvent::RobotBreakdown { robot } | DisruptionEvent::RobotRecover { robot } => {
-            Some(("journal", "robot", robot.index(), robots))
-        }
-        DisruptionEvent::StationClosed { picker } | DisruptionEvent::StationReopened { picker } => {
-            Some(("journal", "picker", picker.index(), pickers))
-        }
-        DisruptionEvent::RackRemoved { rack } | DisruptionEvent::RackRestored { rack } => {
-            Some(("journal", "rack", rack.index(), racks))
-        }
-        DisruptionEvent::CellBlocked { .. } | DisruptionEvent::CellUnblocked { .. } => None,
-    });
-    let ids = robot_ids
-        .chain(entry_robots)
-        .chain(rack_ids)
-        .chain(item_ids);
-    let mut ids = ids.chain(journal_ids);
-    if let Some((table, kind, id, count)) = ids.find(|&(_, _, id, count)| id >= count) {
-        return Err(SnapshotError::Decode(format!(
-            "engine table `{table}` names {kind} {id}, outside the instance's {count} {kind}s"
-        )));
-    }
-    Ok(())
-}
-
-/// The reservations a resumed planner rebuilds from `state` (each robot's
-/// [`resumed_reservations`], `docs/adr/ADR-033-derived-reservations.md`)
-/// must be ones a run can hold: every active path holds a cell, starts by
-/// the resumed tick `t` and ends within the CDT's tick encoding, and every
-/// park starts within the parking board's. The tables assert against these
-/// and against double reservations, so a snapshot that broke one would
-/// panic inside the rebuild.
-///
-/// The legs must also keep the one conflict rule, [`TrajectoryValidator`]'s:
-/// they are replayed through it, one full check of the robots on the grid
-/// at `t − 1` (none at tick 0, as on resume), then one check per tick up to
-/// the last path's end + 1, each robot on its reserved cell (its path's
-/// cell while the path runs, then its park, or off the grid once it docks),
-/// and the first vertex or swap conflict is refused. After the first check
-/// only the robots on a leg are handed over, so the replay costs one step
-/// per path cell; a full check runs again only to name a conflict. Cells
-/// are checked by [`check_table_sizes`] first.
-fn check_legs(state: &EngineState, grid: &GridMap) -> Result<(), SnapshotError> {
-    let t = state.t;
-    let refuse = |what: String| {
-        Err(SnapshotError::Decode(format!(
-            "engine table `paths` {what}"
-        )))
-    };
-    let (mut legs, mut parks) = (Vec::new(), Vec::new());
-    for (ai, (robot, path)) in zip(&state.robots, &state.paths).enumerate() {
-        let id = robot.id;
-        if let Some(p) = path {
-            if p.cells.is_empty() {
-                return refuse(format!("has {id} on no cell"));
-            }
-            if p.start > t {
-                return refuse(format!("starts {id} at tick {}, after tick {t}", p.start));
-            }
-            if p.start.saturating_add(p.cells.len() as Tick - 1) > MAX_CDT_TICK {
-                return refuse(format!("ends {id}'s path past tick {MAX_CDT_TICK}"));
-            }
-        }
-        let (ahead, park) = resumed_reservations(t, robot, path.as_ref());
-        parks.extend(park.map(|(_, from)| (id, from)));
-        legs.extend(ahead.map(|ahead| (ai, ahead, park.map(|(pos, _)| pos))));
-    }
-    if let Some((id, from)) = parks.into_iter().find(|&(_, from)| from > MAX_PARK_TICK) {
-        return refuse(format!("parks {id} at tick {from}, past {MAX_PARK_TICK}"));
-    }
-    let mut cells: Vec<Option<GridPos>> = (state.robots.iter())
-        .map(|r| (!r.phase.is_docked()).then_some(r.pos))
-        .collect();
-    let on_grid = |cells: &[Option<GridPos>]| -> Vec<(RobotId, GridPos)> {
-        zip(&state.robots, cells)
-            .filter_map(|(r, &c)| Some((r.id, c?)))
-            .collect()
-    };
-    let mut validator = TrajectoryValidator::new();
-    if let Some(before) = t.checked_sub(1) {
-        validator.check_tick(before, &on_grid(&cells), grid);
-    }
-    let last = (legs.iter()).map(|(_, ahead, _)| ahead.end() + 1).max();
-    let mut touched = Vec::with_capacity(legs.len());
-    for tick in t..=last.unwrap_or(t) {
-        if !validator.conflicts.is_empty() {
-            break;
-        }
-        legs.retain(|(_, ahead, _)| ahead.end() + 1 >= tick);
-        touched.clear();
-        for (ai, ahead, park) in &legs {
-            cells[*ai] = (tick <= ahead.end()).then(|| ahead.at(tick)).or(*park);
-            touched.push((state.robots[*ai].id, cells[*ai]));
-        }
-        if !validator.check_tick_delta(tick, &touched, grid) {
-            validator.check_tick(tick, &on_grid(&cells), grid);
-        }
-    }
-    match validator.conflicts.first() {
-        None => Ok(()),
-        Some(Conflict::Vertex { pos, t, a, b }) => {
-            refuse(format!("meets {a} and {b} on {pos} at tick {t}"))
-        }
-        Some(Conflict::Edge { from, to, t, a, b }) => refuse(format!(
-            "swaps {a} and {b} between {from} and {to} from tick {t}"
-        )),
-    }
+    planner.import_snapshot(&data.planner)?;
+    let last_end = (state.paths.iter().flatten()).fold(state.t, |end, p| end.max(p.end()));
+    planner.check_resume_tick(state.t, last_end)?;
+    let (t, robots, paths) = (state.t, &state.robots, &state.paths);
+    planner.on_event(PlannerEvent::Resumed { t, robots, paths });
+    Ok(Engine::resumed(instance, &data.config, state.clone()))
 }
 
 #[cfg(test)]
@@ -661,10 +422,12 @@ mod tests {
     use crate::commands::{Ack, BacklogOrder, Command, OrderSpec, SequencedCommand};
     use crate::engine::run_simulation;
     use eatp_core::{planner_by_name, EatpConfig, PLANNER_NAMES as PLANNERS};
+    use tprw_pathfinding::cdt::MAX_CDT_TICK;
+    use tprw_pathfinding::reservation::MAX_PARK_TICK;
     use tprw_pathfinding::Path;
     use tprw_warehouse::{
-        DisruptionConfig, GridPos, ItemId, LayoutConfig, OrderId, PickerId, RackId, RobotId,
-        RobotPhase, ScenarioSpec, Tick, TimedEvent, WorkloadConfig,
+        DisruptionConfig, DisruptionEvent, GridPos, ItemId, LayoutConfig, OrderId, PickerId,
+        RackId, RobotId, RobotPhase, ScenarioSpec, Tick, TimedEvent, WorkloadConfig,
     };
 
     fn make(name: &str) -> Box<dyn Planner> {
@@ -1227,7 +990,13 @@ mod tests {
     /// items (the backlog depth underflowed), more orders cancelled than
     /// submitted and a checkpoint cursor far past the last checkpoint (both
     /// overflowed in the checkpoint threshold), an event cursor past the
-    /// schedule and a checkpoint cursor of 0.
+    /// schedule and a checkpoint cursor of 0. So are a robot named twice
+    /// by the pending-leg lists, the picker queues and `serving`, and a
+    /// queue or `serving` entry whose robot is not docked with its rack,
+    /// each of which resumed and then panicked in a debug build: a robot
+    /// twice in `needs_delivery` on its second delivery leg, an idle robot
+    /// queued or served in the picking phase, and a served robot queued
+    /// again once its phase drifted from the busy set and docked count.
     #[test]
     fn id_tables_outside_the_instance_are_typed_errors() {
         let inst = scenario(None, 42);
@@ -1357,6 +1126,55 @@ mod tests {
                 Box::new(|s| s.next_checkpoint = 0),
             ),
         ]);
+        let fetching = |s: &EngineState| {
+            let r = s
+                .robots
+                .iter()
+                .find(|r| matches!(r.phase, RobotPhase::ToRack { .. }));
+            r.expect("a robot fetching a rack at tick 3").id
+        };
+        let idle = |s: &EngineState| {
+            let robot = s
+                .robots
+                .iter()
+                .find(|r| r.is_idle())
+                .expect("an idle robot")
+                .id;
+            let rack = RackId::new(0);
+            tprw_warehouse::QueueEntry {
+                rack,
+                robot,
+                work: 3,
+            }
+        };
+        let served_again = |s: &mut EngineState| {
+            let served = s.serving.iter().flatten().next().copied();
+            s.pickers[0].enqueue(served.expect("a picker serving at tick 40"));
+        };
+        cases.extend::<[(&str, Tick, &str, Corrupt); 4]>([
+            (
+                "EATP",
+                3,
+                "needs_delivery",
+                Box::new(move |s| s.needs_delivery.extend([fetching(s), fetching(s)])),
+            ),
+            (
+                "EATP",
+                3,
+                "pickers",
+                Box::new(move |s| {
+                    let entry = idle(s);
+                    s.pickers[0].enqueue(entry)
+                }),
+            ),
+            (
+                "EATP",
+                3,
+                "serving",
+                Box::new(move |s| s.serving[0] = Some(idle(s))),
+            ),
+            ("EATP", 40, "serving", Box::new(served_again)),
+        ]);
         for (name, t, table, corrupt) in cases {
             assert_names(
                 &refusal(&first_snapshot(name, |s| s.t == t), corrupt),
@@ -1416,7 +1234,11 @@ mod tests {
     /// resume before the planner rebuilds its reservation table from it:
     /// the tables assert against the double reservations, and the resumed
     /// run would execute the swap as a conflict. Every collision is the
-    /// validator's verdict: a vertex conflict "meets", a swap "swaps".
+    /// validator's verdict: a vertex conflict "meets", a swap "swaps". So
+    /// is, after the replay, a `Returning` leg that ends one cell short of
+    /// its rack's home (it resumed, then panicked when the robot turned
+    /// idle there) and a leg that jumps to a cell no step reaches (it
+    /// resumed and ran to completion with no conflict executed).
     #[test]
     fn colliding_engine_legs_are_decode_errors() {
         // Two robots on parking legs, and one standing on the grid.
@@ -1460,8 +1282,21 @@ mod tests {
                 cells: vec![next, home],
             });
         };
+        // The fetching robot turned into one returning the rack it fetches,
+        // on a leg one cell short of the rack's home; and the carrier's next
+        // cell replaced by a jump to the corner.
+        let short = move |s: &mut EngineState| {
+            s.robots[b].phase = RobotPhase::Returning {
+                rack: s.robots[b].phase.rack().unwrap(),
+            };
+            s.paths[b].as_mut().unwrap().cells.pop();
+        };
+        let jump = move |s: &mut EngineState| {
+            let p = s.paths[a].as_mut().unwrap();
+            p.cells[(t + 1 - p.start) as usize] = GridPos::new(0, 0);
+        };
         type Edit = Box<dyn Fn(&mut EngineState)>;
-        let cases: [(&str, Edit, &str); 6] = [
+        let cases: [(&str, Edit, &str); 8] = [
             (
                 "two robots",
                 Box::new(move |s| s.robots[a].pos = stand),
@@ -1488,6 +1323,12 @@ mod tests {
                 Box::new(move |s| s.paths[a].as_mut().unwrap().cells.clear()),
                 "no cell",
             ),
+            (
+                "a leg short of its goal",
+                Box::new(short),
+                "not at its goal",
+            ),
+            ("a jump", Box::new(jump), "not a step"),
         ];
         for (what, edit, expected) in cases {
             let err = refusal(&data, edit);
