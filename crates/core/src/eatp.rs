@@ -191,7 +191,8 @@ mod tests {
 
     /// On the benchmark's paper floor (200×200 walled, 2 000 racks, 500
     /// robots, K = 16) the index lists the 2 500 rack homes and spawn
-    /// cells: a 40 000-cell slot map plus 2 500 rows of 65 bytes.
+    /// cells: a 625-word bitmap with its ranks (12 bytes a word) plus 2 500
+    /// rows of 16 racks, 64 bytes each (ADR-040).
     #[test]
     fn paper_floor_index_footprint_is_pinned() {
         let inst = ScenarioSpec {
@@ -215,7 +216,7 @@ mod tests {
             PlannerBase::new(&inst, EatpConfig::default(), true);
         let knn = base.knn.as_ref().unwrap();
         assert_eq!(knn.k(), 16);
-        assert_eq!(knn.memory_bytes(), 322_500);
+        assert_eq!(knn.memory_bytes(), 167_500);
     }
 
     #[test]

@@ -34,11 +34,16 @@
 //!
 //! # Layout and build cost
 //!
-//! A dense per-cell slot map gives each indexed cell a row (`u32::MAX`
-//! off the index). Rows live in one flat `K`-stride array (`lists[row·K
-//! ..]` plus a per-row length byte), so `nearest` is one indexed lookup
-//! and a slice: `cells·4 + rows·(4K+1)` bytes in all. On the paper floor
-//! (40 000 cells, 2 000 racks, 500 robots, K = 16) that is 322 500 bytes.
+//! One bit per cell marks the indexed cells, and a per-word rank counts
+//! the marked cells in the words before it, so an indexed cell's row is
+//! its rank: `rank[c / 64]` plus the marked bits below it in its word.
+//! Every row holds the same number of racks, `len = min(K, passable rack
+//! homes)`, because the diamond scan below grows until it holds `K` racks
+//! or covers the floor. Rows live in one flat `len`-stride array, so
+//! `nearest` is one word read, one popcount and a slice: `⌈cells/64⌉·12 +
+//! rows·len·4` bytes in all. On the paper floor (40 000 cells, 2 000
+//! racks, 500 robots, K = 16) that is 7 500 + 160 000 = 167 500 bytes
+//! (`docs/adr/ADR-040-knn-rank-rows.md`).
 //!
 //! The build (EATP pays it inside `init`) buckets the rack ids per cell,
 //! row-major, so the racks of one row segment are one contiguous span.
@@ -56,13 +61,16 @@ use tprw_warehouse::{GridMap, GridPos, RackId};
 pub struct KNearestRacks {
     width: u16,
     k: usize,
-    /// Per cell, its row in `lists`; `u32::MAX` off the index.
-    slot: Vec<u32>,
-    /// Flat `k`-stride storage: row `i`'s nearest racks are
-    /// `lists[i·k .. i·k + count[i]]`, nearest first.
+    /// One bit per cell, set where the cell is indexed.
+    bits: Vec<u64>,
+    /// Per word of `bits`, the set bits in the words before it: the row
+    /// of the word's first indexed cell.
+    rank: Vec<u32>,
+    /// Racks per row, `min(K, passable rack homes)`.
+    len: usize,
+    /// Flat `len`-stride storage: row `i`'s nearest racks are
+    /// `lists[i·len..][..len]`, nearest first.
     lists: Vec<RackId>,
-    /// Entries per row.
-    count: Vec<u8>,
 }
 
 impl KNearestRacks {
@@ -74,23 +82,29 @@ impl KNearestRacks {
     /// within `2D`.
     pub fn build(grid: &GridMap, rack_homes: &[GridPos], at: &[GridPos], k: usize) -> Self {
         assert!(k >= 1, "K must be at least 1");
-        assert!(k <= u8::MAX as usize, "K must fit the per-row length byte");
-        let mut slot = vec![u32::MAX; grid.cell_count()];
-        let mut rows = 0;
+        let mut bits = vec![0u64; grid.cell_count().div_ceil(64)];
         for &pos in at {
             assert!(grid.in_bounds(pos), "indexed cell {pos} is off the grid");
-            let s = &mut slot[pos.to_index(grid.width())];
-            if *s == u32::MAX {
-                *s = rows;
-                rows += 1;
-            }
+            let c = pos.to_index(grid.width());
+            bits[c / 64] |= 1 << (c % 64);
         }
+        let mut rows = 0;
+        let rank = (bits.iter())
+            .map(|word| {
+                let before = rows;
+                rows += word.count_ones();
+                before
+            })
+            .collect();
+        let passable = rack_homes.iter().filter(|&&home| grid.passable(home));
+        let len = passable.count().min(k);
         let mut idx = Self {
             width: grid.width(),
             k,
-            slot,
-            lists: vec![RackId::new(0); rows as usize * k],
-            count: vec![0; rows as usize],
+            bits,
+            rank,
+            len,
+            lists: vec![RackId::new(0); rows as usize * len],
         };
         idx.fill(grid, rack_homes);
         idx
@@ -98,6 +112,9 @@ impl KNearestRacks {
 
     /// The diamond scan behind `build` (module docs).
     fn fill(&mut self, grid: &GridMap, homes: &[GridPos]) {
+        if self.lists.is_empty() {
+            return;
+        }
         let (k, w, h) = (self.k, grid.width() as usize, grid.height() as usize);
         // Cell `c`'s racks are `ids[start[c]..start[c + 1]]`: count, sum,
         // then place the racks in reverse so each bucket ascends.
@@ -121,10 +138,9 @@ impl KNearestRacks {
         // The racks within radius `r` of `(x, y)`, keyed `distance << 32 |
         // id`: one bucket span per grid row of the diamond.
         let mut near = Vec::new();
-        for (cell, &row) in self.slot.iter().enumerate() {
-            if row == u32::MAX {
-                continue;
-            }
+        let bits = &self.bits;
+        let cells = (0..w * h).filter(|&c| bits[c / 64] >> (c % 64) & 1 == 1);
+        for (cell, list) in cells.zip(self.lists.chunks_exact_mut(self.len)) {
             let (x, y) = (cell % w, cell / w);
             let reach = x.max(w - 1 - x) + y.max(h - 1 - y);
             let mut r = 1;
@@ -145,12 +161,12 @@ impl KNearestRacks {
                 }
                 r = (2 * r).min(reach);
             }
+            // Every row fills: the diamond stops at K racks or holds them all.
+            debug_assert_eq!(near.len().min(k), self.len, "row of cell {cell}");
             near.sort_unstable();
-            let list = &mut self.lists[row as usize * k..][..k];
             for (entry, &key) in list.iter_mut().zip(&near) {
                 *entry = RackId(key as u32);
             }
-            self.count[row as usize] = near.len().min(k) as u8;
         }
     }
 
@@ -158,12 +174,15 @@ impl KNearestRacks {
     /// indexed; off the index a release build answers no racks.
     #[inline]
     pub fn nearest(&self, pos: GridPos) -> &[RackId] {
-        let row = self.slot[pos.to_index(self.width)] as usize;
-        debug_assert!(row != u32::MAX as usize, "{pos} is off the K-nearest index");
-        let Some(&len) = self.count.get(row) else {
+        let c = pos.to_index(self.width);
+        let (word, bit) = (self.bits[c / 64], c % 64);
+        let indexed = word >> bit & 1 == 1;
+        debug_assert!(indexed, "{pos} is off the K-nearest index");
+        if !indexed {
             return &[];
-        };
-        &self.lists[row * self.k..][..len as usize]
+        }
+        let row = self.rank[c / 64] + (word & ((1 << bit) - 1)).count_ones();
+        &self.lists[row as usize * self.len..][..self.len]
     }
 
     /// The configured K.
@@ -175,9 +194,9 @@ impl KNearestRacks {
 
 impl MemoryFootprint for KNearestRacks {
     fn memory_bytes(&self) -> usize {
-        self.slot.capacity() * std::mem::size_of::<u32>()
+        self.bits.capacity() * std::mem::size_of::<u64>()
+            + self.rank.capacity() * std::mem::size_of::<u32>()
             + self.lists.capacity() * std::mem::size_of::<RackId>()
-            + self.count.capacity()
     }
 }
 
@@ -321,17 +340,58 @@ mod tests {
         }
     }
 
-    /// After `build` the index holds its slot map, lists and per-row
-    /// counts, `cells·4 + |at|·(4K+1)` bytes: no frontier, per-cell count,
-    /// visited set, per-rack table or other scratch.
+    /// After `build` the index holds its bitmap, ranks and rows,
+    /// `⌈cells/64⌉·12 + |at|·len·4` bytes with `len = min(K, passable
+    /// homes)`: no frontier, per-cell count, visited set, per-rack table
+    /// or other scratch.
     #[test]
     fn build_keeps_no_scratch() {
         let (grid, homes) = pinned_floor();
         let (cells, k) = (grid.cell_count(), 8);
         let some: Vec<GridPos> = every_cell(&grid).into_iter().step_by(7).collect();
-        for at in [every_cell(&grid), some] {
-            let idx = KNearestRacks::build(&grid, &homes, &at, k);
-            assert_eq!(idx.memory_bytes(), cells * 4 + at.len() * (4 * k + 1));
+        for homes in [&homes[..], &homes[..5]] {
+            let len = homes.iter().filter(|&&h| grid.passable(h)).count().min(k);
+            for at in [every_cell(&grid), some.clone()] {
+                let idx = KNearestRacks::build(&grid, homes, &at, k);
+                assert_eq!(
+                    idx.memory_bytes(),
+                    cells.div_ceil(64) * 12 + at.len() * len * 4
+                );
+            }
+        }
+    }
+
+    /// Rows cross the bitmap's word boundaries: on a 13×11 floor (143
+    /// cells, the last word partly used) an index over cells 0, 63, 64,
+    /// 66, 127 and 142, named out of order and one of them twice, gives
+    /// each the every-cell build's list, and cell 65, unindexed between
+    /// two indexed cells of one word, answers no racks in release. With
+    /// fewer passable racks than K every row holds all of them, and with
+    /// none every row is empty.
+    #[test]
+    fn rows_cross_bitmap_words() {
+        let mut grid = open_grid(13, 11);
+        grid.set_kind(GridPos::from_index(100, 13), CellKind::Blocked);
+        let cells = [127, 0, 142, 64, 66, 63, 127];
+        let at: Vec<GridPos> = cells.iter().map(|&c| GridPos::from_index(c, 13)).collect();
+        let many: Vec<GridPos> = (0..30)
+            .map(|i| GridPos::from_index(i * 37 % 143, 13))
+            .collect();
+        let few = [p(0, 0), GridPos::from_index(100, 13), p(12, 10)];
+        for (homes, len) in [(&many[..], 8), (&few[..], 2), (&few[1..2], 0)] {
+            let every = KNearestRacks::build(&grid, homes, &every_cell(&grid), 8);
+            let idx = KNearestRacks::build(&grid, homes, &at, 8);
+            assert_eq!(idx.memory_bytes(), 3 * 12 + 6 * len * 4);
+            for &cell in &at {
+                assert_eq!(idx.nearest(cell), every.nearest(cell), "cell {cell}");
+                assert_eq!(idx.nearest(cell).len(), len, "cell {cell}");
+            }
+            let off = std::panic::catch_unwind(|| idx.nearest(GridPos::from_index(65, 13)).len());
+            if cfg!(debug_assertions) {
+                assert!(off.is_err(), "debug builds assert off the index");
+            } else {
+                assert_eq!(off.ok(), Some(0));
+            }
         }
     }
 
@@ -461,7 +521,9 @@ mod tests {
 
         /// On the same floors, an index over a random subset of the cells
         /// (repeats allowed) gives every indexed cell the every-cell
-        /// build's list.
+        /// build's list, and in release every other cell no racks. The
+        /// floors' cell counts are mostly not multiples of 64, so rows
+        /// cross the bitmap's words and its last word is partly used.
         #[test]
         fn indexed_cells_equal_every_cell_build(
             size in (1u16..25, 1u16..25),
@@ -476,6 +538,11 @@ mod tests {
             let idx = KNearestRacks::build(&grid, &homes, &at, k);
             for &cell in &at {
                 prop_assert_eq!(idx.nearest(cell), every.nearest(cell), "index differs at {}", cell);
+            }
+            if !cfg!(debug_assertions) {
+                for cell in every_cell(&grid).into_iter().filter(|c| !at.contains(c)) {
+                    prop_assert_eq!(idx.nearest(cell), &[], "off-index cell {}", cell);
+                }
             }
         }
     }

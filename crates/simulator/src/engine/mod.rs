@@ -288,7 +288,8 @@ impl EngineState {
     ///    the live orders), and the racks, pickers and robots keep the
     ///    instance's ids, homes, pickers and stations;
     /// 2. the item, event and checkpoint cursors and the cancelled orders lie
-    ///    within what they count;
+    ///    within what they count, and each backlog entry was submitted by `t`
+    ///    and arrives no earlier than it was submitted;
     /// 3. the robots, active-path cells, journaled cell events and deferred
     ///    blockades lie on the grid;
     /// 4. an idle robot stands on a rack home or its own spawn cell, the
@@ -371,6 +372,13 @@ impl EngineState {
         ];
         if let Some((field, at, range)) = counters.into_iter().find(|(_, at, r)| !r.contains(at)) {
             return Err(format!("engine field `{field}` is {at}, outside {range:?}"));
+        }
+        let early = (self.backlog.iter()).find(|o| o.submitted > self.t || o.arrival < o.submitted);
+        if let Some(o) = early {
+            return Err(format!(
+                "engine table `backlog` holds {} submitted at tick {} to arrive at {}; the slice is at tick {}",
+                o.order, o.submitted, o.arrival, self.t
+            ));
         }
         let mut cells = (self.robots.iter().map(|r| ("robots", r.pos)))
             .chain(

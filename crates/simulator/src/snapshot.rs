@@ -997,6 +997,9 @@ mod tests {
     /// twice in `needs_delivery` on its second delivery leg, an idle robot
     /// queued or served in the picking phase, and a served robot queued
     /// again once its phase drifted from the busy set and docked count.
+    /// So is a backlog entry submitted after the resumed tick, which
+    /// resumed and then panicked a debug build when it landed (the order's
+    /// age underflowed), and one that arrives before it was submitted.
     #[test]
     fn id_tables_outside_the_instance_are_typed_errors() {
         let inst = scenario(None, 42);
@@ -1151,7 +1154,14 @@ mod tests {
             let served = s.serving.iter().flatten().next().copied();
             s.pickers[0].enqueue(served.expect("a picker serving at tick 40"));
         };
-        cases.extend::<[(&str, Tick, &str, Corrupt); 4]>([
+        let order = |arrival: Tick, submitted: Tick| BacklogOrder {
+            order: OrderId::new(0),
+            rack: RackId::new(0),
+            processing: 5,
+            arrival,
+            submitted,
+        };
+        cases.extend::<[(&str, Tick, &str, Corrupt); 6]>([
             (
                 "EATP",
                 3,
@@ -1174,6 +1184,18 @@ mod tests {
                 Box::new(move |s| s.serving[0] = Some(idle(s))),
             ),
             ("EATP", 40, "serving", Box::new(served_again)),
+            (
+                "EATP",
+                40,
+                "backlog",
+                Box::new(move |s| s.backlog.push(order(s.t, s.t + 5))),
+            ),
+            (
+                "EATP",
+                40,
+                "backlog",
+                Box::new(move |s| s.backlog.push(order(s.t - 1, s.t))),
+            ),
         ]);
         for (name, t, table, corrupt) in cases {
             assert_names(
