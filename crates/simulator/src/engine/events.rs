@@ -3,7 +3,13 @@
 //!
 //! The events phase replays `Instance::disruptions` (sorted, paired — see
 //! `tprw_warehouse::events`) at the start of each tick, entirely without
-//! randomness, so a disrupted run is as replayable as a static one:
+//! randomness, so a disrupted run is as replayable as a static one. The
+//! broken, closed, removed and blocked flags are the journal's fold
+//! ([`DisruptionFlags`](tprw_warehouse::DisruptionFlags), derived state of
+//! the engine), and the schedule cursor counts the events due by the last
+//! executed tick; a live injection is admitted by the same fold, with the
+//! deferred lists counted as landed and the schedule's remaining events
+//! still to fold after it (`docs/adr/ADR-041-one-disruption-rule.md`):
 //!
 //! * **Breakdown** — the robot freezes at its current cell. Its active leg
 //!   (if any) is cancelled: the planner releases the leg's reservations and
@@ -38,7 +44,7 @@
 use super::Engine;
 use crate::commands::{Ack, BacklogOrder, Command, RejectReason, SequencedCommand};
 use eatp_core::planner::{Planner, PlannerEvent};
-use tprw_warehouse::{CellKind, DisruptionEvent, GridPos, RackId, Tick, TimedEvent};
+use tprw_warehouse::{DisruptionEvent, GridPos, RackId, Tick, TimedEvent};
 
 impl Engine<'_> {
     /// Apply `commands` in ascending sequence order, skipping those below
@@ -138,46 +144,22 @@ impl Engine<'_> {
         self.acks_out.push(ack);
     }
 
-    /// Whether an injected disruption is consistent with the current
-    /// world. Scheduled streams guarantee this by construction
-    /// (`validate_events`); injected ones are checked here so a confused
-    /// producer cannot corrupt engine invariants (nested disruptions,
-    /// blockades on storage cells, out-of-range ids).
+    /// Whether an injected disruption may happen now: the disruption fold
+    /// admits it once the deferred blockades and removals count as landed
+    /// (they are pending intent), and the events the schedule has yet to
+    /// apply still fold after it, so no scheduled event nests or undoes
+    /// nothing (`docs/adr/ADR-041-one-disruption-rule.md`).
     fn injection_is_valid(&self, event: DisruptionEvent) -> bool {
-        let state = &self.state;
-        match event {
-            DisruptionEvent::RobotBreakdown { robot } => {
-                state.broken.get(robot.index()) == Some(&false)
-            }
-            DisruptionEvent::RobotRecover { robot } => {
-                state.broken.get(robot.index()) == Some(&true)
-            }
-            DisruptionEvent::CellBlocked { pos } => {
-                self.instance.grid.in_bounds(pos)
-                    && self.instance.grid.kind(pos) == CellKind::Aisle
-                    && !state.blocked_overlay[self.cell_index(pos)]
-                    && !state.deferred_blockades.contains(&pos)
-            }
-            DisruptionEvent::CellUnblocked { pos } => {
-                self.instance.grid.in_bounds(pos)
-                    && (state.blocked_overlay[self.cell_index(pos)]
-                        || state.deferred_blockades.contains(&pos))
-            }
-            DisruptionEvent::StationClosed { picker } => {
-                state.closed.get(picker.index()) == Some(&false)
-            }
-            DisruptionEvent::StationReopened { picker } => {
-                state.closed.get(picker.index()) == Some(&true)
-            }
-            DisruptionEvent::RackRemoved { rack } => {
-                state.removed.get(rack.index()) == Some(&false)
-                    && !state.deferred_removals.contains(&rack)
-            }
-            DisruptionEvent::RackRestored { rack } => {
-                state.removed.get(rack.index()) == Some(&true)
-                    || state.deferred_removals.contains(&rack)
-            }
-        }
+        let mut intent = self.flags.clone();
+        let blockades = self.state.deferred_blockades.iter();
+        let removals = self.state.deferred_removals.iter();
+        let deferred = (blockades.map(|&pos| DisruptionEvent::CellBlocked { pos }))
+            .chain(removals.map(|&rack| DisruptionEvent::RackRemoved { rack }));
+        let scheduled = self.instance.disruptions[self.next_event..].iter();
+        intent.fold(deferred).is_ok()
+            && intent
+                .fold(std::iter::once(event).chain(scheduled.map(|e| e.event)))
+                .is_ok()
     }
 
     /// Phase 0: replay disruption events due at tick `t` (plus any deferred
@@ -185,7 +167,7 @@ impl Engine<'_> {
     pub(super) fn step_events(&mut self, t: Tick, planner: &mut dyn Planner) {
         let schedule = &self.instance.disruptions;
         let due = |next: usize| schedule.get(next).filter(|ev| ev.t <= t).copied();
-        if due(self.state.next_event).is_none()
+        if due(self.next_event).is_none()
             && self.state.deferred_blockades.is_empty()
             && self.state.deferred_removals.is_empty()
         {
@@ -201,20 +183,19 @@ impl Engine<'_> {
         let mut removals = std::mem::take(&mut self.state.deferred_removals);
         removals.retain(|&rack| !self.try_remove_rack(rack, t, planner));
         self.state.deferred_removals = removals;
-        while let Some(ev) = due(self.state.next_event) {
-            self.state.next_event += 1;
+        while let Some(ev) = due(self.next_event) {
+            self.next_event += 1;
             self.apply_event(ev.event, t, planner);
         }
     }
 
+    /// Land `event`, which the disruption fold admits as intent: a blockade
+    /// or removal that cannot land yet defers, and a recovery of one still
+    /// deferred withdraws it.
     fn apply_event(&mut self, event: DisruptionEvent, t: Tick, planner: &mut dyn Planner) {
         match event {
             DisruptionEvent::RobotBreakdown { robot } => {
                 let ai = robot.index();
-                if self.state.broken[ai] {
-                    return; // defensive: validated schedules never nest
-                }
-                self.state.broken[ai] = true;
                 self.record_applied(event, t, planner);
                 // A robot travelling a live leg freezes mid-route; its
                 // frozen cell may invalidate other planned paths.
@@ -226,10 +207,6 @@ impl Engine<'_> {
             }
             DisruptionEvent::RobotRecover { robot } => {
                 let ai = robot.index();
-                if !self.state.broken[ai] {
-                    return;
-                }
-                self.state.broken[ai] = false;
                 self.record_applied(event, t, planner);
                 // Mid-route robots (frozen, no path) resume via replan;
                 // robots waiting at a rack home or in a station bay resume
@@ -251,20 +228,15 @@ impl Engine<'_> {
             }
             DisruptionEvent::CellUnblocked { pos } => {
                 // A blockade still waiting for its cell is simply withdrawn.
-                let idx = self.cell_index(pos);
-                if let Some(i) = self.state.deferred_blockades.iter().position(|&p| p == pos) {
-                    self.state.deferred_blockades.remove(i);
-                } else if std::mem::take(&mut self.state.blocked_overlay[idx]) {
+                let deferred = &mut self.state.deferred_blockades;
+                if let Some(i) = deferred.iter().position(|&p| p == pos) {
+                    deferred.remove(i);
+                } else {
                     self.record_applied(event, t, planner);
                 }
             }
-            DisruptionEvent::StationClosed { picker }
-            | DisruptionEvent::StationReopened { picker } => {
-                let closing = matches!(event, DisruptionEvent::StationClosed { .. });
-                if self.state.closed[picker.index()] != closing {
-                    self.state.closed[picker.index()] = closing;
-                    self.record_applied(event, t, planner);
-                }
+            DisruptionEvent::StationClosed { .. } | DisruptionEvent::StationReopened { .. } => {
+                self.record_applied(event, t, planner);
             }
             DisruptionEvent::RackRemoved { rack } => {
                 if !self.try_remove_rack(rack, t, planner) {
@@ -274,19 +246,26 @@ impl Engine<'_> {
             }
             DisruptionEvent::RackRestored { rack } => {
                 // A removal still waiting for its rack is simply withdrawn.
-                if let Some(i) = self.state.deferred_removals.iter().position(|&r| r == rack) {
-                    self.state.deferred_removals.remove(i);
-                } else if std::mem::take(&mut self.state.removed[rack.index()]) {
+                let deferred = &mut self.state.deferred_removals;
+                if let Some(i) = deferred.iter().position(|&r| r == rack) {
+                    deferred.remove(i);
+                } else {
                     self.record_applied(event, t, planner);
                 }
             }
         }
     }
 
-    /// An event landed at tick `t`: journal it (the journal is what a resume
-    /// replays into the fresh planner, and its length is the applied count)
-    /// and tell the planner.
+    /// An event landed at tick `t`: flip its flag, journal it (the journal
+    /// is what a resume folds into the flags and replays into the fresh
+    /// planner, and its length is the applied count) and tell the planner.
     fn record_applied(&mut self, event: DisruptionEvent, t: Tick, planner: &mut dyn Planner) {
+        debug_assert!(
+            self.flags.admits(event),
+            "{} lands out of turn",
+            event.label()
+        );
+        self.flags.apply(event);
         self.state.journal.push(TimedEvent { t, event });
         planner.on_event(PlannerEvent::Disruption { event: &event, t });
     }
@@ -295,12 +274,9 @@ impl Engine<'_> {
     /// fetching, carrying or returning it — the caller then defers it).
     /// Pending items stay on the rack and wait for its restoration.
     fn try_remove_rack(&mut self, rack: RackId, t: Tick, planner: &mut dyn Planner) -> bool {
-        let ri = rack.index();
-        if self.state.racks[ri].in_flight {
+        if self.state.racks[rack.index()].in_flight {
             return false;
         }
-        debug_assert!(!self.state.removed[ri], "schedules alternate per rack");
-        self.state.removed[ri] = true;
         self.record_applied(DisruptionEvent::RackRemoved { rack }, t, planner);
         true
     }
@@ -317,12 +293,6 @@ impl Engine<'_> {
         {
             return false;
         }
-        let idx = self.cell_index(pos);
-        debug_assert!(
-            !self.state.blocked_overlay[idx],
-            "schedules alternate per cell"
-        );
-        self.state.blocked_overlay[idx] = true;
         self.record_applied(DisruptionEvent::CellBlocked { pos }, t, planner);
         self.freeze_queue.clear();
         self.freeze_queue.push(pos);
@@ -343,7 +313,7 @@ impl Engine<'_> {
         let pos = self.state.robots[ai].pos;
         let id = self.state.robots[ai].id;
         planner.on_event(PlannerEvent::PathCancelled { robot: id, pos, t });
-        if !self.state.broken[ai] && !self.state.needs_replan.contains(&id) {
+        if !self.flags.broken[ai] && !self.state.needs_replan.contains(&id) {
             self.state.needs_replan.push(id);
         }
         self.freeze_queue.push(pos);

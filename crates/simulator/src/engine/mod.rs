@@ -53,8 +53,8 @@ use tprw_pathfinding::cdt::MAX_CDT_TICK;
 use tprw_pathfinding::reservation::MAX_PARK_TICK;
 use tprw_pathfinding::{Conflict, Path};
 use tprw_warehouse::{
-    DisruptionEvent, Duration, GridPos, Instance, OrderId, Picker, QueueEntry, Rack, RackId, Robot,
-    RobotId, RobotPhase, Tick, TimedEvent,
+    DisruptionEvent, DisruptionFlags, Duration, GridPos, Instance, OrderId, Picker, QueueEntry,
+    Rack, RackId, Robot, RobotId, RobotPhase, Tick, TimedEvent,
 };
 
 /// Item-progress checkpoints sampled per run (the paper plots 10).
@@ -156,7 +156,8 @@ pub struct EngineState {
     /// tick (deferred events appear when they land, not when scheduled);
     /// never truncated, so its length is the applied-event count.
     /// Replayed through [`Planner::on_event`] on resume to rebuild the
-    /// planner's derived world model (grid overlay, oracle).
+    /// planner's derived world model (grid overlay, oracle), and folded
+    /// into the engine's disruption flags (ADR-041).
     pub journal: Vec<TimedEvent>,
     pub racks: Vec<Rack>,
     pub pickers: Vec<Picker>,
@@ -177,16 +178,6 @@ pub struct EngineState {
     /// recovery, blockade invalidation), awaiting a fresh path from their
     /// frozen position.
     pub needs_replan: Vec<RobotId>,
-    /// Per-robot broken flag (disruption breakdowns).
-    pub broken: Vec<bool>,
-    /// Per-picker closed flag (station outages).
-    pub closed: Vec<bool>,
-    /// Per-rack removed flag (racks taken off the floor).
-    pub removed: Vec<bool>,
-    /// Per-cell disruption-blockade overlay (static grid walls excluded).
-    pub blocked_overlay: Vec<bool>,
-    /// Cursor into the instance's sorted disruption schedule.
-    pub next_event: usize,
     /// Blockades whose cell was occupied at their scheduled tick; they land
     /// as soon as the cell clears (or are withdrawn by their unblock).
     pub deferred_blockades: Vec<GridPos>,
@@ -263,10 +254,6 @@ impl EngineState {
             carried_work: vec![0; n_robots],
             carried_items: vec![0; n_robots],
             serving: vec![None; instance.pickers.len()],
-            broken: vec![false; n_robots],
-            closed: vec![false; instance.pickers.len()],
-            removed: vec![false; instance.racks.len()],
-            blocked_overlay: vec![false; instance.grid.cell_count()],
             next_checkpoint: 1,
             carried_orders: vec![Vec::new(); n_robots],
             // The pregenerated item list is an order book submitted at
@@ -287,16 +274,15 @@ impl EngineState {
     ///    lengths [`EngineState::new`] gives them (the live arrivals that of
     ///    the live orders), and the racks, pickers and robots keep the
     ///    instance's ids, homes, pickers and stations;
-    /// 2. the item, event and checkpoint cursors and the cancelled orders lie
+    /// 2. the item and checkpoint cursors and the cancelled orders lie
     ///    within what they count, and each backlog entry was submitted by `t`
     ///    and arrives no earlier than it was submitted;
-    /// 3. the robots, active-path cells, journaled cell events and deferred
-    ///    blockades lie on the grid;
+    /// 3. the robots and active-path cells lie on the grid;
     /// 4. an idle robot stands on a rack home or its own spawn cell, the
     ///    cells EATP's K-nearest index lists (ADR-025);
-    /// 5. the robot, picker, rack and item ids of the pending-leg lists,
-    ///    deferred removals, backlog, phases, picker queues, `serving`,
-    ///    pending items and journal name entities of the run;
+    /// 5. the robot, rack and item ids of the pending-leg lists, backlog,
+    ///    phases, picker queues, `serving` and pending items name entities
+    ///    of the run;
     /// 6. no robot is named twice by the pending-leg lists, the picker queues
     ///    and `serving`, and a queue or `serving` entry's robot is docked
     ///    with the entry's rack;
@@ -311,7 +297,12 @@ impl EngineState {
     /// 9. only a travelling robot holds a path, and its leg ends at its goal:
     ///    the rack's home, or for `ToStation` the rack's picker's cell;
     /// 10. a leg is a walk (Definition 5): each step waits or moves to a
-    ///     4-adjacent cell, and each cell is passable.
+    ///     4-adjacent cell, and each cell is passable;
+    /// 11. the journal, then the deferred blockades and removals, then the
+    ///     events the schedule has yet to apply fold from no disruption
+    ///     through [`DisruptionFlags::admits`]: each names an entity of the
+    ///     run and flips its flag (ADR-041; a scheduled event refused is
+    ///     the journal's fault, as the schedule passed `validate_events`).
     pub fn check(&self, instance: &Instance) -> Result<(), String> {
         let (robots, pickers) = (instance.robots.len(), instance.pickers.len());
         let (racks, grid) = (instance.racks.len(), &instance.grid);
@@ -322,13 +313,9 @@ impl EngineState {
             ("carried_work", self.carried_work.len(), robots),
             ("carried_items", self.carried_items.len(), robots),
             ("carried_orders", self.carried_orders.len(), robots),
-            ("broken", self.broken.len(), robots),
             ("pickers", self.pickers.len(), pickers),
             ("serving", self.serving.len(), pickers),
-            ("closed", self.closed.len(), pickers),
             ("racks", self.racks.len(), racks),
-            ("removed", self.removed.len(), racks),
-            ("blocked_overlay", self.blocked_overlay.len(), n_cells),
             (
                 "live_item_arrivals",
                 self.live_item_arrivals.len(),
@@ -355,10 +342,9 @@ impl EngineState {
                 "engine table `{table}` differs from the instance's ids, homes, pickers or stations"
             ));
         }
-        let (pregenerated, events) = (instance.items.len(), instance.disruptions.len());
+        let pregenerated = instance.items.len();
         let counters = [
             ("next_item", self.next_item as u64, 0..=pregenerated as u64),
-            ("next_event", self.next_event as u64, 0..=events as u64),
             (
                 "next_checkpoint",
                 self.next_checkpoint as u64,
@@ -380,17 +366,9 @@ impl EngineState {
                 o.order, o.submitted, o.arrival, self.t
             ));
         }
-        let mut cells = (self.robots.iter().map(|r| ("robots", r.pos)))
-            .chain(
-                (self.paths.iter().flatten()).flat_map(|p| p.cells.iter().map(|&c| ("paths", c))),
-            )
-            .chain(self.journal.iter().filter_map(|e| match e.event {
-                DisruptionEvent::CellBlocked { pos } | DisruptionEvent::CellUnblocked { pos } => {
-                    Some(("journal", pos))
-                }
-                _ => None,
-            }))
-            .chain((self.deferred_blockades.iter()).map(|&pos| ("deferred_blockades", pos)));
+        let mut cells = (self.robots.iter().map(|r| ("robots", r.pos))).chain(
+            (self.paths.iter().flatten()).flat_map(|p| p.cells.iter().map(|&c| ("paths", c))),
+        );
         if let Some((table, pos)) = cells.find(|&(_, pos)| !grid.in_bounds(pos)) {
             return Err(format!(
                 "engine table `{table}` names cell {pos}, off the instance's {}×{} grid",
@@ -423,10 +401,9 @@ impl EngineState {
             .map(|(table, r)| (table, "robot", r.index(), robots));
         let queued = (self.pickers.iter().flat_map(|p| &p.queue)).map(|e| ("pickers", e));
         let entries = queued.chain(self.serving.iter().flatten().map(|e| ("serving", e)));
-        let removals = (self.deferred_removals.iter()).map(|&r| ("deferred_removals", r));
         let backlog = self.backlog.iter().map(|o| ("backlog", o.rack));
         let phases = (self.robots.iter()).filter_map(|r| Some(("robots", r.phase.rack()?)));
-        let rack_ids = (removals.chain(backlog).chain(phases))
+        let rack_ids = (backlog.chain(phases))
             .chain(entries.clone().map(|(table, e)| (table, e.rack)))
             .map(|(table, r)| (table, "rack", r.index(), racks));
         let entry_robots =
@@ -434,21 +411,7 @@ impl EngineState {
         let items = instance.items.len() + self.live_item_orders.len();
         let pending = self.racks.iter().flat_map(|r| &r.pending);
         let item_ids = pending.map(|i| ("racks", "item", i.index(), items));
-        let journal_ids = self.journal.iter().filter_map(|e| match e.event {
-            DisruptionEvent::RobotBreakdown { robot } | DisruptionEvent::RobotRecover { robot } => {
-                Some(("journal", "robot", robot.index(), robots))
-            }
-            DisruptionEvent::StationClosed { picker }
-            | DisruptionEvent::StationReopened { picker } => {
-                Some(("journal", "picker", picker.index(), pickers))
-            }
-            DisruptionEvent::RackRemoved { rack } | DisruptionEvent::RackRestored { rack } => {
-                Some(("journal", "rack", rack.index(), racks))
-            }
-            DisruptionEvent::CellBlocked { .. } | DisruptionEvent::CellUnblocked { .. } => None,
-        });
-        let ids = robot_ids.chain(entry_robots).chain(rack_ids);
-        let mut ids = ids.chain(item_ids).chain(journal_ids);
+        let mut ids = (robot_ids.chain(entry_robots).chain(rack_ids)).chain(item_ids);
         if let Some((table, kind, id, count)) = ids.find(|&(_, _, id, count)| id >= count) {
             return Err(format!(
                 "engine table `{table}` names {kind} {id}, outside the instance's {count} {kind}s"
@@ -551,7 +514,30 @@ impl EngineState {
                 return refuse(format!("puts {id} on {c}, which is not passable"));
             }
         }
-        Ok(())
+        let journal = self.journal.iter().map(|e| ("journal", e.event));
+        let blockades = (self.deferred_blockades.iter())
+            .map(|&pos| ("deferred_blockades", DisruptionEvent::CellBlocked { pos }));
+        let removals = (self.deferred_removals.iter())
+            .map(|&rack| ("deferred_removals", DisruptionEvent::RackRemoved { rack }));
+        let scheduled = instance.disruptions[self.next_event(instance)..].iter();
+        let scheduled = scheduled.map(|e| ("journal", e.event));
+        let mut flags = DisruptionFlags::new(grid, robots, pickers, racks);
+        let mut events = journal.chain(blockades).chain(removals).chain(scheduled);
+        match events.find(|&(_, event)| flags.fold([event]).is_err()) {
+            Some((table, event)) => Err(format!(
+                "engine table `{table}` leaves `{}` nesting, undoing nothing or naming no entity",
+                event.label()
+            )),
+            None => Ok(()),
+        }
+    }
+
+    /// The cursor into `instance.disruptions` (derived, ADR-041): the events
+    /// at or before the last executed tick were consumed, which is `t − 1`
+    /// mid-run and `t` once finished.
+    fn next_event(&self, instance: &Instance) -> usize {
+        let executed = |e: &TimedEvent| e.t < self.t || (self.finished && e.t == self.t);
+        instance.disruptions.partition_point(executed)
     }
 }
 
@@ -575,6 +561,10 @@ pub struct Engine<'a> {
     /// clean certificate every phase consults; built from `state` at
     /// construction and again on resume.
     schedule: Schedule,
+    /// The disruption flags in force, the journal's fold, and the cursor
+    /// into the instance's disruption schedule (ADR-041).
+    flags: DisruptionFlags<'a>,
+    next_event: usize,
     // Scratch, empty at every tick boundary and reused so the steady-state
     // loop stays allocation-free.
     /// Cells newly claimed by frozen robots (or a fresh blockade) whose
@@ -611,13 +601,16 @@ impl<'a> Engine<'a> {
             0 => (horizon_guess / 40).max(1),
             n => n,
         };
-        let n_robots = instance.robots.len();
+        let (n_robots, n_pickers) = (instance.robots.len(), instance.pickers.len());
+        let flags = DisruptionFlags::new(&instance.grid, n_robots, n_pickers, instance.racks.len());
         let state = EngineState::new(instance);
         let mut schedule = Schedule::default();
         schedule.rebuild(&state);
         Self {
             state,
             schedule,
+            flags,
+            next_event: 0,
             max_ticks,
             bucket_width: bucket,
             freeze_queue: Vec::new(),
@@ -782,11 +775,6 @@ impl<'a> Engine<'a> {
         (self.instance.items.len() - self.state.next_item + self.state.backlog.len()) as u64
     }
 
-    #[inline]
-    fn cell_index(&self, pos: GridPos) -> usize {
-        pos.to_index(self.instance.grid.width())
-    }
-
     /// All items arrived, fulfilled, and every robot idle again. In live
     /// mode the floor being momentarily drained is not completion — more
     /// orders may arrive — so a shutdown must have been accepted too.
@@ -818,13 +806,18 @@ impl<'a> Engine<'a> {
     /// The engine resumed from `state`, which
     /// [`resume_from`](crate::snapshot::resume_from) checked and handed the
     /// planner first: the validator restarts its previous check from the
-    /// robots on the grid at `t − 1`, and the schedule is rebuilt.
+    /// robots on the grid at `t − 1`, and the schedule, the disruption flags
+    /// and the event cursor are rebuilt.
     pub(crate) fn resumed(
         instance: &'a Instance,
         config: &EngineConfig,
         state: EngineState,
     ) -> Self {
         let mut engine = Engine::new(instance, config);
+        let journal = state.journal.iter().map(|e| e.event);
+        let folded = engine.flags.fold(journal);
+        folded.expect("EngineState::check folds the journal");
+        engine.next_event = state.next_event(instance);
         engine.state = state;
         engine.collect_on_grid();
         let prev_t = engine.state.t.checked_sub(1);

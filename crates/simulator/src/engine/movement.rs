@@ -24,7 +24,7 @@ impl Engine<'_> {
         if self.schedule.is_clean() {
             self.touched_buf.clear();
             for ai in self.schedule.touched() {
-                let pos = move_robot(&mut self.state, width, ai, t);
+                let pos = move_robot(&mut self.state, &self.flags.blocked, width, ai, t);
                 self.touched_buf.push((self.state.robots[ai].id, pos));
             }
             #[cfg(debug_assertions)]
@@ -54,7 +54,7 @@ impl Engine<'_> {
         } else {
             self.on_grid_buf.clear();
             for ai in 0..self.state.robots.len() {
-                if let Some(pos) = move_robot(&mut self.state, width, ai, t) {
+                if let Some(pos) = move_robot(&mut self.state, &self.flags.blocked, width, ai, t) {
                     self.on_grid_buf.push((self.state.robots[ai].id, pos));
                 }
             }
@@ -89,7 +89,7 @@ impl Engine<'_> {
         let violations = self
             .on_grid_buf
             .iter()
-            .filter(|&&(_, pos)| self.state.blocked_overlay[self.cell_index(pos)])
+            .filter(|&&(_, pos)| self.flags.blocked[pos.to_index(self.instance.grid.width())])
             .count();
         let mut full = self.state.validator.clone();
         full.check_tick(t, &self.on_grid_buf, &self.instance.grid);
@@ -117,7 +117,7 @@ impl Engine<'_> {
                 // *waiting*, not processing — the Fig. 13 trace must not
                 // report progress while the picker is away.
                 RobotPhase::Processing { rack } => {
-                    if self.state.closed[self.state.racks[rack.index()].picker.index()] {
+                    if self.flags.closed[self.state.racks[rack.index()].picker.index()] {
                         queuing += 1;
                     } else {
                         processing += 1;
@@ -170,9 +170,15 @@ impl Engine<'_> {
 }
 
 /// Move robot `ai` to its tick-`t` cell and count a violation if it
-/// stands on a blocked cell. Returns its cell, or `None` while it is
+/// stands on a `blocked` cell. Returns its cell, or `None` while it is
 /// docked off the grid.
-fn move_robot(state: &mut EngineState, width: u16, ai: usize, t: Tick) -> Option<GridPos> {
+fn move_robot(
+    state: &mut EngineState,
+    blocked: &[bool],
+    width: u16,
+    ai: usize,
+    t: Tick,
+) -> Option<GridPos> {
     if let Some(path) = &state.paths[ai] {
         state.robots[ai].pos = path.at(t);
     }
@@ -182,7 +188,7 @@ fn move_robot(state: &mut EngineState, width: u16, ai: usize, t: Tick) -> Option
     // Blockade invariant: no robot trajectory may occupy a
     // disruption-blocked cell after its blockade tick.
     let pos = state.robots[ai].pos;
-    if state.blocked_overlay[pos.to_index(width)] {
+    if blocked[pos.to_index(width)] {
         state.disruption_violations += 1;
     }
     Some(pos)

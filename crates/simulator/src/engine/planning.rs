@@ -1,11 +1,11 @@
 //! Phase 4: the planner's per-timestamp selection and assignment, and
 //! `dispatch`, which commits a robot to a rack.
 
-use super::{Engine, EngineState};
+use super::Engine;
 use eatp_core::planner::Planner;
 use eatp_core::world::WorldView;
 use tprw_pathfinding::Path;
-use tprw_warehouse::{Rack, RackId, Robot, RobotPhase, Tick};
+use tprw_warehouse::{DisruptionFlags, Rack, RackId, Robot, RobotPhase, Tick};
 
 impl Engine<'_> {
     /// Phase 4: the planner's per-timestamp selection + assignment.
@@ -13,22 +13,22 @@ impl Engine<'_> {
         // The dirty flags conservatively over-approximate the two offer
         // pools, so either being clear proves the scans below would find a
         // pool empty and return.
-        let state = &self.state;
+        let (state, flags) = (&self.state, &self.flags);
         if !self.schedule.may_plan() {
             debug_assert!(
                 self.schedule.flags_cover(
-                    state.robots.iter().any(|r| assignable(state, r)),
-                    state.racks.iter().any(|r| offerable(state, r)),
+                    state.robots.iter().any(|r| assignable(flags, r)),
+                    state.racks.iter().any(|r| offerable(flags, r)),
                 ),
                 "planning dirty flag cleared while its pool is populated"
             );
             return;
         }
         self.idle_buf.clear();
-        let idle = state.robots.iter().filter(|r| assignable(state, r));
+        let idle = state.robots.iter().filter(|r| assignable(flags, r));
         self.idle_buf.extend(idle.map(|r| r.id));
         self.selectable_buf.clear();
-        let selectable = state.racks.iter().filter(|r| offerable(state, r));
+        let selectable = state.racks.iter().filter(|r| offerable(flags, r));
         self.selectable_buf.extend(selectable.map(|r| r.id));
         if self.idle_buf.is_empty() || self.selectable_buf.is_empty() {
             // The scans just computed the pools exactly, so a quiescent
@@ -57,9 +57,9 @@ impl Engine<'_> {
                 self.state.racks[plan.rack.index()].selectable(),
                 "planner selected an unavailable rack"
             );
-            if self.state.broken[ai]
-                || self.state.closed[self.state.racks[plan.rack.index()].picker.index()]
-                || self.state.removed[plan.rack.index()]
+            if self.flags.broken[ai]
+                || self.flags.closed[self.state.racks[plan.rack.index()].picker.index()]
+                || self.flags.removed[plan.rack.index()]
             {
                 // The planner ignored the filtered world view: a broken
                 // robot, a closed station's rack or a removed rack was
@@ -99,13 +99,13 @@ impl Engine<'_> {
 
 /// Whether robot `r` joins the idle pool: broken robots leave it until
 /// they recover.
-fn assignable(state: &EngineState, r: &Robot) -> bool {
-    r.is_idle() && !state.broken[r.id.index()]
+fn assignable(flags: &DisruptionFlags, r: &Robot) -> bool {
+    r.is_idle() && !flags.broken[r.id.index()]
 }
 
 /// Whether rack `r` joins the selectable pool: racks bound to a closed
 /// station are withheld (no item is ever committed toward a picker that
 /// cannot serve it), as are racks removed from the floor.
-fn offerable(state: &EngineState, r: &Rack) -> bool {
-    r.selectable() && !state.closed[r.picker.index()] && !state.removed[r.id.index()]
+fn offerable(flags: &DisruptionFlags, r: &Rack) -> bool {
+    r.selectable() && !flags.closed[r.picker.index()] && !flags.removed[r.id.index()]
 }

@@ -123,7 +123,7 @@ impl Engine<'_> {
         for pi in 0..self.state.pickers.len() {
             // A closed station pauses mid-rack: no processing, no queue
             // pops, no busy-tick accrual, until it reopens.
-            if self.state.closed[pi] {
+            if self.flags.closed[pi] {
                 continue;
             }
             // Start the next rack if idle.
@@ -260,7 +260,7 @@ impl Engine<'_> {
             let mut pending = std::mem::take(kind.pending(&mut self.state));
             pending.retain(|&robot| kind.waits(&self.state, robot.index()));
             for &robot in &pending {
-                if !self.state.broken[robot.index()] {
+                if !self.flags.broken[robot.index()] {
                     self.leg_requests.push(kind.leg_request(&self.state, robot));
                 }
             }
@@ -279,7 +279,7 @@ impl Engine<'_> {
         for kind in LEG_KINDS {
             let mut pending = std::mem::take(kind.pending(&mut self.state));
             pending.retain(|&robot| {
-                if self.state.broken[robot.index()] {
+                if self.flags.broken[robot.index()] {
                     return true; // no request was issued; waits for recovery
                 }
                 let (request, result) = (self.leg_requests[i], self.leg_results[i].take());

@@ -26,7 +26,7 @@ pub const SNAPSHOT_MAGIC: [u8; 8] = *b"TPRWSNAP";
 /// other is [`SnapshotError::UnsupportedVersion`]. A payload schema change
 /// bumps it and re-records `testdata/snapshot-v{N}/` instead of carrying a
 /// reader for the old payloads (`docs/adr/ADR-030-current-only-snapshots.md`).
-pub const SNAPSHOT_VERSION: u32 = 10;
+pub const SNAPSHOT_VERSION: u32 = 11;
 
 /// Little-endian sentinel; a big-endian writer would store these bytes
 /// reversed, which the reader detects as [`SnapshotError::WrongEndian`].
@@ -581,19 +581,16 @@ mod tests {
 
     #[test]
     fn snapshot_sized_for_another_floor_is_a_typed_error() {
-        // One entry short in a per-robot, per-picker, per-rack or per-cell
-        // table, re-framed so the checksum holds: the bytes decode, and
+        // One entry short in a per-robot or per-picker table, re-framed so the checksum holds: the bytes decode, and
         // resuming them must fail naming the table instead of indexing
         // out of bounds a few ticks later.
         let good = first_snapshot("NTP", |s| s.t == 40);
-        for table in ["broken", "serving", "paths", "removed", "blocked_overlay"] {
+        for table in ["carried_work", "serving", "paths"] {
             let err = refusal(&good, |state| {
                 let shortened = match table {
-                    "broken" => state.broken.pop().is_some(),
+                    "carried_work" => state.carried_work.pop().is_some(),
                     "serving" => state.serving.pop().is_some(),
-                    "paths" => state.paths.pop().is_some(),
-                    "removed" => state.removed.pop().is_some(),
-                    _ => state.blocked_overlay.pop().is_some(),
+                    _ => state.paths.pop().is_some(),
                 };
                 assert!(shortened, "{table} is empty");
             });
@@ -949,6 +946,85 @@ mod tests {
         }
     }
 
+    /// A journal and deferred lists the disruption fold refuses, on the
+    /// blockade-storm floor cut at tick 3, before any event is due: rack
+    /// 9's removal journaled while it is still scheduled, and the first
+    /// scheduled blockade's cell journaled as blocked (each resumed and
+    /// then panicked a debug build when the scheduled event landed), a
+    /// deferred blockade listed twice, and a deferred removal whose removal
+    /// was already journaled. The unedited slice resumes.
+    #[test]
+    fn disruption_states_the_fold_refuses_are_typed_errors() {
+        let inst = scenario(blockade_storm(), 42);
+        let mut p = make("EATP");
+        let mut engine = Engine::new(&inst, &EngineConfig::default());
+        engine.start(p.as_mut());
+        for _ in 0..3 {
+            engine.tick_once(p.as_mut());
+        }
+        let good = engine.snapshot(p.as_ref());
+        assert!(good.engine.journal.is_empty(), "no event is due by tick 3");
+        let scheduled = |pick: fn(DisruptionEvent) -> Option<DisruptionEvent>| {
+            let first = inst.disruptions.iter().find_map(|e| pick(e.event));
+            TimedEvent {
+                t: 1,
+                event: first.expect("the storm schedules one"),
+            }
+        };
+        let removal = scheduled(|e| matches!(e, DisruptionEvent::RackRemoved { .. }).then_some(e));
+        let blockade = scheduled(|e| matches!(e, DisruptionEvent::CellBlocked { .. }).then_some(e));
+        assert_eq!(
+            removal.event,
+            DisruptionEvent::RackRemoved {
+                rack: RackId::new(9)
+            }
+        );
+        let named = |e: &TimedEvent| match e.event {
+            DisruptionEvent::CellBlocked { pos } | DisruptionEvent::CellUnblocked { pos } => {
+                Some(pos)
+            }
+            _ => None,
+        };
+        let free = (inst.grid.cells_of_kind(tprw_warehouse::CellKind::Aisle))
+            .find(|&c| inst.disruptions.iter().all(|e| named(e) != Some(c)))
+            .expect("an aisle cell the storm never blocks");
+        let unscheduled = RackId::new(0);
+        assert!(inst
+            .disruptions
+            .iter()
+            .all(|e| e.event != DisruptionEvent::RackRemoved { rack: unscheduled }));
+        let removed = TimedEvent {
+            t: 1,
+            event: DisruptionEvent::RackRemoved { rack: unscheduled },
+        };
+        type Corrupt = Box<dyn Fn(&mut EngineState)>;
+        let cases: [(&str, Corrupt); 4] = [
+            ("journal", Box::new(move |s| s.journal.push(removal))),
+            ("journal", Box::new(move |s| s.journal.push(blockade))),
+            (
+                "deferred_blockades",
+                Box::new(move |s| s.deferred_blockades.extend([free, free])),
+            ),
+            (
+                "deferred_removals",
+                Box::new(move |s| {
+                    s.journal.push(removed);
+                    s.deferred_removals.push(unscheduled);
+                }),
+            ),
+        ];
+        for (table, corrupt) in cases {
+            let mut data = good.clone();
+            corrupt(&mut data.engine);
+            let data = decode_snapshot(&encode_snapshot(&data)).expect("bytes decode");
+            let Err(err) = resume_from(&inst, &data, make("EATP").as_mut()) else {
+                panic!("{table}: the forged slice resumed");
+            };
+            assert_names(&err, table);
+        }
+        resume_from(&inst, &good, make("EATP").as_mut()).expect("the true slice resumes");
+    }
+
     /// An idle robot stands on a rack home or its own spawn cell, the
     /// only cells EATP's K-nearest index lists. One moved to a plain aisle
     /// cell, or to another robot's spawn cell, is refused naming the
@@ -989,8 +1065,8 @@ mod tests {
     /// same. So are the cursors no run can hold: an item cursor past the
     /// items (the backlog depth underflowed), more orders cancelled than
     /// submitted and a checkpoint cursor far past the last checkpoint (both
-    /// overflowed in the checkpoint threshold), an event cursor past the
-    /// schedule and a checkpoint cursor of 0. So are a robot named twice
+    /// overflowed in the checkpoint threshold) and a checkpoint cursor of
+    /// 0. So are a robot named twice
     /// by the pending-leg lists, the picker queues and `serving`, and a
     /// queue or `serving` entry whose robot is not docked with its rack,
     /// each of which resumed and then panicked in a debug build: a robot
@@ -1063,7 +1139,7 @@ mod tests {
             let entry = s.serving.iter_mut().flatten().next();
             entry.expect("a picker serving at tick 40").robot = robot;
         };
-        cases.extend::<[(&str, Tick, &str, Corrupt); 14]>([
+        cases.extend::<[(&str, Tick, &str, Corrupt); 13]>([
             ("LEF", 40, "racks", Box::new(pending)),
             ("NTP", 40, "racks", Box::new(pending)),
             (
@@ -1103,12 +1179,6 @@ mod tests {
                 40,
                 "next_item",
                 Box::new(|s| s.next_item = inst.items.len() + 1),
-            ),
-            (
-                "NTP",
-                40,
-                "next_event",
-                Box::new(|s| s.next_event = inst.disruptions.len() + 1),
             ),
             (
                 "NTP",

@@ -31,7 +31,10 @@
 //! tick, every disruption is paired with its recovery in strict alternation
 //! per entity, and blockades only target [`CellKind::Aisle`] cells —
 //! blocking a storage cell would strand a rack and blocking a station would
-//! make its queue unserviceable forever.
+//! make its queue unserviceable forever. All but the sort are one rule,
+//! [`DisruptionFlags::admits`] (an event names an entity of the world and
+//! flips its flag), which the simulator also asks of live injections and
+//! resumed journals.
 //!
 //! # Terminal events
 //!
@@ -225,78 +228,54 @@ impl DisruptionConfig {
         n_racks: usize,
         rng: &mut R,
     ) -> Vec<TimedEvent> {
+        use DisruptionEvent as E;
         let mut events = Vec::new();
         let (w0, w1) = self.window;
+        // Each chosen entity is disrupted at a tick drawn from the window
+        // and recovers a duration drawn from `ticks` later.
+        let mut pair = |rng: &mut R, ticks: (Tick, Tick), on: E, off: E| {
+            let t = rng.gen_range(w0..=w1);
+            let dur = rng.gen_range(ticks.0..=ticks.1);
+            events.push(TimedEvent { t, event: on });
+            events.push(TimedEvent {
+                t: t + dur,
+                event: off,
+            });
+        };
 
-        // Breakdowns: distinct robots, each paired with a recovery.
+        // Breakdowns: distinct robots.
         let robot_ids: Vec<usize> = (0..n_robots).collect();
-        let chosen = sample_without_replacement(&robot_ids, self.breakdowns.min(n_robots), rng);
-        for r in chosen {
+        for r in sample_without_replacement(&robot_ids, self.breakdowns.min(n_robots), rng) {
             let robot = RobotId::new(r);
-            let t0 = rng.gen_range(w0..=w1);
-            let dur = rng.gen_range(self.breakdown_ticks.0..=self.breakdown_ticks.1);
-            events.push(TimedEvent {
-                t: t0,
-                event: DisruptionEvent::RobotBreakdown { robot },
-            });
-            events.push(TimedEvent {
-                t: t0 + dur,
-                event: DisruptionEvent::RobotRecover { robot },
-            });
+            let (on, off) = (E::RobotBreakdown { robot }, E::RobotRecover { robot });
+            pair(rng, self.breakdown_ticks, on, off);
         }
 
-        // Blockades: distinct aisle cells, each paired with an unblock.
+        // Blockades: distinct aisle cells.
         let aisle_cells: Vec<GridPos> = grid.cells_of_kind(CellKind::Aisle).collect();
-        let chosen =
-            sample_without_replacement(&aisle_cells, self.blockades.min(aisle_cells.len()), rng);
-        for pos in chosen {
-            let t0 = rng.gen_range(w0..=w1);
-            let dur = rng.gen_range(self.blockade_ticks.0..=self.blockade_ticks.1);
-            events.push(TimedEvent {
-                t: t0,
-                event: DisruptionEvent::CellBlocked { pos },
-            });
-            events.push(TimedEvent {
-                t: t0 + dur,
-                event: DisruptionEvent::CellUnblocked { pos },
-            });
+        let n = self.blockades.min(aisle_cells.len());
+        for pos in sample_without_replacement(&aisle_cells, n, rng) {
+            let (on, off) = (E::CellBlocked { pos }, E::CellUnblocked { pos });
+            pair(rng, self.blockade_ticks, on, off);
         }
 
-        // Station closures: distinct pickers, each paired with a reopening.
+        // Station closures: distinct pickers.
         let picker_ids: Vec<usize> = (0..n_pickers).collect();
-        let chosen = sample_without_replacement(&picker_ids, self.closures.min(n_pickers), rng);
-        for p in chosen {
+        for p in sample_without_replacement(&picker_ids, self.closures.min(n_pickers), rng) {
             let picker = PickerId::new(p);
-            let t0 = rng.gen_range(w0..=w1);
-            let dur = rng.gen_range(self.closure_ticks.0..=self.closure_ticks.1);
-            events.push(TimedEvent {
-                t: t0,
-                event: DisruptionEvent::StationClosed { picker },
-            });
-            events.push(TimedEvent {
-                t: t0 + dur,
-                event: DisruptionEvent::StationReopened { picker },
-            });
+            let (on, off) = (E::StationClosed { picker }, E::StationReopened { picker });
+            pair(rng, self.closure_ticks, on, off);
         }
 
-        // Rack removals: distinct racks, each paired with a restoration.
-        // Drawn last (and skipped entirely at count 0) so configs predating
-        // the removal axis keep their exact schedules.
+        // Rack removals: distinct racks. Drawn last (and skipped entirely
+        // at count 0) so configs predating the removal axis keep their
+        // exact schedules.
         if self.removals > 0 {
             let rack_ids: Vec<usize> = (0..n_racks).collect();
-            let chosen = sample_without_replacement(&rack_ids, self.removals.min(n_racks), rng);
-            for r in chosen {
+            for r in sample_without_replacement(&rack_ids, self.removals.min(n_racks), rng) {
                 let rack = RackId::new(r);
-                let t0 = rng.gen_range(w0..=w1);
-                let dur = rng.gen_range(self.removal_ticks.0..=self.removal_ticks.1);
-                events.push(TimedEvent {
-                    t: t0,
-                    event: DisruptionEvent::RackRemoved { rack },
-                });
-                events.push(TimedEvent {
-                    t: t0 + dur,
-                    event: DisruptionEvent::RackRestored { rack },
-                });
+                let (on, off) = (E::RackRemoved { rack }, E::RackRestored { rack });
+                pair(rng, self.removal_ticks, on, off);
             }
         }
 
@@ -307,15 +286,104 @@ impl DisruptionConfig {
     }
 }
 
-/// Check the structural invariants of an event schedule against its world:
-/// sorted by tick, ids in range, blockades on in-bounds aisle cells, and
-/// strict disrupt/recover alternation per entity (no nested disruptions).
-/// Breakdowns, blockades and closures must be recovered before the
-/// schedule ends — left open they can livelock a simulation that needs the
-/// robot, corridor or station. A `RackRemoved` with no paired
-/// `RackRestored` at the schedule tail is **legal**: permanent
-/// de-commissioning cannot trap the fleet (see the module docs, *Terminal
-/// events*, for the rule and its completion caveat).
+/// The disruption state a sequence of [`DisruptionEvent`]s leaves on one
+/// world. [`DisruptionFlags::admits`] is the one statement of when a
+/// disruption may happen: the schedule ([`validate_events`]), the
+/// simulator's live injections and its resume check all fold through it.
+#[derive(Debug, Clone)]
+pub struct DisruptionFlags<'g> {
+    grid: &'g GridMap,
+    /// Per-robot broken flag.
+    pub broken: Vec<bool>,
+    /// Per-picker closed flag.
+    pub closed: Vec<bool>,
+    /// Per-rack removed flag.
+    pub removed: Vec<bool>,
+    /// Per-cell blockade flag (static walls excluded).
+    pub blocked: Vec<bool>,
+}
+
+impl<'g> DisruptionFlags<'g> {
+    /// No disruption in force on `grid` with these entity counts.
+    pub fn new(grid: &'g GridMap, robots: usize, pickers: usize, racks: usize) -> Self {
+        let [broken, closed, removed, blocked] =
+            [robots, pickers, racks, grid.cell_count()].map(|n| vec![false; n]);
+        Self {
+            grid,
+            broken,
+            closed,
+            removed,
+            blocked,
+        }
+    }
+
+    /// Whether `event` may happen now: it names an entity of the world (an
+    /// id in range, or an in-bounds aisle cell) and flips its flag, so
+    /// disruptions and recoveries alternate per entity.
+    pub fn admits(&self, event: DisruptionEvent) -> bool {
+        self.flag(event)
+            .is_some_and(|(table, i, set)| self.tables()[table][i] != set)
+    }
+
+    /// Set the flag `event` names; panics if it names no entity.
+    pub fn apply(&mut self, event: DisruptionEvent) {
+        let (table, i, set) = self.flag(event).expect("the event names an entity");
+        [
+            &mut self.broken,
+            &mut self.closed,
+            &mut self.removed,
+            &mut self.blocked,
+        ][table][i] = set;
+    }
+
+    /// Apply `events` in order while each is admitted.
+    ///
+    /// # Errors
+    ///
+    /// Returns the first event [`DisruptionFlags::admits`] refuses.
+    pub fn fold(
+        &mut self,
+        events: impl IntoIterator<Item = DisruptionEvent>,
+    ) -> Result<(), DisruptionEvent> {
+        for event in events {
+            if !self.admits(event) {
+                return Err(event);
+            }
+            self.apply(event);
+        }
+        Ok(())
+    }
+
+    fn tables(&self) -> [&Vec<bool>; 4] {
+        [&self.broken, &self.closed, &self.removed, &self.blocked]
+    }
+
+    /// The table and index `event` names and the value it sets; `None` for
+    /// an id out of range or a cell that is not an in-bounds aisle cell.
+    fn flag(&self, event: DisruptionEvent) -> Option<(usize, usize, bool)> {
+        let grid = self.grid;
+        let aisle = |pos: GridPos| {
+            let aisle = grid.in_bounds(pos) && grid.kind(pos) == CellKind::Aisle;
+            aisle.then(|| pos.to_index(grid.width()))
+        };
+        let (table, i, set) = match event {
+            DisruptionEvent::RobotBreakdown { robot } => (0, robot.index(), true),
+            DisruptionEvent::RobotRecover { robot } => (0, robot.index(), false),
+            DisruptionEvent::StationClosed { picker } => (1, picker.index(), true),
+            DisruptionEvent::StationReopened { picker } => (1, picker.index(), false),
+            DisruptionEvent::RackRemoved { rack } => (2, rack.index(), true),
+            DisruptionEvent::RackRestored { rack } => (2, rack.index(), false),
+            DisruptionEvent::CellBlocked { pos } => (3, aisle(pos)?, true),
+            DisruptionEvent::CellUnblocked { pos } => (3, aisle(pos)?, false),
+        };
+        (i < self.tables()[table].len()).then_some((table, i, set))
+    }
+}
+
+/// Check an event schedule against its world: sorted by tick, each event
+/// admitted by the [`DisruptionFlags`] fold of the events before it, and
+/// every disruption but a rack removal recovered by the schedule's end
+/// (module docs, *Terminal events*).
 ///
 /// # Errors
 ///
@@ -327,106 +395,29 @@ pub fn validate_events(
     n_pickers: usize,
     n_racks: usize,
 ) -> Result<(), String> {
-    let mut last = 0u64;
-    let mut robot_down = vec![false; n_robots];
-    let mut picker_closed = vec![false; n_pickers];
-    let mut rack_removed = vec![false; n_racks];
-    let mut cell_blocked = vec![false; grid.cell_count()];
-    for ev in events {
-        if ev.t < last {
-            return Err(format!("events not sorted by tick at {}", ev.event.label()));
-        }
-        last = ev.t;
-        match ev.event {
-            DisruptionEvent::RobotBreakdown { robot } => {
-                let i = robot.index();
-                if i >= n_robots {
-                    return Err(format!("breakdown references missing {robot}"));
-                }
-                if robot_down[i] {
-                    return Err(format!("{robot} breaks down while already broken"));
-                }
-                robot_down[i] = true;
-            }
-            DisruptionEvent::RobotRecover { robot } => {
-                let i = robot.index();
-                if i >= n_robots || !robot_down[i] {
-                    return Err(format!("recover without breakdown for {robot}"));
-                }
-                robot_down[i] = false;
-            }
-            DisruptionEvent::CellBlocked { pos } => {
-                if !grid.in_bounds(pos) {
-                    return Err(format!("blockade out of bounds at {pos}"));
-                }
-                if grid.kind(pos) != CellKind::Aisle {
-                    return Err(format!("blockade on non-aisle cell {pos}"));
-                }
-                let i = pos.to_index(grid.width());
-                if cell_blocked[i] {
-                    return Err(format!("cell {pos} blocked while already blocked"));
-                }
-                cell_blocked[i] = true;
-            }
-            DisruptionEvent::CellUnblocked { pos } => {
-                if !grid.in_bounds(pos) {
-                    return Err(format!("unblock out of bounds at {pos}"));
-                }
-                let i = pos.to_index(grid.width());
-                if !cell_blocked[i] {
-                    return Err(format!("unblock without blockade at {pos}"));
-                }
-                cell_blocked[i] = false;
-            }
-            DisruptionEvent::StationClosed { picker } => {
-                let i = picker.index();
-                if i >= n_pickers {
-                    return Err(format!("closure references missing {picker}"));
-                }
-                if picker_closed[i] {
-                    return Err(format!("{picker} closes while already closed"));
-                }
-                picker_closed[i] = true;
-            }
-            DisruptionEvent::StationReopened { picker } => {
-                let i = picker.index();
-                if i >= n_pickers || !picker_closed[i] {
-                    return Err(format!("reopen without closure for {picker}"));
-                }
-                picker_closed[i] = false;
-            }
-            DisruptionEvent::RackRemoved { rack } => {
-                let i = rack.index();
-                if i >= n_racks {
-                    return Err(format!("removal references missing {rack}"));
-                }
-                if rack_removed[i] {
-                    return Err(format!("{rack} removed while already removed"));
-                }
-                rack_removed[i] = true;
-            }
-            DisruptionEvent::RackRestored { rack } => {
-                let i = rack.index();
-                if i >= n_racks || !rack_removed[i] {
-                    return Err(format!("restore without removal for {rack}"));
-                }
-                rack_removed[i] = false;
-            }
-        }
-    }
-    if let Some(i) = robot_down.iter().position(|&d| d) {
-        return Err(format!("robot#{i} never recovers"));
-    }
-    if let Some(i) = picker_closed.iter().position(|&c| c) {
-        return Err(format!("picker#{i} never reopens"));
-    }
-    // `rack_removed` intentionally unchecked at the tail: unpaired terminal
-    // removals are legal (module docs, *Terminal events*).
-    if let Some(i) = cell_blocked.iter().position(|&b| b) {
+    if let Some(w) = events.windows(2).find(|w| w[1].t < w[0].t) {
         return Err(format!(
-            "cell {} never unblocks",
-            GridPos::from_index(i, grid.width())
+            "events not sorted by tick at {}",
+            w[1].event.label()
         ));
+    }
+    let mut flags = DisruptionFlags::new(grid, n_robots, n_pickers, n_racks);
+    let refused = flags.fold(events.iter().map(|e| e.event)).err();
+    if let Some(event) = refused {
+        return Err(format!(
+            "{} nests, undoes nothing or names no entity",
+            event.label()
+        ));
+    }
+    // `removed` may stay open at the tail (module docs, *Terminal events*).
+    let open = [
+        ("robot", &flags.broken),
+        ("picker", &flags.closed),
+        ("cell", &flags.blocked),
+    ];
+    let first = |(kind, table): (_, &Vec<bool>)| Some((kind, table.iter().position(|&on| on)?));
+    if let Some((kind, i)) = open.into_iter().find_map(first) {
+        return Err(format!("{kind} #{i} is never recovered"));
     }
     Ok(())
 }

@@ -37,7 +37,7 @@ pub mod workload;
 pub use datasets::Dataset;
 pub use entities::{Item, Picker, QueueEntry, Rack, Robot, RobotPhase};
 pub use error::WarehouseError;
-pub use events::{DisruptionConfig, DisruptionEvent, TimedEvent};
+pub use events::{DisruptionConfig, DisruptionEvent, DisruptionFlags, TimedEvent};
 pub use geometry::{Direction, GridPos, Rect};
 pub use grid::{CellKind, GridMap};
 pub use ids::{ItemId, OrderId, PickerId, RackId, RobotId, MAX_FLEET};

@@ -6,8 +6,10 @@
 //! order, resume under redelivery) is the lattice's (`tests/lattice.rs`).
 
 use eatp::core::{planner_by_name, EatpConfig};
-use eatp::simulator::{Ack, Command, Engine, OrderSpec, RejectReason, SequencedCommand};
-use eatp::warehouse::{DisruptionEvent, OrderId, RobotId, Tick};
+use eatp::simulator::{
+    Ack, Command, Engine, EngineConfig, OrderSpec, RejectReason, SequencedCommand,
+};
+use eatp::warehouse::{DisruptionEvent, OrderId, RackId, RobotId, Tick};
 
 mod common;
 use common::lattice::{drive, floor, Enqueue, Feed, Point, Trace};
@@ -173,6 +175,43 @@ fn lifecycle_acks_are_deterministic() {
         report.executed_conflicts, 0,
         "an injected breakdown must not break safety"
     );
+}
+
+/// An injection that nests with an event the schedule has yet to apply is
+/// refused: rack 8's removal is scheduled on this floor, so removing it
+/// live at tick 0 would make the scheduled removal remove a removed rack
+/// (accepted, it panicked a debug build when the scheduled removal
+/// landed, and a release build journaled a nested removal). The run then
+/// completes with the schedule alone.
+#[test]
+fn injection_nesting_with_the_schedule_is_rejected() {
+    let inst = floor(2, 0);
+    let rack = RackId::new(8);
+    let scheduled = DisruptionEvent::RackRemoved { rack };
+    assert!(inst.disruptions.iter().any(|e| e.event == scheduled));
+    let mut planner = planner_by_name("EATP", &EatpConfig::default()).unwrap();
+    let mut engine = Engine::new(&inst, &EngineConfig::default());
+    engine.start(planner.as_mut());
+    let mut acks = Vec::new();
+    let mut batch = [SequencedCommand {
+        seq: 0,
+        command: Command::InjectDisruption { event: scheduled },
+    }];
+    engine.tick_with_commands(planner.as_mut(), &mut batch, &mut acks);
+    assert_eq!(
+        acks,
+        [Ack::Rejected {
+            seq: 0,
+            reason: RejectReason::InvalidDisruption,
+            tick: 0
+        }]
+    );
+    while !engine.is_finished() {
+        engine.tick_with_commands(planner.as_mut(), &mut [], &mut acks);
+    }
+    let report = engine.report(planner.as_mut());
+    assert!(report.completed);
+    assert_eq!(report.orders_rejected, 1);
 }
 
 /// A zero-work order would queue a batch whose processing never finishes,

@@ -3,7 +3,9 @@
 
 use eatp::core::{planner_by_name, EatpConfig};
 use eatp::simulator::{run_simulation, BottleneckSample, Engine, EngineConfig};
-use eatp::warehouse::{DisruptionConfig, LayoutConfig, RobotPhase, ScenarioSpec, WorkloadConfig};
+use eatp::warehouse::{
+    DisruptionConfig, DisruptionFlags, LayoutConfig, RobotPhase, ScenarioSpec, WorkloadConfig,
+};
 
 fn spec(items: usize, rate: f64, seed: u64) -> ScenarioSpec {
     ScenarioSpec {
@@ -105,10 +107,14 @@ fn bottleneck_accounts_all_busy_robot_time() {
     while !engine.is_finished() {
         engine.tick_once(planner.as_mut());
         let state = engine.export_state();
+        // The closed stations are the journal's fold.
+        let (robots, pickers, racks) = (inst.robots.len(), inst.pickers.len(), inst.racks.len());
+        let mut flags = DisruptionFlags::new(&inst.grid, robots, pickers, racks);
+        flags.fold(state.journal.iter().map(|e| e.event)).unwrap();
         for robot in &state.robots {
             busy += u64::from(robot.phase.is_busy());
             if let RobotPhase::Processing { rack } = robot.phase {
-                let closed = state.closed[state.racks[rack.index()].picker.index()];
+                let closed = flags.closed[state.racks[rack.index()].picker.index()];
                 processing += u64::from(!closed);
                 paused += u64::from(closed);
             }
