@@ -108,7 +108,7 @@ mod tests {
         let mut inst = instance();
         mark_pending(&mut inst, 0);
         let mut base: PlannerBase<ConflictDetectionTable> =
-            PlannerBase::new(&inst, EatpConfig::default(), false);
+            PlannerBase::new(&inst, EatpConfig::default());
         let idle: Vec<RobotId> = inst.robots.iter().map(|r| r.id).collect();
         let selectable = vec![inst.racks[0].id];
         let world = WorldView {
@@ -140,7 +140,7 @@ mod tests {
         let home = inst.racks[0].home;
         inst.robots[3].pos = home;
         let mut base: PlannerBase<ConflictDetectionTable> =
-            PlannerBase::new(&inst, EatpConfig::default(), false);
+            PlannerBase::new(&inst, EatpConfig::default());
         let idle: Vec<RobotId> = inst.robots.iter().map(|r| r.id).collect();
         let selectable = vec![inst.racks[0].id];
         let world = WorldView {
@@ -169,7 +169,7 @@ mod tests {
         }
         inst.robots[3].pos = inst.racks[0].home;
         let mut base: PlannerBase<ConflictDetectionTable> =
-            PlannerBase::new(&inst, EatpConfig::default(), false);
+            PlannerBase::new(&inst, EatpConfig::default());
         let idle: Vec<RobotId> = inst.robots.iter().map(|r| r.id).collect();
         let selectable: Vec<RackId> = (0..3).map(RackId::new).collect();
         let world = WorldView {
@@ -204,7 +204,7 @@ mod tests {
         let home = inst.racks[0].home;
         inst.robots[3].pos = home;
         let mut base: PlannerBase<ConflictDetectionTable> =
-            PlannerBase::new(&inst, EatpConfig::default(), false);
+            PlannerBase::new(&inst, EatpConfig::default());
         // Robot 3 is NOT idle (busy elsewhere but still parked pre-departure).
         let idle: Vec<RobotId> = inst
             .robots
@@ -233,7 +233,7 @@ mod tests {
             mark_pending(&mut inst, i);
         }
         let mut base: PlannerBase<ConflictDetectionTable> =
-            PlannerBase::new(&inst, EatpConfig::default(), false);
+            PlannerBase::new(&inst, EatpConfig::default());
         let idle: Vec<RobotId> = inst.robots.iter().take(3).map(|r| r.id).collect();
         let selectable: Vec<RackId> = (0..10).map(RackId::new).collect();
         let world = WorldView {
@@ -259,7 +259,7 @@ mod tests {
         let mut inst = instance();
         mark_pending(&mut inst, 0);
         let mut base: PlannerBase<ConflictDetectionTable> =
-            PlannerBase::new(&inst, EatpConfig::default(), false);
+            PlannerBase::new(&inst, EatpConfig::default());
         let idle: Vec<RobotId> = inst.robots.iter().map(|r| r.id).collect();
         let selectable = vec![inst.racks[0].id];
         let world = WorldView {

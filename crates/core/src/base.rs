@@ -3,9 +3,9 @@
 //!
 //! Every concrete planner owns a [`PlannerBase`] parameterized by its
 //! reservation structure — the spatiotemporal graph for the baselines and
-//! ATP, the conflict detection table for EATP — plus an optional
-//! K-nearest-rack index. This mirrors the paper's architecture: selection
-//! strategies differ, the path-finding layer is shared.
+//! ATP, the conflict detection table for EATP. This mirrors the paper's
+//! architecture: selection strategies differ, the path-finding layer is
+//! shared (EATP's K-nearest-rack index belongs to its strategy).
 
 use crate::config::EatpConfig;
 use crate::planner::{resumed_reservations, LegRequest, PlannerEvent, PlannerStats};
@@ -14,18 +14,17 @@ use tprw_pathfinding::astar::{plan_path_with, PlanOptions};
 use tprw_pathfinding::bfs::DistanceOracle;
 use tprw_pathfinding::reservation::MAX_PARK_TICK;
 use tprw_pathfinding::{
-    ConflictDetectionTable, KNearestRacks, MemoryFootprint, Path, ReservationSystem, SearchScratch,
+    ConflictDetectionTable, MemoryFootprint, Path, ReservationSystem, SearchScratch,
     SpatioTemporalGraph,
 };
 use tprw_warehouse::{
-    CellKind, DisruptionEvent, GridMap, GridPos, Instance, Rack, RackId, Robot, RobotId, Tick,
+    CellKind, DisruptionEvent, GridMap, GridPos, Instance, Rack, Robot, RobotId, Tick,
 };
 
 /// Reusable selection scratch shared through [`PlannerBase`]: EATP's
 /// flip-side selection and every planner's pickup matching run every
-/// timestamp, so their membership bitmaps and candidate list must not be
-/// reallocated per tick (the same discipline as the [`SearchScratch`] arena
-/// below `plan_leg`).
+/// timestamp, so their membership bitmaps must not be reallocated per tick
+/// (the same discipline as the [`SearchScratch`] arena below `plan_leg`).
 #[derive(Debug, Default)]
 pub struct SelectionScratch {
     /// Rack membership bitmap (`selectable_racks` as dense flags).
@@ -33,8 +32,6 @@ pub struct SelectionScratch {
     /// Robot membership bitmap (robots consumed by the current plan step,
     /// in [`crate::assignment::match_and_plan`]).
     pub robot_flags: Vec<bool>,
-    /// Per-robot candidate rack list (K entries at most).
-    pub candidates: Vec<RackId>,
 }
 
 /// How `PlannerBase` builds its reservation structure and collects it.
@@ -75,11 +72,6 @@ pub struct PlannerBase<R: ReservationBackend> {
     pub resv: R,
     /// Uncongested delivery distances (rack home to station).
     pub oracle: DistanceOracle,
-    /// K-nearest-rack index (EATP; `None` elsewhere) over the rack homes
-    /// and spawn cells, built once from the instance: disruptions never
-    /// touch it (`docs/adr/ADR-021-static-knn.md`,
-    /// `docs/adr/ADR-025-knn-idle-cells.md`).
-    pub knn: Option<KNearestRacks>,
     /// Planner configuration.
     pub config: EatpConfig,
     /// Cumulative counters: the base's whole checkpoint slice. Everything
@@ -91,7 +83,7 @@ pub struct PlannerBase<R: ReservationBackend> {
     /// first few queries warm it up, path finding is allocation-free except
     /// for the returned [`Path`] itself.
     pub scratch: SearchScratch,
-    /// Reusable selection buffers (flip-side bitmaps and candidate list).
+    /// Reusable selection buffers (flip-side and matching bitmaps).
     pub sel: SelectionScratch,
     /// Mutual-exclusion groups already satisfied within the current
     /// [`PlannerBase::commit_legs`] batch (indexed by group id).
@@ -99,27 +91,18 @@ pub struct PlannerBase<R: ReservationBackend> {
 }
 
 impl<R: ReservationBackend> PlannerBase<R> {
-    /// Build from an instance. `with_knn` enables the Sec. VI-A index.
-    pub fn new(instance: &Instance, config: EatpConfig, with_knn: bool) -> Self {
+    /// Build from an instance.
+    pub fn new(instance: &Instance, config: EatpConfig) -> Self {
         let grid = instance.grid.clone();
         let mut resv = R::create(grid.width(), grid.height());
         for robot in &instance.robots {
             resv.park(robot.id, robot.pos, 0);
         }
-        let knn = with_knn.then(|| {
-            let homes: Vec<GridPos> = instance.racks.iter().map(|r| r.home).collect();
-            // A robot idles only on its spawn cell or its rack's home
-            // (`docs/adr/ADR-025-knn-idle-cells.md`).
-            let spawns = instance.robots.iter().map(|r| r.pos);
-            let at: Vec<GridPos> = homes.iter().copied().chain(spawns).collect();
-            KNearestRacks::build(&grid, &homes, &at, config.k_nearest)
-        });
         let stations: Vec<GridPos> = instance.pickers.iter().map(|p| p.pos).collect();
         let oracle = DistanceOracle::new(&grid, &stations);
         Self {
             oracle,
             resv,
-            knn,
             config,
             stats: PlannerStats::default(),
             scratch: SearchScratch::new(),
@@ -387,8 +370,7 @@ impl<R: ReservationBackend> PlannerBase<R> {
     /// Snapshot stats with the current memory footprint filled in.
     pub fn stats_snapshot(&self) -> PlannerStats {
         let mut s = self.stats.clone();
-        s.memory_bytes =
-            self.resv.memory_bytes() + self.knn.as_ref().map_or(0, |k| k.memory_bytes());
+        s.memory_bytes = self.resv.memory_bytes();
         // The search arena and the distance oracle are identical machinery
         // for every planner, so they are reported separately and not folded
         // into the Fig. 12 MC comparison of reservation structures.
@@ -422,7 +404,7 @@ mod tests {
     fn construction_parks_robots() {
         let inst = instance();
         let base: PlannerBase<ConflictDetectionTable> =
-            PlannerBase::new(&inst, EatpConfig::default(), false);
+            PlannerBase::new(&inst, EatpConfig::default());
         for robot in &inst.robots {
             assert_eq!(
                 base.resv.parked_at(robot.pos),
@@ -431,15 +413,13 @@ mod tests {
                 robot.id
             );
         }
-        assert!(base.knn.is_none());
     }
 
     #[test]
     fn optional_structures_enabled() {
         let inst = instance();
         let base: PlannerBase<ConflictDetectionTable> =
-            PlannerBase::new(&inst, EatpConfig::default(), true);
-        assert!(base.knn.is_some());
+            PlannerBase::new(&inst, EatpConfig::default());
         let stats = base.stats_snapshot();
         assert!(stats.memory_bytes > 0);
     }
@@ -448,7 +428,7 @@ mod tests {
     fn plan_and_reserve_counts() {
         let inst = instance();
         let mut base: PlannerBase<SpatioTemporalGraph> =
-            PlannerBase::new(&inst, EatpConfig::default(), false);
+            PlannerBase::new(&inst, EatpConfig::default());
         let robot = inst.robots[0].id;
         let from = inst.robots[0].pos;
         let to = inst.racks[0].home;
@@ -465,7 +445,7 @@ mod tests {
     fn failed_plan_counts() {
         let inst = instance();
         let mut base: PlannerBase<SpatioTemporalGraph> =
-            PlannerBase::new(&inst, EatpConfig::default(), false);
+            PlannerBase::new(&inst, EatpConfig::default());
         // Goal occupied by another parked robot → immediate failure.
         let blocker_pos = inst.robots[1].pos;
         let robot = inst.robots[0].id;
@@ -479,7 +459,7 @@ mod tests {
     fn timed_selection_accumulates() {
         let inst = instance();
         let mut base: PlannerBase<ConflictDetectionTable> =
-            PlannerBase::new(&inst, EatpConfig::default(), false);
+            PlannerBase::new(&inst, EatpConfig::default());
         let v = base.timed_selection(|_| 42);
         assert_eq!(v, 42);
         assert!(base.stats.selection_ns > 0);
@@ -502,11 +482,11 @@ mod tests {
         let inst = instance();
         let wait = wait_300(&inst);
         let mut uncut: PlannerBase<ConflictDetectionTable> =
-            PlannerBase::new(&inst, EatpConfig::default(), false);
+            PlannerBase::new(&inst, EatpConfig::default());
         uncut.resv.reserve_path(inst.robots[0].id, &wait, true);
         let cut = 100;
         let mut resumed: PlannerBase<ConflictDetectionTable> =
-            PlannerBase::new(&inst, EatpConfig::default(), false);
+            PlannerBase::new(&inst, EatpConfig::default());
         let paths: Vec<Option<Path>> = (0..inst.robots.len())
             .map(|i| (i == 0).then(|| wait.clone()))
             .collect();
@@ -543,7 +523,7 @@ mod tests {
     fn stg_releases_every_tick() {
         let inst = instance();
         let mut base: PlannerBase<SpatioTemporalGraph> =
-            PlannerBase::new(&inst, EatpConfig::default(), false);
+            PlannerBase::new(&inst, EatpConfig::default());
         base.resv
             .reserve_path(inst.robots[0].id, &wait_300(&inst), true);
         for t in 0..300 {
@@ -565,7 +545,7 @@ mod tests {
         fn check<R: ReservationBackend>() {
             let inst = instance();
             let (r, t) = (&inst.robots, 3);
-            let mut uncut: PlannerBase<R> = PlannerBase::new(&inst, EatpConfig::default(), false);
+            let mut uncut: PlannerBase<R> = PlannerBase::new(&inst, EatpConfig::default());
             let mut robots = inst.robots.clone();
             let mut paths = vec![None; robots.len()];
             let rack = |i: usize| inst.racks[i].id;
@@ -592,7 +572,7 @@ mod tests {
             uncut.on_dock(r[4].id);
             robots[4].phase = RobotPhase::Queuing { rack: rack(4) };
 
-            let mut resumed: PlannerBase<R> = PlannerBase::new(&inst, EatpConfig::default(), false);
+            let mut resumed: PlannerBase<R> = PlannerBase::new(&inst, EatpConfig::default());
             let (robots, paths) = (&robots[..], &paths[..]);
             resumed.on_event(PlannerEvent::Resumed { t, robots, paths });
             let (w, h) = (inst.grid.width(), inst.grid.height());
@@ -634,7 +614,7 @@ mod tests {
         let reach = (w - 1) + (h - 1) + config.horizon_slack;
         // The latest tick whose legs still park within the encoding.
         let latest = MAX_PARK_TICK - reach - 1;
-        let base: PlannerBase<SpatioTemporalGraph> = PlannerBase::new(&inst, config, false);
+        let base: PlannerBase<SpatioTemporalGraph> = PlannerBase::new(&inst, config);
         let cases = [
             (0, 0, false),
             (latest, latest, false),
@@ -655,7 +635,7 @@ mod tests {
     fn cancel_path_releases_and_parks() {
         let inst = instance();
         let mut base: PlannerBase<SpatioTemporalGraph> =
-            PlannerBase::new(&inst, EatpConfig::default(), false);
+            PlannerBase::new(&inst, EatpConfig::default());
         let robot = inst.robots[0].id;
         let from = inst.robots[0].pos;
         let to = inst.racks[0].home;
@@ -683,7 +663,7 @@ mod tests {
         use tprw_warehouse::CellKind;
         let inst = instance();
         let mut base: PlannerBase<ConflictDetectionTable> =
-            PlannerBase::new(&inst, EatpConfig::default(), true);
+            PlannerBase::new(&inst, EatpConfig::default());
         // Pick an aisle cell that is neither a home nor a spawn.
         let pos = inst
             .grid
@@ -692,22 +672,10 @@ mod tests {
                 inst.racks.iter().all(|r| r.home != c) && inst.robots.iter().all(|r| r.pos != c)
             })
             .expect("aisle cell available");
-        // The index holds lists for the rack homes and spawn cells only.
-        let indexed: Vec<GridPos> = (inst.racks.iter().map(|r| r.home))
-            .chain(inst.robots.iter().map(|r| r.pos))
-            .collect();
-        let lists = |base: &PlannerBase<ConflictDetectionTable>| -> Vec<Vec<RackId>> {
-            let knn = base.knn.as_ref().unwrap();
-            indexed.iter().map(|&c| knn.nearest(c).to_vec()).collect()
-        };
-        let built = lists(&base);
         base.apply_disruption(&DisruptionEvent::CellBlocked { pos }, 5);
         assert_eq!(base.grid.kind(pos), CellKind::Blocked);
         assert!(!base.oracle.manhattan_exact(), "oracle sees the blockade");
         assert_eq!(base.oracle.field_count(), 0, "no field before a query");
-        // The K-nearest index is static (Sec. VI-A): a blockade leaves
-        // every list as the instance built it.
-        assert_eq!(lists(&base), built, "the index ignores blockades");
         // Paths must now avoid the cell.
         let robot = inst.robots[0].id;
         if let Some(p) =
@@ -719,7 +687,6 @@ mod tests {
         base.apply_disruption(&DisruptionEvent::CellUnblocked { pos }, 9);
         assert_eq!(base.grid.kind(pos), CellKind::Aisle);
         assert!(base.oracle.manhattan_exact());
-        assert_eq!(lists(&base), built);
         // Robot/station events are structure-neutral on the base.
         base.apply_disruption(&DisruptionEvent::RobotBreakdown { robot }, 10);
         assert_eq!(base.grid.kind(pos), CellKind::Aisle);
@@ -771,7 +738,7 @@ mod tests {
         .build()
         .unwrap();
         let mut base: PlannerBase<ConflictDetectionTable> =
-            PlannerBase::new(&inst, EatpConfig::default(), false);
+            PlannerBase::new(&inst, EatpConfig::default());
         let stations: Vec<GridPos> = inst.pickers.iter().map(|p| p.pos).collect();
         let cell_events: Vec<_> = (inst.disruptions.iter())
             .filter(|e| {
@@ -817,14 +784,14 @@ mod tests {
             .collect();
 
         let mut serial: PlannerBase<SpatioTemporalGraph> =
-            PlannerBase::new(&inst, EatpConfig::default(), false);
+            PlannerBase::new(&inst, EatpConfig::default());
         let serial_paths: Vec<Option<Path>> = requests
             .iter()
             .map(|r| serial.plan_and_reserve(r.robot, r.from, r.to, 0, r.park))
             .collect();
 
         let mut batched: PlannerBase<SpatioTemporalGraph> =
-            PlannerBase::new(&inst, EatpConfig::default(), false);
+            PlannerBase::new(&inst, EatpConfig::default());
         let mut batched_paths = Vec::new();
         batched.commit_legs(&requests, 0, &mut batched_paths);
 
@@ -842,7 +809,7 @@ mod tests {
     fn scratch_bytes_are_arena_plus_oracle() {
         let inst = instance();
         let mut base: PlannerBase<ConflictDetectionTable> =
-            PlannerBase::new(&inst, EatpConfig::default(), false);
+            PlannerBase::new(&inst, EatpConfig::default());
         let requests = vec![LegRequest::new(
             inst.robots[0].id,
             inst.robots[0].pos,
@@ -885,7 +852,7 @@ mod tests {
         ];
         let build = || {
             let mut base: PlannerBase<ConflictDetectionTable> =
-                PlannerBase::new(&inst, config.clone(), false);
+                PlannerBase::new(&inst, config.clone());
             for (i, &goal) in goals.iter().enumerate() {
                 let side = GridPos::new(goal.x + 1, goal.y);
                 let crossing = Path {
@@ -936,7 +903,7 @@ mod tests {
             },
         ];
         let mut base: PlannerBase<SpatioTemporalGraph> =
-            PlannerBase::new(&inst, EatpConfig::default(), false);
+            PlannerBase::new(&inst, EatpConfig::default());
         let mut results = Vec::new();
         base.commit_legs(&requests, 0, &mut results);
         assert!(results[0].is_some());

@@ -26,36 +26,52 @@ use crate::planner::{AssignmentPlan, PlannerStats};
 use crate::qlearning::QTable;
 use crate::shell::{Shell, Strategy};
 use crate::world::WorldView;
-use tprw_pathfinding::ConflictDetectionTable;
-use tprw_warehouse::{RackId, RobotId};
+use tprw_pathfinding::{ConflictDetectionTable, KNearestRacks, MemoryFootprint};
+use tprw_warehouse::{GridPos, Instance, RackId, RobotId};
 
 /// Algorithm 3: flip-side Q-selection + CDT-backed A*.
 pub type EfficientAdaptiveTaskPlanner = Shell<FlipSide>;
 
 /// The [`EfficientAdaptiveTaskPlanner`] strategy: every idle robot asks its
 /// K nearest racks.
-pub struct FlipSide(Learner);
+pub struct FlipSide {
+    learner: Learner,
+    /// The configured K.
+    k: usize,
+    /// The Sec. VI-A K-nearest-rack index ([`idle_cell_index`]), built at
+    /// `bind`; disruptions never touch it
+    /// (`docs/adr/ADR-021-static-knn.md`).
+    knn: KNearestRacks,
+}
 
 impl EfficientAdaptiveTaskPlanner {
     /// Read access to the value function (diagnostics, ablations).
     pub fn q_table(&self) -> &QTable {
-        &self.strategy.0.q
+        &self.strategy.learner.q
     }
+}
+
+/// The K-nearest-rack index of the cells where a robot idles: its spawn
+/// cell and the rack homes (`docs/adr/ADR-025-knn-idle-cells.md`).
+fn idle_cell_index(instance: &Instance, k: usize) -> KNearestRacks {
+    let homes: Vec<GridPos> = instance.racks.iter().map(|r| r.home).collect();
+    let spawns = instance.robots.iter().map(|r| r.pos);
+    let at: Vec<GridPos> = homes.iter().copied().chain(spawns).collect();
+    KNearestRacks::build(&instance.grid, &homes, &at, k)
 }
 
 /// Flip-side selection (Alg. 3 lines 10–13): per idle robot, ε-greedy
 /// over its K nearest selectable racks; stop at the first adopted rack.
 /// Each pick carries its robot for [`match_and_plan`].
 ///
-/// Selection runs every timestamp, so its membership bitmap and
-/// candidate list live in the shared [`PlannerBase`] scratch
-/// (taken/restored around the loop to keep the `q`/`base` borrows
-/// disjoint) — steady-state selection allocates nothing but the
-/// returned pairs. The selected pairs are identical to the
-/// allocate-per-tick formulation (pinned by
-/// `scratch_select_equals_reference`).
+/// Selection runs every timestamp, so its membership bitmap lives in the
+/// shared [`PlannerBase`] scratch (taken/restored around the loop) —
+/// steady-state selection allocates nothing but the returned pairs. The
+/// selected pairs are identical to the allocate-per-tick formulation
+/// (pinned by `scratch_select_equals_reference`).
 fn flip_side_select(
     q: &mut QTable,
+    knn: &KNearestRacks,
     base: &mut PlannerBase<ConflictDetectionTable>,
     world: &WorldView<'_>,
 ) -> Vec<(RackId, Option<RobotId>)> {
@@ -66,22 +82,10 @@ fn flip_side_select(
     for &rid in world.selectable_racks {
         selectable[rid.index()] = true;
     }
-    let mut candidates = std::mem::take(&mut base.sel.candidates);
     let mut pairs = Vec::new();
     for &aid in world.idle_robots {
-        let pos = world.robot(aid).pos;
-        let knn = base.knn.as_ref().expect("EATP builds the KNN index");
-        // Collect candidates first: the q/base borrows below must not
-        // overlap the index borrow.
-        candidates.clear();
-        candidates.extend(
-            knn.nearest(pos)
-                .iter()
-                .copied()
-                .filter(|r| selectable[r.index()]),
-        );
-        for &rid in &candidates {
-            if decide_and_learn(q, base, world, rid) {
+        for &rid in knn.nearest(world.robot(aid).pos) {
+            if selectable[rid.index()] && decide_and_learn(q, base, world, rid) {
                 selectable[rid.index()] = false;
                 pairs.push((rid, Some(aid)));
                 break; // Alg. 3 line 13: one rack per robot
@@ -89,17 +93,23 @@ fn flip_side_select(
         }
     }
     base.sel.rack_flags = selectable;
-    base.sel.candidates = candidates;
     pairs
 }
 
 impl Strategy for FlipSide {
     type Resv = ConflictDetectionTable;
     const NAME: &'static str = "EATP";
-    const SEC_VI: bool = true;
 
     fn new(config: &EatpConfig) -> Self {
-        Self(Learner::new(config))
+        Self {
+            learner: Learner::new(config),
+            k: config.k_nearest,
+            knn: KNearestRacks::default(),
+        }
+    }
+
+    fn bind(&mut self, instance: &Instance) {
+        self.knn = idle_cell_index(instance, self.k);
     }
 
     fn select(
@@ -107,7 +117,7 @@ impl Strategy for FlipSide {
         base: &mut PlannerBase<ConflictDetectionTable>,
         world: &WorldView<'_>,
     ) -> Vec<AssignmentPlan> {
-        let q = &mut self.0.q;
+        let (q, knn) = (&mut self.learner.q, &self.knn);
         // Selection step (timed as STC). The greedy arm leaves the robots
         // to the matcher; the flip-side arm already paired one per rack.
         let picks = base.timed_selection(|base| {
@@ -117,7 +127,7 @@ impl Strategy for FlipSide {
                     .map(|rid| (rid, None))
                     .collect()
             } else {
-                flip_side_select(q, base, world)
+                flip_side_select(q, knn, base, world)
             }
         });
         // Planning step (timed as PTC inside plan_and_reserve).
@@ -125,15 +135,16 @@ impl Strategy for FlipSide {
     }
 
     fn add_stats(&self, stats: &mut PlannerStats) {
-        self.0.add_stats(stats);
+        self.learner.add_stats(stats);
+        stats.memory_bytes += self.knn.memory_bytes();
     }
 
     fn export(&self, base: PlannerStats) -> serde::Value {
-        self.0.export(base)
+        self.learner.export(base)
     }
 
     fn import(&mut self, state: &serde::Value) -> Result<PlannerStats, serde::Error> {
-        self.0.import(state)
+        self.learner.import(state)
     }
 }
 
@@ -184,9 +195,54 @@ mod tests {
     fn init_builds_knn() {
         let inst = instance();
         let mut planner = EfficientAdaptiveTaskPlanner::new(EatpConfig::default());
+        assert_eq!(planner.strategy.knn.memory_bytes(), 0);
         planner.init(&inst);
-        let base = planner.base.as_ref().unwrap();
-        assert!(base.knn.is_some());
+        let knn = &planner.strategy.knn;
+        assert_eq!(knn.k(), EatpConfig::default().k_nearest);
+        assert!(!knn.nearest(inst.robots[0].pos).is_empty());
+        let base = planner.base.as_ref().unwrap().stats_snapshot();
+        let stats = planner.stats();
+        let q = planner.q_table().memory_bytes();
+        assert_eq!(
+            stats.memory_bytes,
+            base.memory_bytes + q + knn.memory_bytes()
+        );
+    }
+
+    /// The index is static (Sec. VI-A, ADR-021): a blockade and its
+    /// reopening reach the planner's base, and every list stays as the
+    /// instance built it.
+    #[test]
+    fn the_index_ignores_blockades() {
+        use crate::planner::PlannerEvent;
+        use tprw_warehouse::{CellKind, DisruptionEvent};
+        let inst = instance();
+        let mut planner = EfficientAdaptiveTaskPlanner::new(EatpConfig::default());
+        planner.init(&inst);
+        let pos = inst
+            .grid
+            .cells_of_kind(CellKind::Aisle)
+            .find(|&c| {
+                inst.racks.iter().all(|r| r.home != c) && inst.robots.iter().all(|r| r.pos != c)
+            })
+            .expect("aisle cell available");
+        let indexed: Vec<GridPos> = (inst.racks.iter().map(|r| r.home))
+            .chain(inst.robots.iter().map(|r| r.pos))
+            .collect();
+        let lists = |planner: &EfficientAdaptiveTaskPlanner| -> Vec<Vec<RackId>> {
+            let knn = &planner.strategy.knn;
+            indexed.iter().map(|&c| knn.nearest(c).to_vec()).collect()
+        };
+        let built = lists(&planner);
+        for (t, event) in [
+            (5, DisruptionEvent::CellBlocked { pos }),
+            (9, DisruptionEvent::CellUnblocked { pos }),
+        ] {
+            planner.on_event(PlannerEvent::Disruption { event: &event, t });
+            let base = planner.base.as_ref().unwrap();
+            assert_eq!(base.oracle.manhattan_exact(), t == 9, "the base saw it");
+            assert_eq!(lists(&planner), built, "the index ignores blockades");
+        }
     }
 
     /// On the benchmark's paper floor (200×200 walled, 2 000 racks, 500
@@ -212,9 +268,7 @@ mod tests {
         }
         .build()
         .unwrap();
-        let base: PlannerBase<ConflictDetectionTable> =
-            PlannerBase::new(&inst, EatpConfig::default(), true);
-        let knn = base.knn.as_ref().unwrap();
+        let knn = idle_cell_index(&inst, EatpConfig::default().k_nearest);
         assert_eq!(knn.k(), 16);
         assert_eq!(knn.memory_bytes(), 167_500);
     }
@@ -236,8 +290,7 @@ mod tests {
         let plans = planner.plan(&world).unwrap();
         assert!(!plans.is_empty());
         // Every assignment's rack must be within the robot's K-nearest list.
-        let base = planner.base.as_ref().unwrap();
-        let knn = base.knn.as_ref().unwrap();
+        let knn = &planner.strategy.knn;
         for p in &plans {
             let robot_pos = inst.robots[p.robot.index()].pos;
             assert!(
@@ -291,6 +344,7 @@ mod tests {
     /// reference for the scratch-backed version.
     fn flip_side_select_reference(
         q: &mut crate::qlearning::QTable,
+        knn: &KNearestRacks,
         base: &mut PlannerBase<tprw_pathfinding::ConflictDetectionTable>,
         world: &WorldView<'_>,
     ) -> Vec<(RackId, RobotId)> {
@@ -302,7 +356,6 @@ mod tests {
         let mut pairs = Vec::new();
         for &aid in world.idle_robots {
             let pos = world.robot(aid).pos;
-            let knn = base.knn.as_ref().expect("EATP builds the KNN index");
             let candidates: Vec<RackId> = knn
                 .nearest(pos)
                 .iter()
@@ -349,17 +402,18 @@ mod tests {
         let mut q_new = crate::qlearning::QTable::new(config.rl.clone());
         let mut q_ref = crate::qlearning::QTable::new(config.rl.clone());
         let mut base_new: PlannerBase<tprw_pathfinding::ConflictDetectionTable> =
-            PlannerBase::new(&inst, config.clone(), true);
+            PlannerBase::new(&inst, config.clone());
         let mut base_ref: PlannerBase<tprw_pathfinding::ConflictDetectionTable> =
-            PlannerBase::new(&inst, config.clone(), true);
+            PlannerBase::new(&inst, config.clone());
+        let knn = idle_cell_index(&inst, config.k_nearest);
         let idle: Vec<RobotId> = inst.robots.iter().map(|r| r.id).collect();
         for round in 0..8 {
             // Vary the world a little between rounds so the Q-state and
             // bitmap contents change.
             let selectable: Vec<RackId> = (round % 3..10).map(RackId::new).collect();
             let world = world_of(&inst, &idle, &selectable);
-            let pairs_new = flip_side_select(&mut q_new, &mut base_new, &world);
-            let pairs_ref = flip_side_select_reference(&mut q_ref, &mut base_ref, &world);
+            let pairs_new = flip_side_select(&mut q_new, &knn, &mut base_new, &world);
+            let pairs_ref = flip_side_select_reference(&mut q_ref, &knn, &mut base_ref, &world);
             let pairs_ref: Vec<_> = pairs_ref.into_iter().map(|(r, a)| (r, Some(a))).collect();
             assert_eq!(pairs_new, pairs_ref, "round {round} diverged");
             assert_eq!(q_new.update_count(), q_ref.update_count());

@@ -4,8 +4,8 @@
 //! shared path-finding layer. [`Shell`] owns what they share — the config
 //! and the [`PlannerBase`] built at `init` — and implements [`Planner`]
 //! once; a [`Strategy`] supplies only what the paper distinguishes: the
-//! reservation backend, whether the Sec. VI structures are built, the
-//! selection step, and any canonical state beyond the base slice.
+//! reservation backend, the selection step and the structures it owns
+//! (EATP's Sec. VI-A index), and any canonical state beyond the base slice.
 
 use crate::base::{PlannerBase, ReservationBackend};
 use crate::config::EatpConfig;
@@ -23,8 +23,6 @@ pub trait Strategy {
     type Resv: ReservationBackend;
     /// Paper-facing name ([`Planner::name`]).
     const NAME: &'static str;
-    /// Whether `init` builds the Sec. VI-A K-nearest-rack index.
-    const SEC_VI: bool = false;
 
     /// The strategy's state before `init`.
     fn new(config: &EatpConfig) -> Self;
@@ -87,7 +85,7 @@ impl<S: Strategy> Planner for Shell<S> {
 
     fn init(&mut self, instance: &Instance) {
         self.strategy.bind(instance);
-        self.base = Some(PlannerBase::new(instance, self.config.clone(), S::SEC_VI));
+        self.base = Some(PlannerBase::new(instance, self.config.clone()));
     }
 
     fn plan(&mut self, world: &WorldView<'_>) -> Result<Vec<AssignmentPlan>, PlannerError> {

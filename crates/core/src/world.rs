@@ -21,8 +21,8 @@ pub struct WorldView<'a> {
     pub robots: &'a [Robot],
     /// Robots currently idle (available for pickup assignments).
     pub idle_robots: &'a [RobotId],
-    /// Racks with pending items and no robot committed
-    /// (`τ_r ≠ ∅ ∧ ¬in_flight`).
+    /// Racks with pending items and no robot committed (`τ_r ≠ ∅` and no
+    /// robot's phase names the rack).
     pub selectable_racks: &'a [RackId],
     /// Arrival (emergence) tick of every live-landed item, indexed by
     /// `item id − pregenerated item count` (live items are issued dense

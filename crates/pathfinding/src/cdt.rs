@@ -455,69 +455,6 @@ impl ConflictDetectionTable {
         self.reservations -= n - rem;
         rem
     }
-
-    #[cfg(test)]
-    fn window_ticks(&self, pos: GridPos) -> Vec<Tick> {
-        self.window(pos.to_index(self.width))
-            .iter()
-            .map(|&e| tick_of(e))
-            .collect()
-    }
-
-    #[cfg(test)]
-    fn is_spilled(&self, pos: GridPos) -> bool {
-        self.cells[pos.to_index(self.width)].is_spilled()
-    }
-
-    /// Whether the occupied set is exactly the non-empty windows.
-    #[cfg(test)]
-    fn occupied_is_exact(&self) -> bool {
-        (0..self.cells.len()).all(|idx| self.cells[idx].is_empty() != self.is_occupied(idx))
-    }
-
-    /// Whether the arena is partitioned: every arena word lies in exactly
-    /// one block, either a spilled cell's or one on its class's free list.
-    /// Also, every inline slot is a sorted window padded with `EMPTY`, and
-    /// every spilled window is sorted, longer than [`INLINE_WINDOW`] and no
-    /// longer than its block.
-    #[cfg(test)]
-    fn arena_is_partitioned(&self) -> bool {
-        let mut owners = vec![0u8; self.arena.len()];
-        let mut claim = |off: usize, class: usize| {
-            let words = owners.get_mut(off..off + block_words(class));
-            words.is_some_and(|ws| {
-                ws.iter_mut().all(|o| {
-                    *o += 1;
-                    *o == 1
-                })
-            })
-        };
-        for s in &self.cells {
-            if !s.is_spilled() {
-                if s.data[0] >= s.data[1] && s.data[1] != EMPTY {
-                    return false;
-                }
-                continue;
-            }
-            let (off, len, class) = s.block();
-            let fits = INLINE_WINDOW < len && len <= block_words(class);
-            if !fits || !claim(off, class) || !self.arena[off..off + len].is_sorted_by(|a, b| a < b)
-            {
-                return false;
-            }
-        }
-        for (class, &head) in self.free.iter().enumerate() {
-            let mut next = head;
-            while next != NO_BLOCK {
-                let off = next as usize * UNIT;
-                if !claim(off, class) {
-                    return false;
-                }
-                next = self.arena[off] as u32;
-            }
-        }
-        owners.iter().all(|&o| o == 1)
-    }
 }
 
 impl ReservationProbe for ConflictDetectionTable {
@@ -628,6 +565,70 @@ mod tests {
     };
     use crate::stg::SpatioTemporalGraph;
     use proptest::prelude::*;
+
+    /// Test-only views of a table's internals.
+    impl ConflictDetectionTable {
+        fn window_ticks(&self, pos: GridPos) -> Vec<Tick> {
+            self.window(pos.to_index(self.width))
+                .iter()
+                .map(|&e| tick_of(e))
+                .collect()
+        }
+
+        fn is_spilled(&self, pos: GridPos) -> bool {
+            self.cells[pos.to_index(self.width)].is_spilled()
+        }
+
+        /// Whether the occupied set is exactly the non-empty windows.
+        fn occupied_is_exact(&self) -> bool {
+            (0..self.cells.len()).all(|idx| self.cells[idx].is_empty() != self.is_occupied(idx))
+        }
+
+        /// Whether the arena is partitioned: every arena word lies in exactly
+        /// one block, either a spilled cell's or one on its class's free list.
+        /// Also, every inline slot is a sorted window padded with `EMPTY`, and
+        /// every spilled window is sorted, longer than [`INLINE_WINDOW`] and no
+        /// longer than its block.
+        fn arena_is_partitioned(&self) -> bool {
+            let mut owners = vec![0u8; self.arena.len()];
+            let mut claim = |off: usize, class: usize| {
+                let words = owners.get_mut(off..off + block_words(class));
+                words.is_some_and(|ws| {
+                    ws.iter_mut().all(|o| {
+                        *o += 1;
+                        *o == 1
+                    })
+                })
+            };
+            for s in &self.cells {
+                if !s.is_spilled() {
+                    if s.data[0] >= s.data[1] && s.data[1] != EMPTY {
+                        return false;
+                    }
+                    continue;
+                }
+                let (off, len, class) = s.block();
+                let fits = INLINE_WINDOW < len && len <= block_words(class);
+                if !fits
+                    || !claim(off, class)
+                    || !self.arena[off..off + len].is_sorted_by(|a, b| a < b)
+                {
+                    return false;
+                }
+            }
+            for (class, &head) in self.free.iter().enumerate() {
+                let mut next = head;
+                while next != NO_BLOCK {
+                    let off = next as usize * UNIT;
+                    if !claim(off, class) {
+                        return false;
+                    }
+                    next = self.arena[off] as u32;
+                }
+            }
+            owners.iter().all(|&o| o == 1)
+        }
+    }
 
     fn p(x: u16, y: u16) -> GridPos {
         GridPos::new(x, y)

@@ -56,8 +56,9 @@
 use crate::footprint::MemoryFootprint;
 use tprw_warehouse::{GridMap, GridPos, RackId};
 
-/// The K nearest racks of each indexed cell, built once.
-#[derive(Debug, Clone)]
+/// The K nearest racks of each indexed cell, built once. The default index
+/// indexes no cell (an EATP planner's before `init` builds its own).
+#[derive(Debug, Clone, Default)]
 pub struct KNearestRacks {
     width: u16,
     k: usize,

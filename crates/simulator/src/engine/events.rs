@@ -274,7 +274,7 @@ impl Engine<'_> {
     /// fetching, carrying or returning it — the caller then defers it).
     /// Pending items stay on the rack and wait for its restoration.
     fn try_remove_rack(&mut self, rack: RackId, t: Tick, planner: &mut dyn Planner) -> bool {
-        if self.state.racks[rack.index()].in_flight {
+        if self.schedule.in_flight(rack) {
             return false;
         }
         self.record_applied(DisruptionEvent::RackRemoved { rack }, t, planner);

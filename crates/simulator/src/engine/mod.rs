@@ -53,8 +53,8 @@ use tprw_pathfinding::cdt::MAX_CDT_TICK;
 use tprw_pathfinding::reservation::MAX_PARK_TICK;
 use tprw_pathfinding::{Conflict, Path};
 use tprw_warehouse::{
-    DisruptionEvent, DisruptionFlags, Duration, GridPos, Instance, OrderId, Picker, QueueEntry,
-    Rack, RackId, Robot, RobotId, RobotPhase, Tick, TimedEvent,
+    DisruptionEvent, DisruptionFlags, Duration, GridPos, Instance, OrderId, Picker, Rack, RackId,
+    Robot, RobotId, RobotPhase, Tick, TimedEvent,
 };
 
 /// Item-progress checkpoints sampled per run (the paper plots 10).
@@ -168,8 +168,6 @@ pub struct EngineState {
     pub carried_work: Vec<Duration>,
     /// Items batched on the carried rack, per robot.
     pub carried_items: Vec<u32>,
-    /// Entry currently being served per picker.
-    pub serving: Vec<Option<QueueEntry>>,
     /// Robots whose rack finished processing, awaiting a return path.
     pub needs_return: Vec<RobotId>,
     /// Robots parked at a rack home waiting for a delivery path.
@@ -253,7 +251,6 @@ impl EngineState {
             paths: vec![None; n_robots],
             carried_work: vec![0; n_robots],
             carried_items: vec![0; n_robots],
-            serving: vec![None; instance.pickers.len()],
             next_checkpoint: 1,
             carried_orders: vec![Vec::new(); n_robots],
             // The pregenerated item list is an order book submitted at
@@ -281,11 +278,11 @@ impl EngineState {
     /// 4. an idle robot stands on a rack home or its own spawn cell, the
     ///    cells EATP's K-nearest index lists (ADR-025);
     /// 5. the robot, rack and item ids of the pending-leg lists, backlog,
-    ///    phases, picker queues, `serving` and pending items name entities
-    ///    of the run;
+    ///    phases, picker queues, served entries and pending items name
+    ///    entities of the run;
     /// 6. no robot is named twice by the pending-leg lists, the picker queues
-    ///    and `serving`, and a queue or `serving` entry's robot is docked
-    ///    with the entry's rack;
+    ///    and the served entries, and a queued or served entry's robot is
+    ///    docked with the entry's rack;
     /// 7. the reservations a resumed planner rebuilds
     ///    ([`resumed_reservations`], ADR-033) fit the tables' tick encodings:
     ///    an active path holds a cell, starts by `t` and ends by
@@ -302,7 +299,9 @@ impl EngineState {
     ///     events the schedule has yet to apply fold from no disruption
     ///     through [`DisruptionFlags::admits`]: each names an entity of the
     ///     run and flips its flag (ADR-041; a scheduled event refused is
-    ///     the journal's fault, as the schedule passed `validate_events`).
+    ///     the journal's fault, as the schedule passed `validate_events`);
+    /// 12. no rack is named by two robots' phases, as the schedule's
+    ///     in-flight racks are the racks the phases name (ADR-042).
     pub fn check(&self, instance: &Instance) -> Result<(), String> {
         let (robots, pickers) = (instance.robots.len(), instance.pickers.len());
         let (racks, grid) = (instance.racks.len(), &instance.grid);
@@ -314,7 +313,6 @@ impl EngineState {
             ("carried_items", self.carried_items.len(), robots),
             ("carried_orders", self.carried_orders.len(), robots),
             ("pickers", self.pickers.len(), pickers),
-            ("serving", self.serving.len(), pickers),
             ("racks", self.racks.len(), racks),
             (
                 "live_item_arrivals",
@@ -399,8 +397,11 @@ impl EngineState {
         let robot_ids = listed
             .clone()
             .map(|(table, r)| (table, "robot", r.index(), robots));
-        let queued = (self.pickers.iter().flat_map(|p| &p.queue)).map(|e| ("pickers", e));
-        let entries = queued.chain(self.serving.iter().flatten().map(|e| ("serving", e)));
+        let served = self
+            .pickers
+            .iter()
+            .flat_map(|p| p.serving.iter().chain(&p.queue));
+        let entries = served.map(|e| ("pickers", e));
         let backlog = self.backlog.iter().map(|o| ("backlog", o.rack));
         let phases = (self.robots.iter()).filter_map(|r| Some(("robots", r.phase.rack()?)));
         let rack_ids = (backlog.chain(phases))
@@ -523,11 +524,16 @@ impl EngineState {
         let scheduled = scheduled.map(|e| ("journal", e.event));
         let mut flags = DisruptionFlags::new(grid, robots, pickers, racks);
         let mut events = journal.chain(blockades).chain(removals).chain(scheduled);
-        match events.find(|&(_, event)| flags.fold([event]).is_err()) {
-            Some((table, event)) => Err(format!(
+        if let Some((table, event)) = events.find(|&(_, event)| flags.fold([event]).is_err()) {
+            return Err(format!(
                 "engine table `{table}` leaves `{}` nesting, undoing nothing or naming no entity",
                 event.label()
-            )),
+            ));
+        }
+        let mut carried = vec![false; racks];
+        let mut phases = self.robots.iter().filter_map(|r| r.phase.rack());
+        match phases.find(|r| std::mem::replace(&mut carried[r.index()], true)) {
+            Some(rack) => Err(format!("engine table `robots` names {rack} in two phases")),
             None => Ok(()),
         }
     }
@@ -782,11 +788,7 @@ impl<'a> Engine<'a> {
         self.state.next_item == self.instance.items.len()
             && self.state.backlog.is_empty()
             && (!self.config.live || self.state.shutdown)
-            && self
-                .state
-                .racks
-                .iter()
-                .all(|r| !r.in_flight && !r.has_pending())
+            && self.state.racks.iter().all(|r| !r.has_pending())
             && self.schedule.fleet_idle()
     }
 

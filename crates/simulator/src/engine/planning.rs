@@ -1,6 +1,7 @@
 //! Phase 4: the planner's per-timestamp selection and assignment, and
 //! `dispatch`, which commits a robot to a rack.
 
+use super::schedule::Schedule;
 use super::Engine;
 use eatp_core::planner::Planner;
 use eatp_core::world::WorldView;
@@ -13,12 +14,12 @@ impl Engine<'_> {
         // The dirty flags conservatively over-approximate the two offer
         // pools, so either being clear proves the scans below would find a
         // pool empty and return.
-        let (state, flags) = (&self.state, &self.flags);
-        if !self.schedule.may_plan() {
+        let (state, flags, schedule) = (&self.state, &self.flags, &self.schedule);
+        if !schedule.may_plan() {
             debug_assert!(
-                self.schedule.flags_cover(
+                schedule.flags_cover(
                     state.robots.iter().any(|r| assignable(flags, r)),
-                    state.racks.iter().any(|r| offerable(flags, r)),
+                    state.racks.iter().any(|r| offerable(flags, schedule, r)),
                 ),
                 "planning dirty flag cleared while its pool is populated"
             );
@@ -28,7 +29,7 @@ impl Engine<'_> {
         let idle = state.robots.iter().filter(|r| assignable(flags, r));
         self.idle_buf.extend(idle.map(|r| r.id));
         self.selectable_buf.clear();
-        let selectable = state.racks.iter().filter(|r| offerable(flags, r));
+        let selectable = state.racks.iter().filter(|r| offerable(flags, schedule, r));
         self.selectable_buf.extend(selectable.map(|r| r.id));
         if self.idle_buf.is_empty() || self.selectable_buf.is_empty() {
             // The scans just computed the pools exactly, so a quiescent
@@ -54,7 +55,8 @@ impl Engine<'_> {
                 "planner assigned a busy robot"
             );
             debug_assert!(
-                self.state.racks[plan.rack.index()].selectable(),
+                self.state.racks[plan.rack.index()].has_pending()
+                    && !self.schedule.in_flight(plan.rack),
                 "planner selected an unavailable rack"
             );
             if self.flags.broken[ai]
@@ -91,8 +93,7 @@ impl Engine<'_> {
         self.state.carried_orders[ai].clear();
         self.state.carried_orders[ai].extend(live.map(|i| orders[i]));
         self.state.robots[ai].phase = RobotPhase::ToRack { rack };
-        self.state.racks[rack.index()].in_flight = true;
-        self.schedule.dispatched(ai);
+        self.schedule.dispatched(ai, rack);
         self.schedule.install_path(&mut self.state.paths, ai, path);
     }
 }
@@ -103,9 +104,13 @@ fn assignable(flags: &DisruptionFlags, r: &Robot) -> bool {
     r.is_idle() && !flags.broken[r.id.index()]
 }
 
-/// Whether rack `r` joins the selectable pool: racks bound to a closed
-/// station are withheld (no item is ever committed toward a picker that
-/// cannot serve it), as are racks removed from the floor.
-fn offerable(flags: &DisruptionFlags, r: &Rack) -> bool {
-    r.selectable() && !flags.closed[r.picker.index()] && !flags.removed[r.id.index()]
+/// Whether rack `r` joins the selectable pool: it has pending items and no
+/// robot is committed to it. Racks bound to a closed station are withheld
+/// (no item is ever committed toward a picker that cannot serve it), as are
+/// racks removed from the floor.
+pub(super) fn offerable(flags: &DisruptionFlags, schedule: &Schedule, r: &Rack) -> bool {
+    r.has_pending()
+        && !schedule.in_flight(r.id)
+        && !flags.closed[r.picker.index()]
+        && !flags.removed[r.id.index()]
 }

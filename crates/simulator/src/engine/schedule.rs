@@ -1,17 +1,19 @@
 //! The tick loop's derived schedule (`docs/event-driven-ticking.md`): the
-//! busy set, the docked count, the arrival agenda and its buffer, the two
-//! planning dirty flags and the clean certificate. None of it is
-//! snapshotted. The fields are private and change only through one method
-//! per robot event, which together keep the invariant debug builds assert
-//! after every tick ([`Schedule::assert_tallies`]): the busy set holds
-//! exactly the robots in a non-`Idle` phase, the docked count the robots in
-//! a station bay, and every installed path has an agenda entry at its end.
+//! busy set, the docked count, the in-flight racks, the arrival agenda and
+//! its buffer, the two planning dirty flags and the clean certificate. None
+//! of it is snapshotted. The fields are private and change only through one
+//! method per robot event, which together keep the invariant debug builds
+//! assert after every tick ([`Schedule::assert_tallies`]): the busy set
+//! holds exactly the robots in a non-`Idle` phase, the docked count the
+//! robots in a station bay, the in-flight racks exactly the racks a robot's
+//! phase names (`docs/adr/ADR-042-entity-facts-stored-once.md`), and every
+//! installed path has an agenda entry at its end.
 
 use super::EngineState;
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 use tprw_pathfinding::Path;
-use tprw_warehouse::{Robot, Tick};
+use tprw_warehouse::{RackId, Robot, Tick};
 
 #[derive(Debug, Default)]
 pub(super) struct Schedule {
@@ -26,6 +28,9 @@ pub(super) struct Schedule {
     /// Robots docked at a station (`Queuing` or `Processing`). Zero implies
     /// every picker queue is empty and nothing is being served.
     docked: usize,
+    /// Per rack: some robot's phase names it (fetched, carried or on its
+    /// way home), so it is not offered for selection or removed.
+    in_flight: Vec<bool>,
     /// *May* some robot be idle and assignable? Set on any arrival to
     /// `Idle`, any disruption, and on init/resume; cleared only by a
     /// planning scan that finds the idle pool empty.
@@ -43,21 +48,23 @@ pub(super) struct Schedule {
 
 impl Schedule {
     /// Rebuild from canonical state, a fresh run's or a resumed one's: the
-    /// agenda holds every active path at its end tick, the busy set and docked count are phase tallies, and
-    /// the flags start pessimistic, so the first planning and movement
-    /// scans converge them exactly as in a never-snapshotted run (pinned by
-    /// the `agenda_reconstruction_matches_fresh` test).
+    /// agenda holds every active path at its end tick, the busy set, docked
+    /// count and in-flight racks are phase tallies, and the flags start
+    /// pessimistic, so the first planning and movement scans converge them
+    /// exactly as in a never-snapshotted run (pinned by the
+    /// `agenda_reconstruction_matches_fresh` test).
     pub(super) fn rebuild(&mut self, state: &EngineState) {
         let paths = state.paths.iter().enumerate();
         let ends = paths.filter_map(|(ai, p)| Some(Reverse((p.as_ref()?.end(), ai as u32))));
         self.agenda = ends.collect();
-        (self.busy, self.docked) = tallies(&state.robots);
+        (self.busy, self.docked, self.in_flight) = tallies(&state.robots, state.racks.len());
         self.world_dirtied();
     }
 
-    /// Robot `ai` was dispatched on a fulfilment cycle.
-    pub(super) fn dispatched(&mut self, ai: usize) {
+    /// Robot `ai` was dispatched on a fulfilment cycle to fetch `rack`.
+    pub(super) fn dispatched(&mut self, ai: usize, rack: RackId) {
         self.busy.insert(ai);
+        self.in_flight[rack.index()] = true;
     }
 
     /// The one place a path is installed: `path` becomes robot `ai`'s
@@ -77,10 +84,11 @@ impl Schedule {
         self.docked -= 1;
     }
 
-    /// Robot `ai` brought its rack home: it is idle and assignable, and its
+    /// Robot `ai` brought `rack` home: it is idle and assignable, and the
     /// rack may be selectable again.
-    pub(super) fn back_home(&mut self, ai: usize) {
+    pub(super) fn back_home(&mut self, ai: usize, rack: RackId) {
         self.busy.remove(ai);
+        self.in_flight[rack.index()] = false;
         self.maybe_idle = true;
         self.maybe_work = true;
     }
@@ -167,28 +175,37 @@ impl Schedule {
         self.busy.is_empty()
     }
 
-    /// Assert that the busy set and docked count equal the robots' phase
-    /// tallies.
+    /// Whether some robot's phase names `rack`.
+    pub(super) fn in_flight(&self, rack: RackId) -> bool {
+        self.in_flight[rack.index()]
+    }
+
+    /// Assert that the busy set, docked count and in-flight racks equal the
+    /// robots' phase tallies.
     #[cfg(debug_assertions)]
     pub(super) fn assert_tallies(&self, robots: &[Robot]) {
-        let (busy, docked) = tallies(robots);
+        let (busy, docked, in_flight) = tallies(robots, self.in_flight.len());
+        let same = self.busy.iter().eq(busy.iter()) && self.docked == docked;
         debug_assert!(
-            self.busy.iter().eq(busy.iter()) && self.docked == docked,
+            same && self.in_flight == in_flight,
             "agenda drifted from the robots' phases"
         );
     }
 }
 
-/// The busy set and docked count the robots' phases give.
-fn tallies(robots: &[Robot]) -> (BusySet, usize) {
+/// The busy set, docked count and in-flight racks (of `n_racks`) the
+/// robots' phases give.
+fn tallies(robots: &[Robot], n_racks: usize) -> (BusySet, usize, Vec<bool>) {
     let mut busy = BusySet::default();
+    let mut in_flight = vec![false; n_racks];
     for (ai, r) in robots.iter().enumerate() {
-        if r.phase.is_busy() {
+        if let Some(rack) = r.phase.rack() {
             busy.insert(ai);
+            in_flight[rack.index()] = true;
         }
     }
     let docked = robots.iter().filter(|r| r.phase.is_docked()).count();
-    (busy, docked)
+    (busy, docked, in_flight)
 }
 
 /// A set of robot indices as a bitset, visited in ascending order: the

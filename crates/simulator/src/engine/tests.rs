@@ -213,6 +213,34 @@ fn rack_removal_withholds_selection_until_restore() {
     }
 }
 
+/// A rack is in flight exactly while a robot's phase names it, a schedule
+/// rebuilt from the state at any tick boundary agrees, and an in-flight
+/// rack is never offered, even with items pending on it.
+#[test]
+fn in_flight_rack_not_offered() {
+    let inst = small_instance(20, 42);
+    let mut planner = NaiveTaskPlanner::new(EatpConfig::default());
+    let mut engine = Engine::new(&inst, &EngineConfig::default());
+    engine.start(&mut planner);
+    let mut withheld = 0;
+    while !engine.is_finished() {
+        engine.tick_once(&mut planner);
+        let mut rebuilt = schedule::Schedule::default();
+        rebuilt.rebuild(&engine.state);
+        for rack in &engine.state.racks {
+            let named = (engine.state.robots.iter()).any(|r| r.phase.rack() == Some(rack.id));
+            assert_eq!(engine.schedule.in_flight(rack.id), named);
+            assert_eq!(rebuilt.in_flight(rack.id), named);
+            if named && rack.has_pending() {
+                let offered = planning::offerable(&engine.flags, &engine.schedule, rack);
+                assert!(!offered, "{} offered in flight", rack.id);
+                withheld += 1;
+            }
+        }
+    }
+    assert!(withheld > 0, "no in-flight rack had items pending");
+}
+
 #[test]
 fn rack_removal_defers_while_in_flight() {
     use tprw_warehouse::{DisruptionEvent, TimedEvent};

@@ -6,7 +6,7 @@ use super::{Engine, EngineState};
 use crate::commands::Ack;
 use eatp_core::planner::{LegRequest, Planner};
 use tprw_pathfinding::Path;
-use tprw_warehouse::{Item, ItemId, QueueEntry, RobotId, RobotPhase, Tick};
+use tprw_warehouse::{Item, ItemId, Picker, QueueEntry, RobotId, RobotPhase, Tick};
 
 /// The three pending-leg lists, in the order one leg pass requests and
 /// applies them: interrupted legs resume first (a robot frozen mid-aisle
@@ -112,12 +112,12 @@ impl Engine<'_> {
     /// Phase 2: pickers serve their queues one tick.
     pub(super) fn step_picking(&mut self, t: Tick) {
         // No docked robot means every queue is empty and nothing is
-        // mid-service (each queue entry and each `serving` slot holds a
-        // robot in `Queuing`/`Processing`), so the loop below would read
-        // every picker and mutate none — skip it.
+        // mid-service (each queue entry and each served entry holds a robot
+        // in `Queuing`/`Processing`), so the loop below would read every
+        // picker and mutate none — skip it.
         if self.schedule.nobody_docked() {
-            debug_assert!(self.state.serving.iter().all(|s| s.is_none()));
-            debug_assert!(self.state.pickers.iter().all(|p| p.queue.is_empty()));
+            let idle = |p: &Picker| p.serving.is_none() && p.queue.is_empty();
+            debug_assert!(self.state.pickers.iter().all(idle));
             return;
         }
         for pi in 0..self.state.pickers.len() {
@@ -126,29 +126,26 @@ impl Engine<'_> {
             if self.flags.closed[pi] {
                 continue;
             }
+            let picker = &mut self.state.pickers[pi];
             // Start the next rack if idle.
-            if self.state.serving[pi].is_none() {
-                if let Some(entry) = self.state.pickers[pi].start_next() {
-                    let robot = entry.robot.index();
-                    self.state.robots[robot].phase = RobotPhase::Processing { rack: entry.rack };
-                    self.state.serving[pi] = Some(entry);
-                }
+            if let Some(entry) = picker.start_next() {
+                let robot = entry.robot.index();
+                self.state.robots[robot].phase = RobotPhase::Processing { rack: entry.rack };
             }
             // Process one tick.
-            if let Some(entry) = self.state.serving[pi] {
-                let finished = self.state.pickers[pi].tick();
-                self.state.racks[entry.rack.index()].accum_processing += 1;
-                if finished {
-                    let ai = entry.robot.index();
-                    self.state.items_processed += self.state.carried_items[ai] as usize;
-                    self.state.carried_items[ai] = 0;
-                    // Live orders riding on the batch are fulfilled now.
-                    let orders = self.state.carried_orders[ai].drain(..);
-                    let acks = orders.map(|order| Ack::Completed { order, tick: t });
-                    self.acks_out.extend(acks);
-                    self.state.needs_return.push(entry.robot);
-                    self.state.serving[pi] = None;
-                }
+            let Some(served) = picker.serving else {
+                continue;
+            };
+            self.state.racks[served.rack.index()].accum_processing += 1;
+            if let Some(entry) = picker.tick() {
+                let ai = entry.robot.index();
+                self.state.items_processed += self.state.carried_items[ai] as usize;
+                self.state.carried_items[ai] = 0;
+                // Live orders riding on the batch are fulfilled now.
+                let orders = self.state.carried_orders[ai].drain(..);
+                let acks = orders.map(|order| Ack::Completed { order, tick: t });
+                self.acks_out.extend(acks);
+                self.state.needs_return.push(entry.robot);
             }
         }
     }
@@ -238,12 +235,11 @@ impl Engine<'_> {
                     self.state.racks[rack.index()].home,
                     "a robot turned idle off its rack's home"
                 );
-                self.state.racks[rack.index()].in_flight = false;
                 self.state.robots[ai].phase = RobotPhase::Idle;
                 self.state.paths[ai] = None;
                 self.state.last_return = self.state.last_return.max(t);
                 self.state.rack_trips += 1;
-                self.schedule.back_home(ai);
+                self.schedule.back_home(ai, rack);
             }
             _ => {}
         }

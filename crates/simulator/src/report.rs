@@ -141,7 +141,7 @@ pub struct DeterministicFingerprint {
 }
 
 impl SimulationReport {
-    /// Project onto the fields the batched and serial execution paths must
+    /// Project onto the fields every run of the same simulation must
     /// reproduce bit-identically (see [`DeterministicFingerprint`]).
     pub fn deterministic_fingerprint(&self) -> DeterministicFingerprint {
         DeterministicFingerprint {

@@ -26,7 +26,7 @@ pub const SNAPSHOT_MAGIC: [u8; 8] = *b"TPRWSNAP";
 /// other is [`SnapshotError::UnsupportedVersion`]. A payload schema change
 /// bumps it and re-records `testdata/snapshot-v{N}/` instead of carrying a
 /// reader for the old payloads (`docs/adr/ADR-030-current-only-snapshots.md`).
-pub const SNAPSHOT_VERSION: u32 = 11;
+pub const SNAPSHOT_VERSION: u32 = 12;
 
 /// Little-endian sentinel; a big-endian writer would store these bytes
 /// reversed, which the reader detects as [`SnapshotError::WrongEndian`].
@@ -585,11 +585,11 @@ mod tests {
         // resuming them must fail naming the table instead of indexing
         // out of bounds a few ticks later.
         let good = first_snapshot("NTP", |s| s.t == 40);
-        for table in ["carried_work", "serving", "paths"] {
+        for table in ["carried_work", "pickers", "paths"] {
             let err = refusal(&good, |state| {
                 let shortened = match table {
                     "carried_work" => state.carried_work.pop().is_some(),
-                    "serving" => state.serving.pop().is_some(),
+                    "pickers" => state.pickers.pop().is_some(),
                     _ => state.paths.pop().is_some(),
                 };
                 assert!(shortened, "{table} is empty");
@@ -634,6 +634,23 @@ mod tests {
             );
         }
         resume_from(&inst, &data, make("EATP").as_mut()).expect("the true instance resumes");
+    }
+
+    /// `docs/snapshot-format.md` names the version this build writes, in
+    /// its header table and with a history row, so a bump cannot leave the
+    /// format's description behind.
+    #[test]
+    fn format_doc_names_the_current_version() {
+        let doc = include_str!("../../../docs/snapshot-format.md");
+        let header = doc.lines().find(|l| l.contains("| version     |"));
+        let header = header.expect("the header table's version row");
+        let current = format!("(`SNAPSHOT_VERSION`, currently **{SNAPSHOT_VERSION}**)");
+        assert!(header.contains(&current), "{header}");
+        let history = format!("\n| {SNAPSHOT_VERSION} | ");
+        assert!(
+            doc.contains(&history),
+            "no history row for {SNAPSHOT_VERSION}"
+        );
     }
 
     #[test]
@@ -834,8 +851,8 @@ mod tests {
             }
         );
 
-        // Version zero, the retired versions 1–9 and the next one.
-        for version in [0, 1, 2, 3, 4, 5, 6, 7, 8, 9, SNAPSHOT_VERSION + 1] {
+        // Version zero, every retired version and the next one.
+        for version in (0..SNAPSHOT_VERSION).chain([SNAPSHOT_VERSION + 1]) {
             let mut bad = good.clone();
             bad[12..16].copy_from_slice(&version.to_le_bytes());
             assert_eq!(
@@ -1059,7 +1076,7 @@ mod tests {
     /// (a pending item past the run's items, a rack's picker, a backlogged
     /// order's rack) once the engine dispatched, delivered or landed it,
     /// LEF's inside its oldest-pending lookup; so did a robot whose id is
-    /// not its index and a serving robot past the fleet. The journaled
+    /// not its index and a served entry's robot past the fleet. The journaled
     /// robot and picker events, a busy robot's rack, a moved station and a
     /// stray live arrival resumed without a panic, and are refused all the
     /// same. So are the cursors no run can hold: an item cursor past the
@@ -1067,8 +1084,8 @@ mod tests {
     /// submitted and a checkpoint cursor far past the last checkpoint (both
     /// overflowed in the checkpoint threshold) and a checkpoint cursor of
     /// 0. So are a robot named twice
-    /// by the pending-leg lists, the picker queues and `serving`, and a
-    /// queue or `serving` entry whose robot is not docked with its rack,
+    /// by the pending-leg lists, the picker queues and the served entries,
+    /// and a queued or served entry whose robot is not docked with its rack,
     /// each of which resumed and then panicked in a debug build: a robot
     /// twice in `needs_delivery` on its second delivery leg, an idle robot
     /// queued or served in the picking phase, and a served robot queued
@@ -1136,7 +1153,7 @@ mod tests {
             robot.expect("a busy robot at tick 40").phase = RobotPhase::ToRack { rack };
         };
         let served = |s: &mut EngineState| {
-            let entry = s.serving.iter_mut().flatten().next();
+            let entry = s.pickers.iter_mut().find_map(|p| p.serving.as_mut());
             entry.expect("a picker serving at tick 40").robot = robot;
         };
         cases.extend::<[(&str, Tick, &str, Corrupt); 13]>([
@@ -1167,7 +1184,7 @@ mod tests {
                 "pickers",
                 Box::new(|s| s.pickers[0].pos = GridPos::new(0, 0)),
             ),
-            ("EATP", 40, "serving", Box::new(served)),
+            ("EATP", 40, "pickers", Box::new(served)),
             (
                 "EATP",
                 40,
@@ -1221,8 +1238,19 @@ mod tests {
             }
         };
         let served_again = |s: &mut EngineState| {
-            let served = s.serving.iter().flatten().next().copied();
+            let served = s.pickers.iter().find_map(|p| p.serving);
             s.pickers[0].enqueue(served.expect("a picker serving at tick 40"));
+        };
+        // A second robot on a fetched rack: the schedule's in-flight racks
+        // are the racks the phases name, so one return would clear a rack
+        // the other robot still carries.
+        let shared = move |s: &mut EngineState| {
+            let rack = s.robots[fetching(s).index()].phase.rack();
+            let idle = s.robots.iter_mut().find(|r| r.is_idle());
+            let idle = idle.expect("an idle robot at tick 3");
+            idle.phase = RobotPhase::ToRack {
+                rack: rack.unwrap(),
+            };
         };
         let order = |arrival: Tick, submitted: Tick| BacklogOrder {
             order: OrderId::new(0),
@@ -1231,7 +1259,7 @@ mod tests {
             arrival,
             submitted,
         };
-        cases.extend::<[(&str, Tick, &str, Corrupt); 6]>([
+        cases.extend::<[(&str, Tick, &str, Corrupt); 7]>([
             (
                 "EATP",
                 3,
@@ -1250,10 +1278,11 @@ mod tests {
             (
                 "EATP",
                 3,
-                "serving",
-                Box::new(move |s| s.serving[0] = Some(idle(s))),
+                "pickers",
+                Box::new(move |s| s.pickers[0].serving = Some(idle(s))),
             ),
-            ("EATP", 40, "serving", Box::new(served_again)),
+            ("EATP", 40, "pickers", Box::new(served_again)),
+            ("EATP", 3, "robots", Box::new(shared)),
             (
                 "EATP",
                 40,

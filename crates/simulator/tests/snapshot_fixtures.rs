@@ -22,7 +22,7 @@ use tprw_warehouse::{Instance, LayoutConfig, ScenarioSpec, WorkloadConfig};
 /// The bytes of one recorded fixture of this schema version.
 macro_rules! fixture {
     ($file:literal) => {
-        include_bytes!(concat!("../testdata/snapshot-v11/", $file))
+        include_bytes!(concat!("../testdata/snapshot-v12/", $file))
     };
 }
 

@@ -36,8 +36,6 @@ pub struct Rack {
     pub pending: Vec<ItemId>,
     /// Sum of processing times of `pending` (cached `Σ_{i∈τ_r} i`).
     pub pending_time: Duration,
-    /// Whether a robot is currently assigned to / transporting this rack.
-    pub in_flight: bool,
     /// Accumulative processing time `ar_r` already spent on this rack's
     /// items (the RL state component of Sec. V-A).
     pub accum_processing: Duration,
@@ -52,7 +50,6 @@ impl Rack {
             picker,
             pending: Vec::new(),
             pending_time: 0,
-            in_flight: false,
             accum_processing: 0,
         }
     }
@@ -76,13 +73,6 @@ impl Rack {
     #[inline]
     pub fn has_pending(&self) -> bool {
         !self.pending.is_empty()
-    }
-
-    /// Whether the rack can be selected for fulfilment now: it has pending
-    /// items and no robot already committed to it.
-    #[inline]
-    pub fn selectable(&self) -> bool {
-        self.has_pending() && !self.in_flight
     }
 }
 
@@ -108,10 +98,9 @@ pub struct Picker {
     pub pos: GridPos,
     /// FIFO queue `q_p` of racks waiting to be processed.
     pub queue: VecDeque<QueueEntry>,
-    /// Cached total work in `queue`.
-    pub queued_work: Duration,
-    /// Estimated remaining processing time `e_p` of the rack being served.
-    pub remaining: Duration,
+    /// The rack being served; its `work` is the remaining processing time
+    /// `e_p`, counted down in place.
+    pub serving: Option<QueueEntry>,
     /// Accumulative processing time `ap` of this picker (RL state, Sec. V-A;
     /// also the PPR numerator, Eq. 6).
     pub accum_processing: Duration,
@@ -124,46 +113,45 @@ impl Picker {
             id,
             pos,
             queue: VecDeque::new(),
-            queued_work: 0,
-            remaining: 0,
+            serving: None,
             accum_processing: 0,
         }
     }
 
     /// The finish time `f_p = e_p + Σ_{r∈q_p} Σ_{i∈τ_r} i` (Eq. 3): the
     /// delay until this picker has drained its current queue.
-    #[inline]
     pub fn finish_time(&self) -> Duration {
-        self.remaining + self.queued_work
+        let served = self.serving.iter().chain(&self.queue);
+        served.map(|entry| entry.work).sum()
     }
 
     /// Append a delivered rack to the FIFO queue.
     pub fn enqueue(&mut self, entry: QueueEntry) {
-        self.queued_work += entry.work;
         self.queue.push_back(entry);
     }
 
     /// Start serving the next queued rack, if idle and one is waiting.
     /// Returns the entry now being served.
     pub fn start_next(&mut self) -> Option<QueueEntry> {
-        if self.remaining > 0 {
+        if self.serving.is_some() {
             return None;
         }
-        let entry = self.queue.pop_front()?;
-        self.queued_work -= entry.work;
-        self.remaining = entry.work;
-        Some(entry)
+        self.serving = self.queue.pop_front();
+        self.serving
     }
 
-    /// Advance processing by one tick. Returns `true` if the current rack
-    /// finished at the end of this tick.
-    pub fn tick(&mut self) -> bool {
-        if self.remaining == 0 {
-            return false;
+    /// Advance processing by one tick. Returns the served entry once its
+    /// work ran out at the end of this tick; the picker is then idle.
+    pub fn tick(&mut self) -> Option<QueueEntry> {
+        let entry = self.serving.as_mut()?;
+        if entry.work > 0 {
+            entry.work -= 1;
+            self.accum_processing += 1;
         }
-        self.remaining -= 1;
-        self.accum_processing += 1;
-        self.remaining == 0
+        if entry.work > 0 {
+            return None;
+        }
+        self.serving.take()
     }
 }
 
@@ -286,10 +274,9 @@ mod tests {
     fn rack_accumulates_pending() {
         let mut r = Rack::new(RackId::new(0), GridPos::new(1, 1), PickerId::new(0));
         assert!(!r.has_pending());
-        assert!(!r.selectable());
         r.push_item(&item(0, 0, 5, 20));
         r.push_item(&item(1, 0, 6, 30));
-        assert!(r.selectable());
+        assert!(r.has_pending());
         assert_eq!(r.pending_time, 50);
         let (items, time) = r.take_pending();
         assert_eq!(items.len(), 2);
@@ -298,42 +285,35 @@ mod tests {
         assert_eq!(r.pending_time, 0);
     }
 
-    #[test]
-    fn in_flight_rack_not_selectable() {
-        let mut r = Rack::new(RackId::new(0), GridPos::new(1, 1), PickerId::new(0));
-        r.push_item(&item(0, 0, 0, 10));
-        r.in_flight = true;
-        assert!(!r.selectable());
+    fn entry(rack: usize, work: Duration) -> QueueEntry {
+        QueueEntry {
+            rack: RackId::new(rack),
+            robot: RobotId::new(rack),
+            work,
+        }
     }
 
     #[test]
     fn picker_fifo_and_finish_time() {
         let mut p = Picker::new(PickerId::new(0), GridPos::new(0, 9));
         assert_eq!(p.finish_time(), 0);
-        p.enqueue(QueueEntry {
-            rack: RackId::new(1),
-            robot: RobotId::new(1),
-            work: 10,
-        });
-        p.enqueue(QueueEntry {
-            rack: RackId::new(2),
-            robot: RobotId::new(2),
-            work: 5,
-        });
+        p.enqueue(entry(1, 10));
+        p.enqueue(entry(2, 5));
         assert_eq!(p.finish_time(), 15);
 
         let first = p.start_next().unwrap();
         assert_eq!(first.rack, RackId::new(1), "FIFO order");
-        assert_eq!(p.remaining, 10);
+        assert_eq!(p.serving, Some(first));
         assert_eq!(p.finish_time(), 15, "e_p + queued work unchanged");
 
         // Cannot start another while busy.
         assert!(p.start_next().is_none());
 
         for _ in 0..9 {
-            assert!(!p.tick());
+            assert!(p.tick().is_none());
         }
-        assert!(p.tick(), "finishes exactly at the 10th tick");
+        assert_eq!(p.tick().map(|e| e.rack), Some(RackId::new(1)));
+        assert_eq!(p.serving, None, "finishes exactly at the 10th tick");
         assert_eq!(p.accum_processing, 10);
 
         let second = p.start_next().unwrap();
@@ -341,10 +321,35 @@ mod tests {
         assert_eq!(p.finish_time(), 5);
     }
 
+    /// `f_p` (Eq. 3) is the served entry's remaining work plus the queued
+    /// work at every tick of a serve, and falls by one per tick served.
+    #[test]
+    fn finish_time_is_served_plus_queued_work_through_a_serve() {
+        let mut p = Picker::new(PickerId::new(0), GridPos::new(0, 9));
+        p.enqueue(entry(1, 4));
+        p.enqueue(entry(2, 3));
+        p.start_next();
+        p.enqueue(entry(3, 2));
+        for left in (0..4).rev() {
+            let before = p.finish_time();
+            let done = p.tick();
+            let served = p.serving.map_or(0, |e| e.work);
+            let queued: Duration = p.queue.iter().map(|e| e.work).sum();
+            assert_eq!(served, left);
+            assert_eq!(queued, 5);
+            assert_eq!(p.finish_time(), served + queued);
+            assert_eq!(p.finish_time(), before - 1);
+            assert_eq!(done.is_some(), left == 0);
+        }
+        assert_eq!(p.accum_processing, 4);
+        assert_eq!(p.start_next().map(|e| e.rack), Some(RackId::new(2)));
+        assert_eq!(p.finish_time(), 5);
+    }
+
     #[test]
     fn picker_tick_idle_is_noop() {
         let mut p = Picker::new(PickerId::new(0), GridPos::new(0, 0));
-        assert!(!p.tick());
+        assert!(p.tick().is_none());
         assert_eq!(p.accum_processing, 0);
     }
 
