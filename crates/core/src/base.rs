@@ -241,9 +241,8 @@ impl<R: ReservationBackend> PlannerBase<R> {
     /// owns (the [`PlannerEvent::Disruption`] contract).
     ///
     /// Cell blockades / reopenings mutate the working grid copy and flip
-    /// the distance oracle's passability snapshot (dropping its station
-    /// fields) — stale state in either would route robots through
-    /// walls. The K-nearest-rack index is static (Sec. VI-A): a removed
+    /// the distance oracle's passability snapshot — stale state in either
+    /// would route robots through walls. The K-nearest-rack index is static (Sec. VI-A): a removed
     /// rack leaves selection through the engine's selectable set, and a
     /// walled-off rack's pickup search fails and retries on a later tick.
     /// Rack, robot and station events carry no planner-side structure: the
@@ -675,7 +674,11 @@ mod tests {
         base.apply_disruption(&DisruptionEvent::CellBlocked { pos }, 5);
         assert_eq!(base.grid.kind(pos), CellKind::Blocked);
         assert!(!base.oracle.manhattan_exact(), "oracle sees the blockade");
-        assert_eq!(base.oracle.field_count(), 0, "no field before a query");
+        assert_eq!(
+            base.oracle.memory_bytes(),
+            inst.grid.cell_count(),
+            "no search state before a query"
+        );
         // Paths must now avoid the cell.
         let robot = inst.robots[0].id;
         if let Some(p) =
@@ -693,11 +696,11 @@ mod tests {
     }
 
     /// The benchmark's surge floor at seed 7 replays its 60 cell blockades
-    /// and reopenings with every rack's delivery distance asked after each:
-    /// the patched station fields keep answering as a fresh oracle does,
-    /// and only the fields whose blockade certificate fails are dropped.
+    /// and reopenings with every rack's delivery distance asked after every
+    /// tenth: the live oracle answers as a fresh one built on the mutated
+    /// grid does.
     #[test]
-    fn surge_blockade_replay_patches_station_fields() {
+    fn surge_blockade_replay_matches_a_fresh_oracle() {
         use tprw_warehouse::{ArrivalProfile, DisruptionConfig};
         let inst = ScenarioSpec {
             name: "surge-live".into(),
@@ -749,13 +752,10 @@ mod tests {
             })
             .collect();
         assert_eq!(cell_events.len(), 60);
-        let mut dropped = 0;
         for (n, e) in cell_events.iter().enumerate() {
-            let live = base.oracle.field_count();
             base.apply_disruption(&e.event, e.t);
-            dropped += live - base.oracle.field_count();
-            let answers: Vec<u64> = inst.racks.iter().map(|r| base.delivery(r)).collect();
             if n % 10 == 9 {
+                let answers: Vec<u64> = inst.racks.iter().map(|r| base.delivery(r)).collect();
                 let mut fresh = DistanceOracle::new(&base.grid, &stations);
                 let expected: Vec<u64> = (inst.racks.iter())
                     .map(|r| fresh.to_station(r.home, r.picker))
@@ -763,8 +763,6 @@ mod tests {
                 assert_eq!(answers, expected, "after cell event {n}");
             }
         }
-        // Dropping every field on each event dropped 1 416 here.
-        assert_eq!(dropped, 8, "fields dropped by failed certificates");
     }
 
     #[test]

@@ -29,9 +29,9 @@
 //! distance oracle in line with the mutated floor, and the engine replans
 //! frozen legs. The oracle answers only Eq. 2's delivery term
 //! ([`base::PlannerBase::delivery`]): by Manhattan while the free floor is
-//! a rectangle, by one BFS field per station otherwise
-//! (`docs/adr/ADR-022-station-fields.md`). The K-nearest index is static
-//! (`docs/adr/ADR-021-static-knn.md`). Selection itself is
+//! a rectangle, by one exact A* query otherwise
+//! (`docs/adr/ADR-043-station-distance-search.md`). The K-nearest index
+//! is static (`docs/adr/ADR-021-static-knn.md`). Selection itself is
 //! the paper's rule for each planner, with no disruption term;
 //! `docs/adr/ADR-011-one-selection-policy.md` records why the optional
 //! disruption-aware reordering was removed and where to restore it from.

@@ -81,10 +81,10 @@ pub struct PlannerStats {
     /// Current memory of reservation/index/learning structures (MC).
     pub memory_bytes: usize,
     /// Memory of the shared planner machinery — the reusable A* search
-    /// arena plus the distance oracle: its passability snapshot and one
-    /// 4 B-per-cell BFS field per queried station, none while the free
-    /// floor is a rectangle (`docs/adr/ADR-022-station-fields.md`). Reported
-    /// separately from MC: both are identical machinery for every planner,
+    /// arena plus the distance oracle: its passability snapshot and, once
+    /// a query has left the Manhattan path, its A* buffers (8 B per cell
+    /// and an open list; `docs/adr/ADR-043-station-distance-search.md`).
+    /// Reported separately from MC: both are identical machinery for every planner,
     /// so folding them into `memory_bytes` would wash out the STG-vs-CDT
     /// comparison.
     pub scratch_bytes: usize,
@@ -131,7 +131,7 @@ pub enum PlannerEvent<'a> {
     /// A disruption event mutated the world at tick `t`. Planners must
     /// bring every grid-derived structure in line with the mutated floor:
     /// for cell blockades / reopenings that means the working grid copy and
-    /// the distance oracle's station fields (`PlannerBase` handles both;
+    /// the oracle's passability snapshot (`PlannerBase` handles both;
     /// the K-nearest-rack index is static). Rack, robot and
     /// station events carry no planner-side structure — the engine enforces
     /// their scheduling consequences through the world view (broken robots
@@ -311,7 +311,7 @@ pub trait Planner {
     /// everything that cannot be reconstructed from the instance, the
     /// applied-disruption journal and the engine's state (learned Q-values,
     /// cumulative counters). Derived structures — the reservation table,
-    /// search scratch, distance-oracle fields, KNN indexes — are *not*
+    /// search scratch, distance oracle, KNN indexes — are *not*
     /// exported: the restore protocol rebuilds them by calling
     /// [`Planner::init`], replaying the journal as
     /// [`PlannerEvent::Disruption`]s, importing this value and sending

@@ -10,25 +10,22 @@
 //!   (side columns and top row blocked, station row open) qualify. The box
 //!   is fixed at build time and one misfit counter, kept by
 //!   [`DistanceOracle::set_passable`], makes the check O(1).
-//! * **One BFS field per station otherwise**, filled on the station's
-//!   first query. A passability change patches every live field in place
-//!   (`docs/adr/ADR-026-patched-station-fields.md`): a reopening runs a
-//!   BFS wave from the reopened cell; a blockade clears one cell when a
-//!   local certificate shows no other distance moves, and drops that one
-//!   field otherwise. Fields stay patched while the floor is a rectangle
-//!   again, so the next blockade finds them filled.
+//! * **One exact A* query otherwise**, from the rack home to the station
+//!   over the oracle's passability snapshot: 4-connected, unit cost,
+//!   Manhattan heuristic (`docs/adr/ADR-043-station-distance-search.md`).
+//!   Nothing is kept between queries but the search buffers, so a
+//!   blockade or reopening only flips one cell of the snapshot.
 //!
 //! Pickup distances are not asked here: the planners rank robots by
 //! Manhattan distance to the rack.
 
 use crate::footprint::MemoryFootprint;
-use std::collections::VecDeque;
+use crate::scratch::Dial;
 use tprw_warehouse::{GridMap, GridPos, PickerId};
 
 /// Delivery-distance oracle: Manhattan while the free floor is a
-/// rectangle, one lazily filled BFS field per station otherwise (see the
-/// module docs).
-#[derive(Debug, Clone)]
+/// rectangle, one exact A* query otherwise (see the module docs).
+#[derive(Debug)]
 pub struct DistanceOracle {
     width: u16,
     passable: Box<[bool]>,
@@ -39,10 +36,15 @@ pub struct DistanceOracle {
     misfits: usize,
     /// Station cell per picker index.
     stations: Box<[GridPos]>,
-    /// BFS field per station (`d + 1` per cell, 0 = unreached), if filled.
-    fields: Box<[Option<Box<[u32]>>]>,
-    /// Reusable BFS frontier (cell indices).
-    queue: VecDeque<u32>,
+    /// Best cost found per cell as `(generation, g)`: a cell whose stamp is
+    /// not the current query's is undiscovered. Empty until the first
+    /// query off the Manhattan path.
+    best: Box<[(u32, u32)]>,
+    /// The current query's stamp in `best`.
+    generation: u32,
+    /// Open list, bucketed by `(f - h(from)) / 2`: every step changes the
+    /// Manhattan heuristic by one, so `f` keeps the parity of `h(from)`.
+    open: Dial,
 }
 
 impl DistanceOracle {
@@ -73,8 +75,9 @@ impl DistanceOracle {
             bbox: (x0, y0, x1, y1),
             misfits: area - open,
             stations: stations.into(),
-            fields: vec![None; stations.len()].into_boxed_slice(),
-            queue: VecDeque::new(),
+            best: Box::default(),
+            generation: 0,
+            open: Dial::default(),
         }
     }
 
@@ -85,10 +88,8 @@ impl DistanceOracle {
         self.misfits == 0
     }
 
-    /// Mutate the passability snapshot (a cell was blockaded or reopened by
-    /// a disruption event) and patch every live BFS field to equal a fresh
-    /// fill on the new snapshot. A blockade whose local certificate fails
-    /// drops that one field, which refills lazily on its next query.
+    /// Mutate the passability snapshot: a cell was blockaded or reopened by
+    /// a disruption event.
     pub fn set_passable(&mut self, pos: GridPos, passable: bool) {
         let i = pos.to_index(self.width);
         if self.passable[i] == passable {
@@ -103,158 +104,75 @@ impl DistanceOracle {
         } else {
             self.misfits += 1;
         }
-        for (slot, &station) in self.fields.iter_mut().zip(self.stations.iter()) {
-            let Some(field) = slot else { continue };
-            if passable {
-                reopen_cell(
-                    field,
-                    &self.passable,
-                    self.width,
-                    i,
-                    pos == station,
-                    &mut self.queue,
-                );
-            } else if !block_cell(field, &self.passable, self.width, i) {
-                *slot = None;
-            }
-        }
     }
 
     /// Uncongested travel delay from `from` to `station`'s cell
     /// (`u64::MAX` when disconnected).
     pub fn to_station(&mut self, from: GridPos, station: PickerId) -> u64 {
         let to = self.stations[station.index()];
-        let i = from.to_index(self.width);
-        if self.misfits == 0 {
-            let both = self.passable[i] && self.passable[to.to_index(self.width)];
-            return if both { from.manhattan(to) } else { u64::MAX };
-        }
-        let field = self.fields[station.index()]
-            .get_or_insert_with(|| bfs_field(&self.passable, self.width, to, &mut self.queue));
-        match field[i] {
-            0 => u64::MAX,
-            d => u64::from(d - 1),
+        let ends_open =
+            self.passable[from.to_index(self.width)] && self.passable[to.to_index(self.width)];
+        if !ends_open {
+            u64::MAX
+        } else if self.misfits == 0 {
+            from.manhattan(to)
+        } else {
+            self.search(from, to)
         }
     }
 
-    /// Number of filled BFS fields (diagnostics).
-    pub fn field_count(&self) -> usize {
-        self.fields.iter().flatten().count()
-    }
-}
-
-/// BFS from `source` over the flat passability snapshot of a grid `width`
-/// cells wide: `d + 1` per reached cell, 0 elsewhere.
-fn bfs_field(
-    passable: &[bool],
-    width: u16,
-    source: GridPos,
-    queue: &mut VecDeque<u32>,
-) -> Box<[u32]> {
-    let mut field = vec![0u32; passable.len()].into_boxed_slice();
-    let s = source.to_index(width);
-    queue.clear();
-    if passable[s] {
-        field[s] = 1;
-        queue.push_back(s as u32);
-    }
-    wave(&mut field, passable, width, queue);
-    field
-}
-
-/// The 4-neighbourhood of cell `i` on a grid `width` cells wide and
-/// `height` tall; `ok` is false for a neighbour past an edge.
-fn neighbours(i: usize, width: usize, height: usize) -> [(bool, usize); 4] {
-    let (x, y) = (i % width, i / width);
-    [
-        (x > 0, i.wrapping_sub(1)),
-        (x + 1 < width, i + 1),
-        (y > 0, i.wrapping_sub(width)),
-        (y + 1 < height, i + width),
-    ]
-}
-
-/// Drain `queue` in FIFO order, lowering each passable neighbour that is
-/// unreached or farther than one step past the popped cell. From one
-/// seeded cell this is BFS; on an exact field whose distances only
-/// shrink, it is exact from the cell that shrank them.
-fn wave(field: &mut [u32], passable: &[bool], width: u16, queue: &mut VecDeque<u32>) {
-    let (w, h) = (width as usize, passable.len() / width as usize);
-    while let Some(i) = queue.pop_front() {
-        let next = field[i as usize] + 1;
-        for &(ok, j) in &neighbours(i as usize, w, h) {
-            // An unreached 0 wraps to `u32::MAX`: one compare covers both.
-            if ok && passable[j] && field[j].wrapping_sub(1) >= next {
-                field[j] = next;
-                queue.push_back(j as u32);
+    /// A* from `from` to `to`, both passable: the length of a shortest
+    /// 4-connected walk over passable cells, `u64::MAX` when `to` is not
+    /// in `from`'s component. The Manhattan heuristic is consistent, so the
+    /// goal's first pop is exact, and an entry whose cell has since been
+    /// reached more cheaply is skipped at its pop.
+    fn search(&mut self, from: GridPos, to: GridPos) -> u64 {
+        let width = self.width;
+        let height = (self.passable.len() / width as usize) as u16;
+        if self.best.is_empty() {
+            self.best = vec![(0, 0); self.passable.len()].into_boxed_slice();
+        }
+        if self.generation == u32::MAX {
+            // Stamp wrap: reset once every 2³² queries.
+            self.best.fill((0, 0));
+            self.generation = 0;
+        }
+        self.generation += 1;
+        let generation = self.generation;
+        let h0 = from.manhattan(to);
+        let bucket =
+            |g: u32, cell: GridPos| ((u64::from(g) + cell.manhattan(to) - h0) / 2) as usize;
+        self.best[from.to_index(width)] = (generation, 0);
+        self.open.push(0, (from.to_index(width) as u32, 0));
+        let mut answer = u64::MAX;
+        while let Some((i, g)) = self.open.pop() {
+            if self.best[i as usize].1 < g {
+                continue;
+            }
+            let cell = GridPos::from_index(i as usize, width);
+            if cell == to {
+                answer = u64::from(g);
+                break;
+            }
+            for next in cell.neighbors4(width, height) {
+                let j = next.to_index(width);
+                let (stamp, old) = self.best[j];
+                if self.passable[j] && (stamp != generation || old > g + 1) {
+                    self.best[j] = (generation, g + 1);
+                    self.open.push(bucket(g + 1, next), (j as u32, g + 1));
+                }
             }
         }
+        self.open.clear();
+        answer
     }
-}
-
-/// Patch an exact `field` for the blockade of cell `c` (already
-/// impassable in `passable`); false when the field must be dropped.
-///
-/// Blocking only lengthens distances, and no cell at or below `d(c)`
-/// routes through `c`. So when every neighbour at `d(c) + 1` has another
-/// neighbour at `d(c)`, each keeps its distance, every shortest path
-/// through `c` has an equal detour, and only `c` itself changes.
-fn block_cell(field: &mut [u32], passable: &[bool], width: u16, c: usize) -> bool {
-    let (w, h) = (width as usize, passable.len() / width as usize);
-    let dc = field[c];
-    // Stored values are `d + 1`, and only reached cells are nonzero, so
-    // `field[m] == dc` names a passable cell at `d(c)`.
-    let kept = dc == 0
-        || neighbours(c, w, h).into_iter().all(|(ok, n)| {
-            !ok || field[n] != dc + 1
-                || neighbours(n, w, h)
-                    .into_iter()
-                    .any(|(ok, m)| ok && m != c && field[m] == dc)
-        });
-    if kept {
-        field[c] = 0;
-    }
-    kept
-}
-
-/// Patch an exact `field` for the reopening of cell `c` (already
-/// passable in `passable`; `is_source` when it is the field's station).
-/// Distances only shrink, so `c` takes one step past its nearest reached
-/// neighbour (0 as the source) and a [`wave`] from it lowers every
-/// distance it shortens, reaching pockets the blockade had cut off.
-fn reopen_cell(
-    field: &mut [u32],
-    passable: &[bool],
-    width: u16,
-    c: usize,
-    is_source: bool,
-    queue: &mut VecDeque<u32>,
-) {
-    let (w, h) = (width as usize, passable.len() / width as usize);
-    field[c] = if is_source {
-        1
-    } else {
-        let nearest = neighbours(c, w, h)
-            .into_iter()
-            .filter(|&(ok, n)| ok && field[n] != 0)
-            .map(|(_, n)| field[n])
-            .min();
-        match nearest {
-            Some(d) => d + 1,
-            None => return,
-        }
-    };
-    queue.clear();
-    queue.push_back(c as u32);
-    wave(field, passable, width, queue);
 }
 
 impl MemoryFootprint for DistanceOracle {
     fn memory_bytes(&self) -> usize {
-        let cells = self.passable.len();
-        cells * std::mem::size_of::<bool>()
-            + self.field_count() * cells * std::mem::size_of::<u32>()
-            + self.queue.capacity() * std::mem::size_of::<u32>()
+        self.passable.len() * std::mem::size_of::<bool>()
+            + std::mem::size_of_val(&*self.best)
+            + self.open.memory_bytes()
     }
 }
 
@@ -262,6 +180,7 @@ impl MemoryFootprint for DistanceOracle {
 mod tests {
     use super::*;
     use proptest::prelude::*;
+    use std::collections::VecDeque;
     use tprw_warehouse::CellKind;
 
     fn p(x: u16, y: u16) -> GridPos {
@@ -409,65 +328,93 @@ mod tests {
         assert_eq!(oracle.to_station(p(4, 4), s(1)), u64::MAX, "symmetric");
     }
 
+    /// Bytes of `grid`'s passability snapshot: all an oracle holds before
+    /// its first search.
+    fn snapshot_bytes(grid: &GridMap) -> usize {
+        grid.cell_count() * std::mem::size_of::<bool>()
+    }
+
     #[test]
     fn oracle_uses_manhattan_when_free() {
         // The walled floor's free cells form a rectangle: Manhattan is
         // exact although the border is blocked.
         let grid = walled_floor(8, 8);
-        let mut oracle = DistanceOracle::new(&grid, &[p(3, 7)]);
+        let mut oracle = DistanceOracle::new(&grid, &[p(3, 7), p(0, 7)]);
         assert!(oracle.manhattan_exact());
         assert_eq!(oracle.to_station(p(1, 1), s(0)), 8);
         assert_eq!(oracle.to_station(p(0, 1), s(0)), u64::MAX, "wall cell");
-        assert_eq!(oracle.field_count(), 0, "no BFS fields needed");
+        assert_eq!(
+            oracle.to_station(p(1, 7), s(1)),
+            u64::MAX,
+            "station in the wall"
+        );
+        assert_eq!(
+            oracle.memory_bytes(),
+            snapshot_bytes(&grid),
+            "no search ran"
+        );
+    }
+
+    /// The oracle holds nothing but its passability snapshot until the
+    /// first query off the Manhattan path: building it allocates no search
+    /// state. That query allocates the per-cell costs, and once every
+    /// query has run the buffers stop growing.
+    #[test]
+    fn search_state_waits_for_the_first_search() {
+        let mut grid = GridMap::filled(16, 16, CellKind::Aisle);
+        let mut oracle = DistanceOracle::new(&grid, &[p(15, 15)]);
+        assert_eq!(oracle.memory_bytes(), snapshot_bytes(&grid));
+        flip(&mut grid, &mut oracle, p(8, 8));
+        assert_eq!(
+            oracle.memory_bytes(),
+            snapshot_bytes(&grid),
+            "a flip is O(1)"
+        );
+        assert_eq!(oracle.to_station(p(0, 0), s(0)), 30);
+        assert!(
+            oracle.memory_bytes() >= snapshot_bytes(&grid) + 16 * 16 * 8,
+            "8 B per cell"
+        );
+        let every_cell = |oracle: &mut DistanceOracle| {
+            cells(&grid).for_each(|c| _ = oracle.to_station(c, s(0)));
+            oracle.memory_bytes()
+        };
+        let warm = every_cell(&mut oracle);
+        assert_eq!(every_cell(&mut oracle), warm, "warm buffers are reused");
     }
 
     #[test]
-    fn oracle_memoizes_with_obstacles() {
+    fn obstructed_floor_answers_by_search() {
         let mut grid = GridMap::filled(8, 8, CellKind::Aisle);
         grid.set_kind(p(4, 4), CellKind::Blocked);
         let mut oracle = DistanceOracle::new(&grid, &[p(7, 7), p(7, 0)]);
         assert!(!oracle.manhattan_exact());
-        let d1 = oracle.to_station(p(0, 0), s(0));
-        assert_eq!(oracle.field_count(), 1);
-        // Repeated stations reuse their field.
-        let d2 = oracle.to_station(p(7, 0), s(0));
-        assert_eq!(oracle.field_count(), 1, "station field reused");
-        let d3 = oracle.to_station(p(7, 7), s(1));
-        assert_eq!(oracle.field_count(), 2, "one field per station");
-        assert_eq!(d1, 14);
-        assert_eq!(d2, 7);
-        assert_eq!(d3, 7);
-    }
-
-    /// Every live field of `oracle` equals a fresh fill on `grid`, cell
-    /// for cell, unreached cells included.
-    fn check_live_fields(oracle: &DistanceOracle, grid: &GridMap) -> Result<(), TestCaseError> {
-        let passable: Vec<bool> = cells(grid).map(|c| grid.passable(c)).collect();
-        let live = oracle.fields.iter().zip(oracle.stations.iter());
-        for (field, &station) in live.filter_map(|(f, s)| Some((f.as_ref()?, s))) {
-            let fresh = bfs_field(&passable, grid.width(), station, &mut VecDeque::new());
-            prop_assert_eq!(field, &fresh, "field of {}", station);
-        }
-        Ok(())
+        assert_eq!(oracle.to_station(p(0, 0), s(0)), 14);
+        assert_eq!(oracle.to_station(p(7, 0), s(0)), 7);
+        assert_eq!(oracle.to_station(p(7, 7), s(1)), 7);
+        assert_eq!(oracle.to_station(p(7, 0), s(1)), 0, "the station itself");
+        assert_eq!(oracle.to_station(p(4, 4), s(1)), u64::MAX, "blocked home");
     }
 
     /// Flip `c` on both `grid` and `oracle`.
     fn flip(grid: &mut GridMap, oracle: &mut DistanceOracle, c: GridPos) {
-        let open = !grid.passable(c);
-        grid.set_kind(
-            c,
-            if open {
-                CellKind::Aisle
-            } else {
-                CellKind::Blocked
-            },
-        );
+        set(grid, oracle, c, !grid.passable(c));
+    }
+
+    /// Set `c` open or blocked on both `grid` and `oracle`.
+    fn set(grid: &mut GridMap, oracle: &mut DistanceOracle, c: GridPos, open: bool) {
+        let kind = if open {
+            CellKind::Aisle
+        } else {
+            CellKind::Blocked
+        };
+        grid.set_kind(c, kind);
         oracle.set_passable(c, open);
     }
 
     #[test]
-    fn set_passable_patches_and_reroutes() {
-        // Open grid: Manhattan fast path, no fields.
+    fn set_passable_reroutes() {
+        // Open grid: Manhattan fast path.
         let mut grid = GridMap::filled(8, 8, CellKind::Aisle);
         let mut oracle = DistanceOracle::new(&grid, &[p(4, 0)]);
         assert_eq!(oracle.to_station(p(0, 0), s(0)), 4);
@@ -477,40 +424,29 @@ mod tests {
         }
         assert!(!oracle.manhattan_exact());
         assert_eq!(oracle.to_station(p(0, 0), s(0)), 4 + 14, "detour via row 7");
-        assert_eq!(oracle.field_count(), 1, "BFS field in use");
-        // Wall clears: the field is patched, not dropped, and Manhattan is
-        // exact again.
+        // Wall clears: Manhattan is exact again.
         for y in 0..7 {
             flip(&mut grid, &mut oracle, p(2, y));
         }
         assert!(oracle.manhattan_exact());
-        assert_eq!(oracle.field_count(), 1, "the field is kept");
-        check_live_fields(&oracle, &grid).unwrap();
         assert_eq!(oracle.to_station(p(0, 0), s(0)), 4);
-        // No-op mutation neither flips state nor drops fields.
-        let mut walled = DistanceOracle::new(&grid, &[p(7, 7)]);
-        walled.set_passable(p(3, 3), false);
-        walled.to_station(p(0, 0), s(0));
-        let fields = walled.field_count();
-        walled.set_passable(p(3, 3), false);
-        assert_eq!(walled.field_count(), fields, "idempotent set keeps fields");
+        // A no-op mutation changes nothing.
+        oracle.set_passable(p(3, 3), false);
+        oracle.set_passable(p(3, 3), false);
+        assert_eq!(oracle.misfits, 1, "idempotent set");
+        assert_eq!(oracle.to_station(p(0, 0), s(0)), 4, "row 0 is still open");
     }
 
     #[test]
-    fn blocking_next_to_a_station_drops_only_its_field() {
-        // (7,7) blocked so the fields are read.
+    fn blocking_next_to_a_station_reroutes_its_column() {
+        // (7,7) blocked so the search runs.
         let mut grid = GridMap::filled(8, 8, CellKind::Aisle);
         grid.set_kind(p(7, 7), CellKind::Blocked);
         let stations = [p(3, 0), p(0, 7)];
         let mut oracle = DistanceOracle::new(&grid, &stations);
         check_every_pair(&mut oracle, &grid, &stations).unwrap();
-        assert_eq!(oracle.field_count(), 2);
-        // (3,1) is on station 0's column: (3,2) reaches (3,0) only through
-        // it, so station 0's certificate fails. Station 1 routes around.
+        // (3,1) is on station 0's column: (3,2) reaches (3,0) only around it.
         flip(&mut grid, &mut oracle, p(3, 1));
-        assert!(oracle.fields[0].is_none(), "station 0's field dropped");
-        assert!(oracle.fields[1].is_some(), "station 1's field kept");
-        check_live_fields(&oracle, &grid).unwrap();
         check_every_pair(&mut oracle, &grid, &stations).unwrap();
         assert_eq!(oracle.to_station(p(3, 2), s(0)), 4, "around the blockade");
     }
@@ -525,41 +461,26 @@ mod tests {
         let mut oracle = DistanceOracle::new(&grid, &[p(0, 0)]);
         assert_eq!(oracle.to_station(p(5, 0), s(0)), u64::MAX, "pocket cut off");
         flip(&mut grid, &mut oracle, p(3, 2));
-        assert_eq!(oracle.field_count(), 1, "the field is patched");
-        check_live_fields(&oracle, &grid).unwrap();
         assert_eq!(oracle.to_station(p(3, 2), s(0)), 5);
         assert_eq!(oracle.to_station(p(5, 0), s(0)), 9, "through the gap");
         assert_eq!(oracle.to_station(p(5, 5), s(0)), 10);
+        check_every_pair(&mut oracle, &grid, &[p(0, 0)]).unwrap();
     }
 
     #[test]
-    fn blocking_and_reopening_a_station_restores_its_field() {
+    fn blocking_and_reopening_a_station_restores_its_distances() {
         let mut grid = GridMap::filled(6, 6, CellKind::Aisle);
         grid.set_kind(p(4, 4), CellKind::Blocked);
         let station = p(2, 2);
         let mut oracle = DistanceOracle::new(&grid, &[station]);
-        oracle.to_station(p(0, 0), s(0));
-        let before = oracle.fields[0].clone().unwrap();
+        assert_eq!(oracle.to_station(p(0, 0), s(0)), 4);
         flip(&mut grid, &mut oracle, station);
-        // A blocked station reaches nothing; the query refills its field.
+        // A blocked station reaches nothing.
         assert_eq!(oracle.to_station(p(0, 0), s(0)), u64::MAX);
-        assert_eq!(oracle.field_count(), 1);
+        check_every_pair(&mut oracle, &grid, &[station]).unwrap();
         flip(&mut grid, &mut oracle, station);
-        assert_eq!(oracle.fields[0].as_deref(), Some(&before[..]), "restored");
-        check_live_fields(&oracle, &grid).unwrap();
-    }
-
-    #[test]
-    fn memory_footprint_tracks_fields() {
-        let mut grid = GridMap::filled(16, 16, CellKind::Aisle);
-        grid.set_kind(p(8, 8), CellKind::Blocked);
-        let mut oracle = DistanceOracle::new(&grid, &[p(15, 15)]);
-        let empty = oracle.memory_bytes();
-        oracle.to_station(p(0, 0), s(0));
-        assert!(
-            oracle.memory_bytes() >= empty + 16 * 16 * 4,
-            "one field adds 4 B per cell"
-        );
+        assert_eq!(oracle.to_station(p(0, 0), s(0)), 4, "restored");
+        check_every_pair(&mut oracle, &grid, &[station]).unwrap();
     }
 
     /// Scatter obstacles deterministically from a small seed, keeping the
@@ -615,7 +536,7 @@ mod tests {
         }
 
         /// The exactness rule: on a floor whose passable cells are a
-        /// rectangle, Manhattan is exact, no field is ever filled, and
+        /// rectangle, Manhattan is exact, no search ever runs, and
         /// every answer equals brute-force BFS (wall cells included).
         #[test]
         fn rectangle_floor_is_manhattan_exact(
@@ -633,7 +554,7 @@ mod tests {
             let mut oracle = DistanceOracle::new(&grid, &stations);
             prop_assert!(oracle.manhattan_exact());
             check_every_pair(&mut oracle, &grid, &stations)?;
-            prop_assert_eq!(oracle.field_count(), 0);
+            prop_assert_eq!(oracle.memory_bytes(), snapshot_bytes(&grid), "no search ran");
         }
 
         /// Block/reopen streams inside and outside the build-time box:
@@ -677,9 +598,9 @@ mod tests {
             }
         }
 
-        /// Interleaved queries and passability mutations: dropping the
-        /// fields must keep the oracle equal to brute-force BFS on the
-        /// mutated grid for any block/unblock stream.
+        /// Interleaved queries and passability mutations: the oracle
+        /// equals brute-force BFS on the mutated grid for any
+        /// block/unblock stream.
         #[test]
         fn oracles_agree_under_mutation(
             mask in 0u64..16,
@@ -711,15 +632,17 @@ mod tests {
             }
         }
 
-        /// Patching is exact: on random obstructed floors, after every
-        /// block/reopen flip of any cell (stations included), every live
-        /// field equals a fresh fill cell for cell, unreached cells
-        /// included. Queries in between keep fields live.
+        /// Blockade and reopen sequences on random obstructed floors: each
+        /// step flips one cell (stations included), walls in the four
+        /// neighbours of a cell (cutting off a rack or a station there) or
+        /// opens them again. After every step every cell's distance to the
+        /// asked station equals brute-force BFS, unreachable answers
+        /// included, and at the end so does every (cell, station) pair.
         #[test]
-        fn patched_fields_equal_fresh_fills(
+        fn blockade_sequences_match_reference_bfs(
             roll in proptest::collection::vec(0u8..4, 144),
             picks in proptest::collection::vec((0u16..12, 0u16..12), 1..4),
-            ops in proptest::collection::vec((0u16..12, 0u16..12, 0usize..6), 1..60),
+            ops in proptest::collection::vec((0u8..4, 0u16..12, 0u16..12, 0usize..3), 1..40),
         ) {
             // A quarter of the cells start blocked.
             let mut grid = GridMap::filled(12, 12, CellKind::Aisle);
@@ -728,13 +651,25 @@ mod tests {
             }
             let stations: Vec<GridPos> = picks.iter().map(|&(x, y)| p(x, y)).collect();
             let mut oracle = DistanceOracle::new(&grid, &stations);
-            for &(x, y, ask) in &ops {
-                // Asking a station (half the time) fills its field.
-                if ask < stations.len() {
-                    oracle.to_station(p(x, y), s(ask));
+            for &(kind, x, y, ask) in &ops {
+                let c = p(x, y);
+                match kind {
+                    0 | 1 => flip(&mut grid, &mut oracle, c),
+                    ring => {
+                        for n in c.neighbors4(12, 12) {
+                            set(&mut grid, &mut oracle, n, ring == 3);
+                        }
+                    }
                 }
-                flip(&mut grid, &mut oracle, p(x, y));
-                check_live_fields(&oracle, &grid)?;
+                let k = ask % stations.len();
+                let field = bfs_distances(&grid, stations[k]);
+                for c in cells(&grid) {
+                    let expected = match field.get(c) {
+                        UNREACHABLE => u64::MAX,
+                        d => d as u64,
+                    };
+                    prop_assert_eq!(oracle.to_station(c, s(k)), expected, "{} to {}", c, stations[k]);
+                }
             }
             check_every_pair(&mut oracle, &grid, &stations)?;
         }

@@ -29,10 +29,10 @@
 //!
 //! [`bfs::DistanceOracle`] answers the one uncongested distance the
 //! planners ask, a rack's home to its own station (Eq. 2's delivery term):
-//! Manhattan while the passable cells fill their bounding box, one lazily
-//! filled BFS field per station otherwise
-//! (`docs/adr/ADR-022-station-fields.md`), patched in place when a cell is
-//! blockaded or reopened (`docs/adr/ADR-026-patched-station-fields.md`).
+//! Manhattan while the passable cells fill their bounding box
+//! (`docs/adr/ADR-022-station-fields.md`), one exact A* query over its
+//! passability snapshot otherwise, so a blockade or reopening flips one
+//! cell and nothing else (`docs/adr/ADR-043-station-distance-search.md`).
 //!
 //! [`knn::KNearestRacks`] provides the K-closest-rack index backing the
 //! "flip requesting side" optimization (Sec. VI-A), built once from the

@@ -177,6 +177,14 @@ impl Dial {
         self.head = 0;
         self.hi = 0;
     }
+
+    /// Heap bytes the buckets hold, each at its capacity.
+    pub(crate) fn memory_bytes(&self) -> usize {
+        self.buckets.capacity() * std::mem::size_of::<Vec<OpenEntry>>()
+            + (self.buckets.iter())
+                .map(|b| b.capacity() * std::mem::size_of::<OpenEntry>())
+                .sum::<usize>()
+    }
 }
 
 /// Reusable buffers for [`crate::astar::plan_path_into`]. Construct once per
@@ -225,13 +233,7 @@ impl SearchScratch {
         self.table.band.capacity() * std::mem::size_of::<u32>()
             + self.table.deep.capacity()
                 * (std::mem::size_of::<(usize, u8)>() + crate::footprint::HASH_ENTRY_OVERHEAD)
-            + self.open.buckets.capacity() * std::mem::size_of::<Vec<OpenEntry>>()
-            + self
-                .open
-                .buckets
-                .iter()
-                .map(|b| b.capacity() * std::mem::size_of::<OpenEntry>())
-                .sum::<usize>()
+            + self.open.memory_bytes()
     }
 }
 

@@ -8,7 +8,8 @@
 //! its verdict is `results/fingerprints_batched_equivalence.txt`, recorded
 //! by running this matrix through it at the last commit that had it.
 //!
-//! Every planner runs on walled (obstructed — exercising the BFS oracle)
+//! Every planner runs on walled (border walls keep the free floor a
+//! rectangle, so the distance oracle answers by Manhattan)
 //! and open instances across seeds; a single-picker fleet forces return-leg
 //! contention so the one-undock-per-station group rule is exercised. The
 //! last five lines are `tests/disruption.rs`'s `disrupted_spec(59)`:

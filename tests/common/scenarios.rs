@@ -11,7 +11,7 @@
 //!   replans an interrupted leg;
 //! * **aisle blockades** — on the same dense floor six corridors close for
 //!   200–400 ticks each, invalidating planned paths (freeze cascade) and
-//!   patching the distance oracle's station fields;
+//!   flipping the distance oracle's passability snapshot;
 //! * **station outage during surge** — two of four pickers walk away for
 //!   250–400 ticks inside a carnival-style arrival surge, so the planner
 //!   must rebalance the selection side exactly when the workload peaks
