@@ -700,7 +700,7 @@ mod tests {
     /// tenth: the live oracle answers as a fresh one built on the mutated
     /// grid does.
     #[test]
-    fn surge_blockade_replay_matches_a_fresh_oracle() {
+    fn surge_blockade_replay_patches_station_fields() {
         use tprw_warehouse::{ArrivalProfile, DisruptionConfig};
         let inst = ScenarioSpec {
             name: "surge-live".into(),

@@ -357,8 +357,7 @@ mod tests {
 
     /// The oracle holds nothing but its passability snapshot until the
     /// first query off the Manhattan path: building it allocates no search
-    /// state. That query allocates the per-cell costs, and once every
-    /// query has run the buffers stop growing.
+    /// state, and neither does a blockade.
     #[test]
     fn search_state_waits_for_the_first_search() {
         let mut grid = GridMap::filled(16, 16, CellKind::Aisle);
@@ -370,6 +369,17 @@ mod tests {
             snapshot_bytes(&grid),
             "a flip is O(1)"
         );
+        assert_eq!(oracle.to_station(p(0, 0), s(0)), 30);
+        assert!(oracle.memory_bytes() > snapshot_bytes(&grid));
+    }
+
+    /// `memory_bytes` counts the per-cell search costs the first search
+    /// allocates, and once every query has run the buffers stop growing.
+    #[test]
+    fn memory_footprint_tracks_fields() {
+        let mut grid = GridMap::filled(16, 16, CellKind::Aisle);
+        grid.set_kind(p(8, 8), CellKind::Blocked);
+        let mut oracle = DistanceOracle::new(&grid, &[p(15, 15)]);
         assert_eq!(oracle.to_station(p(0, 0), s(0)), 30);
         assert!(
             oracle.memory_bytes() >= snapshot_bytes(&grid) + 16 * 16 * 8,
@@ -413,7 +423,7 @@ mod tests {
     }
 
     #[test]
-    fn set_passable_reroutes() {
+    fn set_passable_patches_and_reroutes() {
         // Open grid: Manhattan fast path.
         let mut grid = GridMap::filled(8, 8, CellKind::Aisle);
         let mut oracle = DistanceOracle::new(&grid, &[p(4, 0)]);
@@ -438,7 +448,7 @@ mod tests {
     }
 
     #[test]
-    fn blocking_next_to_a_station_reroutes_its_column() {
+    fn blocking_next_to_a_station_drops_only_its_field() {
         // (7,7) blocked so the search runs.
         let mut grid = GridMap::filled(8, 8, CellKind::Aisle);
         grid.set_kind(p(7, 7), CellKind::Blocked);
@@ -468,7 +478,7 @@ mod tests {
     }
 
     #[test]
-    fn blocking_and_reopening_a_station_restores_its_distances() {
+    fn blocking_and_reopening_a_station_restores_its_field() {
         let mut grid = GridMap::filled(6, 6, CellKind::Aisle);
         grid.set_kind(p(4, 4), CellKind::Blocked);
         let station = p(2, 2);
